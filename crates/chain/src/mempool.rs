@@ -591,15 +591,17 @@ impl CrossMsgPool {
     }
 
     /// Records that the top-down message with `nonce` was applied by a
-    /// committed block — used by WAL replay, where application happens via
-    /// the journaled block rather than [`CrossMsgPool::take_proposable`].
-    /// Advances the release cursor past `nonce` and drops the (now applied)
-    /// message if it was waiting.
+    /// committed block. Advances the release cursor past `nonce` and drops
+    /// the (now applied) messages if they were waiting — a no-op when the
+    /// block was proposed from this pool, whose
+    /// [`CrossMsgPool::take_proposable`] already did both.
     pub fn note_top_down_applied(&mut self, nonce: Nonce) {
         if nonce >= self.next_top_down {
             self.next_top_down = nonce.next();
+            // Nothing below the cursor is ever stored, so only a cursor
+            // move can leave stale entries behind.
+            self.top_down = self.top_down.split_off(&self.next_top_down);
         }
-        self.top_down.retain(|n, _| *n >= self.next_top_down);
     }
 
     /// Records that the bottom-up group of `meta` was applied by a

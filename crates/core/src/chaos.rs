@@ -10,8 +10,8 @@
 //! publishes [`hc_net::ResolutionMsg::BlockPull`] requests on its own
 //! topic, peers answer with bounded [`hc_net::ResolutionMsg::BlockBatch`]
 //! replies, and each received block is re-validated and re-executed
-//! (`ReplayMode::CatchUp`) — a corrupt or stale batch cannot poison the
-//! node. Both legs of every round trip cross the simulated network, so
+//! (`HierarchyRuntime::reexecute_block`) — a corrupt or stale batch cannot
+//! poison the node. Both legs of every round trip cross the simulated network, so
 //! partitions, loss, duplication, and reordering from the
 //! [`hc_net::FaultPlan`] all apply; lost requests are retried under the
 //! same capped-backoff [`hc_net::RetryPolicy`] as content resolution.
@@ -33,19 +33,15 @@
 //! [`HierarchyRuntime::crash_node`] / [`HierarchyRuntime::rejoin_node`]
 //! directly.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use hc_actors::ScaConfig;
-use hc_chain::{Block, ChainStore, CrossMsgPool, Mempool};
-use hc_consensus::{make_engine, ValidatorSet};
-use hc_net::{CrashFault, ResolutionMsg, Resolver, SubscriberId, BLOB_BATCH_CAP};
-use hc_state::{ChunkManifest, CidStore, ImplicitMsg, StateTree, VmEvent};
+use hc_chain::{Block, Mempool};
+use hc_net::{CrashFault, ResolutionMsg, SubscriberId, BLOB_BATCH_CAP};
+use hc_state::{ChunkManifest, CidStore};
 use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
-use crate::node::{NodeStats, SubnetNode};
-use crate::persist::chain_log_name;
-use crate::runtime::{node_jitter_seed, node_rng, HierarchyRuntime, ReplayMode, RuntimeError};
-use hc_store::Wal;
+use crate::node::{node_jitter_seed, SubnetNode};
+use crate::runtime::{HierarchyRuntime, RuntimeError};
 
 /// Blocks per [`hc_net::ResolutionMsg::BlockBatch`] reply. Deliberately
 /// small so a long outage takes several pull round trips to repair, each
@@ -321,54 +317,28 @@ impl HierarchyRuntime {
             self.boot_params.get(subnet).cloned().ok_or_else(|| {
                 RuntimeError::Execution(format!("no boot parameters recorded for {subnet}"))
             })?;
-        let sca_config = ScaConfig {
-            checkpoint_period: sa_config.checkpoint_period,
-            ..self.config.sca.clone()
-        };
-        let mut chain = ChainStore::new(subnet.clone());
+        // Unschedulable until catch-up completes. The fresh genesis RNG
+        // stream realigns with the subnet's history as the catch-up burns
+        // one draw per missed block.
+        let mut node = SubnetNode::genesis(
+            subnet.clone(),
+            &self.config,
+            Some((&sa_config, &engine_params)),
+            crashed.subscription,
+            u64::MAX,
+            self.cid_store().clone(),
+        );
+        // The mempool's content was replicated across the subnet's peers;
+        // the restarted node re-syncs it. (Messages already in replayed
+        // blocks were removed from this pool before the crash, so nothing
+        // is double-proposed.)
+        node.mempool = crashed.mempool;
+        self.network.set_offline(crashed.subscription, false);
+        self.nodes.insert(subnet.clone(), node);
         // On a durable device, reattach the subnet's block journal: the
         // catch-up replay appends without re-journaling (the records are
         // already on disk), and post-catch-up live blocks journal again.
-        if let Some(durable) = self.config.persistence.durable().cloned() {
-            let (wal, _) = Wal::open(durable.device.clone(), &chain_log_name(subnet), durable.wal);
-            chain.attach_wal(wal);
-        }
-        let sig_cache = Self::make_sig_cache(self.config.sig_cache_capacity);
-        let node = SubnetNode {
-            subnet_id: subnet.clone(),
-            tree: StateTree::genesis(subnet.clone(), sca_config, []),
-            chain,
-            // The mempool's content was replicated across the subnet's
-            // peers; the restarted node re-syncs it. (Messages already in
-            // replayed blocks were removed from this pool before the
-            // crash, so nothing is double-proposed.)
-            mempool: crashed.mempool,
-            cross_pool: CrossMsgPool::new(),
-            engine: make_engine(sa_config.consensus, engine_params.clone()),
-            validators: ValidatorSet::default(),
-            validator_keys: Vec::new(),
-            resolver: Resolver::with_policy_seeded(
-                self.config.retry,
-                node_jitter_seed(self.config.seed, subnet),
-            ),
-            subscription: crashed.subscription,
-            // Unschedulable until catch-up completes.
-            next_block_at_ms: u64::MAX,
-            next_epoch: ChainEpoch::new(1),
-            pending_checkpoints: Vec::new(),
-            pending_turnarounds: Vec::new(),
-            unresolved_turnarounds: Vec::new(),
-            last_receipts: BTreeMap::new(),
-            tentative: BTreeMap::new(),
-            store: self.cid_store().clone(),
-            stats: NodeStats::default(),
-            // Fresh genesis stream; the catch-up replay burns one draw per
-            // missed block, realigning it with the subnet's history.
-            rng: node_rng(self.config.seed, subnet),
-            sig_cache,
-        };
-        self.network.set_offline(crashed.subscription, false);
-        self.nodes.insert(subnet.clone(), node);
+        self.attach_chain_wal(subnet);
         self.refresh_validators(subnet);
         let pending_users: VecDeque<(ChainEpoch, Address)> = self
             .user_installs
@@ -657,10 +627,19 @@ impl HierarchyRuntime {
                     continue;
                 }
                 self.install_pending_users(subnet, block.header.epoch)?;
-                self.replay_block(subnet, block, ReplayMode::CatchUp)?;
+                // The live hierarchy has moved on: every outward effect of
+                // the block (parent checkpoint submission, journal
+                // records, manifest anchors, certificate gossip) happened
+                // when it was produced, so only the node-local half of its
+                // events re-runs.
+                let outcome = self.reexecute_block(subnet, &block)?;
+                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+                for event in &outcome.events {
+                    node.apply_event(event, false);
+                }
                 // Replay restores the historical schedule; stay
                 // unschedulable until catch-up completes.
-                Self::get_node_mut(&mut self.nodes, subnet)?.next_block_at_ms = u64::MAX;
+                node.next_block_at_ms = u64::MAX;
                 self.chaos.blocks_caught_up += 1;
                 progressed = true;
             }
@@ -683,57 +662,74 @@ impl HierarchyRuntime {
             return Ok(());
         }
 
-        let policy = self.config.retry;
-        let Some(cu) = self.catching_up.get_mut(subnet) else {
-            return Ok(());
-        };
-        if now_ms >= cu.next_pull_at_ms {
-            if policy.max_attempts > 0 && cu.attempts >= policy.max_attempts {
-                // The retry budget is *per batch* — `attempts` resets on
-                // every replayed block, so only the current round trip is
-                // exhausted. Cool down for the capped timeout and re-arm:
-                // a long blackout slows this batch down, it must never
-                // permanently abandon the batches behind it.
-                cu.attempts = 0;
-                cu.next_pull_at_ms = now_ms + policy.max_timeout_ms.max(1);
-                self.chaos.pull_budget_rearms += 1;
-                return Ok(());
-            }
-            cu.attempts += 1;
-            // Same deterministic seeded jitter as resolver pulls, salted
-            // per leg; with `jitter_pct == 0` this is exactly
-            // `timeout_for` (bit-identical to the un-jittered schedule).
-            cu.next_pull_at_ms = now_ms
-                + policy.jittered_timeout_for(
-                    cu.attempts,
-                    node_jitter_seed(self.config.seed, subnet),
-                    BLOCK_PULL_JITTER_SALT,
-                );
-            if cu.attempts > 1 {
+        if let Some(attempt) = self.pull_backoff_step(subnet, BLOCK_PULL_JITTER_SALT, now_ms) {
+            if attempt > 1 {
                 self.chaos.block_pull_retries += 1;
             }
             self.chaos.block_pulls += 1;
-            let (from_epoch, own) = {
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-                (node.next_epoch, node.subscription)
-            };
-            // Published on the subnet's own topic with the node itself as
-            // origin but *not* excluded: in this single-process simulation
-            // the runtime stands in for the surviving peers, so the pull
-            // must come back through the (possibly faulty) network to be
-            // served. Asymmetric fault rules can still target the sender.
-            self.network.publish_from(
-                &subnet.topic(),
+            let from_epoch = Self::get_node_mut(&mut self.nodes, subnet)?.next_epoch;
+            self.publish_pull(
+                subnet,
                 ResolutionMsg::BlockPull {
                     subnet: subnet.clone(),
                     from_epoch,
                     reply_topic: subnet.topic(),
                 },
                 now_ms,
-                None,
-                Some(own),
-            );
+            )?;
         }
+        Ok(())
+    }
+
+    /// One step of a catching-up node's pull backoff, shared by the
+    /// block-pull and blob-pull legs (`salt` separates their jitter
+    /// streams). Returns the attempt number when a pull is due now, `None`
+    /// while the current round trip is still within its timeout or the
+    /// budget is cooling down.
+    fn pull_backoff_step(&mut self, subnet: &SubnetId, salt: u64, now_ms: u64) -> Option<u32> {
+        let policy = self.config.retry;
+        let cu = self.catching_up.get_mut(subnet)?;
+        if now_ms < cu.next_pull_at_ms {
+            return None;
+        }
+        if policy.max_attempts > 0 && cu.attempts >= policy.max_attempts {
+            // The retry budget is *per batch* — `attempts` resets on every
+            // replayed block or accepted blob, so only the current round
+            // trip is exhausted. Cool down for the capped timeout and
+            // re-arm: a long blackout slows this batch down, it must never
+            // permanently abandon the batches behind it.
+            cu.attempts = 0;
+            cu.next_pull_at_ms = now_ms + policy.max_timeout_ms.max(1);
+            self.chaos.pull_budget_rearms += 1;
+            return None;
+        }
+        cu.attempts += 1;
+        // Same deterministic seeded jitter as resolver pulls, salted per
+        // leg; with `jitter_pct == 0` this is exactly `timeout_for`
+        // (bit-identical to the un-jittered schedule).
+        cu.next_pull_at_ms = now_ms
+            + policy.jittered_timeout_for(
+                cu.attempts,
+                node_jitter_seed(self.config.seed, subnet),
+                salt,
+            );
+        Some(cu.attempts)
+    }
+
+    /// Publishes a catch-up pull on the subnet's own topic with the node
+    /// itself as origin but *not* excluded: in this single-process
+    /// simulation the runtime stands in for the surviving peers, so the
+    /// pull must come back through the (possibly faulty) network to be
+    /// served. Asymmetric fault rules can still target the sender.
+    fn publish_pull(
+        &mut self,
+        subnet: &SubnetId,
+        pull: ResolutionMsg,
+        now_ms: u64,
+    ) -> Result<(), RuntimeError> {
+        let own = Self::get_node_mut(&mut self.nodes, subnet)?.subscription;
+        self.network
+            .publish_from(&subnet.topic(), pull, now_ms, None, Some(own));
         Ok(())
     }
 
@@ -787,168 +783,62 @@ impl HierarchyRuntime {
             return self.install_snapshot(subnet);
         }
 
-        let policy = self.config.retry;
-        let Some(cu) = self.catching_up.get_mut(subnet) else {
-            return Ok(());
-        };
-        if now_ms < cu.next_pull_at_ms {
-            return Ok(());
+        if let Some(attempt) = self.pull_backoff_step(subnet, BLOB_PULL_JITTER_SALT, now_ms) {
+            if attempt > 1 {
+                self.chaos.blob_pull_retries += 1;
+            }
+            self.chaos.blob_pulls += 1;
+            self.publish_pull(
+                subnet,
+                ResolutionMsg::BlobPull {
+                    cids: wanted,
+                    reply_topic: subnet.topic(),
+                },
+                now_ms,
+            )?;
         }
-        if policy.max_attempts > 0 && cu.attempts >= policy.max_attempts {
-            // Same per-batch cool-down/re-arm as the block-pull leg.
-            cu.attempts = 0;
-            cu.next_pull_at_ms = now_ms + policy.max_timeout_ms.max(1);
-            self.chaos.pull_budget_rearms += 1;
-            return Ok(());
-        }
-        cu.attempts += 1;
-        // Seeded jitter, salted apart from the block-pull leg (see there).
-        cu.next_pull_at_ms = now_ms
-            + policy.jittered_timeout_for(
-                cu.attempts,
-                node_jitter_seed(self.config.seed, subnet),
-                BLOB_PULL_JITTER_SALT,
-            );
-        if cu.attempts > 1 {
-            self.chaos.blob_pull_retries += 1;
-        }
-        self.chaos.blob_pulls += 1;
-        let own = Self::get_node_mut(&mut self.nodes, subnet)?.subscription;
-        // As with block pulls: the request must cross the faulty network
-        // and come back to be served.
-        self.network.publish_from(
-            &subnet.topic(),
-            ResolutionMsg::BlobPull {
-                cids: wanted,
-                reply_topic: subnet.topic(),
-            },
-            now_ms,
-            None,
-            Some(own),
-        );
         Ok(())
     }
 
-    /// Installs a fully assembled snapshot: verifies the staged closure
-    /// against the consensus-committed block header at the anchor epoch,
-    /// swaps the node's state tree, re-bases its chain on the anchor, and
-    /// realigns the node's RNG stream past the blocks the snapshot covers.
-    /// From here catch-up continues as a normal block replay of the
-    /// post-anchor suffix.
+    /// Installs a fully assembled snapshot: swaps in the staged state once
+    /// it verifies against the consensus-committed block header at the
+    /// anchor epoch, skips the node past the blocks the snapshot covers
+    /// (realigning its RNG stream and cursors without executing them), and
+    /// re-bases the chain on the anchor. From here catch-up continues as a
+    /// normal block replay of the post-anchor suffix.
     fn install_snapshot(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
-        let (tree, closure, base_cid, anchor_epoch, covered_blocks) = {
-            let cu = self
-                .catching_up
-                .get(subnet)
-                .ok_or_else(|| RuntimeError::UnknownSubnet(subnet.clone()))?;
-            let sync = cu
-                .snapshot
-                .as_ref()
-                .ok_or_else(|| RuntimeError::Execution("no snapshot in flight".into()))?;
-            let blob = sync.staging.get(&sync.manifest).ok_or_else(|| {
-                RuntimeError::Execution("snapshot manifest blob missing from staging".into())
-            })?;
-            let manifest = ChunkManifest::decode(&blob).ok_or_else(|| {
-                RuntimeError::Execution("snapshot manifest blob failed to decode".into())
-            })?;
-            let anchor = cu
-                .peer_blocks
-                .iter()
-                .find(|b| b.header.epoch == sync.anchor_epoch)
-                .ok_or_else(|| {
-                    RuntimeError::Execution(format!(
-                        "no peer block at snapshot anchor epoch {}",
-                        sync.anchor_epoch
-                    ))
-                })?;
-            // The committed header is the trust root: chunks verified only
-            // against their CIDs could still be a consistent-but-wrong
-            // state, so the assembled root must match what the subnet's
-            // consensus finalized at the anchor.
-            if manifest.root != anchor.header.state_root {
-                return Err(RuntimeError::Execution(format!(
-                    "snapshot root {} does not match the committed header root {} at epoch {}",
-                    manifest.root, anchor.header.state_root, sync.anchor_epoch
-                )));
-            }
-            let tree = StateTree::from_manifest(&manifest, &sync.staging)
-                .map_err(|e| RuntimeError::Execution(format!("snapshot install: {e}")))?;
-            // Adopt the manifest's full closure — fixed chunks AND every
-            // account-HAMT node — so the node's store can serve the same
-            // snapshot (and GC can pin it) after the swap.
-            let mut closure: Vec<Vec<u8>> = Vec::new();
-            for cid in sync.staging.manifest_closure(&[sync.manifest]) {
-                if let Some(chunk) = sync.staging.get(&cid) {
-                    closure.push(chunk.as_ref().clone());
-                }
-            }
-            let covered: Vec<Block> = cu
-                .peer_blocks
-                .iter()
-                .filter(|b| b.header.epoch <= sync.anchor_epoch)
-                .cloned()
-                .collect();
-            (tree, closure, anchor.cid(), sync.anchor_epoch, covered)
-        };
-        let base_blocks = covered_blocks.len();
-        {
-            let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-            // The snapshot replaces execution, not history: every covered
-            // block still realigns the consensus RNG, the cross-net nonce
-            // cursors, and the mempool epoch exactly as a per-block replay
-            // would, so the node resumes mid-conversation with its parent.
-            for block in &covered_blocks {
-                node.engine
-                    .next_block(block.header.epoch, &node.validators, &mut node.rng)
-                    .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))?;
-                node.mempool.advance_epoch(block.header.epoch);
-                for m in &block.implicit_msgs {
-                    match m {
-                        ImplicitMsg::CommitChildCheckpoint { signed } => {
-                            node.pending_checkpoints
-                                .retain(|p| p.checkpoint != signed.checkpoint);
-                        }
-                        ImplicitMsg::CommitTurnaround { meta, .. } => {
-                            node.pending_turnarounds.retain(|(m2, _)| m2 != meta);
-                            node.unresolved_turnarounds.retain(|m2| m2 != meta);
-                        }
-                        ImplicitMsg::ApplyTopDown(cross) => {
-                            node.cross_pool.note_top_down_applied(cross.nonce);
-                        }
-                        ImplicitMsg::ApplyBottomUp { meta, .. } => {
-                            node.cross_pool.note_bottom_up_applied(meta);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            // Adopt the verified closure into the node's store so it can
-            // serve future snapshot pulls itself (content-addressed puts
-            // dedup against blobs already present).
-            for blob in closure {
-                node.store.put(blob);
-            }
-            node.tree = tree;
-            node.chain.reset_to_snapshot_base(anchor_epoch, base_cid);
-            node.next_epoch = anchor_epoch.next();
-            node.next_block_at_ms = u64::MAX;
-        }
-        // Wallet nonce cursors advance past every covered user message.
-        for block in &covered_blocks {
-            for m in &block.signed_msgs {
-                let (from, nonce) = (m.message().from, m.message().nonce);
-                if let Some(w) = self.wallets.get_mut(&(subnet.clone(), from)) {
-                    if nonce.next() > w.next_nonce {
-                        w.next_nonce = nonce.next();
-                    }
-                }
+        let cu = self
+            .catching_up
+            .get_mut(subnet)
+            .ok_or_else(|| RuntimeError::UnknownSubnet(subnet.clone()))?;
+        let sync = cu
+            .snapshot
+            .as_ref()
+            .ok_or_else(|| RuntimeError::Execution("no snapshot in flight".into()))?;
+        let anchor_epoch = sync.anchor_epoch;
+        let covered: Vec<Block> = cu
+            .peer_blocks
+            .iter()
+            .filter(|b| b.header.epoch <= anchor_epoch)
+            .cloned()
+            .collect();
+        let anchor = covered.last().filter(|b| b.header.epoch == anchor_epoch);
+        let anchor_cid = anchor.map(Block::cid);
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        node.install_manifest(
+            &sync.manifest,
+            &sync.staging,
+            anchor.map(|b| b.header.state_root),
+        )?;
+        // Adopt the manifest's full closure — fixed chunks AND every
+        // account-HAMT node — so the node's store can serve the same
+        // snapshot (and GC can pin it) after the swap (content-addressed
+        // puts dedup against blobs already present).
+        for cid in sync.staging.manifest_closure(&[sync.manifest]) {
+            if let Some(chunk) = sync.staging.get(&cid) {
+                node.store.put(chunk.as_ref().clone());
             }
         }
-        let cu = self.catching_up.get_mut(subnet).expect("checked at entry");
-        // Remember the covered prefix: a future crash of this node must
-        // still hand the next rejoiner the full peer history even though
-        // this node's own chain now starts at the anchor.
-        self.snapshot_bases.insert(subnet.clone(), covered_blocks);
         // Accounts installed at or below the anchor are part of the
         // snapshot state already; replaying them would double-apply.
         while cu
@@ -958,10 +848,29 @@ impl HierarchyRuntime {
         {
             cu.pending_users.pop_front();
         }
-        cu.base_blocks = base_blocks;
+        cu.base_blocks = covered.len();
         cu.snapshot = None;
         cu.attempts = 0;
         cu.next_pull_at_ms = self.now_ms;
+
+        // The snapshot replaces execution, not history: every covered
+        // block still realigns the consensus RNG, the cross-net nonce
+        // cursors, the mempool epoch, and the wallet nonces exactly as a
+        // per-block replay would, so the node resumes mid-conversation
+        // with its parent.
+        for block in &covered {
+            self.skip_past_block(subnet, block, false)?;
+        }
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        node.chain.reset_to_snapshot_base(
+            anchor_epoch,
+            anchor_cid.expect("install verified against the anchor header"),
+        );
+        node.next_block_at_ms = u64::MAX;
+        // Remember the covered prefix: a future crash of this node must
+        // still hand the next rejoiner the full peer history even though
+        // this node's own chain now starts at the anchor.
+        self.snapshot_bases.insert(subnet.clone(), covered);
         self.chaos.snapshot_installs += 1;
         Ok(())
     }
@@ -1084,57 +993,6 @@ impl HierarchyRuntime {
             }
         }
         self.chaos.checkpoints_resubmitted += resubmitted;
-        Ok(())
-    }
-
-    /// Applies the node-local effects of a caught-up block's events — the
-    /// [`ReplayMode::CatchUp`] counterpart of the live event routing. The
-    /// block's *outward* effects (checkpoint submission to the parent,
-    /// journal records, manifest anchors, certificate gossip) happened
-    /// when the block was originally produced; re-running them would
-    /// double-apply. What must be rebuilt is the node's own view: stats,
-    /// persisted state, the resolver's content for serving future pulls,
-    /// and settled-payment bookkeeping.
-    pub(crate) fn catch_up_effects(
-        &mut self,
-        subnet: &SubnetId,
-        events: Vec<VmEvent>,
-    ) -> Result<(), RuntimeError> {
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        for event in events {
-            match event {
-                VmEvent::CheckpointCut { checkpoint } => {
-                    node.stats.checkpoints_cut += 1;
-                    node.tree.persist(&node.store);
-                    node.stats.state_persists += 1;
-                    // Re-seed the resolver from the SCA registry so the
-                    // node can serve pulls for its checkpointed content
-                    // again (the cache died with the process).
-                    for meta in &checkpoint.cross_msgs {
-                        if let Some(msgs) = node
-                            .tree
-                            .sca()
-                            .resolve_content(&meta.msgs_cid)
-                            .map(<[hc_actors::CrossMsg]>::to_vec)
-                        {
-                            node.resolver.seed(meta.msgs_cid, msgs);
-                        }
-                    }
-                }
-                VmEvent::CheckpointCommitted { outcome, .. } => {
-                    node.stats.checkpoints_committed += 1;
-                    for meta in outcome.applied_here {
-                        node.cross_pool.ingest_meta(meta);
-                    }
-                    node.unresolved_turnarounds.extend(outcome.turnaround);
-                }
-                VmEvent::CrossMsgApplied { msg } => {
-                    node.stats.cross_applied += 1;
-                    node.tentative.remove(&msg.cid());
-                }
-                _ => {}
-            }
-        }
         Ok(())
     }
 }

@@ -23,6 +23,23 @@
 //!   (escrow coverage, per-edge supply backing, global conservation) that
 //!   make the firewall property observable.
 //!
+//! # Modules
+//!
+//! * [`runtime`] — [`HierarchyRuntime`]: configuration, the wallet/user
+//!   API, subnet lifecycle, and the per-block pipeline (`pre_tick →
+//!   poll_network → produce_local → post_tick → route_event`).
+//! * [`node`] — [`SubnetNode`]: one subnet's chain, state, pools and
+//!   engine, and the single copy of what a committed block implies for
+//!   its node (construction, commit, skip, event effects, snapshot
+//!   install) that live ticks, recovery and catch-up all share.
+//! * [`persist`] and the private `recover` module — the journal layout
+//!   ([`ControlRecord`]) and [`HierarchyRuntime::recover`], which rebuilds
+//!   the hierarchy from it.
+//! * [`chaos`] — live node crash–rejoin, peer catch-up and snapshot sync.
+//! * [`elastic`], [`atomic`], [`archive`], [`audit`], [`attack`] — the
+//!   scale-out controller, 2PC orchestration, the checkpoint archive,
+//!   supply audits, and adversarial injection.
+//!
 //! # Example
 //!
 //! ```
@@ -63,6 +80,7 @@ pub mod chaos;
 pub mod elastic;
 pub mod node;
 pub mod persist;
+mod recover;
 pub mod runtime;
 
 pub use archive::CheckpointArchive;

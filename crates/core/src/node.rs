@@ -10,14 +10,23 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use hc_actors::checkpoint::SignedCheckpoint;
-use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate};
-use hc_chain::{ChainStore, CrossMsgPool, Mempool};
-use hc_consensus::{Consensus, ValidatorSet};
-use hc_net::{Resolver, SubscriberId};
-use hc_state::{CidStore, Receipt, SigCache, SigCacheStats, StateTree};
-use hc_types::{ChainEpoch, Cid, Keypair, SubnetId};
+use hc_actors::sa::SaConfig;
+use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, ScaConfig};
+use hc_chain::{Block, ChainStore, CrossMsgPool, Mempool};
+use hc_consensus::{
+    make_engine, BlockOpportunity, Consensus, ConsensusKind, EngineParams, ValidatorSet,
+};
+use hc_net::{ResolutionMsg, Resolver, SubscriberId};
+use hc_state::{
+    ChunkManifest, CidStore, ImplicitMsg, Receipt, SigCache, SigCacheStats, StateTree, VmEvent,
+};
+use hc_types::crypto::SignaturePolicy;
+use hc_types::{CanonicalEncode, ChainEpoch, Cid, Keypair, SubnetId};
+
+use crate::runtime::{RuntimeConfig, RuntimeError, StepReport};
 
 /// Running counters for one subnet node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,9 +58,46 @@ pub struct NodeStats {
     pub state_persists: u64,
 }
 
-/// One subnet's canonical node. Construction and stepping live in
-/// [`crate::runtime::HierarchyRuntime`]; this type exposes read access for
-/// clients, tests, and benchmarks.
+/// What committing one block implies outside its node — computed by
+/// [`SubnetNode::commit_block`] against the node alone, applied to shared
+/// runtime state by the caller.
+pub(crate) struct LocalOutcome {
+    pub(crate) report: StepReport,
+    /// Committed child checkpoints paired with the signature policy in
+    /// force at commit time, destined for the global archive.
+    pub(crate) archived: Vec<(SignedCheckpoint, SignaturePolicy)>,
+    /// VM events of the block, to be routed through the hierarchy.
+    pub(crate) events: Vec<VmEvent>,
+}
+
+/// Derives a subnet node's private randomness stream from the runtime
+/// seed and the subnet's identity (domain-separated through the content
+/// hash, so sibling subnets get unrelated streams).
+fn node_rng(seed: u64, subnet: &SubnetId) -> StdRng {
+    let mut bytes = seed.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&subnet.canonical_bytes());
+    StdRng::from_seed(*Cid::digest(&bytes).as_bytes())
+}
+
+/// Seed for a node's resolver backoff jitter: the run seed mixed with the
+/// subnet identity, so co-located retry loops desynchronize while every
+/// run stays replayable. Inert while [`hc_net::RetryPolicy::jitter_pct`]
+/// is 0.
+pub(crate) fn node_jitter_seed(seed: u64, subnet: &SubnetId) -> u64 {
+    let mut bytes = seed.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&subnet.canonical_bytes());
+    let digest = Cid::digest(&bytes);
+    u64::from_le_bytes(
+        digest.as_bytes()[..8]
+            .try_into()
+            .expect("digest has 8+ bytes"),
+    )
+}
+
+/// One subnet's canonical node. Stepping lives in
+/// [`crate::runtime::HierarchyRuntime`]; this type owns what a committed
+/// block implies for its node and exposes read access for clients, tests,
+/// and benchmarks.
 pub struct SubnetNode {
     /// The subnet's identity.
     pub(crate) subnet_id: SubnetId,
@@ -122,6 +168,281 @@ impl std::fmt::Debug for SubnetNode {
 }
 
 impl SubnetNode {
+    /// Builds a node at genesis — the one constructor behind root boot,
+    /// child boot, and crash-rejoin. `boot` carries a child's Subnet Actor
+    /// config and engine parameters; `None` builds the rootnet (authority
+    /// round-robin under the runtime-wide parameters). The validator set
+    /// starts empty: the root's caller installs its authority set, a
+    /// child's is refreshed from the parent's Subnet Actor.
+    pub(crate) fn genesis(
+        subnet_id: SubnetId,
+        config: &RuntimeConfig,
+        boot: Option<(&SaConfig, &EngineParams)>,
+        subscription: SubscriberId,
+        next_block_at_ms: u64,
+        store: CidStore,
+    ) -> Self {
+        let (sca, engine) = match boot {
+            Some((sa, params)) => (
+                ScaConfig {
+                    checkpoint_period: sa.checkpoint_period,
+                    ..config.sca.clone()
+                },
+                make_engine(sa.consensus, params.clone()),
+            ),
+            None => (
+                config.sca.clone(),
+                make_engine(ConsensusKind::RoundRobin, config.engine_params.clone()),
+            ),
+        };
+        let sig_cache =
+            (config.sig_cache_capacity > 0).then(|| SigCache::new(config.sig_cache_capacity));
+        SubnetNode {
+            tree: StateTree::genesis(subnet_id.clone(), sca, []),
+            chain: ChainStore::new(subnet_id.clone()),
+            mempool: match &sig_cache {
+                Some(c) => Mempool::with_config(config.mempool).with_sig_cache(c.clone()),
+                None => Mempool::with_config(config.mempool),
+            },
+            cross_pool: CrossMsgPool::new(),
+            engine,
+            validators: ValidatorSet::default(),
+            validator_keys: Vec::new(),
+            resolver: Resolver::with_policy_seeded(
+                config.retry,
+                node_jitter_seed(config.seed, &subnet_id),
+            ),
+            subscription,
+            next_block_at_ms,
+            next_epoch: ChainEpoch::new(1),
+            pending_checkpoints: Vec::new(),
+            pending_turnarounds: Vec::new(),
+            unresolved_turnarounds: Vec::new(),
+            last_receipts: BTreeMap::new(),
+            tentative: BTreeMap::new(),
+            store,
+            stats: NodeStats::default(),
+            rng: node_rng(config.seed, &subnet_id),
+            sig_cache,
+            subnet_id,
+        }
+    }
+
+    /// Draws the consensus slot of the block at `epoch` from the node's
+    /// private randomness stream. Every block a node ever holds — produced,
+    /// re-executed or skipped — burns exactly one draw, which keeps the
+    /// stream aligned with the subnet's history.
+    pub(crate) fn draw_slot(
+        &mut self,
+        epoch: ChainEpoch,
+    ) -> Result<BlockOpportunity, RuntimeError> {
+        if epoch != self.next_epoch {
+            return Err(RuntimeError::Execution(format!(
+                "block at epoch {epoch}, node expects {}",
+                self.next_epoch
+            )));
+        }
+        self.engine
+            .next_block(epoch, &self.validators, &mut self.rng)
+            .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))
+    }
+
+    /// Everything a committed block implies for its node that outlives
+    /// execution: the mempool's dedup horizon, the epoch and schedule
+    /// cursors, the pending queues the block drained, and the cross-net
+    /// nonce cursors. Called on its own for a block whose state arrives
+    /// wholesale from a snapshot (recovery fast-forward, snapshot-covered
+    /// history) — no receipts, no counters, and no hashing. Every step is
+    /// idempotent on a live node, whose proposer already drained the same
+    /// queues and advanced the same cursors when it assembled the block.
+    pub(crate) fn skip_block(&mut self, block: &Block, opportunity: &BlockOpportunity) {
+        let epoch = block.header.epoch;
+        self.mempool.advance_epoch(epoch);
+        self.next_block_at_ms = block.header.timestamp_ms + opportunity.interval_ms;
+        self.next_epoch = epoch.next();
+        for m in &block.implicit_msgs {
+            match m {
+                ImplicitMsg::CommitChildCheckpoint { signed } => {
+                    self.pending_checkpoints
+                        .retain(|p| p.checkpoint != signed.checkpoint);
+                }
+                ImplicitMsg::CommitTurnaround { meta, .. } => {
+                    self.pending_turnarounds.retain(|(m2, _)| m2 != meta);
+                    self.unresolved_turnarounds.retain(|m2| m2 != meta);
+                }
+                ImplicitMsg::ApplyTopDown(cross) => {
+                    self.cross_pool.note_top_down_applied(cross.nonce);
+                }
+                ImplicitMsg::ApplyBottomUp { meta, .. } => {
+                    self.cross_pool.note_bottom_up_applied(meta);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The one way a block that was executed against this node's tree —
+    /// just produced, replayed from the journal, or pulled from peers —
+    /// becomes part of the node: [`SubnetNode::skip_block`] plus everything
+    /// that needs the receipts (counters, `last_receipts`, the checkpoints
+    /// to archive, the events to route). The caller has already appended
+    /// the block to the chain, journaled or not as its path requires.
+    pub(crate) fn commit_block(
+        &mut self,
+        block: &Block,
+        receipts: Vec<Receipt>,
+        opportunity: &BlockOpportunity,
+    ) -> LocalOutcome {
+        self.skip_block(block, opportunity);
+        let implicit = block.implicit_msgs.len();
+        let gas_used: u64 = receipts.iter().map(|r| r.gas_used).sum();
+        self.stats.blocks += 1;
+        self.stats.gas_used += gas_used;
+        self.stats.total_interval_ms += opportunity.interval_ms;
+        self.stats.orphaned += u64::from(opportunity.orphaned);
+        self.stats.extra_rounds += u64::from(opportunity.rounds.saturating_sub(1));
+        for r in &receipts[implicit..] {
+            if r.exit.is_ok() {
+                self.stats.user_msgs_ok += 1;
+            } else {
+                self.stats.user_msgs_failed += 1;
+            }
+        }
+
+        // Remember receipts by message CID (for `execute`), account
+        // committed checkpoint bytes (parent-chain load, experiment E3),
+        // and snapshot the signature policy in force at commit time so the
+        // archive stays verifiable across validator churn. The policy
+        // lives in this node's own copy of the child's Subnet Actor.
+        self.last_receipts.clear();
+        let mut archived = Vec::new();
+        for (m, receipt) in block.implicit_msgs.iter().zip(&receipts) {
+            if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
+                self.stats.checkpoint_bytes += signed.checkpoint.encoded_size() as u64;
+                let policy = signed
+                    .checkpoint
+                    .source
+                    .actor()
+                    .filter(|_| receipt.exit.is_ok())
+                    .and_then(|a| self.tree.sa(a).map(hc_actors::SaState::signature_policy));
+                if let Some(policy) = policy {
+                    archived.push((signed.clone(), policy));
+                }
+            }
+            self.last_receipts.insert(m.cid(), receipt.clone());
+        }
+        for (m, receipt) in block.signed_msgs.iter().zip(&receipts[implicit..]) {
+            self.last_receipts.insert(m.msg_cid(), receipt.clone());
+        }
+
+        LocalOutcome {
+            report: StepReport {
+                subnet: self.subnet_id.clone(),
+                epoch: block.header.epoch,
+                at_ms: block.header.timestamp_ms,
+                msgs: block.msg_count(),
+                gas_used,
+            },
+            archived,
+            events: receipts.into_iter().flat_map(|r| r.events).collect(),
+        }
+    }
+
+    /// The node-local half of routing one VM event of a committed block —
+    /// shared by live ticks, journal recovery and peer catch-up. For a
+    /// checkpoint cut it returns the manifest the checkpointed state was
+    /// persisted under and, when `push` is set, the content announcements
+    /// for the carried message groups; publishing those, submitting the
+    /// checkpoint to the parent, journaling and certificates are the
+    /// caller's outward half.
+    pub(crate) fn apply_event(
+        &mut self,
+        event: &VmEvent,
+        push: bool,
+    ) -> Option<(Cid, Vec<(String, ResolutionMsg)>)> {
+        match event {
+            VmEvent::CheckpointCut { checkpoint } => {
+                self.stats.checkpoints_cut += 1;
+                // Persist the checkpointed state as a chunk manifest:
+                // unchanged chunks dedupe against the previous persist
+                // (structural sharing, observable via CidStore::stats).
+                let manifest = self.tree.persist(&self.store);
+                self.stats.state_persists += 1;
+
+                // Content resolution (paper §IV-C): the SCA registry is
+                // this subnet's authoritative content store, so its
+                // resolver always serves pulls for the carried groups (a
+                // rebuilt node re-seeds here — the cache died with the
+                // process); with the *push* path enabled, the groups are
+                // also announced proactively on their destinations' topics.
+                let mut pushes = Vec::new();
+                for meta in &checkpoint.cross_msgs {
+                    let content = self
+                        .tree
+                        .sca()
+                        .resolve_content(&meta.msgs_cid)
+                        .or_else(|| self.resolver.cache().get(&meta.msgs_cid))
+                        .map(<[CrossMsg]>::to_vec);
+                    if let Some(msgs) = content {
+                        let cid = meta.msgs_cid;
+                        if push {
+                            let msgs = msgs.clone();
+                            pushes.push((meta.to.topic(), ResolutionMsg::Push { cid, msgs }));
+                        }
+                        self.resolver.seed(cid, msgs);
+                    }
+                }
+                return Some((manifest, pushes));
+            }
+            VmEvent::CheckpointCommitted { outcome, .. } => {
+                self.stats.checkpoints_committed += 1;
+                for meta in &outcome.applied_here {
+                    self.cross_pool.ingest_meta(meta.clone());
+                }
+                self.unresolved_turnarounds
+                    .extend(outcome.turnaround.iter().cloned());
+            }
+            VmEvent::CrossMsgApplied { msg } => {
+                self.stats.cross_applied += 1;
+                // A settled payment is no longer tentative.
+                self.tentative.remove(&msg.cid());
+            }
+            // Remaining events are informational; reverts ride the normal
+            // cross-net flow and need no extra routing.
+            _ => {}
+        }
+        None
+    }
+
+    /// The one way a persisted snapshot replaces a node's state: decode
+    /// `manifest` from `source`, check its root against the state root the
+    /// subnet's consensus committed in the header at the anchor epoch,
+    /// rebuild the tree from the manifest's closure, swap it in. The
+    /// committed header is the trust root — chunks verified only against
+    /// their CIDs could still be a consistent-but-wrong state.
+    pub(crate) fn install_manifest(
+        &mut self,
+        manifest: &Cid,
+        source: &CidStore,
+        committed_root: Option<Cid>,
+    ) -> Result<(), RuntimeError> {
+        let decoded = source
+            .get(manifest)
+            .and_then(|blob| ChunkManifest::decode(&blob))
+            .ok_or_else(|| {
+                RuntimeError::Execution(format!("snapshot manifest {manifest} missing or corrupt"))
+            })?;
+        if committed_root != Some(decoded.root) {
+            return Err(RuntimeError::Execution(format!(
+                "snapshot root {} does not match the committed header root {committed_root:?}",
+                decoded.root
+            )));
+        }
+        self.tree = StateTree::from_manifest(&decoded, source)
+            .map_err(|e| RuntimeError::Execution(format!("snapshot install: {e}")))?;
+        Ok(())
+    }
+
     /// The subnet's identity.
     pub fn subnet_id(&self) -> &SubnetId {
         &self.subnet_id

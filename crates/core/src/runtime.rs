@@ -4,34 +4,23 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, HcAddress, ScaConfig};
 use hc_chain::{
-    execute_block_with, produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions, Mempool,
-    MempoolConfig, MempoolStats,
+    execute_block_with, produce_block_with, Block, ExecOptions, MempoolConfig, MempoolStats,
 };
-use hc_consensus::{make_engine, EngineParams, ValidatorSet};
-use hc_net::{
-    NetConfig, Network, PullDecision, ResolutionMsg, Resolver, ResolverStats, RetryPolicy,
-};
+use hc_consensus::{EngineParams, ValidatorSet};
+use hc_net::{NetConfig, Network, PullDecision, ResolutionMsg, ResolverStats, RetryPolicy};
 use hc_state::{
-    ChunkManifest, CidStore, ImplicitMsg, Message, Method, Receipt, SealedMessage, SigCache,
-    SigCacheStats, SignedMessage, StateTree, VmEvent, DEFAULT_SIG_CACHE_CAPACITY,
+    CidStore, ImplicitMsg, Message, Method, Receipt, SealedMessage, SigCacheStats, SignedMessage,
+    VmEvent, DEFAULT_SIG_CACHE_CAPACITY,
 };
 use hc_store::{BlobLog, Persistence, Wal};
-use hc_types::{
-    Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId,
-    TokenAmount,
-};
+use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
-use crate::node::{NodeStats, SubnetNode};
-use crate::persist::{
-    chain_log_name, ControlRecord, DurableOptions, PersistenceConfig, BLOB_LOG, CONTROL_LOG,
-};
+use crate::node::{LocalOutcome, SubnetNode};
+use crate::persist::{chain_log_name, ControlRecord, PersistenceConfig, BLOB_LOG, CONTROL_LOG};
 
 /// How many recent manifests per subnet the runtime remembers for manual
 /// blob pruning when no automatic GC depth is configured.
@@ -257,64 +246,6 @@ pub(crate) struct Wallet {
     pub(crate) next_nonce: Nonce,
 }
 
-/// Derives a subnet node's private randomness stream from the runtime
-/// seed and the subnet's identity (domain-separated through the content
-/// hash, so sibling subnets get unrelated streams).
-pub(crate) fn node_rng(seed: u64, subnet: &SubnetId) -> StdRng {
-    let mut bytes = seed.to_le_bytes().to_vec();
-    bytes.extend_from_slice(&subnet.canonical_bytes());
-    StdRng::from_seed(*Cid::digest(&bytes).as_bytes())
-}
-
-/// Seed for a node's resolver backoff jitter: the run seed mixed with the
-/// subnet identity, so co-located retry loops desynchronize while every
-/// run stays replayable. Inert while [`RetryPolicy::jitter_pct`] is 0.
-pub(crate) fn node_jitter_seed(seed: u64, subnet: &SubnetId) -> u64 {
-    let mut bytes = seed.to_le_bytes().to_vec();
-    bytes.extend_from_slice(&subnet.canonical_bytes());
-    let digest = Cid::digest(&bytes);
-    u64::from_le_bytes(
-        digest.as_bytes()[..8]
-            .try_into()
-            .expect("digest has 8+ bytes"),
-    )
-}
-
-/// What phase (a) of a tick — the pure per-subnet part — computed, to be
-/// applied to shared runtime state by phase (b).
-struct LocalOutcome {
-    report: StepReport,
-    /// Committed child checkpoints paired with the signature policy in
-    /// force at commit time, destined for the global archive.
-    archived: Vec<(SignedCheckpoint, hc_types::crypto::SignaturePolicy)>,
-    /// VM events of the block, to be routed through the hierarchy.
-    events: Vec<VmEvent>,
-}
-
-/// One subnet's block WAL while [`HierarchyRuntime::recover`] replays the
-/// control log: the journaled block records and a cursor over how many the
-/// replay has consumed so far.
-struct ReplayLog {
-    wal: Wal,
-    records: Vec<Vec<u8>>,
-    cursor: usize,
-}
-
-/// Why a past block is being re-committed — see
-/// [`HierarchyRuntime::replay_block`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReplayMode {
-    /// Whole-runtime restart from the journal: the replay *is* the
-    /// effect, so checkpoint routing, archiving, and event delivery all
-    /// re-run.
-    Recovery,
-    /// A single rejoined node resyncing from peers while the live
-    /// hierarchy keeps running: only node-local bookkeeping re-runs; the
-    /// block's outward effects (parent checkpoint submission, journal
-    /// records, certificates) already happened when it was produced.
-    CatchUp,
-}
-
 /// The hierarchical consensus runtime: one node per subnet plus the shared
 /// pub-sub network, advanced by a deterministic discrete-event loop.
 pub struct HierarchyRuntime {
@@ -322,7 +253,7 @@ pub struct HierarchyRuntime {
     pub(crate) nodes: BTreeMap<SubnetId, SubnetNode>,
     pub(crate) network: Network<ResolutionMsg>,
     pub(crate) now_ms: u64,
-    next_user_id: u64,
+    pub(crate) next_user_id: u64,
     pub(crate) wallets: BTreeMap<(SubnetId, Address), Wallet>,
     events: VecDeque<(SubnetId, VmEvent)>,
     /// Tokens minted at the rootnet (genesis + faucet), the global supply
@@ -333,19 +264,19 @@ pub struct HierarchyRuntime {
     /// Runtime-wide content-addressed blob store: persisted state chunk
     /// manifests. Shared by every node (handles clone the same store), so
     /// unchanged chunks are stored once across snapshots and subnets.
-    store: CidStore,
+    pub(crate) store: CidStore,
     /// `true` while [`HierarchyRuntime::recover`] replays journaled
     /// history: journaling and network publishes are suppressed (replay
     /// must not re-journal what it reads, and a recovering node's old
     /// gossip must not be re-sent).
-    recovering: bool,
+    pub(crate) recovering: bool,
     /// The runtime-wide control log (see [`crate::persist`]); `None` when
     /// persistence is [`PersistenceConfig::InMemory`].
-    control_wal: Option<Wal>,
+    pub(crate) control_wal: Option<Wal>,
     /// Most recent persisted state-manifest CIDs, per subnet, newest last.
     /// The GC's live roots: blobs unreachable from these manifests can be
     /// pruned from the blob store.
-    recent_manifests: BTreeMap<SubnetId, VecDeque<Cid>>,
+    pub(crate) recent_manifests: BTreeMap<SubnetId, VecDeque<Cid>>,
     /// Per subnet, the newest checkpoint-anchored snapshot boundary: the
     /// checkpoint epoch and the state manifest persisted at its cut.
     /// Snapshot-syncing rejoiners bootstrap from here, and the GC pins
@@ -357,7 +288,7 @@ pub struct HierarchyRuntime {
     /// manifest is installed when its record is reached). Emptied as
     /// installs complete; non-empty after replay means the journal tore
     /// inside a skipped region and recovery must fall back to full replay.
-    fast_forward: BTreeMap<SubnetId, (ChainEpoch, Cid)>,
+    pub(crate) fast_forward: BTreeMap<SubnetId, (ChainEpoch, Cid)>,
     /// Subnets whose node is currently crashed (removed from `nodes`),
     /// with the surviving-peer view needed for rejoin.
     pub(crate) crashed: BTreeMap<SubnetId, crate::chaos::CrashedNode>,
@@ -424,16 +355,10 @@ impl HierarchyRuntime {
     /// holds journaled history, use [`HierarchyRuntime::recover`].
     pub fn new(config: RuntimeConfig) -> Self {
         let mut rt = Self::boot(config);
-        if let Some(durable) = rt.config.persistence.durable().cloned() {
-            let (control, _) = Wal::open(durable.device.clone(), CONTROL_LOG, durable.wal);
+        if let Some((control, _)) = rt.open_journals() {
             rt.control_wal = Some(control);
-            rt.store
-                .attach_blob_log(BlobLog::open(durable.device.clone(), BLOB_LOG, durable.wal));
             let root = SubnetId::root();
-            let (wal, _) = Wal::open(durable.device.clone(), &chain_log_name(&root), durable.wal);
-            if let Some(node) = rt.nodes.get_mut(&root) {
-                node.chain.attach_wal(wal);
-            }
+            rt.attach_chain_wal(&root);
             // The root's boot-time placement predates the control log's
             // attachment; journal it now so recovery replays it.
             if let Some(region) = rt.region_assignments.get(&root).cloned() {
@@ -446,558 +371,9 @@ impl HierarchyRuntime {
         rt
     }
 
-    /// Restarts a hierarchy from the journaled history on
-    /// `config.persistence`'s device: replays the longest satisfiable
-    /// prefix of the control log (re-executing every journaled block and
-    /// verifying each recomputed state root against the block header),
-    /// truncates everything past that prefix out of the journals, and
-    /// resumes live operation from there.
-    ///
-    /// With [`PersistenceConfig::InMemory`] this is just
-    /// [`HierarchyRuntime::new`]. The rest of the `config` (seed, network,
-    /// engine parameters, …) must match the run that wrote the journals —
-    /// the journals deliberately do not store the whole world, only what a
-    /// deterministic re-execution cannot re-derive.
-    pub fn recover(config: RuntimeConfig) -> Self {
-        let Some(durable) = config.persistence.durable().cloned() else {
-            return Self::new(config);
-        };
-        if config.sync_mode == crate::chaos::SyncMode::Snapshot {
-            // Snapshot mode fast-forwards each eligible subnet to its last
-            // checkpoint-anchored manifest instead of re-executing its
-            // whole history. If a fast-forward target turns out to be
-            // unreachable (the journal tore inside the skipped region),
-            // fall back to the total full-replay recovery below.
-            if let Some(rt) = Self::recover_attempt(config.clone(), &durable, true) {
-                return rt;
-            }
-        }
-        Self::recover_attempt(config, &durable, false)
-            .expect("full-replay recovery never abandons a prefix")
-    }
-
-    /// One recovery pass over the journals. With `fast_forward` enabled,
-    /// returns `None` (leaving the journals untouched) when an eligible
-    /// subnet's anchor was never reached — the caller retries without
-    /// fast-forwarding.
-    fn recover_attempt(
-        config: RuntimeConfig,
-        durable: &DurableOptions,
-        fast_forward: bool,
-    ) -> Option<Self> {
-        let mut rt = Self::boot(config);
-        rt.recovering = true;
-        // Attach the blob log before replaying: replayed persists dedup
-        // against blobs that survived the crash and re-journal any the
-        // torn tail lost.
-        rt.store
-            .attach_blob_log(BlobLog::open(durable.device.clone(), BLOB_LOG, durable.wal));
-        let (mut control, control_records) =
-            Wal::open(durable.device.clone(), CONTROL_LOG, durable.wal);
-        if fast_forward {
-            rt.fast_forward = Self::plan_fast_forward(&control_records, &rt.store);
-        }
-        let mut logs: BTreeMap<SubnetId, ReplayLog> = BTreeMap::new();
-        let root = SubnetId::root();
-        let (wal, records) = Wal::open(durable.device.clone(), &chain_log_name(&root), durable.wal);
-        logs.insert(
-            root,
-            ReplayLog {
-                wal,
-                records,
-                cursor: 0,
-            },
-        );
-        let mut applied = 0usize;
-        for bytes in &control_records {
-            let Ok(record) = ControlRecord::decode(bytes) else {
-                break;
-            };
-            if !rt.apply_control_record(record, durable, &mut logs) {
-                break;
-            }
-            applied += 1;
-        }
-        if !rt.fast_forward.is_empty() {
-            // A subnet's replay stopped before its anchor installed: its
-            // chain is ahead of its (still-genesis) state tree. Abandon
-            // this attempt before any journal truncation.
-            return None;
-        }
-        // Make the journals agree with the recovered world: drop control
-        // records past the replayed prefix and, per subnet, block records
-        // past the replay cursor (a block whose commit record was lost is
-        // not part of history).
-        control.truncate_after(applied);
-        for (subnet, log) in logs {
-            let ReplayLog {
-                mut wal, cursor, ..
-            } = log;
-            wal.truncate_after(cursor);
-            if let Some(node) = rt.nodes.get_mut(&subnet) {
-                node.chain.attach_wal(wal);
-            }
-        }
-        rt.store.sync();
-        rt.control_wal = Some(control);
-        rt.recovering = false;
-        Some(rt)
-    }
-
-    /// Scans the control log for subnets whose recovery can skip straight
-    /// to their newest checkpoint anchor. Eligible: non-root subnets with
-    /// no booted descendants (a child's boot reads its parent's state,
-    /// which a fast-forwarded parent would not have yet) whose anchored
-    /// manifest closure fully survives in the blob store — anything less
-    /// replays in full.
-    fn plan_fast_forward(
-        records: &[Vec<u8>],
-        store: &CidStore,
-    ) -> BTreeMap<SubnetId, (ChainEpoch, Cid)> {
-        let mut booted: Vec<SubnetId> = Vec::new();
-        let mut anchors: BTreeMap<SubnetId, (ChainEpoch, Cid)> = BTreeMap::new();
-        for bytes in records {
-            let Ok(record) = ControlRecord::decode(bytes) else {
-                break;
-            };
-            match record {
-                ControlRecord::SubnetBoot { child, .. } => booted.push(child),
-                ControlRecord::CheckpointAnchor {
-                    subnet,
-                    epoch,
-                    manifest,
-                } => {
-                    anchors.insert(subnet, (epoch, manifest));
-                }
-                _ => {}
-            }
-        }
-        anchors.retain(|subnet, (_, manifest)| {
-            // `hydrate_manifest` pulls the closure out of the surviving
-            // blob log into memory — recovery starts from an empty store,
-            // so the log is the only place the snapshot can live.
-            !subnet.is_root()
-                && !booted.iter().any(|b| subnet.is_ancestor_of(b))
-                && store.hydrate_manifest(manifest)
-        });
-        anchors
-    }
-
-    /// Applies one control record during recovery. Returns `false` when the
-    /// record cannot be satisfied (its block is missing or torn, a state
-    /// root fails to reproduce, …) — replay stops there and the journal is
-    /// truncated back to the satisfied prefix.
-    fn apply_control_record(
-        &mut self,
-        record: ControlRecord,
-        durable: &DurableOptions,
-        logs: &mut BTreeMap<SubnetId, ReplayLog>,
-    ) -> bool {
-        match record {
-            ControlRecord::UserCreated {
-                subnet,
-                addr,
-                balance,
-            } => {
-                if self.install_user(&subnet, addr, balance).is_err() {
-                    return false;
-                }
-                self.next_user_id = self.next_user_id.max(addr.id() + 1);
-                true
-            }
-            ControlRecord::ClaimantCreated { subnet, addr } => {
-                self.create_claimant(&UserHandle { subnet, addr }).is_ok()
-            }
-            ControlRecord::UserAdopted { subnet, addr } => {
-                self.install_adopted(&subnet, addr).is_ok()
-            }
-            ControlRecord::SubnetRetired { subnet } => {
-                if !self.nodes.contains_key(&subnet) {
-                    return false;
-                }
-                self.retire_node(&subnet);
-                true
-            }
-            ControlRecord::SubnetBoot {
-                child,
-                config,
-                engine_params,
-            } => {
-                self.boot_child_node(&child, &config, &engine_params);
-                if !self.nodes.contains_key(&child) {
-                    return false;
-                }
-                let (wal, records) =
-                    Wal::open(durable.device.clone(), &chain_log_name(&child), durable.wal);
-                logs.insert(
-                    child,
-                    ReplayLog {
-                        wal,
-                        records,
-                        cursor: 0,
-                    },
-                );
-                true
-            }
-            ControlRecord::BlockCommitted { subnet, epoch } => {
-                let Some(log) = logs.get_mut(&subnet) else {
-                    return false;
-                };
-                let Some(bytes) = log.records.get(log.cursor) else {
-                    return false;
-                };
-                let Ok(block) = Block::decode(bytes) else {
-                    return false;
-                };
-                if block.header.epoch != epoch {
-                    return false;
-                }
-                let replayed = if self.fast_forward.contains_key(&subnet) {
-                    // Inside a fast-forwarded prefix: append without
-                    // re-execution; the anchored snapshot supplies the
-                    // state this block produced.
-                    self.fast_forward_block(&subnet, block).is_ok()
-                } else {
-                    self.replay_block(&subnet, block, ReplayMode::Recovery)
-                        .is_ok()
-                };
-                if !replayed {
-                    return false;
-                }
-                if let Some(log) = logs.get_mut(&subnet) {
-                    log.cursor += 1;
-                }
-                true
-            }
-            ControlRecord::SnapshotAnchor { subnet, manifest } => {
-                if self.fast_forward.contains_key(&subnet) {
-                    // The tree this snapshot was cut from is being skipped;
-                    // the journaled manifest cannot be re-persisted for a
-                    // cross-check, only kept in the GC window.
-                    self.track_manifest(&subnet, manifest);
-                    return true;
-                }
-                let Some(node) = self.nodes.get_mut(&subnet) else {
-                    return false;
-                };
-                let recomputed = node.tree.persist(&node.store);
-                if recomputed != manifest {
-                    return false;
-                }
-                node.stats.state_persists += 1;
-                self.track_manifest(&subnet, manifest);
-                true
-            }
-            ControlRecord::CheckpointAnchor {
-                subnet,
-                epoch,
-                manifest,
-            } => {
-                match self.fast_forward.get(&subnet).copied() {
-                    Some((target_epoch, target_manifest)) if epoch == target_epoch => {
-                        // The fast-forward target: install the anchored
-                        // snapshot and resume normal replay from here.
-                        if manifest != target_manifest
-                            || !self.install_fast_forward(&subnet, epoch, manifest)
-                        {
-                            return false;
-                        }
-                        self.fast_forward.remove(&subnet);
-                        self.checkpoint_anchors
-                            .insert(subnet.clone(), (epoch, manifest));
-                        self.track_manifest(&subnet, manifest);
-                        true
-                    }
-                    Some(_) => {
-                        // A pre-target anchor inside the skipped prefix:
-                        // no persist ran to cross-check against, but the
-                        // GC window must advance exactly as it did live.
-                        self.checkpoint_anchors
-                            .insert(subnet.clone(), (epoch, manifest));
-                        self.track_manifest(&subnet, manifest);
-                        true
-                    }
-                    None => {
-                        // The persist already re-ran inside the replayed
-                        // block's checkpoint-cut routing; this anchor only
-                        // cross-checks it.
-                        self.recent_manifests.get(&subnet).and_then(|w| w.back()) == Some(&manifest)
-                    }
-                }
-            }
-            ControlRecord::RegionAssigned { subnet, region } => {
-                // Boot-time policy placement already re-ran inside the
-                // replayed boot; this record re-applies it (and carries
-                // explicit `place_subnet` overrides the policy can't
-                // reproduce). The region must still be declared.
-                if self.network.region_map().region_index(&region).is_none() {
-                    return false;
-                }
-                self.apply_region(&subnet, &region);
-                true
-            }
-        }
-    }
-
-    /// Recovery counterpart of a skipped block: appends it to the chain
-    /// and repeats the bookkeeping that outlives execution — consensus/RNG
-    /// draws, epoch and schedule cursors, cross-net nonce cursors, wallet
-    /// nonces — without validating or executing anything. The state the
-    /// block produced arrives later, wholesale, from the anchored
-    /// snapshot ([`HierarchyRuntime::install_fast_forward`]).
-    fn fast_forward_block(&mut self, subnet: &SubnetId, block: Block) -> Result<(), RuntimeError> {
-        self.refresh_validators(subnet);
-        let at_ms = block.header.timestamp_ms;
-        let epoch = block.header.epoch;
-        let nonces: Vec<(Address, Nonce)> = block
-            .signed_msgs
-            .iter()
-            .map(|m| (m.message().from, m.message().nonce))
-            .collect();
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        if epoch != node.next_epoch {
-            return Err(RuntimeError::Execution(format!(
-                "fast-forward: journaled block at epoch {epoch}, node expects {}",
-                node.next_epoch
-            )));
-        }
-        // Burn the consensus draw the live run made for this block.
-        let opportunity = node
-            .engine
-            .next_block(epoch, &node.validators, &mut node.rng)
-            .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))?;
-        node.chain
-            .append_recovered(block.clone())
-            .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        node.mempool.advance_epoch(epoch);
-        node.next_block_at_ms = at_ms + opportunity.interval_ms;
-        node.next_epoch = epoch.next();
-        for m in &block.implicit_msgs {
-            match m {
-                ImplicitMsg::CommitChildCheckpoint { signed } => {
-                    node.pending_checkpoints
-                        .retain(|p| p.checkpoint != signed.checkpoint);
-                }
-                ImplicitMsg::CommitTurnaround { meta, .. } => {
-                    node.pending_turnarounds.retain(|(m2, _)| m2 != meta);
-                    node.unresolved_turnarounds.retain(|m2| m2 != meta);
-                }
-                ImplicitMsg::ApplyTopDown(cross) => {
-                    node.cross_pool.note_top_down_applied(cross.nonce);
-                }
-                ImplicitMsg::ApplyBottomUp { meta, .. } => {
-                    node.cross_pool.note_bottom_up_applied(meta);
-                }
-                _ => {}
-            }
-        }
-        // Wallet nonce cursors advance past every journaled user message.
-        for (from, nonce) in nonces {
-            if let Some(w) = self.wallets.get_mut(&(subnet.clone(), from)) {
-                if nonce.next() > w.next_nonce {
-                    w.next_nonce = nonce.next();
-                }
-            }
-        }
-        self.now_ms = self.now_ms.max(at_ms);
-        Ok(())
-    }
-
-    /// Installs a fast-forward target during recovery: decodes the
-    /// anchored manifest from the blob store, rebuilds the state tree
-    /// from its closure, and verifies the root against the committed
-    /// header of the (fast-forwarded) block at the anchor epoch. Returns
-    /// `false` when anything fails to verify — the caller stops replay
-    /// there and recovery falls back to full replay.
-    fn install_fast_forward(
-        &mut self,
-        subnet: &SubnetId,
-        epoch: ChainEpoch,
-        manifest: Cid,
-    ) -> bool {
-        let Some(blob) = self.store.get(&manifest) else {
-            return false;
-        };
-        let Some(decoded) = ChunkManifest::decode(&blob) else {
-            return false;
-        };
-        let Ok(tree) = StateTree::from_manifest(&decoded, &self.store) else {
-            return false;
-        };
-        let Some(node) = self.nodes.get_mut(subnet) else {
-            return false;
-        };
-        let header_root = node
-            .chain
-            .iter()
-            .find(|b| b.header.epoch == epoch)
-            .map(|b| b.header.state_root);
-        if header_root != Some(decoded.root) {
-            return false;
-        }
-        node.tree = tree;
-        node.stats.state_persists += 1;
-        true
-    }
-
-    /// Re-commits one past block against a node: re-executes it (verifying
-    /// the recomputed state root against the header), re-appends it
-    /// without re-journaling, and repeats every bookkeeping step the live
-    /// [`HierarchyRuntime::produce_local`] performed — engine and RNG
-    /// draws included, so the node's randomness stream stays aligned with
-    /// history. [`ReplayMode::Recovery`] (crash-restart replay from the
-    /// journal) routes the block's effects through the full
-    /// [`HierarchyRuntime::post_tick`]; [`ReplayMode::CatchUp`] (a live
-    /// rejoined node resyncing while the rest of the hierarchy has moved
-    /// on) applies only node-local effects — every outward effect of the
-    /// block already happened when it was produced.
-    pub(crate) fn replay_block(
-        &mut self,
-        subnet: &SubnetId,
-        block: Block,
-        mode: ReplayMode,
-    ) -> Result<(), RuntimeError> {
-        self.refresh_validators(subnet);
-        let at_ms = block.header.timestamp_ms;
-        let epoch = block.header.epoch;
-        let parallelism = self.config.parallelism;
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        if epoch != node.next_epoch {
-            return Err(RuntimeError::Execution(format!(
-                "replay: journaled block at epoch {epoch}, node expects {}",
-                node.next_epoch
-            )));
-        }
-        // Burn the consensus draw the live run made for this block.
-        let opportunity = node
-            .engine
-            .next_block(epoch, &node.validators, &mut node.rng)
-            .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))?;
-        node.engine
-            .validate_block(&block, &node.validators)
-            .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
-        let receipts = execute_block_with(
-            &mut node.tree,
-            &block,
-            ExecOptions {
-                sig_cache: node.sig_cache.as_ref(),
-                parallelism,
-            },
-        )
-        .map_err(|e| RuntimeError::Execution(format!("replay execution: {e}")))?;
-        node.chain
-            .append_recovered(block.clone())
-            .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        node.mempool.advance_epoch(epoch);
-
-        let gas_used: u64 = receipts.iter().map(|r| r.gas_used).sum();
-        node.stats.blocks += 1;
-        node.stats.gas_used += gas_used;
-        node.stats.total_interval_ms += opportunity.interval_ms;
-        node.stats.orphaned += u64::from(opportunity.orphaned);
-        node.stats.extra_rounds += u64::from(opportunity.rounds.saturating_sub(1));
-        node.next_block_at_ms = at_ms + opportunity.interval_ms;
-        node.next_epoch = epoch.next();
-        for (i, r) in receipts.iter().enumerate() {
-            if i >= block.implicit_msgs.len() {
-                if r.exit.is_ok() {
-                    node.stats.user_msgs_ok += 1;
-                } else {
-                    node.stats.user_msgs_failed += 1;
-                }
-            }
-        }
-
-        node.last_receipts.clear();
-        let mut committed_checkpoints = Vec::new();
-        for (i, m) in block.implicit_msgs.iter().enumerate() {
-            match m {
-                ImplicitMsg::CommitChildCheckpoint { signed } => {
-                    node.stats.checkpoint_bytes += signed.checkpoint.encoded_size() as u64;
-                    if receipts[i].exit.is_ok() {
-                        committed_checkpoints.push(signed.clone());
-                    }
-                    // The live run drained this from the pending queue when
-                    // it proposed the block; replay re-queued it when the
-                    // child's checkpoint cut was replayed.
-                    node.pending_checkpoints
-                        .retain(|p| p.checkpoint != signed.checkpoint);
-                }
-                ImplicitMsg::CommitTurnaround { meta, .. } => {
-                    node.pending_turnarounds.retain(|(m2, _)| m2 != meta);
-                    node.unresolved_turnarounds.retain(|m2| m2 != meta);
-                }
-                ImplicitMsg::ApplyTopDown(cross) => {
-                    node.cross_pool.note_top_down_applied(cross.nonce);
-                }
-                ImplicitMsg::ApplyBottomUp { meta, .. } => {
-                    node.cross_pool.note_bottom_up_applied(meta);
-                }
-                _ => {}
-            }
-            node.last_receipts.insert(m.cid(), receipts[i].clone());
-        }
-        for (i, m) in block.signed_msgs.iter().enumerate() {
-            node.last_receipts
-                .insert(m.msg_cid(), receipts[block.implicit_msgs.len() + i].clone());
-        }
-
-        let mut archived = Vec::new();
-        for signed in committed_checkpoints {
-            let policy = signed
-                .checkpoint
-                .source
-                .actor()
-                .and_then(|a| node.tree.sa(a).map(hc_actors::SaState::signature_policy));
-            if let Some(policy) = policy {
-                archived.push((signed, policy));
-            }
-        }
-        let events: Vec<VmEvent> = receipts.into_iter().flat_map(|r| r.events).collect();
-        let msg_count = block.msg_count();
-        let nonces: Vec<(Address, Nonce)> = block
-            .signed_msgs
-            .iter()
-            .map(|m| (m.message().from, m.message().nonce))
-            .collect();
-
-        // Wallet nonce cursors advance past every journaled user message.
-        for (from, nonce) in nonces {
-            if let Some(w) = self.wallets.get_mut(&(subnet.clone(), from)) {
-                if nonce.next() > w.next_nonce {
-                    w.next_nonce = nonce.next();
-                }
-            }
-        }
-        match mode {
-            ReplayMode::Recovery => {
-                self.now_ms = self.now_ms.max(at_ms);
-                self.post_tick(
-                    subnet,
-                    LocalOutcome {
-                        report: StepReport {
-                            subnet: subnet.clone(),
-                            epoch,
-                            at_ms,
-                            msgs: msg_count,
-                            gas_used,
-                        },
-                        archived,
-                        events,
-                    },
-                    at_ms,
-                )?;
-            }
-            ReplayMode::CatchUp => {
-                self.catch_up_effects(subnet, events)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Builds the in-memory hierarchy skeleton (rootnet only), without
     /// touching any persistence device.
-    fn boot(config: RuntimeConfig) -> Self {
+    pub(crate) fn boot(config: RuntimeConfig) -> Self {
         let network = Network::new(config.net.clone(), config.seed);
         let crash_plan: Vec<(hc_net::CrashFault, crate::chaos::CrashPhase)> = config
             .net
@@ -1035,42 +411,16 @@ impl HierarchyRuntime {
         }
 
         let store = CidStore::new();
-        let tree = StateTree::genesis(root.clone(), config.sca.clone(), []);
-        let subscription = network.subscribe(&root.topic());
-        let engine = make_engine(
-            hc_consensus::ConsensusKind::RoundRobin,
-            config.engine_params.clone(),
+        let mut node = SubnetNode::genesis(
+            root.clone(),
+            &config,
+            None,
+            network.subscribe(&root.topic()),
+            config.engine_params.block_time_ms,
+            store.clone(),
         );
-        let sig_cache = Self::make_sig_cache(config.sig_cache_capacity);
-        let node = SubnetNode {
-            subnet_id: root.clone(),
-            tree,
-            chain: ChainStore::new(root.clone()),
-            mempool: match &sig_cache {
-                Some(c) => Mempool::with_config(config.mempool).with_sig_cache(c.clone()),
-                None => Mempool::with_config(config.mempool),
-            },
-            cross_pool: CrossMsgPool::new(),
-            engine,
-            validators: ValidatorSet::new(validators),
-            validator_keys,
-            resolver: Resolver::with_policy_seeded(
-                config.retry,
-                node_jitter_seed(config.seed, &root),
-            ),
-            subscription,
-            next_block_at_ms: config.engine_params.block_time_ms,
-            next_epoch: ChainEpoch::new(1),
-            pending_checkpoints: Vec::new(),
-            pending_turnarounds: Vec::new(),
-            unresolved_turnarounds: Vec::new(),
-            last_receipts: BTreeMap::new(),
-            tentative: BTreeMap::new(),
-            store: store.clone(),
-            stats: NodeStats::default(),
-            rng: node_rng(config.seed, &root),
-            sig_cache,
-        };
+        node.validators = ValidatorSet::new(validators);
+        node.validator_keys = validator_keys;
 
         let mut nodes = BTreeMap::new();
         nodes.insert(root.clone(), node);
@@ -1139,7 +489,7 @@ impl HierarchyRuntime {
 
     /// Applies a region placement to the live network (via the node's
     /// subscription, when booted) and the assignment table. Idempotent.
-    fn apply_region(&mut self, subnet: &SubnetId, region: &str) {
+    pub(crate) fn apply_region(&mut self, subnet: &SubnetId, region: &str) {
         if let Some(node) = self.nodes.get(subnet) {
             self.network.place_in_region(node.subscription, region);
         }
@@ -1161,10 +511,10 @@ impl HierarchyRuntime {
 
     /// Records a freshly persisted snapshot manifest in `subnet`'s recency
     /// window and, when a durable config caps the window
-    /// ([`DurableOptions::keep_manifests`] > 0), prunes blobs that fell out
-    /// of every subnet's window. Runs identically during live operation and
-    /// replay, so recovered stores see the same GC sweeps.
-    fn track_manifest(&mut self, subnet: &SubnetId, manifest: Cid) {
+    /// ([`crate::DurableOptions::keep_manifests`] > 0), prunes blobs that
+    /// fell out of every subnet's window. Runs identically during live
+    /// operation and replay, so recovered stores see the same GC sweeps.
+    pub(crate) fn track_manifest(&mut self, subnet: &SubnetId, manifest: Cid) {
         let keep = self
             .config
             .persistence
@@ -1216,8 +566,8 @@ impl HierarchyRuntime {
     }
 
     /// Manually prunes state blobs unreachable from the recent snapshot
-    /// manifests (see [`DurableOptions::keep_manifests`] for the automatic
-    /// variant). Returns `(pruned_blobs, pruned_bytes)` for this sweep;
+    /// manifests (see [`crate::DurableOptions::keep_manifests`] for the
+    /// automatic variant). Returns `(pruned_blobs, pruned_bytes)` for this sweep;
     /// lifetime totals accumulate in the store's
     /// [`hc_state::CidStoreStats`].
     pub fn prune_blobs(&mut self) -> (u64, u64) {
@@ -1229,10 +579,37 @@ impl HierarchyRuntime {
         self.config.persistence.durable().map(|d| d.device.clone())
     }
 
-    /// Builds a node-local verified-signature cache, or `None` when the
-    /// configured capacity is zero (cache disabled).
-    pub(crate) fn make_sig_cache(capacity: usize) -> Option<SigCache> {
-        (capacity > 0).then(|| SigCache::new(capacity))
+    /// Opens the runtime-wide journals on the durable device: attaches the
+    /// blob log to the shared store and returns the control log with the
+    /// records it already holds; `None` when persistence is in-memory.
+    pub(crate) fn open_journals(&mut self) -> Option<(Wal, Vec<Vec<u8>>)> {
+        let durable = self.config.persistence.durable()?;
+        let control = Wal::open(durable.device.clone(), CONTROL_LOG, durable.wal);
+        self.store
+            .attach_blob_log(BlobLog::open(durable.device.clone(), BLOB_LOG, durable.wal));
+        Some(control)
+    }
+
+    /// Opens `subnet`'s block journal on the durable device, returning the
+    /// WAL and the block records it already holds; `None` when persistence
+    /// is in-memory.
+    pub(crate) fn open_chain_wal(&self, subnet: &SubnetId) -> Option<(Wal, Vec<Vec<u8>>)> {
+        let durable = self.config.persistence.durable()?;
+        Some(Wal::open(
+            durable.device.clone(),
+            &chain_log_name(subnet),
+            durable.wal,
+        ))
+    }
+
+    /// Attaches `subnet`'s block journal to its (freshly built) node, so
+    /// the blocks it produces write through. A no-op in memory.
+    pub(crate) fn attach_chain_wal(&mut self, subnet: &SubnetId) {
+        if let (Some((wal, _)), Some(node)) =
+            (self.open_chain_wal(subnet), self.nodes.get_mut(subnet))
+        {
+            node.chain.attach_wal(wal);
+        }
     }
 
     /// Current virtual time in milliseconds.
@@ -1520,7 +897,7 @@ impl HierarchyRuntime {
     /// Installs account `addr` with its derived key and wallet — the
     /// shared tail of [`HierarchyRuntime::create_user`] and its recovery
     /// replay.
-    fn install_user(
+    pub(crate) fn install_user(
         &mut self,
         subnet: &SubnetId,
         addr: Address,
@@ -1583,7 +960,11 @@ impl HierarchyRuntime {
     /// recovery replay: installs the derived key and a wallet whose nonce
     /// cursor continues from the account's executed nonce, and preserves
     /// any balance already present.
-    fn install_adopted(&mut self, subnet: &SubnetId, addr: Address) -> Result<(), RuntimeError> {
+    pub(crate) fn install_adopted(
+        &mut self,
+        subnet: &SubnetId,
+        addr: Address,
+    ) -> Result<(), RuntimeError> {
         let key = self.user_key(addr);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         self.user_installs
@@ -1824,16 +1205,7 @@ impl HierarchyRuntime {
 
         // 4. Boot the child chain.
         self.boot_child_node(&child_id, &boot_config, &engine_params);
-        if let Some(durable) = self.config.persistence.durable().cloned() {
-            let (wal, _) = Wal::open(
-                durable.device.clone(),
-                &chain_log_name(&child_id),
-                durable.wal,
-            );
-            if let Some(node) = self.nodes.get_mut(&child_id) {
-                node.chain.attach_wal(wal);
-            }
-        }
+        self.attach_chain_wal(&child_id);
         self.journal(&ControlRecord::SubnetBoot {
             child: child_id.clone(),
             config: boot_config,
@@ -1854,7 +1226,7 @@ impl HierarchyRuntime {
     /// recovery replay. The parent-side actor state (SA deployment,
     /// registration, joins) is *not* created here; it comes from executed
     /// blocks.
-    fn boot_child_node(
+    pub(crate) fn boot_child_node(
         &mut self,
         child_id: &SubnetId,
         config: &SaConfig,
@@ -1863,46 +1235,18 @@ impl HierarchyRuntime {
         let Some(parent) = child_id.parent() else {
             return;
         };
-        let sca_config = ScaConfig {
-            checkpoint_period: config.checkpoint_period,
-            ..self.config.sca.clone()
-        };
-        let tree = StateTree::genesis(child_id.clone(), sca_config, []);
         let subscription = self.network.subscribe(&child_id.topic());
         // Child nodes also run full nodes on the parent (paper §II): they
         // follow the parent's topic for resolution traffic.
         self.network.join(subscription, &parent.topic());
-        let engine = make_engine(config.consensus, engine_params.clone());
-        let sig_cache = Self::make_sig_cache(self.config.sig_cache_capacity);
-        let node = SubnetNode {
-            subnet_id: child_id.clone(),
-            tree,
-            chain: ChainStore::new(child_id.clone()),
-            mempool: match &sig_cache {
-                Some(c) => Mempool::with_config(self.config.mempool).with_sig_cache(c.clone()),
-                None => Mempool::with_config(self.config.mempool),
-            },
-            cross_pool: CrossMsgPool::new(),
-            engine,
-            validators: ValidatorSet::default(),
-            validator_keys: Vec::new(),
-            resolver: Resolver::with_policy_seeded(
-                self.config.retry,
-                node_jitter_seed(self.config.seed, child_id),
-            ),
+        let node = SubnetNode::genesis(
+            child_id.clone(),
+            &self.config,
+            Some((config, engine_params)),
             subscription,
-            next_block_at_ms: self.now_ms + engine_params.block_time_ms,
-            next_epoch: ChainEpoch::new(1),
-            pending_checkpoints: Vec::new(),
-            pending_turnarounds: Vec::new(),
-            unresolved_turnarounds: Vec::new(),
-            last_receipts: BTreeMap::new(),
-            tentative: BTreeMap::new(),
-            store: self.store.clone(),
-            stats: NodeStats::default(),
-            rng: node_rng(self.config.seed, child_id),
-            sig_cache,
-        };
+            self.now_ms + engine_params.block_time_ms,
+            self.store.clone(),
+        );
         self.nodes.insert(child_id.clone(), node);
         // Remembered so a crashed node can be rebuilt from genesis at
         // rejoin ([`HierarchyRuntime::rejoin_node`]).
@@ -2001,6 +1345,13 @@ impl HierarchyRuntime {
         let parent = subnet
             .parent()
             .ok_or_else(|| RuntimeError::Retire("the root cannot be retired".into()))?;
+        // Before the membership test: a crashed subnet's node is out of
+        // `nodes`, yet the subnet is anything but unknown.
+        if self.crashed.contains_key(subnet) || self.catching_up.contains_key(subnet) {
+            return Err(RuntimeError::Retire(format!(
+                "{subnet} is crashed or catching up"
+            )));
+        }
         if !self.nodes.contains_key(subnet) {
             return Err(RuntimeError::UnknownSubnet(subnet.clone()));
         }
@@ -2011,11 +1362,6 @@ impl HierarchyRuntime {
         {
             return Err(RuntimeError::Retire(format!(
                 "{subnet} still has live child subnets"
-            )));
-        }
-        if self.crashed.contains_key(subnet) || self.catching_up.contains_key(subnet) {
-            return Err(RuntimeError::Retire(format!(
-                "{subnet} is crashed or catching up"
             )));
         }
         let status = self
@@ -2045,7 +1391,7 @@ impl HierarchyRuntime {
     /// recovery replay: drops the node and every piece of runtime state
     /// keyed by the subnet, and takes its network subscription offline so
     /// undeliverable traffic stops queueing.
-    fn retire_node(&mut self, subnet: &SubnetId) {
+    pub(crate) fn retire_node(&mut self, subnet: &SubnetId) {
         if let Some(node) = self.nodes.remove(subnet) {
             self.network.set_offline(node.subscription, true);
         }
@@ -2055,6 +1401,7 @@ impl HierarchyRuntime {
         self.recent_manifests.remove(subnet);
         self.boot_params.remove(subnet);
         self.snapshot_bases.remove(subnet);
+        self.region_assignments.remove(subnet);
     }
 
     /// Builds a balance snapshot of `subnet` from its current state, signs
@@ -2687,11 +2034,7 @@ impl HierarchyRuntime {
         let subnet = node.subnet_id.clone();
         let is_root = subnet.is_root();
         let epoch = node.next_epoch;
-
-        let opportunity = node
-            .engine
-            .next_block(epoch, &node.validators, &mut node.rng)
-            .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))?;
+        let opportunity = node.draw_slot(epoch)?;
 
         // Assemble implicit messages: child checkpoints, turnarounds,
         // cross-net applications, and the checkpoint cut.
@@ -2761,89 +2104,90 @@ impl HierarchyRuntime {
         node.chain
             .append(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        node.mempool.advance_epoch(epoch);
+        Ok(node.commit_block(&block, executed.receipts, &opportunity))
+    }
 
-        // Update stats and schedule the next block.
-        let gas_used: u64 = executed.receipts.iter().map(|r| r.gas_used).sum();
-        node.stats.blocks += 1;
-        node.stats.gas_used += gas_used;
-        node.stats.total_interval_ms += opportunity.interval_ms;
-        node.stats.orphaned += u64::from(opportunity.orphaned);
-        node.stats.extra_rounds += u64::from(opportunity.rounds.saturating_sub(1));
-        node.next_block_at_ms = at_ms + opportunity.interval_ms;
-        node.next_epoch = epoch.next();
-        for (i, r) in executed.receipts.iter().enumerate() {
-            if i >= block.implicit_msgs.len() {
-                if r.exit.is_ok() {
-                    node.stats.user_msgs_ok += 1;
-                } else {
-                    node.stats.user_msgs_failed += 1;
-                }
-            }
-        }
-
-        // Remember receipts by message CID (for `execute`) and account
-        // committed checkpoint bytes (parent-chain load, experiment E3).
-        node.last_receipts.clear();
-        let mut committed_checkpoints = Vec::new();
-        for (i, m) in block.implicit_msgs.iter().enumerate() {
-            if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
-                node.stats.checkpoint_bytes += signed.checkpoint.encoded_size() as u64;
-                if executed.receipts[i].exit.is_ok() {
-                    committed_checkpoints.push(signed.clone());
-                }
-            }
-            node.last_receipts
-                .insert(m.cid(), executed.receipts[i].clone());
-        }
-        for (i, m) in block.signed_msgs.iter().enumerate() {
-            node.last_receipts.insert(
-                m.msg_cid(),
-                executed.receipts[block.implicit_msgs.len() + i].clone(),
-            );
-        }
-
-        let mut archived = Vec::new();
-        for signed in committed_checkpoints {
-            // Snapshot the signature policy in force at commit time so the
-            // archive stays verifiable across validator churn. The policy
-            // lives in this node's own copy of the child's Subnet Actor.
-            let policy = signed
-                .checkpoint
-                .source
-                .actor()
-                .and_then(|a| node.tree.sa(a).map(hc_actors::SaState::signature_policy));
-            if let Some(policy) = policy {
-                archived.push((signed, policy));
-            }
-        }
-
-        // Collect the block's events for phase (b) to route.
-        let events: Vec<VmEvent> = executed
-            .receipts
-            .into_iter()
-            .flat_map(|r| r.events)
-            .collect();
-        let msg_count = block.msg_count();
-
-        Ok(LocalOutcome {
-            report: StepReport {
-                subnet,
-                epoch,
-                at_ms,
-                msgs: msg_count,
-                gas_used,
+    /// Re-commits one past block — replayed from the journal or pulled
+    /// from peers — against `subnet`'s node: burns the consensus draw the
+    /// live run made for it, validates and re-executes it (verifying the
+    /// recomputed state root against the header), appends it without
+    /// re-journaling, and hands it to the same
+    /// [`SubnetNode::commit_block`] the live tick uses. What happens to
+    /// the returned outcome is the caller's choice of *outward* effects:
+    /// journal recovery routes it through [`HierarchyRuntime::post_tick`],
+    /// peer catch-up applies only the node-local half of its events.
+    pub(crate) fn reexecute_block(
+        &mut self,
+        subnet: &SubnetId,
+        block: &Block,
+    ) -> Result<LocalOutcome, RuntimeError> {
+        self.refresh_validators(subnet);
+        let parallelism = self.config.parallelism;
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        let opportunity = node.draw_slot(block.header.epoch)?;
+        node.engine
+            .validate_block(block, &node.validators)
+            .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
+        let receipts = execute_block_with(
+            &mut node.tree,
+            block,
+            ExecOptions {
+                sig_cache: node.sig_cache.as_ref(),
+                parallelism,
             },
-            archived,
-            events,
-        })
+        )
+        .map_err(|e| RuntimeError::Execution(format!("replay execution: {e}")))?;
+        node.chain
+            .append_recovered(block.clone())
+            .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
+        let outcome = node.commit_block(block, receipts, &opportunity);
+        self.advance_wallet_nonces(subnet, block);
+        Ok(outcome)
+    }
+
+    /// Re-commits one past block whose state arrives wholesale from a
+    /// snapshot: burns its consensus draw and repeats, through
+    /// [`SubnetNode::skip_block`], the bookkeeping that outlives execution
+    /// — without validating, executing or hashing anything. `append`
+    /// chains the block (recovery fast-forward keeps full history); the
+    /// snapshot-covered prefix of a rejoining node is not chained.
+    pub(crate) fn skip_past_block(
+        &mut self,
+        subnet: &SubnetId,
+        block: &Block,
+        append: bool,
+    ) -> Result<(), RuntimeError> {
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        let opportunity = node.draw_slot(block.header.epoch)?;
+        if append {
+            node.chain
+                .append_recovered(block.clone())
+                .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
+        }
+        node.skip_block(block, &opportunity);
+        self.advance_wallet_nonces(subnet, block);
+        Ok(())
+    }
+
+    /// Advances wallet signing cursors past every user message of a past
+    /// block. Wallets are runtime state, not node state: a live block's
+    /// nonces were advanced when its messages were signed.
+    fn advance_wallet_nonces(&mut self, subnet: &SubnetId, block: &Block) {
+        for m in &block.signed_msgs {
+            let (from, nonce) = (m.message().from, m.message().nonce);
+            if let Some(w) = self.wallets.get_mut(&(subnet.clone(), from)) {
+                if nonce.next() > w.next_nonce {
+                    w.next_nonce = nonce.next();
+                }
+            }
+        }
     }
 
     /// Phase (b) of a tick: applies a block's outward effects to shared
     /// state — archives committed checkpoints, routes the block's events
     /// through the hierarchy, and prunes the parent's settled top-down
     /// registry.
-    fn post_tick(
+    pub(crate) fn post_tick(
         &mut self,
         subnet: &SubnetId,
         outcome: LocalOutcome,
@@ -2877,65 +2221,31 @@ impl HierarchyRuntime {
         Ok(report)
     }
 
-    /// Reacts to a VM event emitted by a block of `subnet`.
+    /// Reacts to a VM event emitted by a block of `subnet`: the node-local
+    /// half ([`SubnetNode::apply_event`], shared with peer catch-up) and
+    /// then the outward half — gossip, parent submission, journal records,
+    /// certificates.
     fn route_event(
         &mut self,
         subnet: &SubnetId,
         event: VmEvent,
         now_ms: u64,
     ) -> Result<(), RuntimeError> {
+        let push_enabled = self.config.push_enabled && !self.recovering;
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        // Runs in the sequential routing phase, so the persist a cut
+        // triggers leaves store counters deterministic at any wave
+        // parallelism.
+        let cut = node.apply_event(&event, push_enabled);
         match event {
             VmEvent::CheckpointCut { checkpoint } => {
-                let push_enabled = self.config.push_enabled && !self.recovering;
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-                node.stats.checkpoints_cut += 1;
-
-                // Persist the checkpointed state as a chunk manifest:
-                // unchanged chunks dedupe against the previous persist
-                // (structural sharing, observable via CidStore::stats).
-                // This runs in the sequential routing phase, so store
-                // counters are deterministic at any wave parallelism.
-                let manifest = node.tree.persist(&node.store);
-                node.stats.state_persists += 1;
-
+                let (manifest, pushes) = cut.expect("a checkpoint cut persists its state");
                 // The subnet's validators sign the cut checkpoint; it then
                 // travels to the parent chain (paper §III-B, Fig. 2).
-                let mut signed = SignedCheckpoint::new(checkpoint.clone());
+                let mut signed = SignedCheckpoint::new(checkpoint);
                 let bytes = signed.signing_bytes();
                 for key in &node.validator_keys {
                     signed.signatures.add(key.sign(&bytes));
-                }
-
-                // Content resolution (paper §IV-C): the SCA registry is
-                // this subnet's authoritative content store, so its
-                // resolver always serves pulls for the carried groups;
-                // with the *push* path enabled, the groups are also
-                // announced proactively on their destinations' topics.
-                let mut pushes = Vec::new();
-                for meta in &checkpoint.cross_msgs {
-                    let content = node
-                        .tree
-                        .sca()
-                        .resolve_content(&meta.msgs_cid)
-                        .map(<[CrossMsg]>::to_vec)
-                        .or_else(|| {
-                            node.resolver
-                                .cache()
-                                .get(&meta.msgs_cid)
-                                .map(<[CrossMsg]>::to_vec)
-                        });
-                    if let Some(msgs) = content {
-                        node.resolver.seed(meta.msgs_cid, msgs.clone());
-                        if push_enabled {
-                            pushes.push((
-                                meta.to.topic(),
-                                ResolutionMsg::Push {
-                                    cid: meta.msgs_cid,
-                                    msgs,
-                                },
-                            ));
-                        }
-                    }
                 }
                 let origin = node.subscription;
                 for (topic, push) in pushes {
@@ -2946,6 +2256,7 @@ impl HierarchyRuntime {
                         .publish_from(&topic, push, now_ms, None, Some(origin));
                 }
 
+                let epoch = signed.checkpoint.epoch;
                 if let Some(parent) = subnet.parent() {
                     // Ledger the cut until the parent archives its commit,
                     // so a parent crash cannot strand it (see
@@ -2964,22 +2275,13 @@ impl HierarchyRuntime {
                 // the newest anchored manifest must be pinned through the
                 // sweep its own eviction triggers.
                 self.checkpoint_anchors
-                    .insert(subnet.clone(), (checkpoint.epoch, manifest));
+                    .insert(subnet.clone(), (epoch, manifest));
                 self.journal(&ControlRecord::CheckpointAnchor {
                     subnet: subnet.clone(),
-                    epoch: checkpoint.epoch,
+                    epoch,
                     manifest,
                 });
                 self.track_manifest(subnet, manifest);
-            }
-
-            VmEvent::CheckpointCommitted { outcome, .. } => {
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-                node.stats.checkpoints_committed += 1;
-                for meta in outcome.applied_here {
-                    node.cross_pool.ingest_meta(meta);
-                }
-                node.unresolved_turnarounds.extend(outcome.turnaround);
             }
 
             VmEvent::CrossMsgQueued { msg }
@@ -2991,7 +2293,6 @@ impl HierarchyRuntime {
                 // need no certificate.
                 && !msg.is_top_down() && msg.from.subnet == *subnet =>
             {
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
                 let mut cert =
                     hc_actors::FundCertificate::new(msg.clone(), node.chain.head_epoch());
                 let cid = cert.signing_cid();
@@ -3010,15 +2311,6 @@ impl HierarchyRuntime {
                 );
             }
 
-            VmEvent::CrossMsgApplied { msg } => {
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-                node.stats.cross_applied += 1;
-                // A settled payment is no longer tentative.
-                node.tentative.remove(&msg.cid());
-            }
-
-            // Remaining events are informational; reverts ride the normal
-            // cross-net flow and need no extra routing.
             _ => {}
         }
         Ok(())

@@ -12,6 +12,9 @@
 //!   node reconverges, and no pull request is silently lost
 //!   (`pulls_abandoned == 0` under an unbounded retry budget).
 
+mod common;
+
+use common::{subnet_fingerprint, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
 use hc_core::{
     audit_escrow, audit_quiescent, HierarchyRuntime, RuntimeConfig, SyncMode, UserHandle,
@@ -76,6 +79,9 @@ fn crash_halts_production_and_rejoin_catches_up() {
     w.rt.run_until_quiescent(2_000).unwrap();
     let blocks_before = w.rt.node(&w.child).unwrap().chain().len();
     assert!(blocks_before > 0);
+    // By determinism the child as it stands now *is* its never-crashed
+    // twin at this point of the run.
+    let twin = subnet_fingerprint(&w.rt, &w.child);
 
     w.rt.crash_node(&w.child).unwrap();
     assert!(w.rt.is_crashed(&w.child));
@@ -91,6 +97,21 @@ fn crash_halts_production_and_rejoin_catches_up() {
 
     w.rt.rejoin_node(&w.child).unwrap();
     assert!(w.rt.is_catching_up(&w.child));
+    while w.rt.is_catching_up(&w.child) {
+        w.rt.step().unwrap();
+    }
+    // A replayed block does to a node exactly what the live block did:
+    // the rebuilt node matches the twin in head, state root, every
+    // counter, every cursor — only its block schedule restarts.
+    let rejoined = subnet_fingerprint(&w.rt, &w.child);
+    assert_eq!(
+        rejoined,
+        SubnetFingerprint {
+            next_block_at_ms: rejoined.next_block_at_ms,
+            ..twin
+        },
+        "replay rejoin must rebuild the never-crashed twin's bookkeeping"
+    );
     let produced = w.rt.run_until_quiescent(4_000).unwrap();
     assert!(produced < 4_000, "crash–rejoin flow must converge");
 

@@ -8,9 +8,9 @@ use std::sync::Arc;
 use hc_actors::sa::SaConfig;
 use hc_core::{
     audit_quiescent, ElasticConfig, ElasticController, HierarchyRuntime, PersistenceConfig,
-    RuntimeConfig, UserHandle,
+    PlacementPolicy, RuntimeConfig, RuntimeError, UserHandle,
 };
-use hc_net::NetConfig;
+use hc_net::{NetConfig, RegionMap};
 use hc_state::Method;
 use hc_store::InMemoryDevice;
 use hc_types::{Address, SubnetId, TokenAmount};
@@ -22,7 +22,11 @@ fn whole(n: u64) -> TokenAmount {
 /// A root user plus a child subnet it operates (spawner and sole staker,
 /// like the elastic controller's split).
 fn world() -> (HierarchyRuntime, UserHandle, SubnetId) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+    world_with(RuntimeConfig::default())
+}
+
+fn world_with(config: RuntimeConfig) -> (HierarchyRuntime, UserHandle, SubnetId) {
+    let mut rt = HierarchyRuntime::new(config);
     let alice = rt.create_user(&SubnetId::root(), whole(1_000)).unwrap();
     let child = rt
         .spawn_subnet(
@@ -65,7 +69,17 @@ fn adopt_user_preserves_identity_and_is_idempotent() {
 
 #[test]
 fn retire_subnet_enforces_lifecycle_guards() {
-    let (mut rt, alice, child) = world();
+    // Two regions (no links, so latencies stay uniform) spread round-robin:
+    // the child is placed, and retirement must forget the placement.
+    let (mut rt, alice, child) = world_with(RuntimeConfig {
+        net: NetConfig {
+            regions: RegionMap::named(&["us", "eu"]),
+            ..NetConfig::default()
+        },
+        placement: PlacementPolicy::RoundRobin,
+        ..RuntimeConfig::default()
+    });
+    assert_eq!(rt.region_of_subnet(&child), Some("eu"));
     let bob = rt.create_user(&child, TokenAmount::ZERO).unwrap();
     rt.cross_transfer(&alice, &bob, whole(20)).unwrap();
     rt.run_until_quiescent(4_000).unwrap();
@@ -76,6 +90,23 @@ fn retire_subnet_enforces_lifecycle_guards() {
         rt.retire_subnet(&child).is_err(),
         "retirement requires the SA to be killed on the parent"
     );
+
+    // A crashed subnet is refused as crashed, and a rejoined one as
+    // catching up — its node is out of the hierarchy, but the subnet is
+    // not unknown. (Crashed while still alive: a killed subnet has no
+    // validators left to catch up with.)
+    rt.crash_node(&child).unwrap();
+    assert!(matches!(
+        rt.retire_subnet(&child),
+        Err(RuntimeError::Retire(_))
+    ));
+    rt.rejoin_node(&child).unwrap();
+    assert!(matches!(
+        rt.retire_subnet(&child),
+        Err(RuntimeError::Retire(_))
+    ));
+    rt.run_until_quiescent(4_000).unwrap();
+    assert_eq!(rt.region_of_subnet(&child), Some("eu"));
 
     // The full manual merge path the controller automates: snapshot while
     // alive, kill, recover every leaf on the parent, then retire.
@@ -113,6 +144,7 @@ fn retire_subnet_enforces_lifecycle_guards() {
     rt.retire_subnet(&child).unwrap();
     assert!(rt.node(&child).is_none());
     assert!(!rt.subnets().any(|s| *s == child));
+    assert_eq!(rt.region_of_subnet(&child), None);
     assert!(rt.retire_subnet(&child).is_err(), "retirement is final");
     audit_quiescent(&rt).unwrap();
 }

@@ -13,14 +13,17 @@
 //! requires message delays to be load-independent (the same restriction the
 //! wave-determinism suite operates under).
 
+mod common;
+
 use std::sync::Arc;
 
+use common::fingerprint;
 use hc_core::persist::DurableOptions;
-use hc_core::{HierarchyRuntime, NodeStats, PersistenceConfig, RuntimeConfig, UserHandle};
+use hc_core::{HierarchyRuntime, PersistenceConfig, RuntimeConfig, UserHandle};
 use hc_net::NetConfig;
 use hc_store::crash::truncate_stream;
 use hc_store::{FsyncPolicy, InMemoryDevice, Persistence, WalOptions};
-use hc_types::{CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_types::{ChainEpoch, Cid, SubnetId, TokenAmount};
 
 fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
@@ -120,40 +123,6 @@ fn continue_world(world: &mut World) {
     assert_eq!(world.rt.balance(&carol), whole(25));
 }
 
-type SubnetFingerprint = (SubnetId, Cid, ChainEpoch, Cid, NodeStats, Vec<Cid>);
-
-/// Everything consensus-critical about each subnet: head CID, head epoch,
-/// head state root (cross-checked against a from-scratch recompute), stats,
-/// and archived checkpoint CIDs.
-fn fingerprint(rt: &HierarchyRuntime) -> Vec<SubnetFingerprint> {
-    rt.subnets()
-        .map(|s| {
-            let node = rt.node(s).unwrap();
-            let head = node.chain().head();
-            let state_root = node.chain().get(&head).unwrap().header.state_root;
-            assert_eq!(
-                node.state().recompute_root(),
-                state_root,
-                "recovered incremental root diverged from content for {s}"
-            );
-            let checkpoints: Vec<Cid> = rt
-                .checkpoint_archive()
-                .history(s)
-                .iter()
-                .map(|e| Cid::digest(&e.signed.checkpoint.canonical_bytes()))
-                .collect();
-            (
-                s.clone(),
-                head,
-                node.chain().head_epoch(),
-                state_root,
-                node.stats(),
-                checkpoints,
-            )
-        })
-        .collect()
-}
-
 /// One block of history: (block CID, epoch, state root).
 type BlockRecord = (Cid, ChainEpoch, Cid);
 
@@ -178,7 +147,7 @@ fn recovery_at_quiescence_is_bit_identical_and_stays_identical() {
     let crashed = build_world(durable_config(Arc::new(device.clone())), 3);
     let expected = fingerprint(&crashed.rt);
     assert!(
-        expected.iter().any(|(_, _, _, _, _, cps)| !cps.is_empty()),
+        expected.iter().any(|f| !f.checkpoints.is_empty()),
         "workload must exercise the checkpoint flow"
     );
     let expected_now = crashed.rt.now_ms();

@@ -8,8 +8,11 @@
 //! through full validation — so a bootstrapped node is byte-identical to
 //! one that re-executed all of history, at O(state + suffix) cost.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{stats_since, subnet_fingerprint, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
 use hc_core::persist::DurableOptions;
 use hc_core::{
@@ -23,6 +26,14 @@ use hc_types::{ChainEpoch, Cid, SubnetId, TokenAmount};
 
 fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
+}
+
+/// Serialises this binary's tests: one of them differences the
+/// process-wide SHA-256 block counter, which any test hashing on another
+/// harness thread would perturb.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A runtime with a funded root user and a spawned child subnet.
@@ -66,6 +77,7 @@ fn state_root_at(rt: &HierarchyRuntime, subnet: &SubnetId, epoch: u64) -> Cid {
 /// installs it, and replays only the post-anchor suffix.
 #[test]
 fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
+    let _serial = serial();
     let sa = SaConfig {
         checkpoint_period: 5,
         ..SaConfig::default()
@@ -73,12 +85,18 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
     let mut w = build(RuntimeConfig::default(), sa);
     let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
     w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
+    // Sample the counters exactly at the anchor block (cut included).
+    drive_to_epoch(&mut w.rt, &w.child, 5);
+    let stats_at_anchor = w.rt.node(&w.child).unwrap().stats();
     w.rt.run_until_quiescent(2_000).unwrap();
     drive_to_epoch(&mut w.rt, &w.child, 7);
 
     let (anchor_epoch, _) = w.rt.checkpoint_anchor(&w.child).expect("cut at epoch 5");
     assert_eq!(anchor_epoch, ChainEpoch::new(5));
     let blocks_before = w.rt.node(&w.child).unwrap().chain().len();
+    // By determinism the child as it stands now *is* its never-crashed
+    // twin at this point of the run.
+    let twin = subnet_fingerprint(&w.rt, &w.child);
 
     w.rt.crash_node(&w.child).unwrap();
     // A transfer queued while the subnet is dark lands after catch-up.
@@ -88,6 +106,23 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
     }
     w.rt.rejoin_node_with(&w.child, SyncMode::Snapshot).unwrap();
     assert!(w.rt.is_catching_up(&w.child));
+    while w.rt.is_catching_up(&w.child) {
+        w.rt.step().unwrap();
+    }
+    // The bootstrapped node matches the twin in head, state root and
+    // every cursor; its counters cover exactly the re-executed suffix
+    // (the covered prefix is skipped, not counted), and its block
+    // schedule restarts.
+    let rejoined = subnet_fingerprint(&w.rt, &w.child);
+    assert_eq!(
+        rejoined,
+        SubnetFingerprint {
+            stats: stats_since(twin.stats, stats_at_anchor),
+            next_block_at_ms: rejoined.next_block_at_ms,
+            ..twin
+        },
+        "snapshot rejoin must rebuild the never-crashed twin's bookkeeping"
+    );
     let produced = w.rt.run_until_quiescent(4_000).unwrap();
     assert!(produced < 4_000, "snapshot bootstrap must converge");
     assert!(!w.rt.is_catching_up(&w.child));
@@ -112,6 +147,7 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
 /// full-replay rejoin — the snapshot changes the cost, never the state.
 #[test]
 fn snapshot_rejoin_state_matches_replay_rejoin() {
+    let _serial = serial();
     let run = |mode: SyncMode| {
         let sa = SaConfig {
             checkpoint_period: 20,
@@ -175,6 +211,7 @@ fn snapshot_rejoin_state_matches_replay_rejoin() {
 /// normally once the partition heals.
 #[test]
 fn per_batch_retry_budget_survives_long_blackout() {
+    let _serial = serial();
     let config = RuntimeConfig {
         retry: RetryPolicy {
             base_timeout_ms: 200,
@@ -237,6 +274,7 @@ fn per_batch_retry_budget_survives_long_blackout() {
 /// snapshot rejoin finds its closure half-pruned.
 #[test]
 fn gc_keep_window_pins_newest_checkpoint_anchor() {
+    let _serial = serial();
     let device = InMemoryDevice::new();
     let config = RuntimeConfig {
         net: NetConfig {
@@ -306,6 +344,7 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
 /// at a fraction of the hash work.
 #[test]
 fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
+    let _serial = serial();
     let device = InMemoryDevice::new();
     let config = |mode: SyncMode| RuntimeConfig {
         net: NetConfig {

@@ -7,9 +7,12 @@
 //! shared network otherwise consumes RNG draws in publish order, which
 //! waves reorder); thread count alone never changes anything.
 
-use hc_core::{HierarchyRuntime, NodeStats, RuntimeConfig, UserHandle};
+mod common;
+
+use common::fingerprint;
+use hc_core::{HierarchyRuntime, RuntimeConfig, UserHandle};
 use hc_net::NetConfig;
-use hc_types::{CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_types::{SubnetId, TokenAmount};
 
 fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
@@ -102,48 +105,13 @@ fn drive_waves(rt: &mut HierarchyRuntime) -> usize {
     panic!("wave drain did not quiesce");
 }
 
-type SubnetFingerprint = (SubnetId, Cid, ChainEpoch, Cid, NodeStats, Vec<Cid>);
-
-/// Everything consensus-critical about a subnet: head CID, head epoch,
-/// head state root, counters, and the CIDs of its archived checkpoints.
-fn fingerprint(rt: &HierarchyRuntime) -> Vec<SubnetFingerprint> {
-    rt.subnets()
-        .map(|s| {
-            let node = rt.node(s).unwrap();
-            let head = node.chain().head();
-            let state_root = node.chain().get(&head).unwrap().header.state_root;
-            // The incrementally maintained root in the header must match a
-            // from-scratch recompute over the canonical chunk blobs.
-            assert_eq!(
-                node.state().recompute_root(),
-                state_root,
-                "incremental root diverged from content for {s}"
-            );
-            let checkpoints: Vec<Cid> = rt
-                .checkpoint_archive()
-                .history(s)
-                .iter()
-                .map(|e| Cid::digest(&e.signed.checkpoint.canonical_bytes()))
-                .collect();
-            (
-                s.clone(),
-                head,
-                node.chain().head_epoch(),
-                state_root,
-                node.stats(),
-                checkpoints,
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn step_wave_matches_sequential_at_every_parallelism() {
     let (mut reference, _) = build_world(1);
     drive_sequential(&mut reference);
     let expected = fingerprint(&reference);
     assert!(
-        expected.iter().any(|(_, _, _, _, _, cps)| !cps.is_empty()),
+        expected.iter().any(|f| !f.checkpoints.is_empty()),
         "load must exercise the checkpoint flow"
     );
 

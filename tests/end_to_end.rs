@@ -295,3 +295,104 @@ fn leaf_crash_rejoin_in_deep_topology() {
         topo.rt.verify_checkpoint_chain(&s).unwrap();
     }
 }
+
+/// Tier-1 smoke over the three ways a block reaches a node: a journaled
+/// tree carries cross-net traffic (live commit), a leaf crashes and
+/// snapshot-rejoins (skip under the anchor, manifest install, suffix
+/// re-execution), then the whole runtime is dropped and recovered with
+/// fast-forward (the same three again, from the journal). The recovered
+/// hierarchy must equal a twin driven by the same calls that never lost
+/// its runtime — and stay equal under further traffic.
+#[test]
+fn durable_snapshot_rejoin_then_recover_matches_the_live_twin() {
+    use hierarchical_consensus::core::{PersistenceConfig, SyncMode};
+    use hierarchical_consensus::net::NetConfig;
+    use hierarchical_consensus::sim::FlatTopology;
+    use std::sync::Arc;
+
+    let config = |device: &hc_store::InMemoryDevice| RuntimeConfig {
+        net: NetConfig {
+            jitter_ms: 0,
+            drop_rate: 0.0,
+            ..NetConfig::default()
+        },
+        persistence: PersistenceConfig::on_device(Arc::new(device.clone())),
+        sync_mode: SyncMode::Snapshot,
+        ..RuntimeConfig::default()
+    };
+    let drive = |device: &hc_store::InMemoryDevice| -> FlatTopology {
+        let mut topo = TopologyBuilder::new()
+            .runtime_config(config(device))
+            .users_per_subnet(1)
+            .checkpoint_period(5)
+            .tree(2, 2)
+            .unwrap();
+        let (leaf, cousin) = (topo.subnets[5].clone(), topo.subnets[2].clone());
+        assert_eq!(leaf.depth(), 2);
+        let root_user = topo.users[&SubnetId::root()][0].clone();
+        let leaf_user = topo.users[&leaf][0].clone();
+        let cousin_user = topo.users[&cousin][0].clone();
+        let before = topo.rt.balance(&leaf_user);
+
+        topo.rt
+            .cross_transfer(&cousin_user, &leaf_user, whole(3))
+            .unwrap();
+        topo.rt
+            .cross_transfer(&leaf_user, &root_user, whole(2))
+            .unwrap();
+        topo.rt.run_until_quiescent(100_000).unwrap();
+        assert!(topo.rt.checkpoint_anchor(&leaf).is_some());
+
+        topo.rt.crash_node(&leaf).unwrap();
+        topo.rt
+            .cross_transfer(&root_user, &leaf_user, whole(9))
+            .unwrap();
+        topo.rt.run_blocks(4).unwrap();
+        topo.rt.rejoin_node(&leaf).unwrap();
+        let blocks = topo.rt.run_until_quiescent(100_000).unwrap();
+        assert!(blocks < 100_000, "snapshot rejoin must reconverge");
+        assert_eq!(topo.rt.chaos_stats().snapshot_installs, 1);
+        assert_eq!(topo.rt.balance(&leaf_user), before + whole(3 + 9 - 2));
+        topo
+    };
+    // Head CID, head epoch and committed state root per subnet, the
+    // latter cross-checked against a from-scratch recompute.
+    let heads = |rt: &HierarchyRuntime| -> Vec<(SubnetId, Cid, ChainEpoch, Cid)> {
+        rt.subnets()
+            .map(|s| {
+                let node = rt.node(s).unwrap();
+                let head = node.chain().head();
+                let state_root = node.chain().get(&head).unwrap().header.state_root;
+                assert_eq!(node.state().recompute_root(), state_root, "{s}");
+                (s.clone(), head, node.chain().head_epoch(), state_root)
+            })
+            .collect()
+    };
+
+    let device = hc_store::InMemoryDevice::new();
+    let crashed = drive(&device);
+    let (leaf, root) = (crashed.subnets[5].clone(), SubnetId::root());
+    let (leaf_user, root_user) = (
+        crashed.users[&leaf][0].clone(),
+        crashed.users[&root][0].clone(),
+    );
+    drop(crashed); // the whole-runtime crash
+    let mut recovered = HierarchyRuntime::recover(config(&device));
+    let mut twin = drive(&hc_store::InMemoryDevice::new()).rt;
+    assert_eq!(
+        heads(&recovered),
+        heads(&twin),
+        "recovery diverged from the twin"
+    );
+
+    for rt in [&mut recovered, &mut twin] {
+        rt.cross_transfer(&leaf_user, &root_user, whole(1)).unwrap();
+        rt.run_until_quiescent(100_000).unwrap();
+    }
+    assert_eq!(
+        heads(&recovered),
+        heads(&twin),
+        "diverged under further load"
+    );
+    hierarchical_consensus::core::audit_quiescent(&recovered).unwrap();
+}
