@@ -25,9 +25,10 @@
 //!   [`ScaState::apply_bottom_up`]).
 //! * **Checkpointing** — the SCA owns the checkpoint template of its subnet
 //!   and cuts it at every period boundary ([`ScaState::cut_checkpoint`]).
-//! * **Content registry** — raw messages behind every propagated
-//!   `CrossMsgMeta` CID, served to the content-resolution protocol
-//!   ([`ScaState::resolve_content`]).
+//! * **Content registry** — the raw messages behind every `CrossMsgMeta`
+//!   this SCA cuts are handed to the caller of
+//!   [`ScaState::cut_checkpoint`], which commits them to the state tree's
+//!   append-only registry log (the SCA itself keeps no history).
 //! * **State snapshots** — the `save` function persisting subnet state
 //!   proofs ([`ScaState::save_state`]).
 
@@ -333,9 +334,6 @@ pub struct ScaState {
     applied_topdown_nonce: Nonce,
     /// CID of this subnet's own previous cut checkpoint.
     prev_checkpoint: Cid,
-    /// Content-addressable registry of the raw messages behind every
-    /// `CrossMsgMeta` this SCA created or forwarded (paper §IV-C).
-    msg_registry: BTreeMap<Cid, Vec<CrossMsg>>,
     /// Saved state snapshots: `(epoch, state CID)`, via the `save`
     /// function (paper §III-C).
     saved_states: Vec<(ChainEpoch, Cid)>,
@@ -363,7 +361,6 @@ impl ScaState {
             applied_bottomup_nonce: Nonce::ZERO,
             applied_topdown_nonce: Nonce::ZERO,
             prev_checkpoint: Cid::NIL,
-            msg_registry: BTreeMap::new(),
             saved_states: Vec::new(),
             child_snapshots: BTreeMap::new(),
             recovered: BTreeMap::new(),
@@ -777,30 +774,39 @@ impl ScaState {
 
     /// Cuts the checkpoint for the window ending at `epoch`, committing the
     /// chain head `proof`. Drains the window state: outgoing bottom-up
-    /// groups become `CrossMsgMeta` entries (their raw messages registered
-    /// for content resolution), child checkpoint CIDs fill the `children`
-    /// tree, and pass-through metas are appended.
+    /// groups become `CrossMsgMeta` entries, child checkpoint CIDs fill the
+    /// `children` tree, and pass-through metas are appended.
     ///
-    /// Returns `None` when there is nothing to do for a root SCA (the
-    /// rootnet has no parent to checkpoint into) — callers decide; the SCA
-    /// itself always cuts.
-    pub fn cut_checkpoint(&mut self, epoch: ChainEpoch, proof: Cid) -> Checkpoint {
+    /// Also returns the raw messages behind every meta cut here, as
+    /// `(msgs_cid, msgs)` in destination order: the content registry
+    /// (paper §IV-C) is state-tree content, so the caller appends them
+    /// there. This is the registry's only writer, which makes it
+    /// append-only in block-execution order by construction.
+    ///
+    /// A root SCA (no parent to checkpoint into) cuts like any other —
+    /// callers decide whether to.
+    pub fn cut_checkpoint(
+        &mut self,
+        epoch: ChainEpoch,
+        proof: Cid,
+    ) -> (Checkpoint, Vec<(Cid, Vec<CrossMsg>)>) {
         let mut ckpt = Checkpoint::template(self.subnet_id.clone(), epoch, self.prev_checkpoint);
         ckpt.proof = proof;
         for (child, cid) in self.window_child_checks.drain(..) {
             ckpt.add_child_check(child, cid);
         }
         let window = std::mem::take(&mut self.window_bottom_up);
+        let mut groups = Vec::with_capacity(window.len());
         for (dest, msgs) in window {
             let meta = CrossMsgMeta::for_group(self.subnet_id.clone(), dest, &msgs);
-            self.msg_registry.insert(meta.msgs_cid, msgs);
+            groups.push((meta.msgs_cid, msgs));
             ckpt.add_cross_meta(meta);
         }
         for meta in self.window_propagated.drain(..) {
             ckpt.add_cross_meta(meta);
         }
         self.prev_checkpoint = ckpt.cid();
-        ckpt
+        (ckpt, groups)
     }
 
     /// CID of this subnet's most recently cut checkpoint.
@@ -951,26 +957,6 @@ impl ScaState {
         Ok(())
     }
 
-    /// Looks up the raw messages behind a `CrossMsgMeta` CID, serving the
-    /// content-resolution protocol (paper §IV-C).
-    pub fn resolve_content(&self, cid: &Cid) -> Option<&[CrossMsg]> {
-        self.msg_registry.get(cid).map(Vec::as_slice)
-    }
-
-    /// Registers externally resolved content (e.g. learned via a push
-    /// message) in the local registry.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `msgs` do not hash to `cid`.
-    pub fn register_content(&mut self, cid: Cid, msgs: Vec<CrossMsg>) -> Result<(), ScaError> {
-        if hc_types::merkle::merkle_root(&msgs) != cid {
-            return Err(ScaError::ContentMismatch(cid));
-        }
-        self.msg_registry.insert(cid, msgs);
-        Ok(())
-    }
-
     /// Persists a state snapshot CID (`save` function, paper §III-C),
     /// enabling fund/state recovery proofs after a subnet is killed.
     pub fn save_state(&mut self, epoch: ChainEpoch, state: Cid) {
@@ -1118,13 +1104,21 @@ impl ScaState {
 /// content and a verified chunk blob reconstructs it bit-for-bit (snapshot
 /// state-sync depends on this).
 ///
-/// The single exclusion is `top_down_queue`: it is transport bookkeeping —
-/// the parent-side relay buffer of committed top-down messages, pruned
-/// *outside* block execution as children acknowledge application (see
-/// [`ScaState::prune_top_down`]). Including it would make the state root
-/// depend on relay timing rather than executed history. Every message in it
-/// is recoverable from the committed top-down history, and only subnets
-/// with children ever hold entries.
+/// Two things a reader might look for are *not* in this chunk:
+///
+/// * `top_down_queue` is transport bookkeeping — the parent-side relay
+///   buffer of committed top-down messages, pruned *outside* block
+///   execution as children acknowledge application (see
+///   [`ScaState::prune_top_down`]). Including it would make the state root
+///   depend on relay timing rather than executed history. Every message in
+///   it is recoverable from the committed top-down history, and only
+///   subnets with children ever hold entries.
+/// * The content registry (raw messages behind every cut `CrossMsgMeta`) is
+///   not a field at all: it grows with cross-net history, so it is
+///   committed as an append-only AMT under its own state-root leaf (see
+///   `hc_state::ChunkKey::Registry`), where a cut re-hashes one root path
+///   instead of this whole chunk. What remains here is O(children +
+///   current window).
 impl CanonicalEncode for ScaState {
     fn write_bytes(&self, out: &mut Vec<u8>) {
         self.subnet_id.write_bytes(out);
@@ -1138,7 +1132,6 @@ impl CanonicalEncode for ScaState {
         self.applied_bottomup_nonce.write_bytes(out);
         self.applied_topdown_nonce.write_bytes(out);
         self.prev_checkpoint.write_bytes(out);
-        self.msg_registry.write_bytes(out);
         self.saved_states.write_bytes(out);
         self.child_snapshots.write_bytes(out);
         self.recovered.write_bytes(out);
@@ -1162,7 +1155,6 @@ impl CanonicalDecode for ScaState {
             applied_bottomup_nonce: CanonicalDecode::read_bytes(r)?,
             applied_topdown_nonce: CanonicalDecode::read_bytes(r)?,
             prev_checkpoint: CanonicalDecode::read_bytes(r)?,
-            msg_registry: CanonicalDecode::read_bytes(r)?,
             saved_states: CanonicalDecode::read_bytes(r)?,
             child_snapshots: CanonicalDecode::read_bytes(r)?,
             recovered: CanonicalDecode::read_bytes(r)?,
@@ -1419,18 +1411,21 @@ mod tests {
             Some(&1)
         );
         // Cutting the checkpoint produces a meta committing to the group.
-        let ckpt = sca.cut_checkpoint(ChainEpoch::new(10), Cid::digest(b"head"));
+        let (ckpt, groups) = sca.cut_checkpoint(ChainEpoch::new(10), Cid::digest(b"head"));
         assert_eq!(ckpt.cross_msgs.len(), 1);
         let meta = &ckpt.cross_msgs[0];
         assert_eq!(meta.from, child_id);
         assert_eq!(meta.to, SubnetId::root());
         assert_eq!(meta.count, 1);
-        // Raw content is registered for resolution.
-        let resolved = sca.resolve_content(&meta.msgs_cid).unwrap();
-        assert!(meta.matches(resolved));
+        // Raw content is handed out for the registry, keyed by the meta's
+        // committed CID.
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].0, meta.msgs_cid);
+        assert!(meta.matches(&groups[0].1));
         // Next window is empty.
-        let ckpt2 = sca.cut_checkpoint(ChainEpoch::new(20), Cid::digest(b"head2"));
+        let (ckpt2, groups2) = sca.cut_checkpoint(ChainEpoch::new(20), Cid::digest(b"head2"));
         assert!(ckpt2.cross_msgs.is_empty());
+        assert!(groups2.is_empty());
         assert_eq!(ckpt2.prev, ckpt.cid());
     }
 
@@ -1587,8 +1582,11 @@ mod tests {
             TokenAmount::from_whole(3)
         );
         // The meta rides the next cut checkpoint.
-        let own = sca.cut_checkpoint(ChainEpoch::new(10), Cid::digest(b"h"));
+        let (own, groups) = sca.cut_checkpoint(ChainEpoch::new(10), Cid::digest(b"h"));
         assert!(own.cross_msgs.iter().any(|m| m.to == subnet(&[999])));
+        // A pass-through meta was cut by a descendant: its content is in
+        // that subnet's registry, not handed out again here.
+        assert!(groups.is_empty());
         // And the child's checkpoint CID is in the children tree.
         assert_eq!(own.children.len(), 1);
         assert_eq!(own.children[0].checks, vec![ckpt.cid()]);
@@ -1725,22 +1723,6 @@ mod tests {
     }
 
     #[test]
-    fn register_content_validates_cid() {
-        let (mut sca, _ledger, child) = root_sca_with_child();
-        let msgs = vec![CrossMsg::transfer(
-            HcAddress::new(child, Address::new(1)),
-            haddr(&[], 2),
-            TokenAmount::from_whole(1),
-        )];
-        let cid = hc_types::merkle::merkle_root(&msgs);
-        assert!(sca
-            .register_content(Cid::digest(b"bogus"), msgs.clone())
-            .is_err());
-        sca.register_content(cid, msgs.clone()).unwrap();
-        assert_eq!(sca.resolve_content(&cid).unwrap(), msgs.as_slice());
-    }
-
-    #[test]
     fn inactive_subnet_cannot_receive_top_down() {
         let (mut sca, mut ledger, child) = root_sca_with_child();
         sca.release_collateral(
@@ -1786,8 +1768,8 @@ mod tests {
     #[test]
     fn complete_encoding_round_trips_through_decode() {
         // Populate every encoded field: registered child, bottom-up window,
-        // cut checkpoint (msg registry + prev pointer), saved states, child
-        // snapshot, recovered claims.
+        // cut checkpoint (prev pointer), saved states, child snapshot,
+        // recovered claims.
         let child_id = subnet(&[200]);
         let mut sca = ScaState::new(child_id.clone(), ScaConfig::default());
         let mut ledger = funded_ledger(&[(100, 1000), (300, 10)]);
@@ -1809,8 +1791,8 @@ mod tests {
         };
         sca.send_cross_msg(&mut ledger, Address::new(300), up(4))
             .unwrap();
-        // The cut populates the msg registry and prev pointer; a second
-        // send leaves the *current* window non-empty in the encoding.
+        // The cut populates the prev pointer; a second send leaves the
+        // *current* window non-empty in the encoding.
         let _ = sca.cut_checkpoint(ChainEpoch::new(10), Cid::digest(b"head"));
         sca.send_cross_msg(&mut ledger, Address::new(300), up(2))
             .unwrap();

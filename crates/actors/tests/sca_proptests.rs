@@ -164,7 +164,7 @@ proptest! {
         );
         let mut prev = Cid::NIL;
         for w in 0..windows {
-            let ckpt = sca.cut_checkpoint(
+            let (ckpt, _) = sca.cut_checkpoint(
                 ChainEpoch::new((w as u64 + 1) * 10),
                 Cid::digest(format!("h{w}").as_bytes()),
             );

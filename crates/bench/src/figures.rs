@@ -298,9 +298,11 @@ pub fn f5_atomic() -> Result<Table, RuntimeError> {
 /// The account ledger is a content-addressed HAMT whose persist prunes
 /// subtrees already in the store, so consecutive snapshots share unchanged
 /// accounts without even re-putting them: sharing shows up as per-persist
-/// blob/byte growth staying O(touched path) instead of O(state). `put hits`
-/// now counts only the small fixed chunks (metadata, SCA, ...) that are
-/// re-put verbatim when unchanged.
+/// blob/byte growth staying O(touched path) instead of O(state). The small
+/// fixed chunks (metadata, atomic registry, ...) are skipped too when their
+/// leaf digest has not moved since the last persist, and the content
+/// registry adds its AMT's rightmost path per cut that carried bottom-up
+/// messages — so `put hits` stays at zero: every put stores something new.
 ///
 /// # Errors
 ///
@@ -359,14 +361,16 @@ pub fn f6_snapshot_sharing() -> Result<Table, RuntimeError> {
 
     // Idle checkpoints: nothing but the SCA window changes between cuts,
     // so each persist adds only the SCA chunk and a new manifest; the
-    // whole account HAMT is pruned as already-present.
+    // whole account HAMT and the (empty) registry log are pruned as
+    // already-present.
     for _ in 0..15 {
         rt.tick_subnet(&subnet)?;
     }
     record(&rt, "3 idle checkpoint periods");
 
     // One transfer per period: exactly the touched account's HAMT path
-    // (plus the SCA window and the new manifest) is new; the rest is shared.
+    // and the registry log's rightmost path (plus the SCA window and the
+    // new manifest) are new; the rest is shared.
     for _ in 0..3 {
         rt.cross_transfer(&bob, &alice, whole(1))?;
         rt.run_until_quiescent(10_000)?;
@@ -1045,7 +1049,8 @@ mod tests {
         // subtrees are not even re-put (the persist prunes them), so the
         // evidence is per-persist blob growth staying O(touched path) —
         // far below the ~15+ blobs a from-scratch persist of this state
-        // writes — plus put hits on the re-put unchanged fixed chunks.
+        // writes — and unchanged fixed chunks are skipped the same way, so
+        // no put is ever a dedup hit.
         let last = text
             .lines()
             .rev()
@@ -1059,7 +1064,7 @@ mod tests {
             blobs < persists * 7,
             "snapshots must share structure: {blobs} blobs over {persists} persists\n{text}"
         );
-        assert!(hits > 0, "unchanged fixed chunks re-put as hits\n{text}");
+        assert_eq!(hits, 0, "unchanged chunks are skipped, not re-put\n{text}");
     }
 
     #[test]

@@ -412,14 +412,15 @@ pub fn execute_block_with(
         opts,
         &verdicts,
     );
-    let computed = overlay.root();
-    if computed != block.header.state_root {
+    // The candidate commitment is built once, here, and installed on
+    // acceptance: the tree comes out committed at the header's root.
+    let changes = overlay.into_changes();
+    if changes.root() != block.header.state_root {
         return Err(BlockError::StateRootMismatch {
             claimed: block.header.state_root,
-            computed,
+            computed: changes.root(),
         });
     }
-    let changes = overlay.into_changes();
     tree.apply_changes(changes);
     Ok(receipts)
 }
@@ -477,7 +478,12 @@ mod tests {
 
         let receipts = execute_block(&mut validator_tree, &executed.block).unwrap();
         assert_eq!(receipts.len(), 2);
+        // Validation installs the candidate commitment it checked against
+        // the header: the tree is committed and the next flush is free.
+        assert!(validator_tree.is_committed());
+        let hashed = validator_tree.commit_stats().bytes_hashed;
         assert_eq!(validator_tree.flush(), proposer_tree.flush());
+        assert_eq!(validator_tree.commit_stats().bytes_hashed, hashed);
         assert_eq!(
             validator_tree
                 .accounts()

@@ -16,11 +16,9 @@
 use std::collections::BTreeMap;
 
 use hc_actors::checkpoint::SignedCheckpoint;
-use hc_state::{Amt, AmtProof, CidStore};
+use hc_state::{Amt, AmtProof, AmtRoot, CidStore, HashWork};
 use hc_types::crypto::SignaturePolicy;
-use hc_types::{
-    ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MAmtRoot, SubnetId, TCid,
-};
+use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, SubnetId};
 
 use crate::runtime::HierarchyRuntime;
 
@@ -81,27 +79,31 @@ impl CheckpointArchive {
         self.entries.get(subnet)?.get(index)
     }
 
-    /// The content-addressed root committing to `subnet`'s full registry
-    /// (re-hashing only paths dirtied since the last call).
-    pub fn registry_root(&mut self, subnet: &SubnetId) -> Option<TCid<MAmtRoot>> {
-        Some(self.entries.get_mut(subnet)?.flush())
+    /// The root (height, count, top-node CID) committing to `subnet`'s full
+    /// registry (re-hashing only paths dirtied since the last call).
+    pub fn registry_root(&mut self, subnet: &SubnetId) -> Option<AmtRoot> {
+        Some(
+            self.entries
+                .get_mut(subnet)?
+                .flush(&mut HashWork::default()),
+        )
     }
 
     /// An O(log n) inclusion proof that `subnet`'s registry holds its
     /// `index`-th archived checkpoint under [`Self::registry_root`].
     pub fn prove(&mut self, subnet: &SubnetId, index: u64) -> Option<AmtProof> {
         let amt = self.entries.get_mut(subnet)?;
-        amt.flush();
+        amt.flush(&mut HashWork::default());
         amt.prove(index)
     }
 
     /// Persists every registry into `store` (unchanged subtrees are
-    /// shared) and returns the per-subnet AMT root CIDs — the GC pin set
+    /// shared) and returns the per-subnet AMT top-node CIDs — the GC pin set
     /// that keeps archived history reachable across sweeps.
     pub(crate) fn persist(&mut self, store: &CidStore) -> Vec<Cid> {
         self.entries
             .values_mut()
-            .map(|amt| amt.persist(store).cid())
+            .map(|amt| amt.persist(store).node.cid())
             .collect()
     }
 
@@ -131,7 +133,7 @@ impl HierarchyRuntime {
         &mut self,
         subnet: &SubnetId,
         index: u64,
-    ) -> Option<(TCid<MAmtRoot>, AmtProof)> {
+    ) -> Option<(AmtRoot, AmtProof)> {
         let archive = self.archive_mut();
         let root = archive.registry_root(subnet)?;
         let proof = archive.prove(subnet, index)?;

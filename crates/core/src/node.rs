@@ -369,8 +369,8 @@ impl SubnetNode {
                 let manifest = self.tree.persist(&self.store);
                 self.stats.state_persists += 1;
 
-                // Content resolution (paper §IV-C): the SCA registry is
-                // this subnet's authoritative content store, so its
+                // Content resolution (paper §IV-C): the state tree's
+                // content registry is this subnet's authoritative store, so its
                 // resolver always serves pulls for the carried groups (a
                 // rebuilt node re-seeds here — the cache died with the
                 // process); with the *push* path enabled, the groups are
@@ -379,7 +379,6 @@ impl SubnetNode {
                 for meta in &checkpoint.cross_msgs {
                     let content = self
                         .tree
-                        .sca()
                         .resolve_content(&meta.msgs_cid)
                         .or_else(|| self.resolver.cache().get(&meta.msgs_cid))
                         .map(<[CrossMsg]>::to_vec);

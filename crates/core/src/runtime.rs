@@ -1858,7 +1858,7 @@ impl HierarchyRuntime {
             return;
         };
         if let Some(parent_node) = self.nodes.get_mut(&parent) {
-            parent_node.tree.sca_mut().prune_top_down(subnet, next);
+            parent_node.tree.prune_top_down(subnet, next);
         }
     }
 
@@ -1879,19 +1879,15 @@ impl HierarchyRuntime {
                     certs.push(*cert);
                     continue;
                 }
-                // The resolver cache dies with the process, but the SCA
-                // registry is canonical state and survives crash recovery
-                // — re-seed on demand so a rejoined node still serves
-                // pulls for groups it checkpointed before the crash (the
-                // registry is the authoritative store; the cache is only
-                // its hot front).
+                // The resolver cache dies with the process, but the content
+                // registry is canonical state (the state tree's registry
+                // log) and survives crash recovery — re-seed on demand so
+                // a rejoined node still serves pulls for groups it
+                // checkpointed before the crash (the registry is the
+                // authoritative store; the cache is only its hot front).
                 if let ResolutionMsg::Pull { cid, .. } = &msg {
                     if node.resolver.cache().get(cid).is_none() {
-                        if let Some(msgs) = node
-                            .tree
-                            .sca()
-                            .resolve_content(cid)
-                            .map(<[CrossMsg]>::to_vec)
+                        if let Some(msgs) = node.tree.resolve_content(cid).map(<[CrossMsg]>::to_vec)
                         {
                             node.resolver.seed(*cid, msgs);
                         }

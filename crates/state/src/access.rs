@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, Ledger, ScaState};
-use hc_types::{Address, SubnetId};
+use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, ScaState};
+use hc_types::{Address, Cid, SubnetId};
 
 use crate::tree::{AccountState, Accounts, StateTree};
 
@@ -56,6 +56,10 @@ pub trait StateAccess {
 
     /// Mutable atomic-execution coordinator access.
     fn atomic_mut(&mut self) -> &mut AtomicExecRegistry;
+
+    /// Appends the `(msgs_cid, msgs)` groups one checkpoint cut produced to
+    /// the content registry (a cut without groups appends nothing).
+    fn append_registry(&mut self, groups: Vec<(Cid, Vec<CrossMsg>)>);
 
     /// Folds a batch of account states in wholesale — the merge step of
     /// parallel lane execution ([`crate::parallel::LaneOverlay`]): each
@@ -114,6 +118,10 @@ impl StateAccess for StateTree {
 
     fn atomic_mut(&mut self) -> &mut AtomicExecRegistry {
         StateTree::atomic_mut(self)
+    }
+
+    fn append_registry(&mut self, groups: Vec<(Cid, Vec<CrossMsg>)>) {
+        StateTree::append_registry(self, groups);
     }
 
     fn absorb_accounts(&mut self, writes: BTreeMap<Address, AccountState>) {

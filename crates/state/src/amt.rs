@@ -11,28 +11,32 @@
 //!
 //! Shape is canonical: the tree height is the minimum that covers the
 //! highest set index (growing wraps the root in a new slot-0 chain), so
-//! the root CID is a pure function of the `(index, value)` content.
+//! the root is a pure function of the `(index, value)` content.
+//!
+//! What commits to an array is its [`AmtRoot`]: height, count and the CID
+//! of the top node, 44 bytes that whoever commits to the array embeds
+//! inline (a state-root leaf, a snapshot manifest). There is no root blob:
+//! a closure walk starts at the top node itself, so an array of up to eight
+//! entries is one blob, one fetch round deep.
 //!
 //! Wire format — self-describing for type-erased closure walks
 //! ([`amt_links`]):
 //!
 //! ```text
-//! root blob: 0x41 ('A'), u32 height, u64 count, 32-byte top-node CID
-//! node blob: 0x61 ('a'), u8 bitmap, per set bit ascending:
-//!              0x00 leaf: value bytes (len-prefixed)
-//!              0x01 link: 32-byte child CID
+//! root (inline): u32 height, u64 count, 32-byte top-node CID
+//! node blob:     0x61 ('a'), u8 bitmap, per set bit ascending:
+//!                  0x00 leaf: value bytes (len-prefixed)
+//!                  0x01 link: 32-byte child CID
 //! ```
 
 use std::sync::Arc;
 
-use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MAmtRoot, TCid};
+use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MAmtNode, TCid};
 
+use crate::hamt::HashWork;
 use crate::store::CidStore;
 
-/// First byte of a canonical AMT root blob.
-pub const AMT_ROOT_TAG: u8 = 0x41;
-
-/// First byte of a canonical AMT interior/leaf node blob.
+/// First byte of a canonical AMT node blob.
 pub const AMT_NODE_TAG: u8 = 0x61;
 
 /// Index bits consumed per level (width = 8 slots).
@@ -41,6 +45,36 @@ const WIDTH: u64 = 1 << BITS;
 
 /// Tallest tree a `u64` index can need (`8^22 > 2^64`).
 const MAX_HEIGHT: u32 = 21;
+
+/// The commitment to an [`Amt`]: its shape header and the CID of its top
+/// node. Embedded inline by whatever commits to the array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AmtRoot {
+    /// Levels below the top node (0: the top node holds the values).
+    pub height: u32,
+    /// Number of set indices.
+    pub count: u64,
+    /// CID of the top node's blob.
+    pub node: TCid<MAmtNode>,
+}
+
+impl CanonicalEncode for AmtRoot {
+    fn write_bytes(&self, out: &mut Vec<u8>) {
+        self.height.write_bytes(out);
+        self.count.write_bytes(out);
+        self.node.write_bytes(out);
+    }
+}
+
+impl CanonicalDecode for AmtRoot {
+    fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        Ok(AmtRoot {
+            height: u32::read_bytes(r)?,
+            count: u64::read_bytes(r)?,
+            node: TCid::read_bytes(r)?,
+        })
+    }
+}
 
 /// Why a persisted AMT could not be loaded from a [`CidStore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,8 +165,6 @@ pub struct Amt<V> {
     height: u32,
     count: u64,
     root: Arc<Node<V>>,
-    /// CID of the root blob (header + top-node link); `None` while dirty.
-    cached: Option<TCid<MAmtRoot>>,
 }
 
 impl<V> Default for Amt<V> {
@@ -148,7 +180,6 @@ impl<V> Amt<V> {
             height: 0,
             count: 0,
             root: Arc::new(Node::empty()),
-            cached: None,
         }
     }
 
@@ -165,6 +196,15 @@ impl<V> Amt<V> {
     /// Highest index the current height can address, exclusive.
     fn capacity(&self) -> u64 {
         WIDTH.saturating_pow(self.height + 1)
+    }
+
+    /// The flushed root, if the array has no pending mutations.
+    pub fn cached_root(&self) -> Option<AmtRoot> {
+        self.root.cached.map(|node| AmtRoot {
+            height: self.height,
+            count: self.count,
+            node: TCid::from_cid(node),
+        })
     }
 }
 
@@ -191,7 +231,6 @@ impl<V: CanonicalEncode + CanonicalDecode + Clone> Amt<V> {
     /// Sets index `i`, growing the tree height to cover it if needed.
     /// Returns the previous value at `i`, if any.
     pub fn set(&mut self, i: u64, value: V) -> Option<V> {
-        self.cached = None;
         while i >= self.capacity() {
             // Wrap the current root into slot 0 of a taller root — the
             // canonical growth step (old content all lives below index
@@ -264,87 +303,74 @@ impl<V: CanonicalEncode + CanonicalDecode + Clone> Amt<V> {
         }
     }
 
-    /// Computes (and caches) the root-blob CID, re-hashing only dirty
-    /// node paths.
-    pub fn flush(&mut self) -> TCid<MAmtRoot> {
-        if let Some(cid) = self.cached {
-            return cid;
+    /// Computes (and caches) the root, re-hashing only dirty node paths.
+    /// The work done is accumulated into `work`.
+    pub fn flush(&mut self, work: &mut HashWork) -> AmtRoot {
+        if self.root.cached.is_none() {
+            Self::flush_node(Arc::make_mut(&mut self.root), work);
         }
-        Self::flush_node(Arc::make_mut(&mut self.root));
-        let cid = TCid::digest(&self.root_blob());
-        self.cached = Some(cid);
-        cid
+        self.cached_root().expect("just flushed")
     }
 
-    fn flush_node(node: &mut Node<V>) -> Cid {
-        if let Some(cid) = node.cached {
-            return cid;
-        }
+    fn flush_node(node: &mut Node<V>, work: &mut HashWork) {
         for item in &mut node.items {
             if let Item::Link(child) = item {
                 if child.cached.is_none() {
-                    Self::flush_node(Arc::make_mut(child));
+                    Self::flush_node(Arc::make_mut(child), work);
                 }
             }
         }
-        let cid = Cid::digest(&node.encode());
-        node.cached = Some(cid);
-        cid
+        let bytes = node.encode();
+        work.nodes += 1;
+        work.bytes += bytes.len() as u64;
+        node.cached = Some(Cid::digest(&bytes));
     }
 
-    /// The canonical root blob: header plus the top-node link.
-    fn root_blob(&self) -> Vec<u8> {
-        let mut out = vec![AMT_ROOT_TAG];
-        self.height.write_bytes(&mut out);
-        self.count.write_bytes(&mut out);
-        self.root
-            .cached
-            .expect("flushed top node has a cached CID")
-            .write_bytes(&mut out);
-        out
-    }
-
-    /// Flushes, then writes the root blob and every node blob not already
-    /// present into `store` (children before parents; a present node
-    /// prunes its subtree). Returns the root CID.
-    pub fn persist(&mut self, store: &CidStore) -> TCid<MAmtRoot> {
-        let root = self.flush();
-        Self::persist_node(&self.root, store);
-        store.put(self.root_blob());
+    /// Flushes, then writes every node blob not already present into
+    /// `store` (children before parents; a present node prunes its
+    /// subtree). Returns the root.
+    pub fn persist(&mut self, store: &CidStore) -> AmtRoot {
+        let mut blobs = Vec::new();
+        let root = self.unpersisted(store, &mut blobs);
+        store.put_all(blobs);
         root
     }
 
-    fn persist_node(node: &Node<V>, store: &CidStore) {
+    /// The collecting half of [`Amt::persist`]: flushes and appends the
+    /// blobs `store` lacks to `out` (children before parents, top node
+    /// last) for the caller to put.
+    pub(crate) fn unpersisted(&mut self, store: &CidStore, out: &mut Vec<Vec<u8>>) -> AmtRoot {
+        let root = self.flush(&mut HashWork::default());
+        Self::collect_node(&self.root, store, out);
+        root
+    }
+
+    fn collect_node(node: &Node<V>, store: &CidStore, out: &mut Vec<Vec<u8>>) {
         let cid = node.cached.expect("flushed node has a cached CID");
         if store.contains(&cid) {
             return;
         }
         for item in &node.items {
             if let Item::Link(child) = item {
-                Self::persist_node(child, store);
+                Self::collect_node(child, store, out);
             }
         }
-        store.put(node.encode());
+        out.push(node.encode());
     }
 
     /// Loads a persisted AMT from `store`.
-    pub fn load(root: &TCid<MAmtRoot>, store: &CidStore) -> Result<Self, AmtError> {
-        let blob = store
-            .get(&root.cid())
-            .ok_or(AmtError::Missing(root.cid()))?;
-        let hdr = WireRoot::decode(&blob).map_err(AmtError::Decode)?;
-        if hdr.height > MAX_HEIGHT {
+    pub fn load(root: &AmtRoot, store: &CidStore) -> Result<Self, AmtError> {
+        if root.height > MAX_HEIGHT {
             return Err(AmtError::Structure("height exceeds u64 index space"));
         }
-        let (node, count) = Self::load_node(&hdr.node, store, hdr.height)?;
-        if count != hdr.count {
-            return Err(AmtError::Structure("header count does not match content"));
+        let (node, count) = Self::load_node(&root.node.cid(), store, root.height)?;
+        if count != root.count {
+            return Err(AmtError::Structure("root count does not match content"));
         }
         Ok(Amt {
-            height: hdr.height,
+            height: root.height,
             count,
             root: Arc::new(node),
-            cached: Some(*root),
         })
     }
 
@@ -383,15 +409,15 @@ impl<V: CanonicalEncode + CanonicalDecode + Clone> Amt<V> {
         ))
     }
 
-    /// Builds the inclusion proof for index `i`: the root blob plus the
-    /// node blobs down to the leaf. Returns `None` if `i` is unset or the
+    /// Builds the inclusion proof for index `i`: the node blobs from the
+    /// top node down to the leaf. Returns `None` if `i` is unset or the
     /// tree has unflushed mutations.
     pub fn prove(&self, i: u64) -> Option<AmtProof> {
-        self.cached?;
+        self.root.cached?;
         if i >= self.capacity() {
             return None;
         }
-        let mut nodes = vec![self.root_blob()];
+        let mut nodes = Vec::new();
         let mut node = &*self.root;
         for height in (0..=self.height).rev() {
             nodes.push(node.encode());
@@ -408,39 +434,29 @@ impl<V: CanonicalEncode + CanonicalDecode + Clone> Amt<V> {
     }
 }
 
-/// An AMT inclusion proof: the root blob, then the node path to the leaf.
+/// An AMT inclusion proof: the node path from the top node to the leaf.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AmtProof {
-    /// Canonical blobs: root blob first, then nodes top-down.
+    /// Canonical node blobs, top-down.
     pub nodes: Vec<Vec<u8>>,
 }
 
 impl AmtProof {
-    /// Verifies that index `i` holds `value` under the committed AMT root
-    /// `root`.
-    pub fn verify<V: CanonicalEncode>(&self, root: &TCid<MAmtRoot>, i: u64, value: &V) -> bool {
-        let Some((hdr_blob, nodes)) = self.nodes.split_first() else {
-            return false;
-        };
-        if Cid::digest(hdr_blob) != root.cid() {
-            return false;
-        }
-        let Ok(hdr) = WireRoot::decode(hdr_blob) else {
-            return false;
-        };
-        if hdr.height > MAX_HEIGHT || i >= WIDTH.saturating_pow(hdr.height + 1) {
+    /// Verifies that index `i` holds `value` under the committed `root`.
+    pub fn verify<V: CanonicalEncode>(&self, root: &AmtRoot, i: u64, value: &V) -> bool {
+        if root.height > MAX_HEIGHT || i >= WIDTH.saturating_pow(root.height + 1) {
             return false;
         }
         let value_bytes = value.canonical_bytes();
-        let mut expected = hdr.node;
-        for (step, blob) in nodes.iter().enumerate() {
+        let mut expected = root.node.cid();
+        for (step, blob) in self.nodes.iter().enumerate() {
             if Cid::digest(blob) != expected {
                 return false;
             }
             let Ok(wire) = WireNode::decode(blob) else {
                 return false;
             };
-            let Some(height) = hdr.height.checked_sub(step as u32) else {
+            let Some(height) = root.height.checked_sub(step as u32) else {
                 return false;
             };
             let slot = (i >> (BITS * height)) & (WIDTH - 1);
@@ -450,40 +466,12 @@ impl AmtProof {
             let pos = (wire.bitmap & ((1u8 << slot) - 1)).count_ones() as usize;
             match &wire.items[pos] {
                 WireItem::Leaf(raw) => {
-                    return height == 0 && step + 1 == nodes.len() && *raw == value_bytes
+                    return height == 0 && step + 1 == self.nodes.len() && *raw == value_bytes
                 }
                 WireItem::Link(child) => expected = *child,
             }
         }
         false
-    }
-}
-
-struct WireRoot {
-    height: u32,
-    count: u64,
-    node: Cid,
-}
-
-impl WireRoot {
-    fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = ByteReader::new(bytes);
-        let tag = u8::read_bytes(&mut r)?;
-        if tag != AMT_ROOT_TAG {
-            return Err(DecodeError::BadTag {
-                what: "AmtRoot",
-                tag,
-            });
-        }
-        let height = u32::read_bytes(&mut r)?;
-        let count = u64::read_bytes(&mut r)?;
-        let node = Cid::read_bytes(&mut r)?;
-        r.finish()?;
-        Ok(WireRoot {
-            height,
-            count,
-            node,
-        })
     }
 }
 
@@ -526,23 +514,18 @@ impl WireNode {
     }
 }
 
-/// The child CIDs an AMT blob (root or node) links to — the type-erased
-/// hook closure walks use, mirroring [`crate::hamt::node_links`].
+/// The child CIDs an AMT node blob links to — the type-erased hook closure
+/// walks use, mirroring [`crate::hamt::node_links`].
 pub fn amt_links(bytes: &[u8]) -> Result<Vec<Cid>, DecodeError> {
-    match bytes.first() {
-        Some(&AMT_ROOT_TAG) => Ok(vec![WireRoot::decode(bytes)?.node]),
-        _ => {
-            let wire = WireNode::decode(bytes)?;
-            Ok(wire
-                .items
-                .iter()
-                .filter_map(|item| match item {
-                    WireItem::Link(cid) => Some(*cid),
-                    WireItem::Leaf(_) => None,
-                })
-                .collect())
-        }
-    }
+    let wire = WireNode::decode(bytes)?;
+    Ok(wire
+        .items
+        .iter()
+        .filter_map(|item| match item {
+            WireItem::Link(cid) => Some(*cid),
+            WireItem::Leaf(_) => None,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -572,15 +555,24 @@ mod tests {
             a.push(i);
             b.push(i);
         }
-        assert_eq!(a.flush(), b.flush());
+        assert_eq!(
+            a.flush(&mut HashWork::default()),
+            b.flush(&mut HashWork::default())
+        );
         b.set(42, 999);
-        assert_ne!(a.flush(), b.flush());
+        assert_ne!(
+            a.flush(&mut HashWork::default()),
+            b.flush(&mut HashWork::default())
+        );
         // Same values at different positions: different root.
         let mut c = Arr::new();
         c.set(1, 0);
         let mut d = Arr::new();
         d.set(2, 0);
-        assert_ne!(c.flush(), d.flush());
+        assert_ne!(
+            c.flush(&mut HashWork::default()),
+            d.flush(&mut HashWork::default())
+        );
     }
 
     #[test]
@@ -595,7 +587,10 @@ mod tests {
         for i in (0..100).rev() {
             direct.set(i, i);
         }
-        assert_eq!(grown.flush(), direct.flush());
+        assert_eq!(
+            grown.flush(&mut HashWork::default()),
+            direct.flush(&mut HashWork::default())
+        );
         let mut order = Vec::new();
         grown.for_each(&mut |i, v| order.push((i, *v)));
         assert_eq!(order.len(), 100);
@@ -625,6 +620,39 @@ mod tests {
     }
 
     #[test]
+    fn a_small_array_is_one_blob_and_growth_keeps_the_old_top_node() {
+        // There is no root blob: up to one node's worth of entries is a
+        // single blob, found in the first round of a closure walk.
+        let store = CidStore::new();
+        let mut a = Arr::new();
+        for i in 0..WIDTH {
+            a.push(i);
+        }
+        let small = a.persist(&store);
+        assert_eq!((small.height, small.count), (0, WIDTH));
+        assert_eq!(store.len(), 1);
+        // Growing wraps the old top node, CID and blob unchanged, under a
+        // new one: nothing settled is hashed or stored again.
+        a.push(WIDTH);
+        let mut work = HashWork::default();
+        let grown = a.flush(&mut work);
+        assert_eq!((grown.height, grown.count), (1, WIDTH + 1));
+        assert_eq!(work.nodes, 2, "the new leaf node and the new top node");
+        a.persist(&store);
+        assert_eq!(store.len(), 3);
+        let top = store.get(&grown.node.cid()).unwrap();
+        assert!(amt_links(&top).unwrap().contains(&small.node.cid()));
+        // Same content, same root — the header is part of it.
+        let mut direct = Arr::new();
+        for i in 0..=WIDTH {
+            direct.push(i);
+        }
+        assert_eq!(grown, direct.flush(&mut HashWork::default()));
+        assert_eq!(AmtRoot::decode(&grown.canonical_bytes()), Ok(grown));
+        assert_eq!(grown.canonical_bytes().len(), 44);
+    }
+
+    #[test]
     fn load_rejects_missing_corrupt_and_miscounted() {
         let store = CidStore::new();
         let mut a = Arr::new();
@@ -636,20 +664,30 @@ mod tests {
             Arr::load(&root, &CidStore::new()),
             Err(AmtError::Missing(_))
         ));
-        let junk = store.put(b"junk".to_vec());
-        assert!(matches!(
-            Arr::load(&TCid::from_cid(junk), &store),
-            Err(AmtError::Decode(_))
-        ));
-        // Tamper the header count: same node tree, wrong count.
-        let blob = store.get(&root.cid()).unwrap();
-        let mut forged = blob.as_ref().clone();
-        forged[5] ^= 1; // count is bytes 5..13
-        let forged_cid = store.put(forged);
-        assert!(matches!(
-            Arr::load(&TCid::from_cid(forged_cid), &store),
-            Err(AmtError::Structure(_))
-        ));
+        let junk = AmtRoot {
+            node: TCid::from_cid(store.put(b"junk".to_vec())),
+            ..root
+        };
+        assert!(matches!(Arr::load(&junk, &store), Err(AmtError::Decode(_))));
+        // Tamper the header: same node tree, wrong count or height.
+        let miscounted = AmtRoot {
+            count: root.count + 1,
+            ..root
+        };
+        let too_short = AmtRoot {
+            height: root.height - 1,
+            ..root
+        };
+        let too_tall = AmtRoot {
+            height: MAX_HEIGHT + 1,
+            ..root
+        };
+        for forged in [miscounted, too_short, too_tall] {
+            assert!(matches!(
+                Arr::load(&forged, &store),
+                Err(AmtError::Structure(_))
+            ));
+        }
     }
 
     #[test]
@@ -658,12 +696,16 @@ mod tests {
         for i in 0..777u64 {
             a.push(i + 1);
         }
-        let root = a.flush();
+        let root = a.flush(&mut HashWork::default());
         let proof = a.prove(123).unwrap();
         assert!(proof.verify(&root, 123, &124u64));
         assert!(!proof.verify(&root, 123, &999u64));
         assert!(!proof.verify(&root, 124, &124u64));
-        assert!(!proof.verify(&TCid::digest(b"no"), 123, &124u64));
+        let other = AmtRoot {
+            node: TCid::digest(b"no"),
+            ..root
+        };
+        assert!(!proof.verify(&other, 123, &124u64));
         let mut tampered = proof.clone();
         let last = tampered.nodes.len() - 1;
         let mid = tampered.nodes[last].len() / 2;
@@ -673,14 +715,14 @@ mod tests {
     }
 
     #[test]
-    fn amt_links_walks_root_and_nodes() {
+    fn amt_links_walks_the_nodes() {
         let store = CidStore::new();
         let mut a = Arr::new();
         for i in 0..300u64 {
             a.push(i);
         }
         let root = a.persist(&store);
-        let mut frontier = vec![root.cid()];
+        let mut frontier = vec![root.node.cid()];
         let mut seen = 0usize;
         while let Some(cid) = frontier.pop() {
             seen += 1;

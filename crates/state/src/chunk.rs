@@ -2,19 +2,22 @@
 //!
 //! The state root is the Merkle root over a small, ordered set of chunk
 //! leaves ([`hc_types::merkle`]): a metadata chunk, the SCA, the
-//! atomic-execution registry, one chunk per deployed Subnet Actor — and a
-//! single **accounts** leaf that commits to the root of a content-addressed
-//! HAMT ([`crate::hamt`]) holding every account. Account writes therefore
-//! re-hash only their O(log n) HAMT root path plus the fixed-size leaf
-//! layer; the flat one-leaf-per-account scheme this replaces re-patched (or
-//! structurally rebuilt) a million-leaf Merkle tree on every account
-//! insert.
+//! atomic-execution registry, one chunk per deployed Subnet Actor — and two
+//! indirection leaves: a single **accounts** leaf that commits to the root
+//! of a content-addressed HAMT ([`crate::hamt`]) holding every account, and
+//! a **registry** leaf that commits to the root of the append-only AMT
+//! ([`crate::amt`]) logging the SCA's cross-message content registry.
+//! Account writes therefore re-hash only their O(log n) HAMT root path plus
+//! the fixed-size leaf layer, and a checkpoint cut re-hashes only the
+//! AMT's rightmost path; the flat one-leaf-per-account scheme this replaces
+//! re-patched (or structurally rebuilt) a million-leaf Merkle tree on every
+//! account insert.
 //!
 //! A persisted snapshot ([`ChunkManifest`]) likewise shrinks from an
 //! O(accounts) index to the state root, the handful of fixed chunk CIDs,
-//! and the HAMT root CID: consecutive snapshots structurally share every
-//! untouched subtree, and snapshot closures (sync, hydration, GC
-//! reachability) become tree traversals ([`blob_links`]).
+//! the HAMT root CID and the AMT root: consecutive snapshots structurally
+//! share every untouched subtree, and snapshot closures (sync, hydration,
+//! GC reachability) become tree traversals ([`blob_links`]).
 //!
 //! This mirrors how FVM-family chains commit state through chunked IPLD
 //! structures (HAMTs over a blockstore) rather than serialising the world.
@@ -26,7 +29,7 @@ use hc_types::{
     Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MHamtNode, TCid,
 };
 
-use crate::amt::{amt_links, AMT_NODE_TAG, AMT_ROOT_TAG};
+use crate::amt::{amt_links, AmtRoot, AMT_NODE_TAG};
 use crate::hamt::{node_links, Hamt, HAMT_NODE_TAG};
 use crate::tree::AccountState;
 
@@ -39,7 +42,7 @@ pub const MANIFEST_TAG: u8 = 0x6d;
 ///
 /// The derived `Ord` fixes the canonical leaf order of the state-root
 /// Merkle tree: metadata, SCA, atomic registry, Subnet Actors by address,
-/// then the accounts-HAMT commitment leaf.
+/// then the accounts-HAMT and registry-AMT commitment leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ChunkKey {
     /// Subnet identity and actor-address allocator (`subnet_id`,
@@ -53,6 +56,9 @@ pub enum ChunkKey {
     Sa(Address),
     /// The account ledger, committed through the root CID of its HAMT.
     Accounts,
+    /// The SCA's content registry (raw messages behind every cut
+    /// `CrossMsgMeta`), committed through the root of its AMT log.
+    Registry,
 }
 
 impl CanonicalEncode for ChunkKey {
@@ -66,6 +72,7 @@ impl CanonicalEncode for ChunkKey {
                 addr.write_bytes(out);
             }
             ChunkKey::Accounts => 4u8.write_bytes(out),
+            ChunkKey::Registry => 5u8.write_bytes(out),
         }
     }
 }
@@ -78,6 +85,7 @@ impl CanonicalDecode for ChunkKey {
             2 => Ok(ChunkKey::Atomic),
             3 => Ok(ChunkKey::Sa(Address::read_bytes(r)?)),
             4 => Ok(ChunkKey::Accounts),
+            5 => Ok(ChunkKey::Registry),
             tag => Err(DecodeError::BadTag {
                 what: "ChunkKey",
                 tag,
@@ -87,11 +95,20 @@ impl CanonicalDecode for ChunkKey {
 }
 
 /// The accounts commitment leaf: the [`ChunkKey::Accounts`] key bytes
-/// followed by the account-HAMT root CID. This is the only chunk whose
-/// content is an indirection — the account data itself lives in the HAMT
-/// node blobs.
+/// followed by the account-HAMT root CID. This leaf's content is an
+/// indirection — the account data itself lives in the HAMT node blobs.
 pub(crate) fn accounts_leaf_blob(root: &TCid<MHamtNode>) -> Vec<u8> {
     let mut out = ChunkKey::Accounts.canonical_bytes();
+    root.write_bytes(&mut out);
+    out
+}
+
+/// The registry commitment leaf: the [`ChunkKey::Registry`] key bytes
+/// followed by the registry-AMT root (height, count, top-node CID) — the
+/// same indirection as `accounts_leaf_blob`, for the log in the `registry`
+/// module.
+pub(crate) fn registry_leaf_blob(root: &AmtRoot) -> Vec<u8> {
+    let mut out = ChunkKey::Registry.canonical_bytes();
     root.write_bytes(&mut out);
     out
 }
@@ -109,7 +126,7 @@ pub struct CommitStats {
     /// Account-HAMT nodes re-encoded and re-hashed (path invalidation).
     pub hamt_nodes_hashed: u64,
     /// Total bytes fed to the hash function (chunk leaf encodings, HAMT
-    /// node encodings, and interior Merkle nodes).
+    /// and registry-AMT node encodings, and interior Merkle nodes).
     pub bytes_hashed: u64,
     /// Overlay account reads answered by the per-block read memo
     /// (accumulated from applied overlays — see
@@ -142,8 +159,13 @@ pub(crate) struct Commitment {
     /// Merkle tree over the ordered digests.
     pub(crate) merkle: MerkleTree,
     /// Non-account chunks dirtied since the last flush (account dirt is
-    /// tracked at account granularity inside [`crate::tree::Accounts`]).
+    /// tracked at account granularity inside [`crate::tree::Accounts`],
+    /// registry dirt by the AMT's own root cache).
     pub(crate) dirty: BTreeSet<ChunkKey>,
+    /// Per fixed chunk, the `(leaf digest, blob CID)` of its last persist:
+    /// a chunk whose digest has not moved since is not encoded, hashed or
+    /// put again.
+    pub(crate) persisted: BTreeMap<ChunkKey, (Cid, Cid)>,
     /// Accumulated cost counters.
     pub(crate) stats: CommitStats,
 }
@@ -153,28 +175,66 @@ impl Commitment {
     pub(crate) fn index_of(&self, key: &ChunkKey) -> Option<usize> {
         self.keys.binary_search(key).ok()
     }
+
+    /// Folds freshly computed leaf digests into the commitment: unchanged
+    /// digests (over-marked chunks) cost nothing, changed ones re-hash only
+    /// their Merkle root paths, and a changed leaf *set* — a new chunk, or
+    /// `removed` ones the caller already dropped from `digests` — rebuilds
+    /// the node levels from the cached digests (no chunk re-encoding).
+    pub(crate) fn install_digests(
+        &mut self,
+        changed: impl IntoIterator<Item = (ChunkKey, Cid)>,
+        removed: bool,
+    ) {
+        let mut structural = removed;
+        let mut patches: Vec<(usize, Cid)> = Vec::new();
+        for (key, digest) in changed {
+            match self.digests.insert(key, digest) {
+                Some(old) if old == digest => {}
+                Some(_) => {
+                    let idx = self
+                        .index_of(&key)
+                        .expect("committed chunk has a leaf index");
+                    patches.push((idx, digest));
+                }
+                None => structural = true,
+            }
+        }
+        if structural {
+            self.keys = self.digests.keys().copied().collect();
+            self.merkle = MerkleTree::from_leaf_hashes(self.digests.values().copied().collect());
+            self.stats.bytes_hashed += self.merkle.interior_hash_bytes();
+        } else if !patches.is_empty() {
+            self.stats.bytes_hashed += self.merkle.update_leaves(&patches);
+        }
+    }
 }
 
 /// A persisted snapshot of a state tree: the state root, the content CID of
-/// every fixed chunk blob (in canonical chunk order), and the root CID of
-/// the account HAMT.
+/// every fixed chunk blob (in canonical chunk order), the root CID of the
+/// account HAMT and the root of the registry AMT.
 ///
 /// Manifests are what checkpoints and snapshots store in a
-/// [`crate::CidStore`]. The manifest is O(system actors), not O(accounts):
-/// account content is reached by traversing the HAMT from `accounts_root`
-/// ([`ChunkManifest::missing_chunks`], [`blob_links`]). Because every blob
-/// is content-addressed, consecutive manifests of a slowly-changing state
-/// *structurally share* all unchanged chunks and HAMT subtrees — only
-/// mutated blobs occupy new storage.
+/// [`crate::CidStore`]. The manifest is O(system actors), not O(accounts)
+/// or O(cross-net history): account content is reached by traversing the
+/// HAMT from `accounts_root`, registry content by traversing the AMT from
+/// `registry_root` ([`ChunkManifest::missing_chunks`], [`blob_links`]).
+/// Because every blob is content-addressed, consecutive manifests of a
+/// slowly-changing state *structurally share* all unchanged chunks and
+/// subtrees — only mutated blobs occupy new storage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkManifest {
     /// The state root the chunks commit to.
     pub root: Cid,
     /// Root CID of the account HAMT.
     pub accounts_root: TCid<MHamtNode>,
+    /// Root of the content-registry AMT, inline: a syncing node finds the
+    /// log's top node in the same fetch round as the HAMT root.
+    pub registry_root: AmtRoot,
     /// `(chunk key, blob CID)` pairs for the fixed chunks
     /// (Meta/Sca/Atomic/Sa), in canonical chunk order. Never contains
-    /// [`ChunkKey::Accounts`] — that leaf is derived from `accounts_root`.
+    /// [`ChunkKey::Accounts`] or [`ChunkKey::Registry`] — those leaves are
+    /// derived from `accounts_root` and `registry_root`.
     pub entries: Vec<(ChunkKey, Cid)>,
 }
 
@@ -183,6 +243,7 @@ impl CanonicalEncode for ChunkManifest {
         MANIFEST_TAG.write_bytes(out);
         self.root.write_bytes(out);
         self.accounts_root.write_bytes(out);
+        self.registry_root.write_bytes(out);
         (self.entries.len() as u64).write_bytes(out);
         for (key, cid) in &self.entries {
             key.write_bytes(out);
@@ -202,6 +263,7 @@ impl CanonicalDecode for ChunkManifest {
         }
         let root = Cid::read_bytes(r)?;
         let accounts_root = TCid::<MHamtNode>::read_bytes(r)?;
+        let registry_root = AmtRoot::read_bytes(r)?;
         // `len_prefix` bounds the count by the remaining input, so a forged
         // length cannot drive the preallocation.
         let count = r.len_prefix("ChunkManifest.entries")?;
@@ -214,6 +276,7 @@ impl CanonicalDecode for ChunkManifest {
         Ok(ChunkManifest {
             root,
             accounts_root,
+            registry_root,
             entries,
         })
     }
@@ -231,11 +294,15 @@ impl ChunkManifest {
     /// The blob CIDs reachable from this manifest that are absent from
     /// `store` — exactly the frontier a syncing node must fetch next.
     ///
-    /// Fixed chunks come first in manifest order; then the account HAMT is
-    /// traversed from `accounts_root` through the blobs already present,
-    /// surfacing the missing nodes of the *current* frontier. Fetching
-    /// those and calling this again discovers the next level, until the
-    /// closure is complete and this returns empty. Deterministic order,
+    /// Fixed chunks come first in manifest order; then the registry AMT
+    /// and the account HAMT are traversed from `registry_root` and
+    /// `accounts_root` through the blobs already present, surfacing the
+    /// missing nodes of the *current* frontier of both trees in the same
+    /// pass. Fetching those and calling this again discovers the next
+    /// level, until the closure is complete and this returns empty. The
+    /// registry goes first because callers truncate to a batch size: its
+    /// narrow top levels then descend alongside the (usually much wider)
+    /// account tree instead of queueing behind it. Deterministic order,
     /// never repeats a CID.
     pub fn missing_chunks(&self, store: &crate::CidStore) -> Vec<Cid> {
         let mut seen = BTreeSet::new();
@@ -245,16 +312,23 @@ impl ChunkManifest {
                 missing.push(*cid);
             }
         }
-        let mut frontier = vec![self.accounts_root.cid()];
-        while let Some(cid) = frontier.pop() {
-            if !seen.insert(cid) {
-                continue;
-            }
-            match store.get(&cid) {
-                None => missing.push(cid),
-                Some(blob) => {
-                    if let Ok(links) = node_links(&blob) {
-                        frontier.extend(links);
+        type Links = fn(&[u8]) -> Result<Vec<Cid>, DecodeError>;
+        let trees: [(Cid, Links); 2] = [
+            (self.registry_root.node.cid(), amt_links),
+            (self.accounts_root.cid(), node_links),
+        ];
+        for (root, links_of) in trees {
+            let mut frontier = vec![root];
+            while let Some(cid) = frontier.pop() {
+                if !seen.insert(cid) {
+                    continue;
+                }
+                match store.get(&cid) {
+                    None => missing.push(cid),
+                    Some(blob) => {
+                        if let Ok(links) = links_of(&blob) {
+                            frontier.extend(links);
+                        }
                     }
                 }
             }
@@ -264,14 +338,15 @@ impl ChunkManifest {
 
     /// Recomputes the state root from the blobs in `store` and checks it
     /// against the recorded root: every fixed chunk blob must be present,
-    /// the full HAMT closure must be present, and the Merkle root over the
-    /// leaf layer (with the accounts leaf derived from `accounts_root`)
-    /// must equal `root`. Returns `false` on any gap or mismatch.
+    /// the full HAMT and AMT closures must be present, and the Merkle root
+    /// over the leaf layer (with the accounts and registry leaves derived
+    /// from `accounts_root` and `registry_root`) must equal `root`.
+    /// Returns `false` on any gap or mismatch.
     pub fn verify(&self, store: &crate::CidStore) -> bool {
         if !self.missing_chunks(store).is_empty() {
             return false;
         }
-        let mut leaves: Vec<Vec<u8>> = Vec::with_capacity(self.entries.len() + 1);
+        let mut leaves: Vec<Vec<u8>> = Vec::with_capacity(self.entries.len() + 2);
         for (_, cid) in &self.entries {
             match store.get(cid) {
                 Some(blob) => leaves.push(blob.as_ref().clone()),
@@ -279,14 +354,15 @@ impl ChunkManifest {
             }
         }
         leaves.push(accounts_leaf_blob(&self.accounts_root));
+        leaves.push(registry_leaf_blob(&self.registry_root));
         MerkleTree::from_leaf_bytes(leaves.iter().map(|b| b.as_slice())).root() == self.root
     }
 }
 
 /// The child CIDs a state blob links to, dispatched on the blob's leading
-/// tag byte: manifests link their fixed chunks and HAMT root, HAMT nodes
-/// link their children, AMT blobs link theirs; fixed chunk blobs (and
-/// anything unrecognisable) are leaves.
+/// tag byte: manifests link their fixed chunks, HAMT root and registry-AMT
+/// top node, HAMT nodes link their children, AMT nodes link theirs; fixed
+/// chunk blobs (and anything unrecognisable) are leaves.
 ///
 /// This is the single traversal primitive behind snapshot-closure fetch,
 /// blob-log hydration, and GC reachability.
@@ -296,12 +372,13 @@ pub fn blob_links(bytes: &[u8]) -> Vec<Cid> {
             Some(m) => {
                 let mut links: Vec<Cid> = m.entries.iter().map(|(_, cid)| *cid).collect();
                 links.push(m.accounts_root.cid());
+                links.push(m.registry_root.node.cid());
                 links
             }
             None => Vec::new(),
         },
         Some(&HAMT_NODE_TAG) => node_links(bytes).unwrap_or_default(),
-        Some(&AMT_ROOT_TAG) | Some(&AMT_NODE_TAG) => amt_links(bytes).unwrap_or_default(),
+        Some(&AMT_NODE_TAG) => amt_links(bytes).unwrap_or_default(),
         _ => Vec::new(),
     }
 }
@@ -321,11 +398,22 @@ pub(crate) fn build_accounts_hamt<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amt::Amt;
     use crate::hamt::HashWork;
+
+    /// A made-up registry root for manifests that are only en/decoded.
+    fn amt_root(tag: &[u8]) -> AmtRoot {
+        AmtRoot {
+            height: 1,
+            count: 9,
+            node: TCid::digest(tag),
+        }
+    }
 
     #[test]
     fn chunk_key_order_is_canonical() {
         let mut keys = vec![
+            ChunkKey::Registry,
             ChunkKey::Accounts,
             ChunkKey::Sa(Address::new(5)),
             ChunkKey::Atomic,
@@ -343,6 +431,7 @@ mod tests {
                 ChunkKey::Sa(Address::new(0)),
                 ChunkKey::Sa(Address::new(5)),
                 ChunkKey::Accounts,
+                ChunkKey::Registry,
             ]
         );
     }
@@ -355,6 +444,7 @@ mod tests {
             ChunkKey::Atomic,
             ChunkKey::Sa(Address::new(7)),
             ChunkKey::Accounts,
+            ChunkKey::Registry,
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
@@ -382,6 +472,7 @@ mod tests {
             let m = ChunkManifest {
                 root: Cid::digest(b"root"),
                 accounts_root: TCid::digest(b"hamt"),
+                registry_root: amt_root(b"amt"),
                 entries: vec![(key, Cid::digest(b"blob"))],
             };
             let via_manifest = ChunkManifest::decode(&m.canonical_bytes()).unwrap();
@@ -392,10 +483,11 @@ mod tests {
         let mut bad = ChunkManifest {
             root: Cid::digest(b"root"),
             accounts_root: TCid::digest(b"hamt"),
+            registry_root: amt_root(b"amt"),
             entries: vec![(ChunkKey::Meta, Cid::digest(b"blob"))],
         }
         .canonical_bytes();
-        let key_offset = 1 + 32 + 32 + 8;
+        let key_offset = 1 + 32 + 32 + 44 + 8;
         bad[key_offset] = 9;
         assert_eq!(ChunkManifest::decode(&bad), None);
     }
@@ -405,6 +497,7 @@ mod tests {
         let m = ChunkManifest {
             root: Cid::digest(b"root"),
             accounts_root: TCid::digest(b"hamt root"),
+            registry_root: amt_root(b"amt root"),
             entries: vec![
                 (ChunkKey::Meta, Cid::digest(b"meta")),
                 (ChunkKey::Sa(Address::new(1_000_000)), Cid::digest(b"sa")),
@@ -429,6 +522,7 @@ mod tests {
         let mut bytes = vec![MANIFEST_TAG];
         bytes.extend_from_slice(Cid::digest(b"root").as_bytes());
         bytes.extend_from_slice(Cid::digest(b"hamt").as_bytes());
+        bytes.extend_from_slice(&amt_root(b"amt").canonical_bytes());
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(ChunkManifest::decode(&bytes), None);
         let mut big = bytes.clone();
@@ -438,17 +532,23 @@ mod tests {
     }
 
     #[test]
-    fn missing_chunks_traverses_the_hamt_frontier() {
+    fn missing_chunks_traverses_the_hamt_and_amt_frontiers() {
         let store = crate::CidStore::new();
         let mut hamt: Hamt<Address, AccountState> = Hamt::new();
         for i in 0..200 {
             hamt.set(Address::new(i), AccountState::default());
         }
         let accounts_root = hamt.persist(&store);
+        let mut amt: Amt<u64> = Amt::new();
+        for i in 0..20 {
+            amt.push(i);
+        }
+        let registry_root = amt.persist(&store);
         let meta_cid = store.put(b"meta blob".to_vec());
         let m = ChunkManifest {
             root: Cid::digest(b"root"),
             accounts_root,
+            registry_root,
             entries: vec![(ChunkKey::Meta, meta_cid)],
         };
         // Full closure present: nothing missing.
@@ -465,6 +565,11 @@ mod tests {
             }
             rounds += 1;
             assert!(rounds < 64, "frontier fetch must terminate");
+            if rounds == 1 {
+                // Both trees are discovered in the same pass.
+                assert!(missing.contains(&accounts_root.cid()));
+                assert!(missing.contains(&registry_root.node.cid()));
+            }
             for cid in missing {
                 partial.put(store.get(&cid).expect("source has closure").to_vec());
             }
@@ -483,15 +588,18 @@ mod tests {
         }
         hamt.flush(&mut work);
         let accounts_root = hamt.persist(&store);
+        let registry_root = Amt::<u64>::new().persist(&store);
         let meta_cid = store.put(b"fixed chunk".to_vec());
         let m = ChunkManifest {
             root: Cid::digest(b"root"),
             accounts_root,
+            registry_root,
             entries: vec![(ChunkKey::Meta, meta_cid)],
         };
         let links = blob_links(&m.canonical_bytes());
         assert!(links.contains(&meta_cid));
         assert!(links.contains(&accounts_root.cid()));
+        assert!(links.contains(&registry_root.node.cid()));
         // HAMT root node links to its children.
         let root_blob = store.get(&accounts_root.cid()).unwrap();
         assert!(!blob_links(&root_blob).is_empty());

@@ -414,23 +414,37 @@ where
     /// store invariant *parent present ⟹ subtree present* holds and the
     /// write cost is O(nodes new since the last persisted snapshot).
     pub fn persist(&mut self, store: &CidStore) -> TCid<MHamtNode> {
-        let mut work = HashWork::default();
-        let root = self.flush(&mut work);
-        Self::persist_node(&self.root, store);
+        let mut blobs = Vec::new();
+        let root = self.unpersisted(store, &mut blobs);
+        store.put_all(blobs);
         root
     }
 
-    fn persist_node(node: &Node<K, V>, store: &CidStore) {
+    /// The collecting half of [`Hamt::persist`]: flushes and appends the
+    /// node blobs `store` lacks to `out` (children before parents) for the
+    /// caller to put — [`crate::StateTree::persist`] writes them in one
+    /// group with the rest of its snapshot.
+    pub(crate) fn unpersisted(
+        &mut self,
+        store: &CidStore,
+        out: &mut Vec<Vec<u8>>,
+    ) -> TCid<MHamtNode> {
+        let root = self.flush(&mut HashWork::default());
+        Self::collect_node(&self.root, store, out);
+        root
+    }
+
+    fn collect_node(node: &Node<K, V>, store: &CidStore, out: &mut Vec<Vec<u8>>) {
         let cid = node.cached.expect("flushed node has a cached CID");
         if store.contains(&cid.cid()) {
             return;
         }
         for p in &node.pointers {
             if let Pointer::Link(child) = p {
-                Self::persist_node(child, store);
+                Self::collect_node(child, store, out);
             }
         }
-        store.put(node.encode());
+        out.push(node.encode());
     }
 
     /// Loads a persisted HAMT from `store`, verifying that every blob

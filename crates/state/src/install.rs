@@ -14,13 +14,19 @@
 //!   rejected);
 //! * chunk content must decode canonically with no trailing bytes;
 //! * the account ledger is reconstructed by walking the HAMT from the
-//!   manifest's `accounts_root`, with structural bounds enforced per node;
+//!   manifest's `accounts_root`, and the content registry by walking the
+//!   AMT from `registry_root`, with structural bounds enforced per node;
+//! * only *content* is taken from those walks, never the served node
+//!   structure: accounts go into a plain map and registry entries are
+//!   appended to a fresh log, which must hash back to `registry_root` — a
+//!   peer serving the right entries in a non-canonical AMT (sparse indices,
+//!   extra height) is refused, so no forged node CID can reach a later
+//!   state root;
 //! * the assembled tree's [`StateTree::recompute_root`] must equal the
-//!   manifest root — since that rebuilds the account HAMT from scratch in
-//!   canonical form, a peer serving a shape-mangled (non-canonical) HAMT
-//!   is caught here too. Callers in turn check the root against a
-//!   committed block header — so a syncing node never trusts the serving
-//!   peer, only the consensus-committed state root.
+//!   manifest root — that rebuilds the account HAMT and the registry log
+//!   from scratch in canonical form. Callers in turn check the root
+//!   against a committed block header — so a syncing node never trusts the
+//!   serving peer, only the consensus-committed state root.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,8 +35,10 @@ use hc_actors::sa::SaState;
 use hc_actors::{AtomicExecRegistry, ScaState};
 use hc_types::{Address, ByteReader, CanonicalDecode, Cid, DecodeError, SubnetId};
 
+use crate::amt::AmtError;
 use crate::chunk::{ChunkKey, ChunkManifest, Commitment};
 use crate::hamt::{Hamt, HamtError};
+use crate::registry::ContentRegistry;
 use crate::store::CidStore;
 use crate::tree::{AccountState, Accounts, StateTree};
 
@@ -63,6 +71,9 @@ pub enum InstallError {
     /// The account HAMT could not be loaded from `accounts_root` (missing
     /// node blob, malformed node, structural violation).
     Accounts(HamtError),
+    /// The content-registry AMT could not be loaded from `registry_root`
+    /// (missing blob, malformed node, structural violation).
+    Registry(AmtError),
     /// The assembled tree does not hash to the manifest's recorded root.
     RootMismatch {
         /// Root the manifest committed to.
@@ -90,6 +101,7 @@ impl fmt::Display for InstallError {
             }
             InstallError::MissingChunk(what) => write!(f, "required chunk {what} missing"),
             InstallError::Accounts(err) => write!(f, "account HAMT failed to load: {err}"),
+            InstallError::Registry(err) => write!(f, "registry AMT failed to load: {err}"),
             InstallError::RootMismatch { expected, actual } => {
                 write!(
                     f,
@@ -151,9 +163,12 @@ impl StateTree {
                 ChunkKey::Sa(addr) => {
                     sas.insert(*addr, SaState::read_bytes(&mut r).map_err(decode_err)?);
                 }
-                // The accounts leaf is derived from `accounts_root`, never
-                // listed as a manifest entry.
-                ChunkKey::Accounts => return Err(InstallError::UnorderedEntries),
+                // The accounts and registry leaves are derived from
+                // `accounts_root` / `registry_root`, never listed as
+                // manifest entries.
+                ChunkKey::Accounts | ChunkKey::Registry => {
+                    return Err(InstallError::UnorderedEntries)
+                }
             }
             r.finish().map_err(decode_err)?;
         }
@@ -165,6 +180,12 @@ impl StateTree {
             accounts.insert(*addr, state.clone());
         });
 
+        // Likewise the registry: its entries are re-appended to a fresh log
+        // (canonical shape, warm CIDs, group index rebuilt), and a served
+        // AMT of any other shape is refused.
+        let registry = ContentRegistry::load(&manifest.registry_root, store)
+            .map_err(InstallError::Registry)?;
+
         let (subnet_id, next_actor_id) = meta.ok_or(InstallError::MissingChunk("Meta"))?;
         let sca = sca.ok_or(InstallError::MissingChunk("Sca"))?;
         let atomic = atomic.ok_or(InstallError::MissingChunk("Atomic"))?;
@@ -175,6 +196,7 @@ impl StateTree {
             sas,
             atomic,
             next_actor_id,
+            registry,
             commitment: Commitment::default(),
         };
         let actual = tree.recompute_root();
@@ -210,7 +232,18 @@ mod tests {
         let acc = t.accounts_mut().get_or_create(Address::new(100));
         acc.storage.insert(b"k".to_vec(), b"v".to_vec());
         acc.locked.insert(b"k".to_vec());
+        t.append_registry(vec![registry_group()]);
         t
+    }
+
+    fn registry_group() -> (Cid, Vec<hc_actors::CrossMsg>) {
+        let at = |a| hc_actors::HcAddress::new(SubnetId::root(), Address::new(a));
+        let msgs = vec![hc_actors::CrossMsg::transfer(
+            at(100),
+            at(101),
+            TokenAmount::from_whole(1),
+        )];
+        (hc_types::merkle::merkle_root(&msgs), msgs)
     }
 
     fn persisted(t: &mut StateTree, store: &CidStore) -> ChunkManifest {
@@ -231,6 +264,9 @@ mod tests {
         assert_eq!(installed.accounts(), t.accounts());
         assert_eq!(installed.sca(), t.sca());
         assert_eq!(installed.next_actor_id(), t.next_actor_id());
+        // The registry's lookup index is rebuilt from the installed log.
+        let (cid, msgs) = registry_group();
+        assert_eq!(installed.resolve_content(&cid), Some(msgs.as_slice()));
         // Re-persisting the installed tree reproduces the same manifest.
         let again = persisted(&mut installed, &store);
         assert_eq!(again, manifest);
@@ -311,6 +347,14 @@ mod tests {
         assert!(matches!(
             StateTree::from_manifest(&dangling, &store).unwrap_err(),
             InstallError::Accounts(_)
+        ));
+
+        // A dangling registry root fails the AMT load.
+        let mut dangling = manifest.clone();
+        dangling.registry_root.node = hc_types::TCid::digest(b"not an amt");
+        assert!(matches!(
+            StateTree::from_manifest(&dangling, &store).unwrap_err(),
+            InstallError::Registry(_)
         ));
 
         // An `Accounts` key smuggled into the entry list is rejected.

@@ -31,6 +31,7 @@ pub mod message;
 pub mod overlay;
 pub mod parallel;
 pub mod params;
+mod registry;
 pub mod sealed;
 pub mod sigcache;
 pub mod store;
@@ -38,7 +39,7 @@ pub mod tree;
 pub mod vm;
 
 pub use access::StateAccess;
-pub use amt::{Amt, AmtError, AmtProof};
+pub use amt::{Amt, AmtError, AmtProof, AmtRoot};
 pub use chunk::{blob_links, ChunkKey, ChunkManifest, CommitStats, MANIFEST_TAG};
 pub use hamt::{Hamt, HamtError, HamtProof, HashWork};
 pub use install::InstallError;

@@ -10,22 +10,27 @@
 //! touched-chunk digests ([`hc_types::merkle::MerkleTree::root_with_patches`]),
 //! so validation costs O(touched · log n).
 //!
-//! On acceptance, [`StateOverlay::into_changes`] yields the touched chunks
-//! and [`StateTree::apply_changes`] folds them into the canonical tree,
-//! marking exactly those chunks dirty for the next flush.
+//! [`StateOverlay::into_changes`] yields the touched chunks together with
+//! the candidate commitment built for them — leaf digests, the re-hashed
+//! account-HAMT and registry-AMT clones, the candidate root. On acceptance
+//! [`StateTree::apply_changes`] installs all of it, so every changed chunk
+//! is hashed once and the tree is left committed: the next flush has
+//! nothing to do.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, Ledger, ScaState};
+use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, ScaState};
 use hc_types::merkle::{leaf_digest, MerkleTree};
 use hc_types::{Address, CanonicalEncode, Cid, SubnetId, TokenAmount};
 
 use crate::access::StateAccess;
-use crate::chunk::{accounts_leaf_blob, ChunkKey};
-use crate::hamt::HashWork;
+use crate::amt::Amt;
+use crate::chunk::{accounts_leaf_blob, registry_leaf_blob, ChunkKey, CommitStats};
+use crate::hamt::{Hamt, HashWork};
+use crate::registry::RegistryEntry;
 use crate::tree::{AccountState, Accounts, StateTree};
 
 /// Hit/miss counters of the per-block account read memo.
@@ -115,6 +120,26 @@ impl Ledger for OverlayAccounts<'_> {
     }
 }
 
+/// The commitment an overlay's writes lead to, built without touching the
+/// base tree: what [`StateTree::apply_changes`] installs.
+#[derive(Debug)]
+pub(crate) struct Candidate {
+    /// The state root the base tree has after folding the overlay in.
+    pub(crate) root: Cid,
+    /// Leaf digest of every rewritten chunk whose content differs from the
+    /// base (byte-identical rewrites are left out).
+    pub(crate) digests: BTreeMap<ChunkKey, Cid>,
+    /// The base's account HAMT with the touched accounts set and their
+    /// root paths re-hashed (`None` if no account was touched).
+    pub(crate) accounts_hamt: Option<Hamt<Address, AccountState>>,
+    /// The base's registry log with the overlay's entries appended and the
+    /// rightmost path re-hashed (`None` if nothing was appended).
+    pub(crate) registry_log: Option<Amt<RegistryEntry>>,
+    /// Hash work spent building this candidate (only the hashing counters
+    /// are set), folded into the tree's [`CommitStats`] on apply.
+    pub(crate) work: CommitStats,
+}
+
 /// The chunk-level writes captured by an overlay, ready to fold into the
 /// base tree via [`StateTree::apply_changes`].
 #[derive(Debug)]
@@ -124,10 +149,12 @@ pub struct OverlayChanges {
     pub(crate) sas: BTreeMap<Address, SaState>,
     pub(crate) atomic: Option<AtomicExecRegistry>,
     pub(crate) next_actor_id: Option<u64>,
+    pub(crate) registry: Vec<RegistryEntry>,
     /// Read-memo counters observed while executing on the overlay; folded
     /// into [`crate::CommitStats`] by [`StateTree::apply_changes`]
     /// (bookkeeping only — never part of the observable state).
     pub(crate) read_stats: ReadMemoStats,
+    pub(crate) candidate: Candidate,
 }
 
 impl OverlayChanges {
@@ -138,6 +165,12 @@ impl OverlayChanges {
             && self.sas.is_empty()
             && self.atomic.is_none()
             && self.next_actor_id.is_none()
+            && self.registry.is_empty()
+    }
+
+    /// The state root the base tree has once these changes are applied.
+    pub fn root(&self) -> Cid {
+        self.candidate.root
     }
 }
 
@@ -150,6 +183,7 @@ pub struct StateOverlay<'a> {
     sas: BTreeMap<Address, SaState>,
     atomic: Option<AtomicExecRegistry>,
     next_actor_id: u64,
+    registry: Vec<RegistryEntry>,
 }
 
 impl<'a> StateOverlay<'a> {
@@ -175,6 +209,7 @@ impl<'a> StateOverlay<'a> {
             sas: BTreeMap::new(),
             atomic: None,
             next_actor_id: base.next_actor_id(),
+            registry: Vec::new(),
             base,
         }
     }
@@ -196,28 +231,52 @@ impl<'a> StateOverlay<'a> {
         }
     }
 
-    /// The leaf digests of every chunk the overlay rewrote, keyed by chunk,
-    /// excluding chunks whose content is byte-identical to the base.
+    /// Builds the commitment the base tree would have after folding this
+    /// overlay in — without mutating anything.
     ///
     /// Touched accounts are folded into a copy-on-write clone of the base's
-    /// account HAMT (cloning is O(1); the `set` calls re-hash only the
-    /// touched root paths), yielding the candidate accounts-leaf digest.
-    fn changed_digests(&self) -> BTreeMap<ChunkKey, Cid> {
+    /// account HAMT and appended registry entries into a clone of its AMT
+    /// log (cloning is O(1); only the touched root paths are re-hashed),
+    /// yielding the candidate accounts and registry leaves. When only
+    /// existing chunks were rewritten — account writes, *created* accounts
+    /// and registry appends included, since they only move their
+    /// indirection leaf — the root comes from patching the base's Merkle
+    /// tree along the touched paths (O(touched·log n)). Only new fixed
+    /// chunks (deployed SAs) change the leaf set and rebuild the node
+    /// levels from cached digests — still without re-encoding any
+    /// untouched chunk.
+    fn candidate(&self) -> Candidate {
         fn blob<T: CanonicalEncode + ?Sized>(key: ChunkKey, content: &T) -> Vec<u8> {
             let mut out = key.canonical_bytes();
             content.write_bytes(&mut out);
             out
         }
+        let base = &self.base.commitment;
+        let mut work = CommitStats::default();
         let mut blobs: Vec<(ChunkKey, Vec<u8>)> = Vec::new();
-        if !self.accounts.touched.is_empty() {
-            let mut hamt = self.base.commitment.accounts_hamt.clone();
+        let accounts_hamt = (!self.accounts.touched.is_empty()).then(|| {
+            let mut hamt = base.accounts_hamt.clone();
             for (addr, state) in &self.accounts.touched {
                 hamt.set(*addr, state.clone());
             }
-            let mut work = HashWork::default();
-            let root = hamt.flush(&mut work);
+            let mut hamt_work = HashWork::default();
+            let root = hamt.flush(&mut hamt_work);
+            work.hamt_nodes_hashed += hamt_work.nodes;
+            work.bytes_hashed += hamt_work.bytes;
             blobs.push((ChunkKey::Accounts, accounts_leaf_blob(&root)));
-        }
+            hamt
+        });
+        let registry_log = (!self.registry.is_empty()).then(|| {
+            let mut log = self.base.registry.log.clone();
+            for entry in &self.registry {
+                log.push(entry.clone());
+            }
+            let mut amt_work = HashWork::default();
+            let root = log.flush(&mut amt_work);
+            work.bytes_hashed += amt_work.bytes;
+            blobs.push((ChunkKey::Registry, registry_leaf_blob(&root)));
+            log
+        });
         if let Some(sca) = &self.sca {
             blobs.push((ChunkKey::Sca, blob(ChunkKey::Sca, sca)));
         }
@@ -233,58 +292,61 @@ impl<'a> StateOverlay<'a> {
                 blob(ChunkKey::Meta, &(self.base.subnet_id(), self.next_actor_id)),
             ));
         }
-        let mut changed = BTreeMap::new();
+        let mut digests = BTreeMap::new();
         for (key, bytes) in blobs {
+            work.chunks_hashed += 1;
+            work.bytes_hashed += bytes.len() as u64 + 1; // + leaf tag
             let digest = leaf_digest(&bytes);
-            if self.base.commitment.digests.get(&key) != Some(&digest) {
-                changed.insert(key, digest);
+            if base.digests.get(&key) != Some(&digest) {
+                digests.insert(key, digest);
             }
         }
-        changed
+
+        let structural = digests.keys().any(|k| !base.digests.contains_key(k));
+        let root = if digests.is_empty() {
+            base.merkle.root()
+        } else if structural {
+            let mut all = base.digests.clone();
+            all.extend(digests.iter().map(|(k, d)| (*k, *d)));
+            let merkle = MerkleTree::from_leaf_hashes(all.into_values().collect());
+            work.bytes_hashed += merkle.interior_hash_bytes();
+            merkle.root()
+        } else {
+            let patches: BTreeMap<usize, Cid> = digests
+                .iter()
+                .map(|(k, d)| {
+                    let idx = base
+                        .index_of(k)
+                        .expect("non-structural chunk has a leaf index");
+                    (idx, *d)
+                })
+                .collect();
+            let (root, bytes) = base.merkle.root_with_patches(&patches);
+            work.bytes_hashed += bytes;
+            root
+        };
+        Candidate {
+            root,
+            digests,
+            accounts_hamt,
+            registry_log,
+            work,
+        }
     }
 
     /// The state root the base tree *would* have after folding this
-    /// overlay in — computed without mutating anything.
-    ///
-    /// When the overlay only rewrote existing chunks, this patches the
-    /// base's Merkle tree along the touched root paths (O(touched·log n)).
-    /// Account writes — including *created* accounts — always take this
-    /// path now, since they only rewrite the accounts-HAMT leaf. Only new
-    /// fixed chunks (deployed SAs) change the leaf set and rebuild the node
-    /// levels from cached digests — still without re-encoding any
-    /// untouched chunk.
+    /// overlay in — computed without mutating anything. Callers that go on
+    /// to apply the overlay should take the root from
+    /// [`OverlayChanges::root`] instead, which builds the commitment once.
     pub fn root(&self) -> Cid {
-        let changed = self.changed_digests();
-        if changed.is_empty() {
-            return self.base.commitment.merkle.root();
-        }
-        let structural = changed
-            .keys()
-            .any(|k| !self.base.commitment.digests.contains_key(k));
-        if !structural {
-            let patches: BTreeMap<usize, Cid> = changed
-                .iter()
-                .map(|(k, d)| {
-                    (
-                        self.base
-                            .commitment
-                            .index_of(k)
-                            .expect("non-structural chunk has a leaf index"),
-                        *d,
-                    )
-                })
-                .collect();
-            let (root, _bytes) = self.base.commitment.merkle.root_with_patches(&patches);
-            return root;
-        }
-        let mut digests = self.base.commitment.digests.clone();
-        digests.extend(changed);
-        MerkleTree::from_leaf_hashes(digests.into_values().collect()).root()
+        self.candidate().root
     }
 
-    /// Consumes the overlay, yielding the captured writes.
+    /// Consumes the overlay, yielding the captured writes and the candidate
+    /// commitment built for them.
     pub fn into_changes(self) -> OverlayChanges {
         let read_stats = self.read_memo_stats();
+        let candidate = self.candidate();
         OverlayChanges {
             accounts: self.accounts.touched,
             sca: self.sca,
@@ -292,7 +354,9 @@ impl<'a> StateOverlay<'a> {
             atomic: self.atomic,
             next_actor_id: (self.next_actor_id != self.base.next_actor_id())
                 .then_some(self.next_actor_id),
+            registry: self.registry,
             read_stats,
+            candidate,
         }
     }
 
@@ -376,6 +440,12 @@ impl<'o> StateAccess for StateOverlay<'o> {
         self.ensure_atomic()
     }
 
+    fn append_registry(&mut self, groups: Vec<(Cid, Vec<CrossMsg>)>) {
+        if !groups.is_empty() {
+            self.registry.push(RegistryEntry::new(groups));
+        }
+    }
+
     fn absorb_accounts(&mut self, writes: BTreeMap<Address, AccountState>) {
         // Written accounts are always served from `touched` before the read
         // memo is consulted, so no memo invalidation is needed.
@@ -448,15 +518,20 @@ mod tests {
             )
             .unwrap();
         let changes = overlay.into_changes();
+        assert_eq!(changes.root(), candidate);
         t.apply_changes(changes);
+        // The candidate commitment was installed: nothing left to hash.
+        assert!(t.is_committed());
+        let hashed = t.commit_stats().bytes_hashed;
         assert_eq!(t.flush(), candidate);
+        assert_eq!(t.commit_stats().bytes_hashed, hashed);
         assert_eq!(t.flush(), t.recompute_root());
     }
 
     #[test]
     fn overlay_root_matches_direct_execution_for_structural_changes() {
-        // New account + deployed SA + SCA and atomic writes: the leaf set
-        // changes, exercising the structural path.
+        // New account + deployed SA + SCA and atomic writes + a registry
+        // append: the leaf set changes, exercising the structural path.
         let mut direct = tree();
         let mut base = tree();
         base.flush();
@@ -468,15 +543,29 @@ mod tests {
             s.deploy_sa(SaState::new(SaConfig::default()));
             s.sca_mut();
             s.atomic_mut();
+            s.append_registry(vec![group()]);
+        }
+        fn group() -> (Cid, Vec<CrossMsg>) {
+            let at = |a| hc_actors::HcAddress::new(SubnetId::root(), Address::new(a));
+            let msgs = vec![CrossMsg::transfer(
+                at(100),
+                at(101),
+                TokenAmount::from_whole(1),
+            )];
+            (hc_types::merkle::merkle_root(&msgs), msgs)
         }
         script(&mut direct);
         script(&mut overlay);
 
         let candidate = overlay.root();
         base.apply_changes(overlay.into_changes());
+        assert!(base.is_committed());
         assert_eq!(base.flush(), candidate);
         assert_eq!(direct.flush(), candidate);
         assert_eq!(base.recompute_root(), candidate);
+        // The appended group is served from the base's index after apply.
+        let (cid, msgs) = group();
+        assert_eq!(base.resolve_content(&cid), Some(msgs.as_slice()));
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::collections::BTreeMap;
 
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, Ledger, ScaState};
-use hc_types::{Address, SubnetId, TokenAmount};
+use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, ScaState};
+use hc_types::{Address, Cid, SubnetId, TokenAmount};
 
 use crate::access::StateAccess;
 use crate::message::{Message, Method};
@@ -173,6 +173,10 @@ impl<'a, B: StateAccess> StateAccess for LaneOverlay<'a, B> {
     }
 
     fn atomic_mut(&mut self) -> &mut AtomicExecRegistry {
+        panic!("{LANE_INVARIANT}");
+    }
+
+    fn append_registry(&mut self, _groups: Vec<(Cid, Vec<CrossMsg>)>) {
         panic!("{LANE_INVARIANT}");
     }
 

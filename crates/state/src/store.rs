@@ -59,6 +59,22 @@ struct Inner {
     blob_log: Option<BlobLog>,
 }
 
+impl Inner {
+    /// Counts one put of `bytes` under `cid`; stores and returns the blob if
+    /// it is new (the caller journals it).
+    fn admit(&mut self, cid: Cid, bytes: Vec<u8>) -> Option<Arc<Vec<u8>>> {
+        if self.blobs.contains_key(&cid) {
+            self.put_hits += 1;
+            return None;
+        }
+        self.put_misses += 1;
+        self.total_bytes += bytes.len() as u64;
+        let blob = Arc::new(bytes);
+        self.blobs.insert(cid, blob.clone());
+        Some(blob)
+    }
+}
+
 /// A thread-safe, append-only, content-addressed blob store.
 ///
 /// Cloning a `CidStore` produces a handle to the *same* underlying store
@@ -92,19 +108,36 @@ impl CidStore {
     pub fn put(&self, bytes: Vec<u8>) -> Cid {
         let cid = Cid::digest(&bytes);
         let mut inner = self.inner.write();
-        if inner.blobs.contains_key(&cid) {
-            inner.put_hits += 1;
-        } else {
-            inner.put_misses += 1;
-            inner.total_bytes += bytes.len() as u64;
+        if let Some(blob) = inner.admit(cid, bytes) {
             if let Some(log) = &mut inner.blob_log {
                 // The log keeps its own CID index, so blobs that survived
                 // a previous run still dedup on disk.
-                log.put(cid, &bytes);
+                log.put(cid, &blob);
             }
-            inner.blobs.insert(cid, Arc::new(bytes));
         }
         cid
+    }
+
+    /// Stores every blob of `group` exactly as [`CidStore::put`] would, but
+    /// journals the new ones to the attached blob log as one group commit
+    /// (a single sync) instead of one sync per blob. This is how a snapshot
+    /// persist writes: its blobs are only referenced — by the manifest CID
+    /// the caller gets back — once all of them are down. Returns the CIDs
+    /// in `group` order.
+    pub fn put_all(&self, group: Vec<Vec<u8>>) -> Vec<Cid> {
+        let cids: Vec<Cid> = group.iter().map(|bytes| Cid::digest(bytes)).collect();
+        let mut inner = self.inner.write();
+        let fresh: Vec<(Cid, Arc<Vec<u8>>)> = cids
+            .iter()
+            .zip(group)
+            .filter_map(|(cid, bytes)| Some((*cid, inner.admit(*cid, bytes)?)))
+            .collect();
+        if let Some(log) = &mut inner.blob_log {
+            let records: Vec<(Cid, &[u8])> =
+                fresh.iter().map(|(c, b)| (*c, b.as_slice())).collect();
+            log.put_group(&records);
+        }
+        cids
     }
 
     /// Attaches a durable blob log: every subsequent put-miss is journaled.
@@ -330,6 +363,37 @@ mod tests {
     }
 
     #[test]
+    fn put_all_counts_like_put_and_journals_one_group() {
+        use hc_store::{FsyncPolicy, InMemoryDevice, Persistence, WalOptions};
+
+        let dev = InMemoryDevice::new();
+        let arc: Arc<dyn Persistence> = Arc::new(dev.clone());
+        let opts = WalOptions {
+            segment_bytes: 1 << 16,
+            fsync: FsyncPolicy::Always,
+        };
+        let store = CidStore::new();
+        store.attach_blob_log(BlobLog::open(arc.clone(), "blobs", opts));
+        let known = store.put(b"known".to_vec());
+        assert_eq!(dev.sync_count(), 1);
+        let cids = store.put_all(vec![
+            b"first".to_vec(),
+            b"known".to_vec(),
+            b"second".to_vec(),
+        ]);
+        assert_eq!(cids[0], Cid::digest(b"first"));
+        assert_eq!(cids[1], known);
+        assert_eq!(store.get(&cids[2]).unwrap().as_slice(), b"second");
+        let s = store.stats();
+        assert_eq!((s.put_hits, s.put_misses, s.blobs), (1, 3, 3));
+        // Two new blobs, one sync; an all-hit group syncs nothing.
+        assert_eq!(dev.sync_count(), 2);
+        store.put_all(vec![b"first".to_vec()]);
+        assert_eq!(dev.sync_count(), 2);
+        assert_eq!(BlobLog::open(arc, "blobs", opts).len(), 3);
+    }
+
+    #[test]
     fn prune_unreachable_keeps_manifest_closures() {
         use crate::chunk::{ChunkKey, ChunkManifest};
         use crate::hamt::Hamt;
@@ -344,9 +408,16 @@ mod tests {
             hamt.set(i, i);
         }
         let accounts_root = hamt.persist(&store);
+        // And a persisted registry AMT: its nodes are live too.
+        let mut amt: crate::amt::Amt<u64> = crate::amt::Amt::new();
+        for i in 0..20 {
+            amt.push(i);
+        }
+        let registry_root = amt.persist(&store);
         let manifest = ChunkManifest {
             root: Cid::digest(b"root"),
             accounts_root,
+            registry_root,
             entries: vec![(ChunkKey::Sa(hc_types::Address::new(1)), live_chunk)],
         };
         let manifest_cid = store.put(manifest.canonical_bytes());
@@ -357,6 +428,7 @@ mod tests {
         assert!(store.contains(&live_chunk));
         assert!(store.contains(&manifest_cid));
         assert!(store.contains(&accounts_root.cid()));
+        assert!(store.contains(&registry_root.node.cid()));
         assert!(!store.contains(&dead_chunk));
         let s = store.stats();
         assert_eq!((s.pruned_blobs, s.pruned_bytes), (1, bytes));

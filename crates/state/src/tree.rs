@@ -7,7 +7,9 @@
 //! * the embedded system actors: the subnet's own SCA
 //!   ([`hc_actors::ScaState`]), the Subnet Actors deployed for children
 //!   ([`hc_actors::SaState`]), and the atomic-execution coordinator
-//!   ([`hc_actors::AtomicExecRegistry`]).
+//!   ([`hc_actors::AtomicExecRegistry`]);
+//! * the SCA's content registry: the append-only log of the raw messages
+//!   behind every `CrossMsgMeta` the subnet cut (the `registry` module).
 //!
 //! The tree is deterministic: [`StateTree::flush`] derives a state-root CID
 //! that blocks commit to. The root is the Merkle root over the ordered
@@ -25,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, Ledger, ScaConfig, ScaState};
+use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, ScaConfig, ScaState};
 use hc_types::merkle::{leaf_digest, MerkleProof, MerkleTree};
 use hc_types::{
     Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MHamtNode, Nonce,
@@ -33,10 +35,12 @@ use hc_types::{
 };
 
 use crate::chunk::{
-    accounts_leaf_blob, build_accounts_hamt, ChunkKey, ChunkManifest, CommitStats, Commitment,
+    accounts_leaf_blob, build_accounts_hamt, registry_leaf_blob, ChunkKey, ChunkManifest,
+    CommitStats, Commitment,
 };
 use crate::hamt::{HamtProof, HashWork};
 use crate::overlay::OverlayChanges;
+use crate::registry::{ContentRegistry, RegistryEntry};
 use crate::store::CidStore;
 
 /// First address handed out to deployed actors (Subnet Actors).
@@ -133,6 +137,13 @@ impl Accounts {
         self.map.values().map(|a| a.balance).sum()
     }
 
+    /// Replaces (or creates) an account *without* dirty-marking it: for
+    /// content whose HAMT path the caller installs already hashed
+    /// ([`StateTree::apply_changes`]).
+    pub(crate) fn install(&mut self, addr: Address, state: AccountState) {
+        self.map.insert(addr, state);
+    }
+
     /// Builds an account table from decoded content, with clean dirty
     /// tracking (used when installing a snapshot).
     pub(crate) fn from_map(map: BTreeMap<Address, AccountState>) -> Self {
@@ -198,6 +209,8 @@ pub struct StateTree {
     pub(crate) sas: BTreeMap<Address, SaState>,
     pub(crate) atomic: AtomicExecRegistry,
     pub(crate) next_actor_id: u64,
+    /// The SCA's content registry (raw messages behind every cut group).
+    pub(crate) registry: ContentRegistry,
     /// Cached chunk commitment (derived; never affects the root value).
     pub(crate) commitment: Commitment,
 }
@@ -222,6 +235,7 @@ impl StateTree {
             sas: BTreeMap::new(),
             atomic: AtomicExecRegistry::new(),
             next_actor_id: FIRST_DEPLOYED_ACTOR,
+            registry: ContentRegistry::default(),
             commitment: Commitment::default(),
         }
     }
@@ -251,6 +265,29 @@ impl StateTree {
     pub fn sca_mut(&mut self) -> &mut ScaState {
         self.commitment.dirty.insert(ChunkKey::Sca);
         &mut self.sca
+    }
+
+    /// Drops committed top-down messages for `child` below `below` from the
+    /// SCA's relay queue ([`ScaState::prune_top_down`]). The queue is
+    /// outside the canonical encoding, so — unlike [`StateTree::sca_mut`] —
+    /// this does not dirty the SCA chunk.
+    pub fn prune_top_down(&mut self, child: &SubnetId, below: Nonce) -> usize {
+        self.sca.prune_top_down(child, below)
+    }
+
+    /// Appends the `(msgs_cid, msgs)` groups of one checkpoint cut to the
+    /// content registry. Empty cuts append nothing, so the log (and its
+    /// leaf digest) only moves when there is content to commit to.
+    pub fn append_registry(&mut self, groups: Vec<(Cid, Vec<CrossMsg>)>) {
+        if !groups.is_empty() {
+            self.registry.append(RegistryEntry::new(groups));
+        }
+    }
+
+    /// Looks up the raw messages behind the CID of a group this subnet
+    /// cut, serving the content-resolution protocol (paper §IV-C).
+    pub fn resolve_content(&self, cid: &Cid) -> Option<&[CrossMsg]> {
+        self.registry.get(cid)
     }
 
     /// Simultaneous mutable access to the account ledger and the SCA —
@@ -309,8 +346,9 @@ impl StateTree {
 
     /// Computes the state root incrementally: only chunks dirtied since the
     /// last flush are re-encoded and re-hashed, touched accounts re-hash
-    /// only their O(log n) HAMT root paths, and only the affected Merkle
-    /// root paths are recombined. The first flush (or the first after
+    /// only their O(log n) HAMT root paths, registry appends only the
+    /// AMT's rightmost path, and only the affected Merkle root paths are
+    /// recombined. The first flush (or the first after
     /// [`StateTree::rebuilt`]) builds the full commitment.
     pub fn flush(&mut self) -> Cid {
         self.commitment.stats.flushes += 1;
@@ -332,6 +370,9 @@ impl StateTree {
             }
             dirty.insert(ChunkKey::Accounts);
         }
+        if self.registry.log.cached_root().is_none() {
+            dirty.insert(ChunkKey::Registry);
+        }
         if dirty.is_empty() {
             return self.commitment.merkle.root();
         }
@@ -342,8 +383,13 @@ impl StateTree {
             self.commitment.stats.hamt_nodes_hashed += work.nodes;
             self.commitment.stats.bytes_hashed += work.bytes;
         }
-        let mut patches: Vec<(usize, Cid)> = Vec::new();
-        let mut structural = false;
+        if dirty.contains(&ChunkKey::Registry) {
+            let mut work = HashWork::default();
+            self.registry.log.flush(&mut work);
+            self.commitment.stats.bytes_hashed += work.bytes;
+        }
+        let mut changed: Vec<(ChunkKey, Cid)> = Vec::new();
+        let mut removed = false;
         for key in &dirty {
             let present = match key {
                 ChunkKey::Sa(a) => self.sas.contains_key(a),
@@ -351,42 +397,15 @@ impl StateTree {
             };
             if !present {
                 // A dirtied chunk that no longer exists: structural change.
-                if self.commitment.digests.remove(key).is_some() {
-                    structural = true;
-                }
+                removed |= self.commitment.digests.remove(key).is_some();
                 continue;
             }
             let blob = self.chunk_blob(key);
             self.commitment.stats.chunks_hashed += 1;
             self.commitment.stats.bytes_hashed += blob.len() as u64 + 1; // + leaf tag
-            let digest = leaf_digest(&blob);
-            match self.commitment.digests.get(key) {
-                // Over-marked: content unchanged, digest stands.
-                Some(old) if *old == digest => {}
-                Some(_) => {
-                    let idx = self
-                        .commitment
-                        .index_of(key)
-                        .expect("committed chunk has a leaf index");
-                    patches.push((idx, digest));
-                    self.commitment.digests.insert(*key, digest);
-                }
-                None => {
-                    self.commitment.digests.insert(*key, digest);
-                    structural = true;
-                }
-            }
+            changed.push((*key, leaf_digest(&blob)));
         }
-        if structural {
-            // The leaf set changed: rebuild the Merkle node levels from the
-            // cached digests (no chunk re-encoding).
-            self.commitment.keys = self.commitment.digests.keys().copied().collect();
-            self.commitment.merkle =
-                MerkleTree::from_leaf_hashes(self.commitment.digests.values().copied().collect());
-            self.commitment.stats.bytes_hashed += self.commitment.merkle.interior_hash_bytes();
-        } else if !patches.is_empty() {
-            self.commitment.stats.bytes_hashed += self.commitment.merkle.update_leaves(&patches);
-        }
+        self.commitment.install_digests(changed, removed);
         self.commitment.merkle.root()
     }
 
@@ -398,9 +417,11 @@ impl StateTree {
         let mut work = HashWork::default();
         hamt.flush(&mut work);
         self.commitment.accounts_hamt = hamt;
+        let mut registry_work = HashWork::default();
+        self.registry.log.flush(&mut registry_work);
         let keys = self.chunk_keys();
         let mut digests = BTreeMap::new();
-        let mut bytes = work.bytes;
+        let mut bytes = work.bytes + registry_work.bytes;
         for key in &keys {
             let blob = self.chunk_blob(key);
             bytes += blob.len() as u64 + 1;
@@ -423,16 +444,17 @@ impl StateTree {
 
     /// Recomputes the state root from scratch, ignoring every cache: pure
     /// function of the current state content. The account HAMT is rebuilt
-    /// from nothing (so this also re-derives the canonical tree shape).
-    /// `flush()` must always agree with this (the equivalence property
-    /// tests enforce it).
+    /// from nothing (so this also re-derives the canonical tree shape), and
+    /// so is the registry log. `flush()` must always agree with this (the
+    /// equivalence property tests enforce it).
     pub fn recompute_root(&self) -> Cid {
-        let mut hamt = build_accounts_hamt(self.accounts.iter());
         let mut work = HashWork::default();
-        let accounts_root = hamt.flush(&mut work);
+        let accounts_root = build_accounts_hamt(self.accounts.iter()).flush(&mut work);
+        let registry_root = self.registry.rebuilt().log.flush(&mut work);
         let keys = self.chunk_keys();
         MerkleTree::from_leaf_bytes(keys.iter().map(|k| match k {
             ChunkKey::Accounts => accounts_leaf_blob(&accounts_root),
+            ChunkKey::Registry => registry_leaf_blob(&registry_root),
             _ => self.chunk_blob(k),
         }))
         .root()
@@ -445,13 +467,17 @@ impl StateTree {
         let mut t = self.clone();
         t.commitment = Commitment::default();
         t.accounts.take_dirty();
+        t.registry = self.registry.rebuilt();
         t
     }
 
     /// Returns `true` if the commitment cache is built and no chunk has
     /// been dirtied since the last [`StateTree::flush`].
     pub fn is_committed(&self) -> bool {
-        self.commitment.built && self.commitment.dirty.is_empty() && self.accounts.dirty_is_empty()
+        self.commitment.built
+            && self.commitment.dirty.is_empty()
+            && self.accounts.dirty_is_empty()
+            && self.registry.log.cached_root().is_some()
     }
 
     /// Accumulated state-root maintenance cost counters.
@@ -464,13 +490,15 @@ impl StateTree {
         let mut keys = vec![ChunkKey::Meta, ChunkKey::Sca, ChunkKey::Atomic];
         keys.extend(self.sas.keys().map(|a| ChunkKey::Sa(*a)));
         keys.push(ChunkKey::Accounts);
+        keys.push(ChunkKey::Registry);
         keys
     }
 
     /// The chunk blob for `key`: the key's canonical encoding followed by
-    /// the chunk content's canonical encoding. The accounts leaf embeds the
-    /// HAMT root CID and therefore requires a flushed commitment. Panics if
-    /// the chunk does not exist in the current content.
+    /// the chunk content's canonical encoding. The accounts and registry
+    /// leaves embed their HAMT/AMT root and therefore require a flushed
+    /// commitment. Panics if the chunk does not exist in the current
+    /// content.
     pub(crate) fn chunk_blob(&self, key: &ChunkKey) -> Vec<u8> {
         let mut out = key.canonical_bytes();
         match key {
@@ -493,6 +521,14 @@ impl StateTree {
                     .expect("accounts HAMT flushed before encoding its leaf");
                 root.write_bytes(&mut out);
             }
+            ChunkKey::Registry => {
+                let root = self
+                    .registry
+                    .log
+                    .cached_root()
+                    .expect("registry AMT flushed before encoding its leaf");
+                root.write_bytes(&mut out);
+            }
         }
         out
     }
@@ -505,27 +541,54 @@ impl StateTree {
     /// Persists the current state into `store` as content-addressed blobs
     /// plus a [`ChunkManifest`], returning the manifest's CID.
     ///
-    /// The fixed chunks are stored as before; the account ledger is stored
-    /// as HAMT node blobs, skipping every subtree the store already holds.
-    /// Persisting consecutive states that differ in a few accounts
-    /// therefore writes only the changed root paths — the manifests
-    /// structurally share everything else (observable through
-    /// [`CidStore::stats`]), and the manifest itself is O(system actors),
-    /// not O(accounts).
+    /// A fixed chunk is encoded, hashed and put only if its leaf digest
+    /// moved since this tree last persisted it (or the store no longer
+    /// holds the blob); the account ledger is stored as HAMT node blobs and
+    /// the content registry as AMT node blobs, skipping every subtree the
+    /// store already holds. Persisting consecutive states that differ in a
+    /// few accounts and one checkpoint cut therefore writes only the
+    /// changed chunks and root paths — the manifests structurally share
+    /// everything else (observable through [`CidStore::stats`]), and the
+    /// manifest itself is O(system actors), not O(accounts) or O(cross-net
+    /// history).
     pub fn persist(&mut self, store: &CidStore) -> Cid {
         let root = self.flush();
-        let entries = self
-            .commitment
-            .keys
-            .iter()
-            .filter(|k| !matches!(k, ChunkKey::Accounts))
-            .map(|k| (*k, store.put(self.chunk_blob(k))))
+        // The manifest's closure goes down as one group
+        // ([`CidStore::put_all`]): its blobs matter only together. Fixed
+        // chunks to (re)write are remembered by their position in it.
+        let mut blobs: Vec<Vec<u8>> = Vec::new();
+        let mut fixed: Vec<(ChunkKey, Cid, Result<Cid, usize>)> = Vec::new();
+        for key in &self.commitment.keys {
+            if matches!(key, ChunkKey::Accounts | ChunkKey::Registry) {
+                continue;
+            }
+            let digest = self.commitment.digests[key];
+            let blob_cid = match self.commitment.persisted.get(key) {
+                Some((d, cid)) if *d == digest && store.contains(cid) => Ok(*cid),
+                _ => {
+                    blobs.push(self.chunk_blob(key));
+                    Err(blobs.len() - 1)
+                }
+            };
+            fixed.push((*key, digest, blob_cid));
+        }
+        let accounts_root = self.commitment.accounts_hamt.unpersisted(store, &mut blobs);
+        let registry_root = self.registry.log.unpersisted(store, &mut blobs);
+        let cids = store.put_all(blobs);
+        self.commitment.persisted = fixed
+            .into_iter()
+            .map(|(key, digest, cid)| (key, (digest, cid.unwrap_or_else(|i| cids[i]))))
             .collect();
-        let accounts_root = self.commitment.accounts_hamt.persist(store);
         let manifest = ChunkManifest {
             root,
             accounts_root,
-            entries,
+            registry_root,
+            entries: self
+                .commitment
+                .persisted
+                .iter()
+                .map(|(key, (_, cid))| (*key, *cid))
+                .collect(),
         };
         store.put(manifest.canonical_bytes())
     }
@@ -558,29 +621,40 @@ impl StateTree {
     }
 
     /// Applies the changes captured by a [`crate::StateOverlay`] built on
-    /// this tree, marking exactly the written chunks dirty.
+    /// this tree, together with the candidate commitment the overlay built
+    /// for them: content, leaf digests, the re-hashed HAMT/AMT clones and
+    /// the patched Merkle paths are all installed, so nothing is hashed
+    /// twice and the tree is left [`StateTree::is_committed`] at
+    /// [`OverlayChanges::root`].
     pub fn apply_changes(&mut self, changes: OverlayChanges) {
-        self.commitment.stats.overlay_read_hits += changes.read_stats.hits;
-        self.commitment.stats.overlay_read_misses += changes.read_stats.misses;
+        let stats = &mut self.commitment.stats;
+        stats.overlay_read_hits += changes.read_stats.hits;
+        stats.overlay_read_misses += changes.read_stats.misses;
+        let candidate = changes.candidate;
+        stats.chunks_hashed += candidate.work.chunks_hashed;
+        stats.hamt_nodes_hashed += candidate.work.hamt_nodes_hashed;
+        stats.bytes_hashed += candidate.work.bytes_hashed;
+
         for (addr, state) in changes.accounts {
-            *self.accounts.get_or_create(addr) = state;
+            self.accounts.install(addr, state);
+        }
+        if let Some(hamt) = candidate.accounts_hamt {
+            self.commitment.accounts_hamt = hamt;
+        }
+        if let Some(log) = candidate.registry_log {
+            self.registry.install(log, &changes.registry);
         }
         if let Some(sca) = changes.sca {
             self.sca = sca;
-            self.commitment.dirty.insert(ChunkKey::Sca);
         }
-        for (addr, sa) in changes.sas {
-            self.sas.insert(addr, sa);
-            self.commitment.dirty.insert(ChunkKey::Sa(addr));
-        }
+        self.sas.extend(changes.sas);
         if let Some(atomic) = changes.atomic {
             self.atomic = atomic;
-            self.commitment.dirty.insert(ChunkKey::Atomic);
         }
         if let Some(next) = changes.next_actor_id {
             self.next_actor_id = next;
-            self.commitment.dirty.insert(ChunkKey::Meta);
         }
+        self.commitment.install_digests(candidate.digests, false);
     }
 
     /// Gross token supply of the subnet (every account, including escrow
@@ -740,6 +814,70 @@ mod tests {
     }
 
     #[test]
+    fn pruning_the_relay_queue_hashes_nothing() {
+        // The top-down relay queue is outside the canonical encoding, so
+        // pruning it must not dirty the SCA chunk.
+        let mut t = tree();
+        let (ledger, sca) = t.ledger_and_sca_mut();
+        let child = sca
+            .register_subnet(
+                ledger,
+                Address::new(100),
+                Address::new(900),
+                TokenAmount::from_whole(10),
+                hc_types::ChainEpoch::GENESIS,
+            )
+            .unwrap();
+        let down = CrossMsg::transfer(
+            hc_actors::HcAddress::new(SubnetId::root(), Address::new(100)),
+            hc_actors::HcAddress::new(child.clone(), Address::new(7)),
+            TokenAmount::from_whole(1),
+        );
+        sca.send_cross_msg(ledger, Address::new(100), down).unwrap();
+        let root = t.flush();
+        let before = t.commit_stats();
+        assert_eq!(t.prune_top_down(&child, Nonce::new(1)), 1);
+        assert!(t.sca().top_down_msgs(&child, Nonce::ZERO).is_empty());
+        assert!(t.is_committed());
+        assert_eq!(t.flush(), root);
+        let after = t.commit_stats();
+        assert_eq!(after.bytes_hashed, before.bytes_hashed);
+        assert_eq!(after.chunks_hashed, before.chunks_hashed);
+    }
+
+    fn group(tag: u64) -> (Cid, Vec<CrossMsg>) {
+        let msgs = vec![CrossMsg::transfer(
+            hc_actors::HcAddress::new(SubnetId::root(), Address::new(100)),
+            hc_actors::HcAddress::new(SubnetId::root(), Address::new(tag)),
+            TokenAmount::from_atto(u128::from(tag)),
+        )];
+        (hc_types::merkle::merkle_root(&msgs), msgs)
+    }
+
+    #[test]
+    fn registry_appends_move_the_root_and_serve_lookups() {
+        let mut t = tree();
+        let r0 = t.flush();
+        // A cut without groups appends nothing.
+        t.append_registry(Vec::new());
+        assert!(t.is_committed());
+        let (cid, msgs) = group(1);
+        assert!(t.resolve_content(&cid).is_none());
+        t.append_registry(vec![(cid, msgs.clone()), group(2)]);
+        assert!(!t.is_committed());
+        let r1 = t.flush();
+        assert_ne!(r0, r1, "the state root commits to the registry");
+        assert_eq!(r1, t.recompute_root());
+        assert_eq!(r1, t.rebuilt().flush());
+        assert_eq!(t.resolve_content(&cid), Some(msgs.as_slice()));
+        assert!(t.rebuilt().resolve_content(&group(2).0).is_some());
+        // Order is part of the commitment (append-only log).
+        let mut swapped = tree();
+        swapped.append_registry(vec![group(2), (cid, msgs)]);
+        assert_ne!(swapped.flush(), r1);
+    }
+
+    #[test]
     fn over_marking_does_not_change_root_or_rehash_merkle() {
         let mut t = tree();
         let r0 = t.flush();
@@ -801,13 +939,18 @@ mod tests {
             t.accounts_mut()
                 .credit(Address::new(500 + i), TokenAmount::from_whole(1));
         }
+        t.append_registry(vec![group(1)]);
         let m1 = t.persist(&store);
         let blobs_after_first = store.len();
+        let stats_after_first = store.stats();
         // Touch a single account and persist again.
         t.accounts_mut()
             .credit(Address::new(500), TokenAmount::from_atto(1));
         let m2 = t.persist(&store);
         assert_ne!(m1, m2);
+        // Unchanged fixed chunks and the unchanged registry log are not
+        // even offered to the store again.
+        assert_eq!(store.stats().put_hits, stats_after_first.put_hits);
         // Only the touched account's O(log n) HAMT root path + the new
         // manifest are new; every untouched subtree and fixed chunk is
         // structurally shared.
@@ -821,6 +964,19 @@ mod tests {
         assert!(manifest.verify(&store));
         // The manifest is O(fixed chunks), not O(accounts).
         assert_eq!(manifest.entries.len(), 3);
+        // A registry append writes its path (just the top node here) and
+        // the manifest, nothing else.
+        t.append_registry(vec![group(2)]);
+        let before = store.stats();
+        t.persist(&store);
+        let after = store.stats();
+        assert_eq!(after.put_misses - before.put_misses, 2);
+        assert_eq!(after.put_hits, before.put_hits);
+        // A store that lost a blob gets it back.
+        store.prune_unreachable(&[]);
+        let m3 = t.persist(&store);
+        let manifest = ChunkManifest::decode(&store.get(&m3).unwrap()).unwrap();
+        assert!(manifest.verify(&store));
     }
 
     #[test]

@@ -673,7 +673,8 @@ pub fn apply_implicit<S: StateAccess>(
         }
 
         ImplicitMsg::CutCheckpoint { proof } => {
-            let checkpoint = tree.sca_mut().cut_checkpoint(epoch, *proof);
+            let (checkpoint, groups) = tree.sca_mut().cut_checkpoint(epoch, *proof);
+            tree.append_registry(groups);
             let gas_used = gas::CHECKPOINT + gas::PER_META * checkpoint.cross_msgs.len() as u64;
             Receipt::ok(gas_used).with_event(VmEvent::CheckpointCut { checkpoint })
         }

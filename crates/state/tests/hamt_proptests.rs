@@ -152,7 +152,10 @@ proptest! {
         }
         prop_assert_eq!(loaded.persist(&store), root);
 
-        let bogus_root = hc_types::TCid::digest(b"not the root");
+        let bogus_root = hc_state::AmtRoot {
+            node: hc_types::TCid::digest(b"not the root"),
+            ..root
+        };
         for (i, v) in &model {
             let proof = amt.prove(*i).expect("set index has a proof");
             prop_assert!(proof.verify(&root, *i, v));

@@ -2,14 +2,18 @@
 //! reachable state, `manifest_closure` is *exactly* the blob set a syncing
 //! node needs — sufficient (installing just the closure on a fresh store
 //! reproduces the source root) and tight (nothing unrelated is retained,
-//! and dropping any single chunk blob breaks the install).
+//! and dropping any single chunk blob breaks the install). The content
+//! registry rides along: every group cut before a persist is still served
+//! after the install, an incomplete registry closure is reported and
+//! refused, and hostile registry blobs are rejected without panicking.
 
 use proptest::prelude::*;
 
 use hc_actors::sa::{SaConfig, SaState};
-use hc_actors::ScaConfig;
-use hc_state::{ChunkManifest, CidStore, InstallError, StateTree};
-use hc_types::{Address, Keypair, SubnetId, TokenAmount};
+use hc_actors::{CrossMsg, HcAddress, ScaConfig};
+use hc_state::{blob_links, AmtRoot, ChunkManifest, CidStore, InstallError, StateTree};
+use hc_types::merkle::merkle_root;
+use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TCid, TokenAmount};
 
 const USERS: u64 = 4;
 
@@ -24,9 +28,11 @@ fn genesis() -> StateTree {
 
 /// One abstract state mutation. `CreditFresh` creates a previously unseen
 /// account (growing the chunk set); `DeploySa` adds a Subnet Actor chunk
-/// and bumps the metadata chunk.
+/// and bumps the metadata chunk; `Cut` appends one checkpoint cut's worth
+/// of message groups to the content registry.
 #[derive(Debug, Clone)]
 enum Op {
+    Cut { groups: u8, salt: u16 },
     Credit { who: u64, atto: u64 },
     CreditFresh { fresh: u8, atto: u64 },
     Put { who: u64, key: u8, val: u8 },
@@ -36,6 +42,10 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
+        (any::<u8>(), any::<u16>()).prop_map(|(groups, salt)| Op::Cut {
+            groups: 1 + groups % 3,
+            salt
+        }),
         (0..USERS, 1u64..1_000_000).prop_map(|(who, atto)| Op::Credit { who, atto }),
         (any::<u8>(), 1u64..1_000_000).prop_map(|(fresh, atto)| Op::CreditFresh {
             fresh: fresh % 8,
@@ -51,8 +61,23 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The `(msgs_cid, msgs)` groups of one synthetic checkpoint cut.
+fn cut_groups(groups: u8, salt: u16) -> Vec<(Cid, Vec<CrossMsg>)> {
+    (0..u64::from(groups))
+        .map(|g| {
+            let msgs = vec![CrossMsg::transfer(
+                HcAddress::new(SubnetId::root(), Address::new(100)),
+                HcAddress::new(SubnetId::root(), Address::new(200 + g)),
+                TokenAmount::from_atto(u128::from(salt)),
+            )];
+            (merkle_root(&msgs), msgs)
+        })
+        .collect()
+}
+
 fn apply_op(tree: &mut StateTree, op: &Op) {
     match op {
+        Op::Cut { groups, salt } => tree.append_registry(cut_groups(*groups, *salt)),
         Op::Credit { who, atto } => {
             tree.accounts_mut()
                 .get_or_create(Address::new(100 + who))
@@ -79,6 +104,62 @@ fn apply_op(tree: &mut StateTree, op: &Op) {
             tree.deploy_sa(SaState::new(SaConfig::default()));
         }
     }
+}
+
+/// A peer can serve the right registry *entries* in the wrong AMT shape:
+/// the content-derived root check alone would pass, and keeping the served
+/// nodes would put the forged root CID into the node's next state root and
+/// let its next append land on an occupied index. Only the canonical log of
+/// the entries installs.
+#[test]
+fn forged_registry_shapes_are_refused() {
+    let mut tree = genesis();
+    tree.append_registry(cut_groups(1, 1));
+    tree.append_registry(cut_groups(2, 2));
+    let store = CidStore::new();
+    let manifest_cid = tree.persist(&store);
+    let manifest = ChunkManifest::decode(&store.get(&manifest_cid).unwrap()).unwrap();
+    let honest = manifest.registry_root;
+    let top = store.get(&honest.node.cid()).unwrap().as_ref().clone();
+    // Node blob: tag, bitmap, items — two entries at height 0 here.
+    assert_eq!((honest.height, honest.count), (0, 2));
+    assert_eq!((top[0], top[1]), (0x61, 0b11));
+
+    // The same two entries at indices 0 and 2 ...
+    let mut sparse = top.clone();
+    sparse[1] = 0b101;
+    let sparse = AmtRoot {
+        node: TCid::from_cid(store.put(sparse)),
+        ..honest
+    };
+    // ... and one level deeper than they need: a new top node whose only
+    // link is the honest one.
+    let mut wrapper = vec![0x61u8, 0b1, 0x01];
+    honest.node.write_bytes(&mut wrapper);
+    let tall = AmtRoot {
+        height: 1,
+        count: 2,
+        node: TCid::from_cid(store.put(wrapper)),
+    };
+
+    for forged in [sparse, tall] {
+        let mut served = manifest.clone();
+        served.registry_root = forged;
+        assert!(served.missing_chunks(&store).is_empty());
+        assert!(matches!(
+            StateTree::from_manifest(&served, &store),
+            Err(InstallError::Registry(_))
+        ));
+    }
+
+    // The honest manifest installs to the committed root and keeps
+    // appending in step with the tree it was taken from.
+    let mut installed = StateTree::from_manifest(&manifest, &store).unwrap();
+    assert_eq!(installed.flush(), manifest.root);
+    installed.append_registry(cut_groups(1, 3));
+    tree.append_registry(cut_groups(1, 3));
+    assert_eq!(installed.flush(), tree.flush());
+    assert_eq!(installed.flush(), installed.recompute_root());
 }
 
 proptest! {
@@ -129,6 +210,14 @@ proptest! {
             .expect("closure is sufficient to install");
         prop_assert_eq!(installed.recompute_root(), manifest.root);
         prop_assert_eq!(installed.recompute_root(), tree.recompute_root());
+        // Every group cut before the persist is still served.
+        for op in &ops {
+            if let Op::Cut { groups, salt } = op {
+                for (cid, msgs) in cut_groups(*groups, *salt) {
+                    prop_assert_eq!(installed.resolve_content(&cid), Some(msgs.as_slice()));
+                }
+            }
+        }
 
         // Minimality: drop one chunk blob — the install must notice.
         let victim = manifest.entries[drop_pick as usize % manifest.entries.len()].1;
@@ -144,10 +233,69 @@ proptest! {
             InstallError::MissingBlob(victim)
         );
 
+        // An incomplete registry closure is reported and refused the same
+        // way: drop one blob reachable from `registry_root`.
+        let registry: Vec<Cid> = store
+            .manifest_closure(&[manifest.registry_root.node.cid()])
+            .into_iter()
+            .collect();
+        let victim = *registry.iter().min().expect("the log has a top node");
+        let partial = CidStore::new();
+        for cid in &closure {
+            if *cid != victim {
+                partial.put(store.get(cid).unwrap().as_ref().clone());
+            }
+        }
+        prop_assert_eq!(manifest.missing_chunks(&partial), vec![victim]);
+        prop_assert!(!manifest.verify(&partial));
+        prop_assert!(matches!(
+            StateTree::from_manifest(&manifest, &partial).unwrap_err(),
+            InstallError::Registry(_)
+        ));
+
         // Pruning to the manifest root keeps the install working and
         // drops the garbage.
         store.prune_unreachable(&[manifest_cid]);
         prop_assert!(!store.contains(&garbage));
         prop_assert!(StateTree::from_manifest(&manifest, &store).is_ok());
+    }
+
+    /// Arbitrary bytes served as the registry's top node under an arbitrary
+    /// root header, or as a node one level down: closure walks and the
+    /// install never panic or allocate from a forged length, and the
+    /// install is refused.
+    #[test]
+    fn hostile_registry_blobs_are_refused_without_panicking(
+        junk in prop::collection::vec(any::<u8>(), 0..200),
+        node_tagged in any::<bool>(),
+        as_top in any::<bool>(),
+        height in 0u32..40,
+        count in any::<u64>(),
+    ) {
+        let mut tree = genesis();
+        tree.append_registry(cut_groups(2, 7));
+        let store = CidStore::new();
+        let manifest_cid = tree.persist(&store);
+        let mut manifest = ChunkManifest::decode(&store.get(&manifest_cid).unwrap()).unwrap();
+
+        let mut junk = junk;
+        if node_tagged && !junk.is_empty() {
+            // Get past the tag check so the body parser sees the bytes.
+            junk[0] = 0x61;
+        }
+        let junk_cid = store.put(junk.clone());
+        let node = if as_top {
+            junk_cid
+        } else {
+            // A well-formed top node with a single link, to the junk.
+            let mut top = vec![0x61u8, 0b1, 0x01];
+            junk_cid.write_bytes(&mut top);
+            store.put(top)
+        };
+        manifest.registry_root = AmtRoot { height, count, node: TCid::from_cid(node) };
+        let _ = blob_links(&junk);
+        let _ = manifest.missing_chunks(&store);
+        prop_assert!(!manifest.verify(&store));
+        prop_assert!(StateTree::from_manifest(&manifest, &store).is_err());
     }
 }

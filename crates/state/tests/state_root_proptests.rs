@@ -5,11 +5,20 @@
 
 use proptest::prelude::*;
 
-use hc_actors::ScaConfig;
-use hc_state::{apply_signed, Message, Method, StateAccess, StateOverlay, StateTree};
-use hc_types::{Address, ChainEpoch, Keypair, Nonce, SubnetId, TokenAmount};
+use hc_actors::{CrossMsg, HcAddress, ScaConfig};
+use hc_state::{
+    apply_implicit, apply_signed, ImplicitMsg, Message, Method, StateAccess, StateOverlay,
+    StateTree,
+};
+use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
 const USERS: u64 = 4;
+
+/// The state under test belongs to a child subnet, so its users can send
+/// bottom-up messages and its checkpoint cuts carry groups.
+fn subnet() -> SubnetId {
+    SubnetId::root().child(Address::new(9))
+}
 
 fn keypair(i: u64) -> Keypair {
     let mut seed = [0u8; 32];
@@ -20,7 +29,7 @@ fn keypair(i: u64) -> Keypair {
 
 fn genesis() -> StateTree {
     StateTree::genesis(
-        SubnetId::root(),
+        subnet(),
         ScaConfig::default(),
         (0..USERS).map(|i| {
             (
@@ -34,9 +43,14 @@ fn genesis() -> StateTree {
 
 /// One abstract operation. `TransferFresh` sends value to a previously
 /// unseen address, creating a new account chunk (a structural change to
-/// the commitment, not just a leaf update).
+/// the commitment, not just a leaf update). `CrossUp` queues a bottom-up
+/// message in the SCA's checkpoint window (towards the parent or a sibling
+/// branch — two possible groups) and `Cut` cuts the checkpoint, appending
+/// the window's groups, if any, to the content registry.
 #[derive(Debug, Clone)]
 enum Op {
+    CrossUp { who: u64, sibling: bool, atto: u64 },
+    Cut { epoch: u8 },
     Transfer { from: u64, to: u64, atto: u64 },
     TransferFresh { from: u64, fresh: u8, atto: u64 },
     Put { who: u64, key: u8, val: u8 },
@@ -46,6 +60,12 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
+        (0..USERS, any::<bool>(), 1u64..10_000_000).prop_map(|(who, sibling, atto)| Op::CrossUp {
+            who,
+            sibling,
+            atto
+        }),
+        any::<u8>().prop_map(|epoch| Op::Cut { epoch }),
         (0..USERS, 0..USERS, 1u64..10_000_000).prop_map(|(from, to, atto)| Op::Transfer {
             from,
             to,
@@ -71,6 +91,26 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// Applies one op to any state implementation.
 fn apply_op<S: StateAccess>(tree: &mut S, op: &Op, nonces: &mut [Nonce]) {
     let (who, to, value, method) = match op {
+        Op::Cut { epoch } => {
+            let proof = Cid::digest(&[*epoch]);
+            let cut = ImplicitMsg::CutCheckpoint { proof };
+            apply_implicit(tree, ChainEpoch::new(u64::from(*epoch)), &cut);
+            return;
+        }
+        Op::CrossUp { who, sibling, atto } => {
+            let value = TokenAmount::from_atto(u128::from(*atto));
+            let dest = if *sibling {
+                SubnetId::root().child(Address::new(10))
+            } else {
+                SubnetId::root()
+            };
+            let msg = CrossMsg::transfer(
+                HcAddress::new(subnet(), Address::new(100 + who)),
+                HcAddress::new(dest, Address::new(7)),
+                value,
+            );
+            (*who, Address::SCA, value, Method::SendCrossMsg { msg })
+        }
         Op::Transfer { from, to, atto } => (
             *from,
             Address::new(100 + to),
@@ -152,6 +192,44 @@ fn incremental_flush_hashes_10x_fewer_bytes_at_10k_accounts() {
     );
 }
 
+/// The `CrossUp`/`Cut` ops do what the properties below rely on: a cut
+/// after bottom-up sends appends its groups to the registry, where
+/// `resolve_content` serves them.
+#[test]
+fn cut_ops_append_groups_to_the_registry() {
+    let mut tree = genesis();
+    let mut nonces = vec![Nonce::ZERO; USERS as usize];
+    let up = |sibling| Op::CrossUp {
+        who: 1,
+        sibling,
+        atto: 5,
+    };
+    apply_op(&mut tree, &up(false), &mut nonces);
+    apply_op(&mut tree, &up(true), &mut nonces);
+    let cut = ImplicitMsg::CutCheckpoint {
+        proof: Cid::digest(b"head"),
+    };
+    let receipt = apply_implicit(&mut tree, ChainEpoch::new(10), &cut);
+    let Some(hc_state::VmEvent::CheckpointCut { checkpoint }) = receipt.events.first() else {
+        panic!("cut emits its checkpoint: {receipt:?}");
+    };
+    assert_eq!(checkpoint.cross_msgs.len(), 2, "one group per destination");
+    for meta in &checkpoint.cross_msgs {
+        let msgs = tree.resolve_content(&meta.msgs_cid).expect("registered");
+        assert!(meta.matches(msgs));
+    }
+    let with_groups = tree.flush();
+    assert_eq!(with_groups, tree.recompute_root());
+    // An empty cut still moves the root (the SCA's prev pointer) and the
+    // earlier groups stay served.
+    apply_op(&mut tree, &Op::Cut { epoch: 20 }, &mut nonces);
+    assert_ne!(tree.flush(), with_groups);
+    assert_eq!(tree.flush(), tree.rebuilt().flush());
+    for meta in &checkpoint.cross_msgs {
+        assert!(tree.resolve_content(&meta.msgs_cid).is_some());
+    }
+}
+
 proptest! {
     /// The incremental root equals a from-scratch recompute over the
     /// canonical chunk blobs, and equals the root a freshly rebuilt tree
@@ -204,7 +282,26 @@ proptest! {
         prop_assert_eq!(overlay.root(), direct_root, "overlay root diverged");
 
         let changes = overlay.into_changes();
+        prop_assert_eq!(changes.root(), direct_root, "candidate root diverged");
         base.apply_changes(changes);
+        // The overlay's candidate commitment was installed with the
+        // content: the flush that follows (as after `execute_block_with`)
+        // hashes nothing.
+        prop_assert!(base.is_committed());
+        let hashed = base.commit_stats().bytes_hashed;
         prop_assert_eq!(base.flush(), direct_root, "applied changes diverged");
+        prop_assert_eq!(base.commit_stats().bytes_hashed, hashed, "flush re-hashed");
+        prop_assert_eq!(base.recompute_root(), direct_root);
+        prop_assert_eq!(base.rebuilt().flush(), direct_root);
+
+        // A second block on the applied base keeps agreeing: the installed
+        // HAMT/AMT clones are what the next candidate builds on.
+        let mut again = StateOverlay::new(&base);
+        let mut nonces_direct = nonces.clone();
+        for op in &ops {
+            apply_op(&mut again, op, &mut nonces);
+            apply_op(&mut direct, op, &mut nonces_direct);
+        }
+        prop_assert_eq!(again.root(), direct.flush(), "second overlay diverged");
     }
 }

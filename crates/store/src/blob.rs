@@ -78,6 +78,19 @@ impl BlobLog {
         true
     }
 
+    /// Persists every `(cid, blob)` not already stored as one group commit
+    /// ([`Wal::append_group`]): durable together, one sync for the lot. The
+    /// blobs of one snapshot persist go down this way — they are only
+    /// referenced once the whole snapshot is in.
+    pub fn put_group(&mut self, blobs: &[(Cid, &[u8])]) {
+        let records: Vec<Vec<u8>> = blobs
+            .iter()
+            .filter(|(cid, _)| self.index.insert(*cid))
+            .map(|(cid, blob)| encode_record(cid, blob))
+            .collect();
+        self.wal.append_group(&records);
+    }
+
     /// Returns `true` if `cid` is stored.
     pub fn contains(&self, cid: &Cid) -> bool {
         self.index.contains(cid)
@@ -174,6 +187,30 @@ mod tests {
             assert!(log.contains(&cid));
             assert_eq!(log.get(&cid).unwrap(), bytes);
         }
+    }
+
+    #[test]
+    fn put_group_dedups_and_syncs_once() {
+        let dev = InMemoryDevice::new();
+        let arc: Arc<dyn Persistence> = Arc::new(dev.clone());
+        let always = WalOptions {
+            segment_bytes: 1 << 20,
+            fsync: FsyncPolicy::Always,
+        };
+        let mut log = BlobLog::open(arc.clone(), "blobs", always);
+        let (c1, b1) = blob(1);
+        let (c2, b2) = blob(2);
+        let (c3, b3) = blob(3);
+        assert!(log.put(c1, &b1));
+        assert_eq!(dev.sync_count(), 1);
+        // One stored already, one repeated inside the group: two appended,
+        // one sync.
+        log.put_group(&[(c1, &b1), (c2, &b2), (c3, &b3), (c2, &b2)]);
+        assert_eq!(log.len(), 3);
+        assert_eq!(dev.sync_count(), 2);
+        let reopened = BlobLog::open(arc, "blobs", always);
+        assert_eq!(reopened.len(), 3);
+        assert_eq!(reopened.get(&c3), Some(b3));
     }
 
     #[test]

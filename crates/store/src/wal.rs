@@ -140,10 +140,15 @@ impl Wal {
         (wal, records)
     }
 
-    /// Appends one record and applies the sync policy.
-    pub fn append(&mut self, payload: &[u8]) {
+    /// Writes one record's frame, starting a new segment first if the
+    /// current one would overflow. No sync: returns the stream of the
+    /// segment it left behind when it rolled over, so a caller deferring
+    /// syncs can still cover every segment it wrote to.
+    fn write_frame(&mut self, payload: &[u8]) -> Option<String> {
         let frame = encode_frame(payload);
+        let mut left = None;
         if self.segment_len > 0 && self.segment_len + frame.len() as u64 > self.opts.segment_bytes {
+            left = Some(segment_stream(&self.name, self.segment));
             self.segment += 1;
             self.segment_len = 0;
         }
@@ -154,16 +159,44 @@ impl Wal {
             segment: self.segment,
             end_offset: self.segment_len,
         });
+        left
+    }
+
+    /// Appends one record and applies the sync policy.
+    pub fn append(&mut self, payload: &[u8]) {
+        self.write_frame(payload);
         match self.opts.fsync {
-            FsyncPolicy::Always => self.device.sync(&stream),
+            FsyncPolicy::Always => self.sync(),
             FsyncPolicy::EveryN(n) => {
                 self.appends_since_sync += 1;
                 if self.appends_since_sync >= n.max(1) {
-                    self.device.sync(&stream);
-                    self.appends_since_sync = 0;
+                    self.sync();
                 }
             }
             FsyncPolicy::Never => {}
+        }
+    }
+
+    /// Appends `payloads` as one group commit: each stays its own record
+    /// (so a crash still leaves a record-aligned prefix), but unless the
+    /// policy is [`FsyncPolicy::Never`] they are made durable together —
+    /// one sync per segment written to, after the last record in it —
+    /// instead of one per record. For callers whose records only matter
+    /// once all of them are down, like the blobs of one persisted snapshot.
+    pub fn append_group(&mut self, payloads: &[Vec<u8>]) {
+        if payloads.is_empty() {
+            return;
+        }
+        let durable = !matches!(self.opts.fsync, FsyncPolicy::Never);
+        for payload in payloads {
+            if let Some(left) = self.write_frame(payload) {
+                if durable {
+                    self.device.sync(&left);
+                }
+            }
+        }
+        if durable {
+            self.sync();
         }
     }
 
@@ -220,15 +253,7 @@ impl Wal {
     pub fn reset_with(&mut self, records: &[Vec<u8>]) {
         self.record_ends.clear();
         self.truncate_from(0, 0);
-        let fsync = self.opts.fsync;
-        self.opts.fsync = FsyncPolicy::Never;
-        for r in records {
-            self.append(r);
-        }
-        self.opts.fsync = fsync;
-        if !matches!(fsync, FsyncPolicy::Never) {
-            self.sync();
-        }
+        self.append_group(records);
     }
 
     /// Truncates segment `segment` to `offset` bytes and empties every
@@ -375,5 +400,31 @@ mod tests {
             wal.append(b"x");
         }
         assert_eq!(dev.sync_count(), 4); // 2 from above + syncs at records 3 and 6
+    }
+
+    #[test]
+    fn group_commit_syncs_once_per_segment_written() {
+        let dev = InMemoryDevice::new();
+        let arc: Arc<dyn Persistence> = Arc::new(dev.clone());
+        let always = WalOptions {
+            fsync: FsyncPolicy::Always,
+            ..small_opts()
+        };
+        let (mut wal, _) = Wal::open(arc.clone(), "log", always);
+        // Five 20-byte records overflow a small segment at least once.
+        let group: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i; 20]).collect();
+        wal.append_group(&group);
+        let segments = dev.streams().len() as u64;
+        assert!(segments > 1, "the group must span segments");
+        assert_eq!(dev.sync_count(), segments, "one sync per segment");
+        wal.append_group(&[]);
+        assert_eq!(dev.sync_count(), segments, "an empty group does nothing");
+        // Records stay individually framed: reopening returns each one.
+        let (_, recovered) = Wal::open(arc.clone(), "log", always);
+        assert_eq!(recovered, group);
+        // `Never` stays never.
+        let (mut quiet, _) = Wal::open(arc, "quiet", small_opts());
+        quiet.append_group(&group);
+        assert_eq!(dev.sync_count(), segments);
     }
 }

@@ -56,5 +56,5 @@ pub use decode::{ByteReader, CanonicalDecode, DecodeError};
 pub use encode::CanonicalEncode;
 pub use epoch::{ChainEpoch, Nonce};
 pub use subnet_id::{RouteStep, SubnetId};
-pub use tcid::{MAmtRoot, MHamtNode, TCid};
+pub use tcid::{MAmtNode, MHamtNode, TCid};
 pub use token::TokenAmount;

@@ -1,11 +1,11 @@
 //! Typed content identifiers.
 //!
 //! A [`TCid<M>`] is a [`Cid`] tagged at the type level with what the CID
-//! points *at* — a HAMT node, an AMT root, a chunk manifest. The runtime
+//! points *at* — a HAMT node, an AMT node, a chunk manifest. The runtime
 //! representation is exactly a 32-byte CID (encoding and ordering are
 //! identical to the raw [`Cid`]), but the phantom marker keeps the many
 //! CID-valued fields of the state-commitment stack from being swapped for
-//! one another: `TCid<MHamtNode>` and `TCid<MAmtRoot>` are different types
+//! one another: `TCid<MHamtNode>` and `TCid<MAmtNode>` are different types
 //! even though both are "just hashes".
 //!
 //! This is the typed-CID-wrapper idiom from the hierarchical-SCA
@@ -35,9 +35,9 @@ pub struct TCid<M> {
 #[derive(Debug)]
 pub enum MHamtNode {}
 
-/// Marker: the CID addresses a canonical AMT root blob (header + top node).
+/// Marker: the CID addresses a canonical AMT node blob.
 #[derive(Debug)]
-pub enum MAmtRoot {}
+pub enum MAmtNode {}
 
 impl<M> TCid<M> {
     /// Wraps a raw CID, asserting (at the type level only) what it points
@@ -143,7 +143,7 @@ mod tests {
     fn tcid_orders_like_cid() {
         let a = Cid::digest(b"a");
         let b = Cid::digest(b"b");
-        let (ta, tb) = (TCid::<MAmtRoot>::from_cid(a), TCid::<MAmtRoot>::from_cid(b));
+        let (ta, tb) = (TCid::<MAmtNode>::from_cid(a), TCid::<MAmtNode>::from_cid(b));
         assert_eq!(ta.cmp(&tb), a.cmp(&b));
     }
 }

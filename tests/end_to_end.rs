@@ -3,6 +3,7 @@
 
 use hierarchical_consensus::prelude::*;
 use hierarchical_consensus::sim::{TopologyBuilder, Workload};
+use hierarchical_consensus::types::CanonicalEncode;
 
 fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
@@ -395,4 +396,80 @@ fn durable_snapshot_rejoin_then_recover_matches_the_live_twin() {
         "diverged under further load"
     );
     hierarchical_consensus::core::audit_quiescent(&recovered).unwrap();
+}
+
+/// Growth guard: a subnet that sends bottom-up messages in every
+/// checkpoint window must not pay more per window as its chain gets longer.
+/// The raw messages behind every cut group are registry content — an
+/// append-only log beside the SCA chunk, not inside it — so both the bytes
+/// the child hashes per window and the SCA chunk's encoded size stay flat
+/// while the cross-net history grows.
+///
+/// The log's rightmost leaf holds up to eight cuts inline and is re-encoded
+/// by each append, so the per-window cost is a bounded sawtooth with a
+/// period of eight cuts. Every window here cuts exactly once, and the last
+/// window (18) sits at the same point of that sawtooth as the second.
+#[test]
+fn per_window_state_hashing_does_not_grow_with_cross_net_history() {
+    const WINDOWS: usize = 18;
+    const PERIOD: u64 = 5;
+
+    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+    let root = SubnetId::root();
+    let alice = rt.create_user(&root, whole(10_000)).unwrap();
+    let validator = rt.create_user(&root, whole(100)).unwrap();
+    let subnet = rt
+        .spawn_subnet(
+            &alice,
+            SaConfig {
+                checkpoint_period: PERIOD,
+                ..SaConfig::default()
+            },
+            whole(10),
+            &[(validator, whole(5))],
+        )
+        .unwrap();
+    let bob = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
+    rt.cross_transfer(&alice, &bob, whole(1_000)).unwrap();
+    rt.run_until_quiescent(10_000).unwrap();
+
+    let mut hashed: Vec<u64> = Vec::with_capacity(WINDOWS);
+    let mut sca_len: Vec<u64> = Vec::with_capacity(WINDOWS);
+    for _ in 0..WINDOWS {
+        // Start right after a cut, so the three sends (one block each)
+        // land in one window and are cut as one group.
+        while !rt
+            .node(&subnet)
+            .unwrap()
+            .chain()
+            .head_epoch()
+            .is_multiple_of(PERIOD)
+        {
+            rt.tick_subnet(&subnet).unwrap();
+        }
+        let before = rt
+            .node(&subnet)
+            .unwrap()
+            .state()
+            .commit_stats()
+            .bytes_hashed;
+        for _ in 0..3 {
+            rt.cross_transfer(&bob, &alice, whole(1)).unwrap();
+        }
+        rt.run_until_quiescent(10_000).unwrap();
+        let child = rt.node(&subnet).unwrap().state();
+        hashed.push(child.commit_stats().bytes_hashed - before);
+        sca_len.push(child.sca().canonical_bytes().len() as u64);
+    }
+    assert_eq!(rt.balance(&bob), whole(1_000 - 3 * WINDOWS as u64));
+
+    let flat = |series: &[u64], what: &str| {
+        let (second, last) = (series[1], series[WINDOWS - 1]);
+        assert!(
+            last * 4 <= second * 5,
+            "{what} grows with chain length: window 2 = {second}, window {WINDOWS} = {last} ({series:?})"
+        );
+    };
+    flat(&hashed, "bytes hashed per window");
+    flat(&sca_len, "SCA chunk size");
 }
