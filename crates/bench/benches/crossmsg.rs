@@ -5,7 +5,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hc_sim::experiments::{e10_cross_ratio, e8_collateral, E10Params, E8Params};
-use hc_sim::{TopologyBuilder, Workload};
+use hc_sim::TopologyBuilder;
+use hc_workload::ClosedBatch;
 
 fn bench_crossmsg(c: &mut Criterion) {
     let mut group = c.benchmark_group("f3_crossmsg");
@@ -15,12 +16,13 @@ fn bench_crossmsg(c: &mut Criterion) {
     group.bench_function("mixed_cross_traffic", |b| {
         b.iter(|| {
             let mut topo = TopologyBuilder::new().users_per_subnet(2).flat(2).unwrap();
-            Workload {
+            let subnets = topo.all_subnets();
+            ClosedBatch {
                 msgs_per_subnet: 30,
                 cross_ratio: 0.5,
-                ..Workload::default()
+                ..ClosedBatch::default()
             }
-            .run(&mut topo)
+            .run(&mut topo.rt, &subnets, &topo.users)
             .unwrap()
         })
     });

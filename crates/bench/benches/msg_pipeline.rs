@@ -1,17 +1,15 @@
 //! The message-path crypto pipeline: end-to-end admission → block
-//! production → block validation, baseline (every stage re-hashes and
-//! re-verifies from scratch) versus the memoized/cached/batch-verified
-//! pipeline, at 1k and 10k messages.
+//! production → block validation through the real APIs, without a
+//! signature cache on one thread versus the memoized/cached/batch-verified
+//! pipeline on four, at 1k and 10k messages.
 //!
-//! The deterministic ≥2× guard on SHA-256 compression work lives in
+//! The deterministic guard on SHA-256 compression work lives in
 //! `tests/msg_pipeline_guard.rs`; this bench reports wall-clock.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hc_bench::msg_pipeline::{
-    baseline_admission, baseline_end_to_end, pipeline_end_to_end, workload,
-};
+use hc_bench::msg_pipeline::{end_to_end, pipeline_end_to_end_with_stats, workload};
 use hc_chain::Mempool;
 use hc_state::{SealedMessage, SigCache};
 
@@ -25,21 +23,16 @@ fn bench_msg_pipeline(c: &mut Criterion) {
         let msgs = workload(n);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(
-            BenchmarkId::new("baseline_end_to_end", n),
+            BenchmarkId::new("uncached_end_to_end", n),
             &msgs,
-            |b, msgs| b.iter(|| baseline_end_to_end(msgs)),
+            |b, msgs| b.iter(|| end_to_end(msgs, None, 1)),
         );
         group.bench_with_input(
             BenchmarkId::new("pipeline_end_to_end", n),
             &msgs,
-            |b, msgs| b.iter(|| pipeline_end_to_end(msgs, 4)),
+            |b, msgs| b.iter(|| pipeline_end_to_end_with_stats(msgs, 4)),
         );
         // Admission alone: where the cache is populated and CIDs sealed.
-        group.bench_with_input(
-            BenchmarkId::new("baseline_admission", n),
-            &msgs,
-            |b, msgs| b.iter(|| baseline_admission(msgs)),
-        );
         group.bench_with_input(
             BenchmarkId::new("pipeline_admission", n),
             &msgs,

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hc_actors::ScaConfig;
-use hc_chain::produce_block;
+use hc_chain::{produce_block_with, ExecOptions};
 use hc_state::{CidStore, Message, StateTree};
 use hc_types::crypto::sha256;
 use hc_types::merkle::MerkleTree;
@@ -68,7 +68,7 @@ fn bench_primitives(c: &mut Criterion) {
                     .into()
                 })
                 .collect::<Vec<hc_state::SealedMessage>>();
-            produce_block(
+            produce_block_with(
                 &mut t,
                 SubnetId::root(),
                 ChainEpoch::new(1),
@@ -77,6 +77,7 @@ fn bench_primitives(c: &mut Criterion) {
                 msgs,
                 &proposer,
                 1_000,
+                ExecOptions::default(),
             )
         })
     });

@@ -1,34 +1,23 @@
 //! The message-path crypto pipeline experiment: admission → block
-//! production → block validation over one workload, measured two ways.
+//! production → block validation over one workload, driven through the
+//! real APIs ([`end_to_end`]).
 //!
-//! * [`baseline_end_to_end`] reproduces the pre-pipeline message path
-//!   exactly as it shipped before the crypto-pipeline change: every stage
-//!   recomputes message and envelope CIDs from scratch, every stage fully
-//!   re-verifies every signature, and the messages root re-hashes each
-//!   CID as a Merkle leaf.
-//! * [`pipeline_end_to_end`] drives the real APIs: sealed messages whose
-//!   CIDs are memoized at admission, the node-local verified-signature
-//!   cache, and batch-parallel signature pre-verification at validation.
-//!
-//! Both return receipts and the resulting state root, so callers can
-//! assert the pipeline changes *nothing* observable while doing a fraction
-//! of the hashing. The speedup guard in `tests/msg_pipeline_guard.rs`
-//! enforces the ratio on [`hc_types::crypto::sha256_block_count`], a
-//! deterministic work proxy immune to machine noise; the `msg_pipeline`
-//! Criterion bench reports wall-clock.
-
-use std::collections::{BTreeMap, HashSet};
+//! With a cache wired, sealed messages have their CIDs memoized at
+//! admission, production and validation run off the node-local
+//! verified-signature cache, and signatures are batch pre-verified across
+//! worker threads. The guard in `tests/msg_pipeline_guard.rs` checks that
+//! this changes *nothing* observable against the same APIs at
+//! [`ExecOptions::default`] without a cache, and caps the pipeline's
+//! [`hc_types::crypto::sha256_block_count`] per message — a deterministic
+//! work proxy immune to machine noise; the `msg_pipeline` Criterion bench
+//! reports wall-clock.
 
 use hc_actors::ScaConfig;
-use hc_chain::{execute_block_with, produce_block_with, BlockHeader, ExecOptions, Mempool};
+use hc_chain::{execute_block_with, produce_block_with, ExecOptions, Mempool};
 use hc_state::{
-    apply_signed, Message, Method, Receipt, SealedMessage, SigCache, SigCacheStats, SignedMessage,
-    StateOverlay, StateTree,
+    Message, Method, Receipt, SealedMessage, SigCache, SigCacheStats, SignedMessage, StateTree,
 };
-use hc_types::merkle::merkle_root;
-use hc_types::{
-    Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, Signature, SubnetId, TokenAmount,
-};
+use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
 /// Senders in the workload.
 pub const USERS: u64 = 16;
@@ -98,9 +87,9 @@ pub fn workload(n: usize) -> Vec<SignedMessage> {
         .collect()
 }
 
-/// What a full admission → produce → validate pass observed. Receipts and
-/// the state root are the consensus-visible outputs; the equivalence tests
-/// require them bit-identical between baseline and pipeline.
+/// What a full admission → produce → validate pass observed: the
+/// consensus-visible outputs, which must not depend on the cache or the
+/// worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// Receipts of the executed payload, in execution order.
@@ -109,151 +98,31 @@ pub struct RunOutcome {
     pub state_root: Cid,
 }
 
-/// Pre-pipeline admission: full signature verification first (recomputing
-/// the message CID from scratch inside the check), then dedup keyed on a
-/// freshly computed *envelope* CID.
-pub fn baseline_admission(
-    msgs: &[SignedMessage],
-) -> BTreeMap<Address, BTreeMap<Nonce, SignedMessage>> {
-    let mut seen: HashSet<Cid> = HashSet::new();
-    let mut by_sender: BTreeMap<Address, BTreeMap<Nonce, SignedMessage>> = BTreeMap::new();
-    for m in msgs {
-        if !m.verify_signature() {
-            continue;
-        }
-        if !seen.insert(m.cid()) {
-            continue;
-        }
-        by_sender
-            .entry(m.message.from)
-            .or_default()
-            .insert(m.message.nonce, m.clone());
-    }
-    by_sender
-}
-
-/// Fee-priority selection over nonce lanes — `Mempool::select`'s order
-/// (all fees are equal here, so lanes merge on the head's message CID),
-/// reproduced with from-scratch CID recomputation per comparison so
-/// baseline and pipeline execute the identical sequence while the
-/// baseline pays pre-pipeline hashing costs.
-pub fn baseline_select(
-    pool: &BTreeMap<Address, BTreeMap<Nonce, SignedMessage>>,
-) -> Vec<SignedMessage> {
-    let mut cursors: Vec<_> = pool.values().map(|q| q.values().peekable()).collect();
-    let mut out = Vec::new();
-    loop {
-        let mut best: Option<(Cid, usize)> = None;
-        for (i, c) in cursors.iter_mut().enumerate() {
-            if let Some(m) = c.peek() {
-                let cid = m.message.cid();
-                if best.as_ref().is_none_or(|(b, _)| cid < *b) {
-                    best = Some((cid, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { return out };
-        out.push(cursors[i].next().expect("peeked lane has a head").clone());
-    }
-}
-
-/// Pre-pipeline block production: sequential `apply_signed` (each fully
-/// re-verifying its signature), a messages root that re-hashes every
-/// envelope CID as a Merkle leaf, and a proposer signature over the header
-/// CID.
-pub fn baseline_produce(
-    tree: &mut StateTree,
-    msgs: &[SignedMessage],
-    proposer: &Keypair,
-) -> (BlockHeader, Signature, Vec<Receipt>) {
-    let epoch = ChainEpoch::new(1);
-    let receipts: Vec<Receipt> = msgs.iter().map(|m| apply_signed(tree, epoch, m)).collect();
-    let cids: Vec<Cid> = msgs.iter().map(|m| m.cid()).collect();
-    let header = BlockHeader {
-        subnet: SubnetId::root(),
-        epoch,
-        parent: Cid::NIL,
-        state_root: tree.flush(),
-        msgs_root: merkle_root(&cids),
-        proposer: proposer.public(),
-        timestamp_ms: 1_000,
-    };
-    let signature = proposer.sign(header.cid().as_bytes());
-    (header, signature, receipts)
-}
-
-/// Pre-pipeline validation: recompute the messages root from fresh
-/// envelope CIDs, check the proposer signature over a recomputed header
-/// CID, then replay sequentially — every message signature verified from
-/// scratch again — and compare roots.
-pub fn baseline_validate(
-    tree: &mut StateTree,
-    header: &BlockHeader,
-    signature: &Signature,
-    msgs: &[SignedMessage],
-) -> Vec<Receipt> {
-    let cids: Vec<Cid> = msgs.iter().map(|m| m.cid()).collect();
-    assert_eq!(merkle_root(&cids), header.msgs_root, "messages root");
-    assert_eq!(signature.signer(), header.proposer, "proposer key");
-    signature
-        .verify(header.cid().as_bytes())
-        .expect("proposer signature");
-    tree.flush();
-    let mut overlay = StateOverlay::new(tree);
-    let receipts: Vec<Receipt> = msgs
-        .iter()
-        .map(|m| apply_signed(&mut overlay, header.epoch, m))
-        .collect();
-    assert_eq!(overlay.root(), header.state_root, "state root");
-    let changes = overlay.into_changes();
-    tree.apply_changes(changes);
-    receipts
-}
-
-/// Full pre-pipeline pass over `msgs`: admission, production on a fresh
-/// producer state, validation replay on a fresh validator state.
-pub fn baseline_end_to_end(msgs: &[SignedMessage]) -> RunOutcome {
-    let pool = baseline_admission(msgs);
-    let selected = baseline_select(&pool);
-    let mut producer = genesis();
-    let proposer = keypair(0);
-    let (header, signature, _) = baseline_produce(&mut producer, &selected, &proposer);
-    let mut validator = genesis();
-    let receipts = baseline_validate(&mut validator, &header, &signature, &selected);
-    RunOutcome {
-        receipts,
-        state_root: validator.flush(),
-    }
-}
-
-/// Full crypto-pipeline pass over `msgs`: sealed admission through the
-/// cache-wired [`Mempool`], production via [`produce_block_with`], and
-/// validation via [`execute_block_with`] with batch pre-verification on
-/// `parallelism` threads.
+/// Full pass over `msgs`: sealed admission through the [`Mempool`],
+/// production via [`produce_block_with`] on a fresh producer state, and
+/// validation via [`execute_block_with`] on a fresh validator state, with
+/// signatures pre-verified on `parallelism` threads.
 ///
-/// The validator consults the same cache the admission pass populated —
-/// the single-node model: in the runtime every full node admits gossiped
-/// messages into its own mempool before the block arrives, so validation
-/// hits its *local* cache exactly like this.
-pub fn pipeline_end_to_end(msgs: &[SignedMessage], parallelism: usize) -> RunOutcome {
-    let (outcome, _) = pipeline_end_to_end_with_stats(msgs, parallelism);
-    outcome
-}
-
-/// [`pipeline_end_to_end`], also returning the signature-cache counters.
-pub fn pipeline_end_to_end_with_stats(
+/// With `cache` given, the mempool, the producer and the validator all
+/// consult it — the single-node model: in the runtime every full node
+/// admits gossiped messages into its own mempool before the block arrives,
+/// so validation hits its *local* cache exactly like this.
+pub fn end_to_end(
     msgs: &[SignedMessage],
+    cache: Option<&SigCache>,
     parallelism: usize,
-) -> (RunOutcome, SigCacheStats) {
-    let cache = SigCache::new(msgs.len().max(1));
-    let mut pool = Mempool::new().with_sig_cache(cache.clone());
+) -> RunOutcome {
+    let mut pool = match cache {
+        Some(c) => Mempool::new().with_sig_cache(c.clone()),
+        None => Mempool::new(),
+    };
     for m in msgs {
         pool.push_sealed(SealedMessage::new(m.clone()));
     }
     let selected = pool.select(usize::MAX);
 
     let opts = ExecOptions {
-        sig_cache: Some(&cache),
+        sig_cache: cache,
         parallelism,
     };
     let mut producer = genesis();
@@ -270,13 +139,21 @@ pub fn pipeline_end_to_end_with_stats(
     );
     let mut validator = genesis();
     let receipts = execute_block_with(&mut validator, &executed.block, opts).expect("valid block");
-    (
-        RunOutcome {
-            receipts,
-            state_root: validator.flush(),
-        },
-        cache.stats(),
-    )
+    RunOutcome {
+        receipts,
+        state_root: validator.flush(),
+    }
+}
+
+/// [`end_to_end`] over a cold cache sized for the workload, also returning
+/// the cache's counters.
+pub fn pipeline_end_to_end_with_stats(
+    msgs: &[SignedMessage],
+    parallelism: usize,
+) -> (RunOutcome, SigCacheStats) {
+    let cache = SigCache::new(msgs.len().max(1));
+    let outcome = end_to_end(msgs, Some(&cache), parallelism);
+    (outcome, cache.stats())
 }
 
 #[cfg(test)]
@@ -284,12 +161,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn baseline_and_pipeline_agree() {
+    fn cached_pipeline_agrees_with_the_uncached_default() {
         let msgs = workload(200);
-        let baseline = baseline_end_to_end(&msgs);
+        let reference = end_to_end(&msgs, None, ExecOptions::default().parallelism);
         for parallelism in [1, 4] {
             let (outcome, stats) = pipeline_end_to_end_with_stats(&msgs, parallelism);
-            assert_eq!(outcome, baseline, "divergence at parallelism {parallelism}");
+            assert_eq!(
+                outcome, reference,
+                "divergence at parallelism {parallelism}"
+            );
             // Admission misses once per message; production and validation
             // both run entirely off the cache.
             assert_eq!(stats.misses, 200);

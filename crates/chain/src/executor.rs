@@ -5,13 +5,13 @@
 //! state root in the header verifiable: a validator re-executes the payload
 //! and compares roots.
 //!
-//! Both sides accept [`ExecOptions`] wiring in the message crypto pipeline
-//! and the execution engine: a node-local verified-signature cache, batch
-//! signature pre-verification fanning a block's signatures across worker
-//! threads, and — with `parallelism > 1` — conflict-aware parallel payload
-//! execution over the deterministic [`Schedule`] derived
-//! from the block's access sets (DESIGN.md §15). Receipts, gas, and state
-//! roots are bit-identical with the cache on/off and at every thread
+//! Both sides take [`ExecOptions`]: a node-local verified-signature cache
+//! and a worker count. The block's signatures are batch pre-verified, then
+//! the payload runs on the one engine there is — the deterministic
+//! [`Schedule`] derived from the block's access sets (DESIGN.md §15), its
+//! conflict-free lanes laid on the workers by [`fan_out`]. `parallelism`
+//! only sizes that fan-out; it never selects code. Receipts, gas, and
+//! state roots are bit-identical with the cache on/off and at every worker
 //! count: the scheduler only reorders messages whose access sets are
 //! provably disjoint, and each lane replays its messages in block order.
 
@@ -19,12 +19,12 @@ use std::collections::BTreeMap;
 
 use hc_state::{
     apply_implicit, apply_sealed, AccountState, ImplicitMsg, LaneOverlay, Receipt, SealedMessage,
-    SigCache, SigVerdict, StateAccess, StateOverlay, StateTree,
+    SigCache, StateAccess, StateOverlay, StateTree,
 };
 use hc_types::{Address, ChainEpoch, Cid, Keypair, SubnetId};
 
 use crate::block::{Block, BlockHeader};
-use crate::schedule::{assign_lanes, Schedule, Segment};
+use crate::schedule::{assign_lanes, fan_out, Schedule, Segment};
 
 /// A produced or executed block together with its receipts.
 #[derive(Debug, Clone)]
@@ -47,15 +47,12 @@ impl ExecutedBlock {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions<'a> {
     /// Node-local verified-signature cache. `None` means every signature is
-    /// fully verified (the reference path).
+    /// fully verified.
     pub sig_cache: Option<&'a SigCache>,
-    /// Worker threads for batch signature pre-verification *and* for
-    /// conflict-aware parallel payload execution: with `parallelism > 1`
-    /// the payload runs over the deterministic access-set
-    /// [`Schedule`] — conflict-free lanes on scoped
-    /// worker threads, serial segments as barriers. `0`/`1` keep
-    /// everything on the caller's thread (the reference sequential path).
-    /// Receipts, gas, and state roots are identical at every setting.
+    /// Worker threads for batch signature pre-verification *and* for the
+    /// lanes of the payload's [`Schedule`] (`0` counts as one: everything
+    /// stays on the caller's thread). Receipts, gas, and state roots are
+    /// identical at every setting.
     pub parallelism: usize,
 }
 
@@ -93,105 +90,50 @@ impl std::fmt::Display for BlockError {
 impl std::error::Error for BlockError {}
 
 /// Batch signature pre-verification: decides the signature verdict of every
-/// message, fanning the work across up to `parallelism` threads (chunked,
-/// first chunk on the caller's thread — the wave-execution pattern from
-/// `hc-core`). With a cache, warm entries cost a lookup and cold ones a
+/// message, fanning the work across up to `parallelism` threads
+/// ([`fan_out`]). With a cache, warm entries cost a lookup and cold ones a
 /// full verification that populates the cache; verdict *values* are
 /// independent of thread count and cache state.
 ///
-/// As a side effect each message's CID memos are warmed off the sequential
-/// execution path.
+/// As a side effect each message's CID memos are warmed off the execution
+/// path.
 pub fn preverify_signatures(
     msgs: &[SealedMessage],
     cache: Option<&SigCache>,
     parallelism: usize,
 ) -> Vec<bool> {
-    let verify = |m: &SealedMessage| match cache {
+    fan_out(msgs, parallelism, |m| match cache {
         Some(c) => c.verify_sealed(m),
         None => m.verify_signature(),
-    };
-    let workers = parallelism.max(1).min(msgs.len().max(1));
-    if workers <= 1 {
-        return msgs.iter().map(verify).collect();
-    }
-    let chunk_len = msgs.len().div_ceil(workers);
-    let mut verdicts = vec![false; msgs.len()];
-    std::thread::scope(|scope| {
-        let mut pending = Vec::with_capacity(workers);
-        let mut slots = verdicts.chunks_mut(chunk_len);
-        let mut chunks = msgs.chunks(chunk_len);
-        // Keep the first chunk for this thread; spawn the rest.
-        let first = slots.next().zip(chunks.next());
-        for (slot, chunk) in slots.zip(chunks) {
-            pending.push(scope.spawn(move || {
-                for (v, m) in slot.iter_mut().zip(chunk) {
-                    *v = verify(m);
-                }
-            }));
-        }
-        if let Some((slot, chunk)) = first {
-            for (v, m) in slot.iter_mut().zip(chunk) {
-                *v = verify(m);
-            }
-        }
-        for handle in pending {
-            handle.join().expect("pre-verification worker panicked");
-        }
-    });
-    verdicts
-}
-
-/// Executes a block's payload against `tree`, in canonical order: implicit
-/// messages first (cross-net work committed by consensus, paper Fig. 3),
-/// then signed user messages. `verdicts`, when present, carries one
-/// pre-verified signature verdict per signed message; otherwise signatures
-/// are decided inline through the cache (or fully, without one).
-fn run_payload<S: StateAccess>(
-    tree: &mut S,
-    epoch: ChainEpoch,
-    implicit: &[ImplicitMsg],
-    signed: &[SealedMessage],
-    cache: Option<&SigCache>,
-    verdicts: Option<&[bool]>,
-) -> Vec<Receipt> {
-    let mut receipts = Vec::with_capacity(implicit.len() + signed.len());
-    for m in implicit {
-        receipts.push(apply_implicit(tree, epoch, m));
-    }
-    for (i, m) in signed.iter().enumerate() {
-        let verdict = match (verdicts, cache) {
-            (Some(v), _) => SigVerdict::Decided(v[i]),
-            (None, Some(c)) => SigVerdict::Cached(c),
-            (None, None) => SigVerdict::Verify,
-        };
-        receipts.push(apply_sealed(tree, epoch, m, verdict));
-    }
-    receipts
+    })
 }
 
 /// One executed lane: its lane index, the receipts of its messages (lane
 /// order = block order within the lane), and its private write-set.
 type LaneOutcome = (usize, Vec<Receipt>, BTreeMap<Address, AccountState>);
 
-/// Executes a block's payload over the deterministic access-set
-/// [`Schedule`] with up to `parallelism` worker threads.
+/// Executes a block's payload against `tree` in canonical order — implicit
+/// messages first (cross-net work committed by consensus, paper Fig. 3),
+/// then signed user messages over the deterministic access-set
+/// [`Schedule`] — on up to `parallelism` workers.
 ///
 /// Implicit messages and serial segments run one at a time directly on
-/// `tree`, exactly as on the sequential path. Each parallel segment's lanes
-/// are deterministically assigned to workers ([`assign_lanes`] — the same
-/// assignment [`Schedule::critical_path`] prices) and executed on scoped
-/// threads, every lane against a private [`LaneOverlay`] over the shared
-/// read-only state; lane write-sets are merged back in lane order (they are
-/// disjoint by construction) and receipts scattered to canonical block
-/// positions. Signature verdicts must be pre-decided — lanes never touch
-/// the signature cache, so cache mutation stays off the concurrent path.
+/// `tree`. Each parallel segment's lanes are deterministically assigned to
+/// workers ([`assign_lanes`] — the same assignment
+/// [`Schedule::critical_path`] prices) and executed through [`fan_out`],
+/// every lane against a private [`LaneOverlay`] over the shared read-only
+/// state; lane write-sets are merged back in lane order (they are disjoint
+/// by construction) and receipts scattered to canonical block positions.
+/// `verdicts` carries one pre-decided signature verdict per signed message
+/// — lanes never touch the signature cache, so cache mutation stays off
+/// the concurrent path.
 ///
-/// Produces bit-identical receipts, gas, and state roots to [`run_payload`]
-/// at every `parallelism`: within each dependency chain (lane, or serial
-/// barrier) messages execute in block order against exactly the state the
-/// sequential path would show them, because every account a lane reads or
-/// writes is untouched by all concurrently-running lanes.
-fn run_payload_scheduled<S: StateAccess + Sync>(
+/// The result equals applying the messages one after another in block
+/// order at every `parallelism`: within each dependency chain (lane, or
+/// serial barrier) messages execute in block order against exactly the
+/// state that loop would show them, because every account a lane reads or
+/// writes is untouched by all other lanes of its segment.
+fn execute_payload<S: StateAccess + Sync>(
     tree: &mut S,
     epoch: ChainEpoch,
     implicit: &[ImplicitMsg],
@@ -209,15 +151,16 @@ fn run_payload_scheduled<S: StateAccess + Sync>(
         match segment {
             Segment::Serial(idxs) => {
                 for &i in idxs {
-                    let verdict = SigVerdict::Decided(verdicts[i]);
-                    signed_receipts[i] = Some(apply_sealed(tree, epoch, &signed[i], verdict));
+                    signed_receipts[i] = Some(apply_sealed(tree, epoch, &signed[i], verdicts[i]));
                 }
             }
             Segment::Parallel(lanes) => {
+                // One item per worker: that worker's lanes, in the order
+                // `assign_lanes` dealt them.
                 let assignment = assign_lanes(lanes, parallelism);
                 let mut outcomes: Vec<LaneOutcome> = {
                     let base: &S = tree;
-                    let run_lanes = |lane_ids: &[usize]| -> Vec<LaneOutcome> {
+                    fan_out(&assignment, assignment.len(), |lane_ids| {
                         lane_ids
                             .iter()
                             .map(|&l| {
@@ -225,27 +168,16 @@ fn run_payload_scheduled<S: StateAccess + Sync>(
                                 let lane_receipts = lanes[l]
                                     .iter()
                                     .map(|&i| {
-                                        let verdict = SigVerdict::Decided(verdicts[i]);
-                                        apply_sealed(&mut overlay, epoch, &signed[i], verdict)
+                                        apply_sealed(&mut overlay, epoch, &signed[i], verdicts[i])
                                     })
                                     .collect();
                                 (l, lane_receipts, overlay.into_writes())
                             })
-                            .collect()
-                    };
-                    std::thread::scope(|scope| {
-                        // First worker on this thread, the rest spawned —
-                        // the same pattern as `preverify_signatures`.
-                        let pending: Vec<_> = assignment[1..]
-                            .iter()
-                            .map(|ids| scope.spawn(|| run_lanes(ids)))
-                            .collect();
-                        let mut out = run_lanes(&assignment[0]);
-                        for handle in pending {
-                            out.extend(handle.join().expect("lane worker panicked"));
-                        }
-                        out
+                            .collect::<Vec<LaneOutcome>>()
                     })
+                    .into_iter()
+                    .flatten()
+                    .collect()
                 };
                 // Merge in lane order. The write-sets are pairwise disjoint,
                 // so this order is cosmetic — but keeping it fixed makes the
@@ -268,68 +200,18 @@ fn run_payload_scheduled<S: StateAccess + Sync>(
     receipts
 }
 
-/// Dispatches the payload to the scheduled parallel engine
-/// (`parallelism > 1`) or the reference sequential path, consuming
-/// pre-decided signature verdicts either way.
-fn run_payload_with<S: StateAccess + Sync>(
-    tree: &mut S,
-    epoch: ChainEpoch,
-    implicit: &[ImplicitMsg],
-    signed: &[SealedMessage],
-    opts: ExecOptions<'_>,
-    verdicts: &[bool],
-) -> Vec<Receipt> {
-    if opts.parallelism > 1 {
-        run_payload_scheduled(tree, epoch, implicit, signed, verdicts, opts.parallelism)
-    } else {
-        run_payload(
-            tree,
-            epoch,
-            implicit,
-            signed,
-            opts.sig_cache,
-            Some(verdicts),
-        )
-    }
-}
-
 /// Produces a block at `epoch` on top of `parent`, executing the payload
 /// against `tree` (which is left at the post-block state) and sealing the
-/// result with the proposer's key. Uses the reference crypto path (no
-/// cache); see [`produce_block_with`].
+/// result with the proposer's key.
+///
+/// Signatures are batch pre-verified up front — across `opts.parallelism`
+/// threads, same as validation — and the payload then runs on the
+/// scheduled engine with the same worker count. With a signature cache,
+/// messages admitted through a cache-wired mempool execute without a second
+/// full verification (their verdicts were cached at admission), and the
+/// messages root reuses each message's memoized CID.
 // The argument list mirrors the block header fields one-to-one; a builder
 // would only obscure that correspondence.
-#[allow(clippy::too_many_arguments)]
-pub fn produce_block(
-    tree: &mut StateTree,
-    subnet: SubnetId,
-    epoch: ChainEpoch,
-    parent: Cid,
-    implicit_msgs: Vec<ImplicitMsg>,
-    signed_msgs: Vec<SealedMessage>,
-    proposer: &Keypair,
-    timestamp_ms: u64,
-) -> ExecutedBlock {
-    produce_block_with(
-        tree,
-        subnet,
-        epoch,
-        parent,
-        implicit_msgs,
-        signed_msgs,
-        proposer,
-        timestamp_ms,
-        ExecOptions::default(),
-    )
-}
-
-/// [`produce_block`] with crypto-pipeline and execution-engine options.
-/// With a signature cache, messages admitted through a cache-wired mempool
-/// execute without a second full verification (their verdicts were cached
-/// at admission), and the messages root reuses each message's memoized CID.
-/// Signatures are batch pre-verified up front — across `opts.parallelism`
-/// threads, same as validation — and with `parallelism > 1` the payload
-/// executes on the scheduled parallel engine.
 #[allow(clippy::too_many_arguments)]
 pub fn produce_block_with(
     tree: &mut StateTree,
@@ -343,7 +225,14 @@ pub fn produce_block_with(
     opts: ExecOptions<'_>,
 ) -> ExecutedBlock {
     let verdicts = preverify_signatures(&signed_msgs, opts.sig_cache, opts.parallelism);
-    let receipts = run_payload_with(tree, epoch, &implicit_msgs, &signed_msgs, opts, &verdicts);
+    let receipts = execute_payload(
+        tree,
+        epoch,
+        &implicit_msgs,
+        &signed_msgs,
+        &verdicts,
+        opts.parallelism,
+    );
     let header = BlockHeader {
         subnet,
         epoch,
@@ -357,31 +246,19 @@ pub fn produce_block_with(
     ExecutedBlock { block, receipts }
 }
 
-/// Validates and executes a received block against `tree`, on the reference
-/// crypto path (no cache, sequential verification); see
-/// [`execute_block_with`].
+/// Validates and executes a received block against `tree`: the block's
+/// signatures are batch pre-verified (across `opts.parallelism` threads,
+/// through the cache when one is wired), then the payload consumes the
+/// verdicts on the scheduled engine with the same worker count.
 ///
 /// On success the tree holds the post-block state and the receipts are
 /// returned. On failure the tree is left at the *pre-block* state.
 ///
 /// Execution runs on a copy-on-write [`StateOverlay`], not a clone of the
 /// tree: only the chunks the payload touches are materialised, and the
-/// candidate state root is derived from the base tree's cached Merkle
-/// commitment patched along the touched paths. A bad block therefore costs
+/// candidate state root is the fold of the base tree's cached leaf digests
+/// with the touched chunks' new ones. A bad block therefore costs
 /// O(touched), and never corrupts the canonical tree.
-///
-/// # Errors
-///
-/// Fails on structural violations, wrong subnet, or a state-root mismatch.
-pub fn execute_block(tree: &mut StateTree, block: &Block) -> Result<Vec<Receipt>, BlockError> {
-    execute_block_with(tree, block, ExecOptions::default())
-}
-
-/// [`execute_block`] with crypto-pipeline and execution-engine options: the
-/// block's signatures are batch pre-verified (across `opts.parallelism`
-/// threads, through the cache when one is wired), then the payload consumes
-/// the verdicts — sequentially at `parallelism <= 1`, or on the scheduled
-/// conflict-free parallel engine above that.
 ///
 /// # Errors
 ///
@@ -404,13 +281,13 @@ pub fn execute_block_with(
     // overlays derive candidate roots from it.
     tree.flush();
     let mut overlay = StateOverlay::new(tree);
-    let receipts = run_payload_with(
+    let receipts = execute_payload(
         &mut overlay,
         block.header.epoch,
         &block.implicit_msgs,
         &block.signed_msgs,
-        opts,
         &verdicts,
+        opts.parallelism,
     );
     // The candidate commitment is built once, here, and installed on
     // acceptance: the tree comes out committed at the header's root.
@@ -463,7 +340,7 @@ mod tests {
         let (mut proposer_tree, user, proposer) = setup();
         let mut validator_tree = proposer_tree.clone();
 
-        let executed = produce_block(
+        let executed = produce_block_with(
             &mut proposer_tree,
             SubnetId::root(),
             ChainEpoch::new(1),
@@ -472,11 +349,14 @@ mod tests {
             vec![transfer(&user, 0), transfer(&user, 1)],
             &proposer,
             1_000,
+            ExecOptions::default(),
         );
         assert!(executed.receipts.iter().all(|r| r.exit.is_ok()));
         assert!(executed.gas_used() > 0);
 
-        let receipts = execute_block(&mut validator_tree, &executed.block).unwrap();
+        let receipts =
+            execute_block_with(&mut validator_tree, &executed.block, ExecOptions::default())
+                .unwrap();
         assert_eq!(receipts.len(), 2);
         // Validation installs the candidate commitment it checked against
         // the header: the tree is committed and the next flush is free.
@@ -506,7 +386,7 @@ mod tests {
         }
 
         let mut reference_tree = base.clone();
-        let reference = produce_block(
+        let reference = produce_block_with(
             &mut reference_tree,
             SubnetId::root(),
             ChainEpoch::new(1),
@@ -515,6 +395,7 @@ mod tests {
             msgs.clone(),
             &proposer,
             1_000,
+            ExecOptions::default(),
         );
 
         let mut cached_tree = base.clone();
@@ -557,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_production_is_bit_identical_to_sequential() {
+    fn production_and_validation_are_bit_identical_at_every_worker_count() {
         use hc_state::Method;
 
         let proposer = Keypair::from_seed([0xe2; 32]);
@@ -610,7 +491,7 @@ mod tests {
         msgs.push(send(7, 221, 0, &users[0]));
 
         let mut reference_tree = base.clone();
-        let reference = produce_block(
+        let reference = produce_block_with(
             &mut reference_tree,
             SubnetId::root(),
             ChainEpoch::new(1),
@@ -619,6 +500,7 @@ mod tests {
             msgs.clone(),
             &proposer,
             1_000,
+            ExecOptions::default(),
         );
         let failures = reference
             .receipts
@@ -661,7 +543,7 @@ mod tests {
         let mut validator_tree = proposer_tree.clone();
         let pre_root = validator_tree.flush();
 
-        let mut executed = produce_block(
+        let mut executed = produce_block_with(
             &mut proposer_tree,
             SubnetId::root(),
             ChainEpoch::new(1),
@@ -670,6 +552,7 @@ mod tests {
             vec![transfer(&user, 0)],
             &proposer,
             1_000,
+            ExecOptions::default(),
         );
         // A lying proposer commits a bogus state root. Re-seal so the
         // structural checks pass and only the root check fires.
@@ -681,7 +564,8 @@ mod tests {
             &proposer,
         );
 
-        let err = execute_block(&mut validator_tree, &resealed).unwrap_err();
+        let err =
+            execute_block_with(&mut validator_tree, &resealed, ExecOptions::default()).unwrap_err();
         assert!(matches!(err, BlockError::StateRootMismatch { .. }));
         assert_eq!(validator_tree.flush(), pre_root, "state untouched");
     }
@@ -694,7 +578,7 @@ mod tests {
             ScaConfig::default(),
             [],
         );
-        let executed = produce_block(
+        let executed = produce_block_with(
             &mut other,
             SubnetId::root().child(Address::new(9)),
             ChainEpoch::new(1),
@@ -703,9 +587,10 @@ mod tests {
             vec![],
             &proposer,
             0,
+            ExecOptions::default(),
         );
         assert!(matches!(
-            execute_block(&mut tree, &executed.block),
+            execute_block_with(&mut tree, &executed.block, ExecOptions::default()),
             Err(BlockError::WrongContext(_))
         ));
     }
@@ -716,7 +601,7 @@ mod tests {
         // identically (the rejection is deterministic).
         let (mut proposer_tree, user, proposer) = setup();
         let mut validator_tree = proposer_tree.clone();
-        let executed = produce_block(
+        let executed = produce_block_with(
             &mut proposer_tree,
             SubnetId::root(),
             ChainEpoch::new(1),
@@ -725,9 +610,10 @@ mod tests {
             vec![transfer(&user, 5)], // wrong nonce
             &proposer,
             1_000,
+            ExecOptions::default(),
         );
         assert!(!executed.receipts[0].exit.is_ok());
-        execute_block(&mut validator_tree, &executed.block).unwrap();
+        execute_block_with(&mut validator_tree, &executed.block, ExecOptions::default()).unwrap();
         assert_eq!(validator_tree.flush(), proposer_tree.flush());
     }
 }

@@ -13,7 +13,8 @@
 //! * [`executor`] — block production and validation against an
 //!   `hc-state` [`StateTree`](hc_state::StateTree);
 //! * [`schedule`] — deterministic access-set scheduling that partitions a
-//!   block's messages into conflict-free lanes for parallel execution.
+//!   block's messages into conflict-free lanes, and [`fan_out`], the one
+//!   place work is laid on worker threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,9 +27,9 @@ pub mod store;
 
 pub use block::{Block, BlockHeader};
 pub use executor::{
-    execute_block, execute_block_with, preverify_signatures, produce_block, produce_block_with,
-    BlockError, ExecOptions, ExecutedBlock,
+    execute_block_with, preverify_signatures, produce_block_with, BlockError, ExecOptions,
+    ExecutedBlock,
 };
 pub use mempool::{CrossMsgPool, Mempool, MempoolConfig, MempoolStats, PushOutcome};
-pub use schedule::{Schedule, ScheduleStats, Segment};
+pub use schedule::{fan_out, Schedule, ScheduleStats, Segment};
 pub use store::ChainStore;

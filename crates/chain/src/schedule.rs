@@ -205,6 +205,49 @@ pub(crate) fn assign_lanes(lanes: &[Vec<usize>], parallelism: usize) -> Vec<Vec<
     assignment
 }
 
+/// Maps `work` over `items` on up to `workers` threads and returns the
+/// results in item order — the one fan-out behind signature
+/// pre-verification, lane execution and `hc-core`'s block waves.
+///
+/// Items are cut into at most `workers` contiguous chunks of equal length
+/// (the last may be shorter). The caller's thread keeps the first chunk and
+/// scoped threads take the rest, so a single chunk — one worker, or a
+/// single item — spawns nothing and is a plain sequential map. Which thread
+/// runs an item never shows in the result.
+///
+/// # Panics
+///
+/// Panics if `work` panics on any thread.
+pub fn fan_out<T, R, I, F>(items: I, workers: usize, work: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: IntoIterator<Item = T>,
+    I::IntoIter: ExactSizeIterator,
+    F: Fn(T) -> R + Sync,
+{
+    let mut items = items.into_iter();
+    let len = items.len();
+    let chunk_len = len.div_ceil(workers.clamp(1, len.max(1)));
+    let mut chunks = std::iter::from_fn(|| {
+        let chunk: Vec<T> = items.by_ref().take(chunk_len).collect();
+        (!chunk.is_empty()).then_some(chunk)
+    });
+    let work = &work;
+    std::thread::scope(|scope| {
+        let first = chunks.next().unwrap_or_default();
+        let spawned: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || chunk.into_iter().map(work).collect::<Vec<R>>()))
+            .collect();
+        let mut results = Vec::with_capacity(len);
+        results.extend(first.into_iter().map(work));
+        for handle in spawned {
+            results.extend(handle.join().expect("fan_out worker panicked"));
+        }
+        results
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,6 +350,36 @@ mod tests {
         assert_eq!(assign_lanes(&lanes, 2), a);
         // More workers than lanes: one lane each.
         assert_eq!(assign_lanes(&lanes, 16).len(), 4);
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_at_every_worker_count() {
+        let doubled: Vec<u32> = (0..10).map(|x| x * 2).collect();
+        for workers in [0, 1, 2, 3, 10, 64] {
+            assert_eq!(fan_out(0..10u32, workers, |x| x * 2), doubled);
+        }
+        assert!(fan_out(0..0u32, 4, |x| x).is_empty());
+        // Items may be exclusive borrows: each is handed to one worker.
+        let mut cells = vec![1u32; 7];
+        fan_out(&mut cells, 3, |c| *c += 1);
+        assert_eq!(cells, vec![2; 7]);
+    }
+
+    #[test]
+    fn fan_out_chunks_contiguously_and_keeps_the_first_chunk_on_the_caller() {
+        let here = std::thread::current().id();
+        // One worker: nothing is spawned.
+        let ids = fan_out(0..8, 1, |_| std::thread::current().id());
+        assert!(ids.iter().all(|id| *id == here));
+        // Four workers over eight items: contiguous pairs, the first pair
+        // on this thread, the other three on a thread each.
+        let ids = fan_out(0..8, 4, |_| std::thread::current().id());
+        for pair in ids.chunks(2) {
+            assert_eq!(pair[0], pair[1]);
+        }
+        assert_eq!(ids[0], here);
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 4);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use hc_actors::ScaConfig;
-use hc_chain::{execute_block, produce_block, Block, ChainStore, Mempool};
+use hc_chain::{execute_block_with, produce_block_with, Block, ChainStore, ExecOptions, Mempool};
 use hc_state::{Message, Method, SealedMessage, SignedMessage, StateTree};
 use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
@@ -99,7 +99,7 @@ proptest! {
             })
             .collect();
 
-        let executed = produce_block(
+        let executed = produce_block_with(
             &mut producer_tree,
             SubnetId::root(),
             ChainEpoch::new(1),
@@ -108,6 +108,7 @@ proptest! {
             msgs,
             &proposer,
             1_000,
+            ExecOptions::default(),
         );
 
         if corrupt {
@@ -119,10 +120,10 @@ proptest! {
                 bad.implicit_msgs.clone(),
                 &proposer,
             );
-            prop_assert!(execute_block(&mut validator_tree, &resealed).is_err());
+            prop_assert!(execute_block_with(&mut validator_tree, &resealed, ExecOptions::default()).is_err());
             prop_assert_eq!(validator_tree.flush(), genesis().flush());
         } else {
-            let receipts = execute_block(&mut validator_tree, &executed.block).unwrap();
+            let receipts = execute_block_with(&mut validator_tree, &executed.block, ExecOptions::default()).unwrap();
             prop_assert_eq!(receipts.len(), schedule.len());
             prop_assert_eq!(validator_tree.flush(), producer_tree.flush());
             // Supply conserved through any transfer schedule.

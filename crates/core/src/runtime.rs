@@ -8,7 +8,8 @@ use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, HcAddress, ScaConfig};
 use hc_chain::{
-    execute_block_with, produce_block_with, Block, ExecOptions, MempoolConfig, MempoolStats,
+    execute_block_with, fan_out, produce_block_with, Block, ExecOptions, MempoolConfig,
+    MempoolStats,
 };
 use hc_consensus::{EngineParams, ValidatorSet};
 use hc_net::{NetConfig, Network, PullDecision, ResolutionMsg, ResolverStats, RetryPolicy};
@@ -73,14 +74,14 @@ pub struct RuntimeConfig {
     /// so destinations learn of pending payments immediately
     /// (the §IV-A acceleration).
     pub certificates_enabled: bool,
-    /// Worker threads, used three ways: subnets due in the same
-    /// [`HierarchyRuntime::step_wave`] produce their blocks concurrently,
-    /// each block's signatures are batch pre-verified across this many
-    /// threads, and — above `1` — block payloads execute on the
-    /// conflict-aware parallel engine (`hc-chain`'s access-set schedule:
-    /// disjoint lanes on worker threads, system-touching messages serial).
-    /// `1` (the default) keeps everything on the caller's thread; receipts,
-    /// gas, and state roots are bit-identical at every setting.
+    /// Worker threads, the size of three fan-outs ([`hc_chain::fan_out`]):
+    /// subnets due in the same [`HierarchyRuntime::step_wave`] produce
+    /// their blocks concurrently, each block's signatures are batch
+    /// pre-verified, and the lanes of each block's access-set schedule
+    /// execute concurrently (system-touching messages stay serial). `1`
+    /// (the default) keeps everything on the caller's thread — the same
+    /// code with nothing spawned; receipts, gas, and state roots are
+    /// bit-identical at every setting.
     pub parallelism: usize,
     /// Capacity of each node's verified-signature cache (entries). The
     /// cache memoizes `(signer, message CID, signature)` triples whose
@@ -1651,8 +1652,9 @@ impl HierarchyRuntime {
     ///    routing, registry pruning.
     ///
     /// Phase (a) touches no shared state (each node owns its private
-    /// randomness stream), so the result is bit-identical at every
-    /// `parallelism` setting, including `1`.
+    /// randomness stream) and is laid on the workers by
+    /// [`hc_chain::fan_out`], so the result is bit-identical at every
+    /// `parallelism` setting.
     ///
     /// # Errors
     ///
@@ -1678,44 +1680,10 @@ impl HierarchyRuntime {
                 .ok_or_else(|| RuntimeError::UnknownSubnet(subnet.clone()))?;
             entries.push((node, *at_ms));
         }
-        let workers = self.config.parallelism.max(1).min(entries.len().max(1));
         let config = &self.config;
-        let outcomes: Vec<Result<LocalOutcome, RuntimeError>> = if workers > 1 {
-            let chunk_len = entries.len().div_ceil(workers);
-            let mut collected = Vec::with_capacity(entries.len());
-            std::thread::scope(|scope| {
-                // The first chunk runs on the calling thread — one fewer
-                // spawn per wave, and at `workers == 2` half the overhead.
-                let mut chunks = entries.chunks_mut(chunk_len);
-                let inline = chunks.next();
-                let handles: Vec<_> = chunks
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .map(|(node, at_ms)| Self::produce_local(node, config, *at_ms))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                if let Some(chunk) = inline {
-                    collected.extend(
-                        chunk
-                            .iter_mut()
-                            .map(|(node, at_ms)| Self::produce_local(node, config, *at_ms)),
-                    );
-                }
-                for handle in handles {
-                    collected.extend(handle.join().expect("wave worker panicked"));
-                }
-            });
-            collected
-        } else {
-            entries
-                .iter_mut()
-                .map(|(node, at_ms)| Self::produce_local(node, config, *at_ms))
-                .collect()
-        };
+        let outcomes = fan_out(&mut entries, config.parallelism, |(node, at_ms)| {
+            Self::produce_local(node, config, *at_ms)
+        });
         // Reinsert every node before surfacing any error so a failed wave
         // never loses subnets from the hierarchy.
         for (node, _) in entries {

@@ -9,10 +9,10 @@
 
 use hc_core::RuntimeError;
 use hc_types::SubnetId;
+use hc_workload::ClosedBatch;
 
 use crate::table::{f2, Table};
 use crate::topology::TopologyBuilder;
-use crate::workload::Workload;
 
 /// E10 parameters.
 #[derive(Debug, Clone)]
@@ -72,13 +72,14 @@ pub fn e10_run(params: &E10Params) -> Result<Vec<E10Row>, RuntimeError> {
             .unwrap()
             .stats()
             .checkpoints_committed;
-        let report = Workload {
+        let subnets = topo.all_subnets();
+        let report = ClosedBatch {
             msgs_per_subnet: params.msgs_per_subnet,
             cross_ratio: ratio,
             seed: params.seed,
-            ..Workload::default()
+            ..ClosedBatch::default()
         }
-        .run(&mut topo)?;
+        .run(&mut topo.rt, &subnets, &topo.users)?;
         let ckpts_after = topo
             .rt
             .node(&SubnetId::root())

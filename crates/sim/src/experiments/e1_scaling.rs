@@ -7,10 +7,10 @@
 //! total load* stays capped at one chain's capacity.
 
 use hc_core::RuntimeError;
+use hc_workload::ClosedBatch;
 
 use crate::table::{f2, Table};
 use crate::topology::TopologyBuilder;
-use crate::workload::Workload;
 
 /// E1 parameters.
 #[derive(Debug, Clone)]
@@ -86,24 +86,25 @@ pub fn e1_run(params: &E1Params) -> Result<Vec<E1Row>, RuntimeError> {
             .flat(n)?;
         // Remove the root's users from the load by zeroing its user list.
         topo.users.remove(&hc_types::SubnetId::root());
-        let report = Workload {
+        let subnets = topo.all_subnets();
+        let report = ClosedBatch {
             msgs_per_subnet: params.msgs_per_subnet,
             seed: params.seed,
-            ..Workload::default()
+            ..ClosedBatch::default()
         }
-        .run(&mut topo)?;
+        .run(&mut topo.rt, &subnets, &topo.users)?;
 
         // Baseline: the same total load (n × msgs) on the rootnet alone.
         let mut base = TopologyBuilder::new()
             .users_per_subnet(params.users_per_subnet)
             .runtime_config(config)
             .flat(0)?;
-        let base_report = Workload {
+        let base_report = ClosedBatch {
             msgs_per_subnet: params.msgs_per_subnet * n,
             seed: params.seed,
-            ..Workload::default()
+            ..ClosedBatch::default()
         }
-        .run(&mut base)?;
+        .run(&mut base.rt, &[hc_types::SubnetId::root()], &base.users)?;
 
         rows.push(E1Row {
             subnets: n,

@@ -8,10 +8,10 @@
 
 use hc_core::RuntimeError;
 use hc_types::SubnetId;
+use hc_workload::ClosedBatch;
 
 use crate::table::{f2, Table};
 use crate::topology::TopologyBuilder;
-use crate::workload::Workload;
 
 /// E3 parameters.
 #[derive(Debug, Clone)]
@@ -70,12 +70,12 @@ pub fn e3_run(params: &E3Params) -> Result<Vec<E3Row>, RuntimeError> {
                 .flat(children)?;
             // Internal-only load inside the children.
             topo.users.remove(&SubnetId::root());
-            Workload {
+            let subnets = topo.all_subnets();
+            ClosedBatch {
                 msgs_per_subnet: params.internal_msgs,
-                cross_ratio: 0.0,
-                ..Workload::default()
+                ..ClosedBatch::default()
             }
-            .run(&mut topo)?;
+            .run(&mut topo.rt, &subnets, &topo.users)?;
 
             let root_before = topo.rt.node(&SubnetId::root()).unwrap().stats();
             let t0 = topo.rt.now_ms();

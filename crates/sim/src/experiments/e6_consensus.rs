@@ -10,10 +10,10 @@
 use hc_actors::sa::ConsensusKind;
 use hc_core::RuntimeError;
 use hc_types::SubnetId;
+use hc_workload::ClosedBatch;
 
 use crate::table::{f2, Table};
 use crate::topology::TopologyBuilder;
-use crate::workload::Workload;
 
 /// E6 parameters.
 #[derive(Debug, Clone)]
@@ -102,12 +102,13 @@ pub fn e6_run(params: &E6Params) -> Result<Vec<E6Row>, RuntimeError> {
             )?;
         }
         topo.users.remove(&SubnetId::root());
-        let report = Workload {
+        let subnets = topo.all_subnets();
+        let report = ClosedBatch {
             msgs_per_subnet: params.msgs,
             seed: 21,
-            ..Workload::default()
+            ..ClosedBatch::default()
         }
-        .run(&mut topo)?;
+        .run(&mut topo.rt, &subnets, &topo.users)?;
 
         let node = topo.rt.node(&topo.subnets[0]).unwrap();
         let stats = node.stats();

@@ -5,8 +5,6 @@
 //!
 //! * [`topology`] — hierarchy builders (flat sibling sets, deep chains,
 //!   trees), pre-funded with users.
-//! * [`workload`] — seeded traffic generators mixing intra-subnet and
-//!   cross-net transfers (a thin shim over the `hc-workload` crate).
 //! * [`metrics`] — virtual-time throughput/latency measurement helpers.
 //! * [`experiments`] — the E1–E10 experiment drivers from DESIGN.md, each
 //!   returning printable rows; the `hc-bench` crate wraps them in Criterion
@@ -24,9 +22,7 @@ pub mod experiments;
 pub mod metrics;
 pub mod table;
 pub mod topology;
-pub mod workload;
 
 pub use metrics::{measure_delivery, DeliveryMeasurement};
 pub use table::Table;
 pub use topology::{FlatTopology, TopologyBuilder};
-pub use workload::{Workload, WorkloadReport};

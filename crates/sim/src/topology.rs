@@ -69,9 +69,9 @@ impl TopologyBuilder {
         self
     }
 
-    /// Worker threads for wave-parallel block production
-    /// ([`HierarchyRuntime::step_wave`]); `1` keeps the runtime fully
-    /// sequential.
+    /// Worker threads for waves, signature batches and execution lanes
+    /// ([`hc_core::RuntimeConfig::parallelism`]); `1` keeps everything on
+    /// the calling thread.
     pub fn parallelism(&mut self, threads: usize) -> &mut Self {
         self.config.parallelism = threads.max(1);
         self

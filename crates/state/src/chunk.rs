@@ -152,10 +152,9 @@ pub(crate) struct Commitment {
     /// invalidates only its O(log n) root path; the next flush re-hashes
     /// exactly those nodes.
     pub(crate) accounts_hamt: Hamt<Address, AccountState>,
-    /// Leaf digest per chunk, keyed in canonical order.
+    /// Leaf digest per chunk, keyed in canonical order: a chunk's leaf
+    /// index is its position here.
     pub(crate) digests: BTreeMap<ChunkKey, Cid>,
-    /// Ordered mirror of `digests` keys: leaf index = position here.
-    pub(crate) keys: Vec<ChunkKey>,
     /// Merkle tree over the ordered digests.
     pub(crate) merkle: MerkleTree,
     /// Non-account chunks dirtied since the last flush (account dirt is
@@ -171,42 +170,15 @@ pub(crate) struct Commitment {
 }
 
 impl Commitment {
-    /// Leaf index of `key`, if committed.
-    pub(crate) fn index_of(&self, key: &ChunkKey) -> Option<usize> {
-        self.keys.binary_search(key).ok()
-    }
-
-    /// Folds freshly computed leaf digests into the commitment: unchanged
-    /// digests (over-marked chunks) cost nothing, changed ones re-hash only
-    /// their Merkle root paths, and a changed leaf *set* — a new chunk, or
-    /// `removed` ones the caller already dropped from `digests` — rebuilds
-    /// the node levels from the cached digests (no chunk re-encoding).
-    pub(crate) fn install_digests(
-        &mut self,
-        changed: impl IntoIterator<Item = (ChunkKey, Cid)>,
-        removed: bool,
-    ) {
-        let mut structural = removed;
-        let mut patches: Vec<(usize, Cid)> = Vec::new();
-        for (key, digest) in changed {
-            match self.digests.insert(key, digest) {
-                Some(old) if old == digest => {}
-                Some(_) => {
-                    let idx = self
-                        .index_of(&key)
-                        .expect("committed chunk has a leaf index");
-                    patches.push((idx, digest));
-                }
-                None => structural = true,
-            }
-        }
-        if structural {
-            self.keys = self.digests.keys().copied().collect();
-            self.merkle = MerkleTree::from_leaf_hashes(self.digests.values().copied().collect());
-            self.stats.bytes_hashed += self.merkle.interior_hash_bytes();
-        } else if !patches.is_empty() {
-            self.stats.bytes_hashed += self.merkle.update_leaves(&patches);
-        }
+    /// Folds freshly computed leaf digests into the commitment. The leaf
+    /// layer is a handful of digests (six plus one per Subnet Actor), so
+    /// the Merkle tree over it is simply rebuilt from the cached digests —
+    /// whether leaves moved, appeared, or were dropped from `digests` by
+    /// the caller. No chunk is re-encoded.
+    pub(crate) fn install_digests(&mut self, changed: impl IntoIterator<Item = (ChunkKey, Cid)>) {
+        self.digests.extend(changed);
+        self.merkle = MerkleTree::from_leaf_hashes(self.digests.values().copied().collect());
+        self.stats.bytes_hashed += self.merkle.interior_hash_bytes();
     }
 }
 

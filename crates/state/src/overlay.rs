@@ -6,9 +6,9 @@
 //! cloning the whole [`StateTree`] per block (O(state)). A
 //! [`StateOverlay`] instead borrows the base tree read-only and
 //! materialises only the chunks execution actually touches; the candidate
-//! root is derived from the base's cached Merkle commitment plus the
-//! touched-chunk digests ([`hc_types::merkle::MerkleTree::root_with_patches`]),
-//! so validation costs O(touched · log n).
+//! root is the Merkle fold of the base's cached leaf digests with the
+//! touched chunks' new ones, so validation costs O(touched · log n) in the
+//! account HAMT plus a fixed handful of leaf-layer combines.
 //!
 //! [`StateOverlay::into_changes`] yields the touched chunks together with
 //! the candidate commitment built for them — leaf digests, the re-hashed
@@ -237,14 +237,10 @@ impl<'a> StateOverlay<'a> {
     /// Touched accounts are folded into a copy-on-write clone of the base's
     /// account HAMT and appended registry entries into a clone of its AMT
     /// log (cloning is O(1); only the touched root paths are re-hashed),
-    /// yielding the candidate accounts and registry leaves. When only
-    /// existing chunks were rewritten — account writes, *created* accounts
-    /// and registry appends included, since they only move their
-    /// indirection leaf — the root comes from patching the base's Merkle
-    /// tree along the touched paths (O(touched·log n)). Only new fixed
-    /// chunks (deployed SAs) change the leaf set and rebuild the node
-    /// levels from cached digests — still without re-encoding any
-    /// untouched chunk.
+    /// yielding the candidate accounts and registry leaves. The root is the
+    /// Merkle fold of the base's cached leaf digests overridden by the
+    /// rewritten chunks' new ones — the same fold whether leaves moved or a
+    /// deployed SA added one — without re-encoding any untouched chunk.
     fn candidate(&self) -> Candidate {
         fn blob<T: CanonicalEncode + ?Sized>(key: ChunkKey, content: &T) -> Vec<u8> {
             let mut out = key.canonical_bytes();
@@ -302,28 +298,14 @@ impl<'a> StateOverlay<'a> {
             }
         }
 
-        let structural = digests.keys().any(|k| !base.digests.contains_key(k));
         let root = if digests.is_empty() {
             base.merkle.root()
-        } else if structural {
+        } else {
             let mut all = base.digests.clone();
             all.extend(digests.iter().map(|(k, d)| (*k, *d)));
             let merkle = MerkleTree::from_leaf_hashes(all.into_values().collect());
             work.bytes_hashed += merkle.interior_hash_bytes();
             merkle.root()
-        } else {
-            let patches: BTreeMap<usize, Cid> = digests
-                .iter()
-                .map(|(k, d)| {
-                    let idx = base
-                        .index_of(k)
-                        .expect("non-structural chunk has a leaf index");
-                    (idx, *d)
-                })
-                .collect();
-            let (root, bytes) = base.merkle.root_with_patches(&patches);
-            work.bytes_hashed += bytes;
-            root
         };
         Candidate {
             root,

@@ -190,7 +190,7 @@ mod tests {
     use super::*;
     use crate::tree::StateTree;
     use crate::vm::apply_sealed;
-    use crate::{SealedMessage, SigVerdict};
+    use crate::SealedMessage;
     use hc_actors::ScaConfig;
     use hc_types::{ChainEpoch, Keypair, Nonce};
 
@@ -246,11 +246,11 @@ mod tests {
         .sign(&kp)
         .into();
 
-        let direct_receipt =
-            apply_sealed(&mut direct, ChainEpoch::new(1), &sealed, SigVerdict::Verify);
+        let sig_ok = sealed.verify_signature();
+        let direct_receipt = apply_sealed(&mut direct, ChainEpoch::new(1), &sealed, sig_ok);
 
         let mut lane = LaneOverlay::new(&base);
-        let lane_receipt = apply_sealed(&mut lane, ChainEpoch::new(1), &sealed, SigVerdict::Verify);
+        let lane_receipt = apply_sealed(&mut lane, ChainEpoch::new(1), &sealed, sig_ok);
         assert_eq!(lane_receipt, direct_receipt);
         // Base untouched until the merge.
         assert_eq!(

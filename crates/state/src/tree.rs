@@ -190,16 +190,6 @@ impl Ledger for Accounts {
     }
 }
 
-impl CanonicalEncode for Accounts {
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        (self.map.len() as u64).write_bytes(out);
-        for (addr, acc) in &self.map {
-            addr.write_bytes(out);
-            acc.write_bytes(out);
-        }
-    }
-}
-
 /// The full state of one subnet chain.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StateTree {
@@ -347,8 +337,8 @@ impl StateTree {
     /// Computes the state root incrementally: only chunks dirtied since the
     /// last flush are re-encoded and re-hashed, touched accounts re-hash
     /// only their O(log n) HAMT root paths, registry appends only the
-    /// AMT's rightmost path, and only the affected Merkle root paths are
-    /// recombined. The first flush (or the first after
+    /// AMT's rightmost path, and the small leaf layer is folded again from
+    /// the cached digests. The first flush (or the first after
     /// [`StateTree::rebuilt`]) builds the full commitment.
     pub fn flush(&mut self) -> Cid {
         self.commitment.stats.flushes += 1;
@@ -389,15 +379,14 @@ impl StateTree {
             self.commitment.stats.bytes_hashed += work.bytes;
         }
         let mut changed: Vec<(ChunkKey, Cid)> = Vec::new();
-        let mut removed = false;
         for key in &dirty {
             let present = match key {
                 ChunkKey::Sa(a) => self.sas.contains_key(a),
                 _ => true,
             };
             if !present {
-                // A dirtied chunk that no longer exists: structural change.
-                removed |= self.commitment.digests.remove(key).is_some();
+                // A dirtied chunk that no longer exists: its leaf goes.
+                self.commitment.digests.remove(key);
                 continue;
             }
             let blob = self.chunk_blob(key);
@@ -405,7 +394,7 @@ impl StateTree {
             self.commitment.stats.bytes_hashed += blob.len() as u64 + 1; // + leaf tag
             changed.push((*key, leaf_digest(&blob)));
         }
-        self.commitment.install_digests(changed, removed);
+        self.commitment.install_digests(changed);
         self.commitment.merkle.root()
     }
 
@@ -436,7 +425,6 @@ impl StateTree {
         c.stats.bytes_hashed += bytes;
         c.built = true;
         c.digests = digests;
-        c.keys = keys;
         c.merkle = merkle;
         c.dirty.clear();
         c.merkle.root()
@@ -558,7 +546,7 @@ impl StateTree {
         // chunks to (re)write are remembered by their position in it.
         let mut blobs: Vec<Vec<u8>> = Vec::new();
         let mut fixed: Vec<(ChunkKey, Cid, Result<Cid, usize>)> = Vec::new();
-        for key in &self.commitment.keys {
+        for key in self.commitment.digests.keys() {
             if matches!(key, ChunkKey::Accounts | ChunkKey::Registry) {
                 continue;
             }
@@ -611,7 +599,11 @@ impl StateTree {
         }
         let hamt = self.commitment.accounts_hamt.prove(&addr)?;
         let accounts_root = self.commitment.accounts_hamt.cached_root()?;
-        let leaf_index = self.commitment.index_of(&ChunkKey::Accounts)?;
+        let leaf_index = self
+            .commitment
+            .digests
+            .keys()
+            .position(|k| *k == ChunkKey::Accounts)?;
         let merkle = self.commitment.merkle.prove(leaf_index)?;
         Some(AccountProof {
             accounts_root,
@@ -622,10 +614,10 @@ impl StateTree {
 
     /// Applies the changes captured by a [`crate::StateOverlay`] built on
     /// this tree, together with the candidate commitment the overlay built
-    /// for them: content, leaf digests, the re-hashed HAMT/AMT clones and
-    /// the patched Merkle paths are all installed, so nothing is hashed
-    /// twice and the tree is left [`StateTree::is_committed`] at
-    /// [`OverlayChanges::root`].
+    /// for them: content, leaf digests and the re-hashed HAMT/AMT clones
+    /// are all installed, so no chunk or node is hashed twice (only the
+    /// few-leaf Merkle fold is repeated) and the tree is left
+    /// [`StateTree::is_committed`] at [`OverlayChanges::root`].
     pub fn apply_changes(&mut self, changes: OverlayChanges) {
         let stats = &mut self.commitment.stats;
         stats.overlay_read_hits += changes.read_stats.hits;
@@ -654,7 +646,7 @@ impl StateTree {
         if let Some(next) = changes.next_actor_id {
             self.next_actor_id = next;
         }
-        self.commitment.install_digests(candidate.digests, false);
+        self.commitment.install_digests(candidate.digests);
     }
 
     /// Gross token supply of the subnet (every account, including escrow
@@ -688,25 +680,6 @@ impl AccountProof {
             && self
                 .merkle
                 .verify_leaf_bytes(&accounts_leaf_blob(&self.accounts_root), state_root)
-    }
-}
-
-/// The monolithic canonical encoding of the whole tree, kept for
-/// determinism audits (two equal-content trees encode identically). The
-/// state root is *not* derived from this since the chunked commitment —
-/// see [`StateTree::flush`].
-impl CanonicalEncode for StateTree {
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        self.subnet_id.write_bytes(out);
-        self.accounts.write_bytes(out);
-        self.sca.write_bytes(out);
-        (self.sas.len() as u64).write_bytes(out);
-        for (addr, sa) in &self.sas {
-            addr.write_bytes(out);
-            sa.write_bytes(out);
-        }
-        self.atomic.write_bytes(out);
-        self.next_actor_id.write_bytes(out);
     }
 }
 
@@ -878,7 +851,7 @@ mod tests {
     }
 
     #[test]
-    fn over_marking_does_not_change_root_or_rehash_merkle() {
+    fn over_marking_does_not_change_root_and_costs_only_the_leaf_fold() {
         let mut t = tree();
         let r0 = t.flush();
         // Touch accessors without changing content.
@@ -887,11 +860,11 @@ mod tests {
         t.accounts_mut().get_or_create(Address::new(100));
         let before = t.commit_stats().bytes_hashed;
         assert_eq!(t.flush(), r0, "unchanged content keeps its root");
-        // Chunks were re-encoded (dirty) and the touched account's HAMT
-        // path was re-hashed, but no interior Merkle rehash happened
-        // because every digest was unchanged. The single-account genesis
-        // HAMT is one node, so the invalidated path is exactly that node —
-        // reproduced here to pin the expected hash work.
+        // Chunks were re-encoded (dirty), the touched account's HAMT path
+        // was re-hashed, and the five-leaf layer was folded again. The
+        // single-account genesis HAMT is one node, so the invalidated
+        // path is exactly that node — reproduced here to pin the expected
+        // hash work.
         let hashed = t.commit_stats().bytes_hashed - before;
         let mut twin = crate::hamt::Hamt::new();
         twin.set(
@@ -905,7 +878,7 @@ mod tests {
             + t.chunk_blob(&ChunkKey::Accounts).len() as u64
             + 3
             + work.bytes;
-        assert_eq!(hashed, chunk_bytes);
+        assert_eq!(hashed, chunk_bytes + 4 * hc_types::merkle::NODE_HASH_BYTES);
     }
 
     #[test]

@@ -28,7 +28,6 @@ use crate::params::{
     METHOD_ATOMIC_INIT, METHOD_ATOMIC_SUBMIT,
 };
 use crate::sealed::SealedMessage;
-use crate::sigcache::SigCache;
 
 /// Outcome class of a message application.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -222,26 +221,6 @@ pub mod gas {
     pub const ATOMIC: u64 = 1_500;
 }
 
-/// How the signature of a sealed message is decided by
-/// [`apply_sealed`].
-///
-/// Every variant resolves to the same boolean a full verification would
-/// produce — the cache only stores verdicts that passed full verification
-/// on the exact `(signer, msg_cid, tag)` triple, and pre-computed verdicts
-/// come from batch pre-verification of the same messages — so receipts are
-/// bit-identical across variants.
-#[derive(Debug, Clone, Copy)]
-pub enum SigVerdict<'a> {
-    /// Fully verify the signature (the uncached reference path).
-    Verify,
-    /// Consult the verified-signature cache; a miss falls through to full
-    /// verification (and populates the cache on success).
-    Cached(&'a SigCache),
-    /// The caller already decided — e.g. by wave-parallel batch
-    /// pre-verification of a block's messages.
-    Decided(bool),
-}
-
 /// Applies a signed user message to the tree at `epoch`.
 ///
 /// Authentication: the sender account must exist with a registered key,
@@ -262,26 +241,24 @@ pub fn apply_signed<S: StateAccess>(
     )
 }
 
-/// Applies a sealed user message, with the signature verdict supplied per
-/// `verdict`. Semantically identical to [`apply_signed`] on the underlying
-/// message; the sealed form reuses the memoized message CID and lets the
-/// crypto pipeline skip redundant verifications.
+/// Applies a sealed user message whose signature verdict `sig_ok` the
+/// caller already decided (batch pre-verification of the block's messages,
+/// through the verified-signature cache when one is wired). Semantically
+/// identical to [`apply_signed`] on the underlying message — `sig_ok` must
+/// be the boolean a full verification would produce — while reusing the
+/// memoized message CID and keeping signature work off the execution path.
 pub fn apply_sealed<S: StateAccess>(
     tree: &mut S,
     epoch: ChainEpoch,
     sealed: &SealedMessage,
-    verdict: SigVerdict<'_>,
+    sig_ok: bool,
 ) -> Receipt {
     apply_authenticated(
         tree,
         epoch,
         sealed.message(),
         sealed.signature().signer(),
-        || match verdict {
-            SigVerdict::Verify => sealed.verify_signature(),
-            SigVerdict::Cached(cache) => cache.verify_sealed(sealed),
-            SigVerdict::Decided(ok) => ok,
-        },
+        || sig_ok,
     )
 }
 

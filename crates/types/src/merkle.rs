@@ -39,8 +39,8 @@ pub const NODE_HASH_BYTES: u64 = 65;
 /// The domain-separated digest of one leaf's byte string.
 ///
 /// Exposing this lets callers that already track per-item digests (e.g. a
-/// chunked state commitment) build or patch a [`MerkleTree`] without
-/// re-encoding the underlying items.
+/// chunked state commitment) build a [`MerkleTree`] without re-encoding the
+/// underlying items.
 pub fn leaf_digest(data: &[u8]) -> Cid {
     leaf_hash(data)
 }
@@ -104,97 +104,6 @@ impl MerkleTree {
             levels.push(next);
         }
         MerkleTree { levels }
-    }
-
-    /// Replaces the leaf digests at the given indices and rehashes only the
-    /// affected root paths. Returns the number of bytes hashed.
-    ///
-    /// Indices must be in range; the leaf *count* cannot change through this
-    /// method (use [`Self::from_leaf_hashes`] when leaves are added or
-    /// removed).
-    pub fn update_leaves(&mut self, patches: &[(usize, Cid)]) -> u64 {
-        if patches.is_empty() || self.levels.is_empty() {
-            return 0;
-        }
-        let mut changed: Vec<usize> = Vec::with_capacity(patches.len());
-        for &(idx, digest) in patches {
-            assert!(idx < self.levels[0].len(), "leaf index out of range");
-            if self.levels[0][idx] != digest {
-                self.levels[0][idx] = digest;
-                changed.push(idx);
-            }
-        }
-        let mut bytes_hashed = 0u64;
-        let num_levels = self.levels.len();
-        for lvl in 0..num_levels - 1 {
-            changed.sort_unstable();
-            changed.dedup_by_key(|i| *i / 2);
-            let mut parents = Vec::with_capacity(changed.len());
-            for &idx in &changed {
-                let pair = idx & !1;
-                let (split_a, split_b) = self.levels.split_at_mut(lvl + 1);
-                let level = &split_a[lvl];
-                let parent = pair / 2;
-                split_b[0][parent] = if pair + 1 < level.len() {
-                    bytes_hashed += NODE_HASH_BYTES;
-                    node_hash(&level[pair], &level[pair + 1])
-                } else {
-                    // Odd promotion: the node passes through unchanged.
-                    level[pair]
-                };
-                parents.push(parent);
-            }
-            changed = parents;
-        }
-        bytes_hashed
-    }
-
-    /// Computes the root that *would* result from replacing the leaves at
-    /// the patched indices, without mutating the tree. Returns the
-    /// hypothetical root and the number of bytes hashed.
-    ///
-    /// This is the read-only analogue of [`Self::update_leaves`], used by
-    /// copy-on-write state overlays to derive a candidate state root
-    /// without committing.
-    pub fn root_with_patches(
-        &self,
-        patches: &std::collections::BTreeMap<usize, Cid>,
-    ) -> (Cid, u64) {
-        if patches.is_empty() {
-            return (self.root(), 0);
-        }
-        if self.levels.is_empty() {
-            return (Cid::NIL, 0);
-        }
-        let mut bytes_hashed = 0u64;
-        // Sparse overrides per level; anything absent falls back to the
-        // stored digest.
-        let mut overrides: std::collections::BTreeMap<usize, Cid> = patches.clone();
-        let num_levels = self.levels.len();
-        for lvl in 0..num_levels - 1 {
-            let level = &self.levels[lvl];
-            let mut parent_overrides = std::collections::BTreeMap::new();
-            let mut pairs: Vec<usize> = overrides.keys().map(|i| i & !1).collect();
-            pairs.dedup();
-            for pair in pairs {
-                let get = |i: usize| *overrides.get(&i).unwrap_or(&level[i]);
-                let digest = if pair + 1 < level.len() {
-                    bytes_hashed += NODE_HASH_BYTES;
-                    node_hash(&get(pair), &get(pair + 1))
-                } else {
-                    get(pair)
-                };
-                parent_overrides.insert(pair / 2, digest);
-            }
-            overrides = parent_overrides;
-        }
-        let root = *overrides.get(&0).unwrap_or(&self.root());
-        (root, bytes_hashed)
-    }
-
-    /// The leaf digest at `index`, if in range.
-    pub fn leaf(&self, index: usize) -> Option<Cid> {
-        self.levels.first().and_then(|l| l.get(index)).copied()
     }
 
     /// Bytes hashed by the interior-node combines of a full build of this
@@ -390,62 +299,5 @@ mod tests {
             let prehashed = MerkleTree::from_leaf_hashes(hashes);
             assert_eq!(direct, prehashed, "n={n}");
         }
-    }
-
-    #[test]
-    fn update_leaves_matches_full_rebuild() {
-        for n in 1..=17usize {
-            let items: Vec<u64> = (0..n as u64).collect();
-            let mut t = MerkleTree::from_items(&items);
-            // Patch a few leaves and compare with a rebuilt tree.
-            let patch_idx: Vec<usize> = [0, n / 2, n - 1].into_iter().collect();
-            let mut updated = items.clone();
-            let mut patches = Vec::new();
-            for &i in &patch_idx {
-                updated[i] = 1000 + i as u64;
-                patches.push((i, leaf_digest(&updated[i].canonical_bytes())));
-            }
-            let bytes = t.update_leaves(&patches);
-            let rebuilt = MerkleTree::from_items(&updated);
-            assert_eq!(t, rebuilt, "n={n}");
-            if n > 1 {
-                assert!(bytes > 0, "n={n}: interior hashing must happen");
-            }
-        }
-    }
-
-    #[test]
-    fn update_leaves_hashes_only_touched_paths() {
-        let items: Vec<u64> = (0..1024).collect();
-        let mut t = MerkleTree::from_items(&items);
-        let bytes = t.update_leaves(&[(7, leaf_digest(&9999u64.canonical_bytes()))]);
-        // One leaf in a 1024-leaf tree: 10 interior combines, not 1023.
-        assert_eq!(bytes, 10 * NODE_HASH_BYTES);
-    }
-
-    #[test]
-    fn root_with_patches_matches_rebuild_without_mutation() {
-        for n in 1..=17usize {
-            let items: Vec<u64> = (0..n as u64).collect();
-            let t = MerkleTree::from_items(&items);
-            let before = t.clone();
-            let mut updated = items.clone();
-            let mut patches = std::collections::BTreeMap::new();
-            for &i in &[0, n / 2, n - 1] {
-                updated[i] = 2000 + i as u64;
-                patches.insert(i, leaf_digest(&updated[i].canonical_bytes()));
-            }
-            let (root, _bytes) = t.root_with_patches(&patches);
-            assert_eq!(root, MerkleTree::from_items(&updated).root(), "n={n}");
-            assert_eq!(t, before, "root_with_patches must not mutate");
-        }
-    }
-
-    #[test]
-    fn update_with_identical_digest_is_free() {
-        let items: Vec<u64> = (0..64).collect();
-        let mut t = MerkleTree::from_items(&items);
-        let same = t.leaf(5).unwrap();
-        assert_eq!(t.update_leaves(&[(5, same)]), 0);
     }
 }

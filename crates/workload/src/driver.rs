@@ -2,11 +2,9 @@
 //!
 //! Two regimes:
 //!
-//! * [`ClosedBatch`] — the historical closed-loop shape: submit a fixed
-//!   batch per subnet up front, then drain to quiescence. This is the
-//!   engine behind `hc-sim`'s `Workload` (E10) and reproduces its seeded
-//!   rng call sequence exactly when fees are off, so moving the sim onto
-//!   this crate changed no numbers.
+//! * [`ClosedBatch`] — the closed-loop shape of experiments E1, E3, E6 and
+//!   E10: submit a fixed fee-less batch per subnet up front, then drain to
+//!   quiescence.
 //! * [`OpenLoop`] — the scaling regime: per round, inject
 //!   [`RampProfile::rate_at`] Zipf-routed messages over a lazily
 //!   materialized population (millions of logical accounts), step the
@@ -39,10 +37,6 @@ pub struct ClosedBatch {
     pub amount: TokenAmount,
     /// Generator seed.
     pub seed: u64,
-    /// When `> 0`, every submission carries a uniform fee bid in
-    /// `1..=max_fee`; when `0`, the fee-less legacy path runs and the rng
-    /// stream is bit-identical to the pre-`hc-workload` generator.
-    pub max_fee: u64,
 }
 
 impl Default for ClosedBatch {
@@ -52,7 +46,6 @@ impl Default for ClosedBatch {
             cross_ratio: 0.0,
             amount: TokenAmount::from_atto(1_000),
             seed: 7,
-            max_fee: 0,
         }
     }
 }
@@ -119,12 +112,7 @@ impl ClosedBatch {
                     let other = candidates[rng.gen_range(0..candidates.len())];
                     let peers = &users[other];
                     let to = &peers[rng.gen_range(0..peers.len())];
-                    if self.max_fee > 0 {
-                        let fee = rng.gen_range(1..=self.max_fee);
-                        rt.cross_transfer_lazy_with_fee(from, to, self.amount, fee)?;
-                    } else {
-                        rt.cross_transfer_lazy(from, to, self.amount)?;
-                    }
+                    rt.cross_transfer_lazy(from, to, self.amount)?;
                 } else {
                     let to = &locals[rng.gen_range(0..locals.len())];
                     let (to_addr, value, method) = if to.addr != from.addr {
@@ -139,12 +127,7 @@ impl ClosedBatch {
                             },
                         )
                     };
-                    if self.max_fee > 0 {
-                        let fee = rng.gen_range(1..=self.max_fee);
-                        rt.submit_with_fee(from, to_addr, value, method, fee)?;
-                    } else {
-                        rt.submit(from, to_addr, value, method)?;
-                    }
+                    rt.submit(from, to_addr, value, method)?;
                 }
                 submitted += 1;
             }
@@ -414,7 +397,76 @@ fn commit_delta(rt: &HierarchyRuntime, last_ok: &mut BTreeMap<SubnetId, u64>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_actors::sa::SaConfig;
     use hc_core::RuntimeConfig;
+
+    /// The root plus two sibling subnets, `per_subnet` funded users in
+    /// each, settled.
+    fn flat2(
+        per_subnet: usize,
+    ) -> (
+        HierarchyRuntime,
+        Vec<SubnetId>,
+        BTreeMap<SubnetId, Vec<UserHandle>>,
+    ) {
+        let whole = TokenAmount::from_whole;
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let root = SubnetId::root();
+        let banker = rt.create_user(&root, whole(1_000_000)).unwrap();
+        let mut subnets = vec![root];
+        for _ in 0..2 {
+            let validator = (banker.clone(), whole(5));
+            let subnet = rt
+                .spawn_subnet(&banker, SaConfig::default(), whole(10), &[validator])
+                .unwrap();
+            subnets.push(subnet);
+        }
+        let mut users: BTreeMap<SubnetId, Vec<UserHandle>> = BTreeMap::new();
+        for subnet in &subnets {
+            for _ in 0..per_subnet {
+                let user = if subnet.is_root() {
+                    rt.create_user(subnet, whole(1_000)).unwrap()
+                } else {
+                    let user = rt.create_user(subnet, TokenAmount::ZERO).unwrap();
+                    rt.cross_transfer(&banker, &user, whole(1_000)).unwrap();
+                    user
+                };
+                users.entry(subnet.clone()).or_default().push(user);
+            }
+        }
+        rt.run_until_quiescent(100_000).unwrap();
+        (rt, subnets, users)
+    }
+
+    #[test]
+    fn closed_batch_local_drains_and_counts() {
+        let (mut rt, subnets, users) = flat2(3);
+        let report = ClosedBatch {
+            msgs_per_subnet: 50,
+            ..ClosedBatch::default()
+        }
+        .run(&mut rt, &subnets, &users)
+        .unwrap();
+        assert_eq!(report.submitted, 150); // root + 2 subnets
+        assert_eq!(report.executed_ok, 150);
+        assert_eq!(report.failed, 0);
+        assert!(report.aggregate_tps > 0.0);
+        hc_core::audit_quiescent(&rt).unwrap();
+    }
+
+    #[test]
+    fn closed_batch_cross_delivers_and_conserves() {
+        let (mut rt, subnets, users) = flat2(2);
+        let report = ClosedBatch {
+            msgs_per_subnet: 20,
+            cross_ratio: 0.5,
+            ..ClosedBatch::default()
+        }
+        .run(&mut rt, &subnets, &users)
+        .unwrap();
+        assert!(report.cross_applied > 0, "some cross traffic must flow");
+        hc_core::audit_quiescent(&rt).unwrap();
+    }
 
     #[test]
     fn open_loop_static_commits_and_is_deterministic() {

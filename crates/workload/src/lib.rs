@@ -18,9 +18,9 @@
 //!   [`hc_core::ElasticController`] so the hierarchy splits and merges
 //!   under the load, and record the committed-throughput curve
 //!   ([`OpenLoopReport`]).
-//! * [`ClosedBatch`] — the legacy closed-loop batch shape that `hc-sim`'s
-//!   `Workload` (E10) now delegates to, rng-compatible with its
-//!   pre-crate implementation.
+//! * [`ClosedBatch`] — the closed-loop batch shape of the `hc-sim`
+//!   experiments E1, E3, E6 and E10: a fixed fee-less batch per subnet,
+//!   then drain.
 //!
 //! Everything is a pure function of the seed and the runtime's own
 //! deterministic clock: two runs with the same inputs produce

@@ -1,12 +1,28 @@
 //! Workspace-level integration tests through the `hierarchical-consensus`
 //! facade: large mixed scenarios exercising every subsystem together.
 
+use hc_workload::ClosedBatch;
+use hierarchical_consensus::core::StepReport;
 use hierarchical_consensus::prelude::*;
-use hierarchical_consensus::sim::{TopologyBuilder, Workload};
+use hierarchical_consensus::sim::TopologyBuilder;
 use hierarchical_consensus::types::CanonicalEncode;
 
 fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
+}
+
+/// Head CID, head epoch and committed state root per subnet, the latter
+/// cross-checked against a from-scratch recompute.
+fn heads(rt: &HierarchyRuntime) -> Vec<(SubnetId, Cid, ChainEpoch, Cid)> {
+    rt.subnets()
+        .map(|s| {
+            let node = rt.node(s).unwrap();
+            let head = node.chain().head();
+            let state_root = node.chain().get(&head).unwrap().header.state_root;
+            assert_eq!(node.state().recompute_root(), state_root, "{s}");
+            (s.clone(), head, node.chain().head_epoch(), state_root)
+        })
+        .collect()
 }
 
 #[test]
@@ -42,12 +58,13 @@ fn grand_tour() {
         .unwrap();
 
     // Phase 1: mixed local + cross traffic.
-    let report = Workload {
+    let subnets = topo.all_subnets();
+    let report = ClosedBatch {
         msgs_per_subnet: 120,
         cross_ratio: 0.3,
-        ..Workload::default()
+        ..ClosedBatch::default()
     }
-    .run(&mut topo)
+    .run(&mut topo.rt, &subnets, &topo.users)
     .unwrap();
     assert_eq!(report.failed, 0, "no message may fail under honest load");
     assert!(report.cross_applied > 0);
@@ -356,20 +373,6 @@ fn durable_snapshot_rejoin_then_recover_matches_the_live_twin() {
         assert_eq!(topo.rt.balance(&leaf_user), before + whole(3 + 9 - 2));
         topo
     };
-    // Head CID, head epoch and committed state root per subnet, the
-    // latter cross-checked against a from-scratch recompute.
-    let heads = |rt: &HierarchyRuntime| -> Vec<(SubnetId, Cid, ChainEpoch, Cid)> {
-        rt.subnets()
-            .map(|s| {
-                let node = rt.node(s).unwrap();
-                let head = node.chain().head();
-                let state_root = node.chain().get(&head).unwrap().header.state_root;
-                assert_eq!(node.state().recompute_root(), state_root, "{s}");
-                (s.clone(), head, node.chain().head_epoch(), state_root)
-            })
-            .collect()
-    };
-
     let device = hc_store::InMemoryDevice::new();
     let crashed = drive(&device);
     let (leaf, root) = (crashed.subnets[5].clone(), SubnetId::root());
@@ -472,4 +475,91 @@ fn per_window_state_hashing_does_not_grow_with_cross_net_history() {
     };
     flat(&hashed, "bytes hashed per window");
     flat(&sca_len, "SCA chunk size");
+}
+
+/// Tier-1 determinism fingerprint: `parallelism` sizes the fan-outs — wave
+/// members, signature batches, execution lanes — and selects nothing. A
+/// tree(2, 2) under local and cross-net traffic converging on one hot
+/// account commits the same blocks, with the same receipts' gas and
+/// events, to the same state roots at one, two and three workers.
+#[test]
+fn every_worker_count_commits_the_same_chain() {
+    // Stepped by waves only: `run_until_quiescent` picks a block-granular
+    // or a wave-granular loop from `parallelism`, and the two stop at
+    // different blocks.
+    fn settle(rt: &mut HierarchyRuntime, trail: &mut Vec<StepReport>) {
+        for _ in 0..100_000 {
+            if rt.all_quiescent() {
+                return;
+            }
+            trail.extend(rt.step_wave().unwrap());
+        }
+        panic!("hierarchy did not settle");
+    }
+
+    let run = |parallelism: usize| {
+        let mut rt = HierarchyRuntime::new(RuntimeConfig {
+            parallelism,
+            ..RuntimeConfig::default()
+        });
+        let mut trail = Vec::new();
+        let banker = rt.create_user(&SubnetId::root(), whole(1_000_000)).unwrap();
+
+        // Two children, two grandchildren under each; every subnet gets
+        // four funded users, the first of which spawns the level below.
+        let mut users: Vec<UserHandle> = Vec::new();
+        let mut parents = vec![banker.clone()];
+        for _level in 0..2 {
+            let mut spawned = Vec::new();
+            for creator in &parents {
+                for _ in 0..2 {
+                    let validator = (creator.clone(), whole(5));
+                    let subnet = rt
+                        .spawn_subnet(creator, SaConfig::default(), whole(10), &[validator])
+                        .unwrap();
+                    for _ in 0..4 {
+                        let user = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
+                        rt.cross_transfer(&banker, &user, whole(100)).unwrap();
+                        users.push(user);
+                    }
+                    spawned.push(users[users.len() - 4].clone());
+                }
+            }
+            settle(&mut rt, &mut trail);
+            parents = spawned;
+        }
+        assert_eq!(rt.subnets().count(), 7);
+
+        // Load, queued lazily so the waves below commit it: everyone pays
+        // the hot account — its neighbours locally (one conflict lane),
+        // everyone else across the tree — and the others pay a local peer
+        // as well (two disjoint pairs per subnet: two lanes).
+        let hot = users.last().unwrap().clone();
+        for (i, user) in users.iter().enumerate() {
+            if user.subnet == hot.subnet {
+                if user.addr != hot.addr {
+                    rt.submit(user, hot.addr, whole(2), Method::Send).unwrap();
+                }
+            } else {
+                rt.cross_transfer_lazy(user, &hot, whole(1)).unwrap();
+                let peer = &users[i ^ 1];
+                rt.submit(user, peer.addr, whole(1), Method::Send).unwrap();
+            }
+        }
+        settle(&mut rt, &mut trail);
+        assert_eq!(rt.balance(&hot), whole(100 + 3 * 2 + 20));
+        audit_quiescent(&rt).unwrap();
+
+        let stats: Vec<_> = rt.subnets().map(|s| rt.node(s).unwrap().stats()).collect();
+        (heads(&rt), stats, trail, rt.drain_events(), rt.now_ms())
+    };
+
+    let one = run(1);
+    assert!(
+        one.2.iter().any(|block| block.msgs > 3),
+        "some block must carry enough messages to schedule lanes"
+    );
+    for parallelism in [2, 3] {
+        assert_eq!(run(parallelism), one, "diverged at {parallelism} workers");
+    }
 }
