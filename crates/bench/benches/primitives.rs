@@ -103,7 +103,9 @@ fn bench_primitives(c: &mut Criterion) {
 /// Sizes reach 1M accounts by default; set `HC_BENCH_HUGE=1` to extend to
 /// 10M (multi-minute setup). Full recomputation is benchmarked only up to
 /// 100k accounts — beyond that a single iteration takes seconds and the
-/// incremental/persist numbers are the interesting ones.
+/// incremental/persist numbers are the interesting ones. The last row,
+/// `sparse_block`, is one rootnet-sized block: many scattered writes into a
+/// mid-sized tree, with the nodes and bytes it hashes printed beside it.
 fn bench_state_root(c: &mut Criterion) {
     let mut group = c.benchmark_group("state_root");
     group
@@ -184,6 +186,49 @@ fn bench_state_root(c: &mut Criterion) {
             },
         );
     }
+
+    // The e2e `root-ramp` workload's measured block shape — 540 distinct
+    // accounts written per flush out of 88 861 — so a HAMT layout change
+    // can be sized (wall-clock, nodes and bytes hashed) without a full
+    // end-to-end run. Each iteration writes a different scattered set.
+    const SPARSE_ACCOUNTS: u64 = 88_861;
+    const SPARSE_WRITES: u64 = 540;
+    let mut tree = StateTree::genesis(
+        SubnetId::root(),
+        ScaConfig::default(),
+        (0..SPARSE_ACCOUNTS).map(|i| (Address::new(100 + i), key, TokenAmount::from_whole(1))),
+    );
+    tree.flush();
+    let mut block = 0u64;
+    let mut sparse_block = |tree: &mut StateTree| {
+        block += 1;
+        for i in 0..SPARSE_WRITES {
+            // A stride coprime to the account count: distinct, scattered.
+            let addr = Address::new(100 + (block * 1_009 + i * 7_919) % SPARSE_ACCOUNTS);
+            tree.accounts_mut().get_or_create(addr).balance += TokenAmount::from_atto(1);
+        }
+        tree.flush()
+    };
+    let before = tree.commit_stats();
+    sparse_block(&mut tree);
+    let after = tree.commit_stats();
+    let (nodes, bytes) = (
+        after.hamt_nodes_hashed - before.hamt_nodes_hashed,
+        after.bytes_hashed - before.bytes_hashed,
+    );
+    println!(
+        "state_root/sparse_block/{SPARSE_ACCOUNTS}_accounts_{SPARSE_WRITES}_writes: \
+         {nodes} nodes, {bytes} bytes hashed per flush ({:.2} nodes, {} bytes per written account)",
+        nodes as f64 / SPARSE_WRITES as f64,
+        bytes / SPARSE_WRITES,
+    );
+    group.bench_function(
+        BenchmarkId::new(
+            "sparse_block",
+            format!("{SPARSE_ACCOUNTS}_accounts_{SPARSE_WRITES}_writes"),
+        ),
+        |b| b.iter(|| sparse_block(&mut tree)),
+    );
     group.finish();
 }
 

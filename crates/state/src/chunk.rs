@@ -333,8 +333,9 @@ impl ChunkManifest {
 
 /// The child CIDs a state blob links to, dispatched on the blob's leading
 /// tag byte: manifests link their fixed chunks, HAMT root and registry-AMT
-/// top node, HAMT nodes link their children, AMT nodes link theirs; fixed
-/// chunk blobs (and anything unrecognisable) are leaves.
+/// top node, HAMT interior nodes link their children, AMT nodes link theirs;
+/// fixed chunk blobs, HAMT leaf nodes (tag `0x6c`: entries only) and
+/// anything unrecognisable link to nothing.
 ///
 /// This is the single traversal primitive behind snapshot-closure fetch,
 /// blob-log hydration, and GC reachability.

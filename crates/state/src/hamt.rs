@@ -2,10 +2,10 @@
 //!
 //! This is the structural-sharing map behind the account ledger's state
 //! commitment: keys are routed by the bits of the SHA-256 digest of their
-//! canonical encoding, interior nodes are canonical-encoded blobs addressed
-//! by typed CIDs ([`TCid<MHamtNode>`]), and every mutation copies only the
-//! O(log n) root path it touches (via [`Arc::make_mut`]) while all sibling
-//! subtrees stay shared. Consequences:
+//! canonical encoding, nodes are canonical-encoded blobs addressed by typed
+//! CIDs ([`TCid<MHamtNode>`]), and every mutation copies only the O(log n)
+//! root path it touches (via [`Arc::make_mut`]) while all sibling subtrees
+//! stay shared. Consequences:
 //!
 //! * **O(log n) commits** — [`Hamt::flush`] re-hashes exactly the nodes on
 //!   dirtied paths (a cleared per-node CID cache marks them), not the map;
@@ -13,27 +13,34 @@
 //!   the first node the [`CidStore`] already holds, so consecutive
 //!   snapshots write only new nodes (parent-present ⟹ subtree-present is
 //!   maintained by always persisting children before their parent);
-//! * **membership proofs** — the root-to-bucket node path *is* the proof
+//! * **membership proofs** — the root-to-leaf node path *is* the proof
 //!   ([`Hamt::prove`] / [`HamtProof::verify`]), unlocking light clients.
+//!
+//! **Node layout.** Entries live in leaf nodes only; interior nodes hold
+//! nothing but links. A subtree holding at most `LEAF_CAP` (64) entries is
+//! one *leaf*: its entries, sorted by key. Anything larger is an *interior*
+//! node: a 32-bit bitmap and one child CID per occupied slot of the next
+//! five hash bits. A write therefore re-hashes its own leaf and at most
+//! 1 029 bytes per level above it, never the entries of neighbouring
+//! accounts that merely share a hash prefix.
 //!
 //! The shape is **canonical**: for a given key/value content the tree
 //! structure — and therefore the root CID — is independent of the
-//! insertion/deletion order. Buckets hold up to [`BUCKET_SIZE`] entries
-//! sorted by key; inserting into a full bucket splits it one level down,
-//! and deleting collapses any non-root node left holding ≤ `BUCKET_SIZE`
-//! entries (and no links) back into a parent bucket. The equivalence
-//! proptests lock this in against a fresh build from sorted content.
+//! insertion/deletion order. A leaf that outgrows `LEAF_CAP` splits 32-way
+//! on the next five hash bits, and a delete that leaves an interior node
+//! with `LEAF_CAP` or fewer entries below it merges them back into one
+//! leaf, the root included. The equivalence proptests lock this in against
+//! a fresh build from sorted content.
 //!
 //! Node wire format (self-describing, so closure walks such as GC and
 //! snapshot fetch can discover child links without knowing `K`/`V` — see
 //! [`node_links`]):
 //!
 //! ```text
-//! 0x68 ('h')                        node tag
-//! u32   bitmap                      which of the 32 slots are occupied
-//! per set bit, ascending:
-//!   0x00 bucket: u64 n, then n × (key bytes, value bytes)   (len-prefixed)
-//!   0x01 link:   32-byte child CID
+//! interior: 0x68 ('h'), u32 bitmap (never 0), then one 32-byte child CID
+//!           per set bit, ascending
+//! leaf:     0x6c ('l'), u64 n, then n × (key bytes, value bytes), each
+//!           length-prefixed, in ascending key order
 //! ```
 
 use std::sync::Arc;
@@ -43,16 +50,24 @@ use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, M
 
 use crate::store::CidStore;
 
-/// First byte of every canonical HAMT node blob.
+/// First byte of a canonical interior-node blob.
 pub const HAMT_NODE_TAG: u8 = 0x68;
 
-/// Slots per node: the hash is consumed 5 bits at a time.
+/// First byte of a canonical leaf-node blob. A leaf links to nothing, so
+/// closure walks need not know it.
+const HAMT_LEAF_TAG: u8 = 0x6c;
+
+/// Slots per interior node: the hash is consumed 5 bits at a time.
 const BITS: usize = 5;
 
-/// Maximum entries a bucket holds before splitting one level down.
-pub const BUCKET_SIZE: usize = 3;
+/// Most entries a subtree may hold and still be a single leaf: twice the
+/// fan-out, so the children of a split leaf average two entries or more.
+/// Not tunable in isolation — snapshot sync fetches a closure 16 blobs per
+/// round trip, so a smaller cap (more, smaller blobs) lengthens every
+/// rejoin; DESIGN.md §13 records the sweep.
+const LEAF_CAP: usize = 64;
 
-/// Deepest level with fresh hash bits (⌊256 / 5⌋); buckets at this depth
+/// Deepest level with fresh hash bits (⌊256 / 5⌋); leaves at this depth
 /// grow without splitting (unreachable in practice — it would take a
 /// 255-bit SHA-256 prefix collision).
 const MAX_DEPTH: usize = 51;
@@ -75,7 +90,7 @@ pub enum HamtError {
     /// A node blob is not a canonical HAMT node encoding.
     Decode(DecodeError),
     /// The node graph violates a structural bound (e.g. deeper than the
-    /// hash provides bits for).
+    /// hash provides bits for, or a leaf over capacity).
     Structure(&'static str),
 }
 
@@ -105,19 +120,53 @@ fn slot_at(hash: &[u8; 32], depth: usize) -> usize {
     ((wide >> (16 - BITS - shift)) & 0x1f) as usize
 }
 
+/// Whether slot `idx` is occupied in `bitmap`.
+fn has_slot(bitmap: u32, idx: usize) -> bool {
+    bitmap & (1u32 << idx) != 0
+}
+
+/// Position of slot `idx`'s child among the children (the rank of its bit).
+fn slot_position(bitmap: u32, idx: usize) -> usize {
+    (bitmap & ((1u32 << idx) - 1)).count_ones() as usize
+}
+
+/// Whether a leaf of `len` entries at `depth` is within capacity.
+fn leaf_fits(len: usize, depth: usize) -> bool {
+    len <= LEAF_CAP || depth >= MAX_DEPTH
+}
+
+/// Where `key` is, or would be inserted, in a leaf's key-sorted entries.
+fn leaf_search<K: Ord, V>(entries: &[(K, V)], key: &K) -> Result<usize, usize> {
+    entries.binary_search_by(|(k, _)| k.cmp(key))
+}
+
+/// Appends `value`'s canonical bytes as a length-prefixed byte string —
+/// what `value.canonical_bytes().write_bytes(out)` produces — by patching
+/// the prefix in after the value is written, so no temporary is built.
+fn write_len_prefixed<T: CanonicalEncode>(value: &T, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    value.write_bytes(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
 #[derive(Debug, Clone)]
-enum Pointer<K, V> {
-    /// Up to [`BUCKET_SIZE`] entries, sorted by key.
-    Bucket(Vec<(K, V)>),
-    /// A child node one level deeper.
-    Link(Arc<Node<K, V>>),
+enum Kind<K, V> {
+    /// At most [`LEAF_CAP`] entries (see [`leaf_fits`]), sorted by key.
+    Leaf(Vec<(K, V)>),
+    /// More than [`LEAF_CAP`] entries, spread over child subtrees by the
+    /// next five hash bits: one child per set bitmap bit, in ascending bit
+    /// order. Never empty.
+    Interior {
+        bitmap: u32,
+        children: Vec<Arc<Node<K, V>>>,
+    },
 }
 
 #[derive(Debug, Clone)]
 struct Node<K, V> {
-    bitmap: u32,
-    /// One pointer per set bitmap bit, in ascending bit order.
-    pointers: Vec<Pointer<K, V>>,
+    kind: Kind<K, V>,
     /// CID of this node's canonical blob; `None` while the node (or any
     /// descendant) has unflushed mutations. Cleared along every
     /// copy-on-write path, so a flush re-hashes exactly the dirty paths.
@@ -125,53 +174,48 @@ struct Node<K, V> {
 }
 
 impl<K, V> Node<K, V> {
-    fn empty() -> Self {
+    fn leaf(entries: Vec<(K, V)>) -> Self {
         Node {
-            bitmap: 0,
-            pointers: Vec::new(),
+            kind: Kind::Leaf(entries),
             cached: None,
         }
-    }
-
-    /// Position of slot `idx`'s pointer in `pointers` (the rank of its bit).
-    fn position(&self, idx: usize) -> usize {
-        (self.bitmap & ((1u32 << idx) - 1)).count_ones() as usize
-    }
-
-    fn has(&self, idx: usize) -> bool {
-        self.bitmap & (1u32 << idx) != 0
     }
 }
 
 impl<K, V> Node<K, V>
 where
-    K: CanonicalEncode + Ord + Clone,
-    V: CanonicalEncode + Clone,
+    K: CanonicalEncode,
+    V: CanonicalEncode,
 {
-    /// Canonical blob of this node. Children must be flushed (their
-    /// `cached` CIDs present).
-    fn encode(&self) -> Vec<u8> {
-        let mut out = vec![HAMT_NODE_TAG];
-        self.bitmap.write_bytes(&mut out);
-        for p in &self.pointers {
-            match p {
-                Pointer::Bucket(entries) => {
-                    0u8.write_bytes(&mut out);
-                    (entries.len() as u64).write_bytes(&mut out);
-                    for (k, v) in entries {
-                        k.canonical_bytes().write_bytes(&mut out);
-                        v.canonical_bytes().write_bytes(&mut out);
-                    }
+    /// Appends this node's canonical blob to `out`. Children must be
+    /// flushed (their `cached` CIDs present).
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match &self.kind {
+            Kind::Leaf(entries) => {
+                out.push(HAMT_LEAF_TAG);
+                (entries.len() as u64).write_bytes(out);
+                for (k, v) in entries {
+                    write_len_prefixed(k, out);
+                    write_len_prefixed(v, out);
                 }
-                Pointer::Link(child) => {
-                    1u8.write_bytes(&mut out);
+            }
+            Kind::Interior { bitmap, children } => {
+                out.push(HAMT_NODE_TAG);
+                bitmap.write_bytes(out);
+                for child in children {
                     child
                         .cached
                         .expect("flushed child has a cached CID")
-                        .write_bytes(&mut out);
+                        .write_bytes(out);
                 }
             }
         }
+    }
+
+    /// Canonical blob of this node, as an owned buffer.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
     }
 }
@@ -197,7 +241,7 @@ impl<K, V> Hamt<K, V> {
     /// An empty map.
     pub fn new() -> Self {
         Hamt {
-            root: Arc::new(Node::empty()),
+            root: Arc::new(Node::leaf(Vec::new())),
             count: 0,
         }
     }
@@ -223,22 +267,24 @@ where
         let hash = hash_key(key);
         let mut node = &*self.root;
         for depth in 0.. {
-            let idx = slot_at(&hash, depth);
-            if !node.has(idx) {
-                return None;
-            }
-            match &node.pointers[node.position(idx)] {
-                Pointer::Bucket(entries) => {
-                    return entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+            match &node.kind {
+                Kind::Leaf(entries) => {
+                    return leaf_search(entries, key).ok().map(|at| &entries[at].1);
                 }
-                Pointer::Link(child) => node = child,
+                Kind::Interior { bitmap, children } => {
+                    let idx = slot_at(&hash, depth);
+                    if !has_slot(*bitmap, idx) {
+                        return None;
+                    }
+                    node = &children[slot_position(*bitmap, idx)];
+                }
             }
         }
         unreachable!("loop returns")
     }
 
     /// Inserts or replaces `key`, returning the previous value if any.
-    /// Dirties (un-caches) exactly the root path to the key's slot.
+    /// Dirties (un-caches) exactly the root path to the key's leaf.
     pub fn set(&mut self, key: K, value: V) -> Option<V> {
         let hash = hash_key(&key);
         let old = Self::set_rec(Arc::make_mut(&mut self.root), &hash, 0, key, value);
@@ -256,44 +302,65 @@ where
         value: V,
     ) -> Option<V> {
         node.cached = None;
-        let idx = slot_at(hash, depth);
-        let pos = node.position(idx);
-        if !node.has(idx) {
-            node.bitmap |= 1 << idx;
-            node.pointers
-                .insert(pos, Pointer::Bucket(vec![(key, value)]));
-            return None;
-        }
-        match &mut node.pointers[pos] {
-            Pointer::Bucket(entries) => {
-                if let Some(e) = entries.iter_mut().find(|(k, _)| *k == key) {
-                    return Some(std::mem::replace(&mut e.1, value));
+        match &mut node.kind {
+            Kind::Leaf(entries) => {
+                match leaf_search(entries, &key) {
+                    Ok(at) => return Some(std::mem::replace(&mut entries[at].1, value)),
+                    Err(at) => entries.insert(at, (key, value)),
                 }
-                if entries.len() < BUCKET_SIZE || depth >= MAX_DEPTH {
-                    let at = entries
-                        .binary_search_by(|(k, _)| k.cmp(&key))
-                        .expect_err("key not in bucket");
-                    entries.insert(at, (key, value));
-                    return None;
+                if !leaf_fits(entries.len(), depth) {
+                    *node = Self::subtree(std::mem::take(entries), depth);
                 }
-                // Overflow: push all BUCKET_SIZE + 1 entries one level down.
-                let mut child = Node::empty();
-                for (k, v) in std::mem::take(entries).into_iter().chain([(key, value)]) {
-                    let h = hash_key(&k);
-                    Self::set_rec(&mut child, &h, depth + 1, k, v);
-                }
-                node.pointers[pos] = Pointer::Link(Arc::new(child));
                 None
             }
-            Pointer::Link(child) => {
-                Self::set_rec(Arc::make_mut(child), hash, depth + 1, key, value)
+            Kind::Interior { bitmap, children } => {
+                let idx = slot_at(hash, depth);
+                let pos = slot_position(*bitmap, idx);
+                if !has_slot(*bitmap, idx) {
+                    *bitmap |= 1 << idx;
+                    children.insert(pos, Arc::new(Node::leaf(vec![(key, value)])));
+                    return None;
+                }
+                Self::set_rec(
+                    Arc::make_mut(&mut children[pos]),
+                    hash,
+                    depth + 1,
+                    key,
+                    value,
+                )
             }
         }
     }
 
+    /// The canonical (unflushed) subtree at `depth` for `entries`, which
+    /// must be sorted by key: one leaf if they fit, else an interior node
+    /// over the subtrees of each occupied slot. Distributing in key order
+    /// keeps every child's entries sorted.
+    fn subtree(entries: Vec<(K, V)>, depth: usize) -> Node<K, V> {
+        if leaf_fits(entries.len(), depth) {
+            return Node::leaf(entries);
+        }
+        let mut slots: [Vec<(K, V)>; 1 << BITS] = std::array::from_fn(|_| Vec::new());
+        for (k, v) in entries {
+            slots[slot_at(&hash_key(&k), depth)].push((k, v));
+        }
+        let mut bitmap = 0u32;
+        let mut children = Vec::new();
+        for (idx, slot) in slots.into_iter().enumerate() {
+            if !slot.is_empty() {
+                bitmap |= 1 << idx;
+                children.push(Arc::new(Self::subtree(slot, depth + 1)));
+            }
+        }
+        Node {
+            kind: Kind::Interior { bitmap, children },
+            cached: None,
+        }
+    }
+
     /// Removes `key`, returning its value if present. Restores canonical
-    /// form: any child left with ≤ [`BUCKET_SIZE`] entries (and no links)
-    /// collapses back into a bucket of this node, recursively up the path.
+    /// form: every interior node on the path left with ≤ `LEAF_CAP` (64)
+    /// entries below it merges back into one leaf, bottom-up.
     pub fn delete(&mut self, key: &K) -> Option<V> {
         let hash = hash_key(key);
         let removed = Self::delete_rec(Arc::make_mut(&mut self.root), &hash, 0, key)?;
@@ -302,58 +369,52 @@ where
     }
 
     fn delete_rec(node: &mut Node<K, V>, hash: &[u8; 32], depth: usize, key: &K) -> Option<V> {
-        let idx = slot_at(hash, depth);
-        if !node.has(idx) {
-            return None;
-        }
-        let pos = node.position(idx);
-        match &mut node.pointers[pos] {
-            Pointer::Bucket(entries) => {
-                let at = entries.iter().position(|(k, _)| k == key)?;
+        match &mut node.kind {
+            Kind::Leaf(entries) => {
+                let at = leaf_search(entries, key).ok()?;
                 node.cached = None;
-                let (_, v) = entries.remove(at);
-                if entries.is_empty() {
-                    node.pointers.remove(pos);
-                    node.bitmap &= !(1 << idx);
-                }
-                Some(v)
+                Some(entries.remove(at).1)
             }
-            Pointer::Link(child) => {
-                let removed = Self::delete_rec(Arc::make_mut(child), hash, depth + 1, key)?;
+            Kind::Interior { bitmap, children } => {
+                let idx = slot_at(hash, depth);
+                if !has_slot(*bitmap, idx) {
+                    return None;
+                }
+                let pos = slot_position(*bitmap, idx);
+                let removed =
+                    Self::delete_rec(Arc::make_mut(&mut children[pos]), hash, depth + 1, key)?;
                 node.cached = None;
-                if let Some(collapsed) = Self::collapse(child) {
-                    node.pointers[pos] = Pointer::Bucket(collapsed);
+                if matches!(&children[pos].kind, Kind::Leaf(e) if e.is_empty()) {
+                    children.remove(pos);
+                    *bitmap &= !(1 << idx);
+                }
+                if let Some(merged) = Self::merged_leaf(children) {
+                    node.kind = Kind::Leaf(merged);
                 }
                 Some(removed)
             }
         }
     }
 
-    /// If `node` now holds ≤ [`BUCKET_SIZE`] entries spread over buckets
-    /// only, returns them as one sorted bucket (the canonical shape —
-    /// exactly what a fresh build of the same content would put in the
-    /// parent slot).
-    fn collapse(node: &Node<K, V>) -> Option<Vec<(K, V)>> {
-        let mut total = 0usize;
-        for p in &node.pointers {
-            match p {
-                Pointer::Link(_) => return None,
-                Pointer::Bucket(b) => {
-                    total += b.len();
-                    if total > BUCKET_SIZE {
-                        return None;
-                    }
-                }
+    /// If `children` are all leaves holding ≤ [`LEAF_CAP`] entries between
+    /// them, those entries as one sorted leaf — exactly what a fresh build
+    /// of the same content would put here. (An interior child holds more
+    /// than the cap by itself.)
+    fn merged_leaf(children: &[Arc<Node<K, V>>]) -> Option<Vec<(K, V)>> {
+        // Count before cloning: on most deletes the answer is no.
+        let mut total = 0;
+        for child in children {
+            match &child.kind {
+                Kind::Leaf(entries) if total + entries.len() <= LEAF_CAP => total += entries.len(),
+                _ => return None,
             }
         }
-        let mut all: Vec<(K, V)> = node
-            .pointers
-            .iter()
-            .flat_map(|p| match p {
-                Pointer::Bucket(b) => b.iter().cloned(),
-                Pointer::Link(_) => unreachable!("checked above"),
-            })
-            .collect();
+        let mut all: Vec<(K, V)> = Vec::with_capacity(total);
+        for child in children {
+            if let Kind::Leaf(entries) = &child.kind {
+                all.extend(entries.iter().cloned());
+            }
+        }
         all.sort_by(|a, b| a.0.cmp(&b.0));
         Some(all)
     }
@@ -365,14 +426,16 @@ where
     }
 
     fn for_each_node(node: &Node<K, V>, f: &mut impl FnMut(&K, &V)) {
-        for p in &node.pointers {
-            match p {
-                Pointer::Bucket(entries) => {
-                    for (k, v) in entries {
-                        f(k, v);
-                    }
+        match &node.kind {
+            Kind::Leaf(entries) => {
+                for (k, v) in entries {
+                    f(k, v);
                 }
-                Pointer::Link(child) => Self::for_each_node(child, f),
+            }
+            Kind::Interior { children, .. } => {
+                for child in children {
+                    Self::for_each_node(child, f);
+                }
             }
         }
     }
@@ -381,24 +444,32 @@ where
     /// nodes on paths dirtied since the last flush. The work done is
     /// accumulated into `work`.
     pub fn flush(&mut self, work: &mut HashWork) -> TCid<MHamtNode> {
-        Self::flush_node(Arc::make_mut(&mut self.root), work)
-    }
-
-    fn flush_node(node: &mut Node<K, V>, work: &mut HashWork) -> TCid<MHamtNode> {
-        if let Some(cid) = node.cached {
+        if let Some(cid) = self.root.cached {
             return cid;
         }
-        for p in &mut node.pointers {
-            if let Pointer::Link(child) = p {
+        // One encode buffer for the whole flush: children are hashed before
+        // their parent encodes, so each node reuses it in turn.
+        let mut scratch = Vec::new();
+        Self::flush_node(Arc::make_mut(&mut self.root), work, &mut scratch)
+    }
+
+    fn flush_node(
+        node: &mut Node<K, V>,
+        work: &mut HashWork,
+        scratch: &mut Vec<u8>,
+    ) -> TCid<MHamtNode> {
+        if let Kind::Interior { children, .. } = &mut node.kind {
+            for child in children {
                 if child.cached.is_none() {
-                    Self::flush_node(Arc::make_mut(child), work);
+                    Self::flush_node(Arc::make_mut(child), work, scratch);
                 }
             }
         }
-        let bytes = node.encode();
+        scratch.clear();
+        node.encode_into(scratch);
         work.nodes += 1;
-        work.bytes += bytes.len() as u64;
-        let cid = TCid::digest(&bytes);
+        work.bytes += scratch.len() as u64;
+        let cid = TCid::digest(scratch);
         node.cached = Some(cid);
         cid
     }
@@ -439,8 +510,8 @@ where
         if store.contains(&cid.cid()) {
             return;
         }
-        for p in &node.pointers {
-            if let Pointer::Link(child) = p {
+        if let Kind::Interior { children, .. } = &node.kind {
+            for child in children {
                 Self::collect_node(child, store, out);
             }
         }
@@ -448,9 +519,10 @@ where
     }
 
     /// Loads a persisted HAMT from `store`, verifying that every blob
-    /// decodes as a canonical node. (Whether the *shape* is canonical for
-    /// its content is checked by callers that rebuild and compare roots —
-    /// see `StateTree::from_manifest`.)
+    /// decodes as a canonical node, that no leaf is over capacity and that
+    /// leaf keys are strictly ascending. (Whether the *shape* is canonical
+    /// for its content is checked by callers that rebuild and compare
+    /// roots — see `StateTree::from_manifest`.)
     pub fn load(root: &TCid<MHamtNode>, store: &CidStore) -> Result<Self, HamtError> {
         let (node, count) = Self::load_node(root, store, 0)?;
         Ok(Hamt {
@@ -468,33 +540,43 @@ where
             return Err(HamtError::Structure("node graph deeper than the hash"));
         }
         let blob = store.get(&cid.cid()).ok_or(HamtError::Missing(cid.cid()))?;
-        let wire = WireNode::decode(&blob).map_err(HamtError::Decode)?;
-        let mut pointers = Vec::with_capacity(wire.pointers.len());
-        let mut count = 0u64;
-        for wp in &wire.pointers {
-            match wp {
-                WirePointer::Bucket(raw) => {
-                    let mut entries = Vec::with_capacity(raw.len());
-                    for (kb, vb) in raw {
-                        let k = K::decode(kb).map_err(HamtError::Decode)?;
-                        let v = V::decode(vb).map_err(HamtError::Decode)?;
-                        entries.push((k, v));
+        let (kind, count) = match WireNode::decode(&blob).map_err(HamtError::Decode)? {
+            WireNode::Leaf(raw) => {
+                if !leaf_fits(raw.len(), depth) {
+                    return Err(HamtError::Structure("leaf over capacity"));
+                }
+                let mut entries: Vec<(K, V)> = Vec::with_capacity(raw.len());
+                for (kb, vb) in raw {
+                    let k = K::decode(kb).map_err(HamtError::Decode)?;
+                    let v = V::decode(vb).map_err(HamtError::Decode)?;
+                    if entries.last().is_some_and(|(prev, _)| *prev >= k) {
+                        return Err(HamtError::Structure("leaf keys not strictly ascending"));
                     }
-                    count += entries.len() as u64;
-                    pointers.push(Pointer::Bucket(entries));
+                    entries.push((k, v));
                 }
-                WirePointer::Link(child_cid) => {
-                    let (child, n) =
-                        Self::load_node(&TCid::from_cid(*child_cid), store, depth + 1)?;
-                    count += n;
-                    pointers.push(Pointer::Link(Arc::new(child)));
-                }
+                let count = entries.len() as u64;
+                (Kind::Leaf(entries), count)
             }
-        }
+            WireNode::Interior { bitmap, children } => {
+                let mut count = 0u64;
+                let mut loaded = Vec::with_capacity(children.len());
+                for child_cid in children {
+                    let (child, n) = Self::load_node(&TCid::from_cid(child_cid), store, depth + 1)?;
+                    count += n;
+                    loaded.push(Arc::new(child));
+                }
+                (
+                    Kind::Interior {
+                        bitmap,
+                        children: loaded,
+                    },
+                    count,
+                )
+            }
+        };
         Ok((
             Node {
-                bitmap: wire.bitmap,
-                pointers,
+                kind,
                 // The store guarantees blob bytes hash to their CID.
                 cached: Some(*cid),
             },
@@ -503,7 +585,7 @@ where
     }
 
     /// Builds the membership proof for `key`: the canonical node blobs
-    /// from the root down to the bucket holding the entry. Returns `None`
+    /// from the root down to the leaf holding the entry. Returns `None`
     /// if the key is absent or the tree has unflushed mutations.
     pub fn prove(&self, key: &K) -> Option<HamtProof> {
         self.root.cached?;
@@ -512,31 +594,35 @@ where
         let mut node = &*self.root;
         for depth in 0.. {
             nodes.push(node.encode());
-            let idx = slot_at(&hash, depth);
-            if !node.has(idx) {
-                return None;
-            }
-            match &node.pointers[node.position(idx)] {
-                Pointer::Bucket(entries) => {
-                    entries.iter().find(|(k, _)| k == key)?;
+            match &node.kind {
+                Kind::Leaf(entries) => {
+                    leaf_search(entries, key).ok()?;
                     return Some(HamtProof { nodes });
                 }
-                Pointer::Link(child) => node = child,
+                Kind::Interior { bitmap, children } => {
+                    let idx = slot_at(&hash, depth);
+                    if !has_slot(*bitmap, idx) {
+                        return None;
+                    }
+                    node = &children[slot_position(*bitmap, idx)];
+                }
             }
         }
         unreachable!("loop returns")
     }
 }
 
-/// A HAMT membership proof: the node blobs along the key's root path.
+/// A HAMT membership proof: the node blobs along the key's root path —
+/// zero or more interior nodes, then the leaf.
 ///
 /// Verification re-hashes each blob against the link that referenced it
-/// (the first against the committed root), follows the key's hash slots,
-/// and finally checks the claimed entry sits in the terminal bucket — so a
-/// proof is exactly as trustworthy as the root CID it is checked against.
+/// (the first against the committed root), follows the key's hash slots
+/// through the interior nodes, and finally checks the claimed entry sits in
+/// the leaf — so a proof is exactly as trustworthy as the root CID it is
+/// checked against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HamtProof {
-    /// Canonical node blobs, root first.
+    /// Canonical node blobs, root first, leaf last.
     pub nodes: Vec<Vec<u8>>,
 }
 
@@ -548,100 +634,99 @@ impl HamtProof {
         K: CanonicalEncode,
         V: CanonicalEncode,
     {
-        let hash = sha256(&key.canonical_bytes());
+        let Some((leaf, path)) = self.nodes.split_last() else {
+            return false;
+        };
         let (key_bytes, value_bytes) = (key.canonical_bytes(), value.canonical_bytes());
+        let hash = sha256(&key_bytes);
         let mut expected = root.cid();
-        for (depth, blob) in self.nodes.iter().enumerate() {
+        for (depth, blob) in path.iter().enumerate() {
             if Cid::digest(blob) != expected {
                 return false;
             }
-            let Ok(wire) = WireNode::decode(blob) else {
+            let Ok(WireNode::Interior { bitmap, children }) = WireNode::decode(blob) else {
                 return false;
             };
             let idx = slot_at(&hash, depth);
-            if wire.bitmap & (1 << idx) == 0 {
+            if !has_slot(bitmap, idx) {
                 return false;
             }
-            let pos = (wire.bitmap & ((1u32 << idx) - 1)).count_ones() as usize;
-            match &wire.pointers[pos] {
-                WirePointer::Bucket(entries) => {
-                    // The bucket must be the last proof node and contain
-                    // the claimed entry verbatim.
-                    return depth + 1 == self.nodes.len()
-                        && entries
-                            .iter()
-                            .any(|(kb, vb)| *kb == key_bytes && *vb == value_bytes);
-                }
-                WirePointer::Link(child) => expected = *child,
-            }
+            expected = children[slot_position(bitmap, idx)];
         }
-        false
+        // The last blob must be a leaf holding the claimed entry verbatim.
+        Cid::digest(leaf) == expected
+            && matches!(
+                WireNode::decode(leaf),
+                Ok(WireNode::Leaf(entries))
+                    if entries.contains(&(key_bytes.as_slice(), value_bytes.as_slice()))
+            )
     }
 }
 
 /// Type-erased wire form of a node: enough structure to follow links and
-/// compare raw entry bytes, without knowing `K`/`V`.
-struct WireNode {
-    bitmap: u32,
-    pointers: Vec<WirePointer>,
+/// compare raw entry bytes, without knowing `K`/`V`. Entry bytes borrow
+/// from the blob.
+enum WireNode<'a> {
+    Leaf(Vec<(&'a [u8], &'a [u8])>),
+    Interior { bitmap: u32, children: Vec<Cid> },
 }
 
-enum WirePointer {
-    Bucket(Vec<(Vec<u8>, Vec<u8>)>),
-    Link(Cid),
-}
-
-impl WireNode {
-    fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+impl<'a> WireNode<'a> {
+    fn decode(bytes: &'a [u8]) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(bytes);
-        let tag = u8::read_bytes(&mut r)?;
-        if tag != HAMT_NODE_TAG {
-            return Err(DecodeError::BadTag {
-                what: "HamtNode",
-                tag,
-            });
-        }
-        let bitmap = u32::read_bytes(&mut r)?;
-        let mut pointers = Vec::with_capacity(bitmap.count_ones() as usize);
-        for _ in 0..bitmap.count_ones() {
-            match u8::read_bytes(&mut r)? {
-                0 => {
-                    let n = r.len_prefix("HamtBucket")?;
-                    let mut entries = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let k = Vec::<u8>::read_bytes(&mut r)?;
-                        let v = Vec::<u8>::read_bytes(&mut r)?;
-                        entries.push((k, v));
-                    }
-                    pointers.push(WirePointer::Bucket(entries));
+        let node = match u8::read_bytes(&mut r)? {
+            HAMT_LEAF_TAG => {
+                let n = r.len_prefix("HamtLeaf")?;
+                // Every entry carries two 8-byte length prefixes; bound the
+                // count by that so a forged one cannot drive the allocation.
+                if n > r.remaining() / 16 {
+                    return Err(DecodeError::BadLength {
+                        what: "HamtLeaf",
+                        len: n as u64,
+                    });
                 }
-                1 => pointers.push(WirePointer::Link(Cid::read_bytes(&mut r)?)),
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "HamtPointer",
-                        tag,
-                    })
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let key_len = r.len_prefix("HamtLeaf.key")?;
+                    let key = r.take(key_len)?;
+                    let value_len = r.len_prefix("HamtLeaf.value")?;
+                    entries.push((key, r.take(value_len)?));
                 }
+                WireNode::Leaf(entries)
             }
-        }
+            HAMT_NODE_TAG => {
+                let bitmap = u32::read_bytes(&mut r)?;
+                if bitmap == 0 {
+                    return Err(DecodeError::Invalid {
+                        what: "HAMT interior node without children",
+                    });
+                }
+                let mut children = Vec::with_capacity(bitmap.count_ones() as usize);
+                for _ in 0..bitmap.count_ones() {
+                    children.push(Cid::read_bytes(&mut r)?);
+                }
+                WireNode::Interior { bitmap, children }
+            }
+            tag => {
+                return Err(DecodeError::BadTag {
+                    what: "HamtNode",
+                    tag,
+                })
+            }
+        };
         r.finish()?;
-        Ok(WireNode { bitmap, pointers })
+        Ok(node)
     }
 }
 
-/// The child-node CIDs a canonical HAMT node blob links to. Used by
-/// closure walks (GC reachability, snapshot fetch frontiers, blob-log
-/// hydration) that traverse the tree without type context.
+/// The child-node CIDs a canonical HAMT node blob links to (none, for a
+/// leaf). Used by closure walks (GC reachability, snapshot fetch frontiers,
+/// blob-log hydration) that traverse the tree without type context.
 pub fn node_links(bytes: &[u8]) -> Result<Vec<Cid>, DecodeError> {
-    let wire = WireNode::decode(bytes)?;
-    Ok(wire
-        .pointers
-        .iter()
-        .filter_map(|p| match p {
-            WirePointer::Link(cid) => Some(*cid),
-            WirePointer::Bucket(_) => None,
-        })
-        .collect())
+    Ok(match WireNode::decode(bytes)? {
+        WireNode::Interior { children, .. } => children,
+        WireNode::Leaf(_) => Vec::new(),
+    })
 }
 
 #[cfg(test)]
@@ -653,6 +738,29 @@ mod tests {
 
     fn flushed_root(h: &mut Map) -> Cid {
         h.flush(&mut HashWork::default()).cid()
+    }
+
+    fn map_of(keys: impl IntoIterator<Item = u64>) -> Map {
+        let mut h = Map::new();
+        for k in keys {
+            h.set(Address::new(k), k);
+        }
+        h
+    }
+
+    /// `(interior nodes, leaves, depth)` of the tree, root at depth 1.
+    fn shape(h: &Map) -> (usize, usize, usize) {
+        fn walk(node: &Node<Address, u64>) -> (usize, usize, usize) {
+            match &node.kind {
+                Kind::Leaf(_) => (0, 1, 1),
+                Kind::Interior { children, .. } => {
+                    children.iter().map(|c| walk(c)).fold((1, 0, 1), |acc, c| {
+                        (acc.0 + c.0, acc.1 + c.1, acc.2.max(c.2 + 1))
+                    })
+                }
+            }
+        }
+        walk(&h.root)
     }
 
     #[test]
@@ -684,19 +792,12 @@ mod tests {
 
     #[test]
     fn root_is_order_independent_and_delete_restores_canonical_form() {
-        let keys: Vec<u64> = (0..200).collect();
-        let mut fwd = Map::new();
-        for &k in &keys {
-            fwd.set(Address::new(k), k);
-        }
-        let mut rev = Map::new();
-        for &k in keys.iter().rev() {
-            rev.set(Address::new(k), k);
-        }
+        let mut fwd = map_of(0..200);
+        let mut rev = map_of((0..200).rev());
         assert_eq!(flushed_root(&mut fwd), flushed_root(&mut rev));
 
         // Insert 300 extra keys then delete them again: the root must come
-        // back exactly (bucket splits fully undone by collapse).
+        // back exactly (leaf splits fully undone by merges).
         let before = flushed_root(&mut fwd);
         for k in 1000..1300u64 {
             fwd.set(Address::new(k), k);
@@ -709,11 +810,59 @@ mod tests {
     }
 
     #[test]
-    fn flush_rehashes_only_the_dirty_path() {
-        let mut h = Map::new();
-        for i in 0..10_000u64 {
-            h.set(Address::new(i), i);
+    fn a_leaf_splits_past_the_cap_and_merges_back_at_it() {
+        let cap = LEAF_CAP as u64;
+        let mut h = map_of(0..cap);
+        assert_eq!(shape(&h), (0, 1, 1), "≤ LEAF_CAP entries are one leaf");
+        let at_cap = flushed_root(&mut h);
+
+        h.set(Address::new(cap), cap);
+        let (interior, leaves, depth) = shape(&h);
+        assert_eq!((interior, depth), (1, 2), "one more entry splits the root");
+        assert!(leaves > 1 && leaves <= 32);
+        assert_eq!(flushed_root(&mut h), flushed_root(&mut map_of(0..=cap)));
+
+        assert_eq!(h.delete(&Address::new(cap)), Some(cap));
+        assert_eq!(shape(&h), (0, 1, 1), "back at the cap, back to one leaf");
+        assert_eq!(flushed_root(&mut h), at_cap);
+
+        // Emptying the map leaves the empty leaf a new map starts as.
+        for k in 0..cap {
+            h.delete(&Address::new(k));
         }
+        assert!(h.is_empty());
+        assert_eq!(flushed_root(&mut h), flushed_root(&mut Map::new()));
+    }
+
+    #[test]
+    fn node_blobs_are_bounded() {
+        // Interior nodes are links only; leaves hold at most LEAF_CAP
+        // (Address, u64) entries of 8 + 8 + 8 + 8 bytes.
+        let store = CidStore::new();
+        let root = map_of(0..20_000).persist(&store);
+        let mut frontier = vec![root.cid()];
+        let (mut interior, mut leaves) = (0, 0);
+        while let Some(cid) = frontier.pop() {
+            let blob = store.get(&cid).expect("closure complete");
+            match blob[0] {
+                HAMT_NODE_TAG => {
+                    interior += 1;
+                    assert!(blob.len() <= 1 + 4 + 32 * 32);
+                }
+                HAMT_LEAF_TAG => {
+                    leaves += 1;
+                    assert!(blob.len() <= 1 + 8 + LEAF_CAP * 32);
+                }
+                tag => panic!("unexpected node tag {tag:#x}"),
+            }
+            frontier.extend(node_links(&blob).expect("valid node"));
+        }
+        assert!(interior > 32 && leaves > 1_000);
+    }
+
+    #[test]
+    fn flush_rehashes_only_the_dirty_path() {
+        let mut h = map_of(0..10_000);
         let mut full = HashWork::default();
         h.flush(&mut full);
         assert!(full.nodes > 100, "10k entries span many nodes");
@@ -735,10 +884,7 @@ mod tests {
     #[test]
     fn persist_load_round_trips_and_shares_structure() {
         let store = CidStore::new();
-        let mut h = Map::new();
-        for i in 0..2_000u64 {
-            h.set(Address::new(i), i);
-        }
+        let mut h = map_of(0..2_000);
         let root = h.persist(&store);
         let first_blobs = store.len();
 
@@ -762,11 +908,7 @@ mod tests {
     #[test]
     fn load_rejects_missing_and_corrupt_nodes() {
         let store = CidStore::new();
-        let mut h = Map::new();
-        for i in 0..100u64 {
-            h.set(Address::new(i), i);
-        }
-        let root = h.persist(&store);
+        let root = map_of(0..100).persist(&store);
         let fresh = CidStore::new();
         assert!(matches!(
             Map::load(&root, &fresh),
@@ -779,6 +921,63 @@ mod tests {
         ));
     }
 
+    /// A leaf blob of `keys`, in the given order, each mapped to itself.
+    fn leaf_blob(keys: &[u64]) -> Vec<u8> {
+        let mut out = vec![HAMT_LEAF_TAG];
+        (keys.len() as u64).write_bytes(&mut out);
+        for k in keys {
+            write_len_prefixed(&Address::new(*k), &mut out);
+            write_len_prefixed(k, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn load_rejects_malformed_leaves_and_interiors() {
+        let store = CidStore::new();
+        let load = |blob: Vec<u8>| Map::load(&TCid::from_cid(store.put(blob)), &store);
+
+        assert_eq!(load(leaf_blob(&[1, 2, 3])).unwrap().len(), 3);
+        for (blob, why) in [
+            (leaf_blob(&[1, 3, 2]), "unsorted keys"),
+            (leaf_blob(&[1, 2, 2]), "duplicate key"),
+            (
+                leaf_blob(&(0..=LEAF_CAP as u64).collect::<Vec<_>>()),
+                "over-cap leaf",
+            ),
+        ] {
+            assert!(
+                matches!(load(blob), Err(HamtError::Structure(_))),
+                "{why} must be a structure error"
+            );
+        }
+
+        let mut trailing = leaf_blob(&[1, 2]);
+        trailing.push(0);
+        let mut forged_count = vec![HAMT_LEAF_TAG];
+        u64::MAX.write_bytes(&mut forged_count);
+        let mut short_count = leaf_blob(&[1, 2]);
+        short_count[1] = 3;
+        let mut empty_interior = vec![HAMT_NODE_TAG];
+        0u32.write_bytes(&mut empty_interior);
+        let mut short_interior = vec![HAMT_NODE_TAG];
+        0b11u32.write_bytes(&mut short_interior);
+        Cid::digest(b"only one child").write_bytes(&mut short_interior);
+        for (blob, why) in [
+            (trailing, "trailing bytes"),
+            (forged_count, "forged entry count"),
+            (short_count, "count beyond the entries"),
+            (empty_interior, "interior without children"),
+            (short_interior, "fewer links than bitmap bits"),
+        ] {
+            assert!(node_links(&blob).is_err(), "{why} must not decode");
+            assert!(
+                matches!(load(blob), Err(HamtError::Decode(_))),
+                "{why} must be a decode error"
+            );
+        }
+    }
+
     #[test]
     fn proofs_verify_and_reject() {
         let mut h = Map::new();
@@ -787,6 +986,7 @@ mod tests {
         }
         let root = h.flush(&mut HashWork::default());
         let proof = h.prove(&Address::new(1234)).unwrap();
+        assert!(proof.nodes.len() >= 2, "interior path, then the leaf");
         assert!(proof.verify(&root, &Address::new(1234), &1235u64));
         // Wrong value, wrong key, wrong root, tampered blob: all rejected.
         assert!(!proof.verify(&root, &Address::new(1234), &999u64));
@@ -795,18 +995,30 @@ mod tests {
         let mut tampered = proof.clone();
         tampered.nodes[0][5] ^= 1;
         assert!(!tampered.verify(&root, &Address::new(1234), &1235u64));
+        // A path that stops at an interior node, or carries on past the
+        // leaf, proves nothing.
+        let mut no_leaf = proof.clone();
+        no_leaf.nodes.pop();
+        assert!(!no_leaf.verify(&root, &Address::new(1234), &1235u64));
+        let mut past_leaf = proof.clone();
+        past_leaf.nodes.push(proof.nodes.last().unwrap().clone());
+        assert!(!past_leaf.verify(&root, &Address::new(1234), &1235u64));
+        assert!(!HamtProof { nodes: Vec::new() }.verify(&root, &Address::new(1234), &1235u64));
         // Absent key: no proof at all.
         assert!(h.prove(&Address::new(999_999)).is_none());
+
+        // A single-leaf tree proves with the leaf alone.
+        let mut small = map_of(0..10);
+        let root = small.flush(&mut HashWork::default());
+        let proof = small.prove(&Address::new(3)).unwrap();
+        assert_eq!(proof.nodes.len(), 1);
+        assert!(proof.verify(&root, &Address::new(3), &3u64));
     }
 
     #[test]
     fn node_links_walks_the_wire_format() {
         let store = CidStore::new();
-        let mut h = Map::new();
-        for i in 0..500u64 {
-            h.set(Address::new(i), i);
-        }
-        let root = h.persist(&store);
+        let root = map_of(0..500).persist(&store);
         // BFS via node_links reaches every stored node.
         let mut frontier = vec![root.cid()];
         let mut seen = 0usize;
@@ -817,5 +1029,6 @@ mod tests {
         }
         assert_eq!(seen, store.len());
         assert!(node_links(b"junk").is_err());
+        assert_eq!(node_links(&leaf_blob(&[1, 2])), Ok(Vec::new()));
     }
 }

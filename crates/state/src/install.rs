@@ -22,11 +22,16 @@
 //!   peer serving the right entries in a non-canonical AMT (sparse indices,
 //!   extra height) is refused, so no forged node CID can reach a later
 //!   state root;
-//! * the assembled tree's [`StateTree::recompute_root`] must equal the
-//!   manifest root — that rebuilds the account HAMT and the registry log
-//!   from scratch in canonical form. Callers in turn check the root
-//!   against a committed block header — so a syncing node never trusts the
-//!   serving peer, only the consensus-committed state root.
+//! * the assembled tree's first [`StateTree::flush`] must equal the
+//!   manifest root — on a tree without a commitment that is a full build,
+//!   so the account HAMT is rebuilt from the accounts in canonical form
+//!   (the served nodes are dropped whatever their shape, and wrong content
+//!   hashes to another root) and every chunk is re-encoded. The commitment
+//!   it builds is kept: the state is hashed once to verify it, not again by
+//!   the node's first block.
+//!   Callers in turn check the root against a committed block header — so a
+//!   syncing node never trusts the serving peer, only the
+//!   consensus-committed state root.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -120,8 +125,9 @@ impl StateTree {
     /// content against the manifest root (see the module docs for the full
     /// verification chain).
     ///
-    /// The returned tree is cold: its commitment cache is empty, so the
-    /// first `flush()` is a full rebuild — exactly like a genesis tree.
+    /// The returned tree is committed at `manifest.root`: the verifying
+    /// flush's commitment stays, so the next `flush()` hashes only what was
+    /// written since.
     pub fn from_manifest(
         manifest: &ChunkManifest,
         store: &CidStore,
@@ -189,7 +195,7 @@ impl StateTree {
         let (subnet_id, next_actor_id) = meta.ok_or(InstallError::MissingChunk("Meta"))?;
         let sca = sca.ok_or(InstallError::MissingChunk("Sca"))?;
         let atomic = atomic.ok_or(InstallError::MissingChunk("Atomic"))?;
-        let tree = StateTree {
+        let mut tree = StateTree {
             subnet_id,
             accounts: Accounts::from_map(accounts),
             sca,
@@ -199,7 +205,7 @@ impl StateTree {
             registry,
             commitment: Commitment::default(),
         };
-        let actual = tree.recompute_root();
+        let actual = tree.flush();
         if actual != manifest.root {
             return Err(InstallError::RootMismatch {
                 expected: manifest.root,
@@ -270,6 +276,45 @@ mod tests {
         // Re-persisting the installed tree reproduces the same manifest.
         let again = persisted(&mut installed, &store);
         assert_eq!(again, manifest);
+    }
+
+    #[test]
+    fn an_installed_tree_is_committed_and_hashes_only_later_writes() {
+        let store = CidStore::new();
+        let mut t = rich_tree();
+        for i in 0..300 {
+            t.accounts_mut()
+                .get_or_create(Address::new(1_000 + i))
+                .balance = TokenAmount::from_whole(1);
+        }
+        let manifest = persisted(&mut t, &store);
+
+        // The verifying flush is the install's one full build ...
+        let mut installed = StateTree::from_manifest(&manifest, &store).unwrap();
+        assert!(installed.is_committed());
+        let verified = installed.commit_stats();
+        assert_eq!(verified.full_builds, 1);
+        // ... so a write-free flush hashes nothing ...
+        assert_eq!(installed.flush(), manifest.root);
+        assert_eq!(installed.commit_stats().bytes_hashed, verified.bytes_hashed);
+
+        // ... and one account write hashes what it does on the tree the
+        // snapshot was taken from: its leaf, the HAMT root above it and the
+        // accounts leaf of the state root.
+        let source_before = t.commit_stats();
+        for tree in [&mut installed, &mut t] {
+            tree.accounts_mut()
+                .get_or_create(Address::new(1_000))
+                .balance = TokenAmount::from_whole(2);
+        }
+        assert_eq!(installed.flush(), t.flush());
+        let (after, source) = (installed.commit_stats(), t.commit_stats());
+        assert_eq!(after.full_builds, 1);
+        assert_eq!(after.hamt_nodes_hashed - verified.hamt_nodes_hashed, 2);
+        assert_eq!(
+            after.bytes_hashed - verified.bytes_hashed,
+            source.bytes_hashed - source_before.bytes_hashed
+        );
     }
 
     #[test]

@@ -964,8 +964,10 @@ mod tests {
         let proof = t.prove_account(Address::new(700)).unwrap();
         let state = t.accounts().get(Address::new(700)).unwrap();
         assert!(proof.verify(root, Address::new(700), state));
-        // Wrong account, wrong state, wrong root: rejected.
-        assert!(!proof.verify(root, Address::new(701), state));
+        // Wrong account, wrong state, wrong root: rejected. (An account
+        // that shares 700's leaf *and* state is proven by the same blobs,
+        // so the wrong account here is an absent one.)
+        assert!(!proof.verify(root, Address::new(751), state));
         let mut other = state.clone();
         other.balance += TokenAmount::from_atto(1);
         assert!(!proof.verify(root, Address::new(700), &other));

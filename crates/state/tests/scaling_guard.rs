@@ -1,6 +1,8 @@
 //! Tier-1 scaling guard: at 1M accounts, a single-account write re-hashes
 //! at least 10× fewer bytes under the HAMT ledger than under the flat
-//! chunk-per-account baseline, and the manifest stays O(system actors).
+//! chunk-per-account baseline, and the manifest stays O(system actors);
+//! at the rootnet benchmark's size, a block's worth of scattered writes
+//! hashes its own leaves plus link-only interior nodes, not its neighbours.
 //!
 //! The flat baseline is the pre-HAMT design: every account is its own
 //! Merkle leaf, so a structural write (account created or removed)
@@ -10,9 +12,9 @@
 //! scale before being trusted at 1M.
 
 use hc_actors::ScaConfig;
-use hc_state::StateTree;
+use hc_state::{blob_links, ChunkManifest, CidStore, StateTree};
 use hc_types::merkle::MerkleTree;
-use hc_types::{Address, Cid, Keypair, SubnetId, TokenAmount};
+use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TokenAmount};
 
 /// Interior bytes hashed by a full `MerkleTree::from_leaf_hashes` build
 /// over `n` leaves: each level hashes `floor(len/2)` pairs of `NODE_HASH_BYTES`
@@ -81,5 +83,66 @@ fn million_account_write_rehashes_10x_less_than_flat_baseline() {
         manifest.entries.len() <= 4,
         "manifest must stay O(system actors), got {} entries",
         manifest.entries.len()
+    );
+}
+
+/// The `root-ramp` benchmark's measured block shape: 88 861 materialised
+/// accounts, 540 distinct accounts written per flush. The HAMT is three
+/// interior levels over ~2.7-entry leaves there, so a written account costs
+/// its leaf plus its share of the link-only nodes above it — the layout
+/// this replaced kept entries inline in the interior nodes and hashed
+/// 3 991 bytes per written account here (~40 unrelated accounts each).
+#[test]
+fn a_sparse_block_hashes_its_own_leaves_and_link_only_nodes() {
+    const ACCOUNTS: u64 = 88_861;
+    const WRITES: u64 = 540;
+    /// Measured: 1 200 bytes hashed per written account, plus 2 %.
+    const MAX_BYTES_PER_WRITE: u64 = 1_224;
+
+    let key = Keypair::from_seed([0x11; 32]).public();
+    let mut tree = StateTree::genesis(
+        SubnetId::root(),
+        ScaConfig::default(),
+        (0..ACCOUNTS).map(|i| (Address::new(100 + i), key, TokenAmount::from_whole(1))),
+    );
+    tree.flush();
+
+    let before = tree.commit_stats();
+    for i in 0..WRITES {
+        // A stride coprime to the account count: distinct, scattered.
+        let addr = Address::new(100 + (i * 7_919 + 13) % ACCOUNTS);
+        tree.accounts_mut().get_or_create(addr).balance += TokenAmount::from_atto(1);
+    }
+    tree.flush();
+    let after = tree.commit_stats();
+    let per_write = (after.bytes_hashed - before.bytes_hashed) / WRITES;
+    eprintln!(
+        "sparse block at {ACCOUNTS} accounts x {WRITES} writes: {per_write} bytes, {:.2} nodes \
+         hashed per written account",
+        (after.hamt_nodes_hashed - before.hamt_nodes_hashed) as f64 / WRITES as f64
+    );
+    assert!(
+        per_write <= MAX_BYTES_PER_WRITE,
+        "{per_write} bytes hashed per written account, ceiling {MAX_BYTES_PER_WRITE}"
+    );
+
+    // No node preimage is larger than a full interior node (tag, bitmap,
+    // 32 links) or a full leaf (tag, count, 64 length-prefixed entries).
+    let account = tree.accounts().get(Address::new(100)).expect("funded");
+    let entry = 8 + 8 + 8 + account.canonical_bytes().len();
+    let max_node = (1 + 4 + 32 * 32).max(1 + 8 + 64 * entry);
+    let store = CidStore::new();
+    let manifest_cid = tree.persist(&store);
+    let manifest = ChunkManifest::decode(&store.get(&manifest_cid).unwrap()).unwrap();
+    let mut frontier = vec![manifest.accounts_root.cid()];
+    let mut largest = 0;
+    while let Some(cid) = frontier.pop() {
+        let blob = store.get(&cid).expect("persisted closure is complete");
+        largest = largest.max(blob.len());
+        frontier.extend(blob_links(&blob));
+    }
+    assert!(
+        largest <= max_node,
+        "largest HAMT node is {largest} bytes, bound {max_node}"
     );
 }

@@ -5,24 +5,35 @@
 //! and dropping any single chunk blob breaks the install). The content
 //! registry rides along: every group cut before a persist is still served
 //! after the install, an incomplete registry closure is reported and
-//! refused, and hostile registry blobs are rejected without panicking.
+//! refused, and hostile registry blobs are rejected without panicking. So
+//! are hostile account-HAMT blobs of both node kinds (`0x68` interior,
+//! `0x6c` leaf), and a served HAMT of the right content in the wrong shape
+//! never reaches the installed commitment.
 
 use proptest::prelude::*;
 
 use hc_actors::sa::{SaConfig, SaState};
 use hc_actors::{CrossMsg, HcAddress, ScaConfig};
-use hc_state::{blob_links, AmtRoot, ChunkManifest, CidStore, InstallError, StateTree};
+use hc_state::{
+    blob_links, AccountState, AmtRoot, ChunkManifest, CidStore, HamtError, InstallError, StateTree,
+};
+use hc_types::crypto::sha256;
 use hc_types::merkle::merkle_root;
 use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TCid, TokenAmount};
 
 const USERS: u64 = 4;
 
 fn genesis() -> StateTree {
+    ledger(USERS)
+}
+
+/// A genesis tree of `accounts` funded accounts.
+fn ledger(accounts: u64) -> StateTree {
     let key = Keypair::from_seed([0x5d; 32]).public();
     StateTree::genesis(
         SubnetId::root(),
         ScaConfig::default(),
-        (0..USERS).map(|i| (Address::new(100 + i), key, TokenAmount::from_whole(100))),
+        (0..accounts).map(|i| (Address::new(100 + i), key, TokenAmount::from_whole(100))),
     )
 }
 
@@ -162,6 +173,187 @@ fn forged_registry_shapes_are_refused() {
     assert_eq!(installed.flush(), installed.recompute_root());
 }
 
+/// A persisted tree of `accounts` funded accounts with its manifest.
+fn persisted_ledger(accounts: u64, store: &CidStore) -> (StateTree, ChunkManifest) {
+    let mut tree = ledger(accounts);
+    let manifest_cid = tree.persist(store);
+    let manifest = ChunkManifest::decode(&store.get(&manifest_cid).unwrap()).unwrap();
+    (tree, manifest)
+}
+
+/// A HAMT leaf blob (`0x6c`, count, length-prefixed key and value bytes)
+/// holding `entries` in the order given.
+fn hamt_leaf(entries: &[(Address, AccountState)]) -> Vec<u8> {
+    let mut out = vec![0x6cu8];
+    (entries.len() as u64).write_bytes(&mut out);
+    for (addr, state) in entries {
+        addr.canonical_bytes().write_bytes(&mut out);
+        state.canonical_bytes().write_bytes(&mut out);
+    }
+    out
+}
+
+/// A HAMT interior blob (`0x68`, bitmap, one CID per set bit).
+fn hamt_interior(bitmap: u32, children: &[Cid]) -> Vec<u8> {
+    let mut out = vec![0x68u8];
+    bitmap.write_bytes(&mut out);
+    for child in children {
+        child.write_bytes(&mut out);
+    }
+    out
+}
+
+/// Account-HAMT nodes a peer may serve under a forged `accounts_root`:
+/// malformed ones fail the load with the matching error, and a well-formed
+/// tree of the *right content in the wrong shape* installs — its content is
+/// what the committed root vouches for — but only as the canonical HAMT
+/// rebuilt from that content, so no served node CID outlives the install.
+#[test]
+fn malformed_account_nodes_are_refused_and_forged_shapes_never_installed() {
+    let store = CidStore::new();
+    let (mut tree, manifest) = persisted_ledger(USERS, &store);
+    let entries: Vec<(Address, AccountState)> = tree
+        .accounts()
+        .iter()
+        .map(|(addr, state)| (*addr, state.clone()))
+        .collect();
+    let install = |blob: Vec<u8>| {
+        let mut served = manifest.clone();
+        served.accounts_root = TCid::from_cid(store.put(blob));
+        let _ = served.missing_chunks(&store);
+        StateTree::from_manifest(&served, &store).map(|t| (served, t))
+    };
+    // The honest leaf, rebuilt by hand, is byte-identical to the served one.
+    assert_eq!(
+        store.put(hamt_leaf(&entries)),
+        manifest.accounts_root.cid(),
+        "leaf layout drifted from this test's encoder"
+    );
+
+    let reversed: Vec<_> = entries.iter().rev().cloned().collect();
+    let mut doubled = entries.clone();
+    doubled.insert(1, entries[0].clone());
+    let over_cap: Vec<_> = (0..65u64)
+        .map(|i| (Address::new(1_000 + i), entries[0].1.clone()))
+        .collect();
+    for (blob, why) in [
+        (hamt_leaf(&reversed), "unsorted keys"),
+        (hamt_leaf(&doubled), "duplicate key"),
+        (hamt_leaf(&over_cap), "leaf over capacity"),
+    ] {
+        assert!(
+            matches!(
+                install(blob),
+                Err(InstallError::Accounts(HamtError::Structure(_)))
+            ),
+            "{why}"
+        );
+    }
+    let mut trailing_leaf = hamt_leaf(&entries);
+    trailing_leaf.push(0);
+    let mut trailing_interior = hamt_interior(0b1, &[manifest.accounts_root.cid()]);
+    trailing_interior.push(0);
+    let mut forged_count = hamt_leaf(&entries);
+    forged_count[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+    for (blob, why) in [
+        (trailing_leaf, "trailing bytes after a leaf"),
+        (trailing_interior, "trailing bytes after an interior node"),
+        (forged_count, "forged entry count"),
+        (hamt_interior(0, &[]), "interior node without children"),
+        (hamt_interior(0b11, &[Cid::digest(b"one")]), "missing link"),
+    ] {
+        assert!(
+            matches!(
+                install(blob),
+                Err(InstallError::Accounts(HamtError::Decode(_)))
+            ),
+            "{why}"
+        );
+    }
+    // A leaf that lost an account is well-formed; the root check refuses it.
+    assert!(matches!(
+        install(hamt_leaf(&entries[1..])),
+        Err(InstallError::RootMismatch { .. })
+    ));
+
+    // The right four accounts, one leaf per occupied slot under an interior
+    // root: every blob is well-formed and every entry is where its hash
+    // routes it, but four entries belong in one leaf.
+    let mut slots: std::collections::BTreeMap<u32, Vec<(Address, AccountState)>> =
+        Default::default();
+    for entry in &entries {
+        let slot = u32::from(sha256(&entry.0.canonical_bytes())[0] >> 3);
+        slots.entry(slot).or_default().push(entry.clone());
+    }
+    let bitmap = slots.keys().fold(0u32, |bits, slot| bits | 1 << slot);
+    let children: Vec<Cid> = slots.values().map(|e| store.put(hamt_leaf(e))).collect();
+    let (served, mut installed) =
+        install(hamt_interior(bitmap, &children)).expect("the content is the committed one");
+    assert_ne!(served.accounts_root, manifest.accounts_root);
+    assert!(
+        !served.verify(&store),
+        "the forged root is not the committed accounts leaf"
+    );
+    assert_eq!(installed.accounts_root(), Some(manifest.accounts_root));
+    for t in [&mut installed, &mut tree] {
+        t.accounts_mut().get_or_create(Address::new(100)).balance += TokenAmount::from_atto(1);
+    }
+    assert_eq!(installed.flush(), tree.flush());
+    assert_eq!(installed.flush(), installed.recompute_root());
+}
+
+/// The closure shapes snapshot sync's outage and the e2e smoke gate's blob
+/// counts rest on. The fetch loop (`hc-core`) pulls at most 16 blobs per
+/// round trip, so both the count of blobs and the depth of the account HAMT
+/// set how long a rejoin takes: a subnet of ≤ 64 accounts is a single leaf
+/// (one round, with the fixed chunks), and the benchmark trees' 256 accounts
+/// are a root over 32 leaves — 2 frontier levels, 3 capped round trips. A
+/// layout that needs more of either moves `tree-durable-crash`'s p99.
+#[test]
+fn small_ledgers_persist_as_shallow_closures() {
+    // (accounts, HAMT blobs, HAMT depth, frontier rounds, rounds at 16/trip)
+    for (accounts, max_blobs, max_depth, rounds, capped_rounds) in
+        [(48u64, 1, 1, 1, 1), (256, 33, 2, 2, 3)]
+    {
+        let store = CidStore::new();
+        let (_, manifest) = persisted_ledger(accounts, &store);
+
+        let mut frontier = vec![(manifest.accounts_root.cid(), 1)];
+        let (mut blobs, mut depth) = (0, 0);
+        while let Some((cid, level)) = frontier.pop() {
+            blobs += 1;
+            depth = depth.max(level);
+            let links = blob_links(&store.get(&cid).unwrap());
+            frontier.extend(links.into_iter().map(|link| (link, level + 1)));
+        }
+        assert!(
+            blobs <= max_blobs && depth <= max_depth,
+            "{accounts} accounts: {blobs} HAMT blobs, depth {depth}"
+        );
+
+        for (per_trip, expected) in [(usize::MAX, rounds), (16, capped_rounds)] {
+            let local = CidStore::new();
+            let mut trips = 0;
+            loop {
+                let mut missing = manifest.missing_chunks(&local);
+                if missing.is_empty() {
+                    break;
+                }
+                missing.truncate(per_trip);
+                trips += 1;
+                for cid in missing {
+                    local.put(store.get(&cid).unwrap().as_ref().clone());
+                }
+            }
+            assert_eq!(
+                trips, expected,
+                "{accounts} accounts, {per_trip} blobs per trip"
+            );
+            assert!(StateTree::from_manifest(&manifest, &local).is_ok());
+        }
+    }
+}
+
 proptest! {
     /// For any randomly mutated account set: the manifest closure is
     /// exactly `{manifest} ∪ {chunk blobs}` (no orphan retained), copying
@@ -294,6 +486,60 @@ proptest! {
         };
         manifest.registry_root = AmtRoot { height, count, node: TCid::from_cid(node) };
         let _ = blob_links(&junk);
+        let _ = manifest.missing_chunks(&store);
+        prop_assert!(!manifest.verify(&store));
+        prop_assert!(StateTree::from_manifest(&manifest, &store).is_err());
+    }
+    /// Arbitrary bytes, or an honest node with one mutation, served as the
+    /// account HAMT's root or as a child of its root, under either node
+    /// tag: closure walks and the install never panic or allocate from a
+    /// forged length, and the install is refused.
+    #[test]
+    fn hostile_account_blobs_are_refused_without_panicking(
+        junk in prop::collection::vec(any::<u8>(), 0..300),
+        tag in prop_oneof![Just(None), Just(Some(0x6cu8)), Just(Some(0x68u8))],
+        mutate_honest in any::<bool>(),
+        as_root in any::<bool>(),
+        flip_at in any::<u16>(),
+        flip_bits in 1u8..=255,
+        cut in prop_oneof![Just(0usize), 1usize..40],
+    ) {
+        // 100 accounts: an interior root over leaves, so both kinds exist.
+        let store = CidStore::new();
+        let (_, mut manifest) = persisted_ledger(100, &store);
+        let root = store.get(&manifest.accounts_root.cid()).unwrap().as_ref().clone();
+        prop_assert_eq!(root[0], 0x68);
+        let first_child = blob_links(&root)[0];
+
+        let hostile = if mutate_honest {
+            let mut blob = if as_root {
+                root.clone()
+            } else {
+                store.get(&first_child).unwrap().as_ref().clone()
+            };
+            let at = flip_at as usize % blob.len();
+            blob[at] ^= flip_bits;
+            blob.truncate(blob.len().saturating_sub(cut).max(1));
+            blob
+        } else {
+            let mut junk = junk;
+            if let (Some(tag), Some(first)) = (tag, junk.first_mut()) {
+                // Get past the tag check so the body parser sees the bytes.
+                *first = tag;
+            }
+            junk
+        };
+        let hostile_cid = store.put(hostile.clone());
+        let served_root = if as_root {
+            hostile_cid
+        } else {
+            // The honest root with its first link swapped for the hostile blob.
+            let mut relinked = root.clone();
+            relinked[5..37].copy_from_slice(hostile_cid.as_bytes());
+            store.put(relinked)
+        };
+        manifest.accounts_root = TCid::from_cid(served_root);
+        let _ = blob_links(&hostile);
         let _ = manifest.missing_chunks(&store);
         prop_assert!(!manifest.verify(&store));
         prop_assert!(StateTree::from_manifest(&manifest, &store).is_err());
