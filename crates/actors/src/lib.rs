@@ -3,9 +3,10 @@
 //! This crate implements the protocol logic of the paper as deterministic
 //! state machines, independent of any particular chain or network substrate:
 //!
-//! * [`msg`] — cross-net messages ([`CrossMsg`]) and their aggregated
-//!   metadata ([`CrossMsgMeta`]), the unit of inter-subnet communication
-//!   (paper §IV-A).
+//! * [`msg`] — cross-net messages ([`CrossMsg`]), their aggregated
+//!   metadata ([`CrossMsgMeta`]) and the message group sealed with the
+//!   digest that metadata carries ([`MsgGroup`]), the unit of
+//!   inter-subnet communication (paper §IV-A).
 //! * [`checkpoint`] — checkpoints (`⟨s, proof, prev, children, crossMeta⟩`,
 //!   paper §III-B) and their signed envelope.
 //! * [`sca`] — the **Subnet Coordinator Actor**: subnet registration and
@@ -41,7 +42,7 @@ pub use atomic::{AtomicExecRegistry, AtomicExecStatus, AtomicExecution, ExecId};
 pub use cert::FundCertificate;
 pub use checkpoint::{Checkpoint, ChildCheck, SignedCheckpoint};
 pub use ledger::Ledger;
-pub use msg::{CrossMsg, CrossMsgKind, CrossMsgMeta, HcAddress};
+pub use msg::{CrossMsg, CrossMsgKind, CrossMsgMeta, HcAddress, MsgGroup};
 pub use sa::{JoinPolicy, SaConfig, SaState, ValidatorInfo};
 pub use sca::{ScaConfig, ScaError, ScaState, SubnetInfo, SubnetStatus};
 pub use snapshot::{BalanceProof, SnapshotTree, StateSnapshot};

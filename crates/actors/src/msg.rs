@@ -7,6 +7,8 @@
 //! checkpoints as [`CrossMsgMeta`]), or as a *path* message combining both
 //! legs via the least common ancestor (paper §IV-A).
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 use hc_types::merkle::merkle_root;
@@ -215,6 +217,83 @@ impl CrossMsg {
     }
 }
 
+/// A cross-message group together with the digest that commits to it: the
+/// Merkle root over the messages, i.e. the `msgsCid` a [`CrossMsgMeta`]
+/// carries (paper §III-B).
+///
+/// The group is what moves between a node's parts — the SCA that cuts it,
+/// the content registry, the resolver cache, the cross-msg pool, the
+/// implicit messages of a block — and each of them used to rebuild the
+/// Merkle tree to learn or check the digest. A `MsgGroup` derives it at
+/// most once and carries it: the messages sit behind a shared, immutable
+/// slice and the memo is private, so it can only ever hold the root of the
+/// messages beside it. [`MsgGroup::seal`] derives eagerly (content created
+/// here); a group decoded from bytes starts cold and derives from what was
+/// decoded on first use, so a carried digest can never lie. Cloning shares
+/// the messages and copies the memo.
+///
+/// The canonical encoding is that of the message sequence alone — exactly
+/// `Vec<CrossMsg>`'s — and equality is content equality.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct MsgGroup {
+    msgs: Arc<[CrossMsg]>,
+    #[serde(skip)]
+    cid: OnceLock<Cid>,
+}
+
+impl MsgGroup {
+    /// Seals `msgs` into a group, deriving its Merkle root.
+    pub fn seal(msgs: Vec<CrossMsg>) -> Self {
+        let group = MsgGroup {
+            msgs: msgs.into(),
+            cid: OnceLock::new(),
+        };
+        group.cid();
+        group
+    }
+
+    /// The Merkle root over the messages. Memoized; the only place a
+    /// cross-message group is hashed.
+    pub fn cid(&self) -> Cid {
+        *self.cid.get_or_init(|| merkle_root(&self.msgs))
+    }
+}
+
+/// The messages, in group order.
+impl std::ops::Deref for MsgGroup {
+    type Target = [CrossMsg];
+
+    fn deref(&self) -> &[CrossMsg] {
+        &self.msgs
+    }
+}
+
+impl PartialEq for MsgGroup {
+    fn eq(&self, other: &Self) -> bool {
+        // The memo is derived state; equality is content equality.
+        self.msgs == other.msgs
+    }
+}
+
+impl Eq for MsgGroup {}
+
+impl CanonicalEncode for MsgGroup {
+    fn write_bytes(&self, out: &mut Vec<u8>) {
+        self.msgs.write_bytes(out);
+    }
+}
+
+impl CanonicalDecode for MsgGroup {
+    fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        // Decoded groups start cold: the root is derived from the decoded
+        // messages on first use, never read from the wire.
+        Ok(MsgGroup {
+            msgs: Vec::<CrossMsg>::read_bytes(r)?.into(),
+            cid: OnceLock::new(),
+        })
+    }
+}
+
 /// Aggregated metadata for a group of bottom-up cross-messages, as carried
 /// in checkpoints: `crossMeta = (from, to, nonce, msgsCid)` (paper §III-B).
 ///
@@ -259,21 +338,22 @@ decode_fields!(CrossMsgMeta {
 
 impl CrossMsgMeta {
     /// Builds the metadata for a group of messages travelling `from → to`,
-    /// committing to them with a Merkle root.
-    pub fn for_group(from: SubnetId, to: SubnetId, msgs: &[CrossMsg]) -> Self {
+    /// committing to them with the group's Merkle root.
+    pub fn for_group(from: SubnetId, to: SubnetId, group: &MsgGroup) -> Self {
         CrossMsgMeta {
             from,
             to,
             nonce: Nonce::ZERO,
-            msgs_cid: merkle_root(msgs),
-            count: msgs.len() as u64,
-            total_value: msgs.iter().map(|m| m.value).sum(),
+            msgs_cid: group.cid(),
+            count: group.len() as u64,
+            total_value: group.iter().map(|m| m.value).sum(),
         }
     }
 
-    /// Verifies that `msgs` is exactly the group committed to by this meta.
-    pub fn matches(&self, msgs: &[CrossMsg]) -> bool {
-        msgs.len() as u64 == self.count && merkle_root(msgs) == self.msgs_cid
+    /// Verifies that `group` is exactly the group committed to by this
+    /// meta: a comparison of digests, O(1) once the group's is derived.
+    pub fn matches(&self, group: &MsgGroup) -> bool {
+        group.len() as u64 == self.count && group.cid() == self.msgs_cid
     }
 }
 
@@ -313,15 +393,50 @@ mod tests {
             CrossMsg::transfer(addr(&[100], 1), addr(&[], 2), TokenAmount::from_atto(5)),
             CrossMsg::transfer(addr(&[100], 3), addr(&[], 4), TokenAmount::from_atto(7)),
         ];
-        let meta = CrossMsgMeta::for_group(subnet(&[100]), subnet(&[]), &msgs);
+        let group = MsgGroup::seal(msgs.clone());
+        let meta = CrossMsgMeta::for_group(subnet(&[100]), subnet(&[]), &group);
         assert_eq!(meta.count, 2);
         assert_eq!(meta.total_value, TokenAmount::from_atto(12));
-        assert!(meta.matches(&msgs));
+        assert!(meta.matches(&group));
 
         let mut reordered = msgs.clone();
         reordered.swap(0, 1);
-        assert!(!meta.matches(&reordered));
-        assert!(!meta.matches(&msgs[..1]));
+        assert!(!meta.matches(&MsgGroup::seal(reordered)));
+        assert!(!meta.matches(&MsgGroup::seal(msgs[..1].to_vec())));
+    }
+
+    proptest::proptest! {
+        /// Sealed ≡ from scratch: the carried digest is the Merkle root of
+        /// the messages, the encoding is the message sequence's own, and a
+        /// group that came back through bytes starts cold and re-derives
+        /// the same root from what was decoded.
+        #[test]
+        fn sealed_group_equals_from_scratch(
+            values in proptest::prelude::prop::collection::vec(0u64..1_000, 0..12),
+        ) {
+            let msgs: Vec<CrossMsg> = values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    let mut m = CrossMsg::transfer(
+                        addr(&[100], i as u64),
+                        addr(&[], *v),
+                        TokenAmount::from_atto(u128::from(*v)),
+                    );
+                    m.nonce = Nonce::new(i as u64);
+                    m
+                })
+                .collect();
+            let group = MsgGroup::seal(msgs.clone());
+            proptest::prop_assert_eq!(group.cid.get().copied(), Some(merkle_root(&msgs)));
+            let bytes = group.canonical_bytes();
+            proptest::prop_assert_eq!(&bytes, &msgs.canonical_bytes());
+            let back = MsgGroup::decode(&bytes).unwrap();
+            proptest::prop_assert!(back.cid.get().is_none(), "a decoded group starts cold");
+            proptest::prop_assert_eq!(&back, &group);
+            proptest::prop_assert_eq!(back.cid(), group.cid());
+            proptest::prop_assert_eq!(back.canonical_bytes(), bytes);
+        }
     }
 
     #[test]

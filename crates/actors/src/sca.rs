@@ -45,7 +45,7 @@ use hc_types::{
 
 use crate::checkpoint::Checkpoint;
 use crate::ledger::{Ledger, LedgerError};
-use crate::msg::{CrossMsg, CrossMsgMeta};
+use crate::msg::{CrossMsg, CrossMsgMeta, MsgGroup};
 use crate::snapshot::{BalanceProof, StateSnapshot};
 
 /// Static parameters of an SCA instance.
@@ -777,19 +777,17 @@ impl ScaState {
     /// groups become `CrossMsgMeta` entries, child checkpoint CIDs fill the
     /// `children` tree, and pass-through metas are appended.
     ///
-    /// Also returns the raw messages behind every meta cut here, as
-    /// `(msgs_cid, msgs)` in destination order: the content registry
-    /// (paper §IV-C) is state-tree content, so the caller appends them
-    /// there. This is the registry's only writer, which makes it
-    /// append-only in block-execution order by construction.
+    /// Also returns the raw messages behind every meta cut here, sealed
+    /// with the digest their meta carries, in destination order: the
+    /// content registry (paper §IV-C) is state-tree content, so the caller
+    /// appends them there. This is the registry's only writer, which makes
+    /// it append-only in block-execution order by construction — and the
+    /// one place a group's Merkle root is derived from messages this node
+    /// produced; everything downstream carries it.
     ///
     /// A root SCA (no parent to checkpoint into) cuts like any other —
     /// callers decide whether to.
-    pub fn cut_checkpoint(
-        &mut self,
-        epoch: ChainEpoch,
-        proof: Cid,
-    ) -> (Checkpoint, Vec<(Cid, Vec<CrossMsg>)>) {
+    pub fn cut_checkpoint(&mut self, epoch: ChainEpoch, proof: Cid) -> (Checkpoint, Vec<MsgGroup>) {
         let mut ckpt = Checkpoint::template(self.subnet_id.clone(), epoch, self.prev_checkpoint);
         ckpt.proof = proof;
         for (child, cid) in self.window_child_checks.drain(..) {
@@ -798,9 +796,13 @@ impl ScaState {
         let window = std::mem::take(&mut self.window_bottom_up);
         let mut groups = Vec::with_capacity(window.len());
         for (dest, msgs) in window {
-            let meta = CrossMsgMeta::for_group(self.subnet_id.clone(), dest, &msgs);
-            groups.push((meta.msgs_cid, msgs));
-            ckpt.add_cross_meta(meta);
+            let group = MsgGroup::seal(msgs);
+            ckpt.add_cross_meta(CrossMsgMeta::for_group(
+                self.subnet_id.clone(),
+                dest,
+                &group,
+            ));
+            groups.push(group);
         }
         for meta in self.window_propagated.drain(..) {
             ckpt.add_cross_meta(meta);
@@ -916,8 +918,8 @@ impl ScaState {
     }
 
     /// Applies a resolved bottom-up message group in this (destination)
-    /// subnet: verifies the messages against the meta's committed CID,
-    /// enforces meta nonce order, and pays recipients out of the SCA
+    /// subnet: verifies the group's digest against the meta's committed
+    /// CID, enforces meta nonce order, and pays recipients out of the SCA
     /// escrow.
     ///
     /// # Errors
@@ -929,7 +931,7 @@ impl ScaState {
         &mut self,
         ledger: &mut L,
         meta: &CrossMsgMeta,
-        msgs: &[CrossMsg],
+        msgs: &MsgGroup,
     ) -> Result<(), ScaError> {
         if meta.nonce != self.applied_bottomup_nonce {
             return Err(ScaError::NonceMismatch {
@@ -951,7 +953,7 @@ impl ScaState {
             });
         }
         self.applied_bottomup_nonce = self.applied_bottomup_nonce.next();
-        for m in msgs {
+        for m in msgs.iter() {
             ledger.transfer(Address::SCA, m.to.raw, m.value)?;
         }
         Ok(())
@@ -1420,8 +1422,8 @@ mod tests {
         // Raw content is handed out for the registry, keyed by the meta's
         // committed CID.
         assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].0, meta.msgs_cid);
-        assert!(meta.matches(&groups[0].1));
+        assert_eq!(groups[0].cid(), meta.msgs_cid);
+        assert!(meta.matches(&groups[0]));
         // Next window is empty.
         let (ckpt2, groups2) = sca.cut_checkpoint(ChainEpoch::new(20), Cid::digest(b"head2"));
         assert!(ckpt2.cross_msgs.is_empty());
@@ -1447,11 +1449,11 @@ mod tests {
 
         // Child cuts a checkpoint with a 4-token meta back to root.
         let mut ckpt = Checkpoint::template(child.clone(), ChainEpoch::new(10), Cid::NIL);
-        let return_msgs = vec![CrossMsg::transfer(
+        let return_msgs = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(child.clone(), Address::new(300)),
             haddr(&[], 101),
             TokenAmount::from_whole(4),
-        )];
+        )]);
         ckpt.add_cross_meta(CrossMsgMeta::for_group(
             child.clone(),
             SubnetId::root(),
@@ -1492,11 +1494,11 @@ mod tests {
 
         // Compromised child claims to send back 50.
         let mut ckpt = Checkpoint::template(child.clone(), ChainEpoch::new(10), Cid::NIL);
-        let forged = vec![CrossMsg::transfer(
+        let forged = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(child.clone(), Address::new(300)),
             haddr(&[], 666),
             TokenAmount::from_whole(50),
-        )];
+        )]);
         ckpt.add_cross_meta(CrossMsgMeta::for_group(
             child.clone(),
             SubnetId::root(),
@@ -1564,11 +1566,11 @@ mod tests {
             .unwrap();
 
         let mut ckpt = Checkpoint::template(grandchild.clone(), ChainEpoch::new(10), Cid::NIL);
-        let msgs = vec![CrossMsg::transfer(
+        let msgs = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(grandchild.clone(), Address::new(1)),
             haddr(&[999], 2),
             TokenAmount::from_whole(2),
-        )];
+        )]);
         ckpt.add_cross_meta(CrossMsgMeta::for_group(
             grandchild.clone(),
             subnet(&[999]),
@@ -1616,11 +1618,11 @@ mod tests {
             .unwrap();
 
         let mut ckpt = Checkpoint::template(child.clone(), ChainEpoch::new(10), Cid::NIL);
-        let msgs = vec![CrossMsg::transfer(
+        let msgs = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(child.clone(), Address::new(1)),
             HcAddress::new(other.clone(), Address::new(2)),
             TokenAmount::from_whole(2),
-        )];
+        )]);
         ckpt.add_cross_meta(CrossMsgMeta::for_group(child.clone(), other.clone(), &msgs));
         let outcome = sca.commit_child_checkpoint(&mut ledger, &ckpt).unwrap();
         assert_eq!(outcome.turnaround.len(), 1);
@@ -1638,11 +1640,11 @@ mod tests {
         sca.send_cross_msg(&mut ledger, Address::new(100), fund)
             .unwrap();
         let mut ckpt = Checkpoint::template(child.clone(), ChainEpoch::new(10), Cid::NIL);
-        let msgs = vec![CrossMsg::transfer(
+        let msgs = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(child.clone(), Address::new(300)),
             haddr(&[], 101),
             TokenAmount::from_whole(4),
-        )];
+        )]);
         ckpt.add_cross_meta(CrossMsgMeta::for_group(
             child.clone(),
             SubnetId::root(),
@@ -1652,11 +1654,11 @@ mod tests {
         let meta = &outcome.applied_here[0];
 
         // Wrong content.
-        let wrong = vec![CrossMsg::transfer(
+        let wrong = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(child.clone(), Address::new(300)),
             haddr(&[], 666),
             TokenAmount::from_whole(4),
-        )];
+        )]);
         assert!(matches!(
             sca.apply_bottom_up(&mut ledger, meta, &wrong),
             Err(ScaError::ContentMismatch(_))

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use hc_actors::checkpoint::Checkpoint;
 use hc_actors::ledger::MapLedger;
-use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, Ledger, ScaConfig, ScaState};
+use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, Ledger, MsgGroup, ScaConfig, ScaState};
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 /// A randomized parent-side scenario: fund the child with a sequence of
@@ -67,11 +67,11 @@ proptest! {
             let mut ckpt = Checkpoint::template(
                 child.clone(), ChainEpoch::new((i as u64 + 1) * 10), prev);
             ckpt.proof = Cid::digest(format!("head{i}").as_bytes());
-            let msgs = vec![CrossMsg::transfer(
+            let msgs = MsgGroup::seal(vec![CrossMsg::transfer(
                 HcAddress::new(child.clone(), Address::new(300)),
                 HcAddress::new(SubnetId::root(), Address::new(101)),
                 amount,
-            )];
+            )]);
             ckpt.add_cross_meta(CrossMsgMeta::for_group(
                 child.clone(), SubnetId::root(), &msgs));
 

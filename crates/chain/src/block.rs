@@ -25,7 +25,7 @@ pub struct BlockHeader {
     /// State root after executing this block.
     pub state_root: Cid,
     /// Merkle root over the CIDs of all carried messages (signed, then
-    /// implicit).
+    /// implicit). [`Block::seal`] fills it in from the payload it seals.
     pub msgs_root: Cid,
     /// The proposer's public key.
     pub proposer: PublicKey,
@@ -57,9 +57,11 @@ decode_fields!(BlockHeader {
 ///
 /// The header CID — the block's identity, consumed by header signing, chain
 /// indexing, justification signatures, and structural validation — is
-/// derived once per block and memoized (see [`Block::cid`]). The memo is
-/// excluded from serialization and equality, so a block decoded from
-/// untrusted bytes re-derives its CID from content.
+/// derived once per block and memoized (see [`Block::cid`]), and so is the
+/// Merkle root of the payload that [`Block::validate_structure`] compares
+/// the header's `msgs_root` with. Both memos are excluded from
+/// serialization and equality, so a block decoded from untrusted bytes
+/// re-derives them from content.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Block {
     /// The header committed to by [`Block::cid`].
@@ -79,6 +81,14 @@ pub struct Block {
     /// deserialization. Private so it can only ever hold `header.cid()`.
     #[serde(skip)]
     cid_memo: OnceLock<Cid>,
+    /// Memoized Merkle root of `signed_msgs` and `implicit_msgs`: filled by
+    /// [`Block::seal`] from the very vectors it moves into the block, cold
+    /// after deserialization. Private, and never set from a value a caller
+    /// supplies, so it can only ever hold the root of the payload beside
+    /// it (the payload of a sealed block is immutable in the same spirit
+    /// as its header, see [`Block::cid`]).
+    #[serde(skip)]
+    payload_root_memo: OnceLock<Cid>,
 }
 
 impl PartialEq for Block {
@@ -94,7 +104,7 @@ impl PartialEq for Block {
 
 impl CanonicalEncode for Block {
     fn write_bytes(&self, out: &mut Vec<u8>) {
-        // Content fields only; the CID memo is derived state.
+        // Content fields only; the memos are derived state.
         self.header.write_bytes(out);
         self.signed_msgs.write_bytes(out);
         self.implicit_msgs.write_bytes(out);
@@ -105,8 +115,9 @@ impl CanonicalEncode for Block {
 
 impl CanonicalDecode for Block {
     fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        // Decoded blocks start cold: the header CID is re-derived from
-        // content on first use, never read from the wire.
+        // Decoded blocks start cold: the header CID and the payload root
+        // are re-derived from content on first use, never read from the
+        // wire.
         Ok(Block {
             header: BlockHeader::read_bytes(r)?,
             signed_msgs: CanonicalDecode::read_bytes(r)?,
@@ -114,6 +125,7 @@ impl CanonicalDecode for Block {
             signature: Signature::read_bytes(r)?,
             justification: CanonicalDecode::read_bytes(r)?,
             cid_memo: OnceLock::new(),
+            payload_root_memo: OnceLock::new(),
         })
     }
 }
@@ -126,30 +138,32 @@ impl Block {
     /// their memoized envelope CIDs. Like the PR 2 chunked state root, this
     /// intentionally changes the root *format* — the root remains a pure
     /// function of the payload, which is all consensus compares.
-    pub fn compute_msgs_root(signed: &[SealedMessage], implicit: &[ImplicitMsg]) -> Cid {
+    fn compute_msgs_root(signed: &[SealedMessage], implicit: &[ImplicitMsg]) -> Cid {
         let mut cids: Vec<Cid> = signed.iter().map(|m| m.cid()).collect();
         cids.extend(implicit.iter().map(|m| m.cid()));
         MerkleTree::from_leaf_hashes(cids).root()
     }
 
-    /// Assembles and signs a block.
+    /// Assembles and signs a block. The messages root is derived here,
+    /// once, from the payload being sealed — whatever `header.msgs_root`
+    /// held is overwritten — and carried for [`Block::validate_structure`].
     pub fn seal(
-        header: BlockHeader,
+        mut header: BlockHeader,
         signed_msgs: Vec<SealedMessage>,
         implicit_msgs: Vec<ImplicitMsg>,
         proposer: &Keypair,
     ) -> Block {
+        header.msgs_root = Self::compute_msgs_root(&signed_msgs, &implicit_msgs);
         let cid = header.cid();
         let signature = proposer.sign(cid.as_bytes());
-        let cid_memo = OnceLock::new();
-        let _ = cid_memo.set(cid);
         Block {
+            payload_root_memo: OnceLock::from(header.msgs_root),
             header,
             signed_msgs,
             implicit_msgs,
             signature,
             justification: AggregateSignature::new(),
-            cid_memo,
+            cid_memo: OnceLock::from(cid),
         }
     }
 
@@ -171,14 +185,18 @@ impl Block {
 
     /// Structural validation: the messages root matches the payload, the
     /// proposer's signature verifies, and the proposer field matches the
-    /// signer.
+    /// signer. The payload's root is the one [`Block::seal`] derived for a
+    /// block built in this process; a decoded block — WAL recovery, peer
+    /// catch-up — derives it here, from what was decoded.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violation.
     pub fn validate_structure(&self) -> Result<(), String> {
-        let expect = Self::compute_msgs_root(&self.signed_msgs, &self.implicit_msgs);
-        if self.header.msgs_root != expect {
+        let payload_root = *self
+            .payload_root_memo
+            .get_or_init(|| Self::compute_msgs_root(&self.signed_msgs, &self.implicit_msgs));
+        if self.header.msgs_root != payload_root {
             return Err("messages root does not match payload".into());
         }
         if self.signature.signer() != self.header.proposer {
@@ -221,7 +239,7 @@ mod tests {
             epoch: ChainEpoch::new(epoch),
             parent: Cid::digest(b"genesis"),
             state_root: Cid::digest(b"state"),
-            msgs_root: Block::compute_msgs_root(&signed, &implicit),
+            msgs_root: Cid::NIL,
             proposer: proposer.public(),
             timestamp_ms: 1_000,
         };
@@ -242,10 +260,21 @@ mod tests {
 
     #[test]
     fn tampered_payload_fails_validation() {
+        // Tampering happens where it can in the wild: in the bytes. The
+        // decoded block is cold, so validation re-derives the payload root.
         let kp = keypair(2);
-        let mut block = sample_block(&kp);
-        block.signed_msgs.clear();
-        assert!(block.validate_structure().is_err());
+        let block = sample_block(&kp);
+        // Same header and signatures, the user messages dropped.
+        let mut bytes = Vec::new();
+        block.header.write_bytes(&mut bytes);
+        Vec::<SealedMessage>::new().write_bytes(&mut bytes);
+        block.implicit_msgs.write_bytes(&mut bytes);
+        block.signature.write_bytes(&mut bytes);
+        block.justification.write_bytes(&mut bytes);
+        let tampered = Block::decode(&bytes).unwrap();
+        assert!(tampered.signed_msgs.is_empty());
+        assert_eq!(tampered.header, block.header);
+        assert!(tampered.validate_structure().is_err());
     }
 
     #[test]

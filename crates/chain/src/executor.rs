@@ -238,7 +238,7 @@ pub fn produce_block_with(
         epoch,
         parent,
         state_root: tree.flush(),
-        msgs_root: Block::compute_msgs_root(&signed_msgs, &implicit_msgs),
+        msgs_root: Cid::NIL, // derived by `Block::seal` from the payload
         proposer: proposer.public(),
         timestamp_ms,
     };

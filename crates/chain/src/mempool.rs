@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
-use hc_actors::{CrossMsg, CrossMsgMeta};
+use hc_actors::{CrossMsg, CrossMsgMeta, MsgGroup};
 use hc_state::{SealedMessage, SigCache, SignedMessage};
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Nonce, SubnetId};
 
@@ -471,7 +471,7 @@ pub struct CrossMsgPool {
     /// Bottom-up metas whose message groups are not yet resolved.
     awaiting_resolution: BTreeMap<Cid, CrossMsgMeta>,
     /// Resolved groups ready to be proposed, in meta-nonce order.
-    ready_bottom_up: BTreeMap<Nonce, (CrossMsgMeta, Vec<CrossMsg>)>,
+    ready_bottom_up: BTreeMap<Nonce, (CrossMsgMeta, MsgGroup)>,
     /// Next bottom-up meta nonce to propose.
     next_bottom_up: Nonce,
 }
@@ -520,17 +520,19 @@ impl CrossMsgPool {
         self.awaiting_resolution.values().cloned().collect()
     }
 
-    /// Supplies resolved content for a meta. Returns `true` if the content
-    /// matched a pending CID and was accepted.
-    pub fn resolve(&mut self, cid: Cid, msgs: Vec<CrossMsg>) -> bool {
-        let Some(meta) = self.awaiting_resolution.get(&cid) else {
-            return false;
-        };
-        if !meta.matches(&msgs) {
+    /// Supplies a resolved group. Returns `true` if a meta was waiting for
+    /// exactly this group (by digest and count) and it was accepted.
+    pub fn resolve(&mut self, group: MsgGroup) -> bool {
+        let cid = group.cid();
+        if !self
+            .awaiting_resolution
+            .get(&cid)
+            .is_some_and(|meta| meta.matches(&group))
+        {
             return false;
         }
         let meta = self.awaiting_resolution.remove(&cid).expect("checked");
-        self.ready_bottom_up.insert(meta.nonce, (meta, msgs));
+        self.ready_bottom_up.insert(meta.nonce, (meta, group));
         true
     }
 
@@ -541,7 +543,7 @@ impl CrossMsgPool {
     pub fn take_proposable(
         &mut self,
         max: usize,
-    ) -> (Vec<CrossMsg>, Vec<(CrossMsgMeta, Vec<CrossMsg>)>) {
+    ) -> (Vec<CrossMsg>, Vec<(CrossMsgMeta, MsgGroup)>) {
         let mut tds = Vec::new();
         while tds.len() < max {
             match self.top_down.remove(&self.next_top_down) {
@@ -877,19 +879,25 @@ mod tests {
     fn cross_pool_resolution_flow() {
         let mut pool = CrossMsgPool::new();
         let src = SubnetId::root().child(Address::new(9));
-        let msgs = vec![td(0)];
+        let msgs = MsgGroup::seal(vec![td(0)]);
         let mut meta = CrossMsgMeta::for_group(src.clone(), SubnetId::root(), &msgs);
         meta.nonce = Nonce::new(0);
         pool.ingest_meta(meta.clone());
         assert_eq!(pool.unresolved_cids(), vec![meta.msgs_cid]);
         // Nothing proposable before resolution.
         assert!(pool.take_proposable(10).1.is_empty());
-        // Wrong content is refused.
-        assert!(!pool.resolve(meta.msgs_cid, vec![td(5)]));
-        // Unknown CID is refused.
-        assert!(!pool.resolve(Cid::digest(b"x"), msgs.clone()));
+        // Content no meta waits for is refused — a group is only ever
+        // known by the digest of what it holds.
+        assert!(!pool.resolve(MsgGroup::seal(vec![td(5)])));
+        // So is the right content for a meta that lies about its count.
+        let mut miscounted = CrossMsgPool::new();
+        miscounted.ingest_meta(CrossMsgMeta {
+            count: 2,
+            ..meta.clone()
+        });
+        assert!(!miscounted.resolve(msgs.clone()));
         // Correct content unlocks proposal.
-        assert!(pool.resolve(meta.msgs_cid, msgs.clone()));
+        assert!(pool.resolve(msgs.clone()));
         let (_, bus) = pool.take_proposable(10);
         assert_eq!(bus.len(), 1);
         assert_eq!(bus[0].0, meta);
@@ -900,7 +908,7 @@ mod tests {
     fn cross_pool_ignores_redelivered_and_applied_metas() {
         let mut pool = CrossMsgPool::new();
         let src = SubnetId::root().child(Address::new(9));
-        let msgs = vec![td(0)];
+        let msgs = MsgGroup::seal(vec![td(0)]);
         let mut meta = CrossMsgMeta::for_group(src.clone(), SubnetId::root(), &msgs);
         meta.nonce = Nonce::new(0);
         // First delivery registers; duplicated deliveries (the network may
@@ -909,7 +917,7 @@ mod tests {
         assert!(pool.ingest_meta(meta.clone()));
         assert!(!pool.ingest_meta(meta.clone()), "awaiting: dup ignored");
         assert_eq!(pool.pending_bottom_up(), 1);
-        assert!(pool.resolve(meta.msgs_cid, msgs.clone()));
+        assert!(pool.resolve(msgs.clone()));
         assert!(!pool.ingest_meta(meta.clone()), "ready: dup ignored");
         assert_eq!(pool.pending_bottom_up(), 1);
         let (_, bus) = pool.take_proposable(10);
@@ -925,8 +933,8 @@ mod tests {
     fn cross_pool_bottom_up_respects_meta_nonce_order() {
         let mut pool = CrossMsgPool::new();
         let src = SubnetId::root().child(Address::new(9));
-        let g0 = vec![td(0)];
-        let g1 = vec![td(1)];
+        let g0 = MsgGroup::seal(vec![td(0)]);
+        let g1 = MsgGroup::seal(vec![td(1)]);
         let mut m0 = CrossMsgMeta::for_group(src.clone(), SubnetId::root(), &g0);
         m0.nonce = Nonce::new(0);
         let mut m1 = CrossMsgMeta::for_group(src.clone(), SubnetId::root(), &g1);
@@ -934,9 +942,9 @@ mod tests {
         pool.ingest_meta(m0.clone());
         pool.ingest_meta(m1.clone());
         // Resolve out of order: only the dense prefix is proposable.
-        assert!(pool.resolve(m1.msgs_cid, g1));
+        assert!(pool.resolve(g1));
         assert!(pool.take_proposable(10).1.is_empty());
-        assert!(pool.resolve(m0.msgs_cid, g0));
+        assert!(pool.resolve(g0));
         let (_, bus) = pool.take_proposable(10);
         assert_eq!(bus.len(), 2);
         assert_eq!(bus[0].0.nonce, Nonce::new(0));

@@ -241,7 +241,7 @@ mod tests {
             epoch: ChainEpoch::new(epoch),
             parent,
             state_root: Cid::digest(format!("state{epoch}").as_bytes()),
-            msgs_root: Block::compute_msgs_root(&[], &[]),
+            msgs_root: Cid::NIL,
             proposer: k.public(),
             timestamp_ms: epoch * 1_000,
         };

@@ -149,7 +149,7 @@ proptest! {
                 epoch: ChainEpoch::new(epoch),
                 parent: store.head(),
                 state_root: Cid::digest(&epoch.to_le_bytes()),
-                msgs_root: Block::compute_msgs_root(&[], &[]),
+                msgs_root: Cid::NIL,
                 proposer: proposer.public(),
                 timestamp_ms: epoch,
             };

@@ -126,7 +126,7 @@ proptest! {
             epoch: ChainEpoch::new(1),
             parent: Cid::NIL,
             state_root: Cid::digest(b"s"),
-            msgs_root: Block::compute_msgs_root(&[], &[]),
+            msgs_root: Cid::NIL,
             proposer: proposer.public(),
             timestamp_ms: 1,
         };

@@ -9,7 +9,7 @@
 
 use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
 use hc_actors::sa::FraudProof;
-use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress};
+use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, MsgGroup};
 use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 use crate::runtime::{HierarchyRuntime, RuntimeError};
@@ -61,18 +61,18 @@ impl HierarchyRuntime {
         let thief_before = self.parent_balance(&parent, thief);
 
         // Build the forged withdrawal: value claimed out of thin air.
-        let forged_msgs = vec![CrossMsg::transfer(
+        let forged_msgs = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(subnet.clone(), Address::new(666)),
             HcAddress::new(parent.clone(), thief),
             amount,
-        )];
+        )]);
         let meta = CrossMsgMeta::for_group(subnet.clone(), parent.clone(), &forged_msgs);
         self.inject_signed_checkpoint(subnet, |ckpt| {
             ckpt.add_cross_meta(meta.clone());
         })?;
         // Make the forged content resolvable so the parent can even try to
         // apply it (a real adversary would happily serve it).
-        self.seed_content(&parent, &forged_msgs);
+        self.seed_content(&parent, forged_msgs);
 
         self.run_until_quiescent(5_000)?;
         let extracted = self.parent_balance(&parent, thief) - thief_before;
@@ -173,10 +173,9 @@ impl HierarchyRuntime {
             .unwrap_or(TokenAmount::ZERO)
     }
 
-    fn seed_content(&mut self, parent: &SubnetId, msgs: &[CrossMsg]) {
-        let cid = hc_types::merkle::merkle_root(msgs);
+    fn seed_content(&mut self, parent: &SubnetId, group: MsgGroup) {
         if let Some(node) = self.node_mut_for_attack(parent) {
-            node.resolver_mut_for_attack().seed(cid, msgs.to_vec());
+            node.resolver_mut_for_attack().seed(group);
         }
     }
 }

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
-use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, ScaConfig};
+use hc_actors::{CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
 use hc_chain::{Block, ChainStore, CrossMsgPool, Mempool};
 use hc_consensus::{
     make_engine, BlockOpportunity, Consensus, ConsensusKind, EngineParams, ValidatorSet,
@@ -129,10 +129,14 @@ pub struct SubnetNode {
     pub(crate) pending_checkpoints: Vec<SignedCheckpoint>,
     /// Turnaround metas with resolved content, ready for top-down
     /// re-commitment in the next block (this subnet is their LCA).
-    pub(crate) pending_turnarounds: Vec<(CrossMsgMeta, Vec<CrossMsg>)>,
+    pub(crate) pending_turnarounds: Vec<(CrossMsgMeta, MsgGroup)>,
     /// Turnaround metas still waiting for content resolution.
     pub(crate) unresolved_turnarounds: Vec<CrossMsgMeta>,
-    /// Receipts of the most recent block, keyed by message CID.
+    /// Receipts of the most recent block's *user* messages, keyed by
+    /// message CID — what [`crate::HierarchyRuntime::execute`], the one
+    /// reader, looks up. Implicit messages' receipts are not indexed:
+    /// nothing asks for them by CID, and deriving those CIDs means
+    /// encoding and hashing every cross-msg group a second time.
     pub(crate) last_receipts: BTreeMap<Cid, Receipt>,
     /// Verified fund certificates for payments still in flight towards
     /// this subnet (the §IV-A acceleration): tentative, not spendable.
@@ -284,9 +288,10 @@ impl SubnetNode {
     /// The one way a block that was executed against this node's tree —
     /// just produced, replayed from the journal, or pulled from peers —
     /// becomes part of the node: [`SubnetNode::skip_block`] plus everything
-    /// that needs the receipts (counters, `last_receipts`, the checkpoints
-    /// to archive, the events to route). The caller has already appended
-    /// the block to the chain, journaled or not as its path requires.
+    /// that needs the receipts (counters, the user messages'
+    /// `last_receipts`, the checkpoints to archive, the events to route).
+    /// The caller has already appended the block to the chain, journaled
+    /// or not as its path requires.
     pub(crate) fn commit_block(
         &mut self,
         block: &Block,
@@ -309,12 +314,11 @@ impl SubnetNode {
             }
         }
 
-        // Remember receipts by message CID (for `execute`), account
-        // committed checkpoint bytes (parent-chain load, experiment E3),
-        // and snapshot the signature policy in force at commit time so the
-        // archive stays verifiable across validator churn. The policy
-        // lives in this node's own copy of the child's Subnet Actor.
-        self.last_receipts.clear();
+        // Account committed checkpoint bytes (parent-chain load,
+        // experiment E3) and snapshot the signature policy in force at
+        // commit time so the archive stays verifiable across validator
+        // churn. The policy lives in this node's own copy of the child's
+        // Subnet Actor.
         let mut archived = Vec::new();
         for (m, receipt) in block.implicit_msgs.iter().zip(&receipts) {
             if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
@@ -329,8 +333,10 @@ impl SubnetNode {
                     archived.push((signed.clone(), policy));
                 }
             }
-            self.last_receipts.insert(m.cid(), receipt.clone());
         }
+        // Remember the user messages' receipts by message CID (for
+        // `execute`).
+        self.last_receipts.clear();
         for (m, receipt) in block.signed_msgs.iter().zip(&receipts[implicit..]) {
             self.last_receipts.insert(m.msg_cid(), receipt.clone());
         }
@@ -381,14 +387,15 @@ impl SubnetNode {
                         .tree
                         .resolve_content(&meta.msgs_cid)
                         .or_else(|| self.resolver.cache().get(&meta.msgs_cid))
-                        .map(<[CrossMsg]>::to_vec);
-                    if let Some(msgs) = content {
-                        let cid = meta.msgs_cid;
+                        .cloned();
+                    if let Some(group) = content {
                         if push {
-                            let msgs = msgs.clone();
+                            // On the wire the group is raw again: the
+                            // receiver trusts nothing it did not hash.
+                            let (cid, msgs) = (meta.msgs_cid, group.to_vec());
                             pushes.push((meta.to.topic(), ResolutionMsg::Push { cid, msgs }));
                         }
-                        self.resolver.seed(cid, msgs);
+                        self.resolver.seed(group);
                     }
                 }
                 return Some((manifest, pushes));

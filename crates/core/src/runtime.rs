@@ -14,8 +14,8 @@ use hc_chain::{
 use hc_consensus::{EngineParams, ValidatorSet};
 use hc_net::{NetConfig, Network, PullDecision, ResolutionMsg, ResolverStats, RetryPolicy};
 use hc_state::{
-    CidStore, ImplicitMsg, Message, Method, Receipt, SealedMessage, SigCacheStats, SignedMessage,
-    VmEvent, DEFAULT_SIG_CACHE_CAPACITY,
+    CidStore, ImplicitMsg, Message, Method, Receipt, SealedMessage, SigCacheStats, VmEvent,
+    DEFAULT_SIG_CACHE_CAPACITY,
 };
 use hc_store::{BlobLog, Persistence, Wal};
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
@@ -500,13 +500,29 @@ impl HierarchyRuntime {
 
     /// Appends a control record to the runtime's control log. A no-op when
     /// persistence is in-memory or while recovery replays history (replay
-    /// must never re-journal what it is reading).
+    /// must never re-journal what it is reading). The frame is written at
+    /// once; its sync is left to the step's [`Self::journal_barrier`], so
+    /// the records of one step — or of a whole set-up between steps — share
+    /// one.
     fn journal(&mut self, record: &ControlRecord) {
         if self.recovering {
             return;
         }
         if let Some(wal) = &mut self.control_wal {
-            wal.append(&record.canonical_bytes());
+            wal.append_deferred(&record.canonical_bytes());
+        }
+    }
+
+    /// The control log's durability barrier, run at the end of every step:
+    /// one sync (per the configured policy) for every control record
+    /// journaled since the last. It comes after every chain-WAL append of
+    /// the step, and a record's frame is only ever written after what it
+    /// refers to is down (a `BlockCommitted` after its block's synced
+    /// append, an anchor after its persisted manifest), so deferring the
+    /// sync can delay a record's durability but never let it overtake.
+    fn journal_barrier(&mut self) {
+        if let Some(wal) = &mut self.control_wal {
+            wal.sync_deferred();
         }
     }
 
@@ -1002,11 +1018,11 @@ impl HierarchyRuntime {
         value: TokenAmount,
         method: Method,
     ) -> Result<Cid, RuntimeError> {
-        let signed = self.sign_message(user, to, value, method)?;
-        // Seal at admission: the message CID computed here is memoized and
-        // reused by dedup, signature verification, block production, and
-        // receipt lookup — it is never recomputed downstream.
-        let sealed = SealedMessage::new(signed);
+        // Signed and sealed in one step: the message CID derived for the
+        // signature is memoized and reused by dedup, signature
+        // verification, block production, and receipt lookup — it is never
+        // recomputed downstream.
+        let sealed = self.sign_message(user, to, value, method)?;
         let cid = sealed.msg_cid();
         let node = Self::get_node_mut(&mut self.nodes, &user.subnet)?;
         node.mempool.push_sealed(sealed);
@@ -1032,8 +1048,7 @@ impl HierarchyRuntime {
         method: Method,
         fee: u64,
     ) -> Result<(Cid, hc_chain::PushOutcome), RuntimeError> {
-        let signed = self.sign_message(user, to, value, method)?;
-        let sealed = SealedMessage::new(signed);
+        let sealed = self.sign_message(user, to, value, method)?;
         let cid = sealed.msg_cid();
         let node = Self::get_node_mut(&mut self.nodes, &user.subnet)?;
         let outcome = node.mempool.push_sealed_with_fee(sealed, fee);
@@ -1065,7 +1080,7 @@ impl HierarchyRuntime {
         to: Address,
         value: TokenAmount,
         method: Method,
-    ) -> Result<SignedMessage, RuntimeError> {
+    ) -> Result<SealedMessage, RuntimeError> {
         let wallet = self
             .wallets
             .get_mut(&(user.subnet.clone(), user.addr))
@@ -1077,7 +1092,7 @@ impl HierarchyRuntime {
             nonce: wallet.next_nonce.fetch_increment(),
             method,
         };
-        Ok(msg.sign(&wallet.key))
+        Ok(SealedMessage::sign(msg, &wallet.key))
     }
 
     /// Submits a message and immediately produces a block on the user's
@@ -1696,6 +1711,7 @@ impl HierarchyRuntime {
         for ((subnet, at_ms), outcome) in waved.into_iter().zip(outcomes) {
             reports.push(self.post_tick(&subnet, outcome?, at_ms)?);
         }
+        self.journal_barrier();
         Ok(reports)
     }
 
@@ -1785,7 +1801,9 @@ impl HierarchyRuntime {
         let at_ms = self.pre_tick(subnet)?;
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         let outcome = Self::produce_local(node, &self.config, at_ms)?;
-        self.post_tick(subnet, outcome, at_ms)
+        let report = self.post_tick(subnet, outcome, at_ms)?;
+        self.journal_barrier();
+        Ok(report)
     }
 
     /// Phase *pre* of a tick: cross-net intake against shared state —
@@ -1854,10 +1872,9 @@ impl HierarchyRuntime {
                 // checkpointed before the crash (the registry is the
                 // authoritative store; the cache is only its hot front).
                 if let ResolutionMsg::Pull { cid, .. } = &msg {
-                    if node.resolver.cache().get(cid).is_none() {
-                        if let Some(msgs) = node.tree.resolve_content(cid).map(<[CrossMsg]>::to_vec)
-                        {
-                            node.resolver.seed(*cid, msgs);
+                    if !node.resolver.cache().contains(cid) {
+                        if let Some(group) = node.tree.resolve_content(cid) {
+                            node.resolver.seed(group.clone());
                         }
                     }
                 }
@@ -1951,8 +1968,8 @@ impl HierarchyRuntime {
             origin = node.subscription;
             for meta in node.cross_pool.unresolved_metas() {
                 match node.resolver.lookup_or_pull(meta.msgs_cid, &own_topic) {
-                    Ok(msgs) => {
-                        node.cross_pool.resolve(meta.msgs_cid, msgs);
+                    Ok(group) => {
+                        node.cross_pool.resolve(group);
                     }
                     Err(pull) => {
                         if node.resolver.should_pull(meta.msgs_cid, now_ms) == PullDecision::Send {

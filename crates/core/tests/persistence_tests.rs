@@ -247,6 +247,60 @@ fn recovery_survives_wave_parallel_continuation() {
     );
 }
 
+/// Checks that every chain of the recovered `rt` is a block-for-block
+/// prefix of the pre-crash `history` and — unless accounts installed
+/// outside any block trail the head (`trailing_installs`) — that each head
+/// state root reproduces from the recovered chunks. Returns the blocks
+/// recovered.
+fn assert_valid_prefix(
+    rt: &HierarchyRuntime,
+    history: &[(SubnetId, Vec<BlockRecord>)],
+    trailing_installs: bool,
+    cut: &str,
+) -> usize {
+    let mut recovered_blocks = 0usize;
+    for (subnet, blocks) in chain_history(rt) {
+        let original = &history
+            .iter()
+            .find(|(s, _)| *s == subnet)
+            .expect("recovered subnet existed before the crash")
+            .1;
+        assert!(
+            blocks.len() <= original.len(),
+            "{subnet}: recovered past the pre-crash head at {cut}"
+        );
+        assert_eq!(
+            blocks,
+            original[..blocks.len()],
+            "{subnet}: recovered chain is not a prefix at {cut}"
+        );
+        recovered_blocks += blocks.len();
+        // The head state root must reproduce from the recovered chunks.
+        if let Some(node) = rt.node(&subnet).filter(|_| !trailing_installs) {
+            if !node.chain().is_empty() {
+                assert_eq!(
+                    node.state().recompute_root(),
+                    blocks.last().unwrap().2,
+                    "{subnet}: head state root mismatch at {cut}"
+                );
+            }
+        }
+    }
+    recovered_blocks
+}
+
+/// Whatever survived a crash, the recovered world keeps working: new
+/// accounts, a transfer between them, quiescence.
+fn assert_keeps_working(rt: &mut HierarchyRuntime) {
+    let root = SubnetId::root();
+    let user = rt.create_user(&root, whole(10)).unwrap();
+    let peer = rt.create_user(&root, whole(0)).unwrap();
+    rt.submit(&user, peer.addr, whole(4), hc_state::Method::Send)
+        .unwrap();
+    rt.run_until_quiescent(200_000).unwrap();
+    assert_eq!(rt.balance(&peer), whole(4));
+}
+
 #[test]
 fn any_crash_point_recovers_a_valid_prefix() {
     // The crash-injection sweep: truncate the device at many different
@@ -280,44 +334,11 @@ fn any_crash_point_recovers_a_valid_prefix() {
         }
 
         let mut rt = HierarchyRuntime::recover(durable_config(fork));
-        let mut recovered_blocks = 0usize;
-        for (subnet, blocks) in chain_history(&rt) {
-            let original = &history
-                .iter()
-                .find(|(s, _)| *s == subnet)
-                .expect("recovered subnet existed before the crash")
-                .1;
-            assert!(
-                blocks.len() <= original.len(),
-                "{subnet}: recovered past the pre-crash head at cut {cut_permille}"
-            );
-            assert_eq!(
-                blocks,
-                original[..blocks.len()],
-                "{subnet}: recovered chain is not a prefix at cut {cut_permille}"
-            );
-            recovered_blocks += blocks.len();
-            // The head state root must reproduce from the recovered chunks.
-            if let Some(node) = rt.node(&subnet) {
-                if !node.chain().is_empty() {
-                    assert_eq!(
-                        node.state().recompute_root(),
-                        blocks.last().unwrap().2,
-                        "{subnet}: head state root mismatch at cut {cut_permille}"
-                    );
-                }
-            }
-        }
+        let recovered_blocks =
+            assert_valid_prefix(&rt, &history, false, &format!("cut {cut_permille}"));
         shortest = shortest.min(recovered_blocks);
 
-        // Whatever survived, the recovered world keeps working.
-        let root = SubnetId::root();
-        let user = rt.create_user(&root, whole(10)).unwrap();
-        let peer = rt.create_user(&root, whole(0)).unwrap();
-        rt.submit(&user, peer.addr, whole(4), hc_state::Method::Send)
-            .unwrap();
-        rt.run_until_quiescent(200_000).unwrap();
-        assert_eq!(rt.balance(&peer), whole(4));
+        assert_keeps_working(&mut rt);
 
         if cut_permille == 1000 {
             // An untouched device recovers everything.
@@ -337,6 +358,85 @@ fn any_crash_point_recovers_a_valid_prefix() {
         shortest < full.iter().map(|(_, n)| n).sum::<usize>(),
         "the sweep must include cuts that actually lose history"
     );
+}
+
+#[test]
+fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
+    // Control records are written at once but synced only by the barrier
+    // at the end of the next step. Cut the control log everywhere between
+    // what the last barrier made durable and what has merely been written:
+    // a process crash keeps every frame, a power loss may keep any prefix
+    // of the unsynced ones — recovery must land on a valid prefix each
+    // time, and the barrier must keep set-up cheap.
+    let device = InMemoryDevice::new();
+    let mut world = build_world(durable_config(Arc::new(device.clone())), 1);
+    let root = SubnetId::root();
+    let control = "control/00000000.seg";
+
+    // The world ended on a step, so everything journaled is synced.
+    let durable_len = device.len(control);
+    let syncs = device.sync_count();
+    let users: Vec<UserHandle> = (0..5)
+        .map(|_| world.rt.create_user(&root, whole(10)).unwrap())
+        .collect();
+    assert_eq!(
+        device.sync_count(),
+        syncs,
+        "set-up records wait for a barrier"
+    );
+    let written_len = device.len(control);
+    assert!(written_len > durable_len, "the frames are written at once");
+    let history = chain_history(&world.rt);
+    let total_blocks: usize = history.iter().map(|(_, b)| b.len()).sum();
+
+    let frame = (written_len - durable_len) / users.len() as u64;
+    let cuts = [
+        durable_len,             // power loss: no deferred record survived
+        durable_len + 1,         // … torn inside the first
+        durable_len + 2 * frame, // … exactly two survived
+        written_len - 1,         // … torn inside the last
+        written_len,             // process crash: all of them survived
+    ];
+    for cut in cuts {
+        let fork: Arc<dyn Persistence> = Arc::new(device.fork());
+        truncate_stream(&fork, control, cut);
+        let mut rt = HierarchyRuntime::recover(durable_config(fork));
+        // The users that survived are a prefix of the ones created.
+        let survived = ((cut - durable_len) / frame) as usize;
+        let blocks =
+            assert_valid_prefix(&rt, &history, survived > 0, &format!("control cut {cut}"));
+        assert_eq!(blocks, total_blocks, "no block depends on the cut records");
+        for (i, user) in users.iter().enumerate() {
+            let expected = if i < survived { whole(10) } else { whole(0) };
+            assert_eq!(rt.balance(user), expected, "user {i} at control cut {cut}");
+        }
+        assert_keeps_working(&mut rt);
+    }
+
+    // One step: its block is synced to the chain WAL first, then the
+    // barrier syncs the five set-up records and the commit record together.
+    world
+        .rt
+        .submit(&users[0], users[1].addr, whole(1), hc_state::Method::Send)
+        .unwrap();
+    world.rt.step().unwrap();
+    assert!(
+        device.sync_count() - syncs <= 3,
+        "5 x create_user + one step cost {} syncs",
+        device.sync_count() - syncs
+    );
+    // Power lost between that block's append and the barrier: the block is
+    // durable, its commit record (and the set-up before it) is not. The
+    // block was never part of history; the journals must agree on that.
+    let fork: Arc<dyn Persistence> = Arc::new(device.fork());
+    truncate_stream(&fork, control, durable_len);
+    for attempt in ["block without its commit record", "the same device again"] {
+        let rt = HierarchyRuntime::recover(durable_config(fork.clone()));
+        assert_eq!(
+            assert_valid_prefix(&rt, &history, false, attempt),
+            total_blocks
+        );
+    }
 }
 
 #[test]

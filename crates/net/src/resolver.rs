@@ -28,8 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use hc_actors::{CrossMsg, FundCertificate};
-use hc_types::merkle::merkle_root;
+use hc_actors::{CrossMsg, FundCertificate, MsgGroup};
 use hc_types::{ChainEpoch, Cid, SubnetId};
 
 /// Default bound on cached cross-message groups per node. Each group is
@@ -43,6 +42,10 @@ pub const DEFAULT_CONTENT_CACHE_CAPACITY: usize = 1024;
 pub const BLOB_BATCH_CAP: usize = 16;
 
 /// Protocol messages exchanged on subnet topics.
+///
+/// `Push` and `Resolve` carry raw messages beside a *claimed* CID: what
+/// crosses the network is never trusted, so the receiving [`ContentCache`]
+/// derives the group's digest itself — once — before holding it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ResolutionMsg {
     /// Proactive announcement of a message group (sent towards the
@@ -119,8 +122,10 @@ pub enum ResolutionMsg {
 
 /// A validated, bounded content-addressable cache of cross-message groups.
 ///
-/// Inserts are only accepted when the messages actually hash to the CID,
-/// so cache poisoning is impossible. The cache holds at most `capacity`
+/// Network-borne inserts are only accepted when the messages actually hash
+/// to the claimed CID, so cache poisoning is impossible; what is held is a
+/// sealed [`MsgGroup`], handed out as a shared clone whose digest nobody
+/// downstream derives again. The cache holds at most `capacity`
 /// groups (FIFO eviction — the protocol's access pattern is a moving
 /// window over checkpoint epochs, so oldest-first is also
 /// least-likely-needed); `capacity == 0` disables the bound.
@@ -132,7 +137,7 @@ pub enum ResolutionMsg {
 /// correctness of in-flight requests beats the memory cap.
 #[derive(Debug, Clone)]
 pub struct ContentCache {
-    entries: BTreeMap<Cid, Vec<CrossMsg>>,
+    entries: BTreeMap<Cid, MsgGroup>,
     /// Insertion order, oldest first, for FIFO eviction.
     order: VecDeque<Cid>,
     /// CIDs exempt from eviction (in-flight pulls; may be absent from
@@ -183,17 +188,32 @@ impl ContentCache {
         self.pinned.contains(cid)
     }
 
-    /// Inserts a group if it matches `cid`. Returns `true` on acceptance
-    /// (idempotent: re-inserting known content also returns `true` and
-    /// does not disturb the eviction order).
+    /// Inserts raw messages claimed to be the group behind `cid`. A CID
+    /// already held settles it first — the resident group was verified when
+    /// it came in, so a redelivery hashes nothing, stores nothing and does
+    /// not disturb the eviction order. Otherwise the messages are sealed
+    /// (the one derivation of their digest) and accepted only if it is
+    /// `cid`. Returns `true` when the cache holds `cid` afterwards.
     pub fn insert(&mut self, cid: Cid, msgs: Vec<CrossMsg>) -> bool {
-        if merkle_root(&msgs) != cid {
-            return false;
-        }
         if self.entries.contains_key(&cid) {
             return true;
         }
-        self.entries.insert(cid, msgs);
+        let group = MsgGroup::seal(msgs);
+        if group.cid() != cid {
+            return false;
+        }
+        self.insert_sealed(group);
+        true
+    }
+
+    /// Inserts a group under its own digest — there is nothing to check —
+    /// idempotently, like [`ContentCache::insert`].
+    fn insert_sealed(&mut self, group: MsgGroup) {
+        let cid = group.cid();
+        if self.entries.contains_key(&cid) {
+            return;
+        }
+        self.entries.insert(cid, group);
         self.order.push_back(cid);
         if self.capacity > 0 {
             while self.entries.len() > self.capacity {
@@ -207,12 +227,11 @@ impl ContentCache {
                 self.evictions += 1;
             }
         }
-        true
     }
 
     /// Looks up a group.
-    pub fn get(&self, cid: &Cid) -> Option<&[CrossMsg]> {
-        self.entries.get(cid).map(Vec::as_slice)
+    pub fn get(&self, cid: &Cid) -> Option<&MsgGroup> {
+        self.entries.get(cid)
     }
 
     /// Returns `true` if the CID is cached.
@@ -457,20 +476,22 @@ impl Resolver {
         stats
     }
 
-    /// Seeds the cache with locally produced content (the SCA registers
-    /// every group it creates).
-    pub fn seed(&mut self, cid: Cid, msgs: Vec<CrossMsg>) -> bool {
-        self.accept(cid, msgs)
+    /// Seeds the cache with a group this node holds sealed — one its own
+    /// SCA cut, served from the content registry — settling any
+    /// outstanding pull for it.
+    pub fn seed(&mut self, group: MsgGroup) {
+        self.pending.remove(&group.cid());
+        self.cache.insert_sealed(group);
     }
 
-    /// Validated insert that also settles any outstanding pull for `cid`.
+    /// Validated insert of network-borne content that also settles any
+    /// outstanding pull for `cid`.
     fn accept(&mut self, cid: Cid, msgs: Vec<CrossMsg>) -> bool {
-        if self.cache.insert(cid, msgs) {
+        let held = self.cache.insert(cid, msgs);
+        if held {
             self.pending.remove(&cid);
-            true
-        } else {
-            false
         }
+        held
     }
 
     /// Decides whether an unresolved `cid` warrants publishing a pull at
@@ -587,19 +608,19 @@ impl Resolver {
         }
     }
 
-    /// Local lookup for the cross-msg pool: returns the cached content, or
-    /// the [`ResolutionMsg::Pull`] to publish on `source_topic`. Callers
-    /// on a lossy transport gate the publish through
-    /// [`Resolver::should_pull`].
+    /// Local lookup for the cross-msg pool: returns the cached group (a
+    /// shared clone), or the [`ResolutionMsg::Pull`] to publish on
+    /// `source_topic`. Callers on a lossy transport gate the publish
+    /// through [`Resolver::should_pull`].
     pub fn lookup_or_pull(
         &mut self,
         cid: Cid,
         reply_topic: &str,
-    ) -> Result<Vec<CrossMsg>, ResolutionMsg> {
+    ) -> Result<MsgGroup, ResolutionMsg> {
         match self.cache.get(&cid) {
             Some(msgs) => {
                 self.stats.cache_hits += 1;
-                let msgs = msgs.to_vec();
+                let msgs = msgs.clone();
                 // The consumer has the content; the in-flight pin (if any)
                 // has done its job.
                 self.cache.unpin(&cid);
@@ -620,6 +641,7 @@ impl Resolver {
 mod tests {
     use super::*;
     use hc_actors::HcAddress;
+    use hc_types::merkle::merkle_root;
     use hc_types::{Address, SubnetId, TokenAmount};
 
     fn group(n: u64) -> (Cid, Vec<CrossMsg>) {
@@ -645,10 +667,15 @@ mod tests {
         let (_, other) = group(2);
         assert!(!cache.insert(cid, other));
         assert!(cache.insert(cid, msgs.clone()));
-        assert_eq!(cache.get(&cid).unwrap(), msgs.as_slice());
+        assert_eq!(&**cache.get(&cid).unwrap(), msgs.as_slice());
         // Idempotent re-insert.
-        assert!(cache.insert(cid, msgs));
+        assert!(cache.insert(cid, msgs.clone()));
         assert_eq!(cache.len(), 1);
+        // A held CID is settled before anything is looked at: whatever
+        // arrives under it is reported as held, and the verified group
+        // stays.
+        assert!(cache.insert(cid, group(2).1));
+        assert_eq!(&**cache.get(&cid).unwrap(), msgs.as_slice());
     }
 
     #[test]
@@ -690,7 +717,7 @@ mod tests {
                 msgs: msgs.clone()
             })
             .is_none());
-        assert_eq!(r.lookup_or_pull(cid, "/root/msgs").unwrap(), msgs);
+        assert_eq!(&*r.lookup_or_pull(cid, "/root/msgs").unwrap(), msgs);
         let stats = r.stats();
         assert_eq!(stats.pushes_cached, 1);
         assert_eq!(stats.cache_hits, 1);
@@ -702,7 +729,7 @@ mod tests {
         let mut requester = Resolver::new();
         let mut source = Resolver::new();
         let (cid, msgs) = group(4);
-        source.seed(cid, msgs.clone());
+        source.seed(MsgGroup::seal(msgs.clone()));
 
         // Requester misses locally → emits a pull.
         let pull = requester.lookup_or_pull(cid, "/root/a5/msgs").unwrap_err();
@@ -714,7 +741,7 @@ mod tests {
 
         // Requester ingests the resolve; the content is now local.
         assert!(requester.handle(resolve).is_none());
-        assert_eq!(requester.lookup_or_pull(cid, "x").unwrap(), msgs);
+        assert_eq!(&*requester.lookup_or_pull(cid, "x").unwrap(), msgs);
         assert_eq!(source.stats().pulls_served, 1);
         assert_eq!(requester.stats().resolves_cached, 1);
     }
@@ -852,7 +879,7 @@ mod tests {
 
         // The consumer finally reads it — pin released, entry becomes an
         // ordinary FIFO citizen again.
-        assert_eq!(r.lookup_or_pull(wanted_cid, "t").unwrap(), wanted_msgs);
+        assert_eq!(&*r.lookup_or_pull(wanted_cid, "t").unwrap(), wanted_msgs);
         assert!(!r.cache().is_pinned(&wanted_cid));
         let (noise3_cid, noise3) = group(4);
         r.handle(ResolutionMsg::Push {

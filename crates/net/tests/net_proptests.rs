@@ -2,13 +2,13 @@
 
 use proptest::prelude::*;
 
-use hc_actors::{CrossMsg, HcAddress};
+use hc_actors::{CrossMsg, HcAddress, MsgGroup};
 use hc_net::{
     ContentCache, DupRule, FaultPlan, NetConfig, Network, Partition, PartitionPolicy, ReorderRule,
     Resolver,
 };
 use hc_types::merkle::merkle_root;
-use hc_types::{Address, SubnetId, TokenAmount};
+use hc_types::{Address, CanonicalDecode, CanonicalEncode, SubnetId, TokenAmount};
 
 fn group(id: u64, n: u64) -> (hc_types::Cid, Vec<CrossMsg>) {
     let msgs: Vec<CrossMsg> = (0..n.max(1))
@@ -69,19 +69,65 @@ proptest! {
     }
 
     /// The content cache never stores content under the wrong CID,
-    /// whatever insertion order is attempted.
+    /// whatever insertion order is attempted: a CID it does not hold yet
+    /// is only taken with the content that hashes to it, and a CID it
+    /// already holds is settled before anything is looked at — the insert
+    /// reports the CID as held and the resident, verified group stays.
     #[test]
     fn cache_is_poison_proof(inserts in prop::collection::vec((0u64..6, 0u64..6, 1u64..4), 1..30)) {
         let mut cache = ContentCache::new();
         for (claimed_id, actual_id, n) in inserts {
             let (claimed_cid, _) = group(claimed_id, n);
             let (_, actual_msgs) = group(actual_id, n);
+            let held = cache.contains(&claimed_cid);
             let accepted = cache.insert(claimed_cid, actual_msgs.clone());
-            prop_assert_eq!(accepted, claimed_id == actual_id);
+            prop_assert_eq!(accepted, held || claimed_id == actual_id);
             if let Some(stored) = cache.get(&claimed_cid) {
+                prop_assert_eq!(stored.cid(), claimed_cid);
                 prop_assert_eq!(merkle_root(stored), claimed_cid);
             }
         }
+    }
+
+    /// A group altered on its way — a flipped bit, two messages swapped,
+    /// one dropped, one appended — is never cached under the CID it claims,
+    /// whether it arrives by direct insert, push or resolve.
+    #[test]
+    fn an_altered_group_is_never_cached_under_the_claimed_cid(
+        id in 0u64..6,
+        n in 2u64..5,
+        kind in 0u8..4,
+        at in any::<prop::sample::Index>(),
+    ) {
+        let (cid, msgs) = group(id, n);
+        let mut altered = msgs.clone();
+        match kind {
+            0 => {
+                let mut bytes = msgs.canonical_bytes();
+                let i = at.index(bytes.len());
+                bytes[i] ^= 1 << (i % 8);
+                match Vec::<CrossMsg>::decode(&bytes) {
+                    Ok(decoded) => altered = decoded,
+                    Err(_) => return Ok(()), // never becomes messages at all
+                }
+            }
+            1 => altered.swap(0, 1 + at.index(msgs.len() - 1)),
+            2 => {
+                altered.remove(at.index(msgs.len()));
+            }
+            _ => altered.push(group(id + 10, 1).1.remove(0)),
+        }
+        prop_assert_ne!(&altered, &msgs);
+
+        let mut cache = ContentCache::new();
+        prop_assert!(!cache.insert(cid, altered.clone()));
+        prop_assert!(cache.is_empty());
+
+        let mut r = Resolver::new();
+        r.handle(hc_net::ResolutionMsg::Push { cid, msgs: altered.clone() });
+        r.handle(hc_net::ResolutionMsg::Resolve { cid, msgs: altered });
+        prop_assert_eq!(r.stats().rejected, 2);
+        prop_assert!(r.cache().is_empty());
     }
 
     /// Under duplication and reordering faults, every delivered payload
@@ -169,7 +215,7 @@ proptest! {
             for _ in 0..copies {
                 r.handle(hc_net::ResolutionMsg::Push { cid, msgs: msgs.clone() });
             }
-            prop_assert_eq!(r.cache().get(&cid).unwrap(), msgs.as_slice());
+            prop_assert_eq!(&**r.cache().get(&cid).unwrap(), msgs.as_slice());
         }
         prop_assert_eq!(r.cache().len(), distinct.len());
         prop_assert_eq!(r.stats().rejected, 0);
@@ -267,19 +313,19 @@ proptest! {
         let mut want = Vec::new();
         for id in &ids {
             let (cid, msgs) = group(*id, 2);
-            source.seed(cid, msgs.clone());
+            source.seed(MsgGroup::seal(msgs.clone()));
             want.push((cid, msgs));
         }
         for (cid, msgs) in &want {
             match dest.lookup_or_pull(*cid, "dest/topic") {
-                Ok(got) => prop_assert_eq!(&got, msgs),
+                Ok(got) => prop_assert_eq!(&*got, msgs.as_slice()),
                 Err(pull) => {
                     let (topic, resolve) = source.handle(pull).expect("source has content");
                     prop_assert_eq!(topic.as_str(), "dest/topic");
                     dest.handle(resolve);
                     let got = dest.lookup_or_pull(*cid, "dest/topic")
                         .expect("resolved content is cached");
-                    prop_assert_eq!(&got, msgs);
+                    prop_assert_eq!(&*got, msgs.as_slice());
                 }
             }
         }

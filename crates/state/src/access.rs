@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, ScaState};
-use hc_types::{Address, Cid, SubnetId};
+use hc_actors::{AtomicExecRegistry, Ledger, MsgGroup, ScaState};
+use hc_types::{Address, SubnetId};
 
 use crate::tree::{AccountState, Accounts, StateTree};
 
@@ -57,9 +57,9 @@ pub trait StateAccess {
     /// Mutable atomic-execution coordinator access.
     fn atomic_mut(&mut self) -> &mut AtomicExecRegistry;
 
-    /// Appends the `(msgs_cid, msgs)` groups one checkpoint cut produced to
-    /// the content registry (a cut without groups appends nothing).
-    fn append_registry(&mut self, groups: Vec<(Cid, Vec<CrossMsg>)>);
+    /// Appends the groups one checkpoint cut produced to the content
+    /// registry (a cut without groups appends nothing).
+    fn append_registry(&mut self, groups: Vec<MsgGroup>);
 
     /// Folds a batch of account states in wholesale — the merge step of
     /// parallel lane execution ([`crate::parallel::LaneOverlay`]): each
@@ -120,7 +120,7 @@ impl StateAccess for StateTree {
         StateTree::atomic_mut(self)
     }
 
-    fn append_registry(&mut self, groups: Vec<(Cid, Vec<CrossMsg>)>) {
+    fn append_registry(&mut self, groups: Vec<MsgGroup>) {
         StateTree::append_registry(self, groups);
     }
 

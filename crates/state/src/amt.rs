@@ -332,20 +332,25 @@ impl<V: CanonicalEncode + CanonicalDecode + Clone> Amt<V> {
     pub fn persist(&mut self, store: &CidStore) -> AmtRoot {
         let mut blobs = Vec::new();
         let root = self.unpersisted(store, &mut blobs);
-        store.put_all(blobs);
+        store.put_keyed(blobs);
         root
     }
 
     /// The collecting half of [`Amt::persist`]: flushes and appends the
     /// blobs `store` lacks to `out` (children before parents, top node
-    /// last) for the caller to put.
-    pub(crate) fn unpersisted(&mut self, store: &CidStore, out: &mut Vec<Vec<u8>>) -> AmtRoot {
+    /// last), each under the CID the flush cached for it, for the caller
+    /// to put.
+    pub(crate) fn unpersisted(
+        &mut self,
+        store: &CidStore,
+        out: &mut Vec<(Cid, Vec<u8>)>,
+    ) -> AmtRoot {
         let root = self.flush(&mut HashWork::default());
         Self::collect_node(&self.root, store, out);
         root
     }
 
-    fn collect_node(node: &Node<V>, store: &CidStore, out: &mut Vec<Vec<u8>>) {
+    fn collect_node(node: &Node<V>, store: &CidStore, out: &mut Vec<(Cid, Vec<u8>)>) {
         let cid = node.cached.expect("flushed node has a cached CID");
         if store.contains(&cid) {
             return;
@@ -355,7 +360,7 @@ impl<V: CanonicalEncode + CanonicalDecode + Clone> Amt<V> {
                 Self::collect_node(child, store, out);
             }
         }
-        out.push(node.encode());
+        out.push((cid, node.encode()));
     }
 
     /// Loads a persisted AMT from `store`.

@@ -487,27 +487,28 @@ where
     pub fn persist(&mut self, store: &CidStore) -> TCid<MHamtNode> {
         let mut blobs = Vec::new();
         let root = self.unpersisted(store, &mut blobs);
-        store.put_all(blobs);
+        store.put_keyed(blobs);
         root
     }
 
     /// The collecting half of [`Hamt::persist`]: flushes and appends the
-    /// node blobs `store` lacks to `out` (children before parents) for the
-    /// caller to put — [`crate::StateTree::persist`] writes them in one
-    /// group with the rest of its snapshot.
+    /// node blobs `store` lacks to `out` (children before parents), each
+    /// under the CID the flush cached for it, for the caller to put —
+    /// [`crate::StateTree::persist`] writes them in one group with the
+    /// rest of its snapshot.
     pub(crate) fn unpersisted(
         &mut self,
         store: &CidStore,
-        out: &mut Vec<Vec<u8>>,
+        out: &mut Vec<(Cid, Vec<u8>)>,
     ) -> TCid<MHamtNode> {
         let root = self.flush(&mut HashWork::default());
         Self::collect_node(&self.root, store, out);
         root
     }
 
-    fn collect_node(node: &Node<K, V>, store: &CidStore, out: &mut Vec<Vec<u8>>) {
-        let cid = node.cached.expect("flushed node has a cached CID");
-        if store.contains(&cid.cid()) {
+    fn collect_node(node: &Node<K, V>, store: &CidStore, out: &mut Vec<(Cid, Vec<u8>)>) {
+        let cid = node.cached.expect("flushed node has a cached CID").cid();
+        if store.contains(&cid) {
             return;
         }
         if let Kind::Interior { children, .. } = &node.kind {
@@ -515,7 +516,7 @@ where
                 Self::collect_node(child, store, out);
             }
         }
-        out.push(node.encode());
+        out.push((cid, node.encode()));
     }
 
     /// Loads a persisted HAMT from `store`, verifying that every blob

@@ -242,14 +242,13 @@ mod tests {
         t
     }
 
-    fn registry_group() -> (Cid, Vec<hc_actors::CrossMsg>) {
+    fn registry_group() -> hc_actors::MsgGroup {
         let at = |a| hc_actors::HcAddress::new(SubnetId::root(), Address::new(a));
-        let msgs = vec![hc_actors::CrossMsg::transfer(
+        hc_actors::MsgGroup::seal(vec![hc_actors::CrossMsg::transfer(
             at(100),
             at(101),
             TokenAmount::from_whole(1),
-        )];
-        (hc_types::merkle::merkle_root(&msgs), msgs)
+        )])
     }
 
     fn persisted(t: &mut StateTree, store: &CidStore) -> ChunkManifest {
@@ -271,8 +270,8 @@ mod tests {
         assert_eq!(installed.sca(), t.sca());
         assert_eq!(installed.next_actor_id(), t.next_actor_id());
         // The registry's lookup index is rebuilt from the installed log.
-        let (cid, msgs) = registry_group();
-        assert_eq!(installed.resolve_content(&cid), Some(msgs.as_slice()));
+        let group = registry_group();
+        assert_eq!(installed.resolve_content(&group.cid()), Some(&group));
         // Re-persisting the installed tree reproduces the same manifest.
         let again = persisted(&mut installed, &store);
         assert_eq!(again, manifest);

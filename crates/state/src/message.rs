@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::{FraudProof, SaConfig};
 use hc_actors::snapshot::{BalanceProof, StateSnapshot};
-use hc_actors::{CrossMsg, CrossMsgMeta, ExecId, HcAddress};
+use hc_actors::{CrossMsg, CrossMsgMeta, ExecId, HcAddress, MsgGroup};
 use hc_types::crypto::AggregateSignature;
 use hc_types::{
     decode_fields, Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError,
@@ -355,13 +355,10 @@ impl Message {
         }
     }
 
-    /// Signs the message with `key`, producing a [`SignedMessage`].
+    /// Signs the message with `key`, producing a [`SignedMessage`]
+    /// ([`crate::SealedMessage::sign`] without the carried CID).
     pub fn sign(self, key: &Keypair) -> SignedMessage {
-        let sig = key.sign(self.cid().as_bytes());
-        SignedMessage {
-            message: self,
-            signature: sig,
-        }
+        crate::SealedMessage::sign(self, key).into_signed()
     }
 }
 
@@ -402,8 +399,8 @@ pub enum ImplicitMsg {
     ApplyBottomUp {
         /// The nonce-stamped meta committed in the parent checkpoint flow.
         meta: CrossMsgMeta,
-        /// The resolved raw messages (must hash to `meta.msgs_cid`).
-        msgs: Vec<CrossMsg>,
+        /// The resolved group (its digest must equal `meta.msgs_cid`).
+        msgs: MsgGroup,
     },
     /// Cut the subnet's checkpoint at the current epoch (executed at
     /// checkpoint-period boundaries); `proof` is the chain head CID.
@@ -432,8 +429,8 @@ pub enum ImplicitMsg {
     CommitTurnaround {
         /// The meta routed back down by a committed child checkpoint.
         meta: CrossMsgMeta,
-        /// The resolved messages (must hash to `meta.msgs_cid`).
-        msgs: Vec<CrossMsg>,
+        /// The resolved group (its digest must equal `meta.msgs_cid`).
+        msgs: MsgGroup,
     },
 }
 
@@ -476,7 +473,7 @@ impl CanonicalDecode for ImplicitMsg {
             0 => Ok(ImplicitMsg::ApplyTopDown(CrossMsg::read_bytes(r)?)),
             1 => Ok(ImplicitMsg::ApplyBottomUp {
                 meta: CrossMsgMeta::read_bytes(r)?,
-                msgs: Vec::<CrossMsg>::read_bytes(r)?,
+                msgs: MsgGroup::read_bytes(r)?,
             }),
             2 => Ok(ImplicitMsg::CutCheckpoint {
                 proof: Cid::read_bytes(r)?,
@@ -486,7 +483,7 @@ impl CanonicalDecode for ImplicitMsg {
             }),
             4 => Ok(ImplicitMsg::CommitTurnaround {
                 meta: CrossMsgMeta::read_bytes(r)?,
-                msgs: Vec::<CrossMsg>::read_bytes(r)?,
+                msgs: MsgGroup::read_bytes(r)?,
             }),
             5 => Ok(ImplicitMsg::SweepAtomicTimeouts {
                 timeout: u64::read_bytes(r)?,
@@ -613,24 +610,18 @@ mod tests {
             HcAddress::new(SubnetId::root(), Address::new(2)),
             TokenAmount::from_whole(1),
         );
-        let meta = CrossMsgMeta::for_group(
-            SubnetId::root(),
-            SubnetId::root(),
-            std::slice::from_ref(&msg),
-        );
+        let group = MsgGroup::seal(vec![msg.clone()]);
+        let meta = CrossMsgMeta::for_group(SubnetId::root(), SubnetId::root(), &group);
         let cases = [
             ImplicitMsg::ApplyTopDown(msg.clone()),
             ImplicitMsg::ApplyBottomUp {
                 meta: meta.clone(),
-                msgs: vec![msg.clone()],
+                msgs: group.clone(),
             },
             ImplicitMsg::CutCheckpoint {
                 proof: Cid::digest(b"head"),
             },
-            ImplicitMsg::CommitTurnaround {
-                meta,
-                msgs: vec![msg],
-            },
+            ImplicitMsg::CommitTurnaround { meta, msgs: group },
             ImplicitMsg::SweepAtomicTimeouts { timeout: 4 },
         ];
         for m in cases {

@@ -22,7 +22,7 @@ use std::sync::Mutex;
 
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, ScaState};
+use hc_actors::{AtomicExecRegistry, Ledger, MsgGroup, ScaState};
 use hc_types::merkle::{leaf_digest, MerkleTree};
 use hc_types::{Address, CanonicalEncode, Cid, SubnetId, TokenAmount};
 
@@ -422,9 +422,9 @@ impl<'o> StateAccess for StateOverlay<'o> {
         self.ensure_atomic()
     }
 
-    fn append_registry(&mut self, groups: Vec<(Cid, Vec<CrossMsg>)>) {
+    fn append_registry(&mut self, groups: Vec<MsgGroup>) {
         if !groups.is_empty() {
-            self.registry.push(RegistryEntry::new(groups));
+            self.registry.push(RegistryEntry(groups));
         }
     }
 
@@ -527,14 +527,13 @@ mod tests {
             s.atomic_mut();
             s.append_registry(vec![group()]);
         }
-        fn group() -> (Cid, Vec<CrossMsg>) {
+        fn group() -> MsgGroup {
             let at = |a| hc_actors::HcAddress::new(SubnetId::root(), Address::new(a));
-            let msgs = vec![CrossMsg::transfer(
+            MsgGroup::seal(vec![hc_actors::CrossMsg::transfer(
                 at(100),
                 at(101),
                 TokenAmount::from_whole(1),
-            )];
-            (hc_types::merkle::merkle_root(&msgs), msgs)
+            )])
         }
         script(&mut direct);
         script(&mut overlay);
@@ -546,8 +545,8 @@ mod tests {
         assert_eq!(direct.flush(), candidate);
         assert_eq!(base.recompute_root(), candidate);
         // The appended group is served from the base's index after apply.
-        let (cid, msgs) = group();
-        assert_eq!(base.resolve_content(&cid), Some(msgs.as_slice()));
+        let group = group();
+        assert_eq!(base.resolve_content(&group.cid()), Some(&group));
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::collections::BTreeMap;
 
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, ScaState};
-use hc_types::{Address, Cid, SubnetId, TokenAmount};
+use hc_actors::{AtomicExecRegistry, Ledger, MsgGroup, ScaState};
+use hc_types::{Address, SubnetId, TokenAmount};
 
 use crate::access::StateAccess;
 use crate::message::{Message, Method};
@@ -176,7 +176,7 @@ impl<'a, B: StateAccess> StateAccess for LaneOverlay<'a, B> {
         panic!("{LANE_INVARIANT}");
     }
 
-    fn append_registry(&mut self, _groups: Vec<(Cid, Vec<CrossMsg>)>) {
+    fn append_registry(&mut self, _groups: Vec<MsgGroup>) {
         panic!("{LANE_INVARIANT}");
     }
 

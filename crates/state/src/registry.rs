@@ -14,45 +14,30 @@
 //! nodes.
 //!
 //! Lookups by group CID (`ContentRegistry::get`) are served from an
-//! in-memory index that shares the message vectors with the log. The index
-//! is derived data: never hashed, rebuilt from the log on install.
+//! in-memory index that shares the groups with the log. The index is
+//! derived data: never hashed, rebuilt from the log on install.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use hc_actors::CrossMsg;
+use hc_actors::MsgGroup;
 use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError};
 
 use crate::amt::{Amt, AmtError, AmtRoot};
 use crate::hamt::HashWork;
 use crate::store::CidStore;
 
-/// The raw messages of one cut group, shared between the log and the
-/// lookup index.
-type Group = Arc<Vec<CrossMsg>>;
-
 /// One entry of the registry log: the bottom-up groups of one checkpoint
-/// cut, as `(msgs_cid, msgs)` in destination order.
+/// cut, in destination order, shared with the lookup index. Encoded as
+/// `(msgs_cid, msgs)` pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RegistryEntry(Vec<(Cid, Group)>);
-
-impl RegistryEntry {
-    pub(crate) fn new(groups: Vec<(Cid, Vec<CrossMsg>)>) -> Self {
-        RegistryEntry(
-            groups
-                .into_iter()
-                .map(|(cid, msgs)| (cid, Arc::new(msgs)))
-                .collect(),
-        )
-    }
-}
+pub(crate) struct RegistryEntry(pub(crate) Vec<MsgGroup>);
 
 impl CanonicalEncode for RegistryEntry {
     fn write_bytes(&self, out: &mut Vec<u8>) {
         (self.0.len() as u64).write_bytes(out);
-        for (cid, msgs) in &self.0 {
-            cid.write_bytes(out);
-            msgs.as_ref().write_bytes(out);
+        for group in &self.0 {
+            group.cid().write_bytes(out);
+            group.write_bytes(out);
         }
     }
 }
@@ -64,7 +49,15 @@ impl CanonicalDecode for RegistryEntry {
         let mut groups = Vec::with_capacity(count);
         for _ in 0..count {
             let cid = Cid::read_bytes(r)?;
-            groups.push((cid, Arc::new(Vec::<CrossMsg>::read_bytes(r)?)));
+            let group = MsgGroup::read_bytes(r)?;
+            // Content entering from bytes: the group's digest is derived
+            // here, once, and must be the one stored beside it.
+            if group.cid() != cid {
+                return Err(DecodeError::Invalid {
+                    what: "registry group does not hash to its msgs_cid",
+                });
+            }
+            groups.push(group);
         }
         Ok(RegistryEntry(groups))
     }
@@ -81,7 +74,7 @@ pub(crate) struct ContentRegistry {
     /// [`ContentRegistry::append`] and [`ContentRegistry::install`] only
     /// flush or persist it.
     pub(crate) log: Amt<RegistryEntry>,
-    index: HashMap<Cid, Group>,
+    index: HashMap<Cid, MsgGroup>,
 }
 
 impl ContentRegistry {
@@ -91,9 +84,9 @@ impl ContentRegistry {
         self.log.push(entry);
     }
 
-    /// The raw messages behind a group CID cut by this subnet.
-    pub(crate) fn get(&self, cid: &Cid) -> Option<&[CrossMsg]> {
-        self.index.get(cid).map(|msgs| msgs.as_slice())
+    /// The group behind a CID cut by this subnet.
+    pub(crate) fn get(&self, cid: &Cid) -> Option<&MsgGroup> {
+        self.index.get(cid)
     }
 
     /// Adopts `log` — a clone of this registry's log that `appended` was
@@ -135,8 +128,35 @@ impl ContentRegistry {
     }
 }
 
-fn index_groups(index: &mut HashMap<Cid, Group>, entry: &RegistryEntry) {
-    for (cid, msgs) in &entry.0 {
-        index.insert(*cid, msgs.clone());
+fn index_groups(index: &mut HashMap<Cid, MsgGroup>, entry: &RegistryEntry) {
+    for group in &entry.0 {
+        index.insert(group.cid(), group.clone());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hc_actors::{CrossMsg, HcAddress};
+    use hc_types::{Address, SubnetId, TokenAmount};
+
+    #[test]
+    fn a_decoded_entry_must_hash_to_the_cids_stored_beside_its_groups() {
+        let at = |a| HcAddress::new(SubnetId::root(), Address::new(a));
+        let group = MsgGroup::seal(vec![
+            CrossMsg::transfer(at(100), at(101), TokenAmount::from_whole(1)),
+            CrossMsg::transfer(at(102), at(103), TokenAmount::from_whole(2)),
+        ]);
+        let entry = RegistryEntry(vec![group]);
+        let bytes = entry.canonical_bytes();
+        assert_eq!(RegistryEntry::decode(&bytes).unwrap(), entry);
+        // Byte 8 is the first of the stored `msgs_cid`; the last byte is
+        // inside the last message. Neither the digest nor the content can
+        // be altered alone.
+        for at in [8, bytes.len() - 1] {
+            let mut tampered = bytes.clone();
+            tampered[at] ^= 1;
+            assert!(RegistryEntry::decode(&tampered).is_err(), "byte {at}");
+        }
     }
 }

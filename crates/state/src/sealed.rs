@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use hc_types::{CanonicalEncode, Cid, Signature};
+use hc_types::{CanonicalEncode, Cid, Keypair, Signature};
 
 use crate::message::{Message, SignedMessage};
 
@@ -47,6 +47,19 @@ impl SealedMessage {
         SealedMessage {
             msg,
             msg_cid: OnceLock::new(),
+            cid: OnceLock::new(),
+        }
+    }
+
+    /// Signs `message` with `key` and seals the result: the message CID is
+    /// derived once, signed, and carried, so admission, verification and
+    /// receipt lookup never derive it again.
+    pub fn sign(message: Message, key: &Keypair) -> Self {
+        let msg_cid = message.cid();
+        let signature = key.sign(msg_cid.as_bytes());
+        SealedMessage {
+            msg: SignedMessage { message, signature },
+            msg_cid: OnceLock::from(msg_cid),
             cid: OnceLock::new(),
         }
     }
@@ -121,7 +134,7 @@ impl hc_types::CanonicalDecode for SealedMessage {
 mod tests {
     use super::*;
     use crate::message::Method;
-    use hc_types::{Address, Keypair, Nonce, TokenAmount};
+    use hc_types::{Address, Nonce, TokenAmount};
 
     fn sample() -> SignedMessage {
         let kp = Keypair::from_seed([0x5e; 32]);
@@ -144,6 +157,19 @@ mod tests {
         // Second reads return the same values (memo, not re-derivation).
         assert_eq!(sealed.msg_cid(), CanonicalEncode::cid(&signed.message));
         assert_eq!(sealed.cid(), CanonicalEncode::cid(&signed));
+    }
+
+    #[test]
+    fn sign_and_seal_is_sign_then_seal_with_the_message_cid_warm() {
+        let signed = sample();
+        let kp = Keypair::from_seed([0x5e; 32]);
+        let sealed = SealedMessage::sign(signed.message.clone(), &kp);
+        assert_eq!(sealed.signed(), &signed);
+        assert_eq!(
+            sealed.msg_cid.get().copied(),
+            Some(CanonicalEncode::cid(&signed.message))
+        );
+        assert!(sealed.verify_signature());
     }
 
     #[test]

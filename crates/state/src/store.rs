@@ -118,26 +118,27 @@ impl CidStore {
         cid
     }
 
-    /// Stores every blob of `group` exactly as [`CidStore::put`] would, but
-    /// journals the new ones to the attached blob log as one group commit
-    /// (a single sync) instead of one sync per blob. This is how a snapshot
-    /// persist writes: its blobs are only referenced — by the manifest CID
-    /// the caller gets back — once all of them are down. Returns the CIDs
-    /// in `group` order.
-    pub fn put_all(&self, group: Vec<Vec<u8>>) -> Vec<Cid> {
-        let cids: Vec<Cid> = group.iter().map(|bytes| Cid::digest(bytes)).collect();
+    /// Stores every blob of `group` exactly as [`CidStore::put`] would —
+    /// except that each arrives with the CID its producer already derived
+    /// from these very bytes (a flushed HAMT/AMT node's cached CID, a chunk
+    /// blob digested by [`crate::StateTree::persist`]), so nothing is
+    /// digested again — and journals the new ones to the attached blob log
+    /// as one group commit (a single sync) instead of one sync per blob.
+    /// This is how a snapshot persist writes: its blobs are only referenced
+    /// — by the manifest CID the caller gets back — once all of them are
+    /// down. Crate-private: the store stays self-verifying only because
+    /// every caller's CID is the digest of the bytes beside it.
+    pub(crate) fn put_keyed(&self, group: Vec<(Cid, Vec<u8>)>) {
         let mut inner = self.inner.write();
-        let fresh: Vec<(Cid, Arc<Vec<u8>>)> = cids
-            .iter()
-            .zip(group)
-            .filter_map(|(cid, bytes)| Some((*cid, inner.admit(*cid, bytes)?)))
+        let fresh: Vec<(Cid, Arc<Vec<u8>>)> = group
+            .into_iter()
+            .filter_map(|(cid, bytes)| Some((cid, inner.admit(cid, bytes)?)))
             .collect();
         if let Some(log) = &mut inner.blob_log {
             let records: Vec<(Cid, &[u8])> =
                 fresh.iter().map(|(c, b)| (*c, b.as_slice())).collect();
             log.put_group(&records);
         }
-        cids
     }
 
     /// Attaches a durable blob log: every subsequent put-miss is journaled.
@@ -363,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn put_all_counts_like_put_and_journals_one_group() {
+    fn put_keyed_counts_like_put_and_journals_one_group() {
         use hc_store::{FsyncPolicy, InMemoryDevice, Persistence, WalOptions};
 
         let dev = InMemoryDevice::new();
@@ -372,23 +373,22 @@ mod tests {
             segment_bytes: 1 << 16,
             fsync: FsyncPolicy::Always,
         };
+        let keyed = |bytes: &[u8]| (Cid::digest(bytes), bytes.to_vec());
         let store = CidStore::new();
         store.attach_blob_log(BlobLog::open(arc.clone(), "blobs", opts));
         let known = store.put(b"known".to_vec());
         assert_eq!(dev.sync_count(), 1);
-        let cids = store.put_all(vec![
-            b"first".to_vec(),
-            b"known".to_vec(),
-            b"second".to_vec(),
-        ]);
-        assert_eq!(cids[0], Cid::digest(b"first"));
-        assert_eq!(cids[1], known);
-        assert_eq!(store.get(&cids[2]).unwrap().as_slice(), b"second");
+        store.put_keyed(vec![keyed(b"first"), keyed(b"known"), keyed(b"second")]);
+        assert!(store.contains(&known));
+        assert_eq!(
+            store.get(&Cid::digest(b"second")).unwrap().as_slice(),
+            b"second"
+        );
         let s = store.stats();
         assert_eq!((s.put_hits, s.put_misses, s.blobs), (1, 3, 3));
         // Two new blobs, one sync; an all-hit group syncs nothing.
         assert_eq!(dev.sync_count(), 2);
-        store.put_all(vec![b"first".to_vec()]);
+        store.put_keyed(vec![keyed(b"first")]);
         assert_eq!(dev.sync_count(), 2);
         assert_eq!(BlobLog::open(arc, "blobs", opts).len(), 3);
     }

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, ScaConfig, ScaState};
+use hc_actors::{AtomicExecRegistry, Ledger, MsgGroup, ScaConfig, ScaState};
 use hc_types::merkle::{leaf_digest, MerkleProof, MerkleTree};
 use hc_types::{
     Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MHamtNode, Nonce,
@@ -265,18 +265,18 @@ impl StateTree {
         self.sca.prune_top_down(child, below)
     }
 
-    /// Appends the `(msgs_cid, msgs)` groups of one checkpoint cut to the
-    /// content registry. Empty cuts append nothing, so the log (and its
-    /// leaf digest) only moves when there is content to commit to.
-    pub fn append_registry(&mut self, groups: Vec<(Cid, Vec<CrossMsg>)>) {
+    /// Appends the groups of one checkpoint cut to the content registry.
+    /// Empty cuts append nothing, so the log (and its leaf digest) only
+    /// moves when there is content to commit to.
+    pub fn append_registry(&mut self, groups: Vec<MsgGroup>) {
         if !groups.is_empty() {
-            self.registry.append(RegistryEntry::new(groups));
+            self.registry.append(RegistryEntry(groups));
         }
     }
 
-    /// Looks up the raw messages behind the CID of a group this subnet
-    /// cut, serving the content-resolution protocol (paper §IV-C).
-    pub fn resolve_content(&self, cid: &Cid) -> Option<&[CrossMsg]> {
+    /// Looks up the group behind the CID of a group this subnet cut,
+    /// serving the content-resolution protocol (paper §IV-C).
+    pub fn resolve_content(&self, cid: &Cid) -> Option<&MsgGroup> {
         self.registry.get(cid)
     }
 
@@ -542,31 +542,30 @@ impl StateTree {
     pub fn persist(&mut self, store: &CidStore) -> Cid {
         let root = self.flush();
         // The manifest's closure goes down as one group
-        // ([`CidStore::put_all`]): its blobs matter only together. Fixed
-        // chunks to (re)write are remembered by their position in it.
-        let mut blobs: Vec<Vec<u8>> = Vec::new();
-        let mut fixed: Vec<(ChunkKey, Cid, Result<Cid, usize>)> = Vec::new();
-        for key in self.commitment.digests.keys() {
+        // ([`CidStore::put_keyed`]): its blobs matter only together, and
+        // each is digested exactly once — HAMT/AMT nodes by the flush
+        // above, fixed chunks here.
+        let mut blobs: Vec<(Cid, Vec<u8>)> = Vec::new();
+        let mut persisted = BTreeMap::new();
+        for (key, digest) in &self.commitment.digests {
             if matches!(key, ChunkKey::Accounts | ChunkKey::Registry) {
                 continue;
             }
-            let digest = self.commitment.digests[key];
             let blob_cid = match self.commitment.persisted.get(key) {
-                Some((d, cid)) if *d == digest && store.contains(cid) => Ok(*cid),
+                Some((d, cid)) if d == digest && store.contains(cid) => *cid,
                 _ => {
-                    blobs.push(self.chunk_blob(key));
-                    Err(blobs.len() - 1)
+                    let blob = self.chunk_blob(key);
+                    let cid = Cid::digest(&blob);
+                    blobs.push((cid, blob));
+                    cid
                 }
             };
-            fixed.push((*key, digest, blob_cid));
+            persisted.insert(*key, (*digest, blob_cid));
         }
         let accounts_root = self.commitment.accounts_hamt.unpersisted(store, &mut blobs);
         let registry_root = self.registry.log.unpersisted(store, &mut blobs);
-        let cids = store.put_all(blobs);
-        self.commitment.persisted = fixed
-            .into_iter()
-            .map(|(key, digest, cid)| (key, (digest, cid.unwrap_or_else(|i| cids[i]))))
-            .collect();
+        store.put_keyed(blobs);
+        self.commitment.persisted = persisted;
         let manifest = ChunkManifest {
             root,
             accounts_root,
@@ -801,7 +800,7 @@ mod tests {
                 hc_types::ChainEpoch::GENESIS,
             )
             .unwrap();
-        let down = CrossMsg::transfer(
+        let down = hc_actors::CrossMsg::transfer(
             hc_actors::HcAddress::new(SubnetId::root(), Address::new(100)),
             hc_actors::HcAddress::new(child.clone(), Address::new(7)),
             TokenAmount::from_whole(1),
@@ -818,13 +817,12 @@ mod tests {
         assert_eq!(after.chunks_hashed, before.chunks_hashed);
     }
 
-    fn group(tag: u64) -> (Cid, Vec<CrossMsg>) {
-        let msgs = vec![CrossMsg::transfer(
+    fn group(tag: u64) -> MsgGroup {
+        MsgGroup::seal(vec![hc_actors::CrossMsg::transfer(
             hc_actors::HcAddress::new(SubnetId::root(), Address::new(100)),
             hc_actors::HcAddress::new(SubnetId::root(), Address::new(tag)),
             TokenAmount::from_atto(u128::from(tag)),
-        )];
-        (hc_types::merkle::merkle_root(&msgs), msgs)
+        )])
     }
 
     #[test]
@@ -834,19 +832,19 @@ mod tests {
         // A cut without groups appends nothing.
         t.append_registry(Vec::new());
         assert!(t.is_committed());
-        let (cid, msgs) = group(1);
-        assert!(t.resolve_content(&cid).is_none());
-        t.append_registry(vec![(cid, msgs.clone()), group(2)]);
+        let first = group(1);
+        assert!(t.resolve_content(&first.cid()).is_none());
+        t.append_registry(vec![first.clone(), group(2)]);
         assert!(!t.is_committed());
         let r1 = t.flush();
         assert_ne!(r0, r1, "the state root commits to the registry");
         assert_eq!(r1, t.recompute_root());
         assert_eq!(r1, t.rebuilt().flush());
-        assert_eq!(t.resolve_content(&cid), Some(msgs.as_slice()));
-        assert!(t.rebuilt().resolve_content(&group(2).0).is_some());
+        assert_eq!(t.resolve_content(&first.cid()), Some(&first));
+        assert!(t.rebuilt().resolve_content(&group(2).cid()).is_some());
         // Order is part of the commitment (append-only log).
         let mut swapped = tree();
-        swapped.append_registry(vec![group(2), (cid, msgs)]);
+        swapped.append_registry(vec![group(2), first]);
         assert_ne!(swapped.flush(), r1);
     }
 

@@ -636,7 +636,7 @@ pub fn apply_implicit<S: StateAccess>(
                 return Receipt::failed(e, gas::CROSS_MSG + gas::PER_META);
             }
             let mut receipt = Receipt::ok(gas::CROSS_MSG + gas::PER_META * msgs.len() as u64);
-            for m in msgs {
+            for m in msgs.iter() {
                 if let Err(why) = dispatch_cross_call(tree, epoch, m) {
                     let rc = revert_cross_msg(tree, m, why, 0);
                     receipt.events.extend(rc.events);
@@ -701,7 +701,7 @@ pub fn apply_implicit<S: StateAccess>(
             // ledger when the bottom-up leg was committed); each message
             // only needs restamping onto its top-down route.
             let mut receipt = Receipt::ok(gas::CROSS_MSG * msgs.len().max(1) as u64);
-            for m in msgs {
+            for m in msgs.iter() {
                 let mut down = m.clone();
                 down.nonce = hc_types::Nonce::ZERO;
                 match tree.sca_mut().commit_top_down(down.clone()) {

@@ -13,12 +13,11 @@
 use proptest::prelude::*;
 
 use hc_actors::sa::{SaConfig, SaState};
-use hc_actors::{CrossMsg, HcAddress, ScaConfig};
+use hc_actors::{CrossMsg, HcAddress, MsgGroup, ScaConfig};
 use hc_state::{
     blob_links, AccountState, AmtRoot, ChunkManifest, CidStore, HamtError, InstallError, StateTree,
 };
 use hc_types::crypto::sha256;
-use hc_types::merkle::merkle_root;
 use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TCid, TokenAmount};
 
 const USERS: u64 = 4;
@@ -72,16 +71,15 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The `(msgs_cid, msgs)` groups of one synthetic checkpoint cut.
-fn cut_groups(groups: u8, salt: u16) -> Vec<(Cid, Vec<CrossMsg>)> {
+/// The groups of one synthetic checkpoint cut.
+fn cut_groups(groups: u8, salt: u16) -> Vec<MsgGroup> {
     (0..u64::from(groups))
         .map(|g| {
-            let msgs = vec![CrossMsg::transfer(
+            MsgGroup::seal(vec![CrossMsg::transfer(
                 HcAddress::new(SubnetId::root(), Address::new(100)),
                 HcAddress::new(SubnetId::root(), Address::new(200 + g)),
                 TokenAmount::from_atto(u128::from(salt)),
-            )];
-            (merkle_root(&msgs), msgs)
+            )])
         })
         .collect()
 }
@@ -391,6 +389,24 @@ proptest! {
         }
         prop_assert!(!closure.contains(&garbage), "closure leaked an orphan");
 
+        // Self-verification survives the keyed put: persist hands the
+        // store CIDs derived earlier (flushed nodes) or once (chunks), the
+        // store digests nothing again — and still every blob it holds
+        // hashes to the key it is held under, after a second persist of a
+        // mutated tree too, and nothing else ever landed in it.
+        let mut later = tree.clone();
+        for op in ops.iter().rev() {
+            apply_op(&mut later, op);
+        }
+        let later_cid = later.persist(&store);
+        let mut held = store.manifest_closure(&[later_cid]);
+        held.extend(closure.iter().copied());
+        held.insert(garbage);
+        prop_assert_eq!(store.len(), held.len());
+        for cid in &held {
+            prop_assert_eq!(Cid::digest(&store.get(cid).unwrap()), *cid);
+        }
+
         // Sufficiency: a fresh store seeded with exactly the closure
         // installs to the source root.
         let fresh = CidStore::new();
@@ -405,8 +421,8 @@ proptest! {
         // Every group cut before the persist is still served.
         for op in &ops {
             if let Op::Cut { groups, salt } = op {
-                for (cid, msgs) in cut_groups(*groups, *salt) {
-                    prop_assert_eq!(installed.resolve_content(&cid), Some(msgs.as_slice()));
+                for group in cut_groups(*groups, *salt) {
+                    prop_assert_eq!(installed.resolve_content(&group.cid()), Some(&group));
                 }
             }
         }

@@ -360,20 +360,14 @@ fn atomic_execution_via_local_and_cross_net_submissions() {
     cross.nonce = Nonce::ZERO;
     // Use the bottom-up path: metas arrive through a checkpoint; here we
     // apply the resolved group directly.
-    let meta = {
-        let msgs = vec![cross.clone()];
-        let mut m =
-            hc_actors::CrossMsgMeta::for_group(remote_subnet.clone(), SubnetId::root(), &msgs);
-        m.nonce = Nonce::ZERO;
-        m
-    };
+    let msgs = hc_actors::MsgGroup::seal(vec![cross]);
+    let mut meta =
+        hc_actors::CrossMsgMeta::for_group(remote_subnet.clone(), SubnetId::root(), &msgs);
+    meta.nonce = Nonce::ZERO;
     let r = apply_implicit(
         &mut tree,
         ChainEpoch::new(2),
-        &ImplicitMsg::ApplyBottomUp {
-            meta,
-            msgs: vec![cross],
-        },
+        &ImplicitMsg::ApplyBottomUp { meta, msgs },
     );
     assert!(r.exit.is_ok(), "{:?}", r.exit);
     assert_eq!(

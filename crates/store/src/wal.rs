@@ -62,6 +62,12 @@ pub struct Wal {
     /// End position of every record, in order.
     record_ends: Vec<RecordEnd>,
     appends_since_sync: u32,
+    /// Records written by [`Wal::append_deferred`] since the last
+    /// [`Wal::sync_deferred`].
+    deferred: u32,
+    /// Segments a deferred append rolled out of: they may hold frames no
+    /// sync has covered yet, and the next sync covers them too.
+    deferred_left: Vec<String>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -132,6 +138,8 @@ impl Wal {
             segment_len,
             record_ends,
             appends_since_sync: 0,
+            deferred: 0,
+            deferred_left: Vec::new(),
         };
         // Whether the scan stopped at a torn frame or at a gap, everything
         // past the resume point is untrusted: clear it so appends never
@@ -200,8 +208,47 @@ impl Wal {
         }
     }
 
-    /// Forces the current segment to stable storage.
+    /// Appends one record and leaves its sync pending: the frame is written
+    /// to the device at once — a process crash loses nothing, and the
+    /// record can never become durable *before* anything synced earlier —
+    /// but the [`FsyncPolicy`] is applied only at the next
+    /// [`Wal::sync_deferred`]. For a writer whose records need not each be
+    /// durable on return and may share one sync, like the runtime's
+    /// control log, whose barrier runs once per step.
+    pub fn append_deferred(&mut self, payload: &[u8]) {
+        let left = self.write_frame(payload);
+        self.deferred_left.extend(left);
+        self.deferred += 1;
+    }
+
+    /// The durability barrier for [`Wal::append_deferred`]: applies the
+    /// sync policy to the records pending since the last barrier as if
+    /// they had just been appended together — `Always` syncs every segment
+    /// they were written to, `EveryN` counts them towards its cadence,
+    /// `Never` does nothing. A no-op when nothing is pending.
+    pub fn sync_deferred(&mut self) {
+        let pending = std::mem::take(&mut self.deferred);
+        if pending == 0 {
+            return;
+        }
+        match self.opts.fsync {
+            FsyncPolicy::Always => self.sync(),
+            FsyncPolicy::EveryN(n) => {
+                self.appends_since_sync += pending;
+                if self.appends_since_sync >= n.max(1) {
+                    self.sync();
+                }
+            }
+            FsyncPolicy::Never => self.deferred_left.clear(),
+        }
+    }
+
+    /// Forces the current segment — and any segment a deferred append
+    /// rolled out of since the last sync — to stable storage.
     pub fn sync(&mut self) {
+        for left in self.deferred_left.drain(..) {
+            self.device.sync(&left);
+        }
         self.device.sync(&segment_stream(&self.name, self.segment));
         self.appends_since_sync = 0;
     }
@@ -400,6 +447,57 @@ mod tests {
             wal.append(b"x");
         }
         assert_eq!(dev.sync_count(), 4); // 2 from above + syncs at records 3 and 6
+    }
+
+    #[test]
+    fn deferred_appends_are_written_at_once_and_share_one_barrier() {
+        let dev = InMemoryDevice::new();
+        let arc: Arc<dyn Persistence> = Arc::new(dev.clone());
+        let always = WalOptions {
+            fsync: FsyncPolicy::Always,
+            ..small_opts()
+        };
+        let (mut wal, _) = Wal::open(arc.clone(), "log", always);
+        let records: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i; 20]).collect();
+        for r in &records {
+            wal.append_deferred(r);
+        }
+        assert_eq!(dev.sync_count(), 0, "no sync before the barrier");
+        // A process crash here loses nothing: every frame is on the device.
+        let (_, recovered) = Wal::open(Arc::new(dev.fork()), "log", always);
+        assert_eq!(recovered, records);
+        // The barrier covers every segment the records were written to.
+        let segments = dev.streams().len() as u64;
+        assert!(segments > 1, "the records must span segments");
+        wal.sync_deferred();
+        assert_eq!(dev.sync_count(), segments);
+        wal.sync_deferred();
+        assert_eq!(
+            dev.sync_count(),
+            segments,
+            "nothing pending, nothing synced"
+        );
+        // `append` is unchanged, and `EveryN` counts deferred records at
+        // the barrier; `Never` stays never.
+        wal.append(b"x");
+        assert_eq!(dev.sync_count(), segments + 1);
+        let every3 = WalOptions {
+            segment_bytes: 1 << 20,
+            fsync: FsyncPolicy::EveryN(3),
+        };
+        let (mut paced, _) = Wal::open(arc.clone(), "paced", every3);
+        let before = dev.sync_count();
+        paced.append_deferred(b"a");
+        paced.append_deferred(b"b");
+        paced.sync_deferred();
+        assert_eq!(dev.sync_count(), before);
+        paced.append_deferred(b"c");
+        paced.sync_deferred();
+        assert_eq!(dev.sync_count(), before + 1);
+        let (mut quiet, _) = Wal::open(arc, "quiet", small_opts());
+        quiet.append_deferred(b"a");
+        quiet.sync_deferred();
+        assert_eq!(dev.sync_count(), before + 1);
     }
 
     #[test]
