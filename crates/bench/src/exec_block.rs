@@ -12,8 +12,8 @@
 //!
 //! The determinism guard in `tests/exec_block_guard.rs` pins the schedule's
 //! critical path on the disjoint workload and asserts receipts, blocks, and
-//! state roots bit-identical at every parallelism; the `exec_block`
-//! Criterion bench reports wall-clock per (conflict ratio × thread count).
+//! state roots bit-identical at every parallelism; wall-clock is an
+//! `hc-e2e --workload flat8-par2` row (`chain.execute_s`).
 
 use hc_actors::ScaConfig;
 use hc_chain::{

@@ -874,8 +874,8 @@ pub fn f11_state_tree_scaling() -> Result<Table, RuntimeError> {
 /// the exact per-segment LPT assignment the executor uses, so "bound 4w" is
 /// the best speedup four workers can realise on that block. Receipts and
 /// roots are bit-identical at every setting (the `exec_block` guard and the
-/// `parallel_exec` proptests enforce it); wall-clock lives in the
-/// `exec_block` Criterion bench.
+/// `parallel_exec` proptests enforce it); wall-clock lives in
+/// `hc-e2e --workload flat8-par2`.
 ///
 /// # Errors
 ///

@@ -7,7 +7,8 @@
 //! parallel-execution conflict sweep (F12), and the elastic scale-out
 //! ramp with its overload burst (F13),
 //! shared by the
-//! `report` binary (which prints every table) and the Criterion benches.
+//! `report` binary (which prints every table), the guards under `tests/`
+//! and the Criterion benches that size a layer without the stack.
 //! The quantitative experiments E1–E10 and E13 live in
 //! [`hc_sim::experiments`].
 

@@ -9,8 +9,8 @@
 //! this changes *nothing* observable against the same APIs at
 //! [`ExecOptions::default`] without a cache, and caps the pipeline's
 //! [`hc_types::crypto::sha256_block_count`] per message — a deterministic
-//! work proxy immune to machine noise; the `msg_pipeline` Criterion bench
-//! reports wall-clock.
+//! work proxy immune to machine noise; wall-clock is `hc-e2e`'s
+//! `commit_tput_wall`.
 
 use hc_actors::ScaConfig;
 use hc_chain::{execute_block_with, produce_block_with, ExecOptions, Mempool};

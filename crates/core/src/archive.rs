@@ -121,7 +121,7 @@ impl CheckpointArchive {
 impl HierarchyRuntime {
     /// The archive of committed checkpoints.
     pub fn checkpoint_archive(&self) -> &CheckpointArchive {
-        self.archive_ref()
+        &self.archive
     }
 
     /// Commits the archive registries into the runtime's content store
@@ -134,7 +134,7 @@ impl HierarchyRuntime {
         subnet: &SubnetId,
         index: u64,
     ) -> Option<(AmtRoot, AmtProof)> {
-        let archive = self.archive_mut();
+        let archive = &mut self.archive;
         let root = archive.registry_root(subnet)?;
         let proof = archive.prove(subnet, index)?;
         Some((root, proof))

@@ -24,7 +24,8 @@ use hc_state::params::{
 use hc_state::Method;
 use hc_types::{Address, CanonicalEncode, Cid, SubnetId, TokenAmount};
 
-use crate::runtime::{HierarchyRuntime, RuntimeError, UserHandle};
+use crate::config::{RuntimeError, UserHandle};
+use crate::runtime::HierarchyRuntime;
 
 /// How a party behaves during the commit phase (for fault-injection
 /// experiments; real users are [`PartyBehavior::Honest`]).
@@ -248,52 +249,34 @@ impl AtomicOrchestrator {
         let status = exec_status(rt, &coordinator, &exec)
             .ok_or_else(|| RuntimeError::Execution("execution disappeared".into()))?;
 
-        match status {
-            AtomicExecStatus::Committed => {
-                for (p, new_value) in parties.iter().zip(&outputs) {
-                    rt.execute(
-                        &p.user,
-                        p.user.addr,
-                        TokenAmount::ZERO,
-                        Method::UnlockState { key: p.key.clone() },
-                    )?;
-                    rt.execute(
-                        &p.user,
-                        p.user.addr,
-                        TokenAmount::ZERO,
-                        Method::PutData {
-                            key: p.key.clone(),
-                            data: new_value.clone(),
-                        },
-                    )?;
-                }
-                Ok(AtomicOutcome {
-                    exec,
-                    coordinator,
-                    status,
-                    outputs: Some(outputs),
-                })
+        // Every party unlocks its input; a commit also incorporates the
+        // output, an abort leaves the input as it was.
+        let committed = match status {
+            AtomicExecStatus::Committed => true,
+            AtomicExecStatus::Aborted => false,
+            AtomicExecStatus::Pending => {
+                return Err(RuntimeError::Execution(
+                    "atomic execution did not terminate within the block budget".into(),
+                ))
             }
-            AtomicExecStatus::Aborted => {
-                for p in parties {
-                    rt.execute(
-                        &p.user,
-                        p.user.addr,
-                        TokenAmount::ZERO,
-                        Method::UnlockState { key: p.key.clone() },
-                    )?;
-                }
-                Ok(AtomicOutcome {
-                    exec,
-                    coordinator,
-                    status,
-                    outputs: None,
-                })
+        };
+        for (p, new_value) in parties.iter().zip(&outputs) {
+            let unlock = Method::UnlockState { key: p.key.clone() };
+            rt.execute(&p.user, p.user.addr, TokenAmount::ZERO, unlock)?;
+            if committed {
+                let put = Method::PutData {
+                    key: p.key.clone(),
+                    data: new_value.clone(),
+                };
+                rt.execute(&p.user, p.user.addr, TokenAmount::ZERO, put)?;
             }
-            AtomicExecStatus::Pending => Err(RuntimeError::Execution(
-                "atomic execution did not terminate within the block budget".into(),
-            )),
         }
+        Ok(AtomicOutcome {
+            exec,
+            coordinator,
+            status,
+            outputs: committed.then_some(outputs),
+        })
     }
 
     fn send_abort(

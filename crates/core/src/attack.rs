@@ -7,12 +7,13 @@
 //! supplies, equivocating checkpoints — and the runtime delivers the result
 //! to the honest parent, which must contain the damage.
 
-use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
+use hc_actors::checkpoint::Checkpoint;
 use hc_actors::sa::FraudProof;
 use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, MsgGroup};
-use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_types::{Address, Cid, SubnetId, TokenAmount};
 
-use crate::runtime::{HierarchyRuntime, RuntimeError};
+use crate::config::{RuntimeError, UserHandle};
+use crate::runtime::HierarchyRuntime;
 
 /// The result of an attempted extraction attack.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,19 +52,22 @@ impl HierarchyRuntime {
             .ok_or_else(|| RuntimeError::Execution("cannot compromise the root".into()))?;
 
         let bound = self
-            .node(&parent)
-            .ok_or_else(|| RuntimeError::UnknownSubnet(parent.clone()))?
+            .known_node(&parent)?
             .state()
             .sca()
             .subnet(subnet)
             .map(|i| i.circ_supply)
             .unwrap_or(TokenAmount::ZERO);
-        let thief_before = self.parent_balance(&parent, thief);
+        let thief = UserHandle {
+            subnet: parent.clone(),
+            addr: thief,
+        };
+        let thief_before = self.balance(&thief);
 
         // Build the forged withdrawal: value claimed out of thin air.
         let forged_msgs = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(subnet.clone(), Address::new(666)),
-            HcAddress::new(parent.clone(), thief),
+            thief.hc_address(),
             amount,
         )]);
         let meta = CrossMsgMeta::for_group(subnet.clone(), parent.clone(), &forged_msgs);
@@ -75,7 +79,7 @@ impl HierarchyRuntime {
         self.seed_content(&parent, forged_msgs);
 
         self.run_until_quiescent(5_000)?;
-        let extracted = self.parent_balance(&parent, thief) - thief_before;
+        let extracted = self.balance(&thief) - thief_before;
         Ok(AttackReport {
             attempted: amount,
             extracted,
@@ -92,32 +96,17 @@ impl HierarchyRuntime {
     ///
     /// Fails for unknown or root subnets.
     pub fn forge_equivocation(&mut self, subnet: &SubnetId) -> Result<FraudProof, RuntimeError> {
-        let (prev, epoch, keys) = {
-            let node = self
-                .node(subnet)
-                .ok_or_else(|| RuntimeError::UnknownSubnet(subnet.clone()))?;
-            (
-                node.state().sca().prev_checkpoint(),
-                node.chain().head_epoch(),
-                node.validator_keys_clone(),
-            )
+        let node = self.known_node(subnet)?;
+        let epoch = node.chain().head_epoch().next();
+        let prev = node.state().sca().prev_checkpoint();
+        let fork = |proof: &[u8]| {
+            let mut ckpt = Checkpoint::template(subnet.clone(), epoch, prev);
+            ckpt.proof = Cid::digest(proof);
+            node.sign_checkpoint(ckpt)
         };
-        let sign = |mut ckpt: Checkpoint| {
-            ckpt.epoch = epoch.next();
-            let mut signed = SignedCheckpoint::new(ckpt);
-            let bytes = signed.signing_bytes();
-            for key in &keys {
-                signed.signatures.add(key.sign(&bytes));
-            }
-            signed
-        };
-        let mut a = Checkpoint::template(subnet.clone(), ChainEpoch::new(0), prev);
-        a.proof = Cid::digest(b"equivocation fork A");
-        let mut b = Checkpoint::template(subnet.clone(), ChainEpoch::new(0), prev);
-        b.proof = Cid::digest(b"equivocation fork B");
         Ok(FraudProof {
-            a: sign(a),
-            b: sign(b),
+            a: fork(b"equivocation fork A"),
+            b: fork(b"equivocation fork B"),
         })
     }
 
@@ -140,42 +129,27 @@ impl HierarchyRuntime {
         let parent = subnet
             .parent()
             .ok_or_else(|| RuntimeError::Execution("root has no parent".into()))?;
-        let (prev, epoch, keys) = {
-            let node = self
-                .node(subnet)
-                .ok_or_else(|| RuntimeError::UnknownSubnet(subnet.clone()))?;
-            (
-                // Chain to the last checkpoint the parent actually
-                // committed, so only economic checks can reject.
-                self.node(&parent)
-                    .and_then(|p| p.state().sca().subnet(subnet))
-                    .map(|i| i.prev_checkpoint)
-                    .unwrap_or(Cid::NIL),
-                node.chain().head_epoch().next(),
-                node.validator_keys_clone(),
-            )
-        };
-        let mut ckpt = Checkpoint::template(subnet.clone(), epoch, prev);
+        let node = self.known_node(subnet)?;
+        // Chain to the last checkpoint the parent actually committed, so
+        // only economic checks can reject.
+        let prev = self
+            .node(&parent)
+            .and_then(|p| p.state().sca().subnet(subnet))
+            .map(|i| i.prev_checkpoint)
+            .unwrap_or(Cid::NIL);
+        let mut ckpt = Checkpoint::template(subnet.clone(), node.chain().head_epoch().next(), prev);
         ckpt.proof = Cid::digest(b"compromised head");
         tamper(&mut ckpt);
-        let mut signed = SignedCheckpoint::new(ckpt);
-        let bytes = signed.signing_bytes();
-        for key in &keys {
-            signed.signatures.add(key.sign(&bytes));
-        }
-        self.push_pending_checkpoint(&parent, signed)
-    }
-
-    fn parent_balance(&self, parent: &SubnetId, addr: Address) -> TokenAmount {
-        self.node(parent)
-            .and_then(|n| n.state().accounts().get(addr))
-            .map(|a| a.balance)
-            .unwrap_or(TokenAmount::ZERO)
+        let signed = node.sign_checkpoint(ckpt);
+        Self::get_node_mut(&mut self.nodes, &parent)?
+            .pending_checkpoints
+            .push(signed);
+        Ok(())
     }
 
     fn seed_content(&mut self, parent: &SubnetId, group: MsgGroup) {
-        if let Some(node) = self.node_mut_for_attack(parent) {
-            node.resolver_mut_for_attack().seed(group);
+        if let Some(node) = self.nodes.get_mut(parent) {
+            node.resolver.seed(group);
         }
     }
 }
@@ -183,7 +157,7 @@ impl HierarchyRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::RuntimeConfig;
+    use crate::config::RuntimeConfig;
     use hc_actors::sa::SaConfig;
     use hc_types::CanonicalEncode;
 

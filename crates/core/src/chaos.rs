@@ -40,8 +40,9 @@ use hc_net::{CrashFault, ResolutionMsg, SubscriberId, BLOB_BATCH_CAP};
 use hc_state::{ChunkManifest, CidStore};
 use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
+use crate::config::RuntimeError;
 use crate::node::{node_jitter_seed, SubnetNode};
-use crate::runtime::{HierarchyRuntime, RuntimeError};
+use crate::runtime::HierarchyRuntime;
 
 /// Blocks per [`hc_net::ResolutionMsg::BlockBatch`] reply. Deliberately
 /// small so a long outage takes several pull round trips to repair, each
@@ -54,7 +55,8 @@ pub const BLOCK_BATCH_CAP: usize = 8;
 const BLOCK_PULL_JITTER_SALT: u64 = 0xb10c_700c;
 const BLOB_PULL_JITTER_SALT: u64 = 0xb10b_700c;
 
-/// How a rejoining (or recovering) node bootstraps the history it missed.
+/// How a rejoining node — or a whole runtime restarting from its journals
+/// — bootstraps the history it missed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SyncMode {
     /// Re-validate and re-execute every missed block from genesis —
@@ -203,12 +205,15 @@ impl HierarchyRuntime {
 
     /// Is `subnet`'s node currently crashed?
     pub fn is_crashed(&self, subnet: &SubnetId) -> bool {
-        self.crashed.contains_key(subnet)
+        self.subnets
+            .by_id
+            .get(subnet)
+            .is_some_and(|r| r.crashed.is_some())
     }
 
     /// Is `subnet`'s node rejoined but still replaying missed blocks?
     pub fn is_catching_up(&self, subnet: &SubnetId) -> bool {
-        self.catching_up.contains_key(subnet)
+        self.subnets.catch_up(subnet).is_some()
     }
 
     /// Schedules an additional crash fault after boot (equivalent to
@@ -217,17 +222,21 @@ impl HierarchyRuntime {
         self.crash_plan.push((fault, CrashPhase::Pending));
     }
 
+    /// Schedules `plan`'s crash faults and region outages, all pending.
+    pub(crate) fn schedule_faults(&mut self, plan: &hc_net::FaultPlan) {
+        let crashes = plan.crashes.iter().cloned();
+        self.crash_plan
+            .extend(crashes.map(|c| (c, CrashPhase::Pending)));
+        let outages = plan.region_outages.iter().cloned();
+        self.region_outage_plan
+            .extend(outages.map(|o| (o, CrashPhase::Pending)));
+    }
+
     /// Merges additional fault rules into the live network's plan — used
     /// by chaos harnesses to scope rules to topics of subnets spawned
     /// after boot. Crash faults in `plan` are scheduled too.
     pub fn extend_faults(&mut self, plan: hc_net::FaultPlan) {
-        for crash in &plan.crashes {
-            self.crash_plan.push((crash.clone(), CrashPhase::Pending));
-        }
-        for outage in &plan.region_outages {
-            self.region_outage_plan
-                .push((outage.clone(), CrashPhase::Pending));
-        }
+        self.schedule_faults(&plan);
         self.network.extend_faults(plan);
     }
 
@@ -253,10 +262,9 @@ impl HierarchyRuntime {
                 "cannot crash {subnet}: live descendant subnets depend on its chain"
             )));
         }
-        let node = self
-            .nodes
-            .remove(subnet)
-            .ok_or_else(|| RuntimeError::UnknownSubnet(subnet.clone()))?;
+        let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
+        let record = self.subnets.by_id.get_mut(subnet).ok_or_else(unknown)?;
+        let node = self.nodes.remove(subnet).ok_or_else(unknown)?;
         // The peer id goes dark: publishes stop reaching it and anything
         // already queued for it is lost with the process.
         self.network.set_offline(node.subscription, true);
@@ -264,18 +272,14 @@ impl HierarchyRuntime {
         // The surviving peers hold the subnet's *full* history. A node
         // that itself bootstrapped from a snapshot only chains the
         // post-install suffix; the blocks its snapshot covered are kept
-        // in `snapshot_bases` and re-prefixed here.
-        let mut peer_blocks: Vec<Block> =
-            self.snapshot_bases.get(subnet).cloned().unwrap_or_default();
+        // in the record's `snapshot_base` and re-prefixed here.
+        let mut peer_blocks = record.snapshot_base.clone();
         peer_blocks.extend(node.chain.iter().cloned());
-        self.crashed.insert(
-            subnet.clone(),
-            CrashedNode {
-                subscription: node.subscription,
-                peer_blocks,
-                mempool: node.mempool,
-            },
-        );
+        record.crashed = Some(CrashedNode {
+            subscription: node.subscription,
+            peer_blocks,
+            mempool: node.mempool,
+        });
         self.chaos.crashes += 1;
         Ok(())
     }
@@ -309,14 +313,14 @@ impl HierarchyRuntime {
         subnet: &SubnetId,
         mode: SyncMode,
     ) -> Result<(), RuntimeError> {
-        let crashed = self
-            .crashed
-            .remove(subnet)
-            .ok_or_else(|| RuntimeError::Execution(format!("{subnet} is not crashed")))?;
-        let (sa_config, engine_params) =
-            self.boot_params.get(subnet).cloned().ok_or_else(|| {
-                RuntimeError::Execution(format!("no boot parameters recorded for {subnet}"))
-            })?;
+        let not_crashed = || RuntimeError::Execution(format!("{subnet} is not crashed"));
+        let record = self.subnets.by_id.get_mut(subnet).ok_or_else(not_crashed)?;
+        let crashed = record.crashed.take().ok_or_else(not_crashed)?;
+        let (sa_config, engine_params) = record.boot.clone().ok_or_else(|| {
+            RuntimeError::Execution(format!("no boot parameters recorded for {subnet}"))
+        })?;
+        let pending_users: VecDeque<(ChainEpoch, Address)> =
+            record.user_installs.iter().copied().collect();
         // Unschedulable until catch-up completes. The fresh genesis RNG
         // stream realigns with the subnet's history as the catch-up burns
         // one draw per missed block.
@@ -334,18 +338,12 @@ impl HierarchyRuntime {
         // is double-proposed.)
         node.mempool = crashed.mempool;
         self.network.set_offline(crashed.subscription, false);
-        self.nodes.insert(subnet.clone(), node);
         // On a durable device, reattach the subnet's block journal: the
         // catch-up replay appends without re-journaling (the records are
         // already on disk), and post-catch-up live blocks journal again.
-        self.attach_chain_wal(subnet);
+        self.journal.attach_chain_wal(&mut node);
+        self.nodes.insert(subnet.clone(), node);
         self.refresh_validators(subnet);
-        let pending_users: VecDeque<(ChainEpoch, Address)> = self
-            .user_installs
-            .get(subnet)
-            .cloned()
-            .unwrap_or_default()
-            .into();
         // Snapshot bootstrap needs a usable anchor: a checkpoint the
         // runtime recorded, whose cut block the surviving peers still
         // serve (the trust root), and whose manifest closure the peers
@@ -374,17 +372,17 @@ impl HierarchyRuntime {
                 }
             }
         };
-        self.catching_up.insert(
-            subnet.clone(),
-            CatchUp {
-                peer_blocks: crashed.peer_blocks,
-                pending_users,
-                attempts: 0,
-                next_pull_at_ms: self.now_ms,
-                snapshot,
-                base_blocks: 0,
-            },
-        );
+        let catch_up = CatchUp {
+            peer_blocks: crashed.peer_blocks,
+            pending_users,
+            attempts: 0,
+            next_pull_at_ms: self.now_ms,
+            snapshot,
+            base_blocks: 0,
+        };
+        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
+            record.catch_up = Some(catch_up);
+        }
         self.chaos.rejoins += 1;
         Ok(())
     }
@@ -396,7 +394,7 @@ impl HierarchyRuntime {
     pub(crate) fn process_fault_events(&mut self) -> Result<(), RuntimeError> {
         if self.crash_plan.is_empty()
             && self.region_outage_plan.is_empty()
-            && self.catching_up.is_empty()
+            && self.subnets.catching_up().next().is_none()
         {
             return Ok(());
         }
@@ -405,11 +403,9 @@ impl HierarchyRuntime {
             let (fault, phase) = self.crash_plan[i].clone();
             match phase {
                 CrashPhase::Pending if self.now_ms >= fault.crash_at_ms => {
-                    let safe = self.nodes.contains_key(&fault.subnet)
-                        && !fault.subnet.is_root()
-                        && !self.nodes.keys().any(|k| fault.subnet.is_ancestor_of(k));
-                    if safe {
-                        self.crash_node(&fault.subnet)?;
+                    // A subnet that does not exist, or cannot be safely
+                    // crashed, when its fault fires is refused.
+                    if self.crash_node(&fault.subnet).is_ok() {
                         self.crash_plan[i].1 = CrashPhase::Down;
                     } else {
                         self.chaos.crashes_skipped += 1;
@@ -423,7 +419,7 @@ impl HierarchyRuntime {
                 _ => {}
             }
         }
-        let syncing: Vec<SubnetId> = self.catching_up.keys().cloned().collect();
+        let syncing: Vec<SubnetId> = self.subnets.catching_up().cloned().collect();
         for subnet in syncing {
             self.advance_catch_up(&subnet)?;
         }
@@ -448,18 +444,18 @@ impl HierarchyRuntime {
                     // members; crashing deepest-first clears them in
                     // dependency order.
                     let mut members: Vec<SubnetId> = self
-                        .region_assignments
+                        .subnets
+                        .by_id
                         .iter()
-                        .filter(|(s, r)| *r == &outage.region && self.nodes.contains_key(s))
+                        .filter(|(s, r)| {
+                            r.region.as_ref() == Some(&outage.region) && self.nodes.contains_key(s)
+                        })
                         .map(|(s, _)| s.clone())
                         .collect();
                     members.sort_by_key(|s| std::cmp::Reverse(s.depth()));
                     self.chaos.region_outages += 1;
                     for subnet in members {
-                        let safe = !subnet.is_root()
-                            && !self.nodes.keys().any(|k| subnet.is_ancestor_of(k));
-                        if safe {
-                            self.crash_node(&subnet)?;
+                        if self.crash_node(&subnet).is_ok() {
                             self.chaos.region_crashes += 1;
                         } else {
                             self.chaos.region_crash_skips += 1;
@@ -472,19 +468,19 @@ impl HierarchyRuntime {
                     // shallowest-first (a child can only catch up against
                     // a live parent chain).
                     let mut waiting: Vec<SubnetId> = self
-                        .crashed
-                        .keys()
-                        .filter(|s| {
-                            self.region_assignments.get(*s).map(String::as_str)
-                                == Some(outage.region.as_str())
+                        .subnets
+                        .by_id
+                        .iter()
+                        .filter(|(_, r)| {
+                            r.crashed.is_some() && r.region.as_ref() == Some(&outage.region)
                         })
-                        .cloned()
+                        .map(|(s, _)| s.clone())
                         .collect();
                     waiting.sort_by_key(SubnetId::depth);
                     let mut deferred = false;
                     for subnet in waiting {
                         let parent_ready = subnet.parent().is_none_or(|p| {
-                            self.nodes.contains_key(&p) && !self.catching_up.contains_key(&p)
+                            self.nodes.contains_key(&p) && self.subnets.catch_up(&p).is_none()
                         });
                         if parent_ready {
                             self.rejoin_node(&subnet)?;
@@ -512,44 +508,36 @@ impl HierarchyRuntime {
     /// it is installed, on the block suffix.
     fn advance_catch_up(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
         let now_ms = self.now_ms;
-        let sub = Self::get_node_mut(&mut self.nodes, subnet)?.subscription;
-        let incoming = self.network.poll(sub, now_ms);
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         let mut pulls_seen: Vec<ChainEpoch> = Vec::new();
         let mut blob_pulls_seen: Vec<(Vec<Cid>, String)> = Vec::new();
         let mut batches: Vec<Vec<Vec<u8>>> = Vec::new();
         let mut blob_batches: Vec<Vec<Vec<u8>>> = Vec::new();
         let mut certs = Vec::new();
-        let mut replies = Vec::new();
-        {
-            let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-            for msg in incoming {
-                match msg {
-                    ResolutionMsg::BlockPull {
-                        subnet: s,
-                        from_epoch,
-                        ..
-                    } if s == *subnet => pulls_seen.push(from_epoch),
-                    ResolutionMsg::BlockBatch { subnet: s, blocks } if s == *subnet => {
-                        batches.push(blocks);
-                    }
-                    ResolutionMsg::BlobPull { cids, reply_topic } => {
-                        blob_pulls_seen.push((cids, reply_topic));
-                    }
-                    ResolutionMsg::BlobBatch { blobs } => blob_batches.push(blobs),
-                    ResolutionMsg::Certificate(cert) => certs.push(*cert),
-                    other => {
-                        if let Some(reply) = node.resolver.handle(other) {
-                            replies.push(reply);
-                        }
+        for msg in self.network.poll(node.subscription, now_ms) {
+            match msg {
+                ResolutionMsg::BlockPull {
+                    subnet: s,
+                    from_epoch,
+                    ..
+                } if s == *subnet => pulls_seen.push(from_epoch),
+                ResolutionMsg::BlockBatch { subnet: s, blocks } if s == *subnet => {
+                    batches.push(blocks);
+                }
+                ResolutionMsg::BlobPull { cids, reply_topic } => {
+                    blob_pulls_seen.push((cids, reply_topic));
+                }
+                ResolutionMsg::BlobBatch { blobs } => blob_batches.push(blobs),
+                ResolutionMsg::Certificate(cert) => certs.push(*cert),
+                other => {
+                    if let Some((topic, reply)) = node.resolver.handle(other) {
+                        self.network.publish(&topic, reply, now_ms, None);
                     }
                 }
             }
         }
         for cert in certs {
             self.ingest_certificate(subnet, cert);
-        }
-        for (topic, msg) in replies {
-            self.network.publish(&topic, msg, now_ms, None);
         }
 
         // Surviving peers answer snapshot-chunk pulls from the shared blob
@@ -579,8 +567,8 @@ impl HierarchyRuntime {
         // Snapshot fetch phase: the anchored manifest closure must be
         // assembled and installed before any block replays.
         if self
-            .catching_up
-            .get(subnet)
+            .subnets
+            .catch_up(subnet)
             .is_some_and(|cu| cu.snapshot.is_some())
         {
             return self.advance_snapshot_fetch(subnet, blob_batches, now_ms);
@@ -589,7 +577,7 @@ impl HierarchyRuntime {
         // Surviving peers answer pulls from their copy of the chain, in
         // bounded batches — a long outage takes several round trips.
         for from_epoch in pulls_seen {
-            let Some(cu) = self.catching_up.get(subnet) else {
+            let Some(cu) = self.subnets.catch_up(subnet) else {
                 break;
             };
             let batch: Vec<Vec<u8>> = cu
@@ -645,7 +633,7 @@ impl HierarchyRuntime {
             }
         }
         if progressed {
-            if let Some(cu) = self.catching_up.get_mut(subnet) {
+            if let Some(cu) = self.subnets.catch_up_mut(subnet) {
                 cu.attempts = 0;
                 cu.next_pull_at_ms = now_ms;
             }
@@ -653,8 +641,8 @@ impl HierarchyRuntime {
 
         let done = {
             let replayed = self.nodes.get(subnet).map_or(0, |n| n.chain.len());
-            self.catching_up
-                .get(subnet)
+            self.subnets
+                .catch_up(subnet)
                 .is_some_and(|cu| cu.base_blocks + replayed >= cu.peer_blocks.len())
         };
         if done {
@@ -688,7 +676,7 @@ impl HierarchyRuntime {
     /// budget is cooling down.
     fn pull_backoff_step(&mut self, subnet: &SubnetId, salt: u64, now_ms: u64) -> Option<u32> {
         let policy = self.config.retry;
-        let cu = self.catching_up.get_mut(subnet)?;
+        let cu = self.subnets.catch_up_mut(subnet)?;
         if now_ms < cu.next_pull_at_ms {
             return None;
         }
@@ -747,7 +735,7 @@ impl HierarchyRuntime {
     ) -> Result<(), RuntimeError> {
         let mut accepted = 0u64;
         let wanted: Vec<Cid> = {
-            let Some(cu) = self.catching_up.get_mut(subnet) else {
+            let Some(cu) = self.subnets.catch_up_mut(subnet) else {
                 return Ok(());
             };
             let Some(sync) = cu.snapshot.as_mut() else {
@@ -808,8 +796,8 @@ impl HierarchyRuntime {
     /// normal block replay of the post-anchor suffix.
     fn install_snapshot(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
         let cu = self
-            .catching_up
-            .get_mut(subnet)
+            .subnets
+            .catch_up_mut(subnet)
             .ok_or_else(|| RuntimeError::UnknownSubnet(subnet.clone()))?;
         let sync = cu
             .snapshot
@@ -870,7 +858,9 @@ impl HierarchyRuntime {
         // Remember the covered prefix: a future crash of this node must
         // still hand the next rejoiner the full peer history even though
         // this node's own chain now starts at the anchor.
-        self.snapshot_bases.insert(subnet.clone(), covered);
+        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
+            record.snapshot_base = covered;
+        }
         self.chaos.snapshot_installs += 1;
         Ok(())
     }
@@ -887,22 +877,17 @@ impl HierarchyRuntime {
         subnet: &SubnetId,
         up_to_epoch: ChainEpoch,
     ) -> Result<(), RuntimeError> {
-        loop {
-            let next = self
-                .catching_up
-                .get(subnet)
-                .and_then(|cu| cu.pending_users.front().copied());
-            let Some((epoch, addr)) = next else { break };
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        let Some(cu) = self.subnets.catch_up_mut(subnet) else {
+            return Ok(());
+        };
+        while let Some(&(epoch, addr)) = cu.pending_users.front() {
             if epoch > up_to_epoch {
                 break;
             }
-            if let Some(cu) = self.catching_up.get_mut(subnet) {
-                cu.pending_users.pop_front();
-            }
-            let key = self.user_key(addr).public();
-            let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+            cu.pending_users.pop_front();
             let acc = node.tree.accounts_mut().get_or_create(addr);
-            acc.key = Some(key);
+            acc.key = Some(Self::user_key(self.config.seed, addr).public());
             acc.balance = hc_types::TokenAmount::ZERO;
         }
         Ok(())
@@ -914,13 +899,13 @@ impl HierarchyRuntime {
         // Accounts installed after the surviving head (but before the
         // crash) have no covering block; restore them now.
         self.install_pending_users(subnet, ChainEpoch::new(u64::MAX))?;
-        self.catching_up.remove(subnet);
-        let block_time_ms = self
-            .boot_params
-            .get(subnet)
-            .map_or(self.config.engine_params.block_time_ms, |(_, e)| {
-                e.block_time_ms
-            });
+        let mut block_time_ms = self.config.engine_params.block_time_ms;
+        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
+            record.catch_up = None;
+            if let Some((_, engine_params)) = &record.boot {
+                block_time_ms = engine_params.block_time_ms;
+            }
+        }
         let now_ms = self.now_ms;
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         node.next_block_at_ms = now_ms + block_time_ms;
@@ -961,7 +946,7 @@ impl HierarchyRuntime {
         let Some(parent) = child.parent() else {
             return Ok(());
         };
-        if self.catching_up.contains_key(child) || self.catching_up.contains_key(&parent) {
+        if self.subnets.catch_up(child).is_some() || self.subnets.catch_up(&parent).is_some() {
             return Ok(());
         }
         let Some(child_node) = self.nodes.get(child) else {

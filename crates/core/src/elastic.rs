@@ -39,7 +39,8 @@ use hc_actors::sa::SaConfig;
 use hc_state::Method;
 use hc_types::{Address, SubnetId, TokenAmount};
 
-use crate::runtime::{HierarchyRuntime, RuntimeError, UserHandle};
+use crate::config::{RuntimeError, UserHandle};
+use crate::runtime::HierarchyRuntime;
 
 /// Tuning knobs of the elasticity policy.
 #[derive(Debug, Clone)]

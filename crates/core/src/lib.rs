@@ -25,9 +25,17 @@
 //!
 //! # Modules
 //!
-//! * [`runtime`] — [`HierarchyRuntime`]: configuration, the wallet/user
-//!   API, subnet lifecycle, and the per-block pipeline (`pre_tick →
-//!   poll_network → produce_local → post_tick → route_event`).
+//! * [`runtime`] — [`HierarchyRuntime`]: the struct, construction, the
+//!   event loop and the one per-block pipeline (`run_wave`: `pre_tick` →
+//!   `fan_out(produce_local)` → `post_tick`; a tick is a wave of one).
+//!   Its API continues, by concern, in the private `users`, `lifecycle`
+//!   and `stats` modules; `config` holds [`RuntimeConfig`] and the plain
+//!   types of the API.
+//! * the private `wallet`, `journal` and `subnets` modules — one owner
+//!   each: `Wallets` is the only place a signing cursor moves, `Journal`
+//!   holds the control log and the one `outward()` predicate that
+//!   silences a replay, `Subnets` keeps one record per subnet of
+//!   everything that outlives its node.
 //! * [`node`] — [`SubnetNode`]: one subnet's chain, state, pools and
 //!   engine, and the single copy of what a committed block implies for
 //!   its node (construction, commit, skip, event effects, snapshot
@@ -77,21 +85,26 @@ pub mod atomic;
 pub mod attack;
 pub mod audit;
 pub mod chaos;
+mod config;
 pub mod elastic;
+mod journal;
+mod lifecycle;
 pub mod node;
 pub mod persist;
 mod recover;
 pub mod runtime;
+mod stats;
+mod subnets;
+mod users;
+mod wallet;
 
 pub use archive::CheckpointArchive;
 pub use atomic::{AtomicOrchestrator, AtomicOutcome, AtomicParty, PartyBehavior};
 pub use attack::AttackReport;
 pub use audit::{audit_escrow, audit_quiescent, SupplyReport};
 pub use chaos::{ChaosStats, CrashPhase, SyncMode, BLOCK_BATCH_CAP};
+pub use config::{PlacementPolicy, PoolStats, RuntimeConfig, RuntimeError, StepReport, UserHandle};
 pub use elastic::{ElasticConfig, ElasticController, ElasticStats};
 pub use node::{NodeStats, SubnetNode};
 pub use persist::{ControlRecord, DurableOptions, PersistenceConfig};
-pub use runtime::{
-    HierarchyRuntime, PlacementPolicy, PoolStats, RuntimeConfig, RuntimeError, StepReport,
-    UserHandle,
-};
+pub use runtime::HierarchyRuntime;

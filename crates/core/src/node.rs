@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use hc_actors::checkpoint::SignedCheckpoint;
+use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
 use hc_chain::{Block, ChainStore, CrossMsgPool, Mempool};
@@ -26,7 +26,7 @@ use hc_state::{
 use hc_types::crypto::SignaturePolicy;
 use hc_types::{CanonicalEncode, ChainEpoch, Cid, Keypair, SubnetId};
 
-use crate::runtime::{RuntimeConfig, RuntimeError, StepReport};
+use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 
 /// Running counters for one subnet node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,12 +132,10 @@ pub struct SubnetNode {
     pub(crate) pending_turnarounds: Vec<(CrossMsgMeta, MsgGroup)>,
     /// Turnaround metas still waiting for content resolution.
     pub(crate) unresolved_turnarounds: Vec<CrossMsgMeta>,
-    /// Receipts of the most recent block's *user* messages, keyed by
-    /// message CID — what [`crate::HierarchyRuntime::execute`], the one
-    /// reader, looks up. Implicit messages' receipts are not indexed:
-    /// nothing asks for them by CID, and deriving those CIDs means
-    /// encoding and hashing every cross-msg group a second time.
-    pub(crate) last_receipts: BTreeMap<Cid, Receipt>,
+    /// The user message [`crate::HierarchyRuntime::execute`] is waiting
+    /// on, by CID, and its receipt once a block committed it. Receipts
+    /// are otherwise not retained: `execute` is their one reader.
+    pub(crate) awaited: Option<(Cid, Option<Receipt>)>,
     /// Verified fund certificates for payments still in flight towards
     /// this subnet (the §IV-A acceleration): tentative, not spendable.
     pub(crate) tentative: BTreeMap<Cid, FundCertificate>,
@@ -222,7 +220,7 @@ impl SubnetNode {
             pending_checkpoints: Vec::new(),
             pending_turnarounds: Vec::new(),
             unresolved_turnarounds: Vec::new(),
-            last_receipts: BTreeMap::new(),
+            awaited: None,
             tentative: BTreeMap::new(),
             store,
             stats: NodeStats::default(),
@@ -288,8 +286,8 @@ impl SubnetNode {
     /// The one way a block that was executed against this node's tree —
     /// just produced, replayed from the journal, or pulled from peers —
     /// becomes part of the node: [`SubnetNode::skip_block`] plus everything
-    /// that needs the receipts (counters, the user messages'
-    /// `last_receipts`, the checkpoints to archive, the events to route).
+    /// that needs the receipts (counters, the `awaited` receipt, the
+    /// checkpoints to archive, the events to route).
     /// The caller has already appended the block to the chain, journaled
     /// or not as its path requires.
     pub(crate) fn commit_block(
@@ -334,11 +332,10 @@ impl SubnetNode {
                 }
             }
         }
-        // Remember the user messages' receipts by message CID (for
-        // `execute`).
-        self.last_receipts.clear();
-        for (m, receipt) in block.signed_msgs.iter().zip(&receipts[implicit..]) {
-            self.last_receipts.insert(m.msg_cid(), receipt.clone());
+        if let Some((cid, receipt)) = &mut self.awaited {
+            if let Some(i) = block.signed_msgs.iter().position(|m| m.msg_cid() == *cid) {
+                *receipt = Some(receipts[implicit + i].clone());
+            }
         }
 
         LocalOutcome {
@@ -554,6 +551,12 @@ impl SubnetNode {
         self.next_block_at_ms
     }
 
+    /// The earliest-deadline order of the event loop: schedule first,
+    /// subnet id to break ties.
+    pub(crate) fn due(&self) -> (u64, &SubnetId) {
+        (self.next_block_at_ms, &self.subnet_id)
+    }
+
     /// Returns `true` when the node has no *local* cross-net work in
     /// flight: nothing to propose, resolve, commit, or turn around, and no
     /// value waiting in the current checkpoint window.
@@ -571,15 +574,16 @@ impl SubnetNode {
             && self.tree.sca().window_is_value_empty()
     }
 
-    /// Clones the validator signing keys (adversarial simulation: a
-    /// compromised subnet's quorum signs whatever the attacker wants).
-    pub(crate) fn validator_keys_clone(&self) -> Vec<Keypair> {
-        self.validator_keys.clone()
-    }
-
-    /// Mutable resolver access for attack content seeding.
-    pub(crate) fn resolver_mut_for_attack(&mut self) -> &mut Resolver {
-        &mut self.resolver
+    /// Signs `checkpoint` with every validator key the node holds: the
+    /// subnet's quorum, whether it signs an honest cut or — adversarial
+    /// simulation — whatever an attacker who compromised it wants.
+    pub(crate) fn sign_checkpoint(&self, checkpoint: Checkpoint) -> SignedCheckpoint {
+        let mut signed = SignedCheckpoint::new(checkpoint);
+        let bytes = signed.signing_bytes();
+        for key in &self.validator_keys {
+            signed.signatures.add(key.sign(&bytes));
+        }
+        signed
     }
 
     /// Observed mean block interval in milliseconds.

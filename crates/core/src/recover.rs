@@ -16,8 +16,9 @@ use hc_state::CidStore;
 use hc_store::Wal;
 use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
+use crate::config::{RuntimeConfig, RuntimeError, UserHandle};
 use crate::persist::ControlRecord;
-use crate::runtime::{HierarchyRuntime, RuntimeConfig, RuntimeError, UserHandle};
+use crate::runtime::HierarchyRuntime;
 
 /// One subnet's block WAL while [`HierarchyRuntime::recover`] replays the
 /// control log: the journaled block records and a cursor over how many the
@@ -26,6 +27,18 @@ struct ReplayLog {
     wal: Wal,
     records: Vec<Vec<u8>>,
     cursor: usize,
+}
+
+/// What one recovery pass carries beside the runtime it rebuilds.
+struct Replay {
+    logs: BTreeMap<SubnetId, ReplayLog>,
+    /// In snapshot mode, per eligible subnet, the checkpoint anchor its
+    /// replay fast-forwards to (blocks before it are appended without
+    /// re-execution; the anchored manifest is installed when its record is
+    /// reached). Emptied as installs complete; non-empty after replay means
+    /// the journal tore inside a skipped region and recovery must fall back
+    /// to full replay.
+    fast_forward: BTreeMap<SubnetId, (ChainEpoch, Cid)>,
 }
 
 impl HierarchyRuntime {
@@ -64,28 +77,29 @@ impl HierarchyRuntime {
     /// fast-forwarding.
     fn recover_attempt(config: RuntimeConfig, fast_forward: bool) -> Option<Self> {
         let mut rt = Self::boot(config);
-        rt.recovering = true;
+        rt.journal.begin_replay();
         // The blob log is attached before replaying: replayed persists
         // dedup against blobs that survived the crash and re-journal any
         // the torn tail lost.
-        let (mut control, control_records) = rt.open_journals()?;
+        let (mut control, control_records) = rt.journal.open(&rt.store)?;
+        let mut replay = Replay {
+            logs: rt.open_replay_log(&SubnetId::root()).into_iter().collect(),
+            fast_forward: BTreeMap::new(),
+        };
         if fast_forward {
-            rt.fast_forward = Self::plan_fast_forward(&control_records, &rt.store);
+            replay.fast_forward = Self::plan_fast_forward(&control_records, &rt.store);
         }
-        let mut logs: BTreeMap<SubnetId, ReplayLog> = BTreeMap::new();
-        let root = SubnetId::root();
-        logs.extend(rt.open_replay_log(&root));
         let mut applied = 0usize;
         for bytes in &control_records {
             let Ok(record) = ControlRecord::decode(bytes) else {
                 break;
             };
-            if !rt.apply_control_record(record, &mut logs) {
+            if !rt.apply_control_record(record, &mut replay) {
                 break;
             }
             applied += 1;
         }
-        if !rt.fast_forward.is_empty() {
+        if !replay.fast_forward.is_empty() {
             // A subnet's replay stopped before its anchor installed: its
             // chain is ahead of its (still-genesis) state tree. Abandon
             // this attempt before any journal truncation.
@@ -96,7 +110,7 @@ impl HierarchyRuntime {
         // past the replay cursor (a block whose commit record was lost is
         // not part of history).
         control.truncate_after(applied);
-        for (subnet, log) in logs {
+        for (subnet, log) in replay.logs {
             let ReplayLog {
                 mut wal, cursor, ..
             } = log;
@@ -106,8 +120,7 @@ impl HierarchyRuntime {
             }
         }
         rt.store.sync();
-        rt.control_wal = Some(control);
-        rt.recovering = false;
+        rt.journal.attach(control);
         Some(rt)
     }
 
@@ -154,28 +167,24 @@ impl HierarchyRuntime {
     /// record cannot be satisfied (its block is missing or torn, a state
     /// root fails to reproduce, …) — replay stops there and the journal is
     /// truncated back to the satisfied prefix.
-    fn apply_control_record(
-        &mut self,
-        record: ControlRecord,
-        logs: &mut BTreeMap<SubnetId, ReplayLog>,
-    ) -> bool {
+    fn apply_control_record(&mut self, record: ControlRecord, replay: &mut Replay) -> bool {
         match record {
             ControlRecord::UserCreated {
                 subnet,
                 addr,
                 balance,
             } => {
-                if self.install_user(&subnet, addr, balance).is_err() {
+                if self.install_account(&subnet, addr, Some(balance)).is_err() {
                     return false;
                 }
-                self.next_user_id = self.next_user_id.max(addr.id() + 1);
+                self.wallets.reserve(addr);
                 true
             }
             ControlRecord::ClaimantCreated { subnet, addr } => {
                 self.create_claimant(&UserHandle { subnet, addr }).is_ok()
             }
             ControlRecord::UserAdopted { subnet, addr } => {
-                self.install_adopted(&subnet, addr).is_ok()
+                self.install_account(&subnet, addr, None).is_ok()
             }
             ControlRecord::SubnetRetired { subnet } => {
                 if !self.nodes.contains_key(&subnet) {
@@ -193,11 +202,11 @@ impl HierarchyRuntime {
                 if !self.nodes.contains_key(&child) {
                     return false;
                 }
-                logs.extend(self.open_replay_log(&child));
+                replay.logs.extend(self.open_replay_log(&child));
                 true
             }
             ControlRecord::BlockCommitted { subnet, epoch } => {
-                let Some(log) = logs.get_mut(&subnet) else {
+                let Some(log) = replay.logs.get_mut(&subnet) else {
                     return false;
                 };
                 let Some(bytes) = log.records.get(log.cursor) else {
@@ -209,16 +218,15 @@ impl HierarchyRuntime {
                 if block.header.epoch != epoch {
                     return false;
                 }
-                if self.replay_journaled_block(&subnet, &block).is_err() {
+                let skip = replay.fast_forward.contains_key(&subnet);
+                if self.replay_journaled_block(&subnet, &block, skip).is_err() {
                     return false;
                 }
-                if let Some(log) = logs.get_mut(&subnet) {
-                    log.cursor += 1;
-                }
+                log.cursor += 1;
                 true
             }
             ControlRecord::SnapshotAnchor { subnet, manifest } => {
-                if self.fast_forward.contains_key(&subnet) {
+                if replay.fast_forward.contains_key(&subnet) {
                     // The tree this snapshot was cut from is being skipped;
                     // the journaled manifest cannot be re-persisted for a
                     // cross-check, only kept in the GC window.
@@ -241,13 +249,13 @@ impl HierarchyRuntime {
                 epoch,
                 manifest,
             } => {
-                let Some((target_epoch, target_manifest)) = self.fast_forward.get(&subnet).copied()
+                let Some(&(target_epoch, target_manifest)) = replay.fast_forward.get(&subnet)
                 else {
                     // The persist already re-ran inside the replayed
                     // block's checkpoint-cut routing; this anchor only
                     // cross-checks it.
-                    return self.recent_manifests.get(&subnet).and_then(|w| w.back())
-                        == Some(&manifest);
+                    let record = self.subnets.by_id.get(&subnet);
+                    return record.and_then(|r| r.manifests.back()) == Some(&manifest);
                 };
                 if epoch == target_epoch {
                     // The fast-forward target: install the anchored
@@ -257,14 +265,12 @@ impl HierarchyRuntime {
                     {
                         return false;
                     }
-                    self.fast_forward.remove(&subnet);
+                    replay.fast_forward.remove(&subnet);
                 }
                 // Target or a pre-target anchor inside the skipped prefix
                 // (no persist ran to cross-check against): the GC window
                 // must advance exactly as it did live.
-                self.checkpoint_anchors
-                    .insert(subnet.clone(), (epoch, manifest));
-                self.track_manifest(&subnet, manifest);
+                self.anchor_manifest(&subnet, epoch, manifest);
                 true
             }
             ControlRecord::RegionAssigned { subnet, region } => {
@@ -283,7 +289,7 @@ impl HierarchyRuntime {
 
     /// Opens `subnet`'s block journal for replay, cursor at the start.
     fn open_replay_log(&self, subnet: &SubnetId) -> Option<(SubnetId, ReplayLog)> {
-        let (wal, records) = self.open_chain_wal(subnet)?;
+        let (wal, records) = self.journal.open_chain_wal(subnet)?;
         let log = ReplayLog {
             wal,
             records,
@@ -301,9 +307,10 @@ impl HierarchyRuntime {
         &mut self,
         subnet: &SubnetId,
         block: &Block,
+        skip: bool,
     ) -> Result<(), RuntimeError> {
         let at_ms = block.header.timestamp_ms;
-        if self.fast_forward.contains_key(subnet) {
+        if skip {
             self.refresh_validators(subnet);
             self.skip_past_block(subnet, block, true)?;
             self.now_ms = self.now_ms.max(at_ms);

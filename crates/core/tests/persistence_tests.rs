@@ -188,6 +188,37 @@ fn recovery_at_quiescence_is_bit_identical_and_stays_identical() {
 }
 
 #[test]
+fn replay_has_no_outward_effects_until_recovery_returns() {
+    let control_log_bytes = |device: &InMemoryDevice| -> u64 {
+        let streams = device.streams();
+        let control = streams.iter().filter(|s| s.starts_with("control/"));
+        control.map(|s| device.len(s)).sum()
+    };
+    let device = InMemoryDevice::new();
+    let mut crashed = build_world(durable_config(Arc::new(device.clone())), 3);
+    // The live run did all three outward things the replay must not redo.
+    assert!(crashed.rt.net_stats().published > 0);
+    assert!(!crashed.rt.drain_events().is_empty());
+    let journaled = control_log_bytes(&device);
+    assert!(journaled > 0);
+    let expected = fingerprint(&crashed.rt);
+    let World { alice, pairs, .. } = crashed; // the runtime is dropped here
+
+    let mut rt = HierarchyRuntime::recover(durable_config(Arc::new(device.clone())));
+    assert_eq!(fingerprint(&rt), expected, "the replay re-ran every block");
+    assert_eq!(control_log_bytes(&device), journaled, "replay re-journaled");
+    assert_eq!(rt.drain_events(), vec![], "replay re-queued events");
+    assert_eq!(rt.net_stats().published, 0, "replay re-sent gossip");
+
+    // Recovery returned: the same runtime is outward again.
+    rt.cross_transfer(&pairs[0].0, &alice, whole(1)).unwrap();
+    rt.run_until_quiescent(200_000).unwrap();
+    assert!(control_log_bytes(&device) > journaled);
+    assert!(!rt.drain_events().is_empty());
+    assert!(rt.net_stats().published > 0);
+}
+
+#[test]
 fn recovery_survives_wave_parallel_continuation() {
     // Crash, recover, then drain the continuation with wave-parallel
     // execution: the recovered world must match a never-crashed world

@@ -50,4 +50,4 @@ pub use sealed::SealedMessage;
 pub use sigcache::{SigCache, SigCacheStats, DEFAULT_SIG_CACHE_CAPACITY};
 pub use store::{CidStore, CidStoreStats};
 pub use tree::{AccountProof, AccountState, StateTree};
-pub use vm::{apply_implicit, apply_sealed, apply_signed, ExitCode, Receipt, VmEvent};
+pub use vm::{apply_implicit, apply_sealed, ExitCode, Receipt, VmEvent};

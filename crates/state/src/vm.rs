@@ -22,7 +22,7 @@ use hc_actors::{AtomicExecStatus, CrossMsg, CrossMsgKind, ExecId, HcAddress, Led
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 use crate::access::StateAccess;
-use crate::message::{ImplicitMsg, Message, Method, SignedMessage};
+use crate::message::{ImplicitMsg, Message, Method};
 use crate::params::{
     AtomicAbortParams, AtomicInitParams, AtomicSubmitParams, METHOD_ATOMIC_ABORT,
     METHOD_ATOMIC_INIT, METHOD_ATOMIC_SUBMIT,
@@ -221,58 +221,24 @@ pub mod gas {
     pub const ATOMIC: u64 = 1_500;
 }
 
-/// Applies a signed user message to the tree at `epoch`.
+/// Applies a sealed user message to the tree at `epoch`. Its signature
+/// verdict `sig_ok` the caller already decided (batch pre-verification of
+/// the block's messages, through the verified-signature cache when one is
+/// wired) — it must be the boolean
+/// [`SealedMessage::verify_signature`] would produce — which reuses the
+/// memoized message CID and keeps signature work off the execution path.
 ///
 /// Authentication: the sender account must exist with a registered key,
 /// the signature must be by that key over the message CID, and the message
 /// nonce must equal the account nonce. Any violation yields
 /// [`ExitCode::Rejected`] with no state change.
-pub fn apply_signed<S: StateAccess>(
-    tree: &mut S,
-    epoch: ChainEpoch,
-    signed: &SignedMessage,
-) -> Receipt {
-    apply_authenticated(
-        tree,
-        epoch,
-        &signed.message,
-        signed.signature.signer(),
-        || signed.verify_signature(),
-    )
-}
-
-/// Applies a sealed user message whose signature verdict `sig_ok` the
-/// caller already decided (batch pre-verification of the block's messages,
-/// through the verified-signature cache when one is wired). Semantically
-/// identical to [`apply_signed`] on the underlying message — `sig_ok` must
-/// be the boolean a full verification would produce — while reusing the
-/// memoized message CID and keeping signature work off the execution path.
 pub fn apply_sealed<S: StateAccess>(
     tree: &mut S,
     epoch: ChainEpoch,
     sealed: &SealedMessage,
     sig_ok: bool,
 ) -> Receipt {
-    apply_authenticated(
-        tree,
-        epoch,
-        sealed.message(),
-        sealed.signature().signer(),
-        || sig_ok,
-    )
-}
-
-/// The shared authentication + execution path. `verify` is consulted
-/// lazily, only once the cheaper account/key checks have passed, so the
-/// check order (and therefore every receipt) is identical for all entry
-/// points.
-fn apply_authenticated<S: StateAccess>(
-    tree: &mut S,
-    epoch: ChainEpoch,
-    msg: &Message,
-    signer: hc_types::PublicKey,
-    verify: impl FnOnce() -> bool,
-) -> Receipt {
+    let msg = sealed.message();
     let Some(account) = tree.account(msg.from) else {
         return Receipt::rejected(format!("unknown sender {}", msg.from));
     };
@@ -280,10 +246,10 @@ fn apply_authenticated<S: StateAccess>(
     let Some(key) = account_key else {
         return Receipt::rejected(format!("sender {} has no registered key", msg.from));
     };
-    if signer != key {
+    if sealed.signature().signer() != key {
         return Receipt::rejected("signature key does not match account key");
     }
-    if !verify() {
+    if !sig_ok {
         return Receipt::rejected("invalid signature");
     }
     if msg.nonce != account_nonce {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use hc_actors::ScaConfig;
-use hc_state::{apply_signed, Message, Method, StateTree};
+use hc_state::{apply_sealed, Message, Method, SealedMessage, StateTree};
 use hc_types::{Address, ChainEpoch, Keypair, Nonce, SubnetId, TokenAmount};
 
 const USERS: u64 = 4;
@@ -97,7 +97,9 @@ fn run_schedule(ops: &[Op]) -> (StateTree, Vec<bool>) {
             nonce: nonces[who as usize].fetch_increment(),
             method,
         };
-        let receipt = apply_signed(&mut tree, ChainEpoch::new(1), &msg.sign(&keypair(who)));
+        let sealed = SealedMessage::sign(msg, &keypair(who));
+        let sig_ok = sealed.verify_signature();
+        let receipt = apply_sealed(&mut tree, ChainEpoch::new(1), &sealed, sig_ok);
         assert!(
             !matches!(receipt.exit, hc_state::ExitCode::Rejected(_)),
             "well-formed messages are never rejected: {:?}",

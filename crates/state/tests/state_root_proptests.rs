@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use hc_actors::{CrossMsg, HcAddress, ScaConfig};
 use hc_state::{
-    apply_implicit, apply_signed, ImplicitMsg, Message, Method, StateAccess, StateOverlay,
-    StateTree,
+    apply_implicit, apply_sealed, ImplicitMsg, Message, Method, SealedMessage, StateAccess,
+    StateOverlay, StateTree,
 };
 use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
@@ -152,7 +152,8 @@ fn apply_op<S: StateAccess>(tree: &mut S, op: &Op, nonces: &mut [Nonce]) {
         nonce: nonces[who as usize].fetch_increment(),
         method,
     };
-    apply_signed(tree, ChainEpoch::new(1), &msg.sign(&keypair(who)));
+    let sealed = SealedMessage::sign(msg, &keypair(who));
+    apply_sealed(tree, ChainEpoch::new(1), &sealed, sealed.verify_signature());
 }
 
 /// The headline acceptance number: at 10 000 accounts with 10 touched

@@ -4,8 +4,18 @@
 use hc_actors::sa::SaConfig;
 use hc_actors::{AtomicExecStatus, CrossMsg, CrossMsgKind, HcAddress, Ledger, ScaConfig};
 use hc_state::params::{AtomicSubmitParams, METHOD_ATOMIC_SUBMIT};
-use hc_state::{apply_implicit, apply_signed, ImplicitMsg, Message, Method, StateTree, VmEvent};
+use hc_state::{
+    apply_implicit, apply_sealed, ImplicitMsg, Message, Method, Receipt, SealedMessage,
+    SignedMessage, StateTree, VmEvent,
+};
 use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
+
+/// Applies a signed message the way a block does: sealed, with the
+/// verdict of a full signature verification.
+fn apply_signed(tree: &mut StateTree, epoch: ChainEpoch, signed: SignedMessage) -> Receipt {
+    let sealed = SealedMessage::new(signed);
+    apply_sealed(tree, epoch, &sealed, sealed.verify_signature())
+}
 
 struct User {
     addr: Address,
@@ -40,7 +50,7 @@ impl User {
             method,
         };
         self.nonce = self.nonce.next();
-        apply_signed(tree, ChainEpoch::new(1), &msg.sign(&self.kp))
+        apply_signed(tree, ChainEpoch::new(1), msg.sign(&self.kp))
     }
 }
 
@@ -86,7 +96,7 @@ fn rejects_bad_signature_wrong_nonce_and_unknown_sender() {
         Nonce::ZERO,
     );
     let forged = msg.clone().sign(&bob.kp);
-    let r = apply_signed(&mut tree, ChainEpoch::new(1), &forged);
+    let r = apply_signed(&mut tree, ChainEpoch::new(1), forged);
     assert!(matches!(r.exit, hc_state::ExitCode::Rejected(_)));
 
     // Wrong nonce.
@@ -96,13 +106,13 @@ fn rejects_bad_signature_wrong_nonce_and_unknown_sender() {
         TokenAmount::from_whole(1),
         Nonce::new(5),
     );
-    let r = apply_signed(&mut tree, ChainEpoch::new(1), &msg.sign(&alice.kp));
+    let r = apply_signed(&mut tree, ChainEpoch::new(1), msg.sign(&alice.kp));
     assert!(matches!(r.exit, hc_state::ExitCode::Rejected(_)));
 
     // Unknown sender.
     let ghost = User::new(999, 9);
     let msg = Message::transfer(ghost.addr, bob.addr, TokenAmount::ZERO, Nonce::ZERO);
-    let r = apply_signed(&mut tree, ChainEpoch::new(1), &msg.sign(&ghost.kp));
+    let r = apply_signed(&mut tree, ChainEpoch::new(1), msg.sign(&ghost.kp));
     assert!(matches!(r.exit, hc_state::ExitCode::Rejected(_)));
 
     // No state changed, nonces intact.
@@ -134,7 +144,7 @@ fn failed_execution_still_bumps_nonce() {
         TokenAmount::from_whole(1),
         Nonce::ZERO,
     );
-    let r = apply_signed(&mut tree, ChainEpoch::new(1), &msg.sign(&alice.kp));
+    let r = apply_signed(&mut tree, ChainEpoch::new(1), msg.sign(&alice.kp));
     assert!(matches!(r.exit, hc_state::ExitCode::Rejected(_)));
 }
 

@@ -65,8 +65,8 @@ pub struct Wal {
     /// Records written by [`Wal::append_deferred`] since the last
     /// [`Wal::sync_deferred`].
     deferred: u32,
-    /// Segments a deferred append rolled out of: they may hold frames no
-    /// sync has covered yet, and the next sync covers them too.
+    /// Segments an append rolled out of while they held frames no sync
+    /// had covered yet; the next sync covers them too.
     deferred_left: Vec<String>,
 }
 
@@ -170,19 +170,11 @@ impl Wal {
         left
     }
 
-    /// Appends one record and applies the sync policy.
+    /// Appends one record and applies the sync policy: a deferred append
+    /// followed at once by its barrier.
     pub fn append(&mut self, payload: &[u8]) {
-        self.write_frame(payload);
-        match self.opts.fsync {
-            FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::EveryN(n) => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= n.max(1) {
-                    self.sync();
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
+        self.append_deferred(payload);
+        self.sync_deferred();
     }
 
     /// Appends `payloads` as one group commit: each stays its own record
@@ -216,8 +208,15 @@ impl Wal {
     /// durable on return and may share one sync, like the runtime's
     /// control log, whose barrier runs once per step.
     pub fn append_deferred(&mut self, payload: &[u8]) {
+        // A segment rolled out of needs a sync of its own only if it holds
+        // frames no sync has covered: deferred ones, or ones an `EveryN`
+        // cadence has counted but not yet synced. Under `Always` the
+        // previous append's sync covered it.
+        let unsynced = self.deferred > 0 || self.appends_since_sync > 0;
         let left = self.write_frame(payload);
-        self.deferred_left.extend(left);
+        if unsynced {
+            self.deferred_left.extend(left);
+        }
         self.deferred += 1;
     }
 
@@ -447,6 +446,86 @@ mod tests {
             wal.append(b"x");
         }
         assert_eq!(dev.sync_count(), 4); // 2 from above + syncs at records 3 and 6
+    }
+
+    /// A device that remembers which streams hold bytes no sync has
+    /// covered: what a machine crash would lose.
+    #[derive(Default)]
+    struct RecordingDevice {
+        inner: InMemoryDevice,
+        unsynced: std::sync::Mutex<std::collections::BTreeSet<String>>,
+    }
+
+    impl RecordingDevice {
+        fn unsynced(&self) -> Vec<String> {
+            self.unsynced.lock().unwrap().iter().cloned().collect()
+        }
+    }
+
+    impl Persistence for RecordingDevice {
+        fn read(&self, stream: &str) -> Vec<u8> {
+            self.inner.read(stream)
+        }
+        fn append(&self, stream: &str, bytes: &[u8]) {
+            self.unsynced.lock().unwrap().insert(stream.to_owned());
+            self.inner.append(stream, bytes);
+        }
+        fn truncate(&self, stream: &str, len: u64) {
+            self.inner.truncate(stream, len);
+        }
+        fn len(&self, stream: &str) -> u64 {
+            self.inner.len(stream)
+        }
+        fn sync(&self, stream: &str) {
+            self.unsynced.lock().unwrap().remove(stream);
+            self.inner.sync(stream);
+        }
+        fn streams(&self) -> Vec<String> {
+            self.inner.streams()
+        }
+        fn sync_count(&self) -> u64 {
+            self.inner.sync_count()
+        }
+    }
+
+    #[test]
+    fn a_cadence_sync_covers_the_segment_a_rollover_left_behind() {
+        let dev = Arc::new(RecordingDevice::default());
+        let paced = WalOptions {
+            fsync: FsyncPolicy::EveryN(4),
+            ..small_opts()
+        };
+        let (mut wal, _) = Wal::open(dev.clone(), "paced", paced);
+        // Two 8-byte records (24-byte frames) fill a 64-byte segment: the
+        // third rolls over in mid-cadence, the fourth fires the sync.
+        for i in 0u8..3 {
+            wal.append(&[i; 8]);
+        }
+        assert_eq!(wal.segment, 1, "the third record must have rolled over");
+        assert_eq!(dev.sync_count(), 0);
+        wal.append(&[3; 8]);
+        assert_eq!(
+            dev.unsynced(),
+            Vec::<String>::new(),
+            "records before durable ones were left unsynced: a hole, not a prefix"
+        );
+        assert_eq!(dev.sync_count(), 2, "one sync per segment written to");
+        // Rolling out of a segment the last sync covered costs nothing, so
+        // `Always` stays at one device sync per append across rollovers.
+        wal.append(&[4; 8]);
+        assert_eq!((wal.segment, dev.sync_count()), (2, 2));
+        let always = WalOptions {
+            fsync: FsyncPolicy::Always,
+            ..small_opts()
+        };
+        let (mut wal, _) = Wal::open(dev.clone(), "always", always);
+        let before = dev.sync_count();
+        for i in 0u8..6 {
+            wal.append(&[i; 8]);
+        }
+        assert!(wal.segment >= 2, "the records must span segments");
+        assert_eq!(dev.sync_count(), before + 6);
+        assert_eq!(dev.unsynced(), vec![segment_stream("paced", 2)]);
     }
 
     #[test]
