@@ -1035,11 +1035,6 @@ impl ScaState {
         Ok(())
     }
 
-    /// The latest persisted snapshot for a child, if any.
-    pub fn child_snapshot(&self, subnet: &SubnetId) -> Option<&StateSnapshot> {
-        self.child_snapshots.get(subnet)
-    }
-
     /// Recovers `claimant`'s funds from a killed child subnet against the
     /// persisted snapshot (paper §III-C: "users are able to provide proof
     /// of pending funds held in the subnet"). Pays from the SCA escrow,

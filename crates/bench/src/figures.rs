@@ -435,8 +435,8 @@ pub fn f7_sig_cache() -> Result<Table, RuntimeError> {
 /// F8 — durable persistence and crash recovery: a journaled hierarchy is
 /// crashed at quiescence (the device survives, the runtime is dropped) and
 /// restarted with [`HierarchyRuntime::recover`], which replays the control
-/// log and block WALs back to a bit-identical world. A second crash with a
-/// torn journal tail recovers a valid *prefix* instead. The snapshot GC
+/// log — blocks and all — back to a bit-identical world. A second crash
+/// with a torn journal tail recovers a valid *prefix* instead. The snapshot GC
 /// (`keep_manifests`) runs throughout; its reclaimed blob/byte counters are
 /// reported alongside.
 ///

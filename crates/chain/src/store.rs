@@ -1,10 +1,10 @@
-//! The chain store: an append-only, validated sequence of blocks.
+//! The chain store: an append-only, validated sequence of blocks, in
+//! memory. Making a committed block durable is its runtime's job.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use hc_store::Wal;
-use hc_types::{CanonicalEncode, ChainEpoch, Cid, SubnetId};
+use hc_types::{ChainEpoch, Cid, SubnetId};
 
 use crate::block::Block;
 
@@ -64,9 +64,6 @@ pub struct ChainStore {
     by_epoch: HashMap<ChainEpoch, Cid>,
     head: Cid,
     head_epoch: ChainEpoch,
-    /// Write-through block WAL; every appended block is journaled here
-    /// before it becomes visible in the store.
-    wal: Option<Wal>,
 }
 
 impl ChainStore {
@@ -80,20 +77,7 @@ impl ChainStore {
             by_epoch: HashMap::new(),
             head: Cid::NIL,
             head_epoch: ChainEpoch::GENESIS,
-            wal: None,
         }
-    }
-
-    /// Attaches a write-through WAL: every subsequent [`ChainStore::append`]
-    /// journals the block's canonical bytes before updating the in-memory
-    /// chain. The WAL must be exclusively owned by this store.
-    pub fn attach_wal(&mut self, wal: Wal) {
-        self.wal = Some(wal);
-    }
-
-    /// The attached write-through WAL, if any.
-    pub fn wal(&self) -> Option<&Wal> {
-        self.wal.as_ref()
     }
 
     /// The subnet this chain belongs to.
@@ -147,8 +131,7 @@ impl ChainStore {
     /// the next append must be the block immediately extending the
     /// snapshot. Used by snapshot state-sync, where the blocks at or below
     /// the anchor are never fetched — the state they produced is installed
-    /// from a verified chunk manifest instead. The attached WAL (if any)
-    /// is untouched.
+    /// from a verified chunk manifest instead.
     ///
     /// # Panics
     ///
@@ -172,20 +155,6 @@ impl ChainStore {
     /// subnet, does not point at the current head, or does not advance the
     /// epoch.
     pub fn append(&mut self, block: Block) -> Result<Cid, StoreError> {
-        self.append_inner(block, true)
-    }
-
-    /// Appends a block recovered from the WAL: identical validation, but
-    /// the block is *not* re-journaled (it came from the journal).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ChainStore::append`].
-    pub fn append_recovered(&mut self, block: Block) -> Result<Cid, StoreError> {
-        self.append_inner(block, false)
-    }
-
-    fn append_inner(&mut self, block: Block, journal: bool) -> Result<Cid, StoreError> {
         if block.header.subnet != self.subnet {
             return Err(StoreError::WrongSubnet(block.header.subnet.clone()));
         }
@@ -209,11 +178,6 @@ impl ChainStore {
                 head: self.head_epoch,
                 got: block.header.epoch,
             });
-        }
-        if journal {
-            if let Some(wal) = &mut self.wal {
-                wal.append(&block.canonical_bytes());
-            }
         }
         self.head = cid;
         self.head_epoch = block.header.epoch;
@@ -304,33 +268,6 @@ mod tests {
         assert_eq!(store.get_by_epoch(ChainEpoch::new(1)).unwrap().cid(), c1);
         assert_eq!(store.get_by_epoch(ChainEpoch::new(7)).unwrap().cid(), c7);
         assert!(store.get_by_epoch(ChainEpoch::new(3)).is_none());
-    }
-
-    #[test]
-    fn wal_write_through_journals_appends_but_not_recoveries() {
-        use std::sync::Arc;
-
-        use hc_store::{InMemoryDevice, Persistence, Wal, WalOptions};
-        use hc_types::CanonicalDecode;
-
-        let dev: Arc<dyn Persistence> = Arc::new(InMemoryDevice::new());
-        let (wal, _) = Wal::open(dev.clone(), "chains/root", WalOptions::default());
-        let mut store = ChainStore::new(SubnetId::root());
-        store.attach_wal(wal);
-        let c1 = store.append(block_at(1, Cid::NIL)).unwrap();
-        let c2 = store.append(block_at(2, c1)).unwrap();
-
-        // Replay the journal into a fresh store: same chain, no re-journal.
-        let (wal, records) = Wal::open(dev, "chains/root", WalOptions::default());
-        assert_eq!(records.len(), 2);
-        let mut recovered = ChainStore::new(SubnetId::root());
-        for bytes in &records {
-            let block = Block::decode(bytes).unwrap();
-            recovered.append_recovered(block).unwrap();
-        }
-        assert_eq!(recovered.head(), c2);
-        assert_eq!(recovered.head_epoch(), ChainEpoch::new(2));
-        assert_eq!(wal.record_count(), 2, "recovery must not re-journal");
     }
 
     #[test]

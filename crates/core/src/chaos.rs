@@ -338,10 +338,6 @@ impl HierarchyRuntime {
         // is double-proposed.)
         node.mempool = crashed.mempool;
         self.network.set_offline(crashed.subscription, false);
-        // On a durable device, reattach the subnet's block journal: the
-        // catch-up replay appends without re-journaling (the records are
-        // already on disk), and post-catch-up live blocks journal again.
-        self.journal.attach_chain_wal(&mut node);
         self.nodes.insert(subnet.clone(), node);
         self.refresh_validators(subnet);
         // Snapshot bootstrap needs a usable anchor: a checkpoint the

@@ -71,9 +71,9 @@ pub struct RuntimeConfig {
     pub sig_cache_capacity: usize,
     /// Durable persistence. The default, [`PersistenceConfig::InMemory`],
     /// journals nothing and preserves the pre-persistence behaviour
-    /// exactly; [`PersistenceConfig::Durable`] write-through-journals
-    /// blocks, control records, and state blobs so the hierarchy can be
-    /// rebuilt by [`crate::HierarchyRuntime::recover`] after a crash.
+    /// exactly; [`PersistenceConfig::Durable`] journals blocks and control
+    /// records (one log, one sync a wave) and state blobs so the hierarchy
+    /// can be rebuilt by [`crate::HierarchyRuntime::recover`] after a crash.
     pub persistence: PersistenceConfig,
     /// Timeout/backoff policy for cross-net pull requests and crash
     /// catch-up block pulls. The default (unbounded attempts, capped

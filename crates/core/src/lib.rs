@@ -33,7 +33,8 @@
 //!   types of the API.
 //! * the private `wallet`, `journal` and `subnets` modules — one owner
 //!   each: `Wallets` is the only place a signing cursor moves, `Journal`
-//!   holds the control log and the one `outward()` predicate that
+//!   holds the control log — the one log every committed block and
+//!   set-up record goes to — and the one `outward()` predicate that
 //!   silences a replay, `Subnets` keeps one record per subnet of
 //!   everything that outlives its node.
 //! * [`node`] — [`SubnetNode`]: one subnet's chain, state, pools and
@@ -41,8 +42,9 @@
 //!   its node (construction, commit, skip, event effects, snapshot
 //!   install) that live ticks, recovery and catch-up all share.
 //! * [`persist`] and the private `recover` module — the journal layout
-//!   ([`ControlRecord`]) and [`HierarchyRuntime::recover`], which rebuilds
-//!   the hierarchy from it.
+//!   ([`ControlRecord`], blocks included) and
+//!   [`HierarchyRuntime::recover`], which rebuilds the hierarchy from it
+//!   in one scan.
 //! * [`chaos`] — live node crash–rejoin, peer catch-up and snapshot sync.
 //! * [`elastic`], [`atomic`], [`archive`], [`audit`], [`attack`] — the
 //!   scale-out controller, 2PC orchestration, the checkpoint archive,

@@ -93,9 +93,6 @@ impl HierarchyRuntime {
 
         // 4. Boot the child chain.
         self.boot_child_node(&child_id, &boot_config, &engine_params);
-        if let Some(node) = self.nodes.get_mut(&child_id) {
-            self.journal.attach_chain_wal(node);
-        }
         self.journal.append(&ControlRecord::SubnetBoot {
             child: child_id.clone(),
             config: boot_config,

@@ -288,8 +288,8 @@ impl SubnetNode {
     /// becomes part of the node: [`SubnetNode::skip_block`] plus everything
     /// that needs the receipts (counters, the `awaited` receipt, the
     /// checkpoints to archive, the events to route).
-    /// The caller has already appended the block to the chain, journaled
-    /// or not as its path requires.
+    /// The caller has already appended the block to the chain; a live
+    /// block is journaled afterwards, by `post_tick`.
     pub(crate) fn commit_block(
         &mut self,
         block: &Block,
@@ -491,13 +491,6 @@ impl SubnetNode {
         self.pending_turnarounds.len() + self.unresolved_turnarounds.len()
     }
 
-    /// Verified-but-unsettled incoming payments (fund certificates,
-    /// paper §IV-A). Tentative information only — the value becomes
-    /// spendable when the message settles through the checkpoint flow.
-    pub fn tentative_certs(&self) -> impl Iterator<Item = &FundCertificate> {
-        self.tentative.values()
-    }
-
     /// Total tentatively certified incoming value for `addr`.
     pub fn tentative_value_for(&self, addr: hc_types::Address) -> hc_types::TokenAmount {
         self.tentative
@@ -520,11 +513,6 @@ impl SubnetNode {
     /// Pending user messages.
     pub fn mempool_len(&self) -> usize {
         self.mempool.len()
-    }
-
-    /// Bytes of pending user messages held by this node's mempool.
-    pub fn mempool_occupancy_bytes(&self) -> usize {
-        self.mempool.occupancy_bytes()
     }
 
     /// Admission/eviction counters of this node's mempool.

@@ -1,34 +1,32 @@
 //! Durable persistence wiring: the runtime's persistence configuration and
-//! the control-log records that make a [`crate::HierarchyRuntime`]
+//! the journal records that make a [`crate::HierarchyRuntime`]
 //! restartable.
 //!
-//! With persistence enabled the runtime journals two kinds of history:
+//! With persistence enabled the runtime writes two logs:
 //!
-//! * **Block WALs** — one per subnet (`chains/<subnet>`), written through
-//!   by the subnet's `ChainStore`: a block's canonical bytes reach the
-//!   journal before the block becomes visible in memory.
-//! * **The control log** (`control`) — a single runtime-wide WAL of
-//!   [`ControlRecord`]s that totally orders everything the block WALs
-//!   cannot express on their own: account and wallet creation, subnet
-//!   boots, the cross-subnet commit order of blocks, and the anchors of
-//!   persisted state manifests.
-//!
-//! State blobs (chunk manifests and their chunks) are journaled separately
-//! through the `CidStore`'s attached [`hc_store::BlobLog`], which dedups by
-//! content so structural sharing between snapshots carries to disk.
+//! * **The journal** (`control`) — a single runtime-wide WAL of
+//!   [`ControlRecord`]s in the one order things happened: account and
+//!   wallet creation, subnet boots, every committed block of every subnet
+//!   (its full canonical bytes), and the anchors of persisted state
+//!   manifests. A record is history once the wave's barrier has synced it.
+//! * **The blob log** (`blobs`) — state blobs (chunk manifests and their
+//!   chunks), journaled through the `CidStore`'s attached
+//!   [`hc_store::BlobLog`], which dedups by content so structural sharing
+//!   between snapshots carries to disk.
 //!
 //! Recovery ([`crate::HierarchyRuntime::recover`]) replays the longest
-//! satisfiable prefix of the control log, re-executing each journaled block
+//! satisfiable prefix of the journal, re-executing each journaled block
 //! and re-deriving every piece of in-memory state from it. Anything past
-//! that prefix — a torn record, a block whose journal entry was lost, a
-//! state root that no longer reproduces — is truncated away so the journal
-//! and the recovered world agree exactly.
+//! that prefix — a torn record, a block that no longer validates, a state
+//! root that no longer reproduces — is truncated away so the journal and
+//! the recovered world agree exactly.
 
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use hc_actors::sa::SaConfig;
+use hc_chain::Block;
 use hc_consensus::EngineParams;
 use hc_store::{FsyncPolicy, OnDiskDevice, Persistence, WalOptions};
 use hc_types::{
@@ -44,7 +42,7 @@ pub enum PersistenceConfig {
     /// to the pre-persistence runtime (no WAL is even constructed).
     #[default]
     InMemory,
-    /// Journal blocks, control records, and state blobs to a device.
+    /// Journal records (blocks among them) and state blobs to a device.
     Durable(DurableOptions),
 }
 
@@ -119,25 +117,22 @@ impl fmt::Debug for PersistenceConfig {
     }
 }
 
-/// The stream name of a subnet's block WAL.
-pub fn chain_log_name(subnet: &SubnetId) -> String {
-    format!("chains/{subnet}")
-}
-
-/// Name of the runtime-wide control log.
+/// Name of the runtime-wide journal.
 pub const CONTROL_LOG: &str = "control";
 
 /// Name of the blob log backing the runtime's `CidStore`.
 pub const BLOB_LOG: &str = "blobs";
 
-/// One entry of the runtime control log.
+/// One entry of the runtime journal.
 ///
-/// Block *contents* live in the per-subnet block WALs; the control log
-/// carries the residue a restart cannot re-derive from blocks alone —
-/// wallet keys and account creation (which happen outside any block),
-/// subnet boots (node structure, consensus engine, schedule), the total
-/// order of block commits across subnets, and the anchors of persisted
-/// state manifests.
+/// Committed blocks, in the order the subnets committed them, and between
+/// them what a restart cannot re-derive from blocks alone — wallet keys
+/// and account creation (which happen outside any block), subnet boots
+/// (node structure, consensus engine, schedule), and the anchors of
+/// persisted state manifests.
+// Nearly every record of a run is a block, so boxing the large variant
+// would cost an allocation per record to shrink the rare ones.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlRecord {
     /// `create_user` minted an account (and its deterministic wallet key).
@@ -165,14 +160,9 @@ pub enum ControlRecord {
         /// The child's consensus engine parameters.
         engine_params: EngineParams,
     },
-    /// A block committed on `subnet` (its bytes are in the subnet's block
-    /// WAL; this record orders commits *across* subnets).
-    BlockCommitted {
-        /// The committing subnet.
-        subnet: SubnetId,
-        /// The block's epoch (cross-checked against the journaled block).
-        epoch: ChainEpoch,
-    },
+    /// A block committed on the subnet its header names. Encoded as the
+    /// tag followed by the block's own canonical bytes.
+    Block(Block),
     /// `save_snapshot` persisted a subnet's state as a chunk manifest.
     /// Replay re-persists and must reproduce the same manifest CID.
     SnapshotAnchor {
@@ -247,10 +237,9 @@ impl CanonicalEncode for ControlRecord {
                 config.write_bytes(out);
                 engine_params.write_bytes(out);
             }
-            ControlRecord::BlockCommitted { subnet, epoch } => {
+            ControlRecord::Block(block) => {
                 out.push(3);
-                subnet.write_bytes(out);
-                epoch.write_bytes(out);
+                block.write_bytes(out);
             }
             ControlRecord::SnapshotAnchor { subnet, manifest } => {
                 out.push(4);
@@ -302,10 +291,7 @@ impl CanonicalDecode for ControlRecord {
                 config: SaConfig::read_bytes(r)?,
                 engine_params: EngineParams::read_bytes(r)?,
             }),
-            3 => Ok(ControlRecord::BlockCommitted {
-                subnet: SubnetId::read_bytes(r)?,
-                epoch: ChainEpoch::read_bytes(r)?,
-            }),
+            3 => Ok(ControlRecord::Block(Block::read_bytes(r)?)),
             4 => Ok(ControlRecord::SnapshotAnchor {
                 subnet: SubnetId::read_bytes(r)?,
                 manifest: Cid::read_bytes(r)?,
@@ -337,11 +323,39 @@ impl CanonicalDecode for ControlRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_chain::BlockHeader;
+    use hc_state::{ImplicitMsg, Message, Method, SealedMessage};
+    use hc_types::{Keypair, Nonce};
+    use proptest::prelude::*;
 
-    #[test]
-    fn control_records_round_trip_canonically() {
+    /// A sealed block with a user message and an implicit one, on `subnet`.
+    fn sample_block(subnet: &SubnetId) -> Block {
+        let key = Keypair::from_seed([0x22; 32]);
+        let msg = Message {
+            from: Address::new(100),
+            to: Address::new(101),
+            value: TokenAmount::from_whole(1),
+            nonce: Nonce::ZERO,
+            method: Method::Send,
+        };
+        let header = BlockHeader {
+            subnet: subnet.clone(),
+            epoch: ChainEpoch::new(9),
+            parent: Cid::digest(b"parent"),
+            state_root: Cid::digest(b"state"),
+            msgs_root: Cid::NIL,
+            proposer: key.public(),
+            timestamp_ms: 9_000,
+        };
+        let implicit = ImplicitMsg::SweepAtomicTimeouts { timeout: 50 };
+        let signed = SealedMessage::sign(msg, &key);
+        Block::seal(header, vec![signed], vec![implicit], &key)
+    }
+
+    /// One record of every variant.
+    fn sample_records() -> Vec<ControlRecord> {
         let subnet = SubnetId::root().child(Address::new(42));
-        let records = vec![
+        vec![
             ControlRecord::UserCreated {
                 subnet: SubnetId::root(),
                 addr: Address::new(100),
@@ -356,10 +370,7 @@ mod tests {
                 config: SaConfig::default(),
                 engine_params: EngineParams::default(),
             },
-            ControlRecord::BlockCommitted {
-                subnet: subnet.clone(),
-                epoch: ChainEpoch::new(9),
-            },
+            ControlRecord::Block(sample_block(&subnet)),
             ControlRecord::SnapshotAnchor {
                 subnet: subnet.clone(),
                 manifest: Cid::digest(b"manifest"),
@@ -380,11 +391,79 @@ mod tests {
                 subnet,
                 region: "eu-west".into(),
             },
-        ];
-        for rec in records {
+        ]
+    }
+
+    #[test]
+    fn control_records_round_trip_canonically() {
+        for rec in sample_records() {
             let bytes = rec.canonical_bytes();
             let back = ControlRecord::decode(&bytes).unwrap();
             assert_eq!(back, rec);
+        }
+    }
+
+    #[test]
+    fn a_block_record_is_its_tag_and_the_blocks_own_bytes() {
+        let block = sample_block(&SubnetId::root());
+        let bytes = ControlRecord::Block(block.clone()).canonical_bytes();
+        assert_eq!(bytes[0], 3);
+        assert_eq!(bytes[1..], block.canonical_bytes());
+        // The journaled block arrives cold and still validates from content.
+        let Ok(ControlRecord::Block(back)) = ControlRecord::decode(&bytes) else {
+            panic!("a block record decodes to a block");
+        };
+        back.validate_structure().unwrap();
+        assert_eq!(back.cid(), block.cid());
+    }
+
+    /// What a decoder owes bytes it did not write: an answer, and — when
+    /// the answer is a record — exactly the record those bytes encode.
+    fn decode_is_total_and_exact(bytes: &[u8]) -> Result<(), TestCaseError> {
+        if let Ok(record) = ControlRecord::decode(bytes) {
+            prop_assert_eq!(record.canonical_bytes(), bytes);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            tag in 0u8..10,
+            body in prop::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let mut bytes = vec![tag];
+            bytes.extend(body);
+            decode_is_total_and_exact(&bytes)?;
+        }
+
+        /// Every variant's bytes, damaged the ways a device or a peer can
+        /// damage them: cut short, one byte flipped, trailing garbage, and
+        /// eight bytes overwritten with a count no input could back. Every
+        /// length prefix is checked against `ByteReader::remaining` before
+        /// anything is reserved for it; a decoder that reserved first would
+        /// die here on a 2^63-element allocation rather than return.
+        #[test]
+        fn mutated_records_never_panic_or_over_allocate(
+            which in any::<prop::sample::Index>(),
+            at in any::<prop::sample::Index>(),
+            mutation in 0u8..4,
+            flip in 1u8..=255,
+        ) {
+            let records = sample_records();
+            let mut bytes = records[which.index(records.len())].canonical_bytes();
+            let at = at.index(bytes.len());
+            match mutation {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= flip,
+                2 => bytes.push(flip),
+                _ => {
+                    let huge = (u64::MAX >> 1).to_le_bytes();
+                    let end = (at + huge.len()).min(bytes.len());
+                    bytes[at..end].copy_from_slice(&huge[..end - at]);
+                }
+            }
+            decode_is_total_and_exact(&bytes)?;
         }
     }
 

@@ -1,8 +1,9 @@
-//! Crash recovery: rebuilding the hierarchy from its journals.
+//! Crash recovery: rebuilding the hierarchy from its journal.
 //!
-//! [`HierarchyRuntime::recover`] replays the longest satisfiable prefix of
-//! the control log written by [`crate::persist`]. Every journaled block
-//! re-enters its node through the same two doors a live block does —
+//! [`HierarchyRuntime::recover`] is one scan of the control log written by
+//! [`crate::persist`]: records apply in order until one does not, and the
+//! log is cut back to that prefix. Every journaled block re-enters its
+//! node through the same two doors a live block does —
 //! [`SubnetNode::commit_block`](crate::SubnetNode) after re-execution, or
 //! its receipt-less prefix `skip_block` inside a fast-forwarded region
 //! whose state is installed from the checkpoint-anchored manifest — and
@@ -13,46 +14,32 @@ use std::collections::BTreeMap;
 
 use hc_chain::Block;
 use hc_state::CidStore;
-use hc_store::Wal;
 use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
 use crate::config::{RuntimeConfig, RuntimeError, UserHandle};
 use crate::persist::ControlRecord;
 use crate::runtime::HierarchyRuntime;
 
-/// One subnet's block WAL while [`HierarchyRuntime::recover`] replays the
-/// control log: the journaled block records and a cursor over how many the
-/// replay has consumed so far.
-struct ReplayLog {
-    wal: Wal,
-    records: Vec<Vec<u8>>,
-    cursor: usize,
-}
-
-/// What one recovery pass carries beside the runtime it rebuilds.
-struct Replay {
-    logs: BTreeMap<SubnetId, ReplayLog>,
-    /// In snapshot mode, per eligible subnet, the checkpoint anchor its
-    /// replay fast-forwards to (blocks before it are appended without
-    /// re-execution; the anchored manifest is installed when its record is
-    /// reached). Emptied as installs complete; non-empty after replay means
-    /// the journal tore inside a skipped region and recovery must fall back
-    /// to full replay.
-    fast_forward: BTreeMap<SubnetId, (ChainEpoch, Cid)>,
-}
+/// What one recovery pass carries beside the runtime it rebuilds: in
+/// snapshot mode, per eligible subnet, the checkpoint anchor its replay
+/// fast-forwards to (blocks before it are appended without re-execution;
+/// the anchored manifest is installed when its record is reached). Emptied
+/// as installs complete; non-empty after replay means the journal tore
+/// inside a skipped region and recovery must fall back to full replay.
+type FastForward = BTreeMap<SubnetId, (ChainEpoch, Cid)>;
 
 impl HierarchyRuntime {
     /// Restarts a hierarchy from the journaled history on
     /// `config.persistence`'s device: replays the longest satisfiable
     /// prefix of the control log (re-executing every journaled block and
     /// verifying each recomputed state root against the block header),
-    /// truncates everything past that prefix out of the journals, and
-    /// resumes live operation from there.
+    /// truncates everything past that prefix out of the log, and resumes
+    /// live operation from there.
     ///
     /// With [`crate::PersistenceConfig::InMemory`] this is just
     /// [`HierarchyRuntime::new`]. The rest of the `config` (seed, network,
-    /// engine parameters, …) must match the run that wrote the journals —
-    /// the journals deliberately do not store the whole world, only what a
+    /// engine parameters, …) must match the run that wrote the journal —
+    /// it deliberately does not store the whole world, only what a
     /// deterministic re-execution cannot re-derive.
     pub fn recover(config: RuntimeConfig) -> Self {
         if !config.persistence.is_durable() {
@@ -71,8 +58,8 @@ impl HierarchyRuntime {
         Self::recover_attempt(config, false).expect("full-replay recovery never abandons a prefix")
     }
 
-    /// One recovery pass over the journals. With `fast_forward` enabled,
-    /// returns `None` (leaving the journals untouched) when an eligible
+    /// One recovery pass over the journal. With `fast_forward` enabled,
+    /// returns `None` (leaving the journal untouched) when an eligible
     /// subnet's anchor was never reached — the caller retries without
     /// fast-forwarding.
     fn recover_attempt(config: RuntimeConfig, fast_forward: bool) -> Option<Self> {
@@ -81,44 +68,33 @@ impl HierarchyRuntime {
         // The blob log is attached before replaying: replayed persists
         // dedup against blobs that survived the crash and re-journal any
         // the torn tail lost.
-        let (mut control, control_records) = rt.journal.open(&rt.store)?;
-        let mut replay = Replay {
-            logs: rt.open_replay_log(&SubnetId::root()).into_iter().collect(),
-            fast_forward: BTreeMap::new(),
-        };
+        let (mut control, raw) = rt.journal.open(&rt.store)?;
+        // Each record is decoded once; the first that does not decode ends
+        // the log as surely as one that does not apply.
+        let records: Vec<ControlRecord> = raw
+            .into_iter()
+            .map_while(|bytes| ControlRecord::decode(&bytes).ok())
+            .collect();
+        let mut targets = FastForward::new();
         if fast_forward {
-            replay.fast_forward = Self::plan_fast_forward(&control_records, &rt.store);
+            targets = Self::plan_fast_forward(&records, &rt.store);
         }
         let mut applied = 0usize;
-        for bytes in &control_records {
-            let Ok(record) = ControlRecord::decode(bytes) else {
-                break;
-            };
-            if !rt.apply_control_record(record, &mut replay) {
+        for record in records {
+            if !rt.apply_control_record(record, &mut targets) {
                 break;
             }
             applied += 1;
         }
-        if !replay.fast_forward.is_empty() {
+        if !targets.is_empty() {
             // A subnet's replay stopped before its anchor installed: its
             // chain is ahead of its (still-genesis) state tree. Abandon
             // this attempt before any journal truncation.
             return None;
         }
-        // Make the journals agree with the recovered world: drop control
-        // records past the replayed prefix and, per subnet, block records
-        // past the replay cursor (a block whose commit record was lost is
-        // not part of history).
+        // Make the journal agree with the recovered world: a record past
+        // the replayed prefix is not part of history.
         control.truncate_after(applied);
-        for (subnet, log) in replay.logs {
-            let ReplayLog {
-                mut wal, cursor, ..
-            } = log;
-            wal.truncate_after(cursor);
-            if let Some(node) = rt.nodes.get_mut(&subnet) {
-                node.chain.attach_wal(wal);
-            }
-        }
         rt.store.sync();
         rt.journal.attach(control);
         Some(rt)
@@ -130,16 +106,10 @@ impl HierarchyRuntime {
     /// which a fast-forwarded parent would not have yet) whose anchored
     /// manifest closure fully survives in the blob store — anything less
     /// replays in full.
-    fn plan_fast_forward(
-        records: &[Vec<u8>],
-        store: &CidStore,
-    ) -> BTreeMap<SubnetId, (ChainEpoch, Cid)> {
-        let mut booted: Vec<SubnetId> = Vec::new();
-        let mut anchors: BTreeMap<SubnetId, (ChainEpoch, Cid)> = BTreeMap::new();
-        for bytes in records {
-            let Ok(record) = ControlRecord::decode(bytes) else {
-                break;
-            };
+    fn plan_fast_forward(records: &[ControlRecord], store: &CidStore) -> FastForward {
+        let mut booted: Vec<&SubnetId> = Vec::new();
+        let mut anchors = FastForward::new();
+        for record in records {
             match record {
                 ControlRecord::SubnetBoot { child, .. } => booted.push(child),
                 ControlRecord::CheckpointAnchor {
@@ -147,7 +117,7 @@ impl HierarchyRuntime {
                     epoch,
                     manifest,
                 } => {
-                    anchors.insert(subnet, (epoch, manifest));
+                    anchors.insert(subnet.clone(), (*epoch, *manifest));
                 }
                 _ => {}
             }
@@ -164,10 +134,10 @@ impl HierarchyRuntime {
     }
 
     /// Applies one control record during recovery. Returns `false` when the
-    /// record cannot be satisfied (its block is missing or torn, a state
-    /// root fails to reproduce, …) — replay stops there and the journal is
-    /// truncated back to the satisfied prefix.
-    fn apply_control_record(&mut self, record: ControlRecord, replay: &mut Replay) -> bool {
+    /// record cannot be satisfied (its block does not extend its chain, a
+    /// state root fails to reproduce, …) — replay stops there and the
+    /// journal is truncated back to the satisfied prefix.
+    fn apply_control_record(&mut self, record: ControlRecord, targets: &mut FastForward) -> bool {
         match record {
             ControlRecord::UserCreated {
                 subnet,
@@ -199,34 +169,14 @@ impl HierarchyRuntime {
                 engine_params,
             } => {
                 self.boot_child_node(&child, &config, &engine_params);
-                if !self.nodes.contains_key(&child) {
-                    return false;
-                }
-                replay.logs.extend(self.open_replay_log(&child));
-                true
+                self.nodes.contains_key(&child)
             }
-            ControlRecord::BlockCommitted { subnet, epoch } => {
-                let Some(log) = replay.logs.get_mut(&subnet) else {
-                    return false;
-                };
-                let Some(bytes) = log.records.get(log.cursor) else {
-                    return false;
-                };
-                let Ok(block) = Block::decode(bytes) else {
-                    return false;
-                };
-                if block.header.epoch != epoch {
-                    return false;
-                }
-                let skip = replay.fast_forward.contains_key(&subnet);
-                if self.replay_journaled_block(&subnet, &block, skip).is_err() {
-                    return false;
-                }
-                log.cursor += 1;
-                true
+            ControlRecord::Block(block) => {
+                let skip = targets.contains_key(&block.header.subnet);
+                self.replay_journaled_block(block, skip).is_ok()
             }
             ControlRecord::SnapshotAnchor { subnet, manifest } => {
-                if replay.fast_forward.contains_key(&subnet) {
+                if targets.contains_key(&subnet) {
                     // The tree this snapshot was cut from is being skipped;
                     // the journaled manifest cannot be re-persisted for a
                     // cross-check, only kept in the GC window.
@@ -249,8 +199,7 @@ impl HierarchyRuntime {
                 epoch,
                 manifest,
             } => {
-                let Some(&(target_epoch, target_manifest)) = replay.fast_forward.get(&subnet)
-                else {
+                let Some(&(target_epoch, target_manifest)) = targets.get(&subnet) else {
                     // The persist already re-ran inside the replayed
                     // block's checkpoint-cut routing; this anchor only
                     // cross-checks it.
@@ -265,7 +214,7 @@ impl HierarchyRuntime {
                     {
                         return false;
                     }
-                    replay.fast_forward.remove(&subnet);
+                    targets.remove(&subnet);
                 }
                 // Target or a pre-target anchor inside the skipped prefix
                 // (no persist ran to cross-check against): the GC window
@@ -287,37 +236,22 @@ impl HierarchyRuntime {
         }
     }
 
-    /// Opens `subnet`'s block journal for replay, cursor at the start.
-    fn open_replay_log(&self, subnet: &SubnetId) -> Option<(SubnetId, ReplayLog)> {
-        let (wal, records) = self.journal.open_chain_wal(subnet)?;
-        let log = ReplayLog {
-            wal,
-            records,
-            cursor: 0,
-        };
-        Some((subnet.clone(), log))
-    }
-
     /// Re-commits one journaled block. Inside a fast-forwarded prefix it
     /// is chained and skipped — the anchored snapshot supplies the state
     /// it produced; otherwise it is re-executed and the replay *is* the
     /// effect, so checkpoint routing, archiving and event delivery all
     /// re-run through the live [`HierarchyRuntime::post_tick`].
-    fn replay_journaled_block(
-        &mut self,
-        subnet: &SubnetId,
-        block: &Block,
-        skip: bool,
-    ) -> Result<(), RuntimeError> {
+    fn replay_journaled_block(&mut self, block: Block, skip: bool) -> Result<(), RuntimeError> {
+        let subnet = &block.header.subnet.clone();
         let at_ms = block.header.timestamp_ms;
         if skip {
             self.refresh_validators(subnet);
-            self.skip_past_block(subnet, block, true)?;
+            self.skip_past_block(subnet, &block, true)?;
             self.now_ms = self.now_ms.max(at_ms);
         } else {
-            let outcome = self.reexecute_block(subnet, block)?;
+            let outcome = self.reexecute_block(subnet, &block)?;
             self.now_ms = self.now_ms.max(at_ms);
-            self.post_tick(subnet, outcome, at_ms)?;
+            self.post_tick(subnet, block, outcome, at_ms)?;
         }
         Ok(())
     }

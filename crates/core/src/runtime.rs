@@ -98,13 +98,9 @@ impl HierarchyRuntime {
         let mut rt = Self::boot(config);
         if let Some((control, _)) = rt.journal.open(&rt.store) {
             rt.journal.attach(control);
-            let root = SubnetId::root();
-            if let Some(node) = rt.nodes.get_mut(&root) {
-                rt.journal.attach_chain_wal(node);
-            }
             // The root's boot-time placement predates the control log's
             // attachment; journal it now so recovery replays it.
-            rt.journal_region(&root);
+            rt.journal_region(&SubnetId::root());
         }
         rt
     }
@@ -329,8 +325,9 @@ impl HierarchyRuntime {
     ///    advance, network poll, parent sync, content resolution.
     /// 2. *(a)* — concurrent: block assembly, consensus, execution, and
     ///    commit against each subnet's own node only.
-    /// 3. *(b)* — sequential, wave order: checkpoint archiving, event
-    ///    routing, registry pruning; then the journal barrier.
+    /// 3. *(b)* — sequential, wave order: the block's journal record,
+    ///    checkpoint archiving, event routing, registry pruning; then the
+    ///    journal barrier — the wave's one sync and its commit point.
     ///
     /// Phase (a) touches no shared state (each node owns its private
     /// randomness stream) and is laid on the workers by
@@ -357,8 +354,9 @@ impl HierarchyRuntime {
         });
 
         let mut reports = Vec::with_capacity(members.len());
-        for ((subnet, at_ms), outcome) in members.iter().zip(&at_ms).zip(outcomes) {
-            reports.push(self.post_tick(subnet, outcome?, *at_ms)?);
+        for ((subnet, at_ms), produced) in members.iter().zip(&at_ms).zip(outcomes) {
+            let (block, outcome) = produced?;
+            reports.push(self.post_tick(subnet, block, outcome, *at_ms)?);
         }
         self.journal.barrier();
         Ok(reports)
@@ -624,7 +622,7 @@ impl HierarchyRuntime {
         node: &mut SubnetNode,
         config: &RuntimeConfig,
         at_ms: u64,
-    ) -> Result<LocalOutcome, RuntimeError> {
+    ) -> Result<(Block, LocalOutcome), RuntimeError> {
         let subnet = node.subnet_id.clone();
         let is_root = subnet.is_root();
         let epoch = node.next_epoch;
@@ -695,18 +693,20 @@ impl HierarchyRuntime {
             .validate_block(&block, &node.validators)
             .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
         node.mempool.remove_included(block.signed_msgs.iter());
-        // The clone right-sizes the payload vectors the chain store keeps.
+        // The clone right-sizes the payload vectors the chain store keeps;
+        // the block itself goes on to `post_tick`, which journals it.
         node.chain
             .append(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        Ok(node.commit_block(&block, executed.receipts, &opportunity))
+        let outcome = node.commit_block(&block, executed.receipts, &opportunity);
+        Ok((block, outcome))
     }
 
     /// Re-commits one past block — replayed from the journal or pulled
     /// from peers — against `subnet`'s node: burns the consensus draw the
     /// live run made for it, validates and re-executes it (verifying the
-    /// recomputed state root against the header), appends it without
-    /// re-journaling, and hands it to the same
+    /// recomputed state root against the header), chains it, and hands it
+    /// to the same
     /// [`SubnetNode::commit_block`] the live tick uses. What happens to
     /// the returned outcome is the caller's choice of *outward* effects:
     /// journal recovery routes it through [`HierarchyRuntime::post_tick`],
@@ -733,7 +733,7 @@ impl HierarchyRuntime {
         )
         .map_err(|e| RuntimeError::Execution(format!("replay execution: {e}")))?;
         node.chain
-            .append_recovered(block.clone())
+            .append(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
         let outcome = node.commit_block(block, receipts, &opportunity);
         self.wallets.advance_past(subnet, block);
@@ -756,7 +756,7 @@ impl HierarchyRuntime {
         let opportunity = node.draw_slot(block.header.epoch)?;
         if append {
             node.chain
-                .append_recovered(block.clone())
+                .append(block.clone())
                 .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
         }
         node.skip_block(block, &opportunity);
@@ -765,12 +765,13 @@ impl HierarchyRuntime {
     }
 
     /// Phase (b) of a tick: applies a block's outward effects to shared
-    /// state — archives committed checkpoints, routes the block's events
-    /// through the hierarchy, and prunes the parent's settled top-down
-    /// registry.
+    /// state — journals the block, archives committed checkpoints, routes
+    /// the block's events through the hierarchy, and prunes the parent's
+    /// settled top-down registry.
     pub(crate) fn post_tick(
         &mut self,
         subnet: &SubnetId,
+        block: Block,
         outcome: LocalOutcome,
         at_ms: u64,
     ) -> Result<StepReport, RuntimeError> {
@@ -779,13 +780,9 @@ impl HierarchyRuntime {
             archived,
             events,
         } = outcome;
-        // Order the commit in the runtime-wide control log. The block's
-        // bytes are already safe in the subnet's block WAL (write-through
-        // append); this record sequences it against other subnets' commits.
-        self.journal.append(&ControlRecord::BlockCommitted {
-            subnet: subnet.clone(),
-            epoch: report.epoch,
-        });
+        // The block's place in history: after every record written before
+        // it, durable with the rest of its wave at the barrier.
+        self.journal.append(&ControlRecord::Block(block));
         for (signed, policy) in archived {
             self.cut_checkpoints.remove(&signed.checkpoint.cid());
             self.archive.record(signed, policy);

@@ -1,6 +1,6 @@
 //! Durable persistence and crash recovery, end to end.
 //!
-//! The invariant under test: *whatever* prefix of the journals survives a
+//! The invariant under test: *whatever* prefix of the journal survives a
 //! crash, [`HierarchyRuntime::recover`] lands on a valid prefix of the
 //! pre-crash history — every recovered chain is a block-for-block prefix of
 //! the original, every recomputed state root matches the corresponding
@@ -18,12 +18,15 @@ mod common;
 use std::sync::Arc;
 
 use common::fingerprint;
-use hc_core::persist::DurableOptions;
-use hc_core::{HierarchyRuntime, PersistenceConfig, RuntimeConfig, UserHandle};
+use hc_core::persist::{DurableOptions, CONTROL_LOG};
+use hc_core::{
+    ControlRecord, HierarchyRuntime, PersistenceConfig, RuntimeConfig, StepReport, UserHandle,
+};
 use hc_net::NetConfig;
-use hc_store::crash::truncate_stream;
-use hc_store::{FsyncPolicy, InMemoryDevice, Persistence, WalOptions};
-use hc_types::{ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_store::crash::{corrupt_byte, truncate_stream, RecordingDevice};
+use hc_store::frame::{scan_frames, FRAME_HEADER_LEN};
+use hc_store::{FsyncPolicy, InMemoryDevice, Persistence, Wal, WalOptions};
+use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
@@ -389,18 +392,94 @@ fn any_crash_point_recovers_a_valid_prefix() {
         shortest < full.iter().map(|(_, n)| n).sum::<usize>(),
         "the sweep must include cuts that actually lose history"
     );
+
+    // Bit rot: one flipped byte anywhere in the journal. Recovery returns,
+    // on a valid prefix that keeps working — never a panic, never a block
+    // that was not committed.
+    for stream in device
+        .streams()
+        .iter()
+        .filter(|s| s.starts_with("control/"))
+    {
+        let len = device.len(stream);
+        for offset in (0..len).step_by((len / 61 + 1) as usize) {
+            let fork: Arc<dyn Persistence> = Arc::new(device.fork());
+            corrupt_byte(&fork, stream, offset);
+            let mut rt = HierarchyRuntime::recover(durable_config(fork.clone()));
+            let trailing = installs_trail_a_head(&fork);
+            let flip = format!("flip at {stream}:{offset}");
+            assert_valid_prefix(&rt, &history, trailing, &flip);
+            assert_keeps_working(&mut rt);
+        }
+    }
+}
+
+/// Does the journal `recover` left on `device` (cut back to the prefix it
+/// applied) end, for some subnet, with accounts installed after that
+/// subnet's last block? Its head's state root does not cover them yet.
+fn installs_trail_a_head(device: &Arc<dyn Persistence>) -> bool {
+    let (_, records) = Wal::open(device.clone(), CONTROL_LOG, WalOptions::default());
+    let mut trailing = std::collections::BTreeSet::new();
+    for bytes in records {
+        match ControlRecord::decode(&bytes).unwrap() {
+            ControlRecord::UserCreated { subnet, .. }
+            | ControlRecord::UserAdopted { subnet, .. } => {
+                trailing.insert(subnet);
+            }
+            ControlRecord::Block(block) => {
+                trailing.remove(&block.header.subnet);
+            }
+            _ => {}
+        }
+    }
+    !trailing.is_empty()
+}
+
+/// The records `stream` holds past byte `from`, each with the offset its
+/// frame ends at.
+fn records_past(device: &InMemoryDevice, stream: &str, from: u64) -> Vec<(u64, ControlRecord)> {
+    let bytes = device.read(stream);
+    let mut end = from;
+    let frames = scan_frames(&bytes[from as usize..]).payloads;
+    let decode = |payload: &Vec<u8>| {
+        end += (FRAME_HEADER_LEN + payload.len()) as u64;
+        (end, ControlRecord::decode(payload).unwrap())
+    };
+    frames.iter().map(decode).collect()
+}
+
+/// Queues one intra-subnet transfer per sibling and steps wave by wave
+/// until a wave of at least two members has run; returns that wave's
+/// reports and what `probe` read just before it.
+fn run_a_shared_wave<T>(world: &mut World, probe: impl Fn() -> T) -> (Vec<StepReport>, T) {
+    for (a, b) in &world.pairs {
+        world
+            .rt
+            .submit(a, b.addr, whole(1), hc_state::Method::Send)
+            .unwrap();
+    }
+    loop {
+        let before = probe();
+        let reports = world.rt.step_wave().unwrap();
+        if reports.len() >= 2 {
+            return (reports, before);
+        }
+    }
 }
 
 #[test]
 fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
-    // Control records are written at once but synced only by the barrier
-    // at the end of the next step. Cut the control log everywhere between
-    // what the last barrier made durable and what has merely been written:
-    // a process crash keeps every frame, a power loss may keep any prefix
-    // of the unsynced ones — recovery must land on a valid prefix each
-    // time, and the barrier must keep set-up cheap.
+    // Every record — set-up, block, anchor — is written at once but synced
+    // only by the barrier at the end of its wave. Cut the journal everywhere
+    // between what the last barrier made durable and what has merely been
+    // written: a process crash keeps every frame, a power loss may keep any
+    // prefix of the unsynced ones — recovery must land on a valid prefix
+    // each time, and the barrier must keep a wave at one sync.
+    //
+    // There is no "durable block without its commit record" case any more:
+    // the block *is* the record, so the two cannot come apart.
     let device = InMemoryDevice::new();
-    let mut world = build_world(durable_config(Arc::new(device.clone())), 1);
+    let mut world = build_world(durable_config(Arc::new(device.clone())), 3);
     let root = SubnetId::root();
     let control = "control/00000000.seg";
 
@@ -444,8 +523,8 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
         assert_keeps_working(&mut rt);
     }
 
-    // One step: its block is synced to the chain WAL first, then the
-    // barrier syncs the five set-up records and the commit record together.
+    // One step: the barrier syncs the five set-up records and the block
+    // together.
     world
         .rt
         .submit(&users[0], users[1].addr, whole(1), hc_state::Method::Send)
@@ -456,18 +535,145 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
         "5 x create_user + one step cost {} syncs",
         device.sync_count() - syncs
     );
-    // Power lost between that block's append and the barrier: the block is
-    // durable, its commit record (and the set-up before it) is not. The
-    // block was never part of history; the journals must agree on that.
-    let fork: Arc<dyn Persistence> = Arc::new(device.fork());
-    truncate_stream(&fork, control, durable_len);
-    for attempt in ["block without its commit record", "the same device again"] {
-        let rt = HierarchyRuntime::recover(durable_config(fork.clone()));
-        assert_eq!(
-            assert_valid_prefix(&rt, &history, false, attempt),
-            total_blocks
-        );
+
+    // A wave of k siblings: k block records, one barrier. (First let the
+    // root commit past the accounts installed above, so its head's state
+    // root covers them.)
+    while world.rt.step().unwrap().subnet != root {}
+    let probe = || (device.len(control), device.sync_count());
+    let (wave, (durable_len, syncs)) = run_a_shared_wave(&mut world, probe);
+    assert_eq!(device.sync_count() - syncs, 1, "a wave syncs once");
+    let history = chain_history(&world.rt);
+    let block_ends: Vec<u64> = records_past(&device, control, durable_len)
+        .into_iter()
+        .filter_map(|(end, record)| matches!(record, ControlRecord::Block(_)).then_some(end))
+        .collect();
+    assert_eq!(block_ends.len(), wave.len(), "one block record per member");
+    // Power lost after j of them — at the frame boundary, and (the j+1-th
+    // torn inside its payload) a few bytes further: exactly the first j
+    // members of the wave keep their block, a torn block is dropped whole.
+    for j in 0..=wave.len() {
+        let boundary = if j == 0 {
+            durable_len
+        } else {
+            block_ends[j - 1]
+        };
+        let torn = (j < wave.len()).then_some(boundary + 40);
+        for cut in std::iter::once(boundary).chain(torn) {
+            let fork: Arc<dyn Persistence> = Arc::new(device.fork());
+            truncate_stream(&fork, control, cut);
+            let mut rt = HierarchyRuntime::recover(durable_config(fork));
+            assert_valid_prefix(&rt, &history, false, &format!("wave cut {cut}"));
+            for (i, member) in wave.iter().enumerate() {
+                let head = rt.node(&member.subnet).unwrap().chain().head_epoch();
+                let expected = if i < j {
+                    member.epoch
+                } else {
+                    ChainEpoch::new(member.epoch.value() - 1)
+                };
+                assert_eq!(head, expected, "member {i} of the wave at cut {cut}");
+            }
+            assert_keeps_working(&mut rt);
+        }
     }
+}
+
+#[test]
+fn a_wave_that_straddles_a_segment_rollover_is_synced_whole() {
+    // Segments far smaller than a block: every wave's records roll the
+    // journal over, often more than once. After each wave returns nothing
+    // it wrote may still be unsynced — in the segment it ended in or in any
+    // it left behind — and the blob log is held to the same.
+    let device = Arc::new(RecordingDevice::default());
+    let config = || RuntimeConfig {
+        persistence: PersistenceConfig::Durable(DurableOptions {
+            device: device.clone(),
+            wal: WalOptions {
+                segment_bytes: 256,
+                fsync: FsyncPolicy::Always,
+            },
+            keep_manifests: 0,
+        }),
+        ..durable_config(device.clone())
+    };
+    let mut world = build_world(config(), 3);
+    let segments = || device.streams().len();
+    let (wave, before) = run_a_shared_wave(&mut world, segments);
+    assert!(
+        segments() >= before + wave.len(),
+        "each member's block must have rolled the journal over"
+    );
+    assert_eq!(
+        device.unsynced(),
+        Vec::<String>::new(),
+        "the barrier left part of the wave to a power loss"
+    );
+    let expected = fingerprint(&world.rt);
+    drop(world);
+    let rt = HierarchyRuntime::recover(config());
+    assert_eq!(fingerprint(&rt), expected);
+}
+
+#[test]
+fn a_subnet_respawned_after_its_boot_record_was_lost_recovers_cleanly() {
+    // A power loss that takes the journal's tail takes a spawn with it: the
+    // recovered world predates the child. Spawning again gives the Subnet
+    // Actor the same address, hence the child the same `SubnetId` — and
+    // nothing of the dead child's history may be left on the device for
+    // the second life to trip over.
+    let device = InMemoryDevice::new();
+    let mut rt = HierarchyRuntime::new(durable_config(Arc::new(device.clone())));
+    let root = SubnetId::root();
+    let alice = rt.create_user(&root, whole(1_000)).unwrap();
+    let validator = rt.create_user(&root, whole(100)).unwrap();
+    let records = |device: &InMemoryDevice| {
+        let fork: Arc<dyn Persistence> = Arc::new(device.fork());
+        Wal::open(fork, CONTROL_LOG, WalOptions::default()).1.len()
+    };
+    let before_spawn = records(&device);
+
+    // The child's life: booted, funded, a few blocks of its own.
+    let live = |rt: &mut HierarchyRuntime| {
+        let sa = hc_actors::sa::SaConfig::default();
+        let stake = [(validator.clone(), whole(5))];
+        let child = rt.spawn_subnet(&alice, sa, whole(10), &stake).unwrap();
+        let bob = rt.create_user(&child, TokenAmount::ZERO).unwrap();
+        rt.cross_transfer(&alice, &bob, whole(20)).unwrap();
+        rt.run_until_quiescent(200_000).unwrap();
+        rt.submit(&bob, alice.addr, whole(1), hc_state::Method::Send)
+            .unwrap();
+        rt.run_blocks(8).unwrap();
+        rt.run_until_quiescent(200_000).unwrap();
+        child
+    };
+    let dead_child = live(&mut rt);
+    assert!(rt.node(&dead_child).unwrap().chain().len() > 2);
+    assert!(records(&device) > before_spawn);
+    drop(rt);
+
+    // The power loss: the journal keeps only what preceded the spawn.
+    let fork: Arc<dyn Persistence> = Arc::new(device.fork());
+    let (mut control, _) = Wal::open(fork.clone(), CONTROL_LOG, WalOptions::default());
+    control.truncate_after(before_spawn);
+    drop(control);
+    let mut rt = HierarchyRuntime::recover(durable_config(fork.clone()));
+    assert!(rt.node(&dead_child).is_none(), "the spawn was lost");
+
+    // The second history differs from the dead one before it re-spawns.
+    rt.submit(&alice, validator.addr, whole(7), hc_state::Method::Send)
+        .unwrap();
+    rt.run_until_quiescent(200_000).unwrap();
+    let child = live(&mut rt);
+    assert_eq!(child, dead_child, "the re-spawned subnet reuses the id");
+    let expected = fingerprint(&rt);
+    drop(rt);
+
+    let rt = HierarchyRuntime::recover(durable_config(fork));
+    assert_eq!(
+        fingerprint(&rt),
+        expected,
+        "the dead child's history leaked into the second life's recovery"
+    );
 }
 
 #[test]

@@ -649,11 +649,6 @@ impl<P: Clone> Network<P> {
         self.inner.lock().config.faults.merge(plan);
     }
 
-    /// The currently scheduled fault plan.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.inner.lock().config.faults.clone()
-    }
-
     /// Earliest pending delivery time across all subscribers, if any — the
     /// simulator uses this to advance virtual time without busy-waiting.
     /// Reads the incrementally maintained delivery-time multiset, so the

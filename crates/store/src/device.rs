@@ -44,7 +44,7 @@ pub enum FsyncPolicy {
 
 /// A set of named append-only byte streams.
 ///
-/// Stream names are hierarchical (`control`, `chains/root/blocks`); the
+/// Stream names are hierarchical (`control/00000000.seg`); the
 /// on-disk backend maps each `/`-separated segment to a directory level.
 /// Reading a stream that was never written yields empty bytes, and
 /// truncating beyond the end is a no-op — both fall out naturally from the
@@ -344,10 +344,10 @@ mod tests {
         let root = tmp_root("reopen");
         {
             let d = OnDiskDevice::new(&root);
-            d.append("chains/root/blocks", b"abc");
+            d.append("logs/root/blocks", b"abc");
         }
         let d = OnDiskDevice::new(&root);
-        assert_eq!(d.read("chains/root/blocks"), b"abc");
+        assert_eq!(d.read("logs/root/blocks"), b"abc");
         let _ = fs::remove_dir_all(&root);
     }
 

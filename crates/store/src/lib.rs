@@ -26,8 +26,8 @@
 //!
 //! Everything here is deliberately value-oriented: the WAL stores canonical
 //! encodings (see `hc_types::encode`/`hc_types::decode`) and knows nothing
-//! about blocks or checkpoints. Typed records live with their owners
-//! (`hc-chain` logs blocks, `hc-core` logs runtime control records).
+//! about blocks or checkpoints. Typed records live with their owner
+//! (`hc-core`'s journal: blocks and runtime control records, one log).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

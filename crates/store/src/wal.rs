@@ -334,6 +334,7 @@ fn segment_stream(name: &str, segment: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::RecordingDevice;
     use crate::device::InMemoryDevice;
 
     fn small_opts() -> WalOptions {
@@ -448,46 +449,6 @@ mod tests {
         assert_eq!(dev.sync_count(), 4); // 2 from above + syncs at records 3 and 6
     }
 
-    /// A device that remembers which streams hold bytes no sync has
-    /// covered: what a machine crash would lose.
-    #[derive(Default)]
-    struct RecordingDevice {
-        inner: InMemoryDevice,
-        unsynced: std::sync::Mutex<std::collections::BTreeSet<String>>,
-    }
-
-    impl RecordingDevice {
-        fn unsynced(&self) -> Vec<String> {
-            self.unsynced.lock().unwrap().iter().cloned().collect()
-        }
-    }
-
-    impl Persistence for RecordingDevice {
-        fn read(&self, stream: &str) -> Vec<u8> {
-            self.inner.read(stream)
-        }
-        fn append(&self, stream: &str, bytes: &[u8]) {
-            self.unsynced.lock().unwrap().insert(stream.to_owned());
-            self.inner.append(stream, bytes);
-        }
-        fn truncate(&self, stream: &str, len: u64) {
-            self.inner.truncate(stream, len);
-        }
-        fn len(&self, stream: &str) -> u64 {
-            self.inner.len(stream)
-        }
-        fn sync(&self, stream: &str) {
-            self.unsynced.lock().unwrap().remove(stream);
-            self.inner.sync(stream);
-        }
-        fn streams(&self) -> Vec<String> {
-            self.inner.streams()
-        }
-        fn sync_count(&self) -> u64 {
-            self.inner.sync_count()
-        }
-    }
-
     #[test]
     fn a_cadence_sync_covers_the_segment_a_rollover_left_behind() {
         let dev = Arc::new(RecordingDevice::default());
@@ -525,6 +486,16 @@ mod tests {
         }
         assert!(wal.segment >= 2, "the records must span segments");
         assert_eq!(dev.sync_count(), before + 6);
+        assert_eq!(dev.unsynced(), vec![segment_stream("paced", 2)]);
+        // Deferred records that straddle rollovers — one wave's blocks in
+        // the runtime's journal — are synced whole by their one barrier.
+        let (mut wal, _) = Wal::open(dev.clone(), "wave", always);
+        for i in 0u8..5 {
+            wal.append_deferred(&[i; 8]);
+        }
+        assert_eq!(wal.segment, 2, "the records must span segments");
+        assert_eq!(dev.unsynced().len(), 4, "nothing is synced before it");
+        wal.sync_deferred();
         assert_eq!(dev.unsynced(), vec![segment_stream("paced", 2)]);
     }
 

@@ -320,9 +320,11 @@ fn leaf_crash_rejoin_in_deep_topology() {
 /// re-execution), then the whole runtime is dropped and recovered with
 /// fast-forward (the same three again, from the journal). The recovered
 /// hierarchy must equal a twin driven by the same calls that never lost
-/// its runtime — and stay equal under further traffic.
+/// its runtime — and stay equal under further traffic. It also pins the
+/// journal's shape (DESIGN.md §11): two logs on the device, one sync a wave.
 #[test]
 fn durable_snapshot_rejoin_then_recover_matches_the_live_twin() {
+    use hc_store::Persistence;
     use hierarchical_consensus::core::{PersistenceConfig, SyncMode};
     use hierarchical_consensus::net::NetConfig;
     use hierarchical_consensus::sim::FlatTopology;
@@ -399,6 +401,36 @@ fn durable_snapshot_rejoin_then_recover_matches_the_live_twin() {
         "diverged under further load"
     );
     hierarchical_consensus::core::audit_quiescent(&recovered).unwrap();
+
+    // One journal: crash, rejoin and recovery left the device holding the
+    // control log and the blob log, nothing per subnet; and a wave that
+    // cuts no checkpoint (so the blob log is idle) syncs at most once,
+    // however many subnets commit in it.
+    let strays: Vec<String> = device
+        .streams()
+        .into_iter()
+        .filter(|s| !s.starts_with("control/") && !s.starts_with("blobs/"))
+        .collect();
+    assert_eq!(strays, Vec::<String>::new());
+    let cuts = |rt: &HierarchyRuntime| -> u64 {
+        let cut = |s| rt.node(s).unwrap().stats().checkpoints_cut;
+        rt.subnets().map(cut).sum()
+    };
+    let mut widest_quiet_wave = 0;
+    for _ in 0..20 {
+        let (syncs, cut) = (device.sync_count(), cuts(&recovered));
+        let wave = recovered.step_wave().unwrap();
+        if cuts(&recovered) == cut {
+            let synced = device.sync_count() - syncs;
+            assert!(
+                synced <= 1,
+                "a wave of {} synced {synced} times",
+                wave.len()
+            );
+            widest_quiet_wave = widest_quiet_wave.max(wave.len());
+        }
+    }
+    assert!(widest_quiet_wave >= 2, "no shared wave was observed");
 }
 
 /// Growth guard: a subnet that sends bottom-up messages in every
