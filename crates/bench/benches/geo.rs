@@ -14,7 +14,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hc_actors::sa::SaConfig;
 use hc_core::{HierarchyRuntime, PlacementPolicy, RuntimeConfig, SyncMode};
-use hc_net::{FaultPlan, RegionOutage};
+use hc_net::{FaultKind, FaultPlan, FaultRule};
 use hc_sim::experiments::e14_geo::geography;
 use hc_types::{SubnetId, TokenAmount};
 
@@ -57,13 +57,9 @@ fn disaster_cycle(placement: PlacementPolicy, outage: bool) {
     let heal_ms = now + 5_400;
     if outage {
         let region = rt.region_of_subnet(&child).unwrap_or("us-east").to_owned();
+        let outage = FaultKind::RegionOutage { region };
         rt.extend_faults(FaultPlan {
-            region_outages: vec![RegionOutage {
-                region,
-                from_ms: now + 400,
-                heal_ms,
-            }],
-            ..FaultPlan::none()
+            rules: vec![FaultRule::new(now + 400, heal_ms, outage)],
         });
     }
     let mut guard = 0u64;

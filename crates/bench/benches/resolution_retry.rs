@@ -12,7 +12,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hc_actors::sa::SaConfig;
 use hc_core::{HierarchyRuntime, RuntimeConfig};
-use hc_net::{FaultPlan, LossRule, RetryPolicy};
+use hc_net::{FaultKind, FaultPlan, FaultRule, RetryPolicy};
 use hc_types::{SubnetId, TokenAmount};
 
 fn whole(n: u64) -> TokenAmount {
@@ -37,16 +37,14 @@ fn resolve_under_loss(loss_rate: f64, retry: RetryPolicy) {
 
     if loss_rate > 0.0 {
         let now = rt.now_ms();
+        let loss = FaultKind::Loss {
+            topic: Some(child.topic()),
+            from: None,
+            to: None,
+            rate: loss_rate,
+        };
         rt.extend_faults(FaultPlan {
-            losses: vec![LossRule {
-                from_ms: now,
-                until_ms: now + 60_000,
-                topic: Some(child.topic()),
-                from: None,
-                to: None,
-                rate: loss_rate,
-            }],
-            ..FaultPlan::none()
+            rules: vec![FaultRule::new(now, now + 60_000, loss)],
         });
     }
     rt.cross_transfer(&bob, &alice, whole(1)).unwrap();

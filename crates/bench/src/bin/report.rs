@@ -1,6 +1,7 @@
-//! The experiment report generator: regenerates every figure scenario
-//! (F1–F12, F14) and every quantitative experiment table (E1–E10,
-//! E13–E14) from DESIGN.md.
+//! The experiment report generator: regenerates every figure scenario of
+//! `hc_bench::figures` (F1–F12) and every quantitative experiment table
+//! (E1–E10, E13, and E14 — printed as "E14/F14", the geo figure is that
+//! table) from DESIGN.md.
 //!
 //! ```text
 //! cargo run -p hc-bench --bin report                  # everything

@@ -580,7 +580,7 @@ pub fn f8_crash_recovery() -> Result<Table, RuntimeError> {
 ///
 /// Propagates runtime failures.
 pub fn f9_chaos() -> Result<Table, RuntimeError> {
-    use hc_net::{CrashFault, DupRule, FaultPlan, LossRule, ReorderRule};
+    use hc_net::{FaultKind, FaultPlan, FaultRule};
 
     let sa = SaConfig {
         checkpoint_period: 10_000,
@@ -607,36 +607,33 @@ pub fn f9_chaos() -> Result<Table, RuntimeError> {
         rt.cross_transfer(&bob, &alice, whole(3))?;
         if faulty {
             let now = rt.now_ms();
+            let loss = FaultKind::Loss {
+                topic: Some(child.topic()),
+                from: None,
+                to: None,
+                rate: 0.3,
+            };
+            let duplicate = FaultKind::Duplicate {
+                topic: None,
+                rate: 0.4,
+                max_copies: 2,
+                spread_ms: 400,
+            };
+            let reorder = FaultKind::Reorder {
+                topic: None,
+                rate: 0.4,
+                max_extra_delay_ms: 700,
+            };
+            let crash = FaultKind::Crash {
+                subnet: child.clone(),
+            };
             rt.extend_faults(FaultPlan {
-                losses: vec![LossRule {
-                    from_ms: now,
-                    until_ms: now + 15_000,
-                    topic: Some(child.topic()),
-                    from: None,
-                    to: None,
-                    rate: 0.3,
-                }],
-                duplications: vec![DupRule {
-                    from_ms: now,
-                    until_ms: now + 15_000,
-                    topic: None,
-                    rate: 0.4,
-                    max_copies: 2,
-                    spread_ms: 400,
-                }],
-                reorders: vec![ReorderRule {
-                    from_ms: now,
-                    until_ms: now + 15_000,
-                    topic: None,
-                    rate: 0.4,
-                    max_extra_delay_ms: 700,
-                }],
-                crashes: vec![CrashFault {
-                    subnet: child.clone(),
-                    crash_at_ms: now + 1_200,
-                    rejoin_at_ms: now + 6_500,
-                }],
-                ..FaultPlan::none()
+                rules: vec![
+                    FaultRule::new(now, now + 15_000, loss),
+                    FaultRule::new(now, now + 15_000, duplicate),
+                    FaultRule::new(now, now + 15_000, reorder),
+                    FaultRule::new(now + 1_200, now + 6_500, crash),
+                ],
             });
         }
         rt.run_until_quiescent(6_000)?;

@@ -4,13 +4,15 @@
 //! sharing demonstration (F6), the signature-cache pipeline (F7), the
 //! crash-recovery demonstration (F8), the deterministic chaos
 //! demonstration (F9), the snapshot state-sync bootstrap (F10), the
-//! parallel-execution conflict sweep (F12), and the elastic scale-out
-//! ramp with its overload burst (F13),
-//! shared by the
-//! `report` binary (which prints every table), the guards under `tests/`
-//! and the Criterion benches that size a layer without the stack.
-//! The quantitative experiments E1–E10 and E13 live in
-//! [`hc_sim::experiments`].
+//! HAMT scaling table (F11) and the parallel-execution conflict sweep
+//! (F12) — F1–F12 are the functions of [`figures`] — plus the harness of
+//! the elastic scale-out ramp with its overload burst (F13,
+//! [`scale_out`]), shared by the `report` binary, the guards under
+//! `tests/` and the Criterion benches that size a layer without the
+//! stack. The quantitative experiments E1–E10 and E13–E14 live in
+//! [`hc_sim::experiments`]; F13's numbers are E13's table and F14 is
+//! E14's (`report` prints it as "E14/F14"), so `report` prints F1–F12,
+//! E1–E10, E13 and E14/F14.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -27,8 +27,9 @@
 //! suffix. Both strategies run entirely through the faulty network under
 //! the same retry policy.
 //!
-//! Scheduled crashes ([`hc_net::CrashFault`] entries of the fault plan)
-//! are driven deterministically from the step loop by
+//! The node faults of the fault plan ([`hc_net::FaultKind::Crash`] and
+//! the crash leg of [`hc_net::FaultKind::RegionOutage`]) are driven
+//! deterministically from the step loop by
 //! `HierarchyRuntime::process_fault_events`; tests can also call
 //! [`HierarchyRuntime::crash_node`] / [`HierarchyRuntime::rejoin_node`]
 //! directly.
@@ -36,7 +37,10 @@
 use std::collections::VecDeque;
 
 use hc_chain::{Block, Mempool};
-use hc_net::{CrashFault, ResolutionMsg, SubscriberId, BLOB_BATCH_CAP};
+use hc_net::{
+    Backoff, BackoffStep, FaultKind, FaultPlan, FaultRule, ResolutionMsg, SubscriberId,
+    BLOB_BATCH_CAP,
+};
 use hc_state::{ChunkManifest, CidStore};
 use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
@@ -111,8 +115,8 @@ pub struct ChaosStats {
     /// with a bounded [`hc_net::RetryPolicy::max_attempts`]): the sync
     /// pauses on the current batch, it never abandons the rest.
     pub pull_budget_rearms: u64,
-    /// Scheduled whole-region outages ([`hc_net::RegionOutage`]) that
-    /// fired — the node-crash leg; the network blackhole leg is driven by
+    /// Scheduled whole-region outages
+    /// ([`hc_net::FaultKind::RegionOutage`]) that fired — the node-crash leg; the network blackhole leg is driven by
     /// the fault plan itself and accounted in
     /// [`hc_net::NetStats::region_dropped`].
     pub region_outages: u64,
@@ -135,7 +139,8 @@ pub struct ChaosStats {
     pub checkpoints_resubmitted: u64,
 }
 
-/// Progress of one scheduled [`CrashFault`].
+/// Progress of one scheduled node fault — a [`FaultKind::Crash`] or the
+/// crash leg of a [`FaultKind::RegionOutage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPhase {
     /// The crash time has not been reached yet.
@@ -170,10 +175,9 @@ pub(crate) struct CatchUp {
     /// at the same epoch boundaries so replayed state roots match the
     /// block headers. Front = earliest.
     pub(crate) pending_users: VecDeque<(ChainEpoch, Address)>,
-    /// Pull round trips attempted since the last progress.
-    pub(crate) attempts: u32,
-    /// Don't publish another pull before this virtual time.
-    pub(crate) next_pull_at_ms: u64,
+    /// Retry state of the current pull: round trips attempted since the
+    /// last progress, and when the next may go out.
+    pub(crate) pull: Backoff,
     /// `Some` while the node is still assembling a snapshot (the fetch
     /// phase precedes any block replay); `None` in replay mode or once
     /// the snapshot is installed.
@@ -216,26 +220,21 @@ impl HierarchyRuntime {
         self.subnets.catch_up(subnet).is_some()
     }
 
-    /// Schedules an additional crash fault after boot (equivalent to
-    /// listing it in the fault plan's `crashes`).
-    pub fn schedule_crash(&mut self, fault: CrashFault) {
-        self.crash_plan.push((fault, CrashPhase::Pending));
-    }
-
-    /// Schedules `plan`'s crash faults and region outages, all pending.
-    pub(crate) fn schedule_faults(&mut self, plan: &hc_net::FaultPlan) {
-        let crashes = plan.crashes.iter().cloned();
-        self.crash_plan
-            .extend(crashes.map(|c| (c, CrashPhase::Pending)));
-        let outages = plan.region_outages.iter().cloned();
-        self.region_outage_plan
-            .extend(outages.map(|o| (o, CrashPhase::Pending)));
+    /// Schedules `plan`'s node faults, all pending. Outages are driven
+    /// before crashes, each kind in plan order.
+    pub(crate) fn schedule_faults(&mut self, plan: &FaultPlan) {
+        let is_crash = |r: &FaultRule| matches!(r.kind, FaultKind::Crash { .. });
+        let is_outage = |r: &FaultRule| matches!(r.kind, FaultKind::RegionOutage { .. });
+        let node_faults = plan.rules.iter().filter(|r| is_crash(r) || is_outage(r));
+        self.node_faults
+            .extend(node_faults.map(|r| (r.clone(), CrashPhase::Pending)));
+        self.node_faults.sort_by_key(|(r, _)| is_crash(r));
     }
 
     /// Merges additional fault rules into the live network's plan — used
     /// by chaos harnesses to scope rules to topics of subnets spawned
-    /// after boot. Crash faults in `plan` are scheduled too.
-    pub fn extend_faults(&mut self, plan: hc_net::FaultPlan) {
+    /// after boot, and to schedule further crashes and outages.
+    pub fn extend_faults(&mut self, plan: FaultPlan) {
         self.schedule_faults(&plan);
         self.network.extend_faults(plan);
     }
@@ -371,8 +370,7 @@ impl HierarchyRuntime {
         let catch_up = CatchUp {
             peer_blocks: crashed.peer_blocks,
             pending_users,
-            attempts: 0,
-            next_pull_at_ms: self.now_ms,
+            pull: Backoff::due_at(self.now_ms),
             snapshot,
             base_blocks: 0,
         };
@@ -383,37 +381,47 @@ impl HierarchyRuntime {
         Ok(())
     }
 
-    /// Drives scheduled crash faults and all active catch-ups. Called at
+    /// Drives scheduled node faults and all active catch-ups. Called at
     /// the top of every [`HierarchyRuntime::step`] /
     /// [`HierarchyRuntime::step_wave`]; a no-op (and RNG-neutral) when the
-    /// fault plan schedules no crashes and nothing is catching up.
+    /// fault plan schedules no node fault and nothing is catching up.
     pub(crate) fn process_fault_events(&mut self) -> Result<(), RuntimeError> {
-        if self.crash_plan.is_empty()
-            && self.region_outage_plan.is_empty()
-            && self.subnets.catching_up().next().is_none()
-        {
+        if self.node_faults.is_empty() && self.subnets.catching_up().next().is_none() {
             return Ok(());
         }
-        self.process_region_outages()?;
-        for i in 0..self.crash_plan.len() {
-            let (fault, phase) = self.crash_plan[i].clone();
-            match phase {
-                CrashPhase::Pending if self.now_ms >= fault.crash_at_ms => {
+        for i in 0..self.node_faults.len() {
+            let (FaultRule { window, kind }, phase) = self.node_faults[i].clone();
+            // Down at the window's start, back up at its end.
+            let due_ms = match phase {
+                CrashPhase::Pending => window.from_ms,
+                CrashPhase::Down => window.until_ms,
+                CrashPhase::Done => continue,
+            };
+            if self.now_ms < due_ms {
+                continue;
+            }
+            self.node_faults[i].1 = match (kind, phase) {
+                (FaultKind::Crash { subnet }, CrashPhase::Pending) => {
                     // A subnet that does not exist, or cannot be safely
                     // crashed, when its fault fires is refused.
-                    if self.crash_node(&fault.subnet).is_ok() {
-                        self.crash_plan[i].1 = CrashPhase::Down;
+                    if self.crash_node(&subnet).is_ok() {
+                        CrashPhase::Down
                     } else {
                         self.chaos.crashes_skipped += 1;
-                        self.crash_plan[i].1 = CrashPhase::Done;
+                        CrashPhase::Done
                     }
                 }
-                CrashPhase::Down if self.now_ms >= fault.rejoin_at_ms => {
-                    self.rejoin_node(&fault.subnet)?;
-                    self.crash_plan[i].1 = CrashPhase::Done;
+                (FaultKind::Crash { subnet }, _) => {
+                    self.rejoin_node(&subnet)?;
+                    CrashPhase::Done
                 }
-                _ => {}
-            }
+                (FaultKind::RegionOutage { region }, CrashPhase::Pending) => {
+                    self.crash_region(&region);
+                    CrashPhase::Down
+                }
+                (FaultKind::RegionOutage { region }, _) => self.heal_region(&region)?,
+                _ => phase,
+            };
         }
         let syncing: Vec<SubnetId> = self.subnets.catching_up().cloned().collect();
         for subnet in syncing {
@@ -422,78 +430,55 @@ impl HierarchyRuntime {
         Ok(())
     }
 
-    /// Drives scheduled whole-region outages: when one fires, every node
-    /// placed in the region is crashed (deepest subnets first, so parents
-    /// never lose a live descendant mid-sweep); from the heal time on,
-    /// crashed members rejoin shallowest-first — but a member whose parent
-    /// is itself still down or catching up defers to a later step, so the
-    /// recovery wave rolls down the hierarchy in dependency order. The
-    /// traffic blackhole of the same [`hc_net::RegionOutage`] window is
-    /// enforced independently by the network's fault machinery.
-    fn process_region_outages(&mut self) -> Result<(), RuntimeError> {
-        for i in 0..self.region_outage_plan.len() {
-            let (outage, phase) = self.region_outage_plan[i].clone();
-            match phase {
-                CrashPhase::Pending if self.now_ms >= outage.from_ms => {
-                    // Members at fire time, deepest-first. Within the
-                    // sweep a member's only live descendants may be other
-                    // members; crashing deepest-first clears them in
-                    // dependency order.
-                    let mut members: Vec<SubnetId> = self
-                        .subnets
-                        .by_id
-                        .iter()
-                        .filter(|(s, r)| {
-                            r.region.as_ref() == Some(&outage.region) && self.nodes.contains_key(s)
-                        })
-                        .map(|(s, _)| s.clone())
-                        .collect();
-                    members.sort_by_key(|s| std::cmp::Reverse(s.depth()));
-                    self.chaos.region_outages += 1;
-                    for subnet in members {
-                        if self.crash_node(&subnet).is_ok() {
-                            self.chaos.region_crashes += 1;
-                        } else {
-                            self.chaos.region_crash_skips += 1;
-                        }
-                    }
-                    self.region_outage_plan[i].1 = CrashPhase::Down;
-                }
-                CrashPhase::Down if self.now_ms >= outage.heal_ms => {
-                    // Crashed members still assigned to the region,
-                    // shallowest-first (a child can only catch up against
-                    // a live parent chain).
-                    let mut waiting: Vec<SubnetId> = self
-                        .subnets
-                        .by_id
-                        .iter()
-                        .filter(|(_, r)| {
-                            r.crashed.is_some() && r.region.as_ref() == Some(&outage.region)
-                        })
-                        .map(|(s, _)| s.clone())
-                        .collect();
-                    waiting.sort_by_key(SubnetId::depth);
-                    let mut deferred = false;
-                    for subnet in waiting {
-                        let parent_ready = subnet.parent().is_none_or(|p| {
-                            self.nodes.contains_key(&p) && self.subnets.catch_up(&p).is_none()
-                        });
-                        if parent_ready {
-                            self.rejoin_node(&subnet)?;
-                        } else {
-                            self.chaos.region_heals_deferred += 1;
-                            deferred = true;
-                        }
-                    }
-                    if !deferred {
-                        self.region_outage_plan[i].1 = CrashPhase::Done;
-                        self.chaos.region_heals += 1;
-                    }
-                }
-                _ => {}
+    /// A whole-region outage fires: every node placed in the region is
+    /// crashed, deepest subnets first — within the sweep a member's only
+    /// live descendants may be other members, so parents never lose a live
+    /// descendant mid-sweep. The traffic blackhole of the same window is
+    /// enforced independently by the network.
+    fn crash_region(&mut self, region: &str) {
+        let records = self.subnets.by_id.iter();
+        let live = records
+            .filter(|(s, r)| r.region.as_deref() == Some(region) && self.nodes.contains_key(s));
+        let mut up: Vec<SubnetId> = live.map(|(s, _)| s.clone()).collect();
+        up.sort_by_key(|s| std::cmp::Reverse(s.depth()));
+        self.chaos.region_outages += 1;
+        for subnet in up {
+            if self.crash_node(&subnet).is_ok() {
+                self.chaos.region_crashes += 1;
+            } else {
+                self.chaos.region_crash_skips += 1;
             }
         }
-        Ok(())
+    }
+
+    /// A whole-region outage heals: crashed members still assigned to the
+    /// region rejoin shallowest-first (a child can only catch up against a
+    /// live parent chain) — but a member whose parent is itself still down
+    /// or catching up defers to a later step, so the recovery wave rolls
+    /// down the hierarchy in dependency order. `Done` once nobody deferred.
+    fn heal_region(&mut self, region: &str) -> Result<CrashPhase, RuntimeError> {
+        let records = self.subnets.by_id.iter();
+        let down =
+            records.filter(|(_, r)| r.region.as_deref() == Some(region) && r.crashed.is_some());
+        let mut waiting: Vec<SubnetId> = down.map(|(s, _)| s.clone()).collect();
+        waiting.sort_by_key(SubnetId::depth);
+        let mut deferred = false;
+        for subnet in waiting {
+            let parent_ready = subnet
+                .parent()
+                .is_none_or(|p| self.nodes.contains_key(&p) && self.subnets.catch_up(&p).is_none());
+            if parent_ready {
+                self.rejoin_node(&subnet)?;
+            } else {
+                self.chaos.region_heals_deferred += 1;
+                deferred = true;
+            }
+        }
+        if deferred {
+            return Ok(CrashPhase::Down);
+        }
+        self.chaos.region_heals += 1;
+        Ok(CrashPhase::Done)
     }
 
     /// One catch-up round for `subnet`: drain the node's inbox (serving
@@ -630,8 +615,7 @@ impl HierarchyRuntime {
         }
         if progressed {
             if let Some(cu) = self.subnets.catch_up_mut(subnet) {
-                cu.attempts = 0;
-                cu.next_pull_at_ms = now_ms;
+                cu.pull = Backoff::due_at(now_ms);
             }
         }
 
@@ -646,75 +630,60 @@ impl HierarchyRuntime {
             return Ok(());
         }
 
-        if let Some(attempt) = self.pull_backoff_step(subnet, BLOCK_PULL_JITTER_SALT, now_ms) {
-            if attempt > 1 {
-                self.chaos.block_pull_retries += 1;
-            }
+        let from_epoch = self.known_node(subnet)?.next_epoch;
+        let pull = || ResolutionMsg::BlockPull {
+            subnet: subnet.clone(),
+            from_epoch,
+            reply_topic: subnet.topic(),
+        };
+        if let Some(attempt) = self.pull_step(subnet, BLOCK_PULL_JITTER_SALT, now_ms, pull)? {
             self.chaos.block_pulls += 1;
-            let from_epoch = Self::get_node_mut(&mut self.nodes, subnet)?.next_epoch;
-            self.publish_pull(
-                subnet,
-                ResolutionMsg::BlockPull {
-                    subnet: subnet.clone(),
-                    from_epoch,
-                    reply_topic: subnet.topic(),
-                },
-                now_ms,
-            )?;
+            self.chaos.block_pull_retries += u64::from(attempt > 1);
         }
         Ok(())
     }
 
-    /// One step of a catching-up node's pull backoff, shared by the
-    /// block-pull and blob-pull legs (`salt` separates their jitter
-    /// streams). Returns the attempt number when a pull is due now, `None`
-    /// while the current round trip is still within its timeout or the
-    /// budget is cooling down.
-    fn pull_backoff_step(&mut self, subnet: &SubnetId, salt: u64, now_ms: u64) -> Option<u32> {
-        let policy = self.config.retry;
-        let cu = self.subnets.catch_up_mut(subnet)?;
-        if now_ms < cu.next_pull_at_ms {
-            return None;
-        }
-        if policy.max_attempts > 0 && cu.attempts >= policy.max_attempts {
-            // The retry budget is *per batch* — `attempts` resets on every
-            // replayed block or accepted blob, so only the current round
-            // trip is exhausted. Cool down for the capped timeout and
-            // re-arm: a long blackout slows this batch down, it must never
-            // permanently abandon the batches behind it.
-            cu.attempts = 0;
-            cu.next_pull_at_ms = now_ms + policy.max_timeout_ms.max(1);
-            self.chaos.pull_budget_rearms += 1;
-            return None;
-        }
-        cu.attempts += 1;
-        // Same deterministic seeded jitter as resolver pulls, salted per
-        // leg; with `jitter_pct == 0` this is exactly `timeout_for`
-        // (bit-identical to the un-jittered schedule).
-        cu.next_pull_at_ms = now_ms
-            + policy.jittered_timeout_for(
-                cu.attempts,
-                node_jitter_seed(self.config.seed, subnet),
-                salt,
-            );
-        Some(cu.attempts)
-    }
-
-    /// Publishes a catch-up pull on the subnet's own topic with the node
-    /// itself as origin but *not* excluded: in this single-process
-    /// simulation the runtime stands in for the surviving peers, so the
-    /// pull must come back through the (possibly faulty) network to be
-    /// served. Asymmetric fault rules can still target the sender.
-    fn publish_pull(
+    /// One step of a catching-up node's pull, shared by the block and blob
+    /// legs (`salt` separates their jitter streams): when the backoff says
+    /// one is due, publishes `pull` on the subnet's own topic with the
+    /// node as origin — in this single-process simulation the runtime
+    /// stands in for the surviving peers, so the pull must come back
+    /// through the (possibly faulty) network to be served — and returns
+    /// the attempt number. `None` while the current round trip is still
+    /// within its timeout or the budget is cooling down.
+    fn pull_step(
         &mut self,
         subnet: &SubnetId,
-        pull: ResolutionMsg,
+        salt: u64,
         now_ms: u64,
-    ) -> Result<(), RuntimeError> {
-        let own = Self::get_node_mut(&mut self.nodes, subnet)?.subscription;
-        self.network
-            .publish_from(&subnet.topic(), pull, now_ms, None, Some(own));
-        Ok(())
+        pull: impl FnOnce() -> ResolutionMsg,
+    ) -> Result<Option<u32>, RuntimeError> {
+        let policy = self.config.retry;
+        // Same deterministic seeded jitter as resolver pulls.
+        let seed = || node_jitter_seed(self.config.seed, subnet);
+        let own = self.known_node(subnet)?.subscription;
+        let Some(cu) = self.subnets.catch_up_mut(subnet) else {
+            return Ok(None);
+        };
+        Ok(match cu.pull.step(&policy, now_ms, seed, salt) {
+            BackoffStep::Send(attempt) => {
+                self.network
+                    .publish(&subnet.topic(), pull(), now_ms, Some(own));
+                Some(attempt)
+            }
+            BackoffStep::Wait => None,
+            BackoffStep::Exhausted => {
+                // The retry budget is *per batch* — the backoff restarts on
+                // every replayed block or accepted blob, so only the
+                // current round trip is exhausted. Cool down for the capped
+                // timeout and re-arm: a long blackout slows this batch
+                // down, it must never permanently abandon the batches
+                // behind it.
+                cu.pull = Backoff::due_at(now_ms + policy.max_timeout_ms.max(1));
+                self.chaos.pull_budget_rearms += 1;
+                None
+            }
+        })
     }
 
     /// One snapshot-fetch round: fold received [`ResolutionMsg::BlobBatch`]
@@ -746,8 +715,7 @@ impl HierarchyRuntime {
                 }
             }
             if accepted > 0 {
-                cu.attempts = 0;
-                cu.next_pull_at_ms = now_ms;
+                cu.pull = Backoff::due_at(now_ms);
             }
             let sync = cu.snapshot.as_ref().expect("checked above");
             match sync.staging.get(&sync.manifest) {
@@ -767,19 +735,13 @@ impl HierarchyRuntime {
             return self.install_snapshot(subnet);
         }
 
-        if let Some(attempt) = self.pull_backoff_step(subnet, BLOB_PULL_JITTER_SALT, now_ms) {
-            if attempt > 1 {
-                self.chaos.blob_pull_retries += 1;
-            }
+        let pull = || ResolutionMsg::BlobPull {
+            cids: wanted,
+            reply_topic: subnet.topic(),
+        };
+        if let Some(attempt) = self.pull_step(subnet, BLOB_PULL_JITTER_SALT, now_ms, pull)? {
             self.chaos.blob_pulls += 1;
-            self.publish_pull(
-                subnet,
-                ResolutionMsg::BlobPull {
-                    cids: wanted,
-                    reply_topic: subnet.topic(),
-                },
-                now_ms,
-            )?;
+            self.chaos.blob_pull_retries += u64::from(attempt > 1);
         }
         Ok(())
     }
@@ -834,8 +796,7 @@ impl HierarchyRuntime {
         }
         cu.base_blocks = covered.len();
         cu.snapshot = None;
-        cu.attempts = 0;
-        cu.next_pull_at_ms = self.now_ms;
+        cu.pull = Backoff::due_at(self.now_ms);
 
         // The snapshot replaces execution, not history: every covered
         // block still realigns the consensus RNG, the cross-net nonce

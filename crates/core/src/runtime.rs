@@ -12,7 +12,7 @@ use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::{CrossMsgMeta, FundCertificate};
 use hc_chain::{execute_block_with, fan_out, produce_block_with, Block, ExecOptions};
 use hc_consensus::ValidatorSet;
-use hc_net::{Network, PullDecision, ResolutionMsg, Resolver};
+use hc_net::{BackoffStep, Network, ResolutionMsg, Resolver};
 use hc_state::{CidStore, ImplicitMsg, Method, VmEvent};
 use hc_store::Persistence;
 use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TokenAmount};
@@ -57,10 +57,10 @@ pub struct HierarchyRuntime {
     pub(crate) journal: Journal,
     /// What the runtime remembers about each subnet beside its node.
     pub(crate) subnets: Subnets,
-    /// Scheduled crash faults copied from the fault plan at boot (plus any
-    /// added via [`HierarchyRuntime::schedule_crash`]) and each one's
-    /// progress through crash → rejoin.
-    pub(crate) crash_plan: Vec<(hc_net::CrashFault, crate::chaos::CrashPhase)>,
+    /// The fault plan's crashes and region outages (those given at boot
+    /// plus any added via [`HierarchyRuntime::extend_faults`]) and each
+    /// one's progress through crash → rejoin; outages first.
+    pub(crate) node_faults: Vec<(hc_net::FaultRule, crate::chaos::CrashPhase)>,
     /// Crash/rejoin/catch-up counters.
     pub(crate) chaos: crate::chaos::ChaosStats,
     /// Signed checkpoints cut but not yet committed by the parent, keyed
@@ -71,10 +71,6 @@ pub struct HierarchyRuntime {
     /// ledger (the runtime outlives node crashes) lets catch-up resubmit
     /// the lost suffix; entries are pruned as commits are archived.
     pub(crate) cut_checkpoints: BTreeMap<Cid, SignedCheckpoint>,
-    /// Scheduled whole-region outages copied from the fault plan (plus any
-    /// added via [`HierarchyRuntime::extend_faults`]) and each one's
-    /// progress through crash → heal, mirroring `crash_plan`.
-    pub(crate) region_outage_plan: Vec<(hc_net::RegionOutage, crate::chaos::CrashPhase)>,
 }
 
 impl fmt::Debug for HierarchyRuntime {
@@ -154,9 +150,8 @@ impl HierarchyRuntime {
             archive: crate::archive::CheckpointArchive::default(),
             store,
             subnets,
-            crash_plan: Vec::new(),
+            node_faults: Vec::new(),
             chaos: crate::chaos::ChaosStats::default(),
-            region_outage_plan: Vec::new(),
             cut_checkpoints: BTreeMap::new(),
         };
         rt.schedule_faults(&rt.config.net.faults.clone());
@@ -329,6 +324,9 @@ impl HierarchyRuntime {
     ///    checkpoint archiving, event routing, registry pruning; then the
     ///    journal barrier — the wave's one sync and its commit point.
     ///
+    /// Debug builds end every wave with [`crate::audit_escrow`]: escrow
+    /// coverage and root conservation hold between any two blocks.
+    ///
     /// Phase (a) touches no shared state (each node owns its private
     /// randomness stream) and is laid on the workers by
     /// [`hc_chain::fan_out`], so the result is bit-identical at every
@@ -359,6 +357,10 @@ impl HierarchyRuntime {
             reports.push(self.post_tick(subnet, block, outcome, *at_ms)?);
         }
         self.journal.barrier();
+        #[cfg(debug_assertions)]
+        if let Err(broken) = crate::audit::audit_escrow(self) {
+            panic!("wave {members:?} at {} ms: {broken}", self.now_ms);
+        }
         Ok(reports)
     }
 
@@ -414,11 +416,11 @@ impl HierarchyRuntime {
         }
         // So do unfired crash faults: quiescing before a scheduled crash
         // would end a chaos run early.
-        if self
-            .crash_plan
-            .iter()
-            .any(|(_, phase)| *phase != crate::chaos::CrashPhase::Done)
-        {
+        let crash_ahead = |(rule, phase): &(hc_net::FaultRule, _)| {
+            matches!(rule.kind, hc_net::FaultKind::Crash { .. })
+                && *phase != crate::chaos::CrashPhase::Done
+        };
+        if self.node_faults.iter().any(crash_ahead) {
             return false;
         }
         self.nodes
@@ -523,7 +525,7 @@ impl HierarchyRuntime {
             if let Some((topic, reply)) = node.resolver.handle(msg) {
                 // State the replying node as origin so region-scoped rules
                 // see the true (from, to) region pair.
-                network.publish_from(&topic, reply, now_ms, None, Some(node.subscription));
+                network.publish(&topic, reply, now_ms, Some(node.subscription));
             }
         }
         certs
@@ -594,9 +596,9 @@ impl HierarchyRuntime {
                 Ok(group) => return Some(group),
                 Err(pull) => pull,
             };
-            if resolver.should_pull(meta.msgs_cid, now_ms) == PullDecision::Send {
+            if let BackoffStep::Send(_) = resolver.should_pull(meta.msgs_cid, now_ms) {
                 let origin = Some(node.subscription);
-                network.publish_from(&meta.from.topic(), pull, now_ms, None, origin);
+                network.publish(&meta.from.topic(), pull, now_ms, origin);
             }
             None
         };
@@ -826,8 +828,7 @@ impl HierarchyRuntime {
                     // Pushes originate here: announcing content across a
                     // severed ocean fails like any other delivery (the
                     // destination falls back to the pull path).
-                    self.network
-                        .publish_from(&topic, push, now_ms, None, Some(origin));
+                    self.network.publish(&topic, push, now_ms, Some(origin));
                 }
 
                 let epoch = signed.checkpoint.epoch;
@@ -871,11 +872,10 @@ impl HierarchyRuntime {
                 // The certificate travels from the *source* subnet's
                 // region to the destination topic — stating the origin
                 // lets inter-region partitions and degrades intersect it.
-                self.network.publish_from(
+                self.network.publish(
                     &msg.to.subnet.topic(),
                     ResolutionMsg::Certificate(Box::new(cert)),
                     now_ms,
-                    None,
                     Some(node.subscription),
                 );
             }

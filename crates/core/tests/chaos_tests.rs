@@ -19,9 +19,7 @@ use hc_actors::sa::SaConfig;
 use hc_core::{
     audit_escrow, audit_quiescent, HierarchyRuntime, RuntimeConfig, SyncMode, UserHandle,
 };
-use hc_net::{
-    CrashFault, DupRule, FaultPlan, LossRule, Partition, PartitionPolicy, ReorderRule, RetryPolicy,
-};
+use hc_net::{FaultKind, FaultPlan, FaultRule, PartitionPolicy, RetryPolicy};
 use hc_types::{ChainEpoch, SubnetId, TokenAmount};
 
 fn whole(n: u64) -> TokenAmount {
@@ -151,10 +149,11 @@ fn crash_rejoin_reconverges_to_uninterrupted_state_root() {
         w.rt.cross_transfer(&w.alice, &bob, whole(5)).unwrap();
         if crash {
             let now = w.rt.now_ms();
-            w.rt.schedule_crash(CrashFault {
+            let crash = FaultKind::Crash {
                 subnet: w.child.clone(),
-                crash_at_ms: now + 500,
-                rejoin_at_ms: now + 7_000,
+            };
+            w.rt.extend_faults(FaultPlan {
+                rules: vec![FaultRule::new(now + 500, now + 7_000, crash)],
             });
         }
         w.rt.run_until_quiescent(4_000).unwrap();
@@ -221,35 +220,44 @@ fn crash_rejoin_under_faulty_network_still_reconverges() {
     let now = w.rt.now_ms();
     let topic = w.child.topic();
     w.rt.extend_faults(FaultPlan {
-        losses: vec![LossRule {
-            from_ms: now,
-            until_ms: now + 15_000,
-            topic: Some(topic.clone()),
-            from: None,
-            to: None,
-            rate: 0.35,
-        }],
-        duplications: vec![DupRule {
-            from_ms: now,
-            until_ms: now + 15_000,
-            topic: None,
-            rate: 0.5,
-            max_copies: 2,
-            spread_ms: 400,
-        }],
-        reorders: vec![ReorderRule {
-            from_ms: now,
-            until_ms: now + 15_000,
-            topic: None,
-            rate: 0.5,
-            max_extra_delay_ms: 900,
-        }],
-        crashes: vec![CrashFault {
-            subnet: w.child.clone(),
-            crash_at_ms: now + 1_200,
-            rejoin_at_ms: now + 6_500,
-        }],
-        ..FaultPlan::none()
+        rules: vec![
+            FaultRule::new(
+                now,
+                now + 15_000,
+                FaultKind::Loss {
+                    topic: Some(topic.clone()),
+                    from: None,
+                    to: None,
+                    rate: 0.35,
+                },
+            ),
+            FaultRule::new(
+                now,
+                now + 15_000,
+                FaultKind::Duplicate {
+                    topic: None,
+                    rate: 0.5,
+                    max_copies: 2,
+                    spread_ms: 400,
+                },
+            ),
+            FaultRule::new(
+                now,
+                now + 15_000,
+                FaultKind::Reorder {
+                    topic: None,
+                    rate: 0.5,
+                    max_extra_delay_ms: 900,
+                },
+            ),
+            FaultRule::new(
+                now + 1_200,
+                now + 6_500,
+                FaultKind::Crash {
+                    subnet: w.child.clone(),
+                },
+            ),
+        ],
     });
 
     let produced = w.rt.run_until_quiescent(6_000).unwrap();
@@ -303,15 +311,16 @@ fn retry_budget_exhaustion_is_reported_not_lost() {
     // Permanently sever the child's topic, then send value bottom-up: the
     // root can never resolve the checkpoint's message content.
     w.rt.extend_faults(FaultPlan {
-        partitions: vec![Partition {
-            name: "blackout".into(),
-            from_ms: 0,
-            heal_ms: u64::MAX,
-            topics: vec![w.child.topic()],
-            subscribers: Vec::new(),
-            policy: PartitionPolicy::Drop,
-        }],
-        ..FaultPlan::none()
+        rules: vec![FaultRule::new(
+            0,
+            u64::MAX,
+            FaultKind::Partition {
+                name: "blackout".into(),
+                topics: vec![w.child.topic()],
+                subscribers: Vec::new(),
+                policy: PartitionPolicy::Drop,
+            },
+        )],
     });
     w.rt.cross_transfer(&bob, &carol, whole(8)).unwrap();
     for _ in 0..120 {
@@ -332,7 +341,7 @@ fn retry_budget_exhaustion_is_reported_not_lost() {
 /// every schedule is reproducible. `mode` picks how a crashed node
 /// bootstraps back: full replay, or snapshot state-sync when a
 /// checkpoint anchor is available.
-fn run_chaos_schedule_with(seed: u64, mode: SyncMode) {
+fn run_chaos_schedule_with(seed: u64, mode: SyncMode) -> String {
     let config = RuntimeConfig {
         seed: 1_000 + seed,
         sync_mode: mode,
@@ -354,55 +363,66 @@ fn run_chaos_schedule_with(seed: u64, mode: SyncMode) {
     let topic = w.child.topic();
     let heal = now + 9_000 + (seed % 5) * 1_200;
     let mut plan = FaultPlan {
-        losses: vec![LossRule {
-            from_ms: now,
-            until_ms: heal,
-            topic: Some(topic.clone()),
-            from: None,
-            to: None,
-            rate: (seed % 8) as f64 * 0.05,
-        }],
-        duplications: vec![DupRule {
-            from_ms: now,
-            until_ms: heal,
-            topic: None,
-            rate: (seed % 4) as f64 * 0.2,
-            max_copies: 1 + (seed % 3) as u32,
-            spread_ms: 300,
-        }],
-        reorders: vec![ReorderRule {
-            from_ms: now,
-            until_ms: heal,
-            topic: None,
-            rate: (seed % 5) as f64 * 0.2,
-            max_extra_delay_ms: 200 + (seed % 7) * 150,
-        }],
-        ..FaultPlan::none()
+        rules: vec![
+            FaultRule::new(
+                now,
+                heal,
+                FaultKind::Loss {
+                    topic: Some(topic.clone()),
+                    from: None,
+                    to: None,
+                    rate: (seed % 8) as f64 * 0.05,
+                },
+            ),
+            FaultRule::new(
+                now,
+                heal,
+                FaultKind::Duplicate {
+                    topic: None,
+                    rate: (seed % 4) as f64 * 0.2,
+                    max_copies: 1 + (seed % 3) as u32,
+                    spread_ms: 300,
+                },
+            ),
+            FaultRule::new(
+                now,
+                heal,
+                FaultKind::Reorder {
+                    topic: None,
+                    rate: (seed % 5) as f64 * 0.2,
+                    max_extra_delay_ms: 200 + (seed % 7) * 150,
+                },
+            ),
+        ],
     };
     // Every third schedule severs the child behind a healing partition.
     if seed.is_multiple_of(3) {
-        plan.partitions.push(Partition {
-            name: format!("chaos-{seed}"),
-            from_ms: now + 1_000,
-            heal_ms: now + 4_000 + (seed % 4) * 800,
-            topics: vec![topic],
-            subscribers: Vec::new(),
-            policy: if seed.is_multiple_of(2) {
-                PartitionPolicy::Drop
-            } else {
-                PartitionPolicy::HoldUntilHeal
+        plan.rules.push(FaultRule::new(
+            now + 1_000,
+            now + 4_000 + (seed % 4) * 800,
+            FaultKind::Partition {
+                name: format!("chaos-{seed}"),
+                topics: vec![topic],
+                subscribers: Vec::new(),
+                policy: if seed.is_multiple_of(2) {
+                    PartitionPolicy::Drop
+                } else {
+                    PartitionPolicy::HoldUntilHeal
+                },
             },
-        });
+        ));
     }
     // Every other schedule crashes the child mid-epoch and rejoins it
     // while the other faults are still active.
     let crash = seed.is_multiple_of(2);
     if crash {
-        plan.crashes.push(CrashFault {
-            subnet: w.child.clone(),
-            crash_at_ms: now + 700 + (seed % 3) * 400,
-            rejoin_at_ms: now + 4_500 + (seed % 4) * 1_000,
-        });
+        plan.rules.push(FaultRule::new(
+            now + 700 + (seed % 3) * 400,
+            now + 4_500 + (seed % 4) * 1_000,
+            FaultKind::Crash {
+                subnet: w.child.clone(),
+            },
+        ));
     }
     w.rt.extend_faults(plan);
 
@@ -442,6 +462,65 @@ fn run_chaos_schedule_with(seed: u64, mode: SyncMode) {
         }
     } else {
         assert_eq!(chaos.crashes, 0, "schedule {seed}");
+    }
+    fingerprint(&w.rt)
+}
+
+/// Everything a schedule decides, in one digest: the per-subnet
+/// fingerprint the twin-run suites compare on, the crash/catch-up counters
+/// and the full network ledger.
+fn fingerprint(rt: &HierarchyRuntime) -> String {
+    let (subnets, chaos, net) = (common::fingerprint(rt), rt.chaos_stats(), rt.net_stats());
+    let text = format!("{subnets:?}\n{chaos:?}\n{net:?}");
+    format!("{:?}", hc_types::Cid::digest(text.as_bytes()))
+}
+
+/// Three schedules of the sweep, in both sync modes, land on the heads,
+/// state roots, `ChaosStats` and `NetStats` recorded from the last commit
+/// that kept the fault plan as eight per-kind vectors and the runtime's
+/// node faults as two: the one rule list and the one publish pipeline draw
+/// both RNG streams exactly as before. (No delivery is held in these
+/// schedules, so the hold counters are part of the digest too.)
+#[test]
+fn chaos_schedules_reproduce_the_recorded_fingerprints() {
+    let recorded = [
+        (
+            SyncMode::Replay,
+            0,
+            "7778f297aaaaada0e94f1993e03c808aba0404377b1ca2cb32fcedf96812ef12",
+        ),
+        (
+            SyncMode::Replay,
+            3,
+            "e72f6a4021bc571040152a47281a71bdb7cddc9bd29cdf6464e04339a819f7c0",
+        ),
+        (
+            SyncMode::Replay,
+            4,
+            "715475cebd08cd9baf9c75b695c401758ab256e61f9bdd2fe0439046254e2635",
+        ),
+        (
+            SyncMode::Snapshot,
+            0,
+            "3d9730ef6896f8db7f593c4e978e85273f92bbf4e3d394b23deb66fd021dd6c4",
+        ),
+        (
+            SyncMode::Snapshot,
+            3,
+            "e72f6a4021bc571040152a47281a71bdb7cddc9bd29cdf6464e04339a819f7c0",
+        ),
+        (
+            SyncMode::Snapshot,
+            4,
+            "21a45e186884b71342b9ae2e1966fcfec28b16a5ee9080bf261663678fa089b7",
+        ),
+    ];
+    for (mode, seed, digest) in recorded {
+        assert_eq!(
+            run_chaos_schedule_with(seed, mode),
+            format!("Cid({digest})"),
+            "{mode:?} schedule {seed}"
+        );
     }
 }
 
@@ -514,30 +593,37 @@ fn mid_fault_snapshot_bootstrap_matches_uninterrupted_run() {
         // The same fault window in both runs; only the crash differs.
         let now = w.rt.now_ms();
         let mut plan = FaultPlan {
-            losses: vec![LossRule {
-                from_ms: now,
-                until_ms: now + 6_000,
-                topic: Some(w.child.topic()),
-                from: None,
-                to: None,
-                rate: 0.3,
-            }],
-            duplications: vec![DupRule {
-                from_ms: now,
-                until_ms: now + 6_000,
-                topic: None,
-                rate: 0.4,
-                max_copies: 2,
-                spread_ms: 300,
-            }],
-            ..FaultPlan::none()
+            rules: vec![
+                FaultRule::new(
+                    now,
+                    now + 6_000,
+                    FaultKind::Loss {
+                        topic: Some(w.child.topic()),
+                        from: None,
+                        to: None,
+                        rate: 0.3,
+                    },
+                ),
+                FaultRule::new(
+                    now,
+                    now + 6_000,
+                    FaultKind::Duplicate {
+                        topic: None,
+                        rate: 0.4,
+                        max_copies: 2,
+                        spread_ms: 300,
+                    },
+                ),
+            ],
         };
         if crash {
-            plan.crashes.push(CrashFault {
-                subnet: w.child.clone(),
-                crash_at_ms: now + 300,
-                rejoin_at_ms: now + 2_500,
-            });
+            plan.rules.push(FaultRule::new(
+                now + 300,
+                now + 2_500,
+                FaultKind::Crash {
+                    subnet: w.child.clone(),
+                },
+            ));
         }
         w.rt.extend_faults(plan);
         w.rt.cross_transfer(&w.alice, &bob, whole(5)).unwrap();

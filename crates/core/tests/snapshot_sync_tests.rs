@@ -19,7 +19,7 @@ use hc_core::{
     audit_escrow, audit_quiescent, HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode,
     UserHandle,
 };
-use hc_net::{FaultPlan, NetConfig, Partition, PartitionPolicy, RetryPolicy};
+use hc_net::{FaultKind, FaultPlan, FaultRule, NetConfig, PartitionPolicy, RetryPolicy};
 use hc_state::ChunkManifest;
 use hc_store::{InMemoryDevice, WalOptions};
 use hc_types::{ChainEpoch, Cid, SubnetId, TokenAmount};
@@ -165,10 +165,11 @@ fn snapshot_rejoin_state_matches_replay_rejoin() {
         assert!(w.rt.checkpoint_anchor(&w.child).is_some());
 
         let now = w.rt.now_ms();
-        w.rt.schedule_crash(hc_net::CrashFault {
+        let crash = FaultKind::Crash {
             subnet: w.child.clone(),
-            crash_at_ms: now + 300,
-            rejoin_at_ms: now + 2_500,
+        };
+        w.rt.extend_faults(FaultPlan {
+            rules: vec![FaultRule::new(now + 300, now + 2_500, crash)],
         });
         w.rt.cross_transfer(&w.alice, &bob, whole(5)).unwrap();
         w.rt.run_until_quiescent(4_000).unwrap();
@@ -234,15 +235,16 @@ fn per_batch_retry_budget_survives_long_blackout() {
     let now = w.rt.now_ms();
     let heal = now + 9_000;
     w.rt.extend_faults(FaultPlan {
-        partitions: vec![Partition {
-            name: "blackout".into(),
-            from_ms: now,
-            heal_ms: heal,
-            topics: vec![w.child.topic()],
-            subscribers: Vec::new(),
-            policy: PartitionPolicy::Drop,
-        }],
-        ..FaultPlan::none()
+        rules: vec![FaultRule::new(
+            now,
+            heal,
+            FaultKind::Partition {
+                name: "blackout".into(),
+                topics: vec![w.child.topic()],
+                subscribers: Vec::new(),
+                policy: PartitionPolicy::Drop,
+            },
+        )],
     });
     w.rt.rejoin_node(&w.child).unwrap();
     while w.rt.now_ms() < heal + 1_000 {

@@ -7,17 +7,15 @@
 //! composable with the discrete-event simulator and fully deterministic
 //! under a seed.
 //!
-//! On top of the base delay/loss model, a seeded [`FaultPlan`] can inject
-//! named partitions, targeted loss, bounded duplication, and adversarial
-//! reordering (see [`crate::fault`]). Fault decisions draw from a
-//! dedicated, domain-separated RNG stream, so the empty plan leaves the
-//! base behaviour bit-identical.
-//!
-//! A [`RegionMap`] (see [`crate::region`]) layers geography *under* the
-//! per-topic model: deliveries crossing a non-identity region pair gain
-//! extra delay/jitter/loss drawn from the same domain-separated fault
-//! stream, and region-scoped disaster rules (outage, partition, degrade)
-//! resolve placements against the map. The uniform map draws nothing.
+//! [`Network::publish`] is the one way in. Per subscriber of the topic it
+//! runs three stages over the [`FaultPlan`] rules in force (resolved once
+//! per publish, see [`crate::fault`]) and the [`RegionMap`] link between
+//! the publisher's and the subscriber's region: a *gate* that yields one
+//! verdict — drop, for exactly one counted cause, or pass, possibly held
+//! until a partition heals — the *delay*, and the *enqueue* of the
+//! delivery plus any fault-injected duplicates. Fault and region decisions
+//! draw from a dedicated, domain-separated RNG stream, so the empty plan
+//! and the uniform map leave the base behaviour bit-identical.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -26,8 +24,8 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fault::{FaultPlan, PartitionPolicy};
-use crate::region::RegionMap;
+use crate::fault::{FaultKind, FaultPlan};
+use crate::region::{RegionLink, RegionMap};
 
 /// Domain separation for the fault-decision RNG stream: fault draws must
 /// never perturb the base delay/loss stream. Shared with the resolver's
@@ -43,8 +41,7 @@ pub struct NetConfig {
     pub jitter_ms: u64,
     /// Probability that a given delivery is dropped (per subscriber).
     pub drop_rate: f64,
-    /// Scheduled fault injection (partitions, targeted loss, duplication,
-    /// reordering, crash windows). The default — [`FaultPlan::none`] —
+    /// Scheduled fault injection. The default — [`FaultPlan::none`] —
     /// schedules nothing and is bit-identical to the pre-chaos network.
     pub faults: FaultPlan,
     /// Geo-aware placement and inter-region link matrix. The default —
@@ -90,13 +87,15 @@ impl SubscriberId {
 /// targeted_dropped + offline_dropped + region_dropped + region_lost`,
 /// and after a full drain `scheduled + duplicated == delivered +
 /// redelivered + offline_cleared` (plus whatever
-/// [`Network::pending_deliveries`] still holds).
+/// [`Network::pending_deliveries`] still holds). A hold is counted only
+/// for a delivery that was scheduled, once, for the partition whose heal
+/// time releases it: `partition_held + region_held <= scheduled`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Messages published.
     pub published: u64,
     /// Candidate per-subscriber deliveries considered (publishes fanned
-    /// out over topic membership, minus the publisher's excluded copy).
+    /// out over topic membership).
     pub attempts: u64,
     /// Per-subscriber deliveries scheduled (fault-injected duplicate
     /// copies are *not* counted here — see [`NetStats::duplicated`]).
@@ -114,10 +113,11 @@ pub struct NetStats {
     pub redelivered: u64,
     /// Deliveries whose delay was inflated by a reorder fault.
     pub reordered: u64,
-    /// Deliveries severed by a [`PartitionPolicy::Drop`] partition.
+    /// Deliveries severed by a named partition with
+    /// [`crate::PartitionPolicy::Drop`].
     pub partition_dropped: u64,
-    /// Deliveries deferred to heal time by a
-    /// [`PartitionPolicy::HoldUntilHeal`] partition.
+    /// Deliveries scheduled at the heal time of a named partition with
+    /// [`crate::PartitionPolicy::HoldUntilHeal`].
     pub partition_held: u64,
     /// Deliveries dropped by targeted loss rules.
     pub targeted_dropped: u64,
@@ -127,17 +127,16 @@ pub struct NetStats {
     /// cleared at crash time.
     pub offline_cleared: u64,
     /// Deliveries blackholed by a region disaster: an active
-    /// [`crate::fault::RegionOutage`] touching either endpoint's region,
-    /// or an active [`crate::fault::RegionPartition`] with
-    /// [`PartitionPolicy::Drop`].
+    /// [`crate::FaultKind::RegionOutage`] touching either endpoint's
+    /// region, or an active [`crate::FaultKind::RegionPartition`] with
+    /// [`crate::PartitionPolicy::Drop`].
     pub region_dropped: u64,
-    /// Deliveries deferred to heal time by an active
-    /// [`crate::fault::RegionPartition`] with
-    /// [`PartitionPolicy::HoldUntilHeal`].
+    /// Deliveries scheduled at the heal time of an inter-region partition
+    /// with [`crate::PartitionPolicy::HoldUntilHeal`].
     pub region_held: u64,
     /// Deliveries dropped by inter-region link loss — the static
     /// [`crate::RegionLink::loss_rate`] matrix or an active
-    /// [`crate::fault::RegionDegrade`] inflation.
+    /// [`crate::FaultKind::RegionDegrade`] inflation.
     pub region_lost: u64,
 }
 
@@ -197,9 +196,270 @@ struct Inner<P> {
     stats: NetStats,
 }
 
-impl<P> Inner<P> {
-    fn note_scheduled(&mut self, deliver_at_ms: u64) {
+/// Selects the one [`NetStats`] counter a verdict ticks: the drop class of
+/// a delivery that is not scheduled, the held class of one that is.
+type Counter = fn(&mut NetStats) -> &mut u64;
+
+/// A severed delivery waiting for its partition to heal: the heal time,
+/// and the held class it is counted in once it is scheduled.
+type Hold = (u64, Counter);
+
+/// What one publish fixes for all of its deliveries.
+struct Publish<'a, P> {
+    topic: &'a str,
+    /// Interned topic id.
+    topic_id: u32,
+    payload: &'a P,
+    now_ms: u64,
+    origin: Option<SubscriberId>,
+    /// The origin's region (the default region 0 when unknown).
+    from_region: usize,
+    /// The plan's rules whose window is open, by index. The stages visit
+    /// them kind by kind, each kind in plan order.
+    active: Vec<usize>,
+}
+
+impl<P> Publish<'_, P> {
+    /// Does a rule's optional topic selector cover this publish?
+    fn on_topic(&self, selector: &Option<String>) -> bool {
+        selector.as_deref().is_none_or(|t| t == self.topic)
+    }
+}
+
+/// One Bernoulli draw. A rate that is not above zero draws nothing, so
+/// inert rules and lossless links leave their stream untouched.
+fn roll(rng: &mut StdRng, rate: f64) -> bool {
+    rate > 0.0 && rng.gen_bool(rate.clamp(0.0, 1.0))
+}
+
+/// A uniform draw from `[0, max_ms]`; a zero bound draws nothing.
+fn spread(rng: &mut StdRng, max_ms: u64) -> u64 {
+    if max_ms > 0 {
+        rng.gen_range(0..=max_ms)
+    } else {
+        0
+    }
+}
+
+impl<P: Clone> Inner<P> {
+    /// The partitions and outages a delivery crosses: the first cause
+    /// that drops it, or the hold it is scheduled under. Draws nothing.
+    /// Region names the map never declared match nothing.
+    fn severed(
+        &self,
+        on: &Publish<'_, P>,
+        to: SubscriberId,
+        to_region: usize,
+    ) -> Result<Option<Hold>, Counter> {
+        let active = || on.active.iter().map(|&i| &self.config.faults.rules[i]);
+        let region = |name: &String| self.config.regions.region_index(name);
+        let pair = (on.from_region, to_region);
+        // The first named partition the delivery crosses decides its fate:
+        // a blacked-out topic, or an island with exactly one end inside
+        // (an unknown origin is outside).
+        let named = active().find_map(|rule| match &rule.kind {
+            FaultKind::Partition {
+                topics,
+                subscribers,
+                policy,
+                ..
+            } => {
+                let inside = |s| subscribers.contains(&s);
+                let island = inside(to) != on.origin.is_some_and(inside);
+                let crosses = island || topics.iter().any(|t| t == on.topic);
+                crosses.then(|| policy.release_at(rule.window))
+            }
+            _ => None,
+        });
+        let hold: Option<Hold> = match named {
+            Some(None) => return Err(|s| &mut s.partition_dropped),
+            Some(Some(heal_ms)) => Some((heal_ms, |s| &mut s.partition_held)),
+            None => None,
+        };
+        let dark = |r: usize| r == pair.0 || r == pair.1;
+        let outage = active().any(|rule| match &rule.kind {
+            FaultKind::RegionOutage { region: name } => region(name).is_some_and(dark),
+            _ => false,
+        });
+        // So does the first inter-region partition whose pair it crosses,
+        // in either direction.
+        let regional = active().find_map(|rule| match &rule.kind {
+            FaultKind::RegionPartition { a, b, policy, .. } => {
+                let (a, b) = (region(a)?, region(b)?);
+                (pair == (a, b) || pair == (b, a)).then(|| policy.release_at(rule.window))
+            }
+            _ => None,
+        });
+        match regional {
+            _ if outage => Err(|s| &mut s.region_dropped),
+            Some(None) => Err(|s| &mut s.region_dropped),
+            // The later heal releases the delivery, and holds it alone.
+            Some(Some(heal_ms))
+                if hold.is_none_or(|(named_heal_ms, _)| heal_ms > named_heal_ms) =>
+            {
+                Ok(Some((heal_ms, |s| &mut s.region_held)))
+            }
+            _ => Ok(hold),
+        }
+    }
+
+    /// Stage 1 — the verdict on one candidate delivery: the first cause
+    /// that drops it, or the hold (if any) it is scheduled under. The
+    /// offline check needs no fault plan, so direct crash/rejoin driving
+    /// works on a fault-free network; link loss is gated on the link
+    /// carrying loss, so uniform maps draw nothing from the fault stream;
+    /// base loss comes last, from the base stream in the exact pre-chaos
+    /// order.
+    fn gate(
+        &mut self,
+        on: &Publish<'_, P>,
+        to: SubscriberId,
+        to_region: usize,
+        link: &RegionLink,
+    ) -> Result<Option<Hold>, Counter> {
+        if self.offline.contains(&to) {
+            return Err(|s| &mut s.offline_dropped);
+        }
+        let hold = self.severed(on, to, to_region)?;
+        // Targeted loss: every matching rule draws until one hits.
+        let rules = &self.config.faults.rules;
+        let mut targeted = on.active.iter().filter_map(|&i| match &rules[i].kind {
+            FaultKind::Loss {
+                topic,
+                from,
+                to: dest,
+                rate,
+            } => {
+                let matches = on.on_topic(topic)
+                    && from.is_none_or(|f| on.origin == Some(f))
+                    && dest.is_none_or(|d| d == to);
+                matches.then_some(*rate)
+            }
+            _ => None,
+        });
+        if targeted.any(|rate| roll(&mut self.fault_rng, rate)) {
+            return Err(|s| &mut s.targeted_dropped);
+        }
+        if roll(&mut self.fault_rng, link.loss_rate) {
+            return Err(|s| &mut s.region_lost);
+        }
+        if roll(&mut self.rng, self.config.drop_rate) {
+            return Err(|s| &mut s.dropped);
+        }
+        Ok(hold)
+    }
+
+    /// Stage 2 — the delay of a delivery that passed the gate, or its loss
+    /// on a degraded link (whose draw follows the jitter draws).
+    fn delay(
+        &mut self,
+        on: &Publish<'_, P>,
+        to_region: usize,
+        link: &RegionLink,
+    ) -> Result<u64, Counter> {
+        let base_ms = self.config.base_delay_ms + spread(&mut self.rng, self.config.jitter_ms);
+        let mut delay_ms = base_ms;
+        if !link.is_identity() {
+            // The link's bandwidth factor scales the *base* portion (a
+            // slow pipe stretches every transfer), then the pair's fixed
+            // propagation delay and jitter stack on top. Region jitter
+            // comes from the fault stream so the base stream stays
+            // untouched.
+            delay_ms = base_ms * u64::from(link.delay_factor_pct) / 100
+                + link.extra_delay_ms
+                + spread(&mut self.fault_rng, link.jitter_ms);
+        }
+        let (rules, regions) = (&self.config.faults.rules, &self.config.regions);
+        let pair = (Some(on.from_region), Some(to_region));
+        let mut reorder = None;
+        for rule in on.active.iter().map(|&i| &rules[i]) {
+            match &rule.kind {
+                // Every degrade on this directed pair stacks its latency;
+                // the first loss draw that hits ends the delivery.
+                FaultKind::RegionDegrade {
+                    from,
+                    to,
+                    extra_delay_ms,
+                    loss_rate,
+                } if (regions.region_index(from), regions.region_index(to)) == pair => {
+                    if roll(&mut self.fault_rng, *loss_rate) {
+                        return Err(|s| &mut s.region_lost);
+                    }
+                    delay_ms += extra_delay_ms;
+                }
+                // The first reorder rule on this topic applies, after the
+                // degrades.
+                FaultKind::Reorder {
+                    topic,
+                    rate,
+                    max_extra_delay_ms,
+                } if on.on_topic(topic) => {
+                    reorder.get_or_insert((*rate, *max_extra_delay_ms));
+                }
+                _ => {}
+            }
+        }
+        if let Some((rate, max_extra_delay_ms)) = reorder {
+            if roll(&mut self.fault_rng, rate) {
+                delay_ms += self.fault_rng.gen_range(1..=max_extra_delay_ms.max(1));
+                self.stats.reordered += 1;
+            }
+        }
+        Ok(delay_ms)
+    }
+
+    /// Stage 3 — schedules the delivery and, under the first duplication
+    /// rule on this topic, its flagged extra copies, each with its own
+    /// spread so copies interleave with other traffic.
+    fn enqueue(&mut self, on: &Publish<'_, P>, to: SubscriberId, deliver_at_ms: u64) {
+        self.push(on, to, deliver_at_ms, false);
+        self.stats.scheduled += 1;
+        let rules = &self.config.faults.rules;
+        let duplicate = on.active.iter().find_map(|&i| match &rules[i].kind {
+            FaultKind::Duplicate {
+                topic,
+                rate,
+                max_copies,
+                spread_ms,
+            } if on.on_topic(topic) => Some((*rate, *max_copies, *spread_ms)),
+            _ => None,
+        });
+        if let Some((rate, max_copies, spread_ms)) = duplicate {
+            if roll(&mut self.fault_rng, rate) {
+                for _ in 0..self.fault_rng.gen_range(1..=max_copies.max(1)) {
+                    // A never-healing hold pins the original at the end of
+                    // time; its copies stay there with it.
+                    let extra_ms = spread(&mut self.fault_rng, spread_ms);
+                    self.push(on, to, deliver_at_ms.saturating_add(extra_ms), true);
+                    self.stats.duplicated += 1;
+                }
+            }
+        }
+    }
+
+    fn push(&mut self, on: &Publish<'_, P>, to: SubscriberId, deliver_at_ms: u64, duplicate: bool) {
+        let inbox = self.inboxes.get_mut(&to).expect("subscriber has inbox");
+        inbox.push_back(Pending {
+            deliver_at_ms,
+            sent_at_ms: on.now_ms,
+            topic: on.topic_id,
+            payload: on.payload.clone(),
+            duplicate,
+        });
         *self.pending_times.entry(deliver_at_ms).or_insert(0) += 1;
+    }
+}
+
+impl<P> Inner<P> {
+    /// The interned id of `topic` (index into the latency histograms).
+    fn intern(&mut self, topic: &str) -> u32 {
+        if let Some(&id) = self.topic_ids.get(topic) {
+            return id;
+        }
+        let id = self.latency.len() as u32;
+        self.topic_ids.insert(topic.to_owned(), id);
+        self.latency.push(BTreeMap::new());
+        id
     }
 
     fn note_delivered(&mut self, deliver_at_ms: u64) {
@@ -211,13 +471,6 @@ impl<P> Inner<P> {
             None => unreachable!("delivered a message that was never scheduled"),
         }
     }
-}
-
-/// What an active partition decided for one delivery.
-enum PartitionGate {
-    Pass,
-    Drop,
-    Hold(u64),
 }
 
 /// A simulated pub-sub network. Cloning yields another handle to the same
@@ -268,309 +521,52 @@ impl<P: Clone> Network<P> {
     }
 
     /// Publishes `payload` on `topic` at virtual time `now_ms`, scheduling
-    /// a delivery per subscriber (minus losses). `exclude` suppresses the
-    /// publisher's own copy. Returns the number of deliveries scheduled.
+    /// a delivery per subscriber of the topic (minus losses) — the
+    /// publisher's own copy included, if it subscribes. Returns the number
+    /// of deliveries scheduled.
     ///
-    /// The delivery's *origin* (used by origin-scoped fault rules) is
-    /// taken from `exclude`; use [`Network::publish_from`] to state an
-    /// origin without suppressing the publisher's own copy.
+    /// `origin` states the publishing subscriber: origin-scoped fault
+    /// rules and the region link matrix see it as the sender; `None` is
+    /// an unknown sender in the default region.
     pub fn publish(
         &self,
         topic: &str,
         payload: P,
         now_ms: u64,
-        exclude: Option<SubscriberId>,
-    ) -> usize {
-        self.publish_from(topic, payload, now_ms, exclude, exclude)
-    }
-
-    /// [`Network::publish`] with an explicit origin: `origin` identifies
-    /// the publishing subscriber for partition/loss rules that scope by
-    /// sender, independent of whether its own copy is suppressed. The
-    /// catch-up path of a rejoining node publishes on its own topic with
-    /// `exclude: None` (it *wants* the self-delivered copy) but still
-    /// states itself as origin so asymmetric faults can target it.
-    pub fn publish_from(
-        &self,
-        topic: &str,
-        payload: P,
-        now_ms: u64,
-        exclude: Option<SubscriberId>,
         origin: Option<SubscriberId>,
     ) -> usize {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.stats.published += 1;
         let subs = inner.topics.get(topic).cloned().unwrap_or_default();
-        let faulty = !inner.config.faults.is_none();
-        let uniform = inner.config.regions.is_uniform();
-        // Intern the topic for the per-topic latency histogram.
-        let topic_id = match inner.topic_ids.get(topic).copied() {
-            Some(id) => id,
-            None => {
-                let id = inner.latency.len() as u32;
-                inner.topic_ids.insert(topic.to_owned(), id);
-                inner.latency.push(BTreeMap::new());
-                id
-            }
+        let rules = inner.config.faults.rules.iter().enumerate();
+        let open = rules.filter(|(_, rule)| rule.window.contains(now_ms));
+        let on = Publish {
+            active: open.map(|(i, _)| i).collect(),
+            from_region: origin.map_or(0, |o| inner.config.regions.region_of(o)),
+            topic_id: inner.intern(topic),
+            payload: &payload,
+            topic,
+            origin,
+            now_ms,
         };
-        // The origin's region, and the active region-scoped disaster rules
-        // resolved against the map once per publish. Region names a rule
-        // carries but the map never declared match nothing.
-        let from_region = origin.map_or(0, |o| inner.config.regions.region_of(o));
-        let mut outage_regions: Vec<usize> = Vec::new();
-        let mut region_parts: Vec<(usize, usize, u64, PartitionPolicy)> = Vec::new();
-        let mut degrades: Vec<(usize, usize, u64, f64)> = Vec::new();
-        if faulty {
-            for o in &inner.config.faults.region_outages {
-                if o.active(now_ms) {
-                    if let Some(i) = inner.config.regions.region_index(&o.region) {
-                        outage_regions.push(i);
-                    }
-                }
-            }
-            for p in &inner.config.faults.region_partitions {
-                if p.active(now_ms) {
-                    if let (Some(a), Some(b)) = (
-                        inner.config.regions.region_index(&p.a),
-                        inner.config.regions.region_index(&p.b),
-                    ) {
-                        region_parts.push((a, b, p.heal_ms, p.policy));
-                    }
-                }
-            }
-            for d in &inner.config.faults.region_degrades {
-                if d.from_ms <= now_ms && now_ms < d.until_ms {
-                    if let (Some(f), Some(t)) = (
-                        inner.config.regions.region_index(&d.from),
-                        inner.config.regions.region_index(&d.to),
-                    ) {
-                        degrades.push((f, t, d.extra_delay_ms, d.loss_rate));
-                    }
-                }
-            }
-        }
         let mut scheduled = 0;
-        for sub in subs {
-            if Some(sub) == exclude {
-                continue;
-            }
+        for to in subs {
             inner.stats.attempts += 1;
-            let to_region = inner.config.regions.region_of(sub);
-            // Offline (crashed) subscribers never receive publishes. The
-            // check draws no randomness, so it is safe outside the fault
-            // gate: crash tests work without an active `FaultPlan`.
-            if inner.offline.contains(&sub) {
-                inner.stats.offline_dropped += 1;
-                continue;
-            }
-            let mut hold_until: Option<u64> = None;
-            if faulty {
-                // Named partitions: the first active partition severing
-                // this (origin, dest) pair decides the delivery's fate.
-                let gate = inner
-                    .config
-                    .faults
-                    .partitions
-                    .iter()
-                    .find(|p| p.active(now_ms) && p.severs(topic, origin, sub))
-                    .map(|p| match p.policy {
-                        PartitionPolicy::Drop => PartitionGate::Drop,
-                        PartitionPolicy::HoldUntilHeal => PartitionGate::Hold(p.heal_ms),
-                    })
-                    .unwrap_or(PartitionGate::Pass);
-                match gate {
-                    PartitionGate::Drop => {
-                        inner.stats.partition_dropped += 1;
-                        continue;
+            let to_region = inner.config.regions.region_of(to);
+            let link = inner.config.regions.link(on.from_region, to_region);
+            let passed = inner.gate(&on, to, to_region, &link);
+            match passed.and_then(|hold| Ok((hold, inner.delay(&on, to_region, &link)?))) {
+                Ok((hold, delay_ms)) => {
+                    let mut deliver_at_ms = now_ms + delay_ms;
+                    if let Some((until_ms, held)) = hold {
+                        deliver_at_ms = deliver_at_ms.max(until_ms);
+                        *held(&mut inner.stats) += 1;
                     }
-                    PartitionGate::Hold(heal_ms) => {
-                        inner.stats.partition_held += 1;
-                        hold_until = Some(heal_ms);
-                    }
-                    PartitionGate::Pass => {}
+                    inner.enqueue(&on, to, deliver_at_ms);
+                    scheduled += 1;
                 }
-                // Whole-region outage: anything to or from a dark region
-                // is blackholed for the window (the crash–rejoin of the
-                // region's nodes is driven separately by `hc-core`).
-                if outage_regions
-                    .iter()
-                    .any(|&r| r == from_region || r == to_region)
-                {
-                    inner.stats.region_dropped += 1;
-                    continue;
-                }
-                // Inter-region partition: the first active rule whose pair
-                // this delivery crosses (either direction) decides.
-                let crossed = region_parts
-                    .iter()
-                    .find(|(a, b, _, _)| {
-                        (from_region == *a && to_region == *b)
-                            || (from_region == *b && to_region == *a)
-                    })
-                    .map(|&(_, _, heal_ms, policy)| (heal_ms, policy));
-                if let Some((heal_ms, policy)) = crossed {
-                    match policy {
-                        PartitionPolicy::Drop => {
-                            inner.stats.region_dropped += 1;
-                            continue;
-                        }
-                        PartitionPolicy::HoldUntilHeal => {
-                            inner.stats.region_held += 1;
-                            hold_until = Some(hold_until.map_or(heal_ms, |h| h.max(heal_ms)));
-                        }
-                    }
-                }
-                // Targeted/asymmetric loss.
-                let loss_rates: Vec<f64> = inner
-                    .config
-                    .faults
-                    .losses
-                    .iter()
-                    .filter(|r| r.matches(now_ms, topic, origin, sub))
-                    .map(|r| r.rate)
-                    .collect();
-                let lost = loss_rates
-                    .into_iter()
-                    .any(|rate| rate > 0.0 && inner.fault_rng.gen_bool(rate.clamp(0.0, 1.0)));
-                if lost {
-                    inner.stats.targeted_dropped += 1;
-                    continue;
-                }
-            }
-            // Static inter-region link loss. Gated on the link actually
-            // carrying loss, so uniform maps and identity links draw
-            // nothing from the fault stream.
-            let link = if uniform {
-                crate::region::RegionLink::IDENTITY
-            } else {
-                inner.config.regions.link(from_region, to_region)
-            };
-            if link.loss_rate > 0.0 && inner.fault_rng.gen_bool(link.loss_rate.clamp(0.0, 1.0)) {
-                inner.stats.region_lost += 1;
-                continue;
-            }
-            // Base loss/delay model — drawn from the base stream in the
-            // exact pre-chaos order.
-            let drop_rate = inner.config.drop_rate;
-            if drop_rate > 0.0 && inner.rng.gen_bool(drop_rate.clamp(0.0, 1.0)) {
-                inner.stats.dropped += 1;
-                continue;
-            }
-            let jitter_ms = inner.config.jitter_ms;
-            let jitter = if jitter_ms > 0 {
-                inner.rng.gen_range(0..=jitter_ms)
-            } else {
-                0
-            };
-            let mut deliver_at_ms = now_ms + inner.config.base_delay_ms + jitter;
-            if !link.is_identity() {
-                // The link's bandwidth factor scales the *base* portion
-                // (a slow pipe stretches every transfer), then the pair's
-                // fixed propagation delay and jitter stack on top. Region
-                // jitter comes from the fault stream so the base stream
-                // stays untouched.
-                let scaled =
-                    (inner.config.base_delay_ms + jitter) * u64::from(link.delay_factor_pct) / 100;
-                let region_jitter = if link.jitter_ms > 0 {
-                    inner.fault_rng.gen_range(0..=link.jitter_ms)
-                } else {
-                    0
-                };
-                deliver_at_ms = now_ms + scaled + link.extra_delay_ms + region_jitter;
-            }
-            if faulty && !degrades.is_empty() {
-                // Degraded trans-oceanic links: every active matching rule
-                // stacks its latency inflation; loss draws short-circuit.
-                let mut extra = 0u64;
-                let mut lost = false;
-                for &(f, t, extra_delay_ms, rate) in &degrades {
-                    if f == from_region && t == to_region {
-                        if rate > 0.0 && inner.fault_rng.gen_bool(rate.clamp(0.0, 1.0)) {
-                            lost = true;
-                            break;
-                        }
-                        extra += extra_delay_ms;
-                    }
-                }
-                if lost {
-                    inner.stats.region_lost += 1;
-                    continue;
-                }
-                deliver_at_ms += extra;
-            }
-            if faulty {
-                // Adversarial reordering: inflate the delay within the
-                // rule's window so later publishes can overtake this one.
-                let reorder = inner
-                    .config
-                    .faults
-                    .reorders
-                    .iter()
-                    .find(|r| r.matches(now_ms, topic))
-                    .map(|r| (r.rate, r.max_extra_delay_ms));
-                if let Some((rate, max_extra)) = reorder {
-                    if rate > 0.0 && inner.fault_rng.gen_bool(rate.clamp(0.0, 1.0)) {
-                        deliver_at_ms += inner.fault_rng.gen_range(1..=max_extra.max(1));
-                        inner.stats.reordered += 1;
-                    }
-                }
-                if let Some(heal_ms) = hold_until {
-                    deliver_at_ms = deliver_at_ms.max(heal_ms);
-                }
-            }
-            inner
-                .inboxes
-                .get_mut(&sub)
-                .expect("subscriber has inbox")
-                .push_back(Pending {
-                    deliver_at_ms,
-                    sent_at_ms: now_ms,
-                    topic: topic_id,
-                    payload: payload.clone(),
-                    duplicate: false,
-                });
-            inner.note_scheduled(deliver_at_ms);
-            inner.stats.scheduled += 1;
-            scheduled += 1;
-            if faulty {
-                // Bounded duplication: extra flagged copies, each with
-                // its own spread so copies interleave with other traffic.
-                let dup = inner
-                    .config
-                    .faults
-                    .duplications
-                    .iter()
-                    .find(|r| r.matches(now_ms, topic))
-                    .map(|r| (r.rate, r.max_copies, r.spread_ms));
-                if let Some((rate, max_copies, spread_ms)) = dup {
-                    if rate > 0.0 && inner.fault_rng.gen_bool(rate.clamp(0.0, 1.0)) {
-                        let copies = inner.fault_rng.gen_range(1..=max_copies.max(1));
-                        for _ in 0..copies {
-                            let extra = if spread_ms > 0 {
-                                inner.fault_rng.gen_range(0..=spread_ms)
-                            } else {
-                                0
-                            };
-                            let mut copy_at = deliver_at_ms + extra;
-                            if let Some(heal_ms) = hold_until {
-                                copy_at = copy_at.max(heal_ms);
-                            }
-                            inner
-                                .inboxes
-                                .get_mut(&sub)
-                                .expect("subscriber has inbox")
-                                .push_back(Pending {
-                                    deliver_at_ms: copy_at,
-                                    sent_at_ms: now_ms,
-                                    topic: topic_id,
-                                    payload: payload.clone(),
-                                    duplicate: true,
-                                });
-                            inner.note_scheduled(copy_at);
-                            inner.stats.duplicated += 1;
-                        }
-                    }
-                }
+                Err(dropped) => *dropped(&mut inner.stats) += 1,
             }
         }
         scheduled
@@ -675,12 +671,6 @@ impl<P: Clone> Network<P> {
         self.inner.lock().config.regions.clone()
     }
 
-    /// The region name a subscriber is placed in.
-    pub fn region_name_of(&self, sub: SubscriberId) -> String {
-        let inner = self.inner.lock();
-        inner.config.regions.region_name_of(sub).to_owned()
-    }
-
     /// Delivered-latency summary for `topic` (p50/p99/max over every
     /// unique delivery polled so far), or `None` before the first one.
     pub fn topic_latency(&self, topic: &str) -> Option<TopicLatency> {
@@ -721,7 +711,14 @@ impl<P: Clone> Network<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{DupRule, LossRule, Partition, ReorderRule};
+    use crate::fault::{FaultKind, FaultRule, PartitionPolicy, Window};
+
+    /// A one-rule plan.
+    fn plan(window: Window, kind: FaultKind) -> FaultPlan {
+        FaultPlan {
+            rules: vec![FaultRule { window, kind }],
+        }
+    }
 
     fn net(drop_rate: f64) -> Network<&'static str> {
         Network::new(
@@ -748,13 +745,13 @@ mod tests {
     }
 
     #[test]
-    fn all_topic_subscribers_receive_except_excluded() {
+    fn all_topic_subscribers_receive_the_publisher_included() {
         let n = net(0.0);
         let a = n.subscribe("t");
         let b = n.subscribe("t");
         let c = n.subscribe("other");
-        assert_eq!(n.publish("t", "x", 0, Some(a)), 1);
-        assert!(n.poll(a, 1_000).is_empty());
+        assert_eq!(n.publish("t", "x", 0, Some(a)), 2);
+        assert_eq!(n.poll(a, 1_000), vec!["x"]);
         assert_eq!(n.poll(b, 1_000), vec!["x"]);
         assert!(n.poll(c, 1_000).is_empty());
     }
@@ -857,15 +854,15 @@ mod tests {
             }
             n.poll(a, 100_000)
         };
-        let mut inert = FaultPlan::none();
-        inert.losses.push(LossRule {
-            from_ms: 1_000_000, // never active
-            until_ms: u64::MAX,
-            topic: None,
-            from: None,
-            to: None,
-            rate: 1.0,
-        });
+        let inert = plan(
+            Window::new(1_000_000, u64::MAX), // never active
+            FaultKind::Loss {
+                topic: None,
+                from: None,
+                to: None,
+                rate: 1.0,
+            },
+        );
         assert_eq!(run(FaultPlan::none()), run(inert));
     }
 
@@ -873,17 +870,15 @@ mod tests {
     fn drop_partition_severs_topic_until_heal() {
         let n = net(0.0);
         let a = n.subscribe("t");
-        n.extend_faults(FaultPlan {
-            partitions: vec![Partition {
+        n.extend_faults(plan(
+            Window::new(0, 1_000),
+            FaultKind::Partition {
                 name: "blackout".into(),
-                from_ms: 0,
-                heal_ms: 1_000,
                 topics: vec!["t".into()],
                 subscribers: Vec::new(),
                 policy: PartitionPolicy::Drop,
-            }],
-            ..FaultPlan::none()
-        });
+            },
+        ));
         assert_eq!(n.publish("t", "lost", 500, None), 0);
         // After heal, traffic flows again.
         assert_eq!(n.publish("t", "ok", 1_000, None), 1);
@@ -897,17 +892,15 @@ mod tests {
     fn hold_partition_defers_delivery_to_heal_time() {
         let n = net(0.0);
         let a = n.subscribe("t");
-        n.extend_faults(FaultPlan {
-            partitions: vec![Partition {
+        n.extend_faults(plan(
+            Window::new(0, 5_000),
+            FaultKind::Partition {
                 name: "queueing".into(),
-                from_ms: 0,
-                heal_ms: 5_000,
                 topics: vec!["t".into()],
                 subscribers: Vec::new(),
                 policy: PartitionPolicy::HoldUntilHeal,
-            }],
-            ..FaultPlan::none()
-        });
+            },
+        ));
         n.publish("t", "held", 0, None);
         // Normal delivery time passed, but the partition holds it.
         assert!(n.poll(a, 4_999).is_empty());
@@ -917,21 +910,79 @@ mod tests {
     }
 
     #[test]
+    fn a_hold_is_counted_once_and_only_for_a_scheduled_delivery() {
+        let n: Network<&'static str> = Network::new(
+            NetConfig {
+                base_delay_ms: 100,
+                jitter_ms: 0,
+                regions: RegionMap::named(&["us", "eu"]),
+                ..NetConfig::default()
+            },
+            7,
+        );
+        let [a, b, c] = [(); 3].map(|()| n.subscribe("t"));
+        n.place_in_region(c, "eu");
+        let hold = PartitionPolicy::HoldUntilHeal;
+        n.extend_faults(FaultPlan {
+            rules: vec![
+                FaultRule {
+                    window: Window::new(0, 2_000),
+                    kind: FaultKind::Partition {
+                        name: "queueing".into(),
+                        topics: vec!["t".into()],
+                        subscribers: Vec::new(),
+                        policy: hold,
+                    },
+                },
+                FaultRule {
+                    window: Window::new(0, 5_000),
+                    kind: FaultKind::RegionPartition {
+                        name: "atlantic".into(),
+                        a: "us".into(),
+                        b: "eu".into(),
+                        policy: hold,
+                    },
+                },
+                FaultRule {
+                    window: Window::new(0, u64::MAX),
+                    kind: FaultKind::Loss {
+                        topic: None,
+                        from: None,
+                        to: Some(a),
+                        rate: 1.0,
+                    },
+                },
+            ],
+        });
+        // a: held, then lost — never scheduled, so never counted as held.
+        // b: held by the named partition. c: held by both, released by the
+        // later (region) heal and counted for that one alone.
+        assert_eq!(n.publish("t", "x", 0, Some(b)), 2);
+        assert_eq!(n.poll(b, 2_000), vec!["x"]);
+        assert!(n.poll(c, 4_999).is_empty());
+        assert_eq!(n.poll(c, 5_000), vec!["x"]);
+        let stats = n.stats();
+        assert_eq!(
+            (stats.partition_held, stats.region_held, stats.scheduled),
+            (1, 1, 2)
+        );
+        assert_eq!(stats.targeted_dropped, 1);
+    }
+
+    #[test]
     fn targeted_loss_hits_only_selected_destination() {
         let n = net(0.0);
         let a = n.subscribe("t");
         let b = n.subscribe("t");
-        n.extend_faults(FaultPlan {
-            losses: vec![LossRule {
-                from_ms: 0,
-                until_ms: u64::MAX,
+        n.extend_faults(plan(
+            Window::new(0, u64::MAX),
+            FaultKind::Loss {
                 topic: None,
                 from: None,
                 to: Some(a),
                 rate: 1.0,
-            }],
-            ..FaultPlan::none()
-        });
+            },
+        ));
         assert_eq!(n.publish("t", "x", 0, None), 1);
         assert!(n.poll(a, 1_000).is_empty());
         assert_eq!(n.poll(b, 1_000), vec!["x"]);
@@ -943,19 +994,17 @@ mod tests {
         let n = net(0.0);
         let a = n.subscribe("t");
         let b = n.subscribe("t");
-        n.extend_faults(FaultPlan {
-            losses: vec![LossRule {
-                from_ms: 0,
-                until_ms: u64::MAX,
+        n.extend_faults(plan(
+            Window::new(0, u64::MAX),
+            FaultKind::Loss {
                 topic: None,
                 from: Some(a),
                 to: None,
                 rate: 1.0,
-            }],
-            ..FaultPlan::none()
-        });
-        // Published *by* a: lost.
-        assert_eq!(n.publish_from("t", "from-a", 0, Some(a), Some(a)), 0);
+            },
+        ));
+        // Published *by* a: lost, a's own copy too.
+        assert_eq!(n.publish("t", "from-a", 0, Some(a)), 0);
         // Published by an unknown origin: the asymmetric rule does not
         // match, traffic flows.
         assert_eq!(n.publish("t", "anon", 0, None), 2);
@@ -974,17 +1023,15 @@ mod tests {
             7,
         );
         let a = n.subscribe("t");
-        n.extend_faults(FaultPlan {
-            duplications: vec![DupRule {
-                from_ms: 0,
-                until_ms: u64::MAX,
+        n.extend_faults(plan(
+            Window::new(0, u64::MAX),
+            FaultKind::Duplicate {
                 topic: Some("t".into()),
                 rate: 1.0,
                 max_copies: 3,
                 spread_ms: 40,
-            }],
-            ..FaultPlan::none()
-        });
+            },
+        ));
         for i in 0..20u32 {
             n.publish("t", i, u64::from(i) * 10, None);
         }
@@ -1003,16 +1050,14 @@ mod tests {
     fn reordering_inflates_delay_within_window() {
         let n = net(0.0);
         let a = n.subscribe("t");
-        n.extend_faults(FaultPlan {
-            reorders: vec![ReorderRule {
-                from_ms: 0,
-                until_ms: u64::MAX,
+        n.extend_faults(plan(
+            Window::new(0, u64::MAX),
+            FaultKind::Reorder {
                 topic: None,
                 rate: 1.0,
                 max_extra_delay_ms: 500,
-            }],
-            ..FaultPlan::none()
-        });
+            },
+        ));
         n.publish("t", "slow", 0, None);
         // Base delay is 100; the reorder rule adds at least 1ms.
         assert!(n.poll(a, 100).is_empty());
@@ -1096,16 +1141,18 @@ mod tests {
         n.place_in_region(a, "us");
         n.place_in_region(b, "eu");
         // us → eu: base 100 scaled ×2 plus 70 propagation = 270.
-        n.publish_from("t", "east", 0, Some(a), Some(a));
+        n.publish("t", "east", 0, Some(a));
         assert!(n.poll(b, 269).is_empty());
         assert_eq!(n.poll(b, 270), vec!["east"]);
+        // The publisher's own copy never leaves the region.
+        assert_eq!(n.poll(a, 100), vec!["east"]);
         // eu → us was never configured: plain base delay.
-        n.publish_from("t", "west", 1_000, Some(b), Some(b));
+        n.publish("t", "west", 1_000, Some(b));
         assert_eq!(n.poll(a, 1_100), vec!["west"]);
         // Same-region traffic is untouched too.
         let a2 = n.subscribe("t");
         n.place_in_region(a2, "us");
-        n.publish_from("t", "local", 2_000, Some(a), Some(a));
+        n.publish("t", "local", 2_000, Some(a));
         assert_eq!(n.poll(a2, 2_100), vec!["local"]);
     }
 
@@ -1134,12 +1181,12 @@ mod tests {
         let b = n.subscribe("t");
         n.place_in_region(a, "us");
         n.place_in_region(b, "eu");
-        // a → b crosses the lossy pair; a's own copy is excluded.
-        assert_eq!(n.publish_from("t", 1, 0, Some(a), Some(a)), 0);
+        // a → b crosses the lossy pair; only a's own copy is scheduled.
+        assert_eq!(n.publish("t", 1, 0, Some(a)), 1);
         // b → a flows: loss is directional.
-        assert_eq!(n.publish_from("t", 2, 0, Some(b), Some(b)), 1);
-        assert_eq!(n.poll(a, 1_000), vec![2]);
-        assert!(n.poll(b, 1_000).is_empty());
+        assert_eq!(n.publish("t", 2, 0, Some(b)), 2);
+        assert_eq!(n.poll(a, 1_000), vec![1, 2]);
+        assert_eq!(n.poll(b, 1_000), vec![2]);
         let stats = n.stats();
         assert_eq!(stats.region_lost, 1);
         assert_eq!(
@@ -1156,7 +1203,6 @@ mod tests {
 
     #[test]
     fn region_outage_blackholes_both_directions_until_heal() {
-        use crate::fault::RegionOutage;
         let regions = RegionMap::named(&["us", "ap"]);
         let n: Network<&'static str> = Network::new(
             NetConfig {
@@ -1172,27 +1218,24 @@ mod tests {
         let b = n.subscribe("t");
         n.place_in_region(a, "us");
         n.place_in_region(b, "ap");
-        n.extend_faults(FaultPlan {
-            region_outages: vec![RegionOutage {
+        n.extend_faults(plan(
+            Window::new(0, 1_000),
+            FaultKind::RegionOutage {
                 region: "ap".into(),
-                from_ms: 0,
-                heal_ms: 1_000,
-            }],
-            ..FaultPlan::none()
-        });
-        // Into the dark region: blackholed.
-        assert_eq!(n.publish_from("t", "in", 0, Some(a), Some(a)), 0);
-        // Out of the dark region: blackholed too.
-        assert_eq!(n.publish_from("t", "out", 0, Some(b), Some(b)), 0);
+            },
+        ));
+        // Into the dark region: blackholed (a's own copy stays home).
+        assert_eq!(n.publish("t", "in", 0, Some(a)), 1);
+        // Out of the dark region: blackholed too, b's own copy included.
+        assert_eq!(n.publish("t", "out", 0, Some(b)), 0);
         // After heal, both directions flow.
-        assert_eq!(n.publish_from("t", "healed", 1_000, Some(a), Some(a)), 1);
+        assert_eq!(n.publish("t", "healed", 1_000, Some(a)), 2);
         assert_eq!(n.poll(b, 2_000), vec!["healed"]);
-        assert_eq!(n.stats().region_dropped, 2);
+        assert_eq!(n.stats().region_dropped, 3);
     }
 
     #[test]
     fn region_partition_severs_or_holds_cross_pair_traffic() {
-        use crate::fault::RegionPartition;
         let regions = RegionMap::named(&["us", "eu", "ap"]);
         let n: Network<&'static str> = Network::new(
             NetConfig {
@@ -1210,19 +1253,17 @@ mod tests {
         n.place_in_region(us, "us");
         n.place_in_region(eu, "eu");
         n.place_in_region(ap, "ap");
-        n.extend_faults(FaultPlan {
-            region_partitions: vec![RegionPartition {
+        n.extend_faults(plan(
+            Window::new(0, 5_000),
+            FaultKind::RegionPartition {
                 name: "atlantic".into(),
                 a: "us".into(),
                 b: "eu".into(),
-                from_ms: 0,
-                heal_ms: 5_000,
                 policy: PartitionPolicy::HoldUntilHeal,
-            }],
-            ..FaultPlan::none()
-        });
-        // us → {eu held, ap flows}.
-        assert_eq!(n.publish_from("t", "x", 0, Some(us), Some(us)), 2);
+            },
+        ));
+        // us → {us flows, eu held, ap flows}.
+        assert_eq!(n.publish("t", "x", 0, Some(us)), 3);
         assert_eq!(n.poll(ap, 4_999), vec!["x"]);
         assert!(n.poll(eu, 4_999).is_empty());
         assert_eq!(n.poll(eu, 5_000), vec!["x"]);
@@ -1233,7 +1274,6 @@ mod tests {
 
     #[test]
     fn degraded_links_inflate_latency_and_count_losses() {
-        use crate::fault::RegionDegrade;
         let regions = RegionMap::named(&["us", "eu"]);
         let n: Network<&'static str> = Network::new(
             NetConfig {
@@ -1249,37 +1289,28 @@ mod tests {
         let b = n.subscribe("t");
         n.place_in_region(a, "us");
         n.place_in_region(b, "eu");
+        let degrade = |from: &str, to: &str, extra_delay_ms, loss_rate| FaultRule {
+            window: Window::new(0, 1_000),
+            kind: FaultKind::RegionDegrade {
+                from: from.into(),
+                to: to.into(),
+                extra_delay_ms,
+                loss_rate,
+            },
+        };
         n.extend_faults(FaultPlan {
-            region_degrades: vec![
-                RegionDegrade {
-                    from: "us".into(),
-                    to: "eu".into(),
-                    from_ms: 0,
-                    until_ms: 1_000,
-                    extra_delay_ms: 400,
-                    loss_rate: 0.0,
-                },
-                RegionDegrade {
-                    from: "eu".into(),
-                    to: "us".into(),
-                    from_ms: 0,
-                    until_ms: 1_000,
-                    extra_delay_ms: 0,
-                    loss_rate: 1.0,
-                },
-            ],
-            ..FaultPlan::none()
+            rules: vec![degrade("us", "eu", 400, 0.0), degrade("eu", "us", 0, 1.0)],
         });
         // us → eu: inflated by 400ms while degraded.
-        n.publish_from("t", "slow", 0, Some(a), Some(a));
+        n.publish("t", "slow", 0, Some(a));
         assert!(n.poll(b, 499).is_empty());
         assert_eq!(n.poll(b, 500), vec!["slow"]);
-        // eu → us: fully lossy while degraded.
-        assert_eq!(n.publish_from("t", "gone", 0, Some(b), Some(b)), 0);
+        // eu → us: fully lossy while degraded (b's own copy stays home).
+        assert_eq!(n.publish("t", "gone", 0, Some(b)), 1);
         assert_eq!(n.stats().region_lost, 1);
         // Window over: both directions back to base behaviour.
-        n.publish_from("t", "fast", 1_000, Some(a), Some(a));
-        assert_eq!(n.poll(b, 1_100), vec!["fast"]);
+        n.publish("t", "fast", 1_000, Some(a));
+        assert_eq!(n.poll(b, 1_100), vec!["gone", "fast"]);
     }
 
     #[test]

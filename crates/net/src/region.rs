@@ -113,12 +113,6 @@ impl RegionMap {
         map
     }
 
-    /// Is this map behaviourally uniform (no non-identity link — every
-    /// delivery experiences exactly the base model)?
-    pub fn is_uniform(&self) -> bool {
-        self.links.is_empty()
-    }
-
     /// Region names in index order.
     pub fn region_names(&self) -> &[String] {
         &self.regions
@@ -149,26 +143,8 @@ impl RegionMap {
         self.placement.get(&sub.raw()).copied().unwrap_or(0)
     }
 
-    /// The region name of `sub`.
-    pub fn region_name_of(&self, sub: SubscriberId) -> &str {
-        &self.regions[self.region_of(sub)]
-    }
-
-    /// Every placed subscriber in region `name` (ascending id order).
-    pub fn members(&self, name: &str) -> Vec<SubscriberId> {
-        let Some(idx) = self.region_index(name) else {
-            return Vec::new();
-        };
-        self.placement
-            .iter()
-            .filter(|(_, r)| **r == idx)
-            .map(|(raw, _)| SubscriberId::from_raw(*raw))
-            .collect()
-    }
-
     /// Sets the directed link `from → to` (declaring regions as needed).
-    /// Identity links are *removed* so [`RegionMap::is_uniform`] stays an
-    /// exact behavioural test.
+    /// Identity links are *removed*, so equal behaviour is equal maps.
     pub fn set_link(&mut self, from: &str, to: &str, link: RegionLink) {
         let f = self.add_region(from);
         let t = self.add_region(to);
@@ -196,13 +172,6 @@ impl RegionMap {
             .copied()
             .unwrap_or(RegionLink::IDENTITY)
     }
-
-    /// The directed link between the regions of two subscribers; the
-    /// origin defaults to region 0 when unknown.
-    pub fn link_between(&self, from: Option<SubscriberId>, to: SubscriberId) -> RegionLink {
-        let f = from.map_or(0, |s| self.region_of(s));
-        self.link(f, self.region_of(to))
-    }
 }
 
 #[cfg(test)]
@@ -210,14 +179,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_map_is_uniform_and_default() {
+    fn uniform_map_is_one_region_and_default() {
         let map = RegionMap::uniform();
-        assert!(map.is_uniform());
         assert_eq!(map, RegionMap::default());
+        assert_eq!(map.region_names().len(), 1);
         assert_eq!(map.region_of(SubscriberId::from_raw(7)), 0);
-        assert!(map
-            .link_between(None, SubscriberId::from_raw(7))
-            .is_identity());
+        assert!(map.link(0, 0).is_identity());
     }
 
     #[test]
@@ -235,19 +202,19 @@ mod tests {
                 ..RegionLink::IDENTITY
             },
         );
-        assert!(!map.is_uniform());
-        assert_eq!(map.link_between(Some(a), b).extra_delay_ms, 70);
+        let (us, eu) = (map.region_of(a), map.region_of(b));
+        assert_eq!(map.link(us, eu).extra_delay_ms, 70);
         // The reverse direction was never configured: identity.
-        assert!(map.link_between(Some(b), a).is_identity());
-        assert_eq!(map.region_name_of(b), "eu-west");
-        assert_eq!(map.members("eu-west"), vec![b]);
+        assert!(map.link(eu, us).is_identity());
+        assert_eq!(map.region_names()[eu], "eu-west");
     }
 
     #[test]
-    fn identity_links_do_not_break_uniformity() {
-        let mut map = RegionMap::named(&["a", "b"]);
+    fn identity_links_leave_the_map_as_it_was() {
+        let linkless = RegionMap::named(&["a", "b"]);
+        let mut map = linkless.clone();
         map.set_link("a", "b", RegionLink::IDENTITY);
-        assert!(map.is_uniform());
+        assert_eq!(map, linkless);
         map.set_link(
             "a",
             "b",
@@ -256,9 +223,9 @@ mod tests {
                 ..RegionLink::IDENTITY
             },
         );
-        assert!(!map.is_uniform());
+        assert_ne!(map, linkless);
         map.set_link("a", "b", RegionLink::IDENTITY);
-        assert!(map.is_uniform());
+        assert_eq!(map, linkless);
     }
 
     #[test]

@@ -338,24 +338,59 @@ impl RetryPolicy {
     }
 }
 
-/// What [`Resolver::should_pull`] decided about an unresolved CID.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PullDecision {
-    /// Publish a pull request now (first send or a due retry).
-    Send,
-    /// A pull is in flight and its timeout has not elapsed — wait.
-    Wait,
-    /// The retry budget is exhausted; the request is abandoned and
-    /// counted. The caller should surface the degradation, not loop.
-    Abandoned,
+/// The retry state of one request under a [`RetryPolicy`]: how many
+/// sends it has had and when the next is due. The default is a request
+/// never sent and due at once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Backoff {
+    attempts: u32,
+    next_at_ms: u64,
 }
 
-/// Book-keeping for one outstanding pull.
-#[derive(Debug, Clone, Copy)]
-struct PullState {
-    attempts: u32,
-    next_retry_at_ms: u64,
-    abandoned: bool,
+/// What [`Backoff::step`] — and, for a pull, [`Resolver::should_pull`] —
+/// decided at one point in time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackoffStep {
+    /// Send now; this is the `n`-th (1-based) send.
+    Send(u32),
+    /// The last send's timeout has not elapsed.
+    Wait,
+    /// The last send timed out and the policy's budget allows no more.
+    /// The backoff stays exhausted; what that means — abandoning the
+    /// request, or cooling down and starting over — is the caller's.
+    Exhausted,
+}
+
+impl Backoff {
+    /// A request with no sends yet, first due at `at_ms`.
+    pub fn due_at(at_ms: u64) -> Self {
+        Backoff {
+            attempts: 0,
+            next_at_ms: at_ms,
+        }
+    }
+
+    /// Advances the schedule to `now_ms`: a due request within budget is
+    /// sent again and its next timeout armed, jittered by
+    /// [`RetryPolicy::jittered_timeout_for`] under `(seed(), salt)` — the
+    /// seed is asked for only when a send is made.
+    pub fn step(
+        &mut self,
+        policy: &RetryPolicy,
+        now_ms: u64,
+        seed: impl FnOnce() -> u64,
+        salt: u64,
+    ) -> BackoffStep {
+        if now_ms < self.next_at_ms {
+            return BackoffStep::Wait;
+        }
+        if policy.max_attempts > 0 && self.attempts >= policy.max_attempts {
+            return BackoffStep::Exhausted;
+        }
+        self.attempts += 1;
+        self.next_at_ms = now_ms + policy.jittered_timeout_for(self.attempts, seed(), salt);
+        BackoffStep::Send(self.attempts)
+    }
 }
 
 /// Counters of one node's resolution activity.
@@ -419,7 +454,10 @@ pub struct Resolver {
     /// [`RetryPolicy::jittered_timeout_for`]); irrelevant while the
     /// policy's `jitter_pct` is 0.
     jitter_seed: u64,
-    pending: BTreeMap<Cid, PullState>,
+    /// Outstanding pulls.
+    pending: BTreeMap<Cid, Backoff>,
+    /// Pulls given up on; forgotten when their content arrives after all.
+    abandoned: BTreeSet<Cid>,
     stats: ResolverStats,
 }
 
@@ -428,14 +466,6 @@ impl Resolver {
     /// [`RetryPolicy`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a resolver with an explicit retry policy.
-    pub fn with_policy(policy: RetryPolicy) -> Self {
-        Resolver {
-            policy,
-            ..Self::default()
-        }
     }
 
     /// Creates a resolver with an explicit retry policy and the seed its
@@ -449,24 +479,9 @@ impl Resolver {
         }
     }
 
-    /// Creates a resolver with an explicit retry policy and cache
-    /// capacity (`0` = unbounded).
-    pub fn with_policy_and_capacity(policy: RetryPolicy, capacity: usize) -> Self {
-        Resolver {
-            policy,
-            cache: ContentCache::with_capacity(capacity),
-            ..Self::default()
-        }
-    }
-
     /// Read access to the cache.
     pub fn cache(&self) -> &ContentCache {
         &self.cache
-    }
-
-    /// The retry policy in force.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// Activity counters.
@@ -480,8 +495,14 @@ impl Resolver {
     /// SCA cut, served from the content registry — settling any
     /// outstanding pull for it.
     pub fn seed(&mut self, group: MsgGroup) {
-        self.pending.remove(&group.cid());
+        self.settle(&group.cid());
         self.cache.insert_sealed(group);
+    }
+
+    /// Forgets the pull for content the cache now holds.
+    fn settle(&mut self, cid: &Cid) {
+        self.pending.remove(cid);
+        self.abandoned.remove(cid);
     }
 
     /// Validated insert of network-borne content that also settles any
@@ -489,7 +510,7 @@ impl Resolver {
     fn accept(&mut self, cid: Cid, msgs: Vec<CrossMsg>) -> bool {
         let held = self.cache.insert(cid, msgs);
         if held {
-            self.pending.remove(&cid);
+            self.settle(&cid);
         }
         held
     }
@@ -497,68 +518,44 @@ impl Resolver {
     /// Decides whether an unresolved `cid` warrants publishing a pull at
     /// `now_ms`: the first call sends immediately, later calls wait out
     /// the capped exponential backoff, and once the budget is spent the
-    /// request is abandoned (exactly one `pulls_abandoned` tick per CID).
-    pub fn should_pull(&mut self, cid: Cid, now_ms: u64) -> PullDecision {
+    /// request is abandoned — `Exhausted` from then on, with exactly one
+    /// `pulls_abandoned` tick per CID; the caller should surface the
+    /// degradation, not loop.
+    pub fn should_pull(&mut self, cid: Cid, now_ms: u64) -> BackoffStep {
         if self.cache.contains(&cid) {
-            return PullDecision::Wait;
+            return BackoffStep::Wait;
         }
-        // Copy out the outstanding state first: the jittered timeout
-        // reads `&self` and must not overlap a live `&mut` into the map.
-        match self.pending.get(&cid).copied() {
-            None => {
-                let timeout = self.jittered_timeout(&cid, 1);
-                self.pending.insert(
-                    cid,
-                    PullState {
-                        attempts: 1,
-                        next_retry_at_ms: now_ms + timeout,
-                        abandoned: false,
-                    },
-                );
+        if self.abandoned.contains(&cid) {
+            return BackoffStep::Exhausted;
+        }
+        // The per-request jitter salt is the CID's leading bytes, so
+        // distinct outstanding pulls de-synchronize from each other while
+        // the whole schedule stays a pure function of the seed.
+        let salt = u64::from_le_bytes(cid.as_bytes()[..8].try_into().expect("32-byte cid"));
+        let (pull, seed) = (self.pending.entry(cid).or_default(), self.jitter_seed);
+        let step = pull.step(&self.policy, now_ms, || seed, salt);
+        match step {
+            BackoffStep::Wait => {}
+            BackoffStep::Send(1) => {
                 // Pin before the content exists: whenever the resolve
                 // lands, it must survive eviction until consumed.
                 self.cache.pin(cid);
                 self.stats.pulls_sent += 1;
-                PullDecision::Send
             }
-            Some(state) if state.abandoned => PullDecision::Abandoned,
-            Some(state) if now_ms < state.next_retry_at_ms => PullDecision::Wait,
-            Some(state) => {
-                if self.policy.max_attempts > 0 && state.attempts >= self.policy.max_attempts {
-                    self.pending.get_mut(&cid).expect("outstanding").abandoned = true;
-                    self.cache.unpin(&cid);
-                    self.stats.pulls_abandoned += 1;
-                    return PullDecision::Abandoned;
-                }
-                let attempts = state.attempts + 1;
-                let timeout = self.jittered_timeout(&cid, attempts);
-                let live = self.pending.get_mut(&cid).expect("outstanding");
-                live.attempts = attempts;
-                live.next_retry_at_ms = now_ms + timeout;
-                self.stats.pulls_retried += 1;
-                PullDecision::Send
+            BackoffStep::Send(_) => self.stats.pulls_retried += 1,
+            BackoffStep::Exhausted => {
+                self.pending.remove(&cid);
+                self.abandoned.insert(cid);
+                self.cache.unpin(&cid);
+                self.stats.pulls_abandoned += 1;
             }
         }
-    }
-
-    /// The per-request jitter salt is the CID's leading bytes, so
-    /// distinct outstanding pulls de-synchronize from each other while
-    /// the whole schedule stays a pure function of the seed.
-    fn jittered_timeout(&self, cid: &Cid, attempt: u32) -> u64 {
-        let salt = u64::from_le_bytes(cid.as_bytes()[..8].try_into().expect("32-byte cid"));
-        self.policy
-            .jittered_timeout_for(attempt, self.jitter_seed, salt)
-    }
-
-    /// Number of sends (1-based attempts) for an outstanding pull; `0`
-    /// when no pull is tracked for `cid`.
-    pub fn pull_attempts(&self, cid: &Cid) -> u32 {
-        self.pending.get(cid).map_or(0, |s| s.attempts)
+        step
     }
 
     /// Outstanding (non-abandoned) pull requests.
     pub fn pending_pulls(&self) -> usize {
-        self.pending.values().filter(|s| !s.abandoned).count()
+        self.pending.len()
     }
 
     /// Processes an incoming protocol message. Returns an optional reply
@@ -643,6 +640,15 @@ mod tests {
     use hc_actors::HcAddress;
     use hc_types::merkle::merkle_root;
     use hc_types::{Address, SubnetId, TokenAmount};
+
+    /// A resolver under `policy`, its cache bounded to `capacity` groups.
+    fn resolver(policy: RetryPolicy, capacity: usize) -> Resolver {
+        Resolver {
+            policy,
+            cache: ContentCache::with_capacity(capacity),
+            ..Resolver::default()
+        }
+    }
 
     fn group(n: u64) -> (Cid, Vec<CrossMsg>) {
         let msgs: Vec<CrossMsg> = (0..n)
@@ -786,44 +792,45 @@ mod tests {
 
     #[test]
     fn should_pull_follows_timeout_and_backoff() {
-        let mut r = Resolver::with_policy(RetryPolicy {
+        let policy = RetryPolicy {
             base_timeout_ms: 100,
             backoff: 2,
             max_timeout_ms: 1_000,
             max_attempts: 0,
             jitter_pct: 0,
-        });
+        };
+        let mut r = Resolver::with_policy_seeded(policy, 0);
         let (cid, _) = group(1);
-        assert_eq!(r.should_pull(cid, 0), PullDecision::Send);
+        assert_eq!(r.should_pull(cid, 0), BackoffStep::Send(1));
         // In flight: wait out the first 100ms timeout.
-        assert_eq!(r.should_pull(cid, 50), PullDecision::Wait);
-        assert_eq!(r.should_pull(cid, 99), PullDecision::Wait);
+        assert_eq!(r.should_pull(cid, 50), BackoffStep::Wait);
+        assert_eq!(r.should_pull(cid, 99), BackoffStep::Wait);
         // Timed out: retry with doubled timeout (200ms from now).
-        assert_eq!(r.should_pull(cid, 100), PullDecision::Send);
-        assert_eq!(r.should_pull(cid, 299), PullDecision::Wait);
-        assert_eq!(r.should_pull(cid, 300), PullDecision::Send);
+        assert_eq!(r.should_pull(cid, 100), BackoffStep::Send(2));
+        assert_eq!(r.should_pull(cid, 299), BackoffStep::Wait);
+        assert_eq!(r.should_pull(cid, 300), BackoffStep::Send(3));
         let stats = r.stats();
         assert_eq!(stats.pulls_sent, 1);
         assert_eq!(stats.pulls_retried, 2);
         assert_eq!(stats.pulls_abandoned, 0);
-        assert_eq!(r.pull_attempts(&cid), 3);
     }
 
     #[test]
     fn budget_exhaustion_abandons_exactly_once() {
-        let mut r = Resolver::with_policy(RetryPolicy {
+        let policy = RetryPolicy {
             base_timeout_ms: 10,
             backoff: 1,
             max_timeout_ms: 10,
             max_attempts: 2,
             jitter_pct: 0,
-        });
+        };
+        let mut r = Resolver::with_policy_seeded(policy, 0);
         let (cid, _) = group(2);
-        assert_eq!(r.should_pull(cid, 0), PullDecision::Send);
-        assert_eq!(r.should_pull(cid, 10), PullDecision::Send);
+        assert_eq!(r.should_pull(cid, 0), BackoffStep::Send(1));
+        assert_eq!(r.should_pull(cid, 10), BackoffStep::Send(2));
         // Budget (2 attempts) spent → abandoned, counted once.
-        assert_eq!(r.should_pull(cid, 20), PullDecision::Abandoned);
-        assert_eq!(r.should_pull(cid, 30_000), PullDecision::Abandoned);
+        assert_eq!(r.should_pull(cid, 20), BackoffStep::Exhausted);
+        assert_eq!(r.should_pull(cid, 30_000), BackoffStep::Exhausted);
         assert_eq!(r.stats().pulls_abandoned, 1);
         assert_eq!(r.pending_pulls(), 0);
     }
@@ -832,13 +839,12 @@ mod tests {
     fn resolve_settles_outstanding_pull() {
         let mut r = Resolver::new();
         let (cid, msgs) = group(3);
-        assert_eq!(r.should_pull(cid, 0), PullDecision::Send);
+        assert_eq!(r.should_pull(cid, 0), BackoffStep::Send(1));
         assert_eq!(r.pending_pulls(), 1);
         r.handle(ResolutionMsg::Resolve { cid, msgs });
         assert_eq!(r.pending_pulls(), 0);
         // Content now cached → no further pulls wanted.
-        assert_eq!(r.should_pull(cid, 10_000), PullDecision::Wait);
-        assert_eq!(r.pull_attempts(&cid), 0);
+        assert_eq!(r.should_pull(cid, 10_000), BackoffStep::Wait);
     }
 
     /// Regression (in-flight eviction): at capacity 1, a resolve that
@@ -848,14 +854,14 @@ mod tests {
     /// until consumed.
     #[test]
     fn pending_pull_content_survives_eviction_at_capacity_one() {
-        let mut r = Resolver::with_policy_and_capacity(RetryPolicy::default(), 1);
+        let mut r = resolver(RetryPolicy::default(), 1);
         let (wanted_cid, wanted_msgs) = group(3);
         let (noise1_cid, noise1) = group(1);
         let (noise2_cid, noise2) = group(2);
 
         // The pool misses and a pull goes out.
         assert!(r.lookup_or_pull(wanted_cid, "t").is_err());
-        assert_eq!(r.should_pull(wanted_cid, 0), PullDecision::Send);
+        assert_eq!(r.should_pull(wanted_cid, 0), BackoffStep::Send(1));
         assert!(r.cache().is_pinned(&wanted_cid));
 
         // Unrelated traffic fills the one-slot cache...
@@ -894,7 +900,7 @@ mod tests {
     /// content alive.
     #[test]
     fn abandoned_pull_releases_its_pin() {
-        let mut r = Resolver::with_policy_and_capacity(
+        let mut r = resolver(
             RetryPolicy {
                 base_timeout_ms: 10,
                 backoff: 1,
@@ -905,9 +911,9 @@ mod tests {
             1,
         );
         let (cid, _) = group(5);
-        assert_eq!(r.should_pull(cid, 0), PullDecision::Send);
+        assert_eq!(r.should_pull(cid, 0), BackoffStep::Send(1));
         assert!(r.cache().is_pinned(&cid));
-        assert_eq!(r.should_pull(cid, 10), PullDecision::Abandoned);
+        assert_eq!(r.should_pull(cid, 10), BackoffStep::Exhausted);
         assert!(!r.cache().is_pinned(&cid));
     }
 
@@ -961,14 +967,12 @@ mod tests {
             }
         }
         // And the resolvers behave identically end to end.
-        let drive = |r: &mut Resolver| -> Vec<(PullDecision, u32)> {
+        let drive = |r: &mut Resolver| -> Vec<BackoffStep> {
             let (cid, _) = group(77);
-            (0..2_000)
-                .step_by(50)
-                .map(|now| (r.should_pull(cid, now), r.pull_attempts(&cid)))
-                .collect()
+            let times = (0..2_000).step_by(50);
+            times.map(|now| r.should_pull(cid, now)).collect()
         };
-        let mut plain = Resolver::with_policy(policy);
+        let mut plain = Resolver::with_policy_seeded(policy, 0);
         let mut seeded = Resolver::with_policy_seeded(policy, 0xfeed);
         assert_eq!(drive(&mut plain), drive(&mut seeded));
     }

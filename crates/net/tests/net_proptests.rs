@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use hc_actors::{CrossMsg, HcAddress, MsgGroup};
 use hc_net::{
-    ContentCache, DupRule, FaultPlan, NetConfig, Network, Partition, PartitionPolicy, ReorderRule,
-    Resolver,
+    ContentCache, FaultKind, FaultPlan, FaultRule, NetConfig, NetStats, Network, PartitionPolicy,
+    RegionLink, RegionMap, Resolver, SubscriberId, Window,
 };
 use hc_types::merkle::merkle_root;
 use hc_types::{Address, CanonicalDecode, CanonicalEncode, SubnetId, TokenAmount};
@@ -24,6 +24,173 @@ fn group(id: u64, n: u64) -> (hc_types::Cid, Vec<CrossMsg>) {
         })
         .collect();
     (merkle_root(&msgs), msgs)
+}
+
+/// The [`NetStats`] identities: every candidate delivery is scheduled or
+/// in exactly one drop class; everything scheduled is polled, cleared or
+/// still `pending`; and a hold is counted once, for a scheduled delivery.
+fn assert_ledgers_close(stats: &NetStats, pending: u64) {
+    assert_eq!(
+        stats.attempts,
+        stats.scheduled
+            + stats.dropped
+            + stats.partition_dropped
+            + stats.targeted_dropped
+            + stats.offline_dropped
+            + stats.region_dropped
+            + stats.region_lost,
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.scheduled + stats.duplicated,
+        stats.delivered + stats.redelivered + stats.offline_cleared + pending,
+        "{stats:?}"
+    );
+    assert!(
+        stats.partition_held + stats.region_held <= stats.scheduled,
+        "{stats:?}"
+    );
+}
+
+/// Rates a hostile plan may carry: not a number, negative, above one.
+const RATES: [f64; 8] = [f64::NAN, -1.0, 0.0, 0.3, 0.7, 1.0, 7.5, f64::INFINITY];
+
+/// Region names a rule may carry; the map never declares the last.
+const REGIONS: [&str; 4] = ["us", "eu", "ap", "atlantis"];
+
+/// `(kind, from_ms, until_ms, rate, x, y)` — raw material for one rule.
+type RuleSpec = (u8, u64, u64, usize, usize, usize);
+
+fn rule_specs(max: usize) -> impl Strategy<Value = Vec<RuleSpec>> {
+    let spec = (
+        0u8..8,
+        0u64..3_000,
+        0u64..3_000,
+        0usize..RATES.len(),
+        0usize..60,
+        0usize..60,
+    );
+    prop::collection::vec(spec, 0..max)
+}
+
+/// Any rule at all: every kind, windows that are empty, inverted or never
+/// close, every rate in [`RATES`], subscribers that may not exist, regions
+/// that may not be declared.
+fn rule((kind, from_ms, until_ms, rate, x, y): RuleSpec) -> FaultRule {
+    let rate = RATES[rate];
+    let topic = [None, Some("t".to_owned()), Some("u".to_owned())][x % 3].clone();
+    let sub = |i: usize| SubscriberId::from_raw((i % 5) as u64);
+    let opt_sub = |i: usize| (i % 6 < 5).then(|| sub(i));
+    let policy = [PartitionPolicy::Drop, PartitionPolicy::HoldUntilHeal][y % 2];
+    let region = |i: usize| REGIONS[i % 4].to_owned();
+    let kind = match kind {
+        0 => FaultKind::Partition {
+            name: "p".into(),
+            topics: topic.into_iter().collect(),
+            subscribers: (0..y % 4).map(|i| sub(x + i)).collect(),
+            policy,
+        },
+        1 => FaultKind::Loss {
+            topic,
+            from: opt_sub(x / 3),
+            to: opt_sub(y),
+            rate,
+        },
+        2 => FaultKind::Duplicate {
+            topic,
+            rate,
+            max_copies: (y % 4) as u32,
+            spread_ms: (y as u64 % 3) * 150,
+        },
+        3 => FaultKind::Reorder {
+            topic,
+            rate,
+            max_extra_delay_ms: (y as u64 % 3) * 400,
+        },
+        4 => FaultKind::RegionPartition {
+            name: "r".into(),
+            a: region(x),
+            b: region(x / 4),
+            policy,
+        },
+        5 => FaultKind::RegionDegrade {
+            from: region(x),
+            to: region(x / 4),
+            extra_delay_ms: y as u64 * 10,
+            loss_rate: rate,
+        },
+        6 => FaultKind::RegionOutage { region: region(x) },
+        _ => FaultKind::Crash {
+            subnet: SubnetId::root(),
+        },
+    };
+    let until_ms = if y % 7 == 0 { u64::MAX } else { until_ms };
+    FaultRule {
+        window: Window::new(from_ms, until_ms),
+        kind,
+    }
+}
+
+/// `(at_ms, payload, origin, on topic "u")`, all before virtual time 3 000.
+type PublishSpec = (u64, u32, usize, bool);
+
+fn publish_specs() -> impl Strategy<Value = Vec<PublishSpec>> {
+    prop::collection::vec((0u64..3_000, 0u32..1_000, 0usize..6, any::<bool>()), 1..40)
+}
+
+/// Runs `publishes` through a four-subscriber, three-region network with
+/// lossy, jittery links and base loss under `boot` (the configured plan)
+/// extended by `later`, draining fully. Returns the counters and the
+/// exact `(subscriber, deliver_at, payload)` schedule.
+fn run_plan(
+    seed: u64,
+    boot: FaultPlan,
+    later: FaultPlan,
+    publishes: &[PublishSpec],
+) -> (NetStats, Vec<(u64, u64, u32)>) {
+    let mut regions = RegionMap::named(&REGIONS[..3]);
+    let link = RegionLink {
+        extra_delay_ms: 60,
+        jitter_ms: 15,
+        loss_rate: 0.1,
+        delay_factor_pct: 150,
+    };
+    regions.set_link_symmetric("us", "eu", link);
+    let net: Network<u32> = Network::new(
+        NetConfig {
+            drop_rate: 0.1,
+            faults: boot,
+            regions,
+            ..NetConfig::default()
+        },
+        seed,
+    );
+    let subs: Vec<SubscriberId> = (0..4).map(|_| net.subscribe("t")).collect();
+    net.join(subs[1], "u");
+    net.join(subs[3], "u");
+    for (sub, region) in subs.iter().zip(["us", "eu", "ap", "us"]) {
+        net.place_in_region(*sub, region);
+    }
+    net.extend_faults(later);
+    for &(at_ms, payload, origin, on_u) in publishes {
+        // Origin 4 was never subscribed; 5 is unknown.
+        let origin = (origin < 5).then(|| SubscriberId::from_raw(origin as u64));
+        net.publish(if on_u { "u" } else { "t" }, payload, at_ms, origin);
+    }
+    let mut seen = Vec::new();
+    while let Some(at_ms) = net.next_delivery_ms() {
+        for sub in &subs {
+            let polled = net.poll(*sub, at_ms);
+            seen.extend(polled.into_iter().map(|p| (sub.raw(), at_ms, p)));
+        }
+    }
+    (net.stats(), seen)
+}
+
+fn plan_of(specs: &[RuleSpec]) -> FaultPlan {
+    FaultPlan {
+        rules: specs.iter().copied().map(rule).collect(),
+    }
 }
 
 proptest! {
@@ -142,22 +309,25 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let faults = FaultPlan {
-            duplications: vec![DupRule {
-                from_ms: 0,
-                until_ms: u64::MAX,
-                topic: None,
-                rate: f64::from(dup_pct) / 100.0,
-                max_copies,
-                spread_ms: 300,
-            }],
-            reorders: vec![ReorderRule {
-                from_ms: 0,
-                until_ms: u64::MAX,
-                topic: None,
-                rate: f64::from(reorder_pct) / 100.0,
-                max_extra_delay_ms: 500,
-            }],
-            ..FaultPlan::none()
+            rules: vec![
+                FaultRule {
+                    window: Window::new(0, u64::MAX),
+                    kind: FaultKind::Duplicate {
+                        topic: None,
+                        rate: f64::from(dup_pct) / 100.0,
+                        max_copies,
+                        spread_ms: 300,
+                    },
+                },
+                FaultRule {
+                    window: Window::new(0, u64::MAX),
+                    kind: FaultKind::Reorder {
+                        topic: None,
+                        rate: f64::from(reorder_pct) / 100.0,
+                        max_extra_delay_ms: 500,
+                    },
+                },
+            ],
         };
         let net: Network<u32> = Network::new(
             NetConfig { drop_rate: 0.0, faults, ..NetConfig::default() },
@@ -181,23 +351,10 @@ proptest! {
         prop_assert_eq!(got.len() as u64, stats.delivered + stats.redelivered);
         prop_assert!(stats.duplicated <= publishes.len() as u64 * u64::from(max_copies));
         // The full ledger reconciles: every candidate delivery landed in
-        // exactly one bucket (scheduled or one of the drop classes) ...
-        prop_assert_eq!(
-            stats.attempts,
-            stats.scheduled
-                + stats.dropped
-                + stats.partition_dropped
-                + stats.targeted_dropped
-                + stats.offline_dropped
-                + stats.region_dropped
-                + stats.region_lost
-        );
-        // ... and after the full drain, everything scheduled was polled.
+        // exactly one bucket (scheduled or one of the drop classes), and
+        // after the full drain everything scheduled was polled.
         prop_assert_eq!(net.pending_deliveries(), 0);
-        prop_assert_eq!(
-            stats.scheduled + stats.duplicated,
-            stats.delivered + stats.redelivered + stats.offline_cleared
-        );
+        assert_ledgers_close(&stats, 0);
     }
 
     /// Redelivery through the resolver is idempotent: however many times
@@ -230,15 +387,15 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let faults = FaultPlan {
-            partitions: vec![Partition {
-                name: "hold".into(),
-                from_ms: 0,
-                heal_ms,
-                topics: vec!["t".into()],
-                subscribers: Vec::new(),
-                policy: PartitionPolicy::HoldUntilHeal,
+            rules: vec![FaultRule {
+                window: Window::new(0, heal_ms),
+                kind: FaultKind::Partition {
+                    name: "hold".into(),
+                    topics: vec!["t".into()],
+                    subscribers: Vec::new(),
+                    policy: PartitionPolicy::HoldUntilHeal,
+                },
             }],
-            ..FaultPlan::none()
         };
         let net: Network<u32> = Network::new(
             NetConfig { drop_rate: 0.0, faults, ..NetConfig::default() },
@@ -270,15 +427,15 @@ proptest! {
     ) {
         let (from_ms, heal_ms) = window;
         let faults = FaultPlan {
-            partitions: vec![Partition {
-                name: "window".into(),
-                from_ms,
-                heal_ms,
-                topics: vec!["t".into()],
-                subscribers: Vec::new(),
-                policy: PartitionPolicy::Drop,
+            rules: vec![FaultRule {
+                window: Window::new(from_ms, heal_ms),
+                kind: FaultKind::Partition {
+                    name: "window".into(),
+                    topics: vec!["t".into()],
+                    subscribers: Vec::new(),
+                    policy: PartitionPolicy::Drop,
+                },
             }],
-            ..FaultPlan::none()
         };
         let net: Network<u32> = Network::new(
             NetConfig { drop_rate: 0.0, faults, ..NetConfig::default() },
@@ -329,5 +486,62 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// No plan, however hostile, panics the network or opens a ledger.
+    #[test]
+    fn arbitrary_plans_never_panic_and_the_ledgers_close(
+        seed in 0u64..1_000,
+        specs in rule_specs(12),
+        publishes in publish_specs(),
+    ) {
+        let (stats, seen) = run_plan(seed, plan_of(&specs), FaultPlan::none(), &publishes);
+        assert_ledgers_close(&stats, 0);
+        prop_assert_eq!(seen.len() as u64, stats.delivered + stats.redelivered);
+    }
+
+    /// A plan is its rule list: merging `b` into `a` — at boot or into the
+    /// live network — is the plan of `a.rules ++ b.rules`.
+    #[test]
+    fn merge_is_concatenation(
+        seed in 0u64..1_000,
+        a in rule_specs(6),
+        b in rule_specs(6),
+        publishes in publish_specs(),
+    ) {
+        let mut merged = plan_of(&a);
+        merged.merge(plan_of(&b));
+        let both: Vec<RuleSpec> = a.iter().chain(&b).copied().collect();
+        // (Compared as text: a NaN rate is not equal to itself.)
+        prop_assert_eq!(format!("{merged:?}"), format!("{:?}", plan_of(&both)));
+        let whole = run_plan(seed, merged, FaultPlan::none(), &publishes);
+        prop_assert_eq!(&whole, &run_plan(seed, plan_of(&a), plan_of(&b), &publishes));
+        prop_assert_eq!(&whole, &run_plan(seed, FaultPlan::none(), plan_of(&both), &publishes));
+    }
+
+    /// Rules are independent: one whose window no publish falls in can be
+    /// removed — from anywhere in the list — without moving a counter, a
+    /// delivery time or a draw of either RNG stream.
+    #[test]
+    fn a_rule_no_publish_falls_in_can_be_removed(
+        seed in 0u64..1_000,
+        specs in rule_specs(10),
+        idle in (0u8..8, 0usize..RATES.len(), 0usize..60, 1usize..60),
+        at in any::<prop::sample::Index>(),
+        inverted in any::<bool>(),
+        publishes in publish_specs(),
+    ) {
+        // Every publish is before 3 000 ms.
+        let (kind, rate, x, y) = idle;
+        let (from_ms, until_ms) = if inverted { (2_000, 1_000) } else { (3_000, 9_000) };
+        let mut idle = rule((kind, from_ms, until_ms, rate, x, y));
+        idle.window.until_ms = until_ms;
+        let without = plan_of(&specs);
+        let mut with = without.clone();
+        with.rules.insert(at.index(specs.len() + 1), idle);
+        prop_assert_eq!(
+            run_plan(seed, with, FaultPlan::none(), &publishes),
+            run_plan(seed, without, FaultPlan::none(), &publishes)
+        );
     }
 }

@@ -5,9 +5,45 @@
 use proptest::prelude::*;
 
 use hc_net::{
-    FaultPlan, NetConfig, Network, PartitionPolicy, RegionDegrade, RegionLink, RegionMap,
-    RegionOutage, RegionPartition,
+    FaultKind, FaultPlan, FaultRule, NetConfig, Network, PartitionPolicy, RegionLink, RegionMap,
 };
+
+/// One of each region-scoped rule between regions `a` and `b`, with a
+/// `Drop` or hold-until-heal partition.
+fn region_rules(a: &str, b: &str, windows: [(u64, u64); 3], hold: bool) -> Vec<FaultRule> {
+    let [outage, partition, degrade] = windows;
+    vec![
+        FaultRule::new(
+            outage.0,
+            outage.1,
+            FaultKind::RegionOutage { region: b.into() },
+        ),
+        FaultRule::new(
+            partition.0,
+            partition.1,
+            FaultKind::RegionPartition {
+                name: "x".into(),
+                a: a.into(),
+                b: b.into(),
+                policy: if hold {
+                    PartitionPolicy::HoldUntilHeal
+                } else {
+                    PartitionPolicy::Drop
+                },
+            },
+        ),
+        FaultRule::new(
+            degrade.0,
+            degrade.1,
+            FaultKind::RegionDegrade {
+                from: a.into(),
+                to: b.into(),
+                extra_delay_ms: 80,
+                loss_rate: 0.2,
+            },
+        ),
+    ]
+}
 
 /// Polls every subscriber at stepped horizons so the comparison captures
 /// the *schedule* (who got what, when), not just the final multiset.
@@ -65,29 +101,22 @@ proptest! {
             net.place_in_region(a, "us");
             net.place_in_region(b, "eu");
             net.place_in_region(c, "ap");
-            net.extend_faults(FaultPlan {
-                region_outages: vec![RegionOutage {
-                    region: "ap".into(), from_ms: 2_000, heal_ms: 2_600,
-                }],
-                region_partitions: vec![RegionPartition {
-                    name: "x".into(), a: "eu".into(), b: "ap".into(),
-                    from_ms: 1_000, heal_ms: 3_000,
-                    policy: PartitionPolicy::HoldUntilHeal,
-                }],
-                region_degrades: vec![RegionDegrade {
-                    from: "us".into(), to: "eu".into(),
-                    from_ms: 500, until_ms: 2_500,
-                    extra_delay_ms: 80, loss_rate: 0.2,
-                }],
-                ..FaultPlan::none()
-            });
-            for (at, p) in &publishes {
-                net.publish_from("t", *p, *at, Some(a), Some(a));
+            // A held us → eu delivery then faces the degrade's loss draw,
+            // an eu → ap one the outage: holds that may never be scheduled.
+            let mut rules = region_rules("us", "eu", [(0, 0), (1_000, 3_000), (500, 2_500)], true);
+            rules.extend(region_rules("eu", "ap", [(2_000, 2_600), (1_000, 3_000), (0, 0)], true));
+            net.extend_faults(FaultPlan { rules });
+            for (i, (at, p)) in publishes.iter().enumerate() {
+                net.publish("t", *p, *at, Some([a, b][i % 2]));
             }
-            let schedule = drain_stepped(&net, &[b, c]);
+            let schedule = drain_stepped(&net, &[a, b, c]);
             (schedule, net.stats())
         };
-        prop_assert_eq!(run(), run());
+        let first = run();
+        prop_assert_eq!(&first, &run());
+        // A hold is counted only for a delivery that was scheduled.
+        let stats = first.1;
+        prop_assert!(stats.partition_held + stats.region_held <= stats.scheduled);
     }
 
     /// `RegionMap::uniform()` — and any placed map without a non-identity
@@ -117,9 +146,9 @@ proptest! {
                 net.place_in_region(b, "eu");
             }
             for (at, p) in &publishes {
-                net.publish_from("t", *p, *at, Some(a), Some(a));
+                net.publish("t", *p, *at, Some(a));
             }
-            (drain_stepped(&net, &[b]), net.stats())
+            (drain_stepped(&net, &[a, b]), net.stats())
         };
         let map = if placed {
             Some(RegionMap::named(&["us", "eu"]))
@@ -148,18 +177,9 @@ proptest! {
             }
             (drain_stepped(&net, &[a]), net.stats().delivered, net.stats().dropped)
         };
-        let mut inert = FaultPlan::none();
-        inert.region_outages.push(RegionOutage {
-            region: "atlantis".into(), from_ms: 0, heal_ms: u64::MAX,
-        });
-        inert.region_partitions.push(RegionPartition {
-            name: "mythical".into(), a: "atlantis".into(), b: "lemuria".into(),
-            from_ms: 0, heal_ms: u64::MAX, policy: PartitionPolicy::Drop,
-        });
-        inert.region_degrades.push(RegionDegrade {
-            from: "atlantis".into(), to: "lemuria".into(),
-            from_ms: 0, until_ms: u64::MAX, extra_delay_ms: 500, loss_rate: 1.0,
-        });
+        let inert = FaultPlan {
+            rules: region_rules("lemuria", "atlantis", [(0, u64::MAX); 3], false),
+        };
         prop_assert_eq!(run(FaultPlan::none()), run(inert));
     }
 
@@ -183,11 +203,10 @@ proptest! {
         net.place_in_region(a, "us");
         net.place_in_region(b, "ap");
         net.extend_faults(FaultPlan {
-            region_outages: vec![RegionOutage { region: "ap".into(), from_ms, heal_ms }],
-            ..FaultPlan::none()
+            rules: vec![FaultRule::new(from_ms, heal_ms, FaultKind::RegionOutage { region: "ap".into() })],
         });
         for (at, p) in &publishes {
-            net.publish_from("t", *p, *at, Some(a), Some(a));
+            net.publish("t", *p, *at, Some(a));
         }
         let mut got = net.poll(b, u64::MAX);
         got.sort_unstable();
@@ -204,6 +223,8 @@ proptest! {
             .count() as u64;
         let stats = net.stats();
         prop_assert_eq!(stats.region_dropped, blackholed);
+        // a's own copy never leaves "us": it is always scheduled.
+        prop_assert_eq!(stats.scheduled, publishes.len() as u64 * 2 - blackholed);
         prop_assert_eq!(
             stats.attempts,
             stats.scheduled + stats.region_dropped

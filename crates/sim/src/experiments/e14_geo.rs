@@ -24,9 +24,7 @@ use hc_core::{
     audit_escrow, audit_quiescent, HierarchyRuntime, PlacementPolicy, RuntimeConfig, RuntimeError,
     SyncMode, UserHandle,
 };
-use hc_net::{
-    FaultPlan, PartitionPolicy, RegionDegrade, RegionLink, RegionMap, RegionOutage, RegionPartition,
-};
+use hc_net::{FaultKind, FaultPlan, FaultRule, PartitionPolicy, RegionLink, RegionMap};
 use hc_types::{SubnetId, TokenAmount};
 
 use crate::metrics::measure_delivery;
@@ -224,67 +222,33 @@ fn inject(rt: &mut HierarchyRuntime, scenario: &str, c1: &SubnetId, c2: &SubnetI
     let now = rt.now_ms();
     let from_ms = now + 400;
     let heal_ms = now + 5_400;
-    let region_of = |rt: &HierarchyRuntime, s: &SubnetId| {
-        rt.region_of_subnet(s).unwrap_or(E14_REGIONS[0]).to_owned()
+    let region_of = |s: &SubnetId| rt.region_of_subnet(s).unwrap_or(E14_REGIONS[0]).to_owned();
+    let (a, b) = (region_of(&SubnetId::root()), region_of(c1));
+    let degrade = |from: &String, to: &String| FaultKind::RegionDegrade {
+        from: from.clone(),
+        to: to.clone(),
+        extra_delay_ms: 150,
+        loss_rate: 0.25,
     };
-    match scenario {
-        "outage" => {
-            let region = region_of(rt, c2);
-            rt.extend_faults(FaultPlan {
-                region_outages: vec![RegionOutage {
-                    region,
-                    from_ms,
-                    heal_ms,
-                }],
-                ..FaultPlan::none()
-            });
-        }
-        "partition" => {
-            let a = region_of(rt, &SubnetId::root());
-            let b = region_of(rt, c1);
-            if a != b {
-                rt.extend_faults(FaultPlan {
-                    region_partitions: vec![RegionPartition {
-                        name: "oceanic-cut".into(),
-                        a,
-                        b,
-                        from_ms,
-                        heal_ms,
-                        policy: PartitionPolicy::Drop,
-                    }],
-                    ..FaultPlan::none()
-                });
-            }
-        }
-        "degrade" => {
-            let a = region_of(rt, &SubnetId::root());
-            let b = region_of(rt, c1);
-            if a != b {
-                rt.extend_faults(FaultPlan {
-                    region_degrades: vec![
-                        RegionDegrade {
-                            from: a.clone(),
-                            to: b.clone(),
-                            from_ms,
-                            until_ms: heal_ms,
-                            extra_delay_ms: 150,
-                            loss_rate: 0.25,
-                        },
-                        RegionDegrade {
-                            from: b,
-                            to: a,
-                            from_ms,
-                            until_ms: heal_ms,
-                            extra_delay_ms: 150,
-                            loss_rate: 0.25,
-                        },
-                    ],
-                    ..FaultPlan::none()
-                });
-            }
-        }
-        _ => {}
-    }
+    let kinds = match scenario {
+        "outage" => vec![FaultKind::RegionOutage {
+            region: region_of(c2),
+        }],
+        "partition" if a != b => vec![FaultKind::RegionPartition {
+            name: "oceanic-cut".into(),
+            a,
+            b,
+            policy: PartitionPolicy::Drop,
+        }],
+        "degrade" if a != b => vec![degrade(&a, &b), degrade(&b, &a)],
+        _ => Vec::new(),
+    };
+    let rules = kinds
+        .into_iter()
+        .map(|kind| FaultRule::new(from_ms, heal_ms, kind));
+    rt.extend_faults(FaultPlan {
+        rules: rules.collect(),
+    });
     heal_ms
 }
 

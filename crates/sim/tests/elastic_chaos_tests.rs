@@ -21,7 +21,7 @@ use hc_core::{
     audit_escrow, audit_quiescent, ChaosStats, ElasticConfig, ElasticController, ElasticStats,
     HierarchyRuntime, RuntimeConfig, RuntimeError, UserHandle,
 };
-use hc_net::{CrashFault, FaultPlan, LossRule};
+use hc_net::{FaultKind, FaultPlan, FaultRule};
 use hc_state::Method;
 use hc_types::{SubnetId, TokenAmount};
 use hc_workload::{LazyAccounts, OpenLoopGenerator, RampProfile, TrafficOp};
@@ -172,20 +172,25 @@ fn run_schedule(seed: u64, faults: bool) -> Outcome {
     let t = s.rt.now_ms();
     if faults {
         s.rt.extend_faults(FaultPlan {
-            losses: vec![LossRule {
-                from_ms: t,
-                until_ms: t + 9_000,
-                topic: Some(child.topic()),
-                from: None,
-                to: None,
-                rate: 0.35,
-            }],
-            crashes: vec![CrashFault {
-                subnet: child.clone(),
-                crash_at_ms: t + 400,
-                rejoin_at_ms: t + 5_000,
-            }],
-            ..FaultPlan::none()
+            rules: vec![
+                FaultRule::new(
+                    t,
+                    t + 9_000,
+                    FaultKind::Loss {
+                        topic: Some(child.topic()),
+                        from: None,
+                        to: None,
+                        rate: 0.35,
+                    },
+                ),
+                FaultRule::new(
+                    t + 400,
+                    t + 5_000,
+                    FaultKind::Crash {
+                        subnet: child.clone(),
+                    },
+                ),
+            ],
         });
     }
 

@@ -20,7 +20,7 @@ use hc_core::{
     audit_escrow, audit_quiescent, HierarchyRuntime, PlacementPolicy, RuntimeConfig, RuntimeError,
     SyncMode, UserHandle,
 };
-use hc_net::{DupRule, FaultPlan, LossRule, RegionOutage, ReorderRule};
+use hc_net::{FaultKind, FaultPlan, FaultRule};
 use hc_sim::experiments::e14_geo::geography;
 use hc_types::{SubnetId, TokenAmount};
 
@@ -180,35 +180,38 @@ fn region_outage_under_faulty_network_reconverges_to_undisturbed_roots() {
         if disaster {
             let region = w.rt.region_of_subnet(&w.c1).unwrap().to_owned();
             w.rt.extend_faults(FaultPlan {
-                region_outages: vec![RegionOutage {
-                    region,
-                    from_ms: now + 400,
-                    heal_ms,
-                }],
-                losses: vec![LossRule {
-                    from_ms: now,
-                    until_ms: now + 9_000,
-                    topic: Some(w.c1.topic()),
-                    from: None,
-                    to: None,
-                    rate: 0.35,
-                }],
-                duplications: vec![DupRule {
-                    from_ms: now,
-                    until_ms: now + 9_000,
-                    topic: None,
-                    rate: 0.5,
-                    max_copies: 2,
-                    spread_ms: 400,
-                }],
-                reorders: vec![ReorderRule {
-                    from_ms: now,
-                    until_ms: now + 9_000,
-                    topic: None,
-                    rate: 0.5,
-                    max_extra_delay_ms: 900,
-                }],
-                ..FaultPlan::none()
+                rules: vec![
+                    FaultRule::new(now + 400, heal_ms, FaultKind::RegionOutage { region }),
+                    FaultRule::new(
+                        now,
+                        now + 9_000,
+                        FaultKind::Loss {
+                            topic: Some(w.c1.topic()),
+                            from: None,
+                            to: None,
+                            rate: 0.35,
+                        },
+                    ),
+                    FaultRule::new(
+                        now,
+                        now + 9_000,
+                        FaultKind::Duplicate {
+                            topic: None,
+                            rate: 0.5,
+                            max_copies: 2,
+                            spread_ms: 400,
+                        },
+                    ),
+                    FaultRule::new(
+                        now,
+                        now + 9_000,
+                        FaultKind::Reorder {
+                            topic: None,
+                            rate: 0.5,
+                            max_extra_delay_ms: 900,
+                        },
+                    ),
+                ],
             });
         }
         ride_out(&mut w.rt, heal_ms);
@@ -256,7 +259,7 @@ fn region_outage_under_faulty_network_reconverges_to_undisturbed_roots() {
 /// region outages — the child's region first, then the region holding
 /// its parent — under lossy gossip, healing through snapshot state-sync
 /// with the child's rejoin deferred behind the still-recovering parent.
-fn run_geo_schedule(seed: u64) -> u64 {
+fn run_geo_schedule(seed: u64) -> (u64, String) {
     let mut w = build(
         PlacementPolicy::RoundRobin,
         0xE14_000 + seed,
@@ -284,27 +287,28 @@ fn run_geo_schedule(seed: u64) -> u64 {
     assert_ne!(c1_region, p1_region, "geo-spread must separate c1 from p1");
     let heal_ms = now + 6_500;
     w.rt.extend_faults(FaultPlan {
-        region_outages: vec![
-            RegionOutage {
-                region: c1_region,
-                from_ms: now + 300,
-                heal_ms: now + 6_300,
-            },
-            RegionOutage {
-                region: p1_region,
-                from_ms: now + 500,
+        rules: vec![
+            FaultRule::new(
+                now + 300,
+                now + 6_300,
+                FaultKind::RegionOutage { region: c1_region },
+            ),
+            FaultRule::new(
+                now + 500,
                 heal_ms,
-            },
+                FaultKind::RegionOutage { region: p1_region },
+            ),
+            FaultRule::new(
+                now,
+                heal_ms,
+                FaultKind::Loss {
+                    topic: Some(w.p1.topic()),
+                    from: None,
+                    to: None,
+                    rate: 0.25,
+                },
+            ),
         ],
-        losses: vec![LossRule {
-            from_ms: now,
-            until_ms: heal_ms,
-            topic: Some(w.p1.topic()),
-            from: None,
-            to: None,
-            rate: 0.25,
-        }],
-        ..FaultPlan::none()
     });
     ride_out(&mut w.rt, heal_ms);
 
@@ -331,7 +335,45 @@ fn run_geo_schedule(seed: u64) -> u64 {
     );
     assert_ledger_reconciles(&w.rt);
     assert_no_abandons(&w.rt);
-    chaos.checkpoints_resubmitted
+    (chaos.checkpoints_resubmitted, fingerprint(&w.rt))
+}
+
+/// Everything a schedule decides, in one digest: each subnet's head epoch,
+/// head block and state root, the crash/catch-up counters and the full
+/// network ledger.
+fn fingerprint(rt: &HierarchyRuntime) -> String {
+    use std::fmt::Write;
+    let mut text = String::new();
+    for subnet in rt.subnets() {
+        let head = rt.node(subnet).unwrap().chain().iter().last().unwrap();
+        let header = &head.header;
+        writeln!(
+            text,
+            "{subnet} {:?} {:?} {:?}",
+            header.epoch,
+            head.cid(),
+            header.state_root
+        )
+        .unwrap();
+    }
+    write!(text, "{:?}\n{:?}", rt.chaos_stats(), rt.net_stats()).unwrap();
+    format!("{:?}", hc_types::Cid::digest(text.as_bytes()))
+}
+
+/// Three schedules of the sweep land on the heads, state roots,
+/// `ChaosStats` and `NetStats` recorded from the last commit that kept
+/// region outages in a vector (and a runtime schedule) of their own.
+#[test]
+fn geo_schedules_reproduce_the_recorded_fingerprints() {
+    let recorded = [
+        "1c7e33f116752518ccaeb55733d8f8e92757b82eda79ea80065ea7660b3d3939",
+        "e56e282bca8fedbc67c255ee209f129cb4f6b86f35fc591afdba92a72a0a4ad2",
+        "14c19e8256f5e16e062a8ba9661ce5cdef11e676fa05befab676b03b2c0542f9",
+    ];
+    for (seed, digest) in recorded.iter().enumerate() {
+        let (_, fingerprint) = run_geo_schedule(seed as u64);
+        assert_eq!(fingerprint, format!("Cid({digest})"), "seed {seed}");
+    }
 }
 
 /// The tier-1 sweep: ten seeded overlapping-outage schedules. Across the
@@ -340,7 +382,7 @@ fn run_geo_schedule(seed: u64) -> u64 {
 /// queue, resubmitted after catch-up).
 #[test]
 fn geo_chaos_sweep_preserves_safety_and_liveness() {
-    let resubmitted: u64 = (0..10).map(run_geo_schedule).sum();
+    let resubmitted: u64 = (0..10).map(|seed| run_geo_schedule(seed).0).sum();
     assert!(
         resubmitted >= 1,
         "the sweep must exercise checkpoint resubmission at least once"

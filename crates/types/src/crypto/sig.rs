@@ -27,7 +27,7 @@ use std::sync::{OnceLock, RwLock};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use super::sha2::{sha256, sha256_concat};
+use super::sha2::sha256_concat;
 use crate::encode::CanonicalEncode;
 
 const PUBKEY_DOMAIN: &[u8] = b"hc-pubkey";
@@ -243,14 +243,10 @@ impl crate::decode::CanonicalDecode for Signature {
     }
 }
 
-/// Convenience re-export of the digest function at the signature layer.
-pub(crate) fn _digest(msg: &[u8]) -> [u8; 32] {
-    sha256(msg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::sha2::sha256;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -8,7 +8,7 @@
 //! cargo run --example chaos_drill
 //! ```
 
-use hierarchical_consensus::net::{CrashFault, DupRule, FaultPlan, LossRule, ReorderRule};
+use hierarchical_consensus::net::{FaultKind, FaultPlan, FaultRule};
 use hierarchical_consensus::prelude::*;
 
 fn main() -> Result<(), RuntimeError> {
@@ -36,35 +36,44 @@ fn main() -> Result<(), RuntimeError> {
     // reordering everywhere, and the child node crashing mid-epoch.
     let now = rt.now_ms();
     rt.extend_faults(FaultPlan {
-        losses: vec![LossRule {
-            from_ms: now,
-            until_ms: now + 15_000,
-            topic: Some(subnet.topic()),
-            from: None,
-            to: None,
-            rate: 0.35,
-        }],
-        duplications: vec![DupRule {
-            from_ms: now,
-            until_ms: now + 15_000,
-            topic: None,
-            rate: 0.5,
-            max_copies: 2,
-            spread_ms: 400,
-        }],
-        reorders: vec![ReorderRule {
-            from_ms: now,
-            until_ms: now + 15_000,
-            topic: None,
-            rate: 0.5,
-            max_extra_delay_ms: 900,
-        }],
-        crashes: vec![CrashFault {
-            subnet: subnet.clone(),
-            crash_at_ms: now + 1_200,
-            rejoin_at_ms: now + 6_500,
-        }],
-        ..FaultPlan::none()
+        rules: vec![
+            FaultRule::new(
+                now,
+                now + 15_000,
+                FaultKind::Loss {
+                    topic: Some(subnet.topic()),
+                    from: None,
+                    to: None,
+                    rate: 0.35,
+                },
+            ),
+            FaultRule::new(
+                now,
+                now + 15_000,
+                FaultKind::Duplicate {
+                    topic: None,
+                    rate: 0.5,
+                    max_copies: 2,
+                    spread_ms: 400,
+                },
+            ),
+            FaultRule::new(
+                now,
+                now + 15_000,
+                FaultKind::Reorder {
+                    topic: None,
+                    rate: 0.5,
+                    max_extra_delay_ms: 900,
+                },
+            ),
+            FaultRule::new(
+                now + 1_200,
+                now + 6_500,
+                FaultKind::Crash {
+                    subnet: subnet.clone(),
+                },
+            ),
+        ],
     });
     println!("fault schedule injected: loss 35% on {subnet}, dup 50%, reorder 50%,");
     println!("crash at +1.2s, rejoin at +6.5s\n");

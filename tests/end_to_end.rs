@@ -256,7 +256,7 @@ fn four_level_round_trip() {
 /// catches back up — every in-flight transfer applied exactly once.
 #[test]
 fn leaf_crash_rejoin_in_deep_topology() {
-    use hierarchical_consensus::net::{CrashFault, DupRule, FaultPlan, LossRule, ReorderRule};
+    use hierarchical_consensus::net::{FaultKind, FaultPlan, FaultRule};
 
     let mut topo = TopologyBuilder::new().users_per_subnet(1).deep(3).unwrap();
     let leaf = topo.subnets[2].clone();
@@ -270,35 +270,44 @@ fn leaf_crash_rejoin_in_deep_topology() {
         .unwrap();
     let now = topo.rt.now_ms();
     topo.rt.extend_faults(FaultPlan {
-        losses: vec![LossRule {
-            from_ms: now,
-            until_ms: now + 20_000,
-            topic: Some(leaf.topic()),
-            from: None,
-            to: None,
-            rate: 0.3,
-        }],
-        duplications: vec![DupRule {
-            from_ms: now,
-            until_ms: now + 20_000,
-            topic: None,
-            rate: 0.4,
-            max_copies: 2,
-            spread_ms: 300,
-        }],
-        reorders: vec![ReorderRule {
-            from_ms: now,
-            until_ms: now + 20_000,
-            topic: None,
-            rate: 0.4,
-            max_extra_delay_ms: 600,
-        }],
-        crashes: vec![CrashFault {
-            subnet: leaf.clone(),
-            crash_at_ms: now + 1_500,
-            rejoin_at_ms: now + 8_000,
-        }],
-        ..FaultPlan::none()
+        rules: vec![
+            FaultRule::new(
+                now,
+                now + 20_000,
+                FaultKind::Loss {
+                    topic: Some(leaf.topic()),
+                    from: None,
+                    to: None,
+                    rate: 0.3,
+                },
+            ),
+            FaultRule::new(
+                now,
+                now + 20_000,
+                FaultKind::Duplicate {
+                    topic: None,
+                    rate: 0.4,
+                    max_copies: 2,
+                    spread_ms: 300,
+                },
+            ),
+            FaultRule::new(
+                now,
+                now + 20_000,
+                FaultKind::Reorder {
+                    topic: None,
+                    rate: 0.4,
+                    max_extra_delay_ms: 600,
+                },
+            ),
+            FaultRule::new(
+                now + 1_500,
+                now + 8_000,
+                FaultKind::Crash {
+                    subnet: leaf.clone(),
+                },
+            ),
+        ],
     });
 
     let blocks = topo.rt.run_until_quiescent(300_000).unwrap();
