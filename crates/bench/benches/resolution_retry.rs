@@ -69,7 +69,6 @@ fn bench_resolution_retry(c: &mut Criterion) {
                 backoff: 2,
                 max_timeout_ms: 1_600,
                 max_attempts: 0,
-                jitter_pct: 0,
             },
         ),
         ("default_backoff", RetryPolicy::default()),

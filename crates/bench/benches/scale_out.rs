@@ -7,12 +7,13 @@
 //! the same scenarios.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hc_bench::scale_out::{guard_params, overload_burst, scale_out};
+use hc_bench::scale_out::{overload_burst, scale_out};
+use hc_sim::experiments::E13Params;
 
 fn bench_scale_out(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_out");
     group.sample_size(10);
-    let params = guard_params();
+    let params = E13Params::quick();
     group.bench_function("ramp_static_vs_elastic", |b| {
         b.iter(|| scale_out(&params).speedup)
     });

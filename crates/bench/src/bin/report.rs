@@ -159,15 +159,7 @@ fn main() {
 
     run!("e13", {
         let params = if quick {
-            E13Params {
-                population: 100_000,
-                rounds: 60,
-                start_rate: 5,
-                peak_rate: 150,
-                block_capacity: 25,
-                tail_window: 12,
-                ..E13Params::default()
-            }
+            E13Params::quick()
         } else {
             E13Params::default()
         };

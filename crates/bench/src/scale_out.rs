@@ -18,21 +18,6 @@ use hc_sim::experiments::{e13_run, E13Outcome, E13Params};
 use hc_state::Method;
 use hc_types::{SubnetId, TokenAmount};
 
-/// Guard-sized E13 parameters (the report binary runs the full-size
-/// default): a 100k-account Zipfian ramp from 5 to 150 msgs/round against
-/// 25-msg blocks, enough to saturate the root several times over.
-pub fn guard_params() -> E13Params {
-    E13Params {
-        population: 100_000,
-        rounds: 60,
-        start_rate: 5,
-        peak_rate: 150,
-        block_capacity: 25,
-        tail_window: 12,
-        ..E13Params::default()
-    }
-}
-
 /// Runs the static-vs-elastic ramp comparison (E13).
 ///
 /// # Panics

@@ -12,12 +12,13 @@
 
 use std::time::Instant;
 
-use hc_bench::scale_out::{guard_params, overload_burst, scale_out};
+use hc_bench::scale_out::{overload_burst, scale_out};
+use hc_sim::experiments::E13Params;
 
 #[test]
 fn elastic_ramp_doubles_sustained_throughput_with_balance_parity() {
     let wall = Instant::now();
-    let outcome = scale_out(&guard_params());
+    let outcome = scale_out(&E13Params::quick());
     let (stat, elas) = (&outcome.rows[0], &outcome.rows[1]);
     eprintln!(
         "scale_out: static {:.2} msg/round, elastic {:.2} msg/round, speedup {:.2}x, \
@@ -45,8 +46,8 @@ fn elastic_ramp_doubles_sustained_throughput_with_balance_parity() {
 
 #[test]
 fn scale_out_comparison_is_bit_identical_across_repeats() {
-    let a = scale_out(&guard_params());
-    let b = scale_out(&guard_params());
+    let a = scale_out(&E13Params::quick());
+    let b = scale_out(&E13Params::quick());
     assert_eq!(a, b, "same seed, same params: byte-identical outcome");
 }
 

@@ -41,27 +41,15 @@ use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Nonce, SubnetId};
 /// How many epochs an admitted CID stays in the dedup set after its
 /// admission epoch. Replays older than this are caught by account-nonce
 /// validation at execution time, so the set can forget them.
-pub const DEFAULT_SEEN_HORIZON_EPOCHS: u64 = 256;
+pub const SEEN_HORIZON_EPOCHS: u64 = 256;
 
 /// Admission-control knobs for [`Mempool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MempoolConfig {
     /// Memory budget for pending messages, in canonical wire bytes of the
     /// signed messages held. `0` means unbounded (the pre-admission-control
     /// behaviour).
     pub capacity_bytes: usize,
-    /// Epochs an admitted CID stays in the dedup set past its admission
-    /// epoch.
-    pub seen_horizon_epochs: u64,
-}
-
-impl Default for MempoolConfig {
-    fn default() -> Self {
-        MempoolConfig {
-            capacity_bytes: 0,
-            seen_horizon_epochs: DEFAULT_SEEN_HORIZON_EPOCHS,
-        }
-    }
 }
 
 /// Admission/eviction counters of one [`Mempool`] (mergeable into a
@@ -181,7 +169,7 @@ impl Default for Mempool {
 }
 
 impl Mempool {
-    /// Creates an empty unbounded pool with the default dedup horizon.
+    /// Creates an empty unbounded pool.
     pub fn new() -> Self {
         Self::default()
     }
@@ -192,15 +180,6 @@ impl Mempool {
             config,
             ..Self::default()
         }
-    }
-
-    /// Creates an empty pool that remembers admitted CIDs for `horizon`
-    /// epochs past their admission epoch.
-    pub fn with_seen_horizon(horizon: u64) -> Self {
-        Self::with_config(MempoolConfig {
-            seen_horizon_epochs: horizon,
-            ..MempoolConfig::default()
-        })
     }
 
     /// Wires in a verified-signature cache: admission verdicts are cached
@@ -329,19 +308,18 @@ impl Mempool {
     }
 
     /// Advances the pool's notion of the current chain epoch and prunes
-    /// dedup entries admitted more than the horizon ago. Without this the
-    /// `seen` set grows without bound for the lifetime of the node; with
-    /// it, replays inside the horizon are still refused here while older
-    /// replays fall through to the account-nonce check at execution time
-    /// (stale nonces never execute).
+    /// dedup entries admitted more than [`SEEN_HORIZON_EPOCHS`] ago.
+    /// Without this the `seen` set grows without bound for the lifetime of
+    /// the node; with it, replays inside the horizon are still refused here
+    /// while older replays fall through to the account-nonce check at
+    /// execution time (stale nonces never execute).
     pub fn advance_epoch(&mut self, epoch: ChainEpoch) {
         if epoch <= self.current_epoch {
             return;
         }
         self.current_epoch = epoch;
-        let horizon = self.config.seen_horizon_epochs;
         self.seen
-            .retain(|_, admitted| epoch.since(*admitted) <= horizon);
+            .retain(|_, admitted| epoch.since(*admitted) <= SEEN_HORIZON_EPOCHS);
     }
 
     /// Number of CIDs currently held for dedup (testing/diagnostics).
@@ -748,7 +726,6 @@ mod tests {
         let cap = 2 * msg_bytes();
         let mut pool = Mempool::with_config(MempoolConfig {
             capacity_bytes: cap,
-            ..MempoolConfig::default()
         });
         let (ka, kb, kc) = (kp(2), kp(3), kp(4));
         assert!(push_fee(&mut pool, 100, 0, &ka, 5).is_admitted());
@@ -784,7 +761,6 @@ mod tests {
         let cap = 2 * msg_bytes();
         let mut pool = Mempool::with_config(MempoolConfig {
             capacity_bytes: cap,
-            ..MempoolConfig::default()
         });
         let (ka, kb) = (kp(6), kp(7));
         // A's lane: cheap head, expensive tail. The tail — not the cheap
@@ -798,7 +774,6 @@ mod tests {
         // Reversed fee shape: now A's tail is the cheapest and gives way.
         let mut pool2 = Mempool::with_config(MempoolConfig {
             capacity_bytes: cap,
-            ..MempoolConfig::default()
         });
         assert!(push_fee(&mut pool2, 100, 0, &ka, 9).is_admitted());
         assert!(push_fee(&mut pool2, 100, 1, &ka, 1).is_admitted());
@@ -828,13 +803,13 @@ mod tests {
 
     #[test]
     fn mempool_seen_set_prunes_beyond_horizon() {
-        let mut pool = Mempool::with_seen_horizon(2);
+        let mut pool = Mempool::new();
         let k = kp(7);
         let m = SealedMessage::new(signed(100, 0, &k));
         assert!(pool.push_sealed(m.clone()));
         pool.remove_included([&m]);
         // Replays within the horizon are still refused and remembered.
-        pool.advance_epoch(ChainEpoch::new(2));
+        pool.advance_epoch(ChainEpoch::new(SEEN_HORIZON_EPOCHS));
         assert!(!pool.push_sealed(m.clone()));
         assert_eq!(pool.seen_len(), 1);
         // Epoch regressions never resurrect or prune anything.
@@ -842,7 +817,7 @@ mod tests {
         assert_eq!(pool.seen_len(), 1);
         // Beyond the horizon the CID is forgotten — bounded memory; the
         // stale account nonce catches any replay at execution time.
-        pool.advance_epoch(ChainEpoch::new(3));
+        pool.advance_epoch(ChainEpoch::new(SEEN_HORIZON_EPOCHS + 1));
         assert_eq!(pool.seen_len(), 0);
         assert!(pool.push_sealed(m));
     }

@@ -127,7 +127,7 @@ proptest! {
         let msgs = payload(&ops);
         let bytes_each = msgs[0].signed().canonical_bytes().len();
         let cap = capacity_msgs * bytes_each;
-        let config = MempoolConfig { capacity_bytes: cap, ..MempoolConfig::default() };
+        let config = MempoolConfig { capacity_bytes: cap };
 
         let mut a = Mempool::with_config(config);
         for m in &msgs {
@@ -185,7 +185,6 @@ proptest! {
         let bytes_each = msgs[0].signed().canonical_bytes().len();
         let config = MempoolConfig {
             capacity_bytes: capacity_msgs * bytes_each,
-            ..MempoolConfig::default()
         };
 
         // Oracle: survivors are the top `capacity_msgs` CIDs, selected in

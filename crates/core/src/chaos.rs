@@ -42,22 +42,16 @@ use hc_net::{
     BLOB_BATCH_CAP,
 };
 use hc_state::{ChunkManifest, CidStore};
-use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId};
+use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 use crate::config::RuntimeError;
-use crate::node::{node_jitter_seed, SubnetNode};
+use crate::node::SubnetNode;
 use crate::runtime::HierarchyRuntime;
 
 /// Blocks per [`hc_net::ResolutionMsg::BlockBatch`] reply. Deliberately
 /// small so a long outage takes several pull round trips to repair, each
 /// one exposed to the fault plan.
 pub const BLOCK_BATCH_CAP: usize = 8;
-
-/// Jitter-stream salts separating a catching-up node's block-pull and
-/// blob-pull backoff schedules (see
-/// [`hc_net::RetryPolicy::jittered_timeout_for`]).
-const BLOCK_PULL_JITTER_SALT: u64 = 0xb10c_700c;
-const BLOB_PULL_JITTER_SALT: u64 = 0xb10b_700c;
 
 /// How a rejoining node — or a whole runtime restarting from its journals
 /// — bootstraps the history it missed.
@@ -174,7 +168,7 @@ pub(crate) struct CatchUp {
     /// order, tagged with the `next_epoch` at install time — re-installed
     /// at the same epoch boundaries so replayed state roots match the
     /// block headers. Front = earliest.
-    pub(crate) pending_users: VecDeque<(ChainEpoch, Address)>,
+    pub(crate) pending_users: VecDeque<(ChainEpoch, Address, Option<TokenAmount>)>,
     /// Retry state of the current pull: round trips attempted since the
     /// last progress, and when the next may go out.
     pub(crate) pull: Backoff,
@@ -318,8 +312,7 @@ impl HierarchyRuntime {
         let (sa_config, engine_params) = record.boot.clone().ok_or_else(|| {
             RuntimeError::Execution(format!("no boot parameters recorded for {subnet}"))
         })?;
-        let pending_users: VecDeque<(ChainEpoch, Address)> =
-            record.user_installs.iter().copied().collect();
+        let pending_users: VecDeque<_> = record.user_installs.iter().copied().collect();
         // Unschedulable until catch-up completes. The fresh genesis RNG
         // stream realigns with the subnet's history as the catch-up burns
         // one draw per missed block.
@@ -636,7 +629,7 @@ impl HierarchyRuntime {
             from_epoch,
             reply_topic: subnet.topic(),
         };
-        if let Some(attempt) = self.pull_step(subnet, BLOCK_PULL_JITTER_SALT, now_ms, pull)? {
+        if let Some(attempt) = self.pull_step(subnet, now_ms, pull)? {
             self.chaos.block_pulls += 1;
             self.chaos.block_pull_retries += u64::from(attempt > 1);
         }
@@ -644,8 +637,7 @@ impl HierarchyRuntime {
     }
 
     /// One step of a catching-up node's pull, shared by the block and blob
-    /// legs (`salt` separates their jitter streams): when the backoff says
-    /// one is due, publishes `pull` on the subnet's own topic with the
+    /// legs: when the backoff says one is due, publishes `pull` on the subnet's own topic with the
     /// node as origin — in this single-process simulation the runtime
     /// stands in for the surviving peers, so the pull must come back
     /// through the (possibly faulty) network to be served — and returns
@@ -654,18 +646,15 @@ impl HierarchyRuntime {
     fn pull_step(
         &mut self,
         subnet: &SubnetId,
-        salt: u64,
         now_ms: u64,
         pull: impl FnOnce() -> ResolutionMsg,
     ) -> Result<Option<u32>, RuntimeError> {
         let policy = self.config.retry;
-        // Same deterministic seeded jitter as resolver pulls.
-        let seed = || node_jitter_seed(self.config.seed, subnet);
         let own = self.known_node(subnet)?.subscription;
         let Some(cu) = self.subnets.catch_up_mut(subnet) else {
             return Ok(None);
         };
-        Ok(match cu.pull.step(&policy, now_ms, seed, salt) {
+        Ok(match cu.pull.step(&policy, now_ms) {
             BackoffStep::Send(attempt) => {
                 self.network
                     .publish(&subnet.topic(), pull(), now_ms, Some(own));
@@ -739,7 +728,7 @@ impl HierarchyRuntime {
             cids: wanted,
             reply_topic: subnet.topic(),
         };
-        if let Some(attempt) = self.pull_step(subnet, BLOB_PULL_JITTER_SALT, now_ms, pull)? {
+        if let Some(attempt) = self.pull_step(subnet, now_ms, pull)? {
             self.chaos.blob_pulls += 1;
             self.chaos.blob_pull_retries += u64::from(attempt > 1);
         }
@@ -790,7 +779,7 @@ impl HierarchyRuntime {
         while cu
             .pending_users
             .front()
-            .is_some_and(|(epoch, _)| *epoch <= anchor_epoch)
+            .is_some_and(|(epoch, ..)| *epoch <= anchor_epoch)
         {
             cu.pending_users.pop_front();
         }
@@ -822,13 +811,14 @@ impl HierarchyRuntime {
         Ok(())
     }
 
-    /// Re-installs accounts the live run created outside block execution,
-    /// up to and including `up_to_epoch`. The live `install_user` mutated
-    /// the tree between blocks; a catch-up replay from pure genesis must
-    /// repeat those writes at the same epoch boundaries or the replayed
-    /// state roots diverge from the block headers. Wallets are runtime
-    /// state and survive the crash — they are deliberately not touched
-    /// (re-inserting would reset signer nonces).
+    /// Re-installs accounts the live run created or adopted outside block
+    /// execution, up to and including `up_to_epoch`. The live
+    /// `install_account` mutated the tree between blocks; a catch-up
+    /// replay from pure genesis must repeat those writes at the same epoch
+    /// boundaries — through the same [`HierarchyRuntime::write_account`] —
+    /// or the replayed state roots diverge from the block headers. Wallets
+    /// are runtime state and survive the crash — they are deliberately not
+    /// touched (re-inserting would reset signer nonces).
     fn install_pending_users(
         &mut self,
         subnet: &SubnetId,
@@ -838,14 +828,13 @@ impl HierarchyRuntime {
         let Some(cu) = self.subnets.catch_up_mut(subnet) else {
             return Ok(());
         };
-        while let Some(&(epoch, addr)) = cu.pending_users.front() {
+        while let Some(&(epoch, addr, mint)) = cu.pending_users.front() {
             if epoch > up_to_epoch {
                 break;
             }
             cu.pending_users.pop_front();
-            let acc = node.tree.accounts_mut().get_or_create(addr);
-            acc.key = Some(Self::user_key(self.config.seed, addr).public());
-            acc.balance = hc_types::TokenAmount::ZERO;
+            let key = Self::user_key(self.config.seed, addr);
+            Self::write_account(&mut node.tree, &key, addr, mint);
         }
         Ok(())
     }

@@ -5,7 +5,7 @@
 
 use std::fmt;
 
-use hc_actors::{HcAddress, ScaConfig};
+use hc_actors::HcAddress;
 use hc_chain::{MempoolConfig, MempoolStats};
 use hc_consensus::EngineParams;
 use hc_net::{NetConfig, ResolverStats, RetryPolicy};
@@ -40,19 +40,12 @@ pub struct RuntimeConfig {
     pub net: NetConfig,
     /// Consensus engine parameters (applied to every subnet).
     pub engine_params: EngineParams,
-    /// SCA parameters (the checkpoint period is overridden per subnet by
-    /// its Subnet Actor config).
-    pub sca: ScaConfig,
     /// RNG seed: identical configs and call sequences replay identically.
     pub seed: u64,
     /// Enable the *push* path of content resolution (paper §IV-C); when
     /// disabled every meta is resolved by pull, which experiment E7
     /// compares.
     pub push_enabled: bool,
-    /// Emit fund certificates for slow (bottom-up/path) cross-net messages
-    /// so destinations learn of pending payments immediately
-    /// (the §IV-A acceleration).
-    pub certificates_enabled: bool,
     /// Worker threads, the size of three fan-outs ([`hc_chain::fan_out`]):
     /// subnets due in the same [`crate::HierarchyRuntime::step_wave`] produce
     /// their blocks concurrently, each block's signatures are batch
@@ -84,10 +77,9 @@ pub struct RuntimeConfig {
     /// silently lost.
     pub retry: RetryPolicy,
     /// Mempool admission control applied to every subnet node: the
-    /// byte-capacity bound (`0` = unbounded, the historical behaviour)
-    /// and the seen-CID horizon. Overload then degrades by deterministic
-    /// lowest-fee-first eviction instead of growing without bound; see
-    /// [`hc_chain::MempoolConfig`].
+    /// byte-capacity bound (`0` = unbounded, the historical behaviour).
+    /// Overload then degrades by deterministic lowest-fee-first eviction
+    /// instead of growing without bound; see [`hc_chain::MempoolConfig`].
     pub mempool: MempoolConfig,
     /// How a rejoining node ([`crate::HierarchyRuntime::rejoin_node`]) and
     /// a restarting runtime ([`crate::HierarchyRuntime::recover`]) bootstrap
@@ -108,10 +100,8 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             net: NetConfig::default(),
             engine_params: EngineParams::default(),
-            sca: ScaConfig::default(),
             seed: 42,
             push_enabled: true,
-            certificates_enabled: true,
             parallelism: 1,
             sig_cache_capacity: DEFAULT_SIG_CACHE_CAPACITY,
             persistence: PersistenceConfig::InMemory,

@@ -11,10 +11,10 @@
 //! the same verdicts). No wall clock, no randomness: identical seeds and
 //! call sequences scale out and merge back identically.
 //!
-//! **Scale-out** (hot subnet): when backlog exceeds
-//! [`ElasticConfig::split_backlog`], the controller spawns a child subnet
-//! under the hot subnet (its funded operator acts as creator and sole
-//! validator), *adopts* the hottest accounts into the child
+//! **Scale-out** (hot subnet): when the backlog reaches four blocks' worth
+//! of the runtime's `engine_params.block_capacity`, the controller spawns
+//! a child subnet under the hot subnet (its funded operator acts as
+//! creator and sole validator), *adopts* the hottest accounts into the child
 //! ([`HierarchyRuntime::adopt_user`] — same address, same derived key),
 //! and migrates half of each account's balance down with a cross-net
 //! transfer. The account is rerouted (the [`ElasticController::home_of`]
@@ -22,16 +22,14 @@
 //! home, so no submission window ever finds an empty account; the
 //! retained half keeps the old home's pending messages funded.
 //!
-//! **Scale-in** (cold child): a child whose sampled activity stays below
-//! [`ElasticConfig::merge_backlog`] for [`ElasticConfig::merge_idle_evals`]
-//! consecutive evaluations is drained (its accounts reroute to the
-//! parent), then — once [`HierarchyRuntime::subnet_settled`] — merged
+//! **Scale-in** (cold child): a child that samples at most five admissions
+//! and an empty mempool at two consecutive evaluations is drained (its
+//! accounts reroute to the parent), then — once [`HierarchyRuntime::subnet_settled`] — merged
 //! away through the §III-C recovery path: snapshot, kill, per-account
 //! fund recovery on the parent, and finally
 //! [`HierarchyRuntime::retire_subnet`]. Because recovered funds land on
 //! the same address on the parent, each logical account's *summed*
-//! balance across its homes is preserved by the whole dance (modulo the
-//! configured cross-message fee, zero by default).
+//! balance across its homes is preserved by the whole dance.
 
 use std::collections::BTreeMap;
 
@@ -42,48 +40,26 @@ use hc_types::{Address, SubnetId, TokenAmount};
 use crate::config::{RuntimeError, UserHandle};
 use crate::runtime::HierarchyRuntime;
 
-/// Tuning knobs of the elasticity policy.
-#[derive(Debug, Clone)]
-pub struct ElasticConfig {
-    /// Epochs between policy evaluations per subnet (align with the
-    /// checkpoint period so decisions ride checkpoint boundaries).
-    pub eval_period: u64,
-    /// Pending mempool messages at an evaluation above which a subnet is
-    /// *hot* and splits.
-    pub split_backlog: usize,
-    /// Sampled admissions per evaluation below which a child counts as
-    /// *cold*.
-    pub merge_backlog: u64,
-    /// Consecutive cold evaluations before a child is merged back.
-    pub merge_idle_evals: u32,
-    /// How many of the hottest accounts migrate into a fresh child.
-    pub migrate_top_k: usize,
-    /// Ceiling on concurrently live controller-spawned children.
-    pub max_children: usize,
-    /// Collateral frozen from the operator when registering a child.
-    pub child_collateral: TokenAmount,
-    /// Stake the operator puts up as the child's sole validator.
-    pub child_stake: TokenAmount,
-    /// Subnet Actor template for spawned children (checkpoint period,
-    /// consensus, policies).
-    pub sa_config: SaConfig,
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            eval_period: 10,
-            split_backlog: 300,
-            merge_backlog: 5,
-            merge_idle_evals: 2,
-            migrate_top_k: 8,
-            max_children: 4,
-            child_collateral: TokenAmount::from_whole(10),
-            child_stake: TokenAmount::from_whole(5),
-            sa_config: SaConfig::default(),
-        }
-    }
-}
+/// Epochs between policy evaluations per subnet — the default checkpoint
+/// period, so decisions ride checkpoint boundaries.
+const EVAL_PERIOD: u64 = 10;
+/// A subnet is *hot* and splits when its pending mempool messages at an
+/// evaluation reach this many blocks' worth of the runtime's
+/// `engine_params.block_capacity`.
+const SPLIT_BACKLOG_BLOCKS: usize = 4;
+/// Sampled admissions per evaluation at or below which a child with an
+/// empty mempool counts as *cold*.
+const MERGE_BACKLOG: u64 = 5;
+/// Consecutive cold evaluations before a child is merged back.
+const MERGE_IDLE_EVALS: u32 = 2;
+/// How many of the hottest accounts migrate into a fresh child.
+const MIGRATE_TOP_K: usize = 8;
+/// Ceiling on concurrently live controller-spawned children.
+const MAX_CHILDREN: usize = 4;
+/// Collateral frozen from the operator when registering a child.
+const CHILD_COLLATERAL: TokenAmount = TokenAmount::from_whole(10);
+/// Stake the operator puts up as the child's sole validator.
+const CHILD_STAKE: TokenAmount = TokenAmount::from_whole(5);
 
 /// Counters of the controller's lifetime activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,7 +101,6 @@ struct ChildState {
 /// policy).
 #[derive(Debug, Clone)]
 pub struct ElasticController {
-    config: ElasticConfig,
     /// Funded spawn operators, per subnet the controller may split.
     operators: BTreeMap<SubnetId, UserHandle>,
     /// Current routing home of managed accounts; absent = original home.
@@ -143,11 +118,10 @@ impl ElasticController {
     /// Creates a controller that may split the root, spending
     /// `root_operator`'s funds on collateral and stakes. `root_operator`
     /// must be a funded root-chain user.
-    pub fn new(root_operator: UserHandle, config: ElasticConfig) -> Self {
+    pub fn new(root_operator: UserHandle) -> Self {
         let mut operators = BTreeMap::new();
         operators.insert(root_operator.subnet.clone(), root_operator);
         ElasticController {
-            config,
             operators,
             home: BTreeMap::new(),
             children: BTreeMap::new(),
@@ -205,7 +179,7 @@ impl ElasticController {
             })
             .collect();
         for (subnet, head) in heads {
-            let boundary = head / self.config.eval_period.max(1);
+            let boundary = head / EVAL_PERIOD;
             let last = self.last_eval.get(&subnet).copied().unwrap_or(0);
             if boundary > last {
                 self.last_eval.insert(subnet.clone(), boundary);
@@ -232,12 +206,12 @@ impl ElasticController {
         let migrations_inbound = self.pending.iter().any(|m| m.to == *subnet);
         if let Some(child) = self.children.get_mut(subnet) {
             if !child.draining && !migrations_inbound {
-                if sampled <= self.config.merge_backlog && backlog == 0 {
+                if sampled <= MERGE_BACKLOG && backlog == 0 {
                     child.cold_evals += 1;
                 } else {
                     child.cold_evals = 0;
                 }
-                if child.cold_evals >= self.config.merge_idle_evals {
+                if child.cold_evals >= MERGE_IDLE_EVALS {
                     self.begin_merge(subnet);
                 }
             }
@@ -245,8 +219,9 @@ impl ElasticController {
         }
 
         // Hot-subnet split.
-        if backlog >= self.config.split_backlog
-            && self.children.len() < self.config.max_children
+        let split_backlog = SPLIT_BACKLOG_BLOCKS * rt.config().engine_params.block_capacity;
+        if backlog >= split_backlog
+            && self.children.len() < MAX_CHILDREN
             && self.operators.contains_key(subnet)
         {
             self.split(rt, subnet, activity)?;
@@ -265,9 +240,9 @@ impl ElasticController {
         let operator = self.operators.get(hot).cloned().expect("checked by caller");
         let child = rt.spawn_subnet(
             &operator,
-            self.config.sa_config.clone(),
-            self.config.child_collateral,
-            &[(operator.clone(), self.config.child_stake)],
+            SaConfig::default(),
+            CHILD_COLLATERAL,
+            &[(operator.clone(), CHILD_STAKE)],
         )?;
         self.children.insert(
             child.clone(),
@@ -288,7 +263,7 @@ impl ElasticController {
 
         let mut migrated = 0usize;
         for (addr, _) in hottest {
-            if migrated >= self.config.migrate_top_k {
+            if migrated >= MIGRATE_TOP_K {
                 break;
             }
             // One migration per account at a time: a second funding

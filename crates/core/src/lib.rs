@@ -106,7 +106,7 @@ pub use attack::AttackReport;
 pub use audit::{audit_escrow, audit_quiescent, SupplyReport};
 pub use chaos::{ChaosStats, CrashPhase, SyncMode, BLOCK_BATCH_CAP};
 pub use config::{PlacementPolicy, PoolStats, RuntimeConfig, RuntimeError, StepReport, UserHandle};
-pub use elastic::{ElasticConfig, ElasticController, ElasticStats};
+pub use elastic::{ElasticController, ElasticStats};
 pub use node::{NodeStats, SubnetNode};
 pub use persist::{ControlRecord, DurableOptions, PersistenceConfig};
 pub use runtime::HierarchyRuntime;

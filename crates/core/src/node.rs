@@ -79,21 +79,6 @@ fn node_rng(seed: u64, subnet: &SubnetId) -> StdRng {
     StdRng::from_seed(*Cid::digest(&bytes).as_bytes())
 }
 
-/// Seed for a node's resolver backoff jitter: the run seed mixed with the
-/// subnet identity, so co-located retry loops desynchronize while every
-/// run stays replayable. Inert while [`hc_net::RetryPolicy::jitter_pct`]
-/// is 0.
-pub(crate) fn node_jitter_seed(seed: u64, subnet: &SubnetId) -> u64 {
-    let mut bytes = seed.to_le_bytes().to_vec();
-    bytes.extend_from_slice(&subnet.canonical_bytes());
-    let digest = Cid::digest(&bytes);
-    u64::from_le_bytes(
-        digest.as_bytes()[..8]
-            .try_into()
-            .expect("digest has 8+ bytes"),
-    )
-}
-
 /// One subnet's canonical node. Stepping lives in
 /// [`crate::runtime::HierarchyRuntime`]; this type owns what a committed
 /// block implies for its node and exposes read access for clients, tests,
@@ -188,12 +173,12 @@ impl SubnetNode {
             Some((sa, params)) => (
                 ScaConfig {
                     checkpoint_period: sa.checkpoint_period,
-                    ..config.sca.clone()
+                    ..ScaConfig::default()
                 },
                 make_engine(sa.consensus, params.clone()),
             ),
             None => (
-                config.sca.clone(),
+                ScaConfig::default(),
                 make_engine(ConsensusKind::RoundRobin, config.engine_params.clone()),
             ),
         };
@@ -210,10 +195,7 @@ impl SubnetNode {
             engine,
             validators: ValidatorSet::default(),
             validator_keys: Vec::new(),
-            resolver: Resolver::with_policy_seeded(
-                config.retry,
-                node_jitter_seed(config.seed, &subnet_id),
-            ),
+            resolver: Resolver::with_policy(config.retry),
             subscription,
             next_block_at_ms,
             next_epoch: ChainEpoch::new(1),

@@ -72,13 +72,9 @@ impl PersistenceConfig {
         })
     }
 
-    /// Durable persistence rooted at `root` on the local filesystem
-    /// (callers in tests must root this inside `std::env::temp_dir()`).
-    pub fn on_disk(root: impl Into<PathBuf>) -> Self {
-        Self::on_device(Arc::new(OnDiskDevice::new(root)))
-    }
-
-    /// Durable persistence on disk with an explicit fsync policy.
+    /// Durable persistence rooted at `root` on the local filesystem with
+    /// an explicit fsync policy (callers in tests must root this inside
+    /// `std::env::temp_dir()`).
     pub fn on_disk_with_fsync(root: impl Into<PathBuf>, fsync: FsyncPolicy) -> Self {
         PersistenceConfig::Durable(DurableOptions {
             device: Arc::new(OnDiskDevice::new(root)),
@@ -144,13 +140,6 @@ pub enum ControlRecord {
         /// Initial balance (non-zero only on the rootnet).
         balance: TokenAmount,
     },
-    /// `create_claimant` registered a subnet user on its parent chain.
-    ClaimantCreated {
-        /// The *user's* subnet (the claimant lives in its parent).
-        subnet: SubnetId,
-        /// The shared address.
-        addr: Address,
-    },
     /// A child subnet chain booted (spawn step 4).
     SubnetBoot {
         /// The child's identity.
@@ -173,7 +162,8 @@ pub enum ControlRecord {
     },
     /// `adopt_user` installed an existing logical account (same address,
     /// same derived key) in another subnet — the elastic controller's
-    /// account-migration step.
+    /// account-migration step, and a claimant on a killed subnet's parent
+    /// (`create_claimant`).
     UserAdopted {
         /// The subnet the account was installed in.
         subnet: SubnetId,
@@ -221,11 +211,6 @@ impl CanonicalEncode for ControlRecord {
                 subnet.write_bytes(out);
                 addr.write_bytes(out);
                 balance.write_bytes(out);
-            }
-            ControlRecord::ClaimantCreated { subnet, addr } => {
-                out.push(1);
-                subnet.write_bytes(out);
-                addr.write_bytes(out);
             }
             ControlRecord::SubnetBoot {
                 child,
@@ -281,10 +266,6 @@ impl CanonicalDecode for ControlRecord {
                 subnet: SubnetId::read_bytes(r)?,
                 addr: Address::read_bytes(r)?,
                 balance: TokenAmount::read_bytes(r)?,
-            }),
-            1 => Ok(ControlRecord::ClaimantCreated {
-                subnet: SubnetId::read_bytes(r)?,
-                addr: Address::read_bytes(r)?,
             }),
             2 => Ok(ControlRecord::SubnetBoot {
                 child: SubnetId::read_bytes(r)?,
@@ -360,10 +341,6 @@ mod tests {
                 subnet: SubnetId::root(),
                 addr: Address::new(100),
                 balance: TokenAmount::from_whole(7),
-            },
-            ControlRecord::ClaimantCreated {
-                subnet: subnet.clone(),
-                addr: Address::new(101),
             },
             ControlRecord::SubnetBoot {
                 child: subnet.clone(),

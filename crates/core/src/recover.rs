@@ -16,7 +16,7 @@ use hc_chain::Block;
 use hc_state::CidStore;
 use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
-use crate::config::{RuntimeConfig, RuntimeError, UserHandle};
+use crate::config::{RuntimeConfig, RuntimeError};
 use crate::persist::ControlRecord;
 use crate::runtime::HierarchyRuntime;
 
@@ -149,9 +149,6 @@ impl HierarchyRuntime {
                 }
                 self.wallets.reserve(addr);
                 true
-            }
-            ControlRecord::ClaimantCreated { subnet, addr } => {
-                self.create_claimant(&UserHandle { subnet, addr }).is_ok()
             }
             ControlRecord::UserAdopted { subnet, addr } => {
                 self.install_account(&subnet, addr, None).is_ok()

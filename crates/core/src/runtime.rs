@@ -855,8 +855,7 @@ impl HierarchyRuntime {
             }
 
             VmEvent::CrossMsgQueued { msg }
-                if self.config.certificates_enabled
-                && self.journal.outward()
+                if self.journal.outward()
                 // Accelerate the slow routes: certify bottom-up and path
                 // messages directly to their destination (paper §IV-A).
                 // Top-down messages settle within a couple of blocks and

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 use hc_actors::sa::SaConfig;
 use hc_chain::Block;
 use hc_consensus::EngineParams;
-use hc_types::{Address, ChainEpoch, Cid, SubnetId};
+use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 use crate::chaos::{CatchUp, CrashedNode};
 use crate::runtime::HierarchyRuntime;
@@ -33,11 +33,12 @@ pub(crate) struct SubnetRecord {
     /// placement. Journaled as [`crate::ControlRecord::RegionAssigned`].
     pub(crate) region: Option<String>,
     /// Every account installed outside block execution, tagged with the
-    /// node's `next_epoch` at install time. A crash–rejoin catch-up
+    /// node's `next_epoch` at install time and its mint (`Some` for a
+    /// created account, `None` for an adopted one). A crash–rejoin catch-up
     /// replays the chain from genesis and must re-install each account at
     /// the same epoch boundary the live run did, or the replayed state
     /// roots diverge from the headers.
-    pub(crate) user_installs: Vec<(ChainEpoch, Address)>,
+    pub(crate) user_installs: Vec<(ChainEpoch, Address, Option<TokenAmount>)>,
     /// Blocks below a snapshot-rejoined node's install boundary. The
     /// node's own chain holds only the post-snapshot suffix, but the
     /// subnet's surviving peers keep full history — a later crash must

@@ -2,7 +2,7 @@
 //! message submission, and cross-net sends (paper §IV).
 
 use hc_actors::CrossMsg;
-use hc_state::{Method, Receipt};
+use hc_state::{Method, Receipt, StateTree};
 use hc_types::{Address, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
 use crate::config::{RuntimeError, UserHandle};
@@ -65,23 +65,38 @@ impl HierarchyRuntime {
     ) -> Result<(), RuntimeError> {
         let key = Self::user_key(self.config.seed, addr);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        // A crash–rejoin catch-up must repeat the install at this epoch
-        // boundary, so the subnet's record notes it.
-        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
-            record.user_installs.push((node.next_epoch, addr));
+        if subnet.is_root() {
+            self.root_minted += mint.unwrap_or(TokenAmount::ZERO);
+        } else if let Some(record) = self.subnets.by_id.get_mut(subnet) {
+            // A crash–rejoin catch-up must repeat the install at this
+            // epoch boundary, so the subnet's record notes it. (The
+            // rootnet never crashes, so nothing would read its notes.)
+            record.user_installs.push((node.next_epoch, addr, mint));
         }
-        let acc = node.tree.accounts_mut().get_or_create(addr);
-        acc.key = Some(key.public());
-        let mut next_nonce = acc.nonce;
-        if let Some(balance) = mint {
-            acc.balance = balance;
-            next_nonce = Nonce::ZERO;
-            if subnet.is_root() {
-                self.root_minted += balance;
-            }
-        }
+        let next_nonce = Self::write_account(&mut node.tree, &key, addr, mint);
         self.wallets.install(subnet, addr, key, next_nonce);
         Ok(())
+    }
+
+    /// The state half of [`HierarchyRuntime::install_account`], shared
+    /// with catch-up's re-install: writes `key` on `addr`'s account and
+    /// `Some(balance)` over its balance (`None` keeps it). Returns the
+    /// nonce the account's wallet signs from next.
+    pub(crate) fn write_account(
+        tree: &mut StateTree,
+        key: &Keypair,
+        addr: Address,
+        mint: Option<TokenAmount>,
+    ) -> Nonce {
+        let acc = tree.accounts_mut().get_or_create(addr);
+        acc.key = Some(key.public());
+        match mint {
+            Some(balance) => {
+                acc.balance = balance;
+                Nonce::ZERO
+            }
+            None => acc.nonce,
+        }
     }
 
     /// Installs an *existing* logical account in another subnet: same
@@ -226,8 +241,9 @@ impl HierarchyRuntime {
 
     /// Registers a subnet user's identity on the *parent* chain so it can
     /// act there — most importantly to claim recovered funds after its
-    /// subnet was killed (paper §III-C). The parent account reuses the
-    /// same address and signing key, starting with zero balance.
+    /// subnet was killed (paper §III-C). A claimant is an adoption on the
+    /// parent ([`HierarchyRuntime::adopt_user`]): same address, same
+    /// derived key, any balance already there kept.
     ///
     /// # Errors
     ///
@@ -237,25 +253,10 @@ impl HierarchyRuntime {
             .subnet
             .parent()
             .ok_or_else(|| RuntimeError::Execution("root users have no parent chain".into()))?;
-        let key = self
-            .wallets
-            .key(&user.subnet, user.addr)
-            .ok_or_else(|| RuntimeError::UnknownUser(user.clone()))?
-            .clone();
-        let node = Self::get_node_mut(&mut self.nodes, &parent)?;
-        let acc = node.tree.accounts_mut().get_or_create(user.addr);
-        if acc.key.is_none() {
-            acc.key = Some(key.public());
+        if self.wallets.key(&user.subnet, user.addr).is_none() {
+            return Err(RuntimeError::UnknownUser(user.clone()));
         }
-        self.wallets.install(&parent, user.addr, key, Nonce::ZERO);
-        self.journal.append(&ControlRecord::ClaimantCreated {
-            subnet: user.subnet.clone(),
-            addr: user.addr,
-        });
-        Ok(UserHandle {
-            subnet: parent,
-            addr: user.addr,
-        })
+        self.adopt_user(&parent, user.addr)
     }
 
     /// Sends a cross-net token transfer from one user to an address in

@@ -9,11 +9,8 @@ fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
 }
 
-fn world(certificates_enabled: bool) -> (HierarchyRuntime, UserHandle, UserHandle) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig {
-        certificates_enabled,
-        ..RuntimeConfig::default()
-    });
+fn world() -> (HierarchyRuntime, UserHandle, UserHandle) {
+    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
     let root = SubnetId::root();
     let alice = rt.create_user(&root, whole(10_000)).unwrap();
     let validator = rt.create_user(&root, whole(100)).unwrap();
@@ -33,7 +30,7 @@ fn world(certificates_enabled: bool) -> (HierarchyRuntime, UserHandle, UserHandl
 
 #[test]
 fn certificate_arrives_long_before_settlement() {
-    let (mut rt, alice, bob) = world(true);
+    let (mut rt, alice, bob) = world();
     let root = SubnetId::root();
 
     // Bob sends bottom-up: the certificate should reach the root while
@@ -71,23 +68,8 @@ fn certificate_arrives_long_before_settlement() {
 }
 
 #[test]
-fn certificates_can_be_disabled() {
-    let (mut rt, alice, bob) = world(false);
-    rt.cross_transfer(&bob, &alice, whole(7)).unwrap();
-    for _ in 0..50 {
-        rt.step().unwrap();
-    }
-    assert_eq!(
-        rt.node(&SubnetId::root())
-            .unwrap()
-            .tentative_value_for(alice.addr),
-        TokenAmount::ZERO
-    );
-}
-
-#[test]
 fn forged_certificates_are_rejected() {
-    let (mut rt, alice, bob) = world(true);
+    let (mut rt, alice, bob) = world();
     let root = SubnetId::root();
 
     // An attacker fabricates a certificate for a payment that was never
@@ -116,7 +98,7 @@ fn forged_certificates_are_rejected() {
 
 #[test]
 fn top_down_messages_emit_no_certificates() {
-    let (mut rt, alice, bob) = world(true);
+    let (mut rt, alice, bob) = world();
     rt.cross_transfer(&alice, &bob, whole(5)).unwrap();
     for _ in 0..30 {
         rt.step().unwrap();

@@ -20,6 +20,7 @@ use hc_core::{
     audit_escrow, audit_quiescent, HierarchyRuntime, RuntimeConfig, SyncMode, UserHandle,
 };
 use hc_net::{FaultKind, FaultPlan, FaultRule, PartitionPolicy, RetryPolicy};
+use hc_state::Method;
 use hc_types::{ChainEpoch, SubnetId, TokenAmount};
 
 fn whole(n: u64) -> TokenAmount {
@@ -125,6 +126,65 @@ fn crash_halts_production_and_rejoin_catches_up() {
     // The queued transfer landed exactly once after reconvergence.
     assert_eq!(w.rt.balance(&bob), whole(42));
     audit_escrow(&w.rt).unwrap();
+    audit_quiescent(&w.rt).unwrap();
+}
+
+/// Regression: a claimant registered on a non-root parent outside any
+/// block must be re-installed by a replay catch-up. The key written on the
+/// parent's account is in the next block's state root, so a rejoin that
+/// re-executes from genesis without it diverges from the headers.
+#[test]
+fn claimant_on_a_non_root_parent_survives_a_replay_rejoin() {
+    let mut w = build(RuntimeConfig::default(), SaConfig::default());
+    let a = w.child.clone();
+    let creator = w.rt.create_user(&a, TokenAmount::ZERO).unwrap();
+    w.rt.cross_transfer(&w.alice, &creator, whole(100)).unwrap();
+    w.rt.run_until_quiescent(2_000).unwrap();
+
+    // Spawn a child under `a`, give it a user, kill it, and register the
+    // user's claimant on `a`.
+    let grandchild =
+        w.rt.spawn_subnet(
+            &creator,
+            SaConfig::default(),
+            whole(10),
+            &[(creator.clone(), whole(5))],
+        )
+        .unwrap();
+    let insider = w.rt.create_user(&grandchild, TokenAmount::ZERO).unwrap();
+    let sa = grandchild.actor().unwrap();
+    w.rt.execute(&creator, sa, TokenAmount::ZERO, Method::KillSubnet)
+        .unwrap();
+    let claimant = w.rt.create_claimant(&insider).unwrap();
+    assert_eq!(claimant.subnet, a);
+    w.rt.retire_subnet(&grandchild).unwrap();
+    // A block on `a` commits the claimant's account to a state root.
+    w.rt.execute(&creator, claimant.addr, whole(1), Method::Send)
+        .unwrap();
+    w.rt.run_until_quiescent(2_000).unwrap();
+    // By determinism `a` as it stands now is its never-crashed twin.
+    let twin = subnet_fingerprint(&w.rt, &a);
+
+    w.rt.crash_node(&a).unwrap();
+    w.rt.rejoin_node_with(&a, SyncMode::Replay).unwrap();
+    for _ in 0..400 {
+        if !w.rt.is_catching_up(&a) {
+            break;
+        }
+        w.rt.step().unwrap();
+    }
+    assert!(!w.rt.is_catching_up(&a), "replay catch-up must complete");
+    assert_eq!(w.rt.chaos_stats().catch_ups_completed, 1);
+    let rejoined = subnet_fingerprint(&w.rt, &a);
+    assert_eq!(
+        rejoined,
+        SubnetFingerprint {
+            next_block_at_ms: rejoined.next_block_at_ms,
+            ..twin
+        },
+        "the rejoined parent must match its never-crashed twin"
+    );
+    assert_eq!(w.rt.balance(&claimant), whole(1));
     audit_quiescent(&w.rt).unwrap();
 }
 
@@ -290,13 +350,11 @@ fn crash_rejoin_under_faulty_network_still_reconverges() {
 fn retry_budget_exhaustion_is_reported_not_lost() {
     let config = RuntimeConfig {
         push_enabled: false,
-        certificates_enabled: false,
         retry: RetryPolicy {
             base_timeout_ms: 200,
             backoff: 2,
             max_timeout_ms: 1_600,
             max_attempts: 3,
-            jitter_pct: 0,
         },
         ..RuntimeConfig::default()
     };

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use hc_actors::sa::SaConfig;
 use hc_core::{
-    audit_quiescent, ElasticConfig, ElasticController, HierarchyRuntime, PersistenceConfig,
-    PlacementPolicy, RuntimeConfig, RuntimeError, UserHandle,
+    audit_quiescent, ElasticController, HierarchyRuntime, PersistenceConfig, PlacementPolicy,
+    RuntimeConfig, RuntimeError, UserHandle,
 };
 use hc_net::{NetConfig, RegionMap};
 use hc_state::Method;
@@ -219,38 +219,80 @@ fn pool_stats_aggregate_admission_and_cross_backlogs() {
     assert!(settled.mempool.admitted >= 4, "counters are cumulative");
 }
 
-#[test]
-fn controller_splits_on_backlog_and_merges_when_cold() {
+/// A root-only runtime at `block_capacity` with an operator and two
+/// funded accounts, and a controller over it.
+fn elastic_world(
+    block_capacity: usize,
+) -> (HierarchyRuntime, ElasticController, UserHandle, UserHandle) {
     let mut config = RuntimeConfig::default();
-    config.engine_params.block_capacity = 4;
+    config.engine_params.block_capacity = block_capacity;
     let mut rt = HierarchyRuntime::new(config);
     let operator = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
     let a = rt.create_user(&SubnetId::root(), whole(50)).unwrap();
     let b = rt.create_user(&SubnetId::root(), whole(50)).unwrap();
-    let mut ctrl = ElasticController::new(
-        operator,
-        ElasticConfig {
-            eval_period: 2,
-            split_backlog: 8,
-            merge_backlog: 0,
-            merge_idle_evals: 3,
-            ..ElasticConfig::default()
-        },
-    );
+    (rt, ElasticController::new(operator), a, b)
+}
 
-    // Below the backlog threshold nothing happens.
+/// Steps the root to epoch 9, submits `backlog` messages, and commits the
+/// epoch-10 block — the first evaluation boundary — which serves
+/// `block_capacity` of them. Returns the splits the evaluation made.
+fn splits_at_first_evaluation(block_capacity: usize, backlog: usize) -> u64 {
+    let (mut rt, mut ctrl, a, b) = elastic_world(block_capacity);
+    let head = |rt: &HierarchyRuntime| rt.node(&SubnetId::root()).unwrap().chain().head_epoch();
+    while head(&rt).value() < 9 {
+        rt.step_wave().unwrap();
+        ctrl.poll(&mut rt).unwrap();
+    }
+    for _ in 0..backlog {
+        rt.submit_with_fee(&a, b.addr, TokenAmount::from_atto(10), Method::Send, 1)
+            .unwrap();
+    }
+    rt.step_wave().unwrap();
+    assert_eq!(head(&rt).value(), 10);
+    ctrl.poll(&mut rt).unwrap();
+    assert_eq!(ctrl.stats().evals, 1);
+    ctrl.stats().splits
+}
+
+/// The split threshold is derived, not set: four blocks' worth of the
+/// runtime's `block_capacity` left pending after the boundary block.
+#[test]
+fn split_threshold_follows_block_capacity() {
+    for capacity in [4, 8] {
+        // The boundary block serves `capacity`, leaving `backlog - capacity`.
+        let threshold = 4 * capacity;
+        assert_eq!(
+            splits_at_first_evaluation(capacity, threshold + capacity - 1),
+            0,
+            "one short of 4 x {capacity} pending must not split"
+        );
+        assert_eq!(
+            splits_at_first_evaluation(capacity, threshold + capacity),
+            1,
+            "4 x {capacity} pending must split"
+        );
+    }
+}
+
+#[test]
+fn controller_splits_on_backlog_and_merges_when_cold() {
+    let (mut rt, mut ctrl, a, b) = elastic_world(4);
+
+    // Below the backlog threshold (4 x 4 pending) nothing happens, across
+    // the first evaluation boundary.
     for _ in 0..4 {
         rt.submit_with_fee(&a, b.addr, TokenAmount::from_atto(10), Method::Send, 1)
             .unwrap();
     }
-    for _ in 0..8 {
+    for _ in 0..12 {
         rt.step_wave().unwrap();
         ctrl.poll(&mut rt).unwrap();
     }
+    assert!(ctrl.stats().evals >= 1);
     assert_eq!(ctrl.stats().splits, 0, "a served backlog must not split");
 
     // A burst far beyond the block capacity crosses the threshold.
-    for i in 0..40 {
+    for i in 0..80 {
         let (from, to) = if i % 2 == 0 { (&a, &b) } else { (&b, &a) };
         rt.submit_with_fee(from, to.addr, TokenAmount::from_atto(10), Method::Send, 1)
             .unwrap();

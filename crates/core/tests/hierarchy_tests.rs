@@ -330,45 +330,3 @@ fn deterministic_replay_under_same_seed() {
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));
 }
-
-#[test]
-fn fees_go_to_source_subnet_miners() {
-    let mut w = World::with_config(RuntimeConfig {
-        sca: hc_actors::ScaConfig {
-            cross_msg_fee: whole(1),
-            ..hc_actors::ScaConfig::default()
-        },
-        ..RuntimeConfig::default()
-    });
-    let alice = w.alice.clone();
-    let subnet = w.spawn(&alice, SaConfig::default());
-    let bob = w.rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-
-    let reward_before =
-        w.rt.node(&SubnetId::root())
-            .unwrap()
-            .state()
-            .accounts()
-            .get(hc_types::Address::REWARD)
-            .map(|a| a.balance)
-            .unwrap_or(TokenAmount::ZERO);
-
-    w.rt.cross_transfer(&alice, &bob, whole(20)).unwrap();
-    w.rt.run_until_quiescent(1_000).unwrap();
-
-    assert_eq!(
-        w.rt.balance(&bob),
-        whole(20),
-        "fee is not deducted from value"
-    );
-    let reward_after =
-        w.rt.node(&SubnetId::root())
-            .unwrap()
-            .state()
-            .accounts()
-            .get(hc_types::Address::REWARD)
-            .unwrap()
-            .balance;
-    assert_eq!(reward_after - reward_before, whole(1));
-    audit_quiescent(&w.rt).unwrap();
-}

@@ -219,7 +219,6 @@ fn per_batch_retry_budget_survives_long_blackout() {
             backoff: 2,
             max_timeout_ms: 1_600,
             max_attempts: 3,
-            jitter_pct: 0,
         },
         ..RuntimeConfig::default()
     };

@@ -46,5 +46,5 @@ pub use pubsub::{NetConfig, NetStats, Network, SubscriberId, TopicLatency};
 pub use region::{RegionLink, RegionMap};
 pub use resolver::{
     Backoff, BackoffStep, ContentCache, ResolutionMsg, Resolver, ResolverStats, RetryPolicy,
-    BLOB_BATCH_CAP, DEFAULT_CONTENT_CACHE_CAPACITY,
+    BLOB_BATCH_CAP, CONTENT_CACHE_CAPACITY,
 };

@@ -28,9 +28,8 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::region::{RegionLink, RegionMap};
 
 /// Domain separation for the fault-decision RNG stream: fault draws must
-/// never perturb the base delay/loss stream. Shared with the resolver's
-/// seeded backoff jitter, which belongs to the same fault domain.
-pub(crate) const FAULT_RNG_DOMAIN: u64 = 0x6661_756c_7421; // "fault!"
+/// never perturb the base delay/loss stream.
+const FAULT_RNG_DOMAIN: u64 = 0x6661_756c_7421; // "fault!"
 
 /// Delay and loss model of the simulated network.
 #[derive(Debug, Clone, PartialEq)]

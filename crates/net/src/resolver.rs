@@ -24,17 +24,15 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use hc_actors::{CrossMsg, FundCertificate, MsgGroup};
 use hc_types::{ChainEpoch, Cid, SubnetId};
 
-/// Default bound on cached cross-message groups per node. Each group is
+/// Bound on cached cross-message groups per node. Each group is
 /// typically a checkpoint window's worth of messages; a thousand windows
 /// is far beyond any retention the protocol needs.
-pub const DEFAULT_CONTENT_CACHE_CAPACITY: usize = 1024;
+pub const CONTENT_CACHE_CAPACITY: usize = 1024;
 
 /// Upper bound on raw blobs per [`ResolutionMsg::BlobBatch`] reply. Large
 /// snapshot closures are served across several request/reply rounds so a
@@ -125,17 +123,17 @@ pub enum ResolutionMsg {
 /// Network-borne inserts are only accepted when the messages actually hash
 /// to the claimed CID, so cache poisoning is impossible; what is held is a
 /// sealed [`MsgGroup`], handed out as a shared clone whose digest nobody
-/// downstream derives again. The cache holds at most `capacity`
-/// groups (FIFO eviction — the protocol's access pattern is a moving
-/// window over checkpoint epochs, so oldest-first is also
-/// least-likely-needed); `capacity == 0` disables the bound.
+/// downstream derives again. The cache holds at most
+/// [`CONTENT_CACHE_CAPACITY`] groups (FIFO eviction — the protocol's
+/// access pattern is a moving window over checkpoint epochs, so
+/// oldest-first is also least-likely-needed).
 ///
 /// Entries can be **pinned**: eviction skips pinned CIDs, so content a
 /// still-outstanding pull is waiting to consume cannot be displaced by
 /// unrelated traffic arriving between the resolve and the consumer's next
 /// poll. While every resident entry is pinned the capacity bound is soft —
 /// correctness of in-flight requests beats the memory cap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ContentCache {
     entries: BTreeMap<Cid, MsgGroup>,
     /// Insertion order, oldest first, for FIFO eviction.
@@ -143,32 +141,13 @@ pub struct ContentCache {
     /// CIDs exempt from eviction (in-flight pulls; may be absent from
     /// `entries` until their content arrives).
     pinned: BTreeSet<Cid>,
-    capacity: usize,
     evictions: u64,
 }
 
-impl Default for ContentCache {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CONTENT_CACHE_CAPACITY)
-    }
-}
-
 impl ContentCache {
-    /// Creates an empty cache with the default capacity.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty cache bounded to `capacity` groups (`0` =
-    /// unbounded).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ContentCache {
-            entries: BTreeMap::new(),
-            order: VecDeque::new(),
-            pinned: BTreeSet::new(),
-            capacity,
-            evictions: 0,
-        }
     }
 
     /// Exempts `cid` from eviction until [`ContentCache::unpin`]. Pinning
@@ -215,17 +194,15 @@ impl ContentCache {
         }
         self.entries.insert(cid, group);
         self.order.push_back(cid);
-        if self.capacity > 0 {
-            while self.entries.len() > self.capacity {
-                // Oldest first, but never a pinned entry: an in-flight
-                // pull's content must survive until its consumer reads it.
-                let Some(pos) = self.order.iter().position(|c| !self.pinned.contains(c)) else {
-                    break; // everything resident is pinned: soft bound
-                };
-                let oldest = self.order.remove(pos).expect("position is in range");
-                self.entries.remove(&oldest);
-                self.evictions += 1;
-            }
+        while self.entries.len() > CONTENT_CACHE_CAPACITY {
+            // Oldest first, but never a pinned entry: an in-flight pull's
+            // content must survive until its consumer reads it.
+            let Some(pos) = self.order.iter().position(|c| !self.pinned.contains(c)) else {
+                break; // everything resident is pinned: soft bound
+            };
+            let oldest = self.order.remove(pos).expect("position is in range");
+            self.entries.remove(&oldest);
+            self.evictions += 1;
         }
     }
 
@@ -249,11 +226,6 @@ impl ContentCache {
         self.entries.is_empty()
     }
 
-    /// The configured capacity (`0` = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Groups evicted to keep the cache within capacity.
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -267,13 +239,6 @@ impl ContentCache {
 /// after `max_attempts` sends the request is abandoned (and counted in
 /// [`ResolverStats::pulls_abandoned`]). `max_attempts == 0` retries
 /// forever.
-///
-/// When `jitter_pct > 0`, every timeout is stretched by a deterministic
-/// seeded jitter in `[0, timeout * jitter_pct / 100]`, drawn from the
-/// fault RNG domain keyed by `(seed, request, attempt)` — after a
-/// region heal, the surviving peers see the backlog of retries spread
-/// out instead of a synchronized thundering herd. `jitter_pct == 0`
-/// (the default) is bit-identical to the jitter-less schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Timeout of the first attempt, in virtual ms.
@@ -284,9 +249,6 @@ pub struct RetryPolicy {
     pub max_timeout_ms: u64,
     /// Retry budget (`0` = unbounded).
     pub max_attempts: u32,
-    /// Deterministic backoff jitter as a percentage of each attempt's
-    /// timeout (`0` = none, `50` = up to +50%).
-    pub jitter_pct: u32,
 }
 
 impl Default for RetryPolicy {
@@ -296,13 +258,12 @@ impl Default for RetryPolicy {
             backoff: 2,
             max_timeout_ms: 6_400,
             max_attempts: 0,
-            jitter_pct: 0,
         }
     }
 }
 
 impl RetryPolicy {
-    /// Timeout of the `attempt`-th send (1-based), capped. Jitter-free.
+    /// Timeout of the `attempt`-th send (1-based), capped.
     pub fn timeout_for(&self, attempt: u32) -> u64 {
         let mut t = self.base_timeout_ms.max(1);
         for _ in 1..attempt {
@@ -312,29 +273,6 @@ impl RetryPolicy {
             }
         }
         t.min(self.max_timeout_ms.max(1))
-    }
-
-    /// [`RetryPolicy::timeout_for`] plus the deterministic seeded jitter:
-    /// `seed` is the owner's jitter seed, `salt` identifies the request
-    /// (e.g. the CID's leading bytes), and the same `(seed, salt,
-    /// attempt)` always yields the same stretch. With `jitter_pct == 0`
-    /// no RNG is constructed and the result equals `timeout_for`.
-    pub fn jittered_timeout_for(&self, attempt: u32, seed: u64, salt: u64) -> u64 {
-        let t = self.timeout_for(attempt);
-        if self.jitter_pct == 0 {
-            return t;
-        }
-        let bound = t.saturating_mul(u64::from(self.jitter_pct)) / 100;
-        if bound == 0 {
-            return t;
-        }
-        let mut rng = StdRng::seed_from_u64(
-            seed ^ crate::pubsub::FAULT_RNG_DOMAIN
-                ^ salt
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(u64::from(attempt)),
-        );
-        t + rng.gen_range(0..=bound)
     }
 }
 
@@ -371,16 +309,9 @@ impl Backoff {
     }
 
     /// Advances the schedule to `now_ms`: a due request within budget is
-    /// sent again and its next timeout armed, jittered by
-    /// [`RetryPolicy::jittered_timeout_for`] under `(seed(), salt)` — the
-    /// seed is asked for only when a send is made.
-    pub fn step(
-        &mut self,
-        policy: &RetryPolicy,
-        now_ms: u64,
-        seed: impl FnOnce() -> u64,
-        salt: u64,
-    ) -> BackoffStep {
+    /// sent again and its next timeout armed by
+    /// [`RetryPolicy::timeout_for`].
+    pub fn step(&mut self, policy: &RetryPolicy, now_ms: u64) -> BackoffStep {
         if now_ms < self.next_at_ms {
             return BackoffStep::Wait;
         }
@@ -388,7 +319,7 @@ impl Backoff {
             return BackoffStep::Exhausted;
         }
         self.attempts += 1;
-        self.next_at_ms = now_ms + policy.jittered_timeout_for(self.attempts, seed(), salt);
+        self.next_at_ms = now_ms + policy.timeout_for(self.attempts);
         BackoffStep::Send(self.attempts)
     }
 }
@@ -450,10 +381,6 @@ impl ResolverStats {
 pub struct Resolver {
     cache: ContentCache,
     policy: RetryPolicy,
-    /// Seed of the deterministic backoff jitter (see
-    /// [`RetryPolicy::jittered_timeout_for`]); irrelevant while the
-    /// policy's `jitter_pct` is 0.
-    jitter_seed: u64,
     /// Outstanding pulls.
     pending: BTreeMap<Cid, Backoff>,
     /// Pulls given up on; forgotten when their content arrives after all.
@@ -468,13 +395,10 @@ impl Resolver {
         Self::default()
     }
 
-    /// Creates a resolver with an explicit retry policy and the seed its
-    /// deterministic backoff jitter derives from (typically the run seed
-    /// mixed with a node identity).
-    pub fn with_policy_seeded(policy: RetryPolicy, jitter_seed: u64) -> Self {
+    /// Creates a resolver with an explicit retry policy.
+    pub fn with_policy(policy: RetryPolicy) -> Self {
         Resolver {
             policy,
-            jitter_seed,
             ..Self::default()
         }
     }
@@ -528,12 +452,11 @@ impl Resolver {
         if self.abandoned.contains(&cid) {
             return BackoffStep::Exhausted;
         }
-        // The per-request jitter salt is the CID's leading bytes, so
-        // distinct outstanding pulls de-synchronize from each other while
-        // the whole schedule stays a pure function of the seed.
-        let salt = u64::from_le_bytes(cid.as_bytes()[..8].try_into().expect("32-byte cid"));
-        let (pull, seed) = (self.pending.entry(cid).or_default(), self.jitter_seed);
-        let step = pull.step(&self.policy, now_ms, || seed, salt);
+        let step = self
+            .pending
+            .entry(cid)
+            .or_default()
+            .step(&self.policy, now_ms);
         match step {
             BackoffStep::Wait => {}
             BackoffStep::Send(1) => {
@@ -641,15 +564,6 @@ mod tests {
     use hc_types::merkle::merkle_root;
     use hc_types::{Address, SubnetId, TokenAmount};
 
-    /// A resolver under `policy`, its cache bounded to `capacity` groups.
-    fn resolver(policy: RetryPolicy, capacity: usize) -> Resolver {
-        Resolver {
-            policy,
-            cache: ContentCache::with_capacity(capacity),
-            ..Resolver::default()
-        }
-    }
-
     fn group(n: u64) -> (Cid, Vec<CrossMsg>) {
         let msgs: Vec<CrossMsg> = (0..n)
             .map(|i| {
@@ -663,6 +577,17 @@ mod tests {
                 )
             })
             .collect();
+        (merkle_root(&msgs), msgs)
+    }
+
+    /// The `i`-th of a run of distinct one-message groups, cheap enough to
+    /// fill a cache to [`CONTENT_CACHE_CAPACITY`].
+    fn filler(i: u64) -> (Cid, Vec<CrossMsg>) {
+        let msgs = vec![CrossMsg::transfer(
+            HcAddress::new(SubnetId::root().child(Address::new(7)), Address::new(1)),
+            HcAddress::new(SubnetId::root(), Address::new(2)),
+            TokenAmount::from_atto(u128::from(i) + 1),
+        )];
         (merkle_root(&msgs), msgs)
     }
 
@@ -686,31 +611,21 @@ mod tests {
 
     #[test]
     fn cache_evicts_oldest_beyond_capacity() {
-        let mut cache = ContentCache::with_capacity(2);
-        let groups: Vec<_> = (1..=3).map(group).collect();
+        let mut cache = ContentCache::new();
+        let groups: Vec<_> = (0..=CONTENT_CACHE_CAPACITY as u64).map(filler).collect();
         for (cid, msgs) in &groups {
             assert!(cache.insert(*cid, msgs.clone()));
         }
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), CONTENT_CACHE_CAPACITY);
         assert_eq!(cache.evictions(), 1);
-        // Oldest (group 1) is gone; 2 and 3 remain.
+        // Oldest is gone; the next and the newest remain.
         assert!(!cache.contains(&groups[0].0));
         assert!(cache.contains(&groups[1].0));
-        assert!(cache.contains(&groups[2].0));
+        let (last_cid, last_msgs) = groups.last().unwrap();
+        assert!(cache.contains(last_cid));
         // Re-inserting a cached group does not evict anything.
-        assert!(cache.insert(groups[2].0, groups[2].1.clone()));
+        assert!(cache.insert(*last_cid, last_msgs.clone()));
         assert_eq!(cache.evictions(), 1);
-    }
-
-    #[test]
-    fn zero_capacity_means_unbounded() {
-        let mut cache = ContentCache::with_capacity(0);
-        for i in 1..=50 {
-            let (cid, msgs) = group(i);
-            assert!(cache.insert(cid, msgs));
-        }
-        assert_eq!(cache.len(), 50);
-        assert_eq!(cache.evictions(), 0);
     }
 
     #[test]
@@ -781,7 +696,6 @@ mod tests {
             backoff: 3,
             max_timeout_ms: 1_000,
             max_attempts: 5,
-            jitter_pct: 0,
         };
         assert_eq!(p.timeout_for(1), 100);
         assert_eq!(p.timeout_for(2), 300);
@@ -797,9 +711,8 @@ mod tests {
             backoff: 2,
             max_timeout_ms: 1_000,
             max_attempts: 0,
-            jitter_pct: 0,
         };
-        let mut r = Resolver::with_policy_seeded(policy, 0);
+        let mut r = Resolver::with_policy(policy);
         let (cid, _) = group(1);
         assert_eq!(r.should_pull(cid, 0), BackoffStep::Send(1));
         // In flight: wait out the first 100ms timeout.
@@ -822,9 +735,8 @@ mod tests {
             backoff: 1,
             max_timeout_ms: 10,
             max_attempts: 2,
-            jitter_pct: 0,
         };
-        let mut r = Resolver::with_policy_seeded(policy, 0);
+        let mut r = Resolver::with_policy(policy);
         let (cid, _) = group(2);
         assert_eq!(r.should_pull(cid, 0), BackoffStep::Send(1));
         assert_eq!(r.should_pull(cid, 10), BackoffStep::Send(2));
@@ -847,69 +759,59 @@ mod tests {
         assert_eq!(r.should_pull(cid, 10_000), BackoffStep::Wait);
     }
 
-    /// Regression (in-flight eviction): at capacity 1, a resolve that
-    /// lands for an outstanding pull used to be evictable by any unrelated
-    /// push arriving before the consumer's next poll — the pool would
-    /// re-pull forever under steady traffic. In-flight CIDs are now pinned
-    /// until consumed.
+    /// Regression (in-flight eviction): a resolve that lands for an
+    /// outstanding pull used to be evictable by any unrelated push
+    /// arriving before the consumer's next poll — under steady traffic the
+    /// pool would re-pull forever. In-flight CIDs are now pinned until
+    /// consumed.
     #[test]
-    fn pending_pull_content_survives_eviction_at_capacity_one() {
-        let mut r = resolver(RetryPolicy::default(), 1);
+    fn pending_pull_content_survives_eviction_at_capacity() {
+        let mut r = Resolver::new();
         let (wanted_cid, wanted_msgs) = group(3);
-        let (noise1_cid, noise1) = group(1);
-        let (noise2_cid, noise2) = group(2);
+        let push = |r: &mut Resolver, i: u64| {
+            let (cid, msgs) = filler(i);
+            r.handle(ResolutionMsg::Push { cid, msgs });
+            cid
+        };
 
         // The pool misses and a pull goes out.
         assert!(r.lookup_or_pull(wanted_cid, "t").is_err());
         assert_eq!(r.should_pull(wanted_cid, 0), BackoffStep::Send(1));
         assert!(r.cache().is_pinned(&wanted_cid));
 
-        // Unrelated traffic fills the one-slot cache...
-        r.handle(ResolutionMsg::Push {
-            cid: noise1_cid,
-            msgs: noise1,
-        });
-        // ...then the awaited resolve lands (evicting the noise)...
+        // The awaited resolve lands first, so it is the oldest entry...
         r.handle(ResolutionMsg::Resolve {
             cid: wanted_cid,
             msgs: wanted_msgs.clone(),
         });
-        assert!(!r.cache().contains(&noise1_cid));
-        // ...and more noise arrives before the pool polls again. The
-        // pinned entry must not be the eviction victim.
-        r.handle(ResolutionMsg::Push {
-            cid: noise2_cid,
-            msgs: noise2,
-        });
+        // ...then unrelated traffic overfills the cache before the pool
+        // polls again. The pinned entry must not be the eviction victim.
+        let noise: Vec<Cid> = (0..CONTENT_CACHE_CAPACITY as u64)
+            .map(|i| push(&mut r, i))
+            .collect();
+        assert_eq!(r.cache().evictions(), 1);
         assert!(r.cache().contains(&wanted_cid), "pinned entry was evicted");
+        assert!(!r.cache().contains(&noise[0]));
 
         // The consumer finally reads it — pin released, entry becomes an
-        // ordinary FIFO citizen again.
+        // ordinary FIFO citizen again, and the oldest.
         assert_eq!(&*r.lookup_or_pull(wanted_cid, "t").unwrap(), wanted_msgs);
         assert!(!r.cache().is_pinned(&wanted_cid));
-        let (noise3_cid, noise3) = group(4);
-        r.handle(ResolutionMsg::Push {
-            cid: noise3_cid,
-            msgs: noise3,
-        });
+        let last = push(&mut r, CONTENT_CACHE_CAPACITY as u64);
         assert!(!r.cache().contains(&wanted_cid), "unpinned entry evicts");
-        assert!(r.cache().contains(&noise3_cid));
+        assert!(r.cache().contains(&last));
     }
 
     /// Abandoning a pull lifts its pin: nothing keeps dead requests'
     /// content alive.
     #[test]
     fn abandoned_pull_releases_its_pin() {
-        let mut r = resolver(
-            RetryPolicy {
-                base_timeout_ms: 10,
-                backoff: 1,
-                max_timeout_ms: 10,
-                max_attempts: 1,
-                jitter_pct: 0,
-            },
-            1,
-        );
+        let mut r = Resolver::with_policy(RetryPolicy {
+            base_timeout_ms: 10,
+            backoff: 1,
+            max_timeout_ms: 10,
+            max_attempts: 1,
+        });
         let (cid, _) = group(5);
         assert_eq!(r.should_pull(cid, 0), BackoffStep::Send(1));
         assert!(r.cache().is_pinned(&cid));
@@ -945,64 +847,5 @@ mod tests {
             })
             .is_none());
         assert_eq!(r.stats(), ResolverStats::default());
-    }
-
-    #[test]
-    fn zero_jitter_is_bit_identical_to_plain_backoff() {
-        let policy = RetryPolicy {
-            base_timeout_ms: 100,
-            backoff: 2,
-            max_timeout_ms: 1_000,
-            max_attempts: 0,
-            jitter_pct: 0,
-        };
-        // Whatever seed the owner carries, jitter_pct == 0 must reproduce
-        // the pure schedule exactly — the jitter RNG is never built.
-        for seed in [0u64, 1, 0xdead_beef] {
-            for attempt in 1..=6 {
-                assert_eq!(
-                    policy.jittered_timeout_for(attempt, seed, 42),
-                    policy.timeout_for(attempt),
-                );
-            }
-        }
-        // And the resolvers behave identically end to end.
-        let drive = |r: &mut Resolver| -> Vec<BackoffStep> {
-            let (cid, _) = group(77);
-            let times = (0..2_000).step_by(50);
-            times.map(|now| r.should_pull(cid, now)).collect()
-        };
-        let mut plain = Resolver::with_policy_seeded(policy, 0);
-        let mut seeded = Resolver::with_policy_seeded(policy, 0xfeed);
-        assert_eq!(drive(&mut plain), drive(&mut seeded));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_bounded_and_desynchronizing() {
-        let policy = RetryPolicy {
-            base_timeout_ms: 100,
-            backoff: 2,
-            max_timeout_ms: 1_000,
-            max_attempts: 0,
-            jitter_pct: 50,
-        };
-        for attempt in 1..=6 {
-            let base = policy.timeout_for(attempt);
-            let jittered = policy.jittered_timeout_for(attempt, 7, 99);
-            // Bounded stretch, never a shrink.
-            assert!(jittered >= base);
-            assert!(jittered <= base + base / 2);
-            // Pure function of (seed, salt, attempt).
-            assert_eq!(jittered, policy.jittered_timeout_for(attempt, 7, 99));
-        }
-        // Different seeds or salts de-synchronize: across the whole
-        // schedule at least one attempt must differ.
-        let schedule = |seed: u64, salt: u64| -> Vec<u64> {
-            (1..=8)
-                .map(|a| policy.jittered_timeout_for(a, seed, salt))
-                .collect()
-        };
-        assert_ne!(schedule(1, 99), schedule(2, 99));
-        assert_ne!(schedule(1, 99), schedule(1, 100));
     }
 }

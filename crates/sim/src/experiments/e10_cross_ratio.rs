@@ -77,7 +77,6 @@ pub fn e10_run(params: &E10Params) -> Result<Vec<E10Row>, RuntimeError> {
             msgs_per_subnet: params.msgs_per_subnet,
             cross_ratio: ratio,
             seed: params.seed,
-            ..ClosedBatch::default()
         }
         .run(&mut topo.rt, &subnets, &topo.users)?;
         let ckpts_after = topo

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use hc_core::{ElasticConfig, ElasticController, HierarchyRuntime, RuntimeConfig, RuntimeError};
+use hc_core::{ElasticController, HierarchyRuntime, RuntimeConfig, RuntimeError};
 use hc_types::{Address, SubnetId, TokenAmount};
 use hc_workload::{OpenLoop, RampProfile};
 
@@ -53,6 +53,23 @@ impl Default for E13Params {
             block_capacity: 40,
             tail_window: 20,
             seed: 31,
+        }
+    }
+}
+
+impl E13Params {
+    /// The reduced size the tests, the scale-out guard and `report
+    /// --quick` run: a 100k-account ramp from 5 to 150 msgs/round against
+    /// 25-msg blocks, enough to saturate the root several times over.
+    pub fn quick() -> Self {
+        E13Params {
+            population: 100_000,
+            rounds: 60,
+            start_rate: 5,
+            peak_rate: 150,
+            block_capacity: 25,
+            tail_window: 12,
+            ..E13Params::default()
         }
     }
 }
@@ -111,7 +128,6 @@ fn workload(params: &E13Params) -> OpenLoop {
             end: params.peak_rate,
         },
         seed: params.seed,
-        ..OpenLoop::default()
     }
 }
 
@@ -143,13 +159,7 @@ pub fn e13_run(params: &E13Params) -> Result<E13Outcome, RuntimeError> {
     // (logical index is the cross-run key, not the address).
     let mut elastic_rt = runtime(params);
     let operator = elastic_rt.create_user(&SubnetId::root(), TokenAmount::from_whole(1_000))?;
-    let mut ctrl = ElasticController::new(
-        operator,
-        ElasticConfig {
-            split_backlog: params.block_capacity * 4,
-            ..ElasticConfig::default()
-        },
-    );
+    let mut ctrl = ElasticController::new(operator);
     let elastic_report = workload(params).run(&mut elastic_rt, Some(&mut ctrl))?;
 
     // Balance parity, keyed by logical account index: the elastic run may
@@ -248,21 +258,9 @@ pub fn table(outcome: &E13Outcome) -> Table {
 mod tests {
     use super::*;
 
-    fn quick_params() -> E13Params {
-        E13Params {
-            population: 100_000,
-            rounds: 60,
-            start_rate: 5,
-            peak_rate: 150,
-            block_capacity: 25,
-            tail_window: 12,
-            ..E13Params::default()
-        }
-    }
-
     #[test]
     fn elasticity_beats_static_and_preserves_balances() {
-        let outcome = e13_run(&quick_params()).unwrap();
+        let outcome = e13_run(&E13Params::quick()).unwrap();
         assert!(
             outcome.speedup >= 2.0,
             "elastic sustained throughput must be >= 2x static, got {:.2}x\n{:?}",
@@ -276,8 +274,8 @@ mod tests {
 
     #[test]
     fn e13_is_bit_identical_across_runs() {
-        let a = e13_run(&quick_params()).unwrap();
-        let b = e13_run(&quick_params()).unwrap();
+        let a = e13_run(&E13Params::quick()).unwrap();
+        let b = e13_run(&E13Params::quick()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -57,12 +57,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Overrides the Subnet Actor configuration used for every subnet.
-    pub fn sa_config(&mut self, sa: SaConfig) -> &mut Self {
-        self.sa_config = sa;
-        self
-    }
-
     /// Sets the consensus engine used by every spawned subnet.
     pub fn consensus(&mut self, kind: ConsensusKind) -> &mut Self {
         self.sa_config.consensus = kind;

@@ -18,8 +18,8 @@
 //!   account ends at the identical summed balance.
 
 use hc_core::{
-    audit_escrow, audit_quiescent, ChaosStats, ElasticConfig, ElasticController, ElasticStats,
-    HierarchyRuntime, RuntimeConfig, RuntimeError, UserHandle,
+    audit_escrow, audit_quiescent, ChaosStats, ElasticController, ElasticStats, HierarchyRuntime,
+    RuntimeConfig, RuntimeError, UserHandle,
 };
 use hc_net::{FaultKind, FaultPlan, FaultRule};
 use hc_state::Method;
@@ -51,13 +51,7 @@ impl Scenario {
         let operator = rt
             .create_user(&SubnetId::root(), TokenAmount::from_whole(1_000))
             .unwrap();
-        let ctrl = ElasticController::new(
-            operator,
-            ElasticConfig {
-                split_backlog: 100,
-                ..ElasticConfig::default()
-            },
-        );
+        let ctrl = ElasticController::new(operator);
         Scenario {
             rt,
             ctrl,

@@ -225,6 +225,48 @@ fn subnet_lifecycle_spawn_join_leave_kill() {
     );
 }
 
+/// A cross-net send pays its SCA's flat fee to the sending subnet's
+/// reward actor ("miners in subnets are rewarded with fees", paper §II);
+/// the value travels whole.
+#[test]
+fn cross_msg_fee_goes_to_the_reward_actor() {
+    let mut alice = User::new(100, 1);
+    let fee = TokenAmount::from_whole(1);
+    let mut tree = StateTree::genesis(
+        SubnetId::root(),
+        ScaConfig {
+            cross_msg_fee: fee,
+            ..ScaConfig::default()
+        },
+        [(alice.addr, alice.kp.public(), TokenAmount::from_whole(1000))],
+    );
+    let (subnet, _sa) = spawn_subnet(&mut tree, &mut alice);
+    let reward_before = tree.accounts().balance(Address::REWARD);
+
+    let value = TokenAmount::from_whole(7);
+    let cross = CrossMsg::transfer(
+        HcAddress::new(SubnetId::root(), alice.addr),
+        HcAddress::new(subnet.clone(), Address::new(300)),
+        value,
+    );
+    let r = alice.send(
+        &mut tree,
+        Address::SCA,
+        value + fee,
+        Method::SendCrossMsg { msg: cross },
+    );
+    assert!(r.exit.is_ok(), "{:?}", r.exit);
+    assert_eq!(
+        tree.accounts().balance(Address::REWARD) - reward_before,
+        fee
+    );
+    assert_eq!(
+        tree.sca().subnet(&subnet).unwrap().circ_supply,
+        value,
+        "fee is not deducted from value"
+    );
+}
+
 #[test]
 fn cross_msg_send_and_checkpoint_cut() {
     let (mut tree, mut alice, _bob) = setup();

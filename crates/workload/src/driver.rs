@@ -25,6 +25,15 @@ use hc_types::{SubnetId, TokenAmount};
 use crate::accounts::LazyAccounts;
 use crate::generator::{OpenLoopGenerator, RampProfile};
 
+/// Transfer amount per message, in both regimes.
+const AMOUNT: TokenAmount = TokenAmount::from_atto(1_000);
+/// Balance an [`OpenLoop`] mints into each account on first touch.
+const INITIAL_BALANCE: TokenAmount = TokenAmount::from_whole(100);
+/// [`OpenLoop`] fee bids are uniform in `1..=MAX_FEE`.
+const MAX_FEE: u64 = 9;
+/// Wave bound on an [`OpenLoop`]'s post-injection drain phase.
+const DRAIN_BOUND: usize = 10_000;
+
 /// A closed-loop batch: a fixed number of messages per subnet, submitted
 /// up front from a pre-built population, then drained.
 #[derive(Debug, Clone)]
@@ -33,8 +42,6 @@ pub struct ClosedBatch {
     pub msgs_per_subnet: usize,
     /// Fraction of cross-net messages, `0.0..=1.0`.
     pub cross_ratio: f64,
-    /// Transfer amount (atto) per message.
-    pub amount: TokenAmount,
     /// Generator seed.
     pub seed: u64,
 }
@@ -44,7 +51,6 @@ impl Default for ClosedBatch {
         ClosedBatch {
             msgs_per_subnet: 200,
             cross_ratio: 0.0,
-            amount: TokenAmount::from_atto(1_000),
             seed: 7,
         }
     }
@@ -112,11 +118,11 @@ impl ClosedBatch {
                     let other = candidates[rng.gen_range(0..candidates.len())];
                     let peers = &users[other];
                     let to = &peers[rng.gen_range(0..peers.len())];
-                    rt.cross_transfer_lazy(from, to, self.amount)?;
+                    rt.cross_transfer_lazy(from, to, AMOUNT)?;
                 } else {
                     let to = &locals[rng.gen_range(0..locals.len())];
                     let (to_addr, value, method) = if to.addr != from.addr {
-                        (to.addr, self.amount, Method::Send)
+                        (to.addr, AMOUNT, Method::Send)
                     } else {
                         (
                             from.addr,
@@ -165,7 +171,10 @@ impl ClosedBatch {
     }
 }
 
-/// The open-loop engine configuration.
+/// The open-loop engine configuration. Each account is minted 100 whole
+/// tokens on first touch, each message moves 1 000 atto with a fee bid
+/// uniform in `1..=9`, and a round spans one block time of the runtime's
+/// `engine_params`.
 #[derive(Debug, Clone)]
 pub struct OpenLoop {
     /// Logical account population (lazily materialized; must be ≥ 2).
@@ -176,21 +185,8 @@ pub struct OpenLoop {
     pub rounds: u64,
     /// Arrival rate per round.
     pub ramp: RampProfile,
-    /// Transfer amount per message.
-    pub amount: TokenAmount,
-    /// Balance minted into each account on first touch.
-    pub initial_balance: TokenAmount,
     /// Generator seed.
     pub seed: u64,
-    /// When `> 0`, fee bids are uniform in `1..=max_fee`.
-    pub max_fee: u64,
-    /// Virtual milliseconds one injection round spans (one epoch at the
-    /// default block time). Waves run until the clock crosses it, so a
-    /// deep hierarchy — whose ancestor/descendant subnets never share a
-    /// wave — still gives every subnet its block cadence each round.
-    pub epoch_ms: u64,
-    /// Wave bound on the post-injection drain phase.
-    pub drain_bound: usize,
 }
 
 impl Default for OpenLoop {
@@ -200,12 +196,7 @@ impl Default for OpenLoop {
             zipf_exponent: 1.05,
             rounds: 40,
             ramp: RampProfile::Constant(50),
-            amount: TokenAmount::from_atto(1_000),
-            initial_balance: TokenAmount::from_whole(100),
             seed: 7,
-            max_fee: 9,
-            epoch_ms: 1_000,
-            drain_bound: 10_000,
         }
     }
 }
@@ -266,7 +257,7 @@ impl OpenLoop {
     /// touch, routed to their current elastic home), run one block wave,
     /// poll the controller, and record the committed-message delta. After
     /// the last round, waves continue until the hierarchy is quiescent or
-    /// `drain_bound` is hit.
+    /// 10 000 drain waves have run.
     ///
     /// # Errors
     ///
@@ -278,8 +269,8 @@ impl OpenLoop {
     ) -> Result<OpenLoopReport, RuntimeError> {
         let root = SubnetId::root();
         let mut generator =
-            OpenLoopGenerator::new(self.population, self.zipf_exponent, self.seed, self.max_fee);
-        let mut accounts = LazyAccounts::new(self.initial_balance);
+            OpenLoopGenerator::new(self.population, self.zipf_exponent, self.seed, MAX_FEE);
+        let mut accounts = LazyAccounts::new(INITIAL_BALANCE);
 
         let mut last_ok: BTreeMap<SubnetId, u64> = BTreeMap::new();
         let t0 = rt.now_ms();
@@ -316,14 +307,14 @@ impl OpenLoop {
                     addr: sender.addr,
                 };
                 let outcome = if from_home == to_home {
-                    rt.submit_with_fee(&from, receiver.addr, self.amount, Method::Send, op.fee)?
+                    rt.submit_with_fee(&from, receiver.addr, AMOUNT, Method::Send, op.fee)?
                         .1
                 } else {
                     let to = UserHandle {
                         subnet: to_home,
                         addr: receiver.addr,
                     };
-                    rt.cross_transfer_lazy_with_fee(&from, &to, self.amount, op.fee)?
+                    rt.cross_transfer_lazy_with_fee(&from, &to, AMOUNT, op.fee)?
                         .1
                 };
                 report.submitted += 1;
@@ -334,10 +325,11 @@ impl OpenLoop {
                 }
             }
 
-            // One epoch of virtual time: ancestor and descendant subnets
-            // never share a wave, so a single wave would under-serve deep
-            // hierarchies. Run waves until the clock crosses the epoch.
-            let target = rt.now_ms() + self.epoch_ms;
+            // One block time of virtual time: ancestor and descendant
+            // subnets never share a wave, so a single wave would
+            // under-serve deep hierarchies. Run waves until the clock
+            // crosses it, giving every subnet its block cadence each round.
+            let target = rt.now_ms() + rt.config().engine_params.block_time_ms;
             loop {
                 rt.step_wave()?;
                 if let Some(c) = ctrl.as_deref_mut() {
@@ -358,7 +350,7 @@ impl OpenLoop {
         // Drain: no new arrivals; keep waving (and letting the controller
         // merge now-cold children) until quiescent or the bound trips.
         let mut waves = 0usize;
-        while !rt.all_quiescent() && waves < self.drain_bound {
+        while !rt.all_quiescent() && waves < DRAIN_BOUND {
             rt.step_wave()?;
             if let Some(c) = ctrl.as_deref_mut() {
                 c.poll(rt)?;
@@ -476,7 +468,6 @@ mod tests {
                 population: 10_000,
                 rounds: 6,
                 ramp: RampProfile::Constant(20),
-                drain_bound: 2_000,
                 ..OpenLoop::default()
             }
             .run(&mut rt, None)
@@ -500,7 +491,6 @@ mod tests {
             population: 1_000,
             rounds: 4,
             ramp: RampProfile::Linear { start: 0, end: 30 },
-            drain_bound: 2_000,
             ..OpenLoop::default()
         }
         .run(&mut rt, None)
