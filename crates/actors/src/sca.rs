@@ -17,9 +17,10 @@
 //!   and queues it for the child's consensus
 //!   ([`ScaState::commit_top_down`], [`ScaState::apply_top_down`]).
 //! * **Bottom-up messages** — messages leaving the subnet burn funds
-//!   locally and are aggregated per destination into the current checkpoint
-//!   window; committed child checkpoints release escrow, update circulating
-//!   supply (the **firewall**), and sort metas into
+//!   locally and queue in the current checkpoint window, grouped per
+//!   destination when the window is cut; committed child checkpoints
+//!   release escrow, update circulating supply (the **firewall**), and sort
+//!   metas into
 //!   apply-here / turn-around / propagate-up
 //!   ([`ScaState::send_cross_msg`], [`ScaState::commit_child_checkpoint`],
 //!   [`ScaState::apply_bottom_up`]).
@@ -39,8 +40,8 @@ use serde::{Deserialize, Serialize};
 
 use hc_types::decode::{ByteReader, CanonicalDecode, DecodeError};
 use hc_types::{
-    decode_fields, encode_fields, Address, CanonicalEncode, ChainEpoch, Cid, Nonce, SubnetId,
-    TokenAmount,
+    decode_fields, encode_fields, Address, CanonicalEncode, ChainEpoch, Cid, Nonce, Sha256,
+    SubnetId, TokenAmount,
 };
 
 use crate::checkpoint::Checkpoint;
@@ -297,6 +298,45 @@ impl From<LedgerError> for ScaError {
     }
 }
 
+/// The streaming digest of a checkpoint window: SHA-256 over the canonical
+/// encodings of the window's messages, concatenated in queue order.
+///
+/// Derived state beside the window it covers: filled only by
+/// [`WindowDigest::absorb`] as a message is queued (or decoded), cleared
+/// with the window at the cut, never encoded, and ignored by equality — the
+/// window it is derived from is compared instead. So each message's bytes
+/// are hashed once however many blocks the window stays open, and reading
+/// the digest ([`ScaState::window_digest`]) costs only the padding.
+#[derive(Debug, Clone, Default)]
+struct WindowDigest {
+    hasher: Sha256,
+    /// Message bytes absorbed over this SCA's life, across cuts: what the
+    /// state commitment reports as hashed ([`ScaState::window_bytes_absorbed`]).
+    absorbed: u64,
+}
+
+impl WindowDigest {
+    /// The one place a window message is hashed.
+    fn absorb(&mut self, msg: &CrossMsg) {
+        let bytes = msg.canonical_bytes();
+        self.hasher.update(&bytes);
+        self.absorbed += bytes.len() as u64;
+    }
+
+    /// Starts the next window's digest.
+    fn clear(&mut self) {
+        self.hasher = Sha256::new();
+    }
+}
+
+impl PartialEq for WindowDigest {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for WindowDigest {}
+
 /// The Subnet Coordinator Actor state for one subnet.
 ///
 /// See the [module docs](self) for the full protocol surface. The state is
@@ -313,9 +353,14 @@ pub struct ScaState {
     /// Committed-but-unapplied top-down messages per child, in nonce order.
     /// Child nodes sync this queue from the parent state (paper Fig. 3).
     top_down_queue: BTreeMap<SubnetId, VecDeque<CrossMsg>>,
-    /// Bottom-up messages of the *current* checkpoint window, grouped by
-    /// destination subnet (paper Fig. 2: the template being populated).
-    window_bottom_up: BTreeMap<SubnetId, Vec<CrossMsg>>,
+    /// Bottom-up messages of the *current* checkpoint window in queue
+    /// (= send-nonce) order (paper Fig. 2: the template being populated);
+    /// grouped by destination subnet only when the window is cut.
+    window_bottom_up: Vec<CrossMsg>,
+    /// Running digest of `window_bottom_up`, what the state root commits
+    /// to in place of the messages.
+    #[serde(skip)]
+    window_digest: WindowDigest,
     /// Metas received from children that must continue upward in the next
     /// checkpoint.
     window_propagated: Vec<CrossMsgMeta>,
@@ -353,7 +398,8 @@ impl ScaState {
             config,
             subnets: BTreeMap::new(),
             top_down_queue: BTreeMap::new(),
-            window_bottom_up: BTreeMap::new(),
+            window_bottom_up: Vec::new(),
+            window_digest: WindowDigest::default(),
             window_propagated: Vec::new(),
             window_child_checks: Vec::new(),
             bottomup_send_nonce: Nonce::ZERO,
@@ -733,16 +779,14 @@ impl ScaState {
     }
 
     /// Queues a bottom-up message into the current checkpoint window,
-    /// grouped by destination subnet, stamping the subnet's next bottom-up
-    /// send nonce (every cross-msg carries a unique nonce, paper §III-B).
-    /// Fund movement is the caller's responsibility
+    /// stamping the subnet's next bottom-up send nonce (every cross-msg
+    /// carries a unique nonce, paper §III-B) and absorbing it into the
+    /// window's digest. Fund movement is the caller's responsibility
     /// ([`ScaState::send_cross_msg`] burns locally).
     fn queue_bottom_up(&mut self, mut msg: CrossMsg) -> CrossMsg {
         msg.nonce = self.bottomup_send_nonce.fetch_increment();
-        self.window_bottom_up
-            .entry(msg.to.subnet.clone())
-            .or_default()
-            .push(msg.clone());
+        self.window_digest.absorb(&msg);
+        self.window_bottom_up.push(msg.clone());
         msg
     }
 
@@ -754,12 +798,57 @@ impl ScaState {
         self.window_bottom_up.is_empty() && self.window_propagated.is_empty()
     }
 
-    /// Test/diagnostic view of the current window's bottom-up groups.
+    /// Test/diagnostic view of the current window's bottom-up messages per
+    /// destination subnet.
     pub fn window_bottom_up_counts(&self) -> BTreeMap<SubnetId, usize> {
-        self.window_bottom_up
-            .iter()
-            .map(|(k, v)| (k.clone(), v.len()))
-            .collect()
+        let mut counts = BTreeMap::new();
+        for msg in &self.window_bottom_up {
+            *counts.entry(msg.to.subnet.clone()).or_default() += 1;
+        }
+        counts
+    }
+
+    /// The digest the state root commits to for the current window: SHA-256
+    /// over its messages' canonical encodings in queue order
+    /// ([`ScaState::window_encoding`]). Read from the running digest, so it
+    /// costs the padding block(s), not the window.
+    pub fn window_digest(&self) -> [u8; 32] {
+        self.window_digest.hasher.clone().finalize()
+    }
+
+    /// The bytes [`ScaState::window_digest`] covers: the current window's
+    /// messages' canonical encodings, concatenated in queue order. Hashing
+    /// them in one shot is the from-scratch reference for the carried
+    /// digest.
+    pub fn window_encoding(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        for msg in &self.window_bottom_up {
+            msg.write_bytes(&mut out);
+        }
+        out
+    }
+
+    /// Message bytes this SCA's window digest has absorbed since the SCA
+    /// was created or decoded, across cuts. Monotone: the difference
+    /// between two readings is the window hashing done in between, which
+    /// the state commitment counts as hashed.
+    pub fn window_bytes_absorbed(&self) -> u64 {
+        self.window_digest.absorbed
+    }
+
+    /// Writes what the state root commits to for this SCA: its canonical
+    /// encoding with the window's messages replaced by their count and,
+    /// for a non-empty window, its digest — which `window_digest` supplies
+    /// (from [`ScaState::window_digest`], or from scratch) and is called
+    /// for only then. Every other field is encoded as [`CanonicalEncode`]
+    /// encodes it, and an empty window commits exactly as it encodes.
+    pub fn write_committed(&self, out: &mut Vec<u8>, window_digest: impl FnOnce() -> [u8; 32]) {
+        self.write_fields(out, |out| {
+            (self.window_bottom_up.len() as u64).write_bytes(out);
+            if !self.window_bottom_up.is_empty() {
+                window_digest().write_bytes(out);
+            }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -773,9 +862,10 @@ impl ScaState {
     }
 
     /// Cuts the checkpoint for the window ending at `epoch`, committing the
-    /// chain head `proof`. Drains the window state: outgoing bottom-up
-    /// groups become `CrossMsgMeta` entries, child checkpoint CIDs fill the
-    /// `children` tree, and pass-through metas are appended.
+    /// chain head `proof`. Drains the window state: the queued bottom-up
+    /// messages are grouped by destination (queue order within a group)
+    /// and each group becomes a `CrossMsgMeta` entry, child checkpoint CIDs
+    /// fill the `children` tree, and pass-through metas are appended.
     ///
     /// Also returns the raw messages behind every meta cut here, sealed
     /// with the digest their meta carries, in destination order: the
@@ -793,7 +883,11 @@ impl ScaState {
         for (child, cid) in self.window_child_checks.drain(..) {
             ckpt.add_child_check(child, cid);
         }
-        let window = std::mem::take(&mut self.window_bottom_up);
+        let mut window: BTreeMap<SubnetId, Vec<CrossMsg>> = BTreeMap::new();
+        for msg in std::mem::take(&mut self.window_bottom_up) {
+            window.entry(msg.to.subnet.clone()).or_default().push(msg);
+        }
+        self.window_digest.clear();
         let mut groups = Vec::with_capacity(window.len());
         for (dest, msgs) in window {
             let group = MsgGroup::seal(msgs);
@@ -1116,12 +1210,28 @@ impl ScaState {
 ///   `hc_state::ChunkKey::Registry`), where a cut re-hashes one root path
 ///   instead of this whole chunk. What remains here is O(children +
 ///   current window).
+///
+/// The state root does not hash this encoding: it commits to
+/// [`ScaState::write_committed`], where the window's messages give way to
+/// their count and running digest, so a block that adds to the window does
+/// not re-hash what the window already held. This encoding — messages
+/// included — is what a snapshot stores, and decoding it re-derives the
+/// digest.
 impl CanonicalEncode for ScaState {
     fn write_bytes(&self, out: &mut Vec<u8>) {
+        self.write_fields(out, |out| self.window_bottom_up.write_bytes(out));
+    }
+}
+
+impl ScaState {
+    /// The canonical field sequence, with `window` writing the checkpoint
+    /// window's slot: the one layout behind both the stored encoding and
+    /// the committed one.
+    fn write_fields(&self, out: &mut Vec<u8>, window: impl FnOnce(&mut Vec<u8>)) {
         self.subnet_id.write_bytes(out);
         self.config.write_bytes(out);
         self.subnets.write_bytes(out);
-        self.window_bottom_up.write_bytes(out);
+        window(out);
         self.window_propagated.write_bytes(out);
         self.window_child_checks.write_bytes(out);
         self.bottomup_send_nonce.write_bytes(out);
@@ -1137,7 +1247,7 @@ impl CanonicalEncode for ScaState {
 
 impl CanonicalDecode for ScaState {
     fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(ScaState {
+        let mut sca = ScaState {
             subnet_id: CanonicalDecode::read_bytes(r)?,
             config: CanonicalDecode::read_bytes(r)?,
             subnets: CanonicalDecode::read_bytes(r)?,
@@ -1145,6 +1255,7 @@ impl CanonicalDecode for ScaState {
             // impl); a freshly installed SCA starts with empty relay queues.
             top_down_queue: BTreeMap::new(),
             window_bottom_up: CanonicalDecode::read_bytes(r)?,
+            window_digest: WindowDigest::default(),
             window_propagated: CanonicalDecode::read_bytes(r)?,
             window_child_checks: CanonicalDecode::read_bytes(r)?,
             bottomup_send_nonce: CanonicalDecode::read_bytes(r)?,
@@ -1155,7 +1266,21 @@ impl CanonicalDecode for ScaState {
             saved_states: CanonicalDecode::read_bytes(r)?,
             child_snapshots: CanonicalDecode::read_bytes(r)?,
             recovered: CanonicalDecode::read_bytes(r)?,
-        })
+        };
+        // The window is stamped from `bottomup_send_nonce` in queue order:
+        // strictly ascending nonces, all below the next one to be stamped.
+        // Content entering from bytes: its digest is derived here.
+        let mut next = Nonce::ZERO;
+        for msg in &sca.window_bottom_up {
+            if msg.nonce < next || msg.nonce >= sca.bottomup_send_nonce {
+                return Err(DecodeError::Invalid {
+                    what: "SCA window nonces are not ascending below the send nonce",
+                });
+            }
+            next = msg.nonce.next();
+            sca.window_digest.absorb(msg);
+        }
+        Ok(sca)
     }
 }
 
@@ -1823,5 +1948,37 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(ScaState::decode(&extended).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_a_window_out_of_send_nonce_order() {
+        let child_id = subnet(&[200]);
+        let mut sca = ScaState::new(child_id.clone(), ScaConfig::default());
+        let mut ledger = funded_ledger(&[(300, 10)]);
+        for value in 1..=3 {
+            let up = CrossMsg::transfer(
+                HcAddress::new(child_id.clone(), Address::new(300)),
+                haddr(&[], 100),
+                TokenAmount::from_whole(value),
+            );
+            sca.send_cross_msg(&mut ledger, Address::new(300), up)
+                .unwrap();
+        }
+        let decoded = ScaState::decode(&sca.canonical_bytes()).unwrap();
+        assert_eq!(decoded.window_digest(), sca.window_digest());
+        assert_eq!(decoded.window_bytes_absorbed(), sca.window_bytes_absorbed());
+
+        let mut swapped = sca.clone();
+        swapped.window_bottom_up.swap(0, 2);
+        let mut repeated = sca.clone();
+        repeated.window_bottom_up[1].nonce = Nonce::new(0);
+        let mut ahead = sca.clone();
+        ahead.bottomup_send_nonce = Nonce::new(2);
+        for forged in [swapped, repeated, ahead] {
+            assert!(matches!(
+                ScaState::decode(&forged.canonical_bytes()),
+                Err(DecodeError::Invalid { .. })
+            ));
+        }
     }
 }

@@ -1,12 +1,39 @@
 //! Property-based tests for the SCA: supply conservation and the firewall
-//! bound under randomized cross-net traffic.
+//! bound under randomized cross-net traffic, and the checkpoint window's
+//! carried digest against a from-scratch hash.
 
 use proptest::prelude::*;
 
 use hc_actors::checkpoint::Checkpoint;
 use hc_actors::ledger::MapLedger;
 use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, Ledger, MsgGroup, ScaConfig, ScaState};
-use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_types::crypto::sha256;
+use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
+
+/// One step applied to a child SCA's checkpoint window.
+#[derive(Debug, Clone)]
+enum WindowOp {
+    /// A bottom-up message to the parent, worth `value` atto.
+    SendUp { value: u64 },
+    /// A path message to a sibling branch: its bottom-up leg queues here.
+    SendAcross { value: u64 },
+    /// A top-down message that failed here: its revert queues bottom-up.
+    Revert { value: u64 },
+    /// The window is cut into a checkpoint.
+    Cut,
+    /// The state goes through its canonical encoding and back.
+    Reencode,
+}
+
+fn arb_window_op() -> impl Strategy<Value = WindowOp> {
+    prop_oneof![
+        (1u64..1_000).prop_map(|value| WindowOp::SendUp { value }),
+        (1u64..1_000).prop_map(|value| WindowOp::SendAcross { value }),
+        (1u64..1_000).prop_map(|value| WindowOp::Revert { value }),
+        Just(WindowOp::Cut),
+        Just(WindowOp::Reencode),
+    ]
+}
 
 /// A randomized parent-side scenario: fund the child with a sequence of
 /// top-down transfers, then let the child return random amounts bottom-up.
@@ -171,6 +198,63 @@ proptest! {
             prop_assert_eq!(ckpt.prev, prev);
             prev = ckpt.cid();
             prop_assert_eq!(sca.prev_checkpoint(), prev);
+        }
+    }
+
+    /// The window digest the SCA carries is always the one-shot SHA-256 of
+    /// the window's encoding, whatever sequence of sends, reverts, cuts and
+    /// encode → decode round trips produced the window; and the bytes it
+    /// reports absorbed grow by exactly the queued messages' encodings.
+    #[test]
+    fn the_carried_window_digest_equals_a_from_scratch_hash(
+        ops in prop::collection::vec(arb_window_op(), 1..40),
+    ) {
+        let child = SubnetId::root().child(Address::new(200));
+        let user = Address::new(300);
+        let mut sca = ScaState::new(child.clone(), ScaConfig::default());
+        let mut ledger = MapLedger::with_balances([(user, TokenAmount::from_whole(1_000))]);
+        let at = |subnet: &SubnetId, a| HcAddress::new(subnet.clone(), Address::new(a));
+        let sibling = SubnetId::root().child(Address::new(999));
+        let mut epoch = 0;
+        let mut absorbed = 0;
+        for op in &ops {
+            let queued = match op {
+                WindowOp::SendUp { value } | WindowOp::SendAcross { value } => {
+                    let to = match op {
+                        WindowOp::SendUp { .. } => at(&SubnetId::root(), 100),
+                        _ => at(&sibling, 100),
+                    };
+                    let msg = CrossMsg::transfer(at(&child, 300), to, TokenAmount::from_atto(u128::from(*value)));
+                    Some(sca.send_cross_msg(&mut ledger, user, msg).unwrap())
+                }
+                WindowOp::Revert { value } => {
+                    let failed = CrossMsg::transfer(
+                        at(&SubnetId::root(), 100),
+                        at(&child, 300),
+                        TokenAmount::from_atto(u128::from(*value)),
+                    );
+                    Some(sca.revert_failed_msg(&mut ledger, &failed).unwrap())
+                }
+                WindowOp::Cut => {
+                    epoch += 10;
+                    let (ckpt, groups) = sca.cut_checkpoint(ChainEpoch::new(epoch), Cid::NIL);
+                    prop_assert_eq!(ckpt.cross_msgs.len(), groups.len());
+                    prop_assert!(sca.window_encoding().is_empty());
+                    None
+                }
+                WindowOp::Reencode => {
+                    let bytes = sca.canonical_bytes();
+                    sca = ScaState::decode(&bytes).unwrap();
+                    prop_assert_eq!(sca.canonical_bytes(), bytes);
+                    absorbed = sca.window_encoding().len() as u64;
+                    None
+                }
+            };
+            if let Some(msg) = queued {
+                absorbed += msg.canonical_bytes().len() as u64;
+            }
+            prop_assert_eq!(sca.window_digest(), sha256(&sca.window_encoding()), "after {:?}", op);
+            prop_assert_eq!(sca.window_bytes_absorbed(), absorbed, "after {:?}", op);
         }
     }
 }

@@ -12,6 +12,10 @@
 //! * **Global conservation** (always) — the rootnet's gross supply equals
 //!   what was minted at genesis/faucet; cross-net traffic never creates or
 //!   destroys root tokens.
+//!
+//! Beside them, debug builds check the commitment rather than the economy:
+//! every SCA's carried checkpoint-window digest is the digest of the window
+//! it holds.
 
 use hc_types::{Address, SubnetId, TokenAmount};
 
@@ -91,6 +95,35 @@ pub fn audit_escrow(rt: &HierarchyRuntime) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Checks that every subnet's SCA carries the digest of the checkpoint
+/// window it holds: the running window digest the state root commits to
+/// equals one SHA-256 over the window's encoding. Debug builds run it after
+/// every wave. The hashing done here is a self-check, not the system's
+/// work, so it is left out of [`hc_types::crypto::sha256_block_count`] and
+/// a debug build counts what a release build does.
+///
+/// # Errors
+///
+/// Returns a description naming the first subnet whose digest is stale.
+#[cfg(debug_assertions)]
+pub(crate) fn audit_window_digests(rt: &HierarchyRuntime) -> Result<(), String> {
+    use hc_types::crypto::{sha256, uncounted};
+    uncounted(|| {
+        for subnet in rt.subnets() {
+            let sca = rt.node(subnet).expect("subnet exists").state().sca();
+            let window = sca.window_encoding();
+            if sca.window_digest() != sha256(&window) {
+                return Err(format!(
+                    "window digest violation in {subnet}: the SCA's carried digest is not \
+                     the hash of its {}-byte window",
+                    window.len()
+                ));
+            }
+        }
+        Ok(())
+    })
 }
 
 /// Checks the quiescent-state invariant: for every parent→child edge, the

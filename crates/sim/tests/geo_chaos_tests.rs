@@ -362,13 +362,17 @@ fn fingerprint(rt: &HierarchyRuntime) -> String {
 
 /// Three schedules of the sweep land on the heads, state roots,
 /// `ChaosStats` and `NetStats` recorded from the last commit that kept
-/// region outages in a vector (and a runtime schedule) of their own.
+/// region outages in a vector (and a runtime schedule) of their own. The
+/// digests were re-recorded when the SCA's state-root leaf began to commit
+/// to its checkpoint window through a digest: the heads and state roots of
+/// three of the five subnets moved, every other byte of the fingerprint
+/// text did not.
 #[test]
 fn geo_schedules_reproduce_the_recorded_fingerprints() {
     let recorded = [
-        "1c7e33f116752518ccaeb55733d8f8e92757b82eda79ea80065ea7660b3d3939",
-        "e56e282bca8fedbc67c255ee209f129cb4f6b86f35fc591afdba92a72a0a4ad2",
-        "14c19e8256f5e16e062a8ba9661ce5cdef11e676fa05befab676b03b2c0542f9",
+        "9e7dafe2a10db9b1d6853947ff8023dd5c8b5f22298cb74ff39a0e7fa5f5ce88",
+        "bf116cf38da6d58f66ef54fddaf3d42f3151c75a2e971279f7b90a04f845fe44",
+        "f89135dc077f9661611df62364511c14996a59111e7e3beca49d96b89b6acb4a",
     ];
     for (seed, digest) in recorded.iter().enumerate() {
         let (_, fingerprint) = run_geo_schedule(seed as u64);

@@ -24,6 +24,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use hc_actors::ScaState;
+use hc_types::crypto::sha256;
 use hc_types::merkle::MerkleTree;
 use hc_types::{
     Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MHamtNode, TCid,
@@ -113,6 +115,54 @@ pub(crate) fn registry_leaf_blob(root: &AmtRoot) -> Vec<u8> {
     out
 }
 
+/// Where [`sca_leaf_preimage`] takes the SCA window's digest from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WindowSource {
+    /// The running digest the SCA carries ([`ScaState::window_digest`]).
+    /// `absorbed_before` is [`ScaState::window_bytes_absorbed`] at the
+    /// caller's last commitment: the bytes absorbed since are this leaf's
+    /// share of the window hashing.
+    Carried {
+        /// The SCA's absorbed-bytes reading at the last commitment.
+        absorbed_before: u64,
+    },
+    /// One SHA-256 over [`ScaState::window_encoding`], never the carried
+    /// digest: the from-scratch reference.
+    FromScratch,
+}
+
+/// The SCA's state-root leaf preimage — the one function behind every path
+/// that commits to the SCA (`StateTree::flush` and its full build, the
+/// validation overlay's candidate, `recompute_root`, and
+/// [`ChunkManifest::verify`]): the [`ChunkKey::Sca`] key bytes, then the
+/// SCA's encoding with its checkpoint window's messages replaced by their
+/// count and, for a non-empty window, their digest
+/// ([`ScaState::write_committed`]). The window's bytes are therefore
+/// hashed once, as they are queued, instead of by every block while the
+/// window is open; the stored SCA blob still carries them.
+///
+/// Returns the preimage and the window bytes hashed for it: those absorbed
+/// since `absorbed_before` (carried), or the whole window (from scratch).
+/// The preimage's own bytes are counted by whoever hashes it, as for any
+/// chunk.
+pub(crate) fn sca_leaf_preimage(sca: &ScaState, source: WindowSource) -> (Vec<u8>, u64) {
+    let mut out = ChunkKey::Sca.canonical_bytes();
+    let window_bytes = match source {
+        WindowSource::Carried { absorbed_before } => {
+            sca.write_committed(&mut out, || sca.window_digest());
+            // Saturating: an SCA replaced through `sca_mut` may have
+            // absorbed less over its life than the one it replaced.
+            sca.window_bytes_absorbed().saturating_sub(absorbed_before)
+        }
+        WindowSource::FromScratch => {
+            let window = sca.window_encoding();
+            sca.write_committed(&mut out, || sha256(&window));
+            window.len() as u64
+        }
+    };
+    (out, window_bytes)
+}
+
 /// Cost counters for state-root maintenance, accumulated across flushes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitStats {
@@ -125,8 +175,9 @@ pub struct CommitStats {
     pub chunks_hashed: u64,
     /// Account-HAMT nodes re-encoded and re-hashed (path invalidation).
     pub hamt_nodes_hashed: u64,
-    /// Total bytes fed to the hash function (chunk leaf encodings, HAMT
-    /// and registry-AMT node encodings, and interior Merkle nodes).
+    /// Total bytes fed to the hash function (chunk leaf preimages, the SCA
+    /// window's messages as its digest absorbs them, HAMT and registry-AMT
+    /// node encodings, and interior Merkle nodes).
     pub bytes_hashed: u64,
     /// Overlay account reads answered by the per-block read memo
     /// (accumulated from applied overlays — see
@@ -165,6 +216,9 @@ pub(crate) struct Commitment {
     /// a chunk whose digest has not moved since is not encoded, hashed or
     /// put again.
     pub(crate) persisted: BTreeMap<ChunkKey, (Cid, Cid)>,
+    /// [`ScaState::window_bytes_absorbed`] when the SCA leaf was last
+    /// committed, so each window byte counts once in `bytes_hashed`.
+    pub(crate) sca_absorbed: u64,
     /// Accumulated cost counters.
     pub(crate) stats: CommitStats,
 }
@@ -312,18 +366,30 @@ impl ChunkManifest {
     /// against the recorded root: every fixed chunk blob must be present,
     /// the full HAMT and AMT closures must be present, and the Merkle root
     /// over the leaf layer (with the accounts and registry leaves derived
-    /// from `accounts_root` and `registry_root`) must equal `root`.
-    /// Returns `false` on any gap or mismatch.
+    /// from `accounts_root` and `registry_root`) must equal `root`. A
+    /// stored blob is its chunk's leaf preimage except the SCA's, which is
+    /// decoded (deriving its window digest) and committed as the state
+    /// tree commits it, through its window's count and digest
+    /// ([`ScaState::write_committed`]). Returns `false` on any gap or
+    /// mismatch.
     pub fn verify(&self, store: &crate::CidStore) -> bool {
         if !self.missing_chunks(store).is_empty() {
             return false;
         }
         let mut leaves: Vec<Vec<u8>> = Vec::with_capacity(self.entries.len() + 2);
-        for (_, cid) in &self.entries {
-            match store.get(cid) {
-                Some(blob) => leaves.push(blob.as_ref().clone()),
-                None => return false,
+        for (key, cid) in &self.entries {
+            let Some(blob) = store.get(cid) else {
+                return false;
+            };
+            if *key != ChunkKey::Sca {
+                leaves.push(blob.as_ref().clone());
+                continue;
             }
+            let Ok((ChunkKey::Sca, sca)) = <(ChunkKey, ScaState)>::decode(&blob) else {
+                return false;
+            };
+            let carried = WindowSource::Carried { absorbed_before: 0 };
+            leaves.push(sca_leaf_preimage(&sca, carried).0);
         }
         leaves.push(accounts_leaf_blob(&self.accounts_root));
         leaves.push(registry_leaf_blob(&self.registry_root));

@@ -46,6 +46,7 @@ pub use install::InstallError;
 pub use message::{ImplicitMsg, Message, Method, SignedMessage};
 pub use overlay::{OverlayChanges, ReadMemoStats, StateOverlay};
 pub use parallel::{access_pair, LaneOverlay};
+pub use registry::RegistryEntry;
 pub use sealed::SealedMessage;
 pub use sigcache::{SigCache, SigCacheStats, DEFAULT_SIG_CACHE_CAPACITY};
 pub use store::{CidStore, CidStoreStats};

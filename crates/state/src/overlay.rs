@@ -28,7 +28,9 @@ use hc_types::{Address, CanonicalEncode, Cid, SubnetId, TokenAmount};
 
 use crate::access::StateAccess;
 use crate::amt::Amt;
-use crate::chunk::{accounts_leaf_blob, registry_leaf_blob, ChunkKey, CommitStats};
+use crate::chunk::{
+    accounts_leaf_blob, registry_leaf_blob, sca_leaf_preimage, ChunkKey, CommitStats, WindowSource,
+};
 use crate::hamt::{Hamt, HashWork};
 use crate::registry::RegistryEntry;
 use crate::tree::{AccountState, Accounts, StateTree};
@@ -274,7 +276,12 @@ impl<'a> StateOverlay<'a> {
             log
         });
         if let Some(sca) = &self.sca {
-            blobs.push((ChunkKey::Sca, blob(ChunkKey::Sca, sca)));
+            let carried = WindowSource::Carried {
+                absorbed_before: base.sca_absorbed,
+            };
+            let (preimage, window_bytes) = sca_leaf_preimage(sca, carried);
+            work.bytes_hashed += window_bytes;
+            blobs.push((ChunkKey::Sca, preimage));
         }
         if let Some(atomic) = &self.atomic {
             blobs.push((ChunkKey::Atomic, blob(ChunkKey::Atomic, atomic)));
@@ -423,9 +430,7 @@ impl<'o> StateAccess for StateOverlay<'o> {
     }
 
     fn append_registry(&mut self, groups: Vec<MsgGroup>) {
-        if !groups.is_empty() {
-            self.registry.push(RegistryEntry(groups));
-        }
+        self.registry.extend(groups.into_iter().map(RegistryEntry));
     }
 
     fn absorb_accounts(&mut self, writes: BTreeMap<Address, AccountState>) {

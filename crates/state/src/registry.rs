@@ -6,12 +6,14 @@
 //! every cross-net checkpoint window, so it cannot live inside the SCA
 //! chunk, which is re-encoded and re-hashed whenever the SCA changes — on
 //! a cross-net workload, every block. Here it is an append-only log in an
-//! [`Amt`]: one `RegistryEntry` per checkpoint cut that carried
-//! bottom-up groups, committed under its own state-root leaf
+//! [`Amt`]: one [`RegistryEntry`] — one group — per slot, in cut order and
+//! destination order within a cut, committed under its own state-root leaf
 //! ([`crate::ChunkKey::Registry`]) that embeds only the AMT root (height,
 //! count, top-node CID), just as the accounts leaf embeds the HAMT root. A
-//! cut re-hashes the AMT's rightmost path; persisting writes only the new
-//! nodes.
+//! cut re-hashes the AMT's rightmost path once, however many groups it
+//! appends: the leaf it fills (at most eight groups, so each group's bytes
+//! are hashed about 1.5 times on average) and one link-only node per level
+//! above it. Persisting writes only the new nodes.
 //!
 //! Lookups by group CID (`ContentRegistry::get`) are served from an
 //! in-memory index that shares the groups with the log. The index is
@@ -26,40 +28,30 @@ use crate::amt::{Amt, AmtError, AmtRoot};
 use crate::hamt::HashWork;
 use crate::store::CidStore;
 
-/// One entry of the registry log: the bottom-up groups of one checkpoint
-/// cut, in destination order, shared with the lookup index. Encoded as
-/// `(msgs_cid, msgs)` pairs.
+/// One slot of the registry log: one bottom-up group, shared with the
+/// lookup index. Encoded as `(msgs_cid, msgs)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RegistryEntry(pub(crate) Vec<MsgGroup>);
+pub struct RegistryEntry(pub MsgGroup);
 
 impl CanonicalEncode for RegistryEntry {
     fn write_bytes(&self, out: &mut Vec<u8>) {
-        (self.0.len() as u64).write_bytes(out);
-        for group in &self.0 {
-            group.cid().write_bytes(out);
-            group.write_bytes(out);
-        }
+        self.0.cid().write_bytes(out);
+        self.0.write_bytes(out);
     }
 }
 
 impl CanonicalDecode for RegistryEntry {
     fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        // `len_prefix` bounds the count by the remaining input.
-        let count = r.len_prefix("RegistryEntry.groups")?;
-        let mut groups = Vec::with_capacity(count);
-        for _ in 0..count {
-            let cid = Cid::read_bytes(r)?;
-            let group = MsgGroup::read_bytes(r)?;
-            // Content entering from bytes: the group's digest is derived
-            // here, once, and must be the one stored beside it.
-            if group.cid() != cid {
-                return Err(DecodeError::Invalid {
-                    what: "registry group does not hash to its msgs_cid",
-                });
-            }
-            groups.push(group);
+        let cid = Cid::read_bytes(r)?;
+        let group = MsgGroup::read_bytes(r)?;
+        // Content entering from bytes: the group's digest is derived here,
+        // once, and must be the one stored beside it.
+        if group.cid() != cid {
+            return Err(DecodeError::Invalid {
+                what: "registry group does not hash to its msgs_cid",
+            });
         }
-        Ok(RegistryEntry(groups))
+        Ok(RegistryEntry(group))
     }
 }
 
@@ -78,9 +70,9 @@ pub(crate) struct ContentRegistry {
 }
 
 impl ContentRegistry {
-    /// Appends one cut's groups.
+    /// Appends one group.
     pub(crate) fn append(&mut self, entry: RegistryEntry) {
-        index_groups(&mut self.index, &entry);
+        self.index.insert(entry.0.cid(), entry.0.clone());
         self.log.push(entry);
     }
 
@@ -92,8 +84,8 @@ impl ContentRegistry {
     /// Adopts `log` — a clone of this registry's log that `appended` was
     /// pushed onto (and flushed) by a validation overlay.
     pub(crate) fn install(&mut self, log: Amt<RegistryEntry>, appended: &[RegistryEntry]) {
-        for entry in appended {
-            index_groups(&mut self.index, entry);
+        for RegistryEntry(group) in appended {
+            self.index.insert(group.cid(), group.clone());
         }
         self.log = log;
     }
@@ -128,12 +120,6 @@ impl ContentRegistry {
     }
 }
 
-fn index_groups(index: &mut HashMap<Cid, MsgGroup>, entry: &RegistryEntry) {
-    for group in &entry.0 {
-        index.insert(group.cid(), group.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,19 +127,19 @@ mod tests {
     use hc_types::{Address, SubnetId, TokenAmount};
 
     #[test]
-    fn a_decoded_entry_must_hash_to_the_cids_stored_beside_its_groups() {
+    fn a_decoded_entry_must_hash_to_the_cid_stored_beside_its_group() {
         let at = |a| HcAddress::new(SubnetId::root(), Address::new(a));
         let group = MsgGroup::seal(vec![
             CrossMsg::transfer(at(100), at(101), TokenAmount::from_whole(1)),
             CrossMsg::transfer(at(102), at(103), TokenAmount::from_whole(2)),
         ]);
-        let entry = RegistryEntry(vec![group]);
+        let entry = RegistryEntry(group);
         let bytes = entry.canonical_bytes();
         assert_eq!(RegistryEntry::decode(&bytes).unwrap(), entry);
-        // Byte 8 is the first of the stored `msgs_cid`; the last byte is
+        // Byte 0 is the first of the stored `msgs_cid`; the last byte is
         // inside the last message. Neither the digest nor the content can
         // be altered alone.
-        for at in [8, bytes.len() - 1] {
+        for at in [0, bytes.len() - 1] {
             let mut tampered = bytes.clone();
             tampered[at] ^= 1;
             assert!(RegistryEntry::decode(&tampered).is_err(), "byte {at}");

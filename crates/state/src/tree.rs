@@ -35,8 +35,8 @@ use hc_types::{
 };
 
 use crate::chunk::{
-    accounts_leaf_blob, build_accounts_hamt, registry_leaf_blob, ChunkKey, ChunkManifest,
-    CommitStats, Commitment,
+    accounts_leaf_blob, build_accounts_hamt, registry_leaf_blob, sca_leaf_preimage, ChunkKey,
+    ChunkManifest, CommitStats, Commitment, WindowSource,
 };
 use crate::hamt::{HamtProof, HashWork};
 use crate::overlay::OverlayChanges;
@@ -265,12 +265,12 @@ impl StateTree {
         self.sca.prune_top_down(child, below)
     }
 
-    /// Appends the groups of one checkpoint cut to the content registry.
-    /// Empty cuts append nothing, so the log (and its leaf digest) only
-    /// moves when there is content to commit to.
+    /// Appends the groups of one checkpoint cut to the content registry,
+    /// one log slot each. Empty cuts append nothing, so the log (and its
+    /// leaf digest) only moves when there is content to commit to.
     pub fn append_registry(&mut self, groups: Vec<MsgGroup>) {
-        if !groups.is_empty() {
-            self.registry.append(RegistryEntry(groups));
+        for group in groups {
+            self.registry.append(RegistryEntry(group));
         }
     }
 
@@ -389,11 +389,13 @@ impl StateTree {
                 self.commitment.digests.remove(key);
                 continue;
             }
-            let blob = self.chunk_blob(key);
+            let (preimage, window_bytes) = self.leaf_preimage(key);
+            let leaf_bytes = preimage.len() as u64 + 1; // + leaf tag
             self.commitment.stats.chunks_hashed += 1;
-            self.commitment.stats.bytes_hashed += blob.len() as u64 + 1; // + leaf tag
-            changed.push((*key, leaf_digest(&blob)));
+            self.commitment.stats.bytes_hashed += window_bytes + leaf_bytes;
+            changed.push((*key, leaf_digest(&preimage)));
         }
+        self.commitment.sca_absorbed = self.sca.window_bytes_absorbed();
         self.commitment.install_digests(changed);
         self.commitment.merkle.root()
     }
@@ -412,12 +414,13 @@ impl StateTree {
         let mut digests = BTreeMap::new();
         let mut bytes = work.bytes + registry_work.bytes;
         for key in &keys {
-            let blob = self.chunk_blob(key);
-            bytes += blob.len() as u64 + 1;
-            digests.insert(*key, leaf_digest(&blob));
+            let (preimage, window_bytes) = self.leaf_preimage(key);
+            bytes += window_bytes + preimage.len() as u64 + 1;
+            digests.insert(*key, leaf_digest(&preimage));
         }
         let merkle = MerkleTree::from_leaf_hashes(digests.values().copied().collect());
         bytes += merkle.interior_hash_bytes();
+        self.commitment.sca_absorbed = self.sca.window_bytes_absorbed();
         let c = &mut self.commitment;
         c.stats.full_builds += 1;
         c.stats.chunks_hashed += keys.len() as u64;
@@ -432,15 +435,18 @@ impl StateTree {
 
     /// Recomputes the state root from scratch, ignoring every cache: pure
     /// function of the current state content. The account HAMT is rebuilt
-    /// from nothing (so this also re-derives the canonical tree shape), and
-    /// so is the registry log. `flush()` must always agree with this (the
-    /// equivalence property tests enforce it).
+    /// from nothing (so this also re-derives the canonical tree shape), so
+    /// is the registry log, and the SCA's window digest is one SHA-256 over
+    /// the window's encoding rather than the digest the SCA carries.
+    /// `flush()` must always agree with this (the equivalence property
+    /// tests enforce it).
     pub fn recompute_root(&self) -> Cid {
         let mut work = HashWork::default();
         let accounts_root = build_accounts_hamt(self.accounts.iter()).flush(&mut work);
         let registry_root = self.registry.rebuilt().log.flush(&mut work);
         let keys = self.chunk_keys();
         MerkleTree::from_leaf_bytes(keys.iter().map(|k| match k {
+            ChunkKey::Sca => sca_leaf_preimage(&self.sca, WindowSource::FromScratch).0,
             ChunkKey::Accounts => accounts_leaf_blob(&accounts_root),
             ChunkKey::Registry => registry_leaf_blob(&registry_root),
             _ => self.chunk_blob(k),
@@ -482,11 +488,29 @@ impl StateTree {
         keys
     }
 
+    /// The leaf preimage of chunk `key` and the window bytes hashed to
+    /// build it: the chunk blob, except for the SCA, whose leaf commits to
+    /// its window through the digest it carries ([`sca_leaf_preimage`];
+    /// the bytes that digest absorbed since the last commitment are
+    /// reported).
+    fn leaf_preimage(&self, key: &ChunkKey) -> (Vec<u8>, u64) {
+        match key {
+            ChunkKey::Sca => sca_leaf_preimage(
+                &self.sca,
+                WindowSource::Carried {
+                    absorbed_before: self.commitment.sca_absorbed,
+                },
+            ),
+            _ => (self.chunk_blob(key), 0),
+        }
+    }
+
     /// The chunk blob for `key`: the key's canonical encoding followed by
-    /// the chunk content's canonical encoding. The accounts and registry
-    /// leaves embed their HAMT/AMT root and therefore require a flushed
-    /// commitment. Panics if the chunk does not exist in the current
-    /// content.
+    /// the chunk content's canonical encoding — what a snapshot stores and
+    /// [`StateTree::from_manifest`] decodes, and, for every chunk but the
+    /// SCA, the leaf preimage. The accounts and registry leaves embed their
+    /// HAMT/AMT root and therefore require a flushed commitment. Panics if
+    /// the chunk does not exist in the current content.
     pub(crate) fn chunk_blob(&self, key: &ChunkKey) -> Vec<u8> {
         let mut out = key.canonical_bytes();
         match key {
@@ -637,6 +661,7 @@ impl StateTree {
         }
         if let Some(sca) = changes.sca {
             self.sca = sca;
+            self.commitment.sca_absorbed = self.sca.window_bytes_absorbed();
         }
         self.sas.extend(changes.sas);
         if let Some(atomic) = changes.atomic {
@@ -871,7 +896,7 @@ mod tests {
         );
         let mut work = HashWork::default();
         twin.flush(&mut work);
-        let chunk_bytes = t.chunk_blob(&ChunkKey::Sca).len() as u64
+        let chunk_bytes = t.leaf_preimage(&ChunkKey::Sca).0.len() as u64
             + t.chunk_blob(&ChunkKey::Atomic).len() as u64
             + t.chunk_blob(&ChunkKey::Accounts).len() as u64
             + 3

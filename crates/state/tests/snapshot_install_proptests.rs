@@ -8,14 +8,18 @@
 //! refused, and hostile registry blobs are rejected without panicking. So
 //! are hostile account-HAMT blobs of both node kinds (`0x68` interior,
 //! `0x6c` leaf), and a served HAMT of the right content in the wrong shape
-//! never reaches the installed commitment.
+//! never reaches the installed commitment. The SCA blob carries its
+//! checkpoint window's messages while the state root commits to their
+//! digest: a window altered in the blob installs to another root and is
+//! refused.
 
 use proptest::prelude::*;
 
 use hc_actors::sa::{SaConfig, SaState};
 use hc_actors::{CrossMsg, HcAddress, MsgGroup, ScaConfig};
 use hc_state::{
-    blob_links, AccountState, AmtRoot, ChunkManifest, CidStore, HamtError, InstallError, StateTree,
+    blob_links, AccountState, AmtRoot, ChunkKey, ChunkManifest, CidStore, HamtError, InstallError,
+    StateTree,
 };
 use hc_types::crypto::sha256;
 use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TCid, TokenAmount};
@@ -130,13 +134,14 @@ fn forged_registry_shapes_are_refused() {
     let manifest = ChunkManifest::decode(&store.get(&manifest_cid).unwrap()).unwrap();
     let honest = manifest.registry_root;
     let top = store.get(&honest.node.cid()).unwrap().as_ref().clone();
-    // Node blob: tag, bitmap, items — two entries at height 0 here.
-    assert_eq!((honest.height, honest.count), (0, 2));
-    assert_eq!((top[0], top[1]), (0x61, 0b11));
+    // Node blob: tag, bitmap, items — one entry per group, three at height
+    // 0 here.
+    assert_eq!((honest.height, honest.count), (0, 3));
+    assert_eq!((top[0], top[1]), (0x61, 0b111));
 
-    // The same two entries at indices 0 and 2 ...
+    // The same three entries at indices 0, 1 and 3 ...
     let mut sparse = top.clone();
-    sparse[1] = 0b101;
+    sparse[1] = 0b1011;
     let sparse = AmtRoot {
         node: TCid::from_cid(store.put(sparse)),
         ..honest
@@ -147,7 +152,7 @@ fn forged_registry_shapes_are_refused() {
     honest.node.write_bytes(&mut wrapper);
     let tall = AmtRoot {
         height: 1,
-        count: 2,
+        count: 3,
         node: TCid::from_cid(store.put(wrapper)),
     };
 
@@ -559,5 +564,77 @@ proptest! {
         let _ = manifest.missing_chunks(&store);
         prop_assert!(!manifest.verify(&store));
         prop_assert!(StateTree::from_manifest(&manifest, &store).is_err());
+    }
+
+    /// The install re-derives the SCA's window digest from the messages its
+    /// blob carries, and the state root commits to that digest. A blob
+    /// whose window had one message altered, one dropped, or two swapped
+    /// (contents exchanged, nonces left in order so the window still
+    /// decodes) hashes to another root: `verify` fails and the install is
+    /// refused with a root mismatch.
+    #[test]
+    fn a_tampered_sca_window_is_refused_with_a_root_mismatch(
+        values in prop::collection::vec(1u64..1_000_000, 2..8),
+        pick in any::<prop::sample::Index>(),
+        other in any::<prop::sample::Index>(),
+        tamper in 0u8..3,
+    ) {
+        let child = SubnetId::root().child(Address::new(9));
+        let user = Address::new(100);
+        let key = Keypair::from_seed([0x5d; 32]).public();
+        let mut tree = StateTree::genesis(
+            child.clone(),
+            ScaConfig::default(),
+            [(user, key, TokenAmount::from_whole(100))],
+        );
+        let (ledger, sca) = tree.ledger_and_sca_mut();
+        let mut queued = Vec::new();
+        for (k, v) in values.iter().enumerate() {
+            // Distinct values, so a swap always changes the window.
+            let value = TokenAmount::from_atto(u128::from(*v) * 8 + k as u128);
+            let msg = CrossMsg::transfer(
+                HcAddress::new(child.clone(), user),
+                HcAddress::new(SubnetId::root(), Address::new(7)),
+                value,
+            );
+            queued.push(sca.send_cross_msg(ledger, user, msg).unwrap());
+        }
+        let store = CidStore::new();
+        let manifest_cid = tree.persist(&store);
+        let manifest = ChunkManifest::decode(&store.get(&manifest_cid).unwrap()).unwrap();
+        prop_assert!(manifest.verify(&store));
+        prop_assert!(StateTree::from_manifest(&manifest, &store).is_ok());
+
+        let slot = manifest.entries.iter().position(|(k, _)| *k == ChunkKey::Sca).unwrap();
+        let blob = store.get(&manifest.entries[slot].1).unwrap().as_ref().clone();
+        let window = tree.sca().window_encoding();
+        let at = blob.windows(window.len()).position(|w| w == window).unwrap();
+        prop_assert_eq!(&blob[at - 8..at], &(queued.len() as u64).to_le_bytes()[..]);
+
+        let i = pick.index(queued.len());
+        let mut msgs = queued.clone();
+        match tamper {
+            0 => msgs[i].value += TokenAmount::from_atto(1),
+            1 => {
+                msgs.remove(i);
+            }
+            _ => {
+                let j = (i + 1 + other.index(queued.len() - 1)) % queued.len();
+                msgs.swap(i, j);
+                msgs[i].nonce = queued[i].nonce;
+                msgs[j].nonce = queued[j].nonce;
+            }
+        }
+        let mut forged = blob[..at - 8].to_vec();
+        msgs.write_bytes(&mut forged);
+        forged.extend_from_slice(&blob[at + window.len()..]);
+        let mut served = manifest.clone();
+        served.entries[slot].1 = store.put(forged);
+        prop_assert!(!served.verify(&store));
+        let refused = StateTree::from_manifest(&served, &store);
+        prop_assert!(
+            matches!(refused, Err(InstallError::RootMismatch { .. })),
+            "tamper {}: {:?}", tamper, refused.err()
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! Cryptographic primitives.
 //!
-//! * [`sha256`] — a from-scratch, pure-Rust SHA-256 (FIPS 180-4), the hash
-//!   underlying all content addressing in the system.
+//! * [`sha256`] / [`Sha256`] — a from-scratch, pure-Rust SHA-256 (FIPS
+//!   180-4), one-shot or streaming, the hash underlying all content
+//!   addressing in the system.
 //! * [`Keypair`], [`PublicKey`], [`Signature`] — a simulation-grade
 //!   signature scheme (see the type docs for the substitution rationale).
 //! * [`SignaturePolicy`], [`AggregateSignature`] — the checkpoint signature
@@ -13,5 +14,5 @@ mod sha2;
 mod sig;
 
 pub use multisig::{AggregateSignature, PolicyError, SignaturePolicy};
-pub use sha2::{sha256, sha256_block_count};
+pub use sha2::{sha256, sha256_block_count, uncounted, Sha256};
 pub use sig::{Keypair, PublicKey, SigError, Signature};

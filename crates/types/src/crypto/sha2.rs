@@ -4,6 +4,8 @@
 //! external hashing crates. Validated against the official FIPS/NIST test
 //! vectors in the unit tests below.
 
+use std::cell::Cell;
+
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
@@ -30,12 +32,111 @@ const H0: [u32; 8] = [
 /// `bytes_hashed` counter backs the `state_root` guard.
 static BLOCKS: core::sync::atomic::AtomicU64 = core::sync::atomic::AtomicU64::new(0);
 
+thread_local! {
+    /// Set while [`uncounted`] runs on this thread.
+    static UNCOUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Total SHA-256 blocks compressed by this process so far.
 ///
 /// Monotonic and thread-safe; callers measure a region of work by
 /// differencing two readings.
 pub fn sha256_block_count() -> u64 {
     BLOCKS.load(core::sync::atomic::Ordering::Relaxed)
+}
+
+/// Runs `f` without counting the blocks it compresses on this thread in
+/// [`sha256_block_count`].
+///
+/// For self-checks that are not the system's work — the debug-build audits
+/// that recompute a carried digest from scratch — so that a debug build and
+/// a release build count the same hashing.
+pub fn uncounted<R>(f: impl FnOnce() -> R) -> R {
+    let outer = UNCOUNTED.replace(true);
+    let out = f();
+    UNCOUNTED.set(outer);
+    out
+}
+
+/// A streaming SHA-256: bytes go in through [`Sha256::update`] in any
+/// split, and [`Sha256::finalize`] yields the digest of their
+/// concatenation. The only way this crate hashes — [`sha256`] is one
+/// `update` and a `finalize` — so a digest carried in a running hasher
+/// and one computed in one shot cannot disagree.
+///
+/// Cloning copies the running state (112 bytes): finalizing a clone reads
+/// the digest so far and leaves the original open for more input.
+#[derive(Debug, Clone)]
+pub struct Sha256 {
+    state: [u32; 8],
+    /// Input not yet compressed: always less than one block.
+    block: [u8; 64],
+    buffered: usize,
+    /// Total input length in bytes.
+    len: u64,
+}
+
+impl Default for Sha256 {
+    fn default() -> Self {
+        Sha256 {
+            state: H0,
+            block: [0; 64],
+            buffered: 0,
+            len: 0,
+        }
+    }
+}
+
+impl Sha256 {
+    /// A hasher that has absorbed nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Absorbs `data`, compressing every block it completes.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len() as u64;
+        if self.buffered > 0 {
+            let take = (64 - self.buffered).min(data.len());
+            self.block[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.block);
+            self.buffered = 0;
+        }
+        let mut chunks = data.chunks_exact(64);
+        for chunk in &mut chunks {
+            compress(&mut self.state, chunk.try_into().expect("64-byte chunk"));
+        }
+        let rem = chunks.remainder();
+        self.block[..rem.len()].copy_from_slice(rem);
+        self.buffered = rem.len();
+    }
+
+    /// Pads the input — `0x80`, zeros, the bit length as a big-endian
+    /// `u64` — and returns the digest.
+    pub fn finalize(mut self) -> [u8; 32] {
+        let bit_len = self.len.wrapping_mul(8);
+        let n = self.buffered;
+        self.block[n] = 0x80;
+        self.block[n + 1..].fill(0);
+        if n + 1 > 56 {
+            // Length field does not fit; it goes into an extra block.
+            compress(&mut self.state, &self.block);
+            self.block.fill(0);
+        }
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.block);
+
+        let mut out = [0u8; 32];
+        for (i, word) in self.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
 }
 
 /// Computes the SHA-256 digest of `data`.
@@ -51,50 +152,25 @@ pub fn sha256_block_count() -> u64 {
 /// assert_eq!(d[31], 0x55);
 /// ```
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut state = H0;
-
-    // Message schedule is processed block by block over the padded message:
-    // data || 0x80 || zeros || (bit length as big-endian u64).
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut block = [0u8; 64];
-    let mut chunks = data.chunks_exact(64);
-    for chunk in &mut chunks {
-        block.copy_from_slice(chunk);
-        compress(&mut state, &block);
-    }
-
-    let rem = chunks.remainder();
-    block[..rem.len()].copy_from_slice(rem);
-    block[rem.len()] = 0x80;
-    block[rem.len() + 1..].fill(0);
-    if rem.len() + 1 > 56 {
-        // Length field does not fit; it goes into an extra block.
-        compress(&mut state, &block);
-        block.fill(0);
-    }
-    block[56..].copy_from_slice(&bit_len.to_be_bytes());
-    compress(&mut state, &block);
-
-    let mut out = [0u8; 32];
-    for (i, word) in state.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut hasher = Sha256::new();
+    hasher.update(data);
+    hasher.finalize()
 }
 
 /// Computes SHA-256 over the concatenation of several byte strings without
 /// materializing the concatenation.
 pub(crate) fn sha256_concat(parts: &[&[u8]]) -> [u8; 32] {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut buf = Vec::with_capacity(total);
-    for p in parts {
-        buf.extend_from_slice(p);
+    let mut hasher = Sha256::new();
+    for part in parts {
+        hasher.update(part);
     }
-    sha256(&buf)
+    hasher.finalize()
 }
 
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    BLOCKS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+    if !UNCOUNTED.get() {
+        BLOCKS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+    }
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -204,5 +280,31 @@ mod tests {
     fn concat_matches_plain_hash() {
         assert_eq!(sha256_concat(&[b"ab", b"c"]), sha256(b"abc"));
         assert_eq!(sha256_concat(&[]), sha256(b""));
+    }
+
+    #[test]
+    fn a_streamed_fips_vector_splits_anywhere() {
+        let data = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+        for at in 0..=data.len() {
+            let mut hasher = Sha256::new();
+            hasher.update(&data[..at]);
+            hasher.update(&data[at..]);
+            assert_eq!(
+                hex(hasher.finalize()),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+                "split at {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn uncounted_hashing_leaves_this_threads_count_alone() {
+        // The counter is process-wide and other tests hash concurrently, so
+        // only "counted work shows up" is asserted as a lower bound.
+        let before = sha256_block_count();
+        let digest = uncounted(|| sha256(&[7u8; 4096]));
+        assert_eq!(digest, sha256(&[7u8; 4096]));
+        assert!(sha256_block_count() - before >= 65);
+        assert!(!UNCOUNTED.get(), "the flag is restored");
     }
 }

@@ -51,7 +51,7 @@ pub mod token;
 
 pub use address::Address;
 pub use cid::Cid;
-pub use crypto::{Keypair, PublicKey, Signature};
+pub use crypto::{Keypair, PublicKey, Sha256, Signature};
 pub use decode::{ByteReader, CanonicalDecode, DecodeError};
 pub use encode::CanonicalEncode;
 pub use epoch::{ChainEpoch, Nonce};

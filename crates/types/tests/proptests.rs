@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 
+use hc_types::crypto::sha256;
 use hc_types::merkle::{merkle_root, MerkleTree};
-use hc_types::{Address, CanonicalEncode, Cid, SubnetId, TokenAmount};
+use hc_types::{Address, CanonicalEncode, Cid, Sha256, SubnetId, TokenAmount};
 
 fn arb_subnet_id() -> impl Strategy<Value = SubnetId> {
     prop::collection::vec(100u64..200, 0..6)
@@ -129,5 +130,34 @@ proptest! {
         if items[0] != items[1] {
             prop_assert_ne!(merkle_root(&items), original);
         }
+    }
+
+    /// A streaming hasher fed any split of the input agrees with the one-shot
+    /// digest. The pieces cross the padding boundaries — 55 bytes fit the
+    /// length field in the last block, 56 do not, 64 fill a block exactly —
+    /// at every offset a previous piece leaves buffered.
+    #[test]
+    fn streaming_sha256_equals_one_shot_over_any_split(
+        head in prop_oneof![Just(0usize), Just(1usize), 0usize..130],
+        pieces in prop::collection::vec(
+            prop_oneof![Just(55usize), Just(56usize), Just(63usize), Just(64usize), Just(65usize), 0usize..200],
+            0..8,
+        ),
+        fill in any::<u8>(),
+    ) {
+        let lens: Vec<usize> = std::iter::once(head).chain(pieces).collect();
+        let data: Vec<u8> = (0..lens.iter().sum::<usize>())
+            .map(|i| (i as u8).wrapping_mul(31) ^ fill)
+            .collect();
+        let mut hasher = Sha256::new();
+        let mut at = 0;
+        for len in &lens {
+            hasher.update(&data[at..at + len]);
+            at += len;
+            // Finalizing a clone reads the digest so far without closing
+            // the running hasher.
+            prop_assert_eq!(hasher.clone().finalize(), sha256(&data[..at]));
+        }
+        prop_assert_eq!(hasher.finalize(), sha256(&data));
     }
 }

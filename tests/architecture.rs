@@ -1,0 +1,479 @@
+//! Architecture rules, checked against the source text.
+//!
+//! Each test pins one structural decision DESIGN.md records — one
+//! execution engine, a decomposed runtime, one fault plan, one journal, no
+//! option without a scenario, content hashed once — so a change that
+//! reintroduces what a decision removed fails `cargo test` with the section
+//! it breaks. The checks are plain string matching over the repository's
+//! files (this file excluded, so its own needles never match).
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// The repository root.
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every file under `dir` (relative to the root), recursively, sorted;
+/// build output and this file are skipped.
+fn files_under(dir: &str) -> Vec<PathBuf> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n == "target") {
+                    continue;
+                }
+                walk(&path, out);
+            } else if path != root().join("tests/architecture.rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(&root().join(dir), &mut out);
+    out.sort();
+    out
+}
+
+/// The `src` directories of the workspace crates, each as `crates/<name>/src`.
+fn crate_dirs(sub: &str) -> Vec<String> {
+    let mut dirs: Vec<String> = fs::read_dir(root().join("crates"))
+        .expect("crates/ exists")
+        .flatten()
+        .filter(|e| e.path().join(sub).is_dir())
+        .map(|e| format!("crates/{}/{sub}", e.file_name().to_string_lossy()))
+        .collect();
+    dirs.sort();
+    dirs
+}
+
+/// The Rust sources under every `crates/*/src`.
+fn crate_sources() -> Vec<PathBuf> {
+    crate_dirs("src")
+        .iter()
+        .flat_map(|d| files_under(d))
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .collect()
+}
+
+fn read(path: &Path) -> String {
+    fs::read_to_string(path).unwrap_or_default()
+}
+
+fn read_rel(rel: &str) -> String {
+    fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+/// `path` relative to the root, with forward slashes.
+fn rel(path: &Path) -> String {
+    path.strip_prefix(root())
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// The part of a source file before its first `#[cfg(test)]`.
+fn non_test(src: &str) -> &str {
+    src.find("#[cfg(test)]").map_or(src, |at| &src[..at])
+}
+
+/// `(file:line, text)` for every line of `files` that `matches`.
+fn hits<'a>(
+    files: impl IntoIterator<Item = &'a PathBuf>,
+    body: impl Fn(&str) -> &str,
+    matches: impl Fn(&str) -> bool,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    for path in files {
+        let text = read(path);
+        for (i, line) in body(&text).lines().enumerate() {
+            if matches(line) {
+                out.push(format!("{}:{}: {}", rel(path), i + 1, line.trim()));
+            }
+        }
+    }
+    out
+}
+
+fn is_word(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Whether `word` occurs in `line` delimited by non-word characters.
+fn has_word(line: &str, word: &str) -> bool {
+    line.match_indices(word).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + word.len()..].chars().next();
+        !before.is_some_and(is_word) && !after.is_some_and(is_word)
+    })
+}
+
+/// The lines of the block that opens with the line equal to `opener` and
+/// closes with the first line equal to `closer` after it.
+fn block<'a>(src: &'a str, opener: &str, closer: &str) -> Vec<&'a str> {
+    let mut lines = src.lines().skip_while(|l| *l != opener);
+    let mut out: Vec<&str> = lines.next().into_iter().collect();
+    for line in lines {
+        out.push(line);
+        if line == closer {
+            break;
+        }
+    }
+    out
+}
+
+/// Whether `line` declares a struct field: four spaces, an optional `pub `
+/// or `pub(crate) `, a lower-case identifier and a colon.
+fn is_field(line: &str, pub_only: bool) -> bool {
+    let Some(rest) = line.strip_prefix("    ") else {
+        return false;
+    };
+    let rest = match (rest.strip_prefix("pub(crate) "), rest.strip_prefix("pub ")) {
+        (Some(r), _) if !pub_only => r,
+        (_, Some(r)) => r,
+        _ if pub_only => return false,
+        _ => rest,
+    };
+    let name_len = rest
+        .find(|c: char| !(c.is_ascii_lowercase() || c == '_'))
+        .unwrap_or(rest.len());
+    name_len > 0 && rest[name_len..].starts_with(':')
+}
+
+/// A comparison of a worker count with 0 or 1: `parallelism > 1`,
+/// `workers == 0`, ….
+fn compares_worker_count(line: &str) -> bool {
+    ["parallelism", "workers"].iter().any(|name| {
+        line.match_indices(name).any(|(at, _)| {
+            let rest = line[at + name.len()..].trim_start_matches(' ');
+            let Some(rest) = [">=", "<=", "==", ">", "<"]
+                .iter()
+                .find_map(|op| rest.strip_prefix(op))
+            else {
+                return false;
+            };
+            let rest = rest.trim_start_matches(' ');
+            let mut chars = rest.chars();
+            matches!(chars.next(), Some('0' | '1')) && !chars.next().is_some_and(is_word)
+        })
+    })
+}
+
+/// DESIGN.md §15 ("The engine") and §8: `parallelism` sizes fan-outs and
+/// selects no code path — the one comparison left is
+/// `run_until_quiescent`'s choice of stepper — and `fan_out` holds the
+/// workspace's only `thread::scope`.
+#[test]
+fn one_engine_one_fan_out() {
+    let sources = crate_sources();
+    let branches = hits(&sources, |s| s, compares_worker_count);
+    assert!(
+        branches.len() == 1 && branches[0].starts_with("crates/core/src/runtime.rs:"),
+        "DESIGN.md §15: a worker count selects no code path outside \
+         `run_until_quiescent`; found {branches:#?}"
+    );
+    let scoped: Vec<String> = sources
+        .iter()
+        .filter(|p| read(p).contains("thread::scope"))
+        .map(|p| rel(p))
+        .collect();
+    assert_eq!(
+        scoped,
+        ["crates/chain/src/schedule.rs"],
+        "DESIGN.md §15: `hc_chain::fan_out` is the workspace's only thread scope"
+    );
+}
+
+/// DESIGN.md §8: hc-core's `HierarchyRuntime` keeps the tick and nothing
+/// else — wallets, the journal and per-subnet records have one owner each,
+/// replay mode is read through `Journal::outward` alone, the SCA fee is
+/// looked up in one place, and every stepper reaches `produce_local`
+/// through the one `run_wave`.
+#[test]
+fn the_runtime_stays_decomposed() {
+    let core = files_under("crates/core/src");
+    for path in &core {
+        let lines = read(path).lines().count();
+        let cap = if path.ends_with("runtime.rs") {
+            1000
+        } else {
+            1050
+        };
+        assert!(
+            lines <= cap,
+            "DESIGN.md §8: {} has {lines} lines, over {cap}",
+            rel(path)
+        );
+    }
+    let recovering: Vec<String> = core
+        .iter()
+        .filter(|p| read(p).lines().any(|l| has_word(l, "recovering")))
+        .map(|p| rel(p))
+        .filter(|p| !p.ends_with("/journal.rs") && !p.ends_with("/recover.rs"))
+        .collect();
+    assert!(
+        recovering.is_empty(),
+        "DESIGN.md §8: replay mode is read only in journal.rs and recover.rs, \
+         also in {recovering:?}"
+    );
+    for (needle, what) in [
+        ("cross_msg_fee", "the SCA fee is looked up in one place"),
+        (
+            "Self::produce_local",
+            "one `run_wave` reaches `produce_local`",
+        ),
+    ] {
+        let found = hits(&core, |s| s, |l| l.contains(needle));
+        assert_eq!(found.len(), 1, "DESIGN.md §8: {what}; found {found:#?}");
+    }
+    let runtime = read_rel("crates/core/src/runtime.rs");
+    let fields = block(&runtime, "pub struct HierarchyRuntime {", "}")
+        .into_iter()
+        .filter(|l| is_field(l, false))
+        .count();
+    assert!(
+        fields <= 14,
+        "DESIGN.md §8: `HierarchyRuntime` has {fields} fields, over 14"
+    );
+}
+
+/// DESIGN.md §12: a `FaultPlan` is one list of windowed rules, the network
+/// has one publish (topic, payload, now_ms, origin) with one delivery
+/// pipeline behind it, and the runtime keeps one schedule of node faults.
+#[test]
+fn one_fault_plan() {
+    let fault = read_rel("crates/net/src/fault.rs");
+    let plan_fields = block(&fault, "pub struct FaultPlan {", "}")
+        .into_iter()
+        .filter(|l| is_field(l, true))
+        .count();
+    assert_eq!(
+        plan_fields, 1,
+        "DESIGN.md §12: `FaultPlan` is one rule list"
+    );
+
+    let everywhere: Vec<PathBuf> = ["crates", "e2e/src", "tests", "examples"]
+        .iter()
+        .flat_map(|d| files_under(d))
+        .collect();
+    let second = hits(&everywhere, |s| s, |l| l.contains("publish_from"));
+    assert!(
+        second.is_empty(),
+        "DESIGN.md §12: one publish; found {second:#?}"
+    );
+
+    let net = files_under("crates/net/src");
+    let publishes = hits(
+        &net,
+        |s| s,
+        |l| {
+            l.match_indices("fn publish").any(|(at, m)| {
+                let rest = &l[at + m.len()..];
+                let rest = rest
+                    .strip_prefix('_')
+                    .map(|r| r.trim_start_matches(|c: char| c.is_ascii_lowercase() || c == '_'))
+                    .unwrap_or(rest);
+                rest.starts_with('(')
+            })
+        },
+    );
+    assert_eq!(
+        publishes.len(),
+        1,
+        "DESIGN.md §12: one publish; found {publishes:#?}"
+    );
+
+    let pubsub = read_rel("crates/net/src/pubsub.rs");
+    let params = block(&pubsub, "    pub fn publish(", "    ) -> usize {")
+        .into_iter()
+        .filter(|l| {
+            l.strip_prefix("        ").is_some_and(|r| {
+                let n = r
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '_'))
+                    .unwrap_or(r.len());
+                n > 0 && r[n..].starts_with(": ")
+            })
+        })
+        .count();
+    assert_eq!(
+        params, 4,
+        "DESIGN.md §12: `publish(topic, payload, now_ms, origin)`"
+    );
+
+    let plans = hits(
+        &files_under("crates/core/src"),
+        |s| s,
+        |l| l.contains("crash_plan") || l.contains("region_outage_plan"),
+    );
+    assert!(
+        plans.is_empty(),
+        "DESIGN.md §12: the runtime keeps one node-fault schedule; found {plans:#?}"
+    );
+
+    // No function of the delivery pipeline outgrows one screen.
+    let mut start = None;
+    for (i, line) in pubsub.lines().enumerate() {
+        if line.starts_with("    fn ") || line.starts_with("    pub fn ") {
+            start = Some(i);
+        } else if line == "    }" {
+            if let Some(s) = start.take() {
+                let len = i - s + 1;
+                assert!(
+                    len <= 90,
+                    "DESIGN.md §12: the function at crates/net/src/pubsub.rs:{} is {len} lines",
+                    s + 1
+                );
+            }
+        }
+    }
+}
+
+/// DESIGN.md §11: a committed block is one record in the one control log —
+/// hc-chain knows nothing of durability, no per-subnet stream name exists,
+/// hc-core opens exactly one WAL, and a block has one way into a chain
+/// store.
+#[test]
+fn one_journal() {
+    let chain = files_under("crates/chain/src");
+    let durable = hits(&chain, |s| s, |l| l.contains("hc_store"));
+    assert!(
+        durable.is_empty(),
+        "DESIGN.md §11: hc-chain is not durable; found {durable:#?}"
+    );
+    let streams = hits(&crate_sources(), |s| s, |l| l.contains("chains/"));
+    assert!(
+        streams.is_empty(),
+        "DESIGN.md §11: no per-subnet stream; found {streams:#?}"
+    );
+    let opens = hits(
+        &files_under("crates/core/src"),
+        |s| s,
+        |l| l.contains("Wal::open("),
+    );
+    assert_eq!(opens.len(), 1, "DESIGN.md §11: one WAL; found {opens:#?}");
+    let mut dirs = crate_dirs("src");
+    dirs.extend(crate_dirs("tests"));
+    dirs.extend(["e2e/src", "tests", "examples"].map(String::from));
+    let files: Vec<PathBuf> = dirs.iter().flat_map(|d| files_under(d)).collect();
+    let side_doors = hits(&files, |s| s, |l| l.contains("append_recovered"));
+    assert!(
+        side_doors.is_empty(),
+        "DESIGN.md §11: a block has one way into a chain store; found {side_doors:#?}"
+    );
+}
+
+/// DESIGN.md §12 and §16: a settable value no experiment, figure, example
+/// or benchmark varies is a constant or derived — no retry jitter, no
+/// elastic config struct, no certificates switch, no mempool dedup-horizon
+/// knob — and a claimant journals as an adoption.
+#[test]
+fn every_option_is_set_by_a_scenario() {
+    let files: Vec<PathBuf> = ["crates", "examples", "tests"]
+        .iter()
+        .flat_map(|d| files_under(d))
+        .collect();
+    let retired = [
+        "jitter_pct",
+        "ElasticConfig",
+        "certificates_enabled",
+        "seen_horizon_epochs",
+        "with_seen_horizon",
+        "ClaimantCreated",
+    ];
+    let found = hits(&files, |s| s, |l| retired.iter().any(|r| l.contains(r)));
+    assert!(
+        found.is_empty(),
+        "DESIGN.md §12, §16: retired options are back: {found:#?}"
+    );
+    let config = read_rel("crates/core/src/config.rs");
+    let fields = block(&config, "pub struct RuntimeConfig {", "}")
+        .into_iter()
+        .filter(|l| is_field(l, true))
+        .count();
+    assert_eq!(
+        fields, 11,
+        "DESIGN.md §12, §16: `RuntimeConfig` has 11 fields"
+    );
+}
+
+/// DESIGN.md §10, "the hash-once rule": outside `#[cfg(test)]`, a cross-msg
+/// group's Merkle root is derived in one place — the private memo of
+/// `MsgGroup` — and a block's payload root in `Block::seal` and the cold
+/// path of its memo; hc-types compresses SHA-256 blocks in one place, the
+/// streaming `Sha256` that `sha256` is a call of; and an SCA's checkpoint
+/// window digest is filled in one place, as a message is queued or decoded.
+#[test]
+fn content_is_hashed_once() {
+    let sources = crate_sources();
+    let roots = hits(&sources, non_test, |l| l.contains("merkle_root("));
+    assert!(
+        roots.len() == 1 && roots[0].starts_with("crates/actors/src/msg.rs:"),
+        "DESIGN.md §10: a group's root is derived only in `MsgGroup`; found {roots:#?}"
+    );
+    let payload_roots = hits(&sources, non_test, |l| l.contains("compute_msgs_root("));
+    assert!(
+        payload_roots.len() == 3
+            && payload_roots
+                .iter()
+                .all(|h| h.starts_with("crates/chain/src/block.rs:")),
+        "DESIGN.md §10: a payload root is derived only in `Block`; found {payload_roots:#?}"
+    );
+
+    // One compression path: `compress` is called only by `Sha256`, and the
+    // one-shot `sha256` is a `Sha256`.
+    let types = files_under("crates/types/src");
+    let compressing: Vec<String> = types
+        .iter()
+        .filter(|p| non_test(&read(p)).contains("compress("))
+        .map(|p| rel(p))
+        .collect();
+    assert_eq!(
+        compressing,
+        ["crates/types/src/crypto/sha2.rs"],
+        "DESIGN.md §10: hc-types compresses in one file"
+    );
+    let sha2 = read_rel("crates/types/src/crypto/sha2.rs");
+    let sha2 = non_test(&sha2);
+    let streaming = block(sha2, "impl Sha256 {", "}");
+    let outside: Vec<&str> = sha2
+        .lines()
+        .filter(|l| l.contains("compress(") && !l.starts_with("fn compress("))
+        .filter(|l| !streaming.contains(l))
+        .collect();
+    assert!(
+        outside.is_empty(),
+        "DESIGN.md §10: only `Sha256` compresses; also {outside:#?}"
+    );
+    let one_shot = block(sha2, "pub fn sha256(data: &[u8]) -> [u8; 32] {", "}");
+    assert!(
+        one_shot.iter().any(|l| l.contains("Sha256::new()")),
+        "DESIGN.md §10: `sha256` goes through `Sha256`: {one_shot:#?}"
+    );
+
+    // One fill site for the SCA's window digest.
+    let sca = read_rel("crates/actors/src/sca.rs");
+    let fills: Vec<&str> = non_test(&sca)
+        .lines()
+        .filter(|l| l.contains(".update("))
+        .collect();
+    let absorb = block(
+        non_test(&sca),
+        "    fn absorb(&mut self, msg: &CrossMsg) {",
+        "    }",
+    );
+    assert!(
+        fills.len() == 1 && absorb.contains(&fills[0]),
+        "DESIGN.md §10: the window digest is filled only in `WindowDigest::absorb`; \
+         found {fills:#?}"
+    );
+    let absorbs = non_test(&sca).matches(".absorb(").count();
+    assert_eq!(
+        absorbs, 2,
+        "DESIGN.md §10: a window message is absorbed where it is queued and where it is decoded"
+    );
+}

@@ -449,10 +449,11 @@ fn durable_snapshot_rejoin_then_recover_matches_the_live_twin() {
 /// the child hashes per window and the SCA chunk's encoded size stay flat
 /// while the cross-net history grows.
 ///
-/// The log's rightmost leaf holds up to eight cuts inline and is re-encoded
-/// by each append, so the per-window cost is a bounded sawtooth with a
-/// period of eight cuts. Every window here cuts exactly once, and the last
-/// window (18) sits at the same point of that sawtooth as the second.
+/// Every window here sends three messages to one destination, so each cut
+/// appends one group to the log. The log's rightmost leaf holds up to
+/// eight groups and is re-hashed whole by the cut that appends to it, so
+/// the per-window cost is a bounded sawtooth with a period of eight cuts;
+/// the last window (18) sits at the same point of it as the second.
 #[test]
 fn per_window_state_hashing_does_not_grow_with_cross_net_history() {
     const WINDOWS: usize = 18;
@@ -516,6 +517,79 @@ fn per_window_state_hashing_does_not_grow_with_cross_net_history() {
     };
     flat(&hashed, "bytes hashed per window");
     flat(&sca_len, "SCA chunk size");
+}
+
+/// Growth guard for the open checkpoint window: a child that sends one
+/// cross-net message in every block hashes no more state in the block that
+/// fills its window than in the first block after the cut. The state root
+/// commits to the window through the digest the SCA carries, which absorbs
+/// each message once, when it is queued; before that, every block
+/// re-encoded and re-hashed the whole window, so a block's cost grew with
+/// the messages already waiting in it. The blocks compared both append
+/// nothing to the content registry (the cut's re-hash of the registry's
+/// rightmost path is bounded by
+/// `per_window_state_hashing_does_not_grow_with_cross_net_history`), and
+/// `SLACK` is less than one message's 81-byte encoding: hashing a single
+/// queued message again fails the guard.
+#[test]
+fn window_hashing_does_not_grow_as_the_window_fills() {
+    const PERIOD: u64 = 20;
+    const WINDOWS: u64 = 3;
+    const SLACK: u64 = 64;
+
+    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+    let root = SubnetId::root();
+    let alice = rt.create_user(&root, whole(10_000)).unwrap();
+    let validator = rt.create_user(&root, whole(100)).unwrap();
+    let subnet = rt
+        .spawn_subnet(
+            &alice,
+            SaConfig {
+                checkpoint_period: PERIOD,
+                ..SaConfig::default()
+            },
+            whole(10),
+            &[(validator, whole(5))],
+        )
+        .unwrap();
+    let bob = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
+    rt.cross_transfer(&alice, &bob, whole(1_000)).unwrap();
+    rt.run_until_quiescent(10_000).unwrap();
+
+    // One message per block, from the first block of a window on, for
+    // `WINDOWS` whole windows: bytes hashed by the child per block epoch.
+    let child = |rt: &HierarchyRuntime| {
+        let node = rt.node(&subnet).unwrap();
+        (
+            node.chain().head_epoch().value(),
+            node.state().commit_stats().bytes_hashed,
+        )
+    };
+    while !child(&rt).0.is_multiple_of(PERIOD) {
+        rt.tick_subnet(&subnet).unwrap();
+    }
+    let start = child(&rt).0;
+    let mut hashed = std::collections::BTreeMap::new();
+    while child(&rt).0 < start + WINDOWS * PERIOD {
+        let before = child(&rt).1;
+        rt.cross_transfer(&bob, &alice, whole(1)).unwrap();
+        let (epoch, after) = child(&rt);
+        hashed.insert(epoch, after - before);
+    }
+
+    // Block `start + k·PERIOD` cuts the window the blocks before it filled
+    // (implicit messages run first) and then queues its own message; the
+    // next block is the first of the window without a cut, and block
+    // `start + (k+1)·PERIOD - 1` fills the window.
+    for k in 0..WINDOWS {
+        let cut = start + k * PERIOD;
+        let (first, last) = (hashed[&(cut + 1)], hashed[&(cut + PERIOD - 1)]);
+        assert!(
+            last <= first + SLACK,
+            "window {k}: the block filling the window hashed {last} bytes, the first \
+             block after its cut {first} ({hashed:?})"
+        );
+    }
 }
 
 /// Tier-1 determinism fingerprint: `parallelism` sizes the fan-outs — wave
