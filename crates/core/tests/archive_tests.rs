@@ -2,87 +2,66 @@
 //! "any client receiving it is able to verify the correctness of the
 //! subnet consensus").
 
+mod common;
+
+use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
-use hc_core::{HierarchyRuntime, RuntimeConfig};
-use hc_types::{SubnetId, TokenAmount};
+use hc_core::RuntimeConfig;
+use hc_types::SubnetId;
 
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
-
-fn world() -> (HierarchyRuntime, SubnetId) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(100_000)).unwrap();
-    let validator = rt.create_user(&root, whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig {
-                checkpoint_period: 5,
-                ..SaConfig::default()
-            },
-            whole(10),
-            &[(validator, whole(5))],
-        )
-        .unwrap();
-    (rt, subnet)
+/// A child that cuts a checkpoint every five blocks.
+fn five_block_windows() -> SaConfig {
+    SaConfig {
+        checkpoint_period: 5,
+        ..SaConfig::default()
+    }
 }
 
 #[test]
 fn archived_chain_verifies_end_to_end() {
-    let (mut rt, subnet) = world();
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
+    let subnet = h.spawn(&h.alice.clone(), five_block_windows());
     // Produce several checkpoint windows with some traffic.
-    let bob = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-    let alice = hc_core::UserHandle {
-        subnet: SubnetId::root(),
-        addr: hc_types::Address::new(100),
-    };
-    rt.cross_transfer(&alice, &bob, whole(10)).unwrap();
+    let bob = h.user(&subnet);
+    h.rt.cross_transfer(&h.alice, &bob, whole(10)).unwrap();
     for _ in 0..40 {
-        rt.tick_subnet(&subnet).unwrap();
+        h.rt.tick_subnet(&subnet).unwrap();
     }
-    rt.run_until_quiescent(10_000).unwrap();
+    h.settle();
 
-    let verified = rt.verify_checkpoint_chain(&subnet).unwrap();
+    let verified = h.rt.verify_checkpoint_chain(&subnet).unwrap();
     assert!(
         verified >= 7,
         "expected several checkpoints, got {verified}"
     );
     assert_eq!(
-        rt.checkpoint_archive().history(&subnet).len() as u64,
+        h.rt.checkpoint_archive().history(&subnet).len() as u64,
         verified
     );
     // The archive head equals the SCA's recorded head (checked inside
     // verify, but assert the count is consistent with the SCA too).
-    let committed = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .committed_checkpoints;
+    let committed = h.child_info(&subnet).committed_checkpoints;
     assert_eq!(committed, verified);
 }
 
 #[test]
 fn archive_registry_proofs_verify_single_checkpoints() {
-    let (mut rt, subnet) = world();
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
+    let subnet = h.spawn(&h.alice.clone(), five_block_windows());
     for _ in 0..40 {
-        rt.tick_subnet(&subnet).unwrap();
+        h.rt.tick_subnet(&subnet).unwrap();
     }
-    rt.run_until_quiescent(10_000).unwrap();
+    h.settle();
 
-    let history = rt.checkpoint_archive().history(&subnet);
+    let history = h.rt.checkpoint_archive().history(&subnet);
     assert!(history.len() >= 5, "expected several checkpoints");
 
     // Every archived checkpoint has an O(log n) inclusion proof against
     // the registry root — a light client needs only root + proof + entry.
     for (i, entry) in history.iter().enumerate() {
-        let (root, proof) = rt
-            .prove_archived_checkpoint(&subnet, i as u64)
-            .expect("proof for an archived index");
+        let (root, proof) =
+            h.rt.prove_archived_checkpoint(&subnet, i as u64)
+                .expect("proof for an archived index");
         assert!(proof.verify(&root, i as u64, entry), "index {i} verifies");
         // The proof is bound to its index and content: wrong index or a
         // different entry must not verify.
@@ -92,58 +71,59 @@ fn archive_registry_proofs_verify_single_checkpoints() {
     }
 
     // Out-of-range indices and unknown subnets have no proof.
-    assert!(rt
+    assert!(h
+        .rt
         .prove_archived_checkpoint(&subnet, history.len() as u64)
         .is_none());
     let ghost = SubnetId::root().child(hc_types::Address::new(9999));
-    assert!(rt.prove_archived_checkpoint(&ghost, 0).is_none());
+    assert!(h.rt.prove_archived_checkpoint(&ghost, 0).is_none());
 }
 
 #[test]
 fn archive_registry_survives_gc_sweeps() {
-    let (mut rt, subnet) = world();
-    for _ in 0..20 {
-        rt.tick_subnet(&subnet).unwrap();
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
+    let subnet = h.spawn(&h.alice.clone(), five_block_windows());
+    for _ in 0..3 {
+        h.commit_checkpoint(&subnet);
     }
-    rt.run_until_quiescent(10_000).unwrap();
 
     // A manual sweep persists the registries and pins their roots: the
     // chain still audits and proofs still verify afterwards.
-    rt.prune_blobs();
-    let verified = rt.verify_checkpoint_chain(&subnet).unwrap();
+    h.rt.prune_blobs();
+    let verified = h.rt.verify_checkpoint_chain(&subnet).unwrap();
     assert!(verified >= 3);
-    let entry = rt.checkpoint_archive().history(&subnet)[0].clone();
-    let (root, proof) = rt.prove_archived_checkpoint(&subnet, 0).unwrap();
+    let entry = h.rt.checkpoint_archive().history(&subnet)[0].clone();
+    let (root, proof) = h.rt.prove_archived_checkpoint(&subnet, 0).unwrap();
     assert!(proof.verify(&root, 0, &entry));
 }
 
 #[test]
 fn rootnet_has_no_checkpoint_chain() {
-    let (rt, _) = world();
-    assert!(rt.verify_checkpoint_chain(&SubnetId::root()).is_err());
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
+    h.spawn(&h.alice.clone(), five_block_windows());
+    assert!(h.rt.verify_checkpoint_chain(&SubnetId::root()).is_err());
 }
 
 #[test]
 fn unregistered_subnet_fails_verification() {
-    let (rt, _) = world();
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
+    h.spawn(&h.alice.clone(), five_block_windows());
     let ghost = SubnetId::root().child(hc_types::Address::new(12345));
-    assert!(rt.verify_checkpoint_chain(&ghost).is_err());
+    assert!(h.rt.verify_checkpoint_chain(&ghost).is_err());
 }
 
 #[test]
 fn rejected_forgeries_never_enter_the_archive() {
-    let (mut rt, subnet) = world();
-    for _ in 0..20 {
-        rt.tick_subnet(&subnet).unwrap();
-    }
-    rt.run_until_quiescent(10_000).unwrap();
-    let before = rt.checkpoint_archive().history(&subnet).len();
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
+    let subnet = h.spawn(&h.alice.clone(), five_block_windows());
+    h.commit_checkpoint(&subnet);
+    let before = h.rt.checkpoint_archive().history(&subnet).len();
 
     // A forged over-withdrawal checkpoint is rejected by the firewall and
     // must not pollute the archive; the chain still verifies.
-    rt.forge_withdrawal(&subnet, hc_types::Address::new(666), whole(10_000))
+    h.rt.forge_withdrawal(&subnet, hc_types::Address::new(666), whole(10_000))
         .unwrap();
-    let after = rt.checkpoint_archive().history(&subnet).len();
+    let after = h.rt.checkpoint_archive().history(&subnet).len();
     assert_eq!(before, after);
-    rt.verify_checkpoint_chain(&subnet).unwrap();
+    h.rt.verify_checkpoint_chain(&subnet).unwrap();
 }

@@ -1,54 +1,37 @@
 //! Fund-certificate acceleration tests (paper §IV-A): destinations learn
 //! of slow in-flight payments immediately, as *tentative* information.
 
+mod common;
+
+use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
-use hc_core::{HierarchyRuntime, RuntimeConfig, UserHandle};
+use hc_core::RuntimeConfig;
 use hc_types::{SubnetId, TokenAmount};
-
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
-
-fn world() -> (HierarchyRuntime, UserHandle, UserHandle) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(10_000)).unwrap();
-    let validator = rt.create_user(&root, whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig::default(),
-            whole(10),
-            &[(validator, whole(5))],
-        )
-        .unwrap();
-    let bob = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &bob, whole(100)).unwrap();
-    rt.run_until_quiescent(10_000).unwrap();
-    (rt, alice, bob)
-}
 
 #[test]
 fn certificate_arrives_long_before_settlement() {
-    let (mut rt, alice, bob) = world();
-    let root = SubnetId::root();
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&subnet);
+    h.fund(&bob, 100);
+    let (root, alice) = (SubnetId::root(), h.alice.clone());
 
     // Bob sends bottom-up: the certificate should reach the root while
     // the value is still waiting for the next checkpoint.
-    rt.cross_transfer(&bob, &alice, whole(7)).unwrap();
-    let alice_before = rt.balance(&alice);
+    h.rt.cross_transfer(&bob, &alice, whole(7)).unwrap();
+    let alice_before = h.rt.balance(&alice);
 
     // Step a handful of blocks: enough for the certificate's network
     // delivery, far too few for checkpoint settlement.
     let mut cert_seen_at = None;
     let mut settled_at = None;
     for i in 0..400 {
-        rt.step().unwrap();
-        let tentative = rt.node(&root).unwrap().tentative_value_for(alice.addr);
+        h.rt.step().unwrap();
+        let tentative = h.rt.node(&root).unwrap().tentative_value_for(alice.addr);
         if cert_seen_at.is_none() && tentative == whole(7) {
             cert_seen_at = Some(i);
         }
-        if rt.balance(&alice) > alice_before {
+        if h.rt.balance(&alice) > alice_before {
             settled_at = Some(i);
             break;
         }
@@ -62,15 +45,18 @@ fn certificate_arrives_long_before_settlement() {
 
     // Once settled, the tentative entry is cleared.
     assert_eq!(
-        rt.node(&root).unwrap().tentative_value_for(alice.addr),
+        h.rt.node(&root).unwrap().tentative_value_for(alice.addr),
         TokenAmount::ZERO
     );
 }
 
 #[test]
 fn forged_certificates_are_rejected() {
-    let (mut rt, alice, bob) = world();
-    let root = SubnetId::root();
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&subnet);
+    h.fund(&bob, 100);
+    let (root, alice) = (SubnetId::root(), h.alice.clone());
 
     // An attacker fabricates a certificate for a payment that was never
     // committed, signed by a key outside the subnet's validator set.
@@ -82,15 +68,15 @@ fn forged_certificates_are_rejected() {
     cert.signatures.add(outsider.sign(cid.as_bytes()));
 
     // Deliver it through the real network path.
-    rt.inject_gossip(
+    h.rt.inject_gossip(
         &root.topic(),
         hc_net::ResolutionMsg::Certificate(Box::new(cert)),
     );
     for _ in 0..10 {
-        rt.step().unwrap();
+        h.rt.step().unwrap();
     }
     assert_eq!(
-        rt.node(&root).unwrap().tentative_value_for(alice.addr),
+        h.rt.node(&root).unwrap().tentative_value_for(alice.addr),
         TokenAmount::ZERO,
         "unverifiable certificates must be dropped"
     );
@@ -98,16 +84,21 @@ fn forged_certificates_are_rejected() {
 
 #[test]
 fn top_down_messages_emit_no_certificates() {
-    let (mut rt, alice, bob) = world();
-    rt.cross_transfer(&alice, &bob, whole(5)).unwrap();
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&subnet);
+    h.fund(&bob, 100);
+    h.rt.cross_transfer(&h.alice, &bob, whole(5)).unwrap();
     for _ in 0..30 {
-        rt.step().unwrap();
+        h.rt.step().unwrap();
     }
     // Top-down settles fast; no tentative entry should ever appear in the
     // child.
     assert_eq!(
-        rt.node(&bob.subnet).unwrap().tentative_value_for(bob.addr),
+        h.rt.node(&bob.subnet)
+            .unwrap()
+            .tentative_value_for(bob.addr),
         TokenAmount::ZERO
     );
-    assert_eq!(rt.balance(&bob), whole(105));
+    assert_eq!(h.rt.balance(&bob), whole(105));
 }

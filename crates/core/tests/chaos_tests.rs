@@ -14,95 +14,67 @@
 
 mod common;
 
-use common::{subnet_fingerprint, SubnetFingerprint};
+use common::{subnet_fingerprint, whole, Harness, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
-use hc_core::{
-    audit_escrow, audit_quiescent, HierarchyRuntime, RuntimeConfig, SyncMode, UserHandle,
-};
+use hc_core::{audit_quiescent, HierarchyRuntime, RuntimeConfig, SyncMode};
 use hc_net::{FaultKind, FaultPlan, FaultRule, PartitionPolicy, RetryPolicy};
 use hc_state::Method;
 use hc_types::{ChainEpoch, SubnetId, TokenAmount};
 
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
-
-/// A runtime with a funded root user and a spawned child subnet.
-struct Chaosworld {
-    rt: HierarchyRuntime,
-    alice: UserHandle,
-    child: SubnetId,
-}
-
-fn build(config: RuntimeConfig, sa_config: SaConfig) -> Chaosworld {
-    let mut rt = HierarchyRuntime::new(config);
-    let alice = rt.create_user(&SubnetId::root(), whole(1_000_000)).unwrap();
-    let validator = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
-    let child = rt
-        .spawn_subnet(&alice, sa_config, whole(10), &[(validator, whole(5))])
-        .unwrap();
-    Chaosworld { rt, alice, child }
-}
-
 #[test]
 fn crash_refuses_root_and_parents_with_live_children() {
-    let mut w = build(RuntimeConfig::default(), SaConfig::default());
+    let mut h = Harness::setup();
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
     // The rootnet anchors the hierarchy.
-    assert!(w.rt.crash_node(&SubnetId::root()).is_err());
+    assert!(h.rt.crash_node(&SubnetId::root()).is_err());
 
     // Spawn a grandchild under the child; now the child has a live
     // descendant and refuses to crash.
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(200)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    let v = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &v, whole(100)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    let grandchild =
-        w.rt.spawn_subnet(&bob, SaConfig::default(), whole(10), &[(v, whole(5))])
-            .unwrap();
-    assert!(w.rt.crash_node(&w.child).is_err());
+    let bob = h.user(&child);
+    h.fund(&bob, 200);
+    let grandchild = h.spawn(&bob, SaConfig::default());
+    assert!(h.rt.crash_node(&child).is_err());
 
     // The leaf grandchild can crash; crashing it twice cannot.
-    w.rt.crash_node(&grandchild).unwrap();
-    assert!(w.rt.is_crashed(&grandchild));
-    assert!(w.rt.crash_node(&grandchild).is_err());
-    assert!(w.rt.rejoin_node(&grandchild).is_ok());
+    h.rt.crash_node(&grandchild).unwrap();
+    assert!(h.rt.is_crashed(&grandchild));
+    assert!(h.rt.crash_node(&grandchild).is_err());
+    assert!(h.rt.rejoin_node(&grandchild).is_ok());
 }
 
 #[test]
 fn crash_halts_production_and_rejoin_catches_up() {
-    let mut w = build(RuntimeConfig::default(), SaConfig::default());
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    let blocks_before = w.rt.node(&w.child).unwrap().chain().len();
+    let mut h = Harness::setup();
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&child);
+    h.fund(&bob, 30);
+    let blocks_before = h.rt.node(&child).unwrap().chain().len();
     assert!(blocks_before > 0);
     // By determinism the child as it stands now *is* its never-crashed
     // twin at this point of the run.
-    let twin = subnet_fingerprint(&w.rt, &w.child);
+    let twin = subnet_fingerprint(&h.rt, &child);
 
-    w.rt.crash_node(&w.child).unwrap();
-    assert!(w.rt.is_crashed(&w.child));
-    assert!(w.rt.node(&w.child).is_none());
+    h.rt.crash_node(&child).unwrap();
+    assert!(h.rt.is_crashed(&child));
+    assert!(h.rt.node(&child).is_none());
 
     // The hierarchy keeps running without the crashed subnet; a transfer
     // into it queues at the parent SCA.
-    w.rt.cross_transfer(&w.alice, &bob, whole(12)).unwrap();
+    h.rt.cross_transfer(&h.alice, &bob, whole(12)).unwrap();
     for _ in 0..6 {
-        w.rt.step().unwrap();
+        h.rt.step().unwrap();
     }
-    assert!(w.rt.is_crashed(&w.child), "nothing auto-rejoins");
+    assert!(h.rt.is_crashed(&child), "nothing auto-rejoins");
 
-    w.rt.rejoin_node(&w.child).unwrap();
-    assert!(w.rt.is_catching_up(&w.child));
-    while w.rt.is_catching_up(&w.child) {
-        w.rt.step().unwrap();
+    h.rt.rejoin_node(&child).unwrap();
+    assert!(h.rt.is_catching_up(&child));
+    while h.rt.is_catching_up(&child) {
+        h.rt.step().unwrap();
     }
     // A replayed block does to a node exactly what the live block did:
     // the rebuilt node matches the twin in head, state root, every
     // counter, every cursor — only its block schedule restarts.
-    let rejoined = subnet_fingerprint(&w.rt, &w.child);
+    let rejoined = subnet_fingerprint(&h.rt, &child);
     assert_eq!(
         rejoined,
         SubnetFingerprint {
@@ -111,11 +83,11 @@ fn crash_halts_production_and_rejoin_catches_up() {
         },
         "replay rejoin must rebuild the never-crashed twin's bookkeeping"
     );
-    let produced = w.rt.run_until_quiescent(4_000).unwrap();
+    let produced = h.settle();
     assert!(produced < 4_000, "crash–rejoin flow must converge");
 
-    assert!(!w.rt.is_catching_up(&w.child));
-    let stats = w.rt.chaos_stats();
+    assert!(!h.rt.is_catching_up(&child));
+    let stats = h.rt.chaos_stats();
     assert_eq!(stats.crashes, 1);
     assert_eq!(stats.rejoins, 1);
     assert_eq!(stats.catch_ups_completed, 1);
@@ -124,9 +96,7 @@ fn crash_halts_production_and_rejoin_catches_up() {
     assert!(stats.block_batches >= 1);
 
     // The queued transfer landed exactly once after reconvergence.
-    assert_eq!(w.rt.balance(&bob), whole(42));
-    audit_escrow(&w.rt).unwrap();
-    audit_quiescent(&w.rt).unwrap();
+    assert_eq!(h.rt.balance(&bob), whole(42));
 }
 
 /// Regression: a claimant registered on a non-root parent outside any
@@ -135,47 +105,46 @@ fn crash_halts_production_and_rejoin_catches_up() {
 /// re-executes from genesis without it diverges from the headers.
 #[test]
 fn claimant_on_a_non_root_parent_survives_a_replay_rejoin() {
-    let mut w = build(RuntimeConfig::default(), SaConfig::default());
-    let a = w.child.clone();
-    let creator = w.rt.create_user(&a, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &creator, whole(100)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
+    let mut h = Harness::setup();
+    let a = h.spawn(&h.alice.clone(), SaConfig::default());
+    let creator = h.user(&a);
+    h.fund(&creator, 100);
 
     // Spawn a child under `a`, give it a user, kill it, and register the
     // user's claimant on `a`.
     let grandchild =
-        w.rt.spawn_subnet(
+        h.rt.spawn_subnet(
             &creator,
             SaConfig::default(),
             whole(10),
             &[(creator.clone(), whole(5))],
         )
         .unwrap();
-    let insider = w.rt.create_user(&grandchild, TokenAmount::ZERO).unwrap();
+    let insider = h.user(&grandchild);
     let sa = grandchild.actor().unwrap();
-    w.rt.execute(&creator, sa, TokenAmount::ZERO, Method::KillSubnet)
+    h.rt.execute(&creator, sa, TokenAmount::ZERO, Method::KillSubnet)
         .unwrap();
-    let claimant = w.rt.create_claimant(&insider).unwrap();
+    let claimant = h.rt.create_claimant(&insider).unwrap();
     assert_eq!(claimant.subnet, a);
-    w.rt.retire_subnet(&grandchild).unwrap();
+    h.rt.retire_subnet(&grandchild).unwrap();
     // A block on `a` commits the claimant's account to a state root.
-    w.rt.execute(&creator, claimant.addr, whole(1), Method::Send)
+    h.rt.execute(&creator, claimant.addr, whole(1), Method::Send)
         .unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
+    h.settle();
     // By determinism `a` as it stands now is its never-crashed twin.
-    let twin = subnet_fingerprint(&w.rt, &a);
+    let twin = subnet_fingerprint(&h.rt, &a);
 
-    w.rt.crash_node(&a).unwrap();
-    w.rt.rejoin_node_with(&a, SyncMode::Replay).unwrap();
+    h.rt.crash_node(&a).unwrap();
+    h.rt.rejoin_node_with(&a, SyncMode::Replay).unwrap();
     for _ in 0..400 {
-        if !w.rt.is_catching_up(&a) {
+        if !h.rt.is_catching_up(&a) {
             break;
         }
-        w.rt.step().unwrap();
+        h.rt.step().unwrap();
     }
-    assert!(!w.rt.is_catching_up(&a), "replay catch-up must complete");
-    assert_eq!(w.rt.chaos_stats().catch_ups_completed, 1);
-    let rejoined = subnet_fingerprint(&w.rt, &a);
+    assert!(!h.rt.is_catching_up(&a), "replay catch-up must complete");
+    assert_eq!(h.rt.chaos_stats().catch_ups_completed, 1);
+    let rejoined = subnet_fingerprint(&h.rt, &a);
     assert_eq!(
         rejoined,
         SubnetFingerprint {
@@ -184,8 +153,8 @@ fn claimant_on_a_non_root_parent_survives_a_replay_rejoin() {
         },
         "the rejoined parent must match its never-crashed twin"
     );
-    assert_eq!(w.rt.balance(&claimant), whole(1));
-    audit_quiescent(&w.rt).unwrap();
+    assert_eq!(h.rt.balance(&claimant), whole(1));
+    audit_quiescent(&h.rt).unwrap();
 }
 
 /// The F9 headline: a run whose child crashes mid-epoch and rejoins
@@ -201,26 +170,25 @@ fn crash_rejoin_reconverges_to_uninterrupted_state_root() {
         ..SaConfig::default()
     };
     let run = |crash: bool| {
-        let mut w = build(RuntimeConfig::default(), sa.clone());
-        let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-        w.rt.cross_transfer(&w.alice, &bob, whole(20)).unwrap();
-        w.rt.run_until_quiescent(2_000).unwrap();
+        let mut h = Harness::setup();
+        let child = h.spawn(&h.alice.clone(), sa.clone());
+        let bob = h.user(&child);
+        h.fund(&bob, 20);
 
-        w.rt.cross_transfer(&w.alice, &bob, whole(5)).unwrap();
+        h.rt.cross_transfer(&h.alice, &bob, whole(5)).unwrap();
         if crash {
-            let now = w.rt.now_ms();
+            let now = h.rt.now_ms();
             let crash = FaultKind::Crash {
-                subnet: w.child.clone(),
+                subnet: child.clone(),
             };
-            w.rt.extend_faults(FaultPlan {
+            h.rt.extend_faults(FaultPlan {
                 rules: vec![FaultRule::new(now + 500, now + 7_000, crash)],
             });
         }
-        w.rt.run_until_quiescent(4_000).unwrap();
-        audit_quiescent(&w.rt).unwrap();
+        h.settle();
 
         let child_root =
-            w.rt.node(&w.child)
+            h.rt.node(&child)
                 .unwrap()
                 .chain()
                 .iter()
@@ -229,7 +197,7 @@ fn crash_rejoin_reconverges_to_uninterrupted_state_root() {
                 .header
                 .state_root;
         let root_root =
-            w.rt.node(&SubnetId::root())
+            h.rt.node(&SubnetId::root())
                 .unwrap()
                 .chain()
                 .iter()
@@ -240,8 +208,8 @@ fn crash_rejoin_reconverges_to_uninterrupted_state_root() {
         (
             child_root,
             root_root,
-            w.rt.balance(&bob),
-            w.rt.chaos_stats(),
+            h.rt.balance(&bob),
+            h.rt.chaos_stats(),
         )
     };
 
@@ -265,21 +233,19 @@ fn crash_rejoin_reconverges_to_uninterrupted_state_root() {
 
 #[test]
 fn crash_rejoin_under_faulty_network_still_reconverges() {
-    let mut w = build(RuntimeConfig::default(), SaConfig::default());
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    let carol =
-        w.rt.create_user(&SubnetId::root(), TokenAmount::ZERO)
-            .unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
+    let mut h = Harness::setup();
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&child);
+    let carol = h.user(&SubnetId::root());
+    h.fund(&bob, 30);
 
     // Bottom-up value in flight plus a crash window, under loss,
     // duplication, and reordering scoped to the child's topic.
-    w.rt.cross_transfer(&bob, &carol, whole(8)).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(20)).unwrap();
-    let now = w.rt.now_ms();
-    let topic = w.child.topic();
-    w.rt.extend_faults(FaultPlan {
+    h.rt.cross_transfer(&bob, &carol, whole(8)).unwrap();
+    h.rt.cross_transfer(&h.alice, &bob, whole(20)).unwrap();
+    let now = h.rt.now_ms();
+    let topic = child.topic();
+    h.rt.extend_faults(FaultPlan {
         rules: vec![
             FaultRule::new(
                 now,
@@ -314,26 +280,24 @@ fn crash_rejoin_under_faulty_network_still_reconverges() {
                 now + 1_200,
                 now + 6_500,
                 FaultKind::Crash {
-                    subnet: w.child.clone(),
+                    subnet: child.clone(),
                 },
             ),
         ],
     });
 
-    let produced = w.rt.run_until_quiescent(6_000).unwrap();
+    let produced = h.settle();
     assert!(produced < 6_000, "faulty crash–rejoin flow must converge");
 
-    assert_eq!(w.rt.balance(&bob), whole(42));
-    assert_eq!(w.rt.balance(&carol), whole(8));
-    audit_escrow(&w.rt).unwrap();
-    audit_quiescent(&w.rt).unwrap();
-    let stats = w.rt.chaos_stats();
+    assert_eq!(h.rt.balance(&bob), whole(42));
+    assert_eq!(h.rt.balance(&carol), whole(8));
+    let stats = h.rt.chaos_stats();
     assert_eq!(stats.crashes, 1);
     assert_eq!(stats.catch_ups_completed, 1);
     // Nothing was silently abandoned under the unbounded default budget.
-    for subnet in w.rt.subnets().cloned().collect::<Vec<_>>() {
+    for subnet in h.rt.subnets().cloned().collect::<Vec<_>>() {
         assert_eq!(
-            w.rt.node(&subnet)
+            h.rt.node(&subnet)
                 .unwrap()
                 .resolver()
                 .stats()
@@ -358,40 +322,38 @@ fn retry_budget_exhaustion_is_reported_not_lost() {
         },
         ..RuntimeConfig::default()
     };
-    let mut w = build(config, SaConfig::default());
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    let carol =
-        w.rt.create_user(&SubnetId::root(), TokenAmount::ZERO)
-            .unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
+    let mut h = Harness::with(config, 1_000_000);
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&child);
+    let carol = h.user(&SubnetId::root());
+    h.fund(&bob, 30);
 
     // Permanently sever the child's topic, then send value bottom-up: the
     // root can never resolve the checkpoint's message content.
-    w.rt.extend_faults(FaultPlan {
+    h.rt.extend_faults(FaultPlan {
         rules: vec![FaultRule::new(
             0,
             u64::MAX,
             FaultKind::Partition {
                 name: "blackout".into(),
-                topics: vec![w.child.topic()],
+                topics: vec![child.topic()],
                 subscribers: Vec::new(),
                 policy: PartitionPolicy::Drop,
             },
         )],
     });
-    w.rt.cross_transfer(&bob, &carol, whole(8)).unwrap();
+    h.rt.cross_transfer(&bob, &carol, whole(8)).unwrap();
     for _ in 0..120 {
-        w.rt.step().unwrap();
+        h.rt.step().unwrap();
     }
 
-    let root_stats = w.rt.node(&SubnetId::root()).unwrap().resolver().stats();
+    let root_stats = h.rt.node(&SubnetId::root()).unwrap().resolver().stats();
     assert_eq!(root_stats.pulls_abandoned, 1, "abandoned exactly once");
     assert!(root_stats.pulls_retried >= 2);
     // The value is escrowed, not lost: the supply audits still hold even
     // though the transfer cannot complete.
-    assert_eq!(w.rt.balance(&carol), TokenAmount::ZERO);
-    audit_escrow(&w.rt).unwrap();
+    assert_eq!(h.rt.balance(&carol), TokenAmount::ZERO);
+    h.check_state();
 }
 
 /// Runs one randomized fault schedule end to end and asserts both chaos
@@ -405,20 +367,18 @@ fn run_chaos_schedule_with(seed: u64, mode: SyncMode) -> String {
         sync_mode: mode,
         ..RuntimeConfig::default()
     };
-    let mut w = build(config, SaConfig::default());
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    let carol =
-        w.rt.create_user(&SubnetId::root(), TokenAmount::ZERO)
-            .unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
+    let mut h = Harness::with(config, 1_000_000);
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&child);
+    let carol = h.user(&SubnetId::root());
+    h.fund(&bob, 30);
 
     // In-flight work in both directions while the faults bite.
-    w.rt.cross_transfer(&bob, &carol, whole(8)).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(20)).unwrap();
+    h.rt.cross_transfer(&bob, &carol, whole(8)).unwrap();
+    h.rt.cross_transfer(&h.alice, &bob, whole(20)).unwrap();
 
-    let now = w.rt.now_ms();
-    let topic = w.child.topic();
+    let now = h.rt.now_ms();
+    let topic = child.topic();
     let heal = now + 9_000 + (seed % 5) * 1_200;
     let mut plan = FaultPlan {
         rules: vec![
@@ -478,27 +438,24 @@ fn run_chaos_schedule_with(seed: u64, mode: SyncMode) -> String {
             now + 700 + (seed % 3) * 400,
             now + 4_500 + (seed % 4) * 1_000,
             FaultKind::Crash {
-                subnet: w.child.clone(),
+                subnet: child.clone(),
             },
         ));
     }
-    w.rt.extend_faults(plan);
+    h.rt.extend_faults(plan);
 
-    let produced = w.rt.run_until_quiescent(6_000).unwrap();
+    let produced = h.settle();
     assert!(produced < 6_000, "schedule {seed}: must reconverge");
 
     // Eventual liveness: every cross-msg applied exactly once.
-    assert_eq!(w.rt.balance(&bob), whole(42), "schedule {seed}");
-    assert_eq!(w.rt.balance(&carol), whole(8), "schedule {seed}");
-    // Safety: escrow coverage, per-edge backing, global conservation.
-    audit_escrow(&w.rt).unwrap();
-    audit_quiescent(&w.rt).unwrap();
+    assert_eq!(h.rt.balance(&bob), whole(42), "schedule {seed}");
+    assert_eq!(h.rt.balance(&carol), whole(8), "schedule {seed}");
     // Graceful degradation only, never silent loss.
-    for subnet in w.rt.subnets().cloned().collect::<Vec<_>>() {
-        let stats = w.rt.node(&subnet).unwrap().resolver().stats();
+    for subnet in h.rt.subnets().cloned().collect::<Vec<_>>() {
+        let stats = h.rt.node(&subnet).unwrap().resolver().stats();
         assert_eq!(stats.pulls_abandoned, 0, "schedule {seed}: {subnet}");
     }
-    let chaos = w.rt.chaos_stats();
+    let chaos = h.rt.chaos_stats();
     if crash {
         assert_eq!(chaos.crashes, 1, "schedule {seed}");
         assert_eq!(chaos.rejoins, 1, "schedule {seed}");
@@ -521,7 +478,7 @@ fn run_chaos_schedule_with(seed: u64, mode: SyncMode) -> String {
     } else {
         assert_eq!(chaos.crashes, 0, "schedule {seed}");
     }
-    fingerprint(&w.rt)
+    fingerprint(&h.rt)
 }
 
 /// Everything a schedule decides, in one digest: the per-subnet
@@ -639,27 +596,27 @@ fn mid_fault_snapshot_bootstrap_matches_uninterrupted_run() {
             sync_mode: SyncMode::Snapshot,
             ..RuntimeConfig::default()
         };
-        let mut w = build(config, sa.clone());
-        let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-        w.rt.cross_transfer(&w.alice, &bob, whole(20)).unwrap();
-        w.rt.run_until_quiescent(2_000).unwrap();
-        while w.rt.node(&w.child).unwrap().chain().head_epoch() < ChainEpoch::new(32) {
-            w.rt.step().unwrap();
+        let mut h = Harness::with(config, 1_000_000);
+        let child = h.spawn(&h.alice.clone(), sa.clone());
+        let bob = h.user(&child);
+        h.fund(&bob, 20);
+        while h.rt.node(&child).unwrap().chain().head_epoch() < ChainEpoch::new(32) {
+            h.rt.step().unwrap();
         }
         // Settle the cut-at-30 checkpoint fully before the fault window:
         // both runs enter it from the same committed hierarchy state.
-        w.rt.run_until_quiescent(2_000).unwrap();
-        assert!(w.rt.checkpoint_anchor(&w.child).is_some(), "cut at 30");
+        h.settle();
+        assert!(h.rt.checkpoint_anchor(&child).is_some(), "cut at 30");
 
         // The same fault window in both runs; only the crash differs.
-        let now = w.rt.now_ms();
+        let now = h.rt.now_ms();
         let mut plan = FaultPlan {
             rules: vec![
                 FaultRule::new(
                     now,
                     now + 6_000,
                     FaultKind::Loss {
-                        topic: Some(w.child.topic()),
+                        topic: Some(child.topic()),
                         from: None,
                         to: None,
                         rate: 0.3,
@@ -682,25 +639,23 @@ fn mid_fault_snapshot_bootstrap_matches_uninterrupted_run() {
                 now + 300,
                 now + 2_500,
                 FaultKind::Crash {
-                    subnet: w.child.clone(),
+                    subnet: child.clone(),
                 },
             ));
         }
-        w.rt.extend_faults(plan);
-        w.rt.cross_transfer(&w.alice, &bob, whole(5)).unwrap();
-        let produced = w.rt.run_until_quiescent(6_000).unwrap();
+        h.rt.extend_faults(plan);
+        h.rt.cross_transfer(&h.alice, &bob, whole(5)).unwrap();
+        let produced = h.settle();
         assert!(produced < 6_000, "mid-fault bootstrap must reconverge");
-        audit_escrow(&w.rt).unwrap();
-        audit_quiescent(&w.rt).unwrap();
-        assert_eq!(w.rt.balance(&bob), whole(25));
+        assert_eq!(h.rt.balance(&bob), whole(25));
 
-        let head = w.rt.node(&w.child).unwrap().chain().head_epoch();
+        let head = h.rt.node(&child).unwrap().chain().head_epoch();
         assert!(head < ChainEpoch::new(56), "settled well before epoch 56");
-        while w.rt.node(&w.child).unwrap().chain().head_epoch() < ChainEpoch::new(56) {
-            w.rt.step().unwrap();
+        while h.rt.node(&child).unwrap().chain().head_epoch() < ChainEpoch::new(56) {
+            h.rt.step().unwrap();
         }
         let child_root =
-            w.rt.node(&w.child)
+            h.rt.node(&child)
                 .unwrap()
                 .chain()
                 .iter()
@@ -709,7 +664,7 @@ fn mid_fault_snapshot_bootstrap_matches_uninterrupted_run() {
                 .header
                 .state_root;
         let root_root =
-            w.rt.node(&SubnetId::root())
+            h.rt.node(&SubnetId::root())
                 .unwrap()
                 .chain()
                 .iter()
@@ -717,7 +672,7 @@ fn mid_fault_snapshot_bootstrap_matches_uninterrupted_run() {
                 .unwrap()
                 .header
                 .state_root;
-        (child_root, root_root, w.rt.chaos_stats())
+        (child_root, root_root, h.rt.chaos_stats())
     };
 
     let (child_a, root_a, chaos_a) = run(false);

@@ -1,14 +1,13 @@
 //! Validator churn tests: membership changes mid-life must keep block
 //! production, checkpoint signing, and the archived history all valid.
 
+mod common;
+
+use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
 use hc_core::{HierarchyRuntime, RuntimeConfig, UserHandle};
 use hc_state::Method;
 use hc_types::{Keypair, SubnetId, TokenAmount};
-
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
 
 /// The runtime derives user keys deterministically; reproduce the same
 /// derivation to feed JoinSubnet the right public key.
@@ -22,41 +21,38 @@ fn wallet_key(rt: &HierarchyRuntime, user: &UserHandle) -> hc_types::PublicKey {
 
 #[test]
 fn validators_join_and_leave_while_checkpoints_flow() {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
     let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(100_000)).unwrap();
-    let v1 = rt.create_user(&root, whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig {
-                checkpoint_period: 5,
-                ..SaConfig::default()
-            },
-            whole(10),
-            &[(v1.clone(), whole(5))],
-        )
-        .unwrap();
+    let sa_config = SaConfig {
+        checkpoint_period: 5,
+        ..SaConfig::default()
+    };
+    let subnet = h.spawn(&h.alice.clone(), sa_config);
+    let sa = subnet.actor().unwrap();
+    let sa_state = h.rt.node(&root).unwrap().state().sa(sa).unwrap();
+    let v1 = UserHandle {
+        subnet: root.clone(),
+        addr: sa_state.validators()[0].addr,
+    };
 
     // Era 1: single validator produces a few checkpoints.
     for _ in 0..12 {
-        rt.tick_subnet(&subnet).unwrap();
+        h.rt.tick_subnet(&subnet).unwrap();
     }
-    rt.run_until_quiescent(10_000).unwrap();
-    let era1 = rt.checkpoint_archive().history(&subnet).len();
+    h.settle();
+    let era1 = h.rt.checkpoint_archive().history(&subnet).len();
     assert!(era1 >= 2);
 
     // Two more validators join: the signature policy shifts from
     // single-signer to a 2/3 threshold over three keys.
-    let sa = subnet.actor().unwrap();
     for _ in 0..2 {
-        let v = rt.create_user(&root, whole(100)).unwrap();
-        let key = wallet_key(&rt, &v);
-        rt.execute(&v, sa, whole(5), Method::JoinSubnet { key })
+        let v = h.rt.create_user(&root, whole(100)).unwrap();
+        let key = wallet_key(&h.rt, &v);
+        h.rt.execute(&v, sa, whole(5), Method::JoinSubnet { key })
             .unwrap();
     }
     assert_eq!(
-        rt.node(&SubnetId::root())
+        h.rt.node(&SubnetId::root())
             .unwrap()
             .state()
             .sa(sa)
@@ -68,61 +64,55 @@ fn validators_join_and_leave_while_checkpoints_flow() {
 
     // Era 2: checkpoints now need the larger quorum — and get it.
     for _ in 0..12 {
-        rt.tick_subnet(&subnet).unwrap();
+        h.rt.tick_subnet(&subnet).unwrap();
     }
-    rt.run_until_quiescent(10_000).unwrap();
-    let era2 = rt.checkpoint_archive().history(&subnet).len();
+    h.settle();
+    let era2 = h.rt.checkpoint_archive().history(&subnet).len();
     assert!(era2 > era1);
 
     // Era 3: the original validator leaves (policy becomes 2/3 of 2).
-    rt.execute(&v1, sa, TokenAmount::ZERO, Method::LeaveSubnet)
+    h.rt.execute(&v1, sa, TokenAmount::ZERO, Method::LeaveSubnet)
         .unwrap();
     for _ in 0..12 {
-        rt.tick_subnet(&subnet).unwrap();
+        h.rt.tick_subnet(&subnet).unwrap();
     }
-    rt.run_until_quiescent(10_000).unwrap();
-    let era3 = rt.checkpoint_archive().history(&subnet).len();
+    h.settle();
+    let era3 = h.rt.checkpoint_archive().history(&subnet).len();
     assert!(era3 > era2);
 
     // The full history — spanning three different validator sets — still
     // verifies, because each era is audited against its own policy.
-    let verified = rt.verify_checkpoint_chain(&subnet).unwrap();
+    let verified = h.rt.verify_checkpoint_chain(&subnet).unwrap();
     assert_eq!(verified as usize, era3);
 
     // Funds still flow after all the churn.
-    let bob = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &bob, whole(7)).unwrap();
-    rt.run_until_quiescent(10_000).unwrap();
-    assert_eq!(rt.balance(&bob), whole(7));
-    hc_core::audit_quiescent(&rt).unwrap();
+    let bob = h.user(&subnet);
+    h.fund(&bob, 7);
+    assert_eq!(h.rt.balance(&bob), whole(7));
 }
 
 #[test]
 fn validator_set_changes_show_in_block_proposers() {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
     let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(100_000)).unwrap();
-    let v1 = rt.create_user(&root, whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(&alice, SaConfig::default(), whole(10), &[(v1, whole(5))])
-        .unwrap();
-    assert_eq!(rt.node(&subnet).unwrap().validators().len(), 1);
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    assert_eq!(h.rt.node(&subnet).unwrap().validators().len(), 1);
 
-    let v2 = rt.create_user(&root, whole(100)).unwrap();
-    let key = wallet_key(&rt, &v2);
+    let v2 = h.rt.create_user(&root, whole(100)).unwrap();
+    let key = wallet_key(&h.rt, &v2);
     let sa = subnet.actor().unwrap();
-    rt.execute(&v2, sa, whole(5), Method::JoinSubnet { key })
+    h.rt.execute(&v2, sa, whole(5), Method::JoinSubnet { key })
         .unwrap();
 
     // The child refreshes its validator view on its next tick.
-    rt.tick_subnet(&subnet).unwrap();
-    assert_eq!(rt.node(&subnet).unwrap().validators().len(), 2);
+    h.rt.tick_subnet(&subnet).unwrap();
+    assert_eq!(h.rt.node(&subnet).unwrap().validators().len(), 2);
 
     // Round-robin rotation: over many blocks both keys propose.
     let mut proposers = std::collections::HashSet::new();
     for _ in 0..6 {
-        rt.tick_subnet(&subnet).unwrap();
-        let node = rt.node(&subnet).unwrap();
+        h.rt.tick_subnet(&subnet).unwrap();
+        let node = h.rt.node(&subnet).unwrap();
         let head = node.chain().get(&node.chain().head()).unwrap();
         proposers.insert(head.header.proposer);
     }

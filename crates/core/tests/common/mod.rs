@@ -1,12 +1,186 @@
-//! Helpers shared by the `hc-core` integration suites: the per-subnet
-//! fingerprint every twin-run comparison (recovered vs crashed, wave vs
-//! sequential, rejoined vs never-crashed) is made on.
+//! The one test world every `hc-core` integration suite builds on, and the
+//! per-subnet fingerprint every twin-run comparison (recovered vs crashed,
+//! wave vs sequential, rejoined vs never-crashed) is made on.
+//!
+//! [`Harness`] owns a runtime and its funded root user. Every helper that
+//! moves the hierarchy ends in [`Harness::check_state`], which checks the
+//! paper's safety story through the public API alone: escrow covers every
+//! child and the root conserves its minting; at quiescence each
+//! parent→child edge's circulating supply equals the child's live supply;
+//! every live subnet's head commits to the state it holds; and every live
+//! child's archived checkpoint chain verifies from its parent's view.
+//!
+//! A test that steals on purpose cannot use the checked helpers after the
+//! theft: `forge_withdrawal` leaves escrow covered but the parent's record
+//! of the child's circulating supply below the child's live supply, which
+//! is exactly the backing break `check_state` exists to catch. The firewall
+//! suite therefore drives the runtime directly after its forged withdrawals
+//! and keeps calling only `audit_escrow`. So does a test between killing a
+//! subnet, whose users then recover their funds on the parent, and
+//! retiring it: the dead node still holds what was paid out.
 
 // Each test binary compiles this module and uses a subset of it.
 #![allow(dead_code)]
 
-use hc_core::{HierarchyRuntime, NodeStats};
-use hc_types::{CanonicalEncode, ChainEpoch, Cid, Nonce, SubnetId};
+use std::fmt::{Debug, Display};
+
+use hc_actors::sa::SaConfig;
+use hc_actors::SubnetInfo;
+use hc_core::{
+    audit_escrow, audit_quiescent, HierarchyRuntime, NodeStats, RuntimeConfig, UserHandle,
+};
+use hc_types::crypto::uncounted;
+use hc_types::{CanonicalEncode, ChainEpoch, Cid, Nonce, SubnetId, TokenAmount};
+
+/// Blocks [`Harness::settle`] may produce before it declares the hierarchy
+/// stuck.
+const SETTLE_BLOCKS: usize = 200_000;
+
+/// `n` whole tokens.
+pub fn whole(n: u64) -> TokenAmount {
+    TokenAmount::from_whole(n)
+}
+
+/// Asserts that `result` failed with an error whose text contains `needle`,
+/// and returns that text.
+pub fn expect_exit<T: Debug, E: Display>(result: Result<T, E>, needle: &str) -> String {
+    let err = result
+        .expect_err("the call was expected to fail")
+        .to_string();
+    assert!(err.contains(needle), "expected {needle:?} in {err:?}");
+    err
+}
+
+/// A runtime with a funded root user.
+pub struct Harness {
+    pub rt: HierarchyRuntime,
+    /// The root user: the default creator of subnets and source of funds.
+    pub alice: UserHandle,
+}
+
+impl Harness {
+    /// A default runtime whose root user holds 1 000 000 HC.
+    pub fn setup() -> Self {
+        Self::with(RuntimeConfig::default(), 1_000_000)
+    }
+
+    /// A runtime under `config` whose root user holds `genesis` HC.
+    pub fn with(config: RuntimeConfig, genesis: u64) -> Self {
+        let mut rt = HierarchyRuntime::new(config);
+        let alice = rt.create_user(&SubnetId::root(), whole(genesis)).unwrap();
+        let h = Harness { rt, alice };
+        h.check_state();
+        h
+    }
+
+    /// Spawns a child of `creator`'s subnet with 10 HC collateral and one
+    /// validator staking 5 HC. Under the root the validator is a fresh
+    /// root account holding 100 HC; deeper, it is a fresh account of the
+    /// parent funded there with 100 HC from the root user.
+    pub fn spawn(&mut self, creator: &UserHandle, sa: SaConfig) -> SubnetId {
+        let validator = if creator.subnet.is_root() {
+            self.rt.create_user(&SubnetId::root(), whole(100)).unwrap()
+        } else {
+            let v = self.user(&creator.subnet);
+            self.fund(&v, 100);
+            v
+        };
+        let child = self
+            .rt
+            .spawn_subnet(creator, sa, whole(10), &[(validator, whole(5))])
+            .unwrap();
+        self.check_state();
+        child
+    }
+
+    /// A fresh empty account in `subnet`.
+    pub fn user(&mut self, subnet: &SubnetId) -> UserHandle {
+        let user = self.rt.create_user(subnet, TokenAmount::ZERO).unwrap();
+        self.check_state();
+        user
+    }
+
+    /// Sends `n` HC top-down from the root user to `to`, then settles.
+    pub fn fund(&mut self, to: &UserHandle, n: u64) {
+        self.rt.cross_transfer(&self.alice, to, whole(n)).unwrap();
+        self.settle();
+    }
+
+    /// Sends `n` HC from `from` up to `to` (bottom-up, or on through their
+    /// common ancestor and down), then settles.
+    pub fn release(&mut self, from: &UserHandle, to: &UserHandle, n: u64) {
+        self.rt.cross_transfer(from, to, whole(n)).unwrap();
+        self.settle();
+    }
+
+    /// Runs the hierarchy until no value is in flight, asserting that it
+    /// gets there. Returns the blocks produced.
+    pub fn settle(&mut self) -> usize {
+        let produced = self.rt.run_until_quiescent(SETTLE_BLOCKS).unwrap();
+        assert!(
+            produced < SETTLE_BLOCKS,
+            "the hierarchy did not settle within {SETTLE_BLOCKS} blocks"
+        );
+        self.check_state();
+        produced
+    }
+
+    /// Steps the hierarchy until the parent commits one more checkpoint of
+    /// `child`, then settles.
+    pub fn commit_checkpoint(&mut self, child: &SubnetId) {
+        let before = self.child_info(child).committed_checkpoints;
+        for _ in 0..SETTLE_BLOCKS {
+            if self.child_info(child).committed_checkpoints > before {
+                self.settle();
+                return;
+            }
+            self.rt.step().unwrap();
+        }
+        panic!("no checkpoint of {child} was committed within {SETTLE_BLOCKS} blocks");
+    }
+
+    /// The parent's record of `child`.
+    pub fn child_info(&self, child: &SubnetId) -> SubnetInfo {
+        let parent = child.parent().expect("the root has no parent");
+        let node = self.rt.node(&parent).expect("the parent is live");
+        node.state().sca().subnet(child).unwrap().clone()
+    }
+
+    /// Panics unless the hierarchy upholds its safety invariants: escrow
+    /// coverage and root conservation (`audit_escrow`); per-edge backing
+    /// whenever nothing is in flight (`audit_quiescent`); for every live
+    /// subnet whose state holds no write made outside a block (an account
+    /// created or adopted since its last block), the head header's state
+    /// root equals a from-scratch recompute; and for every live child of a
+    /// live parent, `verify_checkpoint_chain`. Its hashing is left out of
+    /// the SHA-256 work counter, so suites that difference it are
+    /// unaffected.
+    pub fn check_state(&self) {
+        let rt = &self.rt;
+        let live = |s: &SubnetId| rt.node(s).is_some() && !rt.is_catching_up(s);
+        uncounted(|| {
+            audit_escrow(rt).unwrap_or_else(|e| panic!("{e}"));
+            if rt.all_quiescent() {
+                audit_quiescent(rt).unwrap_or_else(|e| panic!("{e}"));
+            }
+            for subnet in rt.subnets().filter(|s| live(s)) {
+                let node = rt.node(subnet).unwrap();
+                let head = node.chain().get(&node.chain().head());
+                if let Some(head) = head.filter(|_| node.state().is_committed()) {
+                    assert_eq!(
+                        head.header.state_root,
+                        node.state().recompute_root(),
+                        "{subnet}: the head's state root does not commit to the state"
+                    );
+                }
+                if subnet.parent().is_some_and(|p| live(&p)) {
+                    rt.verify_checkpoint_chain(subnet)
+                        .unwrap_or_else(|e| panic!("{subnet}: {e}"));
+                }
+            }
+        });
+    }
+}
 
 /// The node-local cursors a committed block advances besides the chain
 /// itself: where the cross-net conversation with the parent stands and

@@ -2,15 +2,14 @@
 //! cross-net traffic, the supply invariants always hold and the hierarchy
 //! always converges.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
-use hc_core::{audit_escrow, audit_quiescent, HierarchyRuntime, RuntimeConfig, UserHandle};
-use hc_types::{SubnetId, TokenAmount};
-
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
+use hc_core::{RuntimeConfig, UserHandle};
+use hc_types::SubnetId;
 
 /// A randomized scenario: a hierarchy shape and a transfer schedule over
 /// abstract endpoint indices.
@@ -41,44 +40,36 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
-fn build(scenario: &Scenario) -> (HierarchyRuntime, Vec<UserHandle>) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig {
+/// The scenario's hierarchy with its transfer endpoints funded: the root
+/// user holds 10 000 HC, each sibling's user 500 and each nested user 200.
+fn funded_endpoints(scenario: &Scenario) -> (Harness, Vec<UserHandle>) {
+    let config = RuntimeConfig {
         seed: scenario.seed,
         ..RuntimeConfig::default()
-    });
+    };
+    let mut h = Harness::with(config, 1_000_000);
     let root = SubnetId::root();
-    let banker = rt.create_user(&root, whole(1_000_000)).unwrap();
-    let root_user = rt.create_user(&root, whole(10_000)).unwrap();
-    let mut endpoints = vec![root_user];
+    let mut endpoints = vec![h.rt.create_user(&root, whole(10_000)).unwrap()];
 
     for _ in 0..scenario.siblings {
-        let v = rt.create_user(&root, whole(100)).unwrap();
-        let subnet = rt
-            .spawn_subnet(&banker, SaConfig::default(), whole(10), &[(v, whole(5))])
-            .unwrap();
-        let u = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-        rt.cross_transfer(&banker, &u, whole(500)).unwrap();
+        let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+        let u = h.user(&subnet);
+        h.rt.cross_transfer(&h.alice, &u, whole(500)).unwrap();
         endpoints.push(u);
 
         if scenario.nested {
-            let creator = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-            rt.cross_transfer(&banker, &creator, whole(100)).unwrap();
-            rt.run_until_quiescent(50_000).unwrap();
-            let deep = rt
-                .spawn_subnet(
-                    &creator,
-                    SaConfig::default(),
-                    whole(10),
-                    &[(creator.clone(), whole(5))],
-                )
-                .unwrap();
-            let du = rt.create_user(&deep, TokenAmount::ZERO).unwrap();
-            rt.cross_transfer(&banker, &du, whole(200)).unwrap();
+            let creator = h.user(&subnet);
+            h.fund(&creator, 100);
+            let stake = [(creator.clone(), whole(5))];
+            let sa = SaConfig::default();
+            let deep = h.rt.spawn_subnet(&creator, sa, whole(10), &stake).unwrap();
+            let du = h.user(&deep);
+            h.rt.cross_transfer(&h.alice, &du, whole(200)).unwrap();
             endpoints.push(du);
         }
     }
-    rt.run_until_quiescent(50_000).unwrap();
-    (rt, endpoints)
+    h.settle();
+    (h, endpoints)
 }
 
 proptest! {
@@ -91,8 +82,8 @@ proptest! {
     /// conserves supply globally, and balances per-edge.
     #[test]
     fn random_traffic_conserves_supply(scenario in arb_scenario()) {
-        let (mut rt, endpoints) = build(&scenario);
-        let minted = rt.root_minted();
+        let (mut h, endpoints) = funded_endpoints(&scenario);
+        let minted = h.rt.root_minted();
 
         for &(from_i, to_i, amount) in &scenario.transfers {
             let from = &endpoints[from_i % endpoints.len()];
@@ -103,24 +94,23 @@ proptest! {
             let amount = whole(amount);
             if from.subnet == to.subnet {
                 // Intra-subnet transfer.
-                let _ = rt.submit(from, to.addr, amount, hc_state::Method::Send);
-            } else if rt.balance(from) >= amount {
-                rt.cross_transfer_lazy(from, to, amount).unwrap();
+                let _ = h.rt.submit(from, to.addr, amount, hc_state::Method::Send);
+            } else if h.rt.balance(from) >= amount {
+                h.rt.cross_transfer_lazy(from, to, amount).unwrap();
             }
         }
 
-        let blocks = rt.run_until_quiescent(200_000).unwrap();
+        // Draining checks escrow, global conservation and per-edge backing.
+        let blocks = h.settle();
         prop_assert!(blocks < 200_000, "hierarchy failed to drain");
-        prop_assert!(rt.all_quiescent());
+        prop_assert!(h.rt.all_quiescent());
 
         // Global conservation: minted at root never changes.
-        audit_escrow(&rt).map_err(TestCaseError::fail)?;
-        audit_quiescent(&rt).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(rt.root_minted(), minted);
+        prop_assert_eq!(h.rt.root_minted(), minted);
 
         // Deterministic replay: the same scenario reproduces the same
         // chain heads.
-        let (mut rt2, endpoints2) = build(&scenario);
+        let (mut h2, endpoints2) = funded_endpoints(&scenario);
         for &(from_i, to_i, amount) in &scenario.transfers {
             let from = &endpoints2[from_i % endpoints2.len()];
             let to = &endpoints2[to_i % endpoints2.len()];
@@ -129,15 +119,15 @@ proptest! {
             }
             let amount = whole(amount);
             if from.subnet == to.subnet {
-                let _ = rt2.submit(from, to.addr, amount, hc_state::Method::Send);
-            } else if rt2.balance(from) >= amount {
-                rt2.cross_transfer_lazy(from, to, amount).unwrap();
+                let _ = h2.rt.submit(from, to.addr, amount, hc_state::Method::Send);
+            } else if h2.rt.balance(from) >= amount {
+                h2.rt.cross_transfer_lazy(from, to, amount).unwrap();
             }
         }
-        rt2.run_until_quiescent(200_000).unwrap();
+        h2.settle();
         for e in &endpoints {
             let e2 = endpoints2.iter().find(|x| x.addr == e.addr).unwrap();
-            prop_assert_eq!(rt.balance(e), rt2.balance(e2), "replay diverged at {}", e);
+            prop_assert_eq!(h.rt.balance(e), h2.rt.balance(e2), "replay diverged at {}", e);
         }
     }
 
@@ -145,24 +135,18 @@ proptest! {
     /// under random traffic.
     #[test]
     fn checkpoint_chains_always_verify(scenario in arb_scenario()) {
-        let (mut rt, endpoints) = build(&scenario);
+        let (mut h, endpoints) = funded_endpoints(&scenario);
         for &(from_i, to_i, amount) in &scenario.transfers {
             let from = &endpoints[from_i % endpoints.len()];
             let to = &endpoints[to_i % endpoints.len()];
             if from == to || from.subnet == to.subnet {
                 continue;
             }
-            if rt.balance(from) >= whole(amount) {
-                rt.cross_transfer_lazy(from, to, whole(amount)).unwrap();
+            if h.rt.balance(from) >= whole(amount) {
+                h.rt.cross_transfer_lazy(from, to, whole(amount)).unwrap();
             }
         }
-        rt.run_until_quiescent(200_000).unwrap();
-        for subnet in rt.subnets().cloned().collect::<Vec<_>>() {
-            if subnet.is_root() {
-                continue;
-            }
-            rt.verify_checkpoint_chain(&subnet)
-                .map_err(|e| TestCaseError::fail(format!("{subnet}: {e}")))?;
-        }
+        // Settling verifies every live child's checkpoint chain.
+        h.settle();
     }
 }

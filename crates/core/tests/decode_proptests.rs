@@ -9,8 +9,11 @@
 //! decoder, and whatever does decode re-encodes to exactly the bytes it
 //! came from — decoding accepts one encoding per value.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::whole;
 use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
 use hc_actors::ledger::MapLedger;
 use hc_actors::sa::{ConsensusKind, FraudProof, JoinPolicy, SaConfig};
@@ -21,7 +24,6 @@ use hc_state::{AccountState, ImplicitMsg, Method, RegistryEntry};
 use hc_types::crypto::{AggregateSignature, SignaturePolicy};
 use hc_types::{
     Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId,
-    TokenAmount,
 };
 
 fn subnet(route: &[u64]) -> SubnetId {
@@ -30,10 +32,6 @@ fn subnet(route: &[u64]) -> SubnetId {
 
 fn at(route: &[u64], a: u64) -> HcAddress {
     HcAddress::new(subnet(route), Address::new(a))
-}
-
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
 }
 
 fn keypair(seed: u8) -> Keypair {

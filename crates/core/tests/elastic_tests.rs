@@ -3,8 +3,11 @@
 //! observability, the controller's split/merge policy, and durable
 //! recovery of the `UserAdopted`/`SubnetRetired` control records.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
 use hc_core::{
     audit_quiescent, ElasticController, HierarchyRuntime, PersistenceConfig, PlacementPolicy,
@@ -15,79 +18,67 @@ use hc_state::Method;
 use hc_store::InMemoryDevice;
 use hc_types::{Address, SubnetId, TokenAmount};
 
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
-
-/// A root user plus a child subnet it operates (spawner and sole staker,
-/// like the elastic controller's split).
-fn world() -> (HierarchyRuntime, UserHandle, SubnetId) {
-    world_with(RuntimeConfig::default())
-}
-
-fn world_with(config: RuntimeConfig) -> (HierarchyRuntime, UserHandle, SubnetId) {
-    let mut rt = HierarchyRuntime::new(config);
-    let alice = rt.create_user(&SubnetId::root(), whole(1_000)).unwrap();
-    let child = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig::default(),
-            whole(10),
-            &[(alice.clone(), whole(5))],
-        )
-        .unwrap();
-    (rt, alice, child)
+/// Spawns a child that the root user operates: spawner and sole staker,
+/// like the elastic controller's split.
+fn spawn_operated(h: &mut Harness) -> SubnetId {
+    let stake = [(h.alice.clone(), whole(5))];
+    let child =
+        h.rt.spawn_subnet(&h.alice, SaConfig::default(), whole(10), &stake)
+            .unwrap();
+    h.check_state();
+    child
 }
 
 #[test]
 fn adopt_user_preserves_identity_and_is_idempotent() {
-    let (mut rt, alice, child) = world();
+    let mut h = Harness::with(RuntimeConfig::default(), 1_000);
+    let (alice, child) = (h.alice.clone(), spawn_operated(&mut h));
 
     // Adoption installs the same logical account — same address, same
     // derived key — with no balance minted.
-    let new_home = rt.adopt_user(&child, alice.addr).unwrap();
+    let new_home = h.rt.adopt_user(&child, alice.addr).unwrap();
     assert_eq!(new_home.addr, alice.addr);
     assert_eq!(new_home.subnet, child);
-    assert_eq!(rt.balance(&new_home), TokenAmount::ZERO);
-    assert_eq!(rt.adopt_user(&child, alice.addr).unwrap(), new_home);
+    assert_eq!(h.rt.balance(&new_home), TokenAmount::ZERO);
+    assert_eq!(h.rt.adopt_user(&child, alice.addr).unwrap(), new_home);
 
     // The migration shape: fund the new home from the old one.
-    rt.cross_transfer_lazy_with_fee(&alice, &new_home, whole(25), u64::MAX)
+    h.rt.cross_transfer_lazy_with_fee(&alice, &new_home, whole(25), u64::MAX)
         .unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
-    assert_eq!(rt.balance(&new_home), whole(25));
+    h.settle();
+    assert_eq!(h.rt.balance(&new_home), whole(25));
 
     // The adopted account transacts at its new home under its own key.
-    let bob = rt.create_user(&child, TokenAmount::ZERO).unwrap();
-    rt.submit(&new_home, bob.addr, whole(5), Method::Send)
+    let bob = h.user(&child);
+    h.rt.submit(&new_home, bob.addr, whole(5), Method::Send)
         .unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
-    assert_eq!(rt.balance(&bob), whole(5));
-    assert_eq!(rt.balance(&new_home), whole(20));
-    audit_quiescent(&rt).unwrap();
+    h.settle();
+    assert_eq!(h.rt.balance(&bob), whole(5));
+    assert_eq!(h.rt.balance(&new_home), whole(20));
 }
 
 #[test]
 fn retire_subnet_enforces_lifecycle_guards() {
     // Two regions (no links, so latencies stay uniform) spread round-robin:
     // the child is placed, and retirement must forget the placement.
-    let (mut rt, alice, child) = world_with(RuntimeConfig {
+    let config = RuntimeConfig {
         net: NetConfig {
             regions: RegionMap::named(&["us", "eu"]),
             ..NetConfig::default()
         },
         placement: PlacementPolicy::RoundRobin,
         ..RuntimeConfig::default()
-    });
-    assert_eq!(rt.region_of_subnet(&child), Some("eu"));
-    let bob = rt.create_user(&child, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &bob, whole(20)).unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
+    };
+    let mut h = Harness::with(config, 1_000);
+    let (alice, child) = (h.alice.clone(), spawn_operated(&mut h));
+    assert_eq!(h.rt.region_of_subnet(&child), Some("eu"));
+    let bob = h.user(&child);
+    h.fund(&bob, 20);
 
     // Guards: the root never retires; a live child must be killed first.
-    assert!(rt.retire_subnet(&SubnetId::root()).is_err());
+    assert!(h.rt.retire_subnet(&SubnetId::root()).is_err());
     assert!(
-        rt.retire_subnet(&child).is_err(),
+        h.rt.retire_subnet(&child).is_err(),
         "retirement requires the SA to be killed on the parent"
     );
 
@@ -95,37 +86,32 @@ fn retire_subnet_enforces_lifecycle_guards() {
     // catching up — its node is out of the hierarchy, but the subnet is
     // not unknown. (Crashed while still alive: a killed subnet has no
     // validators left to catch up with.)
-    rt.crash_node(&child).unwrap();
+    h.rt.crash_node(&child).unwrap();
     assert!(matches!(
-        rt.retire_subnet(&child),
+        h.rt.retire_subnet(&child),
         Err(RuntimeError::Retire(_))
     ));
-    rt.rejoin_node(&child).unwrap();
+    h.rt.rejoin_node(&child).unwrap();
     assert!(matches!(
-        rt.retire_subnet(&child),
+        h.rt.retire_subnet(&child),
         Err(RuntimeError::Retire(_))
     ));
-    rt.run_until_quiescent(4_000).unwrap();
-    assert_eq!(rt.region_of_subnet(&child), Some("eu"));
+    h.settle();
+    assert_eq!(h.rt.region_of_subnet(&child), Some("eu"));
 
     // The full manual merge path the controller automates: snapshot while
     // alive, kill, recover every leaf on the parent, then retire.
-    let tree = rt.save_snapshot(&alice, &child).unwrap();
-    rt.execute(
+    let tree = h.rt.save_snapshot(&alice, &child).unwrap();
+    h.rt.execute(
         &alice,
         child.actor().unwrap(),
         TokenAmount::ZERO,
         Method::KillSubnet,
     )
     .unwrap();
-    let claimant = rt
-        .create_claimant(&UserHandle {
-            subnet: child.clone(),
-            addr: bob.addr,
-        })
-        .unwrap();
+    let claimant = h.rt.create_claimant(&bob).unwrap();
     let proof = tree.prove(bob.addr).unwrap();
-    rt.execute(
+    h.rt.execute(
         &claimant,
         Address::SCA,
         TokenAmount::ZERO,
@@ -136,41 +122,39 @@ fn retire_subnet_enforces_lifecycle_guards() {
     )
     .unwrap();
     assert_eq!(
-        rt.balance(&claimant),
+        h.rt.balance(&claimant),
         whole(20),
         "the killed subnet's balance recovers on the parent"
     );
 
-    rt.retire_subnet(&child).unwrap();
-    assert!(rt.node(&child).is_none());
-    assert!(!rt.subnets().any(|s| *s == child));
-    assert_eq!(rt.region_of_subnet(&child), None);
-    assert!(rt.retire_subnet(&child).is_err(), "retirement is final");
-    audit_quiescent(&rt).unwrap();
+    h.rt.retire_subnet(&child).unwrap();
+    assert!(h.rt.node(&child).is_none());
+    assert!(!h.rt.subnets().any(|s| *s == child));
+    assert_eq!(h.rt.region_of_subnet(&child), None);
+    assert!(h.rt.retire_subnet(&child).is_err(), "retirement is final");
+    h.settle();
 }
 
 #[test]
 fn pool_stats_aggregate_admission_and_cross_backlogs() {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
-    let zero = rt.pool_stats();
+    let mut h = Harness::with(RuntimeConfig::default(), 1_000);
+    let zero = h.rt.pool_stats();
     assert_eq!(zero.mempool_pending, 0);
     assert_eq!(zero.mempool_bytes, 0);
     assert_eq!(zero.mempool.admitted, 0);
 
-    let alice = rt.create_user(&SubnetId::root(), whole(1_000)).unwrap();
-    let bob = rt
-        .create_user(&SubnetId::root(), TokenAmount::ZERO)
-        .unwrap();
+    let alice = h.alice.clone();
+    let bob = h.user(&SubnetId::root());
     for fee in 1..=3 {
-        rt.submit_with_fee(&alice, bob.addr, whole(1), Method::Send, fee)
+        h.rt.submit_with_fee(&alice, bob.addr, whole(1), Method::Send, fee)
             .unwrap();
     }
-    let queued = rt.pool_stats();
+    let queued = h.rt.pool_stats();
     assert_eq!(queued.mempool_pending, 3);
     assert!(queued.mempool_bytes > 0);
     assert_eq!(queued.mempool.admitted, 3);
     assert_eq!(
-        rt.mempool_stats(),
+        h.rt.mempool_stats(),
         queued.mempool,
         "the mempool aggregate and the pool snapshot must agree"
     );
@@ -179,39 +163,29 @@ fn pool_stats_aggregate_admission_and_cross_backlogs() {
     // parent resolves the checkpoint's message content over the network
     // (top-down ingestion drains within a single wave, so only the
     // bottom-up gauge has an observable window at step granularity).
-    let child = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig::default(),
-            whole(10),
-            &[(alice.clone(), whole(5))],
-        )
-        .unwrap();
-    let carol = rt.create_user(&child, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &carol, whole(5)).unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
-    assert_eq!(rt.balance(&carol), whole(5));
+    let child = spawn_operated(&mut h);
+    let carol = h.user(&child);
+    h.fund(&carol, 5);
+    assert_eq!(h.rt.balance(&carol), whole(5));
 
-    let dave = rt
-        .create_user(&SubnetId::root(), TokenAmount::ZERO)
-        .unwrap();
-    rt.cross_transfer(&carol, &dave, whole(2)).unwrap();
+    let dave = h.user(&SubnetId::root());
+    h.rt.cross_transfer(&carol, &dave, whole(2)).unwrap();
     let mut bottom_up_seen = 0u64;
     for _ in 0..400 {
-        rt.step().unwrap();
-        bottom_up_seen = bottom_up_seen.max(rt.pool_stats().pending_bottom_up);
-        if rt.balance(&dave) == whole(2) {
+        h.rt.step().unwrap();
+        bottom_up_seen = bottom_up_seen.max(h.rt.pool_stats().pending_bottom_up);
+        if h.rt.balance(&dave) == whole(2) {
             break;
         }
     }
-    assert_eq!(rt.balance(&dave), whole(2));
+    assert_eq!(h.rt.balance(&dave), whole(2));
     assert!(
         bottom_up_seen > 0,
         "the bottom-up backlog was never observed"
     );
 
-    rt.run_until_quiescent(4_000).unwrap();
-    let settled = rt.pool_stats();
+    h.settle();
+    let settled = h.rt.pool_stats();
     assert_eq!(settled.mempool_pending, 0);
     assert_eq!(settled.mempool_bytes, 0);
     assert_eq!(settled.pending_top_down, 0);
@@ -219,37 +193,36 @@ fn pool_stats_aggregate_admission_and_cross_backlogs() {
     assert!(settled.mempool.admitted >= 4, "counters are cumulative");
 }
 
-/// A root-only runtime at `block_capacity` with an operator and two
-/// funded accounts, and a controller over it.
-fn elastic_world(
-    block_capacity: usize,
-) -> (HierarchyRuntime, ElasticController, UserHandle, UserHandle) {
+/// A root-only runtime at `block_capacity` whose root user is the
+/// controller's operator, with two funded accounts, and the controller.
+fn elastic_root(block_capacity: usize) -> (Harness, ElasticController, UserHandle, UserHandle) {
     let mut config = RuntimeConfig::default();
     config.engine_params.block_capacity = block_capacity;
-    let mut rt = HierarchyRuntime::new(config);
-    let operator = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
-    let a = rt.create_user(&SubnetId::root(), whole(50)).unwrap();
-    let b = rt.create_user(&SubnetId::root(), whole(50)).unwrap();
-    (rt, ElasticController::new(operator), a, b)
+    let mut h = Harness::with(config, 100);
+    let a = h.rt.create_user(&SubnetId::root(), whole(50)).unwrap();
+    let b = h.rt.create_user(&SubnetId::root(), whole(50)).unwrap();
+    let controller = ElasticController::new(h.alice.clone());
+    (h, controller, a, b)
 }
 
 /// Steps the root to epoch 9, submits `backlog` messages, and commits the
 /// epoch-10 block — the first evaluation boundary — which serves
 /// `block_capacity` of them. Returns the splits the evaluation made.
 fn splits_at_first_evaluation(block_capacity: usize, backlog: usize) -> u64 {
-    let (mut rt, mut ctrl, a, b) = elastic_world(block_capacity);
+    let (mut h, mut ctrl, a, b) = elastic_root(block_capacity);
+    let rt = &mut h.rt;
     let head = |rt: &HierarchyRuntime| rt.node(&SubnetId::root()).unwrap().chain().head_epoch();
-    while head(&rt).value() < 9 {
+    while head(rt).value() < 9 {
         rt.step_wave().unwrap();
-        ctrl.poll(&mut rt).unwrap();
+        ctrl.poll(rt).unwrap();
     }
     for _ in 0..backlog {
         rt.submit_with_fee(&a, b.addr, TokenAmount::from_atto(10), Method::Send, 1)
             .unwrap();
     }
     rt.step_wave().unwrap();
-    assert_eq!(head(&rt).value(), 10);
-    ctrl.poll(&mut rt).unwrap();
+    assert_eq!(head(rt).value(), 10);
+    ctrl.poll(rt).unwrap();
     assert_eq!(ctrl.stats().evals, 1);
     ctrl.stats().splits
 }
@@ -276,7 +249,8 @@ fn split_threshold_follows_block_capacity() {
 
 #[test]
 fn controller_splits_on_backlog_and_merges_when_cold() {
-    let (mut rt, mut ctrl, a, b) = elastic_world(4);
+    let (mut h, mut ctrl, a, b) = elastic_root(4);
+    let rt = &mut h.rt;
 
     // Below the backlog threshold (4 x 4 pending) nothing happens, across
     // the first evaluation boundary.
@@ -286,7 +260,7 @@ fn controller_splits_on_backlog_and_merges_when_cold() {
     }
     for _ in 0..12 {
         rt.step_wave().unwrap();
-        ctrl.poll(&mut rt).unwrap();
+        ctrl.poll(rt).unwrap();
     }
     assert!(ctrl.stats().evals >= 1);
     assert_eq!(ctrl.stats().splits, 0, "a served backlog must not split");
@@ -300,7 +274,7 @@ fn controller_splits_on_backlog_and_merges_when_cold() {
     let mut waves = 0;
     while ctrl.stats().splits == 0 {
         rt.step_wave().unwrap();
-        ctrl.poll(&mut rt).unwrap();
+        ctrl.poll(rt).unwrap();
         waves += 1;
         assert!(waves < 200, "the backlog must trigger a split");
     }
@@ -309,7 +283,7 @@ fn controller_splits_on_backlog_and_merges_when_cold() {
         || ctrl.home_of(b.addr, &SubnetId::root()) == SubnetId::root()
     {
         rt.step_wave().unwrap();
-        ctrl.poll(&mut rt).unwrap();
+        ctrl.poll(rt).unwrap();
         waves += 1;
         assert!(waves < 400, "migrations must settle");
     }
@@ -323,17 +297,16 @@ fn controller_splits_on_backlog_and_merges_when_cold() {
     // recovered balances land back on the root — conservation end to end.
     while ctrl.children().next().is_some() {
         rt.step_wave().unwrap();
-        ctrl.poll(&mut rt).unwrap();
+        ctrl.poll(rt).unwrap();
         waves += 1;
         assert!(waves < 4_000, "cold children must merge away");
     }
     assert_eq!(ctrl.home_of(a.addr, &SubnetId::root()), SubnetId::root());
     assert!(ctrl.stats().merges >= 1);
     assert!(ctrl.stats().funds_recovered >= 2);
-    rt.run_until_quiescent(4_000).unwrap();
-    let total = rt.balance(&a) + rt.balance(&b);
+    h.settle();
+    let total = h.rt.balance(&a) + h.rt.balance(&b);
     assert_eq!(total, whole(100), "splitting and merging conserve funds");
-    audit_quiescent(&rt).unwrap();
 }
 
 /// Durable recovery must replay adoption (control tag `UserAdopted`) and
@@ -353,46 +326,32 @@ fn recovery_replays_adoption_and_retirement() {
         ..RuntimeConfig::default()
     };
 
-    let mut rt = HierarchyRuntime::new(durable(device.clone()));
-    let alice = rt.create_user(&SubnetId::root(), whole(1_000)).unwrap();
-    let keeper = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig::default(),
-            whole(10),
-            &[(alice.clone(), whole(5))],
-        )
-        .unwrap();
-    let doomed = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig::default(),
-            whole(10),
-            &[(alice.clone(), whole(5))],
-        )
-        .unwrap();
+    let mut h = Harness::with(durable(device.clone()), 1_000);
+    let alice = h.alice.clone();
+    let keeper = spawn_operated(&mut h);
+    let doomed = spawn_operated(&mut h);
 
     // Tag 6: adopt alice into the surviving child and fund the new home.
-    let adopted = rt.adopt_user(&keeper, alice.addr).unwrap();
-    rt.cross_transfer_lazy_with_fee(&alice, &adopted, whole(30), u64::MAX)
+    let adopted = h.rt.adopt_user(&keeper, alice.addr).unwrap();
+    h.rt.cross_transfer_lazy_with_fee(&alice, &adopted, whole(30), u64::MAX)
         .unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
-    assert_eq!(rt.balance(&adopted), whole(30));
+    h.settle();
+    assert_eq!(h.rt.balance(&adopted), whole(30));
 
     // Tag 7: merge the doomed child away entirely.
-    rt.save_snapshot(&alice, &doomed).unwrap();
-    rt.execute(
+    h.rt.save_snapshot(&alice, &doomed).unwrap();
+    h.rt.execute(
         &alice,
         doomed.actor().unwrap(),
         TokenAmount::ZERO,
         Method::KillSubnet,
     )
     .unwrap();
-    rt.retire_subnet(&doomed).unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
+    h.rt.retire_subnet(&doomed).unwrap();
+    h.settle();
 
-    let expected_balances = (rt.balance(&alice), rt.balance(&adopted));
-    drop(rt); // the crash
+    let expected_balances = (h.rt.balance(&alice), h.rt.balance(&adopted));
+    drop(h); // the crash
 
     let mut recovered = HierarchyRuntime::recover(durable(device));
     assert!(recovered.node(&doomed).is_none(), "retirement must replay");

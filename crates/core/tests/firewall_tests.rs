@@ -1,43 +1,28 @@
 //! Security tests: the firewall property under a fully compromised
 //! subnet, and fraud-proof slashing (paper §II, §III-B).
+//!
+//! After a forged withdrawal these tests check only `audit_escrow`: a
+//! successful theft is the backing break `Harness::check_state` reports
+//! (see `common`).
 
+mod common;
+
+use common::{expect_exit, whole, Harness};
 use hc_actors::sa::SaConfig;
-use hc_core::{audit_escrow, HierarchyRuntime, RuntimeConfig, UserHandle};
+use hc_core::audit_escrow;
 use hc_state::Method;
-use hc_types::{Address, SubnetId, TokenAmount};
-
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
-
-fn world_with_subnet(circ: u64) -> (HierarchyRuntime, UserHandle, SubnetId) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000_000)).unwrap();
-    let validator = rt.create_user(&root, whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig::default(),
-            whole(10),
-            &[(validator, whole(5))],
-        )
-        .unwrap();
-    if circ > 0 {
-        let inside = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-        rt.cross_transfer(&alice, &inside, whole(circ)).unwrap();
-        rt.run_until_quiescent(1_000).unwrap();
-    }
-    (rt, alice, subnet)
-}
+use hc_types::{Address, TokenAmount};
 
 #[test]
 fn overdraw_attack_is_fully_rejected() {
-    let (mut rt, _alice, subnet) = world_with_subnet(30);
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let inside = h.user(&subnet);
+    h.fund(&inside, 30);
     let thief = Address::new(9_999);
 
     // The compromised subnet claims 1000 HC out of a 30 HC supply.
-    let report = rt.forge_withdrawal(&subnet, thief, whole(1_000)).unwrap();
+    let report = h.rt.forge_withdrawal(&subnet, thief, whole(1_000)).unwrap();
     assert_eq!(report.bound, whole(30));
     assert_eq!(
         report.extracted,
@@ -45,95 +30,86 @@ fn overdraw_attack_is_fully_rejected() {
         "overdraw must be rejected outright"
     );
     // The checkpoint was rejected wholesale: circulating supply intact.
-    let info = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .clone();
+    let info = h.child_info(&subnet);
     assert_eq!(info.circ_supply, whole(30));
-    audit_escrow(&rt).unwrap();
+    audit_escrow(&h.rt).unwrap();
 }
 
 #[test]
 fn extraction_is_capped_at_circulating_supply() {
-    let (mut rt, _alice, subnet) = world_with_subnet(30);
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let inside = h.user(&subnet);
+    h.fund(&inside, 30);
     let thief = Address::new(9_999);
 
     // Claim exactly the circulating supply: the firewall allows it (the
     // attacker "extracts" what was genuinely injected — the bounded
     // economic impact the paper specifies).
-    let report = rt.forge_withdrawal(&subnet, thief, whole(30)).unwrap();
+    let report = h.rt.forge_withdrawal(&subnet, thief, whole(30)).unwrap();
     assert_eq!(report.extracted, whole(30));
     // Nothing is left to take: a second forgery extracts zero.
-    let report = rt.forge_withdrawal(&subnet, thief, whole(1)).unwrap();
+    let report = h.rt.forge_withdrawal(&subnet, thief, whole(1)).unwrap();
     assert_eq!(report.extracted, TokenAmount::ZERO);
     assert_eq!(report.bound, TokenAmount::ZERO);
-    audit_escrow(&rt).unwrap();
+    audit_escrow(&h.rt).unwrap();
 }
 
 #[test]
 fn repeated_attacks_never_exceed_bound_cumulatively() {
-    let (mut rt, _alice, subnet) = world_with_subnet(50);
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let inside = h.user(&subnet);
+    h.fund(&inside, 50);
     let thief = Address::new(9_999);
     let mut extracted_total = TokenAmount::ZERO;
     for claim in [20u64, 20, 20, 20] {
-        let report = rt.forge_withdrawal(&subnet, thief, whole(claim)).unwrap();
+        let report = h.rt.forge_withdrawal(&subnet, thief, whole(claim)).unwrap();
         extracted_total += report.extracted;
     }
     assert!(extracted_total <= whole(50), "extracted {extracted_total}");
     // Only the claims within the remaining supply succeeded: 20 + 20,
     // then 20 > 10 remaining is rejected twice.
     assert_eq!(extracted_total, whole(40));
-    audit_escrow(&rt).unwrap();
+    audit_escrow(&h.rt).unwrap();
 }
 
 #[test]
 fn ancestors_of_compromised_subnet_are_unaffected() {
     // Compromise a grandchild; the rootnet's exposure is bounded by what
     // the *grandchild* held, regardless of what mid holds.
-    let (mut rt, alice, mid) = world_with_subnet(100);
-    let mid_creator = rt.create_user(&mid, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &mid_creator, whole(50)).unwrap();
-    rt.run_until_quiescent(1_000).unwrap();
-    let deep = rt
-        .spawn_subnet(
-            &mid_creator,
-            SaConfig::default(),
-            whole(10),
-            &[(mid_creator.clone(), whole(5))],
-        )
-        .unwrap();
-    let deep_user = rt.create_user(&deep, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &deep_user, whole(8)).unwrap();
-    rt.run_until_quiescent(2_000).unwrap();
+    let mut h = Harness::setup();
+    let mid = h.spawn(&h.alice.clone(), SaConfig::default());
+    let inside = h.user(&mid);
+    h.fund(&inside, 100);
+    let mid_creator = h.user(&mid);
+    h.fund(&mid_creator, 50);
+    let stake = [(mid_creator.clone(), whole(5))];
+    let deep =
+        h.rt.spawn_subnet(&mid_creator, SaConfig::default(), whole(10), &stake)
+            .unwrap();
+    let deep_user = h.user(&deep);
+    h.fund(&deep_user, 8);
 
     let thief = Address::new(9_999);
-    let report = rt.forge_withdrawal(&deep, thief, whole(500)).unwrap();
+    let report = h.rt.forge_withdrawal(&deep, thief, whole(500)).unwrap();
     assert_eq!(report.bound, whole(8));
     assert_eq!(report.extracted, TokenAmount::ZERO);
-    audit_escrow(&rt).unwrap();
+    audit_escrow(&h.rt).unwrap();
 }
 
 #[test]
 fn equivocation_fraud_proof_slashes_collateral() {
-    let (mut rt, alice, subnet) = world_with_subnet(0);
-    let proof = rt.forge_equivocation(&subnet).unwrap();
+    let mut h = Harness::setup();
+    let alice = h.alice.clone();
+    let subnet = h.spawn(&alice, SaConfig::default());
+    let proof = h.rt.forge_equivocation(&subnet).unwrap();
 
-    let collateral_before = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .collateral;
+    let collateral_before = h.child_info(&subnet).collateral;
     assert_eq!(collateral_before, whole(15)); // 10 registration + 5 stake
 
-    let reporter_balance_before = rt.balance(&alice);
-    rt.execute(
+    let reporter_balance_before = h.rt.balance(&alice);
+    h.rt.execute(
         &alice,
         Address::SCA,
         TokenAmount::ZERO,
@@ -144,29 +120,24 @@ fn equivocation_fraud_proof_slashes_collateral() {
     )
     .unwrap();
 
-    let info = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .clone();
+    let info = h.child_info(&subnet);
     assert_eq!(info.collateral, TokenAmount::ZERO);
     assert_eq!(info.status, hc_actors::SubnetStatus::Inactive);
     // Reporter got half of the slashed collateral.
     assert_eq!(
-        rt.balance(&alice) - reporter_balance_before,
+        h.rt.balance(&alice) - reporter_balance_before,
         TokenAmount::from_atto(whole(15).atto() / 2)
     );
-    audit_escrow(&rt).unwrap();
+    h.check_state();
 }
 
 #[test]
 fn inactive_subnet_cannot_receive_new_funds() {
-    let (mut rt, alice, subnet) = world_with_subnet(0);
-    let proof = rt.forge_equivocation(&subnet).unwrap();
-    rt.execute(
+    let mut h = Harness::setup();
+    let alice = h.alice.clone();
+    let subnet = h.spawn(&alice, SaConfig::default());
+    let proof = h.rt.forge_equivocation(&subnet).unwrap();
+    h.rt.execute(
         &alice,
         Address::SCA,
         TokenAmount::ZERO,
@@ -177,14 +148,13 @@ fn inactive_subnet_cannot_receive_new_funds() {
     )
     .unwrap();
 
-    let victim = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-    let err = rt.cross_transfer(&alice, &victim, whole(5)).unwrap_err();
-    assert!(err.to_string().contains("inactive"), "{err}");
+    let victim = h.user(&subnet);
+    expect_exit(h.rt.cross_transfer(&alice, &victim, whole(5)), "inactive");
 
     // Topping the collateral back up reactivates the subnet (paper
     // §III-B: "to recover its active state, users of the subnet need to
     // put up additional collateral").
-    rt.execute(
+    h.rt.execute(
         &alice,
         Address::SCA,
         whole(20),
@@ -193,30 +163,25 @@ fn inactive_subnet_cannot_receive_new_funds() {
         },
     )
     .unwrap();
-    rt.cross_transfer(&alice, &victim, whole(5)).unwrap();
-    rt.run_until_quiescent(1_000).unwrap();
-    assert_eq!(rt.balance(&victim), whole(5));
+    h.fund(&victim, 5);
+    assert_eq!(h.rt.balance(&victim), whole(5));
 }
 
 #[test]
 fn forged_checkpoint_with_bad_prev_is_rejected() {
-    let (mut rt, _alice, subnet) = world_with_subnet(30);
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let inside = h.user(&subnet);
+    h.fund(&inside, 30);
     // Tamper the prev pointer: the hash chain check fires before any
     // economics.
-    rt.inject_signed_checkpoint(&subnet, |ckpt| {
+    h.rt.inject_signed_checkpoint(&subnet, |ckpt| {
         ckpt.prev = hc_types::Cid::digest(b"fabricated history");
     })
     .unwrap();
-    rt.run_until_quiescent(2_000).unwrap();
+    h.settle();
     // Supply untouched.
-    let info = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .clone();
+    let info = h.child_info(&subnet);
     assert_eq!(info.circ_supply, whole(30));
 }
 
@@ -228,50 +193,48 @@ fn long_range_history_rewrite_is_pinned_out_by_checkpoints() {
     // an *entire alternative checkpoint history* from genesis. The parent
     // SCA pins the canonical chain via the committed `prev` hash chain, so
     // the rewrite is rejected at its very first divergent checkpoint.
-    let (mut rt, _alice, subnet) = world_with_subnet(10);
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let inside = h.user(&subnet);
+    h.fund(&inside, 10);
     // Build real history: several committed checkpoints.
-    for _ in 0..25 {
-        rt.tick_subnet(&subnet).unwrap();
+    for _ in 0..2 {
+        h.commit_checkpoint(&subnet);
     }
-    rt.run_until_quiescent(10_000).unwrap();
-    let canonical_head = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .prev_checkpoint;
+    let canonical_head = h.child_info(&subnet).prev_checkpoint;
     assert!(!canonical_head.is_nil());
-    let committed_before = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .committed_checkpoints;
+    let committed_before = h.child_info(&subnet).committed_checkpoints;
 
     // The adversary's alternative history starts from genesis (prev=NIL),
     // validly signed with the (compromised) validator keys.
-    rt.inject_signed_checkpoint(&subnet, |ckpt| {
+    h.rt.inject_signed_checkpoint(&subnet, |ckpt| {
         ckpt.prev = hc_types::Cid::NIL; // rewrite from the very beginning
         ckpt.proof = hc_types::Cid::digest(b"alternative universe");
     })
     .unwrap();
-    rt.run_until_quiescent(10_000).unwrap();
+    h.settle();
 
-    let info = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .clone();
+    let info = h.child_info(&subnet);
     // The canonical chain is untouched: same head, no extra commitments.
     assert_eq!(info.prev_checkpoint, canonical_head);
     assert_eq!(info.committed_checkpoints, committed_before);
     // And the light-client audit still passes over the archive.
-    rt.verify_checkpoint_chain(&subnet).unwrap();
+    h.rt.verify_checkpoint_chain(&subnet).unwrap();
+}
+
+/// The harness's own check has teeth: stealing a child's whole
+/// circulating supply leaves escrow covered, and the `check_state` that
+/// ends `settle` reports the parent's record no longer backing the child.
+#[test]
+#[should_panic(expected = "backing violation")]
+fn check_state_catches_a_stolen_circulating_supply() {
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let inside = h.user(&subnet);
+    h.fund(&inside, 30);
+    let thief = Address::new(9_999);
+    let report = h.rt.forge_withdrawal(&subnet, thief, whole(30)).unwrap();
+    assert_eq!(report.extracted, whole(30));
+    audit_escrow(&h.rt).unwrap();
+    h.settle();
 }

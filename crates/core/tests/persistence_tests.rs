@@ -17,7 +17,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::fingerprint;
+use common::{fingerprint, whole, Harness};
 use hc_core::persist::{DurableOptions, CONTROL_LOG};
 use hc_core::{
     ControlRecord, HierarchyRuntime, PersistenceConfig, RuntimeConfig, StepReport, UserHandle,
@@ -27,10 +27,6 @@ use hc_store::crash::{corrupt_byte, truncate_stream, RecordingDevice};
 use hc_store::frame::{scan_frames, FRAME_HEADER_LEN};
 use hc_store::{FsyncPolicy, InMemoryDevice, Persistence, Wal, WalOptions};
 use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId, TokenAmount};
-
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
 
 fn durable_config(device: Arc<dyn Persistence>) -> RuntimeConfig {
     RuntimeConfig {
@@ -44,86 +40,58 @@ fn durable_config(device: Arc<dyn Persistence>) -> RuntimeConfig {
     }
 }
 
-/// The handles a workload needs to keep driving a world after recovery.
+/// A harness world under load, with the handles a workload needs to keep
+/// driving it after recovery.
 struct World {
-    rt: HierarchyRuntime,
-    alice: UserHandle,
+    h: Harness,
     subnets: Vec<SubnetId>,
     pairs: Vec<(UserHandle, UserHandle)>,
 }
 
-/// Builds the same small hierarchy under load for every caller: `children`
-/// subnets off the root, two funded users in each, intra-subnet and
-/// sibling-to-sibling cross-net traffic, and a saved snapshot of the first
-/// subnet. Ends quiescent.
-fn build_world(config: RuntimeConfig, children: usize) -> World {
-    let mut rt = HierarchyRuntime::new(config);
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000_000)).unwrap();
-
+/// Loads the same small hierarchy for every caller: `children` subnets off
+/// the root, two funded users in each, intra-subnet and sibling-to-sibling
+/// cross-net traffic, and a saved snapshot of the first subnet. Ends
+/// quiescent.
+fn loaded(config: RuntimeConfig, children: usize) -> World {
+    let mut h = Harness::with(config, 1_000_000);
     let mut subnets = Vec::new();
     let mut pairs = Vec::new();
     for _ in 0..children {
-        let validator = rt.create_user(&root, whole(100)).unwrap();
-        let subnet = rt
-            .spawn_subnet(
-                &alice,
-                hc_actors::sa::SaConfig::default(),
-                whole(10),
-                &[(validator, whole(5))],
-            )
-            .unwrap();
-        let a = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-        let b = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-        rt.cross_transfer(&alice, &a, whole(50)).unwrap();
-        rt.cross_transfer(&alice, &b, whole(50)).unwrap();
+        let subnet = h.spawn(&h.alice.clone(), hc_actors::sa::SaConfig::default());
+        let (a, b) = (h.user(&subnet), h.user(&subnet));
+        h.rt.cross_transfer(&h.alice, &a, whole(50)).unwrap();
+        h.rt.cross_transfer(&h.alice, &b, whole(50)).unwrap();
         subnets.push(subnet);
         pairs.push((a, b));
     }
-    rt.run_until_quiescent(200_000).unwrap();
+    h.settle();
 
     for (i, (a, b)) in pairs.iter().enumerate() {
-        rt.submit(a, b.addr, whole(3), hc_state::Method::Send)
+        h.rt.submit(a, b.addr, whole(3), hc_state::Method::Send)
             .unwrap();
         let (next_a, _) = &pairs[(i + 1) % pairs.len()];
-        rt.cross_transfer_lazy(a, next_a, whole(1)).unwrap();
+        h.rt.cross_transfer_lazy(a, next_a, whole(1)).unwrap();
     }
-    rt.run_until_quiescent(200_000).unwrap();
-    rt.save_snapshot(&alice, &subnets[0]).unwrap();
-    rt.run_until_quiescent(200_000).unwrap();
-
-    World {
-        rt,
-        alice,
-        subnets,
-        pairs,
-    }
+    h.settle();
+    h.rt.save_snapshot(&h.alice, &subnets[0]).unwrap();
+    h.settle();
+    World { h, subnets, pairs }
 }
 
 /// Identical continuation traffic for the crashed-and-recovered world and
 /// the never-crashed control: new users, new transfers, another snapshot.
 fn continue_world(world: &mut World) {
-    let carol = world
-        .rt
-        .create_user(&world.subnets[0], TokenAmount::ZERO)
-        .unwrap();
-    world
-        .rt
-        .cross_transfer(&world.alice, &carol, whole(25))
-        .unwrap();
+    let h = &mut world.h;
+    let carol = h.user(&world.subnets[0]);
+    h.rt.cross_transfer(&h.alice, &carol, whole(25)).unwrap();
     for (a, b) in &world.pairs {
-        world
-            .rt
-            .submit(b, a.addr, whole(1), hc_state::Method::Send)
+        h.rt.submit(b, a.addr, whole(1), hc_state::Method::Send)
             .unwrap();
     }
-    world.rt.run_until_quiescent(200_000).unwrap();
-    world
-        .rt
-        .save_snapshot(&world.alice, &world.subnets[0])
-        .unwrap();
-    world.rt.run_until_quiescent(200_000).unwrap();
-    assert_eq!(world.rt.balance(&carol), whole(25));
+    h.settle();
+    h.rt.save_snapshot(&h.alice, &world.subnets[0]).unwrap();
+    h.settle();
+    assert_eq!(h.rt.balance(&carol), whole(25));
 }
 
 /// One block of history: (block CID, epoch, state root).
@@ -147,47 +115,48 @@ fn chain_history(rt: &HierarchyRuntime) -> Vec<(SubnetId, Vec<BlockRecord>)> {
 #[test]
 fn recovery_at_quiescence_is_bit_identical_and_stays_identical() {
     let device = InMemoryDevice::new();
-    let crashed = build_world(durable_config(Arc::new(device.clone())), 3);
-    let expected = fingerprint(&crashed.rt);
+    let crashed = loaded(durable_config(Arc::new(device.clone())), 3);
+    let expected = fingerprint(&crashed.h.rt);
     assert!(
         expected.iter().any(|f| !f.checkpoints.is_empty()),
         "workload must exercise the checkpoint flow"
     );
-    let expected_now = crashed.rt.now_ms();
-    let World {
-        alice,
-        subnets,
-        pairs,
-        ..
-    } = crashed; // the runtime is dropped here — the crash
-
-    let mut recovered = World {
-        rt: HierarchyRuntime::recover(durable_config(Arc::new(device))),
-        alice,
-        subnets,
-        pairs,
-    };
+    let expected_now = crashed.h.rt.now_ms();
+    let mut recovered = recover(crashed, durable_config(Arc::new(device)));
     assert_eq!(
-        fingerprint(&recovered.rt),
+        fingerprint(&recovered.h.rt),
         expected,
         "recovered world differs from the one that crashed"
     );
-    assert_eq!(recovered.rt.now_ms(), expected_now);
+    assert_eq!(recovered.h.rt.now_ms(), expected_now);
 
     // A control world that never crashes, driven by the same calls.
-    let mut control = build_world(durable_config(Arc::new(InMemoryDevice::new())), 3);
-    assert_eq!(fingerprint(&control.rt), expected);
+    let mut control = loaded(durable_config(Arc::new(InMemoryDevice::new())), 3);
+    assert_eq!(fingerprint(&control.h.rt), expected);
 
     // The recovered world must stay bit-identical under further load.
     continue_world(&mut recovered);
     continue_world(&mut control);
     assert_eq!(
-        fingerprint(&recovered.rt),
-        fingerprint(&control.rt),
+        fingerprint(&recovered.h.rt),
+        fingerprint(&control.h.rt),
         "recovered world diverged from the never-crashed control under load"
     );
-    assert_eq!(recovered.rt.now_ms(), control.rt.now_ms());
-    hc_core::audit_quiescent(&recovered.rt).unwrap();
+    assert_eq!(recovered.h.rt.now_ms(), control.h.rt.now_ms());
+}
+
+/// Drops `crashed`'s runtime — the crash — and recovers it from the journal
+/// `config` names, keeping the handles.
+fn recover(crashed: World, config: RuntimeConfig) -> World {
+    let World { h, subnets, pairs } = crashed;
+    let Harness { rt, alice } = h;
+    drop(rt);
+    let h = Harness {
+        rt: HierarchyRuntime::recover(config),
+        alice,
+    };
+    h.check_state();
+    World { h, subnets, pairs }
 }
 
 #[test]
@@ -198,27 +167,29 @@ fn replay_has_no_outward_effects_until_recovery_returns() {
         control.map(|s| device.len(s)).sum()
     };
     let device = InMemoryDevice::new();
-    let mut crashed = build_world(durable_config(Arc::new(device.clone())), 3);
+    let mut crashed = loaded(durable_config(Arc::new(device.clone())), 3);
     // The live run did all three outward things the replay must not redo.
-    assert!(crashed.rt.net_stats().published > 0);
-    assert!(!crashed.rt.drain_events().is_empty());
+    assert!(crashed.h.rt.net_stats().published > 0);
+    assert!(!crashed.h.rt.drain_events().is_empty());
     let journaled = control_log_bytes(&device);
     assert!(journaled > 0);
-    let expected = fingerprint(&crashed.rt);
-    let World { alice, pairs, .. } = crashed; // the runtime is dropped here
+    let expected = fingerprint(&crashed.h.rt);
 
-    let mut rt = HierarchyRuntime::recover(durable_config(Arc::new(device.clone())));
-    assert_eq!(fingerprint(&rt), expected, "the replay re-ran every block");
+    let World { mut h, pairs, .. } = recover(crashed, durable_config(Arc::new(device.clone())));
+    assert_eq!(
+        fingerprint(&h.rt),
+        expected,
+        "the replay re-ran every block"
+    );
     assert_eq!(control_log_bytes(&device), journaled, "replay re-journaled");
-    assert_eq!(rt.drain_events(), vec![], "replay re-queued events");
-    assert_eq!(rt.net_stats().published, 0, "replay re-sent gossip");
+    assert_eq!(h.rt.drain_events(), vec![], "replay re-queued events");
+    assert_eq!(h.rt.net_stats().published, 0, "replay re-sent gossip");
 
     // Recovery returned: the same runtime is outward again.
-    rt.cross_transfer(&pairs[0].0, &alice, whole(1)).unwrap();
-    rt.run_until_quiescent(200_000).unwrap();
+    h.release(&pairs[0].0, &h.alice.clone(), 1);
     assert!(control_log_bytes(&device) > journaled);
-    assert!(!rt.drain_events().is_empty());
-    assert!(rt.net_stats().published > 0);
+    assert!(!h.rt.drain_events().is_empty());
+    assert!(h.rt.net_stats().published > 0);
 }
 
 #[test]
@@ -231,21 +202,9 @@ fn recovery_survives_wave_parallel_continuation() {
         parallelism: 4,
         ..durable_config(Arc::new(device.clone()))
     };
-    let crashed = build_world(config.clone(), 4);
-    let World {
-        alice,
-        subnets,
-        pairs,
-        ..
-    } = crashed;
-
-    let mut recovered = World {
-        rt: HierarchyRuntime::recover(config),
-        alice,
-        subnets,
-        pairs,
-    };
-    let mut control = build_world(
+    let crashed = loaded(config.clone(), 4);
+    let mut recovered = recover(crashed, config);
+    let mut control = loaded(
         RuntimeConfig {
             parallelism: 1,
             ..durable_config(Arc::new(InMemoryDevice::new()))
@@ -259,24 +218,18 @@ fn recovery_survives_wave_parallel_continuation() {
     // drains quiesce on the same tick boundary.
     for world in [&mut recovered, &mut control] {
         for (i, (a, b)) in world.pairs.iter().enumerate() {
-            world
-                .rt
-                .submit(a, b.addr, whole(2), hc_state::Method::Send)
+            let rt = &mut world.h.rt;
+            rt.submit(a, b.addr, whole(2), hc_state::Method::Send)
                 .unwrap();
             let (next_a, _) = &world.pairs[(i + 1) % world.pairs.len()];
-            world.rt.cross_transfer_lazy(a, next_a, whole(1)).unwrap();
+            rt.cross_transfer_lazy(a, next_a, whole(1)).unwrap();
         }
     }
-    for _ in 0..200_000 {
-        if recovered.rt.all_quiescent() {
-            break;
-        }
-        recovered.rt.step_wave().unwrap();
-    }
-    control.rt.run_until_quiescent(200_000).unwrap();
+    recovered.h.settle();
+    control.h.settle();
     assert_eq!(
-        fingerprint(&recovered.rt),
-        fingerprint(&control.rt),
+        fingerprint(&recovered.h.rt),
+        fingerprint(&control.h.rt),
         "wave-parallel continuation after recovery diverged"
     );
 }
@@ -342,8 +295,8 @@ fn any_crash_point_recovers_a_valid_prefix() {
     // verify that recovery always lands on a block-for-block prefix of the
     // pre-crash history with bit-identical recomputed state roots.
     let device = InMemoryDevice::new();
-    let world = build_world(durable_config(Arc::new(device.clone())), 2);
-    let history = chain_history(&world.rt);
+    let world = loaded(durable_config(Arc::new(device.clone())), 2);
+    let history = chain_history(&world.h.rt);
     let full: Vec<(SubnetId, usize)> = history
         .iter()
         .map(|(s, blocks)| (s.clone(), blocks.len()))
@@ -452,15 +405,14 @@ fn records_past(device: &InMemoryDevice, stream: &str, from: u64) -> Vec<(u64, C
 /// until a wave of at least two members has run; returns that wave's
 /// reports and what `probe` read just before it.
 fn run_a_shared_wave<T>(world: &mut World, probe: impl Fn() -> T) -> (Vec<StepReport>, T) {
+    let rt = &mut world.h.rt;
     for (a, b) in &world.pairs {
-        world
-            .rt
-            .submit(a, b.addr, whole(1), hc_state::Method::Send)
+        rt.submit(a, b.addr, whole(1), hc_state::Method::Send)
             .unwrap();
     }
     loop {
         let before = probe();
-        let reports = world.rt.step_wave().unwrap();
+        let reports = rt.step_wave().unwrap();
         if reports.len() >= 2 {
             return (reports, before);
         }
@@ -479,7 +431,7 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
     // There is no "durable block without its commit record" case any more:
     // the block *is* the record, so the two cannot come apart.
     let device = InMemoryDevice::new();
-    let mut world = build_world(durable_config(Arc::new(device.clone())), 3);
+    let mut world = loaded(durable_config(Arc::new(device.clone())), 3);
     let root = SubnetId::root();
     let control = "control/00000000.seg";
 
@@ -487,7 +439,7 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
     let durable_len = device.len(control);
     let syncs = device.sync_count();
     let users: Vec<UserHandle> = (0..5)
-        .map(|_| world.rt.create_user(&root, whole(10)).unwrap())
+        .map(|_| world.h.rt.create_user(&root, whole(10)).unwrap())
         .collect();
     assert_eq!(
         device.sync_count(),
@@ -496,7 +448,7 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
     );
     let written_len = device.len(control);
     assert!(written_len > durable_len, "the frames are written at once");
-    let history = chain_history(&world.rt);
+    let history = chain_history(&world.h.rt);
     let total_blocks: usize = history.iter().map(|(_, b)| b.len()).sum();
 
     let frame = (written_len - durable_len) / users.len() as u64;
@@ -526,10 +478,11 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
     // One step: the barrier syncs the five set-up records and the block
     // together.
     world
+        .h
         .rt
         .submit(&users[0], users[1].addr, whole(1), hc_state::Method::Send)
         .unwrap();
-    world.rt.step().unwrap();
+    world.h.rt.step().unwrap();
     assert!(
         device.sync_count() - syncs <= 3,
         "5 x create_user + one step cost {} syncs",
@@ -539,11 +492,11 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
     // A wave of k siblings: k block records, one barrier. (First let the
     // root commit past the accounts installed above, so its head's state
     // root covers them.)
-    while world.rt.step().unwrap().subnet != root {}
+    while world.h.rt.step().unwrap().subnet != root {}
     let probe = || (device.len(control), device.sync_count());
     let (wave, (durable_len, syncs)) = run_a_shared_wave(&mut world, probe);
     assert_eq!(device.sync_count() - syncs, 1, "a wave syncs once");
-    let history = chain_history(&world.rt);
+    let history = chain_history(&world.h.rt);
     let block_ends: Vec<u64> = records_past(&device, control, durable_len)
         .into_iter()
         .filter_map(|(end, record)| matches!(record, ControlRecord::Block(_)).then_some(end))
@@ -596,7 +549,7 @@ fn a_wave_that_straddles_a_segment_rollover_is_synced_whole() {
         }),
         ..durable_config(device.clone())
     };
-    let mut world = build_world(config(), 3);
+    let mut world = loaded(config(), 3);
     let segments = || device.streams().len();
     let (wave, before) = run_a_shared_wave(&mut world, segments);
     assert!(
@@ -608,7 +561,7 @@ fn a_wave_that_straddles_a_segment_rollover_is_synced_whole() {
         Vec::<String>::new(),
         "the barrier left part of the wave to a power loss"
     );
-    let expected = fingerprint(&world.rt);
+    let expected = fingerprint(&world.h.rt);
     drop(world);
     let rt = HierarchyRuntime::recover(config());
     assert_eq!(fingerprint(&rt), expected);
@@ -622,10 +575,9 @@ fn a_subnet_respawned_after_its_boot_record_was_lost_recovers_cleanly() {
     // nothing of the dead child's history may be left on the device for
     // the second life to trip over.
     let device = InMemoryDevice::new();
-    let mut rt = HierarchyRuntime::new(durable_config(Arc::new(device.clone())));
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000)).unwrap();
-    let validator = rt.create_user(&root, whole(100)).unwrap();
+    let mut h = Harness::with(durable_config(Arc::new(device.clone())), 1_000);
+    let alice = h.alice.clone();
+    let validator = h.rt.create_user(&SubnetId::root(), whole(100)).unwrap();
     let records = |device: &InMemoryDevice| {
         let fork: Arc<dyn Persistence> = Arc::new(device.fork());
         Wal::open(fork, CONTROL_LOG, WalOptions::default()).1.len()
@@ -646,10 +598,10 @@ fn a_subnet_respawned_after_its_boot_record_was_lost_recovers_cleanly() {
         rt.run_until_quiescent(200_000).unwrap();
         child
     };
-    let dead_child = live(&mut rt);
-    assert!(rt.node(&dead_child).unwrap().chain().len() > 2);
+    let dead_child = live(&mut h.rt);
+    assert!(h.rt.node(&dead_child).unwrap().chain().len() > 2);
     assert!(records(&device) > before_spawn);
-    drop(rt);
+    drop(h);
 
     // The power loss: the journal keeps only what preceded the spawn.
     let fork: Arc<dyn Persistence> = Arc::new(device.fork());
@@ -693,8 +645,8 @@ fn on_disk_backend_recovers_and_leaves_no_stray_files() {
         persistence: PersistenceConfig::on_disk_with_fsync(&root, FsyncPolicy::EveryN(16)),
         ..RuntimeConfig::default()
     };
-    let world = build_world(config(), 2);
-    let expected = fingerprint(&world.rt);
+    let world = loaded(config(), 2);
+    let expected = fingerprint(&world.h.rt);
     drop(world);
 
     let rt = HierarchyRuntime::recover(config());
@@ -731,24 +683,25 @@ fn manifest_gc_prunes_dead_blobs_and_survives_recovery() {
         }),
         ..RuntimeConfig::default()
     };
-    let mut world = build_world(config(), 2);
+    let mut world = loaded(config(), 2);
     // Drive enough checkpoint periods to evict manifests from the window.
     for round in 0..6 {
         for (a, b) in &world.pairs {
             let (from, to) = if round % 2 == 0 { (a, b) } else { (b, a) };
             world
+                .h
                 .rt
                 .submit(from, to.addr, whole(1), hc_state::Method::Send)
                 .unwrap();
         }
-        world.rt.run_until_quiescent(200_000).unwrap();
+        world.h.settle();
     }
-    let stats = world.rt.store_stats();
+    let stats = world.h.rt.store_stats();
     assert!(
         stats.pruned_blobs > 0,
         "rotating snapshots past keep_manifests must prune: {stats:?}"
     );
-    let expected = fingerprint(&world.rt);
+    let expected = fingerprint(&world.h.rt);
     let expected_pruned = (stats.pruned_blobs, stats.pruned_bytes);
     drop(world);
 
@@ -765,19 +718,16 @@ fn manifest_gc_prunes_dead_blobs_and_survives_recovery() {
 #[test]
 fn manual_prune_reclaims_untracked_blobs() {
     let device = InMemoryDevice::new();
-    let mut world = build_world(durable_config(Arc::new(device)), 1);
+    let World { mut h, .. } = loaded(durable_config(Arc::new(device)), 1);
     // Park a blob in the shared store that no snapshot manifest references.
-    world
-        .rt
-        .cid_store()
+    h.rt.cid_store()
         .put(b"orphaned resolution payload".to_vec());
-    let before = world.rt.store_stats();
-    let (blobs, bytes) = world.rt.prune_blobs();
+    let before = h.rt.store_stats();
+    let (blobs, bytes) = h.rt.prune_blobs();
     assert!(blobs >= 1, "the orphaned blob must be reclaimed");
     assert!(bytes >= b"orphaned resolution payload".len() as u64);
-    let after = world.rt.store_stats();
+    let after = h.rt.store_stats();
     assert_eq!(after.pruned_blobs, before.pruned_blobs + blobs);
     // The live snapshot manifests survive the sweep.
-    world.rt.run_until_quiescent(200_000).unwrap();
-    hc_core::audit_quiescent(&world.rt).unwrap();
+    h.settle();
 }

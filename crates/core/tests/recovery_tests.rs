@@ -1,203 +1,116 @@
 //! Fund recovery from killed subnets via persisted snapshots
 //! (paper §III-C).
 
+mod common;
+
+use common::{expect_exit, whole, Harness};
 use hc_actors::sa::SaConfig;
-use hc_core::{audit_escrow, HierarchyRuntime, RuntimeConfig, UserHandle};
+use hc_actors::BalanceProof;
+use hc_core::{audit_escrow, UserHandle};
 use hc_state::Method;
 use hc_types::{Address, SubnetId, TokenAmount};
 
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
+/// Kills `subnet` through its only validator (the root user is not one).
+fn kill(h: &mut Harness, subnet: &SubnetId) {
+    let sa = subnet.actor().unwrap();
+    let root = SubnetId::root();
+    let sa_state = h.rt.node(&root).unwrap().state().sa(sa).unwrap();
+    let validator = UserHandle {
+        subnet: root.clone(),
+        addr: sa_state.validators()[0].addr,
+    };
+    h.rt.execute(&validator, sa, TokenAmount::ZERO, Method::KillSubnet)
+        .unwrap();
 }
 
-/// Root user, a child subnet, and two funded insiders.
-fn setup() -> (
-    HierarchyRuntime,
-    UserHandle,
-    SubnetId,
-    UserHandle,
-    UserHandle,
-) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000_000)).unwrap();
-    let validator = rt.create_user(&root, whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig::default(),
-            whole(10),
-            &[(validator, whole(5))],
-        )
-        .unwrap();
-    let u1 = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-    let u2 = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &u1, whole(30)).unwrap();
-    rt.cross_transfer(&alice, &u2, whole(12)).unwrap();
-    rt.run_until_quiescent(10_000).unwrap();
-    (rt, alice, subnet, u1, u2)
+/// `claimant` claims `proof`'s balance of the killed `subnet` on the parent.
+fn recover_funds(
+    h: &mut Harness,
+    claimant: &UserHandle,
+    subnet: &SubnetId,
+    proof: BalanceProof,
+) -> Result<hc_state::Receipt, hc_core::RuntimeError> {
+    let subnet = subnet.clone();
+    let method = Method::RecoverFunds { subnet, proof };
+    h.rt.execute(claimant, Address::SCA, TokenAmount::ZERO, method)
 }
 
 #[test]
 fn kill_then_recover_funds_with_snapshot_proofs() {
-    let (mut rt, alice, subnet, u1, u2) = setup();
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let (u1, u2) = (h.user(&subnet), h.user(&subnet));
+    h.rt.cross_transfer(&h.alice, &u1, whole(30)).unwrap();
+    h.fund(&u2, 12);
 
     // Persist the snapshot *before* the subnet dies.
-    let tree = rt.save_snapshot(&alice, &subnet).unwrap();
+    let tree = h.rt.save_snapshot(&h.alice, &subnet).unwrap();
     assert_eq!(tree.leaves().len(), 2);
-
-    // Kill the subnet (the creator can, there are validators: use the
-    // validator path — alice is not a validator, so have the only
-    // validator kill). The validator is the first joined user; easiest:
-    // look it up via the SA.
-    let sa = subnet.actor().unwrap();
-    let validator_addr = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sa(sa)
-        .unwrap()
-        .validators()[0]
-        .addr;
-    let validator = UserHandle {
-        subnet: SubnetId::root(),
-        addr: validator_addr,
-    };
-    rt.execute(&validator, sa, TokenAmount::ZERO, Method::KillSubnet)
-        .unwrap();
+    kill(&mut h, &subnet);
 
     // u1's owner recovers 30 HC on the parent chain. The claimant is the
     // same address, now acting on the root (the runtime registers a root
     // wallet for it).
-    let claimant1 = rt.create_claimant(&u1).unwrap();
+    let claimant1 = h.rt.create_claimant(&u1).unwrap();
     let proof1 = tree.prove(u1.addr).unwrap();
-    let rec = rt
-        .execute(
-            &claimant1,
-            Address::SCA,
-            TokenAmount::ZERO,
-            Method::RecoverFunds {
-                subnet: subnet.clone(),
-                proof: proof1.clone(),
-            },
-        )
-        .unwrap();
+    let rec = recover_funds(&mut h, &claimant1, &subnet, proof1.clone()).unwrap();
     assert!(rec.exit.is_ok());
-    assert_eq!(rt.balance(&claimant1), whole(30));
+    assert_eq!(h.rt.balance(&claimant1), whole(30));
 
     // Replaying the claim fails.
-    let err = rt
-        .execute(
-            &claimant1,
-            Address::SCA,
-            TokenAmount::ZERO,
-            Method::RecoverFunds {
-                subnet: subnet.clone(),
-                proof: proof1,
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("already recovered"), "{err}");
+    let replay = recover_funds(&mut h, &claimant1, &subnet, proof1);
+    expect_exit(replay, "already recovered");
 
     // The second user recovers too; after that the child's circulating
     // supply is exactly zero.
-    let claimant2 = rt.create_claimant(&u2).unwrap();
+    let claimant2 = h.rt.create_claimant(&u2).unwrap();
     let proof2 = tree.prove(u2.addr).unwrap();
-    rt.execute(
-        &claimant2,
-        Address::SCA,
-        TokenAmount::ZERO,
-        Method::RecoverFunds {
-            subnet: subnet.clone(),
-            proof: proof2,
-        },
-    )
-    .unwrap();
-    let info = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .clone();
+    recover_funds(&mut h, &claimant2, &subnet, proof2).unwrap();
+    let info = h.child_info(&subnet);
     assert_eq!(info.circ_supply, TokenAmount::ZERO);
-    audit_escrow(&rt).unwrap();
+    // The dead node still holds what its users recovered on the parent,
+    // so only escrow coverage is checked until the subnet is retired.
+    audit_escrow(&h.rt).unwrap();
 }
 
 #[test]
 fn recovery_requires_killed_subnet_and_valid_proof() {
-    let (mut rt, alice, subnet, u1, _u2) = setup();
-    let tree = rt.save_snapshot(&alice, &subnet).unwrap();
-    let claimant = rt.create_claimant(&u1).unwrap();
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let (u1, u2) = (h.user(&subnet), h.user(&subnet));
+    h.rt.cross_transfer(&h.alice, &u1, whole(30)).unwrap();
+    h.fund(&u2, 12);
+    let tree = h.rt.save_snapshot(&h.alice, &subnet).unwrap();
+    let claimant = h.rt.create_claimant(&u1).unwrap();
     let proof = tree.prove(u1.addr).unwrap();
 
     // Subnet still alive: recovery refused.
-    let err = rt
-        .execute(
-            &claimant,
-            Address::SCA,
-            TokenAmount::ZERO,
-            Method::RecoverFunds {
-                subnet: subnet.clone(),
-                proof: proof.clone(),
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("killed"), "{err}");
+    let alive = recover_funds(&mut h, &claimant, &subnet, proof.clone());
+    expect_exit(alive, "killed");
 
     // Someone else cannot use u1's proof.
-    let sa = subnet.actor().unwrap();
-    let validator_addr = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sa(sa)
-        .unwrap()
-        .validators()[0]
-        .addr;
-    let validator = UserHandle {
-        subnet: SubnetId::root(),
-        addr: validator_addr,
-    };
-    rt.execute(&validator, sa, TokenAmount::ZERO, Method::KillSubnet)
-        .unwrap();
-    let thief = rt.create_user(&SubnetId::root(), whole(1)).unwrap();
-    let err = rt
-        .execute(
-            &thief,
-            Address::SCA,
-            TokenAmount::ZERO,
-            Method::RecoverFunds {
-                subnet: subnet.clone(),
-                proof,
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("different address"), "{err}");
+    kill(&mut h, &subnet);
+    let thief = h.rt.create_user(&SubnetId::root(), whole(1)).unwrap();
+    let stolen = recover_funds(&mut h, &thief, &subnet, proof);
+    expect_exit(stolen, "different address");
 
     // An inflated forged proof fails verification.
     let mut forged = tree.prove(u1.addr).unwrap();
     forged.leaf.amount = whole(1_000);
-    let err = rt
-        .execute(
-            &claimant,
-            Address::SCA,
-            TokenAmount::ZERO,
-            Method::RecoverFunds {
-                subnet: subnet.clone(),
-                proof: forged,
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("content"), "{err}");
+    let inflated = recover_funds(&mut h, &claimant, &subnet, forged);
+    expect_exit(inflated, "content");
 }
 
 #[test]
 fn snapshot_requires_validator_signatures_and_monotone_epochs() {
-    let (mut rt, alice, subnet, _u1, _u2) = setup();
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let (u1, u2) = (h.user(&subnet), h.user(&subnet));
+    h.rt.cross_transfer(&h.alice, &u1, whole(30)).unwrap();
+    h.fund(&u2, 12);
+    let alice = h.alice.clone();
     // A snapshot with bogus signatures is refused.
-    let node = rt.node(&subnet).unwrap();
+    let node = h.rt.node(&subnet).unwrap();
     let balances: Vec<_> = node
         .state()
         .accounts()
@@ -207,22 +120,16 @@ fn snapshot_requires_validator_signatures_and_monotone_epochs() {
         .collect();
     let (snapshot, _) =
         hc_actors::StateSnapshot::build(subnet.clone(), node.chain().head_epoch(), balances);
-    let err = rt
-        .execute(
-            &alice,
-            Address::SCA,
-            TokenAmount::ZERO,
-            Method::SaveSnapshot {
-                snapshot,
-                signatures: hc_types::crypto::AggregateSignature::new(),
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("signatures"), "{err}");
+    let unsigned = Method::SaveSnapshot {
+        snapshot,
+        signatures: hc_types::crypto::AggregateSignature::new(),
+    };
+    let result =
+        h.rt.execute(&alice, Address::SCA, TokenAmount::ZERO, unsigned);
+    expect_exit(result, "signatures");
 
     // A properly signed snapshot persists; re-persisting the same epoch
     // is refused (must advance).
-    rt.save_snapshot(&alice, &subnet).unwrap();
-    let err = rt.save_snapshot(&alice, &subnet).unwrap_err();
-    assert!(err.to_string().contains("advance"), "{err}");
+    h.rt.save_snapshot(&alice, &subnet).unwrap();
+    expect_exit(h.rt.save_snapshot(&alice, &subnet), "advance");
 }

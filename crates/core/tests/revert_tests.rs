@@ -2,35 +2,20 @@
 //! be applied at its destination triggers a compensating revert that rides
 //! the normal cross-net flow back and refunds the original sender.
 
+mod common;
+
+use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, HcAddress};
-use hc_core::{audit_quiescent, HierarchyRuntime, RuntimeConfig, UserHandle};
-use hc_types::{Address, SubnetId, TokenAmount};
-
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
-
-fn world() -> (HierarchyRuntime, UserHandle, SubnetId) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(10_000)).unwrap();
-    let validator = rt.create_user(&root, whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(
-            &alice,
-            SaConfig::default(),
-            whole(10),
-            &[(validator, whole(5))],
-        )
-        .unwrap();
-    (rt, alice, subnet)
-}
+use hc_core::{RuntimeConfig, UserHandle};
+use hc_types::{Address, TokenAmount};
 
 #[test]
 fn failed_top_down_call_refunds_the_sender() {
-    let (mut rt, alice, subnet) = world();
-    let balance_before = rt.balance(&alice);
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let alice = h.alice.clone();
+    let subnet = h.spawn(&alice, SaConfig::default());
+    let balance_before = h.rt.balance(&alice);
 
     // A cross-net call with an unknown method selector: committed fine at
     // the root (the SCA cannot know it will fail), fails on application in
@@ -42,39 +27,28 @@ fn failed_top_down_call_refunds_the_sender() {
         424_242, // no such method
         vec![],
     );
-    rt.send_cross_msg(&alice, msg).unwrap();
-    let blocks = rt.run_until_quiescent(50_000).unwrap();
+    h.rt.send_cross_msg(&alice, msg).unwrap();
+    let blocks = h.settle();
     assert!(blocks < 50_000, "revert flow must converge");
 
     // Alice paid nothing in the end (zero fees configured).
-    assert_eq!(rt.balance(&alice), balance_before);
+    assert_eq!(h.rt.balance(&alice), balance_before);
     // The child's circulating supply is back to zero: the round trip
     // cancelled out.
-    let info = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .subnet(&subnet)
-        .unwrap()
-        .clone();
+    let info = h.child_info(&subnet);
     assert_eq!(info.circ_supply, TokenAmount::ZERO);
-    audit_quiescent(&rt).unwrap();
 }
 
 #[test]
 fn failed_call_to_sibling_refunds_through_the_lca() {
-    let (mut rt, alice, left) = world();
-    // Second subnet.
-    let v2 = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
-    let right = rt
-        .spawn_subnet(&alice, SaConfig::default(), whole(10), &[(v2, whole(5))])
-        .unwrap();
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let alice = h.alice.clone();
+    let left = h.spawn(&alice, SaConfig::default());
+    let right = h.spawn(&alice, SaConfig::default());
 
     // Fund a sender inside `left`.
-    let sender = rt.create_user(&left, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &sender, whole(50)).unwrap();
-    rt.run_until_quiescent(50_000).unwrap();
+    let sender = h.user(&left);
+    h.fund(&sender, 50);
 
     // The sender calls a bogus method in the sibling subnet: the value
     // travels left → root → right, fails there, and reverts
@@ -86,21 +60,13 @@ fn failed_call_to_sibling_refunds_through_the_lca() {
         999_999,
         vec![],
     );
-    rt.send_cross_msg(&sender, msg).unwrap();
-    let blocks = rt.run_until_quiescent(100_000).unwrap();
+    h.rt.send_cross_msg(&sender, msg).unwrap();
+    let blocks = h.settle();
     assert!(blocks < 100_000, "two-leg revert must converge");
 
-    assert_eq!(rt.balance(&sender), whole(50), "value fully refunded");
-    let root_node = rt.node(&SubnetId::root()).unwrap();
-    assert_eq!(
-        root_node.state().sca().subnet(&left).unwrap().circ_supply,
-        whole(50)
-    );
-    assert_eq!(
-        root_node.state().sca().subnet(&right).unwrap().circ_supply,
-        TokenAmount::ZERO
-    );
-    audit_quiescent(&rt).unwrap();
+    assert_eq!(h.rt.balance(&sender), whole(50), "value fully refunded");
+    assert_eq!(h.child_info(&left).circ_supply, whole(50));
+    assert_eq!(h.child_info(&right).circ_supply, TokenAmount::ZERO);
 }
 
 #[test]
@@ -108,13 +74,12 @@ fn transfers_to_missing_recipients_still_mint() {
     // Plain transfers to a fresh (key-less) address are fine — accounts
     // are created on credit; only *calls* can fail. This guards the revert
     // path against false positives.
-    let (mut rt, alice, subnet) = world();
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
     let ghost = UserHandle {
         subnet: subnet.clone(),
         addr: Address::new(77_777),
     };
-    rt.cross_transfer(&alice, &ghost, whole(3)).unwrap();
-    rt.run_until_quiescent(10_000).unwrap();
-    assert_eq!(rt.balance(&ghost), whole(3));
-    audit_quiescent(&rt).unwrap();
+    h.fund(&ghost, 3);
+    assert_eq!(h.rt.balance(&ghost), whole(3));
 }

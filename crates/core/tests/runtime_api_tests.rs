@@ -5,6 +5,7 @@ mod common;
 
 use std::sync::Arc;
 
+use common::{expect_exit, whole, Harness};
 use hc_actors::sa::{ConsensusKind, SaConfig};
 use hc_consensus::EngineParams;
 use hc_core::{
@@ -16,19 +17,10 @@ use hc_state::Method;
 use hc_store::InMemoryDevice;
 use hc_types::{Address, Nonce, SubnetId, TokenAmount};
 
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
-
-fn base() -> (HierarchyRuntime, UserHandle) {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
-    let alice = rt.create_user(&SubnetId::root(), whole(1_000_000)).unwrap();
-    (rt, alice)
-}
-
 #[test]
 fn per_subnet_engine_parameters_take_effect() {
-    let (mut rt, alice) = base();
+    let mut h = Harness::setup();
+    let (rt, alice) = (&mut h.rt, h.alice.clone());
     let v1 = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
     let v2 = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
 
@@ -70,25 +62,22 @@ fn per_subnet_engine_parameters_take_effect() {
 
 #[test]
 fn topdown_registry_is_pruned_after_sync() {
-    let (mut rt, alice) = base();
-    let v = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(&alice, SaConfig::default(), whole(10), &[(v, whole(5))])
-        .unwrap();
-    let bob = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
+    let mut h = Harness::setup();
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&subnet);
     for _ in 0..10 {
-        rt.cross_transfer(&alice, &bob, whole(1)).unwrap();
+        h.rt.cross_transfer(&h.alice, &bob, whole(1)).unwrap();
     }
-    rt.run_until_quiescent(10_000).unwrap();
-    assert_eq!(rt.balance(&bob), whole(10));
+    h.settle();
+    assert_eq!(h.rt.balance(&bob), whole(10));
     // After the child pulled and applied everything, the parent registry
     // holds nothing below the child's next nonce.
-    let remaining = rt
-        .node(&SubnetId::root())
-        .unwrap()
-        .state()
-        .sca()
-        .top_down_msgs(&subnet, Nonce::ZERO);
+    let remaining =
+        h.rt.node(&SubnetId::root())
+            .unwrap()
+            .state()
+            .sca()
+            .top_down_msgs(&subnet, Nonce::ZERO);
     assert!(
         remaining.is_empty(),
         "registry should be pruned, found {} msgs",
@@ -98,20 +87,18 @@ fn topdown_registry_is_pruned_after_sync() {
 
 #[test]
 fn error_paths_are_descriptive() {
-    let (mut rt, alice) = base();
+    let mut h = Harness::setup();
+    let alice = h.alice.clone();
     // Unknown subnet.
     let ghost = SubnetId::root().child(Address::new(404));
     assert!(matches!(
-        rt.create_user(&ghost, TokenAmount::ZERO),
+        h.rt.create_user(&ghost, TokenAmount::ZERO),
         Err(RuntimeError::UnknownSubnet(_))
     ));
     // Minting off-root is refused.
-    let v = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(&alice, SaConfig::default(), whole(10), &[(v, whole(5))])
-        .unwrap();
+    let subnet = h.spawn(&alice, SaConfig::default());
     assert!(matches!(
-        rt.create_user(&subnet, whole(1)),
+        h.rt.create_user(&subnet, whole(1)),
         Err(RuntimeError::NonRootMint)
     ));
     // Unknown user.
@@ -120,24 +107,24 @@ fn error_paths_are_descriptive() {
         addr: Address::new(99_999),
     };
     assert!(matches!(
-        rt.submit(&stranger, alice.addr, whole(1), hc_state::Method::Send),
+        h.rt.submit(&stranger, alice.addr, whole(1), hc_state::Method::Send),
         Err(RuntimeError::UnknownUser(_))
     ));
     // Under-collateralized spawn.
-    let err = rt
-        .spawn_subnet(&alice, SaConfig::default(), whole(1), &[])
-        .unwrap_err();
-    assert!(err.to_string().contains("collateral"), "{err}");
+    let spawn =
+        h.rt.spawn_subnet(&alice, SaConfig::default(), whole(1), &[]);
+    expect_exit(spawn, "collateral");
 }
 
 #[test]
 fn mixed_block_times_still_converge_and_audit() {
-    let (mut rt, alice) = base();
+    let mut h = Harness::setup();
+    let alice = h.alice.clone();
     let mut subnets = Vec::new();
     for (i, ms) in [100u64, 1_000, 3_000].iter().enumerate() {
-        let v = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
-        let s = rt
-            .spawn_subnet_with_params(
+        let v = h.rt.create_user(&SubnetId::root(), whole(100)).unwrap();
+        let s =
+            h.rt.spawn_subnet_with_params(
                 &alice,
                 SaConfig {
                     consensus: if i == 0 {
@@ -158,52 +145,45 @@ fn mixed_block_times_still_converge_and_audit() {
         subnets.push(s);
     }
     // Cross transfers between the fastest and slowest subnets.
-    let fast_user = rt.create_user(&subnets[0], TokenAmount::ZERO).unwrap();
-    let slow_user = rt.create_user(&subnets[2], TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &fast_user, whole(50)).unwrap();
-    rt.cross_transfer(&alice, &slow_user, whole(50)).unwrap();
-    rt.run_until_quiescent(100_000).unwrap();
-    rt.cross_transfer(&fast_user, &slow_user, whole(20))
+    let fast_user = h.user(&subnets[0]);
+    let slow_user = h.user(&subnets[2]);
+    h.rt.cross_transfer(&alice, &fast_user, whole(50)).unwrap();
+    h.fund(&slow_user, 50);
+    h.rt.cross_transfer(&fast_user, &slow_user, whole(20))
         .unwrap();
-    rt.cross_transfer(&slow_user, &fast_user, whole(10))
+    h.rt.cross_transfer(&slow_user, &fast_user, whole(10))
         .unwrap();
-    let blocks = rt.run_until_quiescent(100_000).unwrap();
+    let blocks = h.settle();
     assert!(blocks < 100_000);
-    assert_eq!(rt.balance(&fast_user), whole(40));
-    assert_eq!(rt.balance(&slow_user), whole(60));
-    hc_core::audit_quiescent(&rt).unwrap();
+    assert_eq!(h.rt.balance(&fast_user), whole(40));
+    assert_eq!(h.rt.balance(&slow_user), whole(60));
 }
 
 /// Root plus three children under the default *jittered* network, loaded
 /// with intra-subnet sends and sibling-to-sibling transfers that are still
 /// queued when this returns — identical in every call, so twins differ
 /// only in how the drain is stepped.
-fn loaded_world(parallelism: usize) -> HierarchyRuntime {
-    let mut rt = HierarchyRuntime::new(RuntimeConfig {
+fn loaded(parallelism: usize) -> HierarchyRuntime {
+    let config = RuntimeConfig {
         parallelism,
         ..RuntimeConfig::default()
-    });
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000_000)).unwrap();
+    };
+    let mut h = Harness::with(config, 1_000_000);
     let mut pairs = Vec::new();
     for _ in 0..3 {
-        let v = rt.create_user(&root, whole(100)).unwrap();
-        let subnet = rt
-            .spawn_subnet(&alice, SaConfig::default(), whole(10), &[(v, whole(5))])
-            .unwrap();
-        let a = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-        let b = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-        rt.cross_transfer(&alice, &a, whole(50)).unwrap();
-        rt.cross_transfer(&alice, &b, whole(50)).unwrap();
+        let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+        let (a, b) = (h.user(&subnet), h.user(&subnet));
+        h.rt.cross_transfer(&h.alice, &a, whole(50)).unwrap();
+        h.rt.cross_transfer(&h.alice, &b, whole(50)).unwrap();
         pairs.push((a, b));
     }
-    rt.run_until_quiescent(100_000).unwrap();
+    h.settle();
     for (i, (a, b)) in pairs.iter().enumerate() {
-        rt.submit(a, b.addr, whole(3), Method::Send).unwrap();
+        h.rt.submit(a, b.addr, whole(3), Method::Send).unwrap();
         let (next_a, _) = &pairs[(i + 1) % pairs.len()];
-        rt.cross_transfer_lazy(a, next_a, whole(1)).unwrap();
+        h.rt.cross_transfer_lazy(a, next_a, whole(1)).unwrap();
     }
-    rt
+    h.rt
 }
 
 /// Drives `rt` to quiescence with `advance`, which returns how many blocks
@@ -220,12 +200,12 @@ fn drain(rt: &mut HierarchyRuntime, mut advance: impl FnMut(&mut HierarchyRuntim
 fn a_step_is_a_tick_of_the_earliest_subnet_and_waves_ignore_the_worker_count() {
     // `step` and a hand-rolled loop over `tick_subnet` are the same wave
     // of one, so even the jittered network's shared RNG sees one order.
-    let mut stepped = loaded_world(1);
+    let mut stepped = loaded(1);
     drain(&mut stepped, |rt| {
         rt.step().unwrap();
         1
     });
-    let mut ticked = loaded_world(1);
+    let mut ticked = loaded(1);
     drain(&mut ticked, |rt| {
         let earliest = rt
             .subnets()
@@ -247,9 +227,9 @@ fn a_step_is_a_tick_of_the_earliest_subnet_and_waves_ignore_the_worker_count() {
 
     // Waves publish in a different order than single steps do, but how
     // many workers run a wave never shows.
-    let mut serial = loaded_world(1);
+    let mut serial = loaded(1);
     drain(&mut serial, |rt| rt.step_wave().unwrap().len());
-    let mut threaded = loaded_world(4);
+    let mut threaded = loaded(4);
     drain(&mut threaded, |rt| rt.step_wave().unwrap().len());
     assert_eq!(common::fingerprint(&threaded), common::fingerprint(&serial));
     assert_eq!(threaded.now_ms(), serial.now_ms());
@@ -260,49 +240,46 @@ fn a_step_is_a_tick_of_the_earliest_subnet_and_waves_ignore_the_worker_count() {
 fn execute_returns_the_awaited_receipt_whenever_and_however_it_lands() {
     // Four messages per block: top-down applies alone fill the child's
     // next blocks, so a user message waits for a later one.
-    let mut rt = HierarchyRuntime::new(RuntimeConfig {
+    let config = RuntimeConfig {
         engine_params: EngineParams {
             block_capacity: 4,
             ..EngineParams::default()
         },
         ..RuntimeConfig::default()
-    });
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000_000)).unwrap();
-    let v = rt.create_user(&root, whole(100)).unwrap();
-    let subnet = rt
-        .spawn_subnet(&alice, SaConfig::default(), whole(10), &[(v, whole(5))])
-        .unwrap();
-    let bob = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-    let carol = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &bob, whole(50)).unwrap();
-    rt.cross_transfer(&alice, &carol, whole(50)).unwrap();
-    rt.run_until_quiescent(10_000).unwrap();
+    };
+    let mut h = Harness::with(config, 1_000_000);
+    let (root, alice) = (SubnetId::root(), h.alice.clone());
+    let subnet = h.spawn(&alice, SaConfig::default());
+    let (bob, carol) = (h.user(&subnet), h.user(&subnet));
+    h.rt.cross_transfer(&alice, &bob, whole(50)).unwrap();
+    h.fund(&carol, 50);
 
     // Backlog: twelve top-down transfers committed at the root, none yet
     // pulled by the child.
     for _ in 0..12 {
-        rt.cross_transfer_lazy(&alice, &bob, whole(1)).unwrap();
+        h.rt.cross_transfer_lazy(&alice, &bob, whole(1)).unwrap();
     }
-    while rt.node(&root).unwrap().mempool_len() > 0 {
-        rt.tick_subnet(&root).unwrap();
+    while h.rt.node(&root).unwrap().mempool_len() > 0 {
+        h.rt.tick_subnet(&root).unwrap();
     }
-    let head_before = rt.node(&subnet).unwrap().chain().head_epoch();
+    let head_before = h.rt.node(&subnet).unwrap().chain().head_epoch();
     let key = b"k".to_vec();
     let put = Method::PutData {
         key: key.clone(),
         data: b"bob".to_vec(),
     };
-    let receipt = rt.execute(&bob, bob.addr, TokenAmount::ZERO, put).unwrap();
+    let receipt =
+        h.rt.execute(&bob, bob.addr, TokenAmount::ZERO, put)
+            .unwrap();
     assert!(receipt.exit.is_ok());
-    let waited = rt
-        .node(&subnet)
-        .unwrap()
-        .chain()
-        .head_epoch()
-        .since(head_before);
+    let waited =
+        h.rt.node(&subnet)
+            .unwrap()
+            .chain()
+            .head_epoch()
+            .since(head_before);
     assert!(waited >= 2, "included in block {waited} after submission");
-    assert_eq!(rt.balance(&bob), whole(50 + 12));
+    assert_eq!(h.rt.balance(&bob), whole(50 + 12));
 
     // Interleaved callers each get their own message's receipt: gas is
     // priced by payload size, so the two receipts differ.
@@ -314,24 +291,24 @@ fn execute_returns_the_awaited_receipt_whenever_and_however_it_lands() {
         key,
         data: vec![2; 64],
     };
-    let r_bob = rt
-        .execute(&bob, bob.addr, TokenAmount::ZERO, small)
-        .unwrap();
-    let r_carol = rt
-        .execute(&carol, carol.addr, TokenAmount::ZERO, large)
-        .unwrap();
+    let r_bob =
+        h.rt.execute(&bob, bob.addr, TokenAmount::ZERO, small)
+            .unwrap();
+    let r_carol =
+        h.rt.execute(&carol, carol.addr, TokenAmount::ZERO, large)
+            .unwrap();
     assert!(r_carol.gas_used > r_bob.gas_used);
 
     // A failed execution surfaces as an error carrying the exit text.
-    let err = rt
-        .execute(&carol, bob.addr, whole(1_000), Method::Send)
-        .unwrap_err();
+    let err =
+        h.rt.execute(&carol, bob.addr, whole(1_000), Method::Send)
+            .unwrap_err();
     let RuntimeError::Execution(why) = &err else {
         panic!("expected an execution error, got {err:?}");
     };
     assert!(why.contains("insufficient"), "{why}");
     // Nothing stays awaited: later blocks keep no receipt.
-    assert_eq!(rt.balance(&carol), whole(50));
+    assert_eq!(h.rt.balance(&carol), whole(50));
 }
 
 #[test]
@@ -353,62 +330,59 @@ fn a_retired_subnet_leaves_no_residue_in_any_owner() {
         checkpoint_period: 5,
         ..SaConfig::default()
     };
-    let mut rt = HierarchyRuntime::new(config(&device));
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000)).unwrap();
-    let doomed = rt
-        .spawn_subnet(&alice, sa(), whole(10), &[(alice.clone(), whole(5))])
-        .unwrap();
-    let bob = rt.create_user(&doomed, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &bob, whole(20)).unwrap();
-    rt.run_blocks(30).unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
+    let mut h = Harness::with(config(&device), 1_000);
+    let alice = h.alice.clone();
+    let stake = [(alice.clone(), whole(5))];
+    let doomed = h.rt.spawn_subnet(&alice, sa(), whole(10), &stake).unwrap();
+    let bob = h.user(&doomed);
+    h.rt.cross_transfer(&alice, &bob, whole(20)).unwrap();
+    h.rt.run_blocks(30).unwrap();
+    h.settle();
 
     // Every owner holds something of the subnet: a placement, an anchored
     // manifest the GC pins, a wallet.
-    assert_eq!(rt.region_of_subnet(&doomed), Some("eu"));
-    let (_, manifest) = rt.checkpoint_anchor(&doomed).expect("a checkpoint was cut");
-    rt.prune_blobs();
-    assert!(rt.cid_store().contains(&manifest));
-    rt.submit(&bob, bob.addr, TokenAmount::ZERO, Method::Send)
+    assert_eq!(h.rt.region_of_subnet(&doomed), Some("eu"));
+    let (_, manifest) =
+        h.rt.checkpoint_anchor(&doomed)
+            .expect("a checkpoint was cut");
+    h.rt.prune_blobs();
+    assert!(h.rt.cid_store().contains(&manifest));
+    h.rt.submit(&bob, bob.addr, TokenAmount::ZERO, Method::Send)
         .unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
+    h.settle();
 
-    rt.save_snapshot(&alice, &doomed).unwrap();
+    h.rt.save_snapshot(&alice, &doomed).unwrap();
     let kill = Method::KillSubnet;
-    rt.execute(&alice, doomed.actor().unwrap(), TokenAmount::ZERO, kill)
+    h.rt.execute(&alice, doomed.actor().unwrap(), TokenAmount::ZERO, kill)
         .unwrap();
-    rt.retire_subnet(&doomed).unwrap();
+    h.rt.retire_subnet(&doomed).unwrap();
 
-    assert_eq!(rt.region_of_subnet(&doomed), None);
-    assert_eq!(rt.checkpoint_anchor(&doomed), None);
-    assert!(!rt.is_crashed(&doomed) && !rt.is_catching_up(&doomed));
+    assert_eq!(h.rt.region_of_subnet(&doomed), None);
+    assert_eq!(h.rt.checkpoint_anchor(&doomed), None);
+    assert!(!h.rt.is_crashed(&doomed) && !h.rt.is_catching_up(&doomed));
     assert!(matches!(
-        rt.submit(&bob, bob.addr, TokenAmount::ZERO, Method::Send),
+        h.rt.submit(&bob, bob.addr, TokenAmount::ZERO, Method::Send),
         Err(RuntimeError::UnknownUser(_))
     ));
-    let (pruned, _) = rt.prune_blobs();
-    assert!(pruned > 0 && !rt.cid_store().contains(&manifest));
+    let (pruned, _) = h.rt.prune_blobs();
+    assert!(pruned > 0 && !h.rt.cid_store().contains(&manifest));
 
     // A sibling spawned afterwards lives a full life on the same owners:
     // crash, snapshot-rejoin, and a whole-runtime recovery.
-    let sibling = rt
-        .spawn_subnet(&alice, sa(), whole(10), &[(alice.clone(), whole(5))])
-        .unwrap();
-    let carol = rt.create_user(&sibling, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &carol, whole(7)).unwrap();
-    rt.run_blocks(30).unwrap();
-    rt.run_until_quiescent(4_000).unwrap();
-    assert!(rt.checkpoint_anchor(&sibling).is_some());
-    rt.crash_node(&sibling).unwrap();
-    rt.cross_transfer(&alice, &carol, whole(2)).unwrap();
-    rt.run_blocks(4).unwrap();
-    rt.rejoin_node(&sibling).unwrap();
-    let blocks = rt.run_until_quiescent(100_000).unwrap();
+    let sibling = h.rt.spawn_subnet(&alice, sa(), whole(10), &stake).unwrap();
+    let carol = h.user(&sibling);
+    h.rt.cross_transfer(&alice, &carol, whole(7)).unwrap();
+    h.rt.run_blocks(30).unwrap();
+    h.settle();
+    assert!(h.rt.checkpoint_anchor(&sibling).is_some());
+    h.rt.crash_node(&sibling).unwrap();
+    h.rt.cross_transfer(&alice, &carol, whole(2)).unwrap();
+    h.rt.run_blocks(4).unwrap();
+    h.rt.rejoin_node(&sibling).unwrap();
+    let blocks = h.settle();
     assert!(blocks < 100_000, "the sibling must reconverge");
-    assert_eq!(rt.chaos_stats().snapshot_installs, 1);
-    assert_eq!(rt.balance(&carol), whole(9));
-    hc_core::audit_quiescent(&rt).unwrap();
+    assert_eq!(h.rt.chaos_stats().snapshot_installs, 1);
+    assert_eq!(h.rt.balance(&carol), whole(9));
 
     let heads = |rt: &HierarchyRuntime| -> Vec<_> {
         common::fingerprint(rt)
@@ -416,8 +390,8 @@ fn a_retired_subnet_leaves_no_residue_in_any_owner() {
             .map(|f| (f.subnet, f.head, f.state_root))
             .collect()
     };
-    let live = heads(&rt);
-    drop(rt);
+    let live = heads(&h.rt);
+    drop(h);
     let recovered = HierarchyRuntime::recover(config(&device));
     assert_eq!(heads(&recovered), live);
     assert!(recovered.node(&doomed).is_none());

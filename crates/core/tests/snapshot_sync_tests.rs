@@ -12,21 +12,14 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{stats_since, subnet_fingerprint, SubnetFingerprint};
+use common::{stats_since, subnet_fingerprint, whole, Harness, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
 use hc_core::persist::DurableOptions;
-use hc_core::{
-    audit_escrow, audit_quiescent, HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode,
-    UserHandle,
-};
+use hc_core::{HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode};
 use hc_net::{FaultKind, FaultPlan, FaultRule, NetConfig, PartitionPolicy, RetryPolicy};
 use hc_state::ChunkManifest;
 use hc_store::{InMemoryDevice, WalOptions};
-use hc_types::{ChainEpoch, Cid, SubnetId, TokenAmount};
-
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
-}
+use hc_types::{ChainEpoch, Cid, SubnetId};
 
 /// Serialises this binary's tests: one of them differences the
 /// process-wide SHA-256 block counter, which any test hashing on another
@@ -34,23 +27,6 @@ fn whole(n: u64) -> TokenAmount {
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A runtime with a funded root user and a spawned child subnet.
-struct World {
-    rt: HierarchyRuntime,
-    alice: UserHandle,
-    child: SubnetId,
-}
-
-fn build(config: RuntimeConfig, sa_config: SaConfig) -> World {
-    let mut rt = HierarchyRuntime::new(config);
-    let alice = rt.create_user(&SubnetId::root(), whole(1_000_000)).unwrap();
-    let validator = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
-    let child = rt
-        .spawn_subnet(&alice, sa_config, whole(10), &[(validator, whole(5))])
-        .unwrap();
-    World { rt, alice, child }
 }
 
 /// Steps the hierarchy until `subnet`'s chain head reaches `epoch`.
@@ -82,38 +58,39 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
         checkpoint_period: 5,
         ..SaConfig::default()
     };
-    let mut w = build(RuntimeConfig::default(), sa);
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
+    let mut h = Harness::setup();
+    let child = h.spawn(&h.alice.clone(), sa);
+    let bob = h.user(&child);
+    h.rt.cross_transfer(&h.alice, &bob, whole(30)).unwrap();
     // Sample the counters exactly at the anchor block (cut included).
-    drive_to_epoch(&mut w.rt, &w.child, 5);
-    let stats_at_anchor = w.rt.node(&w.child).unwrap().stats();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    drive_to_epoch(&mut w.rt, &w.child, 7);
+    drive_to_epoch(&mut h.rt, &child, 5);
+    let stats_at_anchor = h.rt.node(&child).unwrap().stats();
+    h.settle();
+    drive_to_epoch(&mut h.rt, &child, 7);
 
-    let (anchor_epoch, _) = w.rt.checkpoint_anchor(&w.child).expect("cut at epoch 5");
+    let (anchor_epoch, _) = h.rt.checkpoint_anchor(&child).expect("cut at epoch 5");
     assert_eq!(anchor_epoch, ChainEpoch::new(5));
-    let blocks_before = w.rt.node(&w.child).unwrap().chain().len();
+    let blocks_before = h.rt.node(&child).unwrap().chain().len();
     // By determinism the child as it stands now *is* its never-crashed
     // twin at this point of the run.
-    let twin = subnet_fingerprint(&w.rt, &w.child);
+    let twin = subnet_fingerprint(&h.rt, &child);
 
-    w.rt.crash_node(&w.child).unwrap();
+    h.rt.crash_node(&child).unwrap();
     // A transfer queued while the subnet is dark lands after catch-up.
-    w.rt.cross_transfer(&w.alice, &bob, whole(12)).unwrap();
+    h.rt.cross_transfer(&h.alice, &bob, whole(12)).unwrap();
     for _ in 0..6 {
-        w.rt.step().unwrap();
+        h.rt.step().unwrap();
     }
-    w.rt.rejoin_node_with(&w.child, SyncMode::Snapshot).unwrap();
-    assert!(w.rt.is_catching_up(&w.child));
-    while w.rt.is_catching_up(&w.child) {
-        w.rt.step().unwrap();
+    h.rt.rejoin_node_with(&child, SyncMode::Snapshot).unwrap();
+    assert!(h.rt.is_catching_up(&child));
+    while h.rt.is_catching_up(&child) {
+        h.rt.step().unwrap();
     }
     // The bootstrapped node matches the twin in head, state root and
     // every cursor; its counters cover exactly the re-executed suffix
     // (the covered prefix is skipped, not counted), and its block
     // schedule restarts.
-    let rejoined = subnet_fingerprint(&w.rt, &w.child);
+    let rejoined = subnet_fingerprint(&h.rt, &child);
     assert_eq!(
         rejoined,
         SubnetFingerprint {
@@ -123,11 +100,11 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
         },
         "snapshot rejoin must rebuild the never-crashed twin's bookkeeping"
     );
-    let produced = w.rt.run_until_quiescent(4_000).unwrap();
+    let produced = h.settle();
     assert!(produced < 4_000, "snapshot bootstrap must converge");
-    assert!(!w.rt.is_catching_up(&w.child));
+    assert!(!h.rt.is_catching_up(&child));
 
-    let stats = w.rt.chaos_stats();
+    let stats = h.rt.chaos_stats();
     assert_eq!(stats.snapshot_installs, 1);
     assert_eq!(stats.snapshot_fallbacks, 0);
     assert!(stats.blob_pulls >= 1, "chunks crossed the network");
@@ -137,9 +114,7 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
     // Only the post-anchor suffix was re-executed.
     assert_eq!(stats.blocks_caught_up as usize, blocks_before - 5);
 
-    assert_eq!(w.rt.balance(&bob), whole(42));
-    audit_escrow(&w.rt).unwrap();
-    audit_quiescent(&w.rt).unwrap();
+    assert_eq!(h.rt.balance(&bob), whole(42));
 }
 
 /// Bootstrap exactness: with the same seed and crash schedule, a
@@ -157,33 +132,31 @@ fn snapshot_rejoin_state_matches_replay_rejoin() {
             sync_mode: mode,
             ..RuntimeConfig::default()
         };
-        let mut w = build(config, sa);
-        let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-        w.rt.cross_transfer(&w.alice, &bob, whole(20)).unwrap();
-        w.rt.run_until_quiescent(2_000).unwrap();
-        drive_to_epoch(&mut w.rt, &w.child, 22);
-        assert!(w.rt.checkpoint_anchor(&w.child).is_some());
+        let mut h = Harness::with(config, 1_000_000);
+        let child = h.spawn(&h.alice.clone(), sa);
+        let bob = h.user(&child);
+        h.fund(&bob, 20);
+        drive_to_epoch(&mut h.rt, &child, 22);
+        assert!(h.rt.checkpoint_anchor(&child).is_some());
 
-        let now = w.rt.now_ms();
+        let now = h.rt.now_ms();
         let crash = FaultKind::Crash {
-            subnet: w.child.clone(),
+            subnet: child.clone(),
         };
-        w.rt.extend_faults(FaultPlan {
+        h.rt.extend_faults(FaultPlan {
             rules: vec![FaultRule::new(now + 300, now + 2_500, crash)],
         });
-        w.rt.cross_transfer(&w.alice, &bob, whole(5)).unwrap();
-        w.rt.run_until_quiescent(4_000).unwrap();
-        audit_quiescent(&w.rt).unwrap();
+        h.fund(&bob, 5);
 
         // Compare at a fixed epoch past reconvergence but before the next
         // checkpoint cut (whose proof CID embeds post-rejoin timestamps).
-        let head = w.rt.node(&w.child).unwrap().chain().head_epoch();
+        let head = h.rt.node(&child).unwrap().chain().head_epoch();
         assert!(head < ChainEpoch::new(36), "quiescent before epoch 36");
-        drive_to_epoch(&mut w.rt, &w.child, 36);
+        drive_to_epoch(&mut h.rt, &child, 36);
         (
-            state_root_at(&w.rt, &w.child, 36),
-            w.rt.balance(&bob),
-            w.rt.chaos_stats(),
+            state_root_at(&h.rt, &child, 36),
+            h.rt.balance(&bob),
+            h.rt.chaos_stats(),
         )
     };
 
@@ -222,50 +195,47 @@ fn per_batch_retry_budget_survives_long_blackout() {
         },
         ..RuntimeConfig::default()
     };
-    let mut w = build(config, SaConfig::default());
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    let blocks_before = w.rt.node(&w.child).unwrap().chain().len();
+    let mut h = Harness::with(config, 1_000_000);
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&child);
+    h.fund(&bob, 30);
+    let blocks_before = h.rt.node(&child).unwrap().chain().len();
 
     // Crash, then black out the child's topic for far longer than the
     // 3-attempt budget (200+400+800 ms) and rejoin mid-blackout.
-    w.rt.crash_node(&w.child).unwrap();
-    let now = w.rt.now_ms();
+    h.rt.crash_node(&child).unwrap();
+    let now = h.rt.now_ms();
     let heal = now + 9_000;
-    w.rt.extend_faults(FaultPlan {
+    h.rt.extend_faults(FaultPlan {
         rules: vec![FaultRule::new(
             now,
             heal,
             FaultKind::Partition {
                 name: "blackout".into(),
-                topics: vec![w.child.topic()],
+                topics: vec![child.topic()],
                 subscribers: Vec::new(),
                 policy: PartitionPolicy::Drop,
             },
         )],
     });
-    w.rt.rejoin_node(&w.child).unwrap();
-    while w.rt.now_ms() < heal + 1_000 {
-        w.rt.step().unwrap();
+    h.rt.rejoin_node(&child).unwrap();
+    while h.rt.now_ms() < heal + 1_000 {
+        h.rt.step().unwrap();
     }
-    w.rt.run_until_quiescent(4_000).unwrap();
+    h.settle();
 
-    let stats = w.rt.chaos_stats();
+    let stats = h.rt.chaos_stats();
     assert!(
         stats.pull_budget_rearms >= 1,
         "the blackout must exhaust and re-arm the per-batch budget: {stats:?}"
     );
     assert_eq!(stats.catch_ups_completed, 1, "heal must complete catch-up");
     assert_eq!(stats.blocks_caught_up as usize, blocks_before);
-    assert!(!w.rt.is_catching_up(&w.child));
+    assert!(!h.rt.is_catching_up(&child));
 
     // Liveness after the heal: new cross-net work still lands.
-    w.rt.cross_transfer(&w.alice, &bob, whole(12)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    assert_eq!(w.rt.balance(&bob), whole(42));
-    audit_escrow(&w.rt).unwrap();
-    audit_quiescent(&w.rt).unwrap();
+    h.fund(&bob, 12);
+    assert_eq!(h.rt.balance(&bob), whole(42));
 }
 
 /// Satellite 3 regression, around `keep_manifests == 1`: a snapshot
@@ -294,28 +264,28 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
         checkpoint_period: 5,
         ..SaConfig::default()
     };
-    let mut w = build(config, sa);
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    drive_to_epoch(&mut w.rt, &w.child, 6);
-    let (anchor_epoch, anchor_manifest) = w.rt.checkpoint_anchor(&w.child).expect("cut at epoch 5");
+    let mut h = Harness::with(config, 1_000_000);
+    let child = h.spawn(&h.alice.clone(), sa);
+    let bob = h.user(&child);
+    h.fund(&bob, 30);
+    drive_to_epoch(&mut h.rt, &child, 6);
+    let (anchor_epoch, anchor_manifest) = h.rt.checkpoint_anchor(&child).expect("cut at epoch 5");
     assert_eq!(anchor_epoch, ChainEpoch::new(5));
 
     // Mutate state past the cut, then persist a snapshot: its manifest
     // displaces the anchored one from the size-1 window and triggers GC.
-    let carol = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.submit(&bob, carol.addr, whole(3), hc_state::Method::Send)
+    let carol = h.user(&child);
+    h.rt.submit(&bob, carol.addr, whole(3), hc_state::Method::Send)
         .unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
+    h.settle();
     assert!(
-        w.rt.node(&w.child).unwrap().chain().head_epoch() < ChainEpoch::new(10),
+        h.rt.node(&child).unwrap().chain().head_epoch() < ChainEpoch::new(10),
         "the next cut would re-anchor and mask the regression"
     );
-    w.rt.save_snapshot(&w.alice, &w.child).unwrap();
+    h.rt.save_snapshot(&h.alice, &child).unwrap();
 
     // The anchored manifest closure must have survived the sweep intact.
-    let store = w.rt.cid_store();
+    let store = h.rt.cid_store();
     let blob = store
         .get(&anchor_manifest)
         .expect("anchored manifest pruned by the keep-window sweep");
@@ -327,15 +297,13 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
     );
 
     // End to end: a snapshot rejoin still bootstraps from that anchor.
-    w.rt.crash_node(&w.child).unwrap();
-    w.rt.rejoin_node_with(&w.child, SyncMode::Snapshot).unwrap();
-    w.rt.run_until_quiescent(4_000).unwrap();
-    let stats = w.rt.chaos_stats();
+    h.rt.crash_node(&child).unwrap();
+    h.rt.rejoin_node_with(&child, SyncMode::Snapshot).unwrap();
+    h.settle();
+    let stats = h.rt.chaos_stats();
     assert_eq!(stats.snapshot_installs, 1);
     assert_eq!(stats.snapshot_fallbacks, 0);
-    assert_eq!(w.rt.balance(&carol), whole(3));
-    audit_escrow(&w.rt).unwrap();
-    audit_quiescent(&w.rt).unwrap();
+    assert_eq!(h.rt.balance(&carol), whole(3));
 }
 
 /// Recovery in snapshot mode fast-forwards an eligible subnet to its
@@ -365,14 +333,13 @@ fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
         checkpoint_period: 5,
         ..SaConfig::default()
     };
-    let mut w = build(config(SyncMode::Replay), sa);
-    let bob = w.rt.create_user(&w.child, TokenAmount::ZERO).unwrap();
-    w.rt.cross_transfer(&w.alice, &bob, whole(30)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    drive_to_epoch(&mut w.rt, &w.child, 12);
-    w.rt.cross_transfer(&w.alice, &bob, whole(7)).unwrap();
-    w.rt.run_until_quiescent(2_000).unwrap();
-    assert!(w.rt.checkpoint_anchor(&w.child).is_some());
+    let mut h = Harness::with(config(SyncMode::Replay), 1_000_000);
+    let child = h.spawn(&h.alice.clone(), sa);
+    let bob = h.user(&child);
+    h.fund(&bob, 30);
+    drive_to_epoch(&mut h.rt, &child, 12);
+    h.fund(&bob, 7);
+    assert!(h.rt.checkpoint_anchor(&child).is_some());
 
     let fingerprint = |rt: &HierarchyRuntime| {
         let mut out = Vec::new();
@@ -382,11 +349,10 @@ fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
         }
         out
     };
-    let expected = fingerprint(&w.rt);
-    let expected_bob = w.rt.balance(&bob);
-    let alice = w.alice.clone();
-    let child = w.child.clone();
-    drop(w);
+    let expected = fingerprint(&h.rt);
+    let expected_bob = h.rt.balance(&bob);
+    let alice = h.alice.clone();
+    drop(h);
 
     let before = hc_types::crypto::sha256_block_count();
     let rt_replay = HierarchyRuntime::recover(config(SyncMode::Replay));
@@ -396,7 +362,7 @@ fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
     drop(rt_replay);
 
     let before = hc_types::crypto::sha256_block_count();
-    let mut rt_snap = HierarchyRuntime::recover(config(SyncMode::Snapshot));
+    let rt_snap = HierarchyRuntime::recover(config(SyncMode::Snapshot));
     let snapshot_cost = hc_types::crypto::sha256_block_count() - before;
     assert_eq!(fingerprint(&rt_snap), expected, "fast-forward diverged");
     assert_eq!(rt_snap.balance(&bob), expected_bob);
@@ -406,10 +372,7 @@ fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
     );
 
     // The fast-forwarded world keeps working: new cross-net value lands.
-    rt_snap.cross_transfer(&alice, &bob, whole(5)).unwrap();
-    rt_snap.run_until_quiescent(2_000).unwrap();
-    assert_eq!(rt_snap.balance(&bob), expected_bob + whole(5));
-    audit_escrow(&rt_snap).unwrap();
-    audit_quiescent(&rt_snap).unwrap();
-    let _ = child;
+    let mut h = Harness { rt: rt_snap, alice };
+    h.fund(&bob, 5);
+    assert_eq!(h.rt.balance(&bob), expected_bob + whole(5));
 }

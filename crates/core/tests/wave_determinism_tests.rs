@@ -9,23 +9,19 @@
 
 mod common;
 
-use common::fingerprint;
+use common::{fingerprint, whole, Harness};
 use hc_core::{HierarchyRuntime, RuntimeConfig, UserHandle};
 use hc_net::NetConfig;
-use hc_types::{SubnetId, TokenAmount};
+use hc_types::SubnetId;
 
-fn whole(n: u64) -> TokenAmount {
-    TokenAmount::from_whole(n)
+/// The same 8-subnet flat tree under load in every call: construction and
+/// funding are driven sequentially so the runs differ only in how the
+/// final drain is stepped.
+fn flat8(parallelism: usize) -> (HierarchyRuntime, Vec<SubnetId>) {
+    flat8_with_cache(parallelism, hc_state::DEFAULT_SIG_CACHE_CAPACITY)
 }
 
-/// Builds the same 8-subnet flat tree under load in every call:
-/// construction and funding are driven sequentially so the runs differ
-/// only in how the final drain is stepped.
-fn build_world(parallelism: usize) -> (HierarchyRuntime, Vec<SubnetId>) {
-    build_world_with_cache(parallelism, hc_state::DEFAULT_SIG_CACHE_CAPACITY)
-}
-
-fn build_world_with_cache(
+fn flat8_with_cache(
     parallelism: usize,
     sig_cache_capacity: usize,
 ) -> (HierarchyRuntime, Vec<SubnetId>) {
@@ -39,32 +35,23 @@ fn build_world_with_cache(
         sig_cache_capacity,
         ..RuntimeConfig::default()
     };
-    let mut rt = HierarchyRuntime::new(config);
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000_000)).unwrap();
-
+    let mut h = Harness::with(config, 1_000_000);
     let mut subnets = Vec::new();
     let mut pairs: Vec<(UserHandle, UserHandle)> = Vec::new();
     for _ in 0..8 {
-        let validator = rt.create_user(&root, whole(100)).unwrap();
-        let subnet = rt
-            .spawn_subnet(
-                &alice,
-                hc_actors::sa::SaConfig::default(),
-                whole(10),
-                &[(validator, whole(5))],
-            )
-            .unwrap();
-        let a = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-        let b = rt.create_user(&subnet, TokenAmount::ZERO).unwrap();
-        rt.cross_transfer(&alice, &a, whole(50)).unwrap();
-        rt.cross_transfer(&alice, &b, whole(50)).unwrap();
+        let subnet = h.spawn(&h.alice.clone(), hc_actors::sa::SaConfig::default());
+        let (a, b) = (h.user(&subnet), h.user(&subnet));
+        h.rt.cross_transfer(&h.alice, &a, whole(50)).unwrap();
+        h.rt.cross_transfer(&h.alice, &b, whole(50)).unwrap();
         subnets.push(subnet);
         pairs.push((a, b));
     }
     // Drain the funding traffic sequentially in every world so the load
-    // below starts from one identical snapshot.
-    drive_sequential(&mut rt);
+    // below starts from one identical snapshot (`settle` would step in
+    // waves above parallelism 1).
+    drive_sequential(&mut h.rt);
+    h.check_state();
+    let mut rt = h.rt;
 
     // Load: intra-subnet transfers plus sibling-to-sibling cross-net
     // transfers (bottom-up through the root), all lazily queued so the
@@ -107,7 +94,7 @@ fn drive_waves(rt: &mut HierarchyRuntime) -> usize {
 
 #[test]
 fn step_wave_matches_sequential_at_every_parallelism() {
-    let (mut reference, _) = build_world(1);
+    let (mut reference, _) = flat8(1);
     drive_sequential(&mut reference);
     let expected = fingerprint(&reference);
     assert!(
@@ -116,7 +103,7 @@ fn step_wave_matches_sequential_at_every_parallelism() {
     );
 
     for threads in [1usize, 2, 8] {
-        let (mut rt, _) = build_world(threads);
+        let (mut rt, _) = flat8(threads);
         let widest = drive_waves(&mut rt);
         assert!(
             widest >= 4,
@@ -144,7 +131,7 @@ fn sig_cache_never_changes_results() {
     // every consensus-critical output — head CIDs, state roots, stats,
     // archived checkpoints — must be bit-identical with the cache off and
     // on, sequentially and under wave parallelism.
-    let (mut reference, _) = build_world_with_cache(1, 0);
+    let (mut reference, _) = flat8_with_cache(1, 0);
     drive_sequential(&mut reference);
     let expected = fingerprint(&reference);
     assert_eq!(
@@ -154,7 +141,7 @@ fn sig_cache_never_changes_results() {
     );
 
     for (threads, capacity) in [(1usize, 1024usize), (4, 1024), (4, 1)] {
-        let (mut rt, _) = build_world_with_cache(threads, capacity);
+        let (mut rt, _) = flat8_with_cache(threads, capacity);
         drive_waves(&mut rt);
         assert_eq!(
             fingerprint(&rt),
@@ -175,7 +162,7 @@ fn sig_cache_never_changes_results() {
 fn waves_never_mix_parents_and_children() {
     // A parent and child due at the same instant must land in different
     // waves — checkpoint submission and top-down sync couple them.
-    let (mut rt, subnets) = build_world(4);
+    let (mut rt, subnets) = flat8(4);
     let root = SubnetId::root();
     for _ in 0..2_000 {
         if rt.all_quiescent() {

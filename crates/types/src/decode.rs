@@ -235,10 +235,20 @@ impl<T: CanonicalDecode> CanonicalDecode for Option<T> {
     }
 }
 
+/// How many `T`s to reserve for a sequence of `len`: no more than the
+/// remaining input could hold as `T`s in memory. [`ByteReader::len_prefix`]
+/// admits one element per remaining byte, so reserving `len` outright would
+/// let a hostile count claim `size_of::<T>()` bytes of memory per byte of
+/// input before its first element fails to decode; a genuine sequence of
+/// values smaller on the wire than in memory grows past the reservation.
+fn reservation<T>(r: &ByteReader<'_>, len: usize) -> usize {
+    len.min(r.remaining() / std::mem::size_of::<T>().max(1))
+}
+
 impl<T: CanonicalDecode> CanonicalDecode for Vec<T> {
     fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let len = r.len_prefix("Vec")?;
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(reservation::<T>(r, len));
         for _ in 0..len {
             out.push(T::read_bytes(r)?);
         }
@@ -249,7 +259,7 @@ impl<T: CanonicalDecode> CanonicalDecode for Vec<T> {
 impl<T: CanonicalDecode> CanonicalDecode for VecDeque<T> {
     fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let len = r.len_prefix("VecDeque")?;
-        let mut out = VecDeque::with_capacity(len);
+        let mut out = VecDeque::with_capacity(reservation::<T>(r, len));
         for _ in 0..len {
             out.push_back(T::read_bytes(r)?);
         }

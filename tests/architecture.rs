@@ -2,10 +2,10 @@
 //!
 //! Each test pins one structural decision DESIGN.md records — one
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
-//! option without a scenario, content hashed once — so a change that
-//! reintroduces what a decision removed fails `cargo test` with the section
-//! it breaks. The checks are plain string matching over the repository's
-//! files (this file excluded, so its own needles never match).
+//! option without a scenario, one test world, content hashed once — so a
+//! change that reintroduces what a decision removed fails `cargo test` with
+//! the section it breaks. The checks are plain string matching over the
+//! repository's files (this file excluded, so its own needles never match).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -398,6 +398,27 @@ fn every_option_is_set_by_a_scenario() {
     assert_eq!(
         fields, 11,
         "DESIGN.md §12, §16: `RuntimeConfig` has 11 fields"
+    );
+}
+
+/// DESIGN.md §4, "Test harness": the hc-core suites build their worlds on
+/// one `Harness`, so only its module constructs a runtime or defines
+/// `whole`.
+#[test]
+fn one_test_world() {
+    let suites = files_under("crates/core/tests");
+    let found = hits(
+        &suites,
+        |s| s,
+        |l| l.contains("HierarchyRuntime::new(") || l.contains("fn whole("),
+    );
+    let (harness, elsewhere): (Vec<String>, Vec<String>) = found
+        .into_iter()
+        .partition(|h| h.starts_with("crates/core/tests/common/mod.rs:"));
+    assert!(
+        harness.len() == 2 && elsewhere.is_empty(),
+        "DESIGN.md §4 (Test harness): only `common::Harness` builds a world; \
+         found {elsewhere:#?} beside {harness:#?}"
     );
 }
 
