@@ -58,9 +58,10 @@ impl Default for E13Params {
 }
 
 impl E13Params {
-    /// The reduced size the tests, the scale-out guard and `report
-    /// --quick` run: a 100k-account ramp from 5 to 150 msgs/round against
-    /// 25-msg blocks, enough to saturate the root several times over.
+    /// The reduced size the tests, the scale-out guard and the `scale_out`
+    /// bench run (`report` always runs [`E13Params::default`]): a
+    /// 100k-account ramp from 5 to 150 msgs/round against 25-msg blocks,
+    /// enough to saturate the root several times over.
     pub fn quick() -> Self {
         E13Params {
             population: 100_000,

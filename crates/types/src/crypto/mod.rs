@@ -1,8 +1,9 @@
 //! Cryptographic primitives.
 //!
-//! * [`sha256`] / [`Sha256`] — a from-scratch, pure-Rust SHA-256 (FIPS
-//!   180-4), one-shot or streaming, the hash underlying all content
-//!   addressing in the system.
+//! * [`sha256`] / [`Sha256`] — a from-scratch SHA-256 (FIPS 180-4),
+//!   one-shot or streaming, the hash underlying all content addressing in
+//!   the system; it compresses on the x86 SHA extensions where the CPU has
+//!   them and with a portable loop elsewhere, to the same digests.
 //! * [`Keypair`], [`PublicKey`], [`Signature`] — a simulation-grade
 //!   signature scheme (see the type docs for the substitution rationale).
 //! * [`SignaturePolicy`], [`AggregateSignature`] — the checkpoint signature

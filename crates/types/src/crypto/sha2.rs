@@ -1,8 +1,14 @@
-//! Pure-Rust SHA-256 (FIPS 180-4).
+//! SHA-256 (FIPS 180-4), with two kernels behind one counted entry point.
 //!
 //! Implemented from the specification so the workspace has no dependency on
-//! external hashing crates. Validated against the official FIPS/NIST test
-//! vectors in the unit tests below.
+//! external hashing crates. Every block goes through `compress`, which
+//! counts it in [`sha256_block_count`] and then picks a kernel by runtime
+//! CPU detection: `compress_ni` on x86_64 CPUs with the SHA extensions,
+//! `compress_portable` — the specification's loop — everywhere else. The
+//! choice is not configurable and changes nothing but speed: both kernels
+//! compute the same function, so every digest, CID and block count is the
+//! same on every machine. The unit tests below hold each kernel to the
+//! official FIPS/NIST vectors and the hardware one to the portable one.
 
 use std::cell::Cell;
 
@@ -167,10 +173,95 @@ pub(crate) fn sha256_concat(parts: &[&[u8]]) -> [u8; 32] {
     hasher.finalize()
 }
 
+/// The one compression entry point: counts the block, then runs the
+/// hardware kernel where this CPU has one and the portable loop elsewhere.
+/// Both kernels compute the FIPS 180-4 function, so which one ran shows up
+/// in wall-clock time and nowhere else.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     if !UNCOUNTED.get() {
         BLOCKS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
     }
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_detected() {
+        #[allow(unsafe_code)]
+        // SAFETY: `sha_ni_detected` just confirmed that this CPU has every
+        // feature `compress_ni` is compiled for (SSE2 is x86_64's baseline).
+        return unsafe { compress_ni(state, block) };
+    }
+    compress_portable(state, block);
+}
+
+/// Whether this CPU has the SHA extensions, SSSE3 and SSE4.1 that
+/// [`compress_ni`] is compiled for. The standard library caches the CPUID
+/// answer, so a call costs a load and a test.
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_detected() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+/// The compression function on the x86 SHA extensions: `sha256rnds2`
+/// does two rounds, `sha256msg1`/`sha256msg2` extend the message schedule
+/// four words at a time. The state lives in two registers in the order the
+/// instructions want, `[A, B, E, F]` and `[C, D, G, H]` (highest lane
+/// first). Words go in and out as values, so the body has no pointer
+/// access — every intrinsic here is safe to call inside a function
+/// compiled for its features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use core::arch::x86_64::*;
+
+    let s = state.map(|x| x as i32);
+    let start_abef = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+    let start_cdgh = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+    let (mut abef, mut cdgh) = (start_abef, start_cdgh);
+
+    // `w[q % 4]` holds schedule words 4q..4q+4, lowest lane first.
+    let mut w = [_mm_setzero_si128(); 4];
+    for (slot, bytes) in w.iter_mut().zip(block.chunks_exact(16)) {
+        let word =
+            |i: usize| i32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
+        *slot = _mm_set_epi32(word(12), word(8), word(4), word(0));
+    }
+    for q in 0..16 {
+        if q >= 4 {
+            // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16], four at a
+            // time: msg1 adds σ0, the byte shift brings in W[t-7], msg2 σ1.
+            let partial = _mm_add_epi32(
+                _mm_sha256msg1_epu32(w[q % 4], w[(q + 1) % 4]),
+                _mm_alignr_epi8::<4>(w[(q + 3) % 4], w[(q + 2) % 4]),
+            );
+            w[q % 4] = _mm_sha256msg2_epu32(partial, w[(q + 3) % 4]);
+        }
+        let k = |i: usize| K[4 * q + i] as i32;
+        let wk = _mm_add_epi32(w[q % 4], _mm_set_epi32(k(3), k(2), k(1), k(0)));
+        // Two rounds return the new [A, B, E, F]; the old one is the new
+        // [C, D, G, H], so the registers swap roles and swap back.
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+    }
+
+    let abef = _mm_add_epi32(abef, start_abef);
+    let cdgh = _mm_add_epi32(cdgh, start_cdgh);
+    *state = [
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ]
+    .map(|x| x as u32);
+}
+
+/// The compression function as FIPS 180-4 §6.2.2 writes it: the fallback
+/// on every CPU without the SHA extensions, and the reference the tests
+/// hold [`compress_ni`] to.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -293,6 +384,140 @@ mod tests {
                 hex(hasher.finalize()),
                 "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
                 "split at {at}"
+            );
+        }
+    }
+
+    type Kernel = fn(&mut [u32; 8], &[u8; 64]);
+
+    /// `compress_ni` where this CPU has its features; elsewhere `None`,
+    /// after a line saying `test` skipped its hardware half. Tests call the
+    /// kernel directly, so both are checked whichever one `compress` picks.
+    #[allow(unsafe_code)]
+    fn ni_kernel(test: &str) -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni_detected() {
+            // SAFETY: the features `compress_ni` is compiled for were just
+            // detected, and a CPU does not lose them while a process runs.
+            return Some(|state, block| unsafe { compress_ni(state, block) });
+        }
+        println!("{test}: no SHA extensions on this CPU, the compress_ni half is skipped");
+        None
+    }
+
+    /// SplitMix64: a seeded, dependency-free source of test inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// SHA-256 of `data`, padded by hand and compressed by `kernel` alone.
+    fn digest_with(kernel: Kernel, data: &[u8]) -> [u8; 32] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            kernel(&mut state, block.try_into().expect("64-byte chunk"));
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn the_kernels_agree_on_every_state_and_block() {
+        let Some(ni) = ni_kernel("the_kernels_agree_on_every_state_and_block") else {
+            return;
+        };
+        let mut rng = Rng(28);
+        let mut cases: Vec<([u32; 8], [u8; 64])> = (0..10_000)
+            .map(|_| {
+                let state = std::array::from_fn(|_| rng.next() as u32);
+                (state, std::array::from_fn(|_| rng.next() as u8))
+            })
+            .collect();
+        for block in [[0u8; 64], [0xff; 64]] {
+            cases.extend([(H0, block), ([0; 8], block), ([u32::MAX; 8], block)]);
+        }
+        for (i, (state, block)) in cases.iter().enumerate() {
+            let (mut want, mut got) = (*state, *state);
+            compress_portable(&mut want, block);
+            ni(&mut got, block);
+            assert_eq!(
+                got, want,
+                "case {i}: state {state:08x?}, block {block:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_kernel_passes_the_fips_vectors() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        let portable: Kernel = compress_portable;
+        let kernels = [
+            Some(("compress_portable", portable)),
+            ni_kernel("each_kernel_passes_the_fips_vectors").map(|k| ("compress_ni", k)),
+        ];
+        for (name, kernel) in kernels.into_iter().flatten() {
+            for (data, want) in vectors {
+                assert_eq!(
+                    hex(digest_with(kernel, data)),
+                    want,
+                    "{name}, {} bytes",
+                    data.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_matches_the_portable_reference() {
+        let mut rng = Rng(300);
+        for len in 0..=300usize {
+            let data: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            let mut cuts: Vec<usize> = (0..3).map(|_| rng.next() as usize % (len + 1)).collect();
+            cuts.sort_unstable();
+            let mut hasher = Sha256::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                hasher.update(&data[from..cut]);
+                from = cut;
+            }
+            assert_eq!(
+                hasher.finalize(),
+                digest_with(compress_portable, &data),
+                "length {len}"
             );
         }
     }

@@ -10,8 +10,9 @@
 //! * [`TokenAmount`] — checked, fixed-point native-token arithmetic.
 //! * [`Cid`] — content identifiers derived from SHA-256 digests of canonical
 //!   encodings, used to address checkpoints, cross-message groups, and state.
-//! * [`crypto`] — a pure-Rust SHA-256 implementation (validated against
-//!   FIPS 180-4 vectors), a simulation-grade signature scheme, and the
+//! * [`crypto`] — a from-scratch SHA-256 (validated against FIPS 180-4
+//!   vectors; x86 SHA extensions where the CPU has them, the workspace's one
+//!   `unsafe` call), a simulation-grade signature scheme, and the
 //!   multi-signature / threshold signature policies used by checkpoint
 //!   validation.
 //! * [`merkle`] — binary Merkle trees with membership proofs, used for
@@ -35,7 +36,7 @@
 //! assert!(root.is_ancestor_of(&b));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod address;

@@ -2,10 +2,11 @@
 //!
 //! Each test pins one structural decision DESIGN.md records — one
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
-//! option without a scenario, one test world, content hashed once — so a
-//! change that reintroduces what a decision removed fails `cargo test` with
-//! the section it breaks. The checks are plain string matching over the
-//! repository's files (this file excluded, so its own needles never match).
+//! option without a scenario, one test world, content hashed once, one
+//! `unsafe` block — so a change that reintroduces what a decision removed
+//! fails `cargo test` with the section it breaks. The checks are plain
+//! string matching over the repository's files (this file excluded, so its
+//! own needles never match).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -496,5 +497,54 @@ fn content_is_hashed_once() {
     assert_eq!(
         absorbs, 2,
         "DESIGN.md §10: a window message is absorbed where it is queued and where it is decoded"
+    );
+}
+
+/// DESIGN.md §10, "the hash-once rule": the workspace's one `unsafe` block
+/// is `compress`'s call into the SHA-extensions kernel, under a `SAFETY:`
+/// comment, and every crate but hc-types forbids unsafe code outright.
+#[test]
+fn one_unsafe_block() {
+    let mut dirs = crate_dirs("src");
+    dirs.extend(["src", "e2e/src"].map(String::from));
+    for dir in &dirs {
+        let lib = format!("{dir}/lib.rs");
+        let want = if lib == "crates/types/src/lib.rs" {
+            "#![deny(unsafe_code)]"
+        } else {
+            "#![forbid(unsafe_code)]"
+        };
+        assert!(
+            read_rel(&lib).lines().any(|l| l == want),
+            "DESIGN.md §10: {lib} must say `{want}`"
+        );
+    }
+
+    let sources: Vec<PathBuf> = dirs
+        .iter()
+        .flat_map(|d| files_under(d))
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .collect();
+    let code = |l: &str| l.split("//").next().unwrap_or_default().to_owned();
+    let blocks = hits(&sources, non_test, |l| has_word(&code(l), "unsafe"));
+    let sha2 = read_rel("crates/types/src/crypto/sha2.rs");
+    let compress = block(
+        non_test(&sha2),
+        "fn compress(state: &mut [u32; 8], block: &[u8; 64]) {",
+        "}",
+    );
+    let at = compress.iter().position(|l| has_word(&code(l), "unsafe"));
+    let justified = at.is_some_and(|at| {
+        compress[..at]
+            .iter()
+            .rev()
+            .map(|l| l.trim_start())
+            .take_while(|l| l.starts_with("//"))
+            .any(|l| l.starts_with("// SAFETY:"))
+    });
+    assert!(
+        blocks.len() == 1 && blocks[0].starts_with("crates/types/src/crypto/sha2.rs:") && justified,
+        "DESIGN.md §10: the one `unsafe` block is in `fn compress`, directly under a \
+         `// SAFETY:` comment; found {blocks:#?}"
     );
 }
