@@ -2,7 +2,7 @@
 //! hierarchy through a settle → region-disaster → heal → re-settle
 //! cycle, across placement policies and disaster scenarios.
 //!
-//! Each iteration builds a root + parent + child hierarchy on the E14
+//! Each iteration builds E14's two-parent, two-child hierarchy on its
 //! three-region geography, funds a deep user, injects the scenario as a
 //! region-scoped fault window, rides the window out (crash, blackhole,
 //! deterministic rejoin and catch-up), and settles one more transfer —
@@ -12,72 +12,35 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hc_actors::sa::SaConfig;
-use hc_core::{HierarchyRuntime, PlacementPolicy, RuntimeConfig, SyncMode};
+use hc_core::{PlacementPolicy, SyncMode};
 use hc_net::{FaultKind, FaultPlan, FaultRule};
-use hc_sim::experiments::e14_geo::geography;
-use hc_types::{SubnetId, TokenAmount};
+use hc_sim::experiments::e14_geo::GeoWorld;
+use hc_sim::metrics::ride_out;
+use hc_types::TokenAmount;
 
 fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
 }
 
 fn disaster_cycle(placement: PlacementPolicy, outage: bool) {
-    let mut config = RuntimeConfig {
-        seed: 0xE14,
-        placement,
-        sync_mode: SyncMode::Snapshot,
-        ..RuntimeConfig::default()
-    };
-    config.net.regions = geography();
-    let mut rt = HierarchyRuntime::new(config);
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(10_000)).unwrap();
-    let v = rt.create_user(&root, whole(100)).unwrap();
-    let sa = SaConfig {
-        checkpoint_period: 5,
-        ..SaConfig::default()
-    };
-    let parent = rt
-        .spawn_subnet(&alice, sa.clone(), whole(10), &[(v, whole(5))])
-        .unwrap();
-    let u = rt.create_user(&parent, TokenAmount::ZERO).unwrap();
-    let w = rt.create_user(&parent, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &u, whole(100)).unwrap();
-    rt.cross_transfer(&alice, &w, whole(50)).unwrap();
-    rt.run_until_quiescent(20_000).unwrap();
-    let child = rt
-        .spawn_subnet(&u, sa, whole(10), &[(w, whole(5))])
-        .unwrap();
-    let bob = rt.create_user(&child, TokenAmount::ZERO).unwrap();
-    rt.cross_transfer(&alice, &bob, whole(40)).unwrap();
-    rt.run_until_quiescent(20_000).unwrap();
+    let mut w = GeoWorld::build(placement, 0xE14, 5, SyncMode::Snapshot).unwrap();
+    w.rt.cross_transfer(&w.alice, &w.bob, whole(40)).unwrap();
+    w.rt.run_until_quiescent(20_000).unwrap();
 
-    let now = rt.now_ms();
+    let now = w.rt.now_ms();
     let heal_ms = now + 5_400;
     if outage {
-        let region = rt.region_of_subnet(&child).unwrap_or("us-east").to_owned();
+        let region = w.rt.region_of_subnet(&w.c1).unwrap_or("us-east").to_owned();
         let outage = FaultKind::RegionOutage { region };
-        rt.extend_faults(FaultPlan {
+        w.rt.extend_faults(FaultPlan {
             rules: vec![FaultRule::new(now + 400, heal_ms, outage)],
         });
     }
-    let mut guard = 0u64;
-    while rt.now_ms() < heal_ms
-        || rt.is_crashed(&child)
-        || rt.is_catching_up(&child)
-        || rt.is_crashed(&parent)
-        || rt.is_catching_up(&parent)
-    {
-        rt.step().unwrap();
-        guard += 1;
-        assert!(guard < 200_000, "the fault window must close");
-    }
-    rt.run_until_quiescent(30_000).unwrap();
+    ride_out(&mut w.rt, heal_ms).unwrap();
 
-    rt.cross_transfer(&alice, &bob, whole(2)).unwrap();
-    rt.run_until_quiescent(20_000).unwrap();
-    assert_eq!(rt.balance(&bob), whole(42));
+    w.rt.cross_transfer(&w.alice, &w.bob, whole(2)).unwrap();
+    w.rt.run_until_quiescent(20_000).unwrap();
+    assert_eq!(w.rt.balance(&w.bob), whole(42));
 }
 
 fn bench_geo(c: &mut Criterion) {

@@ -52,15 +52,18 @@ pub struct SyncCost {
     pub final_state_root: Cid,
 }
 
-/// Builds the world, drives the child chain to `target` blocks, and
-/// crashes the child. Returns the runtime, the child's id, and the chain
-/// length at the crash.
-fn build_crashed(target: u64) -> (HierarchyRuntime, SubnetId, u64) {
+/// Builds the world under `mode`, drives the child chain to `target`
+/// blocks, and crashes the child. Returns the runtime, the child's id, and
+/// the chain length at the crash.
+fn build_crashed(target: u64, mode: SyncMode) -> (HierarchyRuntime, SubnetId, u64) {
     let sa = SaConfig {
         checkpoint_period: CHECKPOINT_PERIOD,
         ..SaConfig::default()
     };
-    let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+    let mut rt = HierarchyRuntime::new(RuntimeConfig {
+        sync_mode: mode,
+        ..RuntimeConfig::default()
+    });
     let root = SubnetId::root();
     let alice = rt.create_user(&root, whole(1_000_000)).unwrap();
     let validator = rt.create_user(&root, whole(100)).unwrap();
@@ -99,10 +102,10 @@ fn build_crashed(target: u64) -> (HierarchyRuntime, SubnetId, u64) {
 /// One full crash–rejoin cycle at `target` chain blocks under `mode`,
 /// measuring the hash work of the bootstrap alone.
 pub fn rejoin_cost(target: u64, mode: SyncMode) -> SyncCost {
-    let (mut rt, child, chain_blocks) = build_crashed(target);
+    let (mut rt, child, chain_blocks) = build_crashed(target, mode);
 
     let before = hc_types::crypto::sha256_block_count();
-    rt.rejoin_node_with(&child, mode).unwrap();
+    rt.rejoin_node(&child).unwrap();
     while rt.is_catching_up(&child) {
         rt.step().unwrap();
     }

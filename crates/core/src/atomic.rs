@@ -168,7 +168,7 @@ impl AtomicOrchestrator {
                 parties: party_addrs.clone(),
                 inputs: input_cids.clone(),
             }
-            .encode();
+            .canonical_bytes();
             let msg = CrossMsg::call(
                 initiator.hc_address(),
                 HcAddress::new(coordinator.clone(), Address::ATOMIC_EXEC),
@@ -223,7 +223,7 @@ impl AtomicOrchestrator {
                     },
                 );
             } else {
-                let params = AtomicSubmitParams { exec, output }.encode();
+                let params = AtomicSubmitParams { exec, output }.canonical_bytes();
                 let msg = CrossMsg::call(
                     p.user.hc_address(),
                     HcAddress::new(coordinator.clone(), Address::ATOMIC_EXEC),
@@ -297,7 +297,7 @@ impl AtomicOrchestrator {
             );
             Ok(())
         } else {
-            let params = hc_state::params::AtomicAbortParams { exec: *exec }.encode();
+            let params = hc_state::params::AtomicAbortParams { exec: *exec }.canonical_bytes();
             let msg = CrossMsg::call(
                 p.user.hc_address(),
                 HcAddress::new(coordinator.clone(), Address::ATOMIC_EXEC),

@@ -14,7 +14,10 @@
 //! poison the node. Both legs of every round trip cross the simulated network, so
 //! partitions, loss, duplication, and reordering from the
 //! [`hc_net::FaultPlan`] all apply; lost requests are retried under the
-//! same capped-backoff [`hc_net::RetryPolicy`] as content resolution.
+//! same capped-backoff [`hc_net::RetryPolicy`] as content resolution. A
+//! catching-up node reads its inbox through the same front door as a live
+//! one (`HierarchyRuntime::poll_network`), and every reply leaves with the
+//! node as origin, so region rules see its region.
 //!
 //! Rejoin supports two bootstrap strategies ([`SyncMode`]): *replay*
 //! re-validates and re-executes every missed block from genesis, while
@@ -181,6 +184,22 @@ pub(crate) struct CatchUp {
     pub(crate) base_blocks: usize,
 }
 
+/// The sync traffic [`HierarchyRuntime::poll_network`] read from a node's
+/// inbox, in arrival order.
+#[derive(Debug, Default)]
+pub(crate) struct SyncInbox {
+    /// First epochs of the [`ResolutionMsg::BlockPull`]s for the node's
+    /// own subnet.
+    pub(crate) block_pulls: Vec<ChainEpoch>,
+    /// Blocks of the [`ResolutionMsg::BlockBatch`]es for the node's own
+    /// subnet.
+    pub(crate) block_batches: Vec<Vec<Vec<u8>>>,
+    /// [`ResolutionMsg::BlobPull`]s: the CIDs asked for and the reply topic.
+    pub(crate) blob_pulls: Vec<(Vec<Cid>, String)>,
+    /// Blobs of the [`ResolutionMsg::BlobBatch`]es.
+    pub(crate) blob_batches: Vec<Vec<Vec<u8>>>,
+}
+
 /// In-flight snapshot assembly of one rejoined node.
 #[derive(Debug)]
 pub(crate) struct SnapshotSync {
@@ -277,20 +296,9 @@ impl HierarchyRuntime {
         Ok(())
     }
 
-    /// Restarts `subnet`'s crashed node with the configured
-    /// [`RuntimeConfig::sync_mode`](crate::RuntimeConfig) — see
-    /// [`HierarchyRuntime::rejoin_node_with`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when `subnet` is not crashed or its boot parameters were
-    /// never recorded (it was never spawned through the runtime).
-    pub fn rejoin_node(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
-        self.rejoin_node_with(subnet, self.config.sync_mode)
-    }
-
     /// Restarts `subnet`'s crashed node: rebuilds it from genesis with the
-    /// recorded boot parameters and enters the catch-up phase. In
+    /// recorded boot parameters and enters the catch-up phase under the
+    /// configured [`RuntimeConfig::sync_mode`](crate::RuntimeConfig). In
     /// [`SyncMode::Replay`] the node pulls and re-executes every block it
     /// missed; in [`SyncMode::Snapshot`] it first assembles the latest
     /// checkpoint-anchored state snapshot from peers and replays only the
@@ -301,11 +309,7 @@ impl HierarchyRuntime {
     ///
     /// Fails when `subnet` is not crashed or its boot parameters were
     /// never recorded (it was never spawned through the runtime).
-    pub fn rejoin_node_with(
-        &mut self,
-        subnet: &SubnetId,
-        mode: SyncMode,
-    ) -> Result<(), RuntimeError> {
+    pub fn rejoin_node(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
         let not_crashed = || RuntimeError::Execution(format!("{subnet} is not crashed"));
         let record = self.subnets.by_id.get_mut(subnet).ok_or_else(not_crashed)?;
         let crashed = record.crashed.take().ok_or_else(not_crashed)?;
@@ -336,7 +340,7 @@ impl HierarchyRuntime {
         // runtime recorded, whose cut block the surviving peers still
         // serve (the trust root), and whose manifest closure the peers
         // can actually provide. Anything less degrades to full replay.
-        let snapshot = match mode {
+        let snapshot = match self.config.sync_mode {
             SyncMode::Replay => None,
             SyncMode::Snapshot => {
                 let anchor = self.checkpoint_anchor(subnet).filter(|(epoch, manifest)| {
@@ -474,50 +478,24 @@ impl HierarchyRuntime {
         Ok(CrashPhase::Done)
     }
 
-    /// One catch-up round for `subnet`: drain the node's inbox (serving
-    /// its own pull echoes from the peer chain or blob store and applying
-    /// any received batches), finish if the peers' head is reached,
-    /// otherwise (re)issue a pull under the retry/backoff schedule. While
-    /// a snapshot is being assembled the round works on chunk blobs; once
-    /// it is installed, on the block suffix.
+    /// One catch-up round for `subnet`: read the inbox through the live
+    /// [`HierarchyRuntime::poll_network`] (content replies go out as it
+    /// reads), serve the node's own pull echoes from the blob store and
+    /// the peer chain, apply received batches, then finish if the peers'
+    /// head is reached or (re)issue a pull under the retry/backoff
+    /// schedule. While a snapshot is being assembled the round works on
+    /// chunk blobs; once it is installed, on the block suffix.
     fn advance_catch_up(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
         let now_ms = self.now_ms;
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        let mut pulls_seen: Vec<ChainEpoch> = Vec::new();
-        let mut blob_pulls_seen: Vec<(Vec<Cid>, String)> = Vec::new();
-        let mut batches: Vec<Vec<Vec<u8>>> = Vec::new();
-        let mut blob_batches: Vec<Vec<Vec<u8>>> = Vec::new();
-        let mut certs = Vec::new();
-        for msg in self.network.poll(node.subscription, now_ms) {
-            match msg {
-                ResolutionMsg::BlockPull {
-                    subnet: s,
-                    from_epoch,
-                    ..
-                } if s == *subnet => pulls_seen.push(from_epoch),
-                ResolutionMsg::BlockBatch { subnet: s, blocks } if s == *subnet => {
-                    batches.push(blocks);
-                }
-                ResolutionMsg::BlobPull { cids, reply_topic } => {
-                    blob_pulls_seen.push((cids, reply_topic));
-                }
-                ResolutionMsg::BlobBatch { blobs } => blob_batches.push(blobs),
-                ResolutionMsg::Certificate(cert) => certs.push(*cert),
-                other => {
-                    if let Some((topic, reply)) = node.resolver.handle(other) {
-                        self.network.publish(&topic, reply, now_ms, None);
-                    }
-                }
-            }
-        }
-        for cert in certs {
-            self.ingest_certificate(subnet, cert);
-        }
+        let inbox = self.poll_network(subnet, now_ms)?;
+        // The runtime stands in for the subnet's surviving peers, which the
+        // single-process simulation elides; they sit in the node's region,
+        // so their replies leave with the node as origin.
+        let origin = Some(self.known_node(subnet)?.subscription);
 
-        // Surviving peers answer snapshot-chunk pulls from the shared blob
-        // store, in bounded batches (as with block pulls, the runtime
-        // stands in for the peers the single-process simulation elides).
-        for (cids, reply_topic) in blob_pulls_seen {
+        // Peers answer snapshot-chunk pulls from the shared blob store, in
+        // bounded batches.
+        for (cids, reply_topic) in inbox.blob_pulls {
             let blobs: Vec<Vec<u8>> = {
                 let store = self.cid_store();
                 cids.iter()
@@ -530,12 +508,8 @@ impl HierarchyRuntime {
                 continue;
             }
             self.chaos.blob_batches += 1;
-            self.network.publish(
-                &reply_topic,
-                ResolutionMsg::BlobBatch { blobs },
-                now_ms,
-                None,
-            );
+            let batch = ResolutionMsg::BlobBatch { blobs };
+            self.network.publish(&reply_topic, batch, now_ms, origin);
         }
 
         // Snapshot fetch phase: the anchored manifest closure must be
@@ -545,41 +519,37 @@ impl HierarchyRuntime {
             .catch_up(subnet)
             .is_some_and(|cu| cu.snapshot.is_some())
         {
-            return self.advance_snapshot_fetch(subnet, blob_batches, now_ms);
+            return self.advance_snapshot_fetch(subnet, inbox.blob_batches, now_ms);
         }
 
-        // Surviving peers answer pulls from their copy of the chain, in
-        // bounded batches — a long outage takes several round trips.
-        for from_epoch in pulls_seen {
+        // Peers answer pulls from their copy of the chain, in bounded
+        // batches — a long outage takes several round trips.
+        for from_epoch in inbox.block_pulls {
             let Some(cu) = self.subnets.catch_up(subnet) else {
                 break;
             };
-            let batch: Vec<Vec<u8>> = cu
+            let blocks: Vec<Vec<u8>> = cu
                 .peer_blocks
                 .iter()
                 .filter(|b| b.header.epoch >= from_epoch)
                 .take(BLOCK_BATCH_CAP)
                 .map(CanonicalEncode::canonical_bytes)
                 .collect();
-            if batch.is_empty() {
+            if blocks.is_empty() {
                 continue;
             }
             self.chaos.block_batches += 1;
-            self.network.publish(
-                &subnet.topic(),
-                ResolutionMsg::BlockBatch {
-                    subnet: subnet.clone(),
-                    blocks: batch,
-                },
-                now_ms,
-                None,
-            );
+            let batch = ResolutionMsg::BlockBatch {
+                subnet: subnet.clone(),
+                blocks,
+            };
+            self.network.publish(&subnet.topic(), batch, now_ms, origin);
         }
 
         // Replay received batches. Duplicated or overlapping batches are
         // harmless: only the block matching the node's next epoch applies.
         let mut progressed = false;
-        for blocks in batches {
+        for blocks in inbox.block_batches {
             for bytes in blocks {
                 let Ok(block) = Block::decode(&bytes) else {
                     continue;

@@ -83,7 +83,7 @@ pub struct RuntimeConfig {
     pub mempool: MempoolConfig,
     /// How a rejoining node ([`crate::HierarchyRuntime::rejoin_node`]) and
     /// a restarting runtime ([`crate::HierarchyRuntime::recover`]) bootstrap
-    /// missed history: [`crate::SyncMode::Replay`] re-executes every missed
+    /// missed history — the only place the choice is made: [`crate::SyncMode::Replay`] re-executes every missed
     /// block, [`crate::SyncMode::Snapshot`] installs the latest
     /// checkpoint-anchored state snapshot and replays only the
     /// post-checkpoint suffix, degrading to replay when no usable anchor

@@ -27,7 +27,9 @@
 //!
 //! * [`runtime`] — [`HierarchyRuntime`]: the struct, construction, the
 //!   event loop and the one per-block pipeline (`run_wave`: `pre_tick` →
-//!   `fan_out(produce_local)` → `post_tick`; a tick is a wave of one).
+//!   `fan_out(produce_local)` → `post_tick`; a tick is a wave of one),
+//!   and each node's one front door, `poll_network`, which reads the inbox
+//!   of a live and a catching-up node alike.
 //!   Its API continues, by concern, in the private `users`, `lifecycle`
 //!   and `stats` modules; `config` holds [`RuntimeConfig`] and the plain
 //!   types of the API.
@@ -45,7 +47,9 @@
 //!   ([`ControlRecord`], blocks included) and
 //!   [`HierarchyRuntime::recover`], which rebuilds the hierarchy from it
 //!   in one scan.
-//! * [`chaos`] — live node crash–rejoin, peer catch-up and snapshot sync.
+//! * [`chaos`] — live node crash–rejoin (one entry, `rejoin_node`, in the
+//!   configured [`RuntimeConfig::sync_mode`]), peer catch-up and snapshot
+//!   sync.
 //! * [`elastic`], [`atomic`], [`archive`], [`audit`], [`attack`] — the
 //!   scale-out controller, 2PC orchestration, the checkpoint archive,
 //!   supply audits, and adversarial injection.

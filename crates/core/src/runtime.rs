@@ -17,6 +17,7 @@ use hc_state::{CidStore, ImplicitMsg, Method, VmEvent};
 use hc_store::Persistence;
 use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TokenAmount};
 
+use crate::chaos::SyncInbox;
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 use crate::journal::Journal;
 use crate::node::{LocalOutcome, SubnetNode};
@@ -462,17 +463,18 @@ impl HierarchyRuntime {
     /// virtual time.
     fn pre_tick(&mut self, subnet: &SubnetId) -> Result<u64, RuntimeError> {
         self.refresh_validators(subnet);
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         // Blocks form a total order on the global virtual clock: each block
         // lands strictly after every previously produced block (causal
         // consistency for cross-chain reads), and never before the node's
         // own schedule.
-        let at_ms = node.next_block_at_ms.max(self.now_ms + 1);
+        let at_ms = self
+            .known_node(subnet)?
+            .next_block_at_ms
+            .max(self.now_ms + 1);
         self.now_ms = at_ms;
 
-        for cert in Self::poll_network(node, &self.network, at_ms) {
-            self.ingest_certificate(subnet, cert);
-        }
+        // Sync traffic is for a catching-up node; a live one ignores it.
+        self.poll_network(subnet, at_ms)?;
         self.sync_parent(subnet)?;
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         Self::resolve_pending(node, &self.network, at_ms);
@@ -499,40 +501,62 @@ impl HierarchyRuntime {
         }
     }
 
-    /// Ingests pub-sub traffic for the node and answers pull requests.
-    /// Returns the fund certificates received: validating one reads other
-    /// nodes' chains, which is the caller's reach.
-    fn poll_network(
-        node: &mut SubnetNode,
-        network: &Network<ResolutionMsg>,
+    /// The node's one front door, for live and catching-up nodes alike:
+    /// reads `subnet`'s inbox, answers content traffic through the resolver
+    /// with the node as origin, ingests the fund certificates received
+    /// (validating one reads other nodes' chains), and returns the sync
+    /// traffic, which only a catching-up node acts on.
+    pub(crate) fn poll_network(
+        &mut self,
+        subnet: &SubnetId,
         now_ms: u64,
-    ) -> Vec<FundCertificate> {
+    ) -> Result<SyncInbox, RuntimeError> {
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         let mut certs = Vec::new();
-        for msg in network.poll(node.subscription, now_ms) {
-            if let ResolutionMsg::Certificate(cert) = msg {
-                certs.push(*cert);
-                continue;
-            }
-            // The resolver cache dies with the process, but the content
-            // registry is canonical state (the state tree's registry
-            // log) and survives crash recovery — re-seed on demand so
-            // a rejoined node still serves pulls for groups it
-            // checkpointed before the crash (the registry is the
-            // authoritative store; the cache is only its hot front).
-            if let ResolutionMsg::Pull { cid, .. } = &msg {
-                if !node.resolver.cache().contains(cid) {
-                    if let Some(group) = node.tree.resolve_content(cid) {
-                        node.resolver.seed(group.clone());
+        let mut sync = SyncInbox::default();
+        for msg in self.network.poll(node.subscription, now_ms) {
+            match msg {
+                ResolutionMsg::Certificate(cert) => certs.push(*cert),
+                ResolutionMsg::BlockPull {
+                    subnet: s,
+                    from_epoch,
+                    ..
+                } if s == *subnet => sync.block_pulls.push(from_epoch),
+                ResolutionMsg::BlockBatch { subnet: s, blocks } if s == *subnet => {
+                    sync.block_batches.push(blocks);
+                }
+                ResolutionMsg::BlobPull { cids, reply_topic } => {
+                    sync.blob_pulls.push((cids, reply_topic));
+                }
+                ResolutionMsg::BlobBatch { blobs } => sync.blob_batches.push(blobs),
+                msg => {
+                    // The resolver cache dies with the process, but the
+                    // content registry is canonical state (the state tree's
+                    // registry log) and survives crash recovery — re-seed
+                    // on demand so a rejoined node still serves pulls for
+                    // groups it checkpointed before the crash (the registry
+                    // is the authoritative store; the cache is only its hot
+                    // front).
+                    if let ResolutionMsg::Pull { cid, .. } = &msg {
+                        if !node.resolver.cache().contains(cid) {
+                            if let Some(group) = node.tree.resolve_content(cid) {
+                                node.resolver.seed(group.clone());
+                            }
+                        }
+                    }
+                    if let Some((topic, reply)) = node.resolver.handle(msg) {
+                        // State the replying node as origin so region-scoped
+                        // rules see the true (from, to) region pair.
+                        let origin = Some(node.subscription);
+                        self.network.publish(&topic, reply, now_ms, origin);
                     }
                 }
             }
-            if let Some((topic, reply)) = node.resolver.handle(msg) {
-                // State the replying node as origin so region-scoped rules
-                // see the true (from, to) region pair.
-                network.publish(&topic, reply, now_ms, Some(node.subscription));
-            }
         }
-        certs
+        for cert in certs {
+            self.ingest_certificate(subnet, cert);
+        }
+        Ok(sync)
     }
 
     /// Validates a received fund certificate against the *source's* Subnet

@@ -16,8 +16,10 @@ mod common;
 
 use common::{subnet_fingerprint, whole, Harness, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
-use hc_core::{audit_quiescent, HierarchyRuntime, RuntimeConfig, SyncMode};
-use hc_net::{FaultKind, FaultPlan, FaultRule, PartitionPolicy, RetryPolicy};
+use hc_core::{audit_quiescent, HierarchyRuntime, PlacementPolicy, RuntimeConfig, SyncMode};
+use hc_net::{
+    FaultKind, FaultPlan, FaultRule, PartitionPolicy, RegionMap, ResolutionMsg, RetryPolicy,
+};
 use hc_state::Method;
 use hc_types::{ChainEpoch, SubnetId, TokenAmount};
 
@@ -135,7 +137,7 @@ fn claimant_on_a_non_root_parent_survives_a_replay_rejoin() {
     let twin = subnet_fingerprint(&h.rt, &a);
 
     h.rt.crash_node(&a).unwrap();
-    h.rt.rejoin_node_with(&a, SyncMode::Replay).unwrap();
+    h.rt.rejoin_node(&a).unwrap();
     for _ in 0..400 {
         if !h.rt.is_catching_up(&a) {
             break;
@@ -155,6 +157,108 @@ fn claimant_on_a_non_root_parent_survives_a_replay_rejoin() {
     );
     assert_eq!(h.rt.balance(&claimant), whole(1));
     audit_quiescent(&h.rt).unwrap();
+}
+
+/// A catching-up node's sync replies leave from its own region: the peers
+/// the runtime stands in for sit there. The leaf is placed in region "b",
+/// and a cut severs "b" from the root's region "a" across the whole rejoin;
+/// the leaf's pulls and their batches never leave "b", so it catches up
+/// inside the window.
+#[test]
+fn catch_up_replies_leave_from_the_rejoining_nodes_region() {
+    let mut config = RuntimeConfig {
+        placement: PlacementPolicy::RoundRobin,
+        ..RuntimeConfig::default()
+    };
+    config.net.regions = RegionMap::named(&["a", "b"]);
+    let mut h = Harness::with(config, 1_000_000);
+    let leaf = h.spawn(&h.alice.clone(), SaConfig::default());
+    assert_eq!(h.rt.region_of_subnet(&leaf), Some("b"));
+    let bob = h.user(&leaf);
+    h.fund(&bob, 30);
+
+    h.rt.crash_node(&leaf).unwrap();
+    let now = h.rt.now_ms();
+    let heal_ms = now + 30_000;
+    let cut = FaultKind::RegionPartition {
+        name: "cut".into(),
+        a: "a".into(),
+        b: "b".into(),
+        policy: PartitionPolicy::Drop,
+    };
+    h.rt.extend_faults(FaultPlan {
+        rules: vec![FaultRule::new(now, heal_ms, cut)],
+    });
+    h.rt.rejoin_node(&leaf).unwrap();
+    while h.rt.is_catching_up(&leaf) && h.rt.now_ms() < heal_ms {
+        h.rt.step().unwrap();
+    }
+    let stats = h.rt.chaos_stats();
+    assert_eq!(
+        stats.catch_ups_completed, 1,
+        "stalled behind the cut: {stats:?}"
+    );
+    assert!(stats.blocks_caught_up > 0);
+    h.settle();
+    assert_eq!(h.rt.balance(&bob), whole(30));
+}
+
+/// A catching-up node serves pulls for content its history already cut:
+/// the content registry is canonical state, and the one inbox loop
+/// re-seeds the resolver cache from it on a miss, mid catch-up as when
+/// live. The group is cut at the snapshot anchor, so it arrives with the
+/// installed state and no replayed cut has put it in the cache.
+#[test]
+fn a_catching_up_node_serves_pulls_from_its_registry() {
+    let config = RuntimeConfig {
+        sync_mode: SyncMode::Snapshot,
+        ..RuntimeConfig::default()
+    };
+    let mut h = Harness::with(config, 1_000_000);
+    let sa = SaConfig {
+        checkpoint_period: 20,
+        ..SaConfig::default()
+    };
+    let child = h.spawn(&h.alice.clone(), sa);
+    let bob = h.user(&child);
+    let carol = h.user(&SubnetId::root());
+    h.fund(&bob, 30);
+    h.release(&bob, &carol, 5);
+    let history = h.rt.checkpoint_archive().history(&child);
+    let metas = history.iter().flat_map(|e| &e.signed.checkpoint.cross_msgs);
+    let group = metas
+        .map(|m| m.msgs_cid)
+        .next()
+        .expect("the release was cut");
+    // Leave a suffix of several batches past the anchor.
+    let (anchor, _) = h.rt.checkpoint_anchor(&child).unwrap();
+    while h.rt.node(&child).unwrap().chain().head_epoch() < anchor + 15 {
+        h.rt.step().unwrap();
+    }
+
+    h.rt.crash_node(&child).unwrap();
+    h.rt.rejoin_node(&child).unwrap();
+    while h.rt.chaos_stats().snapshot_installs == 0 {
+        h.rt.step().unwrap();
+    }
+    let pull = ResolutionMsg::Pull {
+        cid: group,
+        reply_topic: SubnetId::root().topic(),
+    };
+    h.rt.inject_gossip(&child.topic(), pull);
+    let resolver = |h: &Harness| h.rt.node(&child).unwrap().resolver().stats();
+    while resolver(&h).pulls_served == 0 && h.rt.is_catching_up(&child) {
+        h.rt.step().unwrap();
+    }
+    assert_eq!(resolver(&h).pulls_served, 1, "{:?}", resolver(&h));
+    assert_eq!(resolver(&h).pulls_missed, 0);
+    assert!(
+        h.rt.is_catching_up(&child),
+        "served before catch-up completed"
+    );
+    assert_eq!(h.rt.chaos_stats().catch_ups_completed, 0);
+    h.settle();
+    assert_eq!(h.rt.chaos_stats().catch_ups_completed, 1);
 }
 
 /// The F9 headline: a run whose child crashes mid-epoch and rejoins

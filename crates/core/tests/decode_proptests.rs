@@ -1,8 +1,9 @@
 //! Hostile bytes against the canonical decoders of state, blocks and the
 //! checkpoint archive: `ScaState` and `SaConfig` (hc-actors), `Method`,
-//! `ImplicitMsg`, `AccountState` and `RegistryEntry` (hc-state) and
-//! `ArchiveEntry` (hc-core). Every one of them reads bytes a peer or a disk
-//! supplies — a snapshot's chunk blobs, a block batch, a journal record.
+//! `ImplicitMsg`, `AccountState`, `RegistryEntry` and the three `Atomic*Params`
+//! of cross-net calls (hc-state) and `ArchiveEntry` (hc-core). Every one of
+//! them reads bytes a peer or a disk supplies — a snapshot's chunk blobs, a
+//! block batch, a journal record, a cross-message's call data.
 //!
 //! One property over the whole type list: arbitrary bytes, and a valid
 //! encoding with bits flipped or its end cut or extended, never panic the
@@ -20,6 +21,7 @@ use hc_actors::sa::{ConsensusKind, FraudProof, JoinPolicy, SaConfig};
 use hc_actors::snapshot::StateSnapshot;
 use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, MsgGroup, ScaConfig, ScaState};
 use hc_core::archive::ArchiveEntry;
+use hc_state::params::{AtomicAbortParams, AtomicInitParams, AtomicSubmitParams};
 use hc_state::{AccountState, ImplicitMsg, Method, RegistryEntry};
 use hc_types::crypto::{AggregateSignature, SignaturePolicy};
 use hc_types::{
@@ -284,6 +286,35 @@ fn decoders() -> Vec<(&'static str, Reencode, Vec<Vec<u8>>)> {
             "RegistryEntry",
             reencode::<RegistryEntry>,
             encodings([RegistryEntry(group())]),
+        ),
+        (
+            "AtomicInitParams",
+            reencode::<AtomicInitParams>,
+            encodings([
+                AtomicInitParams {
+                    parties: vec![at(&[200], 1), at(&[201, 300], 2)],
+                    inputs: vec![Cid::digest(b"i"), Cid::digest(b"j")],
+                },
+                AtomicInitParams {
+                    parties: Vec::new(),
+                    inputs: Vec::new(),
+                },
+            ]),
+        ),
+        (
+            "AtomicSubmitParams",
+            reencode::<AtomicSubmitParams>,
+            encodings([AtomicSubmitParams {
+                exec: Cid::digest(b"exec"),
+                output: Cid::digest(b"o"),
+            }]),
+        ),
+        (
+            "AtomicAbortParams",
+            reencode::<AtomicAbortParams>,
+            encodings([AtomicAbortParams {
+                exec: Cid::digest(b"exec"),
+            }]),
         ),
     ]
 }

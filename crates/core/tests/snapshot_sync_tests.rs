@@ -58,7 +58,11 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
         checkpoint_period: 5,
         ..SaConfig::default()
     };
-    let mut h = Harness::setup();
+    let config = RuntimeConfig {
+        sync_mode: SyncMode::Snapshot,
+        ..RuntimeConfig::default()
+    };
+    let mut h = Harness::with(config, 1_000_000);
     let child = h.spawn(&h.alice.clone(), sa);
     let bob = h.user(&child);
     h.rt.cross_transfer(&h.alice, &bob, whole(30)).unwrap();
@@ -81,7 +85,7 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
     for _ in 0..6 {
         h.rt.step().unwrap();
     }
-    h.rt.rejoin_node_with(&child, SyncMode::Snapshot).unwrap();
+    h.rt.rejoin_node(&child).unwrap();
     assert!(h.rt.is_catching_up(&child));
     while h.rt.is_catching_up(&child) {
         h.rt.step().unwrap();
@@ -258,6 +262,7 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
             wal: WalOptions::default(),
             keep_manifests: 1,
         }),
+        sync_mode: SyncMode::Snapshot,
         ..RuntimeConfig::default()
     };
     let sa = SaConfig {
@@ -298,7 +303,7 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
 
     // End to end: a snapshot rejoin still bootstraps from that anchor.
     h.rt.crash_node(&child).unwrap();
-    h.rt.rejoin_node_with(&child, SyncMode::Snapshot).unwrap();
+    h.rt.rejoin_node(&child).unwrap();
     h.settle();
     let stats = h.rt.chaos_stats();
     assert_eq!(stats.snapshot_installs, 1);

@@ -82,10 +82,11 @@ impl SubscriberId {
 /// Aggregate traffic statistics.
 ///
 /// Every candidate delivery is accounted for exactly once:
-/// `attempts == scheduled + dropped + partition_dropped +
-/// targeted_dropped + offline_dropped + region_dropped + region_lost`,
-/// and after a full drain `scheduled + duplicated == delivered +
-/// redelivered + offline_cleared` (plus whatever
+/// `attempts == outcomes()`, where [`NetStats::outcomes`] sums `scheduled`
+/// and the six drop classes `dropped`, `partition_dropped`,
+/// `targeted_dropped`, `offline_dropped`, `region_dropped` and
+/// `region_lost`; and after a full drain `scheduled + duplicated ==
+/// delivered + redelivered + offline_cleared` (plus whatever
 /// [`Network::pending_deliveries`] still holds). A hold is counted only
 /// for a delivery that was scheduled, once, for the partition whose heal
 /// time releases it: `partition_held + region_held <= scheduled`.
@@ -137,6 +138,20 @@ pub struct NetStats {
     /// [`crate::RegionLink::loss_rate`] matrix or an active
     /// [`crate::FaultKind::RegionDegrade`] inflation.
     pub region_lost: u64,
+}
+
+impl NetStats {
+    /// Deliveries scheduled or counted in a drop class: equal to
+    /// [`NetStats::attempts`] whenever the ledger closes.
+    pub fn outcomes(&self) -> u64 {
+        self.scheduled
+            + self.dropped
+            + self.partition_dropped
+            + self.targeted_dropped
+            + self.offline_dropped
+            + self.region_dropped
+            + self.region_lost
+    }
 }
 
 /// Delivered-latency summary of one topic, measured per unique delivery
@@ -1188,16 +1203,7 @@ mod tests {
         assert_eq!(n.poll(b, 1_000), vec![2]);
         let stats = n.stats();
         assert_eq!(stats.region_lost, 1);
-        assert_eq!(
-            stats.attempts,
-            stats.scheduled
-                + stats.dropped
-                + stats.partition_dropped
-                + stats.targeted_dropped
-                + stats.offline_dropped
-                + stats.region_dropped
-                + stats.region_lost
-        );
+        assert_eq!(stats.attempts, stats.outcomes());
     }
 
     #[test]

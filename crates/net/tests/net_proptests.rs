@@ -30,17 +30,7 @@ fn group(id: u64, n: u64) -> (hc_types::Cid, Vec<CrossMsg>) {
 /// in exactly one drop class; everything scheduled is polled, cleared or
 /// still `pending`; and a hold is counted once, for a scheduled delivery.
 fn assert_ledgers_close(stats: &NetStats, pending: u64) {
-    assert_eq!(
-        stats.attempts,
-        stats.scheduled
-            + stats.dropped
-            + stats.partition_dropped
-            + stats.targeted_dropped
-            + stats.offline_dropped
-            + stats.region_dropped
-            + stats.region_lost,
-        "{stats:?}"
-    );
+    assert_eq!(stats.attempts, stats.outcomes(), "{stats:?}");
     assert_eq!(
         stats.scheduled + stats.duplicated,
         stats.delivered + stats.redelivered + stats.offline_cleared + pending,

@@ -225,9 +225,7 @@ proptest! {
         prop_assert_eq!(stats.region_dropped, blackholed);
         // a's own copy never leaves "us": it is always scheduled.
         prop_assert_eq!(stats.scheduled, publishes.len() as u64 * 2 - blackholed);
-        prop_assert_eq!(
-            stats.attempts,
-            stats.scheduled + stats.region_dropped
-        );
+        prop_assert_eq!(stats.attempts, stats.outcomes());
+        prop_assert_eq!(stats.attempts, publishes.len() as u64 * 2);
     }
 }

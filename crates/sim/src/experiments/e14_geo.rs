@@ -27,7 +27,7 @@ use hc_core::{
 use hc_net::{FaultKind, FaultPlan, FaultRule, PartitionPolicy, RegionLink, RegionMap};
 use hc_types::{SubnetId, TokenAmount};
 
-use crate::metrics::measure_delivery;
+use crate::metrics::{measure_delivery, ride_out};
 use crate::table::{f2, yes_no, Table};
 
 fn whole(n: u64) -> TokenAmount {
@@ -148,70 +148,88 @@ fn placement_label(p: PlacementPolicy) -> &'static str {
 }
 
 /// Root + two parents + one child each, placed by `placement` on the E14
-/// geography, plus the users the workload drives.
-struct GeoWorld {
-    rt: HierarchyRuntime,
-    alice: UserHandle,
+/// geography, plus the users the workload drives. E14 and the geo chaos
+/// suite share it.
+#[derive(Debug)]
+pub struct GeoWorld {
+    /// The placed hierarchy.
+    pub rt: HierarchyRuntime,
+    /// The funded root user.
+    pub alice: UserHandle,
     /// User in `c1` (the deep endpoint of the measured legs).
-    bob: UserHandle,
+    pub bob: UserHandle,
     /// User in `c2` (the outage target's deep endpoint).
-    carol: UserHandle,
-    p1: SubnetId,
-    c1: SubnetId,
-    c2: SubnetId,
+    pub carol: UserHandle,
+    /// The first parent.
+    pub p1: SubnetId,
+    /// The first parent's child.
+    pub c1: SubnetId,
+    /// The second parent's child.
+    pub c2: SubnetId,
 }
 
-fn build(
-    placement: PlacementPolicy,
-    seed: u64,
-    checkpoint_period: u64,
-) -> Result<GeoWorld, RuntimeError> {
-    let mut config = RuntimeConfig {
-        seed,
-        placement,
-        sync_mode: SyncMode::Snapshot,
-        ..RuntimeConfig::default()
-    };
-    config.net.regions = geography();
-    let sa = SaConfig {
-        checkpoint_period,
-        ..SaConfig::default()
-    };
-    let mut rt = HierarchyRuntime::new(config);
-    let root = SubnetId::root();
-    let alice = rt.create_user(&root, whole(1_000_000))?;
-    let v1 = rt.create_user(&root, whole(100))?;
-    let v2 = rt.create_user(&root, whole(100))?;
+impl GeoWorld {
+    /// Builds the world: every subnet checkpoints every
+    /// `checkpoint_period` epochs, and a crashed node rejoins in
+    /// `sync_mode`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates set-up failures.
+    pub fn build(
+        placement: PlacementPolicy,
+        seed: u64,
+        checkpoint_period: u64,
+        sync_mode: SyncMode,
+    ) -> Result<GeoWorld, RuntimeError> {
+        let mut config = RuntimeConfig {
+            seed,
+            placement,
+            sync_mode,
+            ..RuntimeConfig::default()
+        };
+        config.net.regions = geography();
+        let sa = SaConfig {
+            checkpoint_period,
+            ..SaConfig::default()
+        };
+        let mut rt = HierarchyRuntime::new(config);
+        let root = SubnetId::root();
+        let alice = rt.create_user(&root, whole(1_000_000))?;
+        let v1 = rt.create_user(&root, whole(100))?;
+        let v2 = rt.create_user(&root, whole(100))?;
 
-    // Boot order fixes the round-robin slots: p1, c1, p2, c2.
-    let p1 = rt.spawn_subnet(&alice, sa.clone(), whole(10), &[(v1, whole(5))])?;
-    let u1 = rt.create_user(&p1, TokenAmount::ZERO)?;
-    let w1 = rt.create_user(&p1, TokenAmount::ZERO)?;
-    rt.cross_transfer(&alice, &u1, whole(100))?;
-    rt.cross_transfer(&alice, &w1, whole(50))?;
-    rt.run_until_quiescent(20_000)?;
-    let c1 = rt.spawn_subnet(&u1, sa.clone(), whole(10), &[(w1, whole(5))])?;
+        // Boot order fixes the round-robin slots: root, p1, c1, p2, c2 →
+        // us-east, eu-west, ap-south, us-east, eu-west under geo-spread.
+        let p1 = rt.spawn_subnet(&alice, sa.clone(), whole(10), &[(v1, whole(5))])?;
+        let u1 = rt.create_user(&p1, TokenAmount::ZERO)?;
+        let w1 = rt.create_user(&p1, TokenAmount::ZERO)?;
+        rt.cross_transfer(&alice, &u1, whole(100))?;
+        rt.cross_transfer(&alice, &w1, whole(50))?;
+        rt.run_until_quiescent(20_000)?;
+        let c1 = rt.spawn_subnet(&u1, sa.clone(), whole(10), &[(w1, whole(5))])?;
 
-    let p2 = rt.spawn_subnet(&alice, sa.clone(), whole(10), &[(v2, whole(5))])?;
-    let u2 = rt.create_user(&p2, TokenAmount::ZERO)?;
-    let w2 = rt.create_user(&p2, TokenAmount::ZERO)?;
-    rt.cross_transfer(&alice, &u2, whole(100))?;
-    rt.cross_transfer(&alice, &w2, whole(50))?;
-    rt.run_until_quiescent(20_000)?;
-    let c2 = rt.spawn_subnet(&u2, sa, whole(10), &[(w2, whole(5))])?;
+        let p2 = rt.spawn_subnet(&alice, sa.clone(), whole(10), &[(v2, whole(5))])?;
+        let u2 = rt.create_user(&p2, TokenAmount::ZERO)?;
+        let w2 = rt.create_user(&p2, TokenAmount::ZERO)?;
+        rt.cross_transfer(&alice, &u2, whole(100))?;
+        rt.cross_transfer(&alice, &w2, whole(50))?;
+        rt.run_until_quiescent(20_000)?;
+        let c2 = rt.spawn_subnet(&u2, sa, whole(10), &[(w2, whole(5))])?;
 
-    let bob = rt.create_user(&c1, TokenAmount::ZERO)?;
-    let carol = rt.create_user(&c2, TokenAmount::ZERO)?;
-    rt.run_until_quiescent(20_000)?;
-    Ok(GeoWorld {
-        rt,
-        alice,
-        bob,
-        carol,
-        p1,
-        c1,
-        c2,
-    })
+        let bob = rt.create_user(&c1, TokenAmount::ZERO)?;
+        let carol = rt.create_user(&c2, TokenAmount::ZERO)?;
+        rt.run_until_quiescent(20_000)?;
+        Ok(GeoWorld {
+            rt,
+            alice,
+            bob,
+            carol,
+            p1,
+            c1,
+            c2,
+        })
+    }
 }
 
 /// Injects `scenario` as a `[now+400, now+5400)` window of region-scoped
@@ -272,7 +290,7 @@ fn run_seed(
     seed: u64,
     checkpoint_period: u64,
 ) -> Result<SeedOutcome, RuntimeError> {
-    let mut w = build(placement, seed, checkpoint_period)?;
+    let mut w = GeoWorld::build(placement, seed, checkpoint_period, SyncMode::Snapshot)?;
     let root = SubnetId::root();
     let ckpts_before =
         w.rt.node(&root)
@@ -304,19 +322,7 @@ fn run_seed(
         1
     };
 
-    // Make sure the heal time has passed (a fully quiescent hierarchy
-    // stops advancing on its own), then let the recovery wave finish.
-    let mut guard = 0u32;
-    while w.rt.now_ms() < heal_ms {
-        w.rt.step()?;
-        guard += 1;
-        if guard > 200_000 {
-            return Err(RuntimeError::Execution(
-                "virtual time failed to reach the heal point".into(),
-            ));
-        }
-    }
-    w.rt.run_until_quiescent(30_000)?;
+    ride_out(&mut w.rt, heal_ms)?;
 
     // Post-heal measured legs: top-down into c2 (the healed region) and
     // bottom-up out of c1 — settlement must work *after* the disaster.
@@ -331,14 +337,7 @@ fn run_seed(
     // for every region-crashed member.
     let chaos = w.rt.chaos_stats();
     let net = w.rt.net_stats();
-    let ledger_reconciles = net.attempts
-        == net.scheduled
-            + net.dropped
-            + net.partition_dropped
-            + net.targeted_dropped
-            + net.offline_dropped
-            + net.region_dropped
-            + net.region_lost;
+    let ledger_reconciles = net.attempts == net.outcomes();
     let subnets: Vec<SubnetId> = w.rt.subnets().cloned().collect();
     let all_live = subnets
         .iter()

@@ -59,6 +59,29 @@ pub fn measure_delivery(
     })
 }
 
+/// Rides a fault window out: steps until virtual time passes `heal_ms` (a
+/// quiescent hierarchy does not advance on its own), then runs to
+/// quiescence, which waits for every crashed node to rejoin and catch up.
+///
+/// # Errors
+///
+/// Fails when 200 000 steps do not reach `heal_ms`; propagates step
+/// failures.
+pub fn ride_out(rt: &mut HierarchyRuntime, heal_ms: u64) -> Result<(), RuntimeError> {
+    let mut guard = 0u32;
+    while rt.now_ms() < heal_ms {
+        rt.step()?;
+        guard += 1;
+        if guard > 200_000 {
+            return Err(RuntimeError::Execution(
+                "virtual time failed to reach the heal point".into(),
+            ));
+        }
+    }
+    rt.run_until_quiescent(30_000)?;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,11 +2,11 @@
 //!
 //! Cross-net messages carry opaque call data (`CrossMsgKind::Call { method,
 //! params }`). This module defines the method selectors understood by the
-//! system actors and a small, canonical, self-contained binary codec for
-//! their parameters — the piece a real deployment would get from its VM ABI.
+//! system actors and their parameters, which travel in the canonical
+//! encoding — the piece a real deployment would get from its VM ABI.
 
 use hc_actors::HcAddress;
-use hc_types::{Address, CanonicalEncode, Cid, SubnetId};
+use hc_types::{decode_fields, encode_fields, ByteReader, CanonicalDecode, Cid, DecodeError};
 
 /// Method selector: initialize an atomic execution at the coordinator.
 pub const METHOD_ATOMIC_INIT: u64 = 1;
@@ -15,76 +15,8 @@ pub const METHOD_ATOMIC_SUBMIT: u64 = 2;
 /// Method selector: abort an atomic execution.
 pub const METHOD_ATOMIC_ABORT: u64 = 3;
 
-/// Errors produced when decoding call parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError(pub &'static str);
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "parameter decode error: {}", self.0)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// A cursor over canonical parameter bytes.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(DecodeError("unexpected end of input"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn read_u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn read_cid(&mut self) -> Result<Cid, DecodeError> {
-        let b = self.take(32)?;
-        Ok(Cid::from_bytes(b.try_into().expect("32 bytes")))
-    }
-
-    fn read_subnet(&mut self) -> Result<SubnetId, DecodeError> {
-        let len = self.read_u64()? as usize;
-        if len > hc_types::subnet_id::MAX_DEPTH {
-            return Err(DecodeError("subnet route too deep"));
-        }
-        let mut route = Vec::with_capacity(len);
-        for _ in 0..len {
-            route.push(Address::new(self.read_u64()?));
-        }
-        Ok(SubnetId::from_route(route))
-    }
-
-    fn read_haddr(&mut self) -> Result<HcAddress, DecodeError> {
-        let subnet = self.read_subnet()?;
-        let raw = Address::new(self.read_u64()?);
-        Ok(HcAddress::new(subnet, raw))
-    }
-
-    fn finish(&self) -> Result<(), DecodeError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(DecodeError("trailing bytes after parameters"))
-        }
-    }
-}
+/// Most parties, and most inputs, one [`AtomicInitParams`] may carry.
+const MAX_PARTIES: usize = 1_024;
 
 /// Parameters of [`METHOD_ATOMIC_SUBMIT`]: `(exec_id, output)`.
 ///
@@ -99,28 +31,8 @@ pub struct AtomicSubmitParams {
     pub output: Cid,
 }
 
-impl AtomicSubmitParams {
-    /// Encodes the parameters canonically.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        self.exec.write_bytes(&mut out);
-        self.output.write_bytes(&mut out);
-        out
-    }
-
-    /// Decodes parameters produced by [`AtomicSubmitParams::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated or oversized input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut c = Cursor::new(bytes);
-        let exec = c.read_cid()?;
-        let output = c.read_cid()?;
-        c.finish()?;
-        Ok(AtomicSubmitParams { exec, output })
-    }
-}
+encode_fields!(AtomicSubmitParams { exec, output });
+decode_fields!(AtomicSubmitParams { exec, output });
 
 /// Parameters of [`METHOD_ATOMIC_ABORT`]: the execution ID.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,29 +41,11 @@ pub struct AtomicAbortParams {
     pub exec: Cid,
 }
 
-impl AtomicAbortParams {
-    /// Encodes the parameters canonically.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        self.exec.write_bytes(&mut out);
-        out
-    }
-
-    /// Decodes parameters produced by [`AtomicAbortParams::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated or oversized input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut c = Cursor::new(bytes);
-        let exec = c.read_cid()?;
-        c.finish()?;
-        Ok(AtomicAbortParams { exec })
-    }
-}
+encode_fields!(AtomicAbortParams { exec });
+decode_fields!(AtomicAbortParams { exec });
 
 /// Parameters of [`METHOD_ATOMIC_INIT`]: the parties and their locked
-/// input-state CIDs (one per party, same order).
+/// input-state CIDs (one per party, same order), at most 1 024 of each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtomicInitParams {
     /// The involved parties.
@@ -160,60 +54,30 @@ pub struct AtomicInitParams {
     pub inputs: Vec<Cid>,
 }
 
-impl AtomicInitParams {
-    /// Encodes the parameters canonically.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        (self.parties.len() as u64).write_bytes(&mut out);
-        for p in &self.parties {
-            p.write_bytes(&mut out);
-        }
-        (self.inputs.len() as u64).write_bytes(&mut out);
-        for i in &self.inputs {
-            i.write_bytes(&mut out);
-        }
-        out
-    }
+encode_fields!(AtomicInitParams { parties, inputs });
 
-    /// Decodes parameters produced by [`AtomicInitParams::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated, oversized, or over-deep input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut c = Cursor::new(bytes);
-        let n = c.read_u64()? as usize;
-        if n > 1_024 {
-            return Err(DecodeError("too many parties"));
+impl CanonicalDecode for AtomicInitParams {
+    fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        let parties = Vec::<HcAddress>::read_bytes(r)?;
+        if parties.len() > MAX_PARTIES {
+            return Err(DecodeError::Invalid {
+                what: "too many parties",
+            });
         }
-        let mut parties = Vec::with_capacity(n);
-        for _ in 0..n {
-            parties.push(c.read_haddr()?);
+        let inputs = Vec::<Cid>::read_bytes(r)?;
+        if inputs.len() > MAX_PARTIES {
+            return Err(DecodeError::Invalid {
+                what: "too many inputs",
+            });
         }
-        let m = c.read_u64()? as usize;
-        if m > 1_024 {
-            return Err(DecodeError("too many inputs"));
-        }
-        let mut inputs = Vec::with_capacity(m);
-        for _ in 0..m {
-            inputs.push(c.read_cid()?);
-        }
-        c.finish()?;
         Ok(AtomicInitParams { parties, inputs })
     }
 }
 
-// The HcAddress reader is used by tests and future cross-net call params.
-#[allow(dead_code)]
-fn read_party(bytes: &[u8]) -> Result<HcAddress, DecodeError> {
-    let mut c = Cursor::new(bytes);
-    let p = c.read_haddr()?;
-    c.finish()?;
-    Ok(p)
-}
-
 #[cfg(test)]
 mod tests {
+    use hc_types::{Address, CanonicalEncode, SubnetId};
+
     use super::*;
 
     #[test]
@@ -222,7 +86,7 @@ mod tests {
             exec: Cid::digest(b"exec"),
             output: Cid::digest(b"out"),
         };
-        assert_eq!(AtomicSubmitParams::decode(&p.encode()).unwrap(), p);
+        assert_eq!(AtomicSubmitParams::decode(&p.canonical_bytes()).unwrap(), p);
     }
 
     #[test]
@@ -230,7 +94,7 @@ mod tests {
         let p = AtomicAbortParams {
             exec: Cid::digest(b"exec"),
         };
-        assert_eq!(AtomicAbortParams::decode(&p.encode()).unwrap(), p);
+        assert_eq!(AtomicAbortParams::decode(&p.canonical_bytes()).unwrap(), p);
     }
 
     #[test]
@@ -239,7 +103,7 @@ mod tests {
             exec: Cid::digest(b"exec"),
             output: Cid::digest(b"out"),
         };
-        let bytes = p.encode();
+        let bytes = p.canonical_bytes();
         assert!(AtomicSubmitParams::decode(&bytes[..bytes.len() - 1]).is_err());
         let mut longer = bytes.clone();
         longer.push(0);
@@ -248,24 +112,21 @@ mod tests {
     }
 
     #[test]
-    fn haddr_round_trip_through_cursor() {
-        let addr = HcAddress::new(
-            SubnetId::from_route([Address::new(100), Address::new(101)]),
-            Address::new(7),
-        );
-        let bytes = addr.canonical_bytes();
-        assert_eq!(read_party(&bytes).unwrap(), addr);
-    }
-
-    #[test]
-    fn subnet_depth_is_bounded() {
+    fn init_params_bound_parties_and_subnet_depth() {
+        let party = |depth: u64| {
+            let route = (0..depth).map(|i| Address::new(100 + i));
+            HcAddress::new(SubnetId::from_route(route), Address::new(7))
+        };
+        let init = |parties: Vec<HcAddress>| AtomicInitParams {
+            parties,
+            inputs: vec![Cid::digest(b"in")],
+        };
+        let ok = init(vec![party(2); MAX_PARTIES]);
+        assert_eq!(AtomicInitParams::decode(&ok.canonical_bytes()).unwrap(), ok);
+        let crowded = init(vec![party(2); MAX_PARTIES + 1]);
+        assert!(AtomicInitParams::decode(&crowded.canonical_bytes()).is_err());
         // 33 segments exceeds MAX_DEPTH.
-        let mut bytes = Vec::new();
-        (33u64).write_bytes(&mut bytes);
-        for i in 0..33u64 {
-            i.write_bytes(&mut bytes);
-        }
-        (7u64).write_bytes(&mut bytes);
-        assert!(read_party(&bytes).is_err());
+        let deep = init(vec![party(33)]);
+        assert!(AtomicInitParams::decode(&deep.canonical_bytes()).is_err());
     }
 }

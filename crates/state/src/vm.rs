@@ -19,7 +19,7 @@ use hc_actors::checkpoint::Checkpoint;
 use hc_actors::sa::SaState;
 use hc_actors::sca::CheckpointOutcome;
 use hc_actors::{AtomicExecStatus, CrossMsg, CrossMsgKind, ExecId, HcAddress, Ledger};
-use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 use crate::access::StateAccess;
 use crate::message::{ImplicitMsg, Message, Method};

@@ -8,7 +8,7 @@ use hc_state::{
     apply_implicit, apply_sealed, ImplicitMsg, Message, Method, Receipt, SealedMessage,
     SignedMessage, StateTree, VmEvent,
 };
-use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
+use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
 /// Applies a signed message the way a block does: sealed, with the
 /// verdict of a full signature verification.
@@ -401,7 +401,7 @@ fn atomic_execution_via_local_and_cross_net_submissions() {
     // The remote party's submission arrives as a top-down... actually as a
     // bottom-up cross-net call committed by consensus. Simulate the
     // implicit application directly.
-    let params = AtomicSubmitParams { exec, output: out }.encode();
+    let params = AtomicSubmitParams { exec, output: out }.canonical_bytes();
     let mut cross = CrossMsg::call(
         remote,
         HcAddress::new(SubnetId::root(), Address::ATOMIC_EXEC),

@@ -2,8 +2,8 @@
 //!
 //! Each test pins one structural decision DESIGN.md records — one
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
-//! option without a scenario, one test world, content hashed once, one
-//! `unsafe` block — so a change that reintroduces what a decision removed
+//! option without a scenario, one front door per node, one test world,
+//! content hashed once, one `unsafe` block — so a change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
 //! own needles never match).
@@ -144,6 +144,47 @@ fn is_field(line: &str, pub_only: bool) -> bool {
         .find(|c: char| !(c.is_ascii_lowercase() || c == '_'))
         .unwrap_or(rest.len());
     name_len > 0 && rest[name_len..].starts_with(':')
+}
+
+/// The name of the function that holds byte `at` of `src`: the last `fn`
+/// declared before it.
+fn enclosing_fn(src: &str, at: usize) -> &str {
+    src[..at]
+        .lines()
+        .rev()
+        .find_map(|l| {
+            let l = l.trim_start();
+            let l = ["pub(crate) ", "pub "]
+                .iter()
+                .find_map(|p| l.strip_prefix(p))
+                .unwrap_or(l);
+            let name = l.strip_prefix("fn ")?;
+            Some(&name[..name.find(|c: char| !is_word(c)).unwrap_or(name.len())])
+        })
+        .unwrap_or_default()
+}
+
+/// The last argument of the call whose `(` is byte `open` of `src`.
+fn last_arg(src: &str, open: usize) -> &str {
+    let (mut depth, mut start, mut last) = (0, open + 1, "");
+    for (i, c) in src[open..].char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 || (c == ',' && depth == 1) {
+            let arg = src[start..open + i].trim();
+            if !arg.is_empty() {
+                last = arg;
+            }
+            start = open + i + 1;
+        }
+        if depth == 0 {
+            break;
+        }
+    }
+    last
 }
 
 /// A comparison of a worker count with 0 or 1: `parallelism > 1`,
@@ -371,7 +412,8 @@ fn one_journal() {
 /// DESIGN.md §12 and §16: a settable value no experiment, figure, example
 /// or benchmark varies is a constant or derived — no retry jitter, no
 /// elastic config struct, no certificates switch, no mempool dedup-horizon
-/// knob — and a claimant journals as an adoption.
+/// knob, no per-rejoin sync mode beside `RuntimeConfig::sync_mode` — and a
+/// claimant journals as an adoption.
 #[test]
 fn every_option_is_set_by_a_scenario() {
     let files: Vec<PathBuf> = ["crates", "examples", "tests"]
@@ -385,6 +427,7 @@ fn every_option_is_set_by_a_scenario() {
         "seen_horizon_epochs",
         "with_seen_horizon",
         "ClaimantCreated",
+        "rejoin_node_with",
     ];
     let found = hits(&files, |s| s, |l| retired.iter().any(|r| l.contains(r)));
     assert!(
@@ -399,6 +442,38 @@ fn every_option_is_set_by_a_scenario() {
     assert_eq!(
         fields, 11,
         "DESIGN.md §12, §16: `RuntimeConfig` has 11 fields"
+    );
+}
+
+/// DESIGN.md §12 and §17: a node has one front door. hc-core reads an inbox
+/// in one place, `poll_network`, for live and catching-up nodes alike, and
+/// every publish the runtime makes on a node's behalf names that node as
+/// origin — only `inject_gossip`, the hook for an outside sender, publishes
+/// with a `None` origin.
+#[test]
+fn one_front_door() {
+    let mut polls = Vec::new();
+    let mut anonymous = Vec::new();
+    for path in &files_under("crates/core/src") {
+        let text = read(path);
+        let src = non_test(&text);
+        let site = |at| format!("{}: {}", rel(path), enclosing_fn(src, at));
+        polls.extend(src.match_indices("network.poll(").map(|(at, _)| site(at)));
+        for (at, call) in src.match_indices(".publish(") {
+            if last_arg(src, at + call.len() - 1) == "None" {
+                anonymous.push(site(at));
+            }
+        }
+    }
+    assert_eq!(
+        polls,
+        ["crates/core/src/runtime.rs: poll_network"],
+        "DESIGN.md §12: `poll_network` is the one inbox loop"
+    );
+    assert_eq!(
+        anonymous,
+        ["crates/core/src/runtime.rs: inject_gossip"],
+        "DESIGN.md §17: every publish but `inject_gossip` states its origin"
     );
 }
 
