@@ -2,10 +2,10 @@
 //! production → block validation over one workload, driven through the
 //! real APIs ([`end_to_end`]).
 //!
-//! With a cache wired, sealed messages have their CIDs memoized at
-//! admission, production and validation run off the node-local
-//! verified-signature cache, and signatures are batch pre-verified across
-//! worker threads. The guard in `tests/msg_pipeline_guard.rs` checks that
+//! Sealed messages have their CIDs and their signature verdict memoized at
+//! admission, so production and validation read the verdicts off the
+//! values (counted as cache hits when a cache is wired); signatures that
+//! arrive without one are batch pre-verified across worker threads. The guard in `tests/msg_pipeline_guard.rs` checks that
 //! this changes *nothing* observable against the same APIs at
 //! [`ExecOptions::default`] without a cache, and caps the pipeline's
 //! [`hc_types::crypto::sha256_block_count`] per message — a deterministic
@@ -104,9 +104,9 @@ pub struct RunOutcome {
 /// signatures pre-verified on `parallelism` threads.
 ///
 /// With `cache` given, the mempool, the producer and the validator all
-/// consult it — the single-node model: in the runtime every full node
-/// admits gossiped messages into its own mempool before the block arrives,
-/// so validation hits its *local* cache exactly like this.
+/// consult it — the single-node model: the validator executes the block
+/// the producer built on the same node, so it reads the verdicts admission
+/// memoized on the messages exactly like this.
 pub fn end_to_end(
     msgs: &[SignedMessage],
     cache: Option<&SigCache>,
@@ -170,10 +170,11 @@ mod tests {
                 outcome, reference,
                 "divergence at parallelism {parallelism}"
             );
-            // Admission misses once per message; production and validation
-            // both run entirely off the cache.
+            // Admission misses once per message and records nothing;
+            // production and validation both read the memoized verdicts.
             assert_eq!(stats.misses, 200);
             assert_eq!(stats.hits, 400);
+            assert_eq!(stats.inserts, 0);
         }
     }
 }

@@ -47,10 +47,11 @@ fn pipeline_matches_the_default_path_under_its_hashing_ceiling() {
 
     assert_eq!(pipeline, reference, "pipeline changed observable results");
     assert_eq!(
-        stats.hits,
-        2 * MSGS as u64,
-        "production and validation must both run entirely off the cache"
+        (stats.misses, stats.hits),
+        (MSGS as u64, 2 * MSGS as u64),
+        "admission must verify each message once, production and validation never"
     );
+    assert_eq!(stats.inserts, 0, "admitted verdicts live on the messages");
     assert!(
         pipeline_blocks <= MAX_SHA256_BLOCKS,
         "pipeline hashed {pipeline_blocks} sha256 blocks, ceiling {MAX_SHA256_BLOCKS}"

@@ -6,7 +6,9 @@
 //! and compares roots.
 //!
 //! Both sides take [`ExecOptions`]: a node-local verified-signature cache
-//! and a worker count. The block's signatures are batch pre-verified, then
+//! and a worker count. The block's signatures are batch pre-verified — a
+//! memo read for messages this node admitted, a full verification (through
+//! the cache) for messages that arrived cold — then
 //! the payload runs on the one engine there is — the deterministic
 //! [`Schedule`] derived from the block's access sets (DESIGN.md §15), its
 //! conflict-free lanes laid on the workers by [`fan_out`]. `parallelism`
@@ -46,8 +48,8 @@ impl ExecutedBlock {
 /// Crypto-pipeline options for block production and validation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions<'a> {
-    /// Node-local verified-signature cache. `None` means every signature is
-    /// fully verified.
+    /// Node-local verified-signature cache, consulted for messages that
+    /// carry no verdict. `None` means each of those is fully verified.
     pub sig_cache: Option<&'a SigCache>,
     /// Worker threads for batch signature pre-verification *and* for the
     /// lanes of the payload's [`Schedule`] (`0` counts as one: everything
@@ -90,19 +92,27 @@ impl std::fmt::Display for BlockError {
 impl std::error::Error for BlockError {}
 
 /// Batch signature pre-verification: decides the signature verdict of every
-/// message, fanning the work across up to `parallelism` threads
-/// ([`fan_out`]). With a cache, warm entries cost a lookup and cold ones a
-/// full verification that populates the cache; verdict *values* are
-/// independent of thread count and cache state.
+/// message. A message carrying a memoized verdict (one this node admitted)
+/// costs a memo read; when every message does, the batch stays on the
+/// caller's thread and takes no lock. Otherwise the work fans across up to
+/// `parallelism` threads ([`fan_out`]): with a cache, a known triple costs
+/// a lookup and an unknown one a full verification that populates the
+/// cache. Verdict *values* are independent of thread count, cache state
+/// and memo state.
 ///
-/// As a side effect each message's CID memos are warmed off the execution
-/// path.
+/// As a side effect each message's CID and verdict memos are warmed off
+/// the execution path.
 pub fn preverify_signatures(
     msgs: &[SealedMessage],
     cache: Option<&SigCache>,
     parallelism: usize,
 ) -> Vec<bool> {
-    fan_out(msgs, parallelism, |m| match cache {
+    let workers = if msgs.iter().all(SealedMessage::is_verified) {
+        1
+    } else {
+        parallelism
+    };
+    fan_out(msgs, workers, |m| match cache {
         Some(c) => c.verify_sealed(m),
         None => m.verify_signature(),
     })
@@ -204,12 +214,11 @@ fn execute_payload<S: StateAccess + Sync>(
 /// against `tree` (which is left at the post-block state) and sealing the
 /// result with the proposer's key.
 ///
-/// Signatures are batch pre-verified up front — across `opts.parallelism`
-/// threads, same as validation — and the payload then runs on the
-/// scheduled engine with the same worker count. With a signature cache,
-/// messages admitted through a cache-wired mempool execute without a second
-/// full verification (their verdicts were cached at admission), and the
-/// messages root reuses each message's memoized CID.
+/// Signatures are batch pre-verified up front — the same way as in
+/// validation — and the payload then runs on the scheduled engine with
+/// `opts.parallelism` workers. Messages selected from a mempool carry the
+/// verdict admission memoized on them, so none is verified a second time,
+/// and the messages root reuses each message's memoized CID.
 // The argument list mirrors the block header fields one-to-one; a builder
 // would only obscure that correspondence.
 #[allow(clippy::too_many_arguments)]
@@ -248,8 +257,10 @@ pub fn produce_block_with(
 
 /// Validates and executes a received block against `tree`: the block's
 /// signatures are batch pre-verified (across `opts.parallelism` threads,
-/// through the cache when one is wired), then the payload consumes the
-/// verdicts on the scheduled engine with the same worker count.
+/// through the cache when one is wired — a decoded block arrives with no
+/// verdicts, and its passing ones are recorded there), then the payload
+/// consumes the verdicts on the scheduled engine with the same worker
+/// count.
 ///
 /// On success the tree holds the post-block state and the receipts are
 /// returned. On failure the tree is left at the *pre-block* state.

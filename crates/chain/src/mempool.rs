@@ -24,6 +24,14 @@
 //! real memory bound: the pool never holds more admitted bytes than that,
 //! no matter how hard it is flooded.
 //!
+//! An admission costs one signature verification and no scan of the pool:
+//! the message count is kept, not recounted; the dedup set expires in
+//! admission order; the wire size is memoized by the one encoding that
+//! derived the message CID; and the passing verdict is memoized on the
+//! admitted value, which block production then reads instead of verifying
+//! again. A second message at a `(sender, nonce)` already pending is
+//! refused as a duplicate before verification: the first admitted wins.
+//!
 //! Eviction picks the globally lowest-priority *lane tail* (the
 //! highest-nonce message of some sender), ordered by fee ascending with the
 //! message CID as the deterministic tie-break. Evicting tails (never heads)
@@ -32,11 +40,11 @@
 //! message itself participates: if it *is* the lowest-priority tail, it is
 //! the one refused.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use hc_actors::{CrossMsg, CrossMsgMeta, MsgGroup};
 use hc_state::{SealedMessage, SigCache, SignedMessage};
-use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Nonce, SubnetId};
+use hc_types::{Address, ChainEpoch, Cid, Nonce, SubnetId};
 
 /// How many epochs an admitted CID stays in the dedup set after its
 /// admission epoch. Replays older than this are caught by account-nonce
@@ -60,7 +68,8 @@ pub struct MempoolStats {
     /// later admission evicted them).
     pub admitted: u64,
     /// Messages refused because their CID was already admitted within the
-    /// dedup horizon.
+    /// dedup horizon, or another message is pending at their
+    /// `(sender, nonce)`.
     pub rejected_duplicate: u64,
     /// Messages refused because their signature did not verify.
     pub rejected_invalid: u64,
@@ -96,7 +105,8 @@ impl MempoolStats {
 pub enum PushOutcome {
     /// Verified and admitted (possibly evicting lower-priority messages).
     Admitted,
-    /// Refused: CID already admitted within the dedup horizon.
+    /// Refused: CID already admitted within the dedup horizon, or another
+    /// message already pending at the same `(sender, nonce)`.
     Duplicate,
     /// Refused: signature verification failed.
     Invalid,
@@ -112,12 +122,23 @@ impl PushOutcome {
     }
 }
 
-/// One pending message with its admission metadata.
+/// One pending message with its admission fee (its byte cost is the
+/// message's memoized wire size).
 #[derive(Debug, Clone)]
 struct PoolEntry {
     msg: SealedMessage,
     fee: u64,
-    bytes: usize,
+}
+
+/// One sender's pending messages, sorted by nonce. A deque sized to its
+/// contents rather than a map: most lanes hold a message or two, and a
+/// B-tree leaf reserves room for eleven entries.
+type Lane = VecDeque<PoolEntry>;
+
+/// Where `nonce` sits in `lane`: `Ok` at its entry, `Err` where it would
+/// be inserted.
+fn nonce_slot(lane: &Lane, nonce: Nonce) -> Result<usize, usize> {
+    lane.binary_search_by_key(&nonce, |e| e.msg.message().nonce)
 }
 
 /// The internal pool of pending signed user messages.
@@ -125,20 +146,27 @@ struct PoolEntry {
 pub struct Mempool {
     /// Per-sender nonce lanes holding sealed messages (CIDs derived at
     /// admission travel into block assembly and execution) plus their
-    /// admission fee and byte accounting.
-    by_sender: BTreeMap<Address, BTreeMap<Nonce, PoolEntry>>,
+    /// admission fee.
+    by_sender: BTreeMap<Address, Lane>,
+    /// Messages held across every lane.
+    count: usize,
     /// Message CIDs already admitted, tagged with the chain epoch current
     /// at admission (dedup with bounded memory — see
     /// [`Mempool::advance_epoch`]).
     seen: HashMap<Cid, ChainEpoch>,
+    /// The same admissions in admission order, so epochs never decrease
+    /// front to back and expiry pops only what expires. An entry `seen`
+    /// has since dropped or re-tagged (an evicted message) is skipped.
+    seen_order: VecDeque<(ChainEpoch, Cid)>,
     /// Admission-control configuration.
     config: MempoolConfig,
-    /// Bytes currently held (sum of entry `bytes`).
+    /// Bytes currently held (sum of the entries' wire sizes).
     occupancy_bytes: usize,
     /// The chain epoch the pool currently considers "now".
     current_epoch: ChainEpoch,
-    /// Verified-signature cache populated at admission and shared with the
-    /// node's executor; `None` verifies every admission fully.
+    /// The node's verified-signature cache, read when an admitted value
+    /// carries no verdict and never written; `None` verifies every such
+    /// admission fully.
     sig_cache: Option<SigCache>,
     /// Admission/eviction counters.
     stats: MempoolStats,
@@ -156,7 +184,9 @@ impl Default for Mempool {
     fn default() -> Self {
         Mempool {
             by_sender: BTreeMap::new(),
+            count: 0,
             seen: HashMap::new(),
+            seen_order: VecDeque::new(),
             config: MempoolConfig::default(),
             occupancy_bytes: 0,
             current_epoch: ChainEpoch::GENESIS,
@@ -182,13 +212,25 @@ impl Mempool {
         }
     }
 
-    /// Wires in a verified-signature cache: admission verdicts are cached
-    /// so the executor (sharing the handle) skips re-verification, and
-    /// re-gossiped messages that fell out of the dedup horizon re-admit
-    /// with a lookup instead of a full verification.
+    /// Wires in the node's verified-signature cache: an admission whose
+    /// value carries no verdict reads it before verifying in full, so a
+    /// message the node already verified in a decoded block is not
+    /// verified again. Admission never writes the cache: the verdict it
+    /// reaches travels on the admitted value to block production.
     pub fn with_sig_cache(mut self, cache: SigCache) -> Self {
         self.sig_cache = Some(cache);
         self
+    }
+
+    /// Hands the pool to a restarted node: `cache` becomes its
+    /// verified-signature cache, and every held message forgets its
+    /// verdict, so the new node verifies each one itself before proposing
+    /// it — a verdict never crosses nodes.
+    pub fn rehome(&mut self, cache: Option<SigCache>) {
+        self.sig_cache = cache;
+        for entry in self.by_sender.values_mut().flat_map(|lane| lane.iter_mut()) {
+            entry.msg.forget_verdict();
+        }
     }
 
     /// Admits a message after signature pre-validation, at fee 0.
@@ -207,44 +249,55 @@ impl Mempool {
 
     /// Admits a message with a priority fee bid.
     ///
-    /// The dedup check runs *before* signature verification: a replayed
+    /// The dedup checks run *before* signature verification: a replayed
     /// duplicate costs one memoized CID read, not a full verification.
     /// Deduplication keys on the message CID — what the signature covers
     /// and receipts are keyed by — so a replay with a mangled signature is
-    /// refused just like an exact duplicate. `seen` is only populated by
-    /// *verified* admissions: an attacker cannot block a valid message by
-    /// pre-sending a forgery of it. Messages evicted by admission control
-    /// are forgotten by the dedup set, so a later re-submission (when the
-    /// pool has drained) is admitted again.
+    /// refused just like an exact duplicate; and on the `(sender, nonce)`
+    /// slot, so a conflicting message never displaces the pending one (the
+    /// first admitted wins). `seen` is only populated by *verified*
+    /// admissions: an attacker cannot block a valid message by pre-sending
+    /// a forgery of it. Messages evicted by admission control are forgotten
+    /// by the dedup set, so a later re-submission (when the pool has
+    /// drained) is admitted again.
+    ///
+    /// A fresh value is verified in full once, here, and carries the
+    /// passing verdict into block production.
     pub fn push_sealed_with_fee(&mut self, msg: SealedMessage, fee: u64) -> PushOutcome {
         let cid = msg.msg_cid();
-        if self.seen.contains_key(&cid) {
+        let from = msg.message().from;
+        let nonce = msg.message().nonce;
+        let slot_taken = self
+            .by_sender
+            .get(&from)
+            .is_some_and(|lane| nonce_slot(lane, nonce).is_ok());
+        if slot_taken || self.seen.contains_key(&cid) {
             self.stats.rejected_duplicate += 1;
             return PushOutcome::Duplicate;
         }
         let verified = match &self.sig_cache {
-            Some(cache) => cache.verify_sealed(&msg),
+            Some(cache) => cache.lookup_or_verify(&msg),
             None => msg.verify_signature(),
         };
         if !verified {
             self.stats.rejected_invalid += 1;
             return PushOutcome::Invalid;
         }
-        let bytes = msg.signed().canonical_bytes().len();
-        let from = msg.message().from;
-        let nonce = msg.message().nonce;
-
         // Insert first, then restore the byte budget by evicting the
         // globally lowest-priority lane tails. The incoming message
         // competes on equal terms: if it is itself the lowest-priority
         // tail it is the one refused, which is what makes the admitted
         // set independent of arrival order for equal-size messages.
         self.seen.insert(cid, self.current_epoch);
-        self.occupancy_bytes += bytes;
-        self.by_sender
+        self.seen_order.push_back((self.current_epoch, cid));
+        self.occupancy_bytes += msg.wire_len();
+        self.count += 1;
+        let lane = self
+            .by_sender
             .entry(from)
-            .or_default()
-            .insert(nonce, PoolEntry { msg, fee, bytes });
+            .or_insert_with(|| Lane::with_capacity(1));
+        let at = nonce_slot(lane, nonce).expect_err("the slot was checked free");
+        lane.insert(at, PoolEntry { msg, fee });
 
         let mut survived = true;
         while self.config.capacity_bytes > 0 && self.occupancy_bytes > self.config.capacity_bytes {
@@ -265,7 +318,7 @@ impl Mempool {
         self.stats.admitted += 1;
         *self.activity.entry(from).or_default() += 1;
         self.stats.high_water_bytes = self.stats.high_water_bytes.max(self.occupancy_bytes as u64);
-        self.stats.high_water_msgs = self.stats.high_water_msgs.max(self.len() as u64);
+        self.stats.high_water_msgs = self.stats.high_water_msgs.max(self.count as u64);
         PushOutcome::Admitted
     }
 
@@ -275,9 +328,10 @@ impl Mempool {
         self.by_sender
             .iter()
             .filter_map(|(addr, lane)| {
-                lane.iter()
-                    .next_back()
-                    .map(|(nonce, e)| ((e.fee, e.msg.msg_cid()), (*addr, *nonce)))
+                lane.back().map(|e| {
+                    let priority = (e.fee, e.msg.msg_cid());
+                    (priority, (*addr, e.msg.message().nonce))
+                })
             })
             .min_by_key(|(priority, _)| *priority)
             .map(|((_, cid), (addr, nonce))| (addr, nonce, cid))
@@ -286,16 +340,24 @@ impl Mempool {
     /// Removes one entry, un-remembering its CID from the dedup set (an
     /// evicted message may be legitimately re-submitted later).
     fn evict(&mut self, addr: Address, nonce: Nonce, cid: Cid) {
-        if let Some(lane) = self.by_sender.get_mut(&addr) {
-            if let Some(entry) = lane.remove(&nonce) {
-                self.occupancy_bytes -= entry.bytes;
-            }
-            if lane.is_empty() {
-                self.by_sender.remove(&addr);
-            }
-        }
+        self.take(addr, nonce);
         self.seen.remove(&cid);
         self.evicted_log.push((addr, nonce));
+    }
+
+    /// Removes the entry at `(addr, nonce)` if one is held, settling the
+    /// byte and message counts and dropping the lane once it is empty.
+    fn take(&mut self, addr: Address, nonce: Nonce) {
+        let Some(lane) = self.by_sender.get_mut(&addr) else {
+            return;
+        };
+        if let Some(entry) = nonce_slot(lane, nonce).ok().and_then(|at| lane.remove(at)) {
+            self.occupancy_bytes -= entry.msg.wire_len();
+            self.count -= 1;
+        }
+        if lane.is_empty() {
+            self.by_sender.remove(&addr);
+        }
     }
 
     /// Drains the `(sender, nonce)` pairs dropped by admission control
@@ -313,13 +375,23 @@ impl Mempool {
     /// the node; with it, replays inside the horizon are still refused here
     /// while older replays fall through to the account-nonce check at
     /// execution time (stale nonces never execute).
+    ///
+    /// Expiry costs O(expired): admissions are queued in epoch order, so
+    /// only the queue's expired front is visited.
     pub fn advance_epoch(&mut self, epoch: ChainEpoch) {
         if epoch <= self.current_epoch {
             return;
         }
         self.current_epoch = epoch;
-        self.seen
-            .retain(|_, admitted| epoch.since(*admitted) <= SEEN_HORIZON_EPOCHS);
+        while let Some(&(admitted, cid)) = self.seen_order.front() {
+            if epoch.since(admitted) <= SEEN_HORIZON_EPOCHS {
+                break;
+            }
+            self.seen_order.pop_front();
+            if self.seen.get(&cid) == Some(&admitted) {
+                self.seen.remove(&cid);
+            }
+        }
     }
 
     /// Number of CIDs currently held for dedup (testing/diagnostics).
@@ -327,14 +399,19 @@ impl Mempool {
         self.seen.len()
     }
 
-    /// Number of pending messages.
+    /// Number of pending messages. O(1): the count is kept, not recounted.
     pub fn len(&self) -> usize {
-        self.by_sender.values().map(BTreeMap::len).sum()
+        debug_assert_eq!(
+            self.count,
+            self.by_sender.values().map(Lane::len).sum::<usize>(),
+            "the kept message count drifted from the lanes"
+        );
+        self.count
     }
 
     /// Returns `true` if no messages are pending.
     pub fn is_empty(&self) -> bool {
-        self.by_sender.values().all(BTreeMap::is_empty)
+        self.count == 0
     }
 
     /// Bytes currently held (canonical wire bytes of pending messages).
@@ -344,7 +421,7 @@ impl Mempool {
 
     /// Pending messages queued by `sender`.
     pub fn pending_for(&self, sender: &Address) -> usize {
-        self.by_sender.get(sender).map_or(0, BTreeMap::len)
+        self.by_sender.get(sender).map_or(0, Lane::len)
     }
 
     /// Iterates every pending message, senders in address order and each
@@ -352,7 +429,7 @@ impl Mempool {
     pub fn iter(&self) -> impl Iterator<Item = &SealedMessage> + '_ {
         self.by_sender
             .values()
-            .flat_map(|lane| lane.values().map(|e| &e.msg))
+            .flat_map(|lane| lane.iter().map(|e| &e.msg))
     }
 
     /// Admission/eviction counters.
@@ -386,8 +463,7 @@ impl Mempool {
             .by_sender
             .values()
             .map(|lane| {
-                let mut entries: Vec<(u64, &PoolEntry)> =
-                    lane.values().map(|e| (e.fee, e)).collect();
+                let mut entries: Vec<(u64, &PoolEntry)> = lane.iter().map(|e| (e.fee, e)).collect();
                 let mut best = 0u64;
                 for slot in entries.iter_mut().rev() {
                     best = best.max(slot.0);
@@ -421,15 +497,10 @@ impl Mempool {
     /// Removes messages that were included in a committed block.
     pub fn remove_included<'a, I: IntoIterator<Item = &'a SealedMessage>>(&mut self, msgs: I) {
         for m in msgs {
-            if let Some(q) = self.by_sender.get_mut(&m.message().from) {
-                if let Some(entry) = q.remove(&m.message().nonce) {
-                    self.occupancy_bytes -= entry.bytes;
-                }
-            }
+            self.take(m.message().from, m.message().nonce);
             // Keep `seen` so replays of the same CID stay excluded until
             // the dedup horizon passes (see `advance_epoch`).
         }
-        self.by_sender.retain(|_, q| !q.is_empty());
     }
 }
 
@@ -612,9 +683,13 @@ mod tests {
     }
 
     fn signed(from: u64, nonce: u64, key: &Keypair) -> SignedMessage {
+        signed_to(from, nonce, 1, key)
+    }
+
+    fn signed_to(from: u64, nonce: u64, to: u64, key: &Keypair) -> SignedMessage {
         Message {
             from: Address::new(from),
-            to: Address::new(1),
+            to: Address::new(to),
             value: TokenAmount::ZERO,
             nonce: Nonce::new(nonce),
             method: Method::Send,
@@ -637,7 +712,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_refused_before_verification() {
-        // With a cache wired, admission verdicts are observable: the
+        // With a cache wired, admission lookups are observable: the
         // duplicate must be refused by dedup without touching the cache
         // (the admission-order fix), and a replay of a *tampered* copy of
         // a seen message is refused the same way.
@@ -662,7 +737,78 @@ mod tests {
         forged.message.value = TokenAmount::from_whole(7);
         assert!(!pool.push(forged));
         assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.len(), 1, "failed verdicts are not cached");
+        assert!(cache.is_empty(), "admission never writes the cache");
+    }
+
+    #[test]
+    fn admission_verifies_once_and_production_reads_the_verdict() {
+        let cache = hc_state::SigCache::new(16);
+        let mut pool = Mempool::new().with_sig_cache(cache.clone());
+        let k = kp(9);
+        for n in 0..3 {
+            assert!(pool.push(signed(100, n, &k)));
+        }
+        let selected = pool.select(10);
+        assert!(selected.iter().all(SealedMessage::is_verified));
+        for m in &selected {
+            assert!(cache.verify_sealed(m));
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.inserts),
+            (3, 3, 0),
+            "one full verification per message, read back as a hit"
+        );
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_same_nonce_conflict_keeps_the_first_and_leaks_nothing() {
+        let k = kp(11);
+        let a = SealedMessage::new(signed_to(100, 0, 1, &k));
+        let b = SealedMessage::new(signed_to(100, 0, 2, &k));
+        let bytes = a.wire_len();
+
+        let mut pool = Mempool::new();
+        assert!(pool.push_sealed(a.clone()));
+        assert_eq!(
+            pool.push_sealed_with_fee(b.clone(), u64::MAX),
+            PushOutcome::Duplicate,
+            "a later message at a pending (sender, nonce) is refused"
+        );
+        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.occupancy_bytes(), bytes);
+        assert_eq!(pool.select(10), vec![a.clone()], "the first admitted wins");
+        assert_eq!(pool.stats().rejected_duplicate, 1);
+        pool.remove_included([&a]);
+        assert_eq!((pool.len(), pool.occupancy_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_same_nonce_conflict_cannot_wedge_a_capped_pool() {
+        // Room for one and a half messages. Letting `b` replace `a` left
+        // the pool's books at two messages with one held: `b` was refused
+        // as `Full`, `a` was gone with no eviction record, and every later
+        // push was refused too.
+        let k = kp(12);
+        let cap = msg_bytes() * 3 / 2;
+        let mut pool = Mempool::with_config(MempoolConfig {
+            capacity_bytes: cap,
+        });
+        let a = SealedMessage::new(signed_to(100, 0, 1, &k));
+        assert!(pool.push_sealed(a.clone()));
+        let b = SealedMessage::new(signed_to(100, 0, 2, &k));
+        assert_eq!(pool.push_sealed_with_fee(b, 0), PushOutcome::Duplicate);
+        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.occupancy_bytes(), a.wire_len());
+        assert!(pool.drain_evictions().is_empty());
+        // The pool keeps working: the pending message is proposed, and the
+        // sender's next nonce is admitted.
+        let head = pool.select(1);
+        assert_eq!(head, vec![a]);
+        pool.remove_included(head.iter());
+        assert!(push_fee(&mut pool, 100, 1, &k, 0).is_admitted());
+        assert_eq!(pool.stats().rejected_full, 0);
     }
 
     fn push_fee(pool: &mut Mempool, from: u64, nonce: u64, key: &Keypair, fee: u64) -> PushOutcome {
@@ -715,10 +861,7 @@ mod tests {
     /// Canonical wire size of one test message (they are all identically
     /// shaped, so this is the per-message byte cost).
     fn msg_bytes() -> usize {
-        SealedMessage::new(signed(1, 0, &kp(1)))
-            .signed()
-            .canonical_bytes()
-            .len()
+        SealedMessage::new(signed(1, 0, &kp(1))).wire_len()
     }
 
     #[test]

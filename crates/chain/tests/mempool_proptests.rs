@@ -1,17 +1,23 @@
 //! Property tests of mempool admission control: selection is a pure
 //! function of the admitted set (push order never matters), the
 //! over-capacity flood converges to one surviving set with the byte bound
-//! holding at every step, and the admission → selection → execution
-//! pipeline is bit-identical at every `parallelism` setting.
+//! holding at every step, the pool's ledger closes after every operation
+//! of any sequence, and the admission → selection → execution pipeline is
+//! bit-identical at every `parallelism` setting.
+
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
 use hc_actors::ScaConfig;
+use hc_chain::mempool::SEEN_HORIZON_EPOCHS;
 use hc_chain::{
     execute_block_with, produce_block_with, ExecOptions, Mempool, MempoolConfig, PushOutcome,
 };
 use hc_state::{Message, SealedMessage, StateTree};
-use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
+use hc_types::{
+    Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, Signature, SubnetId, TokenAmount,
+};
 
 const USERS: u64 = 12;
 
@@ -76,6 +82,57 @@ fn selection(pool: &Mempool) -> Vec<Cid> {
         .iter()
         .map(|m| m.msg_cid())
         .collect()
+}
+
+/// A transfer from `from` at `nonce`, told apart from others at the same
+/// slot by `to`.
+fn transfer(from: u64, nonce: u64, to: u64) -> SealedMessage {
+    SealedMessage::new(
+        Message::transfer(
+            Address::new(100 + from),
+            Address::new(100 + to),
+            TokenAmount::from_atto(7),
+            Nonce::new(nonce),
+        )
+        .sign(&keypair(from)),
+    )
+}
+
+/// What the pool must hold after each operation, kept by the test from
+/// push outcomes and drained evictions alone.
+#[derive(Default)]
+struct Ledger {
+    /// Held messages by `(sender, nonce)`.
+    held: BTreeMap<(Address, Nonce), SealedMessage>,
+    /// Verified admissions not yet evicted, with their admission epoch.
+    seen: HashMap<Cid, ChainEpoch>,
+    /// Messages removed by inclusion.
+    included: u64,
+}
+
+impl Ledger {
+    /// Checks `pool` against the ledger: message count, bytes held, and
+    /// the dedup set's size.
+    fn check(&self, pool: &Mempool) {
+        assert_eq!(pool.len(), pool.iter().count(), "the kept count drifted");
+        assert_eq!(pool.len(), self.held.len());
+        assert_eq!(pool.is_empty(), self.held.is_empty());
+        let bytes: usize = pool
+            .iter()
+            .map(|m| m.signed().canonical_bytes().len())
+            .sum();
+        assert_eq!(pool.occupancy_bytes(), bytes, "occupancy leaked");
+        assert!(pool
+            .iter()
+            .all(|m| self.held.get(&(m.message().from, m.message().nonce)) == Some(m)));
+        assert_eq!(pool.seen_len(), self.seen.len(), "dedup set drifted");
+        let stats = pool.stats();
+        assert_eq!(
+            stats.admitted - stats.evicted - self.included,
+            pool.len() as u64,
+            "admissions minus evictions minus inclusions must be what is held"
+        );
+    }
 }
 
 proptest! {
@@ -202,6 +259,100 @@ proptest! {
                 prop_assert!(pool.occupancy_bytes() <= config.capacity_bytes);
             }
             prop_assert_eq!(selection(&pool), expected.clone());
+        }
+    }
+
+    /// The pool's ledger closes after every operation of a random sequence
+    /// of pushes (fresh, duplicate, forged, and same-nonce conflicts),
+    /// evictions under a byte cap, inclusions, and epoch advances that
+    /// carry admissions past `SEEN_HORIZON_EPOCHS`: the kept count is the
+    /// held count, occupancy is the held messages' canonical bytes, and
+    /// the dedup set holds exactly the verified admissions inside the
+    /// horizon that were not evicted. Every push's outcome is the one the
+    /// ledger predicts.
+    #[test]
+    fn the_pool_ledger_closes_after_every_operation(
+        ops in prop::collection::vec((0u64..8, 0u64..USERS, 0u64..64, 0u64..5), 1..96),
+        capacity_msgs in 0usize..10,
+    ) {
+        let bytes_each = transfer(0, 0, 0).wire_len();
+        let mut pool = Mempool::with_config(MempoolConfig {
+            capacity_bytes: capacity_msgs * bytes_each,
+        });
+        let mut ledger = Ledger::default();
+        let mut cursors = [0u64; USERS as usize];
+        let mut history: Vec<SealedMessage> = Vec::new();
+        let mut epoch = ChainEpoch::GENESIS;
+        for (kind, sender, pick, fee) in ops {
+            let push = match kind {
+                // A fresh message at the sender's next nonce.
+                0..=2 => {
+                    let m = transfer(sender, cursors[sender as usize], pick % USERS);
+                    cursors[sender as usize] += 1;
+                    history.push(m.clone());
+                    Some((m, true))
+                }
+                // A copy of an earlier message, as a peer re-gossips it.
+                3 if !history.is_empty() => {
+                    let m = &history[pick as usize % history.len()];
+                    Some((SealedMessage::new(m.signed().clone()), true))
+                }
+                // A forgery: a fresh message with a tag its key never made.
+                4 => {
+                    let mut forged = transfer(sender, cursors[sender as usize], pick)
+                        .into_signed();
+                    forged.signature = Signature::new_unchecked(keypair(sender).public(), [7; 32]);
+                    Some((SealedMessage::new(forged), false))
+                }
+                // Another message at a pending (sender, nonce).
+                5 if !ledger.held.is_empty() => {
+                    let slot = pick as usize % ledger.held.len();
+                    let (from, nonce) = *ledger.held.keys().nth(slot).unwrap();
+                    let to = USERS + pick % USERS;
+                    Some((transfer(from.id() - 100, nonce.value(), to), true))
+                }
+                _ => None,
+            };
+            match kind {
+                6 => {
+                    let picked = pool.select(pick as usize % 8);
+                    pool.remove_included(picked.iter());
+                    for m in &picked {
+                        ledger.held.remove(&(m.message().from, m.message().nonce));
+                    }
+                    ledger.included += picked.len() as u64;
+                }
+                7 => {
+                    let step = [1, 64, SEEN_HORIZON_EPOCHS][pick as usize % 3];
+                    epoch = ChainEpoch::new(epoch.value() + step);
+                    pool.advance_epoch(epoch);
+                    ledger.seen.retain(|_, admitted| epoch.since(*admitted) <= SEEN_HORIZON_EPOCHS);
+                }
+                _ => {
+                    let Some((m, valid)) = push else { continue };
+                    let slot = (m.message().from, m.message().nonce);
+                    let cid = m.msg_cid();
+                    let duplicate = ledger.held.contains_key(&slot) || ledger.seen.contains_key(&cid);
+                    let outcome = pool.push_sealed_with_fee(m.clone(), fee);
+                    if duplicate {
+                        prop_assert_eq!(outcome, PushOutcome::Duplicate);
+                    } else if !valid {
+                        prop_assert_eq!(outcome, PushOutcome::Invalid);
+                    } else {
+                        prop_assert!(matches!(outcome, PushOutcome::Admitted | PushOutcome::Full));
+                    }
+                    if outcome.is_admitted() {
+                        ledger.held.insert(slot, m);
+                        ledger.seen.insert(cid, epoch);
+                    }
+                    for evicted in pool.drain_evictions() {
+                        if let Some(m) = ledger.held.remove(&evicted) {
+                            ledger.seen.remove(&m.msg_cid());
+                        }
+                    }
+                }
+            }
+            ledger.check(&pool);
         }
     }
 

@@ -331,8 +331,13 @@ impl HierarchyRuntime {
         // The mempool's content was replicated across the subnet's peers;
         // the restarted node re-syncs it. (Messages already in replayed
         // blocks were removed from this pool before the crash, so nothing
-        // is double-proposed.)
-        node.mempool = crashed.mempool;
+        // is double-proposed.) The pool is the new node's now: it reads the
+        // new node's signature cache, and its messages carry no verdict of
+        // the dead node's, so each is verified once here before it is
+        // proposed.
+        let mut mempool = crashed.mempool;
+        mempool.rehome(node.sig_cache.clone());
+        node.mempool = mempool;
         self.network.set_offline(crashed.subscription, false);
         self.nodes.insert(subnet.clone(), node);
         self.refresh_validators(subnet);

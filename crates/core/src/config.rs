@@ -57,10 +57,12 @@ pub struct RuntimeConfig {
     pub parallelism: usize,
     /// Capacity of each node's verified-signature cache (entries). The
     /// cache memoizes `(signer, message CID, signature)` triples whose
-    /// full verification already passed — at mempool admission — so block
-    /// production and validation skip re-verifying them. `0` disables the
-    /// cache entirely; receipts and state roots are bit-identical either
-    /// way (the cache only elides provably redundant work).
+    /// full verification already passed in a block the node re-executed
+    /// from the journal or from peers, so a message arriving cold again is
+    /// not re-verified (a message the node admitted itself carries its
+    /// verdict on the value). `0` disables the cache entirely; receipts
+    /// and state roots are bit-identical either way (the cache only elides
+    /// provably redundant work).
     pub sig_cache_capacity: usize,
     /// Durable persistence. The default, [`PersistenceConfig::InMemory`],
     /// journals nothing and preserves the pre-persistence behaviour

@@ -136,10 +136,13 @@ pub struct SubnetNode {
     /// the node, so a wave of due subnets can produce concurrently and
     /// still replay bit-identically at any parallelism.
     pub(crate) rng: StdRng,
-    /// Node-local verified-signature cache: populated at mempool
-    /// admission, consulted by block production and validation. `None`
-    /// when disabled (`RuntimeConfig::sig_cache_capacity` of zero) —
-    /// receipts are bit-identical either way.
+    /// Node-local verified-signature cache for messages that reach the
+    /// node cold — blocks re-executed from the journal or pulled from
+    /// peers — which it verifies and records; the mempool reads it before
+    /// verifying an admission in full. What the node admits carries its
+    /// verdict on the value instead. `None` when disabled
+    /// (`RuntimeConfig::sig_cache_capacity` of zero) — receipts are
+    /// bit-identical either way.
     pub(crate) sig_cache: Option<SigCache>,
 }
 

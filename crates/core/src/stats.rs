@@ -33,8 +33,9 @@ impl HierarchyRuntime {
     /// Aggregate verified-signature-cache counters across every subnet
     /// node. All zeros when the cache is disabled
     /// (`sig_cache_capacity: 0`). `hits` counts signature verifications
-    /// elided because the exact `(signer, message CID, signature)` triple
-    /// already passed full verification on this node.
+    /// elided because the message already passed full verification on
+    /// this node: its verdict was memoized at admission, or the exact
+    /// `(signer, message CID, signature)` triple is in the cache.
     pub fn sig_cache_stats(&self) -> SigCacheStats {
         let mut total = SigCacheStats::default();
         for node in self.nodes.values() {

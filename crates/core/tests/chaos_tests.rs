@@ -159,6 +159,77 @@ fn claimant_on_a_non_root_parent_survives_a_replay_rejoin() {
     audit_quiescent(&h.rt).unwrap();
 }
 
+/// A rejoined node verifies every message exactly once, itself: each
+/// signed message of the blocks it replays, each message its carried-over
+/// pool holds (no verdict of the dead node's crosses over), and each
+/// message admitted after the rejoin (the pool reads the new node's cache,
+/// and production reads the verdict admission left on the message). With
+/// a cache wired, a full verification is a miss, so misses count them.
+#[test]
+fn every_message_is_verified_once_after_a_rejoin() {
+    let mut h = Harness::setup();
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let (bob, carol) = (h.user(&child), h.user(&child));
+    h.fund(&bob, 30);
+    for _ in 0..2 {
+        h.rt.submit(&bob, carol.addr, whole(1), Method::Send)
+            .unwrap();
+    }
+    h.settle();
+    let signed_in_chain = |rt: &HierarchyRuntime| -> u64 {
+        let chain = rt.node(&child).unwrap().chain();
+        chain.iter().map(|b| b.signed_msgs.len() as u64).sum()
+    };
+    let replayed = signed_in_chain(&h.rt);
+    assert_eq!(replayed, 2);
+
+    // Three messages pending at the crash travel with the replicated pool.
+    const CARRIED: u64 = 3;
+    for _ in 0..CARRIED {
+        h.rt.submit(&bob, carol.addr, whole(1), Method::Send)
+            .unwrap();
+    }
+    h.rt.crash_node(&child).unwrap();
+    h.rt.rejoin_node(&child).unwrap();
+    for _ in 0..400 {
+        if !h.rt.is_catching_up(&child) {
+            break;
+        }
+        h.rt.step().unwrap();
+    }
+    assert!(
+        !h.rt.is_catching_up(&child),
+        "replay catch-up must complete"
+    );
+    let caught_up = h.rt.node(&child).unwrap().sig_cache_stats();
+    assert_eq!(
+        (caught_up.hits, caught_up.misses, caught_up.inserts),
+        (0, replayed, replayed),
+        "a replayed block arrives cold: one recorded verification per message"
+    );
+
+    const FRESH: u64 = 4;
+    for _ in 0..FRESH {
+        h.rt.submit(&bob, carol.addr, whole(1), Method::Send)
+            .unwrap();
+    }
+    h.settle();
+    assert_eq!(signed_in_chain(&h.rt), replayed + CARRIED + FRESH);
+    assert_eq!(h.rt.balance(&carol), whole(2 + CARRIED + FRESH));
+    let stats = h.rt.node(&child).unwrap().sig_cache_stats();
+    assert_eq!(
+        stats.misses,
+        replayed + CARRIED + FRESH,
+        "every message is verified exactly once on the new node: {stats:?}"
+    );
+    assert_eq!(
+        stats.inserts,
+        replayed + CARRIED,
+        "admission records nothing"
+    );
+    assert_eq!(stats.hits, FRESH, "production reads the admission verdicts");
+}
+
 /// A catching-up node's sync replies leave from its own region: the peers
 /// the runtime stands in for sit there. The leaf is placed in region "b",
 /// and a cut severs "b" from the root's region "a" across the whole rejoin;

@@ -1,10 +1,12 @@
-//! Sealed messages: immutably wrapped [`SignedMessage`]s with memoized CIDs.
+//! Sealed messages: immutably wrapped [`SignedMessage`]s with memoized CIDs
+//! and a memoized signature verdict.
 //!
 //! A message's CID is consumed many times on the hot path — mempool dedup,
 //! signature verification, block assembly (messages root), VM auth, receipt
 //! indexing — and each consumer used to re-derive it from a fresh canonical
 //! encoding plus a SHA-256 pass. [`SealedMessage`] computes each CID at most
-//! once and carries it with the message.
+//! once and carries it with the message, together with the envelope's wire
+//! size that the same encoding yields.
 //!
 //! Memoization is only sound if the underlying bytes cannot change after the
 //! CID is derived, so the wrapper owns the signed message behind *private*
@@ -15,6 +17,19 @@
 //! canonical encoding: a sealed message decoded from untrusted bytes starts
 //! cold and re-derives its CIDs from content on first use, so carried CIDs
 //! can never lie.
+//!
+//! # The verdict memo
+//!
+//! [`SealedMessage::verify_signature`] remembers a *passing* verdict on the
+//! value, next to the CIDs: a message admitted to a mempool is verified
+//! there once, and block production and validation on the same node read
+//! the memo instead of verifying again. The memo is set only by a full
+//! verification that passed, or by a [`SigCache`](crate::SigCache) hit on
+//! the exact `(signer, message CID, tag)` triple; a failure is never
+//! remembered. Clones carry it, as they carry CIDs; decoded values start
+//! without it. A verdict belongs to the node that reached it, so a value
+//! handed to another node has it cleared first
+//! ([`SealedMessage::forget_verdict`]).
 
 use std::sync::OnceLock;
 
@@ -25,19 +40,45 @@ use hc_types::{CanonicalEncode, Cid, Keypair, Signature};
 use crate::message::{Message, SignedMessage};
 
 /// An immutable [`SignedMessage`] whose message and envelope CIDs are
-/// computed at most once (lazily) and then reused.
+/// computed at most once (lazily) and then reused, and whose signature is
+/// verified at most once while it passes.
 ///
 /// Built at trust boundaries — mempool admission, block decoding — and
 /// carried through block assembly, validation, and execution, so every
 /// downstream consumer shares the same derivation. Cloning clones the memo
-/// cells too: a warm CID travels with the copy.
+/// cells too: a warm CID or verdict travels with the copy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SealedMessage {
     msg: SignedMessage,
     #[serde(skip)]
-    msg_cid: OnceLock<Cid>,
+    body: OnceLock<BodyMemo>,
     #[serde(skip)]
     cid: OnceLock<Cid>,
+    #[serde(skip)]
+    verified: OnceLock<()>,
+}
+
+/// What one canonical encoding of the message body yields: its CID, and
+/// the wire size of the signed envelope around it. The size is a `u32`
+/// (saturating) so the memo adds nothing to the sealed message's
+/// footprint.
+#[derive(Debug, Clone, Copy)]
+struct BodyMemo {
+    msg_cid: Cid,
+    wire_len: u32,
+}
+
+impl BodyMemo {
+    /// `body` is the message's canonical encoding and `msg_cid` its digest;
+    /// the signature is appended to the same buffer to size the envelope
+    /// without encoding the body a second time.
+    fn new(mut body: Vec<u8>, msg_cid: Cid, signature: &Signature) -> Self {
+        signature.write_bytes(&mut body);
+        BodyMemo {
+            msg_cid,
+            wire_len: u32::try_from(body.len()).unwrap_or(u32::MAX),
+        }
+    }
 }
 
 impl SealedMessage {
@@ -46,21 +87,26 @@ impl SealedMessage {
     pub fn new(msg: SignedMessage) -> Self {
         SealedMessage {
             msg,
-            msg_cid: OnceLock::new(),
+            body: OnceLock::new(),
             cid: OnceLock::new(),
+            verified: OnceLock::new(),
         }
     }
 
     /// Signs `message` with `key` and seals the result: the message CID is
     /// derived once, signed, and carried, so admission, verification and
-    /// receipt lookup never derive it again.
+    /// receipt lookup never derive it again. The signature is not yet
+    /// verified: admission does that.
     pub fn sign(message: Message, key: &Keypair) -> Self {
-        let msg_cid = message.cid();
+        let body = message.canonical_bytes();
+        let msg_cid = Cid::digest(&body);
         let signature = key.sign(msg_cid.as_bytes());
+        let memo = BodyMemo::new(body, msg_cid, &signature);
         SealedMessage {
             msg: SignedMessage { message, signature },
-            msg_cid: OnceLock::from(msg_cid),
+            body: OnceLock::from(memo),
             cid: OnceLock::new(),
+            verified: OnceLock::new(),
         }
     }
 
@@ -84,23 +130,65 @@ impl SealedMessage {
         self.msg
     }
 
+    fn body(&self) -> BodyMemo {
+        *self.body.get_or_init(|| {
+            let body = self.msg.message.canonical_bytes();
+            let msg_cid = Cid::digest(&body);
+            BodyMemo::new(body, msg_cid, &self.msg.signature)
+        })
+    }
+
     /// CID of the message body (what the sender signs, what receipts are
     /// keyed by). Memoized.
     pub fn msg_cid(&self) -> Cid {
-        *self.msg_cid.get_or_init(|| self.msg.message.cid())
+        self.body().msg_cid
     }
 
-    /// CID of the signed envelope (message + signature; what mempools dedup
-    /// by and block message roots commit to). Memoized.
+    /// Length of the signed envelope's canonical encoding (what mempool
+    /// occupancy is accounted in). Memoized with [`SealedMessage::msg_cid`],
+    /// from the same encoding of the body.
+    pub fn wire_len(&self) -> usize {
+        self.body().wire_len as usize
+    }
+
+    /// CID of the signed envelope (message + signature; what block message
+    /// roots commit to). Memoized.
     pub fn cid(&self) -> Cid {
         *self.cid.get_or_init(|| self.msg.cid())
     }
 
-    /// Verifies the signature against the (memoized) message CID. Key
-    /// *ownership* is checked by the VM, exactly as for
+    /// Verifies the signature against the (memoized) message CID. A passing
+    /// verdict is memoized, so later calls on this value or its clones cost
+    /// nothing; a failing one is recomputed on every call. Key *ownership*
+    /// is checked by the VM, exactly as for
     /// [`SignedMessage::verify_signature`].
     pub fn verify_signature(&self) -> bool {
-        self.msg.signature.verify(self.msg_cid().as_bytes()).is_ok()
+        if self.is_verified() {
+            return true;
+        }
+        let ok = self.msg.signature.verify(self.msg_cid().as_bytes()).is_ok();
+        if ok {
+            self.mark_verified();
+        }
+        ok
+    }
+
+    /// Whether a passing signature verdict is memoized on this value.
+    pub fn is_verified(&self) -> bool {
+        self.verified.get().is_some()
+    }
+
+    /// Memoizes a passing verdict reached elsewhere on this node: a
+    /// [`SigCache`](crate::SigCache) hit on the exact triple.
+    pub(crate) fn mark_verified(&self) {
+        let _ = self.verified.set(());
+    }
+
+    /// Clears the verdict memo, so the next check verifies in full — for a
+    /// value handed to another node, which must reach its own verdict. The
+    /// CID memos stay: they are functions of the content.
+    pub fn forget_verdict(&mut self) {
+        self.verified = OnceLock::new();
     }
 }
 
@@ -166,10 +254,68 @@ mod tests {
         let sealed = SealedMessage::sign(signed.message.clone(), &kp);
         assert_eq!(sealed.signed(), &signed);
         assert_eq!(
-            sealed.msg_cid.get().copied(),
+            sealed.body.get().map(|b| b.msg_cid),
             Some(CanonicalEncode::cid(&signed.message))
         );
+        assert!(!sealed.is_verified(), "signing is not verification");
         assert!(sealed.verify_signature());
+    }
+
+    #[test]
+    fn wire_len_is_the_envelope_encoding_length() {
+        let signed = sample();
+        let kp = Keypair::from_seed([0x5e; 32]);
+        let expected = signed.canonical_bytes().len();
+        assert_eq!(SealedMessage::new(signed.clone()).wire_len(), expected);
+        assert_eq!(
+            SealedMessage::sign(signed.message, &kp).wire_len(),
+            expected
+        );
+    }
+
+    #[test]
+    fn a_passing_verdict_is_memoized_and_travels_with_clones() {
+        let sealed = SealedMessage::new(sample());
+        let cold = sealed.clone(); // cloned before verification
+        assert!(sealed.verify_signature());
+        assert!(sealed.is_verified());
+        let warm = sealed.clone();
+        assert!(warm.is_verified(), "a clone carries the verdict");
+        assert!(!cold.is_verified(), "an earlier clone does not");
+        assert_eq!(cold, warm, "equality ignores the verdict");
+
+        let mut handed_over = warm.clone();
+        handed_over.forget_verdict();
+        assert!(!handed_over.is_verified());
+        assert_eq!(handed_over.msg_cid(), warm.msg_cid());
+        assert!(handed_over.verify_signature());
+    }
+
+    #[test]
+    fn a_failed_verdict_is_never_memoized() {
+        let mut forged = sample();
+        forged.signature = Signature::new_unchecked(forged.signature.signer(), [3u8; 32]);
+        let forged = SealedMessage::new(forged);
+        assert!(!forged.verify_signature());
+        assert!(!forged.is_verified());
+        assert!(!forged.clone().verify_signature(), "re-checked every time");
+    }
+
+    #[test]
+    fn decoded_and_tampered_copies_start_unverified() {
+        use hc_types::CanonicalDecode;
+        let sealed = SealedMessage::new(sample());
+        assert!(sealed.verify_signature());
+        let bytes = sealed.canonical_bytes();
+        let decoded = SealedMessage::decode(&bytes).unwrap();
+        assert_eq!(decoded, sealed);
+        assert!(!decoded.is_verified(), "a verdict never crosses the wire");
+
+        let mut tampered = sealed.signed().clone();
+        tampered.message.value = TokenAmount::from_whole(9_999);
+        let tampered = SealedMessage::new(tampered);
+        assert!(!tampered.is_verified());
+        assert!(!tampered.verify_signature());
     }
 
     #[test]
