@@ -113,7 +113,8 @@ impl HierarchyRuntime {
     /// Injects a validly-signed checkpoint built from the subnet's real
     /// template (correct `prev` chain) after applying `tamper` to it, and
     /// queues it at the parent. This *bypasses* the honest node's SCA —
-    /// exactly what a compromised validator set can do.
+    /// exactly what a compromised validator set can do — and marks the
+    /// subnet compromised for [`HierarchyRuntime::check_invariants`].
     ///
     /// # Errors
     ///
@@ -144,6 +145,9 @@ impl HierarchyRuntime {
         Self::get_node_mut(&mut self.nodes, &parent)?
             .pending_checkpoints
             .push(signed);
+        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
+            record.compromised = true;
+        }
         Ok(())
     }
 

@@ -1,160 +1,341 @@
-//! Hierarchy-wide supply and firewall audits.
+//! The one invariant check, [`HierarchyRuntime::check_invariants`]: the
+//! paper's safety story as identities over the whole runtime, every broken
+//! one reported.
 //!
-//! These checks make the paper's economic claims *observable*:
+//! * **escrow** — every SCA holds at least its children's frozen collateral
+//!   plus their circulating supply;
+//! * **conservation** — the rootnet's gross supply equals what was minted
+//!   (genesis and faucet): cross-net traffic never creates root tokens;
+//! * **checkpoint chain** — every live child's archived checkpoints verify
+//!   from its live parent ([`HierarchyRuntime::verify_checkpoint_chain`]);
+//! * **top-down nonce** — no live child expects a top-down nonce its live
+//!   parent has not assigned;
+//! * **node records** — every node has a subnet record, and every record
+//!   without a node is crashed;
+//! * **backing** (at quiescence) — a parent's record of a child's
+//!   circulating supply equals the child's live supply (minted in, less
+//!   burned out). A child killed in its parent's SCA, or compromised by the
+//!   runtime itself, may fall below it, never above: fund recovery and theft
+//!   only lower the parent's liability — the firewall bound (paper §II);
+//! * **window digest**, **head root** (debug builds) — the from-scratch
+//!   re-hashes: each SCA's carried window digest hashes its window, and each
+//!   live subnet with no write outside a block has a head whose state root
+//!   is `recompute_root()`.
 //!
-//! * **Escrow coverage** (always) — every SCA holds at least the frozen
-//!   collateral plus the circulating supply of each of its children, so a
-//!   child can never withdraw unbacked value.
-//! * **Per-edge backing** (at quiescence) — the circulating supply a
-//!   parent records for a child equals the child's *live* supply (tokens
-//!   minted into it minus tokens burned leaving it), i.e. the pegged
-//!   sidechain accounting balances exactly.
-//! * **Global conservation** (always) — the rootnet's gross supply equals
-//!   what was minted at genesis/faucet; cross-net traffic never creates or
-//!   destroys root tokens.
-//!
-//! Beside them, debug builds check the commitment rather than the economy:
-//! every SCA's carried checkpoint-window digest is the digest of the window
-//! it holds.
+//! Its hashing is a self-check, left out of
+//! [`hc_types::crypto::sha256_block_count`].
 
+use std::fmt;
+
+use hc_actors::{Ledger, SubnetStatus};
+use hc_types::crypto::uncounted;
 use hc_types::{Address, SubnetId, TokenAmount};
 
 use crate::runtime::HierarchyRuntime;
+use crate::subnets::SubnetRecord;
 
-/// Per-subnet supply snapshot.
+/// One identity [`HierarchyRuntime::check_invariants`] found broken.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupplyReport {
-    /// The subnet.
+pub struct InvariantBreak {
+    /// The identity: `"escrow"`, `"conservation"`, `"backing"`, ….
+    pub identity: &'static str,
+    /// The subnet it broke in.
     pub subnet: SubnetId,
-    /// Sum of every account balance (incl. system actors and burnt funds).
-    pub gross: TokenAmount,
-    /// Balance of the burnt-funds actor.
-    pub burnt: TokenAmount,
-    /// Balance of the SCA (escrow for children + pending releases).
-    pub escrow: TokenAmount,
-    /// `gross - burnt`: the value actually alive in the subnet.
-    pub live: TokenAmount,
-    /// Σ circulating supply recorded for this subnet's children.
-    pub children_circ: TokenAmount,
-    /// Σ collateral frozen for this subnet's children.
-    pub children_collateral: TokenAmount,
+    /// What was found.
+    pub detail: String,
 }
 
-/// Computes the supply snapshot of one subnet.
-pub fn supply_report(rt: &HierarchyRuntime, subnet: &SubnetId) -> Option<SupplyReport> {
-    let node = rt.node(subnet)?;
-    let tree = node.state();
-    let gross = tree.total_supply();
-    let burnt = tree
-        .accounts()
-        .get(Address::BURNT_FUNDS)
-        .map(|a| a.balance)
-        .unwrap_or(TokenAmount::ZERO);
-    let escrow = tree
-        .accounts()
-        .get(Address::SCA)
-        .map(|a| a.balance)
-        .unwrap_or(TokenAmount::ZERO);
-    let children_circ = tree.sca().subnets().map(|s| s.circ_supply).sum();
-    let children_collateral = tree.sca().subnets().map(|s| s.collateral).sum();
-    Some(SupplyReport {
-        subnet: subnet.clone(),
-        gross,
-        burnt,
-        escrow,
-        live: gross - burnt,
-        children_circ,
-        children_collateral,
-    })
-}
-
-/// Checks the always-true invariants: escrow coverage in every subnet and
-/// global conservation at the root.
-///
-/// # Errors
-///
-/// Returns a description of the first violated invariant.
-pub fn audit_escrow(rt: &HierarchyRuntime) -> Result<(), String> {
-    for subnet in rt.subnets() {
-        let report = supply_report(rt, subnet).expect("subnet exists");
-        let needed = report.children_circ + report.children_collateral;
-        if report.escrow < needed {
-            return Err(format!(
-                "escrow violation in {subnet}: SCA holds {} but children need {} \
-                 ({} circulating + {} collateral)",
-                report.escrow, needed, report.children_circ, report.children_collateral
-            ));
-        }
+impl fmt::Display for InvariantBreak {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (identity, subnet, detail) = (self.identity, &self.subnet, &self.detail);
+        write!(f, "{identity} violation in {subnet}: {detail}")
     }
-    let root_report = supply_report(rt, &SubnetId::root()).expect("root exists");
-    if root_report.gross != rt.root_minted() {
-        return Err(format!(
-            "conservation violation at root: gross supply {} != minted {}",
-            root_report.gross,
-            rt.root_minted()
-        ));
-    }
-    Ok(())
 }
 
-/// Checks that every subnet's SCA carries the digest of the checkpoint
-/// window it holds: the running window digest the state root commits to
-/// equals one SHA-256 over the window's encoding. Debug builds run it after
-/// every wave. The hashing done here is a self-check, not the system's
-/// work, so it is left out of [`hc_types::crypto::sha256_block_count`] and
-/// a debug build counts what a release build does.
-///
-/// # Errors
-///
-/// Returns a description naming the first subnet whose digest is stale.
-#[cfg(debug_assertions)]
-pub(crate) fn audit_window_digests(rt: &HierarchyRuntime) -> Result<(), String> {
-    use hc_types::crypto::{sha256, uncounted};
-    uncounted(|| {
-        for subnet in rt.subnets() {
-            let sca = rt.node(subnet).expect("subnet exists").state().sca();
-            let window = sca.window_encoding();
-            if sca.window_digest() != sha256(&window) {
-                return Err(format!(
-                    "window digest violation in {subnet}: the SCA's carried digest is not \
-                     the hash of its {}-byte window",
-                    window.len()
-                ));
+/// The breaks, one a line.
+pub(crate) fn describe(breaks: &[InvariantBreak]) -> String {
+    let lines: Vec<String> = breaks.iter().map(ToString::to_string).collect();
+    lines.join("\n")
+}
+
+impl HierarchyRuntime {
+    /// Checks every identity in the [module docs](crate::audit).
+    ///
+    /// # Errors
+    ///
+    /// Returns every break found.
+    pub fn check_invariants(&self) -> Result<(), Vec<InvariantBreak>> {
+        self.check_invariants_rehashing(None)
+    }
+
+    /// [`HierarchyRuntime::check_invariants`], re-hashing only the heads of
+    /// `heads` when given: a wave's members, so each committed block is
+    /// re-hashed once, when it commits.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn check_invariants_rehashing(
+        &self,
+        heads: Option<&[SubnetId]>,
+    ) -> Result<(), Vec<InvariantBreak>> {
+        let mut breaks = Vec::new();
+        let mut fail = |identity, subnet: &SubnetId, detail| {
+            let subnet = subnet.clone();
+            breaks.push(InvariantBreak {
+                identity,
+                subnet,
+                detail,
+            });
+        };
+        let record = |s: &SubnetId| self.subnets.by_id.get(s);
+        let live = |s: &SubnetId| {
+            self.nodes.contains_key(s) && record(s).is_some_and(SubnetRecord::is_live)
+        };
+        let quiescent = self.all_quiescent();
+        uncounted(|| {
+            for (subnet, r) in &self.subnets.by_id {
+                if !self.nodes.contains_key(subnet) && r.crashed.is_none() {
+                    fail("node records", subnet, "no node, yet not crashed".into());
+                }
             }
+            for (subnet, node) in &self.nodes {
+                let (tree, sca) = (node.state(), node.state().sca());
+                if record(subnet).is_none_or(|r| r.crashed.is_some()) {
+                    fail("node records", subnet, "a node, yet no live record".into());
+                }
+                let escrow = tree.accounts().balance(Address::SCA);
+                let circ: TokenAmount = sca.subnets().map(|c| c.circ_supply).sum();
+                let frozen: TokenAmount = sca.subnets().map(|c| c.collateral).sum();
+                if escrow < circ + frozen {
+                    let detail = format!("SCA holds {escrow} < {circ} + {frozen} frozen");
+                    fail("escrow", subnet, detail);
+                }
+                #[cfg(debug_assertions)]
+                {
+                    let window = sca.window_encoding();
+                    if sca.window_digest() != hc_types::crypto::sha256(&window) {
+                        let detail = format!("stale for a {}-byte window", window.len());
+                        fail("window digest", subnet, detail);
+                    }
+                    let rehash = heads.is_none_or(|h| h.contains(subnet)) && live(subnet);
+                    let head = node.chain().get(&node.chain().head());
+                    let head = head.filter(|_| rehash && tree.is_committed());
+                    if head.is_some_and(|h| h.header.state_root != tree.recompute_root()) {
+                        fail("head root", subnet, "state root != recompute_root()".into());
+                    }
+                }
+                let Some(parent) = subnet.parent() else {
+                    continue;
+                };
+                let parent_sca = self.nodes.get(&parent).map(|p| p.state().sca());
+                let Some(info) = parent_sca.and_then(|sca| sca.subnet(subnet)) else {
+                    continue;
+                };
+                if live(subnet) && live(&parent) {
+                    if let Err(e) = self.verify_checkpoint_chain(subnet) {
+                        fail("checkpoint chain", subnet, e);
+                    }
+                    let (next, assigned) =
+                        (node.cross_pool.next_top_down_nonce(), info.topdown_nonce);
+                    if next > assigned {
+                        let detail = format!("expects {next}, {parent} assigned {assigned}");
+                        fail("top-down nonce", subnet, detail);
+                    }
+                }
+                if !quiescent {
+                    continue;
+                }
+                let burnt = tree.accounts().balance(Address::BURNT_FUNDS);
+                let (recorded, held) = (info.circ_supply, tree.total_supply() - burnt);
+                let may_fall_short = info.status == SubnetStatus::Killed
+                    || record(subnet).is_some_and(|r| r.compromised);
+                if recorded != held && !(may_fall_short && recorded < held) {
+                    let detail = format!("{parent} records {recorded}, the child holds {held}");
+                    fail("backing", subnet, detail);
+                }
+            }
+            let root = SubnetId::root();
+            let gross = self.nodes.get(&root).map(|n| n.state().total_supply());
+            if let Some(gross) = gross.filter(|g| *g != self.root_minted) {
+                let detail = format!("gross supply {gross} != minted {}", self.root_minted);
+                fail("conservation", &root, detail);
+            }
+        });
+        if breaks.is_empty() {
+            Ok(())
+        } else {
+            Err(breaks)
         }
-        Ok(())
-    })
+    }
 }
 
-/// Checks the quiescent-state invariant: for every parent→child edge, the
-/// recorded circulating supply equals the child's live supply. Only
-/// meaningful when [`HierarchyRuntime::all_quiescent`] holds (no value in
-/// flight).
+/// [`HierarchyRuntime::check_invariants`] at rest, once no value is in
+/// flight ([`HierarchyRuntime::all_quiescent`]).
 ///
 /// # Errors
 ///
-/// Returns a description of the first violated edge, or of non-quiescence.
+/// Reports non-quiescence, or every break, one a line.
 pub fn audit_quiescent(rt: &HierarchyRuntime) -> Result<(), String> {
     if !rt.all_quiescent() {
         return Err("hierarchy is not quiescent: value is still in flight".into());
     }
-    audit_escrow(rt)?;
-    for subnet in rt.subnets() {
-        let Some(parent) = subnet.parent() else {
-            continue;
-        };
-        let parent_node = rt.node(&parent).expect("parent exists");
-        let Some(info) = parent_node.state().sca().subnet(subnet) else {
-            continue;
-        };
-        let report = supply_report(rt, subnet).expect("subnet exists");
-        if info.circ_supply != report.live {
-            return Err(format!(
-                "backing violation on {parent} -> {subnet}: parent records {} \
-                 circulating but the child holds {} live",
-                info.circ_supply, report.live
-            ));
+    rt.check_invariants().map_err(|breaks| describe(&breaks))
+}
+
+#[cfg(test)]
+mod tests {
+    //! Every identity has teeth: a world that settled clean, one break
+    //! planted through the runtime's crate-private fields, and the wave (or
+    //! the call) that must report it. The window digest has no planted
+    //! case: hc-actors fills the digest and the window it covers together
+    //! and exposes neither, so no field of this crate can part them.
+
+    use std::collections::BTreeSet;
+
+    use hc_actors::sa::SaConfig;
+    use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, Ledger, MsgGroup};
+    use hc_types::crypto::SignaturePolicy;
+    use hc_types::{Address, Keypair, Nonce, SubnetId, TokenAmount};
+
+    use super::describe;
+    use crate::config::{RuntimeConfig, UserHandle};
+    use crate::runtime::HierarchyRuntime;
+
+    fn whole(n: u64) -> TokenAmount {
+        TokenAmount::from_whole(n)
+    }
+
+    /// A settled rootnet with one child holding 30 HC of circulating
+    /// supply: the runtime, its root user and the child.
+    fn world() -> (HierarchyRuntime, UserHandle, SubnetId) {
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let alice = rt.create_user(&SubnetId::root(), whole(1_000)).unwrap();
+        let validator = rt.create_user(&SubnetId::root(), whole(100)).unwrap();
+        let stake = [(validator, whole(5))];
+        let child = rt
+            .spawn_subnet(&alice, SaConfig::default(), whole(10), &stake)
+            .unwrap();
+        let inside = rt.create_user(&child, TokenAmount::ZERO).unwrap();
+        rt.cross_transfer(&alice, &inside, whole(30)).unwrap();
+        rt.run_until_quiescent(10_000).unwrap();
+        check(&rt);
+        (rt, alice, child)
+    }
+
+    /// Panics with every break [`HierarchyRuntime::check_invariants`]
+    /// reports.
+    fn check(rt: &HierarchyRuntime) {
+        if let Err(breaks) = rt.check_invariants() {
+            panic!("{}", describe(&breaks));
         }
     }
-    Ok(())
+
+    /// Moves the root SCA's whole balance to `to`: gross supply is
+    /// unchanged, the children's escrow is gone.
+    fn drain_root_escrow(rt: &mut HierarchyRuntime, to: Address) {
+        let root = rt.nodes.get_mut(&SubnetId::root()).unwrap();
+        let accounts = root.tree.accounts_mut();
+        let held = accounts.balance(Address::SCA);
+        accounts.debit(Address::SCA, held).unwrap();
+        accounts.credit(to, held);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
+    #[should_panic(expected = "escrow violation")]
+    fn a_drained_sca_breaks_escrow() {
+        let (mut rt, alice, _) = world();
+        drain_root_escrow(&mut rt, alice.addr);
+        rt.step_wave().unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
+    #[should_panic(expected = "conservation violation")]
+    fn a_mint_outside_create_user_breaks_conservation() {
+        let (mut rt, alice, _) = world();
+        let root = rt.nodes.get_mut(&SubnetId::root()).unwrap();
+        root.tree.accounts_mut().credit(alice.addr, whole(1));
+        rt.step_wave().unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the head-root re-hash is debug-only")]
+    #[should_panic(expected = "head root violation")]
+    fn an_edit_flushed_past_the_head_breaks_the_head_root() {
+        let (mut rt, alice, _) = world();
+        let root = rt.nodes.get_mut(&SubnetId::root()).unwrap();
+        let account = root.tree.accounts_mut().get_or_create(alice.addr);
+        account
+            .storage
+            .insert(b"planted".to_vec(), b"edit".to_vec());
+        root.tree.flush();
+        check(&rt);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
+    #[should_panic(expected = "checkpoint chain violation")]
+    fn a_tampered_archive_breaks_the_checkpoint_chain() {
+        let (mut rt, _, child) = world();
+        let forged = rt.forge_equivocation(&child).unwrap().a;
+        let policy = SignaturePolicy::Single(Keypair::from_seed([7; 32]).public());
+        rt.archive.record(forged, policy);
+        rt.step_wave().unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
+    #[should_panic(expected = "top-down nonce violation")]
+    fn a_child_ahead_of_its_parent_breaks_the_top_down_nonce() {
+        let (mut rt, _, child) = world();
+        let node = rt.nodes.get_mut(&child).unwrap();
+        node.cross_pool.note_top_down_applied(Nonce::new(99));
+        rt.step_wave().unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
+    #[should_panic(expected = "node records violation")]
+    fn a_node_without_a_record_breaks_the_node_records() {
+        let (mut rt, _, child) = world();
+        rt.subnets.by_id.remove(&child);
+        rt.step_wave().unwrap();
+    }
+
+    /// A theft over an edge the runtime never compromised: the forged
+    /// withdrawal of the child's whole supply goes through
+    /// `inject_signed_checkpoint`, and the runtime is then made to forget
+    /// it. Escrow stays covered; the parent's record falls below the
+    /// child's live supply, and `run_until_quiescent`'s last wave says so.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
+    #[should_panic(expected = "backing violation")]
+    fn a_theft_over_an_honest_edge_breaks_backing() {
+        let (mut rt, alice, child) = world();
+        let root = SubnetId::root();
+        let thief = HcAddress::new(root.clone(), alice.addr);
+        let from = HcAddress::new(child.clone(), Address::new(666));
+        let group = MsgGroup::seal(vec![CrossMsg::transfer(from, thief, whole(30))]);
+        let meta = CrossMsgMeta::for_group(child.clone(), root.clone(), &group);
+        rt.inject_signed_checkpoint(&child, |ckpt| {
+            ckpt.add_cross_meta(meta);
+        })
+        .unwrap();
+        rt.subnets.by_id.get_mut(&child).unwrap().compromised = false;
+        rt.nodes.get_mut(&root).unwrap().resolver.seed(group);
+        rt.run_until_quiescent(5_000).unwrap();
+    }
+
+    #[test]
+    fn every_break_is_reported() {
+        let (mut rt, alice, child) = world();
+        drain_root_escrow(&mut rt, alice.addr);
+        rt.subnets.by_id.remove(&child);
+        let breaks = rt.check_invariants().unwrap_err();
+        let found: BTreeSet<(&str, SubnetId)> = breaks
+            .iter()
+            .map(|b| (b.identity, b.subnet.clone()))
+            .collect();
+        let planted = BTreeSet::from([("escrow", SubnetId::root()), ("node records", child)]);
+        assert_eq!(found, planted, "{}", describe(&breaks));
+    }
 }

@@ -19,9 +19,10 @@
 //!   the pub-sub network, and automatic reverts for failed applications.
 //! * **Atomic execution** (paper §IV-D) — the [`atomic::AtomicOrchestrator`]
 //!   drives the two-phase commit across subnets end to end.
-//! * **Auditing** — [`audit`] checks the hierarchy-wide supply invariants
-//!   (escrow coverage, per-edge supply backing, global conservation) that
-//!   make the firewall property observable.
+//! * **Auditing** — [`HierarchyRuntime::check_invariants`] is the one check
+//!   of the safety story (escrow, conservation, checkpoint chains, backing
+//!   under the firewall bound, …); debug builds run it after every wave and
+//!   every recovery, and [`audit_quiescent`] is it at rest.
 //!
 //! # Modules
 //!
@@ -52,7 +53,7 @@
 //!   sync.
 //! * [`elastic`], [`atomic`], [`archive`], [`audit`], [`attack`] — the
 //!   scale-out controller, 2PC orchestration, the checkpoint archive,
-//!   supply audits, and adversarial injection.
+//!   the invariant check, and adversarial injection.
 //!
 //! # Example
 //!
@@ -107,7 +108,7 @@ mod wallet;
 pub use archive::CheckpointArchive;
 pub use atomic::{AtomicOrchestrator, AtomicOutcome, AtomicParty, PartyBehavior};
 pub use attack::AttackReport;
-pub use audit::{audit_escrow, audit_quiescent, SupplyReport};
+pub use audit::{audit_quiescent, InvariantBreak};
 pub use chaos::{ChaosStats, CrashPhase, SyncMode, BLOCK_BATCH_CAP};
 pub use config::{PlacementPolicy, PoolStats, RuntimeConfig, RuntimeError, StepReport, UserHandle};
 pub use elastic::{ElasticController, ElasticStats};

@@ -41,21 +41,30 @@ impl HierarchyRuntime {
     /// engine parameters, …) must match the run that wrote the journal —
     /// it deliberately does not store the whole world, only what a
     /// deterministic re-execution cannot re-derive.
+    ///
+    /// Debug builds end it with [`HierarchyRuntime::check_invariants`] over
+    /// the recovered world, and panic naming every break.
     pub fn recover(config: RuntimeConfig) -> Self {
         if !config.persistence.is_durable() {
             return Self::new(config);
         }
-        if config.sync_mode == crate::chaos::SyncMode::Snapshot {
-            // Snapshot mode fast-forwards each eligible subnet to its last
-            // checkpoint-anchored manifest instead of re-executing its
-            // whole history. If a fast-forward target turns out to be
-            // unreachable (the journal tore inside the skipped region),
-            // fall back to the total full-replay recovery below.
-            if let Some(rt) = Self::recover_attempt(config.clone(), true) {
-                return rt;
-            }
+        // Snapshot mode fast-forwards each eligible subnet to its last
+        // checkpoint-anchored manifest instead of re-executing its whole
+        // history. If a fast-forward target turns out to be unreachable
+        // (the journal tore inside the skipped region), fall back to the
+        // total full-replay recovery.
+        let snapshot = config.sync_mode == crate::chaos::SyncMode::Snapshot;
+        let fast = snapshot.then(|| Self::recover_attempt(config.clone(), true));
+        let rt = fast.flatten().unwrap_or_else(|| {
+            Self::recover_attempt(config, false)
+                .expect("full-replay recovery never abandons a prefix")
+        });
+        #[cfg(debug_assertions)]
+        if let Err(breaks) = rt.check_invariants() {
+            let breaks = crate::audit::describe(&breaks);
+            panic!("recovered world at {} ms:\n{breaks}", rt.now_ms);
         }
-        Self::recover_attempt(config, false).expect("full-replay recovery never abandons a prefix")
+        rt
     }
 
     /// One recovery pass over the journal. With `fast_forward` enabled,

@@ -325,10 +325,10 @@ impl HierarchyRuntime {
     ///    checkpoint archiving, event routing, registry pruning; then the
     ///    journal barrier — the wave's one sync and its commit point.
     ///
-    /// Debug builds end every wave with [`crate::audit_escrow`] and a check
-    /// of every SCA's carried window digest against a from-scratch hash:
-    /// escrow coverage, root conservation and the window commitment hold
-    /// between any two blocks.
+    /// Debug builds end every wave with
+    /// [`HierarchyRuntime::check_invariants`], re-hashing the heads of the
+    /// wave's members only, and panic naming the wave, `now_ms` and every
+    /// break: the safety story holds between any two blocks.
     ///
     /// Phase (a) touches no shared state (each node owns its private
     /// randomness stream) and is laid on the workers by
@@ -361,10 +361,9 @@ impl HierarchyRuntime {
         }
         self.journal.barrier();
         #[cfg(debug_assertions)]
-        if let Err(broken) =
-            crate::audit::audit_escrow(self).and_then(|()| crate::audit::audit_window_digests(self))
-        {
-            panic!("wave {members:?} at {} ms: {broken}", self.now_ms);
+        if let Err(breaks) = self.check_invariants_rehashing(Some(members)) {
+            let breaks = crate::audit::describe(&breaks);
+            panic!("wave {members:?} at {} ms:\n{breaks}", self.now_ms);
         }
         Ok(reports)
     }

@@ -57,6 +57,9 @@ pub(crate) struct SubnetRecord {
     pub(crate) crashed: Option<CrashedNode>,
     /// While the rejoined node replays missed blocks pulled from peers.
     pub(crate) catch_up: Option<CatchUp>,
+    /// Set by [`HierarchyRuntime::inject_signed_checkpoint`]: the parent's
+    /// record may then fall below the subnet's live supply. Not journaled.
+    pub(crate) compromised: bool,
 }
 
 impl SubnetRecord {

@@ -3,21 +3,10 @@
 //! wave vs sequential, rejoined vs never-crashed) is made on.
 //!
 //! [`Harness`] owns a runtime and its funded root user. Every helper that
-//! moves the hierarchy ends in [`Harness::check_state`], which checks the
-//! paper's safety story through the public API alone: escrow covers every
-//! child and the root conserves its minting; at quiescence each
-//! parent→child edge's circulating supply equals the child's live supply;
-//! every live subnet's head commits to the state it holds; and every live
-//! child's archived checkpoint chain verifies from its parent's view.
-//!
-//! A test that steals on purpose cannot use the checked helpers after the
-//! theft: `forge_withdrawal` leaves escrow covered but the parent's record
-//! of the child's circulating supply below the child's live supply, which
-//! is exactly the backing break `check_state` exists to catch. The firewall
-//! suite therefore drives the runtime directly after its forged withdrawals
-//! and keeps calling only `audit_escrow`. So does a test between killing a
-//! subnet, whose users then recover their funds on the parent, and
-//! retiring it: the dead node still holds what was paid out.
+//! moves the hierarchy ends in [`Harness::check_state`], the runtime's one
+//! invariant check (`HierarchyRuntime::check_invariants`). It holds after a
+//! theft and after a kill too: the edge of a compromised or killed child
+//! may fall below the child's live supply, never above it.
 
 // Each test binary compiles this module and uses a subset of it.
 #![allow(dead_code)]
@@ -26,10 +15,7 @@ use std::fmt::{Debug, Display};
 
 use hc_actors::sa::SaConfig;
 use hc_actors::SubnetInfo;
-use hc_core::{
-    audit_escrow, audit_quiescent, HierarchyRuntime, NodeStats, RuntimeConfig, UserHandle,
-};
-use hc_types::crypto::uncounted;
+use hc_core::{HierarchyRuntime, NodeStats, RuntimeConfig, UserHandle};
 use hc_types::{CanonicalEncode, ChainEpoch, Cid, Nonce, SubnetId, TokenAmount};
 
 /// Blocks [`Harness::settle`] may produce before it declares the hierarchy
@@ -146,39 +132,14 @@ impl Harness {
         node.state().sca().subnet(child).unwrap().clone()
     }
 
-    /// Panics unless the hierarchy upholds its safety invariants: escrow
-    /// coverage and root conservation (`audit_escrow`); per-edge backing
-    /// whenever nothing is in flight (`audit_quiescent`); for every live
-    /// subnet whose state holds no write made outside a block (an account
-    /// created or adopted since its last block), the head header's state
-    /// root equals a from-scratch recompute; and for every live child of a
-    /// live parent, `verify_checkpoint_chain`. Its hashing is left out of
-    /// the SHA-256 work counter, so suites that difference it are
-    /// unaffected.
+    /// Panics with every break `check_invariants` reports. Its hashing is
+    /// left out of the SHA-256 work counter, so suites that difference it
+    /// are unaffected.
     pub fn check_state(&self) {
-        let rt = &self.rt;
-        let live = |s: &SubnetId| rt.node(s).is_some() && !rt.is_catching_up(s);
-        uncounted(|| {
-            audit_escrow(rt).unwrap_or_else(|e| panic!("{e}"));
-            if rt.all_quiescent() {
-                audit_quiescent(rt).unwrap_or_else(|e| panic!("{e}"));
-            }
-            for subnet in rt.subnets().filter(|s| live(s)) {
-                let node = rt.node(subnet).unwrap();
-                let head = node.chain().get(&node.chain().head());
-                if let Some(head) = head.filter(|_| node.state().is_committed()) {
-                    assert_eq!(
-                        head.header.state_root,
-                        node.state().recompute_root(),
-                        "{subnet}: the head's state root does not commit to the state"
-                    );
-                }
-                if subnet.parent().is_some_and(|p| live(&p)) {
-                    rt.verify_checkpoint_chain(subnet)
-                        .unwrap_or_else(|e| panic!("{subnet}: {e}"));
-                }
-            }
-        });
+        if let Err(breaks) = self.rt.check_invariants() {
+            let lines: Vec<String> = breaks.iter().map(ToString::to_string).collect();
+            panic!("{}", lines.join("\n"));
+        }
     }
 }
 

@@ -21,8 +21,8 @@
 
 use hc_actors::sa::SaConfig;
 use hc_core::{
-    audit_escrow, audit_quiescent, HierarchyRuntime, PlacementPolicy, RuntimeConfig, RuntimeError,
-    SyncMode, UserHandle,
+    audit_quiescent, HierarchyRuntime, PlacementPolicy, RuntimeConfig, RuntimeError, SyncMode,
+    UserHandle,
 };
 use hc_net::{FaultKind, FaultPlan, FaultRule, PartitionPolicy, RegionLink, RegionMap};
 use hc_types::{SubnetId, TokenAmount};
@@ -346,8 +346,7 @@ fn run_seed(
         w.rt.node(s)
             .is_some_and(|n| n.resolver().stats().pulls_abandoned == 0)
     });
-    let converged = audit_escrow(&w.rt).is_ok()
-        && audit_quiescent(&w.rt).is_ok()
+    let converged = audit_quiescent(&w.rt).is_ok()
         && w.rt.balance(&w.bob) == whole(40 - 7 - mid_leg - 2)
         && w.rt.balance(&w.carol) == whole(30 + 3)
         && chaos.region_heals == chaos.region_outages

@@ -81,9 +81,9 @@ pub fn e4_run(params: &E4Params) -> Result<Vec<E4Row>, RuntimeError> {
         });
     }
     // Hard global invariant: everything ever extracted is covered by what
-    // was injected, and the escrow audit still passes.
+    // was injected, and the hierarchy still checks clean at rest.
     debug_assert!(cumulative <= TokenAmount::from_whole(params.circ_supply + 1_000));
-    hc_core::audit_escrow(&topo.rt).map_err(RuntimeError::Execution)?;
+    hc_core::audit_quiescent(&topo.rt).map_err(RuntimeError::Execution)?;
     let _ = SubnetId::root();
     Ok(rows)
 }

@@ -18,8 +18,8 @@
 //!   account ends at the identical summed balance.
 
 use hc_core::{
-    audit_escrow, audit_quiescent, ChaosStats, ElasticController, ElasticStats, HierarchyRuntime,
-    RuntimeConfig, RuntimeError, UserHandle,
+    audit_quiescent, ChaosStats, ElasticController, ElasticStats, HierarchyRuntime, RuntimeConfig,
+    RuntimeError, UserHandle,
 };
 use hc_net::{FaultKind, FaultPlan, FaultRule};
 use hc_state::Method;
@@ -203,7 +203,6 @@ fn run_schedule(seed: u64, faults: bool) -> Outcome {
     }
     s.drain();
 
-    audit_escrow(&s.rt).unwrap();
     audit_quiescent(&s.rt).unwrap();
     let elastic = s.ctrl.stats();
     assert_eq!(

@@ -15,7 +15,7 @@
 //!   abandoned, and the network ledger accounts for every message a
 //!   region rule dropped or held.
 
-use hc_core::{audit_escrow, audit_quiescent, HierarchyRuntime, PlacementPolicy, SyncMode};
+use hc_core::{audit_quiescent, HierarchyRuntime, PlacementPolicy, SyncMode};
 use hc_net::{FaultKind, FaultPlan, FaultRule};
 use hc_sim::experiments::e14_geo::GeoWorld;
 use hc_sim::metrics::ride_out;
@@ -122,7 +122,6 @@ fn region_outage_under_faulty_network_reconverges_to_undisturbed_roots() {
         }
         ride_out(&mut w.rt, heal_ms).unwrap();
 
-        audit_escrow(&w.rt).unwrap();
         audit_quiescent(&w.rt).unwrap();
         assert_ledger_reconciles(&w.rt);
         assert_no_abandons(&w.rt);
@@ -223,7 +222,6 @@ fn run_geo_schedule(seed: u64) -> (u64, String) {
     w.rt.cross_transfer(&w.bob, &w.alice, whole(1)).unwrap();
     w.rt.run_until_quiescent(20_000).unwrap();
 
-    audit_escrow(&w.rt).unwrap();
     audit_quiescent(&w.rt).unwrap();
     assert_eq!(w.rt.balance(&w.bob), whole(40 - 7 + 2 - 1), "seed {seed}");
     assert_eq!(w.rt.balance(&w.carol), whole(33), "seed {seed}");

@@ -51,8 +51,8 @@ fn main() -> Result<(), RuntimeError> {
     println!(
         "\ntotal extracted: {total_stolen} — hard-capped at the 40 HC that ever entered the subnet"
     );
-    audit_escrow(&rt).map_err(RuntimeError::Execution)?;
-    println!("escrow audit after the attack: ok\n");
+    audit_quiescent(&rt).map_err(RuntimeError::Execution)?;
+    println!("invariant check after the attack: ok\n");
 
     // The compromised quorum also equivocated; any honest observer can
     // slash its collateral.

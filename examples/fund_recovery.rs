@@ -85,7 +85,7 @@ fn main() -> Result<(), RuntimeError> {
         .unwrap_err();
     println!("\nreplay attempt rejected: {err}");
 
-    audit_escrow(&rt).map_err(RuntimeError::Execution)?;
-    println!("escrow audit after full recovery: ok");
+    audit_quiescent(&rt).map_err(RuntimeError::Execution)?;
+    println!("invariant check after full recovery: ok");
     Ok(())
 }

@@ -71,8 +71,8 @@ pub mod prelude {
     pub use hc_actors::sa::{ConsensusKind, SaConfig};
     pub use hc_actors::{CrossMsg, HcAddress, ScaConfig};
     pub use hc_core::{
-        audit_escrow, audit_quiescent, AtomicOrchestrator, AtomicParty, ChaosStats,
-        HierarchyRuntime, PartyBehavior, RuntimeConfig, RuntimeError, UserHandle,
+        audit_quiescent, AtomicOrchestrator, AtomicParty, ChaosStats, HierarchyRuntime,
+        InvariantBreak, PartyBehavior, RuntimeConfig, RuntimeError, UserHandle,
     };
     pub use hc_state::Method;
     pub use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};

@@ -3,7 +3,8 @@
 //! Each test pins one structural decision DESIGN.md records — one
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
 //! option without a scenario, one front door per node, one test world,
-//! content hashed once, one `unsafe` block — so a change that reintroduces what a decision removed
+//! one invariant check, content hashed once, one `unsafe` block — so a
+//! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
 //! own needles never match).
@@ -495,6 +496,59 @@ fn one_test_world() {
         harness.len() == 2 && elsewhere.is_empty(),
         "DESIGN.md §4 (Test harness): only `common::Harness` builds a world; \
          found {elsewhere:#?} beside {harness:#?}"
+    );
+}
+
+/// DESIGN.md §4, "Test harness": the safety story is checked by one
+/// function, `HierarchyRuntime::check_invariants`. The partial audits it
+/// replaced occur in no Rust file, `run_wave` and `recover` both end in it,
+/// and the hc-core harness's `check_state` re-implements none of it.
+#[test]
+fn one_invariant_check() {
+    let files: Vec<PathBuf> = ["crates", "src", "tests", "examples", "e2e", "shims"]
+        .iter()
+        .flat_map(|d| files_under(d))
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .collect();
+    let retired = [
+        "audit_escrow",
+        "audit_window_digests",
+        "SupplyReport",
+        "supply_report",
+    ];
+    let found = hits(&files, |s| s, |l| retired.iter().any(|r| l.contains(r)));
+    assert!(
+        found.is_empty(),
+        "DESIGN.md §4: one invariant check; the partial audits are back: {found:#?}"
+    );
+    let runtime = read_rel("crates/core/src/runtime.rs");
+    let recover = read_rel("crates/core/src/recover.rs");
+    for (src, opener, name) in [
+        (
+            &runtime,
+            "    fn run_wave(&mut self, members: &[SubnetId]) -> Result<Vec<StepReport>, RuntimeError> {",
+            "run_wave",
+        ),
+        (
+            &recover,
+            "    pub fn recover(config: RuntimeConfig) -> Self {",
+            "recover",
+        ),
+    ] {
+        let body = block(src, opener, "    }");
+        assert!(
+            body.iter().any(|l| l.contains(".check_invariants")),
+            "DESIGN.md §4: `{name}` ends in `check_invariants`"
+        );
+    }
+    let harness = read_rel("crates/core/tests/common/mod.rs");
+    let check_state = block(&harness, "    pub fn check_state(&self) {", "    }");
+    assert!(
+        !check_state.is_empty()
+            && check_state
+                .iter()
+                .all(|l| !l.contains("recompute_root") && !l.contains("verify_checkpoint_chain")),
+        "DESIGN.md §4: `Harness::check_state` is one call to `check_invariants`: {check_state:#?}"
     );
 }
 

@@ -11,15 +11,15 @@ fn whole(n: u64) -> TokenAmount {
     TokenAmount::from_whole(n)
 }
 
-/// Head CID, head epoch and committed state root per subnet, the latter
-/// cross-checked against a from-scratch recompute.
+/// Head CID, head epoch and committed state root per subnet, after the
+/// runtime's invariant check (which re-hashes each head in a debug build).
 fn heads(rt: &HierarchyRuntime) -> Vec<(SubnetId, Cid, ChainEpoch, Cid)> {
+    rt.check_invariants().unwrap();
     rt.subnets()
         .map(|s| {
             let node = rt.node(s).unwrap();
             let head = node.chain().head();
             let state_root = node.chain().get(&head).unwrap().header.state_root;
-            assert_eq!(node.state().recompute_root(), state_root, "{s}");
             (s.clone(), head, node.chain().head_epoch(), state_root)
         })
         .collect()
@@ -185,12 +185,9 @@ fn grand_tour() {
         .unwrap();
     assert_eq!(topo.rt.balance(&claimant), insider_balance);
 
-    // Everything still audits.
-    hierarchical_consensus::core::audit_escrow(&topo.rt).unwrap();
-    // And the surviving subnets' checkpoint chains verify.
-    for s in [&s1, &s2] {
-        topo.rt.verify_checkpoint_chain(s).unwrap();
-    }
+    // Everything still checks, checkpoint chains included; the killed and
+    // compromised subnet's edge may only fall below its live supply.
+    topo.rt.check_invariants().unwrap();
 }
 
 /// Byzantine traffic storm: repeated forged checkpoints interleaved with
@@ -217,7 +214,7 @@ fn attack_storm_does_not_stall_honest_traffic() {
         topo.rt.balance(&root_user),
         whole(1_000) + whole(1 + 2 + 3 + 4 + 5)
     );
-    hierarchical_consensus::core::audit_escrow(&topo.rt).unwrap();
+    hierarchical_consensus::core::audit_quiescent(&topo.rt).unwrap();
 }
 
 /// Four levels deep: value travels to the leaf and back, checkpoints nest
@@ -246,9 +243,6 @@ fn four_level_round_trip() {
     assert_eq!(topo.rt.balance(&root_user), root_before + whole(4));
 
     hierarchical_consensus::core::audit_quiescent(&topo.rt).unwrap();
-    for s in topo.subnets.clone() {
-        topo.rt.verify_checkpoint_chain(&s).unwrap();
-    }
 }
 
 /// A chaos drill through the facade: the leaf of a three-level hierarchy
@@ -316,11 +310,7 @@ fn leaf_crash_rejoin_in_deep_topology() {
     let chaos = topo.rt.chaos_stats();
     assert_eq!(chaos.crashes, 1);
     assert_eq!(chaos.catch_ups_completed, 1);
-    hierarchical_consensus::core::audit_escrow(&topo.rt).unwrap();
     hierarchical_consensus::core::audit_quiescent(&topo.rt).unwrap();
-    for s in topo.subnets.clone() {
-        topo.rt.verify_checkpoint_chain(&s).unwrap();
-    }
 }
 
 /// Tier-1 smoke over the three ways a block reaches a node: a journaled
