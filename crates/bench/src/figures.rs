@@ -263,8 +263,8 @@ pub fn f5_atomic() -> Result<Table, RuntimeError> {
             user.addr,
             TokenAmount::ZERO,
             Method::PutData {
-                key: b"state".to_vec(),
-                data: asset,
+                key: b"state".as_slice().into(),
+                data: asset.into(),
             },
         )?;
         parties.push(AtomicParty::honest(user, b"state"));

@@ -64,8 +64,8 @@ pub fn workload(n: usize) -> Vec<SignedMessage> {
                     Address::new(100 + u),
                     TokenAmount::ZERO,
                     Method::PutData {
-                        key: vec![(i / 4 % 200) as u8],
-                        data: vec![0xAB; PUT_BYTES],
+                        key: vec![(i / 4 % 200) as u8].into(),
+                        data: vec![0xAB; PUT_BYTES].into(),
                     },
                 )
             } else {

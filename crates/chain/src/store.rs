@@ -55,13 +55,14 @@ impl std::error::Error for StoreError {}
 ///
 /// The store holds the *committed* chain: consensus engines resolve forks
 /// before appending (longest-chain engines only append once a block wins;
-/// BFT engines append finalized blocks directly).
+/// BFT engines append finalized blocks directly). Blocks sit in one vector,
+/// oldest first; epochs strictly ascend along it, so an epoch lookup is a
+/// binary search, and a CID lookup goes through the one index beside it.
 #[derive(Debug, Clone)]
 pub struct ChainStore {
     subnet: SubnetId,
-    blocks: HashMap<Cid, Block>,
-    order: Vec<Cid>,
-    by_epoch: HashMap<ChainEpoch, Cid>,
+    blocks: Vec<Block>,
+    by_cid: HashMap<Cid, usize>,
     head: Cid,
     head_epoch: ChainEpoch,
 }
@@ -72,9 +73,8 @@ impl ChainStore {
     pub fn new(subnet: SubnetId) -> Self {
         ChainStore {
             subnet,
-            blocks: HashMap::new(),
-            order: Vec::new(),
-            by_epoch: HashMap::new(),
+            blocks: Vec::new(),
+            by_cid: HashMap::new(),
             head: Cid::NIL,
             head_epoch: ChainEpoch::GENESIS,
         }
@@ -97,33 +97,43 @@ impl ChainStore {
 
     /// Number of blocks stored.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.blocks.len()
     }
 
     /// Returns `true` if no block was appended yet.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Fetches a block by CID.
     pub fn get(&self, cid: &Cid) -> Option<&Block> {
-        self.blocks.get(cid)
+        self.by_cid.get(cid).map(|&i| &self.blocks[i])
     }
 
     /// Fetches the i-th block (0 = first appended).
     pub fn get_index(&self, i: usize) -> Option<&Block> {
-        self.order.get(i).and_then(|c| self.blocks.get(c))
+        self.blocks.get(i)
     }
 
-    /// Fetches the block committed at `epoch` in O(1), or `None` if the
-    /// chain skipped that epoch (slow engines do not fill every height).
+    /// Fetches the block committed at `epoch` in O(log n), or `None` if
+    /// the chain skipped that epoch (slow engines do not fill every height).
     pub fn get_by_epoch(&self, epoch: ChainEpoch) -> Option<&Block> {
-        self.by_epoch.get(&epoch).and_then(|c| self.blocks.get(c))
+        let i = self
+            .blocks
+            .binary_search_by_key(&epoch, |b| b.header.epoch)
+            .ok()?;
+        Some(&self.blocks[i])
     }
 
     /// Iterates over blocks oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.order.iter().filter_map(|c| self.blocks.get(c))
+        self.blocks.iter()
+    }
+
+    /// Consumes the store, handing over its blocks oldest → newest without
+    /// copying them.
+    pub fn into_blocks(self) -> Vec<Block> {
+        self.blocks
     }
 
     /// Re-bases an *empty* chain on a trusted snapshot boundary: the head
@@ -160,7 +170,7 @@ impl ChainStore {
         }
         block.validate_structure().map_err(StoreError::BadBlock)?;
         let cid = block.cid();
-        if self.blocks.contains_key(&cid) {
+        if self.by_cid.contains_key(&cid) {
             return Err(StoreError::DuplicateBlock(cid));
         }
         if block.header.parent != self.head {
@@ -181,9 +191,8 @@ impl ChainStore {
         }
         self.head = cid;
         self.head_epoch = block.header.epoch;
-        self.order.push(cid);
-        self.by_epoch.insert(block.header.epoch, cid);
-        self.blocks.insert(cid, block);
+        self.by_cid.insert(cid, self.blocks.len());
+        self.blocks.push(block);
         Ok(cid)
     }
 }
@@ -261,13 +270,27 @@ mod tests {
     }
 
     #[test]
-    fn epoch_index_gives_o1_historical_lookups() {
+    fn epoch_lookup_finds_committed_epochs_only() {
         let mut store = ChainStore::new(SubnetId::root());
         let c1 = store.append(block_at(1, Cid::NIL)).unwrap();
         let c7 = store.append(block_at(7, c1)).unwrap();
+        let c8 = store.append(block_at(8, c7)).unwrap();
         assert_eq!(store.get_by_epoch(ChainEpoch::new(1)).unwrap().cid(), c1);
         assert_eq!(store.get_by_epoch(ChainEpoch::new(7)).unwrap().cid(), c7);
-        assert!(store.get_by_epoch(ChainEpoch::new(3)).is_none());
+        assert_eq!(store.get_by_epoch(ChainEpoch::new(8)).unwrap().cid(), c8);
+        for missing in [0, 3, 9] {
+            assert!(store.get_by_epoch(ChainEpoch::new(missing)).is_none());
+        }
+        assert_eq!(store.get(&c7).unwrap().header.epoch, ChainEpoch::new(7));
+    }
+
+    #[test]
+    fn into_blocks_hands_over_the_chain_oldest_first() {
+        let mut store = ChainStore::new(SubnetId::root());
+        let c1 = store.append(block_at(1, Cid::NIL)).unwrap();
+        let c2 = store.append(block_at(2, c1)).unwrap();
+        let cids: Vec<Cid> = store.into_blocks().iter().map(Block::cid).collect();
+        assert_eq!(cids, [c1, c2]);
     }
 
     #[test]

@@ -159,8 +159,8 @@ impl AtomicOrchestrator {
                 Address::ATOMIC_EXEC,
                 TokenAmount::ZERO,
                 Method::AtomicInit {
-                    parties: party_addrs.clone(),
-                    inputs: input_cids.clone(),
+                    parties: party_addrs.clone().into(),
+                    inputs: input_cids.clone().into(),
                 },
             )?;
         } else {
@@ -217,9 +217,9 @@ impl AtomicOrchestrator {
                     Address::ATOMIC_EXEC,
                     TokenAmount::ZERO,
                     Method::AtomicSubmit {
-                        exec,
-                        party: p.user.hc_address(),
-                        output,
+                        exec: exec.into(),
+                        party: p.user.hc_address().into(),
+                        output: output.into(),
                     },
                 );
             } else {
@@ -265,8 +265,8 @@ impl AtomicOrchestrator {
             rt.execute(&p.user, p.user.addr, TokenAmount::ZERO, unlock)?;
             if committed {
                 let put = Method::PutData {
-                    key: p.key.clone(),
-                    data: new_value.clone(),
+                    key: p.key.clone().into(),
+                    data: new_value.clone().into(),
                 };
                 rt.execute(&p.user, p.user.addr, TokenAmount::ZERO, put)?;
             }
@@ -291,8 +291,8 @@ impl AtomicOrchestrator {
                 Address::ATOMIC_EXEC,
                 TokenAmount::ZERO,
                 Method::AtomicAbort {
-                    exec: *exec,
-                    party: p.user.hc_address(),
+                    exec: (*exec).into(),
+                    party: p.user.hc_address().into(),
                 },
             );
             Ok(())

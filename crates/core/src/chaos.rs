@@ -286,7 +286,7 @@ impl HierarchyRuntime {
         // post-install suffix; the blocks its snapshot covered are kept
         // in the record's `snapshot_base` and re-prefixed here.
         let mut peer_blocks = record.snapshot_base.clone();
-        peer_blocks.extend(node.chain.iter().cloned());
+        peer_blocks.extend(node.chain.into_blocks());
         record.crashed = Some(CrashedNode {
             subscription: node.subscription,
             peer_blocks,

@@ -384,7 +384,7 @@ impl ElasticController {
                     TokenAmount::ZERO,
                     Method::RecoverFunds {
                         subnet: child.clone(),
-                        proof,
+                        proof: proof.into(),
                     },
                 )?;
                 self.stats.funds_recovered += 1;

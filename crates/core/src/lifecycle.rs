@@ -57,7 +57,9 @@ impl HierarchyRuntime {
             creator,
             Address::SYSTEM,
             TokenAmount::ZERO,
-            Method::DeploySubnetActor { config: sa_config },
+            Method::DeploySubnetActor {
+                config: sa_config.into(),
+            },
         )?;
         let sa_bytes: [u8; 8] = rec
             .ret
@@ -357,7 +359,7 @@ impl HierarchyRuntime {
             Address::SCA,
             TokenAmount::ZERO,
             Method::SaveSnapshot {
-                snapshot,
+                snapshot: snapshot.into(),
                 signatures,
             },
         )?;

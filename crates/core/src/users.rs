@@ -314,7 +314,8 @@ impl HierarchyRuntime {
     ) -> Result<(Cid, hc_chain::PushOutcome), RuntimeError> {
         let msg = CrossMsg::transfer(from.hc_address(), to.hc_address(), amount);
         let value = msg.value + self.cross_fee(&from.subnet)?;
-        self.submit_with_fee(from, Address::SCA, value, Method::SendCrossMsg { msg }, fee)
+        let method = Method::SendCrossMsg { msg: msg.into() };
+        self.submit_with_fee(from, Address::SCA, value, method, fee)
     }
 
     /// The fee `subnet`'s SCA charges on every cross-net message it sends.
@@ -329,7 +330,8 @@ impl HierarchyRuntime {
     /// Fails if the source-side commit fails.
     pub fn send_cross_msg(&mut self, from: &UserHandle, msg: CrossMsg) -> Result<(), RuntimeError> {
         let value = msg.value + self.cross_fee(&from.subnet)?;
-        self.execute(from, Address::SCA, value, Method::SendCrossMsg { msg })?;
+        let method = Method::SendCrossMsg { msg: msg.into() };
+        self.execute(from, Address::SCA, value, method)?;
         Ok(())
     }
 }

@@ -34,8 +34,10 @@ fn put(
     key: &[u8],
     data: Vec<u8>,
 ) -> Result<hc_state::Receipt, hc_core::RuntimeError> {
-    let key = key.to_vec();
-    let method = Method::PutData { key, data };
+    let method = Method::PutData {
+        key: key.into(),
+        data: data.into(),
+    };
     h.rt.execute(user, user.addr, TokenAmount::ZERO, method)
 }
 

@@ -9,6 +9,10 @@
 //! encoding with bits flipped or its end cut or extended, never panic the
 //! decoder, and whatever does decode re-encodes to exactly the bytes it
 //! came from — decoding accepts one encoding per value.
+//!
+//! Beside it, the wire format of every `Method` and `ImplicitMsg` sample is
+//! pinned to recorded digests, so a change to how a message is laid out in
+//! memory cannot move a byte or a CID.
 
 mod common;
 
@@ -22,7 +26,7 @@ use hc_actors::snapshot::StateSnapshot;
 use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, MsgGroup, ScaConfig, ScaState};
 use hc_core::archive::ArchiveEntry;
 use hc_state::params::{AtomicAbortParams, AtomicInitParams, AtomicSubmitParams};
-use hc_state::{AccountState, ImplicitMsg, Method, RegistryEntry};
+use hc_state::{AccountState, ImplicitMsg, Message, Method, RegistryEntry, SealedMessage};
 use hc_types::crypto::{AggregateSignature, SignaturePolicy};
 use hc_types::{
     Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId,
@@ -133,13 +137,13 @@ fn methods() -> Vec<Method> {
     vec![
         Method::Send,
         Method::PutData {
-            key: vec![1, 2],
-            data: vec![3],
+            key: vec![1, 2].into(),
+            data: vec![3].into(),
         },
         Method::LockState { key: vec![9] },
         Method::UnlockState { key: vec![9] },
         Method::DeploySubnetActor {
-            config: sa_configs().pop().unwrap(),
+            config: sa_configs().pop().unwrap().into(),
         },
         Method::JoinSubnet {
             key: keypair(4).public(),
@@ -147,7 +151,7 @@ fn methods() -> Vec<Method> {
         Method::LeaveSubnet,
         Method::KillSubnet,
         Method::SubmitCheckpoint {
-            signed: signed_checkpoint(10),
+            signed: signed_checkpoint(10).into(),
         },
         Method::RegisterSubnet {
             sa: Address::new(7),
@@ -156,7 +160,7 @@ fn methods() -> Vec<Method> {
             subnet: subnet(&[200]),
         },
         Method::SendCrossMsg {
-            msg: group()[1].clone(),
+            msg: group()[1].clone().into(),
         },
         Method::ReportFraud {
             subnet: subnet(&[200]),
@@ -169,25 +173,25 @@ fn methods() -> Vec<Method> {
             state: Cid::digest(b"s"),
         },
         Method::SaveSnapshot {
-            snapshot,
+            snapshot: snapshot.into(),
             signatures,
         },
         Method::RecoverFunds {
             subnet: subnet(&[200]),
-            proof: tree.prove(Address::new(7)).unwrap(),
+            proof: tree.prove(Address::new(7)).unwrap().into(),
         },
         Method::AtomicInit {
-            parties: vec![at(&[200], 1), at(&[201], 2)],
-            inputs: vec![Cid::digest(b"i")],
+            parties: vec![at(&[200], 1), at(&[201], 2)].into(),
+            inputs: vec![Cid::digest(b"i")].into(),
         },
         Method::AtomicSubmit {
-            exec,
-            party: at(&[200], 1),
-            output: Cid::digest(b"o"),
+            exec: exec.into(),
+            party: at(&[200], 1).into(),
+            output: Cid::digest(b"o").into(),
         },
         Method::AtomicAbort {
-            exec,
-            party: at(&[201], 2),
+            exec: exec.into(),
+            party: at(&[201], 2).into(),
         },
     ]
 }
@@ -334,6 +338,153 @@ fn decode_everywhere(bytes: &[u8]) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// For each entry of `methods()`: the digest of its canonical bytes, then
+/// the `msg_cid()` and `cid()` of a signed `SealedMessage` carrying it.
+/// Recorded before `Method` boxed its cold variants: a layout change must
+/// move no byte and no CID.
+const METHOD_WIRE: [[&str; 3]; 19] = [
+    [
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "9c53539c2de230d9df2069b1fe472fb1c4d72c7a23f91f38371444543a2465b9",
+        "5d56525ff1718bbfcd6d1764ea1710612ae4ef3a0840269886c26b61325144af",
+    ],
+    [
+        "6d29705278c4139acbde7219fc2e78943c9bcdab1e591be69667653c6f64e1f5",
+        "799b2f083e7cb6498a9617ab8b66acaa391d88240db3a024d09323439e708cbb",
+        "b0bcf9793fdcac81011362731d09cd007da241d46ff298d941c3fa20ac043360",
+    ],
+    [
+        "7c28bea37fdb70e01b5aa47468a1bdc68f508c9f114f1df63d61a25eb726f14a",
+        "28b886f7980aa55d40d29f7cb3e4cbab2b1455c60d7695c744d91ab64bb0d658",
+        "2f84f8067f48f84d452979eca2ff80a713c8231cf0d2da00a53211b5335916ba",
+    ],
+    [
+        "9af62a59d644f157b5d7bb753e3d9095d2162e1ea899bae4dac1c8ae16a0a479",
+        "73531ac1490299ba2602a902566e9c98543d239c2b5351a40decafbffee21c49",
+        "d8ea9fad4b66c295543a99d7c031797bddd0c4d0ecb20f01fbafda3c216faf9f",
+    ],
+    [
+        "05242aec3bf0ffdf4bbb3d4df2647b7a8492c4a6f5fd3c282ef39bdb954c6311",
+        "3ad8bb786d6154c3f5d141d384b422393bfffe2f0cfb3263d4fb83e5d011f5a4",
+        "64dea4ca47043ff409403e796077c14fd4031943e87da3201df8057343f15dea",
+    ],
+    [
+        "482ce00d0270608ac47b665c54551d051491481103dd4d606f9164485a5c081d",
+        "55ba0fae0ceaf9631b373762a2cda0d190f8cc4cf238c72e98abf6fed1919f59",
+        "d05d076bae552fc78edcde2b256e6760f627f557f1de5ed7190b2978597f83fa",
+    ],
+    [
+        "67586e98fad27da0b9968bc039a1ef34c939b9b8e523a8bef89d478608c5ecf6",
+        "6fc1cfdf743da0aed93a7b9296d6f0db610f681d91dd4dd1c88ebf2a9952a22d",
+        "1e397a5b8292635f67b720fe533ea9e9c920ab38d304a84023d35732339babef",
+    ],
+    [
+        "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879",
+        "e6f509ed081ae0a909236faae0741d4e2367109055dccc34a16d329c725e1169",
+        "24c2d41a615b5f20d6d011fc65b478e95db092abb7120cb8cbadc8170aaa6bd7",
+    ],
+    [
+        "3bd543fd6b3e1d9a54b91467783a7b4cc7e4c8b1e3c4cf93abbb57a4ad5f3ed6",
+        "b8ad0e0a0cdc2ccff21822d778d1cd0d8c73fafb129c7d3d84158b284985b6a7",
+        "55c950fb5f8e0bb012c939a59d266681b18af3eaaabb44b209e56e02f6a33610",
+    ],
+    [
+        "80cd67c0ee6448fded470ccd7ef81872e5618816585224005918ebddd4dc42bb",
+        "6d303b40bc7ec19b05bde85eb7d896b39490e2c6a0cbeba48a2d2a61b4e42dc6",
+        "02bc0db7f19c695dc57ca47c521ab8125f3732d2ea4aefd9c355699d258193bc",
+    ],
+    [
+        "6171f5b2a20076fbbeb2a2171a0a6e0056df41be76b7d2a53ecdfd0fcf5dca7d",
+        "c909c2c35c7ca77f09ffb6f7d8ddfaf1aee19304a2779b858d975ea7eb899f67",
+        "fb0c5a49bba77f9f52a66cf92a2f1774e5ef9322ad7e66d9ace1184e6ca31d06",
+    ],
+    [
+        "9aea119f4b94a0dae011d809eb77c25678c73cd84991ed88c6a0734cc99f90c8",
+        "e80f69f46ff76d8f19d37a80a726641387c17d3e3da6e75b9844da2a1dc7da96",
+        "1112f8ff62853c70c9fc6eb5d82eaa0312792970de00382739720108996400ae",
+    ],
+    [
+        "058fb81b551185b84c2c9c2ad5e05f1651cda903c008719996816854eb3195f5",
+        "e04f6851db309a0330bf357b7c2f5dc4be33caa7ac8aeb443dda561686257975",
+        "a96c2cf9dc80a328dfb7ad3b79c0c7d0518087036832f2a0be23be892f1bceb9",
+    ],
+    [
+        "591ba30701cd37ed821114dec92cbad91e5fddbb3d9c023c3af50f3cc6016a29",
+        "a634dffd7060747e527faa728dd5fa4f73c42c3b27cd26f15610bd7bb7a0b91e",
+        "7d03ca134499280e53678c7d304d390b73bb76890e82caaeee7e64df96d34e19",
+    ],
+    [
+        "7878fdc0697c2b5b9bfa9b337db7336b977f669806efdab88de5d124bf299d48",
+        "8994145239b8c3b7f8b1f834f22f78f2d61d4392f8c5367fcac7080ea9687db1",
+        "b91676fe79a78a82f3af5f911b781b7b078325bf20ffae488c5666404aa7836e",
+    ],
+    [
+        "3d64a5f865c96d7f5e43e2af4fe36c33afe37b23216e07a955d196835f1e802d",
+        "917758186071b0919e4d51583ccbfb2370595faa0fd105d74efb4d0654ee9700",
+        "d5de464f25d800f88455c799407e7cb551a8c382ea67da7d73201496ff6e8ad8",
+    ],
+    [
+        "313438a1db2979064a83f055115e97fc196239486716727b16e41be6420cd26e",
+        "e62f6cb9150bca75694534a7698a1ea8208e9f9622d3386839781d345bddc714",
+        "7b4cb3001d79af840e2489670829fead2cad81f3a7827df4e4cb46b1c7e9c108",
+    ],
+    [
+        "069a75ddd0c55af9cf2b4b292e8552ac3f14cef470f56d2f7e535ad19ca436ba",
+        "917c721d3936cac78f70d0e76fb0fe3e055f48e4c56bd64f343ce8e33163086b",
+        "82ef2060e9b9a747a6aa22f5e3c4cb251677f896bcd94c40ccb35dc0e6ddd2fd",
+    ],
+    [
+        "7c099f474edeeb0e6b0686f8bf1f4fab5501f4d1f5eda6a5cfe824fd8506e0e2",
+        "124859993191c16dc89cf0697c7d77344cc2d4fb4ca1e865d4eb4e9f183b93b5",
+        "0e3f913f61379368f982d9498b1b1715843d422f4766ca54038e9472b165cf82",
+    ],
+];
+
+/// The digest of each entry of `implicit_msgs()`'s canonical bytes.
+const IMPLICIT_WIRE: [&str; 6] = [
+    "2c2baa5c3e2bdc849de5d5a377eff5aecf209c3847cecc8a70e32b10338cc51a",
+    "585a9fed70eb7c757d6b82501a401f43501f9088e9b58897e32d6e2a7f876bb1",
+    "05194d69ace22230025ce0137e53af64fc80ba878aeefcb68833865b97e7639b",
+    "bc3e790c6ef3cb9315bb6c1a941aca77bd3f40ec5ce6a9a242fe6ded4948f6ab",
+    "9b674c1d291b589c146730f6a4122273af3805ab1d63a75da74838ace3982186",
+    "6981731bad08bd9c077d1320d59393285749bd8667efd753218210f75371498c",
+];
+
+fn hex(cid: Cid) -> String {
+    cid.as_bytes().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn bytes_digest(value: &impl CanonicalEncode) -> String {
+    hex(Cid::digest(&value.canonical_bytes()))
+}
+
+#[test]
+fn the_wire_format_is_pinned() {
+    let methods = methods();
+    assert_eq!(methods.len(), METHOD_WIRE.len());
+    let kp = keypair(5);
+    for (i, (method, pin)) in methods.into_iter().zip(METHOD_WIRE).enumerate() {
+        let bytes = bytes_digest(&method);
+        let sealed = SealedMessage::sign(
+            Message {
+                from: Address::new(100),
+                to: Address::new(101),
+                value: whole(1),
+                nonce: Nonce::new(i as u64),
+                method,
+            },
+            &kp,
+        );
+        let got = [bytes, hex(sealed.msg_cid()), hex(sealed.cid())];
+        assert_eq!(got, pin, "methods()[{i}]: bytes, msg_cid, cid");
+    }
+    let implicit = implicit_msgs();
+    assert_eq!(implicit.len(), IMPLICIT_WIRE.len());
+    for (i, (m, pin)) in implicit.iter().zip(IMPLICIT_WIRE).enumerate() {
+        assert_eq!(bytes_digest(m), pin, "implicit_msgs()[{i}]");
+    }
 }
 
 #[test]

@@ -117,7 +117,7 @@ fn retire_subnet_enforces_lifecycle_guards() {
         TokenAmount::ZERO,
         Method::RecoverFunds {
             subnet: child.clone(),
-            proof,
+            proof: proof.into(),
         },
     )
     .unwrap();

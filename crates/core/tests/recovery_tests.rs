@@ -31,7 +31,10 @@ fn recover_funds(
     proof: BalanceProof,
 ) -> Result<hc_state::Receipt, hc_core::RuntimeError> {
     let subnet = subnet.clone();
-    let method = Method::RecoverFunds { subnet, proof };
+    let method = Method::RecoverFunds {
+        subnet,
+        proof: proof.into(),
+    };
     h.rt.execute(claimant, Address::SCA, TokenAmount::ZERO, method)
 }
 
@@ -121,7 +124,7 @@ fn snapshot_requires_validator_signatures_and_monotone_epochs() {
     let (snapshot, _) =
         hc_actors::StateSnapshot::build(subnet.clone(), node.chain().head_epoch(), balances);
     let unsigned = Method::SaveSnapshot {
-        snapshot,
+        snapshot: snapshot.into(),
         signatures: hc_types::crypto::AggregateSignature::new(),
     };
     let result =

@@ -265,8 +265,8 @@ fn execute_returns_the_awaited_receipt_whenever_and_however_it_lands() {
     let head_before = h.rt.node(&subnet).unwrap().chain().head_epoch();
     let key = b"k".to_vec();
     let put = Method::PutData {
-        key: key.clone(),
-        data: b"bob".to_vec(),
+        key: key.clone().into(),
+        data: b"bob".as_slice().into(),
     };
     let receipt =
         h.rt.execute(&bob, bob.addr, TokenAmount::ZERO, put)
@@ -284,12 +284,12 @@ fn execute_returns_the_awaited_receipt_whenever_and_however_it_lands() {
     // Interleaved callers each get their own message's receipt: gas is
     // priced by payload size, so the two receipts differ.
     let small = Method::PutData {
-        key: key.clone(),
-        data: vec![1],
+        key: key.clone().into(),
+        data: vec![1].into(),
     };
     let large = Method::PutData {
-        key,
-        data: vec![2; 64],
+        key: key.into(),
+        data: vec![2; 64].into(),
     };
     let r_bob =
         h.rt.execute(&bob, bob.addr, TokenAmount::ZERO, small)

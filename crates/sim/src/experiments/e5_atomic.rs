@@ -60,8 +60,8 @@ fn run_scenario(
             user.addr,
             TokenAmount::ZERO,
             Method::PutData {
-                key: b"asset".to_vec(),
-                data: vec![i as u8; 4],
+                key: b"asset".as_slice().into(),
+                data: vec![i as u8; 4].into(),
             },
         )?;
         let behavior = if i == parties_n - 1 {

@@ -30,9 +30,9 @@ pub enum Method {
     /// Rejected while the key is locked for an atomic execution.
     PutData {
         /// Storage key.
-        key: Vec<u8>,
+        key: Box<[u8]>,
         /// Stored bytes.
-        data: Vec<u8>,
+        data: Box<[u8]>,
     },
     /// Lock a storage key as input to an atomic execution (paper §IV-D
     /// *Initialization*).
@@ -51,7 +51,7 @@ pub enum Method {
     /// returned in the receipt. (`to` is ignored; deployment allocates.)
     DeploySubnetActor {
         /// The subnet's governance configuration.
-        config: SaConfig,
+        config: Box<SaConfig>,
     },
     /// Join the subnet governed by the SA at `to`, staking `value` under
     /// signing key `key`.
@@ -69,7 +69,7 @@ pub enum Method {
     /// commits it.
     SubmitCheckpoint {
         /// The signed checkpoint.
-        signed: SignedCheckpoint,
+        signed: Box<SignedCheckpoint>,
     },
 
     // ---- SCA methods (to = Address::SCA) ----
@@ -88,7 +88,7 @@ pub enum Method {
     /// fee.
     SendCrossMsg {
         /// The message to route.
-        msg: CrossMsg,
+        msg: Box<CrossMsg>,
     },
     /// Report an equivocation fraud proof against child `subnet`,
     /// slashing its collateral (paper §III-B).
@@ -108,7 +108,7 @@ pub enum Method {
     /// (paper §III-C: state that survives the child being killed).
     SaveSnapshot {
         /// The snapshot, signed by the child's validators.
-        snapshot: StateSnapshot,
+        snapshot: Box<StateSnapshot>,
         /// Validator signatures over the snapshot CID.
         signatures: AggregateSignature,
     },
@@ -118,33 +118,33 @@ pub enum Method {
         /// The killed child subnet.
         subnet: SubnetId,
         /// Merkle proof of the sender's balance in the snapshot.
-        proof: BalanceProof,
+        proof: Box<BalanceProof>,
     },
 
     // ---- Atomic execution coordinator (to = Address::ATOMIC_EXEC) ----
     /// Initialize an atomic execution over `parties` with locked `inputs`.
     AtomicInit {
         /// Parties, each identified by subnet + address.
-        parties: Vec<HcAddress>,
+        parties: Box<[HcAddress]>,
         /// CIDs of each party's locked input state.
-        inputs: Vec<Cid>,
+        inputs: Box<[Cid]>,
     },
     /// Submit the sender's computed output for execution `exec`.
     AtomicSubmit {
         /// The execution being committed to.
-        exec: ExecId,
+        exec: Box<ExecId>,
         /// The submitting party (must match the cross-net source for
         /// cross-net submissions).
-        party: HcAddress,
+        party: Box<HcAddress>,
         /// CID of the computed output state.
-        output: Cid,
+        output: Box<Cid>,
     },
     /// Abort execution `exec`.
     AtomicAbort {
         /// The execution being aborted.
-        exec: ExecId,
+        exec: Box<ExecId>,
         /// The aborting party.
-        party: HcAddress,
+        party: Box<HcAddress>,
     },
 }
 
@@ -245,8 +245,8 @@ impl CanonicalDecode for Method {
         match u8::read_bytes(r)? {
             0 => Ok(Method::Send),
             1 => Ok(Method::PutData {
-                key: Vec::<u8>::read_bytes(r)?,
-                data: Vec::<u8>::read_bytes(r)?,
+                key: Vec::<u8>::read_bytes(r)?.into(),
+                data: Vec::<u8>::read_bytes(r)?.into(),
             }),
             2 => Ok(Method::LockState {
                 key: Vec::<u8>::read_bytes(r)?,
@@ -255,7 +255,7 @@ impl CanonicalDecode for Method {
                 key: Vec::<u8>::read_bytes(r)?,
             }),
             4 => Ok(Method::DeploySubnetActor {
-                config: SaConfig::read_bytes(r)?,
+                config: Box::new(SaConfig::read_bytes(r)?),
             }),
             5 => Ok(Method::JoinSubnet {
                 key: PublicKey::read_bytes(r)?,
@@ -263,7 +263,7 @@ impl CanonicalDecode for Method {
             6 => Ok(Method::LeaveSubnet),
             7 => Ok(Method::KillSubnet),
             8 => Ok(Method::SubmitCheckpoint {
-                signed: SignedCheckpoint::read_bytes(r)?,
+                signed: Box::new(SignedCheckpoint::read_bytes(r)?),
             }),
             9 => Ok(Method::RegisterSubnet {
                 sa: Address::read_bytes(r)?,
@@ -272,7 +272,7 @@ impl CanonicalDecode for Method {
                 subnet: SubnetId::read_bytes(r)?,
             }),
             11 => Ok(Method::SendCrossMsg {
-                msg: CrossMsg::read_bytes(r)?,
+                msg: Box::new(CrossMsg::read_bytes(r)?),
             }),
             12 => Ok(Method::ReportFraud {
                 subnet: SubnetId::read_bytes(r)?,
@@ -282,25 +282,25 @@ impl CanonicalDecode for Method {
                 state: Cid::read_bytes(r)?,
             }),
             14 => Ok(Method::AtomicInit {
-                parties: Vec::<HcAddress>::read_bytes(r)?,
-                inputs: Vec::<Cid>::read_bytes(r)?,
+                parties: Vec::<HcAddress>::read_bytes(r)?.into(),
+                inputs: Vec::<Cid>::read_bytes(r)?.into(),
             }),
             15 => Ok(Method::AtomicSubmit {
-                exec: ExecId::read_bytes(r)?,
-                party: HcAddress::read_bytes(r)?,
-                output: Cid::read_bytes(r)?,
+                exec: Box::new(ExecId::read_bytes(r)?),
+                party: Box::new(HcAddress::read_bytes(r)?),
+                output: Box::new(Cid::read_bytes(r)?),
             }),
             16 => Ok(Method::AtomicAbort {
-                exec: ExecId::read_bytes(r)?,
-                party: HcAddress::read_bytes(r)?,
+                exec: Box::new(ExecId::read_bytes(r)?),
+                party: Box::new(HcAddress::read_bytes(r)?),
             }),
             17 => Ok(Method::SaveSnapshot {
-                snapshot: StateSnapshot::read_bytes(r)?,
+                snapshot: Box::new(StateSnapshot::read_bytes(r)?),
                 signatures: AggregateSignature::read_bytes(r)?,
             }),
             18 => Ok(Method::RecoverFunds {
                 subnet: SubnetId::read_bytes(r)?,
-                proof: BalanceProof::read_bytes(r)?,
+                proof: Box::new(BalanceProof::read_bytes(r)?),
             }),
             tag => Err(DecodeError::BadTag {
                 what: "Method",
@@ -387,6 +387,13 @@ impl CanonicalEncode for SignedMessage {
 }
 
 decode_fields!(SignedMessage { message, signature });
+
+// Every committed block keeps its messages for ever, and nearly all of them
+// are `Method::Send`, so the layout is pinned (DESIGN.md §10).
+// Rule: a `Method` variant whose payload exceeds 32 B is boxed.
+const _: () = assert!(size_of::<Method>() <= 40);
+const _: () = assert!(size_of::<Message>() <= 80);
+const _: () = assert!(size_of::<crate::SealedMessage>() <= 224);
 
 /// Consensus-injected system messages, executed with system authority.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -535,8 +542,8 @@ mod tests {
             Method::LeaveSubnet,
             Method::KillSubnet,
             Method::PutData {
-                key: vec![1],
-                data: vec![2],
+                key: vec![1].into(),
+                data: vec![2].into(),
             },
             Method::LockState { key: vec![1] },
             Method::UnlockState { key: vec![1] },
@@ -557,13 +564,13 @@ mod tests {
         let methods = [
             Method::Send,
             Method::PutData {
-                key: vec![1, 2],
-                data: vec![3],
+                key: vec![1, 2].into(),
+                data: vec![3].into(),
             },
             Method::LockState { key: vec![9] },
             Method::UnlockState { key: vec![9] },
             Method::DeploySubnetActor {
-                config: SaConfig::default(),
+                config: SaConfig::default().into(),
             },
             Method::JoinSubnet { key: kp.public() },
             Method::LeaveSubnet,
@@ -578,8 +585,8 @@ mod tests {
                 state: Cid::digest(b"s"),
             },
             Method::AtomicInit {
-                parties: vec![],
-                inputs: vec![Cid::digest(b"i")],
+                parties: Box::new([]),
+                inputs: vec![Cid::digest(b"i")].into(),
             },
         ];
         for m in methods {

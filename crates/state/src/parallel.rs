@@ -218,8 +218,8 @@ mod tests {
             Some([Address::new(1), Address::new(2)])
         );
         assert!(access_pair(&msg(Method::PutData {
-            key: vec![1],
-            data: vec![2]
+            key: vec![1].into(),
+            data: vec![2].into()
         }))
         .is_some());
         assert!(access_pair(&msg(Method::LockState { key: vec![1] })).is_some());

@@ -279,11 +279,11 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
                 return Receipt::failed("storage writes must target the sender", gas::BASE);
             }
             let acc = tree.account_mut(msg.from);
-            if acc.locked.contains(key) {
+            if acc.locked.contains(&**key) {
                 return Receipt::failed("storage key is locked for an atomic execution", gas::BASE);
             }
             let cost = gas::BASE + gas::STORAGE_BYTE * (key.len() + data.len()) as u64;
-            acc.storage.insert(key.clone(), data.clone());
+            acc.storage.insert(key.to_vec(), data.to_vec());
             Receipt::ok(cost)
         }
 
@@ -313,7 +313,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
         }
 
         Method::DeploySubnetActor { config } => {
-            let addr = tree.deploy_sa(SaState::new(config.clone()));
+            let addr = tree.deploy_sa(SaState::new((**config).clone()));
             Receipt::ok(gas::DEPLOY)
                 .with_event(VmEvent::SaDeployed { addr })
                 .with_ret(addr.id().to_le_bytes().to_vec())
@@ -440,7 +440,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
 
         Method::SendCrossMsg { msg: cross } => {
             let (ledger, sca) = tree.ledger_and_sca_mut();
-            match sca.send_cross_msg(ledger, msg.from, cross.clone()) {
+            match sca.send_cross_msg(ledger, msg.from, (**cross).clone()) {
                 Ok(stamped) => {
                     Receipt::ok(gas::CROSS_MSG).with_event(VmEvent::CrossMsgQueued { msg: stamped })
                 }
@@ -494,7 +494,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
             if let Err(e) = policy.check(snapshot.cid().as_bytes(), signatures) {
                 return Receipt::failed(format!("snapshot signatures: {e}"), gas::BASE);
             }
-            match tree.sca_mut().save_child_snapshot(snapshot.clone()) {
+            match tree.sca_mut().save_child_snapshot((**snapshot).clone()) {
                 Ok(()) => Receipt::ok(gas::CHECKPOINT).with_event(VmEvent::StateSaved {
                     state: snapshot.balances_root,
                 }),
@@ -515,7 +515,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
         Method::AtomicInit { parties, inputs } => {
             match tree
                 .atomic_mut()
-                .init(parties.clone(), inputs.clone(), epoch)
+                .init(parties.to_vec(), inputs.to_vec(), epoch)
             {
                 Ok(exec) => Receipt::ok(gas::ATOMIC)
                     .with_event(VmEvent::AtomicTransition {
@@ -533,7 +533,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
             output,
         } => {
             let own = HcAddress::new(tree.subnet_id().clone(), msg.from);
-            if *party != own {
+            if **party != own {
                 return Receipt::failed(
                     "local atomic submissions must use the sender's own address",
                     gas::BASE,
@@ -541,10 +541,10 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
             }
             match tree
                 .atomic_mut()
-                .submit_output(exec, party.clone(), *output)
+                .submit_output(exec, (**party).clone(), **output)
             {
                 Ok(status) => Receipt::ok(gas::ATOMIC).with_event(VmEvent::AtomicTransition {
-                    exec: *exec,
+                    exec: **exec,
                     status,
                 }),
                 Err(e) => Receipt::failed(e, gas::BASE),
@@ -553,7 +553,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
 
         Method::AtomicAbort { exec, party } => {
             let own = HcAddress::new(tree.subnet_id().clone(), msg.from);
-            if *party != own {
+            if **party != own {
                 return Receipt::failed(
                     "local atomic aborts must use the sender's own address",
                     gas::BASE,
@@ -561,7 +561,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
             }
             match tree.atomic_mut().abort(exec, party) {
                 Ok(()) => Receipt::ok(gas::ATOMIC).with_event(VmEvent::AtomicTransition {
-                    exec: *exec,
+                    exec: **exec,
                     status: AtomicExecStatus::Aborted,
                 }),
                 Err(e) => Receipt::failed(e, gas::BASE),

@@ -22,7 +22,10 @@ fn method_strategy() -> impl Strategy<Value = Method> {
             prop::collection::vec(any::<u8>(), 0..32),
             prop::collection::vec(any::<u8>(), 0..256),
         )
-            .prop_map(|(key, data)| Method::PutData { key, data }),
+            .prop_map(|(key, data)| Method::PutData {
+                key: key.into(),
+                data: data.into(),
+            }),
         prop::collection::vec(any::<u8>(), 0..32).prop_map(|key| Method::LockState { key }),
     ]
 }

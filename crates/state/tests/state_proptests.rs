@@ -73,8 +73,8 @@ fn run_schedule(ops: &[Op]) -> (StateTree, Vec<bool>) {
                 Address::new(100 + who),
                 TokenAmount::ZERO,
                 Method::PutData {
-                    key: vec![*key],
-                    data: vec![*val],
+                    key: vec![*key].into(),
+                    data: vec![*val].into(),
                 },
             ),
             Op::Lock { who, key } => (

@@ -109,7 +109,12 @@ fn apply_op<S: StateAccess>(tree: &mut S, op: &Op, nonces: &mut [Nonce]) {
                 HcAddress::new(dest, Address::new(7)),
                 value,
             );
-            (*who, Address::SCA, value, Method::SendCrossMsg { msg })
+            (
+                *who,
+                Address::SCA,
+                value,
+                Method::SendCrossMsg { msg: msg.into() },
+            )
         }
         Op::Transfer { from, to, atto } => (
             *from,
@@ -128,8 +133,8 @@ fn apply_op<S: StateAccess>(tree: &mut S, op: &Op, nonces: &mut [Nonce]) {
             Address::new(100 + who),
             TokenAmount::ZERO,
             Method::PutData {
-                key: vec![*key],
-                data: vec![*val],
+                key: vec![*key].into(),
+                data: vec![*val].into(),
             },
         ),
         Op::Lock { who, key } => (

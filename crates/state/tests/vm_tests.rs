@@ -156,7 +156,7 @@ fn spawn_subnet(tree: &mut StateTree, creator: &mut User) -> (SubnetId, Address)
         Address::SYSTEM,
         TokenAmount::ZERO,
         Method::DeploySubnetActor {
-            config: SaConfig::default(),
+            config: SaConfig::default().into(),
         },
     );
     assert!(r.exit.is_ok(), "{:?}", r.exit);
@@ -253,7 +253,7 @@ fn cross_msg_fee_goes_to_the_reward_actor() {
         &mut tree,
         Address::SCA,
         value + fee,
-        Method::SendCrossMsg { msg: cross },
+        Method::SendCrossMsg { msg: cross.into() },
     );
     assert!(r.exit.is_ok(), "{:?}", r.exit);
     assert_eq!(
@@ -282,7 +282,7 @@ fn cross_msg_send_and_checkpoint_cut() {
         &mut tree,
         Address::SCA,
         TokenAmount::from_whole(7),
-        Method::SendCrossMsg { msg: cross },
+        Method::SendCrossMsg { msg: cross.into() },
     );
     assert!(r.exit.is_ok(), "{:?}", r.exit);
     assert_eq!(
@@ -308,8 +308,8 @@ fn cross_msg_send_and_checkpoint_cut() {
 fn storage_lock_cycle_guards_atomic_inputs() {
     let (mut tree, mut alice, _) = setup();
     let put = |k: &[u8], v: &[u8]| Method::PutData {
-        key: k.to_vec(),
-        data: v.to_vec(),
+        key: k.into(),
+        data: v.into(),
     };
 
     let r = alice.send(&mut tree, alice.addr, TokenAmount::ZERO, put(b"k", b"v1"));
@@ -373,8 +373,8 @@ fn atomic_execution_via_local_and_cross_net_submissions() {
         Address::ATOMIC_EXEC,
         TokenAmount::ZERO,
         Method::AtomicInit {
-            parties: vec![local.clone(), remote.clone()],
-            inputs: vec![Cid::digest(b"in-a"), Cid::digest(b"in-b")],
+            parties: vec![local.clone(), remote.clone()].into(),
+            inputs: vec![Cid::digest(b"in-a"), Cid::digest(b"in-b")].into(),
         },
     );
     assert!(r.exit.is_ok(), "{:?}", r.exit);
@@ -387,9 +387,9 @@ fn atomic_execution_via_local_and_cross_net_submissions() {
         Address::ATOMIC_EXEC,
         TokenAmount::ZERO,
         Method::AtomicSubmit {
-            exec,
-            party: local,
-            output: out,
+            exec: exec.into(),
+            party: local.into(),
+            output: out.into(),
         },
     );
     assert!(r.exit.is_ok(), "{:?}", r.exit);
@@ -437,9 +437,9 @@ fn impersonated_local_atomic_submission_fails() {
         Address::ATOMIC_EXEC,
         TokenAmount::ZERO,
         Method::AtomicSubmit {
-            exec: Cid::digest(b"whatever"),
-            party: local_bob,
-            output: Cid::NIL,
+            exec: Cid::digest(b"whatever").into(),
+            party: local_bob.into(),
+            output: Cid::NIL.into(),
         },
     );
     assert!(matches!(r.exit, hc_state::ExitCode::Failed(_)));

@@ -128,8 +128,8 @@ impl ClosedBatch {
                             from.addr,
                             TokenAmount::ZERO,
                             Method::PutData {
-                                key: b"ping".to_vec(),
-                                data: i.to_le_bytes().to_vec(),
+                                key: b"ping".as_slice().into(),
+                                data: i.to_le_bytes().as_slice().into(),
                             },
                         )
                     };

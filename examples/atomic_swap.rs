@@ -29,8 +29,8 @@ fn main() -> Result<(), RuntimeError> {
             trader.addr,
             TokenAmount::ZERO,
             Method::PutData {
-                key: b"vault".to_vec(),
-                data: asset.as_bytes().to_vec(),
+                key: b"vault".as_slice().into(),
+                data: asset.as_bytes().into(),
             },
         )?;
         println!("{trader} holds {asset:?}");

@@ -48,8 +48,8 @@ fn main() -> Result<(), RuntimeError> {
                 user.addr,
                 TokenAmount::ZERO,
                 Method::PutData {
-                    key: b"n".to_vec(),
-                    data: i.to_le_bytes().to_vec(),
+                    key: b"n".as_slice().into(),
+                    data: i.to_le_bytes().as_slice().into(),
                 },
             )?;
         }

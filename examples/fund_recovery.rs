@@ -57,7 +57,7 @@ fn main() -> Result<(), RuntimeError> {
             TokenAmount::ZERO,
             Method::RecoverFunds {
                 subnet: subnet.clone(),
-                proof,
+                proof: proof.into(),
             },
         )?;
         println!(
@@ -79,7 +79,7 @@ fn main() -> Result<(), RuntimeError> {
             TokenAmount::ZERO,
             Method::RecoverFunds {
                 subnet: subnet.clone(),
-                proof,
+                proof: proof.into(),
             },
         )
         .unwrap_err();

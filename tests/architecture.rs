@@ -3,7 +3,8 @@
 //! Each test pins one structural decision DESIGN.md records — one
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
 //! option without a scenario, one front door per node, one test world,
-//! one invariant check, content hashed once, one `unsafe` block — so a
+//! one invariant check, content hashed once, one `unsafe` block, hot values
+//! kept small — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -675,5 +676,30 @@ fn one_unsafe_block() {
         blocks.len() == 1 && blocks[0].starts_with("crates/types/src/crypto/sha2.rs:") && justified,
         "DESIGN.md §10: the one `unsafe` block is in `fn compress`, directly under a \
          `// SAFETY:` comment; found {blocks:#?}"
+    );
+}
+
+/// DESIGN.md §10, "Message layout": every committed block keeps its user
+/// messages for ever, so a message's size is pinned where it is declared —
+/// compile-time asserts on `Method`, `Message` and `SealedMessage`, under the
+/// rule that boxes a `Method` variant whose payload exceeds 32 B.
+#[test]
+fn hot_values_stay_small() {
+    let message = read_rel("crates/state/src/message.rs");
+    let code = non_test(&message);
+    for pin in [
+        "const _: () = assert!(size_of::<Method>() <= 40);",
+        "const _: () = assert!(size_of::<Message>() <= 80);",
+        "const _: () = assert!(size_of::<crate::SealedMessage>() <= 224);",
+    ] {
+        assert!(
+            code.lines().any(|l| l == pin),
+            "DESIGN.md §10: crates/state/src/message.rs must keep `{pin}`"
+        );
+    }
+    assert!(
+        code.lines()
+            .any(|l| l == "// Rule: a `Method` variant whose payload exceeds 32 B is boxed."),
+        "DESIGN.md §10: the size pins state the boxing rule"
     );
 }

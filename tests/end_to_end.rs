@@ -81,8 +81,8 @@ fn grand_tour() {
                 u.addr,
                 TokenAmount::ZERO,
                 Method::PutData {
-                    key: b"x".to_vec(),
-                    data: val.to_vec(),
+                    key: b"x".as_slice().into(),
+                    data: val.into(),
                 },
             )
             .unwrap();
@@ -179,7 +179,7 @@ fn grand_tour() {
             TokenAmount::ZERO,
             Method::RecoverFunds {
                 subnet: s3.clone(),
-                proof,
+                proof: proof.into(),
             },
         )
         .unwrap();
