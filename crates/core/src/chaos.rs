@@ -6,12 +6,14 @@
 //! block production entirely, while the finalized chain survives on the
 //! subnet's remaining peers (held here as `CrashedNode::peer_blocks`).
 //! Rejoin rebuilds the node from genesis via the recorded boot parameters
-//! (the PR 4 recovery path) and then enters a *catch-up* phase: the node
+//! and then enters a *catch-up* phase: the node
 //! publishes [`hc_net::ResolutionMsg::BlockPull`] requests on its own
 //! topic, peers answer with bounded [`hc_net::ResolutionMsg::BlockBatch`]
 //! replies, and each received block is re-validated and re-executed
-//! (`HierarchyRuntime::reexecute_block`) — a corrupt or stale batch cannot
-//! poison the node. Both legs of every round trip cross the simulated network, so
+//! (`HierarchyRuntime::reexecute_block`) — a forged, corrupt or stale
+//! block is dropped and counted, and cannot poison the node. (A recovery
+//! fast-forward short of its anchor restarts the same way.) Both legs of
+//! every round trip cross the simulated network, so
 //! partitions, loss, duplication, and reordering from the
 //! [`hc_net::FaultPlan`] all apply; lost requests are retried under the
 //! same capped-backoff [`hc_net::RetryPolicy`] as content resolution. A
@@ -48,7 +50,6 @@ use hc_state::{ChunkManifest, CidStore};
 use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 use crate::config::RuntimeError;
-use crate::node::SubnetNode;
 use crate::runtime::HierarchyRuntime;
 
 /// Blocks per [`hc_net::ResolutionMsg::BlockBatch`] reply. Deliberately
@@ -84,6 +85,9 @@ pub struct ChaosStats {
     pub catch_ups_completed: u64,
     /// Missed blocks re-validated and re-executed during catch-up.
     pub blocks_caught_up: u64,
+    /// Received catch-up blocks that failed validation or re-execution (a
+    /// forgery, a wrong state root) and were dropped, changing nothing.
+    pub blocks_rejected: u64,
     /// `BlockPull` requests published (first sends and retries).
     pub block_pulls: u64,
     /// `BlockPull` retries after a timed-out round trip.
@@ -105,8 +109,9 @@ pub struct ChaosStats {
     /// Snapshots assembled, verified against their committed checkpoint
     /// header, and installed.
     pub snapshot_installs: u64,
-    /// Snapshot-mode rejoins that fell back to full replay because no
-    /// usable checkpoint anchor was available.
+    /// Snapshot-mode restarts that fell back to full replay because no
+    /// usable checkpoint anchor was available: rejoins, and recovery
+    /// fast-forwards whose replay stopped short of their anchor.
     pub snapshot_fallbacks: u64,
     /// Exhausted per-batch pull budgets re-armed after a cool-down (only
     /// with a bounded [`hc_net::RetryPolicy::max_attempts`]): the sync
@@ -179,9 +184,6 @@ pub(crate) struct CatchUp {
     /// phase precedes any block replay); `None` in replay mode or once
     /// the snapshot is installed.
     pub(crate) snapshot: Option<SnapshotSync>,
-    /// Peer blocks at or below the installed snapshot boundary — covered
-    /// by the snapshot, never replayed. Zero in replay mode.
-    pub(crate) base_blocks: usize,
 }
 
 /// The sync traffic [`HierarchyRuntime::poll_network`] read from a node's
@@ -274,36 +276,38 @@ impl HierarchyRuntime {
                 "cannot crash {subnet}: live descendant subnets depend on its chain"
             )));
         }
-        let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
-        let record = self.subnets.by_id.get_mut(subnet).ok_or_else(unknown)?;
-        let node = self.nodes.remove(subnet).ok_or_else(unknown)?;
-        // The peer id goes dark: publishes stop reaching it and anything
-        // already queued for it is lost with the process.
-        self.network.set_offline(node.subscription, true);
-        self.network.clear_inbox(node.subscription);
-        // The surviving peers hold the subnet's *full* history. A node
-        // that itself bootstrapped from a snapshot only chains the
-        // post-install suffix; the blocks its snapshot covered are kept
-        // in the record's `snapshot_base` and re-prefixed here.
-        let mut peer_blocks = record.snapshot_base.clone();
-        peer_blocks.extend(node.chain.into_blocks());
-        record.crashed = Some(CrashedNode {
-            subscription: node.subscription,
-            peer_blocks,
-            mempool: node.mempool,
-        });
+        let crashed = self.take_down(subnet)?;
+        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
+            record.crashed = Some(crashed);
+        }
         self.chaos.crashes += 1;
         Ok(())
     }
 
+    /// Takes `subnet`'s node out of the hierarchy and returns what survives
+    /// it: its subscription, gone dark with its inbox lost, the subnet's
+    /// full chain as its peers hold it, and the replicated mempool.
+    pub(crate) fn take_down(&mut self, subnet: &SubnetId) -> Result<CrashedNode, RuntimeError> {
+        let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
+        let record = self.subnets.by_id.get_mut(subnet).ok_or_else(unknown)?;
+        let node = self.nodes.remove(subnet).ok_or_else(unknown)?;
+        self.network.set_offline(node.subscription, true);
+        self.network.clear_inbox(node.subscription);
+        // A snapshot-bootstrapped node chains only the post-install suffix;
+        // the covered blocks wait in `snapshot_base` and are re-prefixed.
+        let mut peer_blocks = std::mem::take(&mut record.snapshot_base);
+        peer_blocks.extend(node.chain.into_blocks());
+        Ok(CrashedNode {
+            subscription: node.subscription,
+            peer_blocks,
+            mempool: node.mempool,
+        })
+    }
+
     /// Restarts `subnet`'s crashed node: rebuilds it from genesis with the
     /// recorded boot parameters and enters the catch-up phase under the
-    /// configured [`RuntimeConfig::sync_mode`](crate::RuntimeConfig). In
-    /// [`SyncMode::Replay`] the node pulls and re-executes every block it
-    /// missed; in [`SyncMode::Snapshot`] it first assembles the latest
-    /// checkpoint-anchored state snapshot from peers and replays only the
-    /// suffix (falling back to replay when no usable anchor exists). The
-    /// node produces no blocks until catch-up completes.
+    /// configured [`RuntimeConfig::sync_mode`](crate::RuntimeConfig) (see
+    /// [`SyncMode`]). The node produces no blocks until catch-up completes.
     ///
     /// # Errors
     ///
@@ -313,73 +317,70 @@ impl HierarchyRuntime {
         let not_crashed = || RuntimeError::Execution(format!("{subnet} is not crashed"));
         let record = self.subnets.by_id.get_mut(subnet).ok_or_else(not_crashed)?;
         let crashed = record.crashed.take().ok_or_else(not_crashed)?;
+        self.restart_node(subnet, crashed)?;
+        self.chaos.rejoins += 1;
+        Ok(())
+    }
+
+    /// The one restart, behind [`HierarchyRuntime::rejoin_node`] and a
+    /// recovery fast-forward short of its anchor (whose peers' chain is its
+    /// journaled prefix): a genesis node on `survivor`'s subscription and
+    /// mempool, catching up against its peers' chain.
+    pub(crate) fn restart_node(
+        &mut self,
+        subnet: &SubnetId,
+        survivor: CrashedNode,
+    ) -> Result<(), RuntimeError> {
+        let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
+        let record = self.subnets.by_id.get(subnet).ok_or_else(unknown)?;
         let (sa_config, engine_params) = record.boot.clone().ok_or_else(|| {
             RuntimeError::Execution(format!("no boot parameters recorded for {subnet}"))
         })?;
         let pending_users: VecDeque<_> = record.user_installs.iter().copied().collect();
+        let (subscription, peer_blocks) = (survivor.subscription, survivor.peer_blocks);
+        let mut mempool = survivor.mempool;
         // Unschedulable until catch-up completes. The fresh genesis RNG
         // stream realigns with the subnet's history as the catch-up burns
         // one draw per missed block.
-        let mut node = SubnetNode::genesis(
-            subnet.clone(),
-            &self.config,
-            Some((&sa_config, &engine_params)),
-            crashed.subscription,
-            u64::MAX,
-            self.cid_store().clone(),
-        );
-        // The mempool's content was replicated across the subnet's peers;
-        // the restarted node re-syncs it. (Messages already in replayed
-        // blocks were removed from this pool before the crash, so nothing
-        // is double-proposed.) The pool is the new node's now: it reads the
-        // new node's signature cache, and its messages carry no verdict of
-        // the dead node's, so each is verified once here before it is
-        // proposed.
-        let mut mempool = crashed.mempool;
+        let boot = Some((&sa_config, &engine_params));
+        let node = self.genesis_node(subnet, boot, subscription, u64::MAX);
+        // The peers' replicated mempool (which holds nothing of the chain,
+        // so nothing is double-proposed) becomes the new node's: it reads
+        // the new node's signature cache and carries no verdict of the old
+        // one's, so each message is verified once here before proposal.
         mempool.rehome(node.sig_cache.clone());
         node.mempool = mempool;
-        self.network.set_offline(crashed.subscription, false);
-        self.nodes.insert(subnet.clone(), node);
+        self.network.set_offline(subscription, false);
         self.refresh_validators(subnet);
         // Snapshot bootstrap needs a usable anchor: a checkpoint the
         // runtime recorded, whose cut block the surviving peers still
         // serve (the trust root), and whose manifest closure the peers
-        // can actually provide. Anything less degrades to full replay.
+        // can actually provide — in memory, or hydrated from the blob log.
+        // Anything less degrades to full replay.
         let snapshot = match self.config.sync_mode {
             SyncMode::Replay => None,
             SyncMode::Snapshot => {
                 let anchor = self.checkpoint_anchor(subnet).filter(|(epoch, manifest)| {
-                    let store = self.cid_store();
-                    crashed.peer_blocks.iter().any(|b| b.header.epoch == *epoch)
-                        && store
-                            .get(manifest)
-                            .and_then(|b| ChunkManifest::decode(&b))
-                            .is_some_and(|m| m.missing_chunks(store).is_empty())
+                    peer_blocks.iter().any(|b| b.header.epoch == *epoch)
+                        && self.store.hydrate_manifest(manifest)
                 });
-                match anchor {
-                    Some((anchor_epoch, manifest)) => Some(SnapshotSync {
-                        manifest,
-                        anchor_epoch,
-                        staging: CidStore::new(),
-                    }),
-                    None => {
-                        self.chaos.snapshot_fallbacks += 1;
-                        None
-                    }
-                }
+                self.chaos.snapshot_fallbacks += u64::from(anchor.is_none());
+                anchor.map(|(anchor_epoch, manifest)| SnapshotSync {
+                    manifest,
+                    anchor_epoch,
+                    staging: CidStore::new(),
+                })
             }
         };
         let catch_up = CatchUp {
-            peer_blocks: crashed.peer_blocks,
+            peer_blocks,
             pending_users,
             pull: Backoff::due_at(self.now_ms),
             snapshot,
-            base_blocks: 0,
         };
         if let Some(record) = self.subnets.by_id.get_mut(subnet) {
             record.catch_up = Some(catch_up);
         }
-        self.chaos.rejoins += 1;
         Ok(())
     }
 
@@ -568,8 +569,12 @@ impl HierarchyRuntime {
                 // the block (parent checkpoint submission, journal
                 // records, manifest anchors, certificate gossip) happened
                 // when it was produced, so only the node-local half of its
-                // events re-runs.
-                let outcome = self.reexecute_block(subnet, &block)?;
+                // events re-runs. A refused block changed nothing: a peer's
+                // forgery is dropped, and the pull goes on.
+                let Ok(outcome) = self.reexecute_block(subnet, &block) else {
+                    self.chaos.blocks_rejected += 1;
+                    continue;
+                };
                 let node = Self::get_node_mut(&mut self.nodes, subnet)?;
                 for event in &outcome.events {
                     node.apply_event(event, false);
@@ -587,12 +592,14 @@ impl HierarchyRuntime {
             }
         }
 
-        let done = {
+        // The blocks a snapshot covered are in `snapshot_base`, not replayed.
+        let done = self.subnets.by_id.get(subnet).is_some_and(|r| {
             let replayed = self.nodes.get(subnet).map_or(0, |n| n.chain.len());
-            self.subnets
-                .catch_up(subnet)
-                .is_some_and(|cu| cu.base_blocks + replayed >= cu.peer_blocks.len())
-        };
+            let have = r.snapshot_base.len() + replayed;
+            r.catch_up
+                .as_ref()
+                .is_some_and(|cu| have >= cu.peer_blocks.len())
+        });
         if done {
             self.finish_catch_up(subnet)?;
             return Ok(());
@@ -758,7 +765,6 @@ impl HierarchyRuntime {
         {
             cu.pending_users.pop_front();
         }
-        cu.base_blocks = covered.len();
         cu.snapshot = None;
         cu.pull = Backoff::due_at(self.now_ms);
 

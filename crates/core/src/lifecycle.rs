@@ -4,6 +4,7 @@
 
 use hc_actors::sa::SaConfig;
 use hc_consensus::{EngineParams, ValidatorSet};
+use hc_net::SubscriberId;
 use hc_state::Method;
 use hc_types::{Address, CanonicalEncode, Keypair, SubnetId, TokenAmount};
 
@@ -123,21 +124,31 @@ impl HierarchyRuntime {
         // Child nodes also run full nodes on the parent (paper §II): they
         // follow the parent's topic for resolution traffic.
         self.network.join(subscription, &parent.topic());
-        let node = SubnetNode::genesis(
-            child_id.clone(),
-            &self.config,
-            Some((config, engine_params)),
-            subscription,
-            self.now_ms + engine_params.block_time_ms,
-            self.store.clone(),
-        );
-        self.nodes.insert(child_id.clone(), node);
+        let due_ms = self.now_ms + engine_params.block_time_ms;
+        let boot = Some((config, engine_params));
+        self.genesis_node(child_id, boot, subscription, due_ms);
         // The boot parameters are remembered so a crashed node can be
         // rebuilt from genesis at rejoin ([`HierarchyRuntime::rejoin_node`]).
         self.subnets
             .boot(child_id, Some((config.clone(), engine_params.clone())));
         self.assign_boot_region(child_id);
         self.refresh_validators(child_id);
+    }
+
+    /// The one way a node comes up, at genesis on the shared blob store and
+    /// due at `due_ms`: the rootnet's boot (`boot` is `None`), a child's
+    /// boot, and the restart of [`HierarchyRuntime::restart_node`].
+    pub(crate) fn genesis_node(
+        &mut self,
+        subnet: &SubnetId,
+        boot: Option<(&SaConfig, &EngineParams)>,
+        subscription: SubscriberId,
+        due_ms: u64,
+    ) -> &mut SubnetNode {
+        let (config, store) = (&self.config, self.store.clone());
+        let node = SubnetNode::genesis(subnet.clone(), config, boot, subscription, due_ms, store);
+        self.nodes.insert(subnet.clone(), node);
+        self.nodes.get_mut(subnet).expect("just inserted")
     }
 
     /// Refreshes a child node's validator set and keys from the parent's

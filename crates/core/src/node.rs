@@ -158,8 +158,8 @@ impl std::fmt::Debug for SubnetNode {
 }
 
 impl SubnetNode {
-    /// Builds a node at genesis — the one constructor behind root boot,
-    /// child boot, and crash-rejoin. `boot` carries a child's Subnet Actor
+    /// Builds a node at genesis, for its one caller, the runtime's
+    /// `genesis_node` — root boot, child boot, and a restart. `boot` carries a child's Subnet Actor
     /// config and engine parameters; `None` builds the rootnet (authority
     /// round-robin under the runtime-wide parameters). The validator set
     /// starts empty: the root's caller installs its authority set, a

@@ -8,7 +8,8 @@
 //! its receipt-less prefix `skip_block` inside a fast-forwarded region
 //! whose state is installed from the checkpoint-anchored manifest — and
 //! its outward effects re-run through the live `post_tick` with journaling
-//! and gossip suppressed.
+//! and gossip suppressed. A fast-forward the scan leaves short of its
+//! anchor restarts as a rejoin does, its journaled blocks as peer chain.
 
 use std::collections::BTreeMap;
 
@@ -20,12 +21,9 @@ use crate::config::{RuntimeConfig, RuntimeError};
 use crate::persist::ControlRecord;
 use crate::runtime::HierarchyRuntime;
 
-/// What one recovery pass carries beside the runtime it rebuilds: in
-/// snapshot mode, per eligible subnet, the checkpoint anchor its replay
-/// fast-forwards to (blocks before it are appended without re-execution;
-/// the anchored manifest is installed when its record is reached). Emptied
-/// as installs complete; non-empty after replay means the journal tore
-/// inside a skipped region and recovery must fall back to full replay.
+/// In snapshot mode, per eligible subnet, the checkpoint anchor its replay
+/// fast-forwards to (blocks before it are chained without re-execution;
+/// the manifest installs at its record), removed once installed.
 type FastForward = BTreeMap<SubnetId, (ChainEpoch, Cid)>;
 
 impl HierarchyRuntime {
@@ -36,6 +34,11 @@ impl HierarchyRuntime {
     /// truncates everything past that prefix out of the log, and resumes
     /// live operation from there.
     ///
+    /// In [`crate::SyncMode::Snapshot`] a subnet may come back catching
+    /// up: one whose replay stopped before its fast-forward anchor restarts
+    /// from genesis and syncs, like a rejoining node, against the blocks
+    /// the journal kept for it ([`HierarchyRuntime::is_catching_up`]).
+    ///
     /// With [`crate::PersistenceConfig::InMemory`] this is just
     /// [`HierarchyRuntime::new`]. The rest of the `config` (seed, network,
     /// engine parameters, …) must match the run that wrote the journal —
@@ -45,20 +48,19 @@ impl HierarchyRuntime {
     /// Debug builds end it with [`HierarchyRuntime::check_invariants`] over
     /// the recovered world, and panic naming every break.
     pub fn recover(config: RuntimeConfig) -> Self {
-        if !config.persistence.is_durable() {
-            return Self::new(config);
+        let mut rt = Self::boot(config);
+        // The blob log is attached before replaying: replayed persists
+        // dedup against blobs that survived the crash and re-journal any
+        // the torn tail lost.
+        if let Some((mut control, raw)) = rt.journal.open(&rt.store) {
+            rt.journal.begin_replay();
+            let applied = rt.replay(raw);
+            // Make the journal agree with the recovered world: a record
+            // past the replayed prefix is not part of history.
+            control.truncate_after(applied);
+            rt.store.sync();
+            rt.journal.attach(control);
         }
-        // Snapshot mode fast-forwards each eligible subnet to its last
-        // checkpoint-anchored manifest instead of re-executing its whole
-        // history. If a fast-forward target turns out to be unreachable
-        // (the journal tore inside the skipped region), fall back to the
-        // total full-replay recovery.
-        let snapshot = config.sync_mode == crate::chaos::SyncMode::Snapshot;
-        let fast = snapshot.then(|| Self::recover_attempt(config.clone(), true));
-        let rt = fast.flatten().unwrap_or_else(|| {
-            Self::recover_attempt(config, false)
-                .expect("full-replay recovery never abandons a prefix")
-        });
         #[cfg(debug_assertions)]
         if let Err(breaks) = rt.check_invariants() {
             let breaks = crate::audit::describe(&breaks);
@@ -67,17 +69,10 @@ impl HierarchyRuntime {
         rt
     }
 
-    /// One recovery pass over the journal. With `fast_forward` enabled,
-    /// returns `None` (leaving the journal untouched) when an eligible
-    /// subnet's anchor was never reached — the caller retries without
-    /// fast-forwarding.
-    fn recover_attempt(config: RuntimeConfig, fast_forward: bool) -> Option<Self> {
-        let mut rt = Self::boot(config);
-        rt.journal.begin_replay();
-        // The blob log is attached before replaying: replayed persists
-        // dedup against blobs that survived the crash and re-journal any
-        // the torn tail lost.
-        let (mut control, raw) = rt.journal.open(&rt.store)?;
+    /// The one scan: applies records in order until one does not apply,
+    /// then restarts every fast-forward left short of its anchor. Returns
+    /// how many records applied.
+    fn replay(&mut self, raw: Vec<Vec<u8>>) -> usize {
         // Each record is decoded once; the first that does not decode ends
         // the log as surely as one that does not apply.
         let records: Vec<ControlRecord> = raw
@@ -85,28 +80,25 @@ impl HierarchyRuntime {
             .map_while(|bytes| ControlRecord::decode(&bytes).ok())
             .collect();
         let mut targets = FastForward::new();
-        if fast_forward {
-            targets = Self::plan_fast_forward(&records, &rt.store);
+        if self.config.sync_mode == crate::chaos::SyncMode::Snapshot {
+            targets = Self::plan_fast_forward(&records, &self.store);
         }
         let mut applied = 0usize;
         for record in records {
-            if !rt.apply_control_record(record, &mut targets) {
+            if !self.apply_control_record(record, &mut targets) {
                 break;
             }
             applied += 1;
         }
-        if !targets.is_empty() {
-            // A subnet's replay stopped before its anchor installed: its
-            // chain is ahead of its (still-genesis) state tree. Abandon
-            // this attempt before any journal truncation.
-            return None;
+        // A target left here has a chain ahead of its still-genesis tree; a
+        // target the scan never booted, or retired, has no node to restart.
+        for subnet in targets.into_keys() {
+            if let Ok(journaled) = self.take_down(&subnet) {
+                self.restart_node(&subnet, journaled)
+                    .expect("a booted child has boot parameters");
+            }
         }
-        // Make the journal agree with the recovered world: a record past
-        // the replayed prefix is not part of history.
-        control.truncate_after(applied);
-        rt.store.sync();
-        rt.journal.attach(control);
-        Some(rt)
+        applied
     }
 
     /// Scans the control log for subnets whose recovery can skip straight
@@ -214,12 +206,22 @@ impl HierarchyRuntime {
                 };
                 if epoch == target_epoch {
                     // The fast-forward target: install the anchored
-                    // snapshot and resume normal replay from here.
+                    // snapshot, verified against the committed header of
+                    // the skipped block at the anchor epoch (it counts as
+                    // the persist the skipped cut performed live), and
+                    // resume normal replay from here.
+                    let Some(node) = self.nodes.get_mut(&subnet) else {
+                        return false;
+                    };
+                    let committed = node.chain.get_by_epoch(epoch).map(|b| b.header.state_root);
                     if manifest != target_manifest
-                        || self.install_anchor(&subnet, epoch, &manifest).is_err()
+                        || node
+                            .install_manifest(&manifest, &self.store, committed)
+                            .is_err()
                     {
                         return false;
                     }
+                    node.stats.state_persists += 1;
                     targets.remove(&subnet);
                 }
                 // Target or a pre-target anchor inside the skipped prefix
@@ -259,27 +261,6 @@ impl HierarchyRuntime {
             self.now_ms = self.now_ms.max(at_ms);
             self.post_tick(subnet, block, outcome, at_ms)?;
         }
-        Ok(())
-    }
-
-    /// Installs a fast-forward target: the anchored manifest, read from
-    /// the surviving blob store and verified against the committed header
-    /// of the (skipped) block at the anchor epoch. Counts as the persist
-    /// the skipped checkpoint cut performed live.
-    fn install_anchor(
-        &mut self,
-        subnet: &SubnetId,
-        epoch: ChainEpoch,
-        manifest: &Cid,
-    ) -> Result<(), RuntimeError> {
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        let committed_root = node
-            .chain
-            .iter()
-            .find(|b| b.header.epoch == epoch)
-            .map(|b| b.header.state_root);
-        node.install_manifest(manifest, &self.store, committed_root)?;
-        node.stats.state_persists += 1;
         Ok(())
     }
 }

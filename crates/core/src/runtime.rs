@@ -125,36 +125,28 @@ impl HierarchyRuntime {
             validator_keys.push(key);
         }
 
-        let store = CidStore::new();
-        let mut node = SubnetNode::genesis(
-            root.clone(),
-            &config,
-            None,
-            network.subscribe(&root.topic()),
-            config.engine_params.block_time_ms,
-            store.clone(),
-        );
-        node.validators = ValidatorSet::new(validators);
-        node.validator_keys = validator_keys;
-
-        let mut subnets = Subnets::default();
-        subnets.boot(&root, None);
         let mut rt = HierarchyRuntime {
             journal: Journal::new(&config.persistence),
             config,
-            nodes: BTreeMap::from([(root.clone(), node)]),
+            nodes: BTreeMap::new(),
             network,
             now_ms: 0,
             wallets: Wallets::new(),
             events: VecDeque::new(),
             root_minted: TokenAmount::ZERO,
             archive: crate::archive::CheckpointArchive::default(),
-            store,
-            subnets,
+            store: CidStore::new(),
+            subnets: Subnets::default(),
             node_faults: Vec::new(),
             chaos: crate::chaos::ChaosStats::default(),
             cut_checkpoints: BTreeMap::new(),
         };
+        let subscription = rt.network.subscribe(&root.topic());
+        let block_time_ms = rt.config.engine_params.block_time_ms;
+        let node = rt.genesis_node(&root, None, subscription, block_time_ms);
+        node.validators = ValidatorSet::new(validators);
+        node.validator_keys = validator_keys;
+        rt.subnets.boot(&root, None);
         rt.schedule_faults(&rt.config.net.faults.clone());
         rt.assign_boot_region(&root);
         rt
@@ -732,14 +724,15 @@ impl HierarchyRuntime {
     }
 
     /// Re-commits one past block — replayed from the journal or pulled
-    /// from peers — against `subnet`'s node: burns the consensus draw the
-    /// live run made for it, validates and re-executes it (verifying the
-    /// recomputed state root against the header), chains it, and hands it
-    /// to the same
-    /// [`SubnetNode::commit_block`] the live tick uses. What happens to
-    /// the returned outcome is the caller's choice of *outward* effects:
-    /// journal recovery routes it through [`HierarchyRuntime::post_tick`],
-    /// peer catch-up applies only the node-local half of its events.
+    /// from peers — against `subnet`'s node: validates and re-executes it
+    /// (verifying the recomputed state root against the header), burns the
+    /// consensus draw the live run made for it, chains it, and hands it to
+    /// the same [`SubnetNode::commit_block`] the live tick uses. A refused
+    /// block — forged or stale — is refused before the draw and leaves the
+    /// node as it was. What happens to the returned outcome is the caller's
+    /// choice of *outward* effects: journal recovery routes it through
+    /// [`HierarchyRuntime::post_tick`], peer catch-up applies only the
+    /// node-local half of its events.
     pub(crate) fn reexecute_block(
         &mut self,
         subnet: &SubnetId,
@@ -748,10 +741,16 @@ impl HierarchyRuntime {
         self.refresh_validators(subnet);
         let parallelism = self.config.parallelism;
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        let opportunity = node.draw_slot(block.header.epoch)?;
+        if (block.header.epoch, block.header.parent) != (node.next_epoch, node.chain.head()) {
+            return Err(RuntimeError::Execution(
+                "block does not extend the head".into(),
+            ));
+        }
         node.engine
             .validate_block(block, &node.validators)
             .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
+        // Verifies the proposer's signature first; any failure leaves the
+        // tree at the pre-block state.
         let receipts = execute_block_with(
             &mut node.tree,
             block,
@@ -761,6 +760,7 @@ impl HierarchyRuntime {
             },
         )
         .map_err(|e| RuntimeError::Execution(format!("replay execution: {e}")))?;
+        let opportunity = node.draw_slot(block.header.epoch)?;
         node.chain
             .append(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;

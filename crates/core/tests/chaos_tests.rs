@@ -16,12 +16,15 @@ mod common;
 
 use common::{subnet_fingerprint, whole, Harness, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
-use hc_core::{audit_quiescent, HierarchyRuntime, PlacementPolicy, RuntimeConfig, SyncMode};
+use hc_chain::{Block, BlockHeader};
+use hc_core::{
+    audit_quiescent, ChaosStats, HierarchyRuntime, PlacementPolicy, RuntimeConfig, SyncMode,
+};
 use hc_net::{
     FaultKind, FaultPlan, FaultRule, PartitionPolicy, RegionMap, ResolutionMsg, RetryPolicy,
 };
 use hc_state::Method;
-use hc_types::{ChainEpoch, SubnetId, TokenAmount};
+use hc_types::{CanonicalEncode, ChainEpoch, Keypair, SubnetId, TokenAmount};
 
 #[test]
 fn crash_refuses_root_and_parents_with_live_children() {
@@ -228,6 +231,86 @@ fn every_message_is_verified_once_after_a_rejoin() {
         "admission records nothing"
     );
     assert_eq!(stats.hits, FRESH, "production reads the admission verdicts");
+}
+
+/// What an attacker makes of a genuine block.
+type Forgery = fn(&Block) -> Block;
+
+/// Crashes a settled child, rejoins it in replay mode, and — when `forge`
+/// is given — injects a `BlockBatch` carrying `forge` of the child's
+/// epoch-1 block before the first genuine batch can arrive. Returns the
+/// child's fingerprint once its catch-up is done, and the chaos counters.
+fn catch_up_after_injecting(forge: Option<Forgery>) -> (SubnetFingerprint, ChaosStats) {
+    let mut h = Harness::setup();
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&child);
+    h.fund(&bob, 30);
+    let chain = h.rt.node(&child).unwrap().chain();
+    let first = chain.get_by_epoch(ChainEpoch::new(1)).unwrap().clone();
+
+    h.rt.crash_node(&child).unwrap();
+    h.rt.rejoin_node(&child).unwrap();
+    if let Some(forge) = forge {
+        let blocks = vec![forge(&first).canonical_bytes()];
+        let subnet = child.clone();
+        h.rt.inject_gossip(&child.topic(), ResolutionMsg::BlockBatch { subnet, blocks });
+    }
+    for _ in 0..400 {
+        if !h.rt.is_catching_up(&child) {
+            break;
+        }
+        h.rt.step().unwrap();
+    }
+    assert!(!h.rt.is_catching_up(&child), "catch-up must complete");
+    h.check_state();
+    (subnet_fingerprint(&h.rt, &child), h.rt.chaos_stats())
+}
+
+/// A forged block in a catch-up batch is dropped before it changes
+/// anything — no consensus draw burned, no state touched — and counted; the
+/// node keeps pulling and catches up to exactly the twin that never saw it.
+fn forged_block_is_dropped(forge: Forgery) {
+    let (twin, twin_stats) = catch_up_after_injecting(None);
+    let (caught_up, stats) = catch_up_after_injecting(Some(forge));
+    assert_eq!(twin_stats.blocks_rejected, 0);
+    assert_eq!(
+        stats.blocks_rejected, 1,
+        "the forged block reached the node first"
+    );
+    assert_eq!(stats.blocks_caught_up, twin_stats.blocks_caught_up);
+    assert_eq!(
+        caught_up,
+        SubnetFingerprint {
+            next_block_at_ms: caught_up.next_block_at_ms,
+            ..twin
+        },
+        "the forged block left a trace on the caught-up node"
+    );
+}
+
+/// A key outside the validator set, standing in for an attacker.
+fn attacker() -> Keypair {
+    Keypair::from_seed([0xa7; 32])
+}
+
+#[test]
+fn a_block_resealed_by_a_non_validator_is_dropped_from_a_catch_up_batch() {
+    forged_block_is_dropped(|block| {
+        let header = BlockHeader {
+            proposer: attacker().public(),
+            ..block.header.clone()
+        };
+        let (signed, implicit) = (block.signed_msgs.clone(), block.implicit_msgs.clone());
+        Block::seal(header, signed, implicit, &attacker())
+    });
+}
+
+#[test]
+fn a_block_signed_by_someone_other_than_its_proposer_is_dropped_from_a_catch_up_batch() {
+    forged_block_is_dropped(|block| {
+        let (signed, implicit) = (block.signed_msgs.clone(), block.implicit_msgs.clone());
+        Block::seal(block.header.clone(), signed, implicit, &attacker())
+    });
 }
 
 /// A catching-up node's sync replies leave from its own region: the peers
@@ -674,38 +757,40 @@ fn fingerprint(rt: &HierarchyRuntime) -> String {
 /// digests were re-recorded when the SCA's state-root leaf began to commit
 /// to its checkpoint window through a digest: every head, state root and
 /// checkpoint CID moved, every other byte of the fingerprint text did not.
+/// They were re-recorded again when `ChaosStats` gained `blocks_rejected`:
+/// the text gained `, blocks_rejected: 0` and no other byte.
 #[test]
 fn chaos_schedules_reproduce_the_recorded_fingerprints() {
     let recorded = [
         (
             SyncMode::Replay,
             0,
-            "e7a216d1ff49fb579167bc9eaba989e6300f705717eb34bc472b92f68f4c0d17",
+            "21fc2f3346b5e551be424e3f96bf314e52f8b88bb0ed640aab34d851a42dc774",
         ),
         (
             SyncMode::Replay,
             3,
-            "c2e2b970dde2084757964ee959e61ae37fb3584cdfc709f5dae964d5845b12f6",
+            "2c410a8c0a0bc895148597807559f2fd0946c7de58479d2980336c6c7e946785",
         ),
         (
             SyncMode::Replay,
             4,
-            "4fe8192de3170eeddebad445461b2d98b53e060d5a1381a01e01a138aff5ae61",
+            "307ffb224141283b53160f7951f59b9d4c146697bb8a54d60c44791026908bdf",
         ),
         (
             SyncMode::Snapshot,
             0,
-            "261f6aaff2c739bdbaec787465bf088882bd62d5e2832e7f4e3023f22869c6c1",
+            "918f32187ad0a22a0bcc052feaeb848927fb035c3eead93aca56f7a049420351",
         ),
         (
             SyncMode::Snapshot,
             3,
-            "c2e2b970dde2084757964ee959e61ae37fb3584cdfc709f5dae964d5845b12f6",
+            "2c410a8c0a0bc895148597807559f2fd0946c7de58479d2980336c6c7e946785",
         ),
         (
             SyncMode::Snapshot,
             4,
-            "af2eaad4b370627e395c65e46bc265c3981826a2ab3b4d88c438520caf800ef0",
+            "fb320db1af6c40d1071ffbcfb8f5c91e571d3c44f38571c1bf608ebff4e47f8a",
         ),
     ];
     for (mode, seed, digest) in recorded {

@@ -14,12 +14,12 @@ use std::sync::Arc;
 
 use common::{stats_since, subnet_fingerprint, whole, Harness, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
-use hc_core::persist::DurableOptions;
-use hc_core::{HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode};
+use hc_core::persist::{DurableOptions, CONTROL_LOG};
+use hc_core::{ControlRecord, HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode};
 use hc_net::{FaultKind, FaultPlan, FaultRule, NetConfig, PartitionPolicy, RetryPolicy};
 use hc_state::ChunkManifest;
-use hc_store::{InMemoryDevice, WalOptions};
-use hc_types::{ChainEpoch, Cid, SubnetId};
+use hc_store::{InMemoryDevice, Wal, WalOptions};
+use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
 /// Serialises this binary's tests: one of them differences the
 /// process-wide SHA-256 block counter, which any test hashing on another
@@ -320,20 +320,7 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
 fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
     let _serial = serial();
     let device = InMemoryDevice::new();
-    let config = |mode: SyncMode| RuntimeConfig {
-        net: NetConfig {
-            jitter_ms: 0,
-            drop_rate: 0.0,
-            ..NetConfig::default()
-        },
-        persistence: PersistenceConfig::Durable(DurableOptions {
-            device: Arc::new(device.clone()),
-            wal: WalOptions::default(),
-            keep_manifests: 0,
-        }),
-        sync_mode: mode,
-        ..RuntimeConfig::default()
-    };
+    let config = |mode: SyncMode| durable(&device, mode);
     let sa = SaConfig {
         checkpoint_period: 5,
         ..SaConfig::default()
@@ -380,4 +367,139 @@ fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
     let mut h = Harness { rt: rt_snap, alice };
     h.fund(&bob, 5);
     assert_eq!(h.rt.balance(&bob), expected_bob + whole(5));
+}
+
+/// Writes a snapshot-mode journal in which the child cuts checkpoints at
+/// epochs 5 and 10, then rewrites its control log without the child's
+/// block at `lost_epoch`. Recovery fast-forwards the child towards its
+/// epoch-10 anchor, and its replay stops at the gap. Returns the rewritten
+/// device, the child, and a `SyncMode::Replay` recovery of a fork of it.
+fn journal_short_of_the_anchor(lost_epoch: u64) -> (InMemoryDevice, SubnetId, HierarchyRuntime) {
+    let device = InMemoryDevice::new();
+    let sa = SaConfig {
+        checkpoint_period: 5,
+        ..SaConfig::default()
+    };
+    let mut h = Harness::with(durable(&device, SyncMode::Snapshot), 1_000_000);
+    let child = h.spawn(&h.alice.clone(), sa);
+    let bob = h.user(&child);
+    h.fund(&bob, 30);
+    drive_to_epoch(&mut h.rt, &child, 12);
+    h.fund(&bob, 7);
+    let (anchor_epoch, _) = h.rt.checkpoint_anchor(&child).unwrap();
+    assert_eq!(anchor_epoch, ChainEpoch::new(10));
+    drop(h);
+
+    let (mut control, records) =
+        Wal::open(Arc::new(device.clone()), CONTROL_LOG, WalOptions::default());
+    let lost = records.iter().position(|bytes| {
+        matches!(ControlRecord::decode(bytes), Ok(ControlRecord::Block(b))
+            if b.header.subnet == child && b.header.epoch == ChainEpoch::new(lost_epoch))
+    });
+    let lost = lost.expect("the child's block is journaled");
+    control.truncate_after(lost);
+    for bytes in &records[lost + 1..] {
+        control.append(bytes);
+    }
+    drop(control);
+    let replayed = HierarchyRuntime::recover(durable(&device.fork(), SyncMode::Replay));
+    (device, child, replayed)
+}
+
+/// A durable config on `device` in `mode`, with a jitter- and loss-free
+/// network.
+fn durable(device: &InMemoryDevice, mode: SyncMode) -> RuntimeConfig {
+    RuntimeConfig {
+        net: NetConfig {
+            jitter_ms: 0,
+            drop_rate: 0.0,
+            ..NetConfig::default()
+        },
+        persistence: PersistenceConfig::Durable(DurableOptions {
+            device: Arc::new(device.clone()),
+            wal: WalOptions::default(),
+            keep_manifests: 0,
+        }),
+        sync_mode: mode,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// Recovers `device` in snapshot mode, checks every other subnet already
+/// equals `replayed` and the child is catching up, steps until it is done,
+/// and returns the world with the child's fingerprint.
+fn recover_and_catch_up(
+    device: &InMemoryDevice,
+    child: &SubnetId,
+    replayed: &HierarchyRuntime,
+) -> (HierarchyRuntime, SubnetFingerprint) {
+    let mut rt = HierarchyRuntime::recover(durable(device, SyncMode::Snapshot));
+    assert!(rt.is_catching_up(child), "the child restarts from genesis");
+    for subnet in rt.subnets().filter(|s| *s != child) {
+        assert_eq!(
+            subnet_fingerprint(&rt, subnet),
+            subnet_fingerprint(replayed, subnet)
+        );
+    }
+    for _ in 0..400 {
+        if !rt.is_catching_up(child) {
+            break;
+        }
+        rt.step().unwrap();
+    }
+    assert!(!rt.is_catching_up(child), "the catch-up must complete");
+    rt.check_invariants().unwrap();
+    let caught_up = subnet_fingerprint(&rt, child);
+    (rt, caught_up)
+}
+
+/// A recovery fast-forward whose replay stops short of its anchor falls
+/// back for that node alone: the child restarts from genesis and catches
+/// up, in replay mode (no anchor was reached), against the blocks the
+/// journal kept — and lands on the world a full-replay recovery of the
+/// same journal rebuilds.
+#[test]
+fn a_fast_forward_short_of_its_anchor_catches_up_from_the_journal() {
+    let _serial = serial();
+    let (device, child, replayed) = journal_short_of_the_anchor(3);
+    let (rt, caught_up) = recover_and_catch_up(&device, &child, &replayed);
+    let stats = rt.chaos_stats();
+    assert_eq!(stats.snapshot_fallbacks, 1);
+    assert_eq!(stats.snapshot_installs, 0);
+    assert_eq!(stats.blocks_caught_up, 2, "epochs 1 and 2 survived the gap");
+    let expected = subnet_fingerprint(&replayed, &child);
+    assert_eq!(expected.head_epoch, ChainEpoch::new(2));
+    assert_eq!(
+        caught_up,
+        SubnetFingerprint {
+            next_block_at_ms: caught_up.next_block_at_ms,
+            ..expected
+        }
+    );
+}
+
+/// The same fallback past an older anchor: the replay reached the epoch-5
+/// cut before the gap, and that anchor's closure, which only the blob log
+/// still holds, is hydrated and snapshot-synced — only epoch 6 re-executes.
+#[test]
+fn a_fast_forward_short_of_its_anchor_snapshot_syncs_from_an_older_one() {
+    let _serial = serial();
+    let (device, child, replayed) = journal_short_of_the_anchor(7);
+    let (rt, caught_up) = recover_and_catch_up(&device, &child, &replayed);
+    let stats = rt.chaos_stats();
+    assert_eq!(stats.snapshot_fallbacks, 0);
+    assert_eq!(stats.snapshot_installs, 1);
+    assert_eq!(stats.blocks_caught_up, 1, "only the post-anchor epoch 6");
+    let expected = subnet_fingerprint(&replayed, &child);
+    assert_eq!(expected.head_epoch, ChainEpoch::new(6));
+    // The covered prefix is installed, not re-executed, so its counters
+    // are not the replayed node's.
+    assert_eq!(
+        caught_up,
+        SubnetFingerprint {
+            stats: caught_up.stats,
+            next_block_at_ms: caught_up.next_block_at_ms,
+            ..expected
+        }
+    );
 }

@@ -2,9 +2,9 @@
 //!
 //! Each test pins one structural decision DESIGN.md records — one
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
-//! option without a scenario, one front door per node, one test world,
-//! one invariant check, content hashed once, one `unsafe` block, hot values
-//! kept small — so a
+//! option without a scenario, one front door per node, one way a node
+//! comes up, one test world, one invariant check, content hashed once, one
+//! `unsafe` block, hot values kept small — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -476,6 +476,40 @@ fn one_front_door() {
         anonymous,
         ["crates/core/src/runtime.rs: inject_gossip"],
         "DESIGN.md §17: every publish but `inject_gossip` states its origin"
+    );
+}
+
+/// DESIGN.md §11 and §13: one way a node comes up. Every node is built at
+/// genesis by one helper, so `SubnetNode::genesis` has one caller; recovery
+/// boots the runtime once and scans the journal once, and a fast-forward
+/// that falls short of its anchor restarts that node through the rejoin
+/// path instead of recovering the whole world again.
+#[test]
+fn one_way_up() {
+    let genesis = hits(&crate_sources(), non_test, |l| {
+        l.contains("SubnetNode::genesis(")
+    });
+    assert_eq!(
+        genesis.len(),
+        1,
+        "DESIGN.md §8: one way a node is built at genesis; found {genesis:#?}"
+    );
+    let recover = read_rel("crates/core/src/recover.rs");
+    let recover = non_test(&recover);
+    assert_eq!(
+        recover.matches("Self::boot(").count(),
+        1,
+        "DESIGN.md §11: `recover` boots the runtime once"
+    );
+    for retired in ["Self::new(", "recover_attempt", "fast_forward: bool"] {
+        assert!(
+            !recover.contains(retired),
+            "DESIGN.md §13: a short fast-forward falls back per node, not by a second recovery: `{retired}`"
+        );
+    }
+    assert!(
+        recover.contains("self.restart_node("),
+        "DESIGN.md §13: a short fast-forward restarts through the rejoin path"
     );
 }
 
