@@ -25,12 +25,22 @@
 //! no matter how hard it is flooded.
 //!
 //! An admission costs one signature verification and no scan of the pool:
-//! the message count is kept, not recounted; the dedup set expires in
-//! admission order; the wire size is memoized by the one encoding that
-//! derived the message CID; and the passing verdict is memoized on the
-//! admitted value, which block production then reads instead of verifying
-//! again. A second message at a `(sender, nonce)` already pending is
-//! refused as a duplicate before verification: the first admitted wins.
+//! the message count is kept, not recounted; the wire size is memoized by
+//! the one encoding that derived the message CID; and the passing verdict
+//! is memoized on the admitted value, which block production then reads
+//! instead of verifying again.
+//!
+//! # Deduplication
+//!
+//! The pool remembers senders, not messages. Each sender that has had a
+//! message included in a committed block has a *floor*: one past the
+//! highest nonce included for it (the rule the runtime's signing cursors
+//! follow). A message below its sender's floor can never execute, and a
+//! second message at a `(sender, nonce)` already pending loses to the
+//! first admitted; both are refused as duplicates before verification.
+//! Only inclusion raises a floor, so a forgery — refused at verification,
+//! never included — cannot shut a valid message out. Dedup memory is one
+//! entry per committed sender, however many messages they sent.
 //!
 //! Eviction picks the globally lowest-priority *lane tail* (the
 //! highest-nonce message of some sender), ordered by fee ascending with the
@@ -44,12 +54,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use hc_actors::{CrossMsg, CrossMsgMeta, MsgGroup};
 use hc_state::{SealedMessage, SigCache, SignedMessage};
-use hc_types::{Address, ChainEpoch, Cid, Nonce, SubnetId};
-
-/// How many epochs an admitted CID stays in the dedup set after its
-/// admission epoch. Replays older than this are caught by account-nonce
-/// validation at execution time, so the set can forget them.
-pub const SEEN_HORIZON_EPOCHS: u64 = 256;
+use hc_types::{Address, Cid, Nonce, SubnetId};
 
 /// Admission-control knobs for [`Mempool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,8 +72,8 @@ pub struct MempoolStats {
     /// Messages admitted (verified, deduped, and kept — at least until a
     /// later admission evicted them).
     pub admitted: u64,
-    /// Messages refused because their CID was already admitted within the
-    /// dedup horizon, or another message is pending at their
+    /// Messages refused because their nonce is below their sender's floor
+    /// (a nonce already included), or another message is pending at their
     /// `(sender, nonce)`.
     pub rejected_duplicate: u64,
     /// Messages refused because their signature did not verify.
@@ -105,8 +110,8 @@ impl MempoolStats {
 pub enum PushOutcome {
     /// Verified and admitted (possibly evicting lower-priority messages).
     Admitted,
-    /// Refused: CID already admitted within the dedup horizon, or another
-    /// message already pending at the same `(sender, nonce)`.
+    /// Refused: the nonce is below the sender's floor (already included),
+    /// or another message is already pending at the same `(sender, nonce)`.
     Duplicate,
     /// Refused: signature verification failed.
     Invalid,
@@ -142,7 +147,7 @@ fn nonce_slot(lane: &Lane, nonce: Nonce) -> Result<usize, usize> {
 }
 
 /// The internal pool of pending signed user messages.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Mempool {
     /// Per-sender nonce lanes holding sealed messages (CIDs derived at
     /// admission travel into block assembly and execution) plus their
@@ -150,20 +155,13 @@ pub struct Mempool {
     by_sender: BTreeMap<Address, Lane>,
     /// Messages held across every lane.
     count: usize,
-    /// Message CIDs already admitted, tagged with the chain epoch current
-    /// at admission (dedup with bounded memory — see
-    /// [`Mempool::advance_epoch`]).
-    seen: HashMap<Cid, ChainEpoch>,
-    /// The same admissions in admission order, so epochs never decrease
-    /// front to back and expiry pops only what expires. An entry `seen`
-    /// has since dropped or re-tagged (an evicted message) is skipped.
-    seen_order: VecDeque<(ChainEpoch, Cid)>,
+    /// Each sender's floor: one past the highest nonce included for it.
+    /// Only [`Mempool::remove_included`] raises one.
+    floors: HashMap<Address, Nonce>,
     /// Admission-control configuration.
     config: MempoolConfig,
     /// Bytes currently held (sum of the entries' wire sizes).
     occupancy_bytes: usize,
-    /// The chain epoch the pool currently considers "now".
-    current_epoch: ChainEpoch,
     /// The node's verified-signature cache, read when an admitted value
     /// carries no verdict and never written; `None` verifies every such
     /// admission fully.
@@ -178,24 +176,6 @@ pub struct Mempool {
     /// rewind signing cursors so a dropped nonce can be re-signed instead
     /// of leaving a permanent gap in the sender's lane.
     evicted_log: Vec<(Address, Nonce)>,
-}
-
-impl Default for Mempool {
-    fn default() -> Self {
-        Mempool {
-            by_sender: BTreeMap::new(),
-            count: 0,
-            seen: HashMap::new(),
-            seen_order: VecDeque::new(),
-            config: MempoolConfig::default(),
-            occupancy_bytes: 0,
-            current_epoch: ChainEpoch::GENESIS,
-            sig_cache: None,
-            stats: MempoolStats::default(),
-            activity: BTreeMap::new(),
-            evicted_log: Vec::new(),
-        }
-    }
 }
 
 impl Mempool {
@@ -250,28 +230,27 @@ impl Mempool {
     /// Admits a message with a priority fee bid.
     ///
     /// The dedup checks run *before* signature verification: a replayed
-    /// duplicate costs one memoized CID read, not a full verification.
-    /// Deduplication keys on the message CID — what the signature covers
-    /// and receipts are keyed by — so a replay with a mangled signature is
-    /// refused just like an exact duplicate; and on the `(sender, nonce)`
-    /// slot, so a conflicting message never displaces the pending one (the
-    /// first admitted wins). `seen` is only populated by *verified*
-    /// admissions: an attacker cannot block a valid message by pre-sending
-    /// a forgery of it. Messages evicted by admission control are forgotten
-    /// by the dedup set, so a later re-submission (when the pool has
-    /// drained) is admitted again.
+    /// duplicate costs a map lookup, not a full verification. A message
+    /// below its sender's floor — a replay of an included message, or any
+    /// other message at an included nonce — is refused, and so is one at a
+    /// pending `(sender, nonce)` slot, so a conflicting message never
+    /// displaces the pending one (the first admitted wins). Floors rise
+    /// only when a block includes a message: an attacker cannot block a
+    /// valid message by pre-sending a forgery of it. A message evicted by
+    /// admission control frees its slot, so a later re-submission (when
+    /// the pool has drained) is admitted again.
     ///
     /// A fresh value is verified in full once, here, and carries the
     /// passing verdict into block production.
     pub fn push_sealed_with_fee(&mut self, msg: SealedMessage, fee: u64) -> PushOutcome {
-        let cid = msg.msg_cid();
         let from = msg.message().from;
         let nonce = msg.message().nonce;
+        let included = self.floors.get(&from).is_some_and(|floor| nonce < *floor);
         let slot_taken = self
             .by_sender
             .get(&from)
             .is_some_and(|lane| nonce_slot(lane, nonce).is_ok());
-        if slot_taken || self.seen.contains_key(&cid) {
+        if included || slot_taken {
             self.stats.rejected_duplicate += 1;
             return PushOutcome::Duplicate;
         }
@@ -288,8 +267,6 @@ impl Mempool {
         // competes on equal terms: if it is itself the lowest-priority
         // tail it is the one refused, which is what makes the admitted
         // set independent of arrival order for equal-size messages.
-        self.seen.insert(cid, self.current_epoch);
-        self.seen_order.push_back((self.current_epoch, cid));
         self.occupancy_bytes += msg.wire_len();
         self.count += 1;
         let lane = self
@@ -301,15 +278,16 @@ impl Mempool {
 
         let mut survived = true;
         while self.config.capacity_bytes > 0 && self.occupancy_bytes > self.config.capacity_bytes {
-            let (victim_addr, victim_nonce, victim_cid) = self
+            let victim = self
                 .lowest_priority_tail()
                 .expect("over-budget pool has at least one tail");
-            if victim_cid == cid {
+            if victim == (from, nonce) {
                 survived = false;
             } else {
                 self.stats.evicted += 1;
             }
-            self.evict(victim_addr, victim_nonce, victim_cid);
+            self.take(victim.0, victim.1);
+            self.evicted_log.push(victim);
         }
         if !survived {
             self.stats.rejected_full += 1;
@@ -324,7 +302,7 @@ impl Mempool {
 
     /// The lowest-priority lane tail: among every sender's highest-nonce
     /// entry, the one with the lowest `(fee, msg CID)`.
-    fn lowest_priority_tail(&self) -> Option<(Address, Nonce, Cid)> {
+    fn lowest_priority_tail(&self) -> Option<(Address, Nonce)> {
         self.by_sender
             .iter()
             .filter_map(|(addr, lane)| {
@@ -334,15 +312,7 @@ impl Mempool {
                 })
             })
             .min_by_key(|(priority, _)| *priority)
-            .map(|((_, cid), (addr, nonce))| (addr, nonce, cid))
-    }
-
-    /// Removes one entry, un-remembering its CID from the dedup set (an
-    /// evicted message may be legitimately re-submitted later).
-    fn evict(&mut self, addr: Address, nonce: Nonce, cid: Cid) {
-        self.take(addr, nonce);
-        self.seen.remove(&cid);
-        self.evicted_log.push((addr, nonce));
+            .map(|(_, slot)| slot)
     }
 
     /// Removes the entry at `(addr, nonce)` if one is held, settling the
@@ -369,34 +339,10 @@ impl Mempool {
         std::mem::take(&mut self.evicted_log)
     }
 
-    /// Advances the pool's notion of the current chain epoch and prunes
-    /// dedup entries admitted more than [`SEEN_HORIZON_EPOCHS`] ago.
-    /// Without this the `seen` set grows without bound for the lifetime of
-    /// the node; with it, replays inside the horizon are still refused here
-    /// while older replays fall through to the account-nonce check at
-    /// execution time (stale nonces never execute).
-    ///
-    /// Expiry costs O(expired): admissions are queued in epoch order, so
-    /// only the queue's expired front is visited.
-    pub fn advance_epoch(&mut self, epoch: ChainEpoch) {
-        if epoch <= self.current_epoch {
-            return;
-        }
-        self.current_epoch = epoch;
-        while let Some(&(admitted, cid)) = self.seen_order.front() {
-            if epoch.since(admitted) <= SEEN_HORIZON_EPOCHS {
-                break;
-            }
-            self.seen_order.pop_front();
-            if self.seen.get(&cid) == Some(&admitted) {
-                self.seen.remove(&cid);
-            }
-        }
-    }
-
-    /// Number of CIDs currently held for dedup (testing/diagnostics).
-    pub fn seen_len(&self) -> usize {
-        self.seen.len()
+    /// Number of senders with a floor — every sender this pool has seen
+    /// included, which is all the dedup state it keeps.
+    pub fn committed_senders(&self) -> usize {
+        self.floors.len()
     }
 
     /// Number of pending messages. O(1): the count is kept, not recounted.
@@ -494,12 +440,15 @@ impl Mempool {
         out
     }
 
-    /// Removes messages that were included in a committed block.
+    /// Settles the messages a committed block included: each one's
+    /// `(sender, nonce)` slot is freed, and its sender's floor rises past
+    /// its nonce, so that nonce is never admitted again.
     pub fn remove_included<'a, I: IntoIterator<Item = &'a SealedMessage>>(&mut self, msgs: I) {
         for m in msgs {
-            self.take(m.message().from, m.message().nonce);
-            // Keep `seen` so replays of the same CID stay excluded until
-            // the dedup horizon passes (see `advance_epoch`).
+            let (from, nonce) = (m.message().from, m.message().nonce);
+            self.take(from, nonce);
+            let floor = self.floors.entry(from).or_insert(Nonce::ZERO);
+            *floor = (*floor).max(nonce.next());
         }
     }
 }
@@ -945,24 +894,70 @@ mod tests {
     }
 
     #[test]
-    fn mempool_seen_set_prunes_beyond_horizon() {
+    fn a_committed_message_stays_refused_after_any_number_of_epochs() {
         let mut pool = Mempool::new();
         let k = kp(7);
         let m = SealedMessage::new(signed(100, 0, &k));
         assert!(pool.push_sealed(m.clone()));
         pool.remove_included([&m]);
-        // Replays within the horizon are still refused and remembered.
-        pool.advance_epoch(ChainEpoch::new(SEEN_HORIZON_EPOCHS));
-        assert!(!pool.push_sealed(m.clone()));
-        assert_eq!(pool.seen_len(), 1);
-        // Epoch regressions never resurrect or prune anything.
-        pool.advance_epoch(ChainEpoch::new(1));
-        assert_eq!(pool.seen_len(), 1);
-        // Beyond the horizon the CID is forgotten — bounded memory; the
-        // stale account nonce catches any replay at execution time.
-        pool.advance_epoch(ChainEpoch::new(SEEN_HORIZON_EPOCHS + 1));
-        assert_eq!(pool.seen_len(), 0);
-        assert!(pool.push_sealed(m));
+        // A thousand more blocks, each including another sender's message:
+        // nothing about the first sender expires.
+        let other = kp(8);
+        for n in 0..1_000 {
+            let next = SealedMessage::new(signed(200, n, &other));
+            assert!(pool.push_sealed(next.clone()));
+            pool.remove_included([&next]);
+        }
+        assert_eq!(pool.push_sealed_with_fee(m, 0), PushOutcome::Duplicate);
+        assert_eq!(pool.committed_senders(), 2, "one floor per sender");
+        assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn a_different_message_at_a_committed_nonce_is_refused() {
+        let k = kp(13);
+        let a = SealedMessage::new(signed_to(100, 0, 1, &k));
+        let b = SealedMessage::new(signed_to(100, 0, 2, &k));
+        assert_ne!(a.msg_cid(), b.msg_cid());
+        let mut pool = Mempool::new();
+        assert!(pool.push_sealed(a.clone()));
+        pool.remove_included([&a]);
+        assert_eq!(
+            pool.push_sealed_with_fee(b, u64::MAX),
+            PushOutcome::Duplicate,
+            "a new CID at an included nonce can never execute"
+        );
+        assert_eq!(pool.stats().rejected_duplicate, 1);
+        assert!(push_fee(&mut pool, 100, 1, &k, 0).is_admitted());
+    }
+
+    #[test]
+    fn a_forgery_never_moves_the_floor() {
+        let cache = hc_state::SigCache::new(16);
+        let mut pool = Mempool::new().with_sig_cache(cache.clone());
+        let k = kp(14);
+        let first = SealedMessage::new(signed(100, 0, &k));
+        assert!(pool.push_sealed(first.clone()));
+        pool.remove_included([&first]);
+        // A forgery at the next, fresh nonce is verified and refused.
+        let mut forged = signed(100, 1, &k);
+        forged.message.value = TokenAmount::from_whole(7);
+        assert_eq!(
+            pool.push_sealed_with_fee(SealedMessage::new(forged), u64::MAX),
+            PushOutcome::Invalid
+        );
+        // A forgery at an included nonce never reaches the verifier.
+        let mut stale = signed_to(100, 0, 3, &k);
+        stale.message.value = TokenAmount::from_whole(7);
+        let misses = cache.stats().misses;
+        assert_eq!(
+            pool.push_sealed_with_fee(SealedMessage::new(stale), 0),
+            PushOutcome::Duplicate
+        );
+        assert_eq!(cache.stats().misses, misses);
+        // The valid message at the forged nonce is still admitted.
+        assert!(push_fee(&mut pool, 100, 1, &k, 0).is_admitted());
+        assert_eq!(pool.committed_senders(), 1);
     }
 
     fn td(nonce: u64) -> CrossMsg {

@@ -10,9 +10,14 @@
 //! fully verified; the ratio compares the fastest of several rounds per
 //! side, so one preempted round cannot fail the guard.
 //!
-//! This file intentionally holds a single `#[test]`: it measures wall
-//! time, and a lone test keeps harness siblings off the other core.
+//! Beside it, a memory-shape guard: a pool that admits and includes
+//! 200 000 messages from 100 senders ends holding one floor per sender
+//! and nothing else — the pool remembers senders, not messages.
+//!
+//! The time guard measures wall time, so the two tests take one lock
+//! and never run at once: no harness sibling competes for the other core.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hc_chain::Mempool;
@@ -27,19 +32,31 @@ const BATCH: u64 = 2_000;
 const ROUNDS: u64 = 5;
 /// Allowed cost of a push into the full pool, in pushes into an empty one.
 const MAX_RATIO: f64 = 10.0;
+/// Senders in the memory-shape guard.
+const SENDERS: u64 = 100;
+/// Blocks in the memory-shape guard, one message per sender each.
+const BLOCKS: u64 = 2_000;
 
-/// The first message of `sender`. One key signs for every sender: the
+/// Held by each test for its whole run, so they never overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// The message of `sender` at `nonce`. One key signs for every sender: the
 /// pool checks signatures, not key ownership (the VM does).
-fn message(sender: u64, key: &Keypair) -> SealedMessage {
+fn message_at(sender: u64, nonce: u64, key: &Keypair) -> SealedMessage {
     SealedMessage::sign(
         Message::transfer(
             Address::new(1_000 + sender),
             Address::new(1),
             TokenAmount::from_atto(1),
-            Nonce::ZERO,
+            Nonce::new(nonce),
         ),
         key,
     )
+}
+
+/// The first message of `sender`.
+fn message(sender: u64, key: &Keypair) -> SealedMessage {
+    message_at(sender, 0, key)
 }
 
 fn time_pushes(pool: &mut Mempool, batch: Vec<SealedMessage>) -> Duration {
@@ -52,6 +69,7 @@ fn time_pushes(pool: &mut Mempool, batch: Vec<SealedMessage>) -> Duration {
 
 #[test]
 fn admission_cost_does_not_grow_with_the_pool() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let key = Keypair::from_seed([0x3d; 32]);
     let mut full = Mempool::new();
     for sender in 0..LANES {
@@ -78,4 +96,30 @@ fn admission_cost_does_not_grow_with_the_pool() {
         ratio <= MAX_RATIO,
         "a push into {LANES} lanes costs {ratio:.1}x a push into an empty pool, bound {MAX_RATIO}x"
     );
+}
+
+#[test]
+fn dedup_memory_is_one_floor_per_sender() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let key = Keypair::from_seed([0x3e; 32]);
+    let mut pool = Mempool::new();
+    for block in 0..BLOCKS {
+        for sender in 0..SENDERS {
+            assert!(pool.push_sealed(message_at(sender, block, &key)));
+        }
+        let picked = pool.select(SENDERS as usize);
+        assert_eq!(picked.len(), SENDERS as usize);
+        pool.remove_included(picked.iter());
+    }
+    assert_eq!(pool.stats().admitted, SENDERS * BLOCKS);
+    assert!(pool.is_empty());
+    assert_eq!(
+        pool.committed_senders(),
+        SENDERS as usize,
+        "{} included messages left more than one floor per sender",
+        SENDERS * BLOCKS
+    );
+    // Every included nonce stays refused.
+    assert!(!pool.push_sealed(message_at(0, 0, &key)));
+    assert!(!pool.push_sealed(message_at(SENDERS - 1, BLOCKS - 1, &key)));
 }

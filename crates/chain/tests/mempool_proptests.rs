@@ -5,12 +5,11 @@
 //! of any sequence, and the admission → selection → execution pipeline is
 //! bit-identical at every `parallelism` setting.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use hc_actors::ScaConfig;
-use hc_chain::mempool::SEEN_HORIZON_EPOCHS;
 use hc_chain::{
     execute_block_with, produce_block_with, ExecOptions, Mempool, MempoolConfig, PushOutcome,
 };
@@ -104,15 +103,15 @@ fn transfer(from: u64, nonce: u64, to: u64) -> SealedMessage {
 struct Ledger {
     /// Held messages by `(sender, nonce)`.
     held: BTreeMap<(Address, Nonce), SealedMessage>,
-    /// Verified admissions not yet evicted, with their admission epoch.
-    seen: HashMap<Cid, ChainEpoch>,
-    /// Messages removed by inclusion.
-    included: u64,
+    /// Each sender's floor: one past the highest nonce included for it.
+    floors: BTreeMap<Address, Nonce>,
+    /// Messages removed by inclusion, in inclusion order.
+    included: Vec<SealedMessage>,
 }
 
 impl Ledger {
     /// Checks `pool` against the ledger: message count, bytes held, and
-    /// the dedup set's size.
+    /// the number of senders with a floor.
     fn check(&self, pool: &Mempool) {
         assert_eq!(pool.len(), pool.iter().count(), "the kept count drifted");
         assert_eq!(pool.len(), self.held.len());
@@ -125,10 +124,14 @@ impl Ledger {
         assert!(pool
             .iter()
             .all(|m| self.held.get(&(m.message().from, m.message().nonce)) == Some(m)));
-        assert_eq!(pool.seen_len(), self.seen.len(), "dedup set drifted");
+        assert_eq!(
+            pool.committed_senders(),
+            self.floors.len(),
+            "the pool tracks exactly the senders it saw included"
+        );
         let stats = pool.stats();
         assert_eq!(
-            stats.admitted - stats.evicted - self.included,
+            stats.admitted - stats.evicted - self.included.len() as u64,
             pool.len() as u64,
             "admissions minus evictions minus inclusions must be what is held"
         );
@@ -263,13 +266,13 @@ proptest! {
     }
 
     /// The pool's ledger closes after every operation of a random sequence
-    /// of pushes (fresh, duplicate, forged, and same-nonce conflicts),
-    /// evictions under a byte cap, inclusions, and epoch advances that
-    /// carry admissions past `SEEN_HORIZON_EPOCHS`: the kept count is the
-    /// held count, occupancy is the held messages' canonical bytes, and
-    /// the dedup set holds exactly the verified admissions inside the
-    /// horizon that were not evicted. Every push's outcome is the one the
-    /// ledger predicts.
+    /// of pushes (fresh, duplicate, forged, same-nonce conflicts, and
+    /// replays of included messages), evictions under a byte cap, and
+    /// inclusions: the kept count is the held count, occupancy is the held
+    /// messages' canonical bytes, and the pool keeps a floor for exactly
+    /// the senders it saw included. Every push's outcome is the one the
+    /// ledger predicts, and a replay of an included message is always a
+    /// duplicate.
     #[test]
     fn the_pool_ledger_closes_after_every_operation(
         ops in prop::collection::vec((0u64..8, 0u64..USERS, 0u64..64, 0u64..5), 1..96),
@@ -282,7 +285,6 @@ proptest! {
         let mut ledger = Ledger::default();
         let mut cursors = [0u64; USERS as usize];
         let mut history: Vec<SealedMessage> = Vec::new();
-        let mut epoch = ChainEpoch::GENESIS;
         for (kind, sender, pick, fee) in ops {
             let push = match kind {
                 // A fresh message at the sender's next nonce.
@@ -311,45 +313,42 @@ proptest! {
                     let to = USERS + pick % USERS;
                     Some((transfer(from.id() - 100, nonce.value(), to), true))
                 }
+                // A copy of an included message, replayed.
+                7 if !ledger.included.is_empty() => {
+                    let m = &ledger.included[pick as usize % ledger.included.len()];
+                    Some((SealedMessage::new(m.signed().clone()), true))
+                }
                 _ => None,
             };
-            match kind {
-                6 => {
-                    let picked = pool.select(pick as usize % 8);
-                    pool.remove_included(picked.iter());
-                    for m in &picked {
-                        ledger.held.remove(&(m.message().from, m.message().nonce));
-                    }
-                    ledger.included += picked.len() as u64;
+            if kind == 6 {
+                let picked = pool.select(pick as usize % 8);
+                pool.remove_included(picked.iter());
+                for m in &picked {
+                    let (from, nonce) = (m.message().from, m.message().nonce);
+                    ledger.held.remove(&(from, nonce));
+                    let floor = ledger.floors.entry(from).or_insert(Nonce::ZERO);
+                    *floor = (*floor).max(nonce.next());
                 }
-                7 => {
-                    let step = [1, 64, SEEN_HORIZON_EPOCHS][pick as usize % 3];
-                    epoch = ChainEpoch::new(epoch.value() + step);
-                    pool.advance_epoch(epoch);
-                    ledger.seen.retain(|_, admitted| epoch.since(*admitted) <= SEEN_HORIZON_EPOCHS);
+                ledger.included.extend(picked);
+            } else {
+                let Some((m, valid)) = push else { continue };
+                let slot = (m.message().from, m.message().nonce);
+                let below_floor = ledger.floors.get(&slot.0).is_some_and(|f| slot.1 < *f);
+                let duplicate = below_floor || ledger.held.contains_key(&slot);
+                let outcome = pool.push_sealed_with_fee(m.clone(), fee);
+                if duplicate {
+                    prop_assert_eq!(outcome, PushOutcome::Duplicate);
+                } else if !valid {
+                    prop_assert_eq!(outcome, PushOutcome::Invalid);
+                } else {
+                    prop_assert!(matches!(outcome, PushOutcome::Admitted | PushOutcome::Full));
                 }
-                _ => {
-                    let Some((m, valid)) = push else { continue };
-                    let slot = (m.message().from, m.message().nonce);
-                    let cid = m.msg_cid();
-                    let duplicate = ledger.held.contains_key(&slot) || ledger.seen.contains_key(&cid);
-                    let outcome = pool.push_sealed_with_fee(m.clone(), fee);
-                    if duplicate {
-                        prop_assert_eq!(outcome, PushOutcome::Duplicate);
-                    } else if !valid {
-                        prop_assert_eq!(outcome, PushOutcome::Invalid);
-                    } else {
-                        prop_assert!(matches!(outcome, PushOutcome::Admitted | PushOutcome::Full));
-                    }
-                    if outcome.is_admitted() {
-                        ledger.held.insert(slot, m);
-                        ledger.seen.insert(cid, epoch);
-                    }
-                    for evicted in pool.drain_evictions() {
-                        if let Some(m) = ledger.held.remove(&evicted) {
-                            ledger.seen.remove(&m.msg_cid());
-                        }
-                    }
+                prop_assert!(kind != 7 || outcome == PushOutcome::Duplicate);
+                if outcome.is_admitted() {
+                    ledger.held.insert(slot, m);
+                }
+                for evicted in pool.drain_evictions() {
+                    ledger.held.remove(&evicted);
                 }
             }
             ledger.check(&pool);

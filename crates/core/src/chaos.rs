@@ -770,7 +770,7 @@ impl HierarchyRuntime {
 
         // The snapshot replaces execution, not history: every covered
         // block still realigns the consensus RNG, the cross-net nonce
-        // cursors, the mempool epoch, and the wallet nonces exactly as a
+        // cursors, the mempool's floors, and the wallet nonces exactly as a
         // per-block replay would, so the node resumes mid-conversation
         // with its parent.
         for block in &covered {

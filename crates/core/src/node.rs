@@ -235,16 +235,20 @@ impl SubnetNode {
     }
 
     /// Everything a committed block implies for its node that outlives
-    /// execution: the mempool's dedup horizon, the epoch and schedule
-    /// cursors, the pending queues the block drained, and the cross-net
-    /// nonce cursors. Called on its own for a block whose state arrives
-    /// wholesale from a snapshot (recovery fast-forward, snapshot-covered
-    /// history) — no receipts, no counters, and no hashing. Every step is
-    /// idempotent on a live node, whose proposer already drained the same
-    /// queues and advanced the same cursors when it assembled the block.
+    /// execution: the mempool settling the included user messages (their
+    /// slots freed, their senders' floors raised past them), the epoch and
+    /// schedule cursors, the pending queues the block drained, and the
+    /// cross-net nonce cursors. Called on its own for a block whose state
+    /// arrives wholesale from a snapshot (recovery fast-forward,
+    /// snapshot-covered history) — no receipts, no counters, and no
+    /// hashing. This is the one place a committed block reaches the pool,
+    /// so a live, replayed, caught-up or skipped block all teach it the
+    /// same nonces. Every step is idempotent on a live node, whose proposer
+    /// already drained the same queues and advanced the same cursors when
+    /// it assembled the block.
     pub(crate) fn skip_block(&mut self, block: &Block, opportunity: &BlockOpportunity) {
         let epoch = block.header.epoch;
-        self.mempool.advance_epoch(epoch);
+        self.mempool.remove_included(&block.signed_msgs);
         self.next_block_at_ms = block.header.timestamp_ms + opportunity.interval_ms;
         self.next_epoch = epoch.next();
         for m in &block.implicit_msgs {

@@ -713,7 +713,6 @@ impl HierarchyRuntime {
         node.engine
             .validate_block(&block, &node.validators)
             .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
-        node.mempool.remove_included(block.signed_msgs.iter());
         // The clone right-sizes the payload vectors the chain store keeps;
         // the block itself goes on to `post_tick`, which journals it.
         node.chain

@@ -4,7 +4,8 @@
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
 //! option without a scenario, one front door per node, one way a node
 //! comes up, one test world, one invariant check, content hashed once, one
-//! `unsafe` block, hot values kept small — so a
+//! `unsafe` block, hot values kept small, a pool that remembers senders
+//! rather than messages — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -510,6 +511,46 @@ fn one_way_up() {
     assert!(
         recover.contains("self.restart_node("),
         "DESIGN.md §13: a short fast-forward restarts through the rejoin path"
+    );
+}
+
+/// DESIGN.md §16, "Mempool admission control": the pool remembers senders,
+/// not messages. Its dedup state is a floor per sender — no CID-keyed map
+/// or set in `mempool.rs` — with no expiry horizon left anywhere, and a
+/// committed block reaches a node's pool in one place, `skip_block`.
+#[test]
+fn the_pool_remembers_senders_not_messages() {
+    let mempool = read_rel("crates/chain/src/mempool.rs");
+    let by_cid: Vec<&str> = non_test(&mempool)
+        .lines()
+        .filter(|l| l.contains("HashMap<Cid") || l.contains("HashSet<Cid"))
+        .collect();
+    assert!(
+        by_cid.is_empty(),
+        "DESIGN.md §16: the pool keeps no per-message dedup set; found {by_cid:#?}"
+    );
+    let horizon = hits(
+        &files_under("crates"),
+        |s| s,
+        |l| l.contains("SEEN_HORIZON_EPOCHS") || l.contains("advance_epoch"),
+    );
+    assert!(
+        horizon.is_empty(),
+        "DESIGN.md §16: the dedup horizon is gone; found {horizon:#?}"
+    );
+    let mut removals = Vec::new();
+    for path in &files_under("crates/core/src") {
+        let text = read(path);
+        let src = non_test(&text);
+        removals.extend(
+            src.match_indices("remove_included(")
+                .map(|(at, _)| format!("{}: {}", rel(path), enclosing_fn(src, at))),
+        );
+    }
+    assert_eq!(
+        removals,
+        ["crates/core/src/node.rs: skip_block"],
+        "DESIGN.md §16: a committed block settles its pool only in `skip_block`"
     );
 }
 
