@@ -33,14 +33,16 @@
 //! # Deduplication
 //!
 //! The pool remembers senders, not messages. Each sender that has had a
-//! message included in a committed block has a *floor*: one past the
-//! highest nonce included for it (the rule the runtime's signing cursors
-//! follow). A message below its sender's floor can never execute, and a
-//! second message at a `(sender, nonce)` already pending loses to the
-//! first admitted; both are refused as duplicates before verification.
-//! Only inclusion raises a floor, so a forgery — refused at verification,
-//! never included — cannot shut a valid message out. Dedup memory is one
-//! entry per committed sender, however many messages they sent.
+//! message included in a committed block has a *floor*: the nonce its
+//! account expects next in the committed state, which the node copies in
+//! through [`Mempool::set_floor`]. A message below its sender's floor can
+//! never execute, and a second message at a `(sender, nonce)` already
+//! pending loses to the first admitted; both are refused as duplicates
+//! before verification. Only an authenticated message advances an
+//! account nonce, so a message a block carried but execution rejected —
+//! a forgery, a foreign key, a nonce gap — cannot shut a valid message
+//! out. Dedup memory is one entry per committed sender, however many
+//! messages they sent.
 //!
 //! Eviction picks the globally lowest-priority *lane tail* (the
 //! highest-nonce message of some sender), ordered by fee ascending with the
@@ -73,7 +75,7 @@ pub struct MempoolStats {
     /// later admission evicted them).
     pub admitted: u64,
     /// Messages refused because their nonce is below their sender's floor
-    /// (a nonce already included), or another message is pending at their
+    /// (a nonce already spent), or another message is pending at their
     /// `(sender, nonce)`.
     pub rejected_duplicate: u64,
     /// Messages refused because their signature did not verify.
@@ -110,8 +112,8 @@ impl MempoolStats {
 pub enum PushOutcome {
     /// Verified and admitted (possibly evicting lower-priority messages).
     Admitted,
-    /// Refused: the nonce is below the sender's floor (already included),
-    /// or another message is already pending at the same `(sender, nonce)`.
+    /// Refused: the nonce is below the sender's floor (already spent), or
+    /// another message is already pending at the same `(sender, nonce)`.
     Duplicate,
     /// Refused: signature verification failed.
     Invalid,
@@ -155,8 +157,8 @@ pub struct Mempool {
     by_sender: BTreeMap<Address, Lane>,
     /// Messages held across every lane.
     count: usize,
-    /// Each sender's floor: one past the highest nonce included for it.
-    /// Only [`Mempool::remove_included`] raises one.
+    /// Each committed sender's floor: the nonce its account expects next.
+    /// Only [`Mempool::set_floor`] writes one.
     floors: HashMap<Address, Nonce>,
     /// Admission-control configuration.
     config: MempoolConfig,
@@ -231,12 +233,12 @@ impl Mempool {
     ///
     /// The dedup checks run *before* signature verification: a replayed
     /// duplicate costs a map lookup, not a full verification. A message
-    /// below its sender's floor — a replay of an included message, or any
-    /// other message at an included nonce — is refused, and so is one at a
+    /// below its sender's floor — a replay of an executed message, or any
+    /// other message at a spent nonce — is refused, and so is one at a
     /// pending `(sender, nonce)` slot, so a conflicting message never
-    /// displaces the pending one (the first admitted wins). Floors rise
-    /// only when a block includes a message: an attacker cannot block a
-    /// valid message by pre-sending a forgery of it. A message evicted by
+    /// displaces the pending one (the first admitted wins). Floors follow
+    /// committed account nonces: an attacker cannot block a valid message
+    /// by getting a forgery of it into a block. A message evicted by
     /// admission control frees its slot, so a later re-submission (when
     /// the pool has drained) is admitted again.
     ///
@@ -339,8 +341,8 @@ impl Mempool {
         std::mem::take(&mut self.evicted_log)
     }
 
-    /// Number of senders with a floor — every sender this pool has seen
-    /// included, which is all the dedup state it keeps.
+    /// Number of senders with a floor — every sender the node has set one
+    /// for, which is all the dedup state the pool keeps.
     pub fn committed_senders(&self) -> usize {
         self.floors.len()
     }
@@ -440,16 +442,21 @@ impl Mempool {
         out
     }
 
-    /// Settles the messages a committed block included: each one's
-    /// `(sender, nonce)` slot is freed, and its sender's floor rises past
-    /// its nonce, so that nonce is never admitted again.
+    /// Frees the `(sender, nonce)` slot of each message a committed block
+    /// included. Floors stay as they are: a block also carries messages
+    /// execution rejected, so only the committed account nonce, passed to
+    /// [`Mempool::set_floor`], may move one.
     pub fn remove_included<'a, I: IntoIterator<Item = &'a SealedMessage>>(&mut self, msgs: I) {
         for m in msgs {
-            let (from, nonce) = (m.message().from, m.message().nonce);
-            self.take(from, nonce);
-            let floor = self.floors.entry(from).or_insert(Nonce::ZERO);
-            *floor = (*floor).max(nonce.next());
+            self.take(m.message().from, m.message().nonce);
         }
+    }
+
+    /// Sets `sender`'s floor to `next`, the nonce its account expects next
+    /// in the committed state: every lower nonce is spent, so a message
+    /// below it is refused as a duplicate.
+    pub fn set_floor(&mut self, sender: Address, next: Nonce) {
+        self.floors.insert(sender, next);
     }
 }
 
@@ -764,6 +771,14 @@ mod tests {
         pool.push_sealed_with_fee(SealedMessage::new(signed(from, nonce, key)), fee)
     }
 
+    /// Settles `m` as a node does once a block that included it executed
+    /// it: its slot frees up, and its sender's floor becomes the account
+    /// nonce execution left, one past `m`'s.
+    fn commit(pool: &mut Mempool, m: &SealedMessage) {
+        pool.remove_included([m]);
+        pool.set_floor(m.message().from, m.message().nonce.next());
+    }
+
     #[test]
     fn select_orders_by_fee_within_nonce_lanes() {
         let mut pool = Mempool::new();
@@ -785,7 +800,9 @@ mod tests {
         // Selection does not mutate the pool; removal after inclusion does.
         assert_eq!(pool.len(), 4);
         let selected = pool.select(4);
-        pool.remove_included(selected.iter());
+        for m in &selected {
+            commit(&mut pool, m);
+        }
         assert_eq!(pool.len(), 0);
         assert_eq!(pool.occupancy_bytes(), 0);
         // Replays of included messages stay excluded.
@@ -899,14 +916,14 @@ mod tests {
         let k = kp(7);
         let m = SealedMessage::new(signed(100, 0, &k));
         assert!(pool.push_sealed(m.clone()));
-        pool.remove_included([&m]);
+        commit(&mut pool, &m);
         // A thousand more blocks, each including another sender's message:
         // nothing about the first sender expires.
         let other = kp(8);
         for n in 0..1_000 {
             let next = SealedMessage::new(signed(200, n, &other));
             assert!(pool.push_sealed(next.clone()));
-            pool.remove_included([&next]);
+            commit(&mut pool, &next);
         }
         assert_eq!(pool.push_sealed_with_fee(m, 0), PushOutcome::Duplicate);
         assert_eq!(pool.committed_senders(), 2, "one floor per sender");
@@ -921,7 +938,7 @@ mod tests {
         assert_ne!(a.msg_cid(), b.msg_cid());
         let mut pool = Mempool::new();
         assert!(pool.push_sealed(a.clone()));
-        pool.remove_included([&a]);
+        commit(&mut pool, &a);
         assert_eq!(
             pool.push_sealed_with_fee(b, u64::MAX),
             PushOutcome::Duplicate,
@@ -938,7 +955,7 @@ mod tests {
         let k = kp(14);
         let first = SealedMessage::new(signed(100, 0, &k));
         assert!(pool.push_sealed(first.clone()));
-        pool.remove_included([&first]);
+        commit(&mut pool, &first);
         // A forgery at the next, fresh nonce is verified and refused.
         let mut forged = signed(100, 1, &k);
         forged.message.value = TokenAmount::from_whole(7);
@@ -958,6 +975,25 @@ mod tests {
         // The valid message at the forged nonce is still admitted.
         assert!(push_fee(&mut pool, 100, 1, &k, 0).is_admitted());
         assert_eq!(pool.committed_senders(), 1);
+    }
+
+    #[test]
+    fn inclusion_alone_moves_no_floor() {
+        // A block carries messages execution rejects: here one signed by a
+        // key the sender's account does not hold, at the last nonce. Its
+        // slot frees up, but no floor moves until the node copies the
+        // account nonce in, which the rejection left at zero.
+        let (owner, other) = (kp(15), kp(16));
+        let hijack = SealedMessage::new(signed(100, u64::MAX, &other));
+        let mut pool = Mempool::new();
+        assert!(pool
+            .push_sealed_with_fee(hijack.clone(), u64::MAX)
+            .is_admitted());
+        pool.remove_included([&hijack]);
+        assert_eq!((pool.len(), pool.committed_senders()), (0, 0));
+        pool.set_floor(Address::new(100), Nonce::ZERO);
+        assert!(push_fee(&mut pool, 100, 0, &owner, 0).is_admitted());
+        assert!(pool.push_sealed(hijack), "a rejected nonce is not spent");
     }
 
     fn td(nonce: u64) -> CrossMsg {

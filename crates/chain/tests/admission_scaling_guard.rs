@@ -110,6 +110,10 @@ fn dedup_memory_is_one_floor_per_sender() {
         let picked = pool.select(SENDERS as usize);
         assert_eq!(picked.len(), SENDERS as usize);
         pool.remove_included(picked.iter());
+        // Every message executes: the account nonce moves one past it.
+        for m in &picked {
+            pool.set_floor(m.message().from, Nonce::new(block + 1));
+        }
     }
     assert_eq!(pool.stats().admitted, SENDERS * BLOCKS);
     assert!(pool.is_empty());

@@ -5,7 +5,7 @@
 //! of any sequence, and the admission → selection → execution pipeline is
 //! bit-identical at every `parallelism` setting.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -98,18 +98,39 @@ fn transfer(from: u64, nonce: u64, to: u64) -> SealedMessage {
 }
 
 /// What the pool must hold after each operation, kept by the test from
-/// push outcomes and drained evictions alone.
-#[derive(Default)]
+/// push outcomes, drained evictions, and the state its inclusions
+/// executed against.
 struct Ledger {
     /// Held messages by `(sender, nonce)`.
     held: BTreeMap<(Address, Nonce), SealedMessage>,
-    /// Each sender's floor: one past the highest nonce included for it.
-    floors: BTreeMap<Address, Nonce>,
+    /// The committed state every included message executed against, in
+    /// inclusion order; a sender's floor is its account nonce here.
+    tree: StateTree,
+    /// Senders of included messages, executed or rejected.
+    committed: BTreeSet<Address>,
     /// Messages removed by inclusion, in inclusion order.
     included: Vec<SealedMessage>,
 }
 
 impl Ledger {
+    fn new() -> Self {
+        Ledger {
+            held: BTreeMap::new(),
+            tree: genesis(),
+            committed: BTreeSet::new(),
+            included: Vec::new(),
+        }
+    }
+
+    /// The nonce `sender`'s account expects next.
+    fn account_nonce(&self, sender: Address) -> Nonce {
+        self.tree
+            .accounts()
+            .get(sender)
+            .expect("a genesis user")
+            .nonce
+    }
+
     /// Checks `pool` against the ledger: message count, bytes held, and
     /// the number of senders with a floor.
     fn check(&self, pool: &Mempool) {
@@ -126,7 +147,7 @@ impl Ledger {
             .all(|m| self.held.get(&(m.message().from, m.message().nonce)) == Some(m)));
         assert_eq!(
             pool.committed_senders(),
-            self.floors.len(),
+            self.committed.len(),
             "the pool tracks exactly the senders it saw included"
         );
         let stats = pool.stats();
@@ -268,11 +289,13 @@ proptest! {
     /// The pool's ledger closes after every operation of a random sequence
     /// of pushes (fresh, duplicate, forged, same-nonce conflicts, and
     /// replays of included messages), evictions under a byte cap, and
-    /// inclusions: the kept count is the held count, occupancy is the held
-    /// messages' canonical bytes, and the pool keeps a floor for exactly
-    /// the senders it saw included. Every push's outcome is the one the
-    /// ledger predicts, and a replay of an included message is always a
-    /// duplicate.
+    /// blocks executed against a real state tree: the kept count is the
+    /// held count, occupancy is the held messages' canonical bytes, and
+    /// the pool keeps a floor for exactly the senders it saw included.
+    /// Every push's outcome is the one the ledger predicts: a message at a
+    /// nonce its account spent is a duplicate, while one a block included
+    /// and execution rejected (a lane left with a gap by eviction) may be
+    /// admitted again.
     #[test]
     fn the_pool_ledger_closes_after_every_operation(
         ops in prop::collection::vec((0u64..8, 0u64..USERS, 0u64..64, 0u64..5), 1..96),
@@ -282,7 +305,8 @@ proptest! {
         let mut pool = Mempool::with_config(MempoolConfig {
             capacity_bytes: capacity_msgs * bytes_each,
         });
-        let mut ledger = Ledger::default();
+        let mut ledger = Ledger::new();
+        let mut epoch = ChainEpoch::new(0);
         let mut cursors = [0u64; USERS as usize];
         let mut history: Vec<SealedMessage> = Vec::new();
         for (kind, sender, pick, fee) in ops {
@@ -321,20 +345,34 @@ proptest! {
                 _ => None,
             };
             if kind == 6 {
+                // A block: the selection executes against the committed
+                // state, then the pool settles it as a node does.
                 let picked = pool.select(pick as usize % 8);
+                epoch = epoch.next();
+                produce_block_with(
+                    &mut ledger.tree,
+                    SubnetId::root(),
+                    epoch,
+                    Cid::NIL,
+                    vec![],
+                    picked.clone(),
+                    &keypair(0),
+                    1_000,
+                    ExecOptions::default(),
+                );
                 pool.remove_included(picked.iter());
                 for m in &picked {
-                    let (from, nonce) = (m.message().from, m.message().nonce);
-                    ledger.held.remove(&(from, nonce));
-                    let floor = ledger.floors.entry(from).or_insert(Nonce::ZERO);
-                    *floor = (*floor).max(nonce.next());
+                    let from = m.message().from;
+                    ledger.held.remove(&(from, m.message().nonce));
+                    ledger.committed.insert(from);
+                    pool.set_floor(from, ledger.account_nonce(from));
                 }
                 ledger.included.extend(picked);
             } else {
                 let Some((m, valid)) = push else { continue };
                 let slot = (m.message().from, m.message().nonce);
-                let below_floor = ledger.floors.get(&slot.0).is_some_and(|f| slot.1 < *f);
-                let duplicate = below_floor || ledger.held.contains_key(&slot);
+                let spent = slot.1 < ledger.account_nonce(slot.0);
+                let duplicate = spent || ledger.held.contains_key(&slot);
                 let outcome = pool.push_sealed_with_fee(m.clone(), fee);
                 if duplicate {
                     prop_assert_eq!(outcome, PushOutcome::Duplicate);
@@ -343,7 +381,7 @@ proptest! {
                 } else {
                     prop_assert!(matches!(outcome, PushOutcome::Admitted | PushOutcome::Full));
                 }
-                prop_assert!(kind != 7 || outcome == PushOutcome::Duplicate);
+                prop_assert!(!spent || outcome == PushOutcome::Duplicate);
                 if outcome.is_admitted() {
                     ledger.held.insert(slot, m);
                 }

@@ -21,7 +21,8 @@ use hc_consensus::{
 };
 use hc_net::{ResolutionMsg, Resolver, SubscriberId};
 use hc_state::{
-    ChunkManifest, CidStore, ImplicitMsg, Receipt, SigCache, SigCacheStats, StateTree, VmEvent,
+    ChunkManifest, CidStore, ImplicitMsg, Receipt, SealedMessage, SigCache, SigCacheStats,
+    StateTree, VmEvent,
 };
 use hc_types::crypto::SignaturePolicy;
 use hc_types::{CanonicalEncode, ChainEpoch, Cid, Keypair, SubnetId};
@@ -77,6 +78,23 @@ fn node_rng(seed: u64, subnet: &SubnetId) -> StdRng {
     let mut bytes = seed.to_le_bytes().to_vec();
     bytes.extend_from_slice(&subnet.canonical_bytes());
     StdRng::from_seed(*Cid::digest(&bytes).as_bytes())
+}
+
+/// Sets the pool floor of each sender of `msgs` to the nonce its account
+/// expects next in `tree`. Only an authenticated message advances an
+/// account nonce, so a message a block carried but execution rejected —
+/// unknown sender, foreign key, bad signature, nonce gap — moves no floor.
+fn settle_floors<'a>(
+    tree: &StateTree,
+    mempool: &mut Mempool,
+    msgs: impl IntoIterator<Item = &'a SealedMessage>,
+) {
+    for m in msgs {
+        let from = m.message().from;
+        if let Some(account) = tree.accounts().get(from) {
+            mempool.set_floor(from, account.nonce);
+        }
+    }
 }
 
 /// One subnet's canonical node. Stepping lives in
@@ -236,19 +254,22 @@ impl SubnetNode {
 
     /// Everything a committed block implies for its node that outlives
     /// execution: the mempool settling the included user messages (their
-    /// slots freed, their senders' floors raised past them), the epoch and
+    /// slots freed, their senders' floors set from the tree), the epoch and
     /// schedule cursors, the pending queues the block drained, and the
     /// cross-net nonce cursors. Called on its own for a block whose state
     /// arrives wholesale from a snapshot (recovery fast-forward,
     /// snapshot-covered history) — no receipts, no counters, and no
     /// hashing. This is the one place a committed block reaches the pool,
     /// so a live, replayed, caught-up or skipped block all teach it the
-    /// same nonces. Every step is idempotent on a live node, whose proposer
-    /// already drained the same queues and advanced the same cursors when
-    /// it assembled the block.
+    /// same nonces; a block skipped ahead of its snapshot reads a tree
+    /// that is behind, and [`SubnetNode::install_manifest`] settles its
+    /// senders again. Every step is idempotent on a live node, whose
+    /// proposer already drained the same queues and advanced the same
+    /// cursors when it assembled the block.
     pub(crate) fn skip_block(&mut self, block: &Block, opportunity: &BlockOpportunity) {
         let epoch = block.header.epoch;
         self.mempool.remove_included(&block.signed_msgs);
+        settle_floors(&self.tree, &mut self.mempool, &block.signed_msgs);
         self.next_block_at_ms = block.header.timestamp_ms + opportunity.interval_ms;
         self.next_epoch = epoch.next();
         for m in &block.implicit_msgs {
@@ -409,9 +430,11 @@ impl SubnetNode {
     /// The one way a persisted snapshot replaces a node's state: decode
     /// `manifest` from `source`, check its root against the state root the
     /// subnet's consensus committed in the header at the anchor epoch,
-    /// rebuild the tree from the manifest's closure, swap it in. The
-    /// committed header is the trust root — chunks verified only against
-    /// their CIDs could still be a consistent-but-wrong state.
+    /// rebuild the tree from the manifest's closure, swap it in, and
+    /// settle the pool floor of every sender the chain holds a message of
+    /// against it. The committed header is the trust root — chunks
+    /// verified only against their CIDs could still be a
+    /// consistent-but-wrong state.
     pub(crate) fn install_manifest(
         &mut self,
         manifest: &Cid,
@@ -432,6 +455,8 @@ impl SubnetNode {
         }
         self.tree = StateTree::from_manifest(&decoded, source)
             .map_err(|e| RuntimeError::Execution(format!("snapshot install: {e}")))?;
+        let chained = self.chain.iter().flat_map(|b| &b.signed_msgs);
+        settle_floors(&self.tree, &mut self.mempool, chained);
         Ok(())
     }
 
@@ -580,5 +605,123 @@ impl SubnetNode {
         } else {
             self.stats.user_msgs_ok as f64 * 1_000.0 / self.stats.total_interval_ms as f64
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! A block carries every message its proposer selected, and execution
+    //! rejects the ones that do not authenticate at the account nonce. No
+    //! such message may move its sender's pool floor: the owner's next
+    //! nonce stays admissible. A spent nonce is refused, however the state
+    //! that spent it arrived.
+
+    use hc_chain::PushOutcome;
+    use hc_state::{Message, Method};
+    use hc_types::{Address, Nonce, TokenAmount};
+
+    use super::*;
+    use crate::runtime::HierarchyRuntime;
+
+    fn transfer(from: Address, nonce: u64, key: &Keypair) -> SealedMessage {
+        let msg = Message::transfer(
+            from,
+            Address::new(1),
+            TokenAmount::from_atto(1),
+            Nonce::new(nonce),
+        );
+        SealedMessage::sign(msg, key)
+    }
+
+    /// Admits `msg` to the root pool at the top fee and commits the block
+    /// that includes it.
+    fn include(rt: &mut HierarchyRuntime, msg: SealedMessage) {
+        let root = SubnetId::root();
+        let pool = &mut rt.nodes.get_mut(&root).unwrap().mempool;
+        assert_eq!(
+            pool.push_sealed_with_fee(msg, u64::MAX),
+            PushOutcome::Admitted
+        );
+        rt.tick_subnet(&root).unwrap();
+        assert_eq!(
+            rt.node(&root).unwrap().mempool_len(),
+            0,
+            "the block included it"
+        );
+    }
+
+    fn account_nonce(rt: &HierarchyRuntime, addr: Address) -> Nonce {
+        rt.node(&SubnetId::root())
+            .unwrap()
+            .state()
+            .accounts()
+            .get(addr)
+            .unwrap()
+            .nonce
+    }
+
+    #[test]
+    fn a_foreign_key_at_the_last_nonces_moves_no_floor() {
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let alice = rt
+            .create_user(&SubnetId::root(), TokenAmount::from_whole(10))
+            .unwrap();
+        // Valid signatures, so admission takes them, by a key alice's
+        // account does not hold, so execution rejects them.
+        let mallory = Keypair::from_seed([0x4d; 32]);
+        for nonce in [u64::MAX - 1, u64::MAX] {
+            include(&mut rt, transfer(alice.addr, nonce, &mallory));
+        }
+        assert_eq!(account_nonce(&rt, alice.addr), Nonce::ZERO);
+        let receipt = rt.execute(
+            &alice,
+            Address::new(1),
+            TokenAmount::from_atto(1),
+            Method::Send,
+        );
+        assert!(receipt.is_ok(), "alice's nonce 0 was shut out: {receipt:?}");
+        assert_eq!(account_nonce(&rt, alice.addr), Nonce::new(1));
+    }
+
+    #[test]
+    fn a_nonce_included_ahead_of_its_predecessor_moves_no_floor() {
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let alice = rt
+            .create_user(&SubnetId::root(), TokenAmount::from_whole(10))
+            .unwrap();
+        let key = rt
+            .wallets
+            .key(&SubnetId::root(), alice.addr)
+            .unwrap()
+            .clone();
+        // Gossip delivers nonce 1 first: it is included and rejected.
+        include(&mut rt, transfer(alice.addr, 1, &key));
+        assert_eq!(account_nonce(&rt, alice.addr), Nonce::ZERO);
+        include(&mut rt, transfer(alice.addr, 0, &key));
+        include(&mut rt, transfer(alice.addr, 1, &key));
+        assert_eq!(account_nonce(&rt, alice.addr), Nonce::new(2));
+    }
+
+    #[test]
+    fn an_installed_snapshot_settles_the_chained_senders() {
+        // A recovery fast-forward skips blocks while the tree is still
+        // behind them; the install is where their senders' floors land.
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let root = SubnetId::root();
+        let alice = rt.create_user(&root, TokenAmount::from_whole(10)).unwrap();
+        let key = rt.wallets.key(&root, alice.addr).unwrap().clone();
+        let spent = transfer(alice.addr, 0, &key);
+        include(&mut rt, spent.clone());
+        let node = rt.nodes.get_mut(&root).unwrap();
+        let (store, manifest) = (node.store.clone(), node.tree.persist(&node.store));
+        let committed = node.chain.get_by_epoch(node.chain.head_epoch());
+        let committed = committed.map(|b| b.header.state_root);
+        node.mempool = Mempool::new();
+        node.install_manifest(&manifest, &store, committed).unwrap();
+        assert_eq!(
+            node.mempool.push_sealed_with_fee(spent, 0),
+            PushOutcome::Duplicate
+        );
+        assert!(node.mempool.push_sealed(transfer(alice.addr, 1, &key)));
     }
 }

@@ -516,8 +516,9 @@ fn one_way_up() {
 
 /// DESIGN.md §16, "Mempool admission control": the pool remembers senders,
 /// not messages. Its dedup state is a floor per sender — no CID-keyed map
-/// or set in `mempool.rs` — with no expiry horizon left anywhere, and a
-/// committed block reaches a node's pool in one place, `skip_block`.
+/// or set in `mempool.rs` — with no expiry horizon left anywhere; a
+/// committed block reaches a node's pool in one place, `skip_block`, and
+/// a floor is only ever copied from the state tree, by `settle_floors`.
 #[test]
 fn the_pool_remembers_senders_not_messages() {
     let mempool = read_rel("crates/chain/src/mempool.rs");
@@ -538,19 +539,27 @@ fn the_pool_remembers_senders_not_messages() {
         horizon.is_empty(),
         "DESIGN.md §16: the dedup horizon is gone; found {horizon:#?}"
     );
-    let mut removals = Vec::new();
-    for path in &files_under("crates/core/src") {
-        let text = read(path);
-        let src = non_test(&text);
-        removals.extend(
-            src.match_indices("remove_included(")
-                .map(|(at, _)| format!("{}: {}", rel(path), enclosing_fn(src, at))),
-        );
-    }
+    let calls = |name: &str| {
+        let mut sites = Vec::new();
+        for path in &files_under("crates/core/src") {
+            let text = read(path);
+            let src = non_test(&text);
+            sites.extend(
+                src.match_indices(name)
+                    .map(|(at, _)| format!("{}: {}", rel(path), enclosing_fn(src, at))),
+            );
+        }
+        sites
+    };
     assert_eq!(
-        removals,
+        calls("remove_included("),
         ["crates/core/src/node.rs: skip_block"],
         "DESIGN.md §16: a committed block settles its pool only in `skip_block`"
+    );
+    assert_eq!(
+        calls("set_floor("),
+        ["crates/core/src/node.rs: settle_floors"],
+        "DESIGN.md §16: a floor is copied from the tree's account nonce, only in `settle_floors`"
     );
 }
 
