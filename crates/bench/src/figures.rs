@@ -381,13 +381,11 @@ pub fn f6_snapshot_sharing() -> Result<Table, RuntimeError> {
 
 /// F7 — the message-path crypto pipeline: signature verdicts along
 /// admission → production. Every submitted message pays exactly one full
-/// verification at mempool admission (a `miss`, with nothing inserted: the
-/// verdict is memoized on the admitted message); block production then
-/// reads those verdicts as `hits`, re-verifying nothing. The cache itself
-/// stays empty — it holds verdicts of blocks that arrive cold, from the
-/// journal or from peers. The content store's counters are shown
-/// alongside: the two caches together describe the node's redundant-work
-/// elision (signatures and state chunks respectively).
+/// verification at mempool admission (a `miss`; the verdict is memoized on
+/// the admitted message); block production then reads those verdicts as
+/// `hits`, re-verifying nothing. The content store's counters are shown
+/// alongside: together they describe the node's redundant-work elision
+/// (signatures and state chunks respectively).
 ///
 /// # Errors
 ///
@@ -399,12 +397,11 @@ pub fn f7_sig_cache() -> Result<Table, RuntimeError> {
     let bob = rt.create_user(&root, whole(10_000))?;
 
     let mut t = Table::new(
-        "F7: verified-signature cache — one full verification per message",
+        "F7: signature verdicts — one full verification per message",
         &[
             "after",
             "sig hits",
             "sig misses",
-            "sig inserts",
             "store put hits",
             "store put misses",
         ],
@@ -416,7 +413,6 @@ pub fn f7_sig_cache() -> Result<Table, RuntimeError> {
             label.to_string(),
             sig.hits.to_string(),
             sig.misses.to_string(),
-            sig.inserts.to_string(),
             store.put_hits.to_string(),
             store.put_misses.to_string(),
         ]);
@@ -1027,7 +1023,7 @@ mod tests {
     }
 
     #[test]
-    fn f7_production_runs_off_the_cache() {
+    fn f7_production_reads_the_memoized_verdicts() {
         let t = f7_sig_cache().unwrap();
         let text = t.to_string();
         let last = text
@@ -1036,14 +1032,10 @@ mod tests {
             .find(|l| l.contains("blocks produced"))
             .unwrap()
             .to_string();
-        // 100 admissions: 100 misses, nothing inserted; production hits
-        // all 100 off the memoized verdicts.
+        // 100 admissions: 100 misses; production hits all 100 off the
+        // memoized verdicts.
         let cells: Vec<&str> = last.split('|').map(str::trim).collect();
-        assert_eq!(
-            cells[2..5],
-            ["100", "100", "0"],
-            "unexpected F7 row: {last}"
-        );
+        assert_eq!(cells[2..4], ["100", "100"], "unexpected F7 row: {last}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Tier-1 work guard for the message-path crypto pipeline.
 //!
 //! Over the 10 000-message end-to-end workload (admission → block
-//! production → block validation), the memoized/cached/batch-verified
-//! pipeline must produce receipts and a state root bit-identical to the
-//! same APIs at `ExecOptions::default()` without a cache, and must stay
+//! production → block validation), the memoized, batch-verified pipeline
+//! must produce receipts and a state root bit-identical to the same APIs
+//! at `ExecOptions::default()` without counters, and must stay
 //! under an absolute ceiling of SHA-256 compressions per message. The
 //! ceiling is the measured count plus 2 % — the same style of gate as
 //! `e2e/golden/smoke.json` — on [`hc_types::sha256_block_count`], a
@@ -41,7 +41,7 @@ fn pipeline_matches_the_default_path_under_its_hashing_ceiling() {
 
     eprintln!(
         "msg_pipeline at {MSGS} msgs: {pipeline_blocks} sha256 blocks \
-         ({:.2} per message, {pipeline_ms} ms), cache {stats:?}",
+         ({:.2} per message, {pipeline_ms} ms), verdicts {stats:?}",
         pipeline_blocks as f64 / MSGS as f64
     );
 
@@ -51,7 +51,6 @@ fn pipeline_matches_the_default_path_under_its_hashing_ceiling() {
         (MSGS as u64, 2 * MSGS as u64),
         "admission must verify each message once, production and validation never"
     );
-    assert_eq!(stats.inserts, 0, "admitted verdicts live on the messages");
     assert!(
         pipeline_blocks <= MAX_SHA256_BLOCKS,
         "pipeline hashed {pipeline_blocks} sha256 blocks, ceiling {MAX_SHA256_BLOCKS}"

@@ -5,17 +5,17 @@
 //! state root in the header verifiable: a validator re-executes the payload
 //! and compares roots.
 //!
-//! Both sides take [`ExecOptions`]: a node-local verified-signature cache
-//! and a worker count. The block's signatures are batch pre-verified — a
-//! memo read for messages this node admitted, a full verification (through
-//! the cache) for messages that arrived cold — then
-//! the payload runs on the one engine there is — the deterministic
-//! [`Schedule`] derived from the block's access sets (DESIGN.md §15), its
-//! conflict-free lanes laid on the workers by [`fan_out`]. `parallelism`
-//! only sizes that fan-out; it never selects code. Receipts, gas, and
-//! state roots are bit-identical with the cache on/off and at every worker
-//! count: the scheduler only reorders messages whose access sets are
-//! provably disjoint, and each lane replays its messages in block order.
+//! Both sides take [`ExecOptions`]: the node's verification counters and a
+//! worker count. The block's signatures are batch pre-verified — a memo
+//! read for messages this node admitted, a full verification for messages
+//! that arrived cold — then the payload runs on the one engine there is —
+//! the deterministic [`Schedule`] derived from the block's access sets
+//! (DESIGN.md §15), its conflict-free lanes laid on the workers by
+//! [`fan_out`]. `parallelism` only sizes that fan-out; it never selects
+//! code. Receipts, gas, and state roots are bit-identical with the
+//! counters on/off and at every worker count: the scheduler only reorders
+//! messages whose access sets are provably disjoint, and each lane replays
+//! its messages in block order.
 
 use std::collections::BTreeMap;
 
@@ -48,8 +48,9 @@ impl ExecutedBlock {
 /// Crypto-pipeline options for block production and validation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions<'a> {
-    /// Node-local verified-signature cache, consulted for messages that
-    /// carry no verdict. `None` means each of those is fully verified.
+    /// The node's verification counters: each verdict is counted as a
+    /// memo read (hit) or a full verification (miss). `None` counts
+    /// nothing; verdicts are the same either way.
     pub sig_cache: Option<&'a SigCache>,
     /// Worker threads for batch signature pre-verification *and* for the
     /// lanes of the payload's [`Schedule`] (`0` counts as one: everything
@@ -94,11 +95,11 @@ impl std::error::Error for BlockError {}
 /// Batch signature pre-verification: decides the signature verdict of every
 /// message. A message carrying a memoized verdict (one this node admitted)
 /// costs a memo read; when every message does, the batch stays on the
-/// caller's thread and takes no lock. Otherwise the work fans across up to
-/// `parallelism` threads ([`fan_out`]): with a cache, a known triple costs
-/// a lookup and an unknown one a full verification that populates the
-/// cache. Verdict *values* are independent of thread count, cache state
-/// and memo state.
+/// caller's thread. Otherwise the work fans across up to `parallelism`
+/// threads ([`fan_out`]), and each cold message (decoded from the journal
+/// or pulled from a peer) is verified in full, memoizing a pass on the
+/// value. `cache`, when given, counts each verdict. Verdict *values* are
+/// independent of thread count, counters and memo state.
 ///
 /// As a side effect each message's CID and verdict memos are warmed off
 /// the execution path.
@@ -135,8 +136,7 @@ type LaneOutcome = (usize, Vec<Receipt>, BTreeMap<Address, AccountState>);
 /// state; lane write-sets are merged back in lane order (they are disjoint
 /// by construction) and receipts scattered to canonical block positions.
 /// `verdicts` carries one pre-decided signature verdict per signed message
-/// — lanes never touch the signature cache, so cache mutation stays off
-/// the concurrent path.
+/// — lanes never verify a signature.
 ///
 /// The result equals applying the messages one after another in block
 /// order at every `parallelism`: within each dependency chain (lane, or
@@ -256,11 +256,10 @@ pub fn produce_block_with(
 }
 
 /// Validates and executes a received block against `tree`: the block's
-/// signatures are batch pre-verified (across `opts.parallelism` threads,
-/// through the cache when one is wired — a decoded block arrives with no
-/// verdicts, and its passing ones are recorded there), then the payload
-/// consumes the verdicts on the scheduled engine with the same worker
-/// count.
+/// signatures are batch pre-verified (across `opts.parallelism` threads —
+/// a decoded block arrives with no verdicts, and its passing ones are
+/// memoized on its values), then the payload consumes the verdicts on the
+/// scheduled engine with the same worker count.
 ///
 /// On success the tree holds the post-block state and the receipts are
 /// returned. On failure the tree is left at the *pre-block* state.
@@ -389,8 +388,8 @@ mod tests {
     fn cached_and_parallel_paths_match_the_reference_receipts() {
         let (mut base, user, proposer) = setup();
         base.flush();
-        let cache = SigCache::new(64);
-        // Admission-time verification populates the cache.
+        let cache = SigCache::default();
+        // Admission-time verification memoizes each verdict on the value.
         let msgs: Vec<SealedMessage> = (0..6).map(|n| transfer(&user, n)).collect();
         for m in &msgs {
             assert!(cache.verify_sealed(m));

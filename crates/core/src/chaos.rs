@@ -345,8 +345,8 @@ impl HierarchyRuntime {
         let boot = Some((&sa_config, &engine_params));
         let node = self.genesis_node(subnet, boot, subscription, u64::MAX);
         // The peers' replicated mempool (which holds nothing of the chain,
-        // so nothing is double-proposed) becomes the new node's: it reads
-        // the new node's signature cache and carries no verdict of the old
+        // so nothing is double-proposed) becomes the new node's: it counts
+        // on the new node's counters and carries no verdict of the old
         // one's, so each message is verified once here before proposal.
         mempool.rehome(node.sig_cache.clone());
         node.mempool = mempool;
@@ -770,13 +770,14 @@ impl HierarchyRuntime {
 
         // The snapshot replaces execution, not history: every covered
         // block still realigns the consensus RNG, the cross-net nonce
-        // cursors, the mempool's floors, and the wallet nonces exactly as a
-        // per-block replay would, so the node resumes mid-conversation
-        // with its parent.
+        // cursors and the mempool's floors exactly as a per-block replay
+        // would, so the node resumes mid-conversation with its parent; its
+        // senders' wallets settle on the installed state.
         for block in &covered {
             self.skip_past_block(subnet, block, false)?;
         }
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        self.wallets.settle(subnet, &node.tree, &covered);
         node.chain.reset_to_snapshot_base(
             anchor_epoch,
             anchor_cid.expect("install verified against the anchor header"),

@@ -9,7 +9,6 @@ use hc_actors::HcAddress;
 use hc_chain::{MempoolConfig, MempoolStats};
 use hc_consensus::EngineParams;
 use hc_net::{NetConfig, ResolverStats, RetryPolicy};
-use hc_state::DEFAULT_SIG_CACHE_CAPACITY;
 use hc_types::{Address, ChainEpoch, SubnetId};
 
 use crate::persist::PersistenceConfig;
@@ -55,14 +54,9 @@ pub struct RuntimeConfig {
     /// code with nothing spawned; receipts, gas, and state roots are
     /// bit-identical at every setting.
     pub parallelism: usize,
-    /// Capacity of each node's verified-signature cache (entries). The
-    /// cache memoizes `(signer, message CID, signature)` triples whose
-    /// full verification already passed in a block the node re-executed
-    /// from the journal or from peers, so a message arriving cold again is
-    /// not re-verified (a message the node admitted itself carries its
-    /// verdict on the value). `0` disables the cache entirely; receipts
-    /// and state roots are bit-identical either way (the cache only elides
-    /// provably redundant work).
+    /// Ignored; kept because `e2e/src/replay.rs` names it. ROADMAP item 3
+    /// deletes it. A signature verdict lives on the value (DESIGN.md §10
+    /// "Signature verdicts"); a node keeps no set of them to size.
     pub sig_cache_capacity: usize,
     /// Durable persistence. The default, [`PersistenceConfig::InMemory`],
     /// journals nothing and preserves the pre-persistence behaviour
@@ -105,7 +99,7 @@ impl Default for RuntimeConfig {
             seed: 42,
             push_enabled: true,
             parallelism: 1,
-            sig_cache_capacity: DEFAULT_SIG_CACHE_CAPACITY,
+            sig_cache_capacity: 0,
             persistence: PersistenceConfig::InMemory,
             retry: RetryPolicy::default(),
             mempool: MempoolConfig::default(),

@@ -154,14 +154,10 @@ pub struct SubnetNode {
     /// the node, so a wave of due subnets can produce concurrently and
     /// still replay bit-identically at any parallelism.
     pub(crate) rng: StdRng,
-    /// Node-local verified-signature cache for messages that reach the
-    /// node cold — blocks re-executed from the journal or pulled from
-    /// peers — which it verifies and records; the mempool reads it before
-    /// verifying an admission in full. What the node admits carries its
-    /// verdict on the value instead. `None` when disabled
-    /// (`RuntimeConfig::sig_cache_capacity` of zero) — receipts are
-    /// bit-identical either way.
-    pub(crate) sig_cache: Option<SigCache>,
+    /// The node's signature-verification counters, shared by its mempool
+    /// and its block execution. A verdict itself lives only on the value
+    /// (DESIGN.md §10 "Signature verdicts").
+    pub(crate) sig_cache: SigCache,
 }
 
 impl std::fmt::Debug for SubnetNode {
@@ -203,15 +199,11 @@ impl SubnetNode {
                 make_engine(ConsensusKind::RoundRobin, config.engine_params.clone()),
             ),
         };
-        let sig_cache =
-            (config.sig_cache_capacity > 0).then(|| SigCache::new(config.sig_cache_capacity));
+        let sig_cache = SigCache::default();
         SubnetNode {
             tree: StateTree::genesis(subnet_id.clone(), sca, []),
             chain: ChainStore::new(subnet_id.clone()),
-            mempool: match &sig_cache {
-                Some(c) => Mempool::with_config(config.mempool).with_sig_cache(c.clone()),
-                None => Mempool::with_config(config.mempool),
-            },
+            mempool: Mempool::with_config(config.mempool).with_sig_cache(sig_cache.clone()),
             cross_pool: CrossMsgPool::new(),
             engine,
             validators: ValidatorSet::default(),
@@ -539,13 +531,9 @@ impl SubnetNode {
         self.resolver.stats()
     }
 
-    /// Counters of this node's verified-signature cache (all zeros when
-    /// the cache is disabled).
+    /// This node's signature-verification counters.
     pub fn sig_cache_stats(&self) -> SigCacheStats {
-        self.sig_cache
-            .as_ref()
-            .map(SigCache::stats)
-            .unwrap_or_default()
+        self.sig_cache.stats()
     }
 
     /// Virtual time of the next scheduled block.
@@ -613,8 +601,8 @@ mod tests {
     //! A block carries every message its proposer selected, and execution
     //! rejects the ones that do not authenticate at the account nonce. No
     //! such message may move its sender's pool floor: the owner's next
-    //! nonce stays admissible. A spent nonce is refused, however the state
-    //! that spent it arrived.
+    //! nonce stays admissible, and a recovered wallet signs it. A spent
+    //! nonce is refused, however the state that spent it arrived.
 
     use hc_chain::PushOutcome;
     use hc_state::{Message, Method};
@@ -680,6 +668,40 @@ mod tests {
             Method::Send,
         );
         assert!(receipt.is_ok(), "alice's nonce 0 was shut out: {receipt:?}");
+        assert_eq!(account_nonce(&rt, alice.addr), Nonce::new(1));
+    }
+
+    #[test]
+    fn a_recovered_wallet_signs_from_its_account_nonce() {
+        // The journal keeps every block whole, rejected messages too; a
+        // recovered cursor follows the account nonce, not the nonces a
+        // replayed block carried.
+        let device = std::sync::Arc::new(hc_store::InMemoryDevice::new());
+        let config = RuntimeConfig {
+            persistence: crate::PersistenceConfig::on_device(device),
+            ..RuntimeConfig::default()
+        };
+        let mut rt = HierarchyRuntime::new(config.clone());
+        let alice = rt
+            .create_user(&SubnetId::root(), TokenAmount::from_whole(10))
+            .unwrap();
+        let mallory = Keypair::from_seed([0x4d; 32]);
+        for nonce in [u64::MAX - 1, u64::MAX] {
+            include(&mut rt, transfer(alice.addr, nonce, &mallory));
+        }
+        drop(rt);
+        let mut rt = HierarchyRuntime::recover(config);
+        assert_eq!(account_nonce(&rt, alice.addr), Nonce::ZERO);
+        let receipt = rt.execute(
+            &alice,
+            Address::new(1),
+            TokenAmount::from_atto(1),
+            Method::Send,
+        );
+        assert!(
+            receipt.is_ok(),
+            "alice's wallet skipped nonce 0: {receipt:?}"
+        );
         assert_eq!(account_nonce(&rt, alice.addr), Nonce::new(1));
     }
 

@@ -697,7 +697,7 @@ impl HierarchyRuntime {
             &proposer_key,
             at_ms,
             ExecOptions {
-                sig_cache: node.sig_cache.as_ref(),
+                sig_cache: Some(&node.sig_cache),
                 parallelism: config.parallelism,
             },
         );
@@ -754,7 +754,7 @@ impl HierarchyRuntime {
             &mut node.tree,
             block,
             ExecOptions {
-                sig_cache: node.sig_cache.as_ref(),
+                sig_cache: Some(&node.sig_cache),
                 parallelism,
             },
         )
@@ -764,7 +764,7 @@ impl HierarchyRuntime {
             .append(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
         let outcome = node.commit_block(block, receipts, &opportunity);
-        self.wallets.advance_past(subnet, block);
+        self.wallets.settle(subnet, &node.tree, [block]);
         Ok(outcome)
     }
 
@@ -773,7 +773,9 @@ impl HierarchyRuntime {
     /// [`SubnetNode::skip_block`], the bookkeeping that outlives execution
     /// — without validating, executing or hashing anything. `append`
     /// chains the block (recovery fast-forward keeps full history); the
-    /// snapshot-covered prefix of a rejoining node is not chained.
+    /// snapshot-covered prefix of a rejoining node is not chained. Wallet
+    /// cursors are left alone: the tree may be behind the block, and the
+    /// snapshot install settles them.
     pub(crate) fn skip_past_block(
         &mut self,
         subnet: &SubnetId,
@@ -788,7 +790,6 @@ impl HierarchyRuntime {
                 .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
         }
         node.skip_block(block, &opportunity);
-        self.wallets.advance_past(subnet, block);
         Ok(())
     }
 

@@ -30,12 +30,10 @@ impl HierarchyRuntime {
         self.store.stats()
     }
 
-    /// Aggregate verified-signature-cache counters across every subnet
-    /// node. All zeros when the cache is disabled
-    /// (`sig_cache_capacity: 0`). `hits` counts signature verifications
-    /// elided because the message already passed full verification on
-    /// this node: its verdict was memoized at admission, or the exact
-    /// `(signer, message CID, signature)` triple is in the cache.
+    /// Aggregate signature-verification counters across every subnet
+    /// node. `hits` counts verifications elided because the value already
+    /// carried a passing verdict this node reached (memoized at
+    /// admission); `misses` counts full verifications.
     pub fn sig_cache_stats(&self) -> SigCacheStats {
         let mut total = SigCacheStats::default();
         for node in self.nodes.values() {

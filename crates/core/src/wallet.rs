@@ -2,14 +2,14 @@
 //! cursor, keyed subnet → address.
 //!
 //! [`Wallets`] is the only place a cursor moves: signing advances it, an
-//! admission-control eviction rewinds it, a block re-committed from a
-//! journal or from peers advances it past the nonces that block spent —
-//! and installing a wallet never resets one that already exists.
+//! admission-control eviction rewinds it, state re-built from a journal or
+//! from peers raises it to the account nonce that state holds — and
+//! installing a wallet never resets one that already exists.
 
 use std::collections::BTreeMap;
 
 use hc_chain::Block;
-use hc_state::{Message, Method, SealedMessage};
+use hc_state::{Message, Method, SealedMessage, StateTree};
 use hc_types::{Address, Keypair, Nonce, SubnetId, TokenAmount};
 
 use crate::config::{RuntimeError, UserHandle};
@@ -106,16 +106,25 @@ impl Wallets {
         }
     }
 
-    /// Advances cursors past every user message of a past block. A live
+    /// Raises the cursor of every managed sender in `blocks` to the nonce
+    /// its account expects next in `tree`, never lowering one. A live
     /// block's nonces were advanced when its messages were signed; a block
-    /// replayed or skipped into a node was signed by an earlier process.
-    pub(crate) fn advance_past(&mut self, subnet: &SubnetId, block: &Block) {
+    /// re-executed or installed into a node was signed by an earlier
+    /// process. Only an authenticated message advances an account nonce,
+    /// so a message a block carried but execution rejected moves no cursor.
+    pub(crate) fn settle<'a>(
+        &mut self,
+        subnet: &SubnetId,
+        tree: &StateTree,
+        blocks: impl IntoIterator<Item = &'a Block>,
+    ) {
         let Some(wallets) = self.by_subnet.get_mut(subnet) else {
             return;
         };
-        for m in &block.signed_msgs {
-            if let Some(w) = wallets.get_mut(&m.message().from) {
-                w.next_nonce = w.next_nonce.max(m.message().nonce.next());
+        for m in blocks.into_iter().flat_map(|b| &b.signed_msgs) {
+            let from = m.message().from;
+            if let (Some(w), Some(account)) = (wallets.get_mut(&from), tree.accounts().get(from)) {
+                w.next_nonce = w.next_nonce.max(account.nonce);
             }
         }
     }

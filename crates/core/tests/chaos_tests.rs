@@ -206,9 +206,9 @@ fn every_message_is_verified_once_after_a_rejoin() {
     );
     let caught_up = h.rt.node(&child).unwrap().sig_cache_stats();
     assert_eq!(
-        (caught_up.hits, caught_up.misses, caught_up.inserts),
-        (0, replayed, replayed),
-        "a replayed block arrives cold: one recorded verification per message"
+        (caught_up.hits, caught_up.misses),
+        (0, replayed),
+        "a replayed block arrives cold: one verification per message"
     );
 
     const FRESH: u64 = 4;
@@ -224,11 +224,6 @@ fn every_message_is_verified_once_after_a_rejoin() {
         stats.misses,
         replayed + CARRIED + FRESH,
         "every message is verified exactly once on the new node: {stats:?}"
-    );
-    assert_eq!(
-        stats.inserts,
-        replayed + CARRIED,
-        "admission records nothing"
     );
     assert_eq!(stats.hits, FRESH, "production reads the admission verdicts");
 }

@@ -15,9 +15,11 @@ use std::sync::Arc;
 use common::{stats_since, subnet_fingerprint, whole, Harness, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
 use hc_core::persist::{DurableOptions, CONTROL_LOG};
-use hc_core::{ControlRecord, HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode};
+use hc_core::{
+    ControlRecord, HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode, UserHandle,
+};
 use hc_net::{FaultKind, FaultPlan, FaultRule, NetConfig, PartitionPolicy, RetryPolicy};
-use hc_state::ChunkManifest;
+use hc_state::{ChunkManifest, Method};
 use hc_store::{InMemoryDevice, Wal, WalOptions};
 use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
@@ -315,7 +317,8 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
 /// newest checkpoint anchor — appending the skipped prefix without
 /// re-execution, installing the anchored manifest, verifying it against
 /// the committed header — and lands on the same world as full replay,
-/// at a fraction of the hash work.
+/// at a fraction of the hash work. A wallet whose message the skipped
+/// prefix holds signs on from its account nonce.
 #[test]
 fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
     let _serial = serial();
@@ -328,10 +331,18 @@ fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
     let mut h = Harness::with(config(SyncMode::Replay), 1_000_000);
     let child = h.spawn(&h.alice.clone(), sa);
     let bob = h.user(&child);
+    let carol = h.user(&child);
     h.fund(&bob, 30);
+    let sent = h.rt.execute(&bob, carol.addr, whole(1), Method::Send);
+    assert!(sent.is_ok(), "{sent:?}");
+    let sent_at = h.rt.node(&child).unwrap().chain().head_epoch();
     drive_to_epoch(&mut h.rt, &child, 12);
     h.fund(&bob, 7);
-    assert!(h.rt.checkpoint_anchor(&child).is_some());
+    let (anchor_epoch, _) = h.rt.checkpoint_anchor(&child).unwrap();
+    assert!(
+        sent_at <= anchor_epoch,
+        "bob's message is in the skipped prefix"
+    );
 
     let fingerprint = |rt: &HierarchyRuntime| {
         let mut out = Vec::new();
@@ -363,18 +374,25 @@ fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
         "fast-forward must hash less than full replay ({snapshot_cost} vs {replay_cost})"
     );
 
-    // The fast-forwarded world keeps working: new cross-net value lands.
+    // The fast-forwarded world keeps working: new cross-net value lands,
+    // and bob signs his next message at his account nonce.
     let mut h = Harness { rt: rt_snap, alice };
     h.fund(&bob, 5);
     assert_eq!(h.rt.balance(&bob), expected_bob + whole(5));
+    let sent = h.rt.execute(&bob, carol.addr, whole(1), Method::Send);
+    assert!(sent.is_ok(), "bob's wallet lost its place: {sent:?}");
 }
 
 /// Writes a snapshot-mode journal in which the child cuts checkpoints at
-/// epochs 5 and 10, then rewrites its control log without the child's
+/// epochs 5 and 10 — bob, a child user, sends himself a message before
+/// the first cut — then rewrites its control log without the child's
 /// block at `lost_epoch`. Recovery fast-forwards the child towards its
 /// epoch-10 anchor, and its replay stops at the gap. Returns the rewritten
-/// device, the child, and a `SyncMode::Replay` recovery of a fork of it.
-fn journal_short_of_the_anchor(lost_epoch: u64) -> (InMemoryDevice, SubnetId, HierarchyRuntime) {
+/// device, the child, bob, and a `SyncMode::Replay` recovery of a fork of
+/// it.
+fn journal_short_of_the_anchor(
+    lost_epoch: u64,
+) -> (InMemoryDevice, SubnetId, UserHandle, HierarchyRuntime) {
     let device = InMemoryDevice::new();
     let sa = SaConfig {
         checkpoint_period: 5,
@@ -384,6 +402,13 @@ fn journal_short_of_the_anchor(lost_epoch: u64) -> (InMemoryDevice, SubnetId, Hi
     let child = h.spawn(&h.alice.clone(), sa);
     let bob = h.user(&child);
     h.fund(&bob, 30);
+    let sent = h.rt.execute(&bob, bob.addr, whole(1), Method::Send);
+    assert!(sent.is_ok(), "{sent:?}");
+    let sent_at = h.rt.node(&child).unwrap().chain().head_epoch();
+    assert!(
+        sent_at <= ChainEpoch::new(5),
+        "bob's message precedes the first cut"
+    );
     drive_to_epoch(&mut h.rt, &child, 12);
     h.fund(&bob, 7);
     let (anchor_epoch, _) = h.rt.checkpoint_anchor(&child).unwrap();
@@ -403,7 +428,7 @@ fn journal_short_of_the_anchor(lost_epoch: u64) -> (InMemoryDevice, SubnetId, Hi
     }
     drop(control);
     let replayed = HierarchyRuntime::recover(durable(&device.fork(), SyncMode::Replay));
-    (device, child, replayed)
+    (device, child, bob, replayed)
 }
 
 /// A durable config on `device` in `mode`, with a jitter- and loss-free
@@ -461,7 +486,7 @@ fn recover_and_catch_up(
 #[test]
 fn a_fast_forward_short_of_its_anchor_catches_up_from_the_journal() {
     let _serial = serial();
-    let (device, child, replayed) = journal_short_of_the_anchor(3);
+    let (device, child, _, replayed) = journal_short_of_the_anchor(3);
     let (rt, caught_up) = recover_and_catch_up(&device, &child, &replayed);
     let stats = rt.chaos_stats();
     assert_eq!(stats.snapshot_fallbacks, 1);
@@ -481,11 +506,13 @@ fn a_fast_forward_short_of_its_anchor_catches_up_from_the_journal() {
 /// The same fallback past an older anchor: the replay reached the epoch-5
 /// cut before the gap, and that anchor's closure, which only the blob log
 /// still holds, is hydrated and snapshot-synced — only epoch 6 re-executes.
+/// Bob's wallet, whose message the installed prefix holds, signs on from
+/// his account nonce.
 #[test]
 fn a_fast_forward_short_of_its_anchor_snapshot_syncs_from_an_older_one() {
     let _serial = serial();
-    let (device, child, replayed) = journal_short_of_the_anchor(7);
-    let (rt, caught_up) = recover_and_catch_up(&device, &child, &replayed);
+    let (device, child, bob, replayed) = journal_short_of_the_anchor(7);
+    let (mut rt, caught_up) = recover_and_catch_up(&device, &child, &replayed);
     let stats = rt.chaos_stats();
     assert_eq!(stats.snapshot_fallbacks, 0);
     assert_eq!(stats.snapshot_installs, 1);
@@ -502,4 +529,6 @@ fn a_fast_forward_short_of_its_anchor_snapshot_syncs_from_an_older_one() {
             ..expected
         }
     );
+    let sent = rt.execute(&bob, bob.addr, whole(1), Method::Send);
+    assert!(sent.is_ok(), "bob's wallet lost its place: {sent:?}");
 }

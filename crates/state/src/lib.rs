@@ -48,7 +48,7 @@ pub use overlay::{OverlayChanges, ReadMemoStats, StateOverlay};
 pub use parallel::{access_pair, LaneOverlay};
 pub use registry::RegistryEntry;
 pub use sealed::SealedMessage;
-pub use sigcache::{SigCache, SigCacheStats, DEFAULT_SIG_CACHE_CAPACITY};
+pub use sigcache::{SigCache, SigCacheStats};
 pub use store::{CidStore, CidStoreStats};
 pub use tree::{AccountProof, AccountState, StateTree};
 pub use vm::{apply_implicit, apply_sealed, ExitCode, Receipt, VmEvent};

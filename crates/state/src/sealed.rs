@@ -24,10 +24,10 @@
 //! value, next to the CIDs: a message admitted to a mempool is verified
 //! there once, and block production and validation on the same node read
 //! the memo instead of verifying again. The memo is set only by a full
-//! verification that passed, or by a [`SigCache`](crate::SigCache) hit on
-//! the exact `(signer, message CID, tag)` triple; a failure is never
-//! remembered. Clones carry it, as they carry CIDs; decoded values start
-//! without it. A verdict belongs to the node that reached it, so a value
+//! verification that passed; a failure is never remembered. It is the one
+//! place a verdict lives ([`SigCache`](crate::SigCache) only counts
+//! verifications). Clones carry it, as they carry CIDs; decoded values
+//! start without it. A verdict belongs to the node that reached it, so a value
 //! handed to another node has it cleared first
 //! ([`SealedMessage::forget_verdict`]).
 
@@ -168,7 +168,7 @@ impl SealedMessage {
         }
         let ok = self.msg.signature.verify(self.msg_cid().as_bytes()).is_ok();
         if ok {
-            self.mark_verified();
+            let _ = self.verified.set(());
         }
         ok
     }
@@ -176,12 +176,6 @@ impl SealedMessage {
     /// Whether a passing signature verdict is memoized on this value.
     pub fn is_verified(&self) -> bool {
         self.verified.get().is_some()
-    }
-
-    /// Memoizes a passing verdict reached elsewhere on this node: a
-    /// [`SigCache`](crate::SigCache) hit on the exact triple.
-    pub(crate) fn mark_verified(&self) {
-        let _ = self.verified.set(());
     }
 
     /// Clears the verdict memo, so the next check verifies in full — for a

@@ -223,8 +223,8 @@ pub mod gas {
 
 /// Applies a sealed user message to the tree at `epoch`. Its signature
 /// verdict `sig_ok` the caller already decided (batch pre-verification of
-/// the block's messages, through the verified-signature cache when one is
-/// wired) — it must be the boolean
+/// the block's messages, which reads a verdict memoized on the value) — it
+/// must be the boolean
 /// [`SealedMessage::verify_signature`] would produce — which reuses the
 /// memoized message CID and keeps signature work off the execution path.
 ///

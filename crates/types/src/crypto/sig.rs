@@ -184,16 +184,6 @@ impl Signature {
         self.signer
     }
 
-    /// Returns the raw signature tag.
-    ///
-    /// The tag is part of the signature's canonical encoding, so exposing
-    /// it reveals nothing new; callers use it to key verified-signature
-    /// caches by the *exact* signature value (not just the signer), so a
-    /// tampered tag can never alias a cached verdict.
-    pub const fn tag(&self) -> &[u8; 32] {
-        &self.tag
-    }
-
     /// Verifies the signature over `msg`.
     ///
     /// # Errors

@@ -5,7 +5,7 @@
 //! option without a scenario, one front door per node, one way a node
 //! comes up, one test world, one invariant check, content hashed once, one
 //! `unsafe` block, hot values kept small, a pool that remembers senders
-//! rather than messages — so a
+//! rather than messages, a signature verdict kept on the value — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -560,6 +560,56 @@ fn the_pool_remembers_senders_not_messages() {
         calls("set_floor("),
         ["crates/core/src/node.rs: settle_floors"],
         "DESIGN.md §16: a floor is copied from the tree's account nonce, only in `settle_floors`"
+    );
+}
+
+/// DESIGN.md §10, "Signature verdicts": a verdict lives on the
+/// `SealedMessage` and nowhere else. `SigCache` is a node's two
+/// verification counters — no set, queue or lock in `sigcache.rs` — and
+/// the set's API, its capacity constant and the capacity a node once read
+/// from `RuntimeConfig::sig_cache_capacity` (an inert field `e2e/` still
+/// names) are gone.
+#[test]
+fn a_verdict_lives_on_the_value() {
+    let sigcache = read_rel("crates/state/src/sigcache.rs");
+    let kept: Vec<&str> = non_test(&sigcache)
+        .lines()
+        .filter(|l| {
+            ["HashSet", "VecDeque", "Mutex"]
+                .iter()
+                .any(|w| l.contains(w))
+        })
+        .collect();
+    assert!(
+        kept.is_empty(),
+        "DESIGN.md §10: `SigCache` keeps no verdicts; found {kept:#?}"
+    );
+    let files: Vec<PathBuf> = ["crates", "src", "tests", "examples"]
+        .iter()
+        .flat_map(|d| files_under(d))
+        .collect();
+    let retired = [
+        "lookup_or_verify",
+        "mark_verified",
+        "DEFAULT_SIG_CACHE_CAPACITY",
+        "SigCache::new(",
+    ];
+    let found = hits(&files, |s| s, |l| retired.iter().any(|r| l.contains(r)));
+    assert!(
+        found.is_empty(),
+        "DESIGN.md §10: the verdict set's API is back: {found:#?}"
+    );
+    let capacity: Vec<String> = hits(
+        &files_under("crates"),
+        |s| s,
+        |l| l.contains("sig_cache_capacity"),
+    )
+    .into_iter()
+    .filter(|h| !h.starts_with("crates/core/src/config.rs:"))
+    .collect();
+    assert!(
+        capacity.is_empty(),
+        "DESIGN.md §10: `sig_cache_capacity` is inert, declared only in config.rs; found {capacity:#?}"
     );
 }
 
