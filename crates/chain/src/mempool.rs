@@ -172,11 +172,6 @@ pub struct Mempool {
     /// Admissions per sender since the last [`Mempool::take_activity`]
     /// drain — the hotness signal the elastic controller samples.
     activity: BTreeMap<Address, u64>,
-    /// `(sender, nonce)` pairs dropped by admission control since the last
-    /// [`Mempool::drain_evictions`] — the submitter consults this to
-    /// rewind signing cursors so a dropped nonce can be re-signed instead
-    /// of leaving a permanent gap in the sender's lane.
-    evicted_log: Vec<(Address, Nonce)>,
 }
 
 impl Mempool {
@@ -282,7 +277,6 @@ impl Mempool {
                 self.stats.evicted += 1;
             }
             self.take(victim.0, victim.1);
-            self.evicted_log.push(victim);
         }
         if !survived {
             self.stats.rejected_full += 1;
@@ -325,13 +319,20 @@ impl Mempool {
         }
     }
 
-    /// Drains the `(sender, nonce)` pairs dropped by admission control
-    /// since the last call. Dropped nonces never execute; a submitter that
-    /// tracks signing cursors must rewind each sender's cursor to the
-    /// lowest drained nonce, or every later message from that sender is
-    /// permanently gated behind the gap.
-    pub fn drain_evictions(&mut self) -> Vec<(Address, Nonce)> {
-        std::mem::take(&mut self.evicted_log)
+    /// The nonce this pool would admit next from `sender`, whose account
+    /// expects `committed` next in the node's committed state: one past its
+    /// lane's tail while it has messages pending, else the higher of its
+    /// floor and `committed`. An evicted tail frees its nonce again, so a
+    /// sender signing here never leaves a gap. A tail at the last nonce
+    /// (only a forgery gets there) saturates instead of overflowing.
+    pub fn next_nonce(&self, sender: Address, committed: Nonce) -> Nonce {
+        match self.by_sender.get(&sender).and_then(Lane::back) {
+            Some(tail) => Nonce::new(tail.msg.message().nonce.value().saturating_add(1)),
+            None => self
+                .floors
+                .get(&sender)
+                .map_or(committed, |f| committed.max(*f)),
+        }
     }
 
     /// Number of senders with a floor — every sender the node has set one
@@ -445,11 +446,15 @@ impl Mempool {
         }
     }
 
-    /// Sets `sender`'s floor to `next`, the nonce its account expects next
-    /// in the committed state: every lower nonce is spent, so a message
-    /// below it is refused as a duplicate.
+    /// Raises `sender`'s floor to `next`, the nonce its account expects
+    /// next in the committed state: every lower nonce is spent, so a
+    /// message below it is refused as a duplicate. A floor never moves
+    /// down: a restarted node inherits its peers' pool and replays history
+    /// from genesis, and the replayed state must not reopen nonces its
+    /// peers have already spent.
     pub fn set_floor(&mut self, sender: Address, next: Nonce) {
-        self.floors.insert(sender, next);
+        let floor = self.floors.entry(sender).or_insert(next);
+        *floor = (*floor).max(next);
     }
 }
 
@@ -748,7 +753,11 @@ mod tests {
         assert_eq!(pool.push_sealed_with_fee(b, 0), PushOutcome::Duplicate);
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.occupancy_bytes(), a.wire_len());
-        assert!(pool.drain_evictions().is_empty());
+        assert_eq!(
+            pool.next_nonce(Address::new(100), Nonce::ZERO),
+            Nonce::new(1),
+            "nothing was evicted: the pending message is the lane's tail"
+        );
         // The pool keeps working: the pending message is proposed, and the
         // sender's next nonce is admitted.
         let head = pool.select(1);
@@ -985,6 +994,85 @@ mod tests {
         pool.set_floor(Address::new(100), Nonce::ZERO);
         assert!(push_fee(&mut pool, 100, 0, &owner, 0).is_admitted());
         assert!(pool.push_sealed(hijack), "a rejected nonce is not spent");
+        assert_eq!(
+            pool.next_nonce(Address::new(100), Nonce::ZERO),
+            Nonce::new(u64::MAX),
+            "a forged tail at the last nonce saturates"
+        );
+    }
+
+    #[test]
+    fn next_nonce_on_an_empty_lane_is_the_floor_or_the_account_nonce() {
+        let mut pool = Mempool::new();
+        let sender = Address::new(100);
+        assert_eq!(pool.next_nonce(sender, Nonce::new(4)), Nonce::new(4));
+        pool.set_floor(sender, Nonce::new(7));
+        assert_eq!(
+            pool.next_nonce(sender, Nonce::new(4)),
+            Nonce::new(7),
+            "a floor above the account nonce wins"
+        );
+        assert_eq!(pool.next_nonce(sender, Nonce::new(9)), Nonce::new(9));
+    }
+
+    #[test]
+    fn next_nonce_is_one_past_the_lanes_tail() {
+        let mut pool = Mempool::new();
+        let k = kp(17);
+        pool.set_floor(Address::new(100), Nonce::new(2));
+        for n in 2..5 {
+            assert!(push_fee(&mut pool, 100, n, &k, 0).is_admitted());
+        }
+        assert_eq!(
+            pool.next_nonce(Address::new(100), Nonce::new(2)),
+            Nonce::new(5)
+        );
+        let head = pool.select(1);
+        pool.remove_included(head.iter());
+        assert_eq!(
+            pool.next_nonce(Address::new(100), Nonce::new(3)),
+            Nonce::new(5)
+        );
+    }
+
+    #[test]
+    fn next_nonce_returns_an_evicted_tails_nonce() {
+        let cap = 2 * msg_bytes();
+        let mut pool = Mempool::with_config(MempoolConfig {
+            capacity_bytes: cap,
+        });
+        let (ka, kb, kc) = (kp(18), kp(19), kp(20));
+        let (a, b) = (Address::new(100), Address::new(200));
+        assert!(push_fee(&mut pool, 100, 0, &ka, 5).is_admitted());
+        assert!(push_fee(&mut pool, 100, 1, &ka, 1).is_admitted());
+        assert_eq!(pool.next_nonce(a, Nonce::ZERO), Nonce::new(2));
+        // A higher bid evicts A's cheap tail: A signs at that nonce again.
+        assert!(push_fee(&mut pool, 200, 0, &kb, 3).is_admitted());
+        assert_eq!(pool.stats().evicted, 1);
+        assert_eq!(pool.next_nonce(a, Nonce::ZERO), Nonce::new(1));
+        // An arrival refused as `Full` leaves its nonce free too.
+        assert_eq!(push_fee(&mut pool, 200, 1, &kb, 0), PushOutcome::Full);
+        assert_eq!(pool.next_nonce(b, Nonce::ZERO), Nonce::new(1));
+        // So does an evicted lane's last message.
+        assert!(push_fee(&mut pool, 300, 0, &kc, 9).is_admitted());
+        assert_eq!(pool.pending_for(&b), 0);
+        assert_eq!(pool.next_nonce(b, Nonce::ZERO), Nonce::ZERO);
+    }
+
+    #[test]
+    fn a_floor_never_moves_down() {
+        // A restarted node inherits its peers' pool and replays history
+        // from genesis: the replayed account nonce passes below the floor
+        // the peers set, and must not reopen the nonces between.
+        let k = kp(21);
+        let sender = Address::new(100);
+        let mut pool = Mempool::new();
+        pool.set_floor(sender, Nonce::new(5));
+        pool.set_floor(sender, Nonce::new(2));
+        assert_eq!(pool.next_nonce(sender, Nonce::new(2)), Nonce::new(5));
+        assert_eq!(push_fee(&mut pool, 100, 3, &k, 0), PushOutcome::Duplicate);
+        pool.set_floor(sender, Nonce::new(6));
+        assert_eq!(pool.next_nonce(sender, Nonce::new(2)), Nonce::new(6));
     }
 
     fn td(nonce: u64) -> CrossMsg {

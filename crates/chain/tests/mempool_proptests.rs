@@ -131,8 +131,9 @@ impl Ledger {
             .nonce
     }
 
-    /// Checks `pool` against the ledger: message count, bytes held, and
-    /// the number of senders with a floor.
+    /// Checks `pool` against the ledger: message count, bytes held, the
+    /// number of senders with a floor, and each sender's next nonce — one
+    /// past its highest held nonce, or else its account nonce.
     fn check(&self, pool: &Mempool) {
         assert_eq!(pool.len(), pool.iter().count(), "the kept count drifted");
         assert_eq!(pool.len(), self.held.len());
@@ -156,6 +157,15 @@ impl Ledger {
             pool.len() as u64,
             "admissions minus evictions minus inclusions must be what is held"
         );
+        for sender in (0..USERS).map(|i| Address::new(100 + i)) {
+            let account = self.account_nonce(sender);
+            let tail = self
+                .held
+                .range((sender, Nonce::ZERO)..=(sender, Nonce::new(u64::MAX)))
+                .next_back();
+            let expected = tail.map_or(account, |((_, nonce), _)| nonce.next());
+            assert_eq!(pool.next_nonce(sender, account), expected, "{sender}");
+        }
     }
 }
 
@@ -373,6 +383,7 @@ proptest! {
                 let slot = (m.message().from, m.message().nonce);
                 let spent = slot.1 < ledger.account_nonce(slot.0);
                 let duplicate = spent || ledger.held.contains_key(&slot);
+                let evicted = pool.stats().evicted;
                 let outcome = pool.push_sealed_with_fee(m.clone(), fee);
                 if duplicate {
                     prop_assert_eq!(outcome, PushOutcome::Duplicate);
@@ -385,9 +396,24 @@ proptest! {
                 if outcome.is_admitted() {
                     ledger.held.insert(slot, m);
                 }
-                for evicted in pool.drain_evictions() {
-                    ledger.held.remove(&evicted);
+                // Admission control drops lane tails, and counts each
+                // one it drops, the refused arrival aside.
+                let kept: BTreeSet<(Address, Nonce)> = pool
+                    .iter()
+                    .map(|m| (m.message().from, m.message().nonce))
+                    .collect();
+                let dropped: Vec<(Address, Nonce)> =
+                    ledger.held.keys().filter(|s| !kept.contains(s)).copied().collect();
+                for slot in dropped.iter().rev() {
+                    let tail = ledger
+                        .held
+                        .range((slot.0, Nonce::ZERO)..=(slot.0, Nonce::new(u64::MAX)))
+                        .next_back()
+                        .map(|(s, _)| *s);
+                    prop_assert_eq!(tail, Some(*slot), "only a lane's tail is evicted");
+                    ledger.held.remove(slot);
                 }
+                prop_assert_eq!(dropped.len() as u64, pool.stats().evicted - evicted);
             }
             ledger.check(&pool);
         }

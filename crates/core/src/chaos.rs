@@ -771,13 +771,11 @@ impl HierarchyRuntime {
         // The snapshot replaces execution, not history: every covered
         // block still realigns the consensus RNG, the cross-net nonce
         // cursors and the mempool's floors exactly as a per-block replay
-        // would, so the node resumes mid-conversation with its parent; its
-        // senders' wallets settle on the installed state.
+        // would, so the node resumes mid-conversation with its parent.
         for block in &covered {
             self.skip_past_block(subnet, block, false)?;
         }
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        self.wallets.settle(subnet, &node.tree, &covered);
         node.chain.reset_to_snapshot_base(
             anchor_epoch,
             anchor_cid.expect("install verified against the anchor header"),
@@ -798,9 +796,8 @@ impl HierarchyRuntime {
     /// `install_account` mutated the tree between blocks; a catch-up
     /// replay from pure genesis must repeat those writes at the same epoch
     /// boundaries — through the same [`HierarchyRuntime::write_account`] —
-    /// or the replayed state roots diverge from the block headers. Wallets
-    /// are runtime state and survive the crash — they are deliberately not
-    /// touched (re-inserting would reset signer nonces).
+    /// or the replayed state roots diverge from the block headers. The
+    /// key ring is runtime state and survives the crash untouched.
     fn install_pending_users(
         &mut self,
         subnet: &SubnetId,

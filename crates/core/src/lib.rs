@@ -35,7 +35,8 @@
 //!   and `stats` modules; `config` holds [`RuntimeConfig`] and the plain
 //!   types of the API.
 //! * the private `wallet`, `journal` and `subnets` modules — one owner
-//!   each: `Wallets` is the only place a signing cursor moves, `Journal`
+//!   each: `Wallets` is the key ring (signing keys and the address
+//!   counter; a nonce is read from the node, never kept here), `Journal`
 //!   holds the control log — the one log every committed block and
 //!   set-up record goes to — and the one `outward()` predicate that
 //!   silences a replay, `Subnets` keeps one record per subnet of

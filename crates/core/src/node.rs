@@ -25,7 +25,7 @@ use hc_state::{
     StateTree, VmEvent,
 };
 use hc_types::crypto::SignaturePolicy;
-use hc_types::{CanonicalEncode, ChainEpoch, Cid, Keypair, SubnetId};
+use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId};
 
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 
@@ -80,7 +80,7 @@ fn node_rng(seed: u64, subnet: &SubnetId) -> StdRng {
     StdRng::from_seed(*Cid::digest(&bytes).as_bytes())
 }
 
-/// Sets the pool floor of each sender of `msgs` to the nonce its account
+/// Raises the pool floor of each sender of `msgs` to the nonce its account
 /// expects next in `tree`. Only an authenticated message advances an
 /// account nonce, so a message a block carried but execution rejected —
 /// unknown sender, foreign key, bad signature, nonce gap — moves no floor.
@@ -498,7 +498,7 @@ impl SubnetNode {
     }
 
     /// Total tentatively certified incoming value for `addr`.
-    pub fn tentative_value_for(&self, addr: hc_types::Address) -> hc_types::TokenAmount {
+    pub fn tentative_value_for(&self, addr: Address) -> hc_types::TokenAmount {
         self.tentative
             .values()
             .filter(|c| c.body.msg.to.raw == addr)
@@ -519,6 +519,15 @@ impl SubnetNode {
     /// Pending user messages.
     pub fn mempool_len(&self) -> usize {
         self.mempool.len()
+    }
+
+    /// The nonce this node would accept next from `addr`: what its pool
+    /// holds for the sender, over the account nonce of its committed tree
+    /// (see [`Mempool::next_nonce`]).
+    pub fn next_nonce(&self, addr: Address) -> Nonce {
+        let committed = self.tree.accounts().get(addr).map(|a| a.nonce);
+        self.mempool
+            .next_nonce(addr, committed.unwrap_or(Nonce::ZERO))
     }
 
     /// Admission/eviction counters of this node's mempool.
@@ -601,12 +610,12 @@ mod tests {
     //! A block carries every message its proposer selected, and execution
     //! rejects the ones that do not authenticate at the account nonce. No
     //! such message may move its sender's pool floor: the owner's next
-    //! nonce stays admissible, and a recovered wallet signs it. A spent
+    //! nonce stays admissible, and a recovered sender signs it. A spent
     //! nonce is refused, however the state that spent it arrived.
 
     use hc_chain::PushOutcome;
     use hc_state::{Message, Method};
-    use hc_types::{Address, Nonce, TokenAmount};
+    use hc_types::TokenAmount;
 
     use super::*;
     use crate::runtime::HierarchyRuntime;
@@ -672,10 +681,10 @@ mod tests {
     }
 
     #[test]
-    fn a_recovered_wallet_signs_from_its_account_nonce() {
+    fn a_recovered_sender_signs_from_its_account_nonce() {
         // The journal keeps every block whole, rejected messages too; a
-        // recovered cursor follows the account nonce, not the nonces a
-        // replayed block carried.
+        // recovered sender's next nonce follows the account nonce, not the
+        // nonces a replayed block carried.
         let device = std::sync::Arc::new(hc_store::InMemoryDevice::new());
         let config = RuntimeConfig {
             persistence: crate::PersistenceConfig::on_device(device),

@@ -221,7 +221,6 @@ impl HierarchyRuntime {
                     {
                         return false;
                     }
-                    self.wallets.settle(&subnet, &node.tree, node.chain.iter());
                     node.stats.state_persists += 1;
                     targets.remove(&subnet);
                 }

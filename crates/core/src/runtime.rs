@@ -42,7 +42,7 @@ pub struct HierarchyRuntime {
     pub(crate) nodes: BTreeMap<SubnetId, SubnetNode>,
     pub(crate) network: Network<ResolutionMsg>,
     pub(crate) now_ms: u64,
-    /// Signing keys and cursors of every managed account.
+    /// Signing keys of every managed account.
     pub(crate) wallets: Wallets,
     events: VecDeque<(SubnetId, VmEvent)>,
     /// Tokens minted at the rootnet (genesis + faucet), the global supply
@@ -763,9 +763,7 @@ impl HierarchyRuntime {
         node.chain
             .append(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        let outcome = node.commit_block(block, receipts, &opportunity);
-        self.wallets.settle(subnet, &node.tree, [block]);
-        Ok(outcome)
+        Ok(node.commit_block(block, receipts, &opportunity))
     }
 
     /// Re-commits one past block whose state arrives wholesale from a
@@ -773,9 +771,7 @@ impl HierarchyRuntime {
     /// [`SubnetNode::skip_block`], the bookkeeping that outlives execution
     /// — without validating, executing or hashing anything. `append`
     /// chains the block (recovery fast-forward keeps full history); the
-    /// snapshot-covered prefix of a rejoining node is not chained. Wallet
-    /// cursors are left alone: the tree may be behind the block, and the
-    /// snapshot install settles them.
+    /// snapshot-covered prefix of a rejoining node is not chained.
     pub(crate) fn skip_past_block(
         &mut self,
         subnet: &SubnetId,

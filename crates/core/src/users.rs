@@ -1,9 +1,9 @@
-//! The user-facing half of the runtime: accounts and their wallets,
+//! The user-facing half of the runtime: accounts and their keys,
 //! message submission, and cross-net sends (paper §IV).
 
 use hc_actors::CrossMsg;
-use hc_state::{Method, Receipt, StateTree};
-use hc_types::{Address, Cid, Keypair, Nonce, SubnetId, TokenAmount};
+use hc_state::{Message, Method, Receipt, SealedMessage, StateTree};
+use hc_types::{Address, Cid, Keypair, SubnetId, TokenAmount};
 
 use crate::config::{RuntimeError, UserHandle};
 use crate::persist::ControlRecord;
@@ -41,7 +41,7 @@ impl HierarchyRuntime {
         })
     }
 
-    /// The deterministic wallet key of account `addr` (a pure function of
+    /// The deterministic signing key of account `addr` (a pure function of
     /// the runtime seed, so recovery re-derives the same keys).
     pub(crate) fn user_key(runtime_seed: u64, addr: Address) -> Keypair {
         let mut seed = [0u8; 32];
@@ -51,12 +51,12 @@ impl HierarchyRuntime {
         Keypair::from_seed(seed)
     }
 
-    /// Installs account `addr` in `subnet` with its derived key and a
-    /// wallet — the shared tail of [`HierarchyRuntime::create_user`],
-    /// [`HierarchyRuntime::adopt_user`] and their recovery replays. A
-    /// created account is minted `Some(balance)` and signs from nonce zero;
-    /// an adopted one (`None`) keeps any balance already present and
-    /// continues from the account's executed nonce.
+    /// Installs account `addr` in `subnet` with its derived key, on the
+    /// node's tree and in the key ring — the shared tail of
+    /// [`HierarchyRuntime::create_user`], [`HierarchyRuntime::adopt_user`]
+    /// and their recovery replays. A created account is minted
+    /// `Some(balance)`; an adopted one (`None`) keeps any balance already
+    /// present.
     pub(crate) fn install_account(
         &mut self,
         subnet: &SubnetId,
@@ -73,29 +73,24 @@ impl HierarchyRuntime {
             // rootnet never crashes, so nothing would read its notes.)
             record.user_installs.push((node.next_epoch, addr, mint));
         }
-        let next_nonce = Self::write_account(&mut node.tree, &key, addr, mint);
-        self.wallets.install(subnet, addr, key, next_nonce);
+        Self::write_account(&mut node.tree, &key, addr, mint);
+        self.wallets.install(subnet, addr, key);
         Ok(())
     }
 
     /// The state half of [`HierarchyRuntime::install_account`], shared
     /// with catch-up's re-install: writes `key` on `addr`'s account and
-    /// `Some(balance)` over its balance (`None` keeps it). Returns the
-    /// nonce the account's wallet signs from next.
+    /// `Some(balance)` over its balance (`None` keeps it).
     pub(crate) fn write_account(
         tree: &mut StateTree,
         key: &Keypair,
         addr: Address,
         mint: Option<TokenAmount>,
-    ) -> Nonce {
+    ) {
         let acc = tree.accounts_mut().get_or_create(addr);
         acc.key = Some(key.public());
-        match mint {
-            Some(balance) => {
-                acc.balance = balance;
-                Nonce::ZERO
-            }
-            None => acc.nonce,
+        if let Some(balance) = mint {
+            acc.balance = balance;
         }
     }
 
@@ -104,7 +99,7 @@ impl HierarchyRuntime {
     /// step of elastic scale-out. The caller funds the new home with a
     /// cross-net transfer from the old one; adoption itself never touches
     /// balances (the account may already have received funds top-down).
-    /// Idempotent: re-adopting an address that already has a wallet in
+    /// Idempotent: re-adopting an address that already has a key in
     /// `subnet` is a no-op.
     ///
     /// # Errors
@@ -139,8 +134,8 @@ impl HierarchyRuntime {
             .unwrap_or(TokenAmount::ZERO)
     }
 
-    /// Signs a message for `user` with its tracked nonce and queues it in
-    /// the subnet's mempool. Returns the message CID.
+    /// Signs a message for `user` at the nonce its subnet's node accepts
+    /// next and queues it in that node's mempool. Returns the message CID.
     ///
     /// # Errors
     ///
@@ -174,17 +169,25 @@ impl HierarchyRuntime {
         method: Method,
         fee: u64,
     ) -> Result<(Cid, hc_chain::PushOutcome), RuntimeError> {
-        // Signed and sealed in one step: the message CID derived for the
-        // signature is memoized and reused by dedup, signature
-        // verification, block production, and receipt lookup — it is never
-        // recomputed downstream.
-        let sealed = self.wallets.sign(user, to, value, method)?;
-        let cid = sealed.msg_cid();
+        let key = self
+            .wallets
+            .key(&user.subnet, user.addr)
+            .ok_or_else(|| RuntimeError::UnknownUser(user.clone()))?;
         let node = Self::get_node_mut(&mut self.nodes, &user.subnet)?;
+        // Signed at the nonce the node accepts next, and sealed in one
+        // step: the message CID derived for the signature is memoized and
+        // reused by dedup, signature verification, block production, and
+        // receipt lookup — it is never recomputed downstream.
+        let msg = Message {
+            from: user.addr,
+            to,
+            value,
+            nonce: node.next_nonce(user.addr),
+            method,
+        };
+        let sealed = SealedMessage::sign(msg, key);
+        let cid = sealed.msg_cid();
         let outcome = node.mempool.push_sealed_with_fee(sealed, fee);
-        // Admission control may have dropped queued messages to make room.
-        self.wallets
-            .rewind(&user.subnet, node.mempool.drain_evictions());
         Ok((cid, outcome))
     }
 

@@ -228,6 +228,68 @@ fn every_message_is_verified_once_after_a_rejoin() {
     assert_eq!(stats.hits, FRESH, "production reads the admission verdicts");
 }
 
+/// A sender's next nonce is what its node would accept, so a submit to a
+/// crashed subnet signs nothing: once the node rejoins, the sender's next
+/// message is at its account nonce, not one past a message that never
+/// reached a pool.
+#[test]
+fn a_refused_submit_to_a_crashed_subnet_strands_nothing() {
+    let mut h = Harness::setup();
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let (bob, carol) = (h.user(&child), h.user(&child));
+    h.fund(&bob, 30);
+    h.rt.execute(&bob, carol.addr, whole(1), Method::Send)
+        .unwrap();
+
+    h.rt.crash_node(&child).unwrap();
+    assert!(h
+        .rt
+        .submit(&bob, carol.addr, whole(1), Method::Send)
+        .is_err());
+    h.rt.rejoin_node(&child).unwrap();
+    while h.rt.is_catching_up(&child) {
+        h.rt.step().unwrap();
+    }
+    h.settle();
+
+    h.rt.execute(&bob, carol.addr, whole(2), Method::Send)
+        .unwrap();
+    assert_eq!(h.rt.balance(&carol), whole(3));
+}
+
+/// A rejoining node inherits its peers' pool, floors included, and
+/// replays history from genesis. A sender submitting while the replay is
+/// still behind its peers' head signs past that head: the replayed
+/// account nonces must not pull the inherited floors back down.
+#[test]
+fn a_sender_submitting_mid_catch_up_signs_past_its_peers_head() {
+    let config = RuntimeConfig {
+        sync_mode: SyncMode::Replay,
+        ..RuntimeConfig::default()
+    };
+    let mut h = Harness::with(config, 1_000_000);
+    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let (bob, carol) = (h.user(&child), h.user(&child));
+    h.fund(&bob, 40);
+    for _ in 0..30 {
+        h.rt.execute(&bob, carol.addr, whole(1), Method::Send)
+            .unwrap();
+    }
+    let peers_blocks = h.rt.node(&child).unwrap().chain().len();
+
+    h.rt.crash_node(&child).unwrap();
+    h.rt.rejoin_node(&child).unwrap();
+    while h.rt.node(&child).unwrap().chain().len() * 2 < peers_blocks {
+        h.rt.step().unwrap();
+    }
+    assert!(h.rt.is_catching_up(&child), "the replay is still behind");
+
+    h.rt.submit(&bob, carol.addr, whole(5), Method::Send)
+        .unwrap();
+    h.settle();
+    assert_eq!(h.rt.balance(&carol), whole(35));
+}
+
 /// What an attacker makes of a genuine block.
 type Forgery = fn(&Block) -> Block;
 

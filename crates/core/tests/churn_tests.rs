@@ -7,16 +7,14 @@ use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
 use hc_core::{HierarchyRuntime, RuntimeConfig, UserHandle};
 use hc_state::Method;
-use hc_types::{Keypair, SubnetId, TokenAmount};
+use hc_types::{PublicKey, SubnetId, TokenAmount};
 
-/// The runtime derives user keys deterministically; reproduce the same
-/// derivation to feed JoinSubnet the right public key.
-fn wallet_key(rt: &HierarchyRuntime, user: &UserHandle) -> hc_types::PublicKey {
-    let mut seed = [0u8; 32];
-    seed[..8].copy_from_slice(&user.addr.id().to_le_bytes());
-    seed[8..16].copy_from_slice(&rt.config().seed.to_le_bytes());
-    seed[16] = 0xac;
-    Keypair::from_seed(seed).public()
+/// The key `user`'s account holds on its node — what `JoinSubnet`
+/// registers for a joining validator.
+fn account_key(rt: &HierarchyRuntime, user: &UserHandle) -> PublicKey {
+    rt.node(&user.subnet)
+        .and_then(|n| n.state().accounts().get(user.addr)?.key)
+        .expect("a created account holds its key")
 }
 
 #[test]
@@ -47,7 +45,7 @@ fn validators_join_and_leave_while_checkpoints_flow() {
     // single-signer to a 2/3 threshold over three keys.
     for _ in 0..2 {
         let v = h.rt.create_user(&root, whole(100)).unwrap();
-        let key = wallet_key(&h.rt, &v);
+        let key = account_key(&h.rt, &v);
         h.rt.execute(&v, sa, whole(5), Method::JoinSubnet { key })
             .unwrap();
     }
@@ -99,7 +97,7 @@ fn validator_set_changes_show_in_block_proposers() {
     assert_eq!(h.rt.node(&subnet).unwrap().validators().len(), 1);
 
     let v2 = h.rt.create_user(&root, whole(100)).unwrap();
-    let key = wallet_key(&h.rt, &v2);
+    let key = account_key(&h.rt, &v2);
     let sa = subnet.actor().unwrap();
     h.rt.execute(&v2, sa, whole(5), Method::JoinSubnet { key })
         .unwrap();

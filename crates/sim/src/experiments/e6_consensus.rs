@@ -90,15 +90,17 @@ pub fn e6_run(params: &E6Params) -> Result<Vec<E6Row>, RuntimeError> {
             let v = topo
                 .rt
                 .create_user(&SubnetId::root(), hc_types::TokenAmount::from_whole(50))?;
-            let key_user = v.clone();
             let sa = topo.subnets[0].actor().expect("child has an SA");
+            let key = topo
+                .rt
+                .node(&v.subnet)
+                .and_then(|n| n.state().accounts().get(v.addr)?.key)
+                .expect("a created account holds its key");
             topo.rt.execute(
-                &key_user,
+                &v,
                 sa,
                 hc_types::TokenAmount::from_whole(5),
-                hc_state::Method::JoinSubnet {
-                    key: join_key(&topo.rt, &v),
-                },
+                hc_state::Method::JoinSubnet { key },
             )?;
         }
         topo.users.remove(&SubnetId::root());
@@ -124,17 +126,6 @@ pub fn e6_run(params: &E6Params) -> Result<Vec<E6Row>, RuntimeError> {
         });
     }
     Ok(rows)
-}
-
-// The runtime owns user keys; JoinSubnet needs the public key of the
-// joining validator's wallet. The wallets are deterministic, so derive the
-// same key the runtime created.
-fn join_key(rt: &hc_core::HierarchyRuntime, user: &hc_core::UserHandle) -> hc_types::PublicKey {
-    let mut seed = [0u8; 32];
-    seed[..8].copy_from_slice(&user.addr.id().to_le_bytes());
-    seed[8..16].copy_from_slice(&rt.config().seed.to_le_bytes());
-    seed[16] = 0xac;
-    hc_types::Keypair::from_seed(seed).public()
 }
 
 /// Renders E6 rows.

@@ -79,13 +79,11 @@ pub fn e8_run(params: &E8Params) -> Result<Vec<E8Row>, RuntimeError> {
     // A second validator joins and later leaves.
     let v2 = topo.rt.create_user(&SubnetId::root(), whole(100))?;
     let sa = subnet.actor().expect("child has an SA");
-    let key = {
-        let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&v2.addr.id().to_le_bytes());
-        seed[8..16].copy_from_slice(&topo.rt.config().seed.to_le_bytes());
-        seed[16] = 0xac;
-        hc_types::Keypair::from_seed(seed).public()
-    };
+    let key = topo
+        .rt
+        .node(&v2.subnet)
+        .and_then(|n| n.state().accounts().get(v2.addr)?.key)
+        .expect("a created account holds its key");
     topo.rt
         .execute(&v2, sa, whole(params.stake), Method::JoinSubnet { key })?;
     record(&topo.rt, "second validator joined");

@@ -5,7 +5,8 @@
 //! option without a scenario, one front door per node, one way a node
 //! comes up, one test world, one invariant check, content hashed once, one
 //! `unsafe` block, hot values kept small, a pool that remembers senders
-//! rather than messages, a signature verdict kept on the value — so a
+//! rather than messages, a signature verdict kept on the value, a nonce
+//! read from the pool, a tier-1 that runs the workspace — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -165,6 +166,22 @@ fn enclosing_fn(src: &str, at: usize) -> &str {
             Some(&name[..name.find(|c: char| !is_word(c)).unwrap_or(name.len())])
         })
         .unwrap_or_default()
+}
+
+/// `file: function` for every call of `name` (ending in its `(`) outside
+/// `#[cfg(test)]` under `crates/core/src`; a definition is not a call.
+fn core_calls(name: &str) -> Vec<String> {
+    let mut sites = Vec::new();
+    for path in &files_under("crates/core/src") {
+        let text = read(path);
+        let src = non_test(&text);
+        sites.extend(
+            src.match_indices(name)
+                .filter(|(at, _)| !src[..*at].ends_with("fn "))
+                .map(|(at, _)| format!("{}: {}", rel(path), enclosing_fn(src, at))),
+        );
+    }
+    sites
 }
 
 /// The last argument of the call whose `(` is byte `open` of `src`.
@@ -539,27 +556,75 @@ fn the_pool_remembers_senders_not_messages() {
         horizon.is_empty(),
         "DESIGN.md §16: the dedup horizon is gone; found {horizon:#?}"
     );
-    let calls = |name: &str| {
-        let mut sites = Vec::new();
-        for path in &files_under("crates/core/src") {
-            let text = read(path);
-            let src = non_test(&text);
-            sites.extend(
-                src.match_indices(name)
-                    .map(|(at, _)| format!("{}: {}", rel(path), enclosing_fn(src, at))),
-            );
-        }
-        sites
-    };
     assert_eq!(
-        calls("remove_included("),
+        core_calls("remove_included("),
         ["crates/core/src/node.rs: skip_block"],
         "DESIGN.md §16: a committed block settles its pool only in `skip_block`"
     );
     assert_eq!(
-        calls("set_floor("),
+        core_calls("set_floor("),
         ["crates/core/src/node.rs: settle_floors"],
         "DESIGN.md §16: a floor is copied from the tree's account nonce, only in `settle_floors`"
+    );
+}
+
+/// DESIGN.md §8 and §16, "The floor rule": a sender's next nonce is what
+/// its node would accept — its pool lane's tail, else its floor over the
+/// committed account nonce. The key ring names no `Nonce`, nothing keeps a
+/// signing cursor in step with the pool (no eviction log, no rewind, no
+/// settling after a replay or an install), and hc-core reads a nonce only
+/// where it signs, in `submit_with_fee`, through the node's accessor.
+#[test]
+fn a_nonce_lives_in_the_pool() {
+    let wallet = read_rel("crates/core/src/wallet.rs");
+    let named: Vec<&str> = non_test(&wallet)
+        .lines()
+        .filter(|l| has_word(l, "Nonce"))
+        .collect();
+    assert!(
+        named.is_empty(),
+        "DESIGN.md §8: the key ring keeps no nonce; found {named:#?}"
+    );
+    let pool_and_core: Vec<PathBuf> = ["crates/core/src", "crates/chain/src"]
+        .iter()
+        .flat_map(|d| files_under(d))
+        .collect();
+    let retired = [
+        "drain_evictions",
+        "evicted_log",
+        "rewind(",
+        "Wallets::settle",
+        ".settle(&",
+    ];
+    let found = hits(
+        &pool_and_core,
+        |s| s,
+        |l| retired.iter().any(|r| l.contains(r)),
+    );
+    assert!(
+        found.is_empty(),
+        "DESIGN.md §16: a signing cursor's repairs are back: {found:#?}"
+    );
+    assert_eq!(
+        core_calls("next_nonce("),
+        [
+            "crates/core/src/node.rs: next_nonce",
+            "crates/core/src/users.rs: submit_with_fee",
+        ],
+        "DESIGN.md §16: a nonce is read from the node, only where a message is signed"
+    );
+}
+
+/// DESIGN.md §6: the tier-1 command, `cargo build --release && cargo test
+/// -q`, builds and tests every crate of the workspace, not only the root
+/// package — the shims aside.
+#[test]
+fn tier_one_runs_the_workspace() {
+    let manifest = read_rel("Cargo.toml");
+    let workspace = block(&manifest, "[workspace]", "");
+    assert!(
+        workspace.contains(&r#"default-members = [".", "crates/*"]"#),
+        "DESIGN.md §6: `[workspace]` keeps its `default-members` line; found {workspace:#?}"
     );
 }
 
