@@ -92,7 +92,7 @@ fn build_crashed(target: u64, mode: SyncMode) -> (HierarchyRuntime, SubnetId, u6
         round += 1;
     }
     // Settle in-flight work so the crash drops no signed-but-unmined
-    // message (its wallet nonce would be consumed and leave a gap).
+    // message (its nonce would be consumed and leave a gap).
     rt.run_until_quiescent(2_000).unwrap();
     let chain_blocks = rt.node(&child).unwrap().chain().len() as u64;
     rt.crash_node(&child).unwrap();

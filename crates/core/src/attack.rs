@@ -12,7 +12,7 @@ use hc_actors::sa::FraudProof;
 use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, MsgGroup};
 use hc_types::{Address, Cid, SubnetId, TokenAmount};
 
-use crate::config::{RuntimeError, UserHandle};
+use crate::config::RuntimeError;
 use crate::runtime::HierarchyRuntime;
 
 /// The result of an attempted extraction attack.
@@ -58,16 +58,12 @@ impl HierarchyRuntime {
             .subnet(subnet)
             .map(|i| i.circ_supply)
             .unwrap_or(TokenAmount::ZERO);
-        let thief = UserHandle {
-            subnet: parent.clone(),
-            addr: thief,
-        };
-        let thief_before = self.balance(&thief);
+        let thief_before = self.balance_at(&parent, thief);
 
         // Build the forged withdrawal: value claimed out of thin air.
         let forged_msgs = MsgGroup::seal(vec![CrossMsg::transfer(
             HcAddress::new(subnet.clone(), Address::new(666)),
-            thief.hc_address(),
+            HcAddress::new(parent.clone(), thief),
             amount,
         )]);
         let meta = CrossMsgMeta::for_group(subnet.clone(), parent.clone(), &forged_msgs);
@@ -79,7 +75,7 @@ impl HierarchyRuntime {
         self.seed_content(&parent, forged_msgs);
 
         self.run_until_quiescent(5_000)?;
-        let extracted = self.balance(&thief) - thief_before;
+        let extracted = self.balance_at(&parent, thief) - thief_before;
         Ok(AttackReport {
             attempted: amount,
             extracted,

@@ -47,7 +47,9 @@ use hc_net::{
     BLOB_BATCH_CAP,
 };
 use hc_state::{ChunkManifest, CidStore};
-use hc_types::{Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_types::{
+    Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, Keypair, SubnetId, TokenAmount,
+};
 
 use crate::config::RuntimeError;
 use crate::runtime::HierarchyRuntime;
@@ -165,6 +167,9 @@ pub(crate) struct CrashedNode {
     pub(crate) peer_blocks: Vec<Block>,
     /// The mempool content as replicated on peers; re-admitted at rejoin.
     pub(crate) mempool: Mempool,
+    /// The validators' signing keys, which outlive the node's state: the
+    /// restarted node signs with them and derives none.
+    pub(crate) validator_keys: Vec<Keypair>,
 }
 
 /// State of one rejoined node's catch-up phase.
@@ -301,6 +306,7 @@ impl HierarchyRuntime {
             subscription: node.subscription,
             peer_blocks,
             mempool: node.mempool,
+            validator_keys: node.validator_keys,
         })
     }
 
@@ -350,6 +356,7 @@ impl HierarchyRuntime {
         // one's, so each message is verified once here before proposal.
         mempool.rehome(node.sig_cache.clone());
         node.mempool = mempool;
+        node.validator_keys = survivor.validator_keys;
         self.network.set_offline(subscription, false);
         self.refresh_validators(subnet);
         // Snapshot bootstrap needs a usable anchor: a checkpoint the
@@ -797,7 +804,7 @@ impl HierarchyRuntime {
     /// replay from pure genesis must repeat those writes at the same epoch
     /// boundaries — through the same [`HierarchyRuntime::write_account`] —
     /// or the replayed state roots diverge from the block headers. The
-    /// key ring is runtime state and survives the crash untouched.
+    /// key written is re-derived; the user's handle kept its own.
     fn install_pending_users(
         &mut self,
         subnet: &SubnetId,

@@ -9,7 +9,7 @@ use hc_actors::HcAddress;
 use hc_chain::{MempoolConfig, MempoolStats};
 use hc_consensus::EngineParams;
 use hc_net::{NetConfig, ResolverStats, RetryPolicy};
-use hc_types::{Address, ChainEpoch, SubnetId};
+use hc_types::{Address, ChainEpoch, Keypair, SubnetId};
 
 use crate::persist::PersistenceConfig;
 
@@ -132,14 +132,18 @@ pub struct PoolStats {
     pub resolver: ResolverStats,
 }
 
-/// A user account handle: the subnet it lives in plus its address. The
-/// runtime keeps the signing key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A user account handle: the subnet it lives in, its address, and the
+/// key that signs its messages. The client holds the key; the runtime
+/// keeps none, and a node's VM rejects a message whose key is not the
+/// account's. `Debug` prints only the key's public half.
+#[derive(Debug, Clone)]
 pub struct UserHandle {
     /// The subnet the account lives in.
     pub subnet: SubnetId,
     /// The account address.
     pub addr: Address,
+    /// The account's signing key.
+    pub key: Keypair,
 }
 
 impl UserHandle {
@@ -171,11 +175,11 @@ pub struct StepReport {
 }
 
 /// Errors surfaced by the runtime.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum RuntimeError {
     /// The referenced subnet does not exist in the hierarchy.
     UnknownSubnet(SubnetId),
-    /// The referenced user is not managed by this runtime.
+    /// The referenced user has no account installed in its subnet.
     UnknownUser(UserHandle),
     /// A message executed with a non-OK exit code.
     Execution(String),

@@ -274,17 +274,17 @@ impl ElasticController {
             if self.pending.iter().any(|m| m.addr == addr) {
                 continue;
             }
-            let old_home = UserHandle {
-                subnet: hot.clone(),
-                addr,
-            };
             // Move half the decision-time balance: the retained half keeps
             // every message still pending at the old home funded.
-            let half = TokenAmount::from_atto(rt.balance(&old_home).atto() / 2);
+            let half = TokenAmount::from_atto(rt.balance_at(hot, addr).atto() / 2);
             if half.is_zero() {
                 continue;
             }
             let new_home = rt.adopt_user(&child, addr)?;
+            let old_home = UserHandle {
+                subnet: hot.clone(),
+                ..new_home.clone()
+            };
             // Top fee bid: the funding transfer competes with the very
             // backlog that triggered the split and must not starve.
             rt.cross_transfer_lazy_with_fee(&old_home, &new_home, half, u64::MAX)?;
@@ -303,10 +303,7 @@ impl ElasticController {
     fn settle_migrations(&mut self, rt: &HierarchyRuntime) {
         let mut still_pending = Vec::new();
         for m in self.pending.drain(..) {
-            let arrived = rt.balance(&UserHandle {
-                subnet: m.to.clone(),
-                addr: m.addr,
-            }) >= m.amount;
+            let arrived = rt.balance_at(&m.to, m.addr) >= m.amount;
             // Never flip routing into a child that started draining while
             // the transfer was in flight.
             let target_live = self.children.get(&m.to).is_none_or(|c| !c.draining);
@@ -371,10 +368,7 @@ impl ElasticController {
             // parent; claims merge with the account's parent-side home.
             for leaf in tree.leaves().to_vec() {
                 let addr = leaf.addr;
-                let claimant = rt.create_claimant(&UserHandle {
-                    subnet: child.clone(),
-                    addr,
-                })?;
+                let claimant = rt.adopt_user(&parent, addr)?;
                 let proof = tree.prove(addr).ok_or_else(|| {
                     RuntimeError::Retire(format!("no snapshot proof for {addr} in {child}"))
                 })?;

@@ -33,12 +33,13 @@
 //!   of a live and a catching-up node alike.
 //!   Its API continues, by concern, in the private `users`, `lifecycle`
 //!   and `stats` modules; `config` holds [`RuntimeConfig`] and the plain
-//!   types of the API.
-//! * the private `wallet`, `journal` and `subnets` modules — one owner
-//!   each: `Wallets` is the key ring (signing keys and the address
-//!   counter; a nonce is read from the node, never kept here), `Journal`
-//!   holds the control log — the one log every committed block and
-//!   set-up record goes to — and the one `outward()` predicate that
+//!   types of the API. The runtime holds no key: a [`UserHandle`]
+//!   carries its account's signing key, and `submit` signs with it at
+//!   the nonce the node accepts next; a [`SubnetNode`] holds the keys of
+//!   the validators it runs.
+//! * the private `journal` and `subnets` modules — one owner each:
+//!   `Journal` holds the control log — the one log every committed block
+//!   and set-up record goes to — and the one `outward()` predicate that
 //!   silences a replay, `Subnets` keeps one record per subnet of
 //!   everything that outlives its node.
 //! * [`node`] — [`SubnetNode`]: one subnet's chain, state, pools and
@@ -104,7 +105,6 @@ pub mod runtime;
 mod stats;
 mod subnets;
 mod users;
-mod wallet;
 
 pub use archive::CheckpointArchive;
 pub use atomic::{AtomicOrchestrator, AtomicOutcome, AtomicParty, PartyBehavior};

@@ -6,7 +6,7 @@ use hc_actors::sa::SaConfig;
 use hc_consensus::{EngineParams, ValidatorSet};
 use hc_net::SubscriberId;
 use hc_state::Method;
-use hc_types::{Address, CanonicalEncode, Keypair, SubnetId, TokenAmount};
+use hc_types::{Address, CanonicalEncode, SubnetId, TokenAmount};
 
 use crate::config::{PlacementPolicy, RuntimeError, UserHandle};
 use crate::node::SubnetNode;
@@ -86,11 +86,7 @@ impl HierarchyRuntime {
                     v.addr, v.subnet, parent
                 )));
             }
-            let key = self
-                .wallets
-                .key(&parent, v.addr)
-                .ok_or_else(|| RuntimeError::UnknownUser(v.clone()))?
-                .public();
+            let key = v.key.public();
             self.execute(v, sa, *stake, Method::JoinSubnet { key })?;
         }
 
@@ -153,7 +149,9 @@ impl HierarchyRuntime {
 
     /// Refreshes a child node's validator set and keys from the parent's
     /// Subnet Actor (membership changes take effect as the child syncs the
-    /// parent chain).
+    /// parent chain). An unchanged set touches nothing; on a change the
+    /// node keeps the keys it holds and derives, in set order, only the
+    /// members it lacks.
     pub(crate) fn refresh_validators(&mut self, subnet: &SubnetId) {
         let Some(parent) = subnet.parent() else {
             return;
@@ -168,15 +166,23 @@ impl HierarchyRuntime {
             return;
         };
         let set = ValidatorSet::from_sa(sa);
-        let keys: Vec<Keypair> = set
+        let Some(node) = self.nodes.get_mut(subnet) else {
+            return;
+        };
+        // A restarted node holds its keys before it learns its set.
+        if node.validators == set && node.validator_keys.len() == set.len() {
+            return;
+        }
+        let mut held = std::mem::take(&mut node.validator_keys);
+        node.validator_keys = set
             .validators()
             .iter()
-            .filter_map(|v| self.wallets.key(&parent, v.addr).cloned())
+            .map(|v| match held.iter().position(|k| k.public() == v.key) {
+                Some(at) => held.swap_remove(at),
+                None => Self::user_key(self.config.seed, v.addr),
+            })
             .collect();
-        if let Some(node) = self.nodes.get_mut(subnet) {
-            node.validators = set;
-            node.validator_keys = keys;
-        }
+        node.validators = set;
     }
 
     /// Assigns a freshly booted node to a region per the placement policy
@@ -256,7 +262,7 @@ impl HierarchyRuntime {
     /// hierarchy — the final step of elastic scale-in after traffic was
     /// rehomed, the subnet killed via [`Method::KillSubnet`], and funds
     /// recovered on the parent. Retirement only tears down runtime
-    /// machinery (node, wallets, anchors); fund recovery stays possible
+    /// machinery (node, record, anchors); fund recovery stays possible
     /// afterwards because it runs on the *parent* against the saved
     /// snapshot.
     ///
@@ -316,7 +322,6 @@ impl HierarchyRuntime {
         if let Some(node) = self.nodes.remove(subnet) {
             self.network.set_offline(node.subscription, true);
         }
-        self.wallets.retire(subnet);
         self.subnets.by_id.remove(subnet);
     }
 

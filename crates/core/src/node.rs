@@ -709,7 +709,7 @@ mod tests {
         );
         assert!(
             receipt.is_ok(),
-            "alice's wallet skipped nonce 0: {receipt:?}"
+            "alice was signed past nonce 0: {receipt:?}"
         );
         assert_eq!(account_nonce(&rt, alice.addr), Nonce::new(1));
     }
@@ -720,16 +720,12 @@ mod tests {
         let alice = rt
             .create_user(&SubnetId::root(), TokenAmount::from_whole(10))
             .unwrap();
-        let key = rt
-            .wallets
-            .key(&SubnetId::root(), alice.addr)
-            .unwrap()
-            .clone();
+        let key = &alice.key;
         // Gossip delivers nonce 1 first: it is included and rejected.
-        include(&mut rt, transfer(alice.addr, 1, &key));
+        include(&mut rt, transfer(alice.addr, 1, key));
         assert_eq!(account_nonce(&rt, alice.addr), Nonce::ZERO);
-        include(&mut rt, transfer(alice.addr, 0, &key));
-        include(&mut rt, transfer(alice.addr, 1, &key));
+        include(&mut rt, transfer(alice.addr, 0, key));
+        include(&mut rt, transfer(alice.addr, 1, key));
         assert_eq!(account_nonce(&rt, alice.addr), Nonce::new(2));
     }
 
@@ -740,8 +736,8 @@ mod tests {
         let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
         let root = SubnetId::root();
         let alice = rt.create_user(&root, TokenAmount::from_whole(10)).unwrap();
-        let key = rt.wallets.key(&root, alice.addr).unwrap().clone();
-        let spent = transfer(alice.addr, 0, &key);
+        let (from, key) = (alice.addr, &alice.key);
+        let spent = transfer(from, 0, key);
         include(&mut rt, spent.clone());
         let node = rt.nodes.get_mut(&root).unwrap();
         let (store, manifest) = (node.store.clone(), node.tree.persist(&node.store));
@@ -753,6 +749,6 @@ mod tests {
             node.mempool.push_sealed_with_fee(spent, 0),
             PushOutcome::Duplicate
         );
-        assert!(node.mempool.push_sealed(transfer(alice.addr, 1, &key)));
+        assert!(node.mempool.push_sealed(transfer(from, 1, key)));
     }
 }

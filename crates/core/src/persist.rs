@@ -5,8 +5,8 @@
 //! With persistence enabled the runtime writes two logs:
 //!
 //! * **The journal** (`control`) — a single runtime-wide WAL of
-//!   [`ControlRecord`]s in the one order things happened: account and
-//!   wallet creation, subnet boots, every committed block of every subnet
+//!   [`ControlRecord`]s in the one order things happened: account
+//!   creation and adoption, subnet boots, every committed block of every subnet
 //!   (its full canonical bytes), and the anchors of persisted state
 //!   manifests. A record is history once the wave's barrier has synced it.
 //! * **The blob log** (`blobs`) — state blobs (chunk manifests and their
@@ -122,8 +122,8 @@ pub const BLOB_LOG: &str = "blobs";
 /// One entry of the runtime journal.
 ///
 /// Committed blocks, in the order the subnets committed them, and between
-/// them what a restart cannot re-derive from blocks alone — wallet keys
-/// and account creation (which happen outside any block), subnet boots
+/// them what a restart cannot re-derive from blocks alone — account
+/// creation and adoption (which happen outside any block), subnet boots
 /// (node structure, consensus engine, schedule), and the anchors of
 /// persisted state manifests.
 // Nearly every record of a run is a block, so boxing the large variant
@@ -131,7 +131,7 @@ pub const BLOB_LOG: &str = "blobs";
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlRecord {
-    /// `create_user` minted an account (and its deterministic wallet key).
+    /// `create_user` minted an account (and its deterministic key).
     UserCreated {
         /// Subnet the account lives in.
         subnet: SubnetId,

@@ -148,7 +148,7 @@ impl HierarchyRuntime {
                 if self.install_account(&subnet, addr, Some(balance)).is_err() {
                     return false;
                 }
-                self.wallets.reserve(addr);
+                self.next_user_id = self.next_user_id.max(addr.id() + 1);
                 true
             }
             ControlRecord::UserAdopted { subnet, addr } => {

@@ -1,8 +1,9 @@
 //! The hierarchy runtime: the struct that wires one node per subnet to
 //! the shared network, its construction, the event loop and the tick —
 //! every step is one private `run_wave`. The rest of `HierarchyRuntime`'s
-//! API is in `users`, `lifecycle`, `stats` and [`crate::chaos`]; wallets,
-//! the journal and per-subnet records have one owner each.
+//! API is in `users`, `lifecycle`, `stats` and [`crate::chaos`]; the
+//! journal and per-subnet records have one owner each. The runtime holds
+//! no key: a user's is on its handle, a validator's on its node.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -23,7 +24,6 @@ use crate::journal::Journal;
 use crate::node::{LocalOutcome, SubnetNode};
 use crate::persist::ControlRecord;
 use crate::subnets::{SubnetRecord, Subnets};
-use crate::wallet::Wallets;
 
 /// Domain separation for root validator key seeds.
 const ROOT_SEED_DOMAIN: u64 = 0x726f_6f74; // "root"
@@ -42,8 +42,9 @@ pub struct HierarchyRuntime {
     pub(crate) nodes: BTreeMap<SubnetId, SubnetNode>,
     pub(crate) network: Network<ResolutionMsg>,
     pub(crate) now_ms: u64,
-    /// Signing keys of every managed account.
-    pub(crate) wallets: Wallets,
+    /// The address the next created account gets; lower ids are system
+    /// actors and validators.
+    pub(crate) next_user_id: u64,
     events: VecDeque<(SubnetId, VmEvent)>,
     /// Tokens minted at the rootnet (genesis + faucet), the global supply
     /// baseline for conservation audits.
@@ -131,7 +132,7 @@ impl HierarchyRuntime {
             nodes: BTreeMap::new(),
             network,
             now_ms: 0,
-            wallets: Wallets::new(),
+            next_user_id: 100,
             events: VecDeque::new(),
             root_minted: TokenAmount::ZERO,
             archive: crate::archive::CheckpointArchive::default(),

@@ -1,5 +1,5 @@
-//! The user-facing half of the runtime: accounts and their keys,
-//! message submission, and cross-net sends (paper §IV).
+//! The user-facing half of the runtime: accounts, the keys their handles
+//! carry, message submission, and cross-net sends (paper §IV).
 
 use hc_actors::CrossMsg;
 use hc_state::{Message, Method, Receipt, SealedMessage, StateTree};
@@ -28,8 +28,9 @@ impl HierarchyRuntime {
         if !subnet.is_root() && !balance.is_zero() {
             return Err(RuntimeError::NonRootMint);
         }
-        let addr = self.wallets.fresh_address();
-        self.install_account(subnet, addr, Some(balance))?;
+        let addr = Address::new(self.next_user_id);
+        self.next_user_id += 1;
+        let key = self.install_account(subnet, addr, Some(balance))?;
         self.journal.append(&ControlRecord::UserCreated {
             subnet: subnet.clone(),
             addr,
@@ -38,11 +39,14 @@ impl HierarchyRuntime {
         Ok(UserHandle {
             subnet: subnet.clone(),
             addr,
+            key,
         })
     }
 
     /// The deterministic signing key of account `addr` (a pure function of
-    /// the runtime seed, so recovery re-derives the same keys).
+    /// the runtime seed, so recovery re-derives the same keys). It is dealt
+    /// to the account's handle at install and derived again only where a
+    /// node must re-write the account or run the address as a validator.
     pub(crate) fn user_key(runtime_seed: u64, addr: Address) -> Keypair {
         let mut seed = [0u8; 32];
         seed[..8].copy_from_slice(&addr.id().to_le_bytes());
@@ -51,8 +55,8 @@ impl HierarchyRuntime {
         Keypair::from_seed(seed)
     }
 
-    /// Installs account `addr` in `subnet` with its derived key, on the
-    /// node's tree and in the key ring — the shared tail of
+    /// Installs account `addr` in `subnet` with its derived key on the
+    /// node's tree, and returns the key — the shared tail of
     /// [`HierarchyRuntime::create_user`], [`HierarchyRuntime::adopt_user`]
     /// and their recovery replays. A created account is minted
     /// `Some(balance)`; an adopted one (`None`) keeps any balance already
@@ -62,7 +66,7 @@ impl HierarchyRuntime {
         subnet: &SubnetId,
         addr: Address,
         mint: Option<TokenAmount>,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<Keypair, RuntimeError> {
         let key = Self::user_key(self.config.seed, addr);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         if subnet.is_root() {
@@ -74,8 +78,21 @@ impl HierarchyRuntime {
             record.user_installs.push((node.next_epoch, addr, mint));
         }
         Self::write_account(&mut node.tree, &key, addr, mint);
-        self.wallets.install(subnet, addr, key);
-        Ok(())
+        Ok(key)
+    }
+
+    /// Whether `addr` has an account installed in `subnet`: a child's
+    /// record notes every install; the rootnet, which never crashes,
+    /// holds them in its tree.
+    fn is_installed(&self, subnet: &SubnetId, addr: Address) -> bool {
+        if subnet.is_root() {
+            let node = self.nodes.get(subnet);
+            node.and_then(|n| n.tree.accounts().get(addr))
+                .is_some_and(|acc| acc.key.is_some())
+        } else {
+            let record = self.subnets.by_id.get(subnet);
+            record.is_some_and(|r| r.user_installs.iter().any(|&(_, a, _)| a == addr))
+        }
     }
 
     /// The state half of [`HierarchyRuntime::install_account`], shared
@@ -99,8 +116,8 @@ impl HierarchyRuntime {
     /// step of elastic scale-out. The caller funds the new home with a
     /// cross-net transfer from the old one; adoption itself never touches
     /// balances (the account may already have received funds top-down).
-    /// Idempotent: re-adopting an address that already has a key in
-    /// `subnet` is a no-op.
+    /// Idempotent: re-adopting an address already installed in `subnet`
+    /// only hands out its handle again.
     ///
     /// # Errors
     ///
@@ -110,36 +127,45 @@ impl HierarchyRuntime {
         subnet: &SubnetId,
         addr: Address,
     ) -> Result<UserHandle, RuntimeError> {
-        let handle = UserHandle {
-            subnet: subnet.clone(),
-            addr,
+        let key = if self.is_installed(subnet, addr) {
+            Self::user_key(self.config.seed, addr)
+        } else {
+            let key = self.install_account(subnet, addr, None)?;
+            self.journal.append(&ControlRecord::UserAdopted {
+                subnet: subnet.clone(),
+                addr,
+            });
+            key
         };
-        if self.wallets.key(subnet, addr).is_some() {
-            return Ok(handle);
-        }
-        self.install_account(subnet, addr, None)?;
-        self.journal.append(&ControlRecord::UserAdopted {
+        Ok(UserHandle {
             subnet: subnet.clone(),
             addr,
-        });
-        Ok(handle)
+            key,
+        })
     }
 
     /// Balance of a user account (zero for unknown accounts).
     pub fn balance(&self, user: &UserHandle) -> TokenAmount {
+        self.balance_at(&user.subnet, user.addr)
+    }
+
+    /// Balance of `addr` in `subnet`, read from its node's state (zero
+    /// for unknown accounts).
+    pub(crate) fn balance_at(&self, subnet: &SubnetId, addr: Address) -> TokenAmount {
         self.nodes
-            .get(&user.subnet)
-            .and_then(|n| n.tree.accounts().get(user.addr))
+            .get(subnet)
+            .and_then(|n| n.tree.accounts().get(addr))
             .map(|a| a.balance)
             .unwrap_or(TokenAmount::ZERO)
     }
 
-    /// Signs a message for `user` at the nonce its subnet's node accepts
-    /// next and queues it in that node's mempool. Returns the message CID.
+    /// Signs a message with `user`'s key at the nonce its subnet's node
+    /// accepts next and queues it in that node's mempool. Returns the
+    /// message CID.
     ///
     /// # Errors
     ///
-    /// Fails for unknown users/subnets.
+    /// Fails for unknown subnets.
     pub fn submit(
         &mut self,
         user: &UserHandle,
@@ -158,9 +184,14 @@ impl HierarchyRuntime {
     /// admission outcome — under overload the message may itself be the
     /// eviction victim ([`hc_chain::PushOutcome::Full`]).
     ///
+    /// The message is signed with `user.key`; nothing looks the key up. A
+    /// handle whose key is not its account's, or whose account does not
+    /// exist, is admitted like any other, and the node's VM rejects the
+    /// message when a block carries it.
+    ///
     /// # Errors
     ///
-    /// Fails for unknown users/subnets.
+    /// Fails for unknown subnets.
     pub fn submit_with_fee(
         &mut self,
         user: &UserHandle,
@@ -169,10 +200,6 @@ impl HierarchyRuntime {
         method: Method,
         fee: u64,
     ) -> Result<(Cid, hc_chain::PushOutcome), RuntimeError> {
-        let key = self
-            .wallets
-            .key(&user.subnet, user.addr)
-            .ok_or_else(|| RuntimeError::UnknownUser(user.clone()))?;
         let node = Self::get_node_mut(&mut self.nodes, &user.subnet)?;
         // Signed at the nonce the node accepts next, and sealed in one
         // step: the message CID derived for the signature is memoized and
@@ -185,7 +212,7 @@ impl HierarchyRuntime {
             nonce: node.next_nonce(user.addr),
             method,
         };
-        let sealed = SealedMessage::sign(msg, key);
+        let sealed = SealedMessage::sign(msg, &user.key);
         let cid = sealed.msg_cid();
         let outcome = node.mempool.push_sealed_with_fee(sealed, fee);
         Ok((cid, outcome))
@@ -246,17 +273,19 @@ impl HierarchyRuntime {
     /// act there — most importantly to claim recovered funds after its
     /// subnet was killed (paper §III-C). A claimant is an adoption on the
     /// parent ([`HierarchyRuntime::adopt_user`]): same address, same
-    /// derived key, any balance already there kept.
+    /// derived key, any balance already there kept. The returned handle
+    /// carries that key.
     ///
     /// # Errors
     ///
-    /// Fails for root users (no parent) or unmanaged users.
+    /// Fails for root users (no parent) or users with no account installed
+    /// in their subnet.
     pub fn create_claimant(&mut self, user: &UserHandle) -> Result<UserHandle, RuntimeError> {
         let parent = user
             .subnet
             .parent()
             .ok_or_else(|| RuntimeError::Execution("root users have no parent chain".into()))?;
-        if self.wallets.key(&user.subnet, user.addr).is_none() {
+        if !self.is_installed(&user.subnet, user.addr) {
             return Err(RuntimeError::UnknownUser(user.clone()));
         }
         self.adopt_user(&parent, user.addr)

@@ -5,17 +5,9 @@ mod common;
 
 use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
-use hc_core::{HierarchyRuntime, RuntimeConfig, UserHandle};
+use hc_core::RuntimeConfig;
 use hc_state::Method;
-use hc_types::{PublicKey, SubnetId, TokenAmount};
-
-/// The key `user`'s account holds on its node — what `JoinSubnet`
-/// registers for a joining validator.
-fn account_key(rt: &HierarchyRuntime, user: &UserHandle) -> PublicKey {
-    rt.node(&user.subnet)
-        .and_then(|n| n.state().accounts().get(user.addr)?.key)
-        .expect("a created account holds its key")
-}
+use hc_types::{SubnetId, TokenAmount};
 
 #[test]
 fn validators_join_and_leave_while_checkpoints_flow() {
@@ -28,10 +20,10 @@ fn validators_join_and_leave_while_checkpoints_flow() {
     let subnet = h.spawn(&h.alice.clone(), sa_config);
     let sa = subnet.actor().unwrap();
     let sa_state = h.rt.node(&root).unwrap().state().sa(sa).unwrap();
-    let v1 = UserHandle {
-        subnet: root.clone(),
-        addr: sa_state.validators()[0].addr,
-    };
+    // Adopting an installed account hands out its handle again.
+    let v1 =
+        h.rt.adopt_user(&root, sa_state.validators()[0].addr)
+            .unwrap();
 
     // Era 1: single validator produces a few checkpoints.
     for _ in 0..12 {
@@ -45,7 +37,7 @@ fn validators_join_and_leave_while_checkpoints_flow() {
     // single-signer to a 2/3 threshold over three keys.
     for _ in 0..2 {
         let v = h.rt.create_user(&root, whole(100)).unwrap();
-        let key = account_key(&h.rt, &v);
+        let key = v.key.public();
         h.rt.execute(&v, sa, whole(5), Method::JoinSubnet { key })
             .unwrap();
     }
@@ -97,7 +89,7 @@ fn validator_set_changes_show_in_block_proposers() {
     assert_eq!(h.rt.node(&subnet).unwrap().validators().len(), 1);
 
     let v2 = h.rt.create_user(&root, whole(100)).unwrap();
-    let key = account_key(&h.rt, &v2);
+    let key = v2.key.public();
     let sa = subnet.actor().unwrap();
     h.rt.execute(&v2, sa, whole(5), Method::JoinSubnet { key })
         .unwrap();

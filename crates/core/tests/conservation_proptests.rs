@@ -88,7 +88,7 @@ proptest! {
         for &(from_i, to_i, amount) in &scenario.transfers {
             let from = &endpoints[from_i % endpoints.len()];
             let to = &endpoints[to_i % endpoints.len()];
-            if from == to {
+            if from.addr == to.addr {
                 continue;
             }
             let amount = whole(amount);
@@ -114,7 +114,7 @@ proptest! {
         for &(from_i, to_i, amount) in &scenario.transfers {
             let from = &endpoints2[from_i % endpoints2.len()];
             let to = &endpoints2[to_i % endpoints2.len()];
-            if from == to {
+            if from.addr == to.addr {
                 continue;
             }
             let amount = whole(amount);
@@ -139,7 +139,7 @@ proptest! {
         for &(from_i, to_i, amount) in &scenario.transfers {
             let from = &endpoints[from_i % endpoints.len()];
             let to = &endpoints[to_i % endpoints.len()];
-            if from == to || from.subnet == to.subnet {
+            if from.addr == to.addr || from.subnet == to.subnet {
                 continue;
             }
             if h.rt.balance(from) >= whole(amount) {

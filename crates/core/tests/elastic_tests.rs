@@ -36,11 +36,15 @@ fn adopt_user_preserves_identity_and_is_idempotent() {
 
     // Adoption installs the same logical account — same address, same
     // derived key — with no balance minted.
+    let identity = |u: &UserHandle| (u.subnet.clone(), u.addr, u.key.public());
     let new_home = h.rt.adopt_user(&child, alice.addr).unwrap();
-    assert_eq!(new_home.addr, alice.addr);
-    assert_eq!(new_home.subnet, child);
+    assert_eq!(
+        identity(&new_home),
+        (child.clone(), alice.addr, alice.key.public())
+    );
     assert_eq!(h.rt.balance(&new_home), TokenAmount::ZERO);
-    assert_eq!(h.rt.adopt_user(&child, alice.addr).unwrap(), new_home);
+    let again = h.rt.adopt_user(&child, alice.addr).unwrap();
+    assert_eq!(identity(&again), identity(&new_home));
 
     // The migration shape: fund the new home from the old one.
     h.rt.cross_transfer_lazy_with_fee(&alice, &new_home, whole(25), u64::MAX)
@@ -311,7 +315,7 @@ fn controller_splits_on_backlog_and_merges_when_cold() {
 
 /// Durable recovery must replay adoption (control tag `UserAdopted`) and
 /// retirement (`SubnetRetired`): the recovered runtime holds the adopted
-/// wallet — usable for fresh submissions — and has fully forgotten the
+/// account — usable for fresh submissions — and has fully forgotten the
 /// retired subnet.
 #[test]
 fn recovery_replays_adoption_and_retirement() {
@@ -361,8 +365,8 @@ fn recovery_replays_adoption_and_retirement() {
         expected_balances
     );
 
-    // The replayed adopted wallet signs fresh messages with a continued
-    // nonce cursor — the real proof the control record round-tripped.
+    // The replayed adopted account takes fresh messages at its continued
+    // nonce — the real proof the control record round-tripped.
     let bob = recovered.create_user(&keeper, TokenAmount::ZERO).unwrap();
     recovered
         .submit(&adopted, bob.addr, whole(4), Method::Send)

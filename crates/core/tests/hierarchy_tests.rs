@@ -128,6 +128,7 @@ fn transfer_to_unregistered_subnet_fails_at_source() {
     let phantom = UserHandle {
         subnet: ghost,
         addr: hc_types::Address::new(1),
+        ..h.alice.clone()
     };
     let result = h.rt.cross_transfer(&h.alice, &phantom, whole(5));
     expect_exit(result, "not registered");

@@ -15,10 +15,10 @@ fn kill(h: &mut Harness, subnet: &SubnetId) {
     let sa = subnet.actor().unwrap();
     let root = SubnetId::root();
     let sa_state = h.rt.node(&root).unwrap().state().sa(sa).unwrap();
-    let validator = UserHandle {
-        subnet: root.clone(),
-        addr: sa_state.validators()[0].addr,
-    };
+    // Adopting an installed account hands out its handle again.
+    let validator =
+        h.rt.adopt_user(&root, sa_state.validators()[0].addr)
+            .unwrap();
     h.rt.execute(&validator, sa, TokenAmount::ZERO, Method::KillSubnet)
         .unwrap();
 }
@@ -52,8 +52,8 @@ fn kill_then_recover_funds_with_snapshot_proofs() {
     kill(&mut h, &subnet);
 
     // u1's owner recovers 30 HC on the parent chain. The claimant is the
-    // same address, now acting on the root (the runtime registers a root
-    // wallet for it).
+    // same address, now acting on the root (the runtime installs a root
+    // account for it).
     let claimant1 = h.rt.create_claimant(&u1).unwrap();
     let proof1 = tree.prove(u1.addr).unwrap();
     let rec = recover_funds(&mut h, &claimant1, &subnet, proof1.clone()).unwrap();

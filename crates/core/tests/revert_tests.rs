@@ -79,6 +79,7 @@ fn transfers_to_missing_recipients_still_mint() {
     let ghost = UserHandle {
         subnet: subnet.clone(),
         addr: Address::new(77_777),
+        ..h.alice.clone()
     };
     h.fund(&ghost, 3);
     assert_eq!(h.rt.balance(&ghost), whole(3));

@@ -15,7 +15,7 @@ use hc_core::{
 use hc_net::{NetConfig, RegionMap};
 use hc_state::Method;
 use hc_store::InMemoryDevice;
-use hc_types::{Address, Nonce, SubnetId, TokenAmount};
+use hc_types::{Address, Keypair, Nonce, SubnetId, TokenAmount};
 
 #[test]
 fn per_subnet_engine_parameters_take_effect() {
@@ -101,19 +101,71 @@ fn error_paths_are_descriptive() {
         h.rt.create_user(&subnet, whole(1)),
         Err(RuntimeError::NonRootMint)
     ));
-    // Unknown user.
-    let stranger = UserHandle {
-        subnet: SubnetId::root(),
-        addr: Address::new(99_999),
-    };
-    assert!(matches!(
-        h.rt.submit(&stranger, alice.addr, whole(1), hc_state::Method::Send),
-        Err(RuntimeError::UnknownUser(_))
-    ));
     // Under-collateralized spawn.
     let spawn =
         h.rt.spawn_subnet(&alice, SaConfig::default(), whole(1), &[]);
     expect_exit(spawn, "collateral");
+}
+
+#[test]
+fn a_forged_handle_is_rejected_by_the_vm() {
+    let mut h = Harness::setup();
+    let root = SubnetId::root();
+    let alice = h.alice.clone();
+    let bob = h.user(&root);
+    // Alice's address with another key: the node admits the message, and
+    // its VM rejects it when a block carries it.
+    let forged = UserHandle {
+        key: Keypair::from_seed([0x4d; 32]),
+        ..alice.clone()
+    };
+    let account_nonce = |h: &Harness| {
+        let node = h.rt.node(&root).unwrap();
+        node.state().accounts().get(alice.addr).unwrap().nonce
+    };
+    let nonce = account_nonce(&h);
+    let before = (h.rt.balance(&alice), h.rt.balance(&bob));
+    let forged_send = h.rt.execute(&forged, bob.addr, whole(1), Method::Send);
+    expect_exit(forged_send, "signature key does not match account key");
+    assert_eq!((h.rt.balance(&alice), h.rt.balance(&bob)), before);
+    // A rejected message moves no floor: alice's own message is signed at
+    // the same nonce, and lands.
+    assert_eq!(account_nonce(&h), nonce);
+    assert_eq!(h.rt.node(&root).unwrap().next_nonce(alice.addr), nonce);
+    h.rt.execute(&alice, bob.addr, whole(1), Method::Send)
+        .unwrap();
+    assert_eq!(account_nonce(&h), nonce.next());
+    assert_eq!(h.rt.balance(&bob), whole(1));
+    h.check_state();
+}
+
+#[test]
+fn a_handle_never_prints_its_secret() {
+    let secret: [u8; 32] = std::array::from_fn(|i| 0x80 + 3 * i as u8);
+    let handle = UserHandle {
+        subnet: SubnetId::root(),
+        addr: Address::new(100),
+        key: Keypair::from_seed(secret),
+    };
+    let hex: String = secret.iter().map(|b| format!("{b:02x}")).collect();
+    let error = RuntimeError::UnknownUser(handle.clone());
+    for shown in [
+        format!("{handle:?}"),
+        format!("{handle:#?}"),
+        format!("{error:?}"),
+        format!("{error:#?}"),
+    ] {
+        assert!(shown.contains(&handle.key.public().to_string()), "{shown}");
+        for leaked in [
+            format!("{secret:?}"),
+            format!("{:?}", &secret[..4]),
+            hex.clone(),
+            hex[..8].to_string(),
+            hex.to_uppercase()[..8].to_string(),
+        ] {
+            assert!(!shown.contains(&leaked), "{shown} prints {leaked}");
+        }
+    }
 }
 
 #[test]
@@ -340,7 +392,7 @@ fn a_retired_subnet_leaves_no_residue_in_any_owner() {
     h.settle();
 
     // Every owner holds something of the subnet: a placement, an anchored
-    // manifest the GC pins, a wallet.
+    // manifest the GC pins, a record.
     assert_eq!(h.rt.region_of_subnet(&doomed), Some("eu"));
     let (_, manifest) =
         h.rt.checkpoint_anchor(&doomed)
@@ -362,7 +414,7 @@ fn a_retired_subnet_leaves_no_residue_in_any_owner() {
     assert!(!h.rt.is_crashed(&doomed) && !h.rt.is_catching_up(&doomed));
     assert!(matches!(
         h.rt.submit(&bob, bob.addr, TokenAmount::ZERO, Method::Send),
-        Err(RuntimeError::UnknownUser(_))
+        Err(RuntimeError::UnknownSubnet(_))
     ));
     let (pruned, _) = h.rt.prune_blobs();
     assert!(pruned > 0 && !h.rt.cid_store().contains(&manifest));

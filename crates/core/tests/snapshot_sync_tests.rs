@@ -317,7 +317,7 @@ fn gc_keep_window_pins_newest_checkpoint_anchor() {
 /// newest checkpoint anchor — appending the skipped prefix without
 /// re-execution, installing the anchored manifest, verifying it against
 /// the committed header — and lands on the same world as full replay,
-/// at a fraction of the hash work. A wallet whose message the skipped
+/// at a fraction of the hash work. A sender whose message the skipped
 /// prefix holds signs on from its account nonce.
 #[test]
 fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
@@ -380,7 +380,7 @@ fn recover_snapshot_mode_matches_full_replay_and_hashes_less() {
     h.fund(&bob, 5);
     assert_eq!(h.rt.balance(&bob), expected_bob + whole(5));
     let sent = h.rt.execute(&bob, carol.addr, whole(1), Method::Send);
-    assert!(sent.is_ok(), "bob's wallet lost its place: {sent:?}");
+    assert!(sent.is_ok(), "bob lost the place: {sent:?}");
 }
 
 /// Writes a snapshot-mode journal in which the child cuts checkpoints at
@@ -506,8 +506,8 @@ fn a_fast_forward_short_of_its_anchor_catches_up_from_the_journal() {
 /// The same fallback past an older anchor: the replay reached the epoch-5
 /// cut before the gap, and that anchor's closure, which only the blob log
 /// still holds, is hydrated and snapshot-synced — only epoch 6 re-executes.
-/// Bob's wallet, whose message the installed prefix holds, signs on from
-/// his account nonce.
+/// Bob, whose message the installed prefix holds, signs on from the
+/// account nonce.
 #[test]
 fn a_fast_forward_short_of_its_anchor_snapshot_syncs_from_an_older_one() {
     let _serial = serial();
@@ -530,5 +530,5 @@ fn a_fast_forward_short_of_its_anchor_snapshot_syncs_from_an_older_one() {
         }
     );
     let sent = rt.execute(&bob, bob.addr, whole(1), Method::Send);
-    assert!(sent.is_ok(), "bob's wallet lost its place: {sent:?}");
+    assert!(sent.is_ok(), "bob lost the place: {sent:?}");
 }

@@ -136,10 +136,9 @@ fn workload(params: &E13Params) -> OpenLoop {
 fn summed_balance(rt: &HierarchyRuntime, addr: Address) -> TokenAmount {
     let mut total = TokenAmount::ZERO;
     for subnet in rt.subnets() {
-        total += rt.balance(&hc_core::UserHandle {
-            subnet: subnet.clone(),
-            addr,
-        });
+        if let Some(acc) = rt.node(subnet).and_then(|n| n.state().accounts().get(addr)) {
+            total += acc.balance;
+        }
     }
     total
 }

@@ -91,16 +91,13 @@ pub fn e6_run(params: &E6Params) -> Result<Vec<E6Row>, RuntimeError> {
                 .rt
                 .create_user(&SubnetId::root(), hc_types::TokenAmount::from_whole(50))?;
             let sa = topo.subnets[0].actor().expect("child has an SA");
-            let key = topo
-                .rt
-                .node(&v.subnet)
-                .and_then(|n| n.state().accounts().get(v.addr)?.key)
-                .expect("a created account holds its key");
             topo.rt.execute(
                 &v,
                 sa,
                 hc_types::TokenAmount::from_whole(5),
-                hc_state::Method::JoinSubnet { key },
+                hc_state::Method::JoinSubnet {
+                    key: v.key.public(),
+                },
             )?;
         }
         topo.users.remove(&SubnetId::root());

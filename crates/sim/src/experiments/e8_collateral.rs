@@ -79,11 +79,7 @@ pub fn e8_run(params: &E8Params) -> Result<Vec<E8Row>, RuntimeError> {
     // A second validator joins and later leaves.
     let v2 = topo.rt.create_user(&SubnetId::root(), whole(100))?;
     let sa = subnet.actor().expect("child has an SA");
-    let key = topo
-        .rt
-        .node(&v2.subnet)
-        .and_then(|n| n.state().accounts().get(v2.addr)?.key)
-        .expect("a created account holds its key");
+    let key = v2.key.public();
     topo.rt
         .execute(&v2, sa, whole(params.stake), Method::JoinSubnet { key })?;
     record(&topo.rt, "second validator joined");

@@ -68,11 +68,11 @@ impl Scenario {
         let receiver = self.accounts.handle(&mut self.rt, op.receiver)?;
         let from = UserHandle {
             subnet: self.ctrl.home_of(sender.addr, &root),
-            addr: sender.addr,
+            ..sender
         };
         let to = UserHandle {
             subnet: self.ctrl.home_of(receiver.addr, &root),
-            addr: receiver.addr,
+            ..receiver
         };
         if from.subnet == to.subnet {
             self.rt
@@ -121,7 +121,7 @@ impl Scenario {
                 for subnet in self.rt.subnets() {
                     total += self.rt.balance(&UserHandle {
                         subnet: subnet.clone(),
-                        addr: h.addr,
+                        ..h.clone()
                     });
                 }
                 (idx, total)

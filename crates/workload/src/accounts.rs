@@ -74,7 +74,7 @@ mod tests {
         let mut accounts = LazyAccounts::new(TokenAmount::from_whole(5));
         let a = accounts.handle(&mut rt, 900_000).unwrap();
         let b = accounts.handle(&mut rt, 900_000).unwrap();
-        assert_eq!(a, b);
+        assert_eq!((a.addr, a.key.public()), (b.addr, b.key.public()));
         assert_eq!(accounts.materialized(), 1);
         assert_eq!(rt.balance(&a), TokenAmount::from_whole(5));
 

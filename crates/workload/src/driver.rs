@@ -304,7 +304,7 @@ impl OpenLoop {
                 };
                 let from = UserHandle {
                     subnet: from_home.clone(),
-                    addr: sender.addr,
+                    ..sender
                 };
                 let outcome = if from_home == to_home {
                     rt.submit_with_fee(&from, receiver.addr, AMOUNT, Method::Send, op.fee)?
@@ -312,7 +312,7 @@ impl OpenLoop {
                 } else {
                     let to = UserHandle {
                         subnet: to_home,
-                        addr: receiver.addr,
+                        ..receiver
                     };
                     rt.cross_transfer_lazy_with_fee(&from, &to, AMOUNT, op.fee)?
                         .1

@@ -6,7 +6,8 @@
 //! comes up, one test world, one invariant check, content hashed once, one
 //! `unsafe` block, hot values kept small, a pool that remembers senders
 //! rather than messages, a signature verdict kept on the value, a nonce
-//! read from the pool, a tier-1 that runs the workspace — so a
+//! read from the pool, a key held by its client, a tier-1 that runs the
+//! workspace — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -252,7 +253,7 @@ fn one_engine_one_fan_out() {
 }
 
 /// DESIGN.md §8: hc-core's `HierarchyRuntime` keeps the tick and nothing
-/// else — wallets, the journal and per-subnet records have one owner each,
+/// else — the journal and per-subnet records have one owner each,
 /// replay mode is read through `Journal::outward` alone, the SCA fee is
 /// looked up in one place, and every stepper reaches `produce_local`
 /// through the one `run_wave`.
@@ -570,20 +571,30 @@ fn the_pool_remembers_senders_not_messages() {
 
 /// DESIGN.md §8 and §16, "The floor rule": a sender's next nonce is what
 /// its node would accept — its pool lane's tail, else its floor over the
-/// committed account nonce. The key ring names no `Nonce`, nothing keeps a
-/// signing cursor in step with the pool (no eviction log, no rewind, no
-/// settling after a replay or an install), and hc-core reads a nonce only
-/// where it signs, in `submit_with_fee`, through the node's accessor.
+/// committed account nonce. A user's handle names no `Nonce`, nothing
+/// keeps a signing cursor in step with the pool (no eviction log, no
+/// rewind, no settling after a replay or an install), and hc-core reads a
+/// nonce only where it signs, in `submit_with_fee`, through the node's
+/// accessor.
 #[test]
 fn a_nonce_lives_in_the_pool() {
-    let wallet = read_rel("crates/core/src/wallet.rs");
-    let named: Vec<&str> = non_test(&wallet)
-        .lines()
+    let config = read_rel("crates/core/src/config.rs");
+    let handle = [
+        block(&config, "pub struct UserHandle {", "}"),
+        block(&config, "impl UserHandle {", "}"),
+    ];
+    assert!(
+        !handle[0].is_empty(),
+        "DESIGN.md §8: `UserHandle` is defined in config.rs"
+    );
+    let named: Vec<&str> = handle
+        .concat()
+        .into_iter()
         .filter(|l| has_word(l, "Nonce"))
         .collect();
     assert!(
         named.is_empty(),
-        "DESIGN.md §8: the key ring keeps no nonce; found {named:#?}"
+        "DESIGN.md §8: a user's handle keeps no nonce; found {named:#?}"
     );
     let pool_and_core: Vec<PathBuf> = ["crates/core/src", "crates/chain/src"]
         .iter()
@@ -612,6 +623,99 @@ fn a_nonce_lives_in_the_pool() {
             "crates/core/src/users.rs: submit_with_fee",
         ],
         "DESIGN.md §16: a nonce is read from the node, only where a message is signed"
+    );
+}
+
+/// DESIGN.md §8, "The client holds its key": a user's signing key lives on
+/// its `UserHandle`, a validator's on the `SubnetNode` that runs it and on
+/// the `CrashedNode` a crash leaves behind. The runtime's key ring is gone,
+/// no field of `HierarchyRuntime`, `Subnets` or `SubnetRecord` holds a key
+/// (or a handle, which carries one), `submit_with_fee` signs with
+/// `user.key`, and an address's key is derived only where an account is
+/// installed (and an installed one's handle dealt again), re-installed by
+/// catch-up, or run as a validator.
+#[test]
+fn the_client_holds_its_key() {
+    assert!(
+        !root().join("crates/core/src/wallet.rs").exists(),
+        "DESIGN.md §8: the key ring's module is gone"
+    );
+    let files: Vec<PathBuf> = ["crates", "src", "tests", "examples"]
+        .iter()
+        .flat_map(|d| files_under(d))
+        .collect();
+    let ring = hits(
+        &files,
+        |s| s,
+        |l| has_word(l, "Wallets") || has_word(l, "wallets") || l.contains("wallet.rs"),
+    );
+    assert!(
+        ring.is_empty(),
+        "DESIGN.md §8: the runtime's key ring is back: {ring:#?}"
+    );
+    let runtime = read_rel("crates/core/src/runtime.rs");
+    let subnets = read_rel("crates/core/src/subnets.rs");
+    let owners = [
+        block(&runtime, "pub struct HierarchyRuntime {", "}"),
+        block(&subnets, "pub(crate) struct Subnets {", "}"),
+        block(&subnets, "pub(crate) struct SubnetRecord {", "}"),
+    ];
+    assert!(
+        owners.iter().all(|o| !o.is_empty()),
+        "DESIGN.md §8: the runtime, `Subnets` and `SubnetRecord` are where this rule looks"
+    );
+    let keyed: Vec<&str> = owners
+        .concat()
+        .into_iter()
+        .filter(|l| is_field(l, false) && (l.contains("Keypair") || l.contains("UserHandle")))
+        .collect();
+    assert!(
+        keyed.is_empty(),
+        "DESIGN.md §8: the runtime holds no key; found {keyed:#?}"
+    );
+    let mut holders = Vec::new();
+    for path in &files_under("crates/core/src") {
+        let text = read(path);
+        let mut owner = "";
+        for line in non_test(&text).lines() {
+            let decl = ["pub(crate) ", "pub "]
+                .iter()
+                .find_map(|p| line.strip_prefix(p))
+                .unwrap_or(line);
+            if let Some(name) = decl.strip_prefix("struct ") {
+                owner = &name[..name.find(|c: char| !is_word(c)).unwrap_or(name.len())];
+            }
+            if is_field(line, false) && line.contains("Keypair") {
+                holders.push(format!("{}: {owner}", rel(path)));
+            }
+        }
+    }
+    assert_eq!(
+        holders,
+        [
+            "crates/core/src/chaos.rs: CrashedNode",
+            "crates/core/src/config.rs: UserHandle",
+            "crates/core/src/node.rs: SubnetNode",
+        ],
+        "DESIGN.md §8: keys live on handles, nodes and crashed nodes only"
+    );
+    let users = read_rel("crates/core/src/users.rs");
+    let submit = block(&users, "    pub fn submit_with_fee(", "    }");
+    assert!(
+        submit
+            .iter()
+            .any(|l| l.contains("SealedMessage::sign(msg, &user.key)")),
+        "DESIGN.md §8: `submit_with_fee` signs with the handle's key; found {submit:#?}"
+    );
+    assert_eq!(
+        core_calls("user_key("),
+        [
+            "crates/core/src/chaos.rs: install_pending_users",
+            "crates/core/src/lifecycle.rs: refresh_validators",
+            "crates/core/src/users.rs: install_account",
+            "crates/core/src/users.rs: adopt_user",
+        ],
+        "DESIGN.md §8: a key is derived at install, catch-up's re-install and a validator's run"
     );
 }
 

@@ -151,7 +151,8 @@ fn grand_tour() {
     let insider_balance = topo.rt.balance(&insider);
     let tree = topo.rt.save_snapshot(&banker, &s3).unwrap();
     // Reactivate long enough? No — snapshots persist on Inactive subnets;
-    // now kill it (validator is the spawn creator at the root).
+    // now kill it (its validator is the spawn creator at the root, the
+    // banker).
     let sa = s3.actor().unwrap();
     let val_addr = topo
         .rt
@@ -162,12 +163,9 @@ fn grand_tour() {
         .unwrap()
         .validators()[0]
         .addr;
-    let validator = UserHandle {
-        subnet: SubnetId::root(),
-        addr: val_addr,
-    };
+    assert_eq!(val_addr, banker.addr);
     topo.rt
-        .execute(&validator, sa, TokenAmount::ZERO, Method::KillSubnet)
+        .execute(&banker, sa, TokenAmount::ZERO, Method::KillSubnet)
         .unwrap();
 
     let claimant = topo.rt.create_claimant(&insider).unwrap();
