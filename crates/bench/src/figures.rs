@@ -494,8 +494,7 @@ pub fn f8_crash_recovery() -> Result<Table, RuntimeError> {
         .subnets()
         .map(|s| {
             let node = rt.node(s).unwrap();
-            let head = node.chain().head();
-            let root = node.chain().get(&head).unwrap().header.state_root;
+            let root = node.chain().head_block().unwrap().header.state_root;
             (s.clone(), node.chain().head_epoch().value(), root)
         })
         .collect();
@@ -511,8 +510,7 @@ pub fn f8_crash_recovery() -> Result<Table, RuntimeError> {
     );
     for (subnet, epoch, state_root) in &heights {
         let node = recovered.node(subnet).unwrap();
-        let head = node.chain().head();
-        let got = node.chain().get(&head).unwrap().header.state_root;
+        let got = node.chain().head_block().unwrap().header.state_root;
         t.row(&[
             subnet.to_string(),
             format!("epoch {epoch}"),
@@ -640,8 +638,7 @@ pub fn f9_chaos() -> Result<Table, RuntimeError> {
             .node(&child)
             .unwrap()
             .chain()
-            .iter()
-            .last()
+            .head_block()
             .unwrap()
             .header
             .state_root;

@@ -117,8 +117,7 @@ pub fn rejoin_cost(target: u64, mode: SyncMode) -> SyncCost {
         .node(&child)
         .unwrap()
         .chain()
-        .iter()
-        .last()
+        .head_block()
         .unwrap()
         .header
         .state_root;

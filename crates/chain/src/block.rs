@@ -178,6 +178,14 @@ impl Block {
         *self.cid_memo.get_or_init(|| self.header.cid())
     }
 
+    /// Decodes a block a chain store encoded, its CID taken from the store,
+    /// which worked it out at append — nothing is hashed again.
+    pub(crate) fn decode_stored(bytes: &[u8], cid: Cid) -> Block {
+        let block = Block::decode(bytes).expect("a stored block decodes");
+        block.cid_memo.get_or_init(|| cid);
+        block
+    }
+
     /// Total number of messages carried.
     pub fn msg_count(&self) -> usize {
         self.signed_msgs.len() + self.implicit_msgs.len()

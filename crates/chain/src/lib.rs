@@ -9,7 +9,8 @@
 //! * [`mempool`] — the two message pools each node keeps (paper §IV-B): an
 //!   internal pool for messages originating in and targeting the subnet,
 //!   and a [`CrossMsgPool`] tracking unverified cross-net messages;
-//! * [`store`] — the append-only chain store with head tracking;
+//! * [`store`] — the append-only chain store: the head decoded, history
+//!   in wire form;
 //! * [`executor`] — block production and validation against an
 //!   `hc-state` [`StateTree`](hc_state::StateTree);
 //! * [`schedule`] — deterministic access-set scheduling that partitions a
@@ -32,4 +33,4 @@ pub use executor::{
 };
 pub use mempool::{CrossMsgPool, Mempool, MempoolConfig, MempoolStats, PushOutcome};
 pub use schedule::{fan_out, Schedule, ScheduleStats, Segment};
-pub use store::ChainStore;
+pub use store::{ChainStore, History, StoredBlock};

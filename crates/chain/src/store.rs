@@ -1,12 +1,15 @@
 //! The chain store: an append-only, validated sequence of blocks, in
-//! memory. Making a committed block durable is its runtime's job.
+//! memory, only the head decoded. Making a committed block durable is its
+//! runtime's job.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
-use hc_types::{ChainEpoch, Cid, SubnetId};
+use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
-use crate::block::Block;
+use crate::block::{Block, BlockHeader};
 
 /// Errors returned by [`ChainStore::append`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,17 +54,140 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// One committed block below its chain's head, held in its canonical
+/// encoding — the bytes a `BlockBatch` ships — beside the epoch and CID
+/// worked out when it was appended. Nothing in it is hashed again: the
+/// CID comes from storage, and [`StoredBlock::decode`] hands it to the
+/// block it decodes.
+#[derive(Debug, Clone)]
+pub struct StoredBlock {
+    epoch: ChainEpoch,
+    cid: Cid,
+    bytes: Box<[u8]>,
+    /// The block, decoded by a [`ChainStore::get`] or
+    /// [`ChainStore::get_by_epoch`] below the head; empty otherwise.
+    memo: OnceLock<Box<Block>>,
+}
+
+impl StoredBlock {
+    /// Encodes `block`, whose CID `cid` its store already worked out.
+    fn encode(block: &Block, cid: Cid) -> Self {
+        StoredBlock {
+            epoch: block.header.epoch,
+            cid,
+            bytes: block.canonical_bytes().into_boxed_slice(),
+            memo: OnceLock::new(),
+        }
+    }
+
+    /// The block's epoch.
+    pub fn epoch(&self) -> ChainEpoch {
+        self.epoch
+    }
+
+    /// The block's CID, as worked out at append.
+    pub fn cid(&self) -> Cid {
+        self.cid
+    }
+
+    /// The block's canonical encoding.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The block's header, decoded from the front of its bytes alone.
+    pub fn header(&self) -> BlockHeader {
+        BlockHeader::read_bytes(&mut ByteReader::new(&self.bytes)).expect("a stored block decodes")
+    }
+
+    /// The whole block, decoded afresh, its CID taken from storage.
+    pub fn decode(&self) -> Block {
+        Block::decode_stored(&self.bytes, self.cid)
+    }
+
+    /// The decoded block, kept in the memo from the first call on.
+    fn memoized(&self) -> &Block {
+        self.memo.get_or_init(|| Box::new(self.decode()))
+    }
+}
+
+/// Committed blocks in wire form, oldest first, epochs strictly ascending:
+/// a chain's history below its head, or the copy of a whole chain that a
+/// crashed node's peers keep and serve to its rejoin.
+#[derive(Debug, Clone, Default)]
+pub struct History {
+    blocks: Vec<StoredBlock>,
+}
+
+impl History {
+    /// Number of blocks held.
+    pub fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Returns `true` if no block is held.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// The block at `epoch` in O(log n), or `None` if none was committed
+    /// there.
+    pub fn get_by_epoch(&self, epoch: ChainEpoch) -> Option<&StoredBlock> {
+        let i = self
+            .blocks
+            .binary_search_by_key(&epoch, StoredBlock::epoch)
+            .ok()?;
+        Some(&self.blocks[i])
+    }
+
+    /// Iterates over the blocks oldest → newest, still encoded.
+    pub fn iter(&self) -> std::slice::Iter<'_, StoredBlock> {
+        self.blocks.iter()
+    }
+
+    /// The bytes of at most `cap` blocks from `from` on, copied as stored:
+    /// a `BlockPull` answer.
+    pub fn serve(&self, from: ChainEpoch, cap: usize) -> Vec<Vec<u8>> {
+        let start = self.blocks.partition_point(|b| b.epoch < from);
+        let end = self.blocks.len().min(start + cap);
+        self.blocks[start..end]
+            .iter()
+            .map(|b| b.bytes.to_vec())
+            .collect()
+    }
+
+    /// A copy of the blocks at or below `epoch`.
+    pub fn prefix_through(&self, epoch: ChainEpoch) -> History {
+        let end = self.blocks.partition_point(|b| b.epoch <= epoch);
+        History {
+            blocks: self.blocks[..end].to_vec(),
+        }
+    }
+
+    /// Appends `later`, whose blocks all come after these.
+    pub fn extend(&mut self, later: History) {
+        self.blocks.extend(later.blocks);
+    }
+}
+
 /// The canonical chain of one subnet as seen by one node.
 ///
 /// The store holds the *committed* chain: consensus engines resolve forks
 /// before appending (longest-chain engines only append once a block wins;
-/// BFT engines append finalized blocks directly). Blocks sit in one vector,
-/// oldest first; epochs strictly ascend along it, so an epoch lookup is a
-/// binary search, and a CID lookup goes through the one index beside it.
+/// BFT engines append finalized blocks directly). Only the head stays
+/// decoded — production and validation read nothing older. When `append`
+/// turns the head into history it is encoded into a [`StoredBlock`], so a
+/// node holds its history in wire form: served to syncing peers as stored,
+/// and read back through a header ([`ChainStore::header_at`]) or one block
+/// at a time ([`ChainStore::iter`], [`ChainStore::into_history`]). Epochs
+/// strictly ascend, so an epoch lookup is a binary search, and a CID lookup
+/// goes through the one index beside it.
 #[derive(Debug, Clone)]
 pub struct ChainStore {
     subnet: SubnetId,
-    blocks: Vec<Block>,
+    history: History,
+    head_block: Option<Block>,
+    /// Position of every stored block: `history` first, then the head.
     by_cid: HashMap<Cid, usize>,
     head: Cid,
     head_epoch: ChainEpoch,
@@ -73,7 +199,8 @@ impl ChainStore {
     pub fn new(subnet: SubnetId) -> Self {
         ChainStore {
             subnet,
-            blocks: Vec::new(),
+            history: History::default(),
+            head_block: None,
             by_cid: HashMap::new(),
             head: Cid::NIL,
             head_epoch: ChainEpoch::GENESIS,
@@ -95,45 +222,72 @@ impl ChainStore {
         self.head_epoch
     }
 
+    /// The head block, decoded; `None` before any block, or right after a
+    /// snapshot re-base.
+    pub fn head_block(&self) -> Option<&Block> {
+        self.head_block.as_ref()
+    }
+
     /// Number of blocks stored.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.history.len() + usize::from(self.head_block.is_some())
     }
 
     /// Returns `true` if no block was appended yet.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
-    /// Fetches a block by CID.
+    /// How many blocks the store holds decoded: the head, and every history
+    /// block a `get*` call has decoded.
+    pub fn decoded_len(&self) -> usize {
+        let memos = self.history.iter().filter(|b| b.memo.get().is_some());
+        usize::from(self.head_block.is_some()) + memos.count()
+    }
+
+    /// Fetches a block by CID. Below the head it is decoded once and kept.
     pub fn get(&self, cid: &Cid) -> Option<&Block> {
-        self.by_cid.get(cid).map(|&i| &self.blocks[i])
-    }
-
-    /// Fetches the i-th block (0 = first appended).
-    pub fn get_index(&self, i: usize) -> Option<&Block> {
-        self.blocks.get(i)
+        let &i = self.by_cid.get(cid)?;
+        match self.history.blocks.get(i) {
+            Some(stored) => Some(stored.memoized()),
+            None => self.head_block.as_ref(),
+        }
     }
 
     /// Fetches the block committed at `epoch` in O(log n), or `None` if
-    /// the chain skipped that epoch (slow engines do not fill every height).
+    /// the chain skipped that epoch (slow engines do not fill every
+    /// height). Below the head it is decoded once and kept.
     pub fn get_by_epoch(&self, epoch: ChainEpoch) -> Option<&Block> {
-        let i = self
-            .blocks
-            .binary_search_by_key(&epoch, |b| b.header.epoch)
-            .ok()?;
-        Some(&self.blocks[i])
+        match &self.head_block {
+            Some(head) if head.header.epoch == epoch => Some(head),
+            _ => self.history.get_by_epoch(epoch).map(StoredBlock::memoized),
+        }
     }
 
-    /// Iterates over blocks oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
+    /// The header of the block committed at `epoch`; below the head only
+    /// the header's bytes are decoded.
+    pub fn header_at(&self, epoch: ChainEpoch) -> Option<BlockHeader> {
+        match &self.head_block {
+            Some(head) if head.header.epoch == epoch => Some(head.header.clone()),
+            _ => self.history.get_by_epoch(epoch).map(StoredBlock::header),
+        }
     }
 
-    /// Consumes the store, handing over its blocks oldest → newest without
-    /// copying them.
-    pub fn into_blocks(self) -> Vec<Block> {
-        self.blocks
+    /// Iterates over blocks oldest → newest. History blocks are decoded one
+    /// at a time and dropped with their item; nothing is kept.
+    pub fn iter(&self) -> impl Iterator<Item = Cow<'_, Block>> {
+        let history = self.history.iter().map(|b| Cow::Owned(b.decode()));
+        history.chain(self.head_block.iter().map(Cow::Borrowed))
+    }
+
+    /// Consumes the store, handing over the whole chain in wire form: its
+    /// history as held, and the head encoded.
+    pub fn into_history(self) -> History {
+        let mut history = self.history;
+        if let Some(head) = &self.head_block {
+            history.blocks.push(StoredBlock::encode(head, self.head));
+        }
+        history
     }
 
     /// Re-bases an *empty* chain on a trusted snapshot boundary: the head
@@ -157,7 +311,8 @@ impl ChainStore {
         self.head_epoch = base_epoch;
     }
 
-    /// Appends a block extending the head.
+    /// Appends a block extending the head; the old head is encoded into
+    /// history.
     ///
     /// # Errors
     ///
@@ -189,10 +344,14 @@ impl ChainStore {
                 got: block.header.epoch,
             });
         }
-        self.head = cid;
+        self.by_cid.insert(cid, self.len());
         self.head_epoch = block.header.epoch;
-        self.by_cid.insert(cid, self.blocks.len());
-        self.blocks.push(block);
+        if let Some(old) = self.head_block.replace(block) {
+            self.history
+                .blocks
+                .push(StoredBlock::encode(&old, self.head));
+        }
+        self.head = cid;
         Ok(cid)
     }
 }
@@ -231,8 +390,11 @@ mod tests {
         assert_eq!(store.head(), c2);
         assert_eq!(store.head_epoch(), ChainEpoch::new(2));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.get_index(0).unwrap().cid(), c1);
-        assert_eq!(store.iter().count(), 2);
+        assert_eq!(store.head_block().unwrap().cid(), c2);
+        let cids: Vec<Cid> = store.iter().map(|b| b.cid()).collect();
+        assert_eq!(cids, [c1, c2]);
+        // Only the head is decoded; iterating kept nothing.
+        assert_eq!(store.decoded_len(), 1);
     }
 
     #[test]
@@ -285,12 +447,33 @@ mod tests {
     }
 
     #[test]
-    fn into_blocks_hands_over_the_chain_oldest_first() {
+    fn into_history_hands_over_the_chain_oldest_first() {
         let mut store = ChainStore::new(SubnetId::root());
-        let c1 = store.append(block_at(1, Cid::NIL)).unwrap();
-        let c2 = store.append(block_at(2, c1)).unwrap();
-        let cids: Vec<Cid> = store.into_blocks().iter().map(Block::cid).collect();
+        let b1 = block_at(1, Cid::NIL);
+        let c1 = store.append(b1.clone()).unwrap();
+        let b2 = block_at(2, c1);
+        let c2 = store.append(b2.clone()).unwrap();
+        let history = store.into_history();
+        let cids: Vec<Cid> = history.iter().map(StoredBlock::cid).collect();
         assert_eq!(cids, [c1, c2]);
+        assert_eq!(
+            history.iter().map(StoredBlock::decode).collect::<Vec<_>>(),
+            [b1, b2]
+        );
+    }
+
+    #[test]
+    fn a_history_read_decodes_one_block_into_its_memo() {
+        let mut store = ChainStore::new(SubnetId::root());
+        let b1 = block_at(1, Cid::NIL);
+        let c1 = store.append(b1.clone()).unwrap();
+        let c2 = store.append(block_at(2, c1)).unwrap();
+        store.append(block_at(3, c2)).unwrap();
+        assert_eq!(store.header_at(ChainEpoch::new(1)), Some(b1.header.clone()));
+        assert_eq!(store.decoded_len(), 1, "a header read decodes no block");
+        assert_eq!(store.get(&c1), Some(&b1));
+        assert_eq!(store.get_by_epoch(ChainEpoch::new(1)), Some(&b1));
+        assert_eq!(store.decoded_len(), 2);
     }
 
     #[test]
@@ -315,7 +498,8 @@ mod tests {
         let c3 = store.append(block_at(3, c2)).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.head(), c3);
-        assert_eq!(store.get_index(0).unwrap().cid(), c3);
+        assert_eq!(store.head_block().unwrap().cid(), c3);
+        assert_eq!(store.iter().next().unwrap().cid(), c3);
     }
 
     #[test]

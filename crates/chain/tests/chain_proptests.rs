@@ -6,7 +6,10 @@ use proptest::prelude::*;
 use hc_actors::ScaConfig;
 use hc_chain::{execute_block_with, produce_block_with, Block, ChainStore, ExecOptions, Mempool};
 use hc_state::{Message, Method, SealedMessage, SignedMessage, StateTree};
-use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
+use hc_types::{
+    Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId,
+    TokenAmount,
+};
 
 const USERS: u64 = 3;
 
@@ -166,12 +169,99 @@ proptest! {
             if store.head() != Cid::digest(b"nowhere") {
                 prop_assert!(store.append(orphan).is_err());
             }
-            cids.push(store.append(block).unwrap());
+            cids.push((ChainEpoch::new(epoch), store.append(block).unwrap()));
         }
         prop_assert_eq!(store.len(), epoch_gaps.len());
-        for (i, cid) in cids.iter().enumerate() {
-            prop_assert_eq!(store.get_index(i).unwrap().cid(), *cid);
+        for (epoch, cid) in &cids {
+            prop_assert_eq!(store.get_by_epoch(*epoch).unwrap().cid(), *cid);
         }
         prop_assert_eq!(store.head_epoch(), ChainEpoch::new(epoch));
+    }
+
+    /// However a chain was built — skipped epochs, a snapshot re-base —
+    /// every accessor returns the block appended: the head decoded, history
+    /// decoded from its bytes, headers read from their prefix. A stored CID
+    /// is the one recomputed from the bytes, and served bytes decode to the
+    /// blocks asked for.
+    #[test]
+    fn every_accessor_returns_the_block_appended(
+        blocks in prop::collection::vec((1u64..5, 0usize..4), 1..12),
+        rebase in 0u64..20,
+        from in 0u64..60,
+        cap in 1usize..6,
+    ) {
+        let proposer = keypair(97);
+        let mut store = ChainStore::new(SubnetId::root());
+        let mut epoch = 0;
+        // 0 builds from genesis; any other value re-bases there first.
+        if rebase > 0 {
+            store.reset_to_snapshot_base(ChainEpoch::new(rebase), Cid::digest(b"anchor"));
+            epoch = rebase;
+        }
+        let mut appended: Vec<Block> = Vec::new();
+        for (i, (gap, msgs)) in blocks.iter().enumerate() {
+            epoch += gap;
+            let msgs = (0..*msgs)
+                .map(|n| SealedMessage::new(signed(n as u64 % USERS, i as u64, epoch)))
+                .collect();
+            let header = hc_chain::BlockHeader {
+                subnet: SubnetId::root(),
+                epoch: ChainEpoch::new(epoch),
+                parent: store.head(),
+                state_root: Cid::digest(&epoch.to_le_bytes()),
+                msgs_root: Cid::NIL,
+                proposer: proposer.public(),
+                timestamp_ms: epoch,
+            };
+            let block = Block::seal(header, msgs, vec![], &proposer);
+            store.append(block.clone()).unwrap();
+            appended.push(block);
+        }
+        let last = appended.last().unwrap();
+        prop_assert_eq!(store.len(), appended.len());
+        prop_assert_eq!(store.head_block(), Some(last));
+        prop_assert_eq!(store.decoded_len(), 1);
+        let walked: Vec<Block> = store.iter().map(|b| b.into_owned()).collect();
+        prop_assert_eq!(&walked, &appended);
+        prop_assert_eq!(store.decoded_len(), 1, "a walk keeps nothing decoded");
+
+        let history = store.clone().into_history();
+        prop_assert_eq!(history.len(), appended.len());
+        for (stored, block) in history.iter().zip(&appended) {
+            let cold = Block::decode(stored.bytes()).unwrap();
+            prop_assert_eq!(stored.cid(), cold.cid());
+            prop_assert_eq!(stored.cid(), block.cid());
+            prop_assert_eq!(stored.epoch(), block.header.epoch);
+            prop_assert_eq!(&stored.header(), &block.header);
+            prop_assert_eq!(&stored.decode(), block);
+            prop_assert_eq!(stored.bytes(), &block.canonical_bytes()[..]);
+        }
+        let served: Vec<Block> = history
+            .serve(ChainEpoch::new(from), cap)
+            .iter()
+            .map(|bytes| Block::decode(bytes).unwrap())
+            .collect();
+        let asked: Vec<Block> = appended
+            .iter()
+            .filter(|b| b.header.epoch >= ChainEpoch::new(from))
+            .take(cap)
+            .cloned()
+            .collect();
+        prop_assert_eq!(served, asked);
+        let prefix = history.prefix_through(ChainEpoch::new(from));
+        let below = appended.iter().filter(|b| b.header.epoch <= ChainEpoch::new(from));
+        prop_assert!(prefix.iter().map(|s| s.cid()).eq(below.map(Block::cid)));
+
+        for e in 0..=epoch {
+            let e = ChainEpoch::new(e);
+            let block = appended.iter().find(|b| b.header.epoch == e);
+            prop_assert_eq!(store.header_at(e), block.map(|b| b.header.clone()));
+            prop_assert_eq!(store.get_by_epoch(e), block);
+            prop_assert_eq!(history.get_by_epoch(e).map(|s| s.cid()), block.map(Block::cid));
+        }
+        for block in &appended {
+            prop_assert_eq!(store.get(&block.cid()), Some(block));
+        }
+        prop_assert_eq!(store.decoded_len(), appended.len());
     }
 }

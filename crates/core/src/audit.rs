@@ -116,7 +116,7 @@ impl HierarchyRuntime {
                         fail("window digest", subnet, detail);
                     }
                     let rehash = heads.is_none_or(|h| h.contains(subnet)) && live(subnet);
-                    let head = node.chain().get(&node.chain().head());
+                    let head = node.chain().head_block();
                     let head = head.filter(|_| rehash && tree.is_committed());
                     if head.is_some_and(|h| h.header.state_root != tree.recompute_root()) {
                         fail("head root", subnet, "state root != recompute_root()".into());

@@ -41,15 +41,13 @@
 
 use std::collections::VecDeque;
 
-use hc_chain::{Block, Mempool};
+use hc_chain::{Block, History, Mempool, StoredBlock};
 use hc_net::{
     Backoff, BackoffStep, FaultKind, FaultPlan, FaultRule, ResolutionMsg, SubscriberId,
     BLOB_BATCH_CAP,
 };
 use hc_state::{ChunkManifest, CidStore};
-use hc_types::{
-    Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, Keypair, SubnetId, TokenAmount,
-};
+use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, Keypair, SubnetId, TokenAmount};
 
 use crate::config::RuntimeError;
 use crate::runtime::HierarchyRuntime;
@@ -162,9 +160,9 @@ pub(crate) struct CrashedNode {
     /// The node's pub-sub identity (kept so topic membership and
     /// subscriber-scoped fault rules stay stable across the outage).
     pub(crate) subscription: SubscriberId,
-    /// The finalized chain as held by surviving peers — the catch-up
-    /// source of truth.
-    pub(crate) peer_blocks: Vec<Block>,
+    /// The finalized chain as held by surviving peers, in wire form — the
+    /// catch-up source of truth.
+    pub(crate) peer_blocks: History,
     /// The mempool content as replicated on peers; re-admitted at rejoin.
     pub(crate) mempool: Mempool,
     /// The validators' signing keys, which outlive the node's state: the
@@ -175,8 +173,9 @@ pub(crate) struct CrashedNode {
 /// State of one rejoined node's catch-up phase.
 #[derive(Debug)]
 pub(crate) struct CatchUp {
-    /// The surviving peers' chain, serving [`ResolutionMsg::BlockPull`]s.
-    pub(crate) peer_blocks: Vec<Block>,
+    /// The surviving peers' chain in wire form, serving
+    /// [`ResolutionMsg::BlockPull`]s as stored.
+    pub(crate) peer_blocks: History,
     /// Accounts the live run installed outside block execution, in
     /// order, tagged with the `next_epoch` at install time — re-installed
     /// at the same epoch boundaries so replayed state roots match the
@@ -301,7 +300,7 @@ impl HierarchyRuntime {
         // A snapshot-bootstrapped node chains only the post-install suffix;
         // the covered blocks wait in `snapshot_base` and are re-prefixed.
         let mut peer_blocks = std::mem::take(&mut record.snapshot_base);
-        peer_blocks.extend(node.chain.into_blocks());
+        peer_blocks.extend(node.chain.into_history());
         Ok(CrashedNode {
             subscription: node.subscription,
             peer_blocks,
@@ -368,7 +367,7 @@ impl HierarchyRuntime {
             SyncMode::Replay => None,
             SyncMode::Snapshot => {
                 let anchor = self.checkpoint_anchor(subnet).filter(|(epoch, manifest)| {
-                    peer_blocks.iter().any(|b| b.header.epoch == *epoch)
+                    peer_blocks.get_by_epoch(*epoch).is_some()
                         && self.store.hydrate_manifest(manifest)
                 });
                 self.chaos.snapshot_fallbacks += u64::from(anchor.is_none());
@@ -535,19 +534,13 @@ impl HierarchyRuntime {
             return self.advance_snapshot_fetch(subnet, inbox.blob_batches, now_ms);
         }
 
-        // Peers answer pulls from their copy of the chain, in bounded
-        // batches — a long outage takes several round trips.
+        // Peers answer pulls from their copy of the chain, as stored, in
+        // bounded batches — a long outage takes several round trips.
         for from_epoch in inbox.block_pulls {
             let Some(cu) = self.subnets.catch_up(subnet) else {
                 break;
             };
-            let blocks: Vec<Vec<u8>> = cu
-                .peer_blocks
-                .iter()
-                .filter(|b| b.header.epoch >= from_epoch)
-                .take(BLOCK_BATCH_CAP)
-                .map(CanonicalEncode::canonical_bytes)
-                .collect();
+            let blocks = cu.peer_blocks.serve(from_epoch, BLOCK_BATCH_CAP);
             if blocks.is_empty() {
                 continue;
             }
@@ -740,19 +733,15 @@ impl HierarchyRuntime {
             .as_ref()
             .ok_or_else(|| RuntimeError::Execution("no snapshot in flight".into()))?;
         let anchor_epoch = sync.anchor_epoch;
-        let covered: Vec<Block> = cu
-            .peer_blocks
-            .iter()
-            .filter(|b| b.header.epoch <= anchor_epoch)
-            .cloned()
-            .collect();
-        let anchor = covered.last().filter(|b| b.header.epoch == anchor_epoch);
-        let anchor_cid = anchor.map(Block::cid);
+        let covered = cu.peer_blocks.prefix_through(anchor_epoch);
+        // The anchor's CID comes from storage; only its header is decoded.
+        let anchor = covered.get_by_epoch(anchor_epoch);
+        let anchor_cid = anchor.map(StoredBlock::cid);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         node.install_manifest(
             &sync.manifest,
             &sync.staging,
-            anchor.map(|b| b.header.state_root),
+            anchor.map(|b| b.header().state_root),
         )?;
         // Adopt the manifest's full closure — fixed chunks AND every
         // account-HAMT node — so the node's store can serve the same
@@ -778,9 +767,10 @@ impl HierarchyRuntime {
         // The snapshot replaces execution, not history: every covered
         // block still realigns the consensus RNG, the cross-net nonce
         // cursors and the mempool's floors exactly as a per-block replay
-        // would, so the node resumes mid-conversation with its parent.
-        for block in &covered {
-            self.skip_past_block(subnet, block, false)?;
+        // would, so the node resumes mid-conversation with its parent. One
+        // block is decoded at a time.
+        for stored in covered.iter() {
+            self.skip_past_block(subnet, &stored.decode(), false)?;
         }
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         node.chain.reset_to_snapshot_base(

@@ -447,8 +447,10 @@ impl SubnetNode {
         }
         self.tree = StateTree::from_manifest(&decoded, source)
             .map_err(|e| RuntimeError::Execution(format!("snapshot install: {e}")))?;
-        let chained = self.chain.iter().flat_map(|b| &b.signed_msgs);
-        settle_floors(&self.tree, &mut self.mempool, chained);
+        // History is decoded one block at a time.
+        for block in self.chain.iter() {
+            settle_floors(&self.tree, &mut self.mempool, &block.signed_msgs);
+        }
         Ok(())
     }
 
@@ -741,8 +743,7 @@ mod tests {
         include(&mut rt, spent.clone());
         let node = rt.nodes.get_mut(&root).unwrap();
         let (store, manifest) = (node.store.clone(), node.tree.persist(&node.store));
-        let committed = node.chain.get_by_epoch(node.chain.head_epoch());
-        let committed = committed.map(|b| b.header.state_root);
+        let committed = node.chain.head_block().map(|b| b.header.state_root);
         node.mempool = Mempool::new();
         node.install_manifest(&manifest, &store, committed).unwrap();
         assert_eq!(

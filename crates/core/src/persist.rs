@@ -199,6 +199,10 @@ pub enum ControlRecord {
     },
 }
 
+/// The byte that opens the encoding of a [`ControlRecord::Block`], so a
+/// scan can pass over blocks without decoding them.
+pub(crate) const BLOCK_TAG: u8 = 3;
+
 impl CanonicalEncode for ControlRecord {
     fn write_bytes(&self, out: &mut Vec<u8>) {
         match self {
@@ -223,7 +227,7 @@ impl CanonicalEncode for ControlRecord {
                 engine_params.write_bytes(out);
             }
             ControlRecord::Block(block) => {
-                out.push(3);
+                out.push(BLOCK_TAG);
                 block.write_bytes(out);
             }
             ControlRecord::SnapshotAnchor { subnet, manifest } => {
@@ -272,7 +276,7 @@ impl CanonicalDecode for ControlRecord {
                 config: SaConfig::read_bytes(r)?,
                 engine_params: EngineParams::read_bytes(r)?,
             }),
-            3 => Ok(ControlRecord::Block(Block::read_bytes(r)?)),
+            BLOCK_TAG => Ok(ControlRecord::Block(Block::read_bytes(r)?)),
             4 => Ok(ControlRecord::SnapshotAnchor {
                 subnet: SubnetId::read_bytes(r)?,
                 manifest: Cid::read_bytes(r)?,

@@ -18,7 +18,7 @@ use hc_state::CidStore;
 use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
 use crate::config::{RuntimeConfig, RuntimeError};
-use crate::persist::ControlRecord;
+use crate::persist::{ControlRecord, BLOCK_TAG};
 use crate::runtime::HierarchyRuntime;
 
 /// In snapshot mode, per eligible subnet, the checkpoint anchor its replay
@@ -73,18 +73,19 @@ impl HierarchyRuntime {
     /// then restarts every fast-forward left short of its anchor. Returns
     /// how many records applied.
     fn replay(&mut self, raw: Vec<Vec<u8>>) -> usize {
-        // Each record is decoded once; the first that does not decode ends
-        // the log as surely as one that does not apply.
-        let records: Vec<ControlRecord> = raw
-            .into_iter()
-            .map_while(|bytes| ControlRecord::decode(&bytes).ok())
-            .collect();
+        // Records are decoded one at a time; the first that does not
+        // decode ends the log as surely as one that does not apply. The
+        // plan passes over blocks undecoded: a block the scan then stops at
+        // leaves a planned anchor unreached, which is the per-node fallback
+        // below, as for a record that does not apply.
+        let decode = |bytes: &Vec<u8>| ControlRecord::decode(bytes).ok();
         let mut targets = FastForward::new();
         if self.config.sync_mode == crate::chaos::SyncMode::Snapshot {
-            targets = Self::plan_fast_forward(&records, &self.store);
+            let small = raw.iter().filter(|bytes| bytes.first() != Some(&BLOCK_TAG));
+            targets = Self::plan_fast_forward(small.map_while(decode), &self.store);
         }
         let mut applied = 0usize;
-        for record in records {
+        for record in raw.into_iter().map_while(|bytes| decode(&bytes)) {
             if !self.apply_control_record(record, &mut targets) {
                 break;
             }
@@ -106,9 +107,12 @@ impl HierarchyRuntime {
     /// no booted descendants (a child's boot reads its parent's state,
     /// which a fast-forwarded parent would not have yet) whose anchored
     /// manifest closure fully survives in the blob store — anything less
-    /// replays in full.
-    fn plan_fast_forward(records: &[ControlRecord], store: &CidStore) -> FastForward {
-        let mut booted: Vec<&SubnetId> = Vec::new();
+    /// replays in full. Only the boot and anchor records are kept.
+    fn plan_fast_forward(
+        records: impl Iterator<Item = ControlRecord>,
+        store: &CidStore,
+    ) -> FastForward {
+        let mut booted: Vec<SubnetId> = Vec::new();
         let mut anchors = FastForward::new();
         for record in records {
             match record {
@@ -118,7 +122,7 @@ impl HierarchyRuntime {
                     epoch,
                     manifest,
                 } => {
-                    anchors.insert(subnet.clone(), (*epoch, *manifest));
+                    anchors.insert(subnet, (epoch, manifest));
                 }
                 _ => {}
             }
@@ -213,7 +217,7 @@ impl HierarchyRuntime {
                     let Some(node) = self.nodes.get_mut(&subnet) else {
                         return false;
                     };
-                    let committed = node.chain.get_by_epoch(epoch).map(|b| b.header.state_root);
+                    let committed = node.chain.header_at(epoch).map(|h| h.state_root);
                     if manifest != target_manifest
                         || node
                             .install_manifest(&manifest, &self.store, committed)

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use hc_actors::sa::SaConfig;
-use hc_chain::Block;
+use hc_chain::History;
 use hc_consensus::EngineParams;
 use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
 
@@ -43,7 +43,8 @@ pub(crate) struct SubnetRecord {
     /// node's own chain holds only the post-snapshot suffix, but the
     /// subnet's surviving peers keep full history — a later crash must
     /// hand the next rejoiner the whole peer chain, not just the suffix.
-    pub(crate) snapshot_base: Vec<Block>,
+    /// Held in wire form, like the chain's own history.
+    pub(crate) snapshot_base: History,
     /// Most recent persisted state-manifest CIDs, newest last — the
     /// recency window of the blob GC's live roots.
     pub(crate) manifests: VecDeque<Cid>,

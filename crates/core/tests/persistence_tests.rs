@@ -26,7 +26,7 @@ use hc_net::NetConfig;
 use hc_store::crash::{corrupt_byte, truncate_stream, RecordingDevice};
 use hc_store::frame::{scan_frames, FRAME_HEADER_LEN};
 use hc_store::{FsyncPolicy, InMemoryDevice, Persistence, Wal, WalOptions};
-use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_types::{CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 fn durable_config(device: Arc<dyn Persistence>) -> RuntimeConfig {
     RuntimeConfig {
@@ -97,15 +97,14 @@ fn continue_world(world: &mut World) {
 /// One block of history: (block CID, epoch, state root).
 type BlockRecord = (Cid, ChainEpoch, Cid);
 
-/// Per-subnet chain history, oldest → newest.
+/// Per-subnet chain history, oldest → newest, read header by header.
 fn chain_history(rt: &HierarchyRuntime) -> Vec<(SubnetId, Vec<BlockRecord>)> {
     rt.subnets()
         .map(|s| {
-            let node = rt.node(s).unwrap();
-            let blocks = node
-                .chain()
-                .iter()
-                .map(|b| (b.cid(), b.header.epoch, b.header.state_root))
+            let chain = rt.node(s).unwrap().chain();
+            let blocks = (0..=chain.head_epoch().value())
+                .filter_map(|e| chain.header_at(ChainEpoch::new(e)))
+                .map(|h| (h.cid(), h.epoch, h.state_root))
                 .collect();
             (s.clone(), blocks)
         })

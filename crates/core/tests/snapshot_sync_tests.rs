@@ -43,10 +43,8 @@ fn state_root_at(rt: &HierarchyRuntime, subnet: &SubnetId, epoch: u64) -> Cid {
     rt.node(subnet)
         .unwrap()
         .chain()
-        .iter()
-        .find(|b| b.header.epoch == ChainEpoch::new(epoch))
+        .header_at(ChainEpoch::new(epoch))
         .unwrap_or_else(|| panic!("{subnet} has no block at epoch {epoch}"))
-        .header
         .state_root
 }
 

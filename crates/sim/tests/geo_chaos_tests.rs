@@ -30,8 +30,7 @@ fn state_root(rt: &HierarchyRuntime, subnet: &SubnetId) -> hc_types::Cid {
     rt.node(subnet)
         .unwrap()
         .chain()
-        .iter()
-        .last()
+        .head_block()
         .unwrap()
         .header
         .state_root
@@ -249,7 +248,7 @@ fn fingerprint(rt: &HierarchyRuntime) -> String {
     use std::fmt::Write;
     let mut text = String::new();
     for subnet in rt.subnets() {
-        let head = rt.node(subnet).unwrap().chain().iter().last().unwrap();
+        let head = rt.node(subnet).unwrap().chain().head_block().unwrap();
         let header = &head.header;
         writeln!(
             text,

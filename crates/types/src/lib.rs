@@ -22,6 +22,8 @@
 //!   content addressing.
 //! * [`decode`] — the strict inverse of [`encode`], used by the durability
 //!   layer (`hc-store`) to replay logged values during crash recovery.
+//! * [`CountingAlloc`] — a counting global allocator, so a test binary can
+//!   gate heap use as deterministically as SHA-256 work.
 //!
 //! # Example
 //!
@@ -40,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod address;
+mod alloc_counter;
 pub mod cid;
 pub mod crypto;
 pub mod decode;
@@ -51,6 +54,7 @@ pub mod tcid;
 pub mod token;
 
 pub use address::Address;
+pub use alloc_counter::{AllocCounts, CountingAlloc};
 pub use cid::Cid;
 pub use crypto::{Keypair, PublicKey, Sha256, Signature};
 pub use decode::{ByteReader, CanonicalDecode, DecodeError};

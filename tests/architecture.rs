@@ -6,8 +6,8 @@
 //! comes up, one test world, one invariant check, content hashed once, one
 //! `unsafe` block, hot values kept small, a pool that remembers senders
 //! rather than messages, a signature verdict kept on the value, a nonce
-//! read from the pool, a key held by its client, a tier-1 that runs the
-//! workspace — so a
+//! read from the pool, a key held by its client, history held in wire
+//! form, a tier-1 that runs the workspace — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -782,6 +782,55 @@ fn a_verdict_lives_on_the_value() {
     );
 }
 
+/// DESIGN.md §18, "Chain store": a chain keeps only its head decoded and
+/// its history in wire form. No `Vec<Block>` holds history in hc-core's
+/// non-test code — the peer copy a crash leaves is a `History` — and no
+/// non-test crate code reads a chain through `get`/`get_by_epoch` (which
+/// decode a history block into a memo) or walks it to its last block: the
+/// head is `head_block()`, a history header `header_at`, and everything
+/// else streams. `get_index` and `into_blocks` are gone.
+#[test]
+fn history_is_held_in_wire_form() {
+    let held = hits(&files_under("crates/core/src"), non_test, |l| {
+        l.contains("Vec<Block>")
+    });
+    assert!(
+        held.is_empty(),
+        "DESIGN.md §18: history is held in wire form, as a `History`; found {held:#?}"
+    );
+    let decoding_reads = [
+        "chain.get(",
+        "chain().get(",
+        "chain.get_by_epoch(",
+        "chain().get_by_epoch(",
+        "chain.iter().last(",
+        "chain().iter().last(",
+        "get_index(",
+        "into_blocks(",
+    ];
+    let mut found = Vec::new();
+    for path in &crate_sources() {
+        if rel(path) == "crates/chain/src/store.rs" {
+            continue;
+        }
+        // Whitespace goes, so a method chain split over lines still reads
+        // as one call.
+        let text = read(path);
+        let flat: String = non_test(&text).split_whitespace().collect();
+        found.extend(
+            decoding_reads
+                .iter()
+                .filter(|r| flat.contains(*r))
+                .map(|r| format!("{}: {r}", rel(path))),
+        );
+    }
+    assert!(
+        found.is_empty(),
+        "DESIGN.md §18: non-test code reads the head through `head_block()` and history \
+         through `header_at` or a streaming read; found {found:#?}"
+    );
+}
+
 /// DESIGN.md §4, "Test harness": the hc-core suites build their worlds on
 /// one `Harness`, so only its module constructs a runtime or defines
 /// `whole`.
@@ -936,6 +985,9 @@ fn content_is_hashed_once() {
 /// DESIGN.md §10, "the hash-once rule": the workspace's one `unsafe` block
 /// is `compress`'s call into the SHA-extensions kernel, under a `SAFETY:`
 /// comment, and every crate but hc-types forbids unsafe code outright.
+/// Beside it, hc-types' `CountingAlloc` implements `GlobalAlloc`, an unsafe
+/// trait (DESIGN.md §18): the impl, under a `SAFETY:` comment, and its two
+/// methods are the only other lines that say `unsafe`.
 #[test]
 fn one_unsafe_block() {
     let mut dirs = crate_dirs("src");
@@ -966,19 +1018,48 @@ fn one_unsafe_block() {
         "fn compress(state: &mut [u32; 8], block: &[u8; 64]) {",
         "}",
     );
+    // Whether the comment lines right above line `at` of `lines` hold a
+    // `// SAFETY:` one.
+    let justified = |lines: &[&str], at: Option<usize>| {
+        at.is_some_and(|at| {
+            lines[..at]
+                .iter()
+                .rev()
+                .map(|l| l.trim_start())
+                .take_while(|l| l.starts_with("//"))
+                .any(|l| l.starts_with("// SAFETY:"))
+        })
+    };
     let at = compress.iter().position(|l| has_word(&code(l), "unsafe"));
-    let justified = at.is_some_and(|at| {
-        compress[..at]
-            .iter()
-            .rev()
-            .map(|l| l.trim_start())
-            .take_while(|l| l.starts_with("//"))
-            .any(|l| l.starts_with("// SAFETY:"))
-    });
+    let (sha2_blocks, alloc_lines): (Vec<&String>, Vec<&String>) = blocks
+        .iter()
+        .partition(|b| b.starts_with("crates/types/src/crypto/sha2.rs:"));
     assert!(
-        blocks.len() == 1 && blocks[0].starts_with("crates/types/src/crypto/sha2.rs:") && justified,
+        sha2_blocks.len() == 1 && justified(&compress, at),
         "DESIGN.md §10: the one `unsafe` block is in `fn compress`, directly under a \
          `// SAFETY:` comment; found {blocks:#?}"
+    );
+
+    let counter_src = read_rel("crates/types/src/alloc_counter.rs");
+    let counter_src = non_test(&counter_src);
+    let counter: Vec<&str> = counter_src.lines().collect();
+    let opener = "unsafe impl GlobalAlloc for CountingAlloc {";
+    let at = counter.iter().position(|l| *l == opener);
+    let in_impl: Vec<&str> = block(counter_src, opener, "}")
+        .into_iter()
+        .filter(|l| has_word(&code(l), "unsafe"))
+        .map(|l| l.trim().split('(').next().unwrap_or_default())
+        .collect();
+    assert!(
+        justified(&counter, at)
+            && alloc_lines.len() == 3
+            && alloc_lines
+                .iter()
+                .all(|l| l.starts_with("crates/types/src/alloc_counter.rs:"))
+            && in_impl == [opener, "unsafe fn alloc", "unsafe fn dealloc"],
+        "DESIGN.md §18: besides `fn compress`, only `CountingAlloc`'s `GlobalAlloc` impl, \
+         directly under a `// SAFETY:` comment, and its `alloc`/`dealloc` say `unsafe`; \
+         found {blocks:#?}"
     );
 }
 

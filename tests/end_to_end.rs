@@ -311,6 +311,15 @@ fn leaf_crash_rejoin_in_deep_topology() {
     hierarchical_consensus::core::audit_quiescent(&topo.rt).unwrap();
 }
 
+/// Every live node's chain holds exactly one decoded block, its head
+/// (DESIGN.md §18): rejoin and recovery hold history in wire form too.
+fn head_only_decoded(rt: &HierarchyRuntime) {
+    for subnet in rt.subnets() {
+        let decoded = rt.node(subnet).unwrap().chain().decoded_len();
+        assert_eq!(decoded, 1, "{subnet} holds {decoded} decoded blocks");
+    }
+}
+
 /// Tier-1 smoke over the three ways a block reaches a node: a journaled
 /// tree carries cross-net traffic (live commit), a leaf crashes and
 /// snapshot-rejoins (skip under the anchor, manifest install, suffix
@@ -370,6 +379,7 @@ fn durable_snapshot_rejoin_then_recover_matches_the_live_twin() {
         assert!(blocks < 100_000, "snapshot rejoin must reconverge");
         assert_eq!(topo.rt.chaos_stats().snapshot_installs, 1);
         assert_eq!(topo.rt.balance(&leaf_user), before + whole(3 + 9 - 2));
+        head_only_decoded(&topo.rt);
         topo
     };
     let device = hc_store::InMemoryDevice::new();
@@ -381,6 +391,7 @@ fn durable_snapshot_rejoin_then_recover_matches_the_live_twin() {
     );
     drop(crashed); // the whole-runtime crash
     let mut recovered = HierarchyRuntime::recover(config(&device));
+    head_only_decoded(&recovered);
     let mut twin = drive(&hc_store::InMemoryDevice::new()).rt;
     assert_eq!(
         heads(&recovered),
