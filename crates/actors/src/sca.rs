@@ -14,8 +14,9 @@
 //!   [`ScaState::slash`]).
 //! * **Top-down messages** — committing a message towards a child freezes
 //!   its value in the SCA escrow, stamps the child's next top-down nonce,
-//!   and queues it for the child's consensus
-//!   ([`ScaState::commit_top_down`], [`ScaState::apply_top_down`]).
+//!   and hands it, through the block's outbox, to the child's consensus
+//!   ([`ScaState::commit_top_down`], [`ScaState::take_outbox`],
+//!   [`ScaState::apply_top_down`]).
 //! * **Bottom-up messages** — messages leaving the subnet burn funds
 //!   locally and queue in the current checkpoint window, grouped per
 //!   destination when the window is cut; committed child checkpoints
@@ -33,7 +34,7 @@
 //! * **State snapshots** — the `save` function persisting subnet state
 //!   proofs ([`ScaState::save_state`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -350,9 +351,6 @@ pub struct ScaState {
     config: ScaConfig,
     /// Registered child subnets.
     subnets: BTreeMap<SubnetId, SubnetInfo>,
-    /// Committed-but-unapplied top-down messages per child, in nonce order.
-    /// Child nodes sync this queue from the parent state (paper Fig. 3).
-    top_down_queue: BTreeMap<SubnetId, VecDeque<CrossMsg>>,
     /// Bottom-up messages of the *current* checkpoint window in queue
     /// (= send-nonce) order (paper Fig. 2: the template being populated);
     /// grouped by destination subnet only when the window is cut.
@@ -388,6 +386,13 @@ pub struct ScaState {
     /// Funds already recovered per `(child, claimant)` to prevent double
     /// claims.
     recovered: BTreeMap<(SubnetId, Address), TokenAmount>,
+    /// The top-down messages committed by the block being executed, each
+    /// with the child on its route, in commit order. Not state: outside
+    /// the canonical encoding, and emptied by the node that commits the
+    /// block ([`ScaState::take_outbox`]), which hands each message to its
+    /// child (paper Fig. 3).
+    #[serde(skip)]
+    outbox: Vec<(SubnetId, CrossMsg)>,
 }
 
 impl ScaState {
@@ -397,7 +402,6 @@ impl ScaState {
             subnet_id,
             config,
             subnets: BTreeMap::new(),
-            top_down_queue: BTreeMap::new(),
             window_bottom_up: Vec::new(),
             window_digest: WindowDigest::default(),
             window_propagated: Vec::new(),
@@ -410,6 +414,7 @@ impl ScaState {
             saved_states: Vec::new(),
             child_snapshots: BTreeMap::new(),
             recovered: BTreeMap::new(),
+            outbox: Vec::new(),
         }
     }
 
@@ -496,7 +501,6 @@ impl ScaState {
                 committed_checkpoints: 0,
             },
         );
-        self.top_down_queue.insert(id.clone(), VecDeque::new());
         Ok(id)
     }
 
@@ -591,7 +595,6 @@ impl ScaState {
         ledger.transfer(Address::SCA, recipient, released)?;
         info.collateral = TokenAmount::ZERO;
         info.status = SubnetStatus::Killed;
-        self.top_down_queue.remove(id);
         Ok(released)
     }
 
@@ -664,7 +667,7 @@ impl ScaState {
         ledger.debit(sender, msg.value + msg.fee)?;
         ledger.credit(Address::REWARD, msg.fee);
         if msg.is_top_down() {
-            // Freeze value in the SCA escrow and queue for the child.
+            // Freeze value in the SCA escrow and commit it for the child.
             ledger.credit(Address::SCA, msg.value);
             self.commit_top_down(msg)
         } else {
@@ -677,8 +680,9 @@ impl ScaState {
     }
 
     /// Commits an already-funded top-down message: stamps the next top-down
-    /// nonce of the child on the route and appends it to that child's
-    /// queue. The value is assumed to already sit in the SCA escrow.
+    /// nonce of the child on the route and puts it, with that child, in the
+    /// block's outbox. The value is assumed to already sit in the SCA
+    /// escrow.
     ///
     /// # Errors
     ///
@@ -696,43 +700,16 @@ impl ScaState {
         let info = self.active_subnet_mut(&child)?;
         msg.nonce = info.topdown_nonce.fetch_increment();
         info.circ_supply += msg.value;
-        // The relay queue is transport bookkeeping excluded from the
-        // canonical encoding, so a snapshot-installed SCA starts without one
-        // even for registered children — recreate it lazily.
-        self.top_down_queue
-            .entry(child.clone())
-            .or_default()
-            .push_back(msg.clone());
+        self.outbox.push((child, msg.clone()));
         Ok(msg)
     }
 
-    /// Drops committed top-down messages for `child` below `below` — safe
-    /// once the child acknowledged application up to that nonce (in this
-    /// system: once its checkpoints prove the corresponding state). Keeps
-    /// the registry bounded in long-running deployments. Returns how many
-    /// messages were pruned.
-    pub fn prune_top_down(&mut self, child: &SubnetId, below: Nonce) -> usize {
-        let Some(queue) = self.top_down_queue.get_mut(child) else {
-            return 0;
-        };
-        let before = queue.len();
-        queue.retain(|m| m.nonce >= below);
-        before - queue.len()
-    }
-
-    /// Returns the committed top-down messages for `child` with nonce ≥
-    /// `from_nonce` — what a syncing child node pulls into its cross-msg
-    /// pool (paper Fig. 3).
-    pub fn top_down_msgs(&self, child: &SubnetId, from_nonce: Nonce) -> Vec<CrossMsg> {
-        self.top_down_queue
-            .get(child)
-            .map(|q| {
-                q.iter()
-                    .filter(|m| m.nonce >= from_nonce)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// Takes the top-down messages committed since the last call, each with
+    /// the child on its route, in nonce order per child. The node that
+    /// commits a block takes them once it has executed it; the outbox is
+    /// empty between blocks.
+    pub fn take_outbox(&mut self) -> Vec<(SubnetId, CrossMsg)> {
+        std::mem::take(&mut self.outbox)
     }
 
     /// Applies a top-down message *in the destination (this) subnet*,
@@ -1195,21 +1172,13 @@ impl ScaState {
 /// content and a verified chunk blob reconstructs it bit-for-bit (snapshot
 /// state-sync depends on this).
 ///
-/// Two things a reader might look for are *not* in this chunk:
-///
-/// * `top_down_queue` is transport bookkeeping — the parent-side relay
-///   buffer of committed top-down messages, pruned *outside* block
-///   execution as children acknowledge application (see
-///   [`ScaState::prune_top_down`]). Including it would make the state root
-///   depend on relay timing rather than executed history. Every message in
-///   it is recoverable from the committed top-down history, and only
-///   subnets with children ever hold entries.
-/// * The content registry (raw messages behind every cut `CrossMsgMeta`) is
-///   not a field at all: it grows with cross-net history, so it is
-///   committed as an append-only AMT under its own state-root leaf (see
-///   `hc_state::ChunkKey::Registry`), where a cut re-hashes one root path
-///   instead of this whole chunk. What remains here is O(children +
-///   current window).
+/// The block's top-down outbox is not state: it is empty between blocks
+/// ([`ScaState::take_outbox`]). The content registry (raw messages behind
+/// every cut `CrossMsgMeta`) is not a field at all: it grows with
+/// cross-net history, so it is committed as an append-only AMT under its
+/// own state-root leaf (see `hc_state::ChunkKey::Registry`), where a cut
+/// re-hashes one root path instead of this whole chunk. What remains here
+/// is O(children + current window).
 ///
 /// The state root does not hash this encoding: it commits to
 /// [`ScaState::write_committed`], where the window's messages give way to
@@ -1251,9 +1220,6 @@ impl CanonicalDecode for ScaState {
             subnet_id: CanonicalDecode::read_bytes(r)?,
             config: CanonicalDecode::read_bytes(r)?,
             subnets: CanonicalDecode::read_bytes(r)?,
-            // Not part of the encoding (relay bookkeeping, see the encode
-            // impl); a freshly installed SCA starts with empty relay queues.
-            top_down_queue: BTreeMap::new(),
             window_bottom_up: CanonicalDecode::read_bytes(r)?,
             window_digest: WindowDigest::default(),
             window_propagated: CanonicalDecode::read_bytes(r)?,
@@ -1266,6 +1232,7 @@ impl CanonicalDecode for ScaState {
             saved_states: CanonicalDecode::read_bytes(r)?,
             child_snapshots: CanonicalDecode::read_bytes(r)?,
             recovered: CanonicalDecode::read_bytes(r)?,
+            outbox: Vec::new(),
         };
         // The window is stamped from `bottomup_send_nonce` in queue order:
         // strictly ascending nonces, all below the next one to be stamped.
@@ -1404,22 +1371,27 @@ mod tests {
     fn top_down_send_freezes_value_and_stamps_nonces() {
         let (mut sca, mut ledger, child) = root_sca_with_child();
         let to = HcAddress::new(child.clone(), Address::new(300));
-        for i in 0..3u64 {
+        for _ in 0..3 {
             let msg = CrossMsg::transfer(haddr(&[], 100), to.clone(), TokenAmount::from_whole(1));
             sca.send_cross_msg(&mut ledger, Address::new(100), msg)
                 .unwrap();
-            let queued = sca.top_down_msgs(&child, Nonce::ZERO);
-            assert_eq!(queued.len() as u64, i + 1);
-            assert_eq!(queued[i as usize].nonce, Nonce::new(i));
         }
+        let committed = sca.take_outbox();
+        let nonces: Vec<(SubnetId, Nonce)> = committed
+            .iter()
+            .map(|(c, m)| (c.clone(), m.nonce))
+            .collect();
+        let expected: Vec<(SubnetId, Nonce)> =
+            (0..3).map(|i| (child.clone(), Nonce::new(i))).collect();
+        assert_eq!(nonces, expected);
         // Escrow = collateral (10) + 3 × 1.
         assert_eq!(ledger.balance(Address::SCA), TokenAmount::from_whole(13));
         assert_eq!(
             sca.subnet(&child).unwrap().circ_supply,
             TokenAmount::from_whole(3)
         );
-        // Partial sync from a later nonce.
-        assert_eq!(sca.top_down_msgs(&child, Nonce::new(2)).len(), 1);
+        // Taken once: the outbox is empty until the next commit.
+        assert!(sca.take_outbox().is_empty());
     }
 
     #[test]
@@ -1502,9 +1474,10 @@ mod tests {
             ledger.balance(Address::SCA),
             escrow_before + TokenAmount::from_whole(5)
         );
-        let queued = sca.top_down_msgs(&grandchild, Nonce::ZERO);
-        assert_eq!(queued.len(), 1);
-        assert_eq!(queued[0].nonce, Nonce::new(0));
+        let committed = sca.take_outbox();
+        assert_eq!(committed.len(), 1);
+        assert_eq!(committed[0].0, grandchild);
+        assert_eq!(committed[0].1.nonce, Nonce::new(0));
         assert_eq!(
             sca.subnet(&grandchild).unwrap().circ_supply,
             TokenAmount::from_whole(5)
@@ -1929,6 +1902,14 @@ mod tests {
         .unwrap();
         sca.recovered
             .insert((child.clone(), Address::new(7)), TokenAmount::from_whole(1));
+        // A top-down commit fills the outbox, which is not encoded.
+        let down = CrossMsg::transfer(
+            HcAddress::new(child_id.clone(), Address::new(100)),
+            HcAddress::new(child.clone(), Address::new(7)),
+            TokenAmount::from_whole(1),
+        );
+        sca.send_cross_msg(&mut ledger, Address::new(100), down)
+            .unwrap();
 
         let bytes = sca.canonical_bytes();
         let decoded = ScaState::decode(&bytes).expect("canonical bytes decode");
@@ -1940,8 +1921,9 @@ mod tests {
         assert_eq!(decoded.subnet_id(), sca.subnet_id());
         assert_eq!(decoded.config(), sca.config());
         assert_eq!(decoded.subnet(&child), sca.subnet(&child));
-        // The relay queue is deliberately outside the encoding.
-        assert!(decoded.top_down_queue.is_empty());
+        // The outbox is deliberately outside the encoding.
+        assert!(!sca.outbox.is_empty());
+        assert!(decoded.outbox.is_empty());
 
         // Truncation and trailing bytes are rejected.
         assert!(ScaState::decode(&bytes[..bytes.len() - 1]).is_err());

@@ -158,17 +158,17 @@ proptest! {
             sca.send_cross_msg(&mut ledger, user, msg).unwrap();
         }
 
+        let committed = sca.take_outbox();
+        prop_assert_eq!(committed.len(), sends.len());
         for child in &children {
-            let queued = sca.top_down_msgs(child, hc_types::Nonce::ZERO);
-            for (i, m) in queued.iter().enumerate() {
-                prop_assert_eq!(m.nonce, hc_types::Nonce::new(i as u64));
-            }
+            let nonces: Vec<u64> = committed
+                .iter()
+                .filter(|(c, _)| c == child)
+                .map(|(_, m)| m.nonce.value())
+                .collect();
+            let dense: Vec<u64> = (0..nonces.len() as u64).collect();
+            prop_assert_eq!(nonces, dense);
         }
-        let total_queued: usize = children
-            .iter()
-            .map(|c| sca.top_down_msgs(c, hc_types::Nonce::ZERO).len())
-            .sum();
-        prop_assert_eq!(total_queued, sends.len());
     }
 
     /// Checkpoint epochs fall exactly on non-zero multiples of the period.

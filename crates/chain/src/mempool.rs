@@ -485,7 +485,7 @@ impl CrossMsgPool {
         Self::default()
     }
 
-    /// Ingests top-down messages learned by syncing the parent SCA.
+    /// Ingests top-down messages the parent committed for this subnet.
     /// Messages below the already-applied nonce are ignored.
     pub fn ingest_top_down<I: IntoIterator<Item = CrossMsg>>(&mut self, msgs: I) {
         for m in msgs {
@@ -573,6 +573,12 @@ impl CrossMsgPool {
     /// Number of top-down messages waiting.
     pub fn pending_top_down(&self) -> usize {
         self.top_down.len()
+    }
+
+    /// The top-down messages still waiting, in nonce order — what a
+    /// crashed node leaves for the node that replaces it.
+    pub fn into_top_down(self) -> Vec<CrossMsg> {
+        self.top_down.into_values().collect()
     }
 
     /// Number of metas waiting for resolution or proposal.

@@ -10,8 +10,13 @@
 //!   from its live parent ([`HierarchyRuntime::verify_checkpoint_chain`]);
 //! * **top-down nonce** — no live child expects a top-down nonce its live
 //!   parent has not assigned;
+//! * **top-down delivery** — every live child under a live parent holds
+//!   each top-down message its parent committed and it has not applied:
+//!   its next nonce plus the messages its pool holds is the nonce its
+//!   parent assigns next;
 //! * **node records** — every node has a subnet record, and every record
-//!   without a node is crashed;
+//!   without a node is crashed, or was opened by a top-down delivery to a
+//!   child not yet booted (it holds no boot parameters);
 //! * **backing** (at quiescence) — a parent's record of a child's
 //!   circulating supply equals the child's live supply (minted in, less
 //!   burned out). A child killed in its parent's SCA, or compromised by the
@@ -92,8 +97,9 @@ impl HierarchyRuntime {
         let quiescent = self.all_quiescent();
         uncounted(|| {
             for (subnet, r) in &self.subnets.by_id {
-                if !self.nodes.contains_key(subnet) && r.crashed.is_none() {
-                    fail("node records", subnet, "no node, yet not crashed".into());
+                let booted_and_up = r.boot.is_some() && r.crashed.is_none();
+                if booted_and_up && !self.nodes.contains_key(subnet) {
+                    fail("node records", subnet, "no node, yet booted and up".into());
                 }
             }
             for (subnet, node) in &self.nodes {
@@ -138,6 +144,12 @@ impl HierarchyRuntime {
                     if next > assigned {
                         let detail = format!("expects {next}, {parent} assigned {assigned}");
                         fail("top-down nonce", subnet, detail);
+                    }
+                    let held = node.cross_pool.pending_top_down() as u64;
+                    if next.value() + held != assigned.value() {
+                        let detail =
+                            format!("expects {next}, holds {held}, {parent} assigned {assigned}");
+                        fail("top-down delivery", subnet, detail);
                     }
                 }
                 if !quiescent {
@@ -192,6 +204,7 @@ mod tests {
 
     use hc_actors::sa::SaConfig;
     use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, Ledger, MsgGroup};
+    use hc_chain::CrossMsgPool;
     use hc_types::crypto::SignaturePolicy;
     use hc_types::{Address, Keypair, Nonce, SubnetId, TokenAmount};
 
@@ -289,6 +302,28 @@ mod tests {
         let (mut rt, _, child) = world();
         let node = rt.nodes.get_mut(&child).unwrap();
         node.cross_pool.note_top_down_applied(Nonce::new(99));
+        rt.step_wave().unwrap();
+    }
+
+    /// The root commits a transfer into the child, and the child's pool
+    /// then loses the message it was handed.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
+    #[should_panic(expected = "top-down delivery violation")]
+    fn a_dropped_delivery_breaks_the_top_down_delivery() {
+        let (mut rt, alice, child) = world();
+        let inside = rt.create_user(&child, TokenAmount::ZERO).unwrap();
+        rt.cross_transfer(&alice, &inside, whole(3)).unwrap();
+        let node = rt.nodes.get_mut(&child).unwrap();
+        let pool = &node.cross_pool;
+        assert_eq!(
+            (pool.next_top_down_nonce(), pool.pending_top_down()),
+            (Nonce::new(1), 1)
+        );
+        // The same pool less the message: nonce 0 applied, nothing held.
+        let mut emptied = CrossMsgPool::new();
+        emptied.note_top_down_applied(Nonce::ZERO);
+        node.cross_pool = emptied;
         rt.step_wave().unwrap();
     }
 

@@ -290,13 +290,16 @@ impl HierarchyRuntime {
 
     /// Takes `subnet`'s node out of the hierarchy and returns what survives
     /// it: its subscription, gone dark with its inbox lost, the subnet's
-    /// full chain as its peers hold it, and the replicated mempool.
+    /// full chain as its peers hold it, and the replicated mempool. The
+    /// top-down messages the node held unapplied move to its record, where
+    /// later deliveries join them until a node is built again.
     pub(crate) fn take_down(&mut self, subnet: &SubnetId) -> Result<CrashedNode, RuntimeError> {
         let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
         let record = self.subnets.by_id.get_mut(subnet).ok_or_else(unknown)?;
         let node = self.nodes.remove(subnet).ok_or_else(unknown)?;
         self.network.set_offline(node.subscription, true);
         self.network.clear_inbox(node.subscription);
+        record.top_down.extend(node.cross_pool.into_top_down());
         // A snapshot-bootstrapped node chains only the post-install suffix;
         // the covered blocks wait in `snapshot_base` and are re-prefixed.
         let mut peer_blocks = std::mem::take(&mut record.snapshot_base);
@@ -567,8 +570,9 @@ impl HierarchyRuntime {
                 self.install_pending_users(subnet, block.header.epoch)?;
                 // The live hierarchy has moved on: every outward effect of
                 // the block (parent checkpoint submission, journal
-                // records, manifest anchors, certificate gossip) happened
-                // when it was produced, so only the node-local half of its
+                // records, manifest anchors, certificate gossip, the
+                // top-down messages handed to its children) happened when
+                // it was produced, so only the node-local half of its
                 // events re-runs. A refused block changed nothing: a peer's
                 // forgery is dropped, and the pull goes on.
                 let Ok(outcome) = self.reexecute_block(subnet, &block) else {

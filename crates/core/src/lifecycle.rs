@@ -2,7 +2,7 @@
 //! region placement, validator refresh, balance snapshots, and retiring
 //! a killed subnet.
 
-use hc_actors::sa::SaConfig;
+use hc_actors::sa::{SaConfig, SaState};
 use hc_consensus::{EngineParams, ValidatorSet};
 use hc_net::SubscriberId;
 use hc_state::Method;
@@ -133,7 +133,9 @@ impl HierarchyRuntime {
 
     /// The one way a node comes up, at genesis on the shared blob store and
     /// due at `due_ms`: the rootnet's boot (`boot` is `None`), a child's
-    /// boot, and the restart of [`HierarchyRuntime::restart_node`].
+    /// boot, and the restart of [`HierarchyRuntime::restart_node`]. The
+    /// node takes the top-down messages its record holds: those committed
+    /// while no node of the subnet ran.
     pub(crate) fn genesis_node(
         &mut self,
         subnet: &SubnetId,
@@ -142,9 +144,21 @@ impl HierarchyRuntime {
         due_ms: u64,
     ) -> &mut SubnetNode {
         let (config, store) = (&self.config, self.store.clone());
-        let node = SubnetNode::genesis(subnet.clone(), config, boot, subscription, due_ms, store);
+        let mut node =
+            SubnetNode::genesis(subnet.clone(), config, boot, subscription, due_ms, store);
+        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
+            node.cross_pool
+                .ingest_top_down(std::mem::take(&mut record.top_down));
+        }
         self.nodes.insert(subnet.clone(), node);
         self.nodes.get_mut(subnet).expect("just inserted")
+    }
+
+    /// The Subnet Actor of `subnet` as its parent chain holds it: `None`
+    /// for the rootnet, or while the parent has no node.
+    pub(crate) fn sa_of(&self, subnet: &SubnetId) -> Option<&SaState> {
+        let parent = self.nodes.get(&subnet.parent()?)?;
+        parent.tree.sa(subnet.actor()?)
     }
 
     /// Refreshes a child node's validator set and keys from the parent's
@@ -153,16 +167,7 @@ impl HierarchyRuntime {
     /// node keeps the keys it holds and derives, in set order, only the
     /// members it lacks.
     pub(crate) fn refresh_validators(&mut self, subnet: &SubnetId) {
-        let Some(parent) = subnet.parent() else {
-            return;
-        };
-        let Some(sa_addr) = subnet.actor() else {
-            return;
-        };
-        let Some(parent_node) = self.nodes.get(&parent) else {
-            return;
-        };
-        let Some(sa) = parent_node.tree.sa(sa_addr) else {
+        let Some(sa) = self.sa_of(subnet) else {
             return;
         };
         let set = ValidatorSet::from_sa(sa);
@@ -392,5 +397,59 @@ impl HierarchyRuntime {
             self.track_manifest(subnet, manifest);
         }
         Ok(tree)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hc_actors::sa::SaConfig;
+    use hc_actors::{CrossMsg, HcAddress, Ledger};
+    use hc_state::Method;
+    use hc_types::{Address, SubnetId, TokenAmount};
+
+    use crate::config::RuntimeConfig;
+    use crate::runtime::HierarchyRuntime;
+
+    /// A top-down transfer committed for a child that is registered but
+    /// not yet booted — `spawn_subnet`'s steps by hand, the boot last —
+    /// waits in the record its delivery opens, and the node the boot
+    /// builds takes it and applies it.
+    #[test]
+    fn a_delivery_before_the_boot_waits_for_the_node() {
+        let whole = TokenAmount::from_whole;
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let root = SubnetId::root();
+        let alice = rt.create_user(&root, whole(1_000)).unwrap();
+        let validator = rt.create_user(&root, whole(100)).unwrap();
+        let config = SaConfig::default();
+        let deploy = Method::DeploySubnetActor {
+            config: config.clone().into(),
+        };
+        let ret = rt.execute(&alice, Address::SYSTEM, TokenAmount::ZERO, deploy);
+        let sa = Address::new(u64::from_le_bytes(ret.unwrap().ret.try_into().unwrap()));
+        let register = Method::RegisterSubnet { sa };
+        rt.execute(&alice, Address::SCA, whole(10), register)
+            .unwrap();
+        let join = Method::JoinSubnet {
+            key: validator.key.public(),
+        };
+        rt.execute(&validator, sa, whole(5), join).unwrap();
+        let child = root.child(sa);
+        let to = HcAddress::new(child.clone(), Address::new(500));
+        let transfer = CrossMsg::transfer(alice.hc_address(), to, whole(3));
+        rt.send_cross_msg(&alice, transfer).unwrap();
+
+        assert_eq!(rt.subnets.by_id[&child].top_down.len(), 1);
+        assert!(!rt.all_quiescent(), "the transfer is in flight");
+        rt.check_invariants().unwrap();
+
+        let params = rt.config.engine_params.clone();
+        rt.boot_child_node(&child, &config, &params);
+        let record = &rt.subnets.by_id[&child];
+        assert!(record.top_down.is_empty() && record.boot.is_some());
+        rt.run_until_quiescent(10_000).unwrap();
+        let accounts = rt.node(&child).unwrap().state().accounts();
+        assert_eq!(accounts.balance(Address::new(500)), whole(3));
+        crate::audit_quiescent(&rt).unwrap();
     }
 }

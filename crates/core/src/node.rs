@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
 use hc_actors::sa::SaConfig;
-use hc_actors::{CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
+use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
 use hc_chain::{Block, ChainStore, CrossMsgPool, Mempool};
 use hc_consensus::{
     make_engine, BlockOpportunity, Consensus, ConsensusKind, EngineParams, ValidatorSet,
@@ -69,6 +69,9 @@ pub(crate) struct LocalOutcome {
     pub(crate) archived: Vec<(SignedCheckpoint, SignaturePolicy)>,
     /// VM events of the block, to be routed through the hierarchy.
     pub(crate) events: Vec<VmEvent>,
+    /// The top-down messages the block committed, each with the child on
+    /// its route, to be handed to that child (paper Fig. 3).
+    pub(crate) top_down: Vec<(SubnetId, CrossMsg)>,
 }
 
 /// Derives a subnet node's private randomness stream from the runtime
@@ -289,7 +292,8 @@ impl SubnetNode {
     /// just produced, replayed from the journal, or pulled from peers —
     /// becomes part of the node: [`SubnetNode::skip_block`] plus everything
     /// that needs the receipts (counters, the `awaited` receipt, the
-    /// checkpoints to archive, the events to route).
+    /// checkpoints to archive, the events to route) and the top-down
+    /// messages its execution committed, taken from the tree's outbox.
     /// The caller has already appended the block to the chain; a live
     /// block is journaled afterwards, by `post_tick`.
     pub(crate) fn commit_block(
@@ -350,6 +354,7 @@ impl SubnetNode {
             },
             archived,
             events: receipts.into_iter().flat_map(|r| r.events).collect(),
+            top_down: self.tree.take_outbox(),
         }
     }
 

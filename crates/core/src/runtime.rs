@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use hc_actors::checkpoint::SignedCheckpoint;
-use hc_actors::{CrossMsgMeta, FundCertificate};
+use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate};
 use hc_chain::{execute_block_with, fan_out, produce_block_with, Block, ExecOptions};
 use hc_consensus::ValidatorSet;
 use hc_net::{BackoffStep, Network, ResolutionMsg, Resolver};
@@ -184,15 +184,16 @@ impl HierarchyRuntime {
         &self.store
     }
 
-    /// Returns `true` when `subnet` has no local pending work *and* no
-    /// top-down messages waiting for it in its parent's SCA — the drain
-    /// condition required before a child can be merged away. `false` for
-    /// unknown subnets.
+    /// Returns `true` when `subnet`'s node has no pending work — top-down
+    /// messages its parent committed included, which wait in the node's
+    /// own pool — and nothing elsewhere routes into it: the drain condition
+    /// required before a child can be merged away. `false` for unknown
+    /// subnets.
     pub fn subnet_settled(&self, subnet: &SubnetId) -> bool {
         let Some(n) = self.nodes.get(subnet) else {
             return false;
         };
-        if !n.is_quiescent() || !self.parent_queue_drained(n) {
+        if !n.is_quiescent() {
             return false;
         }
         // Work still routed *into* the subnet from elsewhere in the
@@ -268,7 +269,7 @@ impl HierarchyRuntime {
     /// skipping past it) keeps the wave identical to the run of blocks a
     /// sequential [`HierarchyRuntime::step`] loop would produce next. The
     /// ancestor/descendant exclusion keeps checkpoint submission and
-    /// top-down sync — the flows that couple a parent and its children —
+    /// top-down delivery — the flows that couple a parent and its children —
     /// strictly across waves, never within one.
     fn wave_members(&self) -> Vec<SubnetId> {
         let mut order: Vec<&SubnetNode> = self.nodes.values().collect();
@@ -311,11 +312,11 @@ impl HierarchyRuntime {
     /// pairwise hierarchy-independent subnets in wave order:
     ///
     /// 1. *pre* — sequential, wave order: validator refresh, clock
-    ///    advance, network poll, parent sync, content resolution.
+    ///    advance, network poll, content resolution.
     /// 2. *(a)* — concurrent: block assembly, consensus, execution, and
     ///    commit against each subnet's own node only.
     /// 3. *(b)* — sequential, wave order: the block's journal record,
-    ///    checkpoint archiving, event routing, registry pruning; then the
+    ///    checkpoint archiving, event routing, top-down hand-off; then the
     ///    journal barrier — the wave's one sync and its commit point.
     ///
     /// Debug builds end every wave with
@@ -402,13 +403,16 @@ impl HierarchyRuntime {
         Ok(())
     }
 
-    /// Returns `true` when no node has cross-net work in flight, locally
-    /// or waiting in its parent's SCA top-down queue.
+    /// Returns `true` when no node has cross-net work in flight. A top-down
+    /// message waits in its child's node from the block that committed it,
+    /// so each node is asked about itself only.
     pub fn all_quiescent(&self) -> bool {
         // A crashed or still-catching-up node has work in flight by
         // definition: the hierarchy is not settled until it has rejoined
-        // and replayed everything it missed.
-        if !self.subnets.by_id.values().all(SubnetRecord::is_live) {
+        // and replayed everything it missed. So does a record holding
+        // top-down messages for a child not yet booted.
+        let settled = |r: &SubnetRecord| r.is_live() && r.top_down.is_empty();
+        if !self.subnets.by_id.values().all(settled) {
             return false;
         }
         // So do unfired crash faults: quiescing before a scheduled crash
@@ -420,26 +424,12 @@ impl HierarchyRuntime {
         if self.node_faults.iter().any(crash_ahead) {
             return false;
         }
-        self.nodes
-            .values()
-            .all(|n| n.is_quiescent() && self.parent_queue_drained(n))
-    }
-
-    /// `true` when the parent's SCA holds no top-down message `node` has
-    /// yet to pull (vacuously for the root, or while the parent is down).
-    fn parent_queue_drained(&self, node: &SubnetNode) -> bool {
-        let parent = node.subnet_id.parent().and_then(|p| self.nodes.get(&p));
-        parent.is_none_or(|p| {
-            p.tree
-                .sca()
-                .top_down_msgs(&node.subnet_id, node.cross_pool.next_top_down_nonce())
-                .is_empty()
-        })
+        self.nodes.values().all(SubnetNode::is_quiescent)
     }
 
     /// Produces one block on `subnet` (at its scheduled time), running the
-    /// full per-block pipeline: network poll, parent sync, content
-    /// resolution, proposal, execution, and post-block event routing.
+    /// full per-block pipeline: network poll, content resolution, proposal,
+    /// execution, and post-block event routing.
     ///
     /// # Errors
     ///
@@ -451,8 +441,7 @@ impl HierarchyRuntime {
 
     /// Phase *pre* of a tick: cross-net intake against shared state —
     /// validator refresh from the parent SA, clock advance, network poll,
-    /// parent-chain sync, and content resolution. Returns the block's
-    /// virtual time.
+    /// and content resolution. Returns the block's virtual time.
     fn pre_tick(&mut self, subnet: &SubnetId) -> Result<u64, RuntimeError> {
         self.refresh_validators(subnet);
         // Blocks form a total order on the global virtual clock: each block
@@ -467,30 +456,9 @@ impl HierarchyRuntime {
 
         // Sync traffic is for a catching-up node; a live one ignores it.
         self.poll_network(subnet, at_ms)?;
-        self.sync_parent(subnet)?;
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         Self::resolve_pending(node, &self.network, at_ms);
         Ok(at_ms)
-    }
-
-    /// Garbage-collects acknowledged top-down messages from the parent's
-    /// registry: everything below the nonce this child has already pulled
-    /// is settled history. The registry is transport bookkeeping outside
-    /// the state root, so pruning never perturbs consensus.
-    fn prune_parent_registry(&mut self, subnet: &SubnetId) {
-        let Some(parent) = subnet.parent() else {
-            return;
-        };
-        let Some(next) = self
-            .nodes
-            .get(subnet)
-            .map(|n| n.cross_pool.next_top_down_nonce())
-        else {
-            return;
-        };
-        if let Some(parent_node) = self.nodes.get_mut(&parent) {
-            parent_node.tree.prune_top_down(subnet, next);
-        }
     }
 
     /// The node's one front door, for live and catching-up nodes alike:
@@ -555,19 +523,13 @@ impl HierarchyRuntime {
     /// Actor (read from the chain that hosts it — in this in-process
     /// simulation that mirrors the light-client read a real node performs
     /// on the ancestor chains it tracks) and records it as a pending
-    /// payment. Invalid or unverifiable certificates are dropped.
+    /// payment. Invalid or unverifiable certificates are dropped, as are
+    /// the rootnet's, which needs none.
     pub(crate) fn ingest_certificate(&mut self, subnet: &SubnetId, cert: FundCertificate) {
         if cert.body.msg.to.subnet != *subnet {
             return;
         }
-        let source = &cert.body.msg.from.subnet;
-        let Some(parent) = source.parent() else {
-            return; // the rootnet needs no certificates
-        };
-        let Some(sa_addr) = source.actor() else {
-            return;
-        };
-        let Some(sa) = self.nodes.get(&parent).and_then(|n| n.tree.sa(sa_addr)) else {
+        let Some(sa) = self.sa_of(&cert.body.msg.from.subnet) else {
             return;
         };
         if cert.verify(sa).is_err() {
@@ -577,26 +539,6 @@ impl HierarchyRuntime {
         if let Some(node) = self.nodes.get_mut(subnet) {
             node.tentative.entry(key).or_insert(cert);
         }
-    }
-
-    /// Child-side sync with the parent chain: pulls newly committed
-    /// top-down messages (paper Fig. 3, left).
-    fn sync_parent(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
-        let Some(parent) = subnet.parent() else {
-            return Ok(());
-        };
-        let from_nonce = self.known_node(subnet)?.cross_pool.next_top_down_nonce();
-        let msgs = self
-            .nodes
-            .get(&parent)
-            .map(|p| p.tree.sca().top_down_msgs(subnet, from_nonce))
-            .unwrap_or_default();
-        if !msgs.is_empty() {
-            Self::get_node_mut(&mut self.nodes, subnet)?
-                .cross_pool
-                .ingest_top_down(msgs);
-        }
-        Ok(())
     }
 
     /// Attempts to resolve pending bottom-up metas and turnaround metas;
@@ -732,7 +674,7 @@ impl HierarchyRuntime {
     /// node as it was. What happens to the returned outcome is the caller's
     /// choice of *outward* effects: journal recovery routes it through
     /// [`HierarchyRuntime::post_tick`], peer catch-up applies only the
-    /// node-local half of its events.
+    /// node-local half of its events and drops its top-down messages.
     pub(crate) fn reexecute_block(
         &mut self,
         subnet: &SubnetId,
@@ -792,8 +734,8 @@ impl HierarchyRuntime {
 
     /// Phase (b) of a tick: applies a block's outward effects to shared
     /// state — journals the block, archives committed checkpoints, routes
-    /// the block's events through the hierarchy, and prunes the parent's
-    /// settled top-down registry.
+    /// the block's events through the hierarchy, and hands the top-down
+    /// messages it committed to their children.
     pub(crate) fn post_tick(
         &mut self,
         subnet: &SubnetId,
@@ -805,6 +747,7 @@ impl HierarchyRuntime {
             report,
             archived,
             events,
+            top_down,
         } = outcome;
         // The block's place in history: after every record written before
         // it, durable with the rest of its wave at the barrier.
@@ -821,8 +764,28 @@ impl HierarchyRuntime {
         for ev in events {
             self.route_event(subnet, ev, at_ms)?;
         }
-        self.prune_parent_registry(subnet);
+        self.deliver_top_down(top_down);
         Ok(report)
+    }
+
+    /// Hands each top-down message a block committed to the child on its
+    /// route, in one step: into the child's cross-msg pool when it has a
+    /// node, else into its record — which outlives a crash, and is opened
+    /// here for a child registered but not yet booted — until
+    /// [`HierarchyRuntime::genesis_node`] hands it to the node it builds.
+    fn deliver_top_down(&mut self, msgs: Vec<(SubnetId, CrossMsg)>) {
+        for (child, msg) in msgs {
+            match self.nodes.get_mut(&child) {
+                Some(node) => node.cross_pool.ingest_top_down([msg]),
+                None => self
+                    .subnets
+                    .by_id
+                    .entry(child)
+                    .or_default()
+                    .top_down
+                    .push(msg),
+            }
+        }
     }
 
     /// Reacts to a VM event emitted by a block of `subnet`: the node-local

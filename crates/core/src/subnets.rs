@@ -2,7 +2,8 @@
 //! its node, and so across that node's crashes — how it was booted, where
 //! it is placed, which accounts were installed between blocks, its
 //! snapshot manifests, and, while the node is down or catching up, the
-//! peers' view it syncs against.
+//! peers' view it syncs against and the top-down messages committed for
+//! it.
 //!
 //! One map holds all of it, so retiring a subnet is one `remove` that
 //! cannot leave residue, crash and rejoin read one record, and the blob
@@ -11,6 +12,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use hc_actors::sa::SaConfig;
+use hc_actors::CrossMsg;
 use hc_chain::History;
 use hc_consensus::EngineParams;
 use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
@@ -58,6 +60,11 @@ pub(crate) struct SubnetRecord {
     pub(crate) crashed: Option<CrashedNode>,
     /// While the rejoined node replays missed blocks pulled from peers.
     pub(crate) catch_up: Option<CatchUp>,
+    /// While no node of the subnet runs — it crashed, or is registered
+    /// but not yet booted: the top-down messages its parent committed and
+    /// no node applied, in nonce order. The next node built for the
+    /// subnet takes them.
+    pub(crate) top_down: Vec<CrossMsg>,
     /// Set by [`HierarchyRuntime::inject_signed_checkpoint`]: the parent's
     /// record may then fall below the subnet's live supply. Not journaled.
     pub(crate) compromised: bool,
@@ -80,13 +87,11 @@ pub(crate) struct Subnets {
 }
 
 impl Subnets {
-    /// Opens a fresh record for a subnet whose node just booted.
+    /// Records the boot of a subnet whose node just came up, in a fresh
+    /// record or in the one a top-down delivery opened before the boot,
+    /// keeping what that holds.
     pub(crate) fn boot(&mut self, subnet: &SubnetId, boot: Option<(SaConfig, EngineParams)>) {
-        let record = SubnetRecord {
-            boot,
-            ..SubnetRecord::default()
-        };
-        self.by_id.insert(subnet.clone(), record);
+        self.by_id.entry(subnet.clone()).or_default().boot = boot;
     }
 
     /// Takes the next round-robin region slot.

@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{subnet_fingerprint, whole, Harness, SubnetFingerprint};
+use common::{subnet_fingerprint, whole, Cursors, Harness, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
 use hc_chain::{Block, BlockHeader};
 use hc_core::{
@@ -64,7 +64,7 @@ fn crash_halts_production_and_rejoin_catches_up() {
     assert!(h.rt.node(&child).is_none());
 
     // The hierarchy keeps running without the crashed subnet; a transfer
-    // into it queues at the parent SCA.
+    // into it waits in the subnet's record for the rebuilt node.
     h.rt.cross_transfer(&h.alice, &bob, whole(12)).unwrap();
     for _ in 0..6 {
         h.rt.step().unwrap();
@@ -78,12 +78,17 @@ fn crash_halts_production_and_rejoin_catches_up() {
     }
     // A replayed block does to a node exactly what the live block did:
     // the rebuilt node matches the twin in head, state root, every
-    // counter, every cursor — only its block schedule restarts.
+    // counter, every cursor — only its block schedule restarts, and the
+    // transfer committed while it was down waits in its pool.
     let rejoined = subnet_fingerprint(&h.rt, &child);
     assert_eq!(
         rejoined,
         SubnetFingerprint {
             next_block_at_ms: rejoined.next_block_at_ms,
+            cursors: Cursors {
+                pending_top_down: 1,
+                ..twin.cursors
+            },
             ..twin
         },
         "replay rejoin must rebuild the never-crashed twin's bookkeeping"

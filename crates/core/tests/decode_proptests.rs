@@ -107,6 +107,8 @@ fn sca() -> ScaState {
     let proof = tree.prove(Address::new(7)).unwrap();
     sca.recover_funds(&mut ledger, Address::new(7), &child, &proof)
         .unwrap();
+    // As a block commit would: the outbox is empty between blocks.
+    sca.take_outbox();
     sca
 }
 

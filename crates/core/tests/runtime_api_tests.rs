@@ -61,7 +61,7 @@ fn per_subnet_engine_parameters_take_effect() {
 }
 
 #[test]
-fn topdown_registry_is_pruned_after_sync() {
+fn topdown_messages_are_delivered_and_applied_in_order() {
     let mut h = Harness::setup();
     let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
     let bob = h.user(&subnet);
@@ -70,19 +70,11 @@ fn topdown_registry_is_pruned_after_sync() {
     }
     h.settle();
     assert_eq!(h.rt.balance(&bob), whole(10));
-    // After the child pulled and applied everything, the parent registry
-    // holds nothing below the child's next nonce.
-    let remaining =
-        h.rt.node(&SubnetId::root())
-            .unwrap()
-            .state()
-            .sca()
-            .top_down_msgs(&subnet, Nonce::ZERO);
-    assert!(
-        remaining.is_empty(),
-        "registry should be pruned, found {} msgs",
-        remaining.len()
-    );
+    // Each message reached the child as its parent committed it, and the
+    // child applied all ten: nothing waits in its pool.
+    let pool = h.rt.node(&subnet).unwrap().cross_pool();
+    assert_eq!(pool.pending_top_down(), 0);
+    assert_eq!(pool.next_top_down_nonce(), Nonce::new(10));
 }
 
 #[test]

@@ -12,11 +12,12 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{stats_since, subnet_fingerprint, whole, Harness, SubnetFingerprint};
+use common::{stats_since, subnet_fingerprint, whole, Cursors, Harness, SubnetFingerprint};
 use hc_actors::sa::SaConfig;
 use hc_core::persist::{DurableOptions, CONTROL_LOG};
 use hc_core::{
-    ControlRecord, HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode, UserHandle,
+    audit_quiescent, ControlRecord, HierarchyRuntime, PersistenceConfig, RuntimeConfig, SyncMode,
+    UserHandle,
 };
 use hc_net::{FaultKind, FaultPlan, FaultRule, NetConfig, PartitionPolicy, RetryPolicy};
 use hc_state::{ChunkManifest, Method};
@@ -92,14 +93,19 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
     }
     // The bootstrapped node matches the twin in head, state root and
     // every cursor; its counters cover exactly the re-executed suffix
-    // (the covered prefix is skipped, not counted), and its block
-    // schedule restarts.
+    // (the covered prefix is skipped, not counted), its block schedule
+    // restarts, and the transfer committed while it was dark waits in
+    // its pool.
     let rejoined = subnet_fingerprint(&h.rt, &child);
     assert_eq!(
         rejoined,
         SubnetFingerprint {
             stats: stats_since(twin.stats, stats_at_anchor),
             next_block_at_ms: rejoined.next_block_at_ms,
+            cursors: Cursors {
+                pending_top_down: 1,
+                ..twin.cursors
+            },
             ..twin
         },
         "snapshot rejoin must rebuild the never-crashed twin's bookkeeping"
@@ -180,6 +186,62 @@ fn snapshot_rejoin_state_matches_replay_rejoin() {
         root_snap, root_replay,
         "snapshot bootstrap must land on the exact replay state"
     );
+}
+
+/// A parent that snapshot-rejoins strands no top-down value (root → p →
+/// c): a transfer p commits while c is down, before the checkpoint p
+/// later installs from, reaches c once both are back. p's snapshot holds
+/// state only, so the transfer must already have left p when p committed
+/// it — under either sync mode.
+#[test]
+fn a_snapshot_rejoined_parent_strands_no_top_down_transfer() {
+    let _serial = serial();
+    for mode in [SyncMode::Replay, SyncMode::Snapshot] {
+        let sa = SaConfig {
+            checkpoint_period: 5,
+            ..SaConfig::default()
+        };
+        let config = RuntimeConfig {
+            sync_mode: mode,
+            ..RuntimeConfig::default()
+        };
+        let mut h = Harness::with(config, 1_000_000);
+        let p = h.spawn(&h.alice.clone(), sa.clone());
+        let creator = h.user(&p);
+        h.fund(&creator, 100);
+        let c = h.spawn(&creator, sa);
+        let carol = h.user(&c);
+
+        h.rt.crash_node(&c).unwrap();
+        h.rt.cross_transfer(&h.alice, &carol, whole(5)).unwrap();
+        while h.child_info(&c).circ_supply < whole(5) {
+            h.rt.step().unwrap();
+        }
+        let committed_at = h.rt.node(&p).unwrap().chain().head_epoch();
+        while h
+            .rt
+            .checkpoint_anchor(&p)
+            .is_none_or(|(at, _)| at <= committed_at)
+        {
+            h.rt.step().unwrap();
+        }
+
+        let installs = h.rt.chaos_stats().snapshot_installs;
+        h.rt.crash_node(&p).unwrap();
+        h.rt.rejoin_node(&p).unwrap();
+        while h.rt.is_catching_up(&p) {
+            h.rt.step().unwrap();
+        }
+        let installed = h.rt.chaos_stats().snapshot_installs - installs;
+        assert_eq!(installed, u64::from(mode == SyncMode::Snapshot), "{mode:?}");
+        h.rt.rejoin_node(&c).unwrap();
+        h.rt.run_until_quiescent(200_000).unwrap();
+        assert_eq!(
+            (h.rt.balance(&carol), audit_quiescent(&h.rt)),
+            (whole(5), Ok(())),
+            "{mode:?}"
+        );
+    }
 }
 
 /// Satellite 1 regression: the catch-up retry budget is per batch, not

@@ -147,7 +147,7 @@ fn sig_cache_never_changes_results() {
 #[test]
 fn waves_never_mix_parents_and_children() {
     // A parent and child due at the same instant must land in different
-    // waves — checkpoint submission and top-down sync couple them.
+    // waves — checkpoint submission and top-down delivery couple them.
     let (mut rt, subnets) = flat8(4);
     let root = SubnetId::root();
     for _ in 0..2_000 {

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
-use hc_actors::{AtomicExecRegistry, Ledger, MsgGroup, ScaConfig, ScaState};
+use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, MsgGroup, ScaConfig, ScaState};
 use hc_types::merkle::{leaf_digest, MerkleProof, MerkleTree};
 use hc_types::{
     Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MHamtNode, Nonce,
@@ -257,12 +257,12 @@ impl StateTree {
         &mut self.sca
     }
 
-    /// Drops committed top-down messages for `child` below `below` from the
-    /// SCA's relay queue ([`ScaState::prune_top_down`]). The queue is
-    /// outside the canonical encoding, so — unlike [`StateTree::sca_mut`] —
-    /// this does not dirty the SCA chunk.
-    pub fn prune_top_down(&mut self, child: &SubnetId, below: Nonce) -> usize {
-        self.sca.prune_top_down(child, below)
+    /// Takes the top-down messages the last executed block committed, each
+    /// with the child on its route ([`ScaState::take_outbox`]). The outbox
+    /// is outside the canonical encoding, so — unlike
+    /// [`StateTree::sca_mut`] — this does not dirty the SCA chunk.
+    pub fn take_outbox(&mut self) -> Vec<(SubnetId, CrossMsg)> {
+        self.sca.take_outbox()
     }
 
     /// Appends the groups of one checkpoint cut to the content registry,
@@ -811,9 +811,9 @@ mod tests {
     }
 
     #[test]
-    fn pruning_the_relay_queue_hashes_nothing() {
-        // The top-down relay queue is outside the canonical encoding, so
-        // pruning it must not dirty the SCA chunk.
+    fn taking_the_outbox_hashes_nothing() {
+        // The top-down outbox is outside the canonical encoding, so taking
+        // it must not dirty the SCA chunk.
         let mut t = tree();
         let (ledger, sca) = t.ledger_and_sca_mut();
         let child = sca
@@ -833,8 +833,13 @@ mod tests {
         sca.send_cross_msg(ledger, Address::new(100), down).unwrap();
         let root = t.flush();
         let before = t.commit_stats();
-        assert_eq!(t.prune_top_down(&child, Nonce::new(1)), 1);
-        assert!(t.sca().top_down_msgs(&child, Nonce::ZERO).is_empty());
+        let committed = t.take_outbox();
+        assert_eq!(committed.len(), 1);
+        assert_eq!(
+            (&committed[0].0, committed[0].1.nonce),
+            (&child, Nonce::ZERO)
+        );
+        assert!(t.take_outbox().is_empty());
         assert!(t.is_committed());
         assert_eq!(t.flush(), root);
         let after = t.commit_stats();

@@ -289,7 +289,12 @@ fn cross_msg_send_and_checkpoint_cut() {
         tree.sca().subnet(&subnet).unwrap().circ_supply,
         TokenAmount::from_whole(7)
     );
-    assert_eq!(tree.sca().top_down_msgs(&subnet, Nonce::ZERO).len(), 1);
+    let committed = tree.take_outbox();
+    assert_eq!(committed.len(), 1);
+    assert_eq!(
+        (&committed[0].0, committed[0].1.nonce),
+        (&subnet, Nonce::ZERO)
+    );
 
     // Checkpoint cutting via implicit message (root never submits it
     // anywhere, but cutting still drains windows deterministically).

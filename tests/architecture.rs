@@ -3,7 +3,7 @@
 //! Each test pins one structural decision DESIGN.md records — one
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
 //! option without a scenario, one front door per node, one way a node
-//! comes up, one test world, one invariant check, content hashed once, one
+//! comes up, one way a top-down message goes down, one test world, one invariant check, content hashed once, one
 //! `unsafe` block, hot values kept small, a pool that remembers senders
 //! rather than messages, a signature verdict kept on the value, a nonce
 //! read from the pool, a key held by its client, history held in wire
@@ -529,6 +529,50 @@ fn one_way_up() {
     assert!(
         recover.contains("self.restart_node("),
         "DESIGN.md §13: a short fast-forward restarts through the rejoin path"
+    );
+}
+
+/// DESIGN.md §8, "One way down": a parent hands each top-down message to
+/// its child as the block that commits it commits. No relay queue waits on
+/// the parent, and no child reads or prunes one: the relay's names are gone
+/// from every crate, a child's pool is fed only by that hand-off and by the
+/// node built for the child, and a Subnet Actor is read from its parent
+/// chain's copy through `sa_of` alone, or from the node's own tree when a
+/// block commits.
+#[test]
+fn one_way_down() {
+    let retired = [
+        "top_down_queue",
+        "top_down_msgs",
+        "prune_top_down",
+        "sync_parent",
+        "prune_parent_registry",
+        "parent_queue_drained",
+    ];
+    let relay = hits(
+        &crate_sources(),
+        |s| s,
+        |l| retired.iter().any(|r| l.contains(r)),
+    );
+    assert!(
+        relay.is_empty(),
+        "DESIGN.md §8: the top-down relay is back: {relay:#?}"
+    );
+    assert_eq!(
+        core_calls("ingest_top_down("),
+        [
+            "crates/core/src/lifecycle.rs: genesis_node",
+            "crates/core/src/runtime.rs: deliver_top_down",
+        ],
+        "DESIGN.md §8: a child's pool is fed by the hand-off and the node built for it"
+    );
+    assert_eq!(
+        core_calls("tree.sa("),
+        [
+            "crates/core/src/lifecycle.rs: sa_of",
+            "crates/core/src/node.rs: commit_block",
+        ],
+        "DESIGN.md §8: a Subnet Actor is read through `sa_of`, or by its own node at commit"
     );
 }
 
