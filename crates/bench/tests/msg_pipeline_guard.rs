@@ -4,28 +4,41 @@
 //! production → block validation), the memoized, batch-verified pipeline
 //! must produce receipts and a state root bit-identical to the same APIs
 //! at `ExecOptions::default()` without counters, and must stay
-//! under an absolute ceiling of SHA-256 compressions per message. The
-//! ceiling is the measured count plus 2 % — the same style of gate as
-//! `e2e/golden/smoke.json` — on [`hc_types::sha256_block_count`], a
-//! deterministic work proxy counting every compression-function invocation
-//! in the process, so it cannot flake on machine noise; wall-clock is
-//! printed for context.
+//! under absolute ceilings of SHA-256 compressions, allocations and bytes
+//! allocated. Each ceiling is the measured count plus 2 % — the same style
+//! of gate as `e2e/golden/smoke.json` — on a deterministic work counter:
+//! [`hc_types::sha256_block_count`] counts every compression-function
+//! invocation in the process, [`hc_types::CountingAlloc`] (this binary's
+//! global allocator) every allocation, so neither can flake on machine
+//! noise; wall-clock is printed for context.
 //!
-//! This file intentionally holds a single `#[test]`: the block counter is
+//! This file intentionally holds a single `#[test]`: the counters are
 //! process-global, and a lone test keeps the measured region free of
-//! concurrent hashing from harness siblings.
+//! concurrent hashing and allocation from harness siblings.
 
 use std::time::Instant;
 
 use hc_bench::msg_pipeline::{end_to_end, pipeline_end_to_end_with_stats, workload};
 use hc_chain::ExecOptions;
 use hc_types::crypto::sha256_block_count;
+use hc_types::CountingAlloc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const MSGS: usize = 10_000;
 
 /// Measured: 96 916 compressions for the 10 000 messages (9.69 per
 /// message), plus 2 %.
 const MAX_SHA256_BLOCKS: u64 = 98_854;
+
+/// Measured: 141 588 allocations for the 10 000 messages (14.16 per
+/// message), plus 2 %.
+const MAX_ALLOCS: u64 = 144_419;
+
+/// Measured: 35 013 708 bytes allocated for the 10 000 messages (3 501 per
+/// message), plus 2 %.
+const MAX_ALLOC_BYTES: u64 = 35_713_982;
 
 #[test]
 fn pipeline_matches_the_default_path_under_its_hashing_ceiling() {
@@ -34,15 +47,25 @@ fn pipeline_matches_the_default_path_under_its_hashing_ceiling() {
     let reference = end_to_end(&msgs, None, ExecOptions::default().parallelism);
 
     let blocks_before = sha256_block_count();
+    let allocs_before = CountingAlloc::counts();
     let wall = Instant::now();
     let (pipeline, stats) = pipeline_end_to_end_with_stats(&msgs, 4);
     let pipeline_ms = wall.elapsed().as_millis();
+    let allocs = CountingAlloc::counts();
     let pipeline_blocks = sha256_block_count() - blocks_before;
+    let (calls, bytes) = (
+        allocs.calls - allocs_before.calls,
+        allocs.bytes - allocs_before.bytes,
+    );
 
+    let per_msg = |n: u64| n as f64 / MSGS as f64;
     eprintln!(
         "msg_pipeline at {MSGS} msgs: {pipeline_blocks} sha256 blocks \
-         ({:.2} per message, {pipeline_ms} ms), verdicts {stats:?}",
-        pipeline_blocks as f64 / MSGS as f64
+         ({:.2} per message, {pipeline_ms} ms), {calls} allocations \
+         ({:.2} per message) of {bytes} B ({:.0} B per message), verdicts {stats:?}",
+        per_msg(pipeline_blocks),
+        per_msg(calls),
+        per_msg(bytes)
     );
 
     assert_eq!(pipeline, reference, "pipeline changed observable results");
@@ -54,5 +77,13 @@ fn pipeline_matches_the_default_path_under_its_hashing_ceiling() {
     assert!(
         pipeline_blocks <= MAX_SHA256_BLOCKS,
         "pipeline hashed {pipeline_blocks} sha256 blocks, ceiling {MAX_SHA256_BLOCKS}"
+    );
+    assert!(
+        calls <= MAX_ALLOCS,
+        "pipeline made {calls} allocations, ceiling {MAX_ALLOCS}"
+    );
+    assert!(
+        bytes <= MAX_ALLOC_BYTES,
+        "pipeline allocated {bytes} B, ceiling {MAX_ALLOC_BYTES}"
     );
 }

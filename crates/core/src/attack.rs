@@ -108,7 +108,8 @@ impl HierarchyRuntime {
 
     /// Injects a validly-signed checkpoint built from the subnet's real
     /// template (correct `prev` chain) after applying `tamper` to it, and
-    /// queues it at the parent. This *bypasses* the honest node's SCA —
+    /// hands it to the parent the way an honest cut goes up. This
+    /// *bypasses* the honest node's SCA —
     /// exactly what a compromised validator set can do — and marks the
     /// subnet compromised for [`HierarchyRuntime::check_invariants`].
     ///
@@ -138,9 +139,7 @@ impl HierarchyRuntime {
         ckpt.proof = Cid::digest(b"compromised head");
         tamper(&mut ckpt);
         let signed = node.sign_checkpoint(ckpt);
-        Self::get_node_mut(&mut self.nodes, &parent)?
-            .pending_checkpoints
-            .push(signed);
+        self.deliver_checkpoint(signed);
         if let Some(record) = self.subnets.by_id.get_mut(subnet) {
             record.compromised = true;
         }

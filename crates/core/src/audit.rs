@@ -14,6 +14,10 @@
 //!   each top-down message its parent committed and it has not applied:
 //!   its next nonce plus the messages its pool holds is the nonce its
 //!   parent assigns next;
+//! * **bottom-up delivery** — every active, uncompromised live child under a
+//!   live parent has each checkpoint it cut either committed by its parent
+//!   or waiting in the parent's queue: from the parent's committed head, the
+//!   queue's `prev` links reach the child's last cut;
 //! * **node records** — every node has a subnet record, and every record
 //!   without a node is crashed, or was opened by a top-down delivery to a
 //!   child not yet booted (it holds no boot parameters);
@@ -32,9 +36,10 @@
 
 use std::fmt;
 
+use hc_actors::checkpoint::Checkpoint;
 use hc_actors::{Ledger, SubnetStatus};
 use hc_types::crypto::uncounted;
-use hc_types::{Address, SubnetId, TokenAmount};
+use hc_types::{Address, CanonicalEncode, SubnetId, TokenAmount};
 
 use crate::runtime::HierarchyRuntime;
 use crate::subnets::SubnetRecord;
@@ -150,6 +155,19 @@ impl HierarchyRuntime {
                         let detail =
                             format!("expects {next}, holds {held}, {parent} assigned {assigned}");
                         fail("top-down delivery", subnet, detail);
+                    }
+                    let honest = info.status == SubnetStatus::Active
+                        && !record(subnet).is_some_and(|r| r.compromised);
+                    let queued = self.nodes[&parent].pending_checkpoints.iter();
+                    let own = queued
+                        .map(|s| &s.checkpoint)
+                        .filter(|c| c.source == *subnet);
+                    let link = |head, c: &Checkpoint| if c.prev == head { c.cid() } else { head };
+                    let reached = own.fold(info.prev_checkpoint, link);
+                    let cut = sca.prev_checkpoint();
+                    if honest && reached != cut {
+                        let detail = format!("{parent} reaches {reached}, the child cut {cut}");
+                        fail("bottom-up delivery", subnet, detail);
                     }
                 }
                 if !quiescent {
@@ -327,6 +345,21 @@ mod tests {
         rt.step_wave().unwrap();
     }
 
+    /// The child cuts a checkpoint and hands it up, and the root's queue
+    /// then loses it before any block commits it.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
+    #[should_panic(expected = "bottom-up delivery violation")]
+    fn a_dropped_cut_breaks_the_bottom_up_delivery() {
+        let (mut rt, _, _) = world();
+        let root = SubnetId::root();
+        while rt.nodes[&root].pending_checkpoints.is_empty() {
+            rt.step().unwrap();
+        }
+        rt.nodes.get_mut(&root).unwrap().pending_checkpoints.clear();
+        rt.step_wave().unwrap();
+    }
+
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
     #[should_panic(expected = "node records violation")]
@@ -338,9 +371,10 @@ mod tests {
 
     /// A theft over an edge the runtime never compromised: the forged
     /// withdrawal of the child's whole supply goes through
-    /// `inject_signed_checkpoint`, and the runtime is then made to forget
-    /// it. Escrow stays covered; the parent's record falls below the
-    /// child's live supply, and `run_until_quiescent`'s last wave says so.
+    /// `inject_signed_checkpoint` and settles, and the runtime is then made
+    /// to forget it. Escrow stays covered; the parent's record falls below
+    /// the child's live supply, and the next wave says so. (Forgotten any
+    /// earlier, the forged checkpoint breaks the bottom-up delivery first.)
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "the per-wave check is debug-only")]
     #[should_panic(expected = "backing violation")]
@@ -355,9 +389,10 @@ mod tests {
             ckpt.add_cross_meta(meta);
         })
         .unwrap();
-        rt.subnets.by_id.get_mut(&child).unwrap().compromised = false;
         rt.nodes.get_mut(&root).unwrap().resolver.seed(group);
         rt.run_until_quiescent(5_000).unwrap();
+        rt.subnets.by_id.get_mut(&child).unwrap().compromised = false;
+        rt.step_wave().unwrap();
     }
 
     #[test]

@@ -134,11 +134,9 @@ pub struct ChaosStats {
     /// subnet was itself still down or catching up; retried every step
     /// until the dependency clears.
     pub region_heals_deferred: u64,
-    /// Cut-but-uncommitted checkpoints resubmitted after a catch-up
-    /// because a crashed parent lost them from its in-memory pending
-    /// queue (losing one would wedge the child's `prev` hash chain and
-    /// strand every bottom-up message behind it).
-    pub checkpoints_resubmitted: u64,
+    /// Delivered, uncommitted child checkpoints a crashed parent's queue
+    /// left in its record, for the next node built for it to commit.
+    pub checkpoints_held: u64,
 }
 
 /// Progress of one scheduled node fault — a [`FaultKind::Crash`] or the
@@ -291,8 +289,9 @@ impl HierarchyRuntime {
     /// Takes `subnet`'s node out of the hierarchy and returns what survives
     /// it: its subscription, gone dark with its inbox lost, the subnet's
     /// full chain as its peers hold it, and the replicated mempool. The
-    /// top-down messages the node held unapplied move to its record, where
-    /// later deliveries join them until a node is built again.
+    /// top-down messages the node held unapplied and the child checkpoints
+    /// it held uncommitted move to its record, where later deliveries join
+    /// them until a node is built again.
     pub(crate) fn take_down(&mut self, subnet: &SubnetId) -> Result<CrashedNode, RuntimeError> {
         let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
         let record = self.subnets.by_id.get_mut(subnet).ok_or_else(unknown)?;
@@ -300,6 +299,8 @@ impl HierarchyRuntime {
         self.network.set_offline(node.subscription, true);
         self.network.clear_inbox(node.subscription);
         record.top_down.extend(node.cross_pool.into_top_down());
+        self.chaos.checkpoints_held += node.pending_checkpoints.len() as u64;
+        record.checkpoints.extend(node.pending_checkpoints);
         // A snapshot-bootstrapped node chains only the post-install suffix;
         // the covered blocks wait in `snapshot_base` and are re-prefixed.
         let mut peer_blocks = std::mem::take(&mut record.snapshot_base);
@@ -836,74 +837,6 @@ impl HierarchyRuntime {
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         node.next_block_at_ms = now_ms + block_time_ms;
         self.chaos.catch_ups_completed += 1;
-        self.resubmit_lost_checkpoints(subnet)?;
-        Ok(())
-    }
-
-    /// Repairs checkpoint submissions a crash may have stranded, in both
-    /// directions around the freshly caught-up `subnet`: its own
-    /// uncommitted cut suffix goes (back) to its parent, and every live
-    /// child's uncommitted suffix goes (back) to it. A checkpoint lives
-    /// only in the parent's in-memory pending queue between cut and
-    /// commit, so a parent crash loses it — and the per-child `prev` hash
-    /// chain would then reject every subsequent checkpoint from that
-    /// child, stranding its bottom-up messages forever.
-    fn resubmit_lost_checkpoints(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
-        self.resubmit_cut_suffix(subnet)?;
-        let children: Vec<SubnetId> = self
-            .nodes
-            .keys()
-            .filter(|s| s.parent().as_ref() == Some(subnet))
-            .cloned()
-            .collect();
-        for child in children {
-            self.resubmit_cut_suffix(&child)?;
-        }
-        Ok(())
-    }
-
-    /// Re-enqueues `child`'s cut-but-uncommitted checkpoints at its
-    /// parent, in chain order. The uncommitted suffix is exactly the
-    /// chain walk from the child's current cut head through the
-    /// runtime's cut ledger (entries are pruned when the parent archives
-    /// a commit, so the walk stops at the committed boundary). Already
-    /// pending copies are skipped, which makes the repair idempotent.
-    fn resubmit_cut_suffix(&mut self, child: &SubnetId) -> Result<(), RuntimeError> {
-        let Some(parent) = child.parent() else {
-            return Ok(());
-        };
-        if self.subnets.catch_up(child).is_some() || self.subnets.catch_up(&parent).is_some() {
-            return Ok(());
-        }
-        let Some(child_node) = self.nodes.get(child) else {
-            return Ok(());
-        };
-        let mut cursor = child_node.tree.sca().prev_checkpoint();
-        let mut suffix = Vec::new();
-        while cursor != Cid::NIL {
-            let Some(signed) = self.cut_checkpoints.get(&cursor) else {
-                break;
-            };
-            cursor = signed.checkpoint.prev;
-            suffix.push(signed.clone());
-        }
-        if suffix.is_empty() {
-            return Ok(());
-        }
-        suffix.reverse();
-        let parent_node = Self::get_node_mut(&mut self.nodes, &parent)?;
-        let mut resubmitted = 0u64;
-        for signed in suffix {
-            if !parent_node
-                .pending_checkpoints
-                .iter()
-                .any(|p| p.checkpoint == signed.checkpoint)
-            {
-                parent_node.pending_checkpoints.push(signed);
-                resubmitted += 1;
-            }
-        }
-        self.chaos.checkpoints_resubmitted += resubmitted;
         Ok(())
     }
 }

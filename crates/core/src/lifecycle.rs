@@ -134,8 +134,9 @@ impl HierarchyRuntime {
     /// The one way a node comes up, at genesis on the shared blob store and
     /// due at `due_ms`: the rootnet's boot (`boot` is `None`), a child's
     /// boot, and the restart of [`HierarchyRuntime::restart_node`]. The
-    /// node takes the top-down messages its record holds: those committed
-    /// while no node of the subnet ran.
+    /// node takes what its record holds for it while no node of the subnet
+    /// ran: the top-down messages its parent committed and the checkpoints
+    /// its children delivered.
     pub(crate) fn genesis_node(
         &mut self,
         subnet: &SubnetId,
@@ -149,6 +150,7 @@ impl HierarchyRuntime {
         if let Some(record) = self.subnets.by_id.get_mut(subnet) {
             node.cross_pool
                 .ingest_top_down(std::mem::take(&mut record.top_down));
+            node.pending_checkpoints = std::mem::take(&mut record.checkpoints);
         }
         self.nodes.insert(subnet.clone(), node);
         self.nodes.get_mut(subnet).expect("just inserted")

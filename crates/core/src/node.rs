@@ -130,8 +130,8 @@ pub struct SubnetNode {
     pub(crate) next_block_at_ms: u64,
     /// Epoch of the next block.
     pub(crate) next_epoch: ChainEpoch,
-    /// Child checkpoints waiting to be committed in this chain's next
-    /// block.
+    /// Child checkpoints handed up (the runtime's `deliver_checkpoint`)
+    /// and waiting to be committed in this chain's next block.
     pub(crate) pending_checkpoints: Vec<SignedCheckpoint>,
     /// Turnaround metas with resolved content, ready for top-down
     /// re-commitment in the next block (this subnet is their LCA).
@@ -567,8 +567,9 @@ impl SubnetNode {
     /// flight: nothing to propose, resolve, commit, or turn around, and no
     /// value waiting in the current checkpoint window.
     ///
-    /// Hierarchy-wide quiescence additionally requires that the parent's
-    /// SCA holds no unsynced top-down messages for this subnet — see
+    /// Hierarchy-wide quiescence additionally requires every node live and
+    /// every subnet record empty of what waits for a node — top-down
+    /// messages and child checkpoints — see
     /// [`crate::runtime::HierarchyRuntime::all_quiescent`].
     pub fn is_quiescent(&self) -> bool {
         self.mempool.is_empty()

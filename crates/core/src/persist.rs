@@ -25,13 +25,13 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
 use hc_chain::Block;
 use hc_consensus::EngineParams;
 use hc_store::{FsyncPolicy, OnDiskDevice, Persistence, WalOptions};
 use hc_types::{
-    Address, ByteReader, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, DecodeError, SubnetId,
-    TokenAmount,
+    Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, SubnetId, TokenAmount,
 };
 
 /// How (and whether) a [`crate::HierarchyRuntime`] persists its history.
@@ -178,12 +178,12 @@ pub enum ControlRecord {
     },
     /// A checkpoint cut persisted a subnet's state. Verify-only on replay:
     /// the replayed cut re-persists through the same code path, and this
-    /// anchor must match what it produced.
+    /// anchor must match what it produced. A replay that skips the cut
+    /// block hands the checkpoint to the parent from here.
     CheckpointAnchor {
-        /// The cutting subnet.
-        subnet: SubnetId,
-        /// The checkpoint's epoch.
-        epoch: ChainEpoch,
+        /// The signed checkpoint: its `source` is the cutting subnet, its
+        /// `epoch` the cut's.
+        signed: SignedCheckpoint,
         /// CID of the persisted manifest.
         manifest: Cid,
     },
@@ -235,14 +235,9 @@ impl CanonicalEncode for ControlRecord {
                 subnet.write_bytes(out);
                 manifest.write_bytes(out);
             }
-            ControlRecord::CheckpointAnchor {
-                subnet,
-                epoch,
-                manifest,
-            } => {
+            ControlRecord::CheckpointAnchor { signed, manifest } => {
                 out.push(5);
-                subnet.write_bytes(out);
-                epoch.write_bytes(out);
+                signed.write_bytes(out);
                 manifest.write_bytes(out);
             }
             ControlRecord::UserAdopted { subnet, addr } => {
@@ -282,8 +277,7 @@ impl CanonicalDecode for ControlRecord {
                 manifest: Cid::read_bytes(r)?,
             }),
             5 => Ok(ControlRecord::CheckpointAnchor {
-                subnet: SubnetId::read_bytes(r)?,
-                epoch: ChainEpoch::read_bytes(r)?,
+                signed: SignedCheckpoint::read_bytes(r)?,
                 manifest: Cid::read_bytes(r)?,
             }),
             6 => Ok(ControlRecord::UserAdopted {
@@ -308,9 +302,10 @@ impl CanonicalDecode for ControlRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_actors::checkpoint::Checkpoint;
     use hc_chain::BlockHeader;
     use hc_state::{ImplicitMsg, Message, Method, SealedMessage};
-    use hc_types::{Keypair, Nonce};
+    use hc_types::{ChainEpoch, Keypair, Nonce};
     use proptest::prelude::*;
 
     /// A sealed block with a user message and an implicit one, on `subnet`.
@@ -337,6 +332,18 @@ mod tests {
         Block::seal(header, vec![signed], vec![implicit], &key)
     }
 
+    /// A signed checkpoint of `subnet` at epoch 20, with a child check.
+    fn sample_checkpoint(subnet: &SubnetId) -> SignedCheckpoint {
+        let prev = Cid::digest(b"prev checkpoint");
+        let mut checkpoint = Checkpoint::template(subnet.clone(), ChainEpoch::new(20), prev);
+        checkpoint.proof = Cid::digest(b"head");
+        checkpoint.add_child_check(subnet.child(Address::new(43)), Cid::digest(b"child"));
+        let mut signed = SignedCheckpoint::new(checkpoint);
+        let key = Keypair::from_seed([0x33; 32]);
+        signed.signatures.add(key.sign(&signed.signing_bytes()));
+        signed
+    }
+
     /// One record of every variant.
     fn sample_records() -> Vec<ControlRecord> {
         let subnet = SubnetId::root().child(Address::new(42));
@@ -357,8 +364,7 @@ mod tests {
                 manifest: Cid::digest(b"manifest"),
             },
             ControlRecord::CheckpointAnchor {
-                subnet: subnet.clone(),
-                epoch: ChainEpoch::new(20),
+                signed: sample_checkpoint(&subnet),
                 manifest: Cid::digest(b"manifest2"),
             },
             ControlRecord::UserAdopted {

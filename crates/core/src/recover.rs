@@ -117,12 +117,9 @@ impl HierarchyRuntime {
         for record in records {
             match record {
                 ControlRecord::SubnetBoot { child, .. } => booted.push(child),
-                ControlRecord::CheckpointAnchor {
-                    subnet,
-                    epoch,
-                    manifest,
-                } => {
-                    anchors.insert(subnet, (epoch, manifest));
+                ControlRecord::CheckpointAnchor { signed, manifest } => {
+                    let checkpoint = signed.checkpoint;
+                    anchors.insert(checkpoint.source, (checkpoint.epoch, manifest));
                 }
                 _ => {}
             }
@@ -196,11 +193,8 @@ impl HierarchyRuntime {
                 self.track_manifest(&subnet, manifest);
                 true
             }
-            ControlRecord::CheckpointAnchor {
-                subnet,
-                epoch,
-                manifest,
-            } => {
+            ControlRecord::CheckpointAnchor { signed, manifest } => {
+                let (subnet, epoch) = (signed.checkpoint.source.clone(), signed.checkpoint.epoch);
                 let Some(&(target_epoch, target_manifest)) = targets.get(&subnet) else {
                     // The persist already re-ran inside the replayed
                     // block's checkpoint-cut routing; this anchor only
@@ -230,8 +224,11 @@ impl HierarchyRuntime {
                 }
                 // Target or a pre-target anchor inside the skipped prefix
                 // (no persist ran to cross-check against): the GC window
-                // must advance exactly as it did live.
+                // must advance exactly as it did live, and the checkpoint
+                // the skipped block cut goes up as it did live — the
+                // parent's re-executed commit, if journaled, retires it.
                 self.anchor_manifest(&subnet, epoch, manifest);
+                self.deliver_checkpoint(signed);
                 true
             }
             ControlRecord::RegionAssigned { subnet, region } => {

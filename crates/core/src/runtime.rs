@@ -16,7 +16,7 @@ use hc_consensus::ValidatorSet;
 use hc_net::{BackoffStep, Network, ResolutionMsg, Resolver};
 use hc_state::{CidStore, ImplicitMsg, Method, VmEvent};
 use hc_store::Persistence;
-use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TokenAmount};
+use hc_types::{Address, CanonicalEncode, Keypair, SubnetId, TokenAmount};
 
 use crate::chaos::SyncInbox;
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
@@ -65,14 +65,6 @@ pub struct HierarchyRuntime {
     pub(crate) node_faults: Vec<(hc_net::FaultRule, crate::chaos::CrashPhase)>,
     /// Crash/rejoin/catch-up counters.
     pub(crate) chaos: crate::chaos::ChaosStats,
-    /// Signed checkpoints cut but not yet committed by the parent, keyed
-    /// by checkpoint CID. A checkpoint submitted to a parent lives only in
-    /// that node's in-memory `pending_checkpoints` until committed, so a
-    /// parent crash loses it — and the per-child `prev` hash chain then
-    /// rejects every later checkpoint from that child. This runtime-level
-    /// ledger (the runtime outlives node crashes) lets catch-up resubmit
-    /// the lost suffix; entries are pruned as commits are archived.
-    pub(crate) cut_checkpoints: BTreeMap<Cid, SignedCheckpoint>,
 }
 
 impl fmt::Debug for HierarchyRuntime {
@@ -140,7 +132,6 @@ impl HierarchyRuntime {
             subnets: Subnets::default(),
             node_faults: Vec::new(),
             chaos: crate::chaos::ChaosStats::default(),
-            cut_checkpoints: BTreeMap::new(),
         };
         let subscription = rt.network.subscribe(&root.topic());
         let block_time_ms = rt.config.engine_params.block_time_ms;
@@ -410,8 +401,10 @@ impl HierarchyRuntime {
         // A crashed or still-catching-up node has work in flight by
         // definition: the hierarchy is not settled until it has rejoined
         // and replayed everything it missed. So does a record holding
-        // top-down messages for a child not yet booted.
-        let settled = |r: &SubnetRecord| r.is_live() && r.top_down.is_empty();
+        // top-down messages for a child not yet booted, or checkpoints for
+        // a parent no node of which runs.
+        let settled =
+            |r: &SubnetRecord| r.is_live() && r.top_down.is_empty() && r.checkpoints.is_empty();
         if !self.subnets.by_id.values().all(settled) {
             return false;
         }
@@ -753,7 +746,6 @@ impl HierarchyRuntime {
         // it, durable with the rest of its wave at the barrier.
         self.journal.append(&ControlRecord::Block(block));
         for (signed, policy) in archived {
-            self.cut_checkpoints.remove(&signed.checkpoint.cid());
             self.archive.record(signed, policy);
         }
         if self.journal.outward() {
@@ -788,10 +780,30 @@ impl HierarchyRuntime {
         }
     }
 
+    /// Hands a signed checkpoint to its source's parent, in one step: into
+    /// the parent node's queue, which its next block commits, or into the
+    /// parent's record while no node of it runs, until
+    /// [`HierarchyRuntime::genesis_node`] hands it to the node it builds.
+    pub(crate) fn deliver_checkpoint(&mut self, signed: SignedCheckpoint) {
+        let Some(parent) = signed.checkpoint.source.parent() else {
+            return;
+        };
+        match self.nodes.get_mut(&parent) {
+            Some(node) => node.pending_checkpoints.push(signed),
+            None => self
+                .subnets
+                .by_id
+                .entry(parent)
+                .or_default()
+                .checkpoints
+                .push(signed),
+        }
+    }
+
     /// Reacts to a VM event emitted by a block of `subnet`: the node-local
     /// half ([`SubnetNode::apply_event`], shared with peer catch-up) and
-    /// then the outward half — gossip, parent submission, journal records,
-    /// certificates.
+    /// then the outward half — gossip, the checkpoint hand-off, journal
+    /// records, certificates.
     fn route_event(
         &mut self,
         subnet: &SubnetId,
@@ -818,27 +830,18 @@ impl HierarchyRuntime {
                     self.network.publish(&topic, push, now_ms, Some(origin));
                 }
 
+                // Anchor the persisted manifest, with the checkpoint, in the
+                // control log and the GC window. During replay the same
+                // code path re-persists, so GC sweeps happen at identical
+                // points; a replay that skips this block hands the
+                // checkpoint up from its anchor record instead.
                 let epoch = signed.checkpoint.epoch;
-                if let Some(parent) = subnet.parent() {
-                    // Ledger the cut until the parent archives its commit,
-                    // so a parent crash cannot strand it (see
-                    // `cut_checkpoints`).
-                    self.cut_checkpoints
-                        .insert(signed.checkpoint.cid(), signed.clone());
-                    Self::get_node_mut(&mut self.nodes, &parent)?
-                        .pending_checkpoints
-                        .push(signed);
-                }
-
-                // Anchor the persisted manifest in the control log and the
-                // GC window. During replay the same code path re-persists,
-                // so GC sweeps happen at identical points.
                 self.journal.append(&ControlRecord::CheckpointAnchor {
-                    subnet: subnet.clone(),
-                    epoch,
+                    signed: signed.clone(),
                     manifest,
                 });
                 self.anchor_manifest(subnet, epoch, manifest);
+                self.deliver_checkpoint(signed);
             }
 
             VmEvent::CrossMsgQueued { msg }

@@ -2,8 +2,8 @@
 //! its node, and so across that node's crashes — how it was booted, where
 //! it is placed, which accounts were installed between blocks, its
 //! snapshot manifests, and, while the node is down or catching up, the
-//! peers' view it syncs against and the top-down messages committed for
-//! it.
+//! peers' view it syncs against, the top-down messages committed for it
+//! and its children's checkpoints waiting for it.
 //!
 //! One map holds all of it, so retiring a subnet is one `remove` that
 //! cannot leave residue, crash and rejoin read one record, and the blob
@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
 use hc_actors::CrossMsg;
 use hc_chain::History;
@@ -65,6 +66,10 @@ pub(crate) struct SubnetRecord {
     /// no node applied, in nonce order. The next node built for the
     /// subnet takes them.
     pub(crate) top_down: Vec<CrossMsg>,
+    /// While no node of the subnet runs: its children's signed checkpoints
+    /// delivered and not committed, in delivery order. The next node built
+    /// for the subnet takes them into its queue.
+    pub(crate) checkpoints: Vec<SignedCheckpoint>,
     /// Set by [`HierarchyRuntime::inject_signed_checkpoint`]: the parent's
     /// record may then fall below the subnet's live supply. Not journaled.
     pub(crate) compromised: bool,

@@ -820,39 +820,42 @@ fn fingerprint(rt: &HierarchyRuntime) -> String {
 /// to its checkpoint window through a digest: every head, state root and
 /// checkpoint CID moved, every other byte of the fingerprint text did not.
 /// They were re-recorded again when `ChaosStats` gained `blocks_rejected`:
-/// the text gained `, blocks_rejected: 0` and no other byte.
+/// the text gained `, blocks_rejected: 0` and no other byte; and when
+/// `checkpoints_resubmitted` was renamed `checkpoints_held`: the text's
+/// `checkpoints_resubmitted: 0` became `checkpoints_held: 0` and no other
+/// byte moved.
 #[test]
 fn chaos_schedules_reproduce_the_recorded_fingerprints() {
     let recorded = [
         (
             SyncMode::Replay,
             0,
-            "21fc2f3346b5e551be424e3f96bf314e52f8b88bb0ed640aab34d851a42dc774",
+            "beee4e298bf4e581dcf15913d364a8dc417ca962a9d4d1445b90f5e3791e7304",
         ),
         (
             SyncMode::Replay,
             3,
-            "2c410a8c0a0bc895148597807559f2fd0946c7de58479d2980336c6c7e946785",
+            "4a4924732ed273e6d94f915158b3782bc0bce97743c5a703c984ffb64e7228bf",
         ),
         (
             SyncMode::Replay,
             4,
-            "307ffb224141283b53160f7951f59b9d4c146697bb8a54d60c44791026908bdf",
+            "8af80f7d2535480a5ae566f3482c5a1a02856960ec7218c0054c1a1f11bbf522",
         ),
         (
             SyncMode::Snapshot,
             0,
-            "918f32187ad0a22a0bcc052feaeb848927fb035c3eead93aca56f7a049420351",
+            "594d7198e27c6fd10e1446a83a7fb05f75ed6b509dd88c75b0ada09e330c217d",
         ),
         (
             SyncMode::Snapshot,
             3,
-            "2c410a8c0a0bc895148597807559f2fd0946c7de58479d2980336c6c7e946785",
+            "4a4924732ed273e6d94f915158b3782bc0bce97743c5a703c984ffb64e7228bf",
         ),
         (
             SyncMode::Snapshot,
             4,
-            "fb320db1af6c40d1071ffbcfb8f5c91e571d3c44f38571c1bf608ebff4e47f8a",
+            "0d2725f02b126b84ad418af04007a5ae89a9657ce21994274e52780ac2c1b0c8",
         ),
     ];
     for (mode, seed, digest) in recorded {

@@ -244,6 +244,36 @@ fn a_snapshot_rejoined_parent_strands_no_top_down_transfer() {
     }
 }
 
+/// A snapshot-mode recovery strands no bottom-up transfer whose checkpoint
+/// waited at the parent when the journal stopped: the fast-forward skips
+/// the block that cut it, so the cut reaches the parent from its journaled
+/// anchor, as it does from a replayed cut.
+#[test]
+fn a_snapshot_recovery_strands_no_pending_checkpoint() {
+    let _serial = serial();
+    let device = InMemoryDevice::new();
+    let sa = SaConfig {
+        checkpoint_period: 5,
+        ..SaConfig::default()
+    };
+    let mut h = Harness::with(durable(&device, SyncMode::Snapshot), 1_000_000);
+    let root = SubnetId::root();
+    let child = h.spawn(&h.alice.clone(), sa);
+    let bob = h.user(&child);
+    let carol = h.user(&root);
+    h.fund(&bob, 30);
+    h.rt.cross_transfer(&bob, &carol, whole(3)).unwrap();
+    while h.rt.node(&root).unwrap().pending_checkpoint_count() == 0 {
+        h.rt.step().unwrap();
+    }
+    drop(h);
+
+    let mut rt = HierarchyRuntime::recover(durable(&device, SyncMode::Snapshot));
+    rt.run_until_quiescent(10_000).unwrap();
+    assert_eq!(rt.balance(&carol), whole(3));
+    audit_quiescent(&rt).unwrap();
+}
+
 /// Satellite 1 regression: the catch-up retry budget is per batch, not
 /// shared across the whole catch-up. A blackout far longer than the
 /// bounded budget must degrade into cool-down/re-arm cycles — never into

@@ -64,13 +64,6 @@ pub enum Method {
     LeaveSubnet,
     /// Kill the subnet governed by the SA at `to`, releasing collateral.
     KillSubnet,
-    /// Submit a signed checkpoint of the subnet governed by the SA at `to`
-    /// (paper §III-B). The SA checks its signature policy, then the SCA
-    /// commits it.
-    SubmitCheckpoint {
-        /// The signed checkpoint.
-        signed: Box<SignedCheckpoint>,
-    },
 
     // ---- SCA methods (to = Address::SCA) ----
     /// Register the subnet governed by SA `sa` with the hierarchy, locking
@@ -178,10 +171,8 @@ impl CanonicalEncode for Method {
             }
             Method::LeaveSubnet => out.push(6),
             Method::KillSubnet => out.push(7),
-            Method::SubmitCheckpoint { signed } => {
-                out.push(8);
-                signed.write_bytes(out);
-            }
+            // Tag 8 is retired: a child's checkpoint reaches its parent's
+            // chain only as `ImplicitMsg::CommitChildCheckpoint`.
             Method::RegisterSubnet { sa } => {
                 out.push(9);
                 sa.write_bytes(out);
@@ -262,9 +253,6 @@ impl CanonicalDecode for Method {
             }),
             6 => Ok(Method::LeaveSubnet),
             7 => Ok(Method::KillSubnet),
-            8 => Ok(Method::SubmitCheckpoint {
-                signed: Box::new(SignedCheckpoint::read_bytes(r)?),
-            }),
             9 => Ok(Method::RegisterSubnet {
                 sa: Address::read_bytes(r)?,
             }),

@@ -396,25 +396,6 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
             }
         }
 
-        Method::SubmitCheckpoint { signed } => {
-            let (ledger, sca, sa) = tree.ledger_sca_sa_mut(msg.to);
-            let Some(sa) = sa else {
-                return Receipt::failed(format!("no subnet actor at {}", msg.to), gas::BASE);
-            };
-            if let Err(e) = sa.submit_checkpoint(signed) {
-                return Receipt::failed(e, gas::BASE);
-            }
-            let gas_used =
-                gas::CHECKPOINT + gas::PER_META * signed.checkpoint.cross_msgs.len() as u64;
-            match sca.commit_child_checkpoint(ledger, &signed.checkpoint) {
-                Ok(outcome) => Receipt::ok(gas_used).with_event(VmEvent::CheckpointCommitted {
-                    source: signed.checkpoint.source.clone(),
-                    outcome,
-                }),
-                Err(e) => Receipt::failed(e, gas_used),
-            }
-        }
-
         Method::RegisterSubnet { sa } => {
             if msg.to != Address::SCA {
                 return Receipt::failed("RegisterSubnet must target the SCA", gas::BASE);

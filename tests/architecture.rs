@@ -3,7 +3,8 @@
 //! Each test pins one structural decision DESIGN.md records — one
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
 //! option without a scenario, one front door per node, one way a node
-//! comes up, one way a top-down message goes down, one test world, one invariant check, content hashed once, one
+//! comes up, one way a top-down message goes down, one way a checkpoint
+//! goes up, one test world, one invariant check, content hashed once, one
 //! `unsafe` block, hot values kept small, a pool that remembers senders
 //! rather than messages, a signature verdict kept on the value, a nonce
 //! read from the pool, a key held by its client, history held in wire
@@ -573,6 +574,68 @@ fn one_way_down() {
             "crates/core/src/node.rs: commit_block",
         ],
         "DESIGN.md §8: a Subnet Actor is read through `sa_of`, or by its own node at commit"
+    );
+}
+
+/// DESIGN.md §8, "One way up (checkpoints)": a child's signed checkpoint
+/// goes to its parent in one hand-off, `deliver_checkpoint` — into the
+/// parent node's queue, or into the parent's record while no node of it
+/// runs — for a cut, a recovery that skipped the cut block, and the
+/// adversary alike. No ledger keeps a second copy to resubmit, the method
+/// no one sent is gone from every crate, and outside `node.rs` nothing but
+/// `deliver_checkpoint` and the hand-over in `genesis_node` writes a
+/// parent's queue.
+#[test]
+fn a_checkpoint_goes_up_once() {
+    let retired = [
+        "cut_checkpoints",
+        "resubmit_lost_checkpoints",
+        "resubmit_cut_suffix",
+        "checkpoints_resubmitted",
+        "SubmitCheckpoint",
+    ];
+    let ledger = hits(
+        &crate_sources(),
+        |s| s,
+        |l| retired.iter().any(|r| l.contains(r)),
+    );
+    assert!(
+        ledger.is_empty(),
+        "DESIGN.md §8: the checkpoint ledger or its resubmission is back: {ledger:#?}"
+    );
+    let mut writers = Vec::new();
+    for path in &files_under("crates/core/src") {
+        if path.ends_with("node.rs") {
+            continue;
+        }
+        let text = read(path);
+        let src = non_test(&text);
+        for (at, name) in src.match_indices("pending_checkpoints") {
+            let rest = src[at + name.len()..].trim_start();
+            let grows = [".push(", ".extend(", ".append(", ".insert("]
+                .iter()
+                .any(|op| rest.starts_with(op));
+            if grows || (rest.starts_with('=') && !rest.starts_with("==")) {
+                writers.push(format!("{}: {}", rel(path), enclosing_fn(src, at)));
+            }
+        }
+    }
+    assert_eq!(
+        writers,
+        [
+            "crates/core/src/lifecycle.rs: genesis_node",
+            "crates/core/src/runtime.rs: deliver_checkpoint",
+        ],
+        "DESIGN.md §8: a parent's checkpoint queue is written by the hand-off and the node built for it"
+    );
+    assert_eq!(
+        core_calls("deliver_checkpoint("),
+        [
+            "crates/core/src/attack.rs: inject_signed_checkpoint",
+            "crates/core/src/recover.rs: apply_control_record",
+            "crates/core/src/runtime.rs: route_event",
+        ],
+        "DESIGN.md §8: a cut, a skipped cut's anchor and the adversary send through one door"
     );
 }
 
