@@ -8,7 +8,8 @@
 //! resolver cache, the cross-msg pool, the `ApplyBottomUp` /
 //! `CommitTurnaround` implicit messages, block sealing and the block's
 //! append to its own chain. A group is hashed where it is cut and once
-//! per node it reaches over the network, a block payload where it is
+//! per node on its route that takes it from the network (the other
+//! subscribers of a topic drop it unhashed), a block payload where it is
 //! sealed, a message in its sender's checkpoint window once when it is
 //! queued — not again at each hand-off or block (DESIGN.md §10,
 //! "hash-once rule").
@@ -31,13 +32,15 @@ const SENDERS: usize = 8;
 /// across (one apply at the sibling).
 const APPLIED: u64 = (ROUNDS * 2 * SENDERS * 2) as u64;
 
-/// Measured: 13 338 compressions for the 192 applied messages (69.47 per
+/// Measured: 12 454 compressions for the 192 applied messages (64.86 per
 /// applied message, the blocks of every quiescence drain included), plus
-/// 2 %. It was 13 682 (71.26) while every block re-hashed the SCA's open
-/// checkpoint window and the content registry kept a whole cut per log
-/// slot, and 21 192 (110.38) before groups and block payloads carried
-/// their digests; both fail this ceiling.
-const MAX_SHA256_BLOCKS: u64 = 13_604;
+/// 2 %. It was 13 338 (69.47) while every subscriber of a topic hashed
+/// each group pushed or replied on it, whether or not it was on the
+/// group's route or had pulled it; 13 682 (71.26) while every block
+/// re-hashed the SCA's open checkpoint window and the content registry
+/// kept a whole cut per log slot; and 21 192 (110.38) before groups and
+/// block payloads carried their digests. All three fail this ceiling.
+const MAX_SHA256_BLOCKS: u64 = 12_703;
 
 fn cross_applied(rt: &HierarchyRuntime) -> u64 {
     rt.subnets()

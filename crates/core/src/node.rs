@@ -100,6 +100,19 @@ fn settle_floors<'a>(
     }
 }
 
+/// The key a payment's fund certificate is held under, and found by when
+/// the payment settles: its message with the nonce cleared. The nonce is
+/// the one field a route rewrites — an LCA re-stamps a path payment as it
+/// turns it around — so the message that settles matches its certificate
+/// on every route.
+pub(crate) fn settlement_key(msg: &CrossMsg) -> Cid {
+    CrossMsg {
+        nonce: Nonce::ZERO,
+        ..msg.clone()
+    }
+    .cid()
+}
+
 /// One subnet's canonical node. Stepping lives in
 /// [`crate::runtime::HierarchyRuntime`]; this type owns what a committed
 /// block implies for its node and exposes read access for clients, tests,
@@ -144,7 +157,9 @@ pub struct SubnetNode {
     pub(crate) awaited: Option<(Cid, Option<Receipt>)>,
     /// Verified fund certificates for payments still in flight towards
     /// this subnet (the §IV-A acceleration): tentative, not spendable.
-    pub(crate) tentative: BTreeMap<Cid, FundCertificate>,
+    /// Held by [`settlement_key`]; identical transfers share a key and are
+    /// held side by side, oldest first, each settling one.
+    pub(crate) tentative: BTreeMap<Cid, Vec<FundCertificate>>,
     /// Content-addressed blob store: persisted state chunk manifests
     /// (snapshots/checkpoints). A handle to the runtime-wide store, so
     /// identical chunks are shared across snapshots *and* subnets.
@@ -380,26 +395,27 @@ impl SubnetNode {
                 self.stats.state_persists += 1;
 
                 // Content resolution (paper §IV-C): the state tree's
-                // content registry is this subnet's authoritative store, so its
-                // resolver always serves pulls for the carried groups (a
-                // rebuilt node re-seeds here — the cache died with the
-                // process); with the *push* path enabled, the groups are
-                // also announced proactively on their destinations' topics.
+                // content registry is this subnet's authoritative store for
+                // the groups it cut, so its resolver always serves pulls for
+                // them (a rebuilt node re-seeds here — the cache died with
+                // the process). A group a child cut and this cut carries on
+                // up leaves the cache here: forwarding is its use. With the
+                // *push* path enabled, the groups are also announced
+                // proactively on their destinations' topics.
                 let mut pushes = Vec::new();
                 for meta in &checkpoint.cross_msgs {
-                    let content = self
-                        .tree
-                        .resolve_content(&meta.msgs_cid)
-                        .or_else(|| self.resolver.cache().get(&meta.msgs_cid))
-                        .cloned();
-                    if let Some(group) = content {
-                        if push {
-                            // On the wire the group is raw again: the
-                            // receiver trusts nothing it did not hash.
-                            let (cid, msgs) = (meta.msgs_cid, group.to_vec());
-                            pushes.push((meta.to.topic(), ResolutionMsg::Push { cid, msgs }));
+                    let content = match self.tree.resolve_content(&meta.msgs_cid).cloned() {
+                        Some(group) => {
+                            self.resolver.seed(group.clone());
+                            Some(group)
                         }
-                        self.resolver.seed(group);
+                        None => self.resolver.take(&meta.msgs_cid),
+                    };
+                    if let (true, Some(group)) = (push, content) {
+                        // On the wire the group is raw again: the receiver
+                        // trusts nothing it did not hash.
+                        let (cid, msgs) = (meta.msgs_cid, group.to_vec());
+                        pushes.push((meta.to.topic(), ResolutionMsg::Push { cid, msgs }));
                     }
                 }
                 return Some((manifest, pushes));
@@ -415,7 +431,13 @@ impl SubnetNode {
             VmEvent::CrossMsgApplied { msg } => {
                 self.stats.cross_applied += 1;
                 // A settled payment is no longer tentative.
-                self.tentative.remove(&msg.cid());
+                let key = settlement_key(msg);
+                if let Some(held) = self.tentative.get_mut(&key) {
+                    held.remove(0);
+                    if held.is_empty() {
+                        self.tentative.remove(&key);
+                    }
+                }
             }
             // Remaining events are informational; reverts ride the normal
             // cross-net flow and need no extra routing.
@@ -508,9 +530,15 @@ impl SubnetNode {
     pub fn tentative_value_for(&self, addr: Address) -> hc_types::TokenAmount {
         self.tentative
             .values()
+            .flatten()
             .filter(|c| c.body.msg.to.raw == addr)
             .map(|c| c.body.msg.value)
             .sum()
+    }
+
+    /// Fund certificates held for payments not yet settled.
+    pub fn tentative_count(&self) -> usize {
+        self.tentative.values().map(Vec::len).sum()
     }
 
     /// Node counters.

@@ -16,12 +16,12 @@ use hc_consensus::ValidatorSet;
 use hc_net::{BackoffStep, Network, ResolutionMsg, Resolver};
 use hc_state::{CidStore, ImplicitMsg, Method, VmEvent};
 use hc_store::Persistence;
-use hc_types::{Address, CanonicalEncode, Keypair, SubnetId, TokenAmount};
+use hc_types::{Address, Keypair, SubnetId, TokenAmount};
 
 use crate::chaos::SyncInbox;
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 use crate::journal::Journal;
-use crate::node::{LocalOutcome, SubnetNode};
+use crate::node::{settlement_key, LocalOutcome, SubnetNode};
 use crate::persist::ControlRecord;
 use crate::subnets::{SubnetRecord, Subnets};
 
@@ -482,6 +482,10 @@ impl HierarchyRuntime {
                     sync.blob_pulls.push((cids, reply_topic));
                 }
                 ResolutionMsg::BlobBatch { blobs } => sync.blob_batches.push(blobs),
+                // A pushed group off its way up to the subnet that opens it
+                // is dropped unhashed (paper §IV-C: peers may cache or
+                // discard pushed content).
+                ResolutionMsg::Push { msgs, .. } if !hc_net::keeps_push(subnet, &msgs) => {}
                 msg => {
                     // The resolver cache dies with the process, but the
                     // content registry is canonical state (the state tree's
@@ -528,9 +532,14 @@ impl HierarchyRuntime {
         if cert.verify(sa).is_err() {
             return;
         }
-        let key = cert.body.msg.cid();
+        let key = settlement_key(&cert.body.msg);
         if let Some(node) = self.nodes.get_mut(subnet) {
-            node.tentative.entry(key).or_insert(cert);
+            // Identical transfers are held side by side; a redelivered copy
+            // of one certificate is not.
+            let held = node.tentative.entry(key).or_default();
+            if !held.iter().any(|c| c.body == cert.body) {
+                held.push(cert);
+            }
         }
     }
 

@@ -6,6 +6,7 @@ mod common;
 use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
 use hc_core::RuntimeConfig;
+use hc_net::{FaultKind, FaultRule};
 use hc_types::{SubnetId, TokenAmount};
 
 #[test]
@@ -101,4 +102,88 @@ fn top_down_messages_emit_no_certificates() {
         TokenAmount::ZERO
     );
     assert_eq!(h.rt.balance(&bob), whole(105));
+}
+
+/// A path payment's certificate settles too. The LCA re-stamps the
+/// message's nonce as it turns the payment around, so a certificate held
+/// under the CID of the message as sent never matched the message that
+/// settled, and stayed tentative for ever.
+#[test]
+fn a_path_payment_clears_its_certificate_on_settlement() {
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let alice = h.alice.clone();
+    let mut leaves = Vec::new();
+    for _ in 0..2 {
+        let mid = h.spawn(&alice, SaConfig::default());
+        let creator = h.user(&mid);
+        h.fund(&creator, 100);
+        leaves.push(h.spawn(&creator, SaConfig::default()));
+    }
+    let (bob, carol) = (h.user(&leaves[0]), h.user(&leaves[1]));
+    h.fund(&bob, 50);
+    // Carol's subnet has had a top-down message, so the payment arrives
+    // under another nonce than the one bob's subnet sent it with.
+    h.fund(&carol, 1);
+
+    h.rt.cross_transfer(&bob, &carol, whole(7)).unwrap();
+    let mut certified = false;
+    for _ in 0..2_000 {
+        if h.rt.balance(&carol) > whole(1) {
+            break;
+        }
+        h.rt.step().unwrap();
+        let node = h.rt.node(&carol.subnet).unwrap();
+        certified |= node.tentative_value_for(carol.addr) == whole(7);
+    }
+    assert!(certified, "the certificate reached the destination first");
+    h.settle();
+    assert_eq!(h.rt.balance(&carol), whole(8));
+    let node = h.rt.node(&carol.subnet).unwrap();
+    assert_eq!(node.tentative_value_for(carol.addr), TokenAmount::ZERO);
+    assert_eq!(node.tentative_count(), 0);
+}
+
+/// Identical transfers are held side by side and each settles one; a
+/// redelivered copy of a certificate is held once. Every delivery on the
+/// root's topic arrives twice.
+#[test]
+fn identical_transfers_settle_one_certificate_each() {
+    let root = SubnetId::root();
+    let mut config = RuntimeConfig::default();
+    config.net.faults.rules.push(FaultRule::new(
+        0,
+        u64::MAX,
+        FaultKind::Duplicate {
+            topic: Some(root.topic()),
+            rate: 1.0,
+            max_copies: 1,
+            spread_ms: 50,
+        },
+    ));
+    let mut h = Harness::with(config, 10_000);
+    let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+    let bob = h.user(&subnet);
+    h.fund(&bob, 100);
+    let alice = h.alice.clone();
+
+    for _ in 0..2 {
+        h.rt.cross_transfer(&bob, &alice, whole(3)).unwrap();
+    }
+    // Until the payments settle, the most the root ever holds is both
+    // certificates, each once.
+    let (before, mut most) = (h.rt.balance(&alice), 0);
+    for _ in 0..400 {
+        if h.rt.balance(&alice) > before {
+            break;
+        }
+        h.rt.step().unwrap();
+        most = most.max(h.rt.node(&root).unwrap().tentative_count());
+    }
+    assert_eq!(most, 2, "both certificates are held, once each");
+    h.settle();
+    assert_eq!(h.rt.balance(&alice), before + whole(6));
+    let node = h.rt.node(&root).unwrap();
+    assert_eq!(node.tentative_value_for(alice.addr), TokenAmount::ZERO);
+    assert_eq!(node.tentative_count(), 0);
+    assert!(h.rt.net_stats().redelivered > 0);
 }

@@ -236,3 +236,59 @@ fn deterministic_replay_under_same_seed() {
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));
 }
+
+/// Cross-net content is kept only on its route and only until it is used,
+/// and every certificate settles (paper §IV-A, §IV-C). In a three-level
+/// tree carrying bottom-up and path transfers of every shape, the
+/// hierarchy at rest holds in each resolver only groups its own subnet cut
+/// — the root, which cuts none, holds nothing — and no tentative payment.
+#[test]
+fn cross_net_content_and_certificates_are_held_only_until_used() {
+    let mut h = Harness::setup();
+    let alice = h.alice.clone();
+    let (a, b) = (
+        h.spawn(&alice, SaConfig::default()),
+        h.spawn(&alice, SaConfig::default()),
+    );
+    let leaf = |h: &mut Harness, mid: &SubnetId| {
+        let creator = h.user(mid);
+        h.fund(&creator, 100);
+        h.spawn(&creator, SaConfig::default())
+    };
+    let (ax, ay, bz) = (leaf(&mut h, &a), leaf(&mut h, &a), leaf(&mut h, &b));
+    let (x, y, z) = (h.user(&ax), h.user(&ay), h.user(&bz));
+    let (am, root_user) = (h.user(&a), h.user(&SubnetId::root()));
+    h.fund(&x, 100);
+    h.fund(&am, 100);
+
+    for _ in 0..3 {
+        for to in [&root_user, &am, &y, &z] {
+            h.rt.cross_transfer(&x, to, whole(1)).unwrap();
+        }
+        h.rt.cross_transfer(&am, &root_user, whole(1)).unwrap();
+        for _ in 0..7 {
+            h.rt.step().unwrap();
+        }
+    }
+    h.settle();
+    assert_eq!(h.rt.balance(&root_user), whole(6));
+    assert_eq!(h.rt.balance(&z), whole(3));
+
+    for subnet in [SubnetId::root(), a, b, ax, ay, bz] {
+        let node = h.rt.node(&subnet).unwrap();
+        let foreign: Vec<_> = node
+            .resolver()
+            .cache()
+            .cids()
+            .filter(|cid| node.state().resolve_content(cid).is_none())
+            .collect();
+        assert!(
+            foreign.is_empty(),
+            "{subnet} holds groups it did not cut: {foreign:?}"
+        );
+        assert_eq!(node.tentative_count(), 0, "{subnet} holds certificates");
+    }
+    let root = h.rt.node(&SubnetId::root()).unwrap();
+    assert!(root.resolver().cache().is_empty());
+    assert!(root.resolver().stats().cache_hits > 0);
+}

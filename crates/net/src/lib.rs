@@ -45,6 +45,6 @@ pub use fault::{FaultKind, FaultPlan, FaultRule, PartitionPolicy, Window};
 pub use pubsub::{NetConfig, NetStats, Network, SubscriberId, TopicLatency};
 pub use region::{RegionLink, RegionMap};
 pub use resolver::{
-    Backoff, BackoffStep, ContentCache, ResolutionMsg, Resolver, ResolverStats, RetryPolicy,
-    BLOB_BATCH_CAP, CONTENT_CACHE_CAPACITY,
+    keeps_push, Backoff, BackoffStep, ContentCache, ResolutionMsg, Resolver, ResolverStats,
+    RetryPolicy, BLOB_BATCH_CAP, CONTENT_CACHE_CAPACITY,
 };

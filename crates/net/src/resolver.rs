@@ -7,12 +7,23 @@
 //! * **push** — "as the checkpoints and CrossMsgMetas move up the
 //!   hierarchy, miners publish to the pubsub topic of the corresponding
 //!   subnet the whole DAG belonging to the CID". Peers may cache or
-//!   discard pushed content.
+//!   discard pushed content: a node keeps a pushed group only if it lies
+//!   on the group's way up to the subnet that opens it ([`keeps_push`]);
+//!   every other subscriber of the topic drops it unhashed.
 //! * **pull** — a destination that cannot resolve a CID locally "can
 //!   resolve the messages behind the CID by sending a pull request to the
 //!   originating subnet"; any peer holding the content answers with a
-//!   *resolve* message on the requester's topic, giving every other pool
-//!   a chance to cache it too.
+//!   *resolve* message on the requester's topic. Only a node that pulled
+//!   the CID — its pull outstanding or abandoned — takes the reply; the
+//!   other subscribers of that topic drop it unhashed.
+//!
+//! Content is held only until it is used: [`Resolver::lookup_or_pull`]
+//! and [`Resolver::take`] hand a group out of the cache, and the CID is
+//! remembered (within [`CONTENT_CACHE_CAPACITY`]) so that a copy arriving
+//! afterwards — a retried pull's second reply, a duplicated push — is
+//! neither hashed nor stored. What a node keeps for good is the groups
+//! its own subnet cut, which the state tree's registry holds anyway
+//! ([`Resolver::seed`] shares them).
 //!
 //! [`Resolver`] implements the per-node state machine over these three
 //! message kinds, backed by a validated, bounded [`ContentCache`]. On a
@@ -29,9 +40,10 @@ use serde::{Deserialize, Serialize};
 use hc_actors::{CrossMsg, FundCertificate, MsgGroup};
 use hc_types::{ChainEpoch, Cid, SubnetId};
 
-/// Bound on cached cross-message groups per node. Each group is
-/// typically a checkpoint window's worth of messages; a thousand windows
-/// is far beyond any retention the protocol needs.
+/// Bound on cached cross-message groups per node, and on the CIDs of used
+/// groups it remembers. Each group is typically a checkpoint window's
+/// worth of messages; a thousand windows is far beyond any retention the
+/// protocol needs.
 pub const CONTENT_CACHE_CAPACITY: usize = 1024;
 
 /// Upper bound on raw blobs per [`ResolutionMsg::BlobBatch`] reply. Large
@@ -122,8 +134,8 @@ pub enum ResolutionMsg {
 ///
 /// Network-borne inserts are only accepted when the messages actually hash
 /// to the claimed CID, so cache poisoning is impossible; what is held is a
-/// sealed [`MsgGroup`], handed out as a shared clone whose digest nobody
-/// downstream derives again. The cache holds at most
+/// sealed [`MsgGroup`], handed out once, with the digest nobody downstream
+/// derives again. The cache holds at most
 /// [`CONTENT_CACHE_CAPACITY`] groups (FIFO eviction — the protocol's
 /// access pattern is a moving window over checkpoint epochs, so
 /// oldest-first is also least-likely-needed).
@@ -133,6 +145,10 @@ pub enum ResolutionMsg {
 /// unrelated traffic arriving between the resolve and the consumer's next
 /// poll. While every resident entry is pinned the capacity bound is soft —
 /// correctness of in-flight requests beats the memory cap.
+///
+/// A group leaves the cache when it is used ([`ContentCache::take`]); the
+/// cache then remembers its CID, the last [`CONTENT_CACHE_CAPACITY`] of
+/// them, so a late copy can be told apart without hashing it.
 #[derive(Debug, Clone, Default)]
 pub struct ContentCache {
     entries: BTreeMap<Cid, MsgGroup>,
@@ -141,6 +157,9 @@ pub struct ContentCache {
     /// CIDs exempt from eviction (in-flight pulls; may be absent from
     /// `entries` until their content arrives).
     pinned: BTreeSet<Cid>,
+    /// CIDs of the groups `take` handed out, and their order, oldest first.
+    used: BTreeSet<Cid>,
+    used_order: VecDeque<Cid>,
     evictions: u64,
 }
 
@@ -211,6 +230,37 @@ impl ContentCache {
         self.entries.get(cid)
     }
 
+    /// Hands the group under `cid` out of the cache, if it is held, and
+    /// lifts its pin. Either way the CID is remembered as used: its
+    /// consumer is done with it.
+    pub fn take(&mut self, cid: &Cid) -> Option<MsgGroup> {
+        let group = self.entries.remove(cid);
+        if group.is_some() {
+            let pos = self.order.iter().position(|c| c == cid);
+            self.order.remove(pos.expect("a held CID is in the order"));
+        }
+        self.pinned.remove(cid);
+        if self.used.insert(*cid) {
+            self.used_order.push_back(*cid);
+            if self.used_order.len() > CONTENT_CACHE_CAPACITY {
+                let oldest = self.used_order.pop_front().expect("over capacity");
+                self.used.remove(&oldest);
+            }
+        }
+        group
+    }
+
+    /// Returns `true` if a group under `cid` was handed out by
+    /// [`ContentCache::take`] (among the last [`CONTENT_CACHE_CAPACITY`]).
+    pub fn was_used(&self, cid: &Cid) -> bool {
+        self.used.contains(cid)
+    }
+
+    /// The CIDs of the held groups, in CID order.
+    pub fn cids(&self) -> impl Iterator<Item = &Cid> {
+        self.entries.keys()
+    }
+
     /// Returns `true` if the CID is cached.
     pub fn contains(&self, cid: &Cid) -> bool {
         self.entries.contains_key(cid)
@@ -230,6 +280,24 @@ impl ContentCache {
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
+}
+
+/// Whether the node of subnet `here` keeps a pushed group `msgs`. Let F
+/// be the group's source subnet, T its destination and O = F ∧ T the
+/// subnet that opens it (applies it, or turns it around): a node keeps it
+/// only on the way up from F to O — O itself, or an ancestor of F strictly
+/// below O, whose own cut pushes it on. Every other subscriber of the
+/// topic (a path group's destination, a sibling following its parent's
+/// topic, F itself) drops it before hashing it. The subnets are read off
+/// the claimed messages — every message of a group shares them — so a
+/// group this judges wrongly is one that would not hash to its CID.
+pub fn keeps_push(here: &SubnetId, msgs: &[CrossMsg]) -> bool {
+    let Some(first) = msgs.first() else {
+        return false;
+    };
+    let from = &first.from.subnet;
+    let opener = from.common_ancestor(&first.to.subnet);
+    *here == opener || (here.is_ancestor_of(from) && opener.is_ancestor_of(here))
 }
 
 /// Timeout and backoff schedule for outstanding pull requests.
@@ -336,7 +404,8 @@ pub struct ResolverStats {
     /// Pull requests received for unknown content (ignored; another peer
     /// may serve them).
     pub pulls_missed: u64,
-    /// Resolve replies accepted into the cache.
+    /// Resolve replies accepted into the cache (a reply this node did not
+    /// pull for, or one arriving after the group was used, is not).
     pub resolves_cached: u64,
     /// Local lookups answered from cache.
     pub cache_hits: u64,
@@ -423,6 +492,19 @@ impl Resolver {
         self.cache.insert_sealed(group);
     }
 
+    /// Hands a group out of the cache for a forwarding node's cut, which
+    /// carries its meta on up and re-pushes it: the group's last use
+    /// here, whether or not its push arrived. Counts no lookup.
+    pub fn take(&mut self, cid: &Cid) -> Option<MsgGroup> {
+        self.cache.take(cid)
+    }
+
+    /// Whether this node pulled `cid`: the pull is outstanding or was
+    /// abandoned.
+    fn pulled(&self, cid: &Cid) -> bool {
+        self.pending.contains_key(cid) || self.abandoned.contains(cid)
+    }
+
     /// Forgets the pull for content the cache now holds.
     fn settle(&mut self, cid: &Cid) {
         self.pending.remove(cid);
@@ -485,6 +567,11 @@ impl Resolver {
     /// to publish as `(topic, message)`.
     pub fn handle(&mut self, msg: ResolutionMsg) -> Option<(String, ResolutionMsg)> {
         match msg {
+            // A copy of a group already used, that nothing pulled again,
+            // is late: dropped before it is hashed.
+            ResolutionMsg::Push { cid, .. } if self.cache.was_used(&cid) && !self.pulled(&cid) => {
+                None
+            }
             ResolutionMsg::Push { cid, msgs } => {
                 if self.accept(cid, msgs) {
                     self.stats.pushes_cached += 1;
@@ -509,6 +596,10 @@ impl Resolver {
                     None
                 }
             },
+            // A reply is taken only by a node that pulled the CID: not by
+            // the other subscribers of the requester's topic, and not once
+            // the content arrived (a retried pull's second reply).
+            ResolutionMsg::Resolve { cid, .. } if !self.pulled(&cid) => None,
             ResolutionMsg::Resolve { cid, msgs } => {
                 if self.accept(cid, msgs) {
                     self.stats.resolves_cached += 1;
@@ -528,32 +619,28 @@ impl Resolver {
         }
     }
 
-    /// Local lookup for the cross-msg pool: returns the cached group (a
-    /// shared clone), or the [`ResolutionMsg::Pull`] to publish on
-    /// `source_topic`. Callers on a lossy transport gate the publish
-    /// through [`Resolver::should_pull`].
+    /// Local lookup for the cross-msg pool: takes the cached group out of
+    /// the cache (its in-flight pin, if any, has done its job), or
+    /// registers the pull and returns the [`ResolutionMsg::Pull`] to
+    /// publish on the source's topic. Callers on a lossy transport gate
+    /// the publish through [`Resolver::should_pull`].
     pub fn lookup_or_pull(
         &mut self,
         cid: Cid,
         reply_topic: &str,
     ) -> Result<MsgGroup, ResolutionMsg> {
-        match self.cache.get(&cid) {
-            Some(msgs) => {
-                self.stats.cache_hits += 1;
-                let msgs = msgs.clone();
-                // The consumer has the content; the in-flight pin (if any)
-                // has done its job.
-                self.cache.unpin(&cid);
-                Ok(msgs)
+        if !self.cache.contains(&cid) {
+            self.stats.cache_misses += 1;
+            if !self.abandoned.contains(&cid) {
+                self.pending.entry(cid).or_default();
             }
-            None => {
-                self.stats.cache_misses += 1;
-                Err(ResolutionMsg::Pull {
-                    cid,
-                    reply_topic: reply_topic.to_owned(),
-                })
-            }
+            return Err(ResolutionMsg::Pull {
+                cid,
+                reply_topic: reply_topic.to_owned(),
+            });
         }
+        self.stats.cache_hits += 1;
+        Ok(self.cache.take(&cid).expect("held"))
     }
 }
 
@@ -652,19 +739,106 @@ mod tests {
         let (cid, msgs) = group(4);
         source.seed(MsgGroup::seal(msgs.clone()));
 
-        // Requester misses locally → emits a pull.
+        // Requester misses locally → registers the pull and emits it.
         let pull = requester.lookup_or_pull(cid, "/root/a5/msgs").unwrap_err();
         assert!(matches!(pull, ResolutionMsg::Pull { .. }));
+        assert_eq!(requester.pending_pulls(), 1);
 
-        // Source answers on the reply topic.
-        let (topic, resolve) = source.handle(pull).expect("source serves the pull");
+        // Source answers on the reply topic — twice, as a retried pull is.
+        let (topic, resolve) = source.handle(pull.clone()).expect("source serves the pull");
         assert_eq!(topic, "/root/a5/msgs");
+        let (_, second) = source.handle(pull).expect("source serves the retry");
 
-        // Requester ingests the resolve; the content is now local.
+        // A bystander on the requester's topic pulled nothing: it drops
+        // the reply.
+        let mut bystander = Resolver::new();
+        assert!(bystander.handle(resolve.clone()).is_none());
+        assert!(bystander.cache().is_empty());
+        assert_eq!(bystander.stats(), ResolverStats::default());
+
+        // Requester ingests the resolve; the content is now local, until
+        // it is used.
         assert!(requester.handle(resolve).is_none());
+        assert_eq!(requester.pending_pulls(), 0);
         assert_eq!(&*requester.lookup_or_pull(cid, "x").unwrap(), msgs);
-        assert_eq!(source.stats().pulls_served, 1);
+        assert!(requester.cache().is_empty());
+
+        // The retry's reply arrives after the use: not taken.
+        assert!(requester.handle(second).is_none());
+        assert!(requester.cache().is_empty());
+        assert_eq!(source.stats().pulls_served, 2);
         assert_eq!(requester.stats().resolves_cached, 1);
+        assert_eq!(requester.stats().rejected, 0);
+    }
+
+    /// A group from F to T is kept by O = F ∧ T and by F's ancestors
+    /// strictly below O; every other subscriber of the topic drops it.
+    #[test]
+    fn a_push_is_kept_only_on_its_way_up() {
+        let id = |route: &[u64]| {
+            route
+                .iter()
+                .fold(SubnetId::root(), |s, a| s.child(Address::new(*a)))
+        };
+        let group = |from: &SubnetId, to: &SubnetId| {
+            vec![CrossMsg::transfer(
+                HcAddress::new(from.clone(), Address::new(1)),
+                HcAddress::new(to.clone(), Address::new(2)),
+                TokenAmount::from_atto(1),
+            )]
+        };
+        let (root, a, b) = (id(&[]), id(&[1]), id(&[2]));
+        let (a1, a2, b1, a1x) = (id(&[1, 1]), id(&[1, 2]), id(&[2, 1]), id(&[1, 1, 1]));
+
+        // Bottom-up a1x → root: the root opens it, a1 and a forward it.
+        let up = group(&a1x, &root);
+        for (here, kept) in [(&root, true), (&a, true), (&a1, true), (&a1x, false)] {
+            assert_eq!(keeps_push(here, &up), kept, "{here}");
+        }
+        for here in [&b, &a2, &b1] {
+            assert!(!keeps_push(here, &up), "{here}");
+        }
+        // Path a1 → b1: the root turns it around; the destination and its
+        // parent drop it.
+        let path = group(&a1, &b1);
+        for (here, kept) in [(&root, true), (&a, true), (&b, false), (&b1, false)] {
+            assert_eq!(keeps_push(here, &path), kept, "{here}");
+        }
+        // Path a1 → a2 opens at a; nothing above it keeps it.
+        let near = group(&a1, &a2);
+        for (here, kept) in [(&a, true), (&root, false), (&a2, false), (&a1, false)] {
+            assert_eq!(keeps_push(here, &near), kept, "{here}");
+        }
+        assert!(!keeps_push(&root, &[]));
+    }
+
+    /// A forwarding node's cut is the group's last use there, whether or
+    /// not its push came first: a push arriving after the cut is dropped
+    /// unhashed.
+    #[test]
+    fn a_forwarded_group_is_dropped_after_the_cut() {
+        let mut r = Resolver::new();
+        let (cid, msgs) = group(2);
+        r.handle(ResolutionMsg::Push {
+            cid,
+            msgs: msgs.clone(),
+        });
+        assert_eq!(&*r.take(&cid).expect("pushed before the cut"), msgs);
+        let (late, late_msgs) = group(3);
+        assert!(r.take(&late).is_none());
+        for (cid, msgs) in [(cid, msgs), (late, late_msgs)] {
+            r.handle(ResolutionMsg::Push { cid, msgs });
+        }
+        assert!(r.cache().is_empty());
+        assert_eq!(r.stats().pushes_cached, 1);
+        // A node that pulls a used CID again takes the content again.
+        assert!(r.lookup_or_pull(late, "t").is_err());
+        let (_, late_msgs) = group(3);
+        r.handle(ResolutionMsg::Resolve {
+            cid: late,
+            msgs: late_msgs,
+        });
+        assert!(r.cache().contains(&late));
     }
 
     #[test]
@@ -793,13 +967,14 @@ mod tests {
         assert!(r.cache().contains(&wanted_cid), "pinned entry was evicted");
         assert!(!r.cache().contains(&noise[0]));
 
-        // The consumer finally reads it — pin released, entry becomes an
-        // ordinary FIFO citizen again, and the oldest.
+        // The consumer finally reads it — the entry leaves the cache with
+        // its pin, and the next push evicts nothing.
         assert_eq!(&*r.lookup_or_pull(wanted_cid, "t").unwrap(), wanted_msgs);
         assert!(!r.cache().is_pinned(&wanted_cid));
+        assert!(!r.cache().contains(&wanted_cid));
         let last = push(&mut r, CONTENT_CACHE_CAPACITY as u64);
-        assert!(!r.cache().contains(&wanted_cid), "unpinned entry evicts");
         assert!(r.cache().contains(&last));
+        assert_eq!(r.cache().evictions(), 1);
     }
 
     /// Abandoning a pull lifts its pin: nothing keeps dead requests'

@@ -280,11 +280,14 @@ proptest! {
         prop_assert!(!cache.insert(cid, altered.clone()));
         prop_assert!(cache.is_empty());
 
+        // The node pulled `cid`, so it takes a reply as well as a push.
         let mut r = Resolver::new();
+        prop_assert!(r.lookup_or_pull(cid, "t").is_err());
         r.handle(hc_net::ResolutionMsg::Push { cid, msgs: altered.clone() });
         r.handle(hc_net::ResolutionMsg::Resolve { cid, msgs: altered });
         prop_assert_eq!(r.stats().rejected, 2);
         prop_assert!(r.cache().is_empty());
+        prop_assert_eq!(r.pending_pulls(), 1);
     }
 
     /// Under duplication and reordering faults, every delivered payload
@@ -469,13 +472,20 @@ proptest! {
                 Err(pull) => {
                     let (topic, resolve) = source.handle(pull).expect("source has content");
                     prop_assert_eq!(topic.as_str(), "dest/topic");
-                    dest.handle(resolve);
+                    // The pull is registered by the miss, so the reply is
+                    // taken; a second copy after the use is not.
+                    dest.handle(resolve.clone());
                     let got = dest.lookup_or_pull(*cid, "dest/topic")
                         .expect("resolved content is cached");
                     prop_assert_eq!(&*got, msgs.as_slice());
+                    dest.handle(resolve);
                 }
             }
+            // Content is held only until it is used.
+            prop_assert!(dest.cache().is_empty());
         }
+        prop_assert_eq!(dest.pending_pulls(), 0);
+        prop_assert_eq!(dest.stats().cache_hits, ids.len() as u64);
     }
 
     /// No plan, however hostile, panics the network or opens a ledger.

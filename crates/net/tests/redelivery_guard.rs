@@ -1,7 +1,8 @@
 //! Content is hashed where it enters, once: a push or resolve for a CID
 //! the node already holds is settled by the cache's index before anything
-//! is looked at, and groups handed out or seeded in-process carry their
-//! digest.
+//! is looked at, a copy arriving after the group was used is dropped
+//! before it is looked at, and groups handed out or seeded in-process
+//! carry their digest.
 //!
 //! One `#[test]` in a file of its own, so the process-wide SHA-256 block
 //! counter measures this test's work alone.
@@ -31,6 +32,8 @@ fn a_redelivered_group_hashes_nothing() {
     let raw = msgs(6);
     let cid = MsgGroup::seal(raw.clone()).cid();
     let mut r = Resolver::new();
+    // The node misses the group and pulls it, so it takes replies too.
+    assert!(r.lookup_or_pull(cid, "t").is_err());
 
     // The first delivery is network-borne content: derived, once.
     let before = sha256_block_count();
@@ -45,19 +48,23 @@ fn a_redelivered_group_hashes_nothing() {
     );
     assert_eq!(r.stats().pushes_cached, 1);
 
-    // Every later copy — each group is pushed and, as often as not, also
-    // pulled — costs a map lookup.
+    // Every later copy while the group is held — each group is pushed
+    // and, as often as not, also pulled — costs a map lookup.
     let before = sha256_block_count();
-    for _ in 0..3 {
-        r.handle(ResolutionMsg::Push {
-            cid,
-            msgs: raw.clone(),
-        });
-        r.handle(ResolutionMsg::Resolve {
-            cid,
-            msgs: raw.clone(),
-        });
-    }
+    let copies = |r: &mut Resolver| {
+        for _ in 0..3 {
+            r.handle(ResolutionMsg::Push {
+                cid,
+                msgs: raw.clone(),
+            });
+            r.handle(ResolutionMsg::Resolve {
+                cid,
+                msgs: raw.clone(),
+            });
+        }
+    };
+    copies(&mut r);
+    assert_eq!(r.cache().len(), 1);
     // Handing the group to the cross-msg pool, comparing its digest there,
     // and seeding it into another node's resolver derive nothing either.
     let group = r.lookup_or_pull(cid, "t").expect("held");
@@ -65,12 +72,21 @@ fn a_redelivered_group_hashes_nothing() {
     let mut other = Resolver::new();
     other.seed(group.clone());
     other.seed(group);
+    // Copies arriving after the use — a duplicated push, a retried pull's
+    // reply — are dropped before they are looked at, and not kept.
+    let stats = r.stats();
+    copies(&mut r);
     assert_eq!(
         sha256_block_count(),
         before,
-        "a held CID is settled without hashing"
+        "a held or used CID is settled without hashing"
     );
-    assert_eq!(r.cache().len(), 1);
+    assert!(r.cache().is_empty(), "a used group is not kept");
+    assert_eq!(
+        r.stats(),
+        stats,
+        "a late copy is neither cached nor rejected"
+    );
     assert_eq!(r.stats().rejected, 0);
     assert_eq!(&**other.cache().get(&cid).unwrap(), raw.as_slice());
 }

@@ -1089,6 +1089,34 @@ fn content_is_hashed_once() {
     );
 }
 
+/// DESIGN.md §12, "Cross-net content: on its route, until used": hc-core
+/// never reads a group the resolver keeps and leaves it there. The
+/// cross-msg pool and a turnaround take it through `lookup_or_pull`, a
+/// forwarding cut through `Resolver::take` in `apply_event`; outside tests
+/// no `cache().get(` remains in hc-core.
+#[test]
+fn cross_net_content_is_held_until_used() {
+    let mut reads = Vec::new();
+    for path in &files_under("crates/core/src") {
+        // Whitespace goes, so a method chain split over lines still reads
+        // as one call.
+        let text = read(path);
+        let flat: String = non_test(&text).split_whitespace().collect();
+        if flat.contains("cache().get(") {
+            reads.push(rel(path));
+        }
+    }
+    assert!(
+        reads.is_empty(),
+        "DESIGN.md §12: a group leaves the resolver when it is used; `cache().get(` in {reads:#?}"
+    );
+    assert_eq!(
+        core_calls("resolver.take("),
+        ["crates/core/src/node.rs: apply_event"],
+        "DESIGN.md §12: a forwarded group leaves the cache with the cut that carries it on"
+    );
+}
+
 /// DESIGN.md §10, "the hash-once rule": the workspace's one `unsafe` block
 /// is `compress`'s call into the SHA-extensions kernel, under a `SAFETY:`
 /// comment, and every crate but hc-types forbids unsafe code outright.
