@@ -13,6 +13,7 @@ use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, MsgGroup};
 use hc_types::{Address, Cid, SubnetId, TokenAmount};
 
 use crate::config::RuntimeError;
+use crate::node::Input;
 use crate::runtime::HierarchyRuntime;
 
 /// The result of an attempted extraction attack.
@@ -139,7 +140,7 @@ impl HierarchyRuntime {
         ckpt.proof = Cid::digest(b"compromised head");
         tamper(&mut ckpt);
         let signed = node.sign_checkpoint(ckpt);
-        self.deliver_checkpoint(signed);
+        self.deliver(parent, Input::Checkpoint(signed));
         if let Some(record) = self.subnets.by_id.get_mut(subnet) {
             record.compromised = true;
         }

@@ -145,12 +145,12 @@ impl HierarchyRuntime {
                         fail("checkpoint chain", subnet, e);
                     }
                     let (next, assigned) =
-                        (node.cross_pool.next_top_down_nonce(), info.topdown_nonce);
+                        (node.cross_pool().next_top_down_nonce(), info.topdown_nonce);
                     if next > assigned {
                         let detail = format!("expects {next}, {parent} assigned {assigned}");
                         fail("top-down nonce", subnet, detail);
                     }
-                    let held = node.cross_pool.pending_top_down() as u64;
+                    let held = node.cross_pool().pending_top_down() as u64;
                     if next.value() + held != assigned.value() {
                         let detail =
                             format!("expects {next}, holds {held}, {parent} assigned {assigned}");
@@ -158,7 +158,7 @@ impl HierarchyRuntime {
                     }
                     let honest = info.status == SubnetStatus::Active
                         && !record(subnet).is_some_and(|r| r.compromised);
-                    let queued = self.nodes[&parent].pending_checkpoints.iter();
+                    let queued = self.nodes[&parent].pending_checkpoints().iter();
                     let own = queued
                         .map(|s| &s.checkpoint)
                         .filter(|c| c.source == *subnet);
@@ -319,7 +319,7 @@ mod tests {
     fn a_child_ahead_of_its_parent_breaks_the_top_down_nonce() {
         let (mut rt, _, child) = world();
         let node = rt.nodes.get_mut(&child).unwrap();
-        node.cross_pool.note_top_down_applied(Nonce::new(99));
+        node.cross_pool_mut().note_top_down_applied(Nonce::new(99));
         rt.step_wave().unwrap();
     }
 
@@ -333,7 +333,7 @@ mod tests {
         let inside = rt.create_user(&child, TokenAmount::ZERO).unwrap();
         rt.cross_transfer(&alice, &inside, whole(3)).unwrap();
         let node = rt.nodes.get_mut(&child).unwrap();
-        let pool = &node.cross_pool;
+        let pool = node.cross_pool();
         assert_eq!(
             (pool.next_top_down_nonce(), pool.pending_top_down()),
             (Nonce::new(1), 1)
@@ -341,7 +341,7 @@ mod tests {
         // The same pool less the message: nonce 0 applied, nothing held.
         let mut emptied = CrossMsgPool::new();
         emptied.note_top_down_applied(Nonce::ZERO);
-        node.cross_pool = emptied;
+        *node.cross_pool_mut() = emptied;
         rt.step_wave().unwrap();
     }
 
@@ -353,10 +353,10 @@ mod tests {
     fn a_dropped_cut_breaks_the_bottom_up_delivery() {
         let (mut rt, _, _) = world();
         let root = SubnetId::root();
-        while rt.nodes[&root].pending_checkpoints.is_empty() {
+        while rt.nodes[&root].pending_checkpoints().is_empty() {
             rt.step().unwrap();
         }
-        rt.nodes.get_mut(&root).unwrap().pending_checkpoints.clear();
+        rt.nodes.get_mut(&root).unwrap().drop_pending_checkpoints();
         rt.step_wave().unwrap();
     }
 

@@ -288,19 +288,17 @@ impl HierarchyRuntime {
 
     /// Takes `subnet`'s node out of the hierarchy and returns what survives
     /// it: its subscription, gone dark with its inbox lost, the subnet's
-    /// full chain as its peers hold it, and the replicated mempool. The
-    /// top-down messages the node held unapplied and the child checkpoints
-    /// it held uncommitted move to its record, where later deliveries join
-    /// them until a node is built again.
+    /// full chain as its peers hold it, and the replicated mempool. What
+    /// the node received and did not commit moves to its record's inbox,
+    /// where later deliveries join it until a node is built again.
     pub(crate) fn take_down(&mut self, subnet: &SubnetId) -> Result<CrashedNode, RuntimeError> {
         let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
         let record = self.subnets.by_id.get_mut(subnet).ok_or_else(unknown)?;
-        let node = self.nodes.remove(subnet).ok_or_else(unknown)?;
+        let mut node = self.nodes.remove(subnet).ok_or_else(unknown)?;
         self.network.set_offline(node.subscription, true);
         self.network.clear_inbox(node.subscription);
-        record.top_down.extend(node.cross_pool.into_top_down());
-        self.chaos.checkpoints_held += node.pending_checkpoints.len() as u64;
-        record.checkpoints.extend(node.pending_checkpoints);
+        self.chaos.checkpoints_held += node.pending_checkpoints().len() as u64;
+        record.inbox.extend(node.take_inbox());
         // A snapshot-bootstrapped node chains only the post-install suffix;
         // the covered blocks wait in `snapshot_base` and are re-prefixed.
         let mut peer_blocks = std::mem::take(&mut record.snapshot_base);

@@ -28,7 +28,7 @@
 //!
 //! * [`runtime`] — [`HierarchyRuntime`]: the struct, construction, the
 //!   event loop and the one per-block pipeline (`run_wave`: `pre_tick` →
-//!   `fan_out(produce_local)` → `post_tick`; a tick is a wave of one),
+//!   `fan_out(SubnetNode::produce)` → `post_tick`; a tick is a wave of one),
 //!   and each node's one front door, `poll_network`, which reads the inbox
 //!   of a live and a catching-up node alike.
 //!   Its API continues, by concern, in the private `users`, `lifecycle`
@@ -43,7 +43,9 @@
 //!   silences a replay, `Subnets` keeps one record per subnet of
 //!   everything that outlives its node.
 //! * [`node`] — [`SubnetNode`]: one subnet's chain, state, pools and
-//!   engine, and the single copy of what a committed block implies for
+//!   engine, its one door `receive` (top-down messages, child checkpoints
+//!   and certificates, handed over by the runtime's one `deliver`), block
+//!   assembly, and the single copy of what a committed block implies for
 //!   its node (construction, commit, skip, event effects, snapshot
 //!   install) that live ticks, recovery and catch-up all share.
 //! * [`persist`] and the private `recover` module — the journal layout

@@ -134,9 +134,8 @@ impl HierarchyRuntime {
     /// The one way a node comes up, at genesis on the shared blob store and
     /// due at `due_ms`: the rootnet's boot (`boot` is `None`), a child's
     /// boot, and the restart of [`HierarchyRuntime::restart_node`]. The
-    /// node takes what its record holds for it while no node of the subnet
-    /// ran: the top-down messages its parent committed and the checkpoints
-    /// its children delivered.
+    /// node receives, in order, the inbox its record kept while no node of
+    /// the subnet ran.
     pub(crate) fn genesis_node(
         &mut self,
         subnet: &SubnetId,
@@ -148,9 +147,9 @@ impl HierarchyRuntime {
         let mut node =
             SubnetNode::genesis(subnet.clone(), config, boot, subscription, due_ms, store);
         if let Some(record) = self.subnets.by_id.get_mut(subnet) {
-            node.cross_pool
-                .ingest_top_down(std::mem::take(&mut record.top_down));
-            node.pending_checkpoints = std::mem::take(&mut record.checkpoints);
+            for input in std::mem::take(&mut record.inbox) {
+                node.receive(input);
+            }
         }
         self.nodes.insert(subnet.clone(), node);
         self.nodes.get_mut(subnet).expect("just inserted")
@@ -275,9 +274,10 @@ impl HierarchyRuntime {
     ///
     /// # Errors
     ///
-    /// Refused for the root, subnets with live children, crashed or
-    /// catching-up subnets, subnets whose SA is not killed on the parent,
-    /// or subnets that still hold pending work.
+    /// Refused for the root, subnets with children (crashed or not yet
+    /// booted ones included), crashed or catching-up subnets, subnets whose
+    /// SA is not killed on the parent, or subnets that still hold pending
+    /// work.
     pub fn retire_subnet(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
         let parent = subnet
             .parent()
@@ -291,12 +291,13 @@ impl HierarchyRuntime {
         }
         let node = self.known_node(subnet)?;
         if self
-            .nodes
+            .subnets
+            .by_id
             .keys()
             .any(|s| s.parent().as_ref() == Some(subnet))
         {
             return Err(RuntimeError::Retire(format!(
-                "{subnet} still has live child subnets"
+                "{subnet} still has child subnets"
             )));
         }
         let status = self
@@ -410,6 +411,7 @@ mod tests {
     use hc_types::{Address, SubnetId, TokenAmount};
 
     use crate::config::RuntimeConfig;
+    use crate::node::Input;
     use crate::runtime::HierarchyRuntime;
 
     /// A top-down transfer committed for a child that is registered but
@@ -441,17 +443,85 @@ mod tests {
         let transfer = CrossMsg::transfer(alice.hc_address(), to, whole(3));
         rt.send_cross_msg(&alice, transfer).unwrap();
 
-        assert_eq!(rt.subnets.by_id[&child].top_down.len(), 1);
+        assert_eq!(rt.subnets.by_id[&child].inbox.len(), 1);
         assert!(!rt.all_quiescent(), "the transfer is in flight");
         rt.check_invariants().unwrap();
 
         let params = rt.config.engine_params.clone();
         rt.boot_child_node(&child, &config, &params);
         let record = &rt.subnets.by_id[&child];
-        assert!(record.top_down.is_empty() && record.boot.is_some());
+        assert!(record.inbox.is_empty() && record.boot.is_some());
         rt.run_until_quiescent(10_000).unwrap();
         let accounts = rt.node(&child).unwrap().state().accounts();
         assert_eq!(accounts.balance(Address::new(500)), whole(3));
+        crate::audit_quiescent(&rt).unwrap();
+    }
+
+    /// A middle subnet that goes down holding both kinds of input — a
+    /// top-down transfer it has not applied and a checkpoint its child cut
+    /// that it has not committed — leaves both in its record's inbox, and
+    /// the node its rejoin builds holds them again.
+    #[test]
+    fn a_crashed_node_hands_its_inbox_to_the_next() {
+        let whole = TokenAmount::from_whole;
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let root = SubnetId::root();
+        let alice = rt.create_user(&root, whole(1_000)).unwrap();
+        let validator = rt.create_user(&root, whole(100)).unwrap();
+        let stake = [(validator, whole(5))];
+        let middle = rt
+            .spawn_subnet(&alice, SaConfig::default(), whole(10), &stake)
+            .unwrap();
+        let creator = rt.create_user(&middle, TokenAmount::ZERO).unwrap();
+        let staker = rt.create_user(&middle, TokenAmount::ZERO).unwrap();
+        rt.cross_transfer(&alice, &creator, whole(50)).unwrap();
+        rt.cross_transfer(&alice, &staker, whole(50)).unwrap();
+        rt.run_until_quiescent(10_000).unwrap();
+        let stake = [(staker, whole(5))];
+        let leaf = rt
+            .spawn_subnet(&creator, SaConfig::default(), whole(10), &stake)
+            .unwrap();
+
+        // The leaf's cut waits in the middle's queue; the leaf stays down
+        // so that the middle, its only descendant gone, may go down too.
+        while rt.nodes[&middle].pending_checkpoints().is_empty() {
+            rt.step().unwrap();
+        }
+        rt.crash_node(&leaf).unwrap();
+        // The root commits a transfer into the middle subnet, which
+        // produces no block before it goes down.
+        let had = rt.balance(&creator);
+        rt.cross_transfer_lazy_with_fee(&alice, &creator, whole(3), u64::MAX)
+            .unwrap();
+        rt.tick_subnet(&root).unwrap();
+        let node = &rt.nodes[&middle];
+        let checkpoints = node.pending_checkpoints().to_vec();
+        let top_down = node.cross_pool().pending_top_down();
+        assert_eq!(top_down, 1);
+
+        rt.crash_node(&middle).unwrap();
+        let inbox = &rt.subnets.by_id[&middle].inbox;
+        let held_top_down = inbox
+            .iter()
+            .filter(|i| matches!(i, Input::TopDown(_)))
+            .count();
+        let held_checkpoints: Vec<_> = inbox
+            .iter()
+            .filter_map(|i| match i {
+                Input::Checkpoint(signed) => Some(signed.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!((held_top_down, &held_checkpoints), (top_down, &checkpoints));
+
+        rt.rejoin_node(&middle).unwrap();
+        let node = &rt.nodes[&middle];
+        assert_eq!(node.pending_checkpoints(), checkpoints.as_slice());
+        assert_eq!(node.cross_pool().pending_top_down(), top_down);
+        assert!(rt.subnets.by_id[&middle].inbox.is_empty());
+        rt.rejoin_node(&leaf).unwrap();
+        rt.run_until_quiescent(10_000).unwrap();
+        assert_eq!(rt.balance(&creator), had + whole(3));
         crate::audit_quiescent(&rt).unwrap();
     }
 }

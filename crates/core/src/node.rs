@@ -15,11 +15,11 @@ use rand::SeedableRng;
 use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
-use hc_chain::{Block, ChainStore, CrossMsgPool, Mempool};
+use hc_chain::{produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions, Mempool};
 use hc_consensus::{
     make_engine, BlockOpportunity, Consensus, ConsensusKind, EngineParams, ValidatorSet,
 };
-use hc_net::{ResolutionMsg, Resolver, SubscriberId};
+use hc_net::{BackoffStep, Network, ResolutionMsg, Resolver, SubscriberId};
 use hc_state::{
     ChunkManifest, CidStore, ImplicitMsg, Receipt, SealedMessage, SigCache, SigCacheStats,
     StateTree, VmEvent,
@@ -28,6 +28,10 @@ use hc_types::crypto::SignaturePolicy;
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId};
 
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
+
+/// Epochs after which a pending atomic execution is force-aborted by the
+/// coordinator's sweep (the *timeliness* guarantee, paper §IV-D).
+const ATOMIC_TIMEOUT_EPOCHS: u64 = 50;
 
 /// Running counters for one subnet node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,6 +78,15 @@ pub(crate) struct LocalOutcome {
     pub(crate) top_down: Vec<(SubnetId, CrossMsg)>,
 }
 
+/// What the runtime hands a node through [`SubnetNode::receive`]: a
+/// top-down message its parent committed, a checkpoint a child cut, or a
+/// verified fund certificate for a payment on its way here.
+pub(crate) enum Input {
+    TopDown(CrossMsg),
+    Checkpoint(SignedCheckpoint),
+    Certificate(FundCertificate),
+}
+
 /// Derives a subnet node's private randomness stream from the runtime
 /// seed and the subnet's identity (domain-separated through the content
 /// hash, so sibling subnets get unrelated streams).
@@ -105,7 +118,7 @@ fn settle_floors<'a>(
 /// the one field a route rewrites — an LCA re-stamps a path payment as it
 /// turns it around — so the message that settles matches its certificate
 /// on every route.
-pub(crate) fn settlement_key(msg: &CrossMsg) -> Cid {
+fn settlement_key(msg: &CrossMsg) -> Cid {
     CrossMsg {
         nonce: Nonce::ZERO,
         ..msg.clone()
@@ -127,7 +140,7 @@ pub struct SubnetNode {
     /// Internal pool of pending user messages.
     pub(crate) mempool: Mempool,
     /// Cross-msg pool (paper §IV-B).
-    pub(crate) cross_pool: CrossMsgPool,
+    cross_pool: CrossMsgPool,
     /// The subnet's consensus engine.
     pub(crate) engine: Box<dyn Consensus>,
     /// Current validator set (refreshed from the parent's Subnet Actor).
@@ -143,14 +156,13 @@ pub struct SubnetNode {
     pub(crate) next_block_at_ms: u64,
     /// Epoch of the next block.
     pub(crate) next_epoch: ChainEpoch,
-    /// Child checkpoints handed up (the runtime's `deliver_checkpoint`)
-    /// and waiting to be committed in this chain's next block.
-    pub(crate) pending_checkpoints: Vec<SignedCheckpoint>,
-    /// Turnaround metas with resolved content, ready for top-down
-    /// re-commitment in the next block (this subnet is their LCA).
-    pub(crate) pending_turnarounds: Vec<(CrossMsgMeta, MsgGroup)>,
-    /// Turnaround metas still waiting for content resolution.
-    pub(crate) unresolved_turnarounds: Vec<CrossMsgMeta>,
+    /// Child checkpoints received and waiting to be committed in this
+    /// chain's next block.
+    pending_checkpoints: Vec<SignedCheckpoint>,
+    /// Turnaround metas this subnet is the LCA of, in commit order, each
+    /// with its content once resolved: the next block re-commits the
+    /// resolved ones top-down.
+    turnarounds: Vec<(CrossMsgMeta, Option<MsgGroup>)>,
     /// The user message [`crate::HierarchyRuntime::execute`] is waiting
     /// on, by CID, and its receipt once a block committed it. Receipts
     /// are otherwise not retained: `execute` is their one reader.
@@ -159,7 +171,7 @@ pub struct SubnetNode {
     /// this subnet (the §IV-A acceleration): tentative, not spendable.
     /// Held by [`settlement_key`]; identical transfers share a key and are
     /// held side by side, oldest first, each settling one.
-    pub(crate) tentative: BTreeMap<Cid, Vec<FundCertificate>>,
+    tentative: BTreeMap<Cid, Vec<FundCertificate>>,
     /// Content-addressed blob store: persisted state chunk manifests
     /// (snapshots/checkpoints). A handle to the runtime-wide store, so
     /// identical chunks are shared across snapshots *and* subnets.
@@ -231,8 +243,7 @@ impl SubnetNode {
             next_block_at_ms,
             next_epoch: ChainEpoch::new(1),
             pending_checkpoints: Vec::new(),
-            pending_turnarounds: Vec::new(),
-            unresolved_turnarounds: Vec::new(),
+            turnarounds: Vec::new(),
             awaited: None,
             tentative: BTreeMap::new(),
             store,
@@ -241,6 +252,34 @@ impl SubnetNode {
             sig_cache,
             subnet_id,
         }
+    }
+
+    /// The node's one door. A top-down message joins the cross-msg pool, a
+    /// child checkpoint the queue the next block commits, and a certificate
+    /// is held by its `settlement_key` until its payment settles: identical
+    /// transfers side by side, a redelivered copy of one certificate not.
+    pub(crate) fn receive(&mut self, input: Input) {
+        match input {
+            Input::TopDown(msg) => self.cross_pool.ingest_top_down([msg]),
+            Input::Checkpoint(signed) => self.pending_checkpoints.push(signed),
+            Input::Certificate(cert) => {
+                let key = settlement_key(&cert.body.msg);
+                let held = self.tentative.entry(key).or_default();
+                if !held.iter().any(|c| c.body == cert.body) {
+                    held.push(cert);
+                }
+            }
+        }
+    }
+
+    /// What the node received and did not commit, taken out as it goes
+    /// down: its unapplied top-down messages by nonce, then its uncommitted
+    /// child checkpoints. Its certificates die with it.
+    pub(crate) fn take_inbox(&mut self) -> Vec<Input> {
+        let top_down = std::mem::take(&mut self.cross_pool).into_top_down();
+        let mut inbox: Vec<Input> = top_down.into_iter().map(Input::TopDown).collect();
+        inbox.extend(self.pending_checkpoints.drain(..).map(Input::Checkpoint));
+        inbox
     }
 
     /// Draws the consensus slot of the block at `epoch` from the node's
@@ -260,6 +299,130 @@ impl SubnetNode {
         self.engine
             .next_block(epoch, &self.validators, &mut self.rng)
             .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))
+    }
+
+    /// Attempts to resolve pending bottom-up metas and turnaround metas;
+    /// publishes pull requests for misses (paper §IV-C). Each miss goes
+    /// through the resolver's per-request timeout/backoff tracker
+    /// ([`Resolver::should_pull`]): the first miss pulls immediately,
+    /// repeat misses wait out the capped exponential backoff, and once a
+    /// bounded retry budget is spent the request is abandoned — counted in
+    /// [`hc_net::ResolverStats::pulls_abandoned`], never silently lost.
+    pub(crate) fn resolve_pending(&mut self, network: &Network<ResolutionMsg>, now_ms: u64) {
+        let own_topic = self.subnet_id.topic();
+        // Looks a group up in the node's cache; a miss that is due a pull
+        // publishes one. The pulling node is the origin: a pull that must
+        // cross a severed or degraded region pair is subject to those rules.
+        let origin = Some(self.subscription);
+        let lookup = |resolver: &mut Resolver, meta: &CrossMsgMeta| {
+            let pull = match resolver.lookup_or_pull(meta.msgs_cid, &own_topic) {
+                Ok(group) => return Some(group),
+                Err(pull) => pull,
+            };
+            if let BackoffStep::Send(_) = resolver.should_pull(meta.msgs_cid, now_ms) {
+                network.publish(&meta.from.topic(), pull, now_ms, origin);
+            }
+            None
+        };
+        for meta in self.cross_pool.unresolved_metas() {
+            if let Some(group) = lookup(&mut self.resolver, &meta) {
+                self.cross_pool.resolve(group);
+            }
+        }
+        for (meta, content) in &mut self.turnarounds {
+            if content.is_none() {
+                *content = lookup(&mut self.resolver, meta);
+            }
+        }
+    }
+
+    /// Phase (a) of the runtime's tick: builds, executes, and commits the
+    /// node's next block at `at_ms`, touching nothing but the node itself —
+    /// a pure function of the node (randomness included, see
+    /// [`SubnetNode::rng`]), so a wave of due subnets runs it concurrently.
+    pub(crate) fn produce(
+        &mut self,
+        config: &RuntimeConfig,
+        at_ms: u64,
+    ) -> Result<(Block, LocalOutcome), RuntimeError> {
+        let subnet = self.subnet_id.clone();
+        let epoch = self.next_epoch;
+        let opportunity = self.draw_slot(epoch)?;
+
+        // Assemble implicit messages: child checkpoints, resolved
+        // turnarounds, cross-net applications, and the checkpoint cut.
+        let mut implicit: Vec<ImplicitMsg> = Vec::new();
+        for signed in self.pending_checkpoints.drain(..) {
+            implicit.push(ImplicitMsg::CommitChildCheckpoint { signed });
+        }
+        for (meta, content) in std::mem::take(&mut self.turnarounds) {
+            match content {
+                Some(msgs) => implicit.push(ImplicitMsg::CommitTurnaround { meta, msgs }),
+                None => self.turnarounds.push((meta, None)),
+            }
+        }
+        let (tds, bus) = self.cross_pool.take_proposable(opportunity.capacity);
+        for m in tds {
+            implicit.push(ImplicitMsg::ApplyTopDown(m));
+        }
+        for (meta, msgs) in bus {
+            implicit.push(ImplicitMsg::ApplyBottomUp { meta, msgs });
+        }
+        if !subnet.is_root() && self.tree.sca().is_checkpoint_epoch(epoch) {
+            implicit.push(ImplicitMsg::CutCheckpoint {
+                proof: self.chain.head(),
+            });
+        }
+        if self.tree.atomic().has_pending() {
+            implicit.push(ImplicitMsg::SweepAtomicTimeouts {
+                timeout: ATOMIC_TIMEOUT_EPOCHS,
+            });
+        }
+
+        let budget = opportunity.capacity.saturating_sub(implicit.len());
+        let signed_msgs = self.mempool.select(budget);
+
+        let proposer_key = self
+            .validator_keys
+            .get(opportunity.proposer)
+            .or_else(|| self.validator_keys.first())
+            .cloned()
+            .expect("subnet has at least one managed validator key");
+
+        let parent_cid = self.chain.head();
+        let executed = produce_block_with(
+            &mut self.tree,
+            subnet,
+            epoch,
+            parent_cid,
+            implicit,
+            signed_msgs,
+            &proposer_key,
+            at_ms,
+            ExecOptions {
+                sig_cache: Some(&self.sig_cache),
+                parallelism: config.parallelism,
+            },
+        );
+
+        let mut block = executed.block;
+        if self.engine.requires_justification() {
+            let cid = block.cid();
+            let quorum = self.validators.quorum_threshold();
+            for key in self.validator_keys.iter().take(quorum.max(1)) {
+                block.justification.add(key.sign(cid.as_bytes()));
+            }
+        }
+        self.engine
+            .validate_block(&block, &self.validators)
+            .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
+        // The clone right-sizes the payload vectors the chain store keeps;
+        // the block itself goes on to `post_tick`, which journals it.
+        self.chain
+            .append(block.clone())
+            .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
+        let outcome = self.commit_block(&block, executed.receipts, &opportunity);
+        Ok((block, outcome))
     }
 
     /// Everything a committed block implies for its node that outlives
@@ -289,8 +452,7 @@ impl SubnetNode {
                         .retain(|p| p.checkpoint != signed.checkpoint);
                 }
                 ImplicitMsg::CommitTurnaround { meta, .. } => {
-                    self.pending_turnarounds.retain(|(m2, _)| m2 != meta);
-                    self.unresolved_turnarounds.retain(|m2| m2 != meta);
+                    self.turnarounds.retain(|(m2, _)| m2 != meta);
                 }
                 ImplicitMsg::ApplyTopDown(cross) => {
                     self.cross_pool.note_top_down_applied(cross.nonce);
@@ -425,8 +587,8 @@ impl SubnetNode {
                 for meta in &outcome.applied_here {
                     self.cross_pool.ingest_meta(meta.clone());
                 }
-                self.unresolved_turnarounds
-                    .extend(outcome.turnaround.iter().cloned());
+                let turnarounds = outcome.turnaround.iter().map(|m| (m.clone(), None));
+                self.turnarounds.extend(turnarounds);
             }
             VmEvent::CrossMsgApplied { msg } => {
                 self.stats.cross_applied += 1;
@@ -516,14 +678,15 @@ impl SubnetNode {
         &self.cross_pool
     }
 
-    /// Child checkpoints waiting for commitment in this chain.
-    pub fn pending_checkpoint_count(&self) -> usize {
-        self.pending_checkpoints.len()
+    /// Child checkpoints waiting for commitment in this chain, in the
+    /// order they were received.
+    pub fn pending_checkpoints(&self) -> &[SignedCheckpoint] {
+        &self.pending_checkpoints
     }
 
     /// Turnaround metas waiting (resolved + unresolved).
     pub fn pending_turnaround_count(&self) -> usize {
-        self.pending_turnarounds.len() + self.unresolved_turnarounds.len()
+        self.turnarounds.len()
     }
 
     /// Total tentatively certified incoming value for `addr`.
@@ -596,16 +759,14 @@ impl SubnetNode {
     /// value waiting in the current checkpoint window.
     ///
     /// Hierarchy-wide quiescence additionally requires every node live and
-    /// every subnet record empty of what waits for a node — top-down
-    /// messages and child checkpoints — see
+    /// every subnet record's inbox empty — see
     /// [`crate::runtime::HierarchyRuntime::all_quiescent`].
     pub fn is_quiescent(&self) -> bool {
         self.mempool.is_empty()
             && self.cross_pool.pending_top_down() == 0
             && self.cross_pool.pending_bottom_up() == 0
             && self.pending_checkpoints.is_empty()
-            && self.pending_turnarounds.is_empty()
-            && self.unresolved_turnarounds.is_empty()
+            && self.turnarounds.is_empty()
             && self.tree.sca().window_is_value_empty()
     }
 
@@ -638,6 +799,20 @@ impl SubnetNode {
         } else {
             self.stats.user_msgs_ok as f64 * 1_000.0 / self.stats.total_interval_ms as f64
         }
+    }
+}
+
+#[cfg(test)]
+impl SubnetNode {
+    /// The cross-msg pool, for a test that plants a break in it.
+    pub(crate) fn cross_pool_mut(&mut self) -> &mut CrossMsgPool {
+        &mut self.cross_pool
+    }
+
+    /// Loses the child checkpoints the node holds, for a test that plants
+    /// a dropped hand-off.
+    pub(crate) fn drop_pending_checkpoints(&mut self) {
+        self.pending_checkpoints.clear();
     }
 }
 

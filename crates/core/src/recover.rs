@@ -18,6 +18,7 @@ use hc_state::CidStore;
 use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
 use crate::config::{RuntimeConfig, RuntimeError};
+use crate::node::Input;
 use crate::persist::{ControlRecord, BLOCK_TAG};
 use crate::runtime::HierarchyRuntime;
 
@@ -228,7 +229,9 @@ impl HierarchyRuntime {
                 // the skipped block cut goes up as it did live — the
                 // parent's re-executed commit, if journaled, retires it.
                 self.anchor_manifest(&subnet, epoch, manifest);
-                self.deliver_checkpoint(signed);
+                if let Some(parent) = subnet.parent() {
+                    self.deliver(parent, Input::Checkpoint(signed));
+                }
                 true
             }
             ControlRecord::RegionAssigned { subnet, region } => {

@@ -9,19 +9,18 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use hc_actors::checkpoint::SignedCheckpoint;
-use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate};
-use hc_chain::{execute_block_with, fan_out, produce_block_with, Block, ExecOptions};
+use hc_actors::FundCertificate;
+use hc_chain::{execute_block_with, fan_out, Block, ExecOptions};
 use hc_consensus::ValidatorSet;
-use hc_net::{BackoffStep, Network, ResolutionMsg, Resolver};
-use hc_state::{CidStore, ImplicitMsg, Method, VmEvent};
+use hc_net::{Network, ResolutionMsg};
+use hc_state::{CidStore, Method, VmEvent};
 use hc_store::Persistence;
 use hc_types::{Address, Keypair, SubnetId, TokenAmount};
 
 use crate::chaos::SyncInbox;
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 use crate::journal::Journal;
-use crate::node::{settlement_key, LocalOutcome, SubnetNode};
+use crate::node::{Input, LocalOutcome, SubnetNode};
 use crate::persist::ControlRecord;
 use crate::subnets::{SubnetRecord, Subnets};
 
@@ -30,10 +29,6 @@ const ROOT_SEED_DOMAIN: u64 = 0x726f_6f74; // "root"
 
 /// Validators of the rootnet (round-robin authority set).
 const ROOT_VALIDATORS: usize = 4;
-
-/// Epochs after which a pending atomic execution is force-aborted by the
-/// coordinator's sweep (the *timeliness* guarantee, paper §IV-D).
-const ATOMIC_TIMEOUT_EPOCHS: u64 = 50;
 
 /// The hierarchical consensus runtime: one node per subnet plus the shared
 /// pub-sub network, advanced by a deterministic discrete-event loop.
@@ -193,7 +188,7 @@ impl HierarchyRuntime {
         // Killing the subnet now would execute those against a dead
         // destination and strand the transfers.
         self.nodes.values().all(|other| {
-            !other.cross_pool.routes_into(&n.subnet_id)
+            !other.cross_pool().routes_into(&n.subnet_id)
                 && !other.mempool.iter().any(|m| {
                     matches!(
                         &m.message().method,
@@ -336,7 +331,7 @@ impl HierarchyRuntime {
         due.sort_unstable_by_key(|(slot, _)| *slot);
         let config = &self.config;
         let outcomes = fan_out(due, config.parallelism, |(slot, node)| {
-            Self::produce_local(node, config, at_ms[slot])
+            node.produce(config, at_ms[slot])
         });
 
         let mut reports = Vec::with_capacity(members.len());
@@ -394,17 +389,15 @@ impl HierarchyRuntime {
         Ok(())
     }
 
-    /// Returns `true` when no node has cross-net work in flight. A top-down
-    /// message waits in its child's node from the block that committed it,
-    /// so each node is asked about itself only.
+    /// Returns `true` when no node has cross-net work in flight. What a
+    /// node is handed waits in that node from the moment it is handed, so
+    /// each node is asked about itself only.
     pub fn all_quiescent(&self) -> bool {
         // A crashed or still-catching-up node has work in flight by
         // definition: the hierarchy is not settled until it has rejoined
-        // and replayed everything it missed. So does a record holding
-        // top-down messages for a child not yet booted, or checkpoints for
-        // a parent no node of which runs.
-        let settled =
-            |r: &SubnetRecord| r.is_live() && r.top_down.is_empty() && r.checkpoints.is_empty();
+        // and replayed everything it missed. So does a record whose inbox
+        // holds what no node of the subnet has taken yet.
+        let settled = |r: &SubnetRecord| r.is_live() && r.inbox.is_empty();
         if !self.subnets.by_id.values().all(settled) {
             return false;
         }
@@ -450,7 +443,7 @@ impl HierarchyRuntime {
         // Sync traffic is for a catching-up node; a live one ignores it.
         self.poll_network(subnet, at_ms)?;
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        Self::resolve_pending(node, &self.network, at_ms);
+        node.resolve_pending(&self.network, at_ms);
         Ok(at_ms)
     }
 
@@ -519,9 +512,9 @@ impl HierarchyRuntime {
     /// Validates a received fund certificate against the *source's* Subnet
     /// Actor (read from the chain that hosts it — in this in-process
     /// simulation that mirrors the light-client read a real node performs
-    /// on the ancestor chains it tracks) and records it as a pending
-    /// payment. Invalid or unverifiable certificates are dropped, as are
-    /// the rootnet's, which needs none.
+    /// on the ancestor chains it tracks) and hands it to `subnet`'s node,
+    /// which holds it as a pending payment. Invalid or unverifiable
+    /// certificates are dropped, as are the rootnet's, which needs none.
     pub(crate) fn ingest_certificate(&mut self, subnet: &SubnetId, cert: FundCertificate) {
         if cert.body.msg.to.subnet != *subnet {
             return;
@@ -532,139 +525,9 @@ impl HierarchyRuntime {
         if cert.verify(sa).is_err() {
             return;
         }
-        let key = settlement_key(&cert.body.msg);
         if let Some(node) = self.nodes.get_mut(subnet) {
-            // Identical transfers are held side by side; a redelivered copy
-            // of one certificate is not.
-            let held = node.tentative.entry(key).or_default();
-            if !held.iter().any(|c| c.body == cert.body) {
-                held.push(cert);
-            }
+            node.receive(Input::Certificate(cert));
         }
-    }
-
-    /// Attempts to resolve pending bottom-up metas and turnaround metas;
-    /// publishes pull requests for misses (paper §IV-C). Each miss goes
-    /// through the resolver's per-request timeout/backoff tracker
-    /// ([`Resolver::should_pull`]): the first miss pulls immediately,
-    /// repeat misses wait out the capped exponential backoff, and once a
-    /// bounded retry budget is spent the request is abandoned — counted in
-    /// [`hc_net::ResolverStats::pulls_abandoned`], never silently lost.
-    fn resolve_pending(node: &mut SubnetNode, network: &Network<ResolutionMsg>, now_ms: u64) {
-        let own_topic = node.subnet_id.topic();
-        // Looks a group up in the node's cache; a miss that is due a pull
-        // publishes one. The pulling node is the origin: a pull that must
-        // cross a severed or degraded region pair is subject to those rules.
-        let lookup = |resolver: &mut Resolver, meta: &CrossMsgMeta| {
-            let pull = match resolver.lookup_or_pull(meta.msgs_cid, &own_topic) {
-                Ok(group) => return Some(group),
-                Err(pull) => pull,
-            };
-            if let BackoffStep::Send(_) = resolver.should_pull(meta.msgs_cid, now_ms) {
-                let origin = Some(node.subscription);
-                network.publish(&meta.from.topic(), pull, now_ms, origin);
-            }
-            None
-        };
-        for meta in node.cross_pool.unresolved_metas() {
-            if let Some(group) = lookup(&mut node.resolver, &meta) {
-                node.cross_pool.resolve(group);
-            }
-        }
-        for meta in std::mem::take(&mut node.unresolved_turnarounds) {
-            match lookup(&mut node.resolver, &meta) {
-                Some(group) => node.pending_turnarounds.push((meta, group)),
-                None => node.unresolved_turnarounds.push(meta),
-            }
-        }
-    }
-
-    /// Phase (a) of a tick: builds, executes, and commits the next block
-    /// of `node`'s subnet, touching nothing but the node itself. Being a
-    /// pure function of the node (randomness included — see
-    /// [`SubnetNode::rng`]) is what lets [`HierarchyRuntime::step_wave`]
-    /// run this concurrently across the subnets of a wave.
-    fn produce_local(
-        node: &mut SubnetNode,
-        config: &RuntimeConfig,
-        at_ms: u64,
-    ) -> Result<(Block, LocalOutcome), RuntimeError> {
-        let subnet = node.subnet_id.clone();
-        let is_root = subnet.is_root();
-        let epoch = node.next_epoch;
-        let opportunity = node.draw_slot(epoch)?;
-
-        // Assemble implicit messages: child checkpoints, turnarounds,
-        // cross-net applications, and the checkpoint cut.
-        let mut implicit: Vec<ImplicitMsg> = Vec::new();
-        for signed in node.pending_checkpoints.drain(..) {
-            implicit.push(ImplicitMsg::CommitChildCheckpoint { signed });
-        }
-        for (meta, msgs) in node.pending_turnarounds.drain(..) {
-            implicit.push(ImplicitMsg::CommitTurnaround { meta, msgs });
-        }
-        let (tds, bus) = node.cross_pool.take_proposable(opportunity.capacity);
-        for m in tds {
-            implicit.push(ImplicitMsg::ApplyTopDown(m));
-        }
-        for (meta, msgs) in bus {
-            implicit.push(ImplicitMsg::ApplyBottomUp { meta, msgs });
-        }
-        if !is_root && node.tree.sca().is_checkpoint_epoch(epoch) {
-            implicit.push(ImplicitMsg::CutCheckpoint {
-                proof: node.chain.head(),
-            });
-        }
-        if node.tree.atomic().has_pending() {
-            implicit.push(ImplicitMsg::SweepAtomicTimeouts {
-                timeout: ATOMIC_TIMEOUT_EPOCHS,
-            });
-        }
-
-        let budget = opportunity.capacity.saturating_sub(implicit.len());
-        let signed_msgs = node.mempool.select(budget);
-
-        let proposer_key = node
-            .validator_keys
-            .get(opportunity.proposer)
-            .or_else(|| node.validator_keys.first())
-            .cloned()
-            .expect("subnet has at least one managed validator key");
-
-        let parent_cid = node.chain.head();
-        let executed = produce_block_with(
-            &mut node.tree,
-            subnet.clone(),
-            epoch,
-            parent_cid,
-            implicit,
-            signed_msgs,
-            &proposer_key,
-            at_ms,
-            ExecOptions {
-                sig_cache: Some(&node.sig_cache),
-                parallelism: config.parallelism,
-            },
-        );
-
-        let mut block = executed.block;
-        if node.engine.requires_justification() {
-            let cid = block.cid();
-            let quorum = node.validators.quorum_threshold();
-            for key in node.validator_keys.iter().take(quorum.max(1)) {
-                block.justification.add(key.sign(cid.as_bytes()));
-            }
-        }
-        node.engine
-            .validate_block(&block, &node.validators)
-            .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
-        // The clone right-sizes the payload vectors the chain store keeps;
-        // the block itself goes on to `post_tick`, which journals it.
-        node.chain
-            .append(block.clone())
-            .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        let outcome = node.commit_block(&block, executed.receipts, &opportunity);
-        Ok((block, outcome))
     }
 
     /// Re-commits one past block — replayed from the journal or pulled
@@ -765,47 +628,20 @@ impl HierarchyRuntime {
         for ev in events {
             self.route_event(subnet, ev, at_ms)?;
         }
-        self.deliver_top_down(top_down);
+        for (child, msg) in top_down {
+            self.deliver(child, Input::TopDown(msg));
+        }
         Ok(report)
     }
 
-    /// Hands each top-down message a block committed to the child on its
-    /// route, in one step: into the child's cross-msg pool when it has a
-    /// node, else into its record — which outlives a crash, and is opened
-    /// here for a child registered but not yet booted — until
+    /// Hands `input` to `to` in one step: to its node when one runs, else
+    /// into its record's inbox — which outlives a crash, and is opened here
+    /// for a child registered but not yet booted — until
     /// [`HierarchyRuntime::genesis_node`] hands it to the node it builds.
-    fn deliver_top_down(&mut self, msgs: Vec<(SubnetId, CrossMsg)>) {
-        for (child, msg) in msgs {
-            match self.nodes.get_mut(&child) {
-                Some(node) => node.cross_pool.ingest_top_down([msg]),
-                None => self
-                    .subnets
-                    .by_id
-                    .entry(child)
-                    .or_default()
-                    .top_down
-                    .push(msg),
-            }
-        }
-    }
-
-    /// Hands a signed checkpoint to its source's parent, in one step: into
-    /// the parent node's queue, which its next block commits, or into the
-    /// parent's record while no node of it runs, until
-    /// [`HierarchyRuntime::genesis_node`] hands it to the node it builds.
-    pub(crate) fn deliver_checkpoint(&mut self, signed: SignedCheckpoint) {
-        let Some(parent) = signed.checkpoint.source.parent() else {
-            return;
-        };
-        match self.nodes.get_mut(&parent) {
-            Some(node) => node.pending_checkpoints.push(signed),
-            None => self
-                .subnets
-                .by_id
-                .entry(parent)
-                .or_default()
-                .checkpoints
-                .push(signed),
+    pub(crate) fn deliver(&mut self, to: SubnetId, input: Input) {
+        match self.nodes.get_mut(&to) {
+            Some(node) => node.receive(input),
+            None => self.subnets.by_id.entry(to).or_default().inbox.push(input),
         }
     }
 
@@ -850,7 +686,9 @@ impl HierarchyRuntime {
                     manifest,
                 });
                 self.anchor_manifest(subnet, epoch, manifest);
-                self.deliver_checkpoint(signed);
+                if let Some(parent) = subnet.parent() {
+                    self.deliver(parent, Input::Checkpoint(signed));
+                }
             }
 
             VmEvent::CrossMsgQueued { msg }

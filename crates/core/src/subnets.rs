@@ -2,8 +2,8 @@
 //! its node, and so across that node's crashes — how it was booted, where
 //! it is placed, which accounts were installed between blocks, its
 //! snapshot manifests, and, while the node is down or catching up, the
-//! peers' view it syncs against, the top-down messages committed for it
-//! and its children's checkpoints waiting for it.
+//! peers' view it syncs against and the inbox of what was handed to the
+//! subnet while no node of it ran.
 //!
 //! One map holds all of it, so retiring a subnet is one `remove` that
 //! cannot leave residue, crash and rejoin read one record, and the blob
@@ -11,14 +11,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
-use hc_actors::CrossMsg;
 use hc_chain::History;
 use hc_consensus::EngineParams;
 use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 use crate::chaos::{CatchUp, CrashedNode};
+use crate::node::Input;
 use crate::runtime::HierarchyRuntime;
 
 /// How many recent manifests per subnet the runtime remembers for manual
@@ -62,14 +61,11 @@ pub(crate) struct SubnetRecord {
     /// While the rejoined node replays missed blocks pulled from peers.
     pub(crate) catch_up: Option<CatchUp>,
     /// While no node of the subnet runs — it crashed, or is registered
-    /// but not yet booted: the top-down messages its parent committed and
-    /// no node applied, in nonce order. The next node built for the
-    /// subnet takes them.
-    pub(crate) top_down: Vec<CrossMsg>,
-    /// While no node of the subnet runs: its children's signed checkpoints
-    /// delivered and not committed, in delivery order. The next node built
-    /// for the subnet takes them into its queue.
-    pub(crate) checkpoints: Vec<SignedCheckpoint>,
+    /// but not yet booted: what was handed to it and no node committed —
+    /// top-down messages its parent committed and its children's signed
+    /// checkpoints — in the order handed. The next node built for the
+    /// subnet receives them in that order.
+    pub(crate) inbox: Vec<Input>,
     /// Set by [`HierarchyRuntime::inject_signed_checkpoint`]: the parent's
     /// record may then fall below the subnet's live supply. Not journaled.
     pub(crate) compromised: bool,

@@ -200,7 +200,7 @@ pub fn subnet_fingerprint(rt: &HierarchyRuntime, subnet: &SubnetId) -> SubnetFin
             next_top_down_nonce: node.cross_pool().next_top_down_nonce(),
             pending_top_down: node.cross_pool().pending_top_down(),
             pending_bottom_up: node.cross_pool().pending_bottom_up(),
-            pending_checkpoints: node.pending_checkpoint_count(),
+            pending_checkpoints: node.pending_checkpoints().len(),
             pending_turnarounds: node.pending_turnaround_count(),
         },
         next_block_at_ms: node.next_block_at_ms(),

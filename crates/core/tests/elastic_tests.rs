@@ -139,6 +139,34 @@ fn retire_subnet_enforces_lifecycle_guards() {
     h.settle();
 }
 
+/// A crashed child has no node, yet its parent is not a leaf: retiring
+/// the parent would leave the child to rejoin under no chain at all.
+#[test]
+fn a_parent_with_a_crashed_child_is_not_retired() {
+    let mut h = Harness::with(RuntimeConfig::default(), 1_000);
+    let (alice, parent) = (h.alice.clone(), spawn_operated(&mut h));
+    let creator = h.user(&parent);
+    h.fund(&creator, 50);
+    let child = h.spawn(&creator, SaConfig::default());
+    h.rt.crash_node(&child).unwrap();
+    h.rt.execute(
+        &alice,
+        parent.actor().unwrap(),
+        TokenAmount::ZERO,
+        Method::KillSubnet,
+    )
+    .unwrap();
+
+    let refused = h.rt.retire_subnet(&parent);
+    assert!(
+        matches!(&refused, Err(RuntimeError::Retire(why)) if why.contains("child")),
+        "{refused:?}"
+    );
+    assert!(h.rt.node(&parent).is_some());
+    h.rt.rejoin_node(&child).unwrap();
+    assert!(h.rt.is_catching_up(&child));
+}
+
 #[test]
 fn pool_stats_aggregate_admission_and_cross_backlogs() {
     let mut h = Harness::with(RuntimeConfig::default(), 1_000);

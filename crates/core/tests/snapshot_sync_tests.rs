@@ -263,7 +263,7 @@ fn a_snapshot_recovery_strands_no_pending_checkpoint() {
     let carol = h.user(&root);
     h.fund(&bob, 30);
     h.rt.cross_transfer(&bob, &carol, whole(3)).unwrap();
-    while h.rt.node(&root).unwrap().pending_checkpoint_count() == 0 {
+    while h.rt.node(&root).unwrap().pending_checkpoints().is_empty() {
         h.rt.step().unwrap();
     }
     drop(h);

@@ -4,7 +4,7 @@
 //! execution engine, a decomposed runtime, one fault plan, one journal, no
 //! option without a scenario, one front door per node, one way a node
 //! comes up, one way a top-down message goes down, one way a checkpoint
-//! goes up, one test world, one invariant check, content hashed once, one
+//! goes up, a node that owns its cross-net queues, one test world, one invariant check, content hashed once, one
 //! `unsafe` block, hot values kept small, a pool that remembers senders
 //! rather than messages, a signature verdict kept on the value, a nonce
 //! read from the pool, a key held by its client, history held in wire
@@ -256,7 +256,7 @@ fn one_engine_one_fan_out() {
 /// DESIGN.md §8: hc-core's `HierarchyRuntime` keeps the tick and nothing
 /// else — the journal and per-subnet records have one owner each,
 /// replay mode is read through `Journal::outward` alone, the SCA fee is
-/// looked up in one place, and every stepper reaches `produce_local`
+/// looked up in one place, and every stepper reaches `SubnetNode::produce`
 /// through the one `run_wave`.
 #[test]
 fn the_runtime_stays_decomposed() {
@@ -287,14 +287,16 @@ fn the_runtime_stays_decomposed() {
     );
     for (needle, what) in [
         ("cross_msg_fee", "the SCA fee is looked up in one place"),
-        (
-            "Self::produce_local",
-            "one `run_wave` reaches `produce_local`",
-        ),
+        (".produce(", "one `run_wave` reaches `SubnetNode::produce`"),
     ] {
         let found = hits(&core, |s| s, |l| l.contains(needle));
         assert_eq!(found.len(), 1, "DESIGN.md §8: {what}; found {found:#?}");
     }
+    assert_eq!(
+        core_calls(".produce("),
+        ["crates/core/src/runtime.rs: run_wave"],
+        "DESIGN.md §8: a block is produced only in `run_wave`"
+    );
     let runtime = read_rel("crates/core/src/runtime.rs");
     let fields = block(&runtime, "pub struct HierarchyRuntime {", "}")
         .into_iter()
@@ -535,11 +537,11 @@ fn one_way_up() {
 
 /// DESIGN.md §8, "One way down": a parent hands each top-down message to
 /// its child as the block that commits it commits. No relay queue waits on
-/// the parent, and no child reads or prunes one: the relay's names are gone
-/// from every crate, a child's pool is fed only by that hand-off and by the
-/// node built for the child, and a Subnet Actor is read from its parent
-/// chain's copy through `sa_of` alone, or from the node's own tree when a
-/// block commits.
+/// the parent, and no child reads or prunes one: the relay's names and the
+/// retired hand-off are gone from every crate, a child's pool is fed only
+/// through the node's one door, `receive`, and a Subnet Actor is read from
+/// its parent chain's copy through `sa_of` alone, or from the node's own
+/// tree when a block commits.
 #[test]
 fn one_way_down() {
     let retired = [
@@ -549,6 +551,7 @@ fn one_way_down() {
         "sync_parent",
         "prune_parent_registry",
         "parent_queue_drained",
+        "deliver_top_down",
     ];
     let relay = hits(
         &crate_sources(),
@@ -561,11 +564,8 @@ fn one_way_down() {
     );
     assert_eq!(
         core_calls("ingest_top_down("),
-        [
-            "crates/core/src/lifecycle.rs: genesis_node",
-            "crates/core/src/runtime.rs: deliver_top_down",
-        ],
-        "DESIGN.md §8: a child's pool is fed by the hand-off and the node built for it"
+        ["crates/core/src/node.rs: receive"],
+        "DESIGN.md §8: a child's pool is fed only through the node's one door"
     );
     assert_eq!(
         core_calls("tree.sa("),
@@ -578,13 +578,12 @@ fn one_way_down() {
 }
 
 /// DESIGN.md §8, "One way up (checkpoints)": a child's signed checkpoint
-/// goes to its parent in one hand-off, `deliver_checkpoint` — into the
-/// parent node's queue, or into the parent's record while no node of it
-/// runs — for a cut, a recovery that skipped the cut block, and the
-/// adversary alike. No ledger keeps a second copy to resubmit, the method
-/// no one sent is gone from every crate, and outside `node.rs` nothing but
-/// `deliver_checkpoint` and the hand-over in `genesis_node` writes a
-/// parent's queue.
+/// goes to its parent in one hand-off, `deliver` — into the parent node's
+/// door, or into the parent's record while no node of it runs — for a cut,
+/// a recovery that skipped the cut block, and the adversary alike. No
+/// ledger keeps a second copy to resubmit, the method no one sent and the
+/// retired hand-off are gone from every crate, and outside `node.rs` a
+/// checkpoint input is made only by those three senders.
 #[test]
 fn a_checkpoint_goes_up_once() {
     let retired = [
@@ -593,6 +592,7 @@ fn a_checkpoint_goes_up_once() {
         "resubmit_cut_suffix",
         "checkpoints_resubmitted",
         "SubmitCheckpoint",
+        "deliver_checkpoint",
     ];
     let ledger = hits(
         &crate_sources(),
@@ -603,39 +603,68 @@ fn a_checkpoint_goes_up_once() {
         ledger.is_empty(),
         "DESIGN.md §8: the checkpoint ledger or its resubmission is back: {ledger:#?}"
     );
-    let mut writers = Vec::new();
-    for path in &files_under("crates/core/src") {
-        if path.ends_with("node.rs") {
-            continue;
-        }
-        let text = read(path);
-        let src = non_test(&text);
-        for (at, name) in src.match_indices("pending_checkpoints") {
-            let rest = src[at + name.len()..].trim_start();
-            let grows = [".push(", ".extend(", ".append(", ".insert("]
-                .iter()
-                .any(|op| rest.starts_with(op));
-            if grows || (rest.starts_with('=') && !rest.starts_with("==")) {
-                writers.push(format!("{}: {}", rel(path), enclosing_fn(src, at)));
-            }
-        }
-    }
+    let senders: Vec<String> = core_calls("Input::Checkpoint(")
+        .into_iter()
+        .filter(|site| !site.starts_with("crates/core/src/node.rs:"))
+        .collect();
     assert_eq!(
-        writers,
-        [
-            "crates/core/src/lifecycle.rs: genesis_node",
-            "crates/core/src/runtime.rs: deliver_checkpoint",
-        ],
-        "DESIGN.md §8: a parent's checkpoint queue is written by the hand-off and the node built for it"
-    );
-    assert_eq!(
-        core_calls("deliver_checkpoint("),
+        senders,
         [
             "crates/core/src/attack.rs: inject_signed_checkpoint",
             "crates/core/src/recover.rs: apply_control_record",
             "crates/core/src/runtime.rs: route_event",
         ],
         "DESIGN.md §8: a cut, a skipped cut's anchor and the adversary send through one door"
+    );
+}
+
+/// DESIGN.md §8, "One door": a node takes what it is handed through
+/// `SubnetNode::receive`, so the compiler, not a list of names, keeps other
+/// modules out of its cross-net queues: the four carry no `pub`. A subnet
+/// whose node is down keeps one inbox of the same inputs in its record, and
+/// the retired per-kind queues and counters are gone from every crate.
+#[test]
+fn a_node_owns_its_cross_net_queues() {
+    let node = read_rel("crates/core/src/node.rs");
+    let fields = block(&node, "pub struct SubnetNode {", "}");
+    for queue in [
+        "cross_pool",
+        "pending_checkpoints",
+        "turnarounds",
+        "tentative",
+    ] {
+        let private = format!("    {queue}:");
+        assert!(
+            fields.iter().any(|l| l.starts_with(&private)),
+            "DESIGN.md §8: `SubnetNode::{queue}` is private to node.rs"
+        );
+    }
+    let subnets = read_rel("crates/core/src/subnets.rs");
+    let record: Vec<&str> = block(&subnets, "pub(crate) struct SubnetRecord {", "}")
+        .into_iter()
+        .filter(|l| is_field(l, false))
+        .map(|l| l.trim_start().trim_start_matches("pub(crate) "))
+        .map(|l| &l[..l.find(':').unwrap_or(l.len())])
+        .collect();
+    assert!(
+        record.contains(&"inbox")
+            && !record.contains(&"top_down")
+            && !record.contains(&"checkpoints"),
+        "DESIGN.md §8: a down node's record keeps one inbox; its fields are {record:?}"
+    );
+    let retired = [
+        "pending_turnarounds",
+        "unresolved_turnarounds",
+        "pending_checkpoint_count",
+    ];
+    let found = hits(
+        &crate_sources(),
+        |s| s,
+        |l| retired.iter().any(|r| l.contains(r)),
+    );
+    assert!(
+        found.is_empty(),
+        "DESIGN.md §8: the per-kind queues are back: {found:#?}"
     );
 }
 
