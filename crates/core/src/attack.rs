@@ -10,6 +10,7 @@
 use hc_actors::checkpoint::Checkpoint;
 use hc_actors::sa::FraudProof;
 use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, MsgGroup};
+use hc_net::ResolutionMsg;
 use hc_types::{Address, Cid, SubnetId, TokenAmount};
 
 use crate::config::RuntimeError;
@@ -71,9 +72,10 @@ impl HierarchyRuntime {
         self.inject_signed_checkpoint(subnet, |ckpt| {
             ckpt.add_cross_meta(meta.clone());
         })?;
-        // Make the forged content resolvable so the parent can even try to
+        // Push the forged content to the parent so it can even try to
         // apply it (a real adversary would happily serve it).
-        self.seed_content(&parent, forged_msgs);
+        let (cid, msgs) = (forged_msgs.cid(), forged_msgs.to_vec());
+        self.inject_gossip(&parent.topic(), ResolutionMsg::Push { cid, msgs });
 
         self.run_until_quiescent(5_000)?;
         let extracted = self.balance_at(&parent, thief) - thief_before;
@@ -145,12 +147,6 @@ impl HierarchyRuntime {
             record.compromised = true;
         }
         Ok(())
-    }
-
-    fn seed_content(&mut self, parent: &SubnetId, group: MsgGroup) {
-        if let Some(node) = self.nodes.get_mut(parent) {
-            node.resolver.seed(group);
-        }
     }
 }
 

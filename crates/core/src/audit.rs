@@ -389,7 +389,8 @@ mod tests {
             ckpt.add_cross_meta(meta);
         })
         .unwrap();
-        rt.nodes.get_mut(&root).unwrap().resolver.seed(group);
+        let (cid, msgs) = (group.cid(), group.to_vec());
+        rt.inject_gossip(&root.topic(), hc_net::ResolutionMsg::Push { cid, msgs });
         rt.run_until_quiescent(5_000).unwrap();
         rt.subnets.by_id.get_mut(&child).unwrap().compromised = false;
         rt.step_wave().unwrap();

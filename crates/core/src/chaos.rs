@@ -10,7 +10,7 @@
 //! publishes [`hc_net::ResolutionMsg::BlockPull`] requests on its own
 //! topic, peers answer with bounded [`hc_net::ResolutionMsg::BlockBatch`]
 //! replies, and each received block is re-validated and re-executed
-//! (`HierarchyRuntime::reexecute_block`) — a forged, corrupt or stale
+//! (`SubnetNode::reexecute`) — a forged, corrupt or stale
 //! block is dropped and counted, and cannot poison the node. (A recovery
 //! fast-forward short of its anchor restarts the same way.) Both legs of
 //! every round trip cross the simulated network, so
@@ -18,8 +18,10 @@
 //! [`hc_net::FaultPlan`] all apply; lost requests are retried under the
 //! same capped-backoff [`hc_net::RetryPolicy`] as content resolution. A
 //! catching-up node reads its inbox through the same front door as a live
-//! one (`HierarchyRuntime::poll_network`), and every reply leaves with the
-//! node as origin, so region rules see its region.
+//! one (`SubnetNode::poll`), and every reply leaves with the node as
+//! origin, so region rules see its region. The runtime keeps only the
+//! surviving peers' side: serving the pulls from their copy of the chain
+//! and the blob store.
 //!
 //! Rejoin supports two bootstrap strategies ([`SyncMode`]): *replay*
 //! re-validates and re-executes every missed block from genesis, while
@@ -186,22 +188,6 @@ pub(crate) struct CatchUp {
     /// phase precedes any block replay); `None` in replay mode or once
     /// the snapshot is installed.
     pub(crate) snapshot: Option<SnapshotSync>,
-}
-
-/// The sync traffic [`HierarchyRuntime::poll_network`] read from a node's
-/// inbox, in arrival order.
-#[derive(Debug, Default)]
-pub(crate) struct SyncInbox {
-    /// First epochs of the [`ResolutionMsg::BlockPull`]s for the node's
-    /// own subnet.
-    pub(crate) block_pulls: Vec<ChainEpoch>,
-    /// Blocks of the [`ResolutionMsg::BlockBatch`]es for the node's own
-    /// subnet.
-    pub(crate) block_batches: Vec<Vec<Vec<u8>>>,
-    /// [`ResolutionMsg::BlobPull`]s: the CIDs asked for and the reply topic.
-    pub(crate) blob_pulls: Vec<(Vec<Cid>, String)>,
-    /// Blobs of the [`ResolutionMsg::BlobBatch`]es.
-    pub(crate) blob_batches: Vec<Vec<Vec<u8>>>,
 }
 
 /// In-flight snapshot assembly of one rejoined node.
@@ -492,10 +478,11 @@ impl HierarchyRuntime {
         Ok(CrashPhase::Done)
     }
 
-    /// One catch-up round for `subnet`: read the inbox through the live
-    /// [`HierarchyRuntime::poll_network`] (content replies go out as it
-    /// reads), serve the node's own pull echoes from the blob store and
-    /// the peer chain, apply received batches, then finish if the peers'
+    /// One catch-up round for `subnet`: the node reads its inbox through
+    /// the live front door, `SubnetNode::poll` (content replies go out as
+    /// it reads); the runtime, standing in for the surviving peers, serves
+    /// the node's own pull echoes from the blob store and the peer chain;
+    /// the node re-commits the received blocks; then finish if the peers'
     /// head is reached or (re)issue a pull under the retry/backoff
     /// schedule. While a snapshot is being assembled the round works on
     /// chunk blobs; once it is installed, on the block suffix.
@@ -773,9 +760,8 @@ impl HierarchyRuntime {
         // would, so the node resumes mid-conversation with its parent. One
         // block is decoded at a time.
         for stored in covered.iter() {
-            self.skip_past_block(subnet, &stored.decode(), false)?;
+            node.skip_past(&stored.decode(), false)?;
         }
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         node.chain.reset_to_snapshot_base(
             anchor_epoch,
             anchor_cid.expect("install verified against the anchor header"),

@@ -29,8 +29,8 @@
 //! * [`runtime`] — [`HierarchyRuntime`]: the struct, construction, the
 //!   event loop and the one per-block pipeline (`run_wave`: `pre_tick` →
 //!   `fan_out(SubnetNode::produce)` → `post_tick`; a tick is a wave of one),
-//!   and each node's one front door, `poll_network`, which reads the inbox
-//!   of a live and a catching-up node alike.
+//!   and `poll_network`: a node, live or catching up, reads its own inbox,
+//!   and the runtime checks the certificates it kept against other chains.
 //!   Its API continues, by concern, in the private `users`, `lifecycle`
 //!   and `stats` modules; `config` holds [`RuntimeConfig`] and the plain
 //!   types of the API. The runtime holds no key: a [`UserHandle`]

@@ -15,11 +15,13 @@ use rand::SeedableRng;
 use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
-use hc_chain::{produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions, Mempool};
+use hc_chain::{
+    execute_block_with, produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions, Mempool,
+};
 use hc_consensus::{
     make_engine, BlockOpportunity, Consensus, ConsensusKind, EngineParams, ValidatorSet,
 };
-use hc_net::{BackoffStep, Network, ResolutionMsg, Resolver, SubscriberId};
+use hc_net::{ResolutionMsg, Resolver, SubscriberId};
 use hc_state::{
     ChunkManifest, CidStore, ImplicitMsg, Receipt, SealedMessage, SigCache, SigCacheStats,
     StateTree, VmEvent,
@@ -28,6 +30,9 @@ use hc_types::crypto::SignaturePolicy;
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId};
 
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
+
+mod network;
+pub(crate) use network::SyncInbox;
 
 /// Epochs after which a pending atomic execution is force-aborted by the
 /// coordinator's sweep (the *timeliness* guarantee, paper §IV-D).
@@ -148,8 +153,8 @@ pub struct SubnetNode {
     /// The validators' signing keys (simulation holds them to produce
     /// blocks, justifications, and checkpoint signatures).
     pub(crate) validator_keys: Vec<Keypair>,
-    /// Content-resolution state machine.
-    pub(crate) resolver: Resolver,
+    /// Content resolution; its cache holds only network-borne content.
+    resolver: Resolver,
     /// Pub-sub subscription for this subnet's topic.
     pub(crate) subscription: SubscriberId,
     /// Virtual time at which this node produces its next block.
@@ -286,10 +291,7 @@ impl SubnetNode {
     /// private randomness stream. Every block a node ever holds — produced,
     /// re-executed or skipped — burns exactly one draw, which keeps the
     /// stream aligned with the subnet's history.
-    pub(crate) fn draw_slot(
-        &mut self,
-        epoch: ChainEpoch,
-    ) -> Result<BlockOpportunity, RuntimeError> {
+    fn draw_slot(&mut self, epoch: ChainEpoch) -> Result<BlockOpportunity, RuntimeError> {
         if epoch != self.next_epoch {
             return Err(RuntimeError::Execution(format!(
                 "block at epoch {epoch}, node expects {}",
@@ -299,41 +301,6 @@ impl SubnetNode {
         self.engine
             .next_block(epoch, &self.validators, &mut self.rng)
             .map_err(|e| RuntimeError::Execution(format!("consensus: {e}")))
-    }
-
-    /// Attempts to resolve pending bottom-up metas and turnaround metas;
-    /// publishes pull requests for misses (paper §IV-C). Each miss goes
-    /// through the resolver's per-request timeout/backoff tracker
-    /// ([`Resolver::should_pull`]): the first miss pulls immediately,
-    /// repeat misses wait out the capped exponential backoff, and once a
-    /// bounded retry budget is spent the request is abandoned — counted in
-    /// [`hc_net::ResolverStats::pulls_abandoned`], never silently lost.
-    pub(crate) fn resolve_pending(&mut self, network: &Network<ResolutionMsg>, now_ms: u64) {
-        let own_topic = self.subnet_id.topic();
-        // Looks a group up in the node's cache; a miss that is due a pull
-        // publishes one. The pulling node is the origin: a pull that must
-        // cross a severed or degraded region pair is subject to those rules.
-        let origin = Some(self.subscription);
-        let lookup = |resolver: &mut Resolver, meta: &CrossMsgMeta| {
-            let pull = match resolver.lookup_or_pull(meta.msgs_cid, &own_topic) {
-                Ok(group) => return Some(group),
-                Err(pull) => pull,
-            };
-            if let BackoffStep::Send(_) = resolver.should_pull(meta.msgs_cid, now_ms) {
-                network.publish(&meta.from.topic(), pull, now_ms, origin);
-            }
-            None
-        };
-        for meta in self.cross_pool.unresolved_metas() {
-            if let Some(group) = lookup(&mut self.resolver, &meta) {
-                self.cross_pool.resolve(group);
-            }
-        }
-        for (meta, content) in &mut self.turnarounds {
-            if content.is_none() {
-                *content = lookup(&mut self.resolver, meta);
-            }
-        }
     }
 
     /// Phase (a) of the runtime's tick: builds, executes, and commits the
@@ -423,6 +390,59 @@ impl SubnetNode {
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
         let outcome = self.commit_block(&block, executed.receipts, &opportunity);
         Ok((block, outcome))
+    }
+
+    /// Re-commits one past block — replayed from the journal or pulled
+    /// from peers: validates and re-executes it (the state root checked
+    /// against the header), burns its consensus draw, chains it, and hands
+    /// it to the live tick's [`SubnetNode::commit_block`]. A forged or
+    /// stale block is refused before the draw and changes nothing.
+    pub(crate) fn reexecute(
+        &mut self,
+        block: &Block,
+        parallelism: usize,
+    ) -> Result<LocalOutcome, RuntimeError> {
+        if (block.header.epoch, block.header.parent) != (self.next_epoch, self.chain.head()) {
+            return Err(RuntimeError::Execution(
+                "block does not extend the head".into(),
+            ));
+        }
+        self.engine
+            .validate_block(block, &self.validators)
+            .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
+        // Verifies the proposer's signature first; any failure leaves the
+        // tree at the pre-block state.
+        let receipts = execute_block_with(
+            &mut self.tree,
+            block,
+            ExecOptions {
+                sig_cache: Some(&self.sig_cache),
+                parallelism,
+            },
+        )
+        .map_err(|e| RuntimeError::Execution(format!("replay execution: {e}")))?;
+        let opportunity = self.draw_slot(block.header.epoch)?;
+        self.chain
+            .append(block.clone())
+            .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
+        Ok(self.commit_block(block, receipts, &opportunity))
+    }
+
+    /// Re-commits one past block whose state arrives wholesale from a
+    /// snapshot: burns its consensus draw and repeats, through
+    /// [`SubnetNode::skip_block`], the bookkeeping that outlives execution
+    /// — without validating, executing or hashing anything. `append`
+    /// chains the block (recovery fast-forward keeps full history); the
+    /// snapshot-covered prefix of a rejoining node is not chained.
+    pub(crate) fn skip_past(&mut self, block: &Block, append: bool) -> Result<(), RuntimeError> {
+        let opportunity = self.draw_slot(block.header.epoch)?;
+        if append {
+            self.chain
+                .append(block.clone())
+                .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
+        }
+        self.skip_block(block, &opportunity);
+        Ok(())
     }
 
     /// Everything a committed block implies for its node that outlives
@@ -557,22 +577,17 @@ impl SubnetNode {
                 self.stats.state_persists += 1;
 
                 // Content resolution (paper §IV-C): the state tree's
-                // content registry is this subnet's authoritative store for
-                // the groups it cut, so its resolver always serves pulls for
-                // them (a rebuilt node re-seeds here — the cache died with
-                // the process). A group a child cut and this cut carries on
-                // up leaves the cache here: forwarding is its use. With the
-                // *push* path enabled, the groups are also announced
-                // proactively on their destinations' topics.
+                // content registry holds the groups this subnet cut, and
+                // `poll` serves pulls for them from there. A group a child
+                // cut and this cut carries on up leaves the cache here:
+                // forwarding is its use. With the *push* path enabled, the
+                // groups are also announced proactively on their
+                // destinations' topics.
                 let mut pushes = Vec::new();
                 for meta in &checkpoint.cross_msgs {
-                    let content = match self.tree.resolve_content(&meta.msgs_cid).cloned() {
-                        Some(group) => {
-                            self.resolver.seed(group.clone());
-                            Some(group)
-                        }
-                        None => self.resolver.take(&meta.msgs_cid),
-                    };
+                    let cid = &meta.msgs_cid;
+                    let content = self.tree.resolve_content(cid).cloned();
+                    let content = content.or_else(|| self.resolver.take(cid));
                     if let (true, Some(group)) = (push, content) {
                         // On the wire the group is raw again: the receiver
                         // trusts nothing it did not hash.

@@ -258,7 +258,7 @@ impl HierarchyRuntime {
         let at_ms = block.header.timestamp_ms;
         if skip {
             self.refresh_validators(subnet);
-            self.skip_past_block(subnet, &block, true)?;
+            Self::get_node_mut(&mut self.nodes, subnet)?.skip_past(&block, true)?;
             self.now_ms = self.now_ms.max(at_ms);
         } else {
             let outcome = self.reexecute_block(subnet, &block)?;

@@ -10,17 +10,16 @@ use std::fmt;
 use std::sync::Arc;
 
 use hc_actors::FundCertificate;
-use hc_chain::{execute_block_with, fan_out, Block, ExecOptions};
+use hc_chain::{fan_out, Block};
 use hc_consensus::ValidatorSet;
 use hc_net::{Network, ResolutionMsg};
 use hc_state::{CidStore, Method, VmEvent};
 use hc_store::Persistence;
 use hc_types::{Address, Keypair, SubnetId, TokenAmount};
 
-use crate::chaos::SyncInbox;
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 use crate::journal::Journal;
-use crate::node::{Input, LocalOutcome, SubnetNode};
+use crate::node::{Input, LocalOutcome, SubnetNode, SyncInbox};
 use crate::persist::ControlRecord;
 use crate::subnets::{SubnetRecord, Subnets};
 
@@ -447,78 +446,29 @@ impl HierarchyRuntime {
         Ok(at_ms)
     }
 
-    /// The node's one front door, for live and catching-up nodes alike:
-    /// reads `subnet`'s inbox, answers content traffic through the resolver
-    /// with the node as origin, ingests the fund certificates received
-    /// (validating one reads other nodes' chains), and returns the sync
-    /// traffic, which only a catching-up node acts on.
+    /// The front door of `subnet`'s node, live or catching up: the node
+    /// reads its inbox ([`SubnetNode::poll`]), the certificates it kept are
+    /// checked here against other chains, and the sync traffic is returned
+    /// for a catch-up to act on.
     pub(crate) fn poll_network(
         &mut self,
         subnet: &SubnetId,
         now_ms: u64,
     ) -> Result<SyncInbox, RuntimeError> {
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        let mut certs = Vec::new();
-        let mut sync = SyncInbox::default();
-        for msg in self.network.poll(node.subscription, now_ms) {
-            match msg {
-                ResolutionMsg::Certificate(cert) => certs.push(*cert),
-                ResolutionMsg::BlockPull {
-                    subnet: s,
-                    from_epoch,
-                    ..
-                } if s == *subnet => sync.block_pulls.push(from_epoch),
-                ResolutionMsg::BlockBatch { subnet: s, blocks } if s == *subnet => {
-                    sync.block_batches.push(blocks);
-                }
-                ResolutionMsg::BlobPull { cids, reply_topic } => {
-                    sync.blob_pulls.push((cids, reply_topic));
-                }
-                ResolutionMsg::BlobBatch { blobs } => sync.blob_batches.push(blobs),
-                // A pushed group off its way up to the subnet that opens it
-                // is dropped unhashed (paper §IV-C: peers may cache or
-                // discard pushed content).
-                ResolutionMsg::Push { msgs, .. } if !hc_net::keeps_push(subnet, &msgs) => {}
-                msg => {
-                    // The resolver cache dies with the process, but the
-                    // content registry is canonical state (the state tree's
-                    // registry log) and survives crash recovery — re-seed
-                    // on demand so a rejoined node still serves pulls for
-                    // groups it checkpointed before the crash (the registry
-                    // is the authoritative store; the cache is only its hot
-                    // front).
-                    if let ResolutionMsg::Pull { cid, .. } = &msg {
-                        if !node.resolver.cache().contains(cid) {
-                            if let Some(group) = node.tree.resolve_content(cid) {
-                                node.resolver.seed(group.clone());
-                            }
-                        }
-                    }
-                    if let Some((topic, reply)) = node.resolver.handle(msg) {
-                        // State the replying node as origin so region-scoped
-                        // rules see the true (from, to) region pair.
-                        let origin = Some(node.subscription);
-                        self.network.publish(&topic, reply, now_ms, origin);
-                    }
-                }
-            }
-        }
+        let (certs, sync) = node.poll(&self.network, now_ms);
         for cert in certs {
             self.ingest_certificate(subnet, cert);
         }
         Ok(sync)
     }
 
-    /// Validates a received fund certificate against the *source's* Subnet
-    /// Actor (read from the chain that hosts it — in this in-process
-    /// simulation that mirrors the light-client read a real node performs
-    /// on the ancestor chains it tracks) and hands it to `subnet`'s node,
-    /// which holds it as a pending payment. Invalid or unverifiable
-    /// certificates are dropped, as are the rootnet's, which needs none.
-    pub(crate) fn ingest_certificate(&mut self, subnet: &SubnetId, cert: FundCertificate) {
-        if cert.body.msg.to.subnet != *subnet {
-            return;
-        }
+    /// Validates a fund certificate `subnet`'s node received against the
+    /// *source's* Subnet Actor (the light-client read a real node performs
+    /// on the ancestor chains it tracks) and hands it to the node as a
+    /// pending payment. Invalid or unverifiable certificates are dropped,
+    /// as are the rootnet's, which needs none.
+    fn ingest_certificate(&mut self, subnet: &SubnetId, cert: FundCertificate) {
         let Some(sa) = self.sa_of(&cert.body.msg.from.subnet) else {
             return;
         };
@@ -530,14 +480,9 @@ impl HierarchyRuntime {
         }
     }
 
-    /// Re-commits one past block — replayed from the journal or pulled
-    /// from peers — against `subnet`'s node: validates and re-executes it
-    /// (verifying the recomputed state root against the header), burns the
-    /// consensus draw the live run made for it, chains it, and hands it to
-    /// the same [`SubnetNode::commit_block`] the live tick uses. A refused
-    /// block — forged or stale — is refused before the draw and leaves the
-    /// node as it was. What happens to the returned outcome is the caller's
-    /// choice of *outward* effects: journal recovery routes it through
+    /// [`SubnetNode::reexecute`] on `subnet`'s node, its validator set
+    /// refreshed from the parent first. The outward effects are the
+    /// caller's: journal recovery routes the outcome through
     /// [`HierarchyRuntime::post_tick`], peer catch-up applies only the
     /// node-local half of its events and drops its top-down messages.
     pub(crate) fn reexecute_block(
@@ -547,54 +492,7 @@ impl HierarchyRuntime {
     ) -> Result<LocalOutcome, RuntimeError> {
         self.refresh_validators(subnet);
         let parallelism = self.config.parallelism;
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        if (block.header.epoch, block.header.parent) != (node.next_epoch, node.chain.head()) {
-            return Err(RuntimeError::Execution(
-                "block does not extend the head".into(),
-            ));
-        }
-        node.engine
-            .validate_block(block, &node.validators)
-            .map_err(|e| RuntimeError::Execution(format!("block validation: {e}")))?;
-        // Verifies the proposer's signature first; any failure leaves the
-        // tree at the pre-block state.
-        let receipts = execute_block_with(
-            &mut node.tree,
-            block,
-            ExecOptions {
-                sig_cache: Some(&node.sig_cache),
-                parallelism,
-            },
-        )
-        .map_err(|e| RuntimeError::Execution(format!("replay execution: {e}")))?;
-        let opportunity = node.draw_slot(block.header.epoch)?;
-        node.chain
-            .append(block.clone())
-            .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        Ok(node.commit_block(block, receipts, &opportunity))
-    }
-
-    /// Re-commits one past block whose state arrives wholesale from a
-    /// snapshot: burns its consensus draw and repeats, through
-    /// [`SubnetNode::skip_block`], the bookkeeping that outlives execution
-    /// — without validating, executing or hashing anything. `append`
-    /// chains the block (recovery fast-forward keeps full history); the
-    /// snapshot-covered prefix of a rejoining node is not chained.
-    pub(crate) fn skip_past_block(
-        &mut self,
-        subnet: &SubnetId,
-        block: &Block,
-        append: bool,
-    ) -> Result<(), RuntimeError> {
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        let opportunity = node.draw_slot(block.header.epoch)?;
-        if append {
-            node.chain
-                .append(block.clone())
-                .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        }
-        node.skip_block(block, &opportunity);
-        Ok(())
+        Self::get_node_mut(&mut self.nodes, subnet)?.reexecute(block, parallelism)
     }
 
     /// Phase (b) of a tick: applies a block's outward effects to shared

@@ -63,7 +63,7 @@ impl HierarchyRuntime {
             total.mempool_bytes += node.mempool.occupancy_bytes() as u64;
             total.pending_top_down += node.cross_pool().pending_top_down() as u64;
             total.pending_bottom_up += node.cross_pool().pending_bottom_up() as u64;
-            total.resolver.merge(node.resolver.stats());
+            total.resolver.merge(node.resolver_stats());
         }
         total
     }

@@ -420,61 +420,87 @@ fn catch_up_replies_leave_from_the_rejoining_nodes_region() {
 }
 
 /// A catching-up node serves pulls for content its history already cut:
-/// the content registry is canonical state, and the one inbox loop
-/// re-seeds the resolver cache from it on a miss, mid catch-up as when
-/// live. The group is cut at the snapshot anchor, so it arrives with the
-/// installed state and no replayed cut has put it in the cache.
+/// the content registry is canonical state, and the node's one inbox loop
+/// serves a pull from it, mid catch-up as when live; the group never
+/// enters the cache. Under snapshot sync the group is cut at the anchor,
+/// so it arrives with the installed state; under replay it is back once
+/// the catch-up has re-executed the block that cut it.
 #[test]
 fn a_catching_up_node_serves_pulls_from_its_registry() {
-    let config = RuntimeConfig {
-        sync_mode: SyncMode::Snapshot,
-        ..RuntimeConfig::default()
-    };
-    let mut h = Harness::with(config, 1_000_000);
-    let sa = SaConfig {
-        checkpoint_period: 20,
-        ..SaConfig::default()
-    };
-    let child = h.spawn(&h.alice.clone(), sa);
-    let bob = h.user(&child);
-    let carol = h.user(&SubnetId::root());
-    h.fund(&bob, 30);
-    h.release(&bob, &carol, 5);
-    let history = h.rt.checkpoint_archive().history(&child);
-    let metas = history.iter().flat_map(|e| &e.signed.checkpoint.cross_msgs);
-    let group = metas
-        .map(|m| m.msgs_cid)
-        .next()
-        .expect("the release was cut");
-    // Leave a suffix of several batches past the anchor.
-    let (anchor, _) = h.rt.checkpoint_anchor(&child).unwrap();
-    while h.rt.node(&child).unwrap().chain().head_epoch() < anchor + 15 {
-        h.rt.step().unwrap();
-    }
+    for sync_mode in [SyncMode::Snapshot, SyncMode::Replay] {
+        let config = RuntimeConfig {
+            sync_mode,
+            ..RuntimeConfig::default()
+        };
+        let mut h = Harness::with(config, 1_000_000);
+        let sa = SaConfig {
+            checkpoint_period: 20,
+            ..SaConfig::default()
+        };
+        let child = h.spawn(&h.alice.clone(), sa);
+        let bob = h.user(&child);
+        let carol = h.user(&SubnetId::root());
+        h.fund(&bob, 30);
+        h.release(&bob, &carol, 5);
+        let history = h.rt.checkpoint_archive().history(&child);
+        let (group, cut_at) = history
+            .iter()
+            .find_map(|e| {
+                let meta = e.signed.checkpoint.cross_msgs.first()?;
+                Some((meta.msgs_cid, e.signed.checkpoint.epoch))
+            })
+            .expect("the release was cut");
+        // Leave a suffix of several batches past the anchor.
+        let (anchor, _) = h.rt.checkpoint_anchor(&child).unwrap();
+        while h.rt.node(&child).unwrap().chain().head_epoch() < anchor + 15 {
+            h.rt.step().unwrap();
+        }
 
-    h.rt.crash_node(&child).unwrap();
-    h.rt.rejoin_node(&child).unwrap();
-    while h.rt.chaos_stats().snapshot_installs == 0 {
-        h.rt.step().unwrap();
+        h.rt.crash_node(&child).unwrap();
+        h.rt.rejoin_node(&child).unwrap();
+        match sync_mode {
+            SyncMode::Snapshot => {
+                while h.rt.chaos_stats().snapshot_installs == 0 {
+                    h.rt.step().unwrap();
+                }
+            }
+            SyncMode::Replay => {
+                while h.rt.node(&child).unwrap().chain().head_epoch() < cut_at {
+                    h.rt.step().unwrap();
+                }
+            }
+        }
+        assert!(h
+            .rt
+            .node(&child)
+            .unwrap()
+            .state()
+            .resolve_content(&group)
+            .is_some());
+        let pull = ResolutionMsg::Pull {
+            cid: group,
+            reply_topic: SubnetId::root().topic(),
+        };
+        h.rt.inject_gossip(&child.topic(), pull);
+        let resolver = |h: &Harness| h.rt.node(&child).unwrap().resolver().stats();
+        while resolver(&h).pulls_served == 0 && h.rt.is_catching_up(&child) {
+            h.rt.step().unwrap();
+        }
+        let mode = format!("{sync_mode:?}");
+        assert_eq!(resolver(&h).pulls_served, 1, "{mode}: {:?}", resolver(&h));
+        assert_eq!(resolver(&h).pulls_missed, 0, "{mode}");
+        assert!(
+            h.rt.node(&child).unwrap().resolver().cache().is_empty(),
+            "{mode}"
+        );
+        assert!(
+            h.rt.is_catching_up(&child),
+            "{mode}: served before catch-up completed"
+        );
+        assert_eq!(h.rt.chaos_stats().catch_ups_completed, 0, "{mode}");
+        h.settle();
+        assert_eq!(h.rt.chaos_stats().catch_ups_completed, 1, "{mode}");
     }
-    let pull = ResolutionMsg::Pull {
-        cid: group,
-        reply_topic: SubnetId::root().topic(),
-    };
-    h.rt.inject_gossip(&child.topic(), pull);
-    let resolver = |h: &Harness| h.rt.node(&child).unwrap().resolver().stats();
-    while resolver(&h).pulls_served == 0 && h.rt.is_catching_up(&child) {
-        h.rt.step().unwrap();
-    }
-    assert_eq!(resolver(&h).pulls_served, 1, "{:?}", resolver(&h));
-    assert_eq!(resolver(&h).pulls_missed, 0);
-    assert!(
-        h.rt.is_catching_up(&child),
-        "served before catch-up completed"
-    );
-    assert_eq!(h.rt.chaos_stats().catch_ups_completed, 0);
-    h.settle();
-    assert_eq!(h.rt.chaos_stats().catch_ups_completed, 1);
 }
 
 /// The F9 headline: a run whose child crashes mid-epoch and rejoins

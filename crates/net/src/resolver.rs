@@ -21,9 +21,10 @@
 //! and [`Resolver::take`] hand a group out of the cache, and the CID is
 //! remembered (within [`CONTENT_CACHE_CAPACITY`]) so that a copy arriving
 //! afterwards — a retried pull's second reply, a duplicated push — is
-//! neither hashed nor stored. What a node keeps for good is the groups
-//! its own subnet cut, which the state tree's registry holds anyway
-//! ([`Resolver::seed`] shares them).
+//! neither hashed nor stored. The groups a node's own subnet cut are not
+//! kept here at all: the state tree's registry holds them, and
+//! [`Resolver::handle`] serves a pull from it when the cache misses, so
+//! the cache holds only content that came over the network.
 //!
 //! [`Resolver`] implements the per-node state machine over these three
 //! message kinds, backed by a validated, bounded [`ContentCache`]. On a
@@ -143,8 +144,9 @@ pub enum ResolutionMsg {
 /// Entries can be **pinned**: eviction skips pinned CIDs, so content a
 /// still-outstanding pull is waiting to consume cannot be displaced by
 /// unrelated traffic arriving between the resolve and the consumer's next
-/// poll. While every resident entry is pinned the capacity bound is soft —
-/// correctness of in-flight requests beats the memory cap.
+/// poll. While every other resident entry is pinned the capacity bound is
+/// soft — correctness of in-flight requests beats the memory cap — and a
+/// group just inserted is never its own victim.
 ///
 /// A group leaves the cache when it is used ([`ContentCache::take`]); the
 /// cache then remembers its CID, the last [`CONTENT_CACHE_CAPACITY`] of
@@ -200,29 +202,21 @@ impl ContentCache {
         if group.cid() != cid {
             return false;
         }
-        self.insert_sealed(group);
-        true
-    }
-
-    /// Inserts a group under its own digest — there is nothing to check —
-    /// idempotently, like [`ContentCache::insert`].
-    fn insert_sealed(&mut self, group: MsgGroup) {
-        let cid = group.cid();
-        if self.entries.contains_key(&cid) {
-            return;
-        }
         self.entries.insert(cid, group);
         self.order.push_back(cid);
         while self.entries.len() > CONTENT_CACHE_CAPACITY {
-            // Oldest first, but never a pinned entry: an in-flight pull's
-            // content must survive until its consumer reads it.
-            let Some(pos) = self.order.iter().position(|c| !self.pinned.contains(c)) else {
-                break; // everything resident is pinned: soft bound
+            // Oldest first, but never a pinned entry — an in-flight pull's
+            // content must survive until its consumer reads it — and never
+            // the group this call reports as held.
+            let evictable = |c: &Cid| *c != cid && !self.pinned.contains(c);
+            let Some(pos) = self.order.iter().position(evictable) else {
+                break; // everything else resident is pinned: soft bound
             };
             let oldest = self.order.remove(pos).expect("position is in range");
             self.entries.remove(&oldest);
             self.evictions += 1;
         }
+        true
     }
 
     /// Looks up a group.
@@ -399,7 +393,7 @@ pub struct ResolverStats {
     pub pushes_cached: u64,
     /// Push/resolve payloads rejected for CID mismatch.
     pub rejected: u64,
-    /// Pull requests answered from the cache.
+    /// Pull requests answered, from the cache or the node's registry.
     pub pulls_served: u64,
     /// Pull requests received for unknown content (ignored; another peer
     /// may serve them).
@@ -484,14 +478,6 @@ impl Resolver {
         stats
     }
 
-    /// Seeds the cache with a group this node holds sealed — one its own
-    /// SCA cut, served from the content registry — settling any
-    /// outstanding pull for it.
-    pub fn seed(&mut self, group: MsgGroup) {
-        self.settle(&group.cid());
-        self.cache.insert_sealed(group);
-    }
-
     /// Hands a group out of the cache for a forwarding node's cut, which
     /// carries its meta on up and re-pushes it: the group's last use
     /// here, whether or not its push arrived. Counts no lookup.
@@ -564,8 +550,14 @@ impl Resolver {
     }
 
     /// Processes an incoming protocol message. Returns an optional reply
-    /// to publish as `(topic, message)`.
-    pub fn handle(&mut self, msg: ResolutionMsg) -> Option<(String, ResolutionMsg)> {
+    /// to publish as `(topic, message)`. A pull is served from the cache
+    /// first, then from `own` — the groups the node's own subnet cut, which
+    /// its state tree's registry holds and the cache does not.
+    pub fn handle<'g>(
+        &mut self,
+        msg: ResolutionMsg,
+        own: impl FnOnce(&Cid) -> Option<&'g MsgGroup>,
+    ) -> Option<(String, ResolutionMsg)> {
         match msg {
             // A copy of a group already used, that nothing pulled again,
             // is late: dropped before it is hashed.
@@ -580,22 +572,15 @@ impl Resolver {
                 }
                 None
             }
-            ResolutionMsg::Pull { cid, reply_topic } => match self.cache.get(&cid) {
-                Some(msgs) => {
-                    self.stats.pulls_served += 1;
-                    Some((
-                        reply_topic,
-                        ResolutionMsg::Resolve {
-                            cid,
-                            msgs: msgs.to_vec(),
-                        },
-                    ))
-                }
-                None => {
+            ResolutionMsg::Pull { cid, reply_topic } => {
+                let Some(group) = self.cache.get(&cid).or_else(|| own(&cid)) else {
                     self.stats.pulls_missed += 1;
-                    None
-                }
-            },
+                    return None;
+                };
+                self.stats.pulls_served += 1;
+                let msgs = group.to_vec();
+                Some((reply_topic, ResolutionMsg::Resolve { cid, msgs }))
+            }
             // A reply is taken only by a node that pulled the CID: not by
             // the other subscribers of the requester's topic, and not once
             // the content arrived (a retried pull's second reply).
@@ -696,6 +681,24 @@ mod tests {
         assert_eq!(&**cache.get(&cid).unwrap(), msgs.as_slice());
     }
 
+    /// Regression: with every resident entry pinned, the eviction loop used
+    /// to pick the group just inserted as its victim, and `insert` still
+    /// reported it as held. The bound goes soft instead.
+    #[test]
+    fn an_insert_over_a_pinned_full_cache_is_held() {
+        let mut cache = ContentCache::new();
+        for i in 0..CONTENT_CACHE_CAPACITY as u64 {
+            let (cid, msgs) = filler(i);
+            cache.pin(cid);
+            assert!(cache.insert(cid, msgs));
+        }
+        let (cid, msgs) = group(2);
+        assert!(cache.insert(cid, msgs));
+        assert!(cache.contains(&cid), "reported as held, then evicted");
+        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.len(), CONTENT_CACHE_CAPACITY + 1);
+    }
+
     #[test]
     fn cache_evicts_oldest_beyond_capacity() {
         let mut cache = ContentCache::new();
@@ -720,10 +723,13 @@ mod tests {
         let mut r = Resolver::new();
         let (cid, msgs) = group(2);
         assert!(r
-            .handle(ResolutionMsg::Push {
-                cid,
-                msgs: msgs.clone()
-            })
+            .handle(
+                ResolutionMsg::Push {
+                    cid,
+                    msgs: msgs.clone()
+                },
+                |_| None
+            )
             .is_none());
         assert_eq!(&*r.lookup_or_pull(cid, "/root/msgs").unwrap(), msgs);
         let stats = r.stats();
@@ -737,38 +743,63 @@ mod tests {
         let mut requester = Resolver::new();
         let mut source = Resolver::new();
         let (cid, msgs) = group(4);
-        source.seed(MsgGroup::seal(msgs.clone()));
+        // The source's own subnet cut the group: its registry holds it.
+        let registry = MsgGroup::seal(msgs.clone());
+        let own = |c: &Cid| (*c == cid).then_some(&registry);
 
         // Requester misses locally → registers the pull and emits it.
         let pull = requester.lookup_or_pull(cid, "/root/a5/msgs").unwrap_err();
         assert!(matches!(pull, ResolutionMsg::Pull { .. }));
         assert_eq!(requester.pending_pulls(), 1);
 
-        // Source answers on the reply topic — twice, as a retried pull is.
-        let (topic, resolve) = source.handle(pull.clone()).expect("source serves the pull");
+        // Source answers on the reply topic — twice, as a retried pull is —
+        // from its registry; the group never enters its cache.
+        let (topic, resolve) = source
+            .handle(pull.clone(), own)
+            .expect("source serves the pull");
         assert_eq!(topic, "/root/a5/msgs");
-        let (_, second) = source.handle(pull).expect("source serves the retry");
+        let (_, second) = source
+            .handle(pull.clone(), own)
+            .expect("source serves the retry");
+        assert!(source.cache().is_empty());
 
         // A bystander on the requester's topic pulled nothing: it drops
         // the reply.
         let mut bystander = Resolver::new();
-        assert!(bystander.handle(resolve.clone()).is_none());
+        assert!(bystander.handle(resolve.clone(), |_| None).is_none());
         assert!(bystander.cache().is_empty());
         assert_eq!(bystander.stats(), ResolverStats::default());
 
         // Requester ingests the resolve; the content is now local, until
         // it is used.
-        assert!(requester.handle(resolve).is_none());
+        assert!(requester.handle(resolve, |_| None).is_none());
         assert_eq!(requester.pending_pulls(), 0);
         assert_eq!(&*requester.lookup_or_pull(cid, "x").unwrap(), msgs);
         assert!(requester.cache().is_empty());
 
         // The retry's reply arrives after the use: not taken.
-        assert!(requester.handle(second).is_none());
+        assert!(requester.handle(second, |_| None).is_none());
         assert!(requester.cache().is_empty());
         assert_eq!(source.stats().pulls_served, 2);
         assert_eq!(requester.stats().resolves_cached, 1);
         assert_eq!(requester.stats().rejected, 0);
+
+        // A cached copy wins over `own`: a node holding the group from the
+        // network serves that, whatever its registry would answer.
+        let mut relay = Resolver::new();
+        relay.handle(
+            ResolutionMsg::Push {
+                cid,
+                msgs: msgs.clone(),
+            },
+            |_| None,
+        );
+        let decoy = MsgGroup::seal(group(2).1);
+        let (_, reply) = relay
+            .handle(pull, |_| Some(&decoy))
+            .expect("relay serves the pull");
+        assert_eq!(reply, ResolutionMsg::Resolve { cid, msgs });
+        assert_eq!(relay.stats().pulls_served, 1);
     }
 
     /// A group from F to T is kept by O = F ∧ T and by F's ancestors
@@ -819,25 +850,31 @@ mod tests {
     fn a_forwarded_group_is_dropped_after_the_cut() {
         let mut r = Resolver::new();
         let (cid, msgs) = group(2);
-        r.handle(ResolutionMsg::Push {
-            cid,
-            msgs: msgs.clone(),
-        });
+        r.handle(
+            ResolutionMsg::Push {
+                cid,
+                msgs: msgs.clone(),
+            },
+            |_| None,
+        );
         assert_eq!(&*r.take(&cid).expect("pushed before the cut"), msgs);
         let (late, late_msgs) = group(3);
         assert!(r.take(&late).is_none());
         for (cid, msgs) in [(cid, msgs), (late, late_msgs)] {
-            r.handle(ResolutionMsg::Push { cid, msgs });
+            r.handle(ResolutionMsg::Push { cid, msgs }, |_| None);
         }
         assert!(r.cache().is_empty());
         assert_eq!(r.stats().pushes_cached, 1);
         // A node that pulls a used CID again takes the content again.
         assert!(r.lookup_or_pull(late, "t").is_err());
         let (_, late_msgs) = group(3);
-        r.handle(ResolutionMsg::Resolve {
-            cid: late,
-            msgs: late_msgs,
-        });
+        r.handle(
+            ResolutionMsg::Resolve {
+                cid: late,
+                msgs: late_msgs,
+            },
+            |_| None,
+        );
         assert!(r.cache().contains(&late));
     }
 
@@ -845,10 +882,13 @@ mod tests {
     fn pull_for_unknown_content_is_ignored() {
         let mut r = Resolver::new();
         let (cid, _) = group(1);
-        let reply = r.handle(ResolutionMsg::Pull {
-            cid,
-            reply_topic: "t".into(),
-        });
+        let reply = r.handle(
+            ResolutionMsg::Pull {
+                cid,
+                reply_topic: "t".into(),
+            },
+            |_| None,
+        );
         assert!(reply.is_none());
         assert_eq!(r.stats().pulls_missed, 1);
     }
@@ -858,7 +898,7 @@ mod tests {
         let mut r = Resolver::new();
         let (cid, _) = group(2);
         let (_, wrong) = group(3);
-        r.handle(ResolutionMsg::Push { cid, msgs: wrong });
+        r.handle(ResolutionMsg::Push { cid, msgs: wrong }, |_| None);
         assert!(!r.cache().contains(&cid));
         assert_eq!(r.stats().rejected, 1);
     }
@@ -927,7 +967,7 @@ mod tests {
         let (cid, msgs) = group(3);
         assert_eq!(r.should_pull(cid, 0), BackoffStep::Send(1));
         assert_eq!(r.pending_pulls(), 1);
-        r.handle(ResolutionMsg::Resolve { cid, msgs });
+        r.handle(ResolutionMsg::Resolve { cid, msgs }, |_| None);
         assert_eq!(r.pending_pulls(), 0);
         // Content now cached → no further pulls wanted.
         assert_eq!(r.should_pull(cid, 10_000), BackoffStep::Wait);
@@ -944,7 +984,7 @@ mod tests {
         let (wanted_cid, wanted_msgs) = group(3);
         let push = |r: &mut Resolver, i: u64| {
             let (cid, msgs) = filler(i);
-            r.handle(ResolutionMsg::Push { cid, msgs });
+            r.handle(ResolutionMsg::Push { cid, msgs }, |_| None);
             cid
         };
 
@@ -954,10 +994,13 @@ mod tests {
         assert!(r.cache().is_pinned(&wanted_cid));
 
         // The awaited resolve lands first, so it is the oldest entry...
-        r.handle(ResolutionMsg::Resolve {
-            cid: wanted_cid,
-            msgs: wanted_msgs.clone(),
-        });
+        r.handle(
+            ResolutionMsg::Resolve {
+                cid: wanted_cid,
+                msgs: wanted_msgs.clone(),
+            },
+            |_| None,
+        );
         // ...then unrelated traffic overfills the cache before the pool
         // polls again. The pinned entry must not be the eviction victim.
         let noise: Vec<Cid> = (0..CONTENT_CACHE_CAPACITY as u64)
@@ -998,28 +1041,40 @@ mod tests {
     fn block_sync_messages_pass_through_resolver() {
         let mut r = Resolver::new();
         assert!(r
-            .handle(ResolutionMsg::BlockPull {
-                subnet: SubnetId::root(),
-                from_epoch: ChainEpoch::new(4),
-                reply_topic: "t".into(),
-            })
+            .handle(
+                ResolutionMsg::BlockPull {
+                    subnet: SubnetId::root(),
+                    from_epoch: ChainEpoch::new(4),
+                    reply_topic: "t".into(),
+                },
+                |_| None
+            )
             .is_none());
         assert!(r
-            .handle(ResolutionMsg::BlockBatch {
-                subnet: SubnetId::root(),
-                blocks: vec![vec![1, 2, 3]],
-            })
+            .handle(
+                ResolutionMsg::BlockBatch {
+                    subnet: SubnetId::root(),
+                    blocks: vec![vec![1, 2, 3]],
+                },
+                |_| None
+            )
             .is_none());
         assert!(r
-            .handle(ResolutionMsg::BlobPull {
-                cids: vec![Cid::digest(b"chunk")],
-                reply_topic: "t".into(),
-            })
+            .handle(
+                ResolutionMsg::BlobPull {
+                    cids: vec![Cid::digest(b"chunk")],
+                    reply_topic: "t".into(),
+                },
+                |_| None
+            )
             .is_none());
         assert!(r
-            .handle(ResolutionMsg::BlobBatch {
-                blobs: vec![b"chunk".to_vec()],
-            })
+            .handle(
+                ResolutionMsg::BlobBatch {
+                    blobs: vec![b"chunk".to_vec()],
+                },
+                |_| None
+            )
             .is_none());
         assert_eq!(r.stats(), ResolverStats::default());
     }

@@ -283,8 +283,8 @@ proptest! {
         // The node pulled `cid`, so it takes a reply as well as a push.
         let mut r = Resolver::new();
         prop_assert!(r.lookup_or_pull(cid, "t").is_err());
-        r.handle(hc_net::ResolutionMsg::Push { cid, msgs: altered.clone() });
-        r.handle(hc_net::ResolutionMsg::Resolve { cid, msgs: altered });
+        r.handle(hc_net::ResolutionMsg::Push { cid, msgs: altered.clone() }, |_| None);
+        r.handle(hc_net::ResolutionMsg::Resolve { cid, msgs: altered }, |_| None);
         prop_assert_eq!(r.stats().rejected, 2);
         prop_assert!(r.cache().is_empty());
         prop_assert_eq!(r.pending_pulls(), 1);
@@ -363,7 +363,7 @@ proptest! {
             let (cid, msgs) = group(id, n);
             distinct.insert(cid);
             for _ in 0..copies {
-                r.handle(hc_net::ResolutionMsg::Push { cid, msgs: msgs.clone() });
+                r.handle(hc_net::ResolutionMsg::Push { cid, msgs: msgs.clone() }, |_| None);
             }
             prop_assert_eq!(&**r.cache().get(&cid).unwrap(), msgs.as_slice());
         }
@@ -460,25 +460,27 @@ proptest! {
     fn pull_resolve_always_converges(ids in prop::collection::vec(0u64..20, 1..10)) {
         let mut source = Resolver::new();
         let mut dest = Resolver::new();
+        // The source serves the groups its registry holds.
+        let mut registry = std::collections::BTreeMap::new();
         let mut want = Vec::new();
         for id in &ids {
             let (cid, msgs) = group(*id, 2);
-            source.seed(MsgGroup::seal(msgs.clone()));
+            registry.insert(cid, MsgGroup::seal(msgs.clone()));
             want.push((cid, msgs));
         }
         for (cid, msgs) in &want {
             match dest.lookup_or_pull(*cid, "dest/topic") {
                 Ok(got) => prop_assert_eq!(&*got, msgs.as_slice()),
                 Err(pull) => {
-                    let (topic, resolve) = source.handle(pull).expect("source has content");
+                    let (topic, resolve) = source.handle(pull, |c| registry.get(c)).expect("source has content");
                     prop_assert_eq!(topic.as_str(), "dest/topic");
                     // The pull is registered by the miss, so the reply is
                     // taken; a second copy after the use is not.
-                    dest.handle(resolve.clone());
+                    dest.handle(resolve.clone(), |_| None);
                     let got = dest.lookup_or_pull(*cid, "dest/topic")
                         .expect("resolved content is cached");
                     prop_assert_eq!(&*got, msgs.as_slice());
-                    dest.handle(resolve);
+                    dest.handle(resolve, |_| None);
                 }
             }
             // Content is held only until it is used.

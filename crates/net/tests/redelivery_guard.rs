@@ -1,8 +1,8 @@
 //! Content is hashed where it enters, once: a push or resolve for a CID
 //! the node already holds is settled by the cache's index before anything
 //! is looked at, a copy arriving after the group was used is dropped
-//! before it is looked at, and groups handed out or seeded in-process
-//! carry their digest.
+//! before it is looked at, and groups handed out or served from a
+//! registry carry their digest.
 //!
 //! One `#[test]` in a file of its own, so the process-wide SHA-256 block
 //! counter measures this test's work alone.
@@ -37,10 +37,13 @@ fn a_redelivered_group_hashes_nothing() {
 
     // The first delivery is network-borne content: derived, once.
     let before = sha256_block_count();
-    r.handle(ResolutionMsg::Push {
-        cid,
-        msgs: raw.clone(),
-    });
+    r.handle(
+        ResolutionMsg::Push {
+            cid,
+            msgs: raw.clone(),
+        },
+        |_| None,
+    );
     let first = sha256_block_count() - before;
     assert!(
         first > 0,
@@ -53,25 +56,37 @@ fn a_redelivered_group_hashes_nothing() {
     let before = sha256_block_count();
     let copies = |r: &mut Resolver| {
         for _ in 0..3 {
-            r.handle(ResolutionMsg::Push {
-                cid,
-                msgs: raw.clone(),
-            });
-            r.handle(ResolutionMsg::Resolve {
-                cid,
-                msgs: raw.clone(),
-            });
+            r.handle(
+                ResolutionMsg::Push {
+                    cid,
+                    msgs: raw.clone(),
+                },
+                |_| None,
+            );
+            r.handle(
+                ResolutionMsg::Resolve {
+                    cid,
+                    msgs: raw.clone(),
+                },
+                |_| None,
+            );
         }
     };
     copies(&mut r);
     assert_eq!(r.cache().len(), 1);
     // Handing the group to the cross-msg pool, comparing its digest there,
-    // and seeding it into another node's resolver derive nothing either.
+    // and serving it from another node's registry derive nothing either.
     let group = r.lookup_or_pull(cid, "t").expect("held");
     assert_eq!(group.cid(), cid);
     let mut other = Resolver::new();
-    other.seed(group.clone());
-    other.seed(group);
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        let pull = ResolutionMsg::Pull {
+            cid,
+            reply_topic: "t".into(),
+        };
+        replies.extend(other.handle(pull, |_| Some(&group)));
+    }
     // Copies arriving after the use — a duplicated push, a retried pull's
     // reply — are dropped before they are looked at, and not kept.
     let stats = r.stats();
@@ -88,5 +103,10 @@ fn a_redelivered_group_hashes_nothing() {
         "a late copy is neither cached nor rejected"
     );
     assert_eq!(r.stats().rejected, 0);
-    assert_eq!(&**other.cache().get(&cid).unwrap(), raw.as_slice());
+    let served = ResolutionMsg::Resolve { cid, msgs: raw };
+    assert_eq!(
+        replies,
+        [("t".to_owned(), served.clone()), ("t".to_owned(), served)]
+    );
+    assert!(other.cache().is_empty(), "a served own group is not cached");
 }

@@ -470,10 +470,12 @@ fn every_option_is_set_by_a_scenario() {
 }
 
 /// DESIGN.md §12 and §17: a node has one front door. hc-core reads an inbox
-/// in one place, `poll_network`, for live and catching-up nodes alike, and
-/// every publish the runtime makes on a node's behalf names that node as
-/// origin — only `inject_gossip`, the hook for an outside sender, publishes
-/// with a `None` origin.
+/// in one place, the node's own `SubnetNode::poll`, for live and
+/// catching-up nodes alike; every publish the runtime makes on a node's
+/// behalf names that node as origin — only `inject_gossip`, the hook for an
+/// outside sender, publishes with a `None` origin; and a past block is
+/// re-committed by the node, so the runtime's `skip_past_block` is gone
+/// from every crate.
 #[test]
 fn one_front_door() {
     let mut polls = Vec::new();
@@ -491,13 +493,18 @@ fn one_front_door() {
     }
     assert_eq!(
         polls,
-        ["crates/core/src/runtime.rs: poll_network"],
-        "DESIGN.md §12: `poll_network` is the one inbox loop"
+        ["crates/core/src/node/network.rs: poll"],
+        "DESIGN.md §12: `SubnetNode::poll` is the one inbox loop"
     );
     assert_eq!(
         anonymous,
         ["crates/core/src/runtime.rs: inject_gossip"],
         "DESIGN.md §17: every publish but `inject_gossip` states its origin"
+    );
+    let retired = hits(&crate_sources(), |s| s, |l| l.contains("skip_past_block"));
+    assert!(
+        retired.is_empty(),
+        "DESIGN.md §12: a node re-commits its past blocks itself; found {retired:#?}"
     );
 }
 
@@ -619,8 +626,9 @@ fn a_checkpoint_goes_up_once() {
 }
 
 /// DESIGN.md §8, "One door": a node takes what it is handed through
-/// `SubnetNode::receive`, so the compiler, not a list of names, keeps other
-/// modules out of its cross-net queues: the four carry no `pub`. A subnet
+/// `SubnetNode::receive`, and answers the network through `SubnetNode::poll`,
+/// so the compiler, not a list of names, keeps other modules out of its
+/// cross-net queues and its resolver: the five carry no `pub`. A subnet
 /// whose node is down keeps one inbox of the same inputs in its record, and
 /// the retired per-kind queues and counters are gone from every crate.
 #[test]
@@ -632,6 +640,7 @@ fn a_node_owns_its_cross_net_queues() {
         "pending_checkpoints",
         "turnarounds",
         "tentative",
+        "resolver",
     ] {
         let private = format!("    {queue}:");
         assert!(
@@ -1122,7 +1131,9 @@ fn content_is_hashed_once() {
 /// never reads a group the resolver keeps and leaves it there. The
 /// cross-msg pool and a turnaround take it through `lookup_or_pull`, a
 /// forwarding cut through `Resolver::take` in `apply_event`; outside tests
-/// no `cache().get(` remains in hc-core.
+/// no `cache().get(` remains in hc-core. Nothing puts a group into a cache
+/// but the network: a node serves the groups it cut from its registry, and
+/// the seeding calls are gone from every crate.
 #[test]
 fn cross_net_content_is_held_until_used() {
     let mut reads = Vec::new();
@@ -1143,6 +1154,26 @@ fn cross_net_content_is_held_until_used() {
         core_calls("resolver.take("),
         ["crates/core/src/node.rs: apply_event"],
         "DESIGN.md §12: a forwarded group leaves the cache with the cut that carries it on"
+    );
+    let retired = [
+        "resolver.seed(",
+        "Resolver::seed",
+        "insert_sealed",
+        "seed_content",
+    ];
+    let seeds = hits(
+        &crate_sources(),
+        |s| s,
+        |l| retired.iter().any(|r| l.contains(r)),
+    );
+    assert!(
+        seeds.is_empty(),
+        "DESIGN.md §12: only the network fills a resolver's cache; found {seeds:#?}"
+    );
+    let resolver = read_rel("crates/net/src/resolver.rs");
+    assert!(
+        !resolver.contains("pub fn seed("),
+        "DESIGN.md §12: `Resolver::seed` is back"
     );
 }
 
