@@ -55,7 +55,9 @@ pub struct ExecOptions<'a> {
     /// Worker threads for batch signature pre-verification *and* for the
     /// lanes of the payload's [`Schedule`] (`0` counts as one: everything
     /// stays on the caller's thread). Receipts, gas, and state roots are
-    /// identical at every setting.
+    /// identical at every setting. A block of a wave gets its share of the
+    /// runtime's workers here, not all of them; the thread that runs the
+    /// block counts as one.
     pub parallelism: usize,
 }
 

@@ -32,5 +32,5 @@ pub use executor::{
     ExecutedBlock,
 };
 pub use mempool::{CrossMsgPool, Mempool, MempoolConfig, MempoolStats, PushOutcome};
-pub use schedule::{fan_out, Schedule, ScheduleStats, Segment};
+pub use schedule::{fan_out, fan_out_threads, threads_spawned, Schedule, ScheduleStats, Segment};
 pub use store::{ChainStore, History, StoredBlock};

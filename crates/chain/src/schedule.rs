@@ -21,6 +21,8 @@
 //! determinism argument: lanes only reorder messages that provably cannot
 //! observe each other (DESIGN.md §15).
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
 use hc_state::{access_pair, SealedMessage};
 
 /// One scheduling unit of a block's signed-message payload. Indices point
@@ -205,15 +207,35 @@ pub(crate) fn assign_lanes(lanes: &[Vec<usize>], parallelism: usize) -> Vec<Vec<
     assignment
 }
 
+/// Process-wide count of threads [`fan_out`] has spawned. A pure
+/// diagnostic, like [`hc_types::crypto::sha256_block_count`]: it measures
+/// how much thread churn a workload costs, independent of machine speed.
+static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// Total threads [`fan_out`] has spawned in this process so far.
+///
+/// Monotonic and thread-safe; callers measure a region of work by
+/// differencing two readings.
+pub fn threads_spawned() -> u64 {
+    THREADS_SPAWNED.load(Relaxed)
+}
+
+/// The number of threads [`fan_out`] lays `len` items on with `workers`
+/// workers: `min(workers, len)`, at least one (the caller's).
+pub fn fan_out_threads(len: usize, workers: usize) -> usize {
+    workers.clamp(1, len.max(1))
+}
+
 /// Maps `work` over `items` on up to `workers` threads and returns the
 /// results in item order — the one fan-out behind signature
 /// pre-verification, lane execution and `hc-core`'s block waves.
 ///
-/// Items are cut into at most `workers` contiguous chunks of equal length
-/// (the last may be shorter). The caller's thread keeps the first chunk and
-/// scoped threads take the rest, so a single chunk — one worker, or a
-/// single item — spawns nothing and is a plain sequential map. Which thread
-/// runs an item never shows in the result.
+/// Items are cut into exactly [`fan_out_threads`] contiguous chunks whose
+/// lengths differ by at most one (the longer ones first). The caller's
+/// thread keeps the first chunk and scoped threads take the rest, so a
+/// single chunk — one worker, or a single item — spawns nothing and is a
+/// plain sequential map. Which thread runs an item never shows in the
+/// result.
 ///
 /// # Panics
 ///
@@ -228,16 +250,20 @@ where
 {
     let mut items = items.into_iter();
     let len = items.len();
-    let chunk_len = len.div_ceil(workers.clamp(1, len.max(1)));
-    let mut chunks = std::iter::from_fn(|| {
-        let chunk: Vec<T> = items.by_ref().take(chunk_len).collect();
-        (!chunk.is_empty()).then_some(chunk)
+    let threads = fan_out_threads(len, workers);
+    let (base, longer) = (len / threads, len % threads);
+    let mut chunks = (0..threads).map(|i| {
+        let chunk_len = base + usize::from(i < longer);
+        items.by_ref().take(chunk_len).collect::<Vec<T>>()
     });
     let work = &work;
     std::thread::scope(|scope| {
         let first = chunks.next().unwrap_or_default();
         let spawned: Vec<_> = chunks
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(work).collect::<Vec<R>>()))
+            .map(|chunk| {
+                THREADS_SPAWNED.fetch_add(1, Relaxed);
+                scope.spawn(move || chunk.into_iter().map(work).collect::<Vec<R>>())
+            })
             .collect();
         let mut results = Vec::with_capacity(len);
         results.extend(first.into_iter().map(work));
@@ -380,6 +406,20 @@ mod tests {
         assert_eq!(ids[0], here);
         let distinct: std::collections::HashSet<_> = ids.iter().collect();
         assert_eq!(distinct.len(), 4);
+        // Five items on four workers: chunks of 2, 1, 1, 1 — every worker
+        // busy, the longer chunk first and on this thread.
+        let ids = fan_out(0..5, 4, |_| std::thread::current().id());
+        assert_eq!(ids[0], here);
+        assert_eq!(ids[0], ids[1]);
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 4);
+        // Nine items on eight workers spawn seven threads.
+        let before = threads_spawned();
+        fan_out(0..9, 8, |x| x);
+        assert!(threads_spawned() - before >= 7);
+        assert_eq!(fan_out_threads(9, 8), 8);
+        assert_eq!(fan_out_threads(0, 8), 1);
+        assert_eq!(fan_out_threads(5, 0), 1);
     }
 
     #[test]

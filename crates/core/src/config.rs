@@ -45,14 +45,17 @@ pub struct RuntimeConfig {
     /// disabled every meta is resolved by pull, which experiment E7
     /// compares.
     pub push_enabled: bool,
-    /// Worker threads, the size of three fan-outs ([`hc_chain::fan_out`]):
-    /// subnets due in the same [`crate::HierarchyRuntime::step_wave`] produce
-    /// their blocks concurrently, each block's signatures are batch
-    /// pre-verified, and the lanes of each block's access-set schedule
-    /// execute concurrently (system-touching messages stay serial). `1`
-    /// (the default) keeps everything on the caller's thread — the same
-    /// code with nothing spawned; receipts, gas, and state roots are
-    /// bit-identical at every setting.
+    /// Worker threads, divided among a wave rather than handed to each
+    /// block ([`hc_chain::fan_out`]): the *k* subnets due in the same
+    /// [`crate::HierarchyRuntime::step_wave`] produce their blocks on
+    /// `min(parallelism, k)` threads, and each block batch pre-verifies
+    /// its signatures and executes the lanes of its access-set schedule
+    /// (system-touching messages stay serial) on its share,
+    /// `parallelism / min(parallelism, k)` workers, at least one. A lone
+    /// block gets them all; catch-up and recovery re-execute on all of
+    /// them. `1` (the default) keeps everything on the caller's thread —
+    /// the same code with nothing spawned; receipts, gas, and state roots
+    /// are bit-identical at every setting.
     pub parallelism: usize,
     /// Ignored; kept because `e2e/src/replay.rs` names it. ROADMAP item 3
     /// deletes it. A signature verdict lives on the value (DESIGN.md §10

@@ -307,9 +307,11 @@ impl SubnetNode {
     /// node's next block at `at_ms`, touching nothing but the node itself —
     /// a pure function of the node (randomness included, see
     /// [`SubnetNode::rng`]), so a wave of due subnets runs it concurrently.
+    /// `workers` is the node's share of the wave's threads, spent on the
+    /// block's signatures and lanes; it never shows in the result.
     pub(crate) fn produce(
         &mut self,
-        config: &RuntimeConfig,
+        workers: usize,
         at_ms: u64,
     ) -> Result<(Block, LocalOutcome), RuntimeError> {
         let subnet = self.subnet_id.clone();
@@ -368,7 +370,7 @@ impl SubnetNode {
             at_ms,
             ExecOptions {
                 sig_cache: Some(&self.sig_cache),
-                parallelism: config.parallelism,
+                parallelism: workers,
             },
         );
 

@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use hc_actors::FundCertificate;
-use hc_chain::{fan_out, Block};
+use hc_chain::{fan_out, fan_out_threads, Block};
 use hc_consensus::ValidatorSet;
 use hc_net::{Network, ResolutionMsg};
 use hc_state::{CidStore, Method, VmEvent};
@@ -282,7 +282,8 @@ impl HierarchyRuntime {
     /// Advances the hierarchy by one *wave* of blocks: every subnet due
     /// back-to-back at the minimum scheduled time produces its next block,
     /// with the pure per-subnet phase running concurrently on up to
-    /// [`RuntimeConfig::parallelism`] threads.
+    /// [`RuntimeConfig::parallelism`] threads, which the wave's blocks
+    /// share.
     ///
     /// # Errors
     ///
@@ -312,8 +313,12 @@ impl HierarchyRuntime {
     /// Phase (a) touches no shared state (each node owns its private
     /// randomness stream) and is laid on the workers by
     /// [`hc_chain::fan_out`], so the result is bit-identical at every
-    /// `parallelism` setting. A wave of one is a plain tick: nothing is
-    /// spawned, and every draw happens where a lone tick makes it.
+    /// `parallelism` setting. The workers are divided, not handed to every
+    /// block: a wave of *k* runs on `min(parallelism, k)` threads and each
+    /// block gets `parallelism / min(parallelism, k)` workers (at least
+    /// one) for its signatures and lanes. A wave of one is a plain tick:
+    /// its block gets every worker, and every draw happens where a lone
+    /// tick makes it.
     fn run_wave(&mut self, members: &[SubnetId]) -> Result<Vec<StepReport>, RuntimeError> {
         let mut at_ms = Vec::with_capacity(members.len());
         for subnet in members {
@@ -328,9 +333,10 @@ impl HierarchyRuntime {
             .filter_map(|(id, node)| Some((members.iter().position(|m| m == id)?, node)))
             .collect();
         due.sort_unstable_by_key(|(slot, _)| *slot);
-        let config = &self.config;
-        let outcomes = fan_out(due, config.parallelism, |(slot, node)| {
-            node.produce(config, at_ms[slot])
+        let parallelism = self.config.parallelism;
+        let workers = (parallelism / fan_out_threads(due.len(), parallelism)).max(1);
+        let outcomes = fan_out(due, parallelism, |(slot, node)| {
+            node.produce(workers, at_ms[slot])
         });
 
         let mut reports = Vec::with_capacity(members.len());

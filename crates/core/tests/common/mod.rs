@@ -231,3 +231,76 @@ pub fn stats_since(now: NodeStats, then: NodeStats) -> NodeStats {
         state_persists: now.state_persists - then.state_persists,
     }
 }
+
+/// Funded user pairs per subnet of [`flat8`].
+const FLAT8_PAIRS: usize = 8;
+
+/// Rounds of [`flat8`]'s load.
+const FLAT8_ROUNDS: usize = 4;
+
+/// The same 8-subnet flat tree under load in every call — the wave
+/// determinism suite's world and the thread-budget guard's: construction
+/// and funding are driven sequentially so the runs differ only in how the
+/// final drain is stepped.
+pub fn flat8(parallelism: usize) -> (HierarchyRuntime, Vec<SubnetId>) {
+    let config = RuntimeConfig {
+        net: hc_net::NetConfig {
+            jitter_ms: 0,
+            drop_rate: 0.0,
+            ..hc_net::NetConfig::default()
+        },
+        parallelism,
+        ..RuntimeConfig::default()
+    };
+    let mut h = Harness::with(config, 1_000_000);
+    let mut subnets = Vec::new();
+    let mut pairs: Vec<Vec<(UserHandle, UserHandle)>> = Vec::new();
+    for _ in 0..8 {
+        let subnet = h.spawn(&h.alice.clone(), SaConfig::default());
+        let mut local = Vec::new();
+        for _ in 0..FLAT8_PAIRS {
+            let (a, b) = (h.user(&subnet), h.user(&subnet));
+            h.rt.cross_transfer(&h.alice, &a, whole(50)).unwrap();
+            h.rt.cross_transfer(&h.alice, &b, whole(50)).unwrap();
+            local.push((a, b));
+        }
+        subnets.push(subnet);
+        pairs.push(local);
+    }
+    // Drain the funding traffic sequentially in every world so the load
+    // below starts from one identical snapshot (`settle` would step in
+    // waves above parallelism 1).
+    drive_sequential(&mut h.rt);
+    h.check_state();
+    let mut rt = h.rt;
+
+    // Load: intra-subnet transfers, one conflict-free lane per pair, plus
+    // sibling-to-sibling cross-net transfers (bottom-up through the root),
+    // all lazily queued so the drain itself commits them. The cross-net
+    // sends touch the SCA and run serially, so each subnet's block
+    // interleaves serial barriers with parallel segments of several lanes.
+    for _ in 0..FLAT8_ROUNDS {
+        for (i, local) in pairs.iter().enumerate() {
+            for (j, (a, b)) in local.iter().enumerate() {
+                rt.submit(a, b.addr, whole(3), hc_state::Method::Send)
+                    .unwrap();
+                rt.submit(b, a.addr, whole(2), hc_state::Method::Send)
+                    .unwrap();
+                let (next_a, _) = &pairs[(i + 1) % pairs.len()][j];
+                rt.cross_transfer_lazy(a, next_a, whole(1)).unwrap();
+            }
+        }
+    }
+    (rt, subnets)
+}
+
+/// Steps `rt` one block at a time until it is quiescent.
+pub fn drive_sequential(rt: &mut HierarchyRuntime) {
+    for _ in 0..200_000 {
+        if rt.all_quiescent() {
+            return;
+        }
+        rt.step().unwrap();
+    }
+    panic!("sequential drain did not quiesce");
+}

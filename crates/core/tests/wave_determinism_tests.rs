@@ -9,65 +9,9 @@
 
 mod common;
 
-use common::{fingerprint, whole, Harness};
-use hc_core::{HierarchyRuntime, RuntimeConfig, UserHandle};
-use hc_net::NetConfig;
+use common::{drive_sequential, fingerprint, flat8};
+use hc_core::HierarchyRuntime;
 use hc_types::SubnetId;
-
-/// The same 8-subnet flat tree under load in every call: construction and
-/// funding are driven sequentially so the runs differ only in how the
-/// final drain is stepped.
-fn flat8(parallelism: usize) -> (HierarchyRuntime, Vec<SubnetId>) {
-    let config = RuntimeConfig {
-        net: NetConfig {
-            jitter_ms: 0,
-            drop_rate: 0.0,
-            ..NetConfig::default()
-        },
-        parallelism,
-        ..RuntimeConfig::default()
-    };
-    let mut h = Harness::with(config, 1_000_000);
-    let mut subnets = Vec::new();
-    let mut pairs: Vec<(UserHandle, UserHandle)> = Vec::new();
-    for _ in 0..8 {
-        let subnet = h.spawn(&h.alice.clone(), hc_actors::sa::SaConfig::default());
-        let (a, b) = (h.user(&subnet), h.user(&subnet));
-        h.rt.cross_transfer(&h.alice, &a, whole(50)).unwrap();
-        h.rt.cross_transfer(&h.alice, &b, whole(50)).unwrap();
-        subnets.push(subnet);
-        pairs.push((a, b));
-    }
-    // Drain the funding traffic sequentially in every world so the load
-    // below starts from one identical snapshot (`settle` would step in
-    // waves above parallelism 1).
-    drive_sequential(&mut h.rt);
-    h.check_state();
-    let mut rt = h.rt;
-
-    // Load: intra-subnet transfers plus sibling-to-sibling cross-net
-    // transfers (bottom-up through the root), all lazily queued so the
-    // drain itself commits them.
-    for (i, (a, b)) in pairs.iter().enumerate() {
-        rt.submit(a, b.addr, whole(3), hc_state::Method::Send)
-            .unwrap();
-        rt.submit(b, a.addr, whole(2), hc_state::Method::Send)
-            .unwrap();
-        let (next_a, _) = &pairs[(i + 1) % pairs.len()];
-        rt.cross_transfer_lazy(a, next_a, whole(1)).unwrap();
-    }
-    (rt, subnets)
-}
-
-fn drive_sequential(rt: &mut HierarchyRuntime) {
-    for _ in 0..200_000 {
-        if rt.all_quiescent() {
-            return;
-        }
-        rt.step().unwrap();
-    }
-    panic!("sequential drain did not quiesce");
-}
 
 /// Drives the runtime with `step_wave` until quiescent; returns the
 /// largest wave observed.

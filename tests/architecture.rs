@@ -1,7 +1,8 @@
 //! Architecture rules, checked against the source text.
 //!
 //! Each test pins one structural decision DESIGN.md records — one
-//! execution engine, a decomposed runtime, one fault plan, one journal, no
+//! execution engine, a wave that shares out its workers, a decomposed
+//! runtime, one fault plan, one journal, no
 //! option without a scenario, one front door per node, one way a node
 //! comes up, one way a top-down message goes down, one way a checkpoint
 //! goes up, a node that owns its cross-net queues, one test world, one invariant check, content hashed once, one
@@ -171,15 +172,20 @@ fn enclosing_fn(src: &str, at: usize) -> &str {
 }
 
 /// `file: function` for every call of `name` (ending in its `(`) outside
-/// `#[cfg(test)]` under `crates/core/src`; a definition is not a call.
+/// `#[cfg(test)]` under `crates/core/src`; a definition or a comment is
+/// not a call.
 fn core_calls(name: &str) -> Vec<String> {
     let mut sites = Vec::new();
     for path in &files_under("crates/core/src") {
         let text = read(path);
         let src = non_test(&text);
+        let in_comment = |at: usize| {
+            let line_start = src[..at].rfind('\n').map_or(0, |i| i + 1);
+            src[line_start..at].trim_start().starts_with("//")
+        };
         sites.extend(
             src.match_indices(name)
-                .filter(|(at, _)| !src[..*at].ends_with("fn "))
+                .filter(|(at, _)| !src[..*at].ends_with("fn ") && !in_comment(*at))
                 .map(|(at, _)| format!("{}: {}", rel(path), enclosing_fn(src, at))),
         );
     }
@@ -250,6 +256,45 @@ fn one_engine_one_fan_out() {
         scoped,
         ["crates/chain/src/schedule.rs"],
         "DESIGN.md §15: `hc_chain::fan_out` is the workspace's only thread scope"
+    );
+}
+
+/// DESIGN.md §8 and §15: a wave shares out its workers. `run_wave` is
+/// hc-core's one fan-out and hands each block its share, so a node never
+/// reads `config.parallelism` itself, and the only thread scope is the one
+/// inside `fan_out`.
+#[test]
+fn a_wave_shares_its_workers() {
+    let node = files_under("crates/core/src")
+        .into_iter()
+        .filter(|p| {
+            let p = rel(p);
+            p == "crates/core/src/node.rs" || p.starts_with("crates/core/src/node/")
+        })
+        .collect::<Vec<_>>();
+    let reads = hits(&node, |s| s, |l| l.contains("config.parallelism"));
+    assert!(
+        reads.is_empty(),
+        "DESIGN.md §8: a block gets its worker share from `run_wave`, \
+         not from the config; found {reads:#?}"
+    );
+    assert_eq!(
+        core_calls("fan_out("),
+        ["crates/core/src/runtime.rs: run_wave"],
+        "DESIGN.md §8: hc-core fans out only in `run_wave`"
+    );
+    let mut scopes = Vec::new();
+    for path in &crate_sources() {
+        let text = read(path);
+        scopes.extend(
+            text.match_indices("thread::scope")
+                .map(|(at, _)| format!("{}: {}", rel(path), enclosing_fn(&text, at))),
+        );
+    }
+    assert_eq!(
+        scopes,
+        ["crates/chain/src/schedule.rs: fan_out"],
+        "DESIGN.md §15: the only thread scope is the one inside `fan_out`"
     );
 }
 
