@@ -156,17 +156,14 @@ impl History {
             .collect()
     }
 
-    /// A copy of the blocks at or below `epoch`.
-    pub fn prefix_through(&self, epoch: ChainEpoch) -> History {
-        let end = self.blocks.partition_point(|b| b.epoch <= epoch);
-        History {
-            blocks: self.blocks[..end].to_vec(),
-        }
-    }
-
     /// Appends `later`, whose blocks all come after these.
     pub fn extend(&mut self, later: History) {
         self.blocks.extend(later.blocks);
+    }
+
+    /// Keeps the oldest `len` blocks.
+    pub fn truncate(&mut self, len: usize) {
+        self.blocks.truncate(len);
     }
 }
 

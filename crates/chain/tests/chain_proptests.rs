@@ -248,8 +248,9 @@ proptest! {
             .cloned()
             .collect();
         prop_assert_eq!(served, asked);
-        let prefix = history.prefix_through(ChainEpoch::new(from));
         let below = appended.iter().filter(|b| b.header.epoch <= ChainEpoch::new(from));
+        let mut prefix = history.clone();
+        prefix.truncate(below.clone().count());
         prop_assert!(prefix.iter().map(|s| s.cid()).eq(below.map(Block::cid)));
 
         for e in 0..=epoch {

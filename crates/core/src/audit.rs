@@ -41,8 +41,8 @@ use hc_actors::{Ledger, SubnetStatus};
 use hc_types::crypto::uncounted;
 use hc_types::{Address, CanonicalEncode, SubnetId, TokenAmount};
 
+use crate::node::SubnetNode;
 use crate::runtime::HierarchyRuntime;
-use crate::subnets::SubnetRecord;
 
 /// One identity [`HierarchyRuntime::check_invariants`] found broken.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,9 +96,7 @@ impl HierarchyRuntime {
             });
         };
         let record = |s: &SubnetId| self.subnets.by_id.get(s);
-        let live = |s: &SubnetId| {
-            self.nodes.contains_key(s) && record(s).is_some_and(SubnetRecord::is_live)
-        };
+        let live = |s: &SubnetId| self.nodes.get(s).is_some_and(SubnetNode::is_live);
         let quiescent = self.all_quiescent();
         uncounted(|| {
             for (subnet, r) in &self.subnets.by_id {

@@ -4,24 +4,25 @@
 //! The simulation runs one node per subnet, standing in for that subnet's
 //! honest validator quorum — so "crashing" the node halts the subnet's
 //! block production entirely, while the finalized chain survives on the
-//! subnet's remaining peers (held here as `CrashedNode::peer_blocks`).
-//! Rejoin rebuilds the node from genesis via the recorded boot parameters
-//! and then enters a *catch-up* phase: the node
-//! publishes [`hc_net::ResolutionMsg::BlockPull`] requests on its own
-//! topic, peers answer with bounded [`hc_net::ResolutionMsg::BlockBatch`]
-//! replies, and each received block is re-validated and re-executed
-//! (`SubnetNode::reexecute`) — a forged, corrupt or stale
-//! block is dropped and counted, and cannot poison the node. (A recovery
-//! fast-forward short of its anchor restarts the same way.) Both legs of
-//! every round trip cross the simulated network, so
-//! partitions, loss, duplication, and reordering from the
-//! [`hc_net::FaultPlan`] all apply; lost requests are retried under the
-//! same capped-backoff [`hc_net::RetryPolicy`] as content resolution. A
-//! catching-up node reads its inbox through the same front door as a live
-//! one (`SubnetNode::poll`), and every reply leaves with the node as
-//! origin, so region rules see its region. The runtime keeps only the
-//! surviving peers' side: serving the pulls from their copy of the chain
-//! and the blob store.
+//! subnet's remaining peers (the record's copy, `SubnetRecord::peers`). A
+//! crash is `SubnetNode::crash`, which hands back what outlives the node; a
+//! rejoin rebuilds it from genesis via the recorded boot parameters and
+//! restarts it catching up (`SubnetNode::restart`). The node then catches
+//! itself up (`node/catch_up.rs`): it publishes
+//! [`hc_net::ResolutionMsg::BlockPull`] requests on its own topic, peers
+//! answer with bounded [`hc_net::ResolutionMsg::BlockBatch`] replies, and
+//! it re-validates and re-executes each received block — a forged, corrupt
+//! or stale block is dropped and counted, and cannot poison the node. (A
+//! recovery fast-forward short of its anchor restarts the same way.) Both
+//! legs of every round trip cross the simulated network, so partitions,
+//! loss, duplication, and reordering from the [`hc_net::FaultPlan`] all
+//! apply; lost requests are retried under the same capped-backoff
+//! [`hc_net::RetryPolicy`] as content resolution, and every reply leaves
+//! with the node as origin, so region rules see its region. This module is
+//! the runtime's half: the fault schedule, crash and rejoin, and the
+//! surviving peers' side of a catch-up — serving the pulls from their copy
+//! of the chain and the blob store, and refreshing the node's validator
+//! set from the parent chain.
 //!
 //! Rejoin supports two bootstrap strategies ([`SyncMode`]): *replay*
 //! re-validates and re-executes every missed block from genesis, while
@@ -41,17 +42,11 @@
 //! [`HierarchyRuntime::crash_node`] / [`HierarchyRuntime::rejoin_node`]
 //! directly.
 
-use std::collections::VecDeque;
-
-use hc_chain::{Block, History, Mempool, StoredBlock};
-use hc_net::{
-    Backoff, BackoffStep, FaultKind, FaultPlan, FaultRule, ResolutionMsg, SubscriberId,
-    BLOB_BATCH_CAP,
-};
-use hc_state::{ChunkManifest, CidStore};
-use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, Keypair, SubnetId, TokenAmount};
+use hc_net::{FaultKind, FaultPlan, FaultRule, ResolutionMsg, BLOB_BATCH_CAP};
+use hc_types::SubnetId;
 
 use crate::config::RuntimeError;
+use crate::node::{Peers, SubnetNode, Survivor};
 use crate::runtime::HierarchyRuntime;
 
 /// Blocks per [`hc_net::ResolutionMsg::BlockBatch`] reply. Deliberately
@@ -153,57 +148,6 @@ pub enum CrashPhase {
     Done,
 }
 
-/// What survives a subnet node's crash: the view of the subnet's
-/// *remaining* peers, which the rejoining node syncs against.
-#[derive(Debug)]
-pub(crate) struct CrashedNode {
-    /// The node's pub-sub identity (kept so topic membership and
-    /// subscriber-scoped fault rules stay stable across the outage).
-    pub(crate) subscription: SubscriberId,
-    /// The finalized chain as held by surviving peers, in wire form — the
-    /// catch-up source of truth.
-    pub(crate) peer_blocks: History,
-    /// The mempool content as replicated on peers; re-admitted at rejoin.
-    pub(crate) mempool: Mempool,
-    /// The validators' signing keys, which outlive the node's state: the
-    /// restarted node signs with them and derives none.
-    pub(crate) validator_keys: Vec<Keypair>,
-}
-
-/// State of one rejoined node's catch-up phase.
-#[derive(Debug)]
-pub(crate) struct CatchUp {
-    /// The surviving peers' chain in wire form, serving
-    /// [`ResolutionMsg::BlockPull`]s as stored.
-    pub(crate) peer_blocks: History,
-    /// Accounts the live run installed outside block execution, in
-    /// order, tagged with the `next_epoch` at install time — re-installed
-    /// at the same epoch boundaries so replayed state roots match the
-    /// block headers. Front = earliest.
-    pub(crate) pending_users: VecDeque<(ChainEpoch, Address, Option<TokenAmount>)>,
-    /// Retry state of the current pull: round trips attempted since the
-    /// last progress, and when the next may go out.
-    pub(crate) pull: Backoff,
-    /// `Some` while the node is still assembling a snapshot (the fetch
-    /// phase precedes any block replay); `None` in replay mode or once
-    /// the snapshot is installed.
-    pub(crate) snapshot: Option<SnapshotSync>,
-}
-
-/// In-flight snapshot assembly of one rejoined node.
-#[derive(Debug)]
-pub(crate) struct SnapshotSync {
-    /// The checkpoint-anchored state manifest being assembled.
-    pub(crate) manifest: Cid,
-    /// The checkpoint epoch the manifest was committed at; the block
-    /// header at this epoch is the trust root for the assembled state.
-    pub(crate) anchor_epoch: ChainEpoch,
-    /// Blobs fetched so far. Deliberately a *separate* store from the
-    /// node's: every chunk must genuinely cross the (possibly faulty)
-    /// network and verify against its CID before the install sees it.
-    pub(crate) staging: CidStore,
-}
-
 impl HierarchyRuntime {
     /// Crash/rejoin/catch-up counters.
     pub fn chaos_stats(&self) -> ChaosStats {
@@ -220,7 +164,7 @@ impl HierarchyRuntime {
 
     /// Is `subnet`'s node rejoined but still replaying missed blocks?
     pub fn is_catching_up(&self, subnet: &SubnetId) -> bool {
-        self.subnets.catch_up(subnet).is_some()
+        self.nodes.get(subnet).is_some_and(|n| !n.is_live())
     }
 
     /// Schedules `plan`'s node faults, all pending. Outages are driven
@@ -245,7 +189,8 @@ impl HierarchyRuntime {
     /// Kills `subnet`'s node mid-run: its volatile state (state tree,
     /// pools, resolver cache, randomness position) is lost; the finalized
     /// chain and replicated mempool survive on peers. The subnet stops
-    /// producing blocks until [`HierarchyRuntime::rejoin_node`].
+    /// producing blocks until [`HierarchyRuntime::rejoin_node`]. A node
+    /// still catching up can crash too; its peers' chain is unchanged.
     ///
     /// # Errors
     ///
@@ -264,42 +209,36 @@ impl HierarchyRuntime {
                 "cannot crash {subnet}: live descendant subnets depend on its chain"
             )));
         }
-        let crashed = self.take_down(subnet)?;
+        let survivor = self.take_down(subnet)?;
         if let Some(record) = self.subnets.by_id.get_mut(subnet) {
-            record.crashed = Some(crashed);
+            record.crashed = Some(survivor);
         }
         self.chaos.crashes += 1;
         Ok(())
     }
 
-    /// Takes `subnet`'s node out of the hierarchy and returns what survives
-    /// it: its subscription, gone dark with its inbox lost, the subnet's
-    /// full chain as its peers hold it, and the replicated mempool. What
-    /// the node received and did not commit moves to its record's inbox,
-    /// where later deliveries join it until a node is built again.
-    pub(crate) fn take_down(&mut self, subnet: &SubnetId) -> Result<CrashedNode, RuntimeError> {
+    /// Takes `subnet`'s node out of the hierarchy ([`SubnetNode::crash`])
+    /// and returns what survives it, its subscription gone dark with its
+    /// inbox lost. What the node received and did not commit moves to its
+    /// record's inbox, where later deliveries join it until a node is built
+    /// again; the blocks only the node held join the record's copy of the
+    /// peers' chain, which then holds the whole chain.
+    pub(crate) fn take_down(&mut self, subnet: &SubnetId) -> Result<Survivor, RuntimeError> {
         let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
         let record = self.subnets.by_id.get_mut(subnet).ok_or_else(unknown)?;
-        let mut node = self.nodes.remove(subnet).ok_or_else(unknown)?;
-        self.network.set_offline(node.subscription, true);
-        self.network.clear_inbox(node.subscription);
+        let node = self.nodes.remove(subnet).ok_or_else(unknown)?;
         self.chaos.checkpoints_held += node.pending_checkpoints().len() as u64;
-        record.inbox.extend(node.take_inbox());
-        // A snapshot-bootstrapped node chains only the post-install suffix;
-        // the covered blocks wait in `snapshot_base` and are re-prefixed.
-        let mut peer_blocks = std::mem::take(&mut record.snapshot_base);
-        peer_blocks.extend(node.chain.into_history());
-        Ok(CrashedNode {
-            subscription: node.subscription,
-            peer_blocks,
-            mempool: node.mempool,
-            validator_keys: node.validator_keys,
-        })
+        let (survivor, inbox, chain) = node.crash();
+        self.network.set_offline(survivor.subscription, true);
+        self.network.clear_inbox(survivor.subscription);
+        record.inbox.extend(inbox);
+        record.peers.extend(chain);
+        Ok(survivor)
     }
 
     /// Restarts `subnet`'s crashed node: rebuilds it from genesis with the
-    /// recorded boot parameters and enters the catch-up phase under the
-    /// configured [`RuntimeConfig::sync_mode`](crate::RuntimeConfig) (see
+    /// recorded boot parameters, catching up under the configured
+    /// [`RuntimeConfig::sync_mode`](crate::RuntimeConfig) (see
     /// [`SyncMode`]). The node produces no blocks until catch-up completes.
     ///
     /// # Errors
@@ -309,72 +248,63 @@ impl HierarchyRuntime {
     pub fn rejoin_node(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
         let not_crashed = || RuntimeError::Execution(format!("{subnet} is not crashed"));
         let record = self.subnets.by_id.get_mut(subnet).ok_or_else(not_crashed)?;
-        let crashed = record.crashed.take().ok_or_else(not_crashed)?;
-        self.restart_node(subnet, crashed)?;
+        let survivor = record.crashed.take().ok_or_else(not_crashed)?;
+        self.restart_node(subnet, survivor)?;
         self.chaos.rejoins += 1;
         Ok(())
     }
 
     /// The one restart, behind [`HierarchyRuntime::rejoin_node`] and a
     /// recovery fast-forward short of its anchor (whose peers' chain is its
-    /// journaled prefix): a genesis node on `survivor`'s subscription and
-    /// mempool, catching up against its peers' chain.
+    /// journaled prefix): a genesis node on `survivor`'s subscription,
+    /// restarted ([`SubnetNode::restart`]) to catch up against the peers'
+    /// chain the record holds — from a snapshot of the subnet's anchor when
+    /// one is usable.
     pub(crate) fn restart_node(
         &mut self,
         subnet: &SubnetId,
-        survivor: CrashedNode,
+        survivor: Survivor,
     ) -> Result<(), RuntimeError> {
         let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
         let record = self.subnets.by_id.get(subnet).ok_or_else(unknown)?;
         let (sa_config, engine_params) = record.boot.clone().ok_or_else(|| {
             RuntimeError::Execution(format!("no boot parameters recorded for {subnet}"))
         })?;
-        let pending_users: VecDeque<_> = record.user_installs.iter().copied().collect();
-        let (subscription, peer_blocks) = (survivor.subscription, survivor.peer_blocks);
-        let mut mempool = survivor.mempool;
-        // Unschedulable until catch-up completes. The fresh genesis RNG
-        // stream realigns with the subnet's history as the catch-up burns
-        // one draw per missed block.
-        let boot = Some((&sa_config, &engine_params));
-        let node = self.genesis_node(subnet, boot, subscription, u64::MAX);
-        // The peers' replicated mempool (which holds nothing of the chain,
-        // so nothing is double-proposed) becomes the new node's: it counts
-        // on the new node's counters and carries no verdict of the old
-        // one's, so each message is verified once here before proposal.
-        mempool.rehome(node.sig_cache.clone());
-        node.mempool = mempool;
-        node.validator_keys = survivor.validator_keys;
-        self.network.set_offline(subscription, false);
-        self.refresh_validators(subnet);
         // Snapshot bootstrap needs a usable anchor: a checkpoint the
         // runtime recorded, whose cut block the surviving peers still
         // serve (the trust root), and whose manifest closure the peers
         // can actually provide — in memory, or hydrated from the blob log.
         // Anything less degrades to full replay.
-        let snapshot = match self.config.sync_mode {
+        let anchor = match self.config.sync_mode {
             SyncMode::Replay => None,
             SyncMode::Snapshot => {
-                let anchor = self.checkpoint_anchor(subnet).filter(|(epoch, manifest)| {
-                    peer_blocks.get_by_epoch(*epoch).is_some()
+                let anchor = record.anchor.filter(|(epoch, manifest)| {
+                    record.peers.get_by_epoch(*epoch).is_some()
                         && self.store.hydrate_manifest(manifest)
                 });
                 self.chaos.snapshot_fallbacks += u64::from(anchor.is_none());
-                anchor.map(|(anchor_epoch, manifest)| SnapshotSync {
-                    manifest,
-                    anchor_epoch,
-                    staging: CidStore::new(),
-                })
+                anchor
             }
         };
-        let catch_up = CatchUp {
-            peer_blocks,
-            pending_users,
-            pull: Backoff::due_at(self.now_ms),
-            snapshot,
-        };
-        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
-            record.catch_up = Some(catch_up);
-        }
+        // Unschedulable until catch-up completes. The fresh genesis RNG
+        // stream realigns with the subnet's history as the catch-up burns
+        // one draw per missed block.
+        let subscription = survivor.subscription;
+        let boot = Some((&sa_config, &engine_params));
+        self.genesis_node(subnet, boot, subscription, u64::MAX);
+        let installs = &self.subnets.by_id[subnet].user_installs;
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        let (config, block_time_ms) = (&self.config, engine_params.block_time_ms);
+        node.restart(
+            survivor,
+            anchor,
+            installs,
+            config,
+            block_time_ms,
+            self.now_ms,
+        );
+        self.network.set_offline(subscription, false);
+        self.refresh_validators(subnet);
         Ok(())
     }
 
@@ -383,7 +313,7 @@ impl HierarchyRuntime {
     /// [`HierarchyRuntime::step_wave`]; a no-op (and RNG-neutral) when the
     /// fault plan schedules no node fault and nothing is catching up.
     pub(crate) fn process_fault_events(&mut self) -> Result<(), RuntimeError> {
-        if self.node_faults.is_empty() && self.subnets.catching_up().next().is_none() {
+        if self.node_faults.is_empty() && self.nodes.values().all(SubnetNode::is_live) {
             return Ok(());
         }
         for i in 0..self.node_faults.len() {
@@ -420,7 +350,8 @@ impl HierarchyRuntime {
                 _ => phase,
             };
         }
-        let syncing: Vec<SubnetId> = self.subnets.catching_up().cloned().collect();
+        let syncing = self.nodes.values().filter(|n| !n.is_live());
+        let syncing: Vec<SubnetId> = syncing.map(|n| n.subnet_id().clone()).collect();
         for subnet in syncing {
             self.advance_catch_up(&subnet)?;
         }
@@ -463,7 +394,7 @@ impl HierarchyRuntime {
         for subnet in waiting {
             let parent_ready = subnet
                 .parent()
-                .is_none_or(|p| self.nodes.contains_key(&p) && self.subnets.catch_up(&p).is_none());
+                .is_none_or(|p| self.nodes.get(&p).is_some_and(SubnetNode::is_live));
             if parent_ready {
                 self.rejoin_node(&subnet)?;
             } else {
@@ -478,33 +409,27 @@ impl HierarchyRuntime {
         Ok(CrashPhase::Done)
     }
 
-    /// One catch-up round for `subnet`: the node reads its inbox through
-    /// the live front door, `SubnetNode::poll` (content replies go out as
-    /// it reads); the runtime, standing in for the surviving peers, serves
-    /// the node's own pull echoes from the blob store and the peer chain;
-    /// the node re-commits the received blocks; then finish if the peers'
-    /// head is reached or (re)issue a pull under the retry/backoff
-    /// schedule. While a snapshot is being assembled the round works on
-    /// chunk blobs; once it is installed, on the block suffix.
+    /// One catch-up round of `subnet`'s node. The node reads its inbox
+    /// through its front door, [`SubnetNode::poll`]; the runtime, standing
+    /// in for the subnet's surviving peers, answers the pulls in it — chunk
+    /// blobs from the shared store and, once no snapshot is being
+    /// assembled, blocks as stored in the record's copy of the chain, both
+    /// in bounded batches — and refreshes the validator set the node
+    /// replays under; then the node acts on what it received
+    /// ([`SubnetNode::catch_up`]). The peers sit in the node's region, so
+    /// their replies leave with the node as origin. Once the node is live,
+    /// the record keeps only the blocks its snapshot covered.
     fn advance_catch_up(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
         let now_ms = self.now_ms;
-        let inbox = self.poll_network(subnet, now_ms)?;
-        // The runtime stands in for the subnet's surviving peers, which the
-        // single-process simulation elides; they sit in the node's region,
-        // so their replies leave with the node as origin.
-        let origin = Some(self.known_node(subnet)?.subscription);
-
-        // Peers answer snapshot-chunk pulls from the shared blob store, in
-        // bounded batches.
-        for (cids, reply_topic) in inbox.blob_pulls {
-            let blobs: Vec<Vec<u8>> = {
-                let store = self.cid_store();
-                cids.iter()
-                    .take(BLOB_BATCH_CAP)
-                    .filter_map(|c| store.get(c))
-                    .map(|b| b.as_ref().clone())
-                    .collect()
-            };
+        let mut inbox = self.poll_network(subnet, now_ms)?;
+        let node = self.known_node(subnet)?;
+        let (origin, replaying) = (Some(node.subscription()), node.syncing_manifest().is_none());
+        for (cids, reply_topic) in std::mem::take(&mut inbox.blob_pulls) {
+            let stored = cids
+                .iter()
+                .take(BLOB_BATCH_CAP)
+                .filter_map(|c| self.store.get(c));
+            let blobs: Vec<Vec<u8>> = stored.map(|b| b.as_ref().clone()).collect();
             if blobs.is_empty() {
                 continue;
             }
@@ -512,315 +437,36 @@ impl HierarchyRuntime {
             let batch = ResolutionMsg::BlobBatch { blobs };
             self.network.publish(&reply_topic, batch, now_ms, origin);
         }
-
-        // Snapshot fetch phase: the anchored manifest closure must be
-        // assembled and installed before any block replays.
-        if self
-            .subnets
-            .catch_up(subnet)
-            .is_some_and(|cu| cu.snapshot.is_some())
-        {
-            return self.advance_snapshot_fetch(subnet, inbox.blob_batches, now_ms);
-        }
-
-        // Peers answer pulls from their copy of the chain, as stored, in
-        // bounded batches — a long outage takes several round trips.
-        for from_epoch in inbox.block_pulls {
-            let Some(cu) = self.subnets.catch_up(subnet) else {
-                break;
-            };
-            let blocks = cu.peer_blocks.serve(from_epoch, BLOCK_BATCH_CAP);
-            if blocks.is_empty() {
-                continue;
-            }
-            self.chaos.block_batches += 1;
-            let batch = ResolutionMsg::BlockBatch {
-                subnet: subnet.clone(),
-                blocks,
-            };
-            self.network.publish(&subnet.topic(), batch, now_ms, origin);
-        }
-
-        // Replay received batches. Duplicated or overlapping batches are
-        // harmless: only the block matching the node's next epoch applies.
-        let mut progressed = false;
-        for blocks in inbox.block_batches {
-            for bytes in blocks {
-                let Ok(block) = Block::decode(&bytes) else {
+        let unknown = || RuntimeError::UnknownSubnet(subnet.clone());
+        if replaying {
+            let peers = &self.subnets.by_id.get(subnet).ok_or_else(unknown)?.peers;
+            for from_epoch in std::mem::take(&mut inbox.block_pulls) {
+                let blocks = peers.serve(from_epoch, BLOCK_BATCH_CAP);
+                if blocks.is_empty() {
                     continue;
+                }
+                self.chaos.block_batches += 1;
+                let batch = ResolutionMsg::BlockBatch {
+                    subnet: subnet.clone(),
+                    blocks,
                 };
-                let expect = Self::get_node_mut(&mut self.nodes, subnet)?.next_epoch;
-                if block.header.epoch != expect {
-                    continue;
-                }
-                self.install_pending_users(subnet, block.header.epoch)?;
-                // The live hierarchy has moved on: every outward effect of
-                // the block (parent checkpoint submission, journal
-                // records, manifest anchors, certificate gossip, the
-                // top-down messages handed to its children) happened when
-                // it was produced, so only the node-local half of its
-                // events re-runs. A refused block changed nothing: a peer's
-                // forgery is dropped, and the pull goes on.
-                let Ok(outcome) = self.reexecute_block(subnet, &block) else {
-                    self.chaos.blocks_rejected += 1;
-                    continue;
-                };
-                let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-                for event in &outcome.events {
-                    node.apply_event(event, false);
-                }
-                // Replay restores the historical schedule; stay
-                // unschedulable until catch-up completes.
-                node.next_block_at_ms = u64::MAX;
-                self.chaos.blocks_caught_up += 1;
-                progressed = true;
+                self.network.publish(&subnet.topic(), batch, now_ms, origin);
+            }
+            if !inbox.block_batches.is_empty() {
+                self.refresh_validators(subnet);
             }
         }
-        if progressed {
-            if let Some(cu) = self.subnets.catch_up_mut(subnet) {
-                cu.pull = Backoff::due_at(now_ms);
-            }
-        }
-
-        // The blocks a snapshot covered are in `snapshot_base`, not replayed.
-        let done = self.subnets.by_id.get(subnet).is_some_and(|r| {
-            let replayed = self.nodes.get(subnet).map_or(0, |n| n.chain.len());
-            let have = r.snapshot_base.len() + replayed;
-            r.catch_up
-                .as_ref()
-                .is_some_and(|cu| have >= cu.peer_blocks.len())
-        });
-        if done {
-            self.finish_catch_up(subnet)?;
-            return Ok(());
-        }
-
-        let from_epoch = self.known_node(subnet)?.next_epoch;
-        let pull = || ResolutionMsg::BlockPull {
-            subnet: subnet.clone(),
-            from_epoch,
-            reply_topic: subnet.topic(),
-        };
-        if let Some(attempt) = self.pull_step(subnet, now_ms, pull)? {
-            self.chaos.block_pulls += 1;
-            self.chaos.block_pull_retries += u64::from(attempt > 1);
-        }
-        Ok(())
-    }
-
-    /// One step of a catching-up node's pull, shared by the block and blob
-    /// legs: when the backoff says one is due, publishes `pull` on the subnet's own topic with the
-    /// node as origin — in this single-process simulation the runtime
-    /// stands in for the surviving peers, so the pull must come back
-    /// through the (possibly faulty) network to be served — and returns
-    /// the attempt number. `None` while the current round trip is still
-    /// within its timeout or the budget is cooling down.
-    fn pull_step(
-        &mut self,
-        subnet: &SubnetId,
-        now_ms: u64,
-        pull: impl FnOnce() -> ResolutionMsg,
-    ) -> Result<Option<u32>, RuntimeError> {
-        let policy = self.config.retry;
-        let own = self.known_node(subnet)?.subscription;
-        let Some(cu) = self.subnets.catch_up_mut(subnet) else {
-            return Ok(None);
-        };
-        Ok(match cu.pull.step(&policy, now_ms) {
-            BackoffStep::Send(attempt) => {
-                self.network
-                    .publish(&subnet.topic(), pull(), now_ms, Some(own));
-                Some(attempt)
-            }
-            BackoffStep::Wait => None,
-            BackoffStep::Exhausted => {
-                // The retry budget is *per batch* — the backoff restarts on
-                // every replayed block or accepted blob, so only the
-                // current round trip is exhausted. Cool down for the capped
-                // timeout and re-arm: a long blackout slows this batch
-                // down, it must never permanently abandon the batches
-                // behind it.
-                cu.pull = Backoff::due_at(now_ms + policy.max_timeout_ms.max(1));
-                self.chaos.pull_budget_rearms += 1;
-                None
-            }
-        })
-    }
-
-    /// One snapshot-fetch round: fold received [`ResolutionMsg::BlobBatch`]
-    /// blobs into the staging store (content-addressed, so corrupt or
-    /// unrelated blobs simply land under a different CID and are never
-    /// requested again), install the snapshot once the closure is
-    /// complete, otherwise (re)pull the still-missing chunks under the
-    /// same per-batch retry budget as block catch-up.
-    fn advance_snapshot_fetch(
-        &mut self,
-        subnet: &SubnetId,
-        blob_batches: Vec<Vec<Vec<u8>>>,
-        now_ms: u64,
-    ) -> Result<(), RuntimeError> {
-        let mut accepted = 0u64;
-        let wanted: Vec<Cid> = {
-            let Some(cu) = self.subnets.catch_up_mut(subnet) else {
-                return Ok(());
-            };
-            let Some(sync) = cu.snapshot.as_mut() else {
-                return Ok(());
-            };
-            for blobs in blob_batches {
-                for blob in blobs {
-                    if !sync.staging.contains(&Cid::digest(&blob)) {
-                        sync.staging.put(blob);
-                        accepted += 1;
-                    }
-                }
-            }
-            if accepted > 0 {
-                cu.pull = Backoff::due_at(now_ms);
-            }
-            let sync = cu.snapshot.as_ref().expect("checked above");
-            match sync.staging.get(&sync.manifest) {
-                None => vec![sync.manifest],
-                Some(blob) => {
-                    let manifest = ChunkManifest::decode(&blob).ok_or_else(|| {
-                        RuntimeError::Execution("snapshot manifest blob failed to decode".into())
-                    })?;
-                    let mut missing = manifest.missing_chunks(&sync.staging);
-                    missing.truncate(BLOB_BATCH_CAP);
-                    missing
-                }
-            }
-        };
-        self.chaos.blobs_synced += accepted;
-        if wanted.is_empty() {
-            return self.install_snapshot(subnet);
-        }
-
-        let pull = || ResolutionMsg::BlobPull {
-            cids: wanted,
-            reply_topic: subnet.topic(),
-        };
-        if let Some(attempt) = self.pull_step(subnet, now_ms, pull)? {
-            self.chaos.blob_pulls += 1;
-            self.chaos.blob_pull_retries += u64::from(attempt > 1);
-        }
-        Ok(())
-    }
-
-    /// Installs a fully assembled snapshot: swaps in the staged state once
-    /// it verifies against the consensus-committed block header at the
-    /// anchor epoch, skips the node past the blocks the snapshot covers
-    /// (realigning its RNG stream and cursors without executing them), and
-    /// re-bases the chain on the anchor. From here catch-up continues as a
-    /// normal block replay of the post-anchor suffix.
-    fn install_snapshot(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
-        let cu = self
-            .subnets
-            .catch_up_mut(subnet)
-            .ok_or_else(|| RuntimeError::UnknownSubnet(subnet.clone()))?;
-        let sync = cu
-            .snapshot
-            .as_ref()
-            .ok_or_else(|| RuntimeError::Execution("no snapshot in flight".into()))?;
-        let anchor_epoch = sync.anchor_epoch;
-        let covered = cu.peer_blocks.prefix_through(anchor_epoch);
-        // The anchor's CID comes from storage; only its header is decoded.
-        let anchor = covered.get_by_epoch(anchor_epoch);
-        let anchor_cid = anchor.map(StoredBlock::cid);
+        let record = self.subnets.by_id.get_mut(subnet).ok_or_else(unknown)?;
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        node.install_manifest(
-            &sync.manifest,
-            &sync.staging,
-            anchor.map(|b| b.header().state_root),
-        )?;
-        // Adopt the manifest's full closure — fixed chunks AND every
-        // account-HAMT node — so the node's store can serve the same
-        // snapshot (and GC can pin it) after the swap (content-addressed
-        // puts dedup against blobs already present).
-        for cid in sync.staging.manifest_closure(&[sync.manifest]) {
-            if let Some(chunk) = sync.staging.get(&cid) {
-                node.store.put(chunk.as_ref().clone());
-            }
-        }
-        // Accounts installed at or below the anchor are part of the
-        // snapshot state already; replaying them would double-apply.
-        while cu
-            .pending_users
-            .front()
-            .is_some_and(|(epoch, ..)| *epoch <= anchor_epoch)
-        {
-            cu.pending_users.pop_front();
-        }
-        cu.snapshot = None;
-        cu.pull = Backoff::due_at(self.now_ms);
-
-        // The snapshot replaces execution, not history: every covered
-        // block still realigns the consensus RNG, the cross-net nonce
-        // cursors and the mempool's floors exactly as a per-block replay
-        // would, so the node resumes mid-conversation with its parent. One
-        // block is decoded at a time.
-        for stored in covered.iter() {
-            node.skip_past(&stored.decode(), false)?;
-        }
-        node.chain.reset_to_snapshot_base(
-            anchor_epoch,
-            anchor_cid.expect("install verified against the anchor header"),
-        );
-        node.next_block_at_ms = u64::MAX;
-        // Remember the covered prefix: a future crash of this node must
-        // still hand the next rejoiner the full peer history even though
-        // this node's own chain now starts at the anchor.
-        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
-            record.snapshot_base = covered;
-        }
-        self.chaos.snapshot_installs += 1;
-        Ok(())
-    }
-
-    /// Re-installs accounts the live run created or adopted outside block
-    /// execution, up to and including `up_to_epoch`. The live
-    /// `install_account` mutated the tree between blocks; a catch-up
-    /// replay from pure genesis must repeat those writes at the same epoch
-    /// boundaries — through the same [`HierarchyRuntime::write_account`] —
-    /// or the replayed state roots diverge from the block headers. The
-    /// key written is re-derived; the user's handle kept its own.
-    fn install_pending_users(
-        &mut self,
-        subnet: &SubnetId,
-        up_to_epoch: ChainEpoch,
-    ) -> Result<(), RuntimeError> {
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        let Some(cu) = self.subnets.catch_up_mut(subnet) else {
-            return Ok(());
+        let peers = Peers {
+            history: &record.peers,
+            network: &self.network,
+            now_ms,
         };
-        while let Some(&(epoch, addr, mint)) = cu.pending_users.front() {
-            if epoch > up_to_epoch {
-                break;
-            }
-            cu.pending_users.pop_front();
-            let key = Self::user_key(self.config.seed, addr);
-            Self::write_account(&mut node.tree, &key, addr, mint);
+        let workers = self.config.parallelism;
+        if let Some(covered) = node.catch_up(inbox, &peers, workers, &mut self.chaos)? {
+            record.peers.truncate(covered);
         }
-        Ok(())
-    }
-
-    /// Ends `subnet`'s catch-up: the node holds the same finalized chain
-    /// as its peers and rejoins normal block production.
-    fn finish_catch_up(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
-        // Accounts installed after the surviving head (but before the
-        // crash) have no covering block; restore them now.
-        self.install_pending_users(subnet, ChainEpoch::new(u64::MAX))?;
-        let mut block_time_ms = self.config.engine_params.block_time_ms;
-        if let Some(record) = self.subnets.by_id.get_mut(subnet) {
-            record.catch_up = None;
-            if let Some((_, engine_params)) = &record.boot {
-                block_time_ms = engine_params.block_time_ms;
-            }
-        }
-        let now_ms = self.now_ms;
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        node.next_block_at_ms = now_ms + block_time_ms;
-        self.chaos.catch_ups_completed += 1;
         Ok(())
     }
 }

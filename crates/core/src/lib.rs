@@ -45,16 +45,17 @@
 //! * [`node`] — [`SubnetNode`]: one subnet's chain, state, pools and
 //!   engine, its one door `receive` (top-down messages, child checkpoints
 //!   and certificates, handed over by the runtime's one `deliver`), block
-//!   assembly, and the single copy of what a committed block implies for
-//!   its node (construction, commit, skip, event effects, snapshot
-//!   install) that live ticks, recovery and catch-up all share.
+//!   assembly, the single copy of what a committed block implies for its
+//!   node (construction, commit, skip, event effects, snapshot install)
+//!   that live ticks, recovery and catch-up all share, and its crash,
+//!   restart and catch-up: a restarted node syncs its peers' chain itself.
 //! * [`persist`] and the private `recover` module — the journal layout
 //!   ([`ControlRecord`], blocks included) and
 //!   [`HierarchyRuntime::recover`], which rebuilds the hierarchy from it
 //!   in one scan.
-//! * [`chaos`] — live node crash–rejoin (one entry, `rejoin_node`, in the
-//!   configured [`RuntimeConfig::sync_mode`]), peer catch-up and snapshot
-//!   sync.
+//! * [`chaos`] — the runtime's half of live node crash–rejoin (one entry,
+//!   `rejoin_node`, in the configured [`RuntimeConfig::sync_mode`]): the
+//!   fault schedule, and the surviving peers' side of a catch-up.
 //! * [`elastic`], [`atomic`], [`archive`], [`audit`], [`attack`] — the
 //!   scale-out controller, 2PC orchestration, the checkpoint archive,
 //!   the invariant check, and adversarial injection.

@@ -220,7 +220,7 @@ impl HierarchyRuntime {
     /// subscription, when booted) and the subnet's record. Idempotent.
     pub(crate) fn apply_region(&mut self, subnet: &SubnetId, region: &str) {
         if let Some(node) = self.nodes.get(subnet) {
-            self.network.place_in_region(node.subscription, region);
+            self.network.place_in_region(node.subscription(), region);
         }
         if let Some(record) = self.subnets.by_id.get_mut(subnet) {
             record.region = Some(region.to_owned());
@@ -284,7 +284,7 @@ impl HierarchyRuntime {
             .ok_or_else(|| RuntimeError::Retire("the root cannot be retired".into()))?;
         // Before the membership test: a crashed subnet's node is out of
         // `nodes`, yet the subnet is anything but unknown.
-        if self.subnets.by_id.get(subnet).is_some_and(|r| !r.is_live()) {
+        if self.is_crashed(subnet) || self.is_catching_up(subnet) {
             return Err(RuntimeError::Retire(format!(
                 "{subnet} is crashed or catching up"
             )));
@@ -328,7 +328,7 @@ impl HierarchyRuntime {
     /// undeliverable traffic stops queueing.
     pub(crate) fn retire_node(&mut self, subnet: &SubnetId) {
         if let Some(node) = self.nodes.remove(subnet) {
-            self.network.set_offline(node.subscription, true);
+            self.network.set_offline(node.subscription(), true);
         }
         self.subnets.by_id.remove(subnet);
     }

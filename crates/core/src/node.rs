@@ -31,7 +31,9 @@ use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, Subnet
 
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 
+mod catch_up;
 mod network;
+pub(crate) use catch_up::{Peers, Survivor};
 pub(crate) use network::SyncInbox;
 
 /// Epochs after which a pending atomic execution is force-aborted by the
@@ -183,6 +185,8 @@ pub struct SubnetNode {
     pub(crate) store: CidStore,
     /// Counters.
     pub(crate) stats: NodeStats,
+    /// Producing blocks, or still catching up with its peers.
+    mode: catch_up::Mode,
     /// This node's private randomness stream, seeded from the runtime
     /// seed and the subnet id. Keeping the stream per-node (instead of
     /// one runtime-wide RNG) makes block production a pure function of
@@ -253,6 +257,7 @@ impl SubnetNode {
             tentative: BTreeMap::new(),
             store,
             stats: NodeStats::default(),
+            mode: catch_up::Mode::Live,
             rng: node_rng(config.seed, &subnet_id),
             sig_cache,
             subnet_id,
@@ -275,16 +280,6 @@ impl SubnetNode {
                 }
             }
         }
-    }
-
-    /// What the node received and did not commit, taken out as it goes
-    /// down: its unapplied top-down messages by nonce, then its uncommitted
-    /// child checkpoints. Its certificates die with it.
-    pub(crate) fn take_inbox(&mut self) -> Vec<Input> {
-        let top_down = std::mem::take(&mut self.cross_pool).into_top_down();
-        let mut inbox: Vec<Input> = top_down.into_iter().map(Input::TopDown).collect();
-        inbox.extend(self.pending_checkpoints.drain(..).map(Input::Checkpoint));
-        inbox
     }
 
     /// Draws the consensus slot of the block at `epoch` from the node's
@@ -758,6 +753,11 @@ impl SubnetNode {
     /// This node's signature-verification counters.
     pub fn sig_cache_stats(&self) -> SigCacheStats {
         self.sig_cache.stats()
+    }
+
+    /// The node's pub-sub identity.
+    pub(crate) fn subscription(&self) -> SubscriberId {
+        self.subscription
     }
 
     /// Virtual time of the next scheduled block.

@@ -1,0 +1,520 @@
+//! A node catching itself up (paper §II: a subnet's full nodes sync its
+//! chain from their peers). A node restarted after a crash — or by a
+//! recovery fast-forward short of its anchor — is in [`Mode::CatchingUp`]
+//! until it holds its peers' chain. It acts on the sync traffic its front
+//! door ([`SubnetNode::poll`]) read: it re-executes the blocks its peers
+//! send, or first assembles, verifies and installs their snapshot; it pulls
+//! what it still lacks under its own [`Backoff`]; and it goes live by
+//! itself. The runtime stands in for the peers: it answers the pulls and
+//! refreshes the validator set from the parent chain, and nothing else.
+
+use std::collections::VecDeque;
+
+use hc_chain::{Block, History, Mempool, StoredBlock};
+use hc_net::{
+    Backoff, BackoffStep, Network, ResolutionMsg, RetryPolicy, SubscriberId, BLOB_BATCH_CAP,
+};
+use hc_state::{ChunkManifest, CidStore};
+use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, Keypair, TokenAmount};
+
+use super::{Input, SubnetNode, SyncInbox};
+use crate::chaos::ChaosStats;
+use crate::config::{RuntimeConfig, RuntimeError};
+use crate::runtime::HierarchyRuntime;
+
+/// Whether a node produces blocks, or is still syncing its peers' chain
+/// and produces none. The catch-up is boxed: a live node, the common
+/// case, carries a pointer rather than its state.
+#[derive(Debug, Default)]
+pub(crate) enum Mode {
+    #[default]
+    Live,
+    CatchingUp(Box<CatchUp>),
+}
+
+/// What outlives a node's crash, for the node its restart builds: its
+/// pub-sub identity (topic membership and subscriber-scoped fault rules
+/// stay stable across the outage), the mempool its peers replicated, and
+/// the validators' signing keys — the restarted node signs with them and
+/// derives none.
+#[derive(Debug)]
+pub(crate) struct Survivor {
+    pub(crate) subscription: SubscriberId,
+    pub(crate) mempool: Mempool,
+    pub(crate) validator_keys: Vec<Keypair>,
+}
+
+/// The surviving peers a catching-up node syncs against, at `now_ms`: their
+/// copy of its chain, in wire form, and the network its pulls cross.
+pub(crate) struct Peers<'a> {
+    pub(crate) history: &'a History,
+    pub(crate) network: &'a Network<ResolutionMsg>,
+    pub(crate) now_ms: u64,
+}
+
+/// A restarted node's catch-up.
+#[derive(Debug)]
+pub(crate) struct CatchUp {
+    /// Accounts the live run installed outside block execution, in order,
+    /// tagged with the `next_epoch` at install time — re-installed at the
+    /// same epoch boundaries so replayed state roots match the block
+    /// headers. Front = earliest.
+    pending_users: VecDeque<(ChainEpoch, Address, Option<TokenAmount>)>,
+    /// Retry state of the current pull: round trips attempted since the
+    /// last progress, and when the next may go out.
+    pull: Backoff,
+    policy: RetryPolicy,
+    /// `Some` while the node is still assembling a snapshot (the fetch
+    /// phase precedes any block replay).
+    snapshot: Option<SnapshotSync>,
+    /// How many of the peers' blocks the installed snapshot covers: the
+    /// node skipped them and does not chain them.
+    covered: usize,
+    /// The runtime seed, from which a re-installed account's key derives.
+    seed: u64,
+    /// The node's first block is due one block time after it goes live.
+    block_time_ms: u64,
+}
+
+/// In-flight snapshot assembly of one restarted node.
+#[derive(Debug)]
+struct SnapshotSync {
+    /// The checkpoint-anchored state manifest being assembled.
+    manifest: Cid,
+    /// The checkpoint epoch the manifest was committed at; the block
+    /// header at this epoch is the trust root for the assembled state.
+    anchor_epoch: ChainEpoch,
+    /// Blobs fetched so far. Deliberately a *separate* store from the
+    /// node's: every chunk must genuinely cross the (possibly faulty)
+    /// network and verify against its CID before the install sees it.
+    staging: CidStore,
+}
+
+impl SnapshotSync {
+    /// The blobs still missing: the manifest, else at most a batch of the
+    /// chunks it names that are not staged yet. Empty once the closure is
+    /// whole.
+    fn wanted(&self) -> Result<Vec<Cid>, RuntimeError> {
+        let Some(blob) = self.staging.get(&self.manifest) else {
+            return Ok(vec![self.manifest]);
+        };
+        let manifest = ChunkManifest::decode(&blob).ok_or_else(|| {
+            RuntimeError::Execution("snapshot manifest blob failed to decode".into())
+        })?;
+        let mut missing = manifest.missing_chunks(&self.staging);
+        missing.truncate(BLOB_BATCH_CAP);
+        Ok(missing)
+    }
+}
+
+impl SubnetNode {
+    /// `true` unless the node is still catching up.
+    pub(crate) fn is_live(&self) -> bool {
+        matches!(self.mode, Mode::Live)
+    }
+
+    /// The manifest of the snapshot the node is assembling, which the blob
+    /// GC must keep.
+    pub(crate) fn syncing_manifest(&self) -> Option<Cid> {
+        match &self.mode {
+            Mode::CatchingUp(cu) => cu.snapshot.as_ref().map(|s| s.manifest),
+            _ => None,
+        }
+    }
+
+    /// The node goes down. Returns what survives it; what it received and
+    /// did not commit — its unapplied top-down messages by nonce, then its
+    /// uncommitted child checkpoints (its certificates die with it); and
+    /// the blocks of its subnet's chain only it held: all of a live node's
+    /// chain, none of a catching-up node's — its replay is a prefix of the
+    /// chain it was syncing against, which its peers still hold.
+    pub(crate) fn crash(self) -> (Survivor, Vec<Input>, History) {
+        let top_down = self.cross_pool.into_top_down().into_iter();
+        let mut inbox: Vec<Input> = top_down.map(Input::TopDown).collect();
+        inbox.extend(self.pending_checkpoints.into_iter().map(Input::Checkpoint));
+        let chain = match self.mode {
+            Mode::Live => self.chain.into_history(),
+            Mode::CatchingUp(_) => History::default(),
+        };
+        let survivor = Survivor {
+            subscription: self.subscription,
+            mempool: self.mempool,
+            validator_keys: self.validator_keys,
+        };
+        (survivor, inbox, chain)
+    }
+
+    /// Makes this genesis node `survivor`'s restart at `now_ms`, catching
+    /// up from a snapshot of `anchor` when given, else by replay from
+    /// genesis; `installs` are the accounts its subnet had written between
+    /// blocks, and `block_time_ms` its block time. The peers' replicated
+    /// mempool (which holds nothing of the chain, so nothing is
+    /// double-proposed) becomes the node's: it counts on the node's
+    /// counters and carries no verdict of the old one's, so each message is
+    /// verified once here before proposal.
+    pub(crate) fn restart(
+        &mut self,
+        survivor: Survivor,
+        anchor: Option<(ChainEpoch, Cid)>,
+        installs: &[(ChainEpoch, Address, Option<TokenAmount>)],
+        config: &RuntimeConfig,
+        block_time_ms: u64,
+        now_ms: u64,
+    ) {
+        let mut mempool = survivor.mempool;
+        mempool.rehome(self.sig_cache.clone());
+        self.mempool = mempool;
+        self.validator_keys = survivor.validator_keys;
+        let snapshot = anchor.map(|(anchor_epoch, manifest)| SnapshotSync {
+            manifest,
+            anchor_epoch,
+            staging: CidStore::new(),
+        });
+        self.mode = Mode::CatchingUp(Box::new(CatchUp {
+            pending_users: installs.iter().copied().collect(),
+            pull: Backoff::due_at(now_ms),
+            policy: config.retry,
+            snapshot,
+            covered: 0,
+            seed: config.seed,
+            block_time_ms,
+        }));
+    }
+
+    /// One catch-up round on the sync traffic [`SubnetNode::poll`] read,
+    /// its blocks re-executed on `workers`. Once the node holds
+    /// `peers.history` it goes live, its first block due a block time from
+    /// now, and returns how many of the peers' blocks its own chain does
+    /// not hold: those its snapshot covered.
+    pub(crate) fn catch_up(
+        &mut self,
+        inbox: SyncInbox,
+        peers: &Peers,
+        workers: usize,
+        stats: &mut ChaosStats,
+    ) -> Result<Option<usize>, RuntimeError> {
+        let Mode::CatchingUp(mut cu) = std::mem::take(&mut self.mode) else {
+            return Ok(None);
+        };
+        let done = self.catch_up_round(&mut cu, inbox, peers, workers, stats);
+        if !matches!(done, Ok(true)) {
+            self.mode = Mode::CatchingUp(cu);
+            return done.map(|_| None);
+        }
+        // Accounts installed after the peers' head (but before the crash)
+        // have no covering block; restore them now.
+        self.install_pending_users(&mut cu, ChainEpoch::new(u64::MAX));
+        self.next_block_at_ms = peers.now_ms + cu.block_time_ms;
+        stats.catch_ups_completed += 1;
+        Ok(Some(cu.covered))
+    }
+
+    /// The body of [`SubnetNode::catch_up`]. While a snapshot is being
+    /// assembled: fold received blobs into the staging store
+    /// (content-addressed, so corrupt or unrelated blobs land under a
+    /// different CID and are never asked for again), and install it once
+    /// its closure is whole. After: re-commit the received blocks that
+    /// extend the head — duplicated or overlapping batches are harmless —
+    /// and report whether the node holds its peers' chain. Either way,
+    /// (re)pull what is missing.
+    fn catch_up_round(
+        &mut self,
+        cu: &mut CatchUp,
+        inbox: SyncInbox,
+        peers: &Peers,
+        workers: usize,
+        stats: &mut ChaosStats,
+    ) -> Result<bool, RuntimeError> {
+        let now_ms = peers.now_ms;
+        let pull = if let Some(sync) = &mut cu.snapshot {
+            let mut accepted = 0;
+            for blob in inbox.blob_batches.into_iter().flatten() {
+                if !sync.staging.contains(&Cid::digest(&blob)) {
+                    sync.staging.put(blob);
+                    accepted += 1;
+                }
+            }
+            if accepted > 0 {
+                cu.pull = Backoff::due_at(now_ms);
+            }
+            let cids = sync.wanted()?;
+            stats.blobs_synced += accepted;
+            if cids.is_empty() {
+                self.install_snapshot(cu, peers, stats)?;
+                return Ok(false);
+            }
+            let reply_topic = self.subnet_id.topic();
+            ResolutionMsg::BlobPull { cids, reply_topic }
+        } else {
+            for bytes in inbox.block_batches.into_iter().flatten() {
+                let Ok(block) = Block::decode(&bytes) else {
+                    continue;
+                };
+                if block.header.epoch != self.next_epoch {
+                    continue;
+                }
+                self.install_pending_users(cu, block.header.epoch);
+                // The live hierarchy has moved on: every outward effect of
+                // the block (parent checkpoint submission, journal records,
+                // manifest anchors, certificate gossip, the top-down
+                // messages handed to its children) happened when it was
+                // produced, so only the node-local half of its events
+                // re-runs. A refused block changed nothing: a peer's
+                // forgery is dropped, and the pull goes on.
+                let Ok(outcome) = self.reexecute(&block, workers) else {
+                    stats.blocks_rejected += 1;
+                    continue;
+                };
+                for event in &outcome.events {
+                    self.apply_event(event, false);
+                }
+                // Replay restores the historical schedule; stay
+                // unschedulable until catch-up completes.
+                self.next_block_at_ms = u64::MAX;
+                stats.blocks_caught_up += 1;
+                cu.pull = Backoff::due_at(now_ms);
+            }
+            if cu.covered + self.chain.len() >= peers.history.len() {
+                return Ok(true);
+            }
+            ResolutionMsg::BlockPull {
+                subnet: self.subnet_id.clone(),
+                from_epoch: self.next_epoch,
+                reply_topic: self.subnet_id.topic(),
+            }
+        };
+        // The pull goes out on the subnet's own topic, with the node as
+        // origin, when the backoff says one is due: the peers answer it from
+        // there, so both legs cross the (possibly faulty) network. The retry
+        // budget is *per batch* — the backoff restarts on every replayed
+        // block or accepted blob — so an exhausted budget cools down for the
+        // capped timeout and re-arms: a long blackout slows this batch down,
+        // it never abandons the batches behind it.
+        match cu.pull.step(&cu.policy, now_ms) {
+            BackoffStep::Send(attempt) => {
+                let (sent, retried) = match pull {
+                    ResolutionMsg::BlockPull { .. } => {
+                        (&mut stats.block_pulls, &mut stats.block_pull_retries)
+                    }
+                    _ => (&mut stats.blob_pulls, &mut stats.blob_pull_retries),
+                };
+                *sent += 1;
+                *retried += u64::from(attempt > 1);
+                let (topic, origin) = (self.subnet_id.topic(), Some(self.subscription));
+                peers.network.publish(&topic, pull, now_ms, origin);
+            }
+            BackoffStep::Wait => {}
+            BackoffStep::Exhausted => {
+                cu.pull = Backoff::due_at(now_ms + cu.policy.max_timeout_ms.max(1));
+                stats.pull_budget_rearms += 1;
+            }
+        }
+        Ok(false)
+    }
+
+    /// Installs the assembled snapshot: swaps in the staged state once it
+    /// verifies against the consensus-committed header at the anchor epoch,
+    /// skips the node past the blocks it covers, and re-bases the chain on
+    /// the anchor. From here catch-up replays the post-anchor suffix.
+    fn install_snapshot(
+        &mut self,
+        cu: &mut CatchUp,
+        peers: &Peers,
+        stats: &mut ChaosStats,
+    ) -> Result<(), RuntimeError> {
+        let sync = cu.snapshot.as_ref().expect("a snapshot is being assembled");
+        let anchor_epoch = sync.anchor_epoch;
+        // The anchor's CID comes from storage; only its header is decoded.
+        let anchor = peers.history.get_by_epoch(anchor_epoch);
+        let committed_root = anchor.map(|b| b.header().state_root);
+        self.install_manifest(&sync.manifest, &sync.staging, committed_root)?;
+        // Adopt the manifest's full closure — fixed chunks AND every
+        // account-HAMT node — so the node's store can serve the same
+        // snapshot (and GC can pin it) after the swap (content-addressed
+        // puts dedup against blobs already present).
+        for cid in sync.staging.manifest_closure(&[sync.manifest]) {
+            if let Some(chunk) = sync.staging.get(&cid) {
+                self.store.put(chunk.as_ref().clone());
+            }
+        }
+        cu.snapshot = None;
+        cu.pull = Backoff::due_at(peers.now_ms);
+        // Accounts installed at or below the anchor are part of the
+        // snapshot state already; replaying them would double-apply.
+        let installed = cu.pending_users.iter().take_while(|u| u.0 <= anchor_epoch);
+        cu.pending_users.drain(..installed.count());
+        // The snapshot replaces execution, not history: every covered
+        // block still realigns the consensus RNG, the cross-net nonce
+        // cursors and the mempool's floors exactly as a per-block replay
+        // would, so the node resumes mid-conversation with its parent. One
+        // block is decoded at a time.
+        let covered = peers
+            .history
+            .iter()
+            .take_while(|b| b.epoch() <= anchor_epoch);
+        for stored in covered {
+            self.skip_past(&stored.decode(), false)?;
+            cu.covered += 1;
+        }
+        let anchor_cid = anchor.map(StoredBlock::cid);
+        let anchor_cid = anchor_cid.expect("install verified against the anchor header");
+        self.chain.reset_to_snapshot_base(anchor_epoch, anchor_cid);
+        self.next_block_at_ms = u64::MAX;
+        stats.snapshot_installs += 1;
+        Ok(())
+    }
+
+    /// Re-installs accounts the live run created or adopted outside block
+    /// execution, up to and including `up_to_epoch`. The live
+    /// `install_account` wrote the tree between blocks; a replay from
+    /// genesis must repeat those writes at the same epoch boundaries —
+    /// through the same [`HierarchyRuntime::write_account`] — or the
+    /// replayed state roots diverge from the block headers. The key written
+    /// is re-derived; the user's handle kept its own.
+    fn install_pending_users(&mut self, cu: &mut CatchUp, up_to_epoch: ChainEpoch) {
+        let due = |user: &&(ChainEpoch, _, _)| user.0 <= up_to_epoch;
+        while let Some(&(_, addr, mint)) = cu.pending_users.front().filter(due) {
+            cu.pending_users.pop_front();
+            let key = HierarchyRuntime::user_key(cu.seed, addr);
+            HierarchyRuntime::write_account(&mut self.tree, &key, addr, mint);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! A node catches itself up driven by its inputs alone: a world
+    //! produces a subnet's chain, then a node restarted from genesis is
+    //! handed that chain's blocks, shuffled, duplicated and with a forgery
+    //! first, and no runtime steps in between.
+
+    use hc_actors::sa::SaConfig;
+    use hc_chain::BlockHeader;
+    use hc_state::Method;
+    use hc_types::{CanonicalEncode, SubnetId};
+
+    use super::*;
+
+    #[test]
+    fn a_restarted_node_catches_up_from_shuffled_batches_by_itself() {
+        let whole = TokenAmount::from_whole;
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let root = SubnetId::root();
+        let alice = rt.create_user(&root, whole(1_000)).unwrap();
+        let validator = rt.create_user(&root, whole(100)).unwrap();
+        let stake = [(validator, whole(5))];
+        let child = rt
+            .spawn_subnet(&alice, SaConfig::default(), whole(10), &stake)
+            .unwrap();
+        let bob = rt.create_user(&child, TokenAmount::ZERO).unwrap();
+        let carol = rt.create_user(&child, TokenAmount::ZERO).unwrap();
+        rt.cross_transfer(&alice, &bob, whole(30)).unwrap();
+        rt.run_until_quiescent(10_000).unwrap();
+        for _ in 0..20 {
+            rt.execute(&bob, carol.addr, whole(1), Method::Send)
+                .unwrap();
+        }
+        let live = &rt.nodes[&child];
+        let peers = live.chain.clone().into_history();
+        let n = peers.len();
+        assert!(n > 12, "several batches to sync: {n}");
+
+        // The restart, as the runtime builds it, but by hand.
+        let record = &rt.subnets.by_id[&child];
+        let (sa, params) = record.boot.clone().unwrap();
+        let network = Network::new(rt.config.net.clone(), 7);
+        let subscription = network.subscribe(&child.topic());
+        let boot = Some((&sa, &params));
+        let store = CidStore::new();
+        let mut node = SubnetNode::genesis(
+            child.clone(),
+            &rt.config,
+            boot,
+            subscription,
+            u64::MAX,
+            store,
+        );
+        node.validators = live.validators.clone();
+        let survivor = Survivor {
+            subscription,
+            mempool: Mempool::new(),
+            validator_keys: live.validator_keys.clone(),
+        };
+        let installs = &record.user_installs;
+        node.restart(
+            survivor,
+            None,
+            installs,
+            &rt.config,
+            params.block_time_ms,
+            0,
+        );
+        assert!(!node.is_live());
+
+        // The peers' blocks in batches of four; the first round brings a
+        // later batch, the epoch-1 block resealed by a non-validator, then
+        // the first batch twice; every later round brings all the rest,
+        // newest first, each twice, so one batch applies per round.
+        let attacker = Keypair::from_seed([0xa7; 32]);
+        let first = Block::decode(&peers.serve(ChainEpoch::new(1), 1)[0]).unwrap();
+        let header = BlockHeader {
+            proposer: attacker.public(),
+            ..first.header.clone()
+        };
+        let (signed, implicit) = (first.signed_msgs.clone(), first.implicit_msgs.clone());
+        let forged = Block::seal(header, signed, implicit, &attacker).canonical_bytes();
+        let batches: Vec<Vec<Vec<u8>>> = (0..n)
+            .step_by(4)
+            .map(|from| peers.serve(ChainEpoch::new(from as u64 + 1), 4))
+            .collect();
+        let mut stats = ChaosStats::default();
+        let mut now_ms = 0;
+        let mut round = |node: &mut SubnetNode, block_batches, now_ms| {
+            let inbox = SyncInbox {
+                block_batches,
+                ..SyncInbox::default()
+            };
+            let peers = Peers {
+                history: &peers,
+                network: &network,
+                now_ms,
+            };
+            node.catch_up(inbox, &peers, 1, &mut stats).unwrap()
+        };
+        let opening = vec![
+            batches[1].clone(),
+            vec![forged],
+            batches[0].clone(),
+            batches[0].clone(),
+        ];
+        let mut covered = round(&mut node, opening, now_ms);
+        for _ in 0..batches.len() {
+            if covered.is_some() {
+                break;
+            }
+            now_ms += 100;
+            let rest = batches.iter().rev().flat_map(|b| [b.clone(), b.clone()]);
+            covered = round(&mut node, rest.collect(), now_ms);
+        }
+
+        assert_eq!(covered, Some(0), "a replay covers nothing by snapshot");
+        assert!(node.is_live(), "the node left catch-up by itself");
+        assert_eq!(stats.blocks_rejected, 1, "the forgery was counted");
+        assert_eq!(stats.blocks_caught_up, n as u64);
+        assert_eq!(stats.catch_ups_completed, 1);
+        let head = |node: &SubnetNode| {
+            let block = node.chain.head_block().unwrap();
+            (block.cid(), block.header.state_root, node.next_epoch)
+        };
+        assert_eq!(head(&node), head(live));
+        assert_eq!(node.tree.recompute_root(), live.tree.recompute_root());
+        let cursors = |node: &SubnetNode| {
+            let pool = node.cross_pool();
+            let queues = (node.pending_checkpoints.len(), node.turnarounds.len());
+            (pool.next_top_down_nonce(), pool.pending_top_down(), queues)
+        };
+        assert_eq!(cursors(&node), cursors(live));
+        assert_eq!(node.stats, live.stats);
+        assert_eq!(node.next_block_at_ms, now_ms + params.block_time_ms);
+    }
+}

@@ -256,12 +256,13 @@ impl HierarchyRuntime {
     fn replay_journaled_block(&mut self, block: Block, skip: bool) -> Result<(), RuntimeError> {
         let subnet = &block.header.subnet.clone();
         let at_ms = block.header.timestamp_ms;
+        self.refresh_validators(subnet);
+        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         if skip {
-            self.refresh_validators(subnet);
-            Self::get_node_mut(&mut self.nodes, subnet)?.skip_past(&block, true)?;
+            node.skip_past(&block, true)?;
             self.now_ms = self.now_ms.max(at_ms);
         } else {
-            let outcome = self.reexecute_block(subnet, &block)?;
+            let outcome = node.reexecute(&block, self.config.parallelism)?;
             self.now_ms = self.now_ms.max(at_ms);
             self.post_tick(subnet, block, outcome, at_ms)?;
         }

@@ -402,7 +402,7 @@ impl HierarchyRuntime {
         // definition: the hierarchy is not settled until it has rejoined
         // and replayed everything it missed. So does a record whose inbox
         // holds what no node of the subnet has taken yet.
-        let settled = |r: &SubnetRecord| r.is_live() && r.inbox.is_empty();
+        let settled = |r: &SubnetRecord| r.crashed.is_none() && r.inbox.is_empty();
         if !self.subnets.by_id.values().all(settled) {
             return false;
         }
@@ -415,7 +415,8 @@ impl HierarchyRuntime {
         if self.node_faults.iter().any(crash_ahead) {
             return false;
         }
-        self.nodes.values().all(SubnetNode::is_quiescent)
+        let settled = |n: &SubnetNode| n.is_live() && n.is_quiescent();
+        self.nodes.values().all(settled)
     }
 
     /// Produces one block on `subnet` (at its scheduled time), running the
@@ -484,21 +485,6 @@ impl HierarchyRuntime {
         if let Some(node) = self.nodes.get_mut(subnet) {
             node.receive(Input::Certificate(cert));
         }
-    }
-
-    /// [`SubnetNode::reexecute`] on `subnet`'s node, its validator set
-    /// refreshed from the parent first. The outward effects are the
-    /// caller's: journal recovery routes the outcome through
-    /// [`HierarchyRuntime::post_tick`], peer catch-up applies only the
-    /// node-local half of its events and drops its top-down messages.
-    pub(crate) fn reexecute_block(
-        &mut self,
-        subnet: &SubnetId,
-        block: &Block,
-    ) -> Result<LocalOutcome, RuntimeError> {
-        self.refresh_validators(subnet);
-        let parallelism = self.config.parallelism;
-        Self::get_node_mut(&mut self.nodes, subnet)?.reexecute(block, parallelism)
     }
 
     /// Phase (b) of a tick: applies a block's outward effects to shared
@@ -571,7 +557,7 @@ impl HierarchyRuntime {
                 // The subnet's validators sign the cut checkpoint; it then
                 // travels to the parent chain (paper §III-B, Fig. 2).
                 let signed = node.sign_checkpoint(checkpoint);
-                let origin = node.subscription;
+                let origin = node.subscription();
                 for (topic, push) in pushes {
                     // Pushes originate here: announcing content across a
                     // severed ocean fails like any other delivery (the
@@ -616,7 +602,7 @@ impl HierarchyRuntime {
                     &msg.to.subnet.topic(),
                     ResolutionMsg::Certificate(Box::new(cert)),
                     now_ms,
-                    Some(node.subscription),
+                    Some(node.subscription()),
                 );
             }
 

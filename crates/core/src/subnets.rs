@@ -1,13 +1,14 @@
 //! Per-subnet records: what the runtime remembers about a subnet *beside*
 //! its node, and so across that node's crashes — how it was booted, where
 //! it is placed, which accounts were installed between blocks, its
-//! snapshot manifests, and, while the node is down or catching up, the
-//! peers' view it syncs against and the inbox of what was handed to the
-//! subnet while no node of it ran.
+//! snapshot manifests, the subnet's chain as its peers hold it where the
+//! node's own chain does not, what survives the node while it is down, and
+//! the inbox of what was handed to the subnet while no node of it ran.
+//! Whether a node is live or catching up is the node's own mode.
 //!
 //! One map holds all of it, so retiring a subnet is one `remove` that
 //! cannot leave residue, crash and rejoin read one record, and the blob
-//! GC collects its live roots from one iterator.
+//! GC collects the roots it keeps for the subnet from one iterator.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -16,8 +17,7 @@ use hc_chain::History;
 use hc_consensus::EngineParams;
 use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
 
-use crate::chaos::{CatchUp, CrashedNode};
-use crate::node::Input;
+use crate::node::{Input, SubnetNode, Survivor};
 use crate::runtime::HierarchyRuntime;
 
 /// How many recent manifests per subnet the runtime remembers for manual
@@ -41,12 +41,13 @@ pub(crate) struct SubnetRecord {
     /// the same epoch boundary the live run did, or the replayed state
     /// roots diverge from the headers.
     pub(crate) user_installs: Vec<(ChainEpoch, Address, Option<TokenAmount>)>,
-    /// Blocks below a snapshot-rejoined node's install boundary. The
-    /// node's own chain holds only the post-snapshot suffix, but the
-    /// subnet's surviving peers keep full history — a later crash must
-    /// hand the next rejoiner the whole peer chain, not just the suffix.
-    /// Held in wire form, like the chain's own history.
-    pub(crate) snapshot_base: History,
+    /// The subnet's finalized chain as its peers hold it, in wire form,
+    /// where the node's own chain does not: all of it while the node is
+    /// down or catching up — the peers serve a catch-up's pulls from it —
+    /// and, once a snapshot-synced node is live, the blocks below its
+    /// install boundary, so a later crash still hands the next restart the
+    /// whole chain.
+    pub(crate) peers: History,
     /// Most recent persisted state-manifest CIDs, newest last — the
     /// recency window of the blob GC's live roots.
     pub(crate) manifests: VecDeque<Cid>,
@@ -55,11 +56,9 @@ pub(crate) struct SubnetRecord {
     /// rejoiners bootstrap from here, and the GC pins this manifest
     /// regardless of the recency window.
     pub(crate) anchor: Option<(ChainEpoch, Cid)>,
-    /// While the node is crashed (out of `nodes`): the surviving-peer view
-    /// needed for rejoin.
-    pub(crate) crashed: Option<CrashedNode>,
-    /// While the rejoined node replays missed blocks pulled from peers.
-    pub(crate) catch_up: Option<CatchUp>,
+    /// While the node is crashed (out of `nodes`): what survives it, for
+    /// the rejoin.
+    pub(crate) crashed: Option<Survivor>,
     /// While no node of the subnet runs — it crashed, or is registered
     /// but not yet booted: what was handed to it and no node committed —
     /// top-down messages its parent committed and its children's signed
@@ -69,13 +68,6 @@ pub(crate) struct SubnetRecord {
     /// Set by [`HierarchyRuntime::inject_signed_checkpoint`]: the parent's
     /// record may then fall below the subnet's live supply. Not journaled.
     pub(crate) compromised: bool,
-}
-
-impl SubnetRecord {
-    /// `true` unless the subnet's node is crashed or still catching up.
-    pub(crate) fn is_live(&self) -> bool {
-        self.crashed.is_none() && self.catch_up.is_none()
-    }
 }
 
 /// Every booted, not yet retired subnet's [`SubnetRecord`].
@@ -99,35 +91,6 @@ impl Subnets {
     pub(crate) fn next_region_slot(&mut self) -> usize {
         self.next_region_slot += 1;
         self.next_region_slot - 1
-    }
-
-    pub(crate) fn catch_up(&self, subnet: &SubnetId) -> Option<&CatchUp> {
-        self.by_id.get(subnet)?.catch_up.as_ref()
-    }
-
-    pub(crate) fn catch_up_mut(&mut self, subnet: &SubnetId) -> Option<&mut CatchUp> {
-        self.by_id.get_mut(subnet)?.catch_up.as_mut()
-    }
-
-    /// Subnets whose rejoined node is still catching up.
-    pub(crate) fn catching_up(&self) -> impl Iterator<Item = &SubnetId> {
-        let syncing = |(s, r): (_, &SubnetRecord)| r.catch_up.is_some().then_some(s);
-        self.by_id.iter().filter_map(syncing)
-    }
-
-    /// The blob GC's per-subnet live roots: the manifests still inside a
-    /// recency window, every checkpoint-anchored manifest (the
-    /// snapshot-sync entry points — a tight `keep_manifests` window must
-    /// not evict the manifest a rejoiner would bootstrap from), and any
-    /// manifest currently being served to a syncing peer.
-    fn gc_roots(&self) -> impl Iterator<Item = Cid> + '_ {
-        self.by_id.values().flat_map(|r| {
-            let syncing = r.catch_up.as_ref().and_then(|cu| cu.snapshot.as_ref());
-            let window = r.manifests.iter().copied();
-            window
-                .chain(r.anchor.map(|(_, manifest)| manifest))
-                .chain(syncing.map(|s| s.manifest))
-        })
     }
 }
 
@@ -185,7 +148,16 @@ impl HierarchyRuntime {
     /// Returns `(pruned_blobs, pruned_bytes)` for this sweep; lifetime
     /// totals accumulate in the store's [`hc_state::CidStoreStats`].
     pub fn prune_blobs(&mut self) -> (u64, u64) {
-        let mut roots: Vec<Cid> = self.subnets.gc_roots().collect();
+        // Every subnet's manifests still inside its recency window, its
+        // checkpoint-anchored manifest (the snapshot-sync entry point — a
+        // tight `keep_manifests` window must not evict the manifest a
+        // rejoiner would bootstrap from), and the snapshot a catching-up
+        // node is assembling.
+        let records = self.subnets.by_id.values();
+        let windows =
+            records.flat_map(|r| r.manifests.iter().copied().chain(r.anchor.map(|a| a.1)));
+        let syncing = self.nodes.values().filter_map(SubnetNode::syncing_manifest);
+        let mut roots: Vec<Cid> = windows.chain(syncing).collect();
         // Archived checkpoint registries live in the same store; persist
         // them (unchanged AMT subtrees are shared) and pin their roots so
         // a sweep never drops auditable history.

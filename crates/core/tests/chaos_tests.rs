@@ -109,6 +109,91 @@ fn crash_halts_production_and_rejoin_catches_up() {
     assert_eq!(h.rt.balance(&bob), whole(42));
 }
 
+/// Regression: a node that crashes while it is still catching up hands its
+/// next restart the whole chain its peers hold, not its partial replay, and
+/// no catch-up runs for it while it is down. Two crash windows on one leaf,
+/// the second opening as the first closes (the leaf goes down again in the
+/// step that rejoins it), and the same through direct calls; in both sync
+/// modes the leaf catches up to the chain it held when it first went down,
+/// and the hierarchy settles with exact balances.
+#[test]
+fn a_node_crashed_while_catching_up_rejoins_whole() {
+    for mode in [SyncMode::Replay, SyncMode::Snapshot] {
+        for windows in [true, false] {
+            let config = RuntimeConfig {
+                sync_mode: mode,
+                ..RuntimeConfig::default()
+            };
+            let mut h = Harness::with(config, 1_000_000);
+            let sa = SaConfig {
+                checkpoint_period: 5,
+                ..SaConfig::default()
+            };
+            let child = h.spawn(&h.alice.clone(), sa);
+            let (bob, carol) = (h.user(&child), h.user(&child));
+            h.fund(&bob, 30);
+            for _ in 0..10 {
+                h.rt.execute(&bob, carol.addr, whole(1), Method::Send)
+                    .unwrap();
+            }
+            assert!(
+                h.rt.checkpoint_anchor(&child).is_some(),
+                "a cut to sync from"
+            );
+            let twin = subnet_fingerprint(&h.rt, &child);
+
+            if windows {
+                let now = h.rt.now_ms();
+                let crash = || FaultKind::Crash {
+                    subnet: child.clone(),
+                };
+                h.rt.extend_faults(FaultPlan {
+                    rules: vec![
+                        FaultRule::new(now, now + 2_000, crash()),
+                        FaultRule::new(now + 2_000, now + 4_000, crash()),
+                    ],
+                });
+            } else {
+                h.rt.crash_node(&child).unwrap();
+                h.rt.rejoin_node(&child).unwrap();
+                for _ in 0..3 {
+                    h.rt.step().unwrap();
+                }
+                assert!(h.rt.is_catching_up(&child), "{mode:?}: still behind");
+                h.rt.crash_node(&child).unwrap();
+                assert!(!h.rt.is_catching_up(&child), "{mode:?}: down, not syncing");
+                h.rt.rejoin_node(&child).unwrap();
+            }
+            for _ in 0..2_000 {
+                if h.rt.chaos_stats().catch_ups_completed > 0 {
+                    break;
+                }
+                h.rt.step().unwrap();
+            }
+            let stats = h.rt.chaos_stats();
+            let snapshot = u64::from(mode == SyncMode::Snapshot);
+            assert_eq!(
+                (stats.crashes, stats.rejoins, stats.catch_ups_completed),
+                (2, 2, 1),
+                "{mode:?}, windows {windows}"
+            );
+            assert_eq!(stats.snapshot_installs, snapshot, "{mode:?}");
+            let caught_up = subnet_fingerprint(&h.rt, &child);
+            assert_eq!(
+                (caught_up.head, caught_up.head_epoch, caught_up.state_root),
+                (twin.head, twin.head_epoch, twin.state_root),
+                "{mode:?}, windows {windows}: the leaf holds its peers' whole chain"
+            );
+
+            h.rt.cross_transfer(&h.alice, &bob, whole(12)).unwrap();
+            h.settle();
+            assert_eq!(h.rt.balance(&bob), whole(32), "{mode:?}");
+            assert_eq!(h.rt.balance(&carol), whole(10), "{mode:?}");
+            audit_quiescent(&h.rt).unwrap();
+        }
+    }
+}
+
 /// Regression: a claimant registered on a non-root parent outside any
 /// block must be re-installed by a replay catch-up. The key written on the
 /// parent's account is in the next block's state root, so a rejoin that

@@ -5,7 +5,8 @@
 //! runtime, one fault plan, one journal, no
 //! option without a scenario, one front door per node, one way a node
 //! comes up, one way a top-down message goes down, one way a checkpoint
-//! goes up, a node that owns its cross-net queues, one test world, one invariant check, content hashed once, one
+//! goes up, a node that owns its cross-net queues, a node that drives its
+//! own catch-up, one test world, one invariant check, content hashed once, one
 //! `unsafe` block, hot values kept small, a pool that remembers senders
 //! rather than messages, a signature verdict kept on the value, a nonce
 //! read from the pool, a key held by its client, history held in wire
@@ -722,6 +723,77 @@ fn a_node_owns_its_cross_net_queues() {
     );
 }
 
+/// DESIGN.md §12, "Live crash–rejoin and catch-up": a node drives its own
+/// catch-up. A subnet's record keeps neither a catch-up nor a second copy of
+/// the peers' chain; `CatchUp` and `SnapshotSync` are declared under
+/// `node/`, where the snapshot re-base is called; no hc-core file but the
+/// node's own writes its pool or its chain; and the runtime's half,
+/// `chaos.rs`, stays within 500 lines.
+#[test]
+fn a_node_drives_its_own_catch_up() {
+    let subnets = read_rel("crates/core/src/subnets.rs");
+    let record: Vec<&str> = block(&subnets, "pub(crate) struct SubnetRecord {", "}")
+        .into_iter()
+        .filter(|l| is_field(l, false))
+        .map(|l| l.trim_start().trim_start_matches("pub(crate) "))
+        .collect();
+    assert!(
+        record.iter().any(|l| l.starts_with("inbox:")),
+        "DESIGN.md §12: `SubnetRecord` is where this rule looks; its fields are {record:?}"
+    );
+    for retired in ["catch_up", "snapshot_base"] {
+        assert!(
+            !record.iter().any(|l| l.starts_with(&format!("{retired}:"))),
+            "DESIGN.md §12: `SubnetRecord::{retired}` is back; the catch-up is the node's"
+        );
+    }
+    let node = "crates/core/src/node/";
+    let decls = hits(
+        &crate_sources(),
+        |s| s,
+        |l| {
+            ["struct CatchUp ", "struct SnapshotSync "]
+                .iter()
+                .any(|d| l.contains(d))
+        },
+    );
+    assert!(
+        decls.len() == 2 && decls.iter().all(|d| d.starts_with(node)),
+        "DESIGN.md §12: `CatchUp` and `SnapshotSync` are declared once, under node/; found {decls:#?}"
+    );
+    let rebases = core_calls("reset_to_snapshot_base(");
+    assert!(
+        !rebases.is_empty() && rebases.iter().all(|c| c.starts_with(node)),
+        "DESIGN.md §12: a snapshot re-bases the chain only inside the node; found {rebases:#?}"
+    );
+    let others: Vec<PathBuf> = files_under("crates/core/src")
+        .into_iter()
+        .filter(|p| {
+            let p = rel(p);
+            p != "crates/core/src/node.rs" && !p.starts_with(node)
+        })
+        .collect();
+    let writes = hits(
+        &others,
+        |s| s,
+        |l| {
+            [".mempool", ".chain"].iter().any(|field| {
+                l.match_indices(field)
+                    .any(|(at, _)| l[at + field.len()..].starts_with(" = "))
+            })
+        },
+    );
+    assert!(
+        writes.is_empty(),
+        "DESIGN.md §12: only the node writes its pool and its chain; found {writes:#?}"
+    );
+    let chaos = read_rel("crates/core/src/chaos.rs").lines().count();
+    assert!(
+        chaos <= 500,
+        "DESIGN.md §12: chaos.rs keeps the runtime's half in {chaos} lines, over 500"
+    );
+}
+
 /// DESIGN.md §16, "Mempool admission control": the pool remembers senders,
 /// not messages. Its dedup state is a floor per sender — no CID-keyed map
 /// or set in `mempool.rs` — with no expiry horizon left anywhere; a
@@ -818,7 +890,7 @@ fn a_nonce_lives_in_the_pool() {
 
 /// DESIGN.md §8, "The client holds its key": a user's signing key lives on
 /// its `UserHandle`, a validator's on the `SubnetNode` that runs it and on
-/// the `CrashedNode` a crash leaves behind. The runtime's key ring is gone,
+/// the `Survivor` a crash leaves behind. The runtime's key ring is gone,
 /// no field of `HierarchyRuntime`, `Subnets` or `SubnetRecord` holds a key
 /// (or a handle, which carries one), `submit_with_fee` signs with
 /// `user.key`, and an address's key is derived only where an account is
@@ -883,8 +955,8 @@ fn the_client_holds_its_key() {
     assert_eq!(
         holders,
         [
-            "crates/core/src/chaos.rs: CrashedNode",
             "crates/core/src/config.rs: UserHandle",
+            "crates/core/src/node/catch_up.rs: Survivor",
             "crates/core/src/node.rs: SubnetNode",
         ],
         "DESIGN.md §8: keys live on handles, nodes and crashed nodes only"
@@ -900,8 +972,8 @@ fn the_client_holds_its_key() {
     assert_eq!(
         core_calls("user_key("),
         [
-            "crates/core/src/chaos.rs: install_pending_users",
             "crates/core/src/lifecycle.rs: refresh_validators",
+            "crates/core/src/node/catch_up.rs: install_pending_users",
             "crates/core/src/users.rs: install_account",
             "crates/core/src/users.rs: adopt_user",
         ],
