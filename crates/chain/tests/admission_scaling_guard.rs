@@ -14,15 +14,24 @@
 //! 200 000 messages from 100 senders ends holding one floor per sender
 //! and nothing else — the pool remembers senders, not messages.
 //!
+//! The time guard also gates the heap work of a push into the full pool:
+//! allocations and bytes allocated per push, under ceilings of the
+//! measured figures plus 2 %, counted by [`hc_types::CountingAlloc`], this
+//! binary's global allocator, in the style of `exec_block_guard.rs`.
+//!
 //! The time guard measures wall time, so the two tests take one lock
-//! and never run at once: no harness sibling competes for the other core.
+//! and never run at once: no harness sibling competes for the other core,
+//! and no sibling's allocations reach the process-wide counts.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hc_chain::Mempool;
 use hc_state::{Message, SealedMessage};
-use hc_types::{Address, Keypair, Nonce, TokenAmount};
+use hc_types::{Address, CountingAlloc, Keypair, Nonce, TokenAmount};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Lanes in the full pool, one message each.
 const LANES: u64 = 100_000;
@@ -32,6 +41,12 @@ const BATCH: u64 = 2_000;
 const ROUNDS: u64 = 5;
 /// Allowed cost of a push into the full pool, in pushes into an empty one.
 const MAX_RATIO: f64 = 10.0;
+/// Measured: 1.333 allocations per push into the full pool (13 330 over
+/// the 10 000 timed pushes), plus 2 %.
+const MAX_ALLOCS_PER_PUSH: f64 = 1.36;
+/// Measured: 352.4 bytes allocated per push into the full pool (3 524 424
+/// B over the 10 000 timed pushes), plus 2 %.
+const MAX_BYTES_PER_PUSH: f64 = 359.5;
 /// Senders in the memory-shape guard.
 const SENDERS: u64 = 100;
 /// Blocks in the memory-shape guard, one message per sender each.
@@ -78,6 +93,7 @@ fn admission_cost_does_not_grow_with_the_pool() {
     assert_eq!(full.len(), LANES as usize);
 
     let (mut into_empty, mut into_full) = (Duration::MAX, Duration::MAX);
+    let (mut calls, mut bytes) = (0, 0);
     for round in 0..ROUNDS {
         let first = LANES + round * BATCH;
         let batch: Vec<SealedMessage> = (first..first + BATCH)
@@ -85,8 +101,23 @@ fn admission_cost_does_not_grow_with_the_pool() {
             .collect();
         // Clones of never-verified values: both sides verify in full.
         into_empty = into_empty.min(time_pushes(&mut Mempool::new(), batch.clone()));
+        let before = CountingAlloc::counts();
         into_full = into_full.min(time_pushes(&mut full, batch));
+        let after = CountingAlloc::counts();
+        calls += after.calls - before.calls;
+        bytes += after.bytes - before.bytes;
     }
+    let pushes = (ROUNDS * BATCH) as f64;
+    let (calls, bytes) = (calls as f64 / pushes, bytes as f64 / pushes);
+    eprintln!("a push into the full pool: {calls:.3} allocations of {bytes:.1} B");
+    assert!(
+        calls <= MAX_ALLOCS_PER_PUSH,
+        "a push into {LANES} lanes made {calls:.3} allocations, ceiling {MAX_ALLOCS_PER_PUSH}"
+    );
+    assert!(
+        bytes <= MAX_BYTES_PER_PUSH,
+        "a push into {LANES} lanes allocated {bytes:.1} B, ceiling {MAX_BYTES_PER_PUSH}"
+    );
     let ratio = into_full.as_secs_f64() / into_empty.as_secs_f64();
     eprintln!(
         "{BATCH} pushes: {into_empty:?} into an empty pool, {into_full:?} into {LANES} lanes \

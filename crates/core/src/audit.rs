@@ -261,7 +261,7 @@ mod tests {
     /// unchanged, the children's escrow is gone.
     fn drain_root_escrow(rt: &mut HierarchyRuntime, to: Address) {
         let root = rt.nodes.get_mut(&SubnetId::root()).unwrap();
-        let accounts = root.tree.accounts_mut();
+        let accounts = root.tree_mut().accounts_mut();
         let held = accounts.balance(Address::SCA);
         accounts.debit(Address::SCA, held).unwrap();
         accounts.credit(to, held);
@@ -282,7 +282,7 @@ mod tests {
     fn a_mint_outside_create_user_breaks_conservation() {
         let (mut rt, alice, _) = world();
         let root = rt.nodes.get_mut(&SubnetId::root()).unwrap();
-        root.tree.accounts_mut().credit(alice.addr, whole(1));
+        root.tree_mut().accounts_mut().credit(alice.addr, whole(1));
         rt.step_wave().unwrap();
     }
 
@@ -292,11 +292,11 @@ mod tests {
     fn an_edit_flushed_past_the_head_breaks_the_head_root() {
         let (mut rt, alice, _) = world();
         let root = rt.nodes.get_mut(&SubnetId::root()).unwrap();
-        let account = root.tree.accounts_mut().get_or_create(alice.addr);
+        let account = root.tree_mut().accounts_mut().get_or_create(alice.addr);
         account
             .storage
             .insert(b"planted".to_vec(), b"edit".to_vec());
-        root.tree.flush();
+        root.tree_mut().flush();
         check(&rt);
     }
 

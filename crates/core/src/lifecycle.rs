@@ -159,36 +159,22 @@ impl HierarchyRuntime {
     /// for the rootnet, or while the parent has no node.
     pub(crate) fn sa_of(&self, subnet: &SubnetId) -> Option<&SaState> {
         let parent = self.nodes.get(&subnet.parent()?)?;
-        parent.tree.sa(subnet.actor()?)
+        parent.state().sa(subnet.actor()?)
     }
 
-    /// Refreshes a child node's validator set and keys from the parent's
-    /// Subnet Actor (membership changes take effect as the child syncs the
-    /// parent chain). An unchanged set touches nothing; on a change the
-    /// node keeps the keys it holds and derives, in set order, only the
-    /// members it lacks.
+    /// Refreshes a child node's validator set from the parent's Subnet
+    /// Actor (membership changes take effect as the child syncs the parent
+    /// chain); the node derives the key of a member it lacks from the
+    /// member's address ([`SubnetNode::install_validators`]).
     pub(crate) fn refresh_validators(&mut self, subnet: &SubnetId) {
         let Some(sa) = self.sa_of(subnet) else {
             return;
         };
         let set = ValidatorSet::from_sa(sa);
-        let Some(node) = self.nodes.get_mut(subnet) else {
-            return;
-        };
-        // A restarted node holds its keys before it learns its set.
-        if node.validators == set && node.validator_keys.len() == set.len() {
-            return;
+        let seed = self.config.seed;
+        if let Some(node) = self.nodes.get_mut(subnet) {
+            node.install_validators(set, |addr| Self::user_key(seed, addr));
         }
-        let mut held = std::mem::take(&mut node.validator_keys);
-        node.validator_keys = set
-            .validators()
-            .iter()
-            .map(|v| match held.iter().position(|k| k.public() == v.key) {
-                Some(at) => held.swap_remove(at),
-                None => Self::user_key(self.config.seed, v.addr),
-            })
-            .collect();
-        node.validators = set;
     }
 
     /// Assigns a freshly booted node to a region per the placement policy
@@ -303,7 +289,7 @@ impl HierarchyRuntime {
         let status = self
             .nodes
             .get(&parent)
-            .and_then(|p| p.tree.sca().subnet(subnet))
+            .and_then(|p| p.state().sca().subnet(subnet))
             .map(|info| info.status);
         if status != Some(hc_actors::SubnetStatus::Killed) {
             return Err(RuntimeError::Retire(format!(
@@ -364,18 +350,14 @@ impl HierarchyRuntime {
             // burnt funds, rewards) are protocol bookkeeping, not
             // user-recoverable value.
             let balances = node
-                .tree
+                .state()
                 .accounts()
                 .iter()
                 .filter(|(addr, acc)| !addr.is_system() && !acc.balance.is_zero())
                 .map(|(addr, acc)| (*addr, acc.balance));
-            let (snapshot, tree) =
-                hc_actors::StateSnapshot::build(subnet.clone(), node.chain.head_epoch(), balances);
-            let mut signatures = hc_types::crypto::AggregateSignature::new();
-            let bytes = snapshot.cid();
-            for key in &node.validator_keys {
-                signatures.add(key.sign(bytes.as_bytes()));
-            }
+            let epoch = node.chain().head_epoch();
+            let (snapshot, tree) = hc_actors::StateSnapshot::build(subnet.clone(), epoch, balances);
+            let signatures = node.attest(snapshot.cid().as_bytes());
             (snapshot, tree, signatures)
         };
         self.execute(
@@ -391,8 +373,7 @@ impl HierarchyRuntime {
         // the chunk manifest in the shared CidStore structurally shares
         // every chunk unchanged since the last persist.
         if let Some(node) = self.nodes.get_mut(subnet) {
-            let manifest = node.tree.persist(&node.store);
-            node.stats.state_persists += 1;
+            let manifest = node.persist_state();
             self.journal.append(&ControlRecord::SnapshotAnchor {
                 subnet: subnet.clone(),
                 manifest,

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
+use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
 use hc_chain::{
@@ -23,7 +23,7 @@ use hc_consensus::{
 };
 use hc_net::{ResolutionMsg, Resolver, SubscriberId};
 use hc_state::{
-    ChunkManifest, CidStore, ImplicitMsg, Receipt, SealedMessage, SigCache, SigCacheStats,
+    ChunkManifest, CidStore, ImplicitMsg, Method, Receipt, SealedMessage, SigCache, SigCacheStats,
     StateTree, VmEvent,
 };
 use hc_types::crypto::SignaturePolicy;
@@ -32,7 +32,9 @@ use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, Subnet
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 
 mod catch_up;
+mod intake;
 mod network;
+mod validators;
 pub(crate) use catch_up::{Peers, Survivor};
 pub(crate) use network::SyncInbox;
 
@@ -120,6 +122,14 @@ fn settle_floors<'a>(
     }
 }
 
+/// Whether `pool` queues a cross-net send into `subnet` or below it.
+fn sends_into(pool: &Mempool, subnet: &SubnetId) -> bool {
+    pool.iter().any(|m| {
+        matches!(&m.message().method, Method::SendCrossMsg { msg }
+            if subnet.is_prefix_of(&msg.to.subnet))
+    })
+}
+
 /// The key a payment's fund certificate is held under, and found by when
 /// the payment settles: its message with the nonce cleared. The nonce is
 /// the one field a route rewrites — an LCA re-stamps a path payment as it
@@ -139,30 +149,30 @@ fn settlement_key(msg: &CrossMsg) -> Cid {
 /// and benchmarks.
 pub struct SubnetNode {
     /// The subnet's identity.
-    pub(crate) subnet_id: SubnetId,
+    subnet_id: SubnetId,
     /// Canonical state at the chain head.
-    pub(crate) tree: StateTree,
+    tree: StateTree,
     /// The committed chain.
-    pub(crate) chain: ChainStore,
+    chain: ChainStore,
     /// Internal pool of pending user messages.
-    pub(crate) mempool: Mempool,
+    mempool: Mempool,
     /// Cross-msg pool (paper §IV-B).
     cross_pool: CrossMsgPool,
     /// The subnet's consensus engine.
-    pub(crate) engine: Box<dyn Consensus>,
+    engine: Box<dyn Consensus>,
     /// Current validator set (refreshed from the parent's Subnet Actor).
-    pub(crate) validators: ValidatorSet,
+    validators: ValidatorSet,
     /// The validators' signing keys (simulation holds them to produce
     /// blocks, justifications, and checkpoint signatures).
-    pub(crate) validator_keys: Vec<Keypair>,
+    validator_keys: Vec<Keypair>,
     /// Content resolution; its cache holds only network-borne content.
     resolver: Resolver,
     /// Pub-sub subscription for this subnet's topic.
-    pub(crate) subscription: SubscriberId,
+    subscription: SubscriberId,
     /// Virtual time at which this node produces its next block.
-    pub(crate) next_block_at_ms: u64,
+    next_block_at_ms: u64,
     /// Epoch of the next block.
-    pub(crate) next_epoch: ChainEpoch,
+    next_epoch: ChainEpoch,
     /// Child checkpoints received and waiting to be committed in this
     /// chain's next block.
     pending_checkpoints: Vec<SignedCheckpoint>,
@@ -173,7 +183,7 @@ pub struct SubnetNode {
     /// The user message [`crate::HierarchyRuntime::execute`] is waiting
     /// on, by CID, and its receipt once a block committed it. Receipts
     /// are otherwise not retained: `execute` is their one reader.
-    pub(crate) awaited: Option<(Cid, Option<Receipt>)>,
+    awaited: Option<(Cid, Option<Receipt>)>,
     /// Verified fund certificates for payments still in flight towards
     /// this subnet (the §IV-A acceleration): tentative, not spendable.
     /// Held by [`settlement_key`]; identical transfers share a key and are
@@ -182,9 +192,9 @@ pub struct SubnetNode {
     /// Content-addressed blob store: persisted state chunk manifests
     /// (snapshots/checkpoints). A handle to the runtime-wide store, so
     /// identical chunks are shared across snapshots *and* subnets.
-    pub(crate) store: CidStore,
+    store: CidStore,
     /// Counters.
-    pub(crate) stats: NodeStats,
+    stats: NodeStats,
     /// Producing blocks, or still catching up with its peers.
     mode: catch_up::Mode,
     /// This node's private randomness stream, seeded from the runtime
@@ -192,11 +202,11 @@ pub struct SubnetNode {
     /// one runtime-wide RNG) makes block production a pure function of
     /// the node, so a wave of due subnets can produce concurrently and
     /// still replay bit-identically at any parallelism.
-    pub(crate) rng: StdRng,
+    rng: StdRng,
     /// The node's signature-verification counters, shared by its mempool
     /// and its block execution. A verdict itself lives only on the value
     /// (DESIGN.md §10 "Signature verdicts").
-    pub(crate) sig_cache: SigCache,
+    sig_cache: SigCache,
 }
 
 impl std::fmt::Debug for SubnetNode {
@@ -567,11 +577,7 @@ impl SubnetNode {
         match event {
             VmEvent::CheckpointCut { checkpoint } => {
                 self.stats.checkpoints_cut += 1;
-                // Persist the checkpointed state as a chunk manifest:
-                // unchanged chunks dedupe against the previous persist
-                // (structural sharing, observable via CidStore::stats).
-                let manifest = self.tree.persist(&self.store);
-                self.stats.state_persists += 1;
+                let manifest = self.persist_state();
 
                 // Content resolution (paper §IV-C): the state tree's
                 // content registry holds the groups this subnet cut, and
@@ -620,6 +626,13 @@ impl SubnetNode {
         None
     }
 
+    /// Persists the head state as a chunk manifest and counts it; unchanged
+    /// chunks dedupe against the previous persist (`CidStore::stats`).
+    pub(crate) fn persist_state(&mut self) -> Cid {
+        self.stats.state_persists += 1;
+        self.tree.persist(&self.store)
+    }
+
     /// The one way a persisted snapshot replaces a node's state: decode
     /// `manifest` from `source`, check its root against the state root the
     /// subnet's consensus committed in the header at the anchor epoch,
@@ -652,6 +665,20 @@ impl SubnetNode {
         for block in self.chain.iter() {
             settle_floors(&self.tree, &mut self.mempool, &block.signed_msgs);
         }
+        Ok(())
+    }
+
+    /// [`SubnetNode::install_manifest`] against this node's header at
+    /// `epoch`, counted as the persist its skipped cut made live.
+    pub(crate) fn install_anchored(
+        &mut self,
+        manifest: &Cid,
+        source: &CidStore,
+        epoch: ChainEpoch,
+    ) -> Result<(), RuntimeError> {
+        let committed = self.chain.header_at(epoch).map(|h| h.state_root);
+        self.install_manifest(manifest, source, committed)?;
+        self.stats.state_persists += 1;
         Ok(())
     }
 
@@ -740,6 +767,11 @@ impl SubnetNode {
             .next_nonce(addr, committed.unwrap_or(Nonce::ZERO))
     }
 
+    /// Bytes the pending user messages occupy.
+    pub(crate) fn mempool_bytes(&self) -> usize {
+        self.mempool.occupancy_bytes()
+    }
+
     /// Admission/eviction counters of this node's mempool.
     pub fn mempool_stats(&self) -> hc_chain::MempoolStats {
         self.mempool.stats()
@@ -787,16 +819,10 @@ impl SubnetNode {
             && self.tree.sca().window_is_value_empty()
     }
 
-    /// Signs `checkpoint` with every validator key the node holds: the
-    /// subnet's quorum, whether it signs an honest cut or — adversarial
-    /// simulation — whatever an attacker who compromised it wants.
-    pub(crate) fn sign_checkpoint(&self, checkpoint: Checkpoint) -> SignedCheckpoint {
-        let mut signed = SignedCheckpoint::new(checkpoint);
-        let bytes = signed.signing_bytes();
-        for key in &self.validator_keys {
-            signed.signatures.add(key.sign(&bytes));
-        }
-        signed
+    /// Whether work held here — a resolved bottom-up group, a queued
+    /// cross-net send — routes into `subnet` or below it.
+    pub fn routes_into(&self, subnet: &SubnetId) -> bool {
+        self.cross_pool.routes_into(subnet) || sends_into(&self.mempool, subnet)
     }
 
     /// Observed mean block interval in milliseconds.
@@ -821,6 +847,11 @@ impl SubnetNode {
 
 #[cfg(test)]
 impl SubnetNode {
+    /// The state tree, for a test that plants a break in it.
+    pub(crate) fn tree_mut(&mut self) -> &mut StateTree {
+        &mut self.tree
+    }
+
     /// The cross-msg pool, for a test that plants a break in it.
     pub(crate) fn cross_pool_mut(&mut self) -> &mut CrossMsgPool {
         &mut self.cross_pool

@@ -15,7 +15,7 @@ use hc_net::{
     Backoff, BackoffStep, Network, ResolutionMsg, RetryPolicy, SubscriberId, BLOB_BATCH_CAP,
 };
 use hc_state::{ChunkManifest, CidStore};
-use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, Keypair, TokenAmount};
+use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, Keypair, SubnetId, TokenAmount};
 
 use super::{Input, SubnetNode, SyncInbox};
 use crate::chaos::ChaosStats;
@@ -40,8 +40,15 @@ pub(crate) enum Mode {
 #[derive(Debug)]
 pub(crate) struct Survivor {
     pub(crate) subscription: SubscriberId,
-    pub(crate) mempool: Mempool,
-    pub(crate) validator_keys: Vec<Keypair>,
+    mempool: Mempool,
+    validator_keys: Vec<Keypair>,
+}
+
+impl Survivor {
+    /// Whether the pool the peers keep queues a send into `subnet`.
+    pub(crate) fn routes_into(&self, subnet: &SubnetId) -> bool {
+        super::sends_into(&self.mempool, subnet)
+    }
 }
 
 /// The surviving peers a catching-up node syncs against, at `now_ms`: their
@@ -368,7 +375,7 @@ impl SubnetNode {
     /// execution, up to and including `up_to_epoch`. The live
     /// `install_account` wrote the tree between blocks; a replay from
     /// genesis must repeat those writes at the same epoch boundaries —
-    /// through the same [`HierarchyRuntime::write_account`] — or the
+    /// through the same [`SubnetNode::write_account`] — or the
     /// replayed state roots diverge from the block headers. The key written
     /// is re-derived; the user's handle kept its own.
     fn install_pending_users(&mut self, cu: &mut CatchUp, up_to_epoch: ChainEpoch) {
@@ -376,7 +383,7 @@ impl SubnetNode {
         while let Some(&(_, addr, mint)) = cu.pending_users.front().filter(due) {
             cu.pending_users.pop_front();
             let key = HierarchyRuntime::user_key(cu.seed, addr);
-            HierarchyRuntime::write_account(&mut self.tree, &key, addr, mint);
+            self.write_account(&key, addr, mint);
         }
     }
 }

@@ -1,0 +1,53 @@
+//! What clients hand a node between blocks: a signed message, the receipt
+//! `execute` waits on, an account installed outside block execution.
+
+use std::collections::BTreeMap;
+
+use hc_chain::PushOutcome;
+use hc_state::{Receipt, SealedMessage};
+use hc_types::{Address, ChainEpoch, Cid, Keypair, TokenAmount};
+
+use super::SubnetNode;
+
+impl SubnetNode {
+    /// Admits a message the client signed to the pool at `fee`; under
+    /// overload it may itself be the eviction victim ([`PushOutcome::Full`]).
+    pub(crate) fn admit(&mut self, sealed: SealedMessage, fee: u64) -> PushOutcome {
+        self.mempool.push_sealed_with_fee(sealed, fee)
+    }
+
+    /// Keeps the receipt of message `cid` once a block commits it, for
+    /// `execute`, the one reader of receipts; `None` stops waiting.
+    pub(crate) fn await_receipt(&mut self, cid: Option<Cid>) {
+        self.awaited = cid.map(|cid| (cid, None));
+    }
+
+    /// The awaited message's receipt, once a block has committed it.
+    pub(crate) fn take_receipt(&mut self) -> Option<Receipt> {
+        self.awaited
+            .as_mut()
+            .and_then(|(_, receipt)| receipt.take())
+    }
+
+    /// Writes `key` on `addr`'s account and `Some(balance)` over its
+    /// balance (`None` keeps it), between blocks. Returns the epoch of the
+    /// next block, the boundary a catch-up repeats the write at.
+    pub(crate) fn write_account(
+        &mut self,
+        key: &Keypair,
+        addr: Address,
+        mint: Option<TokenAmount>,
+    ) -> ChainEpoch {
+        let acc = self.tree.accounts_mut().get_or_create(addr);
+        acc.key = Some(key.public());
+        if let Some(balance) = mint {
+            acc.balance = balance;
+        }
+        self.next_epoch
+    }
+
+    /// Drains the pool's per-sender admission counters (elastic hotness).
+    pub(crate) fn take_activity(&mut self) -> BTreeMap<Address, u64> {
+        self.mempool.take_activity()
+    }
+}

@@ -186,11 +186,9 @@ impl HierarchyRuntime {
                 let Some(node) = self.nodes.get_mut(&subnet) else {
                     return false;
                 };
-                let recomputed = node.tree.persist(&node.store);
-                if recomputed != manifest {
+                if node.persist_state() != manifest {
                     return false;
                 }
-                node.stats.state_persists += 1;
                 self.track_manifest(&subnet, manifest);
                 true
             }
@@ -212,15 +210,13 @@ impl HierarchyRuntime {
                     let Some(node) = self.nodes.get_mut(&subnet) else {
                         return false;
                     };
-                    let committed = node.chain.header_at(epoch).map(|h| h.state_root);
                     if manifest != target_manifest
                         || node
-                            .install_manifest(&manifest, &self.store, committed)
+                            .install_anchored(&manifest, &self.store, epoch)
                             .is_err()
                     {
                         return false;
                     }
-                    node.stats.state_persists += 1;
                     targets.remove(&subnet);
                 }
                 // Target or a pre-target anchor inside the skipped prefix

@@ -13,7 +13,7 @@ use hc_actors::FundCertificate;
 use hc_chain::{fan_out, fan_out_threads, Block};
 use hc_consensus::ValidatorSet;
 use hc_net::{Network, ResolutionMsg};
-use hc_state::{CidStore, Method, VmEvent};
+use hc_state::{CidStore, VmEvent};
 use hc_store::Persistence;
 use hc_types::{Address, Keypair, SubnetId, TokenAmount};
 
@@ -130,8 +130,9 @@ impl HierarchyRuntime {
         let subscription = rt.network.subscribe(&root.topic());
         let block_time_ms = rt.config.engine_params.block_time_ms;
         let node = rt.genesis_node(&root, None, subscription, block_time_ms);
-        node.validators = ValidatorSet::new(validators);
-        node.validator_keys = validator_keys;
+        let mut keys = validator_keys.into_iter();
+        let set = ValidatorSet::new(validators);
+        node.install_validators(set, |_| keys.next().expect("a key per root validator"));
         rt.subnets.boot(&root, None);
         rt.schedule_faults(&rt.config.net.faults.clone());
         rt.assign_boot_region(&root);
@@ -182,20 +183,15 @@ impl HierarchyRuntime {
             return false;
         }
         // Work still routed *into* the subnet from elsewhere in the
-        // hierarchy: queued user messages carrying a cross transfer
-        // destined here, or resolved bottom-up groups not yet applied.
-        // Killing the subnet now would execute those against a dead
-        // destination and strand the transfers.
-        self.nodes.values().all(|other| {
-            !other.cross_pool().routes_into(&n.subnet_id)
-                && !other.mempool.iter().any(|m| {
-                    matches!(
-                        &m.message().method,
-                        Method::SendCrossMsg { msg }
-                            if n.subnet_id.is_prefix_of(&msg.to.subnet)
-                    )
-                })
-        })
+        // hierarchy, a crashed node's pool its peers keep included: killing
+        // the subnet now would execute it against a dead destination.
+        let mut crashed = self
+            .subnets
+            .by_id
+            .values()
+            .filter_map(|r| r.crashed.as_ref());
+        !self.nodes.values().any(|other| other.routes_into(subnet))
+            && !crashed.any(|survivor| survivor.routes_into(subnet))
     }
 
     /// Tokens minted at the root (the global conservation baseline).
@@ -241,7 +237,7 @@ impl HierarchyRuntime {
         let earliest = self.nodes.values().min_by_key(|n| n.due());
         let subnet = earliest
             .expect("hierarchy always has the root")
-            .subnet_id
+            .subnet_id()
             .clone();
         self.tick_subnet(&subnet)
     }
@@ -262,19 +258,20 @@ impl HierarchyRuntime {
         let mut members: Vec<SubnetId> = Vec::new();
         let mut sim_now = self.now_ms;
         for node in order {
+            let (due_ms, id) = node.due();
             if !members.is_empty() {
-                if node.next_block_at_ms > sim_now + 1 {
+                if due_ms > sim_now + 1 {
                     break; // the first schedule gap ends the wave
                 }
                 let related = members
                     .iter()
-                    .any(|m| m.is_ancestor_of(&node.subnet_id) || node.subnet_id.is_ancestor_of(m));
+                    .any(|m| m.is_ancestor_of(id) || id.is_ancestor_of(m));
                 if related {
                     break;
                 }
             }
-            sim_now = node.next_block_at_ms.max(sim_now + 1);
-            members.push(node.subnet_id.clone());
+            sim_now = due_ms.max(sim_now + 1);
+            members.push(id.clone());
         }
         members
     }
@@ -442,7 +439,7 @@ impl HierarchyRuntime {
         // own schedule.
         let at_ms = self
             .known_node(subnet)?
-            .next_block_at_ms
+            .next_block_at_ms()
             .max(self.now_ms + 1);
         self.now_ms = at_ms;
 
@@ -589,12 +586,8 @@ impl HierarchyRuntime {
                 // need no certificate.
                 && !msg.is_top_down() && msg.from.subnet == *subnet =>
             {
-                let mut cert =
-                    hc_actors::FundCertificate::new(msg.clone(), node.chain.head_epoch());
-                let cid = cert.signing_cid();
-                for key in &node.validator_keys {
-                    cert.signatures.add(key.sign(cid.as_bytes()));
-                }
+                let mut cert = FundCertificate::new(msg.clone(), node.chain().head_epoch());
+                cert.signatures = node.attest(cert.signing_cid().as_bytes());
                 // The certificate travels from the *source* subnet's
                 // region to the destination topic — stating the origin
                 // lets inter-region partitions and degrades intersect it.

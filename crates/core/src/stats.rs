@@ -8,6 +8,7 @@ use hc_state::SigCacheStats;
 use hc_types::{Address, SubnetId};
 
 use crate::config::PoolStats;
+use crate::node::SubnetNode;
 use crate::runtime::HierarchyRuntime;
 
 impl HierarchyRuntime {
@@ -58,9 +59,9 @@ impl HierarchyRuntime {
     pub fn pool_stats(&self) -> PoolStats {
         let mut total = PoolStats::default();
         for node in self.nodes.values() {
-            total.mempool.merge(node.mempool.stats());
-            total.mempool_pending += node.mempool.len() as u64;
-            total.mempool_bytes += node.mempool.occupancy_bytes() as u64;
+            total.mempool.merge(node.mempool_stats());
+            total.mempool_pending += node.mempool_len() as u64;
+            total.mempool_bytes += node.mempool_bytes() as u64;
             total.pending_top_down += node.cross_pool().pending_top_down() as u64;
             total.pending_bottom_up += node.cross_pool().pending_bottom_up() as u64;
             total.resolver.merge(node.resolver_stats());
@@ -74,7 +75,7 @@ impl HierarchyRuntime {
     pub fn take_mempool_activity(&mut self, subnet: &SubnetId) -> BTreeMap<Address, u64> {
         self.nodes
             .get_mut(subnet)
-            .map(|n| n.mempool.take_activity())
+            .map(SubnetNode::take_activity)
             .unwrap_or_default()
     }
 }

@@ -2,7 +2,7 @@
 //! carry, message submission, and cross-net sends (paper §IV).
 
 use hc_actors::CrossMsg;
-use hc_state::{Message, Method, Receipt, SealedMessage, StateTree};
+use hc_state::{Message, Method, Receipt, SealedMessage};
 use hc_types::{Address, Cid, Keypair, SubnetId, TokenAmount};
 
 use crate::config::{RuntimeError, UserHandle};
@@ -69,15 +69,15 @@ impl HierarchyRuntime {
     ) -> Result<Keypair, RuntimeError> {
         let key = Self::user_key(self.config.seed, addr);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
+        let epoch = node.write_account(&key, addr, mint);
         if subnet.is_root() {
             self.root_minted += mint.unwrap_or(TokenAmount::ZERO);
         } else if let Some(record) = self.subnets.by_id.get_mut(subnet) {
             // A crash–rejoin catch-up must repeat the install at this
             // epoch boundary, so the subnet's record notes it. (The
             // rootnet never crashes, so nothing would read its notes.)
-            record.user_installs.push((node.next_epoch, addr, mint));
+            record.user_installs.push((epoch, addr, mint));
         }
-        Self::write_account(&mut node.tree, &key, addr, mint);
         Ok(key)
     }
 
@@ -87,27 +87,11 @@ impl HierarchyRuntime {
     fn is_installed(&self, subnet: &SubnetId, addr: Address) -> bool {
         if subnet.is_root() {
             let node = self.nodes.get(subnet);
-            node.and_then(|n| n.tree.accounts().get(addr))
+            node.and_then(|n| n.state().accounts().get(addr))
                 .is_some_and(|acc| acc.key.is_some())
         } else {
             let record = self.subnets.by_id.get(subnet);
             record.is_some_and(|r| r.user_installs.iter().any(|&(_, a, _)| a == addr))
-        }
-    }
-
-    /// The state half of [`HierarchyRuntime::install_account`], shared
-    /// with catch-up's re-install: writes `key` on `addr`'s account and
-    /// `Some(balance)` over its balance (`None` keeps it).
-    pub(crate) fn write_account(
-        tree: &mut StateTree,
-        key: &Keypair,
-        addr: Address,
-        mint: Option<TokenAmount>,
-    ) {
-        let acc = tree.accounts_mut().get_or_create(addr);
-        acc.key = Some(key.public());
-        if let Some(balance) = mint {
-            acc.balance = balance;
         }
     }
 
@@ -154,7 +138,7 @@ impl HierarchyRuntime {
     pub(crate) fn balance_at(&self, subnet: &SubnetId, addr: Address) -> TokenAmount {
         self.nodes
             .get(subnet)
-            .and_then(|n| n.tree.accounts().get(addr))
+            .and_then(|n| n.state().accounts().get(addr))
             .map(|a| a.balance)
             .unwrap_or(TokenAmount::ZERO)
     }
@@ -214,7 +198,7 @@ impl HierarchyRuntime {
         };
         let sealed = SealedMessage::sign(msg, &user.key);
         let cid = sealed.msg_cid();
-        let outcome = node.mempool.push_sealed_with_fee(sealed, fee);
+        let outcome = node.admit(sealed, fee);
         Ok((cid, outcome))
     }
 
@@ -238,10 +222,10 @@ impl HierarchyRuntime {
         let (cid, _) = self.submit_with_fee(user, to, value, method, u64::MAX)?;
         // Receipts are not retained; the node keeps the one it is told to
         // wait for, until this call returns.
-        Self::get_node_mut(&mut self.nodes, &subnet)?.awaited = Some((cid, None));
+        Self::get_node_mut(&mut self.nodes, &subnet)?.await_receipt(Some(cid));
         let receipt = self.tick_until_awaited(&subnet);
         if let Some(node) = self.nodes.get_mut(&subnet) {
-            node.awaited = None;
+            node.await_receipt(None);
         }
         let rec = receipt?;
         if rec.exit.is_ok() {
@@ -259,8 +243,7 @@ impl HierarchyRuntime {
         const INCLUSION_BLOCKS: usize = 16;
         for _ in 0..INCLUSION_BLOCKS {
             self.tick_subnet(subnet)?;
-            let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-            if let Some(rec) = node.awaited.as_mut().and_then(|(_, rec)| rec.take()) {
+            if let Some(rec) = Self::get_node_mut(&mut self.nodes, subnet)?.take_receipt() {
                 return Ok(rec);
             }
         }
@@ -352,7 +335,8 @@ impl HierarchyRuntime {
 
     /// The fee `subnet`'s SCA charges on every cross-net message it sends.
     fn cross_fee(&self, subnet: &SubnetId) -> Result<TokenAmount, RuntimeError> {
-        Ok(self.known_node(subnet)?.tree.sca().config().cross_msg_fee)
+        let sca = self.known_node(subnet)?.state().sca();
+        Ok(sca.config().cross_msg_fee)
     }
 
     /// Sends an arbitrary cross-net message originated by `from`.

@@ -167,6 +167,37 @@ fn a_parent_with_a_crashed_child_is_not_retired() {
     assert!(h.rt.is_catching_up(&child));
 }
 
+/// A crashed node's peers keep its pool: a cross-net send into a sibling
+/// queued there still routes into the sibling, which is not settled — and
+/// so not merged away — until the send has executed.
+#[test]
+fn a_crashed_siblings_pool_keeps_its_target_unsettled() {
+    let mut h = Harness::with(RuntimeConfig::default(), 1_000);
+    let alice = h.alice.clone();
+    let target = h.spawn(&alice, SaConfig::default());
+    let sibling = h.spawn(&alice, SaConfig::default());
+    let (sender, receiver) = (h.user(&sibling), h.user(&target));
+    h.fund(&sender, 50);
+    assert!(h.rt.subnet_settled(&target));
+
+    h.rt.cross_transfer_lazy(&sender, &receiver, whole(3))
+        .unwrap();
+    assert!(
+        !h.rt.subnet_settled(&target),
+        "the sibling's pool routes into it"
+    );
+    h.rt.crash_node(&sibling).unwrap();
+    assert!(
+        !h.rt.subnet_settled(&target),
+        "the crashed sibling's peers still hold the send"
+    );
+
+    h.rt.rejoin_node(&sibling).unwrap();
+    h.settle();
+    assert_eq!(h.rt.balance(&receiver), whole(3));
+    assert!(h.rt.subnet_settled(&target));
+}
+
 #[test]
 fn pool_stats_aggregate_admission_and_cross_backlogs() {
     let mut h = Harness::with(RuntimeConfig::default(), 1_000);
