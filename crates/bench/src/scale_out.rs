@@ -1,8 +1,8 @@
 //! F13 harness: elastic scale-out under an open-loop load ramp, plus the
 //! bounded-mempool overload burst.
 //!
-//! Two deterministic scenarios back the `scale_out` Criterion bench and
-//! the tier-1 guard in `tests/scale_out_guard.rs`:
+//! Two deterministic scenarios back the tier-1 guard in
+//! `tests/scale_out_guard.rs`:
 //!
 //! * [`scale_out`] — the E13 comparison from [`hc_sim::experiments`]: one
 //!   seeded Zipfian ramp driven against a static hierarchy and against

@@ -14,8 +14,7 @@
 //! checkpoint-anchored manifest closure (O(state), constant here) and
 //! replays only the short post-anchor suffix, so its cost stays flat.
 //! The speedup guard in `tests/state_sync_guard.rs` enforces both the
-//! flatness and the headline ratio; the `state_sync` Criterion bench
-//! reports wall-clock.
+//! flatness and the headline ratio.
 
 use hc_actors::sa::SaConfig;
 use hc_core::{HierarchyRuntime, RuntimeConfig, SyncMode};

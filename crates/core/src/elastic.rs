@@ -150,12 +150,6 @@ impl ElasticController {
             .unwrap_or_else(|| original.clone())
     }
 
-    /// Every account whose routing currently points away from its
-    /// original home, with its present home.
-    pub fn homes(&self) -> impl Iterator<Item = (Address, &SubnetId)> {
-        self.home.iter().map(|(a, s)| (*a, s))
-    }
-
     /// Runs the policy: settles in-flight migrations, evaluates every
     /// subnet whose head crossed an evaluation boundary, and advances any
     /// draining children through the merge path. Call after every runtime

@@ -223,27 +223,6 @@ impl HierarchyRuntime {
         }
     }
 
-    /// Explicitly places `subnet`'s node in `region`, overriding the
-    /// boot-time placement policy. The override is journaled (control log)
-    /// so recovery reproduces it, and recorded so a crash–rejoin re-places
-    /// the node's fresh subscription.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown subnets and for regions the network's
-    /// [`hc_net::RegionMap`] never declared.
-    pub fn place_subnet(&mut self, subnet: &SubnetId, region: &str) -> Result<(), RuntimeError> {
-        self.known_node(subnet)?;
-        if self.network.region_map().region_index(region).is_none() {
-            return Err(RuntimeError::Execution(format!(
-                "region {region} is not declared in the network's region map"
-            )));
-        }
-        self.apply_region(subnet, region);
-        self.journal_region(subnet);
-        Ok(())
-    }
-
     /// The region `subnet`'s node is placed in, or `None` for default
     /// (region-less) placement.
     pub fn region_of_subnet(&self, subnet: &SubnetId) -> Option<&str> {

@@ -232,9 +232,8 @@ impl HierarchyRuntime {
             }
             ControlRecord::RegionAssigned { subnet, region } => {
                 // Boot-time policy placement already re-ran inside the
-                // replayed boot; this record re-applies it (and carries
-                // explicit `place_subnet` overrides the policy can't
-                // reproduce). The region must still be declared.
+                // replayed boot; this record re-applies it. The region
+                // must still be declared.
                 if self.network.region_map().region_index(&region).is_none() {
                     return false;
                 }

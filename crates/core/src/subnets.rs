@@ -30,9 +30,8 @@ pub(crate) struct SubnetRecord {
     /// The boot-time (SA config, engine params), so a crashed node can be
     /// rebuilt from genesis at rejoin. `None` for the rootnet.
     pub(crate) boot: Option<(SaConfig, EngineParams)>,
-    /// Region the node was placed in at boot (or by an explicit
-    /// [`HierarchyRuntime::place_subnet`] override); `None` for default
-    /// placement. Journaled as [`crate::ControlRecord::RegionAssigned`].
+    /// Region the placement policy put the node in at boot; `None` for
+    /// default placement. Journaled as [`crate::ControlRecord::RegionAssigned`].
     pub(crate) region: Option<String>,
     /// Every account installed outside block execution, tagged with the
     /// node's `next_epoch` at install time and its mint (`Some` for a

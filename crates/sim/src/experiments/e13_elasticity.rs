@@ -58,8 +58,8 @@ impl Default for E13Params {
 }
 
 impl E13Params {
-    /// The reduced size the tests, the scale-out guard and the `scale_out`
-    /// bench run (`report` always runs [`E13Params::default`]): a
+    /// The reduced size the tests and the scale-out guard run (`report`
+    /// always runs [`E13Params::default`]): a
     /// 100k-account ramp from 5 to 150 msgs/round against 25-msg blocks,
     /// enough to saturate the root several times over.
     pub fn quick() -> Self {

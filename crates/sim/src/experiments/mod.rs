@@ -1,7 +1,7 @@
 //! The experiment drivers from DESIGN.md.
 //!
 //! Each experiment has a parameter struct (with defaults sized for the
-//! report binary; Criterion benches shrink them), a `run` function
+//! report binary; tests shrink them), a `run` function
 //! returning structured rows, and a `table` renderer. All measurements are
 //! in virtual time, reproducible under the configured seeds.
 //!

@@ -7,8 +7,8 @@
 //!   trees), pre-funded with users.
 //! * [`metrics`] — virtual-time throughput/latency measurement helpers.
 //! * [`experiments`] — the E1–E10 experiment drivers from DESIGN.md, each
-//!   returning printable rows; the `hc-bench` crate wraps them in Criterion
-//!   benchmarks and the report binary.
+//!   returning printable rows; the `hc-bench` crate's report binary
+//!   prints them.
 //! * [`table`] — plain-text table rendering for experiment output.
 //!
 //! Everything runs in *virtual time*: experiments measure protocol

@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK_LIVE: AtomicU64 = AtomicU64::new(0);
 
 /// What the process has allocated through [`CountingAlloc`] so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,12 +28,9 @@ pub struct AllocCounts {
     pub bytes: u64,
     /// Bytes allocated and not yet freed.
     pub live: u64,
-    /// The most `live` has been since start, or since the last
-    /// [`CountingAlloc::reset_peak`].
-    pub peak_live: u64,
 }
 
-/// The system allocator, counting calls, bytes, live bytes and their peak.
+/// The system allocator, counting calls, bytes and live bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingAlloc;
 
@@ -45,22 +41,14 @@ impl CountingAlloc {
             calls: CALLS.load(Relaxed),
             bytes: BYTES.load(Relaxed),
             live: LIVE.load(Relaxed),
-            peak_live: PEAK_LIVE.load(Relaxed),
         }
-    }
-
-    /// Restarts the peak from the bytes live now, so a measured region
-    /// reads its own peak.
-    pub fn reset_peak() {
-        PEAK_LIVE.store(LIVE.load(Relaxed), Relaxed);
     }
 
     fn note_alloc(size: usize) {
         let size = size as u64;
         CALLS.fetch_add(1, Relaxed);
         BYTES.fetch_add(size, Relaxed);
-        let live = LIVE.fetch_add(size, Relaxed) + size;
-        PEAK_LIVE.fetch_max(live, Relaxed);
+        LIVE.fetch_add(size, Relaxed);
     }
 }
 

@@ -10,7 +10,7 @@
 //! `unsafe` block, hot values kept small, a pool that remembers senders
 //! rather than messages, a signature verdict kept on the value, a nonce
 //! read from the pool, a key held by its client, history held in wire
-//! form, a tier-1 that runs the workspace — so a
+//! form, a tier-1 that runs the workspace, one measuring harness — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -992,6 +992,40 @@ fn tier_one_runs_the_workspace() {
     assert!(
         workspace.contains(&r#"default-members = [".", "crates/*"]"#),
         "DESIGN.md §6: `[workspace]` keeps its `default-members` line; found {workspace:#?}"
+    );
+}
+
+/// DESIGN.md §6: wall-clock is measured in one place, the `hc-e2e`
+/// package under `e2e/`. The root workspace declares no `[[bench]]`
+/// target, names no `criterion`, and has no `benches/` directory or
+/// `criterion` shim.
+#[test]
+fn one_measuring_harness() {
+    let mut manifests = vec![root().join("Cargo.toml")];
+    for dir in ["crates", "shims"] {
+        manifests.extend(
+            files_under(dir)
+                .into_iter()
+                .filter(|p| p.file_name().is_some_and(|n| n == "Cargo.toml")),
+        );
+    }
+    let found = hits(
+        &manifests,
+        |s| s,
+        |l| l.trim() == "[[bench]]" || has_word(l, "criterion"),
+    );
+    assert!(
+        found.is_empty(),
+        "DESIGN.md §6: a bench target or `criterion` in a workspace manifest: {found:#?}"
+    );
+    let benches = crate_dirs("benches");
+    assert!(
+        benches.is_empty(),
+        "DESIGN.md §6: time a layer as an hc-e2e metric, not in {benches:?}"
+    );
+    assert!(
+        !root().join("shims/criterion").exists(),
+        "DESIGN.md §6: shims/criterion is gone with the benches"
     );
 }
 
