@@ -15,9 +15,9 @@ use crate::persist::PersistenceConfig;
 
 /// How validators/subnets are assigned to the regions declared in
 /// [`NetConfig::regions`] at boot (paper §V geo-distribution). Placement
-/// is deterministic from the config alone, recorded in the control log
-/// ([`crate::ControlRecord::RegionAssigned`]) for recovery, and a no-op on
-/// a uniform map — the default stays bit-identical to a place-less network.
+/// is deterministic from the config and the boot order alone (recovery
+/// re-derives it by replaying the boots), and a no-op on a uniform map —
+/// the default stays bit-identical to a place-less network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
     /// Every node stays in the default region (index 0). With

@@ -97,8 +97,6 @@ impl HierarchyRuntime {
             config: boot_config,
             engine_params,
         });
-        // After SubnetBoot so replay sees records in dependency order.
-        self.journal_region(&child_id);
         Ok(child_id)
     }
 
@@ -178,12 +176,14 @@ impl HierarchyRuntime {
     }
 
     /// Assigns a freshly booted node to a region per the placement policy
-    /// (paper §V geo-distribution). A no-op — no placement, no journal
-    /// record — when the region map declares at most one region, so
-    /// default configurations stay bit-identical to a place-less network.
-    /// Journaling happens at the caller's control-log point (after
-    /// [`ControlRecord::SubnetBoot`]), never here, so replay sees records
-    /// in dependency order.
+    /// (paper §V geo-distribution), on the live network (via the node's
+    /// subscription) and in the subnet's record. A no-op when the region
+    /// map declares at most one region, so default configurations stay
+    /// bit-identical to a place-less network. Nothing is journaled: the
+    /// placement is a function of the config and the boot order, and
+    /// recovery boots the root and replays every
+    /// [`ControlRecord::SubnetBoot`] in that order, so it places each
+    /// subnet again where it was.
     pub(crate) fn assign_boot_region(&mut self, subnet: &SubnetId) {
         let names = self.network.region_map().region_names().to_vec();
         if names.len() <= 1 {
@@ -199,27 +199,11 @@ impl HierarchyRuntime {
                 .and_then(|parent| self.region_of_subnet(&parent))
                 .map_or_else(|| names[0].clone(), str::to_owned),
         };
-        self.apply_region(subnet, &region);
-    }
-
-    /// Applies a region placement to the live network (via the node's
-    /// subscription, when booted) and the subnet's record. Idempotent.
-    pub(crate) fn apply_region(&mut self, subnet: &SubnetId, region: &str) {
         if let Some(node) = self.nodes.get(subnet) {
-            self.network.place_in_region(node.subscription(), region);
+            self.network.place_in_region(node.subscription(), &region);
         }
         if let Some(record) = self.subnets.by_id.get_mut(subnet) {
-            record.region = Some(region.to_owned());
-        }
-    }
-
-    /// Journals `subnet`'s placement, if it has one.
-    pub(crate) fn journal_region(&mut self, subnet: &SubnetId) {
-        if let Some(region) = self.region_of_subnet(subnet).map(str::to_owned) {
-            self.journal.append(&ControlRecord::RegionAssigned {
-                subnet: subnet.clone(),
-                region,
-            });
+            record.region = Some(region);
         }
     }
 

@@ -187,16 +187,6 @@ pub enum ControlRecord {
         /// CID of the persisted manifest.
         manifest: Cid,
     },
-    /// A subnet's node was placed in a named network region (geo-aware
-    /// placement). Recovery replays the placement into the rebuilt
-    /// network's [`hc_net::RegionMap`] so region-scoped behaviour
-    /// survives a restart. Only journaled for non-default placements.
-    RegionAssigned {
-        /// The placed subnet.
-        subnet: SubnetId,
-        /// The region name.
-        region: String,
-    },
 }
 
 /// The byte that opens the encoding of a [`ControlRecord::Block`], so a
@@ -249,11 +239,6 @@ impl CanonicalEncode for ControlRecord {
                 out.push(7);
                 subnet.write_bytes(out);
             }
-            ControlRecord::RegionAssigned { subnet, region } => {
-                out.push(8);
-                subnet.write_bytes(out);
-                region.write_bytes(out);
-            }
         }
     }
 }
@@ -286,10 +271,6 @@ impl CanonicalDecode for ControlRecord {
             }),
             7 => Ok(ControlRecord::SubnetRetired {
                 subnet: SubnetId::read_bytes(r)?,
-            }),
-            8 => Ok(ControlRecord::RegionAssigned {
-                subnet: SubnetId::read_bytes(r)?,
-                region: String::read_bytes(r)?,
             }),
             tag => Err(DecodeError::BadTag {
                 what: "ControlRecord",
@@ -371,13 +352,7 @@ mod tests {
                 subnet: subnet.clone(),
                 addr: Address::new(102),
             },
-            ControlRecord::SubnetRetired {
-                subnet: subnet.clone(),
-            },
-            ControlRecord::RegionAssigned {
-                subnet,
-                region: "eu-west".into(),
-            },
+            ControlRecord::SubnetRetired { subnet },
         ]
     }
 

@@ -230,16 +230,6 @@ impl HierarchyRuntime {
                 }
                 true
             }
-            ControlRecord::RegionAssigned { subnet, region } => {
-                // Boot-time policy placement already re-ran inside the
-                // replayed boot; this record re-applies it. The region
-                // must still be declared.
-                if self.network.region_map().region_index(&region).is_none() {
-                    return false;
-                }
-                self.apply_region(&subnet, &region);
-                true
-            }
         }
     }
 

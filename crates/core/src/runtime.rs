@@ -82,9 +82,6 @@ impl HierarchyRuntime {
         let mut rt = Self::boot(config);
         if let Some((control, _)) = rt.journal.open(&rt.store) {
             rt.journal.attach(control);
-            // The root's boot-time placement predates the control log's
-            // attachment; journal it now so recovery replays it.
-            rt.journal_region(&SubnetId::root());
         }
         rt
     }

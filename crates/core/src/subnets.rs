@@ -31,7 +31,8 @@ pub(crate) struct SubnetRecord {
     /// rebuilt from genesis at rejoin. `None` for the rootnet.
     pub(crate) boot: Option<(SaConfig, EngineParams)>,
     /// Region the placement policy put the node in at boot; `None` for
-    /// default placement. Journaled as [`crate::ControlRecord::RegionAssigned`].
+    /// default placement. Not journaled: recovery's replayed boots place the
+    /// node again.
     pub(crate) region: Option<String>,
     /// Every account installed outside block execution, tagged with the
     /// node's `next_epoch` at install time and its mint (`Some` for a

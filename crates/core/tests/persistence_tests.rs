@@ -20,9 +20,10 @@ use std::sync::Arc;
 use common::{fingerprint, whole, Harness};
 use hc_core::persist::{DurableOptions, CONTROL_LOG};
 use hc_core::{
-    ControlRecord, HierarchyRuntime, PersistenceConfig, RuntimeConfig, StepReport, UserHandle,
+    ControlRecord, HierarchyRuntime, PersistenceConfig, PlacementPolicy, RuntimeConfig, StepReport,
+    UserHandle,
 };
-use hc_net::NetConfig;
+use hc_net::{NetConfig, RegionMap};
 use hc_store::crash::{corrupt_byte, truncate_stream, RecordingDevice};
 use hc_store::frame::{scan_frames, FRAME_HEADER_LEN};
 use hc_store::{FsyncPolicy, InMemoryDevice, Persistence, Wal, WalOptions};
@@ -142,6 +143,35 @@ fn recovery_at_quiescence_is_bit_identical_and_stays_identical() {
         "recovered world diverged from the never-crashed control under load"
     );
     assert_eq!(recovered.h.rt.now_ms(), control.h.rt.now_ms());
+}
+
+/// Placement is not journaled: recovery re-derives it by booting the root
+/// and replaying every subnet boot in order. A round-robin world over two
+/// regions comes back with every subnet in the region it lived in, on the
+/// same heads.
+#[test]
+fn a_round_robin_world_recovers_in_its_live_regions() {
+    let device = InMemoryDevice::new();
+    let config = || {
+        let mut config = durable_config(Arc::new(device.clone()));
+        config.net.regions = RegionMap::named(&["us", "eu"]);
+        config.placement = PlacementPolicy::RoundRobin;
+        config
+    };
+    let regions = |rt: &HierarchyRuntime| -> Vec<(SubnetId, Option<String>)> {
+        rt.subnets()
+            .map(|s| (s.clone(), rt.region_of_subnet(s).map(str::to_owned)))
+            .collect()
+    };
+    let crashed = loaded(config(), 1);
+    let live = regions(&crashed.h.rt);
+    let placed: Vec<_> = live.iter().map(|(_, r)| r.as_deref()).collect();
+    assert_eq!(placed, [Some("us"), Some("eu")], "root, then the child");
+    let heads = fingerprint(&crashed.h.rt);
+
+    let recovered = recover(crashed, config());
+    assert_eq!(regions(&recovered.h.rt), live);
+    assert_eq!(fingerprint(&recovered.h.rt), heads);
 }
 
 /// Drops `crashed`'s runtime — the crash — and recovers it from the journal

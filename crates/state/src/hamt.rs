@@ -8,7 +8,9 @@
 //! stay shared. Consequences:
 //!
 //! * **O(log n) commits** — [`Hamt::flush`] re-hashes exactly the nodes on
-//!   dirtied paths (a cleared per-node CID cache marks them), not the map;
+//!   dirtied paths (a cleared per-node CID cache marks them), not the map,
+//!   and each interior node only from the first block that changed (see
+//!   *Resumed hashing* below);
 //! * **O(diff) persists** — [`Hamt::persist`] walks top-down and prunes at
 //!   the first node the [`CidStore`] already holds, so consecutive
 //!   snapshots write only new nodes (parent-present ⟹ subtree-present is
@@ -20,9 +22,24 @@
 //! nothing but links. A subtree holding at most `LEAF_CAP` (64) entries is
 //! one *leaf*: its entries, sorted by key. Anything larger is an *interior*
 //! node: a 32-bit bitmap and one child CID per occupied slot of the next
-//! five hash bits. A write therefore re-hashes its own leaf and at most
-//! 1 029 bytes per level above it, never the entries of neighbouring
-//! accounts that merely share a hash prefix.
+//! five hash bits. A write therefore re-hashes its own leaf and a link-only
+//! node per level above it, never the entries of neighbouring accounts
+//! that merely share a hash prefix.
+//!
+//! **Resumed hashing.** An interior blob is at most 1 029 bytes (17
+//! SHA-256 blocks), and the bytes before its first changed link are the
+//! same as at its last flush. So an interior node keeps the SHA-256
+//! chaining value after each whole 64-byte block of the blob it last
+//! hashed; a write that descends through child `i` forgets the values
+//! from the block holding link `i` on, and the next flush resumes after
+//! the last value left ([`Sha256::resume`]) and records the rest. A change
+//! of layout — a bitmap change, which moves every link, a split or merge
+//! that makes a new node, a load — leaves no values, so that node is
+//! hashed from byte 0. A leaf records nothing: an insert or removal shifts
+//! every entry after it and changes the count at its head. There is one
+//! hashing path, `node_cid`: a fresh tree hashes through it from byte 0,
+//! so the from-scratch reference (`StateTree::recompute_root`) checks the
+//! resumed hashes against the same code run without resumption.
 //!
 //! The shape is **canonical**: for a given key/value content the tree
 //! structure — and therefore the root CID — is independent of the
@@ -46,7 +63,9 @@
 use std::sync::Arc;
 
 use hc_types::crypto::sha256;
-use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MHamtNode, TCid};
+use hc_types::{
+    ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MHamtNode, Sha256, TCid,
+};
 
 use crate::store::CidStore;
 
@@ -72,8 +91,12 @@ const LEAF_CAP: usize = 64;
 /// 255-bit SHA-256 prefix collision).
 const MAX_DEPTH: usize = 51;
 
+/// Bytes of an interior blob before its first child link: the tag and the
+/// bitmap.
+const INTERIOR_HEADER: usize = 1 + 4;
+
 /// Hash work done by a [`Hamt::flush`]: how many node blobs were
-/// re-encoded and re-hashed, and their total byte volume.
+/// re-encoded and re-hashed, and the bytes hashed to do it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HashWork {
     /// Node blobs hashed.
@@ -109,6 +132,29 @@ impl std::error::Error for HamtError {}
 /// The 256 hash bits that route a key, 5 at a time.
 fn hash_key<K: CanonicalEncode>(key: &K) -> [u8; 32] {
     sha256(&key.canonical_bytes())
+}
+
+/// The CID of the node blob `blob` — the one way a node is hashed — and
+/// the number of bytes hashed for it. With `chain`, hashing resumes after
+/// the blob's first `chain.len()` blocks, whose chaining values `chain`
+/// holds from an earlier hash of the same prefix, and `chain` then takes
+/// the values of the blocks hashed now; without, the blob is hashed whole.
+fn node_cid(blob: &[u8], chain: Option<&mut Vec<[u32; 8]>>) -> (TCid<MHamtNode>, usize) {
+    let (hasher, from) = match chain {
+        Some(chain) => {
+            let from = 64 * chain.len();
+            let mut hasher = Sha256::resume(chain);
+            hasher.update_recording(&blob[from..], chain);
+            (hasher, from)
+        }
+        None => {
+            let mut hasher = Sha256::new();
+            hasher.update(blob);
+            (hasher, 0)
+        }
+    };
+    let cid = TCid::from_cid(Cid::from_bytes(hasher.finalize()));
+    (cid, blob.len() - from)
 }
 
 /// The 5-bit slot index of `hash` at `depth` (clamped to [`MAX_DEPTH`]).
@@ -155,13 +201,44 @@ fn write_len_prefixed<T: CanonicalEncode>(value: &T, out: &mut Vec<u8>) {
 enum Kind<K, V> {
     /// At most [`LEAF_CAP`] entries (see [`leaf_fits`]), sorted by key.
     Leaf(Vec<(K, V)>),
-    /// More than [`LEAF_CAP`] entries, spread over child subtrees by the
-    /// next five hash bits: one child per set bitmap bit, in ascending bit
-    /// order. Never empty.
-    Interior {
-        bitmap: u32,
-        children: Vec<Arc<Node<K, V>>>,
-    },
+    /// More than [`LEAF_CAP`] entries below. Boxed, so a leaf is no larger
+    /// for what an interior node records.
+    Interior(Box<Interior<K, V>>),
+}
+
+/// An interior node: child subtrees spread by the next five hash bits, one
+/// per set bitmap bit, in ascending bit order. Never empty.
+#[derive(Debug, Clone)]
+struct Interior<K, V> {
+    bitmap: u32,
+    children: Vec<Arc<Node<K, V>>>,
+    /// SHA-256 chaining values after each whole 64-byte block of this
+    /// node's blob as last hashed, cut back to the blocks that precede
+    /// every change since: the next flush resumes after the last of them.
+    /// Empty on a new or loaded node and after any change of layout (the
+    /// bitmap, and with it the blob's length).
+    chain: Vec<[u32; 8]>,
+}
+
+impl<K, V> Interior<K, V> {
+    fn new(bitmap: u32, children: Vec<Arc<Node<K, V>>>) -> Box<Self> {
+        Box::new(Interior {
+            bitmap,
+            children,
+            chain: Vec::new(),
+        })
+    }
+
+    /// Child `pos` is about to change: forget the chaining values of the
+    /// block holding its link and every later one.
+    fn touch(&mut self, pos: usize) {
+        self.chain.truncate((INTERIOR_HEADER + 32 * pos) / 64);
+    }
+
+    /// The bitmap is about to change, moving every link: forget them all.
+    fn relayout(&mut self) {
+        self.chain.clear();
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -199,10 +276,10 @@ where
                     write_len_prefixed(v, out);
                 }
             }
-            Kind::Interior { bitmap, children } => {
+            Kind::Interior(interior) => {
                 out.push(HAMT_NODE_TAG);
-                bitmap.write_bytes(out);
-                for child in children {
+                interior.bitmap.write_bytes(out);
+                for child in &interior.children {
                     child
                         .cached
                         .expect("flushed child has a cached CID")
@@ -271,12 +348,12 @@ where
                 Kind::Leaf(entries) => {
                     return leaf_search(entries, key).ok().map(|at| &entries[at].1);
                 }
-                Kind::Interior { bitmap, children } => {
+                Kind::Interior(interior) => {
                     let idx = slot_at(&hash, depth);
-                    if !has_slot(*bitmap, idx) {
+                    if !has_slot(interior.bitmap, idx) {
                         return None;
                     }
-                    node = &children[slot_position(*bitmap, idx)];
+                    node = &interior.children[slot_position(interior.bitmap, idx)];
                 }
             }
         }
@@ -313,16 +390,19 @@ where
                 }
                 None
             }
-            Kind::Interior { bitmap, children } => {
+            Kind::Interior(interior) => {
                 let idx = slot_at(hash, depth);
-                let pos = slot_position(*bitmap, idx);
-                if !has_slot(*bitmap, idx) {
-                    *bitmap |= 1 << idx;
-                    children.insert(pos, Arc::new(Node::leaf(vec![(key, value)])));
+                let pos = slot_position(interior.bitmap, idx);
+                if !has_slot(interior.bitmap, idx) {
+                    interior.relayout();
+                    interior.bitmap |= 1 << idx;
+                    let leaf = Arc::new(Node::leaf(vec![(key, value)]));
+                    interior.children.insert(pos, leaf);
                     return None;
                 }
+                interior.touch(pos);
                 Self::set_rec(
-                    Arc::make_mut(&mut children[pos]),
+                    Arc::make_mut(&mut interior.children[pos]),
                     hash,
                     depth + 1,
                     key,
@@ -353,7 +433,7 @@ where
             }
         }
         Node {
-            kind: Kind::Interior { bitmap, children },
+            kind: Kind::Interior(Interior::new(bitmap, children)),
             cached: None,
         }
     }
@@ -375,20 +455,22 @@ where
                 node.cached = None;
                 Some(entries.remove(at).1)
             }
-            Kind::Interior { bitmap, children } => {
+            Kind::Interior(interior) => {
                 let idx = slot_at(hash, depth);
-                if !has_slot(*bitmap, idx) {
+                if !has_slot(interior.bitmap, idx) {
                     return None;
                 }
-                let pos = slot_position(*bitmap, idx);
-                let removed =
-                    Self::delete_rec(Arc::make_mut(&mut children[pos]), hash, depth + 1, key)?;
+                let pos = slot_position(interior.bitmap, idx);
+                let child = Arc::make_mut(&mut interior.children[pos]);
+                let removed = Self::delete_rec(child, hash, depth + 1, key)?;
                 node.cached = None;
-                if matches!(&children[pos].kind, Kind::Leaf(e) if e.is_empty()) {
-                    children.remove(pos);
-                    *bitmap &= !(1 << idx);
+                interior.touch(pos);
+                if matches!(&interior.children[pos].kind, Kind::Leaf(e) if e.is_empty()) {
+                    interior.relayout();
+                    interior.children.remove(pos);
+                    interior.bitmap &= !(1 << idx);
                 }
-                if let Some(merged) = Self::merged_leaf(children) {
+                if let Some(merged) = Self::merged_leaf(&interior.children) {
                     node.kind = Kind::Leaf(merged);
                 }
                 Some(removed)
@@ -432,8 +514,8 @@ where
                     f(k, v);
                 }
             }
-            Kind::Interior { children, .. } => {
-                for child in children {
+            Kind::Interior(interior) => {
+                for child in &interior.children {
                     Self::for_each_node(child, f);
                 }
             }
@@ -458,8 +540,8 @@ where
         work: &mut HashWork,
         scratch: &mut Vec<u8>,
     ) -> TCid<MHamtNode> {
-        if let Kind::Interior { children, .. } = &mut node.kind {
-            for child in children {
+        if let Kind::Interior(interior) = &mut node.kind {
+            for child in &mut interior.children {
                 if child.cached.is_none() {
                     Self::flush_node(Arc::make_mut(child), work, scratch);
                 }
@@ -467,9 +549,16 @@ where
         }
         scratch.clear();
         node.encode_into(scratch);
+        // An interior node resumes after the blocks before its first
+        // changed link; a leaf, whose entries shift on every insert, is
+        // hashed whole and records nothing.
+        let chain = match &mut node.kind {
+            Kind::Interior(interior) => Some(&mut interior.chain),
+            Kind::Leaf(_) => None,
+        };
+        let (cid, hashed) = node_cid(scratch, chain);
         work.nodes += 1;
-        work.bytes += scratch.len() as u64;
-        let cid = TCid::digest(scratch);
+        work.bytes += hashed as u64;
         node.cached = Some(cid);
         cid
     }
@@ -511,8 +600,8 @@ where
         if store.contains(&cid) {
             return;
         }
-        if let Kind::Interior { children, .. } = &node.kind {
-            for child in children {
+        if let Kind::Interior(interior) = &node.kind {
+            for child in &interior.children {
                 Self::collect_node(child, store, out);
             }
         }
@@ -566,13 +655,7 @@ where
                     count += n;
                     loaded.push(Arc::new(child));
                 }
-                (
-                    Kind::Interior {
-                        bitmap,
-                        children: loaded,
-                    },
-                    count,
-                )
+                (Kind::Interior(Interior::new(bitmap, loaded)), count)
             }
         };
         Ok((
@@ -600,12 +683,12 @@ where
                     leaf_search(entries, key).ok()?;
                     return Some(HamtProof { nodes });
                 }
-                Kind::Interior { bitmap, children } => {
+                Kind::Interior(interior) => {
                     let idx = slot_at(&hash, depth);
-                    if !has_slot(*bitmap, idx) {
+                    if !has_slot(interior.bitmap, idx) {
                         return None;
                     }
-                    node = &children[slot_position(*bitmap, idx)];
+                    node = &interior.children[slot_position(interior.bitmap, idx)];
                 }
             }
         }
@@ -639,10 +722,10 @@ impl HamtProof {
             return false;
         };
         let (key_bytes, value_bytes) = (key.canonical_bytes(), value.canonical_bytes());
-        let hash = sha256(&key_bytes);
+        let hash = hash_key(key);
         let mut expected = root.cid();
         for (depth, blob) in path.iter().enumerate() {
-            if Cid::digest(blob) != expected {
+            if node_cid(blob, None).0.cid() != expected {
                 return false;
             }
             let Ok(WireNode::Interior { bitmap, children }) = WireNode::decode(blob) else {
@@ -655,7 +738,7 @@ impl HamtProof {
             expected = children[slot_position(bitmap, idx)];
         }
         // The last blob must be a leaf holding the claimed entry verbatim.
-        Cid::digest(leaf) == expected
+        node_cid(leaf, None).0.cid() == expected
             && matches!(
                 WireNode::decode(leaf),
                 Ok(WireNode::Leaf(entries))
@@ -754,11 +837,13 @@ mod tests {
         fn walk(node: &Node<Address, u64>) -> (usize, usize, usize) {
             match &node.kind {
                 Kind::Leaf(_) => (0, 1, 1),
-                Kind::Interior { children, .. } => {
-                    children.iter().map(|c| walk(c)).fold((1, 0, 1), |acc, c| {
+                Kind::Interior(interior) => interior
+                    .children
+                    .iter()
+                    .map(|c| walk(c))
+                    .fold((1, 0, 1), |acc, c| {
                         (acc.0 + c.0, acc.1 + c.1, acc.2.max(c.2 + 1))
-                    })
-                }
+                    }),
             }
         }
         walk(&h.root)

@@ -67,6 +67,58 @@ fn flush_root(hamt: &mut Hamt<u64, u64>) -> hc_types::TCid<hc_types::MHamtNode> 
     hamt.flush(&mut work)
 }
 
+/// Live keys a resumed-flush case starts from: about [`LEAF_CAP`] under
+/// each of the root's 32 slots, so the root is interior and its subtrees
+/// sit on either side of the cap — two interior levels, with subtrees
+/// splitting and merging under the root as keys come and go.
+const WIDE_BASE: u64 = 2_048;
+
+/// Keys the resumed-flush operations draw from.
+const WIDE: u64 = 2_400;
+
+/// One operation on one of several HAMTs that share nodes: `tree` picks
+/// among the trees so far (modulo their count).
+#[derive(Debug, Clone)]
+enum TreeOp {
+    Set { tree: usize, key: u64, value: u64 },
+    Delete { tree: usize, key: u64 },
+    Flush { tree: usize },
+    Clone { tree: usize },
+}
+
+fn arb_tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
+    let tree = || any::<u8>().prop_map(usize::from);
+    let set = move || {
+        (tree(), 0..WIDE, any::<u64>()).prop_map(|(tree, key, value)| TreeOp::Set {
+            tree,
+            key,
+            value,
+        })
+    };
+    let delete = move || (tree(), 0..WIDE).prop_map(|(tree, key)| TreeOp::Delete { tree, key });
+    prop::collection::vec(
+        prop_oneof![
+            set(),
+            set(),
+            set(),
+            delete(),
+            delete(),
+            tree().prop_map(|tree| TreeOp::Flush { tree }),
+            tree().prop_map(|tree| TreeOp::Clone { tree }),
+        ],
+        0..160,
+    )
+}
+
+/// The root a HAMT built in one pass from `model` commits to.
+fn fresh_root(model: &BTreeMap<u64, u64>) -> hc_types::TCid<hc_types::MHamtNode> {
+    let mut fresh = Hamt::new();
+    for (k, v) in model {
+        fresh.set(*k, *v);
+    }
+    flush_root(&mut fresh)
+}
+
 /// How many node blobs `hamt` persists as into an empty store.
 fn blob_count(hamt: &mut Hamt<u64, u64>) -> usize {
     let store = CidStore::new();
@@ -87,11 +139,7 @@ proptest! {
             prop_assert_eq!(hamt.get(k), Some(v));
         }
 
-        let mut fresh = Hamt::new();
-        for (k, v) in &model {
-            fresh.set(*k, *v);
-        }
-        prop_assert_eq!(flush_root(&mut hamt), flush_root(&mut fresh));
+        prop_assert_eq!(flush_root(&mut hamt), fresh_root(&model));
 
         // And in reverse insertion order, for good measure.
         let mut reversed = Hamt::new();
@@ -250,5 +298,59 @@ proptest! {
             prop_assert!(amt.prove(gap).is_none());
         }
         prop_assert!(amt.prove(1 << 40).is_none());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// A flush resumes each interior node's hash after the blocks before
+    /// its first changed link, from the chaining values its last flush
+    /// recorded. Whatever mix of value writes, inserts, deletes (with the
+    /// splits, merges and bitmap changes they cause) and clones came
+    /// before, every flush commits to the same root as a fresh build of
+    /// the model — also for a clone mutated independently of its origin,
+    /// and for the origin after its clone moved on.
+    #[test]
+    fn a_resumed_flush_matches_a_fresh_build(ops in arb_tree_ops()) {
+        let mut base = Hamt::new();
+        let mut model = BTreeMap::new();
+        for k in 0..WIDE_BASE {
+            base.set(k, k);
+            model.insert(k, k);
+        }
+        prop_assert_eq!(flush_root(&mut base), fresh_root(&model));
+        // More blobs than a root over 32 leaves: some of its children are
+        // interior nodes too.
+        prop_assert!(blob_count(&mut base) > 1 + 32);
+        let mut trees = vec![(base, model)];
+        for op in &ops {
+            match *op {
+                TreeOp::Set { tree, key, value } => {
+                    let at = tree % trees.len();
+                    let (hamt, model) = &mut trees[at];
+                    hamt.set(key, value);
+                    model.insert(key, value);
+                }
+                TreeOp::Delete { tree, key } => {
+                    let at = tree % trees.len();
+                    let (hamt, model) = &mut trees[at];
+                    prop_assert_eq!(hamt.delete(&key), model.remove(&key));
+                }
+                TreeOp::Flush { tree } => {
+                    let at = tree % trees.len();
+                    let (hamt, model) = &mut trees[at];
+                    prop_assert_eq!(flush_root(hamt), fresh_root(model), "after {:?}", op);
+                }
+                TreeOp::Clone { tree } => {
+                    let copy = trees[tree % trees.len()].clone();
+                    trees.push(copy);
+                }
+            }
+        }
+        for (hamt, model) in &mut trees {
+            prop_assert_eq!(hamt.len(), model.len() as u64);
+            prop_assert_eq!(flush_root(hamt), fresh_root(model));
+        }
     }
 }

@@ -99,8 +99,35 @@ impl Sha256 {
         Self::default()
     }
 
+    /// A hasher standing after the first `recorded.len()` 64-byte blocks of
+    /// some input, where `recorded` is a prefix of the chaining values
+    /// [`Sha256::update_recording`] pushed while hashing that input from
+    /// its start. Fed the rest of the input — from byte `64 ×
+    /// recorded.len()` on — it finalizes to the digest of the whole input
+    /// without compressing the first blocks again. An empty `recorded` is
+    /// [`Sha256::new`].
+    pub fn resume(recorded: &[[u32; 8]]) -> Self {
+        Sha256 {
+            state: recorded.last().copied().unwrap_or(H0),
+            len: 64 * recorded.len() as u64,
+            ..Self::default()
+        }
+    }
+
     /// Absorbs `data`, compressing every block it completes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, |_| {});
+    }
+
+    /// [`Sha256::update`] that also pushes onto `chain` the chaining value
+    /// after each block it compresses, for a later [`Sha256::resume`].
+    pub fn update_recording(&mut self, data: &[u8], chain: &mut Vec<[u32; 8]>) {
+        self.absorb(data, |state| chain.push(*state));
+    }
+
+    /// Absorbs `data`, handing `compressed` the chaining value after each
+    /// block it completes.
+    fn absorb(&mut self, mut data: &[u8], mut compressed: impl FnMut(&[u32; 8])) {
         self.len += data.len() as u64;
         if self.buffered > 0 {
             let take = (64 - self.buffered).min(data.len());
@@ -111,11 +138,13 @@ impl Sha256 {
                 return;
             }
             compress(&mut self.state, &self.block);
+            compressed(&self.state);
             self.buffered = 0;
         }
         let mut chunks = data.chunks_exact(64);
         for chunk in &mut chunks {
             compress(&mut self.state, chunk.try_into().expect("64-byte chunk"));
+            compressed(&self.state);
         }
         let rem = chunks.remainder();
         self.block[..rem.len()].copy_from_slice(rem);

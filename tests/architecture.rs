@@ -10,7 +10,8 @@
 //! `unsafe` block, hot values kept small, a pool that remembers senders
 //! rather than messages, a signature verdict kept on the value, a nonce
 //! read from the pool, a key held by its client, history held in wire
-//! form, a tier-1 that runs the workspace, one measuring harness — so a
+//! form, a tier-1 that runs the workspace, one measuring harness, one way
+//! to hash a HAMT node — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -1432,5 +1433,56 @@ fn hot_values_stay_small() {
         code.lines()
             .any(|l| l == "// Rule: a `Method` variant whose payload exceeds 32 B is boxed."),
         "DESIGN.md §10: the size pins state the boxing rule"
+    );
+}
+
+/// DESIGN.md §14, "Path invalidation and flush accounting": a HAMT node is
+/// hashed one way. `node_cid` hashes through the resumable `Sha256`; a
+/// flush produces every node CID through it, a proof checks one through
+/// it, and the key's routing digest (`hash_key`) is the file's one other
+/// hash — no second path hashes a node from scratch.
+#[test]
+fn a_hamt_node_is_hashed_one_way() {
+    let text = read_rel("crates/state/src/hamt.rs");
+    let src = non_test(&text);
+    let (mut hashing, mut callers) = (Vec::new(), Vec::new());
+    let mut at = 0;
+    for line in src.lines() {
+        let code = line.trim_start();
+        if !code.starts_with("//") {
+            let site = enclosing_fn(src, at);
+            for needle in ["sha256(", "Sha256::", "digest("] {
+                if line.contains(needle) {
+                    hashing.push(format!("{site}: {needle}"));
+                }
+            }
+            if line.contains("node_cid(") && !code.starts_with("fn node_cid(") {
+                callers.push(site);
+            }
+        }
+        at += line.len() + 1;
+    }
+    assert_eq!(
+        hashing,
+        [
+            "hash_key: sha256(",
+            "node_cid: Sha256::",
+            "node_cid: Sha256::"
+        ],
+        "DESIGN.md §14: hamt.rs hashes a key in `hash_key` and a node in `node_cid`, nowhere else"
+    );
+    callers.dedup();
+    assert_eq!(
+        callers,
+        ["flush_node", "verify"],
+        "DESIGN.md §14: a node CID comes from `node_cid` in `flush_node` (and a proof's check)"
+    );
+    let node_cid = src
+        .split_once("fn node_cid(")
+        .map(|(_, rest)| rest.split_once("\n}\n").map_or(rest, |(body, _)| body))
+        .unwrap_or_default();
+    assert!(
+        node_cid.contains("Sha256::resume(") && node_cid.contains("update_recording("),
+        "DESIGN.md §14: `node_cid` resumes from and records chaining values"
     );
 }
