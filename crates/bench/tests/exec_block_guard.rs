@@ -27,9 +27,10 @@ const MSGS: usize = 1_000;
 /// the 1 000 transfers (24.87 per message), plus 2 %.
 const MAX_ALLOCS: u64 = 25_371;
 
-/// Measured: 5 839 153 bytes allocated for the sequential produce +
-/// validate of the 1 000 transfers (5 839 per message), plus 2 %.
-const MAX_ALLOC_BYTES: u64 = 5_955_936;
+/// Measured: 5 403 189 bytes allocated for the sequential produce +
+/// validate of the 1 000 transfers (5 403 per message), the same in debug
+/// and release, plus 2 %.
+const MAX_ALLOC_BYTES: u64 = 5_511_253;
 
 #[test]
 fn disjoint_block_schedules_flat_and_replays_bit_identically() {

@@ -1,9 +1,10 @@
 //! Block production and validation.
 //!
 //! Producing a block (proposer side) and executing it (validator side) run
-//! the same code path over the same [`StateTree`], which is what makes the
-//! state root in the header verifiable: a validator re-executes the payload
-//! and compares roots.
+//! the same code path over the same [`StateTree`], in place, which is what
+//! makes the state root in the header verifiable: a validator re-executes
+//! the payload inside [`StateTree::commit_if`], which keeps the writes only
+//! if the root comes out at the header's and otherwise puts the tree back.
 //!
 //! Both sides take [`ExecOptions`]: the node's verification counters and a
 //! worker count. The block's signatures are batch pre-verified — a memo
@@ -21,7 +22,7 @@ use std::collections::BTreeMap;
 
 use hc_state::{
     apply_implicit, apply_sealed, AccountState, ImplicitMsg, LaneOverlay, Receipt, SealedMessage,
-    SigCache, StateAccess, StateOverlay, StateTree,
+    SigCache, StateAccess, StateTree,
 };
 use hc_types::{Address, ChainEpoch, Cid, Keypair, SubnetId};
 
@@ -145,8 +146,8 @@ type LaneOutcome = (usize, Vec<Receipt>, BTreeMap<Address, AccountState>);
 /// serial barrier) messages execute in block order against exactly the
 /// state that loop would show them, because every account a lane reads or
 /// writes is untouched by all other lanes of its segment.
-fn execute_payload<S: StateAccess + Sync>(
-    tree: &mut S,
+fn execute_payload(
+    tree: &mut StateTree,
     epoch: ChainEpoch,
     implicit: &[ImplicitMsg],
     signed: &[SealedMessage],
@@ -171,7 +172,7 @@ fn execute_payload<S: StateAccess + Sync>(
                 // `assign_lanes` dealt them.
                 let assignment = assign_lanes(lanes, parallelism);
                 let mut outcomes: Vec<LaneOutcome> = {
-                    let base: &S = tree;
+                    let base: &StateTree = tree;
                     fan_out(&assignment, assignment.len(), |lane_ids| {
                         lane_ids
                             .iter()
@@ -263,14 +264,11 @@ pub fn produce_block_with(
 /// memoized on its values), then the payload consumes the verdicts on the
 /// scheduled engine with the same worker count.
 ///
-/// On success the tree holds the post-block state and the receipts are
-/// returned. On failure the tree is left at the *pre-block* state.
-///
-/// Execution runs on a copy-on-write [`StateOverlay`], not a clone of the
-/// tree: only the chunks the payload touches are materialised, and the
-/// candidate state root is the fold of the base tree's cached leaf digests
-/// with the touched chunks' new ones. A bad block therefore costs
-/// O(touched), and never corrupts the canonical tree.
+/// The payload runs in place, as in production, inside
+/// [`StateTree::commit_if`]. On success the tree holds the post-block
+/// state, committed at the header's root, and the receipts are returned.
+/// On a state-root mismatch the tree is put back to the *pre-block* state
+/// at O(touched) cost; every other failure is found before execution.
 ///
 /// # Errors
 ///
@@ -289,29 +287,18 @@ pub fn execute_block_with(
         )));
     }
     let verdicts = preverify_signatures(&block.signed_msgs, opts.sig_cache, opts.parallelism);
-    // Ensure the commitment cache is current (no-op when already flushed);
-    // overlays derive candidate roots from it.
-    tree.flush();
-    let mut overlay = StateOverlay::new(tree);
-    let receipts = execute_payload(
-        &mut overlay,
-        block.header.epoch,
-        &block.implicit_msgs,
-        &block.signed_msgs,
-        &verdicts,
-        opts.parallelism,
-    );
-    // The candidate commitment is built once, here, and installed on
-    // acceptance: the tree comes out committed at the header's root.
-    let changes = overlay.into_changes();
-    if changes.root() != block.header.state_root {
-        return Err(BlockError::StateRootMismatch {
-            claimed: block.header.state_root,
-            computed: changes.root(),
-        });
-    }
-    tree.apply_changes(changes);
-    Ok(receipts)
+    let claimed = block.header.state_root;
+    tree.commit_if(claimed, |tree| {
+        execute_payload(
+            tree,
+            block.header.epoch,
+            &block.implicit_msgs,
+            &block.signed_msgs,
+            &verdicts,
+            opts.parallelism,
+        )
+    })
+    .map_err(|computed| BlockError::StateRootMismatch { claimed, computed })
 }
 
 #[cfg(test)]
@@ -370,8 +357,8 @@ mod tests {
             execute_block_with(&mut validator_tree, &executed.block, ExecOptions::default())
                 .unwrap();
         assert_eq!(receipts.len(), 2);
-        // Validation installs the candidate commitment it checked against
-        // the header: the tree is committed and the next flush is free.
+        // Validation flushed to the root it checked against the header:
+        // the tree is committed and the next flush is free.
         assert!(validator_tree.is_committed());
         let hashed = validator_tree.commit_stats().bytes_hashed;
         assert_eq!(validator_tree.flush(), proposer_tree.flush());
@@ -553,6 +540,7 @@ mod tests {
     fn state_root_mismatch_is_rejected_without_corruption() {
         let (mut proposer_tree, user, proposer) = setup();
         let mut validator_tree = proposer_tree.clone();
+        let twin = proposer_tree.clone();
         let pre_root = validator_tree.flush();
 
         let mut executed = produce_block_with(
@@ -566,6 +554,7 @@ mod tests {
             1_000,
             ExecOptions::default(),
         );
+        let genuine = executed.block.clone();
         // A lying proposer commits a bogus state root. Re-seal so the
         // structural checks pass and only the root check fires.
         executed.block.header.state_root = Cid::digest(b"lies");
@@ -579,7 +568,19 @@ mod tests {
         let err =
             execute_block_with(&mut validator_tree, &resealed, ExecOptions::default()).unwrap_err();
         assert!(matches!(err, BlockError::StateRootMismatch { .. }));
+        // Put back whole: the commitment (nothing left to hash) and the
+        // content under it — the from-scratch root, not only the cached
+        // one, and every account, the new recipient's included.
+        assert!(validator_tree.is_committed());
+        let hashed = validator_tree.commit_stats().bytes_hashed;
         assert_eq!(validator_tree.flush(), pre_root, "state untouched");
+        assert_eq!(validator_tree.commit_stats().bytes_hashed, hashed);
+        assert_eq!(validator_tree.recompute_root(), pre_root);
+        assert_eq!(validator_tree.accounts(), twin.accounts());
+        assert_eq!(validator_tree.sca(), twin.sca());
+        // The genuine block still commits on the put-back tree.
+        execute_block_with(&mut validator_tree, &genuine, ExecOptions::default()).unwrap();
+        assert_eq!(validator_tree.flush(), proposer_tree.flush());
     }
 
     #[test]

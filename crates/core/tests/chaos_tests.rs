@@ -24,7 +24,7 @@ use hc_net::{
     FaultKind, FaultPlan, FaultRule, PartitionPolicy, RegionMap, ResolutionMsg, RetryPolicy,
 };
 use hc_state::Method;
-use hc_types::{CanonicalEncode, ChainEpoch, Keypair, SubnetId, TokenAmount};
+use hc_types::{CanonicalEncode, ChainEpoch, Cid, Keypair, SubnetId, TokenAmount};
 
 #[test]
 fn crash_refuses_root_and_parents_with_live_children() {
@@ -380,16 +380,28 @@ fn a_sender_submitting_mid_catch_up_signs_past_its_peers_head() {
     assert_eq!(h.rt.balance(&carol), whole(35));
 }
 
-/// What an attacker makes of a genuine block.
-type Forgery = fn(&Block) -> Block;
+/// What an attacker makes of a genuine block, given the key of the child's
+/// one validator (its real proposer).
+type Forgery = fn(&Block, &Keypair) -> Block;
 
 /// Crashes a settled child, rejoins it in replay mode, and — when `forge`
 /// is given — injects a `BlockBatch` carrying `forge` of the child's
 /// epoch-1 block before the first genuine batch can arrive. Returns the
 /// child's fingerprint once its catch-up is done, and the chaos counters.
+/// The child is spawned as `Harness::spawn` does, keeping its validator's
+/// handle for the forger.
 fn catch_up_after_injecting(forge: Option<Forgery>) -> (SubnetFingerprint, ChaosStats) {
     let mut h = Harness::setup();
-    let child = h.spawn(&h.alice.clone(), SaConfig::default());
+    let validator = h.rt.create_user(&SubnetId::root(), whole(100)).unwrap();
+    let child =
+        h.rt.spawn_subnet(
+            &h.alice.clone(),
+            SaConfig::default(),
+            whole(10),
+            &[(validator.clone(), whole(5))],
+        )
+        .unwrap();
+    h.check_state();
     let bob = h.user(&child);
     h.fund(&bob, 30);
     let chain = h.rt.node(&child).unwrap().chain();
@@ -398,7 +410,7 @@ fn catch_up_after_injecting(forge: Option<Forgery>) -> (SubnetFingerprint, Chaos
     h.rt.crash_node(&child).unwrap();
     h.rt.rejoin_node(&child).unwrap();
     if let Some(forge) = forge {
-        let blocks = vec![forge(&first).canonical_bytes()];
+        let blocks = vec![forge(&first, &validator.key).canonical_bytes()];
         let subnet = child.clone();
         h.rt.inject_gossip(&child.topic(), ResolutionMsg::BlockBatch { subnet, blocks });
     }
@@ -442,7 +454,7 @@ fn attacker() -> Keypair {
 
 #[test]
 fn a_block_resealed_by_a_non_validator_is_dropped_from_a_catch_up_batch() {
-    forged_block_is_dropped(|block| {
+    forged_block_is_dropped(|block, _| {
         let header = BlockHeader {
             proposer: attacker().public(),
             ..block.header.clone()
@@ -454,9 +466,24 @@ fn a_block_resealed_by_a_non_validator_is_dropped_from_a_catch_up_batch() {
 
 #[test]
 fn a_block_signed_by_someone_other_than_its_proposer_is_dropped_from_a_catch_up_batch() {
-    forged_block_is_dropped(|block| {
+    forged_block_is_dropped(|block, _| {
         let (signed, implicit) = (block.signed_msgs.clone(), block.implicit_msgs.clone());
         Block::seal(block.header.clone(), signed, implicit, &attacker())
+    });
+}
+
+/// The one forgery that passes `validate_block`: the child's real proposer
+/// re-seals the block under a lying state root, so the node executes it and
+/// refuses it at the root check — and must put its tree back whole.
+#[test]
+fn a_block_with_a_lying_state_root_is_dropped_from_a_catch_up_batch() {
+    forged_block_is_dropped(|block, proposer| {
+        let header = BlockHeader {
+            state_root: Cid::digest(b"lies"),
+            ..block.header.clone()
+        };
+        let (signed, implicit) = (block.signed_msgs.clone(), block.implicit_msgs.clone());
+        Block::seal(header, signed, implicit, proposer)
     });
 }
 

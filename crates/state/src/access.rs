@@ -1,12 +1,11 @@
 //! Uniform state access for the VM.
 //!
 //! [`StateAccess`] abstracts the borrow shapes message execution needs over
-//! two backends: the canonical [`crate::StateTree`] (block production and
-//! direct mutation) and the copy-on-write [`crate::StateOverlay`] (block
-//! validation, which must not touch the canonical tree until the proposed
-//! state root is verified). The VM in [`crate::vm`] is generic over this
-//! trait, so both paths execute the *same* code — the equivalence the
-//! state-root determinism guarantees rest on.
+//! two backends: the canonical [`crate::StateTree`] (a block's implicit
+//! messages and serial segments, produced or validated — validation runs
+//! in place inside [`crate::StateTree::commit_if`]) and a parallel lane's
+//! [`crate::LaneOverlay`] over it. The VM in [`crate::vm`] is generic over
+//! this trait, so both execute the *same* code.
 
 use std::collections::BTreeMap;
 

@@ -120,8 +120,8 @@ pub(crate) fn registry_leaf_blob(root: &AmtRoot) -> Vec<u8> {
 pub(crate) enum WindowSource {
     /// The running digest the SCA carries ([`ScaState::window_digest`]).
     /// `absorbed_before` is [`ScaState::window_bytes_absorbed`] at the
-    /// caller's last commitment: the bytes absorbed since are this leaf's
-    /// share of the window hashing.
+    /// tree's last commitment (`StateTree::flush`, the one caller): the
+    /// bytes absorbed since are this leaf's share of the window hashing.
     Carried {
         /// The SCA's absorbed-bytes reading at the last commitment.
         absorbed_before: u64,
@@ -132,9 +132,8 @@ pub(crate) enum WindowSource {
 }
 
 /// The SCA's state-root leaf preimage — the one function behind every path
-/// that commits to the SCA (`StateTree::flush` and its full build, the
-/// validation overlay's candidate, `recompute_root`, and
-/// [`ChunkManifest::verify`]): the [`ChunkKey::Sca`] key bytes, then the
+/// that commits to the SCA (`StateTree::flush` and its full build,
+/// `recompute_root`, and [`ChunkManifest::verify`]): the [`ChunkKey::Sca`] key bytes, then the
 /// SCA's encoding with its checkpoint window's messages replaced by their
 /// count and, for a non-empty window, their digest
 /// ([`ScaState::write_committed`]). The window's bytes are therefore
@@ -179,12 +178,11 @@ pub struct CommitStats {
     /// window's messages as its digest absorbs them, HAMT and registry-AMT
     /// node encodings, and interior Merkle nodes).
     pub bytes_hashed: u64,
-    /// Overlay account reads answered by the per-block read memo
-    /// (accumulated from applied overlays — see
-    /// [`crate::overlay::ReadMemoStats`]).
+    /// Always 0: block validation runs in place
+    /// ([`crate::StateTree::commit_if`]) and keeps no read memo. Kept
+    /// because the end-to-end harness still reads it.
     pub overlay_read_hits: u64,
-    /// Overlay account reads that traversed the base table (one per
-    /// distinct address per applied overlay).
+    /// Always 0, like `overlay_read_hits`.
     pub overlay_read_misses: u64,
 }
 

@@ -268,7 +268,7 @@ mod tests {
         assert_eq!(installed.subnet_id(), t.subnet_id());
         assert_eq!(installed.accounts(), t.accounts());
         assert_eq!(installed.sca(), t.sca());
-        assert_eq!(installed.next_actor_id(), t.next_actor_id());
+        assert_eq!(installed.next_actor_id, t.next_actor_id);
         // The registry's lookup index is rebuilt from the installed log.
         let group = registry_group();
         assert_eq!(installed.resolve_content(&group.cid()), Some(&group));

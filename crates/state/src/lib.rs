@@ -28,7 +28,6 @@ pub mod chunk;
 pub mod hamt;
 pub mod install;
 pub mod message;
-pub mod overlay;
 pub mod parallel;
 pub mod params;
 mod registry;
@@ -44,7 +43,6 @@ pub use chunk::{blob_links, ChunkKey, ChunkManifest, CommitStats, MANIFEST_TAG};
 pub use hamt::{Hamt, HamtError, HamtProof, HashWork};
 pub use install::InstallError;
 pub use message::{ImplicitMsg, Message, Method, SignedMessage};
-pub use overlay::{OverlayChanges, ReadMemoStats, StateOverlay};
 pub use parallel::{access_pair, LaneOverlay};
 pub use registry::RegistryEntry;
 pub use sealed::SealedMessage;

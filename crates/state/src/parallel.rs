@@ -32,7 +32,7 @@ use hc_types::{Address, SubnetId, TokenAmount};
 
 use crate::access::StateAccess;
 use crate::message::{Message, Method};
-use crate::tree::AccountState;
+use crate::tree::{AccountState, StateTree};
 
 /// The static access set of a parallel-eligible message: the (at most two)
 /// account chunks its execution can read or write. Returns `None` for
@@ -51,26 +51,28 @@ const LANE_INVARIANT: &str =
     "parallel lane touched system state outside its access set (scheduler invariant violated)";
 
 /// The account view of a [`LaneOverlay`]: reads fall through to the shared
-/// base, writes land in the lane's private map.
+/// tree, writes land in the lane's private map.
 #[derive(Debug)]
-pub struct LaneAccounts<'a, B: StateAccess> {
-    base: &'a B,
+pub struct LaneAccounts<'a> {
+    base: &'a StateTree,
     touched: BTreeMap<Address, AccountState>,
 }
 
-impl<B: StateAccess> LaneAccounts<'_, B> {
+impl LaneAccounts<'_> {
     fn get(&self, addr: Address) -> Option<&AccountState> {
-        self.touched.get(&addr).or_else(|| self.base.account(addr))
+        self.touched
+            .get(&addr)
+            .or_else(|| self.base.accounts().get(addr))
     }
 
     fn get_or_create(&mut self, addr: Address) -> &mut AccountState {
         self.touched
             .entry(addr)
-            .or_insert_with(|| self.base.account(addr).cloned().unwrap_or_default())
+            .or_insert_with(|| self.base.accounts().get(addr).cloned().unwrap_or_default())
     }
 }
 
-impl<B: StateAccess> Ledger for LaneAccounts<'_, B> {
+impl Ledger for LaneAccounts<'_> {
     fn balance(&self, account: Address) -> TokenAmount {
         self.get(account).map_or(TokenAmount::ZERO, |a| a.balance)
     }
@@ -93,21 +95,21 @@ impl<B: StateAccess> Ledger for LaneAccounts<'_, B> {
     }
 }
 
-/// A lane's private execution scratchpad over a shared read-only base.
+/// A lane's private execution scratchpad over a shared read-only tree.
 ///
-/// Unlike [`crate::StateOverlay`] it never derives roots and requires no
-/// flushed commitment, so many lanes can run concurrently against one
-/// borrowed base (`StateTree` on the proposer path, `StateOverlay` on the
-/// validator path). After the lane finishes, [`LaneOverlay::into_writes`]
-/// yields its account write-set for the deterministic merge.
+/// It never derives roots and requires no flushed commitment, so many
+/// lanes can run concurrently against one borrowed tree — the same tree
+/// whether the block is produced or validated. After the lane finishes,
+/// [`LaneOverlay::into_writes`] yields its account write-set for the
+/// deterministic merge.
 #[derive(Debug)]
-pub struct LaneOverlay<'a, B: StateAccess> {
-    accounts: LaneAccounts<'a, B>,
+pub struct LaneOverlay<'a> {
+    accounts: LaneAccounts<'a>,
 }
 
-impl<'a, B: StateAccess> LaneOverlay<'a, B> {
+impl<'a> LaneOverlay<'a> {
     /// Creates an empty lane overlay over `base`.
-    pub fn new(base: &'a B) -> Self {
+    pub fn new(base: &'a StateTree) -> Self {
         LaneOverlay {
             accounts: LaneAccounts {
                 base,
@@ -122,8 +124,8 @@ impl<'a, B: StateAccess> LaneOverlay<'a, B> {
     }
 }
 
-impl<'a, B: StateAccess> StateAccess for LaneOverlay<'a, B> {
-    type Ledger = LaneAccounts<'a, B>;
+impl<'a> StateAccess for LaneOverlay<'a> {
+    type Ledger = LaneAccounts<'a>;
 
     fn subnet_id(&self) -> &SubnetId {
         self.accounts.base.subnet_id()
@@ -137,7 +139,7 @@ impl<'a, B: StateAccess> StateAccess for LaneOverlay<'a, B> {
         self.accounts.get_or_create(addr)
     }
 
-    fn ledger_mut(&mut self) -> &mut LaneAccounts<'a, B> {
+    fn ledger_mut(&mut self) -> &mut LaneAccounts<'a> {
         &mut self.accounts
     }
 
@@ -149,7 +151,7 @@ impl<'a, B: StateAccess> StateAccess for LaneOverlay<'a, B> {
         panic!("{LANE_INVARIANT}");
     }
 
-    fn ledger_and_sca_mut(&mut self) -> (&mut LaneAccounts<'a, B>, &mut ScaState) {
+    fn ledger_and_sca_mut(&mut self) -> (&mut LaneAccounts<'a>, &mut ScaState) {
         panic!("{LANE_INVARIANT}");
     }
 
@@ -160,11 +162,7 @@ impl<'a, B: StateAccess> StateAccess for LaneOverlay<'a, B> {
     fn ledger_sca_sa_mut(
         &mut self,
         _sa: Address,
-    ) -> (
-        &mut LaneAccounts<'a, B>,
-        &mut ScaState,
-        Option<&mut SaState>,
-    ) {
+    ) -> (&mut LaneAccounts<'a>, &mut ScaState, Option<&mut SaState>) {
         panic!("{LANE_INVARIANT}");
     }
 
@@ -188,7 +186,6 @@ impl<'a, B: StateAccess> StateAccess for LaneOverlay<'a, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::StateTree;
     use crate::vm::apply_sealed;
     use crate::SealedMessage;
     use hc_actors::ScaConfig;

@@ -17,7 +17,9 @@
 //!
 //! Lookups by group CID (`ContentRegistry::get`) are served from an
 //! in-memory index that shares the groups with the log. The index is
-//! derived data: never hashed, rebuilt from the log on install.
+//! derived data: never hashed, rebuilt from the log on install, and cut
+//! back with the log when a refused block is put back
+//! (`ContentRegistry::truncate`).
 
 use std::collections::HashMap;
 
@@ -58,12 +60,12 @@ impl CanonicalDecode for RegistryEntry {
 /// The append-only registry log plus its lookup index.
 ///
 /// Cloning is O(groups) for the index (pointer copies); the log itself
-/// clones in O(1) and shares structure, which is what the validation
-/// overlay appends to for its candidate root.
+/// clones in O(1) and shares structure, which is what block validation
+/// sets aside to put a refused block back.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ContentRegistry {
     /// The committed log. Crate-internal writers other than
-    /// [`ContentRegistry::append`] and [`ContentRegistry::install`] only
+    /// [`ContentRegistry::append`] and [`ContentRegistry::truncate`] only
     /// flush or persist it.
     pub(crate) log: Amt<RegistryEntry>,
     index: HashMap<Cid, MsgGroup>,
@@ -81,11 +83,15 @@ impl ContentRegistry {
         self.index.get(cid)
     }
 
-    /// Adopts `log` — a clone of this registry's log that `appended` was
-    /// pushed onto (and flushed) by a validation overlay.
-    pub(crate) fn install(&mut self, log: Amt<RegistryEntry>, appended: &[RegistryEntry]) {
-        for RegistryEntry(group) in appended {
-            self.index.insert(group.cid(), group.clone());
+    /// Puts the log back to `log`, a clone taken of it earlier, and drops
+    /// the groups appended since from the index. A group's messages carry
+    /// their bottom-up nonces, so no appended group shares its CID with an
+    /// earlier one.
+    pub(crate) fn truncate(&mut self, log: Amt<RegistryEntry>) {
+        for i in log.len()..self.log.len() {
+            if let Some(RegistryEntry(group)) = self.log.get(i) {
+                self.index.remove(&group.cid());
+            }
         }
         self.log = log;
     }

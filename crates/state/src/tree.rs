@@ -16,10 +16,14 @@
 //! per-chunk leaf digests (see [`crate::chunk`]); flushing only re-encodes
 //! chunks dirtied since the last flush, so the per-block cost scales with
 //! the touched state, not the total state. The root is a pure function of
-//! state *content* — independent of mutation order, of the dirty-set shape,
-//! and of whether execution ran directly or through a
-//! [`crate::StateOverlay`] — which [`StateTree::recompute_root`] recomputes
-//! from scratch to prove.
+//! state *content* — independent of mutation order and of the dirty-set
+//! shape — which [`StateTree::recompute_root`] recomputes from scratch to
+//! prove.
+//!
+//! A block executes one way, in place: production runs its payload on the
+//! tree, and validation runs the same payload inside
+//! [`StateTree::commit_if`], which keeps the writes only if the root comes
+//! out at the header's and otherwise puts the tree back.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -39,7 +43,6 @@ use crate::chunk::{
     ChunkManifest, CommitStats, Commitment, WindowSource,
 };
 use crate::hamt::{HamtProof, HashWork};
-use crate::overlay::OverlayChanges;
 use crate::registry::{ContentRegistry, RegistryEntry};
 use crate::store::CidStore;
 
@@ -135,13 +138,6 @@ impl Accounts {
     /// audits.
     pub fn total(&self) -> TokenAmount {
         self.map.values().map(|a| a.balance).sum()
-    }
-
-    /// Replaces (or creates) an account *without* dirty-marking it: for
-    /// content whose HAMT path the caller installs already hashed
-    /// ([`StateTree::apply_changes`]).
-    pub(crate) fn install(&mut self, addr: Address, state: AccountState) {
-        self.map.insert(addr, state);
     }
 
     /// Builds an account table from decoded content, with clean dirty
@@ -474,6 +470,59 @@ impl StateTree {
             && self.registry.log.cached_root().is_some()
     }
 
+    /// Runs `execute` on this tree in place and keeps what it wrote only if
+    /// the state root comes out at `expected`: block validation, which
+    /// re-executes a received payload exactly as its producer did and
+    /// checks the header's root. On a match the tree is left committed at
+    /// `expected` and `execute`'s result returned; otherwise the tree is
+    /// put back to its state and commitment before the call, and the root
+    /// `execute` led to is returned.
+    ///
+    /// Nothing that grows with the accounts or the cross-net history is
+    /// copied. After a flush, the system actors, the allocator, the
+    /// registry log and the commitment are set aside (the log and the
+    /// commitment's account HAMT are O(1) structural clones). A put-back
+    /// restores each account `execute` touched from the set-aside HAMT,
+    /// drops the groups it appended from the registry index and restores
+    /// the rest wholesale; the cost counters keep the refused block's work.
+    /// `execute` must not flush: the touched accounts are its dirty set.
+    ///
+    /// # Errors
+    ///
+    /// The root `execute` led to, when it is not `expected`.
+    pub fn commit_if<R>(
+        &mut self,
+        expected: Cid,
+        execute: impl FnOnce(&mut StateTree) -> R,
+    ) -> Result<R, Cid> {
+        self.flush();
+        let sca = self.sca.clone();
+        let sas = self.sas.clone();
+        let atomic = self.atomic.clone();
+        let next_actor_id = self.next_actor_id;
+        let log = self.registry.log.clone();
+        let commitment = self.commitment.clone();
+        let out = execute(self);
+        let touched = self.accounts.dirty.clone();
+        let root = self.flush();
+        if root == expected {
+            return Ok(out);
+        }
+        for addr in touched {
+            match commitment.accounts_hamt.get(&addr) {
+                Some(state) => self.accounts.map.insert(addr, state.clone()),
+                None => self.accounts.map.remove(&addr),
+            };
+        }
+        (self.sca, self.sas, self.atomic) = (sca, sas, atomic);
+        self.next_actor_id = next_actor_id;
+        self.registry.truncate(log);
+        let stats = self.commitment.stats;
+        self.commitment = commitment;
+        self.commitment.stats = stats;
+        Err(root)
+    }
+
     /// Accumulated state-root maintenance cost counters.
     pub fn commit_stats(&self) -> CommitStats {
         self.commitment.stats
@@ -543,11 +592,6 @@ impl StateTree {
             }
         }
         out
-    }
-
-    /// Allocator watermark for deployed actor addresses.
-    pub(crate) fn next_actor_id(&self) -> u64 {
-        self.next_actor_id
     }
 
     /// Persists the current state into `store` as content-addressed blobs
@@ -633,44 +677,6 @@ impl StateTree {
             hamt,
             merkle,
         })
-    }
-
-    /// Applies the changes captured by a [`crate::StateOverlay`] built on
-    /// this tree, together with the candidate commitment the overlay built
-    /// for them: content, leaf digests and the re-hashed HAMT/AMT clones
-    /// are all installed, so no chunk or node is hashed twice (only the
-    /// few-leaf Merkle fold is repeated) and the tree is left
-    /// [`StateTree::is_committed`] at [`OverlayChanges::root`].
-    pub fn apply_changes(&mut self, changes: OverlayChanges) {
-        let stats = &mut self.commitment.stats;
-        stats.overlay_read_hits += changes.read_stats.hits;
-        stats.overlay_read_misses += changes.read_stats.misses;
-        let candidate = changes.candidate;
-        stats.chunks_hashed += candidate.work.chunks_hashed;
-        stats.hamt_nodes_hashed += candidate.work.hamt_nodes_hashed;
-        stats.bytes_hashed += candidate.work.bytes_hashed;
-
-        for (addr, state) in changes.accounts {
-            self.accounts.install(addr, state);
-        }
-        if let Some(hamt) = candidate.accounts_hamt {
-            self.commitment.accounts_hamt = hamt;
-        }
-        if let Some(log) = candidate.registry_log {
-            self.registry.install(log, &changes.registry);
-        }
-        if let Some(sca) = changes.sca {
-            self.sca = sca;
-            self.commitment.sca_absorbed = self.sca.window_bytes_absorbed();
-        }
-        self.sas.extend(changes.sas);
-        if let Some(atomic) = changes.atomic {
-            self.atomic = atomic;
-        }
-        if let Some(next) = changes.next_actor_id {
-            self.next_actor_id = next;
-        }
-        self.commitment.install_digests(candidate.digests);
     }
 
     /// Gross token supply of the subnet (every account, including escrow

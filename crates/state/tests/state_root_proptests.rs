@@ -1,14 +1,15 @@
 //! Property-based tests of the chunked state commitment: the incremental,
 //! dirty-tracked root must be bit-identical to a from-scratch recompute and
-//! to the root of a freshly rebuilt tree, at any flush cadence, and the
-//! copy-on-write overlay must agree with direct execution.
+//! to the root of a freshly rebuilt tree, at any flush cadence, and a block
+//! `StateTree::commit_if` refuses must be put back whole.
 
 use proptest::prelude::*;
 
+use hc_actors::sa::{SaConfig, SaState};
 use hc_actors::{CrossMsg, HcAddress, ScaConfig};
 use hc_state::{
     apply_implicit, apply_sealed, ImplicitMsg, Message, Method, SealedMessage, StateAccess,
-    StateOverlay, StateTree,
+    StateTree, VmEvent,
 };
 use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
@@ -88,14 +89,23 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies one op to any state implementation.
-fn apply_op<S: StateAccess>(tree: &mut S, op: &Op, nonces: &mut [Nonce]) {
+/// Applies one op to any state implementation. Returns the CIDs of the
+/// groups a cut appended to the content registry (none for other ops).
+fn apply_op<S: StateAccess>(tree: &mut S, op: &Op, nonces: &mut [Nonce]) -> Vec<Cid> {
     let (who, to, value, method) = match op {
         Op::Cut { epoch } => {
             let proof = Cid::digest(&[*epoch]);
             let cut = ImplicitMsg::CutCheckpoint { proof };
-            apply_implicit(tree, ChainEpoch::new(u64::from(*epoch)), &cut);
-            return;
+            let receipt = apply_implicit(tree, ChainEpoch::new(u64::from(*epoch)), &cut);
+            return receipt
+                .events
+                .iter()
+                .flat_map(|e| match e {
+                    VmEvent::CheckpointCut { checkpoint } => checkpoint.cross_msgs.clone(),
+                    _ => Vec::new(),
+                })
+                .map(|meta| meta.msgs_cid)
+                .collect();
         }
         Op::CrossUp { who, sibling, atto } => {
             let value = TokenAmount::from_atto(u128::from(*atto));
@@ -159,6 +169,35 @@ fn apply_op<S: StateAccess>(tree: &mut S, op: &Op, nonces: &mut [Nonce]) {
     };
     let sealed = SealedMessage::sign(msg, &keypair(who));
     apply_sealed(tree, ChainEpoch::new(1), &sealed, sealed.verify_signature());
+    Vec::new()
+}
+
+/// One block for the put-back property: `ops`, then the writes every
+/// block here carries whatever `ops` holds — an SA deploy, an atomic
+/// execution, a bottom-up send and a cut that appends its group. Returns
+/// the CIDs of every group the block's cuts appended.
+fn rollback_block(tree: &mut StateTree, ops: &[Op], nonces: &mut [Nonce]) -> Vec<Cid> {
+    let mut appended: Vec<Cid> = ops
+        .iter()
+        .flat_map(|op| apply_op(tree, op, nonces))
+        .collect();
+    tree.deploy_sa(SaState::new(SaConfig::default()));
+    let party = |a| HcAddress::new(subnet(), Address::new(a));
+    tree.atomic_mut()
+        .init(
+            vec![party(100), party(101)],
+            vec![Cid::digest(b"in-0"), Cid::digest(b"in-1")],
+            ChainEpoch::new(1),
+        )
+        .expect("a fresh execution");
+    let up = Op::CrossUp {
+        who: 0,
+        sibling: false,
+        atto: 1,
+    };
+    apply_op(tree, &up, nonces);
+    appended.extend(apply_op(tree, &Op::Cut { epoch: 200 }, nonces));
+    appended
 }
 
 /// The headline acceptance number: at 10 000 accounts with 10 touched
@@ -264,50 +303,54 @@ proptest! {
         prop_assert_eq!(incremental, eager.rebuilt().flush(), "rebuilt tree disagrees");
     }
 
-    /// Executing a schedule on a copy-on-write overlay yields the same
-    /// root as executing it directly on the tree, and applying the
-    /// overlay's changes brings the base tree to that root.
+    /// A block `commit_if` refuses — its ops run in place, the root is
+    /// not the expected one — is put back whole: content (a from-scratch
+    /// root, every balance, the SCA, the SAs, the atomic registry), the
+    /// registry index and the commitment (nothing left to hash). The same
+    /// block committed against the right root then equals direct
+    /// execution.
     #[test]
-    fn overlay_root_matches_direct_execution(
-        ops in prop::collection::vec(arb_op(), 1..40),
+    fn a_refused_block_is_put_back_whole(
+        prefix in prop::collection::vec(arb_op(), 0..20),
+        ops in prop::collection::vec(arb_op(), 0..30),
     ) {
-        let mut direct = genesis();
+        let mut tree = genesis();
         let mut nonces = vec![Nonce::ZERO; USERS as usize];
-        for op in &ops {
-            apply_op(&mut direct, op, &mut nonces);
+        for op in &prefix {
+            apply_op(&mut tree, op, &mut nonces);
         }
+        let pre_root = tree.flush();
+        let twin = tree.clone();
+
+        let mut direct = tree.clone();
+        let mut direct_nonces = nonces.clone();
+        let appended = rollback_block(&mut direct, &ops, &mut direct_nonces);
         let direct_root = direct.flush();
+        prop_assert!(!appended.is_empty(), "the block's cut appends a group");
 
-        let mut base = genesis();
-        base.flush();
-        let mut overlay = StateOverlay::new(&base);
-        let mut nonces = vec![Nonce::ZERO; USERS as usize];
-        for op in &ops {
-            apply_op(&mut overlay, op, &mut nonces);
+        let refused = tree.commit_if(pre_root, |t| rollback_block(t, &ops, &mut nonces.clone()));
+        prop_assert_eq!(refused, Err(direct_root), "the refusal names the root reached");
+        prop_assert_eq!(tree.recompute_root(), pre_root, "content not put back");
+        prop_assert!(tree.accounts() == twin.accounts(), "an account not put back");
+        prop_assert!(tree.sca() == twin.sca(), "the SCA not put back");
+        prop_assert!(tree.sas().eq(twin.sas()), "the SAs not put back");
+        prop_assert!(tree.atomic() == twin.atomic(), "the atomic registry not put back");
+        for cid in &appended {
+            prop_assert!(tree.resolve_content(cid).is_none(), "an appended group still served");
         }
-        prop_assert_eq!(overlay.root(), direct_root, "overlay root diverged");
+        prop_assert!(tree.is_committed());
+        let hashed = tree.commit_stats().bytes_hashed;
+        prop_assert_eq!(tree.flush(), pre_root);
+        prop_assert_eq!(tree.commit_stats().bytes_hashed, hashed, "the put-back left work");
 
-        let changes = overlay.into_changes();
-        prop_assert_eq!(changes.root(), direct_root, "candidate root diverged");
-        base.apply_changes(changes);
-        // The overlay's candidate commitment was installed with the
-        // content: the flush that follows (as after `execute_block_with`)
-        // hashes nothing.
-        prop_assert!(base.is_committed());
-        let hashed = base.commit_stats().bytes_hashed;
-        prop_assert_eq!(base.flush(), direct_root, "applied changes diverged");
-        prop_assert_eq!(base.commit_stats().bytes_hashed, hashed, "flush re-hashed");
-        prop_assert_eq!(base.recompute_root(), direct_root);
-        prop_assert_eq!(base.rebuilt().flush(), direct_root);
-
-        // A second block on the applied base keeps agreeing: the installed
-        // HAMT/AMT clones are what the next candidate builds on.
-        let mut again = StateOverlay::new(&base);
-        let mut nonces_direct = nonces.clone();
-        for op in &ops {
-            apply_op(&mut again, op, &mut nonces);
-            apply_op(&mut direct, op, &mut nonces_direct);
+        let accepted = tree.commit_if(direct_root, |t| rollback_block(t, &ops, &mut nonces));
+        prop_assert_eq!(accepted, Ok(appended.clone()));
+        prop_assert!(tree.is_committed());
+        prop_assert_eq!(tree.flush(), direct_root);
+        prop_assert_eq!(tree.recompute_root(), direct_root);
+        prop_assert!(tree.accounts() == direct.accounts());
+        for cid in &appended {
+            prop_assert!(tree.resolve_content(cid).is_some(), "an appended group not served");
         }
-        prop_assert_eq!(again.root(), direct.flush(), "second overlay diverged");
     }
 }

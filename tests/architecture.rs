@@ -11,7 +11,7 @@
 //! rather than messages, a signature verdict kept on the value, a nonce
 //! read from the pool, a key held by its client, history held in wire
 //! form, a tier-1 that runs the workspace, one measuring harness, one way
-//! to hash a HAMT node — so a
+//! to hash a HAMT node, one way to execute a block — so a
 //! change that reintroduces what a decision removed
 //! fails `cargo test` with the section it breaks. The checks are plain
 //! string matching over the repository's files (this file excluded, so its
@@ -1484,5 +1484,73 @@ fn a_hamt_node_is_hashed_one_way() {
     assert!(
         node_cid.contains("Sha256::resume(") && node_cid.contains("update_recording("),
         "DESIGN.md §14: `node_cid` resumes from and records chaining values"
+    );
+}
+
+/// DESIGN.md §9, "One way to execute a block": production and validation
+/// run the same payload in place on the same `StateTree`; validation wraps
+/// it in `StateTree::commit_if`, which puts a refused block back. The VM's
+/// state surface has two backends — the tree and a parallel lane's
+/// `LaneOverlay` over the tree — and no second execution backend, with its
+/// own ledger and commitment, exists beside them.
+#[test]
+fn a_block_executes_one_way() {
+    let sources = crate_sources();
+    let mut backends: Vec<String> = hits(&sources, non_test, |l| {
+        l.trim_start().starts_with("impl") && l.contains(" StateAccess for ")
+    })
+    .iter()
+    .map(|h| {
+        let target = h.split(" StateAccess for ").nth(1).unwrap_or_default();
+        target[..target.find(|c: char| !is_word(c)).unwrap_or(target.len())].to_string()
+    })
+    .collect();
+    backends.sort();
+    assert_eq!(
+        backends,
+        ["LaneOverlay", "StateTree"],
+        "DESIGN.md §9: the VM runs over the tree and a lane's overlay of it, nothing else"
+    );
+
+    let parallel = read_rel("crates/state/src/parallel.rs");
+    let declaration = non_test(&parallel)
+        .split_once("pub struct LaneOverlay")
+        .and_then(|(_, rest)| rest.split_once('{'))
+        .map(|(head, _)| head.trim())
+        .unwrap_or_default();
+    let params = declaration
+        .strip_prefix('<')
+        .and_then(|p| p.strip_suffix('>'))
+        .unwrap_or_default();
+    assert!(
+        !params.is_empty() && params.split(',').all(|p| p.trim().starts_with('\'')),
+        "DESIGN.md §9: `LaneOverlay` borrows the tree and takes no type parameter: \
+         `LaneOverlay{declaration}`"
+    );
+
+    let executor = read_rel("crates/chain/src/executor.rs");
+    let body = non_test(&executor)
+        .split_once("pub fn execute_block_with(")
+        .map(|(_, rest)| rest.split_once("\n}\n").map_or(rest, |(body, _)| body))
+        .unwrap_or_default();
+    let calls = body.matches("execute_payload(").count();
+    let guarded = body.find("commit_if(").map_or(0, |at| {
+        last_arg(body, at + "commit_if".len())
+            .matches("execute_payload(")
+            .count()
+    });
+    assert!(
+        calls > 0 && guarded == calls,
+        "DESIGN.md §9: `execute_block_with` runs `execute_payload` only inside `commit_if`"
+    );
+
+    let overlay = hits(&sources, non_test, |l| {
+        ["StateOverlay", "OverlayChanges", "apply_changes"]
+            .iter()
+            .any(|w| has_word(l, w))
+    });
+    assert!(
+        overlay.is_empty(),
+        "DESIGN.md §9: no second validation backend; found {overlay:#?}"
     );
 }
