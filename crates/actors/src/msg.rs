@@ -54,7 +54,7 @@ encode_fields!(HcAddress { subnet, raw });
 decode_fields!(HcAddress { subnet, raw });
 
 /// What a cross-net message does on arrival.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CrossMsgKind {
     /// Plain token transfer to `to.raw` in the destination subnet.
     Transfer,
@@ -119,7 +119,7 @@ impl CanonicalDecode for CrossMsgKind {
 /// given direction and enforces total order of arrival at the destination
 /// (paper §IV-A). A freshly created message carries `Nonce::ZERO` until the
 /// SCA stamps it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CrossMsg {
     /// Source endpoint.
     pub from: HcAddress,

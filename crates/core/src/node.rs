@@ -6,8 +6,13 @@
 //! converges to. Individual validators are represented by their keys (for
 //! block, justification, and checkpoint signatures); Byzantine behaviour is
 //! injected explicitly through the attack APIs (see `hc-sim`).
-
-use std::collections::BTreeMap;
+//!
+//! A node also holds the fund certificates of payments on their way to it
+//! (paper §IV-A), keyed by the message itself with its nonce cleared — no
+//! digest is taken, and settling a top-down payment, which is never
+//! certified, looks nothing up. A certificate that arrives after its
+//! payment settled is dropped and counted, not held for ever
+//! (`node/tentative.rs`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,6 +39,7 @@ use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 mod catch_up;
 mod intake;
 mod network;
+mod tentative;
 mod validators;
 pub(crate) use catch_up::{Peers, Survivor};
 pub(crate) use network::SyncInbox;
@@ -130,19 +136,6 @@ fn sends_into(pool: &Mempool, subnet: &SubnetId) -> bool {
     })
 }
 
-/// The key a payment's fund certificate is held under, and found by when
-/// the payment settles: its message with the nonce cleared. The nonce is
-/// the one field a route rewrites — an LCA re-stamps a path payment as it
-/// turns it around — so the message that settles matches its certificate
-/// on every route.
-fn settlement_key(msg: &CrossMsg) -> Cid {
-    CrossMsg {
-        nonce: Nonce::ZERO,
-        ..msg.clone()
-    }
-    .cid()
-}
-
 /// One subnet's canonical node. Stepping lives in
 /// [`crate::runtime::HierarchyRuntime`]; this type owns what a committed
 /// block implies for its node and exposes read access for clients, tests,
@@ -186,9 +179,10 @@ pub struct SubnetNode {
     awaited: Option<(Cid, Option<Receipt>)>,
     /// Verified fund certificates for payments still in flight towards
     /// this subnet (the §IV-A acceleration): tentative, not spendable.
-    /// Held by [`settlement_key`]; identical transfers share a key and are
-    /// held side by side, oldest first, each settling one.
-    tentative: BTreeMap<Cid, Vec<FundCertificate>>,
+    /// Held by settlement key, the message by value with its nonce
+    /// cleared, until the payment settles; one that comes after its
+    /// payment settled is dropped and counted.
+    tentative: tentative::Tentative,
     /// Content-addressed blob store: persisted state chunk manifests
     /// (snapshots/checkpoints). A handle to the runtime-wide store, so
     /// identical chunks are shared across snapshots *and* subnets.
@@ -264,7 +258,7 @@ impl SubnetNode {
             pending_checkpoints: Vec::new(),
             turnarounds: Vec::new(),
             awaited: None,
-            tentative: BTreeMap::new(),
+            tentative: tentative::Tentative::default(),
             store,
             stats: NodeStats::default(),
             mode: catch_up::Mode::Live,
@@ -276,19 +270,14 @@ impl SubnetNode {
 
     /// The node's one door. A top-down message joins the cross-msg pool, a
     /// child checkpoint the queue the next block commits, and a certificate
-    /// is held by its `settlement_key` until its payment settles: identical
-    /// transfers side by side, a redelivered copy of one certificate not.
+    /// is held until its payment settles — identical transfers side by
+    /// side, a redelivered copy of one certificate not — or dropped and
+    /// counted if its payment already settled.
     pub(crate) fn receive(&mut self, input: Input) {
         match input {
             Input::TopDown(msg) => self.cross_pool.ingest_top_down([msg]),
             Input::Checkpoint(signed) => self.pending_checkpoints.push(signed),
-            Input::Certificate(cert) => {
-                let key = settlement_key(&cert.body.msg);
-                let held = self.tentative.entry(key).or_default();
-                if !held.iter().any(|c| c.body == cert.body) {
-                    held.push(cert);
-                }
-            }
+            Input::Certificate(cert) => self.tentative.hold(cert),
         }
     }
 
@@ -611,13 +600,7 @@ impl SubnetNode {
             VmEvent::CrossMsgApplied { msg } => {
                 self.stats.cross_applied += 1;
                 // A settled payment is no longer tentative.
-                let key = settlement_key(msg);
-                if let Some(held) = self.tentative.get_mut(&key) {
-                    held.remove(0);
-                    if held.is_empty() {
-                        self.tentative.remove(&key);
-                    }
-                }
+                self.tentative.payment_settled(msg);
             }
             // Remaining events are informational; reverts ride the normal
             // cross-net flow and need no extra routing.
@@ -730,17 +713,18 @@ impl SubnetNode {
 
     /// Total tentatively certified incoming value for `addr`.
     pub fn tentative_value_for(&self, addr: Address) -> hc_types::TokenAmount {
-        self.tentative
-            .values()
-            .flatten()
-            .filter(|c| c.body.msg.to.raw == addr)
-            .map(|c| c.body.msg.value)
-            .sum()
+        self.tentative.value_for(addr)
     }
 
     /// Fund certificates held for payments not yet settled.
     pub fn tentative_count(&self) -> usize {
-        self.tentative.values().map(Vec::len).sum()
+        self.tentative.len()
+    }
+
+    /// Fund certificates dropped because their payment had already
+    /// settled here.
+    pub fn late_certificates(&self) -> u64 {
+        self.tentative.late()
     }
 
     /// Node counters.

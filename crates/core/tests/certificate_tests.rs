@@ -6,7 +6,7 @@ mod common;
 use common::{whole, Harness};
 use hc_actors::sa::SaConfig;
 use hc_core::RuntimeConfig;
-use hc_net::{FaultKind, FaultRule};
+use hc_net::{FaultKind, FaultPlan, FaultRule, PartitionPolicy};
 use hc_types::{SubnetId, TokenAmount};
 
 #[test]
@@ -186,4 +186,65 @@ fn identical_transfers_settle_one_certificate_each() {
     assert_eq!(node.tentative_value_for(alice.addr), TokenAmount::ZERO);
     assert_eq!(node.tentative_count(), 0);
     assert!(h.rt.net_stats().redelivered > 0);
+}
+
+/// A certificate that comes after its payment settled is dropped and
+/// counted, not held for ever. The destination's topic is held until well
+/// after a path payment settles, so its certificate arrives late; it used
+/// to stay in `tentative` and over-report the tentative value from then on.
+#[test]
+fn a_certificate_after_its_settlement_is_dropped_and_counted() {
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let alice = h.alice.clone();
+    let mut leaves = Vec::new();
+    for _ in 0..2 {
+        let mid = h.spawn(&alice, SaConfig::default());
+        let creator = h.user(&mid);
+        h.fund(&creator, 100);
+        leaves.push(h.spawn(&creator, SaConfig::default()));
+    }
+    let (bob, carol) = (h.user(&leaves[0]), h.user(&leaves[1]));
+    h.fund(&bob, 50);
+    h.fund(&carol, 1);
+
+    // A top-down payment reaches carol's subnet by its parent's hand-off,
+    // not its topic: only the certificate waits for the heal.
+    let heal_ms = h.rt.now_ms() + 120_000;
+    h.rt.extend_faults(FaultPlan {
+        rules: vec![FaultRule::new(
+            0,
+            heal_ms,
+            FaultKind::Partition {
+                name: "late certificate".into(),
+                topics: vec![carol.subnet.topic()],
+                subscribers: Vec::new(),
+                policy: PartitionPolicy::HoldUntilHeal,
+            },
+        )],
+    });
+    h.rt.cross_transfer(&bob, &carol, whole(7)).unwrap();
+    while h.rt.balance(&carol) == whole(1) {
+        h.rt.step().unwrap();
+    }
+    assert!(
+        h.rt.now_ms() < heal_ms,
+        "the payment settled before the heal"
+    );
+    let node = h.rt.node(&carol.subnet).unwrap();
+    assert_eq!(
+        node.tentative_count(),
+        0,
+        "the certificate is still held back"
+    );
+
+    while h.rt.now_ms() <= heal_ms {
+        h.rt.step().unwrap();
+    }
+    h.settle();
+    assert_eq!(h.rt.balance(&carol), whole(8));
+    assert!(h.rt.net_stats().partition_held > 0);
+    let node = h.rt.node(&carol.subnet).unwrap();
+    assert_eq!(node.tentative_value_for(carol.addr), TokenAmount::ZERO);
+    assert_eq!(node.tentative_count(), 0);
+    assert_eq!(node.late_certificates(), 1);
 }

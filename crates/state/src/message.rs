@@ -344,7 +344,7 @@ impl Message {
     }
 
     /// Signs the message with `key`, producing a [`SignedMessage`]
-    /// ([`crate::SealedMessage::sign`] without the carried CID).
+    /// ([`crate::SealedMessage::sign`] without the carried CIDs).
     pub fn sign(self, key: &Keypair) -> SignedMessage {
         crate::SealedMessage::sign(self, key).into_signed()
     }

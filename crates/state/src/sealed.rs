@@ -4,9 +4,22 @@
 //! A message's CID is consumed many times on the hot path — mempool dedup,
 //! signature verification, block assembly (messages root), VM auth, receipt
 //! indexing — and each consumer used to re-derive it from a fresh canonical
-//! encoding plus a SHA-256 pass. [`SealedMessage`] computes each CID at most
-//! once and carries it with the message, together with the envelope's wire
-//! size that the same encoding yields.
+//! encoding plus a SHA-256 pass. [`SealedMessage`] derives both of its CIDs
+//! once, in one pass over one encoding of the body, and carries them with
+//! the message, together with the envelope's wire size.
+//!
+//! # One pass
+//!
+//! The envelope is the body followed by the signature's fixed 64 bytes, so
+//! its digest is the body's hasher continued. The body is encoded and
+//! absorbed once; a clone of the hasher finalizes to the message CID (what
+//! the sender signs), and the original absorbs the signature and finalizes
+//! to the envelope CID (what block message roots commit to). The wire size
+//! is the body's length plus [`Signature::ENCODED_LEN`]. Nothing encodes
+//! the envelope or hashes the body a second time. [`SealedMessage::sign`]
+//! runs the pass while signing; a cold value ([`SealedMessage::new`], or
+//! one decoded from bytes) runs it on its first read. The memo holds the
+//! three results, never the hasher.
 //!
 //! Memoization is only sound if the underlying bytes cannot change after the
 //! CID is derived, so the wrapper owns the signed message behind *private*
@@ -35,77 +48,91 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use hc_types::{CanonicalEncode, Cid, Keypair, Signature};
+use hc_types::{CanonicalEncode, Cid, Keypair, Sha256, Signature};
 
 use crate::message::{Message, SignedMessage};
 
 /// An immutable [`SignedMessage`] whose message and envelope CIDs are
-/// computed at most once (lazily) and then reused, and whose signature is
-/// verified at most once while it passes.
+/// computed at most once, together, and then reused, and whose signature
+/// is verified at most once while it passes.
 ///
 /// Built at trust boundaries — mempool admission, block decoding — and
 /// carried through block assembly, validation, and execution, so every
 /// downstream consumer shares the same derivation. Cloning clones the memo
-/// cells too: a warm CID or verdict travels with the copy.
+/// cells too: warm CIDs or a verdict travel with the copy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SealedMessage {
     msg: SignedMessage,
     #[serde(skip)]
-    body: OnceLock<BodyMemo>,
-    #[serde(skip)]
-    cid: OnceLock<Cid>,
+    digests: OnceLock<Digests>,
     #[serde(skip)]
     verified: OnceLock<()>,
 }
 
-/// What one canonical encoding of the message body yields: its CID, and
-/// the wire size of the signed envelope around it. The size is a `u32`
-/// (saturating) so the memo adds nothing to the sealed message's
-/// footprint.
+/// What one pass over the body's encoding yields: both CIDs, and the wire
+/// size of the signed envelope. The size is a `u32` (saturating) so the
+/// memo adds nothing to the sealed message's footprint.
 #[derive(Debug, Clone, Copy)]
-struct BodyMemo {
+struct Digests {
     msg_cid: Cid,
+    cid: Cid,
     wire_len: u32,
 }
 
-impl BodyMemo {
-    /// `body` is the message's canonical encoding and `msg_cid` its digest;
-    /// the signature is appended to the same buffer to size the envelope
-    /// without encoding the body a second time.
-    fn new(mut body: Vec<u8>, msg_cid: Cid, signature: &Signature) -> Self {
-        signature.write_bytes(&mut body);
-        BodyMemo {
-            msg_cid,
-            wire_len: u32::try_from(body.len()).unwrap_or(u32::MAX),
+/// The message body, encoded and absorbed once: its CID, its length, and
+/// the hasher standing after it, for the envelope to continue.
+struct Body {
+    msg_cid: Cid,
+    len: usize,
+    hasher: Sha256,
+}
+
+impl Body {
+    fn hash(message: &Message) -> Self {
+        let bytes = message.canonical_bytes();
+        let mut hasher = Sha256::new();
+        hasher.update(&bytes);
+        Body {
+            msg_cid: Cid::from_bytes(hasher.clone().finalize()),
+            len: bytes.len(),
+            hasher,
+        }
+    }
+
+    /// Continues the body's hasher with `signature` for the envelope CID.
+    fn seal(mut self, signature: &Signature) -> Digests {
+        self.hasher.update(&signature.to_bytes());
+        Digests {
+            msg_cid: self.msg_cid,
+            cid: Cid::from_bytes(self.hasher.finalize()),
+            wire_len: u32::try_from(self.len + Signature::ENCODED_LEN).unwrap_or(u32::MAX),
         }
     }
 }
 
 impl SealedMessage {
-    /// Seals a signed message. No CID is derived yet; each is computed on
-    /// first use.
+    /// Seals a signed message. No CID is derived yet: both are computed,
+    /// in one pass, on first use.
     pub fn new(msg: SignedMessage) -> Self {
         SealedMessage {
             msg,
-            body: OnceLock::new(),
-            cid: OnceLock::new(),
+            digests: OnceLock::new(),
             verified: OnceLock::new(),
         }
     }
 
-    /// Signs `message` with `key` and seals the result: the message CID is
-    /// derived once, signed, and carried, so admission, verification and
-    /// receipt lookup never derive it again. The signature is not yet
-    /// verified: admission does that.
+    /// Signs `message` with `key` and seals the result: the body is hashed
+    /// once, its CID signed, and the envelope CID derived by continuing the
+    /// same hasher, so admission, verification, block assembly and receipt
+    /// lookup never derive either again. The signature is not yet verified:
+    /// admission does that.
     pub fn sign(message: Message, key: &Keypair) -> Self {
-        let body = message.canonical_bytes();
-        let msg_cid = Cid::digest(&body);
-        let signature = key.sign(msg_cid.as_bytes());
-        let memo = BodyMemo::new(body, msg_cid, &signature);
+        let body = Body::hash(&message);
+        let signature = key.sign(body.msg_cid.as_bytes());
+        let digests = body.seal(&signature);
         SealedMessage {
             msg: SignedMessage { message, signature },
-            body: OnceLock::from(memo),
-            cid: OnceLock::new(),
+            digests: OnceLock::from(digests),
             verified: OnceLock::new(),
         }
     }
@@ -130,31 +157,29 @@ impl SealedMessage {
         self.msg
     }
 
-    fn body(&self) -> BodyMemo {
-        *self.body.get_or_init(|| {
-            let body = self.msg.message.canonical_bytes();
-            let msg_cid = Cid::digest(&body);
-            BodyMemo::new(body, msg_cid, &self.msg.signature)
-        })
+    fn digests(&self) -> Digests {
+        *self
+            .digests
+            .get_or_init(|| Body::hash(&self.msg.message).seal(&self.msg.signature))
     }
 
     /// CID of the message body (what the sender signs, what receipts are
     /// keyed by). Memoized.
     pub fn msg_cid(&self) -> Cid {
-        self.body().msg_cid
+        self.digests().msg_cid
     }
 
     /// Length of the signed envelope's canonical encoding (what mempool
-    /// occupancy is accounted in). Memoized with [`SealedMessage::msg_cid`],
-    /// from the same encoding of the body.
+    /// occupancy is accounted in). Memoized with both CIDs.
     pub fn wire_len(&self) -> usize {
-        self.body().wire_len as usize
+        self.digests().wire_len as usize
     }
 
     /// CID of the signed envelope (message + signature; what block message
-    /// roots commit to). Memoized.
+    /// roots commit to). Memoized with [`SealedMessage::msg_cid`], from the
+    /// same pass.
     pub fn cid(&self) -> Cid {
-        *self.cid.get_or_init(|| self.msg.cid())
+        self.digests().cid
     }
 
     /// Verifies the signature against the (memoized) message CID. A passing
@@ -180,7 +205,7 @@ impl SealedMessage {
 
     /// Clears the verdict memo, so the next check verifies in full — for a
     /// value handed to another node, which must reach its own verdict. The
-    /// CID memos stay: they are functions of the content.
+    /// CID memo stays: it is a function of the content.
     pub fn forget_verdict(&mut self) {
         self.verified = OnceLock::new();
     }
@@ -247,10 +272,9 @@ mod tests {
         let kp = Keypair::from_seed([0x5e; 32]);
         let sealed = SealedMessage::sign(signed.message.clone(), &kp);
         assert_eq!(sealed.signed(), &signed);
-        assert_eq!(
-            sealed.body.get().map(|b| b.msg_cid),
-            Some(CanonicalEncode::cid(&signed.message))
-        );
+        let warm = sealed.digests.get().expect("signing fills the memo");
+        assert_eq!(warm.msg_cid, CanonicalEncode::cid(&signed.message));
+        assert_eq!(warm.cid, CanonicalEncode::cid(&signed));
         assert!(!sealed.is_verified(), "signing is not verification");
         assert!(sealed.verify_signature());
     }

@@ -169,6 +169,18 @@ pub struct Signature {
 }
 
 impl Signature {
+    /// Length of a signature's canonical encoding: the signer's key, then
+    /// the tag.
+    pub const ENCODED_LEN: usize = 64;
+
+    /// The canonical encoding, without a buffer.
+    pub fn to_bytes(&self) -> [u8; Self::ENCODED_LEN] {
+        let mut out = [0u8; Self::ENCODED_LEN];
+        out[..32].copy_from_slice(self.signer.as_bytes());
+        out[32..].copy_from_slice(&self.tag);
+        out
+    }
+
     /// Constructs a signature value without signing.
     ///
     /// This exists so Byzantine behaviour can be modelled: an adversary can
@@ -210,8 +222,7 @@ impl fmt::Debug for Signature {
 
 impl CanonicalEncode for Signature {
     fn write_bytes(&self, out: &mut Vec<u8>) {
-        self.signer.write_bytes(out);
-        out.extend_from_slice(&self.tag);
+        out.extend_from_slice(&self.to_bytes());
     }
 }
 

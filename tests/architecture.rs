@@ -1207,8 +1207,11 @@ fn one_invariant_check() {
 /// group's Merkle root is derived in one place — the private memo of
 /// `MsgGroup` — and a block's payload root in `Block::seal` and the cold
 /// path of its memo; hc-types compresses SHA-256 blocks in one place, the
-/// streaming `Sha256` that `sha256` is a call of; and an SCA's checkpoint
-/// window digest is filled in one place, as a message is queued or decoded.
+/// streaming `Sha256` that `sha256` is a call of; an SCA's checkpoint
+/// window digest is filled in one place, as a message is queued or decoded;
+/// a sealed message's envelope CID continues the hasher of its body, which
+/// is encoded and hashed once; and a fund certificate's settlement key is
+/// the message by value, no digest.
 #[test]
 fn content_is_hashed_once() {
     let sources = crate_sources();
@@ -1277,6 +1280,57 @@ fn content_is_hashed_once() {
     assert_eq!(
         absorbs, 2,
         "DESIGN.md §10: a window message is absorbed where it is queued and where it is decoded"
+    );
+
+    // One pass per sealed message: one encoding of the body, one hasher,
+    // the signature absorbed by continuing it; no envelope re-encoded or
+    // hashed from scratch.
+    let sealed = read_rel("crates/state/src/sealed.rs");
+    let sealed = non_test(&sealed);
+    let scratch: Vec<&str> = sealed
+        .lines()
+        .filter(|l| l.contains(".cid()") || l.contains("Cid::digest(") || l.contains("sha256("))
+        .collect();
+    assert!(
+        scratch.is_empty(),
+        "DESIGN.md §10: a sealed message derives no CID from scratch; found {scratch:#?}"
+    );
+    let seal = block(
+        sealed,
+        "    fn seal(mut self, signature: &Signature) -> Digests {",
+        "    }",
+    );
+    assert!(
+        sealed.matches("canonical_bytes()").count() == 1
+            && sealed.matches("Sha256::new()").count() == 1
+            && seal
+                .iter()
+                .any(|l| l.contains("self.hasher.update(&signature.to_bytes())")),
+        "DESIGN.md §10: the envelope CID continues the body's one hasher: {seal:#?}"
+    );
+
+    // A settlement key is the message with its nonce cleared, by value.
+    let keys = hits(&files_under("crates/core/src"), non_test, |l| {
+        l.starts_with("fn settlement_key(")
+    });
+    assert!(
+        keys.len() == 1 && keys[0].ends_with("fn settlement_key(msg: &CrossMsg) -> CrossMsg {"),
+        "DESIGN.md §10: one settlement key, the message by value; found {keys:#?}"
+    );
+    let path = root().join(keys[0].split(':').next().unwrap_or_default());
+    let text = read(&path);
+    let key = block(
+        non_test(&text),
+        "fn settlement_key(msg: &CrossMsg) -> CrossMsg {",
+        "}",
+    );
+    let digests: Vec<&&str> = key
+        .iter()
+        .filter(|l| l.contains("cid(") || l.contains("digest") || l.contains("Sha256"))
+        .collect();
+    assert!(
+        digests.is_empty(),
+        "DESIGN.md §10: a settlement key computes no digest; found {digests:#?}"
     );
 }
 
