@@ -119,7 +119,7 @@ impl CanonicalDecode for CrossMsgKind {
 /// given direction and enforces total order of arrival at the destination
 /// (paper §IV-A). A freshly created message carries `Nonce::ZERO` until the
 /// SCA stamps it.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CrossMsg {
     /// Source endpoint.
     pub from: HcAddress,

@@ -8,11 +8,12 @@
 //! injected explicitly through the attack APIs (see `hc-sim`).
 //!
 //! A node also holds the fund certificates of payments on their way to it
-//! (paper §IV-A), keyed by the message itself with its nonce cleared — no
-//! digest is taken, and settling a top-down payment, which is never
-//! certified, looks nothing up. A certificate that arrives after its
-//! payment settled is dropped and counted, not held for ever
-//! (`node/tentative.rs`).
+//! (paper §IV-A), keyed by the message itself compared without its nonce
+//! — no digest is taken, a settling message is looked up borrowed, and
+//! settling a top-down payment, which is never certified, looks nothing
+//! up. A certificate that arrives after its payment settled is dropped
+//! and counted, not held for ever; one that never comes takes no later
+//! transfer's (`node/tentative.rs`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -179,9 +180,9 @@ pub struct SubnetNode {
     awaited: Option<(Cid, Option<Receipt>)>,
     /// Verified fund certificates for payments still in flight towards
     /// this subnet (the §IV-A acceleration): tentative, not spendable.
-    /// Held by settlement key, the message by value with its nonce
-    /// cleared, until the payment settles; one that comes after its
-    /// payment settled is dropped and counted.
+    /// Held under the message by value, compared without its nonce, until
+    /// the payment settles; one that comes after its payment settled is
+    /// dropped and counted.
     tentative: tentative::Tentative,
     /// Content-addressed blob store: persisted state chunk manifests
     /// (snapshots/checkpoints). A handle to the runtime-wide store, so
@@ -557,11 +558,13 @@ impl SubnetNode {
     /// persisted under and, when `push` is set, the content announcements
     /// for the carried message groups; publishing those, submitting the
     /// checkpoint to the parent, journaling and certificates are the
-    /// caller's outward half.
+    /// caller's outward half. For a settled payment whose certificate can
+    /// still come, `source_head` is the head epoch of its source now.
     pub(crate) fn apply_event(
         &mut self,
         event: &VmEvent,
         push: bool,
+        source_head: Option<ChainEpoch>,
     ) -> Option<(Cid, Vec<(String, ResolutionMsg)>)> {
         match event {
             VmEvent::CheckpointCut { checkpoint } => {
@@ -599,8 +602,11 @@ impl SubnetNode {
             }
             VmEvent::CrossMsgApplied { msg } => {
                 self.stats.cross_applied += 1;
-                // A settled payment is no longer tentative.
-                self.tentative.payment_settled(msg);
+                // A payment settled here is no longer tentative; one this
+                // subnet only forwards settles further down its route.
+                if msg.to.subnet == self.subnet_id {
+                    self.tentative.payment_settled(msg, source_head);
+                }
             }
             // Remaining events are informational; reverts ride the normal
             // cross-net flow and need no extra routing.
@@ -725,6 +731,12 @@ impl SubnetNode {
     /// settled here.
     pub fn late_certificates(&self) -> u64 {
         self.tentative.late()
+    }
+
+    /// Payments settled here whose fund certificate has not come: lost on
+    /// the way, or still to come late.
+    pub fn owed_certificates(&self) -> usize {
+        self.tentative.owed()
     }
 
     /// Node counters.

@@ -273,7 +273,7 @@ impl SubnetNode {
                     continue;
                 };
                 for event in &outcome.events {
-                    self.apply_event(event, false);
+                    self.apply_event(event, false, None);
                 }
                 // Replay restores the historical schedule; stay
                 // unschedulable until catch-up completes.

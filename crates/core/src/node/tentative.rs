@@ -1,113 +1,223 @@
 //! The fund certificates a node holds for payments on their way to it
 //! (paper §IV-A): tentative information until the payment settles.
 //!
-//! A certificate is held under its payment's settlement key — the message
-//! itself with the nonce cleared, by value, never a digest of it — and the
-//! payment's settlement takes it away. A certificate can also arrive after
-//! its payment settled (its topic was partitioned, or the copy was
-//! delayed); it would then be held for ever, so a settlement that finds
-//! nothing held is remembered, a bounded number of them, and a certificate
-//! for a remembered settlement is dropped as late.
+//! A certificate is held under its payment's message without the nonce —
+//! the one field a route rewrites: an LCA re-stamps a path payment as it
+//! turns it around — by value, never a digest of it. The
+//! settling message is looked up as it is, borrowed, so a settlement
+//! copies nothing, and a top-down one, never certified, looks nothing up.
+//! Identical transfers share a key; what a key holds per certificate is
+//! what tells them apart, the source's nonce and commit epoch.
+//!
+//! A certificate can also arrive after its payment settled (its topic was
+//! partitioned, or it was delayed). A settlement that finds nothing held
+//! therefore owes a certificate and notes its source's head epoch at that
+//! moment. The payment was committed at or before that epoch, so its late
+//! certificate was too; a payment sent after the settlement is committed
+//! later. A certificate committed by then pays the oldest such debt and is
+//! dropped and counted, and any other is held: a certificate that never
+//! comes leaves a debt no later transfer can pay by mistake. A settlement
+//! that cannot be followed by its certificate — replayed from the journal,
+//! re-executed in a catch-up, or from a source not running live — owes
+//! nothing.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use hc_actors::cert::CertBody;
-use hc_actors::{CrossMsg, FundCertificate};
-use hc_types::{Address, Nonce, TokenAmount};
+use hc_actors::{CrossMsg, CrossMsgKind, FundCertificate, HcAddress};
+use hc_types::{Address, ChainEpoch, Nonce, TokenAmount};
 
-/// How many settlements that found no certificate held a node remembers.
-/// A certificate later than this many such settlements is held for ever.
-const SETTLED_MEMORY: usize = 256;
+/// The fields of a payment that its route leaves alone: all but the nonce.
+type Fields<'a> = (
+    &'a HcAddress,
+    &'a HcAddress,
+    &'a TokenAmount,
+    &'a CrossMsgKind,
+    &'a TokenAmount,
+);
 
-/// The key a payment's fund certificate is held under, and found by when
-/// the payment settles: its message with the nonce cleared. The nonce is
-/// the one field a route rewrites — an LCA re-stamps a path payment as it
-/// turns it around — so the message that settles matches its certificate
-/// on every route.
-fn settlement_key(msg: &CrossMsg) -> CrossMsg {
-    CrossMsg {
-        nonce: Nonce::ZERO,
-        ..msg.clone()
+/// A message seen through its [`Fields`].
+trait Unstamped {
+    fn fields(&self) -> Fields<'_>;
+}
+
+impl Unstamped for CrossMsg {
+    fn fields(&self) -> Fields<'_> {
+        (&self.from, &self.to, &self.value, &self.kind, &self.fee)
     }
+}
+
+impl PartialEq for dyn Unstamped + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for dyn Unstamped + '_ {}
+
+impl PartialOrd for dyn Unstamped + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn Unstamped + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.fields().cmp(&other.fields())
+    }
+}
+
+/// A payment's key: its message's fields but the nonce, owned. The
+/// derived order is [`Unstamped`]'s, field by field, so a settling message
+/// is found borrowed.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Payment {
+    from: HcAddress,
+    to: HcAddress,
+    value: TokenAmount,
+    kind: CrossMsgKind,
+    fee: TokenAmount,
+}
+
+impl Unstamped for Payment {
+    fn fields(&self) -> Fields<'_> {
+        (&self.from, &self.to, &self.value, &self.kind, &self.fee)
+    }
+}
+
+impl<'a> Borrow<dyn Unstamped + 'a> for Payment {
+    fn borrow(&self) -> &(dyn Unstamped + 'a) {
+        self
+    }
+}
+
+/// What a node holds for one payment key.
+#[derive(Debug, Default)]
+struct Held {
+    /// Verified certificates, oldest first, by their source nonce and
+    /// commit epoch (the rest of their body is the key). Each settles one;
+    /// a redelivered copy is held once.
+    certs: Vec<(Nonce, ChainEpoch)>,
+    /// Settlements that found no certificate held, oldest first: the
+    /// source's head epoch at each.
+    owed: Vec<ChainEpoch>,
 }
 
 /// A node's tentative payments.
 #[derive(Debug, Default)]
 pub(super) struct Tentative {
-    /// Verified certificates by settlement key. Identical transfers share
-    /// a key and are held side by side, oldest first, each settling one.
-    held: BTreeMap<CrossMsg, Vec<FundCertificate>>,
-    /// Settlements of certifiable payments that found nothing held, oldest
-    /// first, at most [`SETTLED_MEMORY`]: the settlement key, and the body
-    /// of the late certificate that claimed it once one came. One entry
-    /// per settlement, so identical transfers each drop one certificate.
-    settled: VecDeque<(CrossMsg, Option<CertBody>)>,
+    /// By payment key; a key leaves when it holds and owes nothing.
+    payments: BTreeMap<Payment, Held>,
     /// Certificates dropped as late.
     late: u64,
 }
 
 impl Tentative {
     /// Holds `cert` until its payment settles — a redelivered copy of a
-    /// held certificate once — unless it is late: a settlement that found
-    /// nothing held is waiting for it, or it is a copy of a certificate
-    /// already dropped as late. A late certificate is dropped and counted.
+    /// held certificate once — unless it pays a settlement that owes it:
+    /// then it is late, dropped and counted.
     pub(super) fn hold(&mut self, cert: FundCertificate) {
-        let copy = Some(&cert.body);
-        if self.settled.iter().any(|(_, claim)| claim.as_ref() == copy) {
-            self.late += 1;
+        let CertBody { msg, committed_at } = cert.body;
+        let CrossMsg {
+            from,
+            to,
+            value,
+            nonce,
+            kind,
+            fee,
+        } = msg;
+        let payment = Payment {
+            from,
+            to,
+            value,
+            kind,
+            fee,
+        };
+        let mut entry = match self.payments.entry(payment) {
+            Entry::Vacant(vacant) => {
+                let certs = vec![(nonce, committed_at)];
+                vacant.insert(Held {
+                    certs,
+                    ..Held::default()
+                });
+                return;
+            }
+            Entry::Occupied(entry) => entry,
+        };
+        let held = entry.get_mut();
+        if held.certs.contains(&(nonce, committed_at)) {
             return;
         }
-        let key = settlement_key(&cert.body.msg);
-        let waiting = self
-            .settled
-            .iter_mut()
-            .find(|(settled, claim)| claim.is_none() && *settled == key);
-        if let Some((_, claim)) = waiting {
-            *claim = Some(cert.body);
-            self.late += 1;
-            return;
-        }
-        let held = self.held.entry(key).or_default();
-        if !held.iter().any(|c| c.body == cert.body) {
-            held.push(cert);
+        match held.owed.iter().position(|&head| committed_at <= head) {
+            Some(debt) => {
+                held.owed.remove(debt);
+                self.late += 1;
+                if held.certs.is_empty() && held.owed.is_empty() {
+                    entry.remove();
+                }
+            }
+            None => held.certs.push((nonce, committed_at)),
         }
     }
 
     /// The payment `msg` settled here: the oldest certificate held for it
-    /// leaves, or, if none is held, the settlement is remembered for the
-    /// certificate still to come. A top-down payment is never certified,
-    /// so it costs nothing.
-    pub(super) fn payment_settled(&mut self, msg: &CrossMsg) {
+    /// leaves. If none is held, the settlement owes one when `source_head`
+    /// — the head epoch of the payment's source now — is given, that is
+    /// when its certificate can still come. A top-down payment is never
+    /// certified, so it costs nothing.
+    pub(super) fn payment_settled(&mut self, msg: &CrossMsg, source_head: Option<ChainEpoch>) {
         if msg.is_top_down() {
             return;
         }
-        let key = settlement_key(msg);
-        if let Some(held) = self.held.get_mut(&key) {
-            held.remove(0);
-            if held.is_empty() {
-                self.held.remove(&key);
+        let key = msg as &dyn Unstamped;
+        match (self.payments.get_mut(key), source_head) {
+            (Some(held), _) if !held.certs.is_empty() => {
+                held.certs.remove(0);
+                if held.certs.is_empty() && held.owed.is_empty() {
+                    self.payments.remove(key);
+                }
             }
-            return;
+            (Some(held), Some(head)) => held.owed.push(head),
+            (None, Some(head)) => {
+                let payment = Payment {
+                    from: msg.from.clone(),
+                    to: msg.to.clone(),
+                    value: msg.value,
+                    kind: msg.kind.clone(),
+                    fee: msg.fee,
+                };
+                let owed = vec![head];
+                self.payments.insert(
+                    payment,
+                    Held {
+                        owed,
+                        ..Held::default()
+                    },
+                );
+            }
+            (_, None) => {}
         }
-        if self.settled.len() == SETTLED_MEMORY {
-            self.settled.pop_front();
-        }
-        self.settled.push_back((key, None));
     }
 
     /// Total certified incoming value for `addr`.
     pub(super) fn value_for(&self, addr: Address) -> TokenAmount {
-        self.held
-            .values()
-            .flatten()
-            .filter(|c| c.body.msg.to.raw == addr)
-            .map(|c| c.body.msg.value)
+        self.payments
+            .iter()
+            .filter(|(payment, _)| payment.to.raw == addr)
+            .flat_map(|(payment, held)| held.certs.iter().map(|_| payment.value))
             .sum()
     }
 
     /// Certificates held.
     pub(super) fn len(&self) -> usize {
-        self.held.values().map(Vec::len).sum()
+        self.payments.values().map(|held| held.certs.len()).sum()
+    }
+
+    /// Settlements owed a certificate.
+    pub(super) fn owed(&self) -> usize {
+        self.payments.values().map(|held| held.owed.len()).sum()
     }
 
     /// Certificates dropped as late.
@@ -119,11 +229,11 @@ impl Tentative {
 #[cfg(test)]
 mod tests {
     //! Holding and settling driven without a runtime: identical transfers,
-    //! redelivered copies, late certificates and the memory's bound.
+    //! redelivered copies, late certificates, and debts only a certificate
+    //! committed before its settlement can pay.
 
     use super::*;
-    use hc_actors::HcAddress;
-    use hc_types::{ChainEpoch, SubnetId};
+    use hc_types::SubnetId;
 
     fn child() -> SubnetId {
         SubnetId::root().child(hc_types::Address::new(1_000))
@@ -140,8 +250,9 @@ mod tests {
         msg
     }
 
-    fn cert(msg: &CrossMsg) -> FundCertificate {
-        FundCertificate::new(msg.clone(), ChainEpoch::new(3))
+    /// `msg`'s certificate, committed at source epoch `at`.
+    fn cert(msg: &CrossMsg, at: u64) -> FundCertificate {
+        FundCertificate::new(msg.clone(), ChainEpoch::new(at))
     }
 
     /// The same payment as it settles: re-stamped on its route.
@@ -152,52 +263,67 @@ mod tests {
         }
     }
 
+    fn head(epoch: u64) -> Option<ChainEpoch> {
+        Some(ChainEpoch::new(epoch))
+    }
+
     #[test]
     fn identical_transfers_each_settle_one_and_a_copy_is_held_once() {
         let mut t = Tentative::default();
         let (a, b) = (payment(3, 0), payment(3, 1));
-        t.hold(cert(&a));
-        t.hold(cert(&a)); // a redelivered copy
-        t.hold(cert(&b));
+        t.hold(cert(&a, 3));
+        t.hold(cert(&a, 3)); // a redelivered copy
+        t.hold(cert(&b, 3));
         assert_eq!(t.len(), 2);
         assert_eq!(t.value_for(Address::new(200)), TokenAmount::from_whole(6));
-        t.payment_settled(&settled(&a));
+        t.payment_settled(&settled(&a), head(9));
         assert_eq!(t.len(), 1);
-        t.payment_settled(&settled(&b));
-        assert_eq!((t.len(), t.settled.len(), t.late()), (0, 0, 0));
+        t.payment_settled(&settled(&b), head(9));
+        assert_eq!((t.len(), t.payments.len(), t.late()), (0, 0, 0));
     }
 
     #[test]
-    fn a_certificate_after_its_settlement_is_dropped_with_its_copies() {
+    fn a_certificate_committed_before_a_debt_pays_it() {
         let mut t = Tentative::default();
         let (a, b) = (payment(3, 0), payment(3, 1));
-        t.payment_settled(&settled(&a));
-        t.payment_settled(&settled(&b));
-        t.hold(cert(&a));
-        t.hold(cert(&a)); // a copy of a late certificate
-        assert_eq!((t.len(), t.late()), (0, 2));
-        t.hold(cert(&b)); // each settlement drops one
-        t.hold(cert(&payment(4, 2))); // another payment is held
-        assert_eq!((t.len(), t.late()), (1, 3));
+        t.payment_settled(&settled(&a), head(5));
+        t.payment_settled(&settled(&b), head(6));
+        t.hold(cert(&b, 4));
+        t.hold(cert(&a, 3));
+        assert_eq!((t.len(), t.late(), t.payments.len()), (0, 2, 0));
+        t.hold(cert(&payment(4, 2), 4)); // another payment is held
+        assert_eq!((t.len(), t.late()), (1, 2));
     }
 
     #[test]
-    fn a_top_down_settlement_is_not_remembered_and_the_memory_is_bounded() {
+    fn a_debt_whose_certificate_never_comes_takes_no_later_one() {
+        let mut t = Tentative::default();
+        let (lost, later) = (payment(3, 0), payment(3, 1));
+        t.payment_settled(&settled(&lost), head(5));
+        t.hold(cert(&later, 6)); // committed after the settlement: held
+        assert_eq!((t.len(), t.late()), (1, 0));
+        assert_eq!(t.value_for(Address::new(200)), TokenAmount::from_whole(3));
+        t.payment_settled(&settled(&later), head(9));
+        assert_eq!((t.len(), t.late()), (0, 0));
+        t.hold(cert(&lost, 2)); // the lost one comes after all
+        assert_eq!((t.len(), t.late(), t.payments.len()), (0, 1, 0));
+    }
+
+    #[test]
+    fn a_top_down_or_replayed_settlement_owes_nothing() {
         let mut t = Tentative::default();
         let down = CrossMsg::transfer(
             HcAddress::new(SubnetId::root(), Address::new(200)),
             HcAddress::new(child(), Address::new(100)),
             TokenAmount::from_whole(1),
         );
-        t.payment_settled(&down);
-        assert!(t.settled.is_empty());
-        for n in 0..SETTLED_MEMORY as u64 + 10 {
-            t.payment_settled(&payment(n + 1, n));
-        }
-        assert_eq!(t.settled.len(), SETTLED_MEMORY);
-        t.hold(cert(&payment(1, 0))); // forgotten: held
-        let last = SETTLED_MEMORY as u64 + 9;
-        t.hold(cert(&payment(last + 1, last))); // remembered: late
-        assert_eq!((t.len(), t.late()), (1, 1));
+        t.payment_settled(&down, head(5));
+        let a = payment(3, 0);
+        t.payment_settled(&settled(&a), None);
+        assert!(t.payments.is_empty());
+        t.hold(cert(&a, 3));
+        assert_eq!((t.len(), t.late()), (1, 0));
+        t.payment_settled(&settled(&a), None); // still settles what is held
+        assert_eq!(t.len(), 0);
     }
 }

@@ -540,11 +540,23 @@ impl HierarchyRuntime {
         now_ms: u64,
     ) -> Result<(), RuntimeError> {
         let push_enabled = self.config.push_enabled && self.journal.outward();
+        // A payment settled here can still be followed by its certificate
+        // only on a live run, from a live source; the source's head now
+        // bounds the epoch it was committed at (`node/tentative.rs`).
+        let source_head = match &event {
+            VmEvent::CrossMsgApplied { msg }
+                if self.journal.outward() && !msg.is_top_down() && msg.to.subnet == *subnet =>
+            {
+                let source = self.nodes.get(&msg.from.subnet).filter(|s| s.is_live());
+                source.map(|s| s.chain().head_epoch())
+            }
+            _ => None,
+        };
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         // Runs in the sequential routing phase, so the persist a cut
         // triggers leaves store counters deterministic at any wave
         // parallelism.
-        let cut = node.apply_event(&event, push_enabled);
+        let cut = node.apply_event(&event, push_enabled, source_head);
         match event {
             VmEvent::CheckpointCut { checkpoint } => {
                 let (manifest, pushes) = cut.expect("a checkpoint cut persists its state");

@@ -247,4 +247,72 @@ fn a_certificate_after_its_settlement_is_dropped_and_counted() {
     assert_eq!(node.tentative_value_for(carol.addr), TokenAmount::ZERO);
     assert_eq!(node.tentative_count(), 0);
     assert_eq!(node.late_certificates(), 1);
+    assert_eq!(node.owed_certificates(), 0);
+}
+
+/// A certificate that never comes leaves its settlement owing one, and no
+/// later transfer pays that debt by mistake. The destination's topic drops
+/// everything until a path payment has settled, so its certificate is
+/// lost; an identical transfer sent after the heal must have its own
+/// certificate held, not dropped as the first one's, late.
+#[test]
+fn a_lost_certificate_takes_no_later_identical_one() {
+    let mut h = Harness::with(RuntimeConfig::default(), 10_000);
+    let alice = h.alice.clone();
+    let mut leaves = Vec::new();
+    for _ in 0..2 {
+        let mid = h.spawn(&alice, SaConfig::default());
+        let creator = h.user(&mid);
+        h.fund(&creator, 100);
+        leaves.push(h.spawn(&creator, SaConfig::default()));
+    }
+    let (bob, carol) = (h.user(&leaves[0]), h.user(&leaves[1]));
+    h.fund(&bob, 50);
+    h.fund(&carol, 1);
+
+    let heal_ms = h.rt.now_ms() + 120_000;
+    h.rt.extend_faults(FaultPlan {
+        rules: vec![FaultRule::new(
+            0,
+            heal_ms,
+            FaultKind::Partition {
+                name: "lost certificate".into(),
+                topics: vec![carol.subnet.topic()],
+                subscribers: Vec::new(),
+                policy: PartitionPolicy::Drop,
+            },
+        )],
+    });
+    h.rt.cross_transfer(&bob, &carol, whole(7)).unwrap();
+    while h.rt.balance(&carol) == whole(1) {
+        h.rt.step().unwrap();
+    }
+    assert!(
+        h.rt.now_ms() < heal_ms,
+        "the payment settled before the heal"
+    );
+    while h.rt.now_ms() <= heal_ms {
+        h.rt.step().unwrap();
+    }
+
+    h.rt.cross_transfer(&bob, &carol, whole(7)).unwrap();
+    let mut seen = false;
+    while h.rt.balance(&carol) == whole(8) {
+        h.rt.step().unwrap();
+        let node = h.rt.node(&carol.subnet).unwrap();
+        seen |= node.tentative_value_for(carol.addr) == whole(7);
+        assert_eq!(
+            node.late_certificates(),
+            0,
+            "an on-time certificate dropped"
+        );
+    }
+    assert!(seen, "the second certificate was never held");
+    h.settle();
+    assert_eq!(h.rt.balance(&carol), whole(15));
+    let node = h.rt.node(&carol.subnet).unwrap();
+    assert_eq!(node.tentative_value_for(carol.addr), TokenAmount::ZERO);
+    assert_eq!(node.tentative_count(), 0);
+    assert_eq!(node.late_certificates(), 0);
+    assert_eq!(node.owed_certificates(), 1, "the lost certificate's debt");
 }

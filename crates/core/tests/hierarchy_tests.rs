@@ -241,7 +241,9 @@ fn deterministic_replay_under_same_seed() {
 /// and every certificate settles (paper §IV-A, §IV-C). In a three-level
 /// tree carrying bottom-up and path transfers of every shape, the
 /// hierarchy at rest holds no group in any resolver — a subnet serves the
-/// groups it cut from its registry — and no tentative payment.
+/// groups it cut from its registry — no tentative payment, and no
+/// settlement owed a certificate (a subnet that forwards a path payment
+/// down does not settle it).
 #[test]
 fn cross_net_content_and_certificates_are_held_only_until_used() {
     let mut h = Harness::setup();
@@ -279,6 +281,7 @@ fn cross_net_content_and_certificates_are_held_only_until_used() {
         let held: Vec<_> = node.resolver().cache().cids().collect();
         assert!(held.is_empty(), "{subnet} holds groups: {held:?}");
         assert_eq!(node.tentative_count(), 0, "{subnet} holds certificates");
+        assert_eq!(node.owed_certificates(), 0, "{subnet} owes certificates");
     }
     let root = h.rt.node(&SubnetId::root()).unwrap();
     assert!(root.resolver().stats().cache_hits > 0);

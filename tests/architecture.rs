@@ -1210,8 +1210,9 @@ fn one_invariant_check() {
 /// streaming `Sha256` that `sha256` is a call of; an SCA's checkpoint
 /// window digest is filled in one place, as a message is queued or decoded;
 /// a sealed message's envelope CID continues the hasher of its body, which
-/// is encoded and hashed once; and a fund certificate's settlement key is
-/// the message by value, no digest.
+/// is encoded and hashed once; and a fund certificate is held under its
+/// message by value and found by the settling message, borrowed, with no
+/// digest.
 #[test]
 fn content_is_hashed_once() {
     let sources = crate_sources();
@@ -1309,28 +1310,34 @@ fn content_is_hashed_once() {
         "DESIGN.md §10: the envelope CID continues the body's one hasher: {seal:#?}"
     );
 
-    // A settlement key is the message with its nonce cleared, by value.
-    let keys = hits(&files_under("crates/core/src"), non_test, |l| {
-        l.starts_with("fn settlement_key(")
-    });
-    assert!(
-        keys.len() == 1 && keys[0].ends_with("fn settlement_key(msg: &CrossMsg) -> CrossMsg {"),
-        "DESIGN.md §10: one settlement key, the message by value; found {keys:#?}"
-    );
-    let path = root().join(keys[0].split(':').next().unwrap_or_default());
-    let text = read(&path);
-    let key = block(
-        non_test(&text),
-        "fn settlement_key(msg: &CrossMsg) -> CrossMsg {",
-        "}",
-    );
-    let digests: Vec<&&str> = key
-        .iter()
-        .filter(|l| l.contains("cid(") || l.contains("digest") || l.contains("Sha256"))
+    // A held certificate is found by its message, borrowed and compared
+    // without the nonce: no digest, and no copy of the settling message.
+    let tentative = read_rel("crates/core/src/node/tentative.rs");
+    let tentative = non_test(&tentative);
+    let digests: Vec<&str> = tentative
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .filter(|l| {
+            let l = l.to_lowercase();
+            l.contains("cid(") || l.contains("digest") || l.contains("sha256")
+        })
         .collect();
     assert!(
         digests.is_empty(),
         "DESIGN.md §10: a settlement key computes no digest; found {digests:#?}"
+    );
+    let settled = block(
+        tentative,
+        "    pub(super) fn payment_settled(&mut self, msg: &CrossMsg, source_head: Option<ChainEpoch>) {",
+        "    }",
+    );
+    let lookup = settled
+        .iter()
+        .position(|l| l.contains("msg as &dyn Unstamped"));
+    let copy = settled.iter().position(|l| l.contains("clone()"));
+    assert!(
+        lookup.is_some() && copy.is_none_or(|c| Some(c) > lookup),
+        "DESIGN.md §10: a settling message is looked up borrowed: {settled:#?}"
     );
 }
 
