@@ -11,7 +11,6 @@ use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use hc_types::merkle::merkle_root;
 use hc_types::{
     decode_fields, encode_fields, Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid,
     DecodeError, Nonce, SubnetId, TokenAmount,
@@ -218,19 +217,22 @@ impl CrossMsg {
 }
 
 /// A cross-message group together with the digest that commits to it: the
-/// Merkle root over the messages, i.e. the `msgsCid` a [`CrossMsgMeta`]
-/// carries (paper §III-B).
+/// CID of the group's canonical encoding, i.e. the `msgsCid` a
+/// [`CrossMsgMeta`] carries (paper §III-B). A group is resolved whole
+/// (paper §IV-C) and checked by recomputing that digest, so it is an
+/// ordinary content-addressed object like every other [`Cid`].
 ///
 /// The group is what moves between a node's parts — the SCA that cuts it,
 /// the content registry, the resolver cache, the cross-msg pool, the
-/// implicit messages of a block — and each of them used to rebuild the
-/// Merkle tree to learn or check the digest. A `MsgGroup` derives it at
-/// most once and carries it: the messages sit behind a shared, immutable
-/// slice and the memo is private, so it can only ever hold the root of the
-/// messages beside it. [`MsgGroup::seal`] derives eagerly (content created
-/// here); a group decoded from bytes starts cold and derives from what was
-/// decoded on first use, so a carried digest can never lie. Cloning shares
-/// the messages and copies the memo.
+/// implicit messages of a block and the payload root that commits to them
+/// — and each of them used to hash it again to learn or check the digest.
+/// A `MsgGroup` derives it at most once and carries it: the messages sit
+/// behind a shared, immutable slice and the memo is private, so it can
+/// only ever hold the digest of the messages beside it. [`MsgGroup::seal`]
+/// derives eagerly (content created here); a group decoded from bytes
+/// starts cold and derives from what was decoded on first use, so a
+/// carried digest can never lie. Cloning shares the messages and copies
+/// the memo.
 ///
 /// The canonical encoding is that of the message sequence alone — exactly
 /// `Vec<CrossMsg>`'s — and equality is content equality.
@@ -242,7 +244,7 @@ pub struct MsgGroup {
 }
 
 impl MsgGroup {
-    /// Seals `msgs` into a group, deriving its Merkle root.
+    /// Seals `msgs` into a group, deriving its digest.
     pub fn seal(msgs: Vec<CrossMsg>) -> Self {
         let group = MsgGroup {
             msgs: msgs.into(),
@@ -252,10 +254,10 @@ impl MsgGroup {
         group
     }
 
-    /// The Merkle root over the messages. Memoized; the only place a
-    /// cross-message group is hashed.
+    /// The CID of the group's canonical encoding. Memoized; the only place
+    /// a cross-message group is hashed.
     pub fn cid(&self) -> Cid {
-        *self.cid.get_or_init(|| merkle_root(&self.msgs))
+        *self.cid.get_or_init(|| self.msgs.cid())
     }
 }
 
@@ -281,11 +283,16 @@ impl CanonicalEncode for MsgGroup {
     fn write_bytes(&self, out: &mut Vec<u8>) {
         self.msgs.write_bytes(out);
     }
+
+    /// The memo: the trait's digest of a group is [`MsgGroup::cid`].
+    fn cid(&self) -> Cid {
+        MsgGroup::cid(self)
+    }
 }
 
 impl CanonicalDecode for MsgGroup {
     fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        // Decoded groups start cold: the root is derived from the decoded
+        // Decoded groups start cold: the digest is derived from the decoded
         // messages on first use, never read from the wire.
         Ok(MsgGroup {
             msgs: Vec::<CrossMsg>::read_bytes(r)?.into(),
@@ -308,7 +315,8 @@ pub struct CrossMsgMeta {
     /// Sequence number assigned by the destination's SCA on arrival;
     /// `Nonce::ZERO` while in flight.
     pub nonce: Nonce,
-    /// Merkle-root CID of the message group.
+    /// CID of the message group: the digest of its canonical encoding,
+    /// carried by [`MsgGroup::cid`].
     pub msgs_cid: Cid,
     /// Number of messages behind `msgs_cid`.
     pub count: u64,
@@ -338,7 +346,7 @@ decode_fields!(CrossMsgMeta {
 
 impl CrossMsgMeta {
     /// Builds the metadata for a group of messages travelling `from → to`,
-    /// committing to them with the group's Merkle root.
+    /// committing to them with the group's digest.
     pub fn for_group(from: SubnetId, to: SubnetId, group: &MsgGroup) -> Self {
         CrossMsgMeta {
             from,
@@ -406,10 +414,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Sealed ≡ from scratch: the carried digest is the Merkle root of
-        /// the messages, the encoding is the message sequence's own, and a
+        /// Sealed ≡ from scratch: the carried digest is the CID of the
+        /// message sequence's encoding, which is the group's own, and a
         /// group that came back through bytes starts cold and re-derives
-        /// the same root from what was decoded.
+        /// the same digest from what was decoded.
         #[test]
         fn sealed_group_equals_from_scratch(
             values in proptest::prelude::prop::collection::vec(0u64..1_000, 0..12),
@@ -428,7 +436,7 @@ mod tests {
                 })
                 .collect();
             let group = MsgGroup::seal(msgs.clone());
-            proptest::prop_assert_eq!(group.cid.get().copied(), Some(merkle_root(&msgs)));
+            proptest::prop_assert_eq!(group.cid.get().copied(), Some(msgs.cid()));
             let bytes = group.canonical_bytes();
             proptest::prop_assert_eq!(&bytes, &msgs.canonical_bytes());
             let back = MsgGroup::decode(&bytes).unwrap();

@@ -849,7 +849,7 @@ impl ScaState {
     /// content registry (paper §IV-C) is state-tree content, so the caller
     /// appends them there. This is the registry's only writer, which makes
     /// it append-only in block-execution order by construction — and the
-    /// one place a group's Merkle root is derived from messages this node
+    /// one place a group's digest is derived from messages this node
     /// produced; everything downstream carries it.
     ///
     /// A root SCA (no parent to checkpoint into) cuts like any other —

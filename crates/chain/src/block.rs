@@ -5,8 +5,7 @@ use std::sync::OnceLock;
 use serde::{Deserialize, Serialize};
 
 use hc_state::{ImplicitMsg, SealedMessage};
-use hc_types::crypto::AggregateSignature;
-use hc_types::merkle::MerkleTree;
+use hc_types::crypto::{AggregateSignature, Sha256};
 use hc_types::{
     decode_fields, encode_fields, ByteReader, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid,
     DecodeError, Keypair, PublicKey, Signature, SubnetId,
@@ -24,8 +23,11 @@ pub struct BlockHeader {
     pub parent: Cid,
     /// State root after executing this block.
     pub state_root: Cid,
-    /// Merkle root over the CIDs of all carried messages (signed, then
-    /// implicit). [`Block::seal`] fills it in from the payload it seals.
+    /// Payload root: one SHA-256 pass over the signed count, each signed
+    /// message's envelope CID, the implicit count and each implicit
+    /// message's [commitment form](ImplicitMsg::write_commitment);
+    /// [`Cid::NIL`] for an empty payload. [`Block::seal`] fills it in from
+    /// the payload it seals.
     pub msgs_root: Cid,
     /// The proposer's public key.
     pub proposer: PublicKey,
@@ -58,7 +60,7 @@ decode_fields!(BlockHeader {
 /// The header CID — the block's identity, consumed by header signing, chain
 /// indexing, justification signatures, and structural validation — is
 /// derived once per block and memoized (see [`Block::cid`]), and so is the
-/// Merkle root of the payload that [`Block::validate_structure`] compares
+/// digest of the payload that [`Block::validate_structure`] compares
 /// the header's `msgs_root` with. Both memos are excluded from
 /// serialization and equality, so a block decoded from untrusted bytes
 /// re-derives them from content.
@@ -81,7 +83,7 @@ pub struct Block {
     /// deserialization. Private so it can only ever hold `header.cid()`.
     #[serde(skip)]
     cid_memo: OnceLock<Cid>,
-    /// Memoized Merkle root of `signed_msgs` and `implicit_msgs`: filled by
+    /// Memoized digest of `signed_msgs` and `implicit_msgs`: filled by
     /// [`Block::seal`] from the very vectors it moves into the block, cold
     /// after deserialization. Private, and never set from a value a caller
     /// supplies, so it can only ever hold the root of the payload beside
@@ -131,17 +133,30 @@ impl CanonicalDecode for Block {
 }
 
 impl Block {
-    /// Computes the Merkle root over the payload's message CIDs.
+    /// Computes [`BlockHeader::msgs_root`] for a payload.
     ///
-    /// Message CIDs are digests already, so they enter the tree as leaf
-    /// hashes directly (no per-leaf rehash); sealed messages contribute
-    /// their memoized envelope CIDs. Like the PR 2 chunked state root, this
-    /// intentionally changes the root *format* — the root remains a pure
-    /// function of the payload, which is all consensus compares.
+    /// The root only has to fix the block's contents (paper §III-B):
+    /// nothing proves one message against it, so it is a plain digest, not
+    /// a Merkle tree. The counts and the self-delimiting encodings make the
+    /// preimage injective. Envelope and group CIDs are memos, so the pass
+    /// hashes no message or group again.
     fn compute_msgs_root(signed: &[SealedMessage], implicit: &[ImplicitMsg]) -> Cid {
-        let mut cids: Vec<Cid> = signed.iter().map(|m| m.cid()).collect();
-        cids.extend(implicit.iter().map(|m| m.cid()));
-        MerkleTree::from_leaf_hashes(cids).root()
+        if signed.is_empty() && implicit.is_empty() {
+            return Cid::NIL;
+        }
+        let mut hasher = Sha256::new();
+        hasher.update(&(signed.len() as u64).to_le_bytes());
+        for msg in signed {
+            hasher.update(msg.cid().as_bytes());
+        }
+        hasher.update(&(implicit.len() as u64).to_le_bytes());
+        let mut form = Vec::new();
+        for msg in implicit {
+            form.clear();
+            msg.write_commitment(&mut form);
+            hasher.update(&form);
+        }
+        Cid::from_bytes(hasher.finalize())
     }
 
     /// Assembles and signs a block. The messages root is derived here,
@@ -329,20 +344,18 @@ mod tests {
     }
 
     #[test]
-    fn msgs_root_uses_message_cids_as_leaves() {
+    fn msgs_root_is_one_digest_of_the_payload() {
         // The root must be reproducible from the from-scratch message CIDs
         // alone (validators recompute it from decoded payloads whose memo
-        // cells are cold).
+        // cells are cold): the signed count and CIDs, then the implicit
+        // count and forms — none here.
         let kp = keypair(6);
         let block = sample_block(&kp);
-        let leaves: Vec<Cid> = block
-            .signed_msgs
-            .iter()
-            .map(|m| CanonicalEncode::cid(m.signed()))
-            .collect();
-        assert_eq!(
-            block.header.msgs_root,
-            MerkleTree::from_leaf_hashes(leaves).root()
-        );
+        let mut preimage = (block.signed_msgs.len() as u64).canonical_bytes();
+        for m in &block.signed_msgs {
+            CanonicalEncode::cid(m.signed()).write_bytes(&mut preimage);
+        }
+        0u64.write_bytes(&mut preimage);
+        assert_eq!(block.header.msgs_root, Cid::digest(&preimage));
     }
 }

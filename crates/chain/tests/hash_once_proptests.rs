@@ -3,10 +3,17 @@
 //! outside — comes back cold, re-derives its digest from what was decoded,
 //! and is refused wherever the digest is compared.
 //!
-//! The memos that make the in-process path O(1) ([`MsgGroup`]'s Merkle
-//! root, [`Block`]'s payload root) are private and filled only from the
-//! content beside them, so none of these checks was removed — only their
-//! repeats on a value that cannot have changed.
+//! The memos that make the in-process path O(1) ([`MsgGroup`]'s digest,
+//! [`Block`]'s payload root) are private and filled only from the content
+//! beside them, so none of these checks was removed — only their repeats
+//! on a value that cannot have changed.
+//!
+//! A payload root is one SHA-256 pass over the signed count, the signed
+//! messages' envelope CIDs, the implicit count and the implicit messages'
+//! commitment forms (a carried group written as its CID). The last two
+//! properties pin it: a sealed block's root is that digest recomputed from
+//! scratch and its cold decoded copy's, and it moves with every change to
+//! what the block carries.
 
 use proptest::prelude::*;
 
@@ -15,7 +22,7 @@ use hc_actors::ledger::MapLedger;
 use hc_actors::{
     CrossMsg, CrossMsgMeta, HcAddress, Ledger, MsgGroup, ScaConfig, ScaError, ScaState,
 };
-use hc_chain::{produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions};
+use hc_chain::{produce_block_with, Block, BlockHeader, ChainStore, CrossMsgPool, ExecOptions};
 use hc_state::{ImplicitMsg, Message, SealedMessage, StateTree};
 use hc_types::{
     Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId,
@@ -82,6 +89,144 @@ fn tampered_bytes<T: CanonicalEncode + Clone>(items: &[T], extra: T, tamper: &Ta
         Tamper::Append(_) => items.push(extra),
     }
     items.canonical_bytes()
+}
+
+/// One implicit message of an arbitrary payload.
+#[derive(Debug, Clone)]
+enum Implicit {
+    TopDown(u64),
+    BottomUp(Vec<u64>),
+    Turnaround(Vec<u64>),
+    Cut(u64),
+    Sweep(u64),
+}
+
+fn arb_implicit() -> impl Strategy<Value = Implicit> {
+    let values = || prop::collection::vec(0u64..1_000, 1..5);
+    prop_oneof![
+        (0u64..1_000).prop_map(Implicit::TopDown),
+        values().prop_map(Implicit::BottomUp),
+        values().prop_map(Implicit::Turnaround),
+        any::<u64>().prop_map(Implicit::Cut),
+        (1u64..100).prop_map(Implicit::Sweep),
+    ]
+}
+
+fn implicit_msg(spec: &Implicit) -> ImplicitMsg {
+    let carrying = |values: &[u64]| {
+        let group = MsgGroup::seal(msgs(values));
+        let mut meta = CrossMsgMeta::for_group(child(), SubnetId::root(), &group);
+        meta.nonce = Nonce::new(values.len() as u64);
+        (meta, group)
+    };
+    match spec {
+        Implicit::TopDown(v) => ImplicitMsg::ApplyTopDown(msgs(&[*v]).remove(0)),
+        Implicit::BottomUp(values) => {
+            let (meta, msgs) = carrying(values);
+            ImplicitMsg::ApplyBottomUp { meta, msgs }
+        }
+        Implicit::Turnaround(values) => {
+            let (meta, msgs) = carrying(values);
+            ImplicitMsg::CommitTurnaround { meta, msgs }
+        }
+        Implicit::Cut(seed) => ImplicitMsg::CutCheckpoint {
+            proof: Cid::digest(&seed.to_le_bytes()),
+        },
+        Implicit::Sweep(timeout) => ImplicitMsg::SweepAtomicTimeouts { timeout: *timeout },
+    }
+}
+
+fn signed_msg(from: u64, value: u64) -> SealedMessage {
+    SealedMessage::sign(
+        Message::transfer(
+            Address::new(100 + from),
+            Address::new(200),
+            TokenAmount::from_atto(u128::from(value) + 1),
+            Nonce::new(from),
+        ),
+        &Keypair::from_seed([0x73; 32]),
+    )
+}
+
+/// Seals a block around `signed` and `implicit`; its header's `msgs_root`
+/// is the payload root [`Block::seal`] derived.
+fn sealed(signed: Vec<SealedMessage>, implicit: Vec<ImplicitMsg>) -> Block {
+    let proposer = Keypair::from_seed([0x74; 32]);
+    let header = BlockHeader {
+        subnet: SubnetId::root(),
+        epoch: ChainEpoch::new(1),
+        parent: Cid::NIL,
+        state_root: Cid::NIL,
+        msgs_root: Cid::NIL,
+        proposer: proposer.public(),
+        timestamp_ms: 1_000,
+    };
+    Block::seal(header, signed, implicit, &proposer)
+}
+
+/// The payload root worked out from scratch, from the payload's bytes:
+/// each envelope CID hashed anew, and each commitment form taken as the
+/// message's canonical bytes with its group's bytes replaced by their
+/// digest.
+fn payload_root_from_scratch(signed: &[SealedMessage], implicit: &[ImplicitMsg]) -> Cid {
+    if signed.is_empty() && implicit.is_empty() {
+        return Cid::NIL;
+    }
+    let mut preimage = (signed.len() as u64).canonical_bytes();
+    for m in signed {
+        CanonicalEncode::cid(m.signed()).write_bytes(&mut preimage);
+    }
+    (implicit.len() as u64).write_bytes(&mut preimage);
+    for m in implicit {
+        let bytes = m.canonical_bytes();
+        match m {
+            ImplicitMsg::ApplyBottomUp { msgs, .. }
+            | ImplicitMsg::CommitTurnaround { msgs, .. } => {
+                let group = msgs.canonical_bytes();
+                assert!(bytes.ends_with(&group), "a group is encoded last");
+                preimage.extend_from_slice(&bytes[..bytes.len() - group.len()]);
+                Cid::digest(&group).write_bytes(&mut preimage);
+            }
+            _ => preimage.extend_from_slice(&bytes),
+        }
+    }
+    Cid::digest(&preimage)
+}
+
+/// One change to what a block carries.
+#[derive(Debug, Clone)]
+enum Alter {
+    Drop(prop::sample::Index),
+    Reorder(prop::sample::Index, prop::sample::Index),
+    Substitute(prop::sample::Index),
+    /// Another group under the first carried group's meta.
+    SwapGroup,
+}
+
+fn arb_alter() -> impl Strategy<Value = Alter> {
+    prop_oneof![
+        any::<prop::sample::Index>().prop_map(Alter::Drop),
+        (any::<prop::sample::Index>(), any::<prop::sample::Index>())
+            .prop_map(|(a, b)| Alter::Reorder(a, b)),
+        any::<prop::sample::Index>().prop_map(Alter::Substitute),
+        Just(Alter::SwapGroup),
+    ]
+}
+
+/// `items` after `alter`, or `None` if it leaves them as they were.
+fn altered<T: Clone + PartialEq>(items: &[T], alter: &Alter, substitute: T) -> Option<Vec<T>> {
+    let mut out = items.to_vec();
+    match alter {
+        Alter::Drop(at) if !out.is_empty() => {
+            out.remove(at.index(out.len()));
+        }
+        Alter::Reorder(a, b) if !out.is_empty() => {
+            out.swap(a.index(items.len()), b.index(items.len()));
+        }
+        Alter::Substitute(at) if !out.is_empty() => out[at.index(items.len())] = substitute,
+        _ => return None,
+    }
+    (out != items).then_some(out)
 }
 
 proptest! {
@@ -220,5 +365,74 @@ proptest! {
         }
         prop_assert!(tampered.validate_structure().is_err());
         prop_assert!(ChainStore::new(SubnetId::root()).append(tampered).is_err());
+    }
+
+    /// The payload root a block is sealed with is the documented digest
+    /// recomputed from scratch — `Cid::NIL` for an empty payload — and its
+    /// decoded copy, whose messages and groups start cold, validates
+    /// against it and seals to the same root.
+    #[test]
+    fn a_payload_root_is_one_digest_of_what_the_block_carries(
+        values in prop::collection::vec(0u64..1_000, 0..4),
+        implicit in prop::collection::vec(arb_implicit(), 0..5),
+    ) {
+        let signed: Vec<SealedMessage> =
+            values.iter().enumerate().map(|(i, v)| signed_msg(i as u64, *v)).collect();
+        let implicit: Vec<ImplicitMsg> = implicit.iter().map(implicit_msg).collect();
+        let block = sealed(signed.clone(), implicit.clone());
+        let root = block.header.msgs_root;
+        prop_assert_eq!(root, payload_root_from_scratch(&signed, &implicit));
+        prop_assert_eq!(root.is_nil(), signed.is_empty() && implicit.is_empty());
+
+        let back = Block::decode(&block.canonical_bytes()).unwrap();
+        back.validate_structure().unwrap();
+        let resealed = sealed(back.signed_msgs.clone(), back.implicit_msgs.clone());
+        prop_assert_eq!(resealed.header.msgs_root, root);
+    }
+
+    /// A dropped, reordered or substituted message moves the payload root,
+    /// among the signed messages or the implicit ones, and so does another
+    /// group carried under the same meta.
+    #[test]
+    fn a_payload_root_moves_with_its_content(
+        values in prop::collection::vec(0u64..1_000, 0..4),
+        implicit in prop::collection::vec(arb_implicit(), 0..5),
+        group_values in prop::collection::vec(0u64..1_000, 1..5),
+        alter in arb_alter(),
+        in_implicit in any::<bool>(),
+    ) {
+        let signed: Vec<SealedMessage> =
+            values.iter().enumerate().map(|(i, v)| signed_msg(i as u64, *v)).collect();
+        let mut implicit: Vec<ImplicitMsg> = implicit.iter().map(implicit_msg).collect();
+        // Every payload carries a group last, so a swap has one to replace.
+        implicit.push(implicit_msg(&Implicit::BottomUp(group_values.clone())));
+        let root = sealed(signed.clone(), implicit.clone()).header.msgs_root;
+
+        let (signed2, implicit2) = match alter {
+            Alter::SwapGroup => {
+                let mut implicit2 = implicit.clone();
+                let Some(ImplicitMsg::ApplyBottomUp { msgs: group, .. }) = implicit2.last_mut()
+                else {
+                    unreachable!("a bottom-up message was pushed last");
+                };
+                let shifted: Vec<u64> = group_values.iter().map(|v| v + 1).collect();
+                *group = MsgGroup::seal(msgs(&shifted));
+                (signed.clone(), implicit2)
+            }
+            _ if in_implicit => {
+                let substitute = ImplicitMsg::SweepAtomicTimeouts { timeout: 1_000 };
+                let Some(implicit2) = altered(&implicit, &alter, substitute) else {
+                    return Ok(());
+                };
+                (signed.clone(), implicit2)
+            }
+            _ => {
+                let Some(signed2) = altered(&signed, &alter, signed_msg(0, 1_000)) else {
+                    return Ok(());
+                };
+                (signed2, implicit.clone())
+            }
+        };
+        prop_assert_ne!(sealed(signed2, implicit2).header.msgs_root, root);
     }
 }

@@ -343,7 +343,12 @@ fn decode_everywhere(bytes: &[u8]) -> Result<(), TestCaseError> {
 /// For each entry of `methods()`: the digest of its canonical bytes, then
 /// the `msg_cid()` and `cid()` of a signed `SealedMessage` carrying it.
 /// Recorded before `Method` boxed its cold variants: a layout change must
-/// move no byte and no CID.
+/// move no byte and no CID. The samples that carry a cross-message group's
+/// digest — entry 11 here (`ReportFraud`'s checkpoints), entries 1, 3 and 5
+/// of [`IMPLICIT_WIRE`] — were re-recorded when that digest became the CID
+/// of the group's encoding instead of a Merkle root: their bytes kept their
+/// length and moved only in the group CIDs and in the checkpoint
+/// signatures over them.
 const METHOD_WIRE: [[&str; 3]; 18] = [
     [
         "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
@@ -401,9 +406,9 @@ const METHOD_WIRE: [[&str; 3]; 18] = [
         "1112f8ff62853c70c9fc6eb5d82eaa0312792970de00382739720108996400ae",
     ],
     [
-        "058fb81b551185b84c2c9c2ad5e05f1651cda903c008719996816854eb3195f5",
-        "e04f6851db309a0330bf357b7c2f5dc4be33caa7ac8aeb443dda561686257975",
-        "a96c2cf9dc80a328dfb7ad3b79c0c7d0518087036832f2a0be23be892f1bceb9",
+        "c5143b5447022a0ae13e4f720a105ccd6dfb8f6b1636a3b0930385200f64462d",
+        "006ae4dd19f1370e3d7f7f682716661abcdba072595e9b4510b105a7b899949a",
+        "62eff81e8b25d5ccd126e1e05b257daefea4b9deb669cc266a8c1b3c96042d59",
     ],
     [
         "591ba30701cd37ed821114dec92cbad91e5fddbb3d9c023c3af50f3cc6016a29",
@@ -440,11 +445,11 @@ const METHOD_WIRE: [[&str; 3]; 18] = [
 /// The digest of each entry of `implicit_msgs()`'s canonical bytes.
 const IMPLICIT_WIRE: [&str; 6] = [
     "2c2baa5c3e2bdc849de5d5a377eff5aecf209c3847cecc8a70e32b10338cc51a",
-    "585a9fed70eb7c757d6b82501a401f43501f9088e9b58897e32d6e2a7f876bb1",
+    "4e697219c47d22195bba23067592a2c51b139e66e060f31c96bb652a35203b77",
     "05194d69ace22230025ce0137e53af64fc80ba878aeefcb68833865b97e7639b",
-    "bc3e790c6ef3cb9315bb6c1a941aca77bd3f40ec5ce6a9a242fe6ded4948f6ab",
+    "a499e83fe8d602c7326896c53b801d6c4181322d4f552e09b679986321db18b7",
     "9b674c1d291b589c146730f6a4122273af3805ab1d63a75da74838ace3982186",
-    "6981731bad08bd9c077d1320d59393285749bd8667efd753218210f75371498c",
+    "5e345383db2aad342e2e76cc1d31b1d480a83be1bd96a68d10a1a35691d4b7fd",
 ];
 
 fn hex(cid: Cid) -> String {

@@ -633,7 +633,6 @@ impl Resolver {
 mod tests {
     use super::*;
     use hc_actors::HcAddress;
-    use hc_types::merkle::merkle_root;
     use hc_types::{Address, SubnetId, TokenAmount};
 
     fn group(n: u64) -> (Cid, Vec<CrossMsg>) {
@@ -649,7 +648,7 @@ mod tests {
                 )
             })
             .collect();
-        (merkle_root(&msgs), msgs)
+        (MsgGroup::seal(msgs.clone()).cid(), msgs)
     }
 
     /// The `i`-th of a run of distinct one-message groups, cheap enough to
@@ -660,7 +659,7 @@ mod tests {
             HcAddress::new(SubnetId::root(), Address::new(2)),
             TokenAmount::from_atto(u128::from(i) + 1),
         )];
-        (merkle_root(&msgs), msgs)
+        (MsgGroup::seal(msgs.clone()).cid(), msgs)
     }
 
     #[test]

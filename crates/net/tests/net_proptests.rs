@@ -7,7 +7,6 @@ use hc_net::{
     ContentCache, FaultKind, FaultPlan, FaultRule, NetConfig, NetStats, Network, PartitionPolicy,
     RegionLink, RegionMap, Resolver, SubscriberId, Window,
 };
-use hc_types::merkle::merkle_root;
 use hc_types::{Address, CanonicalDecode, CanonicalEncode, SubnetId, TokenAmount};
 
 fn group(id: u64, n: u64) -> (hc_types::Cid, Vec<CrossMsg>) {
@@ -23,7 +22,7 @@ fn group(id: u64, n: u64) -> (hc_types::Cid, Vec<CrossMsg>) {
             )
         })
         .collect();
-    (merkle_root(&msgs), msgs)
+    (MsgGroup::seal(msgs.clone()).cid(), msgs)
 }
 
 /// The [`NetStats`] identities: every candidate delivery is scheduled or
@@ -241,7 +240,7 @@ proptest! {
             prop_assert_eq!(accepted, held || claimed_id == actual_id);
             if let Some(stored) = cache.get(&claimed_cid) {
                 prop_assert_eq!(stored.cid(), claimed_cid);
-                prop_assert_eq!(merkle_root(stored), claimed_cid);
+                prop_assert_eq!(MsgGroup::seal(stored.to_vec()).cid(), claimed_cid);
             }
         }
     }

@@ -429,8 +429,18 @@ pub enum ImplicitMsg {
     },
 }
 
-impl CanonicalEncode for ImplicitMsg {
-    fn write_bytes(&self, out: &mut Vec<u8>) {
+impl ImplicitMsg {
+    /// Appends the bytes a block's payload root commits to for this
+    /// message: its canonical encoding, except that a carried group is
+    /// written as its CID rather than its messages. The group's CID is its
+    /// memo, derived where the group was sealed or decoded, so the payload
+    /// root hashes each group's messages no second time.
+    pub fn write_commitment(&self, out: &mut Vec<u8>) {
+        self.write_with(out, |group, out| group.cid().write_bytes(out));
+    }
+
+    /// The canonical encoding with each carried group written by `group`.
+    fn write_with(&self, out: &mut Vec<u8>, group: fn(&MsgGroup, &mut Vec<u8>)) {
         match self {
             ImplicitMsg::ApplyTopDown(m) => {
                 out.push(0);
@@ -439,7 +449,7 @@ impl CanonicalEncode for ImplicitMsg {
             ImplicitMsg::ApplyBottomUp { meta, msgs } => {
                 out.push(1);
                 meta.write_bytes(out);
-                msgs.write_bytes(out);
+                group(msgs, out);
             }
             ImplicitMsg::CutCheckpoint { proof } => {
                 out.push(2);
@@ -452,13 +462,19 @@ impl CanonicalEncode for ImplicitMsg {
             ImplicitMsg::CommitTurnaround { meta, msgs } => {
                 out.push(4);
                 meta.write_bytes(out);
-                msgs.write_bytes(out);
+                group(msgs, out);
             }
             ImplicitMsg::SweepAtomicTimeouts { timeout } => {
                 out.push(5);
                 timeout.write_bytes(out);
             }
         }
+    }
+}
+
+impl CanonicalEncode for ImplicitMsg {
+    fn write_bytes(&self, out: &mut Vec<u8>) {
+        self.write_with(out, |group, out| group.write_bytes(out));
     }
 }
 

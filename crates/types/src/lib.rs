@@ -15,9 +15,8 @@
 //!   `unsafe` call), a simulation-grade signature scheme, and the
 //!   multi-signature / threshold signature policies used by checkpoint
 //!   validation.
-//! * [`merkle`] — binary Merkle trees with membership proofs, used for
-//!   cross-message metadata (`CrossMsgMeta`) digests and checkpoint children
-//!   trees.
+//! * [`merkle`] — binary Merkle trees with membership proofs, used for the
+//!   chunked state commitment and balance snapshots.
 //! * [`encode`] — deterministic canonical binary encoding, the basis for all
 //!   content addressing.
 //! * [`decode`] — the strict inverse of [`encode`], used by the durability

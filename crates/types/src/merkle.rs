@@ -1,11 +1,12 @@
 //! Binary Merkle trees with membership proofs.
 //!
-//! Used wherever the paper commits to a *set* of items by a single CID:
-//! the `msgsCid` digest of a cross-message group inside a `CrossMsgMeta`,
-//! the `children` tree of a checkpoint, and state snapshots persisted by the
-//! SCA `save` function. Membership proofs let light clients check that a
-//! particular message or child checkpoint is covered by a committed root
-//! without downloading the whole set.
+//! Used where a set is committed to by a single CID *and* proved against:
+//! the chunked state commitment (an account proof's last step, DESIGN.md
+//! §9) and the balance snapshots the SCA `save` function persists. Their
+//! membership proofs let a light client check that one leaf is covered by
+//! a committed root without downloading the whole set. A set that is only
+//! ever resolved and checked whole — a cross-message group, a block's
+//! payload — is hashed in one pass instead.
 
 use serde::{Deserialize, Serialize};
 
@@ -212,14 +213,6 @@ crate::decode_fields!(ProofStep {
 crate::encode_fields!(MerkleProof { path });
 crate::decode_fields!(MerkleProof { path });
 
-/// Convenience: the Merkle root CID of a sequence of canonical items.
-///
-/// This is how `msgsCid` — "the CID (message digest) of the group of
-/// messages" (paper §III-B) — is computed for `CrossMsgMeta`.
-pub fn merkle_root<T: CanonicalEncode>(items: &[T]) -> Cid {
-    MerkleTree::from_items(items).root()
-}
-
 // SHA-256 is exposed through Cid::digest; keep the direct import used.
 const _: fn(&[u8]) -> [u8; 32] = sha256;
 
@@ -262,11 +255,12 @@ mod tests {
 
     #[test]
     fn root_changes_with_any_leaf_change_or_reorder() {
-        let base = merkle_root(&[1u64, 2, 3, 4]);
-        assert_ne!(base, merkle_root(&[1u64, 2, 3, 5]));
-        assert_ne!(base, merkle_root(&[1u64, 2, 4, 3]));
-        assert_ne!(base, merkle_root(&[1u64, 2, 3]));
-        assert_ne!(base, merkle_root(&[1u64, 2, 3, 4, 4]));
+        let root = |items: &[u64]| MerkleTree::from_items(items).root();
+        let base = root(&[1, 2, 3, 4]);
+        assert_ne!(base, root(&[1, 2, 3, 5]));
+        assert_ne!(base, root(&[1, 2, 4, 3]));
+        assert_ne!(base, root(&[1, 2, 3]));
+        assert_ne!(base, root(&[1, 2, 3, 4, 4]));
     }
 
     #[test]

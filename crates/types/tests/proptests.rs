@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use hc_types::crypto::sha256;
-use hc_types::merkle::{merkle_root, MerkleTree};
+use hc_types::merkle::MerkleTree;
 use hc_types::{Address, CanonicalEncode, Cid, Sha256, SubnetId, TokenAmount};
 
 fn arb_subnet_id() -> impl Strategy<Value = SubnetId> {
@@ -125,10 +125,10 @@ proptest! {
 
     #[test]
     fn merkle_root_is_order_sensitive(mut items in prop::collection::vec(any::<u64>(), 2..20)) {
-        let original = merkle_root(&items);
+        let original = MerkleTree::from_items(&items).root();
         items.swap(0, 1);
         if items[0] != items[1] {
-            prop_assert_ne!(merkle_root(&items), original);
+            prop_assert_ne!(MerkleTree::from_items(&items).root(), original);
         }
     }
 

@@ -1204,9 +1204,12 @@ fn one_invariant_check() {
 }
 
 /// DESIGN.md §10, "the hash-once rule": outside `#[cfg(test)]`, a cross-msg
-/// group's Merkle root is derived in one place — the private memo of
-/// `MsgGroup` — and a block's payload root in `Block::seal` and the cold
-/// path of its memo; hc-types compresses SHA-256 blocks in one place, the
+/// group's digest — the CID of its encoding — is derived in one place, the
+/// private memo of `MsgGroup`, which the trait's `cid` on a group also
+/// reads, and no Merkle root of a group is left; a block's payload root is
+/// derived in `Block::seal` and the cold path of its memo, in one SHA-256
+/// pass over the carried messages' CIDs and commitment forms, with no
+/// `MerkleTree`; hc-types compresses SHA-256 blocks in one place, the
 /// streaming `Sha256` that `sha256` is a call of; an SCA's checkpoint
 /// window digest is filled in one place, as a message is queued or decoded;
 /// a sealed message's envelope CID continues the hasher of its body, which
@@ -1218,8 +1221,27 @@ fn content_is_hashed_once() {
     let sources = crate_sources();
     let roots = hits(&sources, non_test, |l| l.contains("merkle_root("));
     assert!(
-        roots.len() == 1 && roots[0].starts_with("crates/actors/src/msg.rs:"),
-        "DESIGN.md §10: a group's root is derived only in `MsgGroup`; found {roots:#?}"
+        roots.is_empty(),
+        "DESIGN.md §10: a group's digest is no Merkle root; found {roots:#?}"
+    );
+    let msg = read_rel("crates/actors/src/msg.rs");
+    let msg = non_test(&msg);
+    let memo = block(msg, "    pub fn cid(&self) -> Cid {", "    }");
+    let derivations: Vec<&str> = msg
+        .lines()
+        .filter(|l| l.contains("self.msgs.c") || l.contains("get_or_init("))
+        .collect();
+    assert!(
+        derivations.len() == 1
+            && memo.contains(&derivations[0])
+            && derivations[0].contains("self.cid.get_or_init(|| self.msgs.cid())"),
+        "DESIGN.md §10: a group's digest is derived only in `MsgGroup`'s memo, \
+         from its encoding; found {derivations:#?}"
+    );
+    let trait_cid = block(msg, "impl CanonicalEncode for MsgGroup {", "}");
+    assert!(
+        trait_cid.iter().any(|l| l.trim() == "MsgGroup::cid(self)"),
+        "DESIGN.md §10: a group's `CanonicalEncode::cid` is its memo: {trait_cid:#?}"
     );
     let payload_roots = hits(&sources, non_test, |l| l.contains("compute_msgs_root("));
     assert!(
@@ -1228,6 +1250,26 @@ fn content_is_hashed_once() {
                 .iter()
                 .all(|h| h.starts_with("crates/chain/src/block.rs:")),
         "DESIGN.md §10: a payload root is derived only in `Block`; found {payload_roots:#?}"
+    );
+    let block_rs = read_rel("crates/chain/src/block.rs");
+    let block_rs = non_test(&block_rs);
+    let payload_root = block(
+        block_rs,
+        "    fn compute_msgs_root(signed: &[SealedMessage], implicit: &[ImplicitMsg]) -> Cid {",
+        "    }",
+    );
+    assert!(
+        !block_rs.contains("MerkleTree")
+            && payload_root
+                .iter()
+                .filter(|l| l.contains("Sha256::new()"))
+                .count()
+                == 1
+            && payload_root
+                .iter()
+                .any(|l| l.contains(".write_commitment(")),
+        "DESIGN.md §10: a payload root is one pass over the payload, no `MerkleTree`: \
+         {payload_root:#?}"
     );
 
     // One compression path: `compress` is called only by `Sha256`, and the
