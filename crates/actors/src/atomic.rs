@@ -25,8 +25,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hc_types::decode::{ByteReader, CanonicalDecode, DecodeError};
 use hc_types::{decode_fields, encode_fields, CanonicalEncode, ChainEpoch, Cid};
 
@@ -38,7 +36,7 @@ use crate::msg::HcAddress;
 pub type ExecId = Cid;
 
 /// Lifecycle of an atomic execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomicExecStatus {
     /// Initialized; waiting for output submissions.
     Pending,
@@ -62,7 +60,7 @@ impl fmt::Display for AtomicExecStatus {
 }
 
 /// One atomic execution tracked by the coordinator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtomicExecution {
     /// The parties involved, each identified by subnet + address.
     pub parties: Vec<HcAddress>,
@@ -164,7 +162,7 @@ impl fmt::Display for AtomicError {
 impl std::error::Error for AtomicError {}
 
 /// The coordinator state: all atomic executions registered with this SCA.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AtomicExecRegistry {
     executions: BTreeMap<ExecId, AtomicExecution>,
 }

@@ -14,8 +14,6 @@
 //! still happens through checkpoints and the SCA escrow — only an
 //! attestation the destination may treat as a pending payment.
 
-use serde::{Deserialize, Serialize};
-
 use hc_types::crypto::AggregateSignature;
 use hc_types::{encode_fields, CanonicalEncode, ChainEpoch, Cid};
 
@@ -23,7 +21,7 @@ use crate::msg::CrossMsg;
 use crate::sa::{SaError, SaState};
 
 /// The signed body of a fund certificate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CertBody {
     /// The committed cross-message (nonce-stamped by the source SCA).
     pub msg: CrossMsg,
@@ -35,7 +33,7 @@ encode_fields!(CertBody { msg, committed_at });
 
 /// A direct attestation that `msg` was committed in its source subnet,
 /// signed by the source's validators per its Subnet Actor policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FundCertificate {
     /// The attested commitment.
     pub body: CertBody,

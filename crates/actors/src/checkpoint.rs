@@ -12,8 +12,6 @@
 //! 2. **Transport** — `crossMeta` propagates bottom-up cross-net message
 //!    metadata towards the rest of the hierarchy.
 
-use serde::{Deserialize, Serialize};
-
 use hc_types::crypto::AggregateSignature;
 use hc_types::{decode_fields, encode_fields, CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
@@ -21,7 +19,7 @@ use crate::msg::CrossMsgMeta;
 
 /// An entry of the checkpoint's `children` tree: the checkpoint CIDs a
 /// child subnet committed during this checkpoint window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChildCheck {
     /// The child subnet.
     pub source: SubnetId,
@@ -34,7 +32,7 @@ encode_fields!(ChildCheck { source, checks });
 decode_fields!(ChildCheck { source, checks });
 
 /// A subnet checkpoint: `⟨s, proof, prev, children, crossMeta⟩`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// `s` — the source subnet committing this checkpoint.
     pub source: SubnetId,
@@ -125,7 +123,7 @@ impl Checkpoint {
 /// The signatures are over the checkpoint's CID, and whether they satisfy
 /// the subnet's policy is judged by the Subnet Actor
 /// ([`crate::sa::SaState::submit_checkpoint`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedCheckpoint {
     /// The checkpoint body.
     pub checkpoint: Checkpoint,

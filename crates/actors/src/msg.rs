@@ -9,8 +9,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use hc_types::{
     decode_fields, encode_fields, Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid,
     DecodeError, Nonce, SubnetId, TokenAmount,
@@ -28,7 +26,7 @@ use hc_types::{
 /// let alice = HcAddress::new(SubnetId::root(), Address::new(100));
 /// assert_eq!(alice.to_string(), "/root:a100");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HcAddress {
     /// The subnet the actor lives in.
     pub subnet: SubnetId,
@@ -53,7 +51,7 @@ encode_fields!(HcAddress { subnet, raw });
 decode_fields!(HcAddress { subnet, raw });
 
 /// What a cross-net message does on arrival.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CrossMsgKind {
     /// Plain token transfer to `to.raw` in the destination subnet.
     Transfer,
@@ -118,7 +116,7 @@ impl CanonicalDecode for CrossMsgKind {
 /// given direction and enforces total order of arrival at the destination
 /// (paper §IV-A). A freshly created message carries `Nonce::ZERO` until the
 /// SCA stamps it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CrossMsg {
     /// Source endpoint.
     pub from: HcAddress,
@@ -236,10 +234,9 @@ impl CrossMsg {
 ///
 /// The canonical encoding is that of the message sequence alone — exactly
 /// `Vec<CrossMsg>`'s — and equality is content equality.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MsgGroup {
     msgs: Arc<[CrossMsg]>,
-    #[serde(skip)]
     cid: OnceLock<Cid>,
 }
 
@@ -306,7 +303,7 @@ impl CanonicalDecode for MsgGroup {
 ///
 /// The raw messages are *not* embedded; the destination resolves `msgs_cid`
 /// through the content-resolution protocol (paper §IV-C).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CrossMsgMeta {
     /// Source subnet of the group.
     pub from: SubnetId,

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hc_types::crypto::{PolicyError, SignaturePolicy};
 use hc_types::{
     decode_fields, encode_fields, Address, ByteReader, CanonicalDecode, CanonicalEncode,
@@ -23,7 +21,7 @@ use crate::checkpoint::SignedCheckpoint;
 /// The consensus protocol a subnet runs. Hierarchical consensus is
 /// consensus-agnostic: "each subnet can run its own independent consensus
 /// algorithm" (paper §I); this label selects the engine in `hc-consensus`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConsensusKind {
     /// Deterministic rotating proposer (a delegated/ authority setup).
     RoundRobin,
@@ -82,7 +80,7 @@ impl CanonicalDecode for ConsensusKind {
 }
 
 /// Membership policy for validators joining the subnet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinPolicy {
     /// Anyone staking at least the minimum may join.
     Open {
@@ -149,7 +147,7 @@ impl CanonicalDecode for JoinPolicy {
 }
 
 /// Static configuration of a Subnet Actor, fixed at deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaConfig {
     /// Consensus protocol the subnet runs.
     pub consensus: ConsensusKind,
@@ -200,7 +198,7 @@ impl Default for SaConfig {
 }
 
 /// A validator registered in the Subnet Actor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidatorInfo {
     /// The validator's account in the parent chain.
     pub addr: Address,
@@ -260,7 +258,7 @@ impl From<PolicyError> for SaError {
 
 /// The Subnet Actor state: validator set and checkpoint gatekeeping for one
 /// child subnet, living in the parent chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaState {
     config: SaConfig,
     validators: Vec<ValidatorInfo>,
@@ -295,14 +293,10 @@ impl SaState {
         self.validators.len() >= self.config.min_validators
     }
 
-    /// The signature policy checkpoints must satisfy: a 2/3 threshold over
-    /// the current validator keys (or single-signer while only one
-    /// validator exists).
+    /// The signature policy checkpoints must satisfy: the 2/3 quorum over
+    /// the current validator keys (a lone validator's own signature).
     pub fn signature_policy(&self) -> SignaturePolicy {
-        match self.validators.as_slice() {
-            [only] => SignaturePolicy::Single(only.key),
-            all => SignaturePolicy::two_thirds(all.iter().map(|v| v.key).collect()),
-        }
+        SignaturePolicy::new(self.validators.iter().map(|v| v.key).collect())
     }
 
     /// Registers a validator, enforcing the join policy.
@@ -375,7 +369,7 @@ decode_fields!(SaState { config, validators });
 /// extending the same `prev` pointer for the same subnet. Checkpoints "can
 /// be used to generate equivocation proofs which, in turn, can be used for
 /// penalizing misbehaving entities" (paper §III-B).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FraudProof {
     /// First conflicting signed checkpoint.
     pub a: SignedCheckpoint,
@@ -535,7 +529,9 @@ mod tests {
         let k = kp(20);
         sa.join(Address::new(100), k.public(), TokenAmount::from_whole(1))
             .unwrap();
-        assert_eq!(sa.signature_policy(), SignaturePolicy::Single(k.public()));
+        let policy = sa.signature_policy();
+        assert_eq!(policy, SignaturePolicy::new(vec![k.public()]));
+        assert_eq!(policy.required_signatures(), 1);
     }
 
     #[test]

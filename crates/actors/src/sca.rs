@@ -37,8 +37,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hc_types::decode::{ByteReader, CanonicalDecode, DecodeError};
 use hc_types::{
     decode_fields, encode_fields, Address, CanonicalEncode, ChainEpoch, Cid, Nonce, Sha256,
@@ -51,7 +49,7 @@ use crate::msg::{CrossMsg, CrossMsgMeta, MsgGroup};
 use crate::snapshot::{BalanceProof, StateSnapshot};
 
 /// Static parameters of an SCA instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaConfig {
     /// Checkpoint period of this subnet, in its own epochs. At every
     /// multiple of this period the current checkpoint template is cut and
@@ -88,7 +86,7 @@ decode_fields!(ScaConfig {
 });
 
 /// Lifecycle status of a registered child subnet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubnetStatus {
     /// Collateral ≥ minimum; the subnet may interact with the hierarchy.
     Active,
@@ -137,7 +135,7 @@ impl CanonicalDecode for SubnetStatus {
 }
 
 /// Everything the SCA tracks about one registered child subnet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubnetInfo {
     /// The child's hierarchical ID.
     pub id: SubnetId,
@@ -189,7 +187,7 @@ decode_fields!(SubnetInfo {
 
 /// Result of committing a child checkpoint: where each carried
 /// `CrossMsgMeta` must go next.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CheckpointOutcome {
     /// Metas whose destination is this subnet; stamped with fresh bottom-up
     /// nonces, queued for application once their content is resolved.
@@ -343,7 +341,7 @@ impl Eq for WindowDigest {}
 /// See the [module docs](self) for the full protocol surface. The state is
 /// deterministic and fully serializable; all token movement goes through
 /// the [`Ledger`] passed into each operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaState {
     /// The subnet this SCA instance governs.
     subnet_id: SubnetId,
@@ -357,7 +355,6 @@ pub struct ScaState {
     window_bottom_up: Vec<CrossMsg>,
     /// Running digest of `window_bottom_up`, what the state root commits
     /// to in place of the messages.
-    #[serde(skip)]
     window_digest: WindowDigest,
     /// Metas received from children that must continue upward in the next
     /// checkpoint.
@@ -391,7 +388,6 @@ pub struct ScaState {
     /// the canonical encoding, and emptied by the node that commits the
     /// block ([`ScaState::take_outbox`]), which hands each message to its
     /// child (paper Fig. 3).
-    #[serde(skip)]
     outbox: Vec<(SubnetId, CrossMsg)>,
 }
 

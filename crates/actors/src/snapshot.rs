@@ -15,13 +15,11 @@
 //! the firewall bound (total recoveries never exceed the child's
 //! circulating supply).
 
-use serde::{Deserialize, Serialize};
-
 use hc_types::merkle::{MerkleProof, MerkleTree};
 use hc_types::{decode_fields, encode_fields, Address, ChainEpoch, Cid, SubnetId, TokenAmount};
 
 /// One balance entry committed by a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BalanceLeaf {
     /// The account.
     pub addr: Address,
@@ -33,7 +31,7 @@ encode_fields!(BalanceLeaf { addr, amount });
 decode_fields!(BalanceLeaf { addr, amount });
 
 /// A committed snapshot of a subnet's balance table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateSnapshot {
     /// The snapshotted subnet.
     pub subnet: SubnetId,
@@ -112,7 +110,7 @@ impl SnapshotTree {
 }
 
 /// A Merkle proof that an address held a balance in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BalanceProof {
     /// The claimed leaf.
     pub leaf: BalanceLeaf,

@@ -2,8 +2,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use hc_state::{ImplicitMsg, SealedMessage};
 use hc_types::crypto::{AggregateSignature, Sha256};
 use hc_types::{
@@ -13,7 +11,7 @@ use hc_types::{
 
 /// A block header: the content-addressed commitment to a block's position,
 /// payload, and resulting state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockHeader {
     /// The subnet chain this block belongs to.
     pub subnet: SubnetId,
@@ -64,7 +62,7 @@ decode_fields!(BlockHeader {
 /// the header's `msgs_root` with. Both memos are excluded from
 /// serialization and equality, so a block decoded from untrusted bytes
 /// re-derives them from content.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Block {
     /// The header committed to by [`Block::cid`].
     pub header: BlockHeader,
@@ -81,7 +79,6 @@ pub struct Block {
     pub justification: AggregateSignature,
     /// Memoized header CID; warm after [`Block::seal`], cold after
     /// deserialization. Private so it can only ever hold `header.cid()`.
-    #[serde(skip)]
     cid_memo: OnceLock<Cid>,
     /// Memoized digest of `signed_msgs` and `implicit_msgs`: filled by
     /// [`Block::seal`] from the very vectors it moves into the block, cold
@@ -89,7 +86,6 @@ pub struct Block {
     /// supplies, so it can only ever hold the root of the payload beside
     /// it (the payload of a sealed block is immutable in the same spirit
     /// as its header, see [`Block::cid`]).
-    #[serde(skip)]
     payload_root_memo: OnceLock<Cid>,
 }
 

@@ -114,7 +114,7 @@ pub trait Consensus: Send {
             return Err(ConsensusError::UnknownProposer);
         }
         if self.requires_justification() {
-            let policy = SignaturePolicy::two_thirds(validators.keys());
+            let policy = SignaturePolicy::new(validators.keys());
             policy
                 .check(block.cid().as_bytes(), &block.justification)
                 .map_err(|e| ConsensusError::NoQuorum(e.to_string()))?;

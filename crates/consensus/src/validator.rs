@@ -1,11 +1,10 @@
 //! Validator sets: the membership view consensus engines operate over.
 
-use serde::{Deserialize, Serialize};
-
+use hc_types::crypto::SignaturePolicy;
 use hc_types::{Address, PublicKey, TokenAmount};
 
 /// One consensus participant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Validator {
     /// Account address in the subnet's parent (where the stake lives).
     pub addr: Address,
@@ -17,7 +16,7 @@ pub struct Validator {
 }
 
 /// An ordered validator set with power-weighted selection helpers.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ValidatorSet {
     validators: Vec<Validator>,
 }
@@ -92,9 +91,10 @@ impl ValidatorSet {
         self.validators.iter().map(|v| v.key).collect()
     }
 
-    /// The minimum number of signatures for a 2/3 BFT quorum.
+    /// The minimum number of signatures for a 2/3 BFT quorum: the
+    /// [`SignaturePolicy`] count over this set.
     pub fn quorum_threshold(&self) -> usize {
-        self.validators.len() * 2 / 3 + 1
+        SignaturePolicy::quorum(self.validators.len())
     }
 }
 
@@ -148,6 +148,19 @@ mod tests {
         assert_eq!(set(&[1, 1, 1, 1]).quorum_threshold(), 3); // n=4, f=1
         assert_eq!(set(&[1; 7]).quorum_threshold(), 5); // n=7, f=2
         assert_eq!(set(&[1]).quorum_threshold(), 1);
+    }
+
+    #[test]
+    fn quorum_threshold_is_the_policy_count_for_every_size() {
+        for n in 0..=64 {
+            let validators = set(&vec![1; n]);
+            let policy = SignaturePolicy::new(validators.keys());
+            assert_eq!(
+                validators.quorum_threshold(),
+                policy.required_signatures(),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

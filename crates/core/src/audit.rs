@@ -6,7 +6,7 @@
 //!   plus their circulating supply;
 //! * **conservation** — the rootnet's gross supply equals what was minted
 //!   (genesis and faucet): cross-net traffic never creates root tokens;
-//! * **checkpoint chain** — every live child's archived checkpoints verify
+//! * **checkpoint chain** — every live child's committed checkpoints verify
 //!   from its live parent ([`HierarchyRuntime::verify_checkpoint_chain`]);
 //! * **top-down nonce** — no live child expects a top-down nonce its live
 //!   parent has not assigned;
@@ -225,6 +225,7 @@ mod tests {
     use hc_types::{Address, Keypair, Nonce, SubnetId, TokenAmount};
 
     use super::describe;
+    use crate::archive::ArchiveEntry;
     use crate::config::{RuntimeConfig, UserHandle};
     use crate::runtime::HierarchyRuntime;
 
@@ -305,9 +306,12 @@ mod tests {
     #[should_panic(expected = "checkpoint chain violation")]
     fn a_tampered_archive_breaks_the_checkpoint_chain() {
         let (mut rt, _, child) = world();
-        let forged = rt.forge_equivocation(&child).unwrap().a;
-        let policy = SignaturePolicy::Single(Keypair::from_seed([7; 32]).public());
-        rt.archive.record(forged, policy);
+        let signed = rt.forge_equivocation(&child).unwrap().a;
+        let policy = SignaturePolicy::new(vec![Keypair::from_seed([7; 32]).public()]);
+        let record = rt.subnets.by_id.get_mut(&child).unwrap();
+        record
+            .checkpoint_history
+            .push(ArchiveEntry { signed, policy });
         rt.step_wave().unwrap();
     }
 

@@ -57,7 +57,8 @@
 //!   `rejoin_node`, in the configured [`RuntimeConfig::sync_mode`]): the
 //!   fault schedule, and the surviving peers' side of a catch-up.
 //! * [`elastic`], [`atomic`], [`archive`], [`audit`], [`attack`] — the
-//!   scale-out controller, 2PC orchestration, the checkpoint archive,
+//!   scale-out controller, 2PC orchestration, checkpoint history and its
+//!   light-client audit,
 //!   the invariant check, and adversarial injection.
 //!
 //! # Example
@@ -109,7 +110,7 @@ mod stats;
 mod subnets;
 mod users;
 
-pub use archive::CheckpointArchive;
+pub use archive::ArchiveEntry;
 pub use atomic::{AtomicOrchestrator, AtomicOutcome, AtomicParty, PartyBehavior};
 pub use attack::AttackReport;
 pub use audit::{audit_quiescent, InvariantBreak};

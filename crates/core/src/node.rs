@@ -32,9 +32,9 @@ use hc_state::{
     ChunkManifest, CidStore, ImplicitMsg, Method, Receipt, SealedMessage, SigCache, SigCacheStats,
     StateTree, VmEvent,
 };
-use hc_types::crypto::SignaturePolicy;
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId};
 
+use crate::archive::ArchiveEntry;
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 
 mod catch_up;
@@ -84,9 +84,9 @@ pub struct NodeStats {
 /// runtime state by the caller.
 pub(crate) struct LocalOutcome {
     pub(crate) report: StepReport,
-    /// Committed child checkpoints paired with the signature policy in
-    /// force at commit time, destined for the global archive.
-    pub(crate) archived: Vec<(SignedCheckpoint, SignaturePolicy)>,
+    /// Committed child checkpoints, each with the signature quorum in
+    /// force at commit time, destined for the child's checkpoint history.
+    pub(crate) archived: Vec<ArchiveEntry>,
     /// VM events of the block, to be routed through the hierarchy.
     pub(crate) events: Vec<VmEvent>,
     /// The top-down messages the block committed, each with the child on
@@ -514,8 +514,8 @@ impl SubnetNode {
 
         // Account committed checkpoint bytes (parent-chain load,
         // experiment E3) and snapshot the signature policy in force at
-        // commit time so the archive stays verifiable across validator
-        // churn. The policy lives in this node's own copy of the child's
+        // commit time so the child's history stays verifiable across
+        // validator churn. The policy lives in this node's own copy of the child's
         // Subnet Actor.
         let mut archived = Vec::new();
         for (m, receipt) in block.implicit_msgs.iter().zip(&receipts) {
@@ -528,7 +528,8 @@ impl SubnetNode {
                     .filter(|_| receipt.exit.is_ok())
                     .and_then(|a| self.tree.sa(a).map(hc_actors::SaState::signature_policy));
                 if let Some(policy) = policy {
-                    archived.push((signed.clone(), policy));
+                    let signed = signed.clone();
+                    archived.push(ArchiveEntry { signed, policy });
                 }
             }
         }

@@ -43,8 +43,6 @@ pub struct HierarchyRuntime {
     /// Tokens minted at the rootnet (genesis + faucet), the global supply
     /// baseline for conservation audits.
     pub(crate) root_minted: TokenAmount,
-    /// Every committed child checkpoint, for light-client audits.
-    pub(crate) archive: crate::archive::CheckpointArchive,
     /// Runtime-wide content-addressed blob store: persisted state chunk
     /// manifests. Shared by every node (handles clone the same store), so
     /// unchanged chunks are stored once across snapshots and subnets.
@@ -118,7 +116,6 @@ impl HierarchyRuntime {
             next_user_id: 100,
             events: VecDeque::new(),
             root_minted: TokenAmount::ZERO,
-            archive: crate::archive::CheckpointArchive::default(),
             store: CidStore::new(),
             subnets: Subnets::default(),
             node_faults: Vec::new(),
@@ -482,7 +479,8 @@ impl HierarchyRuntime {
     }
 
     /// Phase (b) of a tick: applies a block's outward effects to shared
-    /// state — journals the block, archives committed checkpoints, routes
+    /// state — journals the block, records committed checkpoints in their
+    /// children's histories, routes
     /// the block's events through the hierarchy, and hands the top-down
     /// messages it committed to their children.
     pub(crate) fn post_tick(
@@ -501,8 +499,11 @@ impl HierarchyRuntime {
         // The block's place in history: after every record written before
         // it, durable with the rest of its wave at the barrier.
         self.journal.append(&ControlRecord::Block(block));
-        for (signed, policy) in archived {
-            self.archive.record(signed, policy);
+        for entry in archived {
+            let source = &entry.signed.checkpoint.source;
+            if let Some(record) = self.subnets.by_id.get_mut(source) {
+                record.checkpoint_history.push(entry);
+            }
         }
         if self.journal.outward() {
             for ev in &events {

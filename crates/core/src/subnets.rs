@@ -2,8 +2,9 @@
 //! its node, and so across that node's crashes — how it was booted, where
 //! it is placed, which accounts were installed between blocks, its
 //! snapshot manifests, the subnet's chain as its peers hold it where the
-//! node's own chain does not, what survives the node while it is down, and
-//! the inbox of what was handed to the subnet while no node of it ran.
+//! node's own chain does not, what survives the node while it is down, the
+//! inbox of what was handed to the subnet while no node of it ran, and the
+//! checkpoints its parent committed.
 //! Whether a node is live or catching up is the node's own mode.
 //!
 //! One map holds all of it, so retiring a subnet is one `remove` that
@@ -17,6 +18,7 @@ use hc_chain::History;
 use hc_consensus::EngineParams;
 use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
 
+use crate::archive::ArchiveEntry;
 use crate::node::{Input, SubnetNode, Survivor};
 use crate::runtime::HierarchyRuntime;
 
@@ -65,6 +67,10 @@ pub(crate) struct SubnetRecord {
     /// checkpoints — in the order handed. The next node built for the
     /// subnet receives them in that order.
     pub(crate) inbox: Vec<Input>,
+    /// The checkpoints the parent committed, oldest first, each with the
+    /// signer set in force at commit: what
+    /// [`HierarchyRuntime::verify_checkpoint_chain`] audits.
+    pub(crate) checkpoint_history: Vec<ArchiveEntry>,
     /// Set by [`HierarchyRuntime::inject_signed_checkpoint`]: the parent's
     /// record may then fall below the subnet's live supply. Not journaled.
     pub(crate) compromised: bool,
@@ -143,7 +149,7 @@ impl HierarchyRuntime {
 
     /// Prunes state blobs unreachable from a live root, in memory and in
     /// the blob log: every subnet's manifest window, anchor and in-flight
-    /// snapshot, plus the archive's checkpoint registry roots. Automatic when
+    /// snapshot. Automatic when
     /// [`crate::DurableOptions::keep_manifests`] caps the recency window.
     /// Returns `(pruned_blobs, pruned_bytes)` for this sweep; lifetime
     /// totals accumulate in the store's [`hc_state::CidStoreStats`].
@@ -157,11 +163,7 @@ impl HierarchyRuntime {
         let windows =
             records.flat_map(|r| r.manifests.iter().copied().chain(r.anchor.map(|a| a.1)));
         let syncing = self.nodes.values().filter_map(SubnetNode::syncing_manifest);
-        let mut roots: Vec<Cid> = windows.chain(syncing).collect();
-        // Archived checkpoint registries live in the same store; persist
-        // them (unchanged AMT subtrees are shared) and pin their roots so
-        // a sweep never drops auditable history.
-        roots.extend(self.archive.persist(&self.store));
+        let roots: Vec<Cid> = windows.chain(syncing).collect();
         self.store.prune_unreachable(&roots)
     }
 }

@@ -554,7 +554,7 @@ fn a_catching_up_node_serves_pulls_from_its_registry() {
         let carol = h.user(&SubnetId::root());
         h.fund(&bob, 30);
         h.release(&bob, &carol, 5);
-        let history = h.rt.checkpoint_archive().history(&child);
+        let history = h.rt.checkpoint_history(&child);
         let (group, cut_at) = history
             .iter()
             .find_map(|e| {

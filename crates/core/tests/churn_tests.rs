@@ -30,11 +30,11 @@ fn validators_join_and_leave_while_checkpoints_flow() {
         h.rt.tick_subnet(&subnet).unwrap();
     }
     h.settle();
-    let era1 = h.rt.checkpoint_archive().history(&subnet).len();
+    let era1 = h.rt.checkpoint_history(&subnet).len();
     assert!(era1 >= 2);
 
-    // Two more validators join: the signature policy shifts from
-    // single-signer to a 2/3 threshold over three keys.
+    // Two more validators join: the quorum grows from the lone signer to
+    // more than two-thirds of three keys.
     for _ in 0..2 {
         let v = h.rt.create_user(&root, whole(100)).unwrap();
         let key = v.key.public();
@@ -57,21 +57,21 @@ fn validators_join_and_leave_while_checkpoints_flow() {
         h.rt.tick_subnet(&subnet).unwrap();
     }
     h.settle();
-    let era2 = h.rt.checkpoint_archive().history(&subnet).len();
+    let era2 = h.rt.checkpoint_history(&subnet).len();
     assert!(era2 > era1);
 
-    // Era 3: the original validator leaves (policy becomes 2/3 of 2).
+    // Era 3: the original validator leaves (the quorum is both keys left).
     h.rt.execute(&v1, sa, TokenAmount::ZERO, Method::LeaveSubnet)
         .unwrap();
     for _ in 0..12 {
         h.rt.tick_subnet(&subnet).unwrap();
     }
     h.settle();
-    let era3 = h.rt.checkpoint_archive().history(&subnet).len();
+    let era3 = h.rt.checkpoint_history(&subnet).len();
     assert!(era3 > era2);
 
     // The full history — spanning three different validator sets — still
-    // verifies, because each era is audited against its own policy.
+    // verifies, because each era is audited against its own quorum.
     let verified = h.rt.verify_checkpoint_chain(&subnet).unwrap();
     assert_eq!(verified as usize, era3);
 

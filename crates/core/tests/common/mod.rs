@@ -185,8 +185,7 @@ pub fn subnet_fingerprint(rt: &HierarchyRuntime, subnet: &SubnetId) -> SubnetFin
         "incremental root diverged from content for {subnet}"
     );
     let checkpoints = rt
-        .checkpoint_archive()
-        .history(subnet)
+        .checkpoint_history(subnet)
         .iter()
         .map(|e| Cid::digest(&e.signed.checkpoint.canonical_bytes()))
         .collect();

@@ -1,8 +1,8 @@
-//! Hostile bytes against the canonical decoders of state, blocks and the
-//! checkpoint archive: `ScaState` and `SaConfig` (hc-actors), `Method`,
-//! `ImplicitMsg`, `AccountState`, `RegistryEntry` and the three `Atomic*Params`
-//! of cross-net calls (hc-state) and `ArchiveEntry` (hc-core). Every one of
-//! them reads bytes a peer or a disk supplies — a snapshot's chunk blobs, a
+//! Hostile bytes against the canonical decoders of state and blocks:
+//! `ScaState` and `SaConfig` (hc-actors), `Method`, `ImplicitMsg`,
+//! `AccountState`, `RegistryEntry` and the three `Atomic*Params` of
+//! cross-net calls (hc-state). Every one of them reads bytes a peer or a
+//! disk supplies — a snapshot's chunk blobs, a
 //! block batch, a journal record, a cross-message's call data.
 //!
 //! One property over the whole type list: arbitrary bytes, and a valid
@@ -24,10 +24,9 @@ use hc_actors::ledger::MapLedger;
 use hc_actors::sa::{ConsensusKind, FraudProof, JoinPolicy, SaConfig};
 use hc_actors::snapshot::StateSnapshot;
 use hc_actors::{CrossMsg, CrossMsgMeta, HcAddress, MsgGroup, ScaConfig, ScaState};
-use hc_core::archive::ArchiveEntry;
 use hc_state::params::{AtomicAbortParams, AtomicInitParams, AtomicSubmitParams};
 use hc_state::{AccountState, ImplicitMsg, Message, Method, RegistryEntry, SealedMessage};
-use hc_types::crypto::{AggregateSignature, SignaturePolicy};
+use hc_types::crypto::AggregateSignature;
 use hc_types::{
     Address, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, DecodeError, Keypair, Nonce,
     SubnetId,
@@ -219,24 +218,6 @@ fn implicit_msgs() -> Vec<ImplicitMsg> {
     ]
 }
 
-fn archive_entries() -> Vec<ArchiveEntry> {
-    let keys: Vec<_> = (5..9).map(|s| keypair(s).public()).collect();
-    [
-        SignaturePolicy::Single(keys[0]),
-        SignaturePolicy::MultiSig {
-            signers: keys.clone(),
-            threshold: 2,
-        },
-        SignaturePolicy::two_thirds(keys),
-    ]
-    .into_iter()
-    .map(|policy| ArchiveEntry {
-        signed: signed_checkpoint(10),
-        policy,
-    })
-    .collect()
-}
-
 fn account() -> AccountState {
     let mut acc = AccountState {
         balance: whole(12),
@@ -275,11 +256,6 @@ fn decoders() -> Vec<(&'static str, Reencode, Vec<Vec<u8>>)> {
             "ImplicitMsg",
             reencode::<ImplicitMsg>,
             encodings(implicit_msgs()),
-        ),
-        (
-            "ArchiveEntry",
-            reencode::<ArchiveEntry>,
-            encodings(archive_entries()),
         ),
         (
             "AccountState",

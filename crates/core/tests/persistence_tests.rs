@@ -671,7 +671,7 @@ fn on_disk_backend_recovers_and_leaves_no_stray_files() {
             drop_rate: 0.0,
             ..NetConfig::default()
         },
-        persistence: PersistenceConfig::on_disk_with_fsync(&root, FsyncPolicy::EveryN(16)),
+        persistence: PersistenceConfig::on_disk_with_fsync(&root, FsyncPolicy::Always),
         ..RuntimeConfig::default()
     };
     let world = loaded(config(), 2);

@@ -36,8 +36,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use hc_actors::{CrossMsg, FundCertificate, MsgGroup};
 use hc_types::{ChainEpoch, Cid, SubnetId};
 
@@ -57,7 +55,7 @@ pub const BLOB_BATCH_CAP: usize = 16;
 /// `Push` and `Resolve` carry raw messages beside a *claimed* CID: what
 /// crosses the network is never trusted, so the receiving [`ContentCache`]
 /// derives the group's digest itself — once — before holding it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResolutionMsg {
     /// Proactive announcement of a message group (sent towards the
     /// destination subnet's topic as a checkpoint is signed).

@@ -9,8 +9,6 @@
 //!   were validated in the parent (top-down) or resolved from a checkpoint
 //!   meta (bottom-up).
 
-use serde::{Deserialize, Serialize};
-
 use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::{FraudProof, SaConfig};
 use hc_actors::snapshot::{BalanceProof, StateSnapshot};
@@ -22,7 +20,7 @@ use hc_types::{
 };
 
 /// The operation a message performs, dispatched on the destination actor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Method {
     /// Plain value transfer to `to` (any account).
     Send,
@@ -299,7 +297,7 @@ impl CanonicalDecode for Method {
 }
 
 /// An unsigned chain message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Sending account.
     pub from: Address,
@@ -351,7 +349,7 @@ impl Message {
 }
 
 /// A user message plus the sender's signature over its CID.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignedMessage {
     /// The message body.
     pub message: Message,
@@ -384,7 +382,7 @@ const _: () = assert!(size_of::<Message>() <= 80);
 const _: () = assert!(size_of::<crate::SealedMessage>() <= 224);
 
 /// Consensus-injected system messages, executed with system authority.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ImplicitMsg {
     /// Apply a top-down cross-message committed by the parent's SCA
     /// (paper Fig. 3, left).

@@ -46,8 +46,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use hc_types::{CanonicalEncode, Cid, Keypair, Sha256, Signature};
 
 use crate::message::{Message, SignedMessage};
@@ -60,12 +58,10 @@ use crate::message::{Message, SignedMessage};
 /// carried through block assembly, validation, and execution, so every
 /// downstream consumer shares the same derivation. Cloning clones the memo
 /// cells too: warm CIDs or a verdict travel with the copy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SealedMessage {
     msg: SignedMessage,
-    #[serde(skip)]
     digests: OnceLock<Digests>,
-    #[serde(skip)]
     verified: OnceLock<()>,
 }
 

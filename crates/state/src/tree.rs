@@ -27,8 +27,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
 use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, MsgGroup, ScaConfig, ScaState};
@@ -50,7 +48,7 @@ use crate::store::CidStore;
 pub(crate) const FIRST_DEPLOYED_ACTOR: u64 = 1_000_000;
 
 /// One account's state.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccountState {
     /// Spendable balance.
     pub balance: TokenAmount,
@@ -101,7 +99,7 @@ impl CanonicalDecode for AccountState {
 /// operation) is marked dirty so the next [`StateTree::flush`] re-hashes
 /// only those account chunks. Over-marking is harmless — digests are
 /// recomputed from content, and an unchanged chunk keeps its digest.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Accounts {
     map: BTreeMap<Address, AccountState>,
     dirty: BTreeSet<Address>,
@@ -187,7 +185,7 @@ impl Ledger for Accounts {
 }
 
 /// The full state of one subnet chain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StateTree {
     pub(crate) subnet_id: SubnetId,
     pub(crate) accounts: Accounts,

@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hc_actors::checkpoint::Checkpoint;
 use hc_actors::sa::SaState;
 use hc_actors::sca::CheckpointOutcome;
@@ -30,7 +28,7 @@ use crate::params::{
 use crate::sealed::SealedMessage;
 
 /// Outcome class of a message application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExitCode {
     /// The message executed successfully.
     Ok,
@@ -62,7 +60,7 @@ impl fmt::Display for ExitCode {
 /// Domain events emitted during execution; the runtime reacts to these to
 /// drive checkpoint propagation, content resolution, and atomic-execution
 /// termination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VmEvent {
     /// A Subnet Actor was deployed at this address.
     SaDeployed {
@@ -147,7 +145,7 @@ pub enum VmEvent {
 }
 
 /// The result of applying one message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Receipt {
     /// Outcome class.
     pub exit: ExitCode,

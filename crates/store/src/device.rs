@@ -26,18 +26,15 @@ use parking_lot::Mutex;
 /// matters for crash-injection tests, which use the sync boundary as the
 /// "guaranteed durable" cut line.
 ///
-/// The policy paces single appends. A group commit
-/// ([`crate::Wal::append_group`]) is one durability unit of its own: under
-/// `Always` *and* `EveryN` it syncs once when the whole group is written,
-/// whatever `n` is, and restarts the `EveryN` count; only `Never` leaves a
-/// group unsynced.
+/// A group commit ([`crate::Wal::append_group`]) and the records of one
+/// deferred barrier ([`crate::Wal::sync_deferred`]) are one durability unit
+/// each: `Always` syncs once when the whole unit is written; `Never` leaves
+/// it unsynced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Sync after every append (maximum durability, slowest).
     #[default]
     Always,
-    /// Sync after every `n` single appends (and after every group).
-    EveryN(u32),
     /// Never sync explicitly; the OS (or the drop of the process) decides.
     Never,
 }

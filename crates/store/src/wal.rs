@@ -61,7 +61,6 @@ pub struct Wal {
     segment_len: u64,
     /// End position of every record, in order.
     record_ends: Vec<RecordEnd>,
-    appends_since_sync: u32,
     /// Records written by [`Wal::append_deferred`] since the last
     /// [`Wal::sync_deferred`].
     deferred: u32,
@@ -137,7 +136,6 @@ impl Wal {
             segment,
             segment_len,
             record_ends,
-            appends_since_sync: 0,
             deferred: 0,
             deferred_left: Vec::new(),
         };
@@ -209,10 +207,9 @@ impl Wal {
     /// control log, whose barrier runs once per step.
     pub fn append_deferred(&mut self, payload: &[u8]) {
         // A segment rolled out of needs a sync of its own only if it holds
-        // frames no sync has covered: deferred ones, or ones an `EveryN`
-        // cadence has counted but not yet synced. Under `Always` the
-        // previous append's sync covered it.
-        let unsynced = self.deferred > 0 || self.appends_since_sync > 0;
+        // deferred frames no sync has covered yet; otherwise the previous
+        // barrier covered it.
+        let unsynced = self.deferred > 0;
         let left = self.write_frame(payload);
         if unsynced {
             self.deferred_left.extend(left);
@@ -223,21 +220,14 @@ impl Wal {
     /// The durability barrier for [`Wal::append_deferred`]: applies the
     /// sync policy to the records pending since the last barrier as if
     /// they had just been appended together — `Always` syncs every segment
-    /// they were written to, `EveryN` counts them towards its cadence,
-    /// `Never` does nothing. A no-op when nothing is pending.
+    /// they were written to, `Never` does nothing. A no-op when nothing is
+    /// pending.
     pub fn sync_deferred(&mut self) {
-        let pending = std::mem::take(&mut self.deferred);
-        if pending == 0 {
+        if std::mem::take(&mut self.deferred) == 0 {
             return;
         }
         match self.opts.fsync {
             FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::EveryN(n) => {
-                self.appends_since_sync += pending;
-                if self.appends_since_sync >= n.max(1) {
-                    self.sync();
-                }
-            }
             FsyncPolicy::Never => self.deferred_left.clear(),
         }
     }
@@ -249,7 +239,6 @@ impl Wal {
             self.device.sync(&left);
         }
         self.device.sync(&segment_stream(&self.name, self.segment));
-        self.appends_since_sync = 0;
     }
 
     /// Number of records currently in the log.
@@ -437,56 +426,35 @@ mod tests {
         assert_eq!(dev.sync_count(), 2);
         let (mut wal, _) = Wal::open(
             arc,
-            "every3",
+            "never",
             WalOptions {
                 segment_bytes: 1 << 20,
-                fsync: FsyncPolicy::EveryN(3),
+                fsync: FsyncPolicy::Never,
             },
         );
         for _ in 0..7 {
             wal.append(b"x");
         }
-        assert_eq!(dev.sync_count(), 4); // 2 from above + syncs at records 3 and 6
+        assert_eq!(dev.sync_count(), 2, "`Never` adds no sync");
     }
 
     #[test]
     fn a_cadence_sync_covers_the_segment_a_rollover_left_behind() {
         let dev = Arc::new(RecordingDevice::default());
-        let paced = WalOptions {
-            fsync: FsyncPolicy::EveryN(4),
-            ..small_opts()
-        };
-        let (mut wal, _) = Wal::open(dev.clone(), "paced", paced);
-        // Two 8-byte records (24-byte frames) fill a 64-byte segment: the
-        // third rolls over in mid-cadence, the fourth fires the sync.
-        for i in 0u8..3 {
-            wal.append(&[i; 8]);
-        }
-        assert_eq!(wal.segment, 1, "the third record must have rolled over");
-        assert_eq!(dev.sync_count(), 0);
-        wal.append(&[3; 8]);
-        assert_eq!(
-            dev.unsynced(),
-            Vec::<String>::new(),
-            "records before durable ones were left unsynced: a hole, not a prefix"
-        );
-        assert_eq!(dev.sync_count(), 2, "one sync per segment written to");
+        // Two 8-byte records (24-byte frames) fill a 64-byte segment.
         // Rolling out of a segment the last sync covered costs nothing, so
         // `Always` stays at one device sync per append across rollovers.
-        wal.append(&[4; 8]);
-        assert_eq!((wal.segment, dev.sync_count()), (2, 2));
         let always = WalOptions {
             fsync: FsyncPolicy::Always,
             ..small_opts()
         };
         let (mut wal, _) = Wal::open(dev.clone(), "always", always);
-        let before = dev.sync_count();
         for i in 0u8..6 {
             wal.append(&[i; 8]);
         }
         assert!(wal.segment >= 2, "the records must span segments");
-        assert_eq!(dev.sync_count(), before + 6);
-        assert_eq!(dev.unsynced(), vec![segment_stream("paced", 2)]);
+        assert_eq!(dev.sync_count(), 6);
+        assert_eq!(dev.unsynced(), Vec::<String>::new());
         // Deferred records that straddle rollovers — one wave's blocks in
         // the runtime's journal — are synced whole by their one barrier.
         let (mut wal, _) = Wal::open(dev.clone(), "wave", always);
@@ -494,9 +462,14 @@ mod tests {
             wal.append_deferred(&[i; 8]);
         }
         assert_eq!(wal.segment, 2, "the records must span segments");
-        assert_eq!(dev.unsynced().len(), 4, "nothing is synced before it");
+        assert_eq!(dev.unsynced().len(), 3, "nothing is synced before it");
         wal.sync_deferred();
-        assert_eq!(dev.unsynced(), vec![segment_stream("paced", 2)]);
+        assert_eq!(
+            dev.unsynced(),
+            Vec::<String>::new(),
+            "records before durable ones were left unsynced: a hole, not a prefix"
+        );
+        assert_eq!(dev.sync_count(), 6 + 3, "one sync per segment written to");
     }
 
     #[test]
@@ -527,27 +500,13 @@ mod tests {
             segments,
             "nothing pending, nothing synced"
         );
-        // `append` is unchanged, and `EveryN` counts deferred records at
-        // the barrier; `Never` stays never.
+        // `append` is unchanged; `Never` stays never.
         wal.append(b"x");
         assert_eq!(dev.sync_count(), segments + 1);
-        let every3 = WalOptions {
-            segment_bytes: 1 << 20,
-            fsync: FsyncPolicy::EveryN(3),
-        };
-        let (mut paced, _) = Wal::open(arc.clone(), "paced", every3);
-        let before = dev.sync_count();
-        paced.append_deferred(b"a");
-        paced.append_deferred(b"b");
-        paced.sync_deferred();
-        assert_eq!(dev.sync_count(), before);
-        paced.append_deferred(b"c");
-        paced.sync_deferred();
-        assert_eq!(dev.sync_count(), before + 1);
         let (mut quiet, _) = Wal::open(arc, "quiet", small_opts());
         quiet.append_deferred(b"a");
         quiet.sync_deferred();
-        assert_eq!(dev.sync_count(), before + 1);
+        assert_eq!(dev.sync_count(), segments + 1);
     }
 
     #[test]

@@ -19,8 +19,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::encode::CanonicalEncode;
 
 /// First address available for non-system (user) actors.
@@ -43,9 +41,7 @@ pub const FIRST_USER_ADDRESS: u64 = 100;
 /// assert!(!alice.is_system());
 /// assert!(Address::SCA.is_system());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(u64);
 
 impl Address {

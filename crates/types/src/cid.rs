@@ -10,8 +10,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::crypto::sha256;
 use crate::encode::CanonicalEncode;
 
@@ -26,7 +24,7 @@ use crate::encode::CanonicalEncode;
 /// assert_eq!(cid, Cid::digest(&"hello".canonical_bytes()));
 /// assert_ne!(cid, Cid::default());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cid([u8; 32]);
 
 impl Cid {

@@ -6,9 +6,9 @@
 //!   them and with a portable loop elsewhere, to the same digests.
 //! * [`Keypair`], [`PublicKey`], [`Signature`] — a simulation-grade
 //!   signature scheme (see the type docs for the substitution rationale).
-//! * [`SignaturePolicy`], [`AggregateSignature`] — the checkpoint signature
-//!   policies from the paper (§III-B): single signer, m-of-n multi-sig, and
-//!   threshold signatures over a validator set.
+//! * [`SignaturePolicy`], [`AggregateSignature`] — the one quorum rule a
+//!   checkpoint (paper §III-B) and a BFT block justification are checked
+//!   against: more than two-thirds of a validator set's signatures.
 
 mod multisig;
 mod sha2;

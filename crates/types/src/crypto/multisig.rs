@@ -1,76 +1,45 @@
-//! Checkpoint signature policies.
+//! The checkpoint and block quorum.
 //!
 //! The paper (§III-B) leaves the checkpoint signature scheme to each Subnet
 //! Actor: "this can be the signature of an individual miner, a
 //! multi-signature, or a threshold signature, depending on the SA policy".
-//! This module models all three as a [`SignaturePolicy`] evaluated over an
-//! [`AggregateSignature`] — a set of individual signatures from a known
-//! validator set.
+//! Every Subnet Actor here applies one rule, the BFT quorum, and so does
+//! every BFT engine's block justification: a [`SignaturePolicy`] is more
+//! than two-thirds of a signer set, evaluated over an
+//! [`AggregateSignature`] — a set of individual signatures. A lone signer
+//! is its own quorum.
 
 use std::collections::HashSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use super::sig::{PublicKey, Signature};
 use crate::encode::CanonicalEncode;
 
-/// The policy a Subnet Actor enforces before accepting a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SignaturePolicy {
-    /// A single designated signer must sign (e.g. a delegated sequencer).
-    Single(PublicKey),
-    /// At least `threshold` distinct members of `signers` must sign
-    /// (an m-of-n multi-signature).
-    MultiSig {
-        /// The eligible signer set.
-        signers: Vec<PublicKey>,
-        /// Minimum number of distinct valid signatures required.
-        threshold: usize,
-    },
-    /// A quorum threshold expressed as a fraction of the signer set; the
-    /// classic BFT choice is 2/3 (`num = 2, den = 3`), requiring strictly
-    /// more than `num/den` of the signers.
-    Threshold {
-        /// The eligible signer set.
-        signers: Vec<PublicKey>,
-        /// Numerator of the quorum fraction.
-        num: usize,
-        /// Denominator of the quorum fraction.
-        den: usize,
-    },
+/// The quorum a Subnet Actor enforces before accepting a checkpoint, and a
+/// BFT engine before accepting a block: strictly more than two-thirds of
+/// `signers`, [`SignaturePolicy::quorum`] distinct valid signatures.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SignaturePolicy {
+    signers: Vec<PublicKey>,
 }
 
 impl SignaturePolicy {
-    /// A convenience constructor for the canonical BFT 2/3 quorum policy.
-    pub fn two_thirds(signers: Vec<PublicKey>) -> Self {
-        SignaturePolicy::Threshold {
-            signers,
-            num: 2,
-            den: 3,
-        }
+    /// The quorum over `signers`.
+    pub fn new(signers: Vec<PublicKey>) -> Self {
+        SignaturePolicy { signers }
     }
 
-    /// Returns the minimum number of distinct valid signatures the policy
+    /// The distinct valid signatures a set of `n` signers must produce:
+    /// strictly more than two-thirds, `floor(2n / 3) + 1` — one for a lone
+    /// signer, and one (which no empty set can give) for none.
+    pub fn quorum(n: usize) -> usize {
+        n * 2 / 3 + 1
+    }
+
+    /// The minimum number of distinct valid signatures this policy
     /// requires.
     pub fn required_signatures(&self) -> usize {
-        match self {
-            SignaturePolicy::Single(_) => 1,
-            SignaturePolicy::MultiSig { threshold, .. } => *threshold,
-            SignaturePolicy::Threshold { signers, num, den } => {
-                // Strictly more than num/den of n: floor(n * num / den) + 1.
-                signers.len() * num / den + 1
-            }
-        }
-    }
-
-    /// Returns the eligible signer set.
-    pub fn signers(&self) -> &[PublicKey] {
-        match self {
-            SignaturePolicy::Single(pk) => std::slice::from_ref(pk),
-            SignaturePolicy::MultiSig { signers, .. } => signers,
-            SignaturePolicy::Threshold { signers, .. } => signers,
-        }
+        Self::quorum(self.signers.len())
     }
 
     /// Checks `agg` against the policy for message `msg`.
@@ -79,17 +48,16 @@ impl SignaturePolicy {
     /// fail verification are ignored rather than treated as fatal — a
     /// checkpoint with enough honest signatures is accepted even if it also
     /// carries junk (this mirrors how on-chain multisig checks behave).
+    /// Every first signature of a member is verified, also once the quorum
+    /// is met.
     ///
     /// # Errors
     ///
     /// Returns [`PolicyError::QuorumNotReached`] if fewer than
     /// [`required_signatures`](Self::required_signatures) distinct eligible
-    /// signers produced valid signatures, or [`PolicyError::InvalidPolicy`]
-    /// if the policy itself is malformed (zero threshold, threshold larger
-    /// than the signer set, or zero denominator).
+    /// signers produced valid signatures.
     pub fn check(&self, msg: &[u8], agg: &AggregateSignature) -> Result<(), PolicyError> {
-        self.validate()?;
-        let eligible: HashSet<&PublicKey> = self.signers().iter().collect();
+        let eligible: HashSet<&PublicKey> = self.signers.iter().collect();
         let mut seen = HashSet::new();
         let mut valid = 0usize;
         for sig in &agg.signatures {
@@ -110,79 +78,10 @@ impl SignaturePolicy {
             Err(PolicyError::QuorumNotReached { got: valid, need })
         }
     }
-
-    /// Validates internal consistency of the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError::InvalidPolicy`] for empty signer sets, zero or
-    /// unsatisfiable thresholds, and zero denominators.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        let ok = match self {
-            SignaturePolicy::Single(_) => true,
-            SignaturePolicy::MultiSig { signers, threshold } => {
-                *threshold > 0 && *threshold <= signers.len()
-            }
-            SignaturePolicy::Threshold { signers, num, den } => {
-                *den > 0 && num < den && !signers.is_empty()
-            }
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(PolicyError::InvalidPolicy)
-        }
-    }
-}
-
-impl CanonicalEncode for SignaturePolicy {
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        match self {
-            SignaturePolicy::Single(pk) => {
-                out.push(0);
-                pk.write_bytes(out);
-            }
-            SignaturePolicy::MultiSig { signers, threshold } => {
-                out.push(1);
-                signers.write_bytes(out);
-                (*threshold as u64).write_bytes(out);
-            }
-            SignaturePolicy::Threshold { signers, num, den } => {
-                out.push(2);
-                signers.write_bytes(out);
-                (*num as u64).write_bytes(out);
-                (*den as u64).write_bytes(out);
-            }
-        }
-    }
-}
-
-impl crate::decode::CanonicalDecode for SignaturePolicy {
-    fn read_bytes(
-        r: &mut crate::decode::ByteReader<'_>,
-    ) -> Result<Self, crate::decode::DecodeError> {
-        let tag = u8::read_bytes(r)?;
-        match tag {
-            0 => Ok(SignaturePolicy::Single(PublicKey::read_bytes(r)?)),
-            1 => Ok(SignaturePolicy::MultiSig {
-                signers: Vec::<PublicKey>::read_bytes(r)?,
-                threshold: u64::read_bytes(r)? as usize,
-            }),
-            2 => Ok(SignaturePolicy::Threshold {
-                signers: Vec::<PublicKey>::read_bytes(r)?,
-                num: u64::read_bytes(r)? as usize,
-                den: u64::read_bytes(r)? as usize,
-            }),
-            other => Err(crate::decode::DecodeError::BadTag {
-                what: "SignaturePolicy",
-                tag: other,
-            }),
-        }
-    }
 }
 
 /// A bag of individual signatures submitted towards a policy check.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AggregateSignature {
     signatures: Vec<Signature>,
 }
@@ -256,18 +155,12 @@ pub enum PolicyError {
         /// Signatures required by the policy.
         need: usize,
     },
-    /// The policy itself is malformed.
-    InvalidPolicy,
 }
 
 impl fmt::Display for PolicyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PolicyError::QuorumNotReached { got, need } => {
-                write!(f, "signature quorum not reached: got {got}, need {need}")
-            }
-            PolicyError::InvalidPolicy => f.write_str("malformed signature policy"),
-        }
+        let PolicyError::QuorumNotReached { got, need } = self;
+        write!(f, "signature quorum not reached: got {got}, need {need}")
     }
 }
 
@@ -289,10 +182,15 @@ mod tests {
             .collect()
     }
 
+    fn quorum_of(kps: &[Keypair]) -> SignaturePolicy {
+        SignaturePolicy::new(kps.iter().map(|k| k.public()).collect())
+    }
+
     #[test]
     fn single_policy_accepts_the_designated_signer_only() {
         let kps = validators(2);
-        let policy = SignaturePolicy::Single(kps[0].public());
+        let policy = quorum_of(&kps[..1]);
+        assert_eq!(policy.required_signatures(), 1);
         let msg = b"ckpt";
 
         let mut agg = AggregateSignature::new();
@@ -304,12 +202,23 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_signer_set_refuses_every_aggregate() {
+        let kps = validators(3);
+        let policy = SignaturePolicy::new(Vec::new());
+        let msg = b"ckpt";
+        let agg: AggregateSignature = kps.iter().map(|k| k.sign(msg)).collect();
+        assert_eq!(
+            policy.check(msg, &agg),
+            Err(PolicyError::QuorumNotReached { got: 0, need: 1 })
+        );
+        assert!(policy.check(msg, &AggregateSignature::new()).is_err());
+    }
+
+    #[test]
     fn multisig_threshold_counts_distinct_valid_signers() {
-        let kps = validators(4);
-        let policy = SignaturePolicy::MultiSig {
-            signers: kps.iter().map(|k| k.public()).collect(),
-            threshold: 3,
-        };
+        let kps = validators(4); // need floor(4*2/3)+1 = 3
+        let policy = quorum_of(&kps);
+        assert_eq!(policy.required_signatures(), 3);
         let msg = b"ckpt";
 
         // Two signatures + a duplicate of one of them: still only 2 distinct.
@@ -327,88 +236,35 @@ mod tests {
 
     #[test]
     fn two_thirds_requires_strict_majority_of_two_thirds() {
-        let kps = validators(4); // need floor(4*2/3)+1 = 3
-        let policy = SignaturePolicy::two_thirds(kps.iter().map(|k| k.public()).collect());
-        assert_eq!(policy.required_signatures(), 3);
+        for (n, need) in [(1, 1), (2, 2), (3, 3), (4, 3), (6, 5), (7, 5)] {
+            assert_eq!(SignaturePolicy::quorum(n), need, "n = {n}");
+        }
+        let kps = validators(7); // need floor(7*2/3)+1 = 5
+        let policy = quorum_of(&kps);
         let msg = b"m";
-        let agg: AggregateSignature = kps[..2].iter().map(|k| k.sign(msg)).collect();
+        let agg: AggregateSignature = kps[..4].iter().map(|k| k.sign(msg)).collect();
         assert!(policy.check(msg, &agg).is_err());
-        let agg: AggregateSignature = kps[..3].iter().map(|k| k.sign(msg)).collect();
+        let agg: AggregateSignature = kps[..5].iter().map(|k| k.sign(msg)).collect();
         assert!(policy.check(msg, &agg).is_ok());
     }
 
     #[test]
     fn invalid_and_foreign_signatures_do_not_count() {
-        let kps = validators(3);
+        let kps = validators(3); // need floor(3*2/3)+1 = 3
         let outsider = Keypair::from_seed([0xffu8; 32]);
-        let policy = SignaturePolicy::MultiSig {
-            signers: kps.iter().map(|k| k.public()).collect(),
-            threshold: 2,
-        };
+        let policy = quorum_of(&kps);
         let msg = b"ckpt";
         let agg: AggregateSignature = [
             kps[0].sign(msg),
             kps[1].sign(b"WRONG MESSAGE"), // invalid
             outsider.sign(msg),            // not a member
+            kps[2].sign(msg),
         ]
         .into_iter()
         .collect();
         assert_eq!(
             policy.check(msg, &agg),
-            Err(PolicyError::QuorumNotReached { got: 1, need: 2 })
+            Err(PolicyError::QuorumNotReached { got: 2, need: 3 })
         );
-    }
-
-    #[test]
-    fn signature_policy_codecs_round_trip_every_variant() {
-        use crate::decode::CanonicalDecode;
-        let kps = validators(3);
-        let pks: Vec<_> = kps.iter().map(|k| k.public()).collect();
-        for policy in [
-            SignaturePolicy::Single(pks[0]),
-            SignaturePolicy::MultiSig {
-                signers: pks.clone(),
-                threshold: 2,
-            },
-            SignaturePolicy::two_thirds(pks),
-        ] {
-            let bytes = policy.canonical_bytes();
-            let back = SignaturePolicy::decode(&bytes).unwrap();
-            assert_eq!(back, policy);
-        }
-        assert!(SignaturePolicy::decode(&[9]).is_err());
-    }
-
-    #[test]
-    fn malformed_policies_are_rejected() {
-        let kps = validators(2);
-        let pks: Vec<_> = kps.iter().map(|k| k.public()).collect();
-        for bad in [
-            SignaturePolicy::MultiSig {
-                signers: pks.clone(),
-                threshold: 0,
-            },
-            SignaturePolicy::MultiSig {
-                signers: pks.clone(),
-                threshold: 3,
-            },
-            SignaturePolicy::Threshold {
-                signers: pks.clone(),
-                num: 1,
-                den: 0,
-            },
-            SignaturePolicy::Threshold {
-                signers: vec![],
-                num: 2,
-                den: 3,
-            },
-            SignaturePolicy::Threshold {
-                signers: pks,
-                num: 3,
-                den: 3,
-            },
-        ] {
-            assert_eq!(bad.validate(), Err(PolicyError::InvalidPolicy));
-        }
     }
 }

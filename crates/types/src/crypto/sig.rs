@@ -25,7 +25,6 @@ use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use super::sha2::sha256_concat;
 use crate::encode::CanonicalEncode;
@@ -49,7 +48,7 @@ fn oracle() -> &'static RwLock<HashMap<PublicKey, [u8; 32]>> {
 /// assert!(sig.verify(b"checkpoint").is_ok());
 /// assert!(sig.verify(b"tampered").is_err());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PublicKey([u8; 32]);
 
 impl PublicKey {
@@ -162,7 +161,7 @@ impl fmt::Display for SigError {
 impl std::error::Error for SigError {}
 
 /// A signature over a message, attributable to a [`PublicKey`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
     signer: PublicKey,
     tag: [u8; 32],

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::encode::CanonicalEncode;
 
 /// A block height ("epoch") within a single subnet's chain.
@@ -21,9 +19,7 @@ use crate::encode::CanonicalEncode;
 /// assert_eq!((e + 5).value(), 15);
 /// assert!(e.is_multiple_of(5));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChainEpoch(u64);
 
 impl ChainEpoch {
@@ -115,9 +111,7 @@ impl crate::decode::CanonicalDecode for ChainEpoch {
 /// nonces within a subnet, and per-`(source, destination)` cross-net message
 /// nonces assigned by the SCA (paper §IV-A: "These nonces determine the
 /// total order of arrival of cross-msgs to the subnet").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nonce(u64);
 
 impl Nonce {

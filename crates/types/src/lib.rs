@@ -59,6 +59,6 @@ pub use crypto::{Keypair, PublicKey, Sha256, Signature};
 pub use decode::{ByteReader, CanonicalDecode, DecodeError};
 pub use encode::CanonicalEncode;
 pub use epoch::{ChainEpoch, Nonce};
-pub use subnet_id::{RouteStep, SubnetId};
+pub use subnet_id::SubnetId;
 pub use tcid::{MAmtNode, MHamtNode, TCid};
 pub use token::TokenAmount;

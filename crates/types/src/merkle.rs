@@ -8,8 +8,6 @@
 //! ever resolved and checked whole — a cross-message group, a block's
 //! payload — is hashed in one pass instead.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cid::Cid;
 use crate::crypto::sha256;
 use crate::encode::CanonicalEncode;
@@ -159,14 +157,14 @@ impl MerkleTree {
 }
 
 /// One step of a Merkle membership proof.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ProofStep {
     sibling: Cid,
     sibling_on_left: bool,
 }
 
 /// A Merkle membership proof: the sibling path from a leaf to the root.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleProof {
     path: Vec<ProofStep>,
 }

@@ -8,14 +8,12 @@
 //!
 //! This deterministic naming is what lets any participant derive a subnet's
 //! pub-sub topic and route cross-net messages without a discovery service.
-//! The routing algebra lives here: [`SubnetId::parent`],
-//! [`SubnetId::common_ancestor`], and [`SubnetId::next_hop`] implement the
-//! *top-down*, *bottom-up*, and *path* message routing of §IV-A.
+//! The routing algebra lives here: [`SubnetId::parent`], [`SubnetId::child`]
+//! and [`SubnetId::common_ancestor`] give the *bottom-up*, *top-down* and
+//! *path* message routing of §IV-A its hops and its turning point.
 
 use std::fmt;
 use std::str::FromStr;
-
-use serde::{Deserialize, Serialize};
 
 use crate::address::Address;
 use crate::encode::CanonicalEncode;
@@ -41,7 +39,7 @@ pub const MAX_DEPTH: usize = 32;
 /// assert_eq!(ab.common_ancestor(&c), root);
 /// assert_eq!("/root/a100/a101".parse::<SubnetId>().unwrap(), ab);
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SubnetId {
     route: Vec<Address>,
 }
@@ -125,48 +123,6 @@ impl SubnetId {
         }
     }
 
-    /// Computes where a message currently in subnet `self`, destined for
-    /// `dst`, must travel next. See [`RouteStep`].
-    pub fn next_hop(&self, dst: &SubnetId) -> RouteStep {
-        if self == dst {
-            RouteStep::Here
-        } else if self.is_ancestor_of(dst) {
-            // Move down into the child on the path towards dst.
-            RouteStep::Down(self.child(dst.route[self.route.len()]))
-        } else {
-            // Either dst is above us, or in another branch: both cases go up.
-            RouteStep::Up(
-                self.parent()
-                    .expect("non-root: self != dst and self not ancestor of dst"),
-            )
-        }
-    }
-
-    /// Returns the full sequence of subnets a cross-net message traverses
-    /// from `self` to `dst`, inclusive of both endpoints.
-    ///
-    /// Per the paper (§IV-A), path messages are "propagated through
-    /// bottom-up messages up to the common parent, and through top-down
-    /// messages from there to the destination".
-    pub fn path_to(&self, dst: &SubnetId) -> Vec<SubnetId> {
-        let lca = self.common_ancestor(dst);
-        let mut path = Vec::new();
-        // Ascend from self to the LCA…
-        let mut cur = self.clone();
-        while cur != lca {
-            path.push(cur.clone());
-            cur = cur.parent().expect("lca is an ancestor");
-        }
-        path.push(lca.clone());
-        // …then descend from the LCA to dst.
-        for i in lca.depth()..dst.depth() {
-            path.push(SubnetId {
-                route: dst.route[..=i].to_vec(),
-            });
-        }
-        path
-    }
-
     /// The pub-sub topic name for this subnet's chain traffic.
     ///
     /// Deterministic naming "enables the discovery of and interaction with
@@ -175,19 +131,6 @@ impl SubnetId {
     pub fn topic(&self) -> String {
         format!("{self}/msgs")
     }
-}
-
-/// The next step for a message travelling through the hierarchy, as computed
-/// by [`SubnetId::next_hop`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum RouteStep {
-    /// The current subnet is the destination.
-    Here,
-    /// Travel down into this child (a *top-down* leg, applied directly by
-    /// the child's consensus once committed in the parent SCA).
-    Down(SubnetId),
-    /// Travel up to this parent (a *bottom-up* leg, carried by checkpoints).
-    Up(SubnetId),
 }
 
 impl fmt::Display for SubnetId {
@@ -331,52 +274,6 @@ mod tests {
         assert_eq!(ab.common_ancestor(&d), SubnetId::root());
         assert_eq!(ab.common_ancestor(&ab), ab);
         assert_eq!(ab.common_ancestor(&id(&[100])), id(&[100]));
-    }
-
-    #[test]
-    fn next_hop_routes_up_then_down() {
-        let root = SubnetId::root();
-        let a = id(&[100]);
-        let ab = id(&[100, 101]);
-        let c = id(&[102]);
-
-        assert_eq!(a.next_hop(&a), RouteStep::Here);
-        // Top-down.
-        assert_eq!(root.next_hop(&ab), RouteStep::Down(a.clone()));
-        assert_eq!(a.next_hop(&ab), RouteStep::Down(ab.clone()));
-        // Bottom-up.
-        assert_eq!(ab.next_hop(&root), RouteStep::Up(a.clone()));
-        // Path (different branch): first go up.
-        assert_eq!(ab.next_hop(&c), RouteStep::Up(a.clone()));
-        assert_eq!(a.next_hop(&c), RouteStep::Up(root.clone()));
-        assert_eq!(root.next_hop(&c), RouteStep::Down(c));
-    }
-
-    #[test]
-    fn path_to_traverses_via_lca() {
-        let ab = id(&[100, 101]);
-        let cd = id(&[102, 103]);
-        assert_eq!(
-            ab.path_to(&cd),
-            vec![
-                ab.clone(),
-                id(&[100]),
-                SubnetId::root(),
-                id(&[102]),
-                cd.clone()
-            ]
-        );
-        assert_eq!(ab.path_to(&ab), vec![ab.clone()]);
-        // Pure top-down.
-        assert_eq!(
-            SubnetId::root().path_to(&ab),
-            vec![SubnetId::root(), id(&[100]), ab.clone()]
-        );
-        // Pure bottom-up.
-        assert_eq!(
-            ab.path_to(&SubnetId::root()),
-            vec![ab, id(&[100]), SubnetId::root()]
-        );
     }
 
     #[test]

@@ -11,8 +11,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::encode::CanonicalEncode;
 
 /// Number of atto units per whole token.
@@ -32,9 +30,7 @@ pub const ATTO_PER_TOKEN: u128 = 1_000_000_000_000_000_000;
 /// assert_eq!(c.checked_sub(a), Some(b));
 /// assert_eq!(b.checked_sub(a), None); // would go negative
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TokenAmount(u128);
 
 impl TokenAmount {

@@ -37,41 +37,6 @@ proptest! {
     }
 
     #[test]
-    fn path_endpoints_and_adjacency(a in arb_subnet_id(), b in arb_subnet_id()) {
-        let path = a.path_to(&b);
-        prop_assert_eq!(path.first().unwrap(), &a);
-        prop_assert_eq!(path.last().unwrap(), &b);
-        // Consecutive hops are always parent/child pairs.
-        for w in path.windows(2) {
-            let parent_child = w[0].parent().as_ref() == Some(&w[1])
-                || w[1].parent().as_ref() == Some(&w[0]);
-            prop_assert!(parent_child, "hop {} -> {} not adjacent", w[0], w[1]);
-        }
-        // Path length = distance via the LCA.
-        let lca = a.common_ancestor(&b);
-        prop_assert_eq!(path.len(), a.depth() + b.depth() - 2 * lca.depth() + 1);
-    }
-
-    #[test]
-    fn next_hop_always_makes_progress(a in arb_subnet_id(), b in arb_subnet_id()) {
-        // Following next_hop repeatedly must reach the destination within
-        // the theoretical maximum number of hops.
-        let mut cur = a.clone();
-        let mut hops = 0;
-        loop {
-            match cur.next_hop(&b) {
-                hc_types::RouteStep::Here => break,
-                hc_types::RouteStep::Down(next) | hc_types::RouteStep::Up(next) => {
-                    cur = next;
-                    hops += 1;
-                }
-            }
-            prop_assert!(hops <= a.depth() + b.depth() + 1, "routing loop");
-        }
-        prop_assert_eq!(cur, b);
-    }
-
-    #[test]
     fn token_add_sub_inverse(a in 0u128..u128::MAX / 2, b in 0u128..u128::MAX / 2) {
         let x = TokenAmount::from_atto(a);
         let y = TokenAmount::from_atto(b);

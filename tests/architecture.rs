@@ -350,8 +350,8 @@ fn the_runtime_stays_decomposed() {
         .filter(|l| is_field(l, false))
         .count();
     assert!(
-        fields <= 14,
-        "DESIGN.md §8: `HierarchyRuntime` has {fields} fields, over 14"
+        fields <= 12,
+        "DESIGN.md §8: `HierarchyRuntime` has {fields} fields, over 12"
     );
 }
 
@@ -483,8 +483,9 @@ fn one_journal() {
 /// DESIGN.md §12 and §16: a settable value no experiment, figure, example
 /// or benchmark varies is a constant or derived — no retry jitter, no
 /// elastic config struct, no certificates switch, no mempool dedup-horizon
-/// knob, no per-rejoin sync mode beside `RuntimeConfig::sync_mode` — and a
-/// claimant journals as an adoption.
+/// knob, no per-rejoin sync mode beside `RuntimeConfig::sync_mode`, no
+/// fsync cadence beside the wave's journal barrier — and a claimant
+/// journals as an adoption.
 #[test]
 fn every_option_is_set_by_a_scenario() {
     let files: Vec<PathBuf> = ["crates", "examples", "tests"]
@@ -499,6 +500,7 @@ fn every_option_is_set_by_a_scenario() {
         "with_seen_horizon",
         "ClaimantCreated",
         "rejoin_node_with",
+        "EveryN",
     ];
     let found = hits(&files, |s| s, |l| retired.iter().any(|r| l.contains(r)));
     assert!(
@@ -1655,5 +1657,82 @@ fn a_block_executes_one_way() {
     assert!(
         overlay.is_empty(),
         "DESIGN.md §9: no second validation backend; found {overlay:#?}"
+    );
+}
+
+/// DESIGN.md §4 and §7, "A checkpoint is checked one way": every Subnet
+/// Actor and every BFT engine applies one quorum rule — `SignaturePolicy`
+/// is a struct over a signer set, not a choice of schemes, and its count
+/// (more than two-thirds) is written once — and the history a light client
+/// audits is a plain list on the subnet's record: no AMT, proof or GC pin
+/// whose root nothing commits to, and no archive beside the records.
+#[test]
+fn a_checkpoint_is_checked_one_way() {
+    let multisig = read_rel("crates/types/src/crypto/multisig.rs");
+    let policy = block(non_test(&multisig), "pub struct SignaturePolicy {", "}");
+    assert!(
+        !policy.is_empty() && !multisig.contains("pub enum SignaturePolicy"),
+        "DESIGN.md §4: `SignaturePolicy` is one struct, not a choice of schemes"
+    );
+    let fraction = policy
+        .iter()
+        .filter(|l| has_word(l, "num") || has_word(l, "den"));
+    assert_eq!(
+        fraction.count(),
+        0,
+        "DESIGN.md §4: the quorum fraction is fixed, not a field"
+    );
+    let mut files = crate_sources();
+    files.extend(crate_dirs("tests").iter().flat_map(|d| files_under(d)));
+    let schemes = hits(
+        &files,
+        |s| s,
+        |l| {
+            ["Single", "MultiSig", "Threshold"]
+                .iter()
+                .any(|v| l.contains(&format!("SignaturePolicy::{v}")))
+        },
+    );
+    assert!(
+        schemes.is_empty(),
+        "DESIGN.md §4: no signature scheme beside the quorum; found {schemes:#?}"
+    );
+    let counts = hits(&crate_sources(), non_test, |l| {
+        let code: String = l.chars().filter(|c| !c.is_whitespace()).collect();
+        !code.starts_with("//") && (code.contains("*2/3") || code.contains("/3+1"))
+    });
+    assert_eq!(
+        counts.len(),
+        1,
+        "DESIGN.md §4: the quorum count is computed once; found {counts:#?}"
+    );
+
+    let archive = ["crates/core/src/archive.rs", "crates/core/src/subnets.rs"];
+    let archive: Vec<PathBuf> = archive.iter().map(|p| root().join(p)).collect();
+    let pinned = hits(&archive, non_test, |l| {
+        [
+            "Amt",
+            "AmtProof",
+            "AmtRoot",
+            "prove",
+            "persist",
+            "registry_root",
+        ]
+        .iter()
+        .any(|w| has_word(l, w))
+    });
+    assert!(
+        pinned.is_empty(),
+        "DESIGN.md §7: checkpoint history is a plain list, with no AMT, proof or \
+         GC pin that nothing commits to; found {pinned:#?}"
+    );
+    let runtime = read_rel("crates/core/src/runtime.rs");
+    let archive_field = block(&runtime, "pub struct HierarchyRuntime {", "}")
+        .into_iter()
+        .filter(|l| is_field(l, false) && l.trim_start_matches(' ').contains("archive:"))
+        .count();
+    assert_eq!(
+        archive_field, 0,
+        "DESIGN.md §7: the history lives on each subnet's record, not in a runtime archive"
     );
 }
