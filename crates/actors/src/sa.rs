@@ -13,7 +13,7 @@ use std::fmt;
 use hc_types::crypto::{PolicyError, SignaturePolicy};
 use hc_types::{
     decode_fields, encode_fields, Address, ByteReader, CanonicalDecode, CanonicalEncode,
-    DecodeError, PublicKey, TokenAmount,
+    ChainEpoch, DecodeError, PublicKey, TokenAmount,
 };
 
 use crate::checkpoint::SignedCheckpoint;
@@ -211,6 +211,19 @@ pub struct ValidatorInfo {
 encode_fields!(ValidatorInfo { addr, key, stake });
 decode_fields!(ValidatorInfo { addr, key, stake });
 
+/// One entry of a Subnet Actor's signer log: the validator keys in force
+/// from the block after `epoch` on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SignerSet {
+    /// The epoch of the parent block whose execution changed the set.
+    epoch: ChainEpoch,
+    /// The validator keys from then on, in join order.
+    keys: Vec<PublicKey>,
+}
+
+encode_fields!(SignerSet { epoch, keys });
+decode_fields!(SignerSet { epoch, keys });
+
 /// Errors returned by Subnet Actor operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SaError {
@@ -262,6 +275,10 @@ impl From<PolicyError> for SaError {
 pub struct SaState {
     config: SaConfig,
     validators: Vec<ValidatorInfo>,
+    /// Append-only: one entry per block that changed the validator set,
+    /// oldest first, so a historic checkpoint is checked against the
+    /// quorum its commit was checked against.
+    signers: Vec<SignerSet>,
 }
 
 impl SaState {
@@ -270,6 +287,7 @@ impl SaState {
         SaState {
             config,
             validators: Vec::new(),
+            signers: Vec::new(),
         }
     }
 
@@ -296,7 +314,36 @@ impl SaState {
     /// The signature policy checkpoints must satisfy: the 2/3 quorum over
     /// the current validator keys (a lone validator's own signature).
     pub fn signature_policy(&self) -> SignaturePolicy {
-        SignaturePolicy::new(self.validators.iter().map(|v| v.key).collect())
+        SignaturePolicy::new(self.keys())
+    }
+
+    fn keys(&self) -> Vec<PublicKey> {
+        self.validators.iter().map(|v| v.key).collect()
+    }
+
+    /// Appends the current validator keys to the signer log when the block
+    /// at `epoch` changed them: the one write to the log, made by the
+    /// messages that join, leave or kill.
+    pub fn log_signers(&mut self, epoch: ChainEpoch) {
+        let keys = self.keys();
+        let changed = match self.signers.last() {
+            Some(last) => last.keys != keys,
+            None => !keys.is_empty(),
+        };
+        if changed {
+            self.signers.push(SignerSet { epoch, keys });
+        }
+    }
+
+    /// The signature policy a checkpoint committed by the parent block at
+    /// `epoch` was checked against: the signer set logged before that
+    /// block. A block runs its implicit messages, checkpoint commits among
+    /// them, before its signed ones, so a change made in the committing
+    /// block itself does not apply.
+    pub fn signature_policy_at(&self, epoch: ChainEpoch) -> SignaturePolicy {
+        let before = self.signers.partition_point(|s| s.epoch < epoch);
+        let keys = before.checked_sub(1).map(|i| self.signers[i].keys.clone());
+        SignaturePolicy::new(keys.unwrap_or_default())
     }
 
     /// Registers a validator, enforcing the join policy.
@@ -362,8 +409,16 @@ impl SaState {
 // it exactly: snapshot state-sync reconstructs deployed Subnet Actors —
 // including their join policy and consensus configuration — from verified
 // chunk blobs alone.
-encode_fields!(SaState { config, validators });
-decode_fields!(SaState { config, validators });
+encode_fields!(SaState {
+    config,
+    validators,
+    signers
+});
+decode_fields!(SaState {
+    config,
+    validators,
+    signers
+});
 
 /// An equivocation fraud proof: two *distinct* validly-signed checkpoints
 /// extending the same `prev` pointer for the same subnet. Checkpoints "can
@@ -534,6 +589,38 @@ mod tests {
         assert_eq!(policy.required_signatures(), 1);
     }
 
+    /// The log gains an entry only when a block changes the set, and a
+    /// commit at epoch `e` reads the set logged before block `e`.
+    #[test]
+    fn the_signer_log_answers_by_committing_epoch() {
+        let mut sa = open_sa();
+        let (k1, k2) = (kp(40), kp(41));
+        let one = TokenAmount::from_whole(1);
+        sa.log_signers(ChainEpoch::new(2));
+        assert_eq!(sa.signers, [], "an empty set logs nothing");
+        sa.join(Address::new(100), k1.public(), one).unwrap();
+        sa.log_signers(ChainEpoch::new(3));
+        sa.log_signers(ChainEpoch::new(4));
+        sa.join(Address::new(101), k2.public(), one).unwrap();
+        sa.log_signers(ChainEpoch::new(7));
+        assert_eq!(sa.signers.len(), 2, "an unchanged set logs nothing");
+
+        let policy = |sa: &SaState, e: u64| sa.signature_policy_at(ChainEpoch::new(e));
+        // Block 3 made the first change: a commit in it had no signer.
+        assert_eq!(policy(&sa, 3), SignaturePolicy::new(Vec::new()));
+        assert_eq!(policy(&sa, 4), SignaturePolicy::new(vec![k1.public()]));
+        assert_eq!(policy(&sa, 7), SignaturePolicy::new(vec![k1.public()]));
+        assert_eq!(policy(&sa, 8), sa.signature_policy());
+
+        sa.leave(Address::new(100)).unwrap();
+        sa.log_signers(ChainEpoch::new(9));
+        assert_eq!(
+            policy(&sa, 9),
+            SignaturePolicy::new(vec![k1.public(), k2.public()])
+        );
+        assert_eq!(policy(&sa, 10), SignaturePolicy::new(vec![k2.public()]));
+    }
+
     #[test]
     fn fraud_proof_detects_equivocation() {
         let mut sa = open_sa();
@@ -601,9 +688,13 @@ mod tests {
             .unwrap();
         sa.join(Address::new(2), kp(2).public(), TokenAmount::from_whole(4))
             .unwrap();
+        sa.log_signers(ChainEpoch::new(5));
         let bytes = sa.canonical_bytes();
         let decoded = SaState::decode(&bytes).expect("canonical bytes decode");
-        assert_eq!(decoded, sa, "config and validators survive the round trip");
+        assert_eq!(
+            decoded, sa,
+            "config, validators and signer log survive the round trip"
+        );
         assert!(SaState::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 }

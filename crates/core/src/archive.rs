@@ -1,103 +1,110 @@
-//! Checkpoint history and light-client verification.
+//! Light-client verification of a subnet's checkpoint history.
 //!
 //! Checkpoints "are propagated to the top of the hierarchy, making them
 //! accessible to any member of the system. They should include enough
 //! information that any client receiving it is able to verify the
-//! correctness of the subnet consensus" (paper §II). The runtime keeps
-//! every committed child checkpoint on the child's record, oldest first;
-//! [`HierarchyRuntime::verify_checkpoint_chain`] plays the light client: it
-//! re-validates the full hash chain and the signature quorum without
-//! touching the subnet's own chain. Retiring a subnet drops its history
-//! with its record.
+//! correctness of the subnet consensus" (paper §II). A committed child
+//! checkpoint is held once: in the parent block that committed it, as an
+//! [`ImplicitMsg::CommitChildCheckpoint`]. The parent SCA records the head
+//! of the child's chain, and each checkpoint's `prev` names the one before
+//! it. [`HierarchyRuntime::verify_checkpoint_chain`] plays the light
+//! client: it walks that hash chain back to genesis over the parent's
+//! committed blocks and checks each checkpoint against the signer set the
+//! child's Subnet Actor had logged before the block that committed it.
+//! Retiring a subnet leaves its history where its parent committed it.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 use hc_actors::checkpoint::SignedCheckpoint;
-use hc_types::crypto::SignaturePolicy;
-use hc_types::{CanonicalEncode, Cid, SubnetId};
+use hc_state::ImplicitMsg;
+use hc_types::{CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
 use crate::runtime::HierarchyRuntime;
 
-/// One committed checkpoint plus the signer set that was in force when the
-/// parent committed it — validator sets churn, so historic checkpoints
-/// must be audited against their *contemporaneous* quorum.
-#[derive(Debug, Clone)]
-pub struct ArchiveEntry {
-    /// The committed signed checkpoint.
-    pub signed: SignedCheckpoint,
-    /// The subnet's signature quorum at commit time.
-    pub policy: SignaturePolicy,
-}
-
 impl HierarchyRuntime {
-    /// The checkpoints `subnet`'s parent committed, oldest first; empty
-    /// for an unknown or retired subnet.
-    pub fn checkpoint_history(&self, subnet: &SubnetId) -> &[ArchiveEntry] {
-        self.subnets
-            .by_id
-            .get(subnet)
-            .map_or(&[], |r| r.checkpoint_history.as_slice())
-    }
-
     /// Light-client audit of a subnet's checkpoint chain as committed in
-    /// its parent: verifies that (1) the `prev` pointers form an unbroken
-    /// hash chain from genesis ([`Cid::NIL`]) to the parent SCA's recorded
-    /// head, (2) epochs strictly increase, (3) every checkpoint names the
-    /// right source subnet, and (4) every checkpoint's signatures satisfy
-    /// the Subnet Actor signature quorum *in force when it was committed*
-    /// (validator churn does not invalidate history).
+    /// its parent. From the parent SCA's recorded head it follows `prev`
+    /// over the checkpoints the parent's committed blocks carry — the
+    /// blocks below a snapshot install (the parent record's `peers`), then
+    /// the parent's own chain, decoded one block at a time — and verifies
+    /// that (1) every checkpoint names `subnet` as its source, (2) the
+    /// `prev` pointers form an unbroken hash chain of committed checkpoints
+    /// from the recorded head down to [`Cid::NIL`], (3) epochs strictly
+    /// increase, (4) every checkpoint's signatures satisfy the Subnet
+    /// Actor's quorum in force when it was committed (validator churn does
+    /// not invalidate history), and (5) the chain is as long as the SCA's
+    /// count of commits. A checkpoint counts as committed at the first
+    /// parent block that carries it: any later copy was refused.
     ///
-    /// Returns the number of verified checkpoints.
+    /// Returns the verified checkpoints, oldest first.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency.
-    pub fn verify_checkpoint_chain(&self, subnet: &SubnetId) -> Result<u64, String> {
+    pub fn verify_checkpoint_chain(
+        &self,
+        subnet: &SubnetId,
+    ) -> Result<Vec<SignedCheckpoint>, String> {
         let parent = subnet
             .parent()
             .ok_or_else(|| "the rootnet commits no checkpoints".to_owned())?;
         let parent_node = self
             .node(&parent)
             .ok_or_else(|| format!("unknown parent {parent}"))?;
-        let recorded_head = parent_node
+        let info = parent_node
             .state()
             .sca()
             .subnet(subnet)
-            .map(|i| i.prev_checkpoint)
             .ok_or_else(|| format!("{subnet} is not registered"))?;
+        let sa = self
+            .sa_of(subnet)
+            .ok_or_else(|| format!("{subnet} has no subnet actor in {parent}"))?;
 
-        let history = self.checkpoint_history(subnet);
-        let mut prev = Cid::NIL;
-        let mut last_epoch = None;
-        for (i, entry) in history.iter().enumerate() {
-            let ckpt = &entry.signed.checkpoint;
-            if ckpt.source != *subnet {
-                return Err(format!("checkpoint {i} names source {}", ckpt.source));
-            }
-            if ckpt.prev != prev {
-                return Err(format!(
-                    "checkpoint {i} breaks the hash chain: prev {} != expected {}",
-                    ckpt.prev, prev
-                ));
-            }
-            if let Some(last) = last_epoch {
-                if ckpt.epoch <= last {
-                    return Err(format!(
-                        "checkpoint {i} epoch {} does not advance {}",
-                        ckpt.epoch, last
-                    ));
+        let below = self.subnets.by_id.get(&parent).map(|r| r.peers.iter());
+        let below = below.into_iter().flatten().map(|b| Cow::Owned(b.decode()));
+        let mut committed: HashMap<Cid, (ChainEpoch, SignedCheckpoint)> = HashMap::new();
+        for block in below.chain(parent_node.chain().iter()) {
+            for m in &block.implicit_msgs {
+                if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
+                    let first = || (block.header.epoch, signed.clone());
+                    committed
+                        .entry(signed.checkpoint.cid())
+                        .or_insert_with(first);
                 }
             }
-            entry
-                .policy
-                .check(&entry.signed.signing_bytes(), &entry.signed.signatures)
-                .map_err(|e| format!("checkpoint {i} signature policy: {e}"))?;
-            prev = ckpt.cid();
-            last_epoch = Some(ckpt.epoch);
         }
-        if prev != recorded_head {
+
+        let mut walk = Vec::new();
+        let (mut at, mut later) = (info.prev_checkpoint, None);
+        while at != Cid::NIL {
+            let (committed_at, signed) = committed
+                .remove(&at)
+                .ok_or_else(|| format!("no block of {parent} commits checkpoint {at}"))?;
+            let ckpt = &signed.checkpoint;
+            if ckpt.source != *subnet {
+                return Err(format!("checkpoint {at} names source {}", ckpt.source));
+            }
+            if later.is_some_and(|later| ckpt.epoch >= later) {
+                return Err(format!(
+                    "checkpoint {at} at epoch {} does not precede its successor's",
+                    ckpt.epoch
+                ));
+            }
+            sa.signature_policy_at(committed_at)
+                .check(&signed.signing_bytes(), &signed.signatures)
+                .map_err(|e| format!("checkpoint {at} signature policy: {e}"))?;
+            (at, later) = (ckpt.prev, Some(ckpt.epoch));
+            walk.push(signed);
+        }
+        if walk.len() as u64 != info.committed_checkpoints {
             return Err(format!(
-                "archive head {prev} does not match the SCA's recorded head {recorded_head}"
+                "the chain from the SCA's head holds {} checkpoints, the SCA counts {}",
+                walk.len(),
+                info.committed_checkpoints
             ));
         }
-        Ok(history.len() as u64)
+        walk.reverse();
+        Ok(walk)
     }
 }

@@ -57,8 +57,8 @@
 //!   `rejoin_node`, in the configured [`RuntimeConfig::sync_mode`]): the
 //!   fault schedule, and the surviving peers' side of a catch-up.
 //! * [`elastic`], [`atomic`], [`archive`], [`audit`], [`attack`] — the
-//!   scale-out controller, 2PC orchestration, checkpoint history and its
-//!   light-client audit,
+//!   scale-out controller, 2PC orchestration, the light-client audit of a
+//!   checkpoint history read from the parent's chain,
 //!   the invariant check, and adversarial injection.
 //!
 //! # Example
@@ -110,7 +110,6 @@ mod stats;
 mod subnets;
 mod users;
 
-pub use archive::ArchiveEntry;
 pub use atomic::{AtomicOrchestrator, AtomicOutcome, AtomicParty, PartyBehavior};
 pub use attack::AttackReport;
 pub use audit::{audit_quiescent, InvariantBreak};

@@ -34,7 +34,6 @@ use hc_state::{
 };
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId};
 
-use crate::archive::ArchiveEntry;
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 
 mod catch_up;
@@ -84,9 +83,6 @@ pub struct NodeStats {
 /// runtime state by the caller.
 pub(crate) struct LocalOutcome {
     pub(crate) report: StepReport,
-    /// Committed child checkpoints, each with the signature quorum in
-    /// force at commit time, destined for the child's checkpoint history.
-    pub(crate) archived: Vec<ArchiveEntry>,
     /// VM events of the block, to be routed through the hierarchy.
     pub(crate) events: Vec<VmEvent>,
     /// The top-down messages the block committed, each with the child on
@@ -485,8 +481,8 @@ impl SubnetNode {
     /// The one way a block that was executed against this node's tree —
     /// just produced, replayed from the journal, or pulled from peers —
     /// becomes part of the node: [`SubnetNode::skip_block`] plus everything
-    /// that needs the receipts (counters, the `awaited` receipt, the
-    /// checkpoints to archive, the events to route) and the top-down
+    /// that needs the receipts (counters, the `awaited` receipt, the events
+    /// to route) and the top-down
     /// messages its execution committed, taken from the tree's outbox.
     /// The caller has already appended the block to the chain; a live
     /// block is journaled afterwards, by `post_tick`.
@@ -512,25 +508,10 @@ impl SubnetNode {
             }
         }
 
-        // Account committed checkpoint bytes (parent-chain load,
-        // experiment E3) and snapshot the signature policy in force at
-        // commit time so the child's history stays verifiable across
-        // validator churn. The policy lives in this node's own copy of the child's
-        // Subnet Actor.
-        let mut archived = Vec::new();
-        for (m, receipt) in block.implicit_msgs.iter().zip(&receipts) {
+        // Committed checkpoint bytes: the parent-chain load of experiment E3.
+        for m in &block.implicit_msgs {
             if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
                 self.stats.checkpoint_bytes += signed.checkpoint.encoded_size() as u64;
-                let policy = signed
-                    .checkpoint
-                    .source
-                    .actor()
-                    .filter(|_| receipt.exit.is_ok())
-                    .and_then(|a| self.tree.sa(a).map(hc_actors::SaState::signature_policy));
-                if let Some(policy) = policy {
-                    let signed = signed.clone();
-                    archived.push(ArchiveEntry { signed, policy });
-                }
             }
         }
         if let Some((cid, receipt)) = &mut self.awaited {
@@ -547,7 +528,6 @@ impl SubnetNode {
                 msgs: block.msg_count(),
                 gas_used,
             },
-            archived,
             events: receipts.into_iter().flat_map(|r| r.events).collect(),
             top_down: self.tree.take_outbox(),
         }

@@ -236,7 +236,7 @@ impl HierarchyRuntime {
     /// Re-commits one journaled block. Inside a fast-forwarded prefix it
     /// is chained and skipped — the anchored snapshot supplies the state
     /// it produced; otherwise it is re-executed and the replay *is* the
-    /// effect, so checkpoint routing, archiving and event delivery all
+    /// effect, so checkpoint routing and event delivery all
     /// re-run through the live [`HierarchyRuntime::post_tick`].
     fn replay_journaled_block(&mut self, block: Block, skip: bool) -> Result<(), RuntimeError> {
         let subnet = &block.header.subnet.clone();

@@ -293,8 +293,8 @@ impl HierarchyRuntime {
     /// 2. *(a)* — concurrent: block assembly, consensus, execution, and
     ///    commit against each subnet's own node only.
     /// 3. *(b)* — sequential, wave order: the block's journal record,
-    ///    checkpoint archiving, event routing, top-down hand-off; then the
-    ///    journal barrier — the wave's one sync and its commit point.
+    ///    event routing, top-down hand-off; then the journal barrier — the
+    ///    wave's one sync and its commit point.
     ///
     /// Debug builds end every wave with
     /// [`HierarchyRuntime::check_invariants`], re-hashing the heads of the
@@ -479,10 +479,9 @@ impl HierarchyRuntime {
     }
 
     /// Phase (b) of a tick: applies a block's outward effects to shared
-    /// state — journals the block, records committed checkpoints in their
-    /// children's histories, routes
-    /// the block's events through the hierarchy, and hands the top-down
-    /// messages it committed to their children.
+    /// state — journals the block, routes the block's events through the
+    /// hierarchy, and hands the top-down messages it committed to their
+    /// children.
     pub(crate) fn post_tick(
         &mut self,
         subnet: &SubnetId,
@@ -492,19 +491,12 @@ impl HierarchyRuntime {
     ) -> Result<StepReport, RuntimeError> {
         let LocalOutcome {
             report,
-            archived,
             events,
             top_down,
         } = outcome;
         // The block's place in history: after every record written before
         // it, durable with the rest of its wave at the barrier.
         self.journal.append(&ControlRecord::Block(block));
-        for entry in archived {
-            let source = &entry.signed.checkpoint.source;
-            if let Some(record) = self.subnets.by_id.get_mut(source) {
-                record.checkpoint_history.push(entry);
-            }
-        }
         if self.journal.outward() {
             for ev in &events {
                 self.events.push_back((subnet.clone(), ev.clone()));

@@ -2,9 +2,8 @@
 //! its node, and so across that node's crashes — how it was booted, where
 //! it is placed, which accounts were installed between blocks, its
 //! snapshot manifests, the subnet's chain as its peers hold it where the
-//! node's own chain does not, what survives the node while it is down, the
-//! inbox of what was handed to the subnet while no node of it ran, and the
-//! checkpoints its parent committed.
+//! node's own chain does not, what survives the node while it is down, and
+//! the inbox of what was handed to the subnet while no node of it ran.
 //! Whether a node is live or catching up is the node's own mode.
 //!
 //! One map holds all of it, so retiring a subnet is one `remove` that
@@ -18,7 +17,6 @@ use hc_chain::History;
 use hc_consensus::EngineParams;
 use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
 
-use crate::archive::ArchiveEntry;
 use crate::node::{Input, SubnetNode, Survivor};
 use crate::runtime::HierarchyRuntime;
 
@@ -67,10 +65,6 @@ pub(crate) struct SubnetRecord {
     /// checkpoints — in the order handed. The next node built for the
     /// subnet receives them in that order.
     pub(crate) inbox: Vec<Input>,
-    /// The checkpoints the parent committed, oldest first, each with the
-    /// signer set in force at commit: what
-    /// [`HierarchyRuntime::verify_checkpoint_chain`] audits.
-    pub(crate) checkpoint_history: Vec<ArchiveEntry>,
     /// Set by [`HierarchyRuntime::inject_signed_checkpoint`]: the parent's
     /// record may then fall below the subnet's live supply. Not journaled.
     pub(crate) compromised: bool,

@@ -5,8 +5,10 @@
 mod common;
 
 use common::{whole, Harness};
+use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
-use hc_core::RuntimeConfig;
+use hc_core::{RuntimeConfig, SyncMode};
+use hc_state::{ImplicitMsg, Method};
 use hc_types::{CanonicalEncode, SubnetId};
 
 /// A child that cuts a checkpoint every five blocks.
@@ -31,14 +33,18 @@ fn archived_chain_verifies_end_to_end() {
 
     let verified = h.rt.verify_checkpoint_chain(&subnet).unwrap();
     assert!(
-        verified >= 7,
-        "expected several checkpoints, got {verified}"
+        verified.len() >= 7,
+        "expected several checkpoints, got {}",
+        verified.len()
     );
-    assert_eq!(h.rt.checkpoint_history(&subnet).len() as u64, verified);
-    // The archive head equals the SCA's recorded head (checked inside
-    // verify, but assert the count is consistent with the SCA too).
-    let committed = h.child_info(&subnet).committed_checkpoints;
-    assert_eq!(committed, verified);
+    // The walk ends at the SCA's recorded head and holds as many
+    // checkpoints as the SCA counts.
+    let info = h.child_info(&subnet);
+    assert_eq!(info.committed_checkpoints, verified.len() as u64);
+    assert_eq!(
+        verified.last().unwrap().checkpoint.cid(),
+        info.prev_checkpoint
+    );
 }
 
 #[test]
@@ -48,20 +54,12 @@ fn archive_registry_survives_gc_sweeps() {
     for _ in 0..3 {
         h.commit_checkpoint(&subnet);
     }
-    let cids = |h: &Harness| -> Vec<_> {
-        h.rt.checkpoint_history(&subnet)
-            .iter()
-            .map(|e| e.signed.checkpoint.cid())
-            .collect()
-    };
-
-    // A blob sweep touches the state store alone: the history and its
-    // audit are what they were before it.
-    let (history, verified) = (cids(&h), h.rt.verify_checkpoint_chain(&subnet).unwrap());
-    assert!(verified >= 3);
+    // A blob sweep touches the state store alone: the history read from
+    // the parent's chain is what it was before it.
+    let history = h.rt.verify_checkpoint_chain(&subnet).unwrap();
+    assert!(history.len() >= 3);
     h.rt.prune_blobs();
-    assert_eq!(cids(&h), history);
-    assert_eq!(h.rt.verify_checkpoint_chain(&subnet), Ok(verified));
+    assert_eq!(h.rt.verify_checkpoint_chain(&subnet), Ok(history));
 }
 
 #[test]
@@ -79,18 +77,127 @@ fn unregistered_subnet_fails_verification() {
     assert!(h.rt.verify_checkpoint_chain(&ghost).is_err());
 }
 
+/// Every checkpoint of `subnet` the committed blocks of its parent carry,
+/// accepted or refused, in chain order.
+fn carried(h: &Harness, subnet: &SubnetId) -> Vec<SignedCheckpoint> {
+    let parent = h.rt.node(&subnet.parent().unwrap()).unwrap();
+    let mut carried = Vec::new();
+    for block in parent.chain().iter() {
+        for m in &block.implicit_msgs {
+            match m {
+                ImplicitMsg::CommitChildCheckpoint { signed }
+                    if signed.checkpoint.source == *subnet =>
+                {
+                    carried.push(signed.clone());
+                }
+                _ => {}
+            }
+        }
+    }
+    carried
+}
+
+/// A forged over-withdrawal is committed into a parent block, refused by
+/// the firewall, and never on the walk: the chain still verifies to what it
+/// was.
 #[test]
 fn rejected_forgeries_never_enter_the_archive() {
     let mut h = Harness::with(RuntimeConfig::default(), 100_000);
     let subnet = h.spawn(&h.alice.clone(), five_block_windows());
     h.commit_checkpoint(&subnet);
-    let before = h.rt.checkpoint_history(&subnet).len();
+    let before = h.rt.verify_checkpoint_chain(&subnet).unwrap();
 
-    // A forged over-withdrawal checkpoint is rejected by the firewall and
-    // must not pollute the archive; the chain still verifies.
     h.rt.forge_withdrawal(&subnet, hc_types::Address::new(666), whole(10_000))
         .unwrap();
-    let after = h.rt.checkpoint_history(&subnet).len();
-    assert_eq!(before, after);
-    h.rt.verify_checkpoint_chain(&subnet).unwrap();
+    let after = h.rt.verify_checkpoint_chain(&subnet).unwrap();
+    assert_eq!(after[..before.len()], before[..]);
+    let forged: Vec<_> = carried(&h, &subnet)
+        .into_iter()
+        .filter(|c| !after.contains(c))
+        .collect();
+    assert_eq!(forged.len(), 1, "the forgery sits in a committed block");
+    assert!(!forged[0].checkpoint.cross_msgs.is_empty());
+}
+
+/// A copy of a committed checkpoint handed to the parent again — here
+/// signed again once a second validator joined, so the copies differ — is
+/// committed into a later block and refused there. The walk resolves the
+/// checkpoint to its first copy, the one the parent accepted.
+#[test]
+fn a_resubmitted_checkpoint_resolves_to_its_first_commit() {
+    let mut h = Harness::with(RuntimeConfig::default(), 100_000);
+    let subnet = h.spawn(&h.alice.clone(), five_block_windows());
+    h.commit_checkpoint(&subnet);
+    let first = h.rt.verify_checkpoint_chain(&subnet).unwrap();
+    let committed = first.last().unwrap().clone();
+    assert_eq!(committed.signatures.len(), 1);
+
+    let v2 = h.rt.create_user(&SubnetId::root(), whole(100)).unwrap();
+    let key = v2.key.public();
+    let sa = subnet.actor().unwrap();
+    h.rt.execute(&v2, sa, whole(5), Method::JoinSubnet { key })
+        .unwrap();
+    h.rt.tick_subnet(&subnet).unwrap();
+    h.rt.inject_signed_checkpoint(&subnet, |c| *c = committed.checkpoint.clone())
+        .unwrap();
+    h.settle();
+
+    let copies: Vec<_> = carried(&h, &subnet)
+        .into_iter()
+        .filter(|c| c.checkpoint == committed.checkpoint)
+        .collect();
+    assert_eq!(copies.len(), 2);
+    assert_eq!(copies[0], committed);
+    assert_eq!(copies[1].signatures.len(), 2, "the copy is signed by both");
+    let walk = h.rt.verify_checkpoint_chain(&subnet).unwrap();
+    assert_eq!(walk[..first.len()], first[..]);
+}
+
+/// A parent that rejoined from a snapshot holds the blocks below its
+/// install boundary in its record, not in its chain: root → a → a1, a1
+/// crashes, then a; a rejoins under snapshot sync, then a1. a1's chain
+/// still verifies from genesis, and part of it was committed below a's
+/// boundary.
+#[test]
+fn a_history_committed_below_a_snapshot_install_verifies() {
+    let config = RuntimeConfig {
+        sync_mode: SyncMode::Snapshot,
+        ..RuntimeConfig::default()
+    };
+    let mut h = Harness::with(config, 1_000_000);
+    let a = h.spawn(&h.alice.clone(), five_block_windows());
+    let creator = h.user(&a);
+    h.fund(&creator, 100);
+    let a1 = h.spawn(&creator, five_block_windows());
+    h.commit_checkpoint(&a1);
+    h.commit_checkpoint(&a1);
+    let before = h.rt.verify_checkpoint_chain(&a1).unwrap();
+
+    h.rt.crash_node(&a1).unwrap();
+    let committed_at = h.rt.node(&a).unwrap().chain().head_epoch();
+    while h
+        .rt
+        .checkpoint_anchor(&a)
+        .is_none_or(|(at, _)| at <= committed_at)
+    {
+        h.rt.step().unwrap();
+    }
+    let installs = h.rt.chaos_stats().snapshot_installs;
+    h.rt.crash_node(&a).unwrap();
+    h.rt.rejoin_node(&a).unwrap();
+    while h.rt.is_catching_up(&a) {
+        h.rt.step().unwrap();
+    }
+    assert_eq!(h.rt.chaos_stats().snapshot_installs, installs + 1);
+    h.rt.rejoin_node(&a1).unwrap();
+    h.settle();
+    h.commit_checkpoint(&a1);
+
+    let walk = h.rt.verify_checkpoint_chain(&a1).unwrap();
+    assert_eq!(walk[..before.len()], before[..]);
+    let above = carried(&h, &a1);
+    assert!(
+        walk.iter().any(|c| !above.contains(c)),
+        "some checkpoint was committed below the install boundary"
+    );
 }

@@ -554,12 +554,12 @@ fn a_catching_up_node_serves_pulls_from_its_registry() {
         let carol = h.user(&SubnetId::root());
         h.fund(&bob, 30);
         h.release(&bob, &carol, 5);
-        let history = h.rt.checkpoint_history(&child);
+        let history = h.rt.verify_checkpoint_chain(&child).unwrap();
         let (group, cut_at) = history
             .iter()
-            .find_map(|e| {
-                let meta = e.signed.checkpoint.cross_msgs.first()?;
-                Some((meta.msgs_cid, e.signed.checkpoint.epoch))
+            .find_map(|c| {
+                let meta = c.checkpoint.cross_msgs.first()?;
+                Some((meta.msgs_cid, c.checkpoint.epoch))
             })
             .expect("the release was cut");
         // Leave a suffix of several batches past the anchor.
@@ -965,39 +965,42 @@ fn fingerprint(rt: &HierarchyRuntime) -> String {
 /// a cross-message group's digest each became one SHA-256 pass instead of
 /// a Merkle root: every head, state-root and checkpoint CID of the text
 /// moved (the checkpoints carry group digests, the state roots commit to
-/// them), every other byte did not.
+/// them), every other byte did not. They were re-recorded again when the
+/// Subnet Actor began to log its signer sets: the root's head and state
+/// root moved (the SA lives in the root's state), every other byte of the
+/// text — the child's heads, roots and checkpoint CIDs included — did not.
 #[test]
 fn chaos_schedules_reproduce_the_recorded_fingerprints() {
     let recorded = [
         (
             SyncMode::Replay,
             0,
-            "c1ca21f731df7e1ebc34fd6d54af0df788dcb70a0884e5fdd549627340a35b9c",
+            "e1989e76c7cce91d7db7a57f4699d6cd134cdb162c520a4bd3f72b89b54d7956",
         ),
         (
             SyncMode::Replay,
             3,
-            "1956d224840db582582432131dacefe6b7ed1039ae1012462621bdfc4e230a60",
+            "5c234017c4d216554d0f59029c0d1e67d11cd94334b7a1676328af2d8d1a9ad9",
         ),
         (
             SyncMode::Replay,
             4,
-            "cca9280a6df9caf68ea1d82eb6eb4ce94651de8c61a0e8ac61223eecc8b71a18",
+            "0112fc0db6e877dfe76eedef94c83529eaf34d194c8dbd932be59c0fba94255b",
         ),
         (
             SyncMode::Snapshot,
             0,
-            "8f186c1cab939ea014a8879eca0c5d9b0b3b1beb09788ea259b55d45d87bd3a7",
+            "7f4b065e6225c1166a5ae86e6d9d9297d31e10c4bc63abe63c020d69f01c9fdc",
         ),
         (
             SyncMode::Snapshot,
             3,
-            "1956d224840db582582432131dacefe6b7ed1039ae1012462621bdfc4e230a60",
+            "5c234017c4d216554d0f59029c0d1e67d11cd94334b7a1676328af2d8d1a9ad9",
         ),
         (
             SyncMode::Snapshot,
             4,
-            "ddec369a531affea950f25950e7c16eea2d4c4b864fb681e22563c6a262bad08",
+            "e7e0d7f628b20511ea955c0cc05e74f5dfb4d6cf33c839a554ca697d046d6129",
         ),
     ];
     for (mode, seed, digest) in recorded {

@@ -169,7 +169,8 @@ pub struct SubnetFingerprint {
     /// rescheduled from its catch-up time, so rejoin comparisons override
     /// this field; recovery comparisons keep it.
     pub next_block_at_ms: u64,
-    /// CIDs of the subnet's archived checkpoints, oldest first.
+    /// CIDs of the subnet's committed checkpoints, oldest first, as its
+    /// parent's chain verifies them.
     pub checkpoints: Vec<Cid>,
 }
 
@@ -184,10 +185,13 @@ pub fn subnet_fingerprint(rt: &HierarchyRuntime, subnet: &SubnetId) -> SubnetFin
         state_root,
         "incremental root diverged from content for {subnet}"
     );
-    let checkpoints = rt
-        .checkpoint_history(subnet)
+    let checkpoints = match subnet.parent() {
+        Some(_) => rt.verify_checkpoint_chain(subnet).unwrap(),
+        None => Vec::new(),
+    };
+    let checkpoints = checkpoints
         .iter()
-        .map(|e| Cid::digest(&e.signed.checkpoint.canonical_bytes()))
+        .map(|c| Cid::digest(&c.checkpoint.canonical_bytes()))
         .collect();
     SubnetFingerprint {
         subnet: subnet.clone(),

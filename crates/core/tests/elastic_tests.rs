@@ -106,7 +106,8 @@ fn retire_subnet_enforces_lifecycle_guards() {
     // The full manual merge path the controller automates: snapshot while
     // alive, kill, recover every leaf on the parent, then retire.
     h.commit_checkpoint(&child);
-    assert!(!h.rt.checkpoint_history(&child).is_empty());
+    let history = h.rt.verify_checkpoint_chain(&child).unwrap();
+    assert!(!history.is_empty());
     let tree = h.rt.save_snapshot(&alice, &child).unwrap();
     h.rt.execute(
         &alice,
@@ -137,9 +138,10 @@ fn retire_subnet_enforces_lifecycle_guards() {
     assert!(h.rt.node(&child).is_none());
     assert!(!h.rt.subnets().any(|s| *s == child));
     assert_eq!(h.rt.region_of_subnet(&child), None);
-    assert!(
-        h.rt.checkpoint_history(&child).is_empty(),
-        "the checkpoint history leaves with the record"
+    assert_eq!(
+        h.rt.verify_checkpoint_chain(&child),
+        Ok(history),
+        "the checkpoint history stays where the parent committed it"
     );
     assert!(h.rt.retire_subnet(&child).is_err(), "retirement is final");
     h.settle();

@@ -1,7 +1,7 @@
 //! Wave-execution determinism: `step_wave` must replay the hierarchy
 //! bit-identically to the sequential `step` loop — per-subnet head CIDs,
-//! state roots, stats, and archived checkpoint CIDs — at every thread
-//! count.
+//! state roots, stats, and the CIDs of the checkpoints each parent's
+//! chain commits — at every thread count.
 //!
 //! The equivalence holds when network jitter and loss are disabled (the
 //! shared network otherwise consumes RNG draws in publish order, which
@@ -65,7 +65,7 @@ fn step_wave_matches_sequential_at_every_parallelism() {
 fn sig_cache_never_changes_results() {
     // Signature verdicts memoized on the messages elide redundant
     // verifications only; every consensus-critical output — head CIDs,
-    // state roots, stats, archived checkpoints — must be bit-identical
+    // state roots, stats, committed checkpoints — must be bit-identical
     // sequentially and under wave parallelism.
     let (mut reference, _) = flat8(1);
     drive_sequential(&mut reference);

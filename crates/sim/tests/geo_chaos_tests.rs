@@ -297,12 +297,17 @@ fn fingerprint(rt: &HierarchyRuntime) -> String {
 /// cross-message group's digest each became one SHA-256 pass instead of a
 /// Merkle root: every subnet's head block and state root moved, every
 /// other byte of the fingerprint text did not.
+///
+/// All three were re-recorded when the Subnet Actor began to log its
+/// signer sets: the head block and state root of each subnet that holds a
+/// child's Subnet Actor (the root and both of its children) moved, every
+/// other byte of the fingerprint text — head epochs included — did not.
 #[test]
 fn geo_schedules_reproduce_the_recorded_fingerprints() {
     let recorded = [
-        "13ffe205a94737a9663066f4fcaa2870ee4148cbf95528e997af0dbe8e083867",
-        "0279db43f6d7bffe3102952651031790e2e568680bc247a475bb11984d87fa58",
-        "a8898db6fdfee3b0b38866e35cc338b5cc81b4374c8bf0e81fd86b23b3add510",
+        "62341d1130f9c6f9729b0be24fbe3af151d276d31d1b2f26a4ec2906c96f3212",
+        "693c6c5c2969179d53feac7bde3d7380bb5c7243cec43b4a33d4c72e591daa02",
+        "8f432eebd0b45324b9e88db41e54fe306c5fab9c9e496bac1b2ae78be73763bc",
     ];
     for (seed, digest) in recorded.iter().enumerate() {
         let (_, fingerprint) = run_geo_schedule(seed as u64);

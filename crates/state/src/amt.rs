@@ -3,11 +3,9 @@
 //! The AMT is the ordered sibling of the [`crate::hamt`]: a map from `u64`
 //! indices to values, routed by the index bits themselves (3 bits — width
 //! 8 — per level) instead of a hash. That makes it the right shape for
-//! append-only registries (checkpoint archives, cross-message logs): an
-//! append touches only the O(log n) rightmost path, consecutive persisted
-//! snapshots structurally share every settled subtree, and an index proof
-//! ([`Amt::prove`] / [`AmtProof::verify`]) gives light clients a committed
-//! position, not just membership.
+//! append-only registries (its one user is the SCA's content registry): an
+//! append touches only the O(log n) rightmost path, and consecutive
+//! persisted snapshots structurally share every settled subtree.
 //!
 //! Shape is canonical: the tree height is the minimum that covers the
 //! highest set index (growing wraps the root in a new slot-0 chain), so
@@ -413,71 +411,6 @@ impl<V: CanonicalEncode + CanonicalDecode + Clone> Amt<V> {
             count,
         ))
     }
-
-    /// Builds the inclusion proof for index `i`: the node blobs from the
-    /// top node down to the leaf. Returns `None` if `i` is unset or the
-    /// tree has unflushed mutations.
-    pub fn prove(&self, i: u64) -> Option<AmtProof> {
-        self.root.cached?;
-        if i >= self.capacity() {
-            return None;
-        }
-        let mut nodes = Vec::new();
-        let mut node = &*self.root;
-        for height in (0..=self.height).rev() {
-            nodes.push(node.encode());
-            let slot = (i >> (BITS * height)) & (WIDTH - 1);
-            if !node.has(slot) {
-                return None;
-            }
-            match &node.items[node.position(slot)] {
-                Item::Leaf(_) => return Some(AmtProof { nodes }),
-                Item::Link(child) => node = child,
-            }
-        }
-        None
-    }
-}
-
-/// An AMT inclusion proof: the node path from the top node to the leaf.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AmtProof {
-    /// Canonical node blobs, top-down.
-    pub nodes: Vec<Vec<u8>>,
-}
-
-impl AmtProof {
-    /// Verifies that index `i` holds `value` under the committed `root`.
-    pub fn verify<V: CanonicalEncode>(&self, root: &AmtRoot, i: u64, value: &V) -> bool {
-        if root.height > MAX_HEIGHT || i >= WIDTH.saturating_pow(root.height + 1) {
-            return false;
-        }
-        let value_bytes = value.canonical_bytes();
-        let mut expected = root.node.cid();
-        for (step, blob) in self.nodes.iter().enumerate() {
-            if Cid::digest(blob) != expected {
-                return false;
-            }
-            let Ok(wire) = WireNode::decode(blob) else {
-                return false;
-            };
-            let Some(height) = root.height.checked_sub(step as u32) else {
-                return false;
-            };
-            let slot = (i >> (BITS * height)) & (WIDTH - 1);
-            if wire.bitmap & (1 << slot) == 0 {
-                return false;
-            }
-            let pos = (wire.bitmap & ((1u8 << slot) - 1)).count_ones() as usize;
-            match &wire.items[pos] {
-                WireItem::Leaf(raw) => {
-                    return height == 0 && step + 1 == self.nodes.len() && *raw == value_bytes
-                }
-                WireItem::Link(child) => expected = *child,
-            }
-        }
-        false
-    }
 }
 
 struct WireNode {
@@ -693,30 +626,6 @@ mod tests {
                 Err(AmtError::Structure(_))
             ));
         }
-    }
-
-    #[test]
-    fn proofs_verify_and_reject() {
-        let mut a = Arr::new();
-        for i in 0..777u64 {
-            a.push(i + 1);
-        }
-        let root = a.flush(&mut HashWork::default());
-        let proof = a.prove(123).unwrap();
-        assert!(proof.verify(&root, 123, &124u64));
-        assert!(!proof.verify(&root, 123, &999u64));
-        assert!(!proof.verify(&root, 124, &124u64));
-        let other = AmtRoot {
-            node: TCid::digest(b"no"),
-            ..root
-        };
-        assert!(!proof.verify(&other, 123, &124u64));
-        let mut tampered = proof.clone();
-        let last = tampered.nodes.len() - 1;
-        let mid = tampered.nodes[last].len() / 2;
-        tampered.nodes[last][mid] ^= 1;
-        assert!(!tampered.verify(&root, 123, &124u64));
-        assert!(a.prove(777).is_none());
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! * **O(diff) persists** — [`Hamt::persist`] walks top-down and prunes at
 //!   the first node the [`CidStore`] already holds, so consecutive
 //!   snapshots write only new nodes (parent-present ⟹ subtree-present is
-//!   maintained by always persisting children before their parent);
-//! * **membership proofs** — the root-to-leaf node path *is* the proof
-//!   ([`Hamt::prove`] / [`HamtProof::verify`]), unlocking light clients.
+//!   maintained by always persisting children before their parent).
 //!
 //! **Node layout.** Entries live in leaf nodes only; interior nodes hold
 //! nothing but links. A subtree holding at most `LEAF_CAP` (64) entries is
@@ -667,88 +665,10 @@ where
             count,
         ))
     }
-
-    /// Builds the membership proof for `key`: the canonical node blobs
-    /// from the root down to the leaf holding the entry. Returns `None`
-    /// if the key is absent or the tree has unflushed mutations.
-    pub fn prove(&self, key: &K) -> Option<HamtProof> {
-        self.root.cached?;
-        let hash = hash_key(key);
-        let mut nodes = Vec::new();
-        let mut node = &*self.root;
-        for depth in 0.. {
-            nodes.push(node.encode());
-            match &node.kind {
-                Kind::Leaf(entries) => {
-                    leaf_search(entries, key).ok()?;
-                    return Some(HamtProof { nodes });
-                }
-                Kind::Interior(interior) => {
-                    let idx = slot_at(&hash, depth);
-                    if !has_slot(interior.bitmap, idx) {
-                        return None;
-                    }
-                    node = &interior.children[slot_position(interior.bitmap, idx)];
-                }
-            }
-        }
-        unreachable!("loop returns")
-    }
-}
-
-/// A HAMT membership proof: the node blobs along the key's root path —
-/// zero or more interior nodes, then the leaf.
-///
-/// Verification re-hashes each blob against the link that referenced it
-/// (the first against the committed root), follows the key's hash slots
-/// through the interior nodes, and finally checks the claimed entry sits in
-/// the leaf — so a proof is exactly as trustworthy as the root CID it is
-/// checked against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HamtProof {
-    /// Canonical node blobs, root first, leaf last.
-    pub nodes: Vec<Vec<u8>>,
-}
-
-impl HamtProof {
-    /// Verifies that `key` maps to `value` under the committed HAMT root
-    /// `root`.
-    pub fn verify<K, V>(&self, root: &TCid<MHamtNode>, key: &K, value: &V) -> bool
-    where
-        K: CanonicalEncode,
-        V: CanonicalEncode,
-    {
-        let Some((leaf, path)) = self.nodes.split_last() else {
-            return false;
-        };
-        let (key_bytes, value_bytes) = (key.canonical_bytes(), value.canonical_bytes());
-        let hash = hash_key(key);
-        let mut expected = root.cid();
-        for (depth, blob) in path.iter().enumerate() {
-            if node_cid(blob, None).0.cid() != expected {
-                return false;
-            }
-            let Ok(WireNode::Interior { bitmap, children }) = WireNode::decode(blob) else {
-                return false;
-            };
-            let idx = slot_at(&hash, depth);
-            if !has_slot(bitmap, idx) {
-                return false;
-            }
-            expected = children[slot_position(bitmap, idx)];
-        }
-        // The last blob must be a leaf holding the claimed entry verbatim.
-        node_cid(leaf, None).0.cid() == expected
-            && matches!(
-                WireNode::decode(leaf),
-                Ok(WireNode::Leaf(entries))
-                    if entries.contains(&(key_bytes.as_slice(), value_bytes.as_slice()))
-            )
-    }
 }
 
 /// Type-erased wire form of a node: enough structure to follow links and
-/// compare raw entry bytes, without knowing `K`/`V`. Entry bytes borrow
+/// read raw entry bytes, without knowing `K`/`V`. Entry bytes borrow
 /// from the blob.
 enum WireNode<'a> {
     Leaf(Vec<(&'a [u8], &'a [u8])>),
@@ -1062,43 +982,6 @@ mod tests {
                 "{why} must be a decode error"
             );
         }
-    }
-
-    #[test]
-    fn proofs_verify_and_reject() {
-        let mut h = Map::new();
-        for i in 0..3_000u64 {
-            h.set(Address::new(i), i + 1);
-        }
-        let root = h.flush(&mut HashWork::default());
-        let proof = h.prove(&Address::new(1234)).unwrap();
-        assert!(proof.nodes.len() >= 2, "interior path, then the leaf");
-        assert!(proof.verify(&root, &Address::new(1234), &1235u64));
-        // Wrong value, wrong key, wrong root, tampered blob: all rejected.
-        assert!(!proof.verify(&root, &Address::new(1234), &999u64));
-        assert!(!proof.verify(&root, &Address::new(4321), &4322u64));
-        assert!(!proof.verify(&TCid::digest(b"other"), &Address::new(1234), &1235u64));
-        let mut tampered = proof.clone();
-        tampered.nodes[0][5] ^= 1;
-        assert!(!tampered.verify(&root, &Address::new(1234), &1235u64));
-        // A path that stops at an interior node, or carries on past the
-        // leaf, proves nothing.
-        let mut no_leaf = proof.clone();
-        no_leaf.nodes.pop();
-        assert!(!no_leaf.verify(&root, &Address::new(1234), &1235u64));
-        let mut past_leaf = proof.clone();
-        past_leaf.nodes.push(proof.nodes.last().unwrap().clone());
-        assert!(!past_leaf.verify(&root, &Address::new(1234), &1235u64));
-        assert!(!HamtProof { nodes: Vec::new() }.verify(&root, &Address::new(1234), &1235u64));
-        // Absent key: no proof at all.
-        assert!(h.prove(&Address::new(999_999)).is_none());
-
-        // A single-leaf tree proves with the leaf alone.
-        let mut small = map_of(0..10);
-        let root = small.flush(&mut HashWork::default());
-        let proof = small.prove(&Address::new(3)).unwrap();
-        assert_eq!(proof.nodes.len(), 1);
-        assert!(proof.verify(&root, &Address::new(3), &3u64));
     }
 
     #[test]

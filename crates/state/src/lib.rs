@@ -38,9 +38,9 @@ pub mod tree;
 pub mod vm;
 
 pub use access::StateAccess;
-pub use amt::{Amt, AmtError, AmtProof, AmtRoot};
+pub use amt::{Amt, AmtError, AmtRoot};
 pub use chunk::{blob_links, ChunkKey, ChunkManifest, CommitStats, MANIFEST_TAG};
-pub use hamt::{Hamt, HamtError, HamtProof, HashWork};
+pub use hamt::{Hamt, HamtError, HashWork};
 pub use install::InstallError;
 pub use message::{ImplicitMsg, Message, Method, SignedMessage};
 pub use parallel::{access_pair, LaneOverlay};
@@ -48,5 +48,5 @@ pub use registry::RegistryEntry;
 pub use sealed::SealedMessage;
 pub use sigcache::{SigCache, SigCacheStats};
 pub use store::{CidStore, CidStoreStats};
-pub use tree::{AccountProof, AccountState, StateTree};
+pub use tree::{AccountState, StateTree};
 pub use vm::{apply_implicit, apply_sealed, ExitCode, Receipt, VmEvent};

@@ -50,7 +50,7 @@ pub struct SigCache {
 
 impl SigCache {
     /// Creates fresh counters. `_capacity` is ignored; kept because
-    /// `e2e/src/replay.rs` names it. ROADMAP item 3 deletes it.
+    /// `e2e/src/replay.rs` names it. ROADMAP item 10 deletes it.
     pub fn new(_capacity: usize) -> Self {
         Self::default()
     }

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
 use hc_actors::{AtomicExecRegistry, CrossMsg, Ledger, MsgGroup, ScaConfig, ScaState};
-use hc_types::merkle::{leaf_digest, MerkleProof, MerkleTree};
+use hc_types::merkle::{leaf_digest, MerkleTree};
 use hc_types::{
     Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, MHamtNode, Nonce,
     PublicKey, SubnetId, TCid, TokenAmount,
@@ -40,7 +40,7 @@ use crate::chunk::{
     accounts_leaf_blob, build_accounts_hamt, registry_leaf_blob, sca_leaf_preimage, ChunkKey,
     ChunkManifest, CommitStats, Commitment, WindowSource,
 };
-use crate::hamt::{HamtProof, HashWork};
+use crate::hamt::HashWork;
 use crate::registry::{ContentRegistry, RegistryEntry};
 use crate::store::CidStore;
 
@@ -651,63 +651,10 @@ impl StateTree {
         self.commitment.accounts_hamt.cached_root()
     }
 
-    /// Builds a membership proof that `addr`'s current state is committed
-    /// under the current state root: a HAMT node path from the accounts
-    /// root down to the account, plus the Merkle path of the accounts leaf
-    /// in the state-root tree.
-    ///
-    /// Returns `None` if the account does not exist or the tree has
-    /// unflushed changes (call [`StateTree::flush`] first).
-    pub fn prove_account(&self, addr: Address) -> Option<AccountProof> {
-        if !self.is_committed() {
-            return None;
-        }
-        let hamt = self.commitment.accounts_hamt.prove(&addr)?;
-        let accounts_root = self.commitment.accounts_hamt.cached_root()?;
-        let leaf_index = self
-            .commitment
-            .digests
-            .keys()
-            .position(|k| *k == ChunkKey::Accounts)?;
-        let merkle = self.commitment.merkle.prove(leaf_index)?;
-        Some(AccountProof {
-            accounts_root,
-            hamt,
-            merkle,
-        })
-    }
-
     /// Gross token supply of the subnet (every account, including escrow
     /// and burnt funds).
     pub fn total_supply(&self) -> TokenAmount {
         self.accounts.total()
-    }
-}
-
-/// A per-account membership proof against a committed state root — the
-/// light-client primitive: "this account has exactly this state under that
-/// state root".
-///
-/// Two chained commitments make up the proof: the HAMT node path proving
-/// the account under `accounts_root`, and the Merkle path proving the
-/// accounts leaf (which embeds `accounts_root`) under the state root.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccountProof {
-    /// The account-HAMT root the state root commits to.
-    pub accounts_root: TCid<MHamtNode>,
-    /// Node path from `accounts_root` down to the account entry.
-    pub hamt: HamtProof,
-    /// Merkle path of the accounts leaf in the state-root tree.
-    pub merkle: MerkleProof,
-}
-
-impl AccountProof {
-    /// Verifies that `addr` holds exactly `state` under `state_root`.
-    pub fn verify(&self, state_root: Cid, addr: Address, state: &AccountState) -> bool {
-        self.hamt.verify(&self.accounts_root, &addr, state)
-            && self
-                .merkle
-                .verify_leaf_bytes(&accounts_leaf_blob(&self.accounts_root), state_root)
     }
 }
 
@@ -982,30 +929,6 @@ mod tests {
         let m3 = t.persist(&store);
         let manifest = ChunkManifest::decode(&store.get(&m3).unwrap()).unwrap();
         assert!(manifest.verify(&store));
-    }
-
-    #[test]
-    fn account_proofs_verify_against_the_committed_root() {
-        let mut t = tree();
-        for i in 0..50 {
-            t.accounts_mut()
-                .credit(Address::new(700 + i), TokenAmount::from_whole(2));
-        }
-        assert!(t.prove_account(Address::new(700)).is_none(), "unflushed");
-        let root = t.flush();
-        let proof = t.prove_account(Address::new(700)).unwrap();
-        let state = t.accounts().get(Address::new(700)).unwrap();
-        assert!(proof.verify(root, Address::new(700), state));
-        // Wrong account, wrong state, wrong root: rejected. (An account
-        // that shares 700's leaf *and* state is proven by the same blobs,
-        // so the wrong account here is an absent one.)
-        assert!(!proof.verify(root, Address::new(751), state));
-        let mut other = state.clone();
-        other.balance += TokenAmount::from_atto(1);
-        assert!(!proof.verify(root, Address::new(700), &other));
-        assert!(!proof.verify(Cid::digest(b"other root"), Address::new(700), state));
-        // Absent accounts have no proof.
-        assert!(t.prove_account(Address::new(999_999)).is_none());
     }
 
     #[test]

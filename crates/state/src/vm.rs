@@ -334,6 +334,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
                 sa.leave(msg.from).expect("just joined");
                 return Receipt::failed(e, gas::BASE);
             }
+            sa.log_signers(epoch);
             Receipt::ok(gas::BASE + gas::TRANSFER).with_event(VmEvent::ValidatorJoined {
                 subnet,
                 validator: msg.from,
@@ -350,6 +351,7 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
                 Ok(stake) => stake,
                 Err(e) => return Receipt::failed(e, gas::BASE),
             };
+            sa.log_signers(epoch);
             if let Err(e) = sca.release_collateral(ledger, &subnet, msg.from, stake) {
                 return Receipt::failed(e, gas::BASE);
             }
@@ -382,11 +384,13 @@ fn execute<S: StateAccess>(tree: &mut S, epoch: ChainEpoch, msg: &Message) -> Re
                 let amount = (*stake).min(available);
                 if !amount.is_zero() {
                     if let Err(e) = sca.release_collateral(ledger, &subnet, *addr, amount) {
+                        sa.log_signers(epoch);
                         return Receipt::failed(e, gas::BASE);
                     }
                 }
                 sa.leave(*addr).expect("validator exists");
             }
+            sa.log_signers(epoch);
             match sca.kill_subnet(ledger, &subnet, msg.from) {
                 Ok(_) => Receipt::ok(gas::BASE + gas::TRANSFER)
                     .with_event(VmEvent::SubnetKilled { id: subnet }),
@@ -605,8 +609,8 @@ pub fn apply_implicit<S: StateAccess>(
             let Some(sa_addr) = signed.checkpoint.source.actor() else {
                 return Receipt::failed("checkpoint source has no subnet actor", gas::BASE);
             };
-            let (ledger, sca, sa) = tree.ledger_sca_sa_mut(sa_addr);
-            let Some(sa) = sa else {
+            // The SA is only read: a commit leaves its chunk clean.
+            let Some(sa) = tree.sa(sa_addr) else {
                 return Receipt::failed(format!("no subnet actor at {sa_addr}"), gas::BASE);
             };
             if let Err(e) = sa.submit_checkpoint(signed) {
@@ -614,6 +618,7 @@ pub fn apply_implicit<S: StateAccess>(
             }
             let gas_used =
                 gas::CHECKPOINT + gas::PER_META * signed.checkpoint.cross_msgs.len() as u64;
+            let (ledger, sca) = tree.ledger_and_sca_mut();
             match sca.commit_child_checkpoint(ledger, &signed.checkpoint) {
                 Ok(outcome) => Receipt::ok(gas_used).with_event(VmEvent::CheckpointCommitted {
                     source: signed.checkpoint.source.clone(),

@@ -596,8 +596,7 @@ fn one_way_up() {
 /// the parent, and no child reads or prunes one: the relay's names and the
 /// retired hand-off are gone from every crate, a child's pool is fed only
 /// through the node's one door, `receive`, and a Subnet Actor is read from
-/// its parent chain's copy through `sa_of` alone, or from the node's own
-/// tree when a block commits.
+/// its parent chain's copy through `sa_of` alone.
 #[test]
 fn one_way_down() {
     let retired = [
@@ -625,11 +624,8 @@ fn one_way_down() {
     );
     assert_eq!(
         core_calls(".sa("),
-        [
-            "crates/core/src/lifecycle.rs: sa_of",
-            "crates/core/src/node.rs: commit_block",
-        ],
-        "DESIGN.md §8: a Subnet Actor is read through `sa_of`, or by its own node at commit"
+        ["crates/core/src/lifecycle.rs: sa_of"],
+        "DESIGN.md §8: a Subnet Actor is read through `sa_of`"
     );
 }
 
@@ -1543,9 +1539,9 @@ fn hot_values_stay_small() {
 
 /// DESIGN.md §14, "Path invalidation and flush accounting": a HAMT node is
 /// hashed one way. `node_cid` hashes through the resumable `Sha256`; a
-/// flush produces every node CID through it, a proof checks one through
-/// it, and the key's routing digest (`hash_key`) is the file's one other
-/// hash — no second path hashes a node from scratch.
+/// flush produces every node CID through it, and the key's routing digest
+/// (`hash_key`) is the file's one other hash — no second path hashes a
+/// node from scratch.
 #[test]
 fn a_hamt_node_is_hashed_one_way() {
     let text = read_rel("crates/state/src/hamt.rs");
@@ -1579,8 +1575,8 @@ fn a_hamt_node_is_hashed_one_way() {
     callers.dedup();
     assert_eq!(
         callers,
-        ["flush_node", "verify"],
-        "DESIGN.md §14: a node CID comes from `node_cid` in `flush_node` (and a proof's check)"
+        ["flush_node"],
+        "DESIGN.md §14: a node CID comes from `node_cid` in `flush_node`"
     );
     let node_cid = src
         .split_once("fn node_cid(")
@@ -1664,8 +1660,9 @@ fn a_block_executes_one_way() {
 /// Actor and every BFT engine applies one quorum rule — `SignaturePolicy`
 /// is a struct over a signer set, not a choice of schemes, and its count
 /// (more than two-thirds) is written once — and the history a light client
-/// audits is a plain list on the subnet's record: no AMT, proof or GC pin
-/// whose root nothing commits to, and no archive beside the records.
+/// audits is read from the parent's committed blocks, where each checkpoint
+/// is held once: no copy on the subnet's record or in the runtime, and no
+/// AMT, proof or GC pin whose root nothing commits to.
 #[test]
 fn a_checkpoint_is_checked_one_way() {
     let multisig = read_rel("crates/types/src/crypto/multisig.rs");
@@ -1707,6 +1704,28 @@ fn a_checkpoint_is_checked_one_way() {
         "DESIGN.md §4: the quorum count is computed once; found {counts:#?}"
     );
 
+    let copies = hits(&files_under("crates/core/src"), non_test, |l| {
+        ["checkpoint_history", "ArchiveEntry", "archived"]
+            .iter()
+            .any(|w| has_word(l, w))
+    });
+    assert!(
+        copies.is_empty(),
+        "DESIGN.md §7: a committed checkpoint is held once, in the parent block that \
+         committed it; found a second copy: {copies:#?}"
+    );
+    let verify = read_rel("crates/core/src/archive.rs");
+    let walk = non_test(&verify)
+        .split_once("pub fn verify_checkpoint_chain(")
+        .map(|(_, rest)| rest.split_once("\n    }\n").map_or(rest, |(body, _)| body))
+        .unwrap_or_default();
+    assert!(
+        ["CommitChildCheckpoint", ".peers", ".chain().iter()"]
+            .iter()
+            .all(|read| walk.contains(read)),
+        "DESIGN.md §7: `verify_checkpoint_chain` reads the checkpoints the parent's committed \
+         blocks carry: its record's `peers`, then its chain"
+    );
     let archive = ["crates/core/src/archive.rs", "crates/core/src/subnets.rs"];
     let archive: Vec<PathBuf> = archive.iter().map(|p| root().join(p)).collect();
     let pinned = hits(&archive, non_test, |l| {
@@ -1723,8 +1742,8 @@ fn a_checkpoint_is_checked_one_way() {
     });
     assert!(
         pinned.is_empty(),
-        "DESIGN.md §7: checkpoint history is a plain list, with no AMT, proof or \
-         GC pin that nothing commits to; found {pinned:#?}"
+        "DESIGN.md §7: the history carries no AMT, proof or GC pin that nothing commits \
+         to; found {pinned:#?}"
     );
     let runtime = read_rel("crates/core/src/runtime.rs");
     let archive_field = block(&runtime, "pub struct HierarchyRuntime {", "}")
@@ -1733,6 +1752,6 @@ fn a_checkpoint_is_checked_one_way() {
         .count();
     assert_eq!(
         archive_field, 0,
-        "DESIGN.md §7: the history lives on each subnet's record, not in a runtime archive"
+        "DESIGN.md §7: the history lives in the parent's chain, not in a runtime archive"
     );
 }
