@@ -22,7 +22,7 @@ pub struct BlockHeader {
     /// State root after executing this block.
     pub state_root: Cid,
     /// Payload root: one SHA-256 pass over the signed count, each signed
-    /// message's envelope CID, the implicit count and each implicit
+    /// message's CID and signature, the implicit count and each implicit
     /// message's [commitment form](ImplicitMsg::write_commitment);
     /// [`Cid::NIL`] for an empty payload. [`Block::seal`] fills it in from
     /// the payload it seals.
@@ -134,8 +134,9 @@ impl Block {
     /// The root only has to fix the block's contents (paper §III-B):
     /// nothing proves one message against it, so it is a plain digest, not
     /// a Merkle tree. The counts and the self-delimiting encodings make the
-    /// preimage injective. Envelope and group CIDs are memos, so the pass
-    /// hashes no message or group again.
+    /// preimage injective. A signed message is its CID and its signature's
+    /// fixed 64 bytes, which fix its envelope; message and group CIDs are
+    /// memos, so the pass hashes no message or group again.
     fn compute_msgs_root(signed: &[SealedMessage], implicit: &[ImplicitMsg]) -> Cid {
         if signed.is_empty() && implicit.is_empty() {
             return Cid::NIL;
@@ -143,7 +144,8 @@ impl Block {
         let mut hasher = Sha256::new();
         hasher.update(&(signed.len() as u64).to_le_bytes());
         for msg in signed {
-            hasher.update(msg.cid().as_bytes());
+            hasher.update(msg.msg_cid().as_bytes());
+            hasher.update(&msg.signature().to_bytes());
         }
         hasher.update(&(implicit.len() as u64).to_le_bytes());
         let mut form = Vec::new();
@@ -342,14 +344,15 @@ mod tests {
     #[test]
     fn msgs_root_is_one_digest_of_the_payload() {
         // The root must be reproducible from the from-scratch message CIDs
-        // alone (validators recompute it from decoded payloads whose memo
-        // cells are cold): the signed count and CIDs, then the implicit
-        // count and forms — none here.
+        // and the signatures alone (validators recompute it from decoded
+        // payloads whose memo cells are cold): the signed count, each CID
+        // and signature, then the implicit count and forms — none here.
         let kp = keypair(6);
         let block = sample_block(&kp);
         let mut preimage = (block.signed_msgs.len() as u64).canonical_bytes();
         for m in &block.signed_msgs {
-            CanonicalEncode::cid(m.signed()).write_bytes(&mut preimage);
+            m.message().cid().write_bytes(&mut preimage);
+            m.signature().write_bytes(&mut preimage);
         }
         0u64.write_bytes(&mut preimage);
         assert_eq!(block.header.msgs_root, Cid::digest(&preimage));

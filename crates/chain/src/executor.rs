@@ -373,6 +373,46 @@ mod tests {
         );
     }
 
+    /// A child block whose install list mints, sealed over the root its
+    /// producer reached by minting, is outside input a validator refuses:
+    /// its VM mints nothing off the rootnet, so the root differs, and the
+    /// tree is put back.
+    #[test]
+    fn a_child_block_that_mints_is_refused() {
+        let child = SubnetId::root().child(Address::new(1_000_000));
+        let genesis = StateTree::genesis(child.clone(), ScaConfig::default(), []);
+        let (user, proposer) = (
+            Keypair::from_seed([0xe3; 32]),
+            Keypair::from_seed([0xe4; 32]),
+        );
+        let mint = TokenAmount::from_whole(5);
+        let install = ImplicitMsg::InstallAccounts(Box::new([(
+            Address::new(100),
+            user.public(),
+            Some(mint),
+        )]));
+        let mut forged = genesis.clone();
+        forged.accounts_mut().get_or_create(Address::new(100)).key = Some(user.public());
+        forged.mint(Address::new(100), mint);
+        let header = BlockHeader {
+            subnet: child,
+            epoch: ChainEpoch::new(1),
+            parent: Cid::NIL,
+            state_root: forged.flush(),
+            msgs_root: Cid::NIL,
+            proposer: proposer.public(),
+            timestamp_ms: 1_000,
+        };
+        let block = Block::seal(header, vec![], vec![install], &proposer);
+
+        let mut validator = genesis.clone();
+        let root = validator.flush();
+        let refused = execute_block_with(&mut validator, &block, ExecOptions::default());
+        assert!(matches!(refused, Err(BlockError::StateRootMismatch { .. })));
+        assert_eq!(validator.flush(), root);
+        assert!(validator.accounts().get(Address::new(100)).is_none());
+    }
+
     #[test]
     fn cached_and_parallel_paths_match_the_reference_receipts() {
         let (mut base, user, proposer) = setup();

@@ -8,12 +8,12 @@
 //! beside them, so none of these checks was removed — only their repeats
 //! on a value that cannot have changed.
 //!
-//! A payload root is one SHA-256 pass over the signed count, the signed
-//! messages' envelope CIDs, the implicit count and the implicit messages'
-//! commitment forms (a carried group written as its CID). The last two
-//! properties pin it: a sealed block's root is that digest recomputed from
-//! scratch and its cold decoded copy's, and it moves with every change to
-//! what the block carries.
+//! A payload root is one SHA-256 pass over the signed count, each signed
+//! message's CID and signature, the implicit count and the implicit
+//! messages' commitment forms (a carried group written as its CID). The
+//! last two properties pin it: a sealed block's root is that digest
+//! recomputed from scratch and its cold decoded copy's, and it moves with
+//! every change to what the block carries.
 
 use proptest::prelude::*;
 
@@ -99,6 +99,8 @@ enum Implicit {
     Turnaround(Vec<u64>),
     Cut(u64),
     Sweep(u64),
+    /// Addresses, each with whether it mints and how much.
+    Install(Vec<(u64, (bool, u64))>),
 }
 
 fn arb_implicit() -> impl Strategy<Value = Implicit> {
@@ -109,6 +111,8 @@ fn arb_implicit() -> impl Strategy<Value = Implicit> {
         values().prop_map(Implicit::Turnaround),
         any::<u64>().prop_map(Implicit::Cut),
         (1u64..100).prop_map(Implicit::Sweep),
+        prop::collection::vec((100u64..200, (any::<bool>(), 0u64..1_000)), 0..4)
+            .prop_map(Implicit::Install),
     ]
 }
 
@@ -133,10 +137,23 @@ fn implicit_msg(spec: &Implicit) -> ImplicitMsg {
             proof: Cid::digest(&seed.to_le_bytes()),
         },
         Implicit::Sweep(timeout) => ImplicitMsg::SweepAtomicTimeouts { timeout: *timeout },
+        Implicit::Install(accounts) => {
+            let key = Keypair::from_seed([0x75; 32]).public();
+            let mint = |(mints, v): (bool, u64)| mints.then(|| TokenAmount::from_atto(v.into()));
+            let accounts = accounts
+                .iter()
+                .map(|&(a, m)| (Address::new(a), key, mint(m)));
+            ImplicitMsg::InstallAccounts(accounts.collect())
+        }
     }
 }
 
 fn signed_msg(from: u64, value: u64) -> SealedMessage {
+    signed_by(from, value, 0x73)
+}
+
+/// [`signed_msg`]'s message, signed by the key seeded with `key`.
+fn signed_by(from: u64, value: u64, key: u8) -> SealedMessage {
     SealedMessage::sign(
         Message::transfer(
             Address::new(100 + from),
@@ -144,7 +161,7 @@ fn signed_msg(from: u64, value: u64) -> SealedMessage {
             TokenAmount::from_atto(u128::from(value) + 1),
             Nonce::new(from),
         ),
-        &Keypair::from_seed([0x73; 32]),
+        &Keypair::from_seed([key; 32]),
     )
 }
 
@@ -165,16 +182,17 @@ fn sealed(signed: Vec<SealedMessage>, implicit: Vec<ImplicitMsg>) -> Block {
 }
 
 /// The payload root worked out from scratch, from the payload's bytes:
-/// each envelope CID hashed anew, and each commitment form taken as the
-/// message's canonical bytes with its group's bytes replaced by their
-/// digest.
+/// each message CID hashed anew beside its signature's bytes, and each
+/// commitment form taken as the message's canonical bytes with its group's
+/// bytes replaced by their digest.
 fn payload_root_from_scratch(signed: &[SealedMessage], implicit: &[ImplicitMsg]) -> Cid {
     if signed.is_empty() && implicit.is_empty() {
         return Cid::NIL;
     }
     let mut preimage = (signed.len() as u64).canonical_bytes();
     for m in signed {
-        CanonicalEncode::cid(m.signed()).write_bytes(&mut preimage);
+        m.message().cid().write_bytes(&mut preimage);
+        m.signature().write_bytes(&mut preimage);
     }
     (implicit.len() as u64).write_bytes(&mut preimage);
     for m in implicit {
@@ -201,6 +219,8 @@ enum Alter {
     Substitute(prop::sample::Index),
     /// Another group under the first carried group's meta.
     SwapGroup,
+    /// The same message signed with another key.
+    SwapSignature(prop::sample::Index),
 }
 
 fn arb_alter() -> impl Strategy<Value = Alter> {
@@ -210,6 +230,7 @@ fn arb_alter() -> impl Strategy<Value = Alter> {
             .prop_map(|(a, b)| Alter::Reorder(a, b)),
         any::<prop::sample::Index>().prop_map(Alter::Substitute),
         Just(Alter::SwapGroup),
+        any::<prop::sample::Index>().prop_map(Alter::SwapSignature),
     ]
 }
 
@@ -392,7 +413,8 @@ proptest! {
 
     /// A dropped, reordered or substituted message moves the payload root,
     /// among the signed messages or the implicit ones, and so does another
-    /// group carried under the same meta.
+    /// group carried under the same meta or another signature on the same
+    /// message.
     #[test]
     fn a_payload_root_moves_with_its_content(
         values in prop::collection::vec(0u64..1_000, 0..4),
@@ -418,6 +440,16 @@ proptest! {
                 let shifted: Vec<u64> = group_values.iter().map(|v| v + 1).collect();
                 *group = MsgGroup::seal(msgs(&shifted));
                 (signed.clone(), implicit2)
+            }
+            Alter::SwapSignature(at) => {
+                if signed.is_empty() {
+                    return Ok(());
+                }
+                let i = at.index(signed.len());
+                let mut signed2 = signed.clone();
+                signed2[i] = signed_by(i as u64, values[i], 0x76);
+                prop_assert_eq!(signed2[i].msg_cid(), signed[i].msg_cid());
+                (signed2, implicit.clone())
             }
             _ if in_implicit => {
                 let substitute = ImplicitMsg::SweepAtomicTimeouts { timeout: 1_000 };

@@ -22,7 +22,35 @@ use hc_types::{CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
 use crate::runtime::HierarchyRuntime;
 
+/// Every child checkpoint a parent's committed blocks carry, by CID, with
+/// the epoch of the first block carrying it: a later copy was refused.
+pub(crate) type Commits = HashMap<Cid, (ChainEpoch, SignedCheckpoint)>;
+
 impl HierarchyRuntime {
+    /// The child checkpoints `parent`'s committed blocks carry, for every
+    /// child at once: the blocks below a snapshot install (the parent
+    /// record's `peers`), then the parent's own chain, decoded one block at
+    /// a time. Empty for a parent with no node.
+    pub(crate) fn committed_checkpoints(&self, parent: &SubnetId) -> Commits {
+        let mut committed = Commits::new();
+        let Some(parent_node) = self.node(parent) else {
+            return committed;
+        };
+        let below = self.subnets.by_id.get(parent).map(|r| r.peers.iter());
+        let below = below.into_iter().flatten().map(|b| Cow::Owned(b.decode()));
+        for block in below.chain(parent_node.chain().iter()) {
+            for m in &block.implicit_msgs {
+                if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
+                    let first = || (block.header.epoch, signed.clone());
+                    committed
+                        .entry(signed.checkpoint.cid())
+                        .or_insert_with(first);
+                }
+            }
+        }
+        committed
+    }
+
     /// Light-client audit of a subnet's checkpoint chain as committed in
     /// its parent. From the parent SCA's recorded head it follows `prev`
     /// over the checkpoints the parent's committed blocks carry — the
@@ -49,6 +77,21 @@ impl HierarchyRuntime {
         let parent = subnet
             .parent()
             .ok_or_else(|| "the rootnet commits no checkpoints".to_owned())?;
+        let committed = self.committed_checkpoints(&parent);
+        let walk = self.walk_checkpoint_chain(subnet, &committed)?;
+        Ok(walk.into_iter().cloned().collect())
+    }
+
+    /// [`HierarchyRuntime::verify_checkpoint_chain`] over the parent's
+    /// `committed` checkpoints, decoded once for all its children.
+    pub(crate) fn walk_checkpoint_chain<'a>(
+        &self,
+        subnet: &SubnetId,
+        committed: &'a Commits,
+    ) -> Result<Vec<&'a SignedCheckpoint>, String> {
+        let parent = subnet
+            .parent()
+            .ok_or_else(|| "the rootnet commits no checkpoints".to_owned())?;
         let parent_node = self
             .node(&parent)
             .ok_or_else(|| format!("unknown parent {parent}"))?;
@@ -61,37 +104,24 @@ impl HierarchyRuntime {
             .sa_of(subnet)
             .ok_or_else(|| format!("{subnet} has no subnet actor in {parent}"))?;
 
-        let below = self.subnets.by_id.get(&parent).map(|r| r.peers.iter());
-        let below = below.into_iter().flatten().map(|b| Cow::Owned(b.decode()));
-        let mut committed: HashMap<Cid, (ChainEpoch, SignedCheckpoint)> = HashMap::new();
-        for block in below.chain(parent_node.chain().iter()) {
-            for m in &block.implicit_msgs {
-                if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
-                    let first = || (block.header.epoch, signed.clone());
-                    committed
-                        .entry(signed.checkpoint.cid())
-                        .or_insert_with(first);
-                }
-            }
-        }
-
         let mut walk = Vec::new();
         let (mut at, mut later) = (info.prev_checkpoint, None);
         while at != Cid::NIL {
             let (committed_at, signed) = committed
-                .remove(&at)
+                .get(&at)
                 .ok_or_else(|| format!("no block of {parent} commits checkpoint {at}"))?;
             let ckpt = &signed.checkpoint;
             if ckpt.source != *subnet {
                 return Err(format!("checkpoint {at} names source {}", ckpt.source));
             }
+            // Epochs strictly fall going back, so the walk cannot loop.
             if later.is_some_and(|later| ckpt.epoch >= later) {
                 return Err(format!(
                     "checkpoint {at} at epoch {} does not precede its successor's",
                     ckpt.epoch
                 ));
             }
-            sa.signature_policy_at(committed_at)
+            sa.signature_policy_at(*committed_at)
                 .check(&signed.signing_bytes(), &signed.signatures)
                 .map_err(|e| format!("checkpoint {at} signature policy: {e}"))?;
             (at, later) = (ckpt.prev, Some(ckpt.epoch));

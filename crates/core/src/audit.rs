@@ -4,8 +4,9 @@
 //!
 //! * **escrow** — every SCA holds at least its children's frozen collateral
 //!   plus their circulating supply;
-//! * **conservation** — the rootnet's gross supply equals what was minted
-//!   (genesis and faucet): cross-net traffic never creates root tokens;
+//! * **conservation** — the rootnet's gross supply equals the minted total
+//!   its state holds (genesis and faucet installs): cross-net traffic never
+//!   creates root tokens;
 //! * **checkpoint chain** — every live child's committed checkpoints verify
 //!   from its live parent ([`HierarchyRuntime::verify_checkpoint_chain`]);
 //! * **top-down nonce** — no live child expects a top-down nonce its live
@@ -28,8 +29,8 @@
 //!   only lower the parent's liability — the firewall bound (paper §II);
 //! * **window digest**, **head root** (debug builds) — the from-scratch
 //!   re-hashes: each SCA's carried window digest hashes its window, and each
-//!   live subnet with no write outside a block has a head whose state root
-//!   is `recompute_root()`.
+//!   live subnet's head has `recompute_root()` as its state root. State
+//!   changes only through blocks, so a write outside one breaks it.
 //!
 //! Its hashing is a self-check, left out of
 //! [`hc_types::crypto::sha256_block_count`].
@@ -83,7 +84,8 @@ impl HierarchyRuntime {
     /// `heads` when given: a wave's members, so each committed block is
     /// re-hashed once, when it commits. A child's checkpoint chain is then
     /// walked only when its parent is a member whose head block committed
-    /// one of its checkpoints: the walk decodes the parent's whole chain.
+    /// one of its checkpoints. A parent's whole chain is decoded at most
+    /// once per check, for all the children walked over it.
     pub(crate) fn check_invariants_rehashing(
         &self,
         heads: Option<&[SubnetId]>,
@@ -127,8 +129,7 @@ impl HierarchyRuntime {
                         fail("window digest", subnet, detail);
                     }
                     let rehash = heads.is_none_or(|h| h.contains(subnet)) && live(subnet);
-                    let head = node.chain().head_block();
-                    let head = head.filter(|_| rehash && tree.is_committed());
+                    let head = node.chain().head_block().filter(|_| rehash);
                     if head.is_some_and(|h| h.header.state_root != tree.recompute_root()) {
                         fail("head root", subnet, "state root != recompute_root()".into());
                     }
@@ -141,12 +142,6 @@ impl HierarchyRuntime {
                     continue;
                 };
                 if live(subnet) && live(&parent) {
-                    let walk = heads.is_none_or(|h| {
-                        h.contains(&parent) && commits_checkpoint_of(&self.nodes[&parent], subnet)
-                    });
-                    if let Some(Err(e)) = walk.then(|| self.verify_checkpoint_chain(subnet)) {
-                        fail("checkpoint chain", subnet, e);
-                    }
                     let (next, assigned) =
                         (node.cross_pool().next_top_down_nonce(), info.topdown_nonce);
                     if next > assigned {
@@ -185,10 +180,28 @@ impl HierarchyRuntime {
                     fail("backing", subnet, detail);
                 }
             }
+            // A parent's chain is decoded once, for every child walked
+            // over it, and dropped before the next parent's.
+            for (parent, node) in self.nodes.iter().filter(|(p, _)| live(p)) {
+                let mut committed = None;
+                for child in node.state().sca().subnets().map(|c| &c.id) {
+                    let walk = heads
+                        .is_none_or(|h| h.contains(parent) && commits_checkpoint_of(node, child));
+                    if !walk || !live(child) {
+                        continue;
+                    }
+                    let committed =
+                        committed.get_or_insert_with(|| self.committed_checkpoints(parent));
+                    if let Err(e) = self.walk_checkpoint_chain(child, committed) {
+                        fail("checkpoint chain", child, e);
+                    }
+                }
+            }
             let root = SubnetId::root();
-            let gross = self.nodes.get(&root).map(|n| n.state().total_supply());
-            if let Some(gross) = gross.filter(|g| *g != self.root_minted) {
-                let detail = format!("gross supply {gross} != minted {}", self.root_minted);
+            let supply = self.nodes.get(&root).map(|n| n.state());
+            let supply = supply.map(|t| (t.total_supply(), t.minted()));
+            if let Some((gross, minted)) = supply.filter(|(gross, minted)| gross != minted) {
+                let detail = format!("gross supply {gross} != minted {minted}");
                 fail("conservation", &root, detail);
             }
         });
@@ -315,6 +328,20 @@ mod tests {
         check(&rt);
     }
 
+    /// A write between blocks, not flushed: the tree is dirty, and no
+    /// exemption keeps the check from re-hashing it.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the head-root re-hash is debug-only")]
+    #[should_panic(expected = "head root violation")]
+    fn a_write_outside_a_block_breaks_the_head_root() {
+        let (mut rt, _, child) = world();
+        let node = rt.nodes.get_mut(&child).unwrap();
+        node.tree_mut()
+            .accounts_mut()
+            .get_or_create(Address::new(4_242));
+        check(&rt);
+    }
+
     /// The root's SCA commits a checkpoint outside any block: the head it
     /// records for the child is then a checkpoint no committed block
     /// carries.
@@ -423,7 +450,11 @@ mod tests {
             .iter()
             .map(|b| (b.identity, b.subnet.clone()))
             .collect();
-        let planted = BTreeSet::from([("escrow", SubnetId::root()), ("node records", child)]);
+        let mut planted = BTreeSet::from([("escrow", SubnetId::root()), ("node records", child)]);
+        if cfg!(debug_assertions) {
+            // The drain is a write outside a block.
+            planted.insert(("head root", SubnetId::root()));
+        }
         assert_eq!(found, planted, "{}", describe(&breaks));
     }
 }

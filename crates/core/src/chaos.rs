@@ -292,17 +292,9 @@ impl HierarchyRuntime {
         let subscription = survivor.subscription;
         let boot = Some((&sa_config, &engine_params));
         self.genesis_node(subnet, boot, subscription, u64::MAX);
-        let installs = &self.subnets.by_id[subnet].user_installs;
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         let (config, block_time_ms) = (&self.config, engine_params.block_time_ms);
-        node.restart(
-            survivor,
-            anchor,
-            installs,
-            config,
-            block_time_ms,
-            self.now_ms,
-        );
+        node.restart(survivor, anchor, config, block_time_ms, self.now_ms);
         self.network.set_offline(subscription, false);
         self.refresh_validators(subnet);
         Ok(())

@@ -182,8 +182,6 @@ pub struct StepReport {
 pub enum RuntimeError {
     /// The referenced subnet does not exist in the hierarchy.
     UnknownSubnet(SubnetId),
-    /// The referenced user has no account installed in its subnet.
-    UnknownUser(UserHandle),
     /// A message executed with a non-OK exit code.
     Execution(String),
     /// Child-subnet accounts can only be created empty; fund them with a
@@ -200,7 +198,6 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::UnknownSubnet(id) => write!(f, "unknown subnet {id}"),
-            RuntimeError::UnknownUser(u) => write!(f, "unknown user {u}"),
             RuntimeError::Execution(why) => write!(f, "execution failed: {why}"),
             RuntimeError::NonRootMint => {
                 f.write_str("non-root accounts must be created empty and funded cross-net")

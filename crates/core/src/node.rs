@@ -29,8 +29,8 @@ use hc_consensus::{
 };
 use hc_net::{ResolutionMsg, Resolver, SubscriberId};
 use hc_state::{
-    ChunkManifest, CidStore, ImplicitMsg, Method, Receipt, SealedMessage, SigCache, SigCacheStats,
-    StateTree, VmEvent,
+    AccountInstall, ChunkManifest, CidStore, ImplicitMsg, Method, Receipt, SealedMessage, SigCache,
+    SigCacheStats, StateTree, VmEvent,
 };
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId};
 
@@ -146,6 +146,9 @@ pub struct SubnetNode {
     chain: ChainStore,
     /// Internal pool of pending user messages.
     mempool: Mempool,
+    /// Accounts clients created or adopted since the last block, in order:
+    /// the next block installs them first.
+    installs: Vec<AccountInstall>,
     /// Cross-msg pool (paper §IV-B).
     cross_pool: CrossMsgPool,
     /// The subnet's consensus engine.
@@ -244,6 +247,7 @@ impl SubnetNode {
             tree: StateTree::genesis(subnet_id.clone(), sca, []),
             chain: ChainStore::new(subnet_id.clone()),
             mempool: Mempool::with_config(config.mempool).with_sig_cache(sig_cache.clone()),
+            installs: Vec::new(),
             cross_pool: CrossMsgPool::new(),
             engine,
             validators: ValidatorSet::default(),
@@ -310,7 +314,8 @@ impl SubnetNode {
         let opportunity = self.draw_slot(epoch)?;
 
         // Assemble implicit messages: child checkpoints, resolved
-        // turnarounds, cross-net applications, and the checkpoint cut.
+        // turnarounds, cross-net applications, the checkpoint cut and the
+        // atomic sweep; the queued installs go first, outside the budget.
         let mut implicit: Vec<ImplicitMsg> = Vec::new();
         for signed in self.pending_checkpoints.drain(..) {
             implicit.push(ImplicitMsg::CommitChildCheckpoint { signed });
@@ -341,6 +346,10 @@ impl SubnetNode {
 
         let budget = opportunity.capacity.saturating_sub(implicit.len());
         let signed_msgs = self.mempool.select(budget);
+        if !self.installs.is_empty() {
+            let installs = std::mem::take(&mut self.installs).into_boxed_slice();
+            implicit.insert(0, ImplicitMsg::InstallAccounts(installs));
+        }
 
         let proposer_key = self
             .validator_keys

@@ -7,20 +7,21 @@
 //! what it still lacks under its own [`Backoff`]; and it goes live by
 //! itself. The runtime stands in for the peers: it answers the pulls and
 //! refreshes the validator set from the parent chain, and nothing else.
-
-use std::collections::VecDeque;
+//! State changes only through blocks, so the blocks it re-executes (or
+//! the snapshot it installs) bring every account its subnet installed:
+//! nothing is re-installed beside them.
 
 use hc_chain::{Block, History, Mempool, StoredBlock};
 use hc_net::{
     Backoff, BackoffStep, Network, ResolutionMsg, RetryPolicy, SubscriberId, BLOB_BATCH_CAP,
 };
+use hc_state::AccountInstall;
 use hc_state::{ChunkManifest, CidStore};
-use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, Keypair, SubnetId, TokenAmount};
+use hc_types::{CanonicalDecode, ChainEpoch, Cid, Keypair, SubnetId};
 
 use super::{Input, SubnetNode, SyncInbox};
 use crate::chaos::ChaosStats;
 use crate::config::{RuntimeConfig, RuntimeError};
-use crate::runtime::HierarchyRuntime;
 
 /// Whether a node produces blocks, or is still syncing its peers' chain
 /// and produces none. The catch-up is boxed: a live node, the common
@@ -34,13 +35,14 @@ pub(crate) enum Mode {
 
 /// What outlives a node's crash, for the node its restart builds: its
 /// pub-sub identity (topic membership and subscriber-scoped fault rules
-/// stay stable across the outage), the mempool its peers replicated, and
-/// the validators' signing keys — the restarted node signs with them and
-/// derives none.
+/// stay stable across the outage), the mempool and the queued installs its
+/// peers replicated, and the validators' signing keys — the restarted node
+/// signs with them and derives none.
 #[derive(Debug)]
 pub(crate) struct Survivor {
     pub(crate) subscription: SubscriberId,
     mempool: Mempool,
+    installs: Vec<AccountInstall>,
     validator_keys: Vec<Keypair>,
 }
 
@@ -62,11 +64,6 @@ pub(crate) struct Peers<'a> {
 /// A restarted node's catch-up.
 #[derive(Debug)]
 pub(crate) struct CatchUp {
-    /// Accounts the live run installed outside block execution, in order,
-    /// tagged with the `next_epoch` at install time — re-installed at the
-    /// same epoch boundaries so replayed state roots match the block
-    /// headers. Front = earliest.
-    pending_users: VecDeque<(ChainEpoch, Address, Option<TokenAmount>)>,
     /// Retry state of the current pull: round trips attempted since the
     /// last progress, and when the next may go out.
     pull: Backoff,
@@ -77,8 +74,6 @@ pub(crate) struct CatchUp {
     /// How many of the peers' blocks the installed snapshot covers: the
     /// node skipped them and does not chain them.
     covered: usize,
-    /// The runtime seed, from which a re-installed account's key derives.
-    seed: u64,
     /// The node's first block is due one block time after it goes live.
     block_time_ms: u64,
 }
@@ -146,6 +141,7 @@ impl SubnetNode {
         let survivor = Survivor {
             subscription: self.subscription,
             mempool: self.mempool,
+            installs: self.installs,
             validator_keys: self.validator_keys,
         };
         (survivor, inbox, chain)
@@ -153,17 +149,15 @@ impl SubnetNode {
 
     /// Makes this genesis node `survivor`'s restart at `now_ms`, catching
     /// up from a snapshot of `anchor` when given, else by replay from
-    /// genesis; `installs` are the accounts its subnet had written between
-    /// blocks, and `block_time_ms` its block time. The peers' replicated
-    /// mempool (which holds nothing of the chain, so nothing is
-    /// double-proposed) becomes the node's: it counts on the node's
-    /// counters and carries no verdict of the old one's, so each message is
-    /// verified once here before proposal.
+    /// genesis; `block_time_ms` is its block time. The peers' replicated
+    /// mempool and queued installs (which hold nothing of the chain, so
+    /// nothing is double-proposed) become the node's: the pool counts on
+    /// the node's counters and carries no verdict of the old one's, so each
+    /// message is verified once here before proposal.
     pub(crate) fn restart(
         &mut self,
         survivor: Survivor,
         anchor: Option<(ChainEpoch, Cid)>,
-        installs: &[(ChainEpoch, Address, Option<TokenAmount>)],
         config: &RuntimeConfig,
         block_time_ms: u64,
         now_ms: u64,
@@ -171,6 +165,7 @@ impl SubnetNode {
         let mut mempool = survivor.mempool;
         mempool.rehome(self.sig_cache.clone());
         self.mempool = mempool;
+        self.installs = survivor.installs;
         self.validator_keys = survivor.validator_keys;
         let snapshot = anchor.map(|(anchor_epoch, manifest)| SnapshotSync {
             manifest,
@@ -178,12 +173,10 @@ impl SubnetNode {
             staging: CidStore::new(),
         });
         self.mode = Mode::CatchingUp(Box::new(CatchUp {
-            pending_users: installs.iter().copied().collect(),
             pull: Backoff::due_at(now_ms),
             policy: config.retry,
             snapshot,
             covered: 0,
-            seed: config.seed,
             block_time_ms,
         }));
     }
@@ -208,9 +201,6 @@ impl SubnetNode {
             self.mode = Mode::CatchingUp(cu);
             return done.map(|_| None);
         }
-        // Accounts installed after the peers' head (but before the crash)
-        // have no covering block; restore them now.
-        self.install_pending_users(&mut cu, ChainEpoch::new(u64::MAX));
         self.next_block_at_ms = peers.now_ms + cu.block_time_ms;
         stats.catch_ups_completed += 1;
         Ok(Some(cu.covered))
@@ -260,7 +250,6 @@ impl SubnetNode {
                 if block.header.epoch != self.next_epoch {
                     continue;
                 }
-                self.install_pending_users(cu, block.header.epoch);
                 // The live hierarchy has moved on: every outward effect of
                 // the block (parent checkpoint submission, journal records,
                 // manifest anchors, certificate gossip, the top-down
@@ -346,10 +335,6 @@ impl SubnetNode {
         }
         cu.snapshot = None;
         cu.pull = Backoff::due_at(peers.now_ms);
-        // Accounts installed at or below the anchor are part of the
-        // snapshot state already; replaying them would double-apply.
-        let installed = cu.pending_users.iter().take_while(|u| u.0 <= anchor_epoch);
-        cu.pending_users.drain(..installed.count());
         // The snapshot replaces execution, not history: every covered
         // block still realigns the consensus RNG, the cross-net nonce
         // cursors and the mempool's floors exactly as a per-block replay
@@ -370,22 +355,6 @@ impl SubnetNode {
         stats.snapshot_installs += 1;
         Ok(())
     }
-
-    /// Re-installs accounts the live run created or adopted outside block
-    /// execution, up to and including `up_to_epoch`. The live
-    /// `install_account` wrote the tree between blocks; a replay from
-    /// genesis must repeat those writes at the same epoch boundaries —
-    /// through the same [`SubnetNode::write_account`] — or the
-    /// replayed state roots diverge from the block headers. The key written
-    /// is re-derived; the user's handle kept its own.
-    fn install_pending_users(&mut self, cu: &mut CatchUp, up_to_epoch: ChainEpoch) {
-        let due = |user: &&(ChainEpoch, _, _)| user.0 <= up_to_epoch;
-        while let Some(&(_, addr, mint)) = cu.pending_users.front().filter(due) {
-            cu.pending_users.pop_front();
-            let key = HierarchyRuntime::user_key(cu.seed, addr);
-            self.write_account(&key, addr, mint);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -398,9 +367,10 @@ mod tests {
     use hc_actors::sa::SaConfig;
     use hc_chain::BlockHeader;
     use hc_state::Method;
-    use hc_types::{CanonicalEncode, SubnetId};
+    use hc_types::{CanonicalEncode, SubnetId, TokenAmount};
 
     use super::*;
+    use crate::runtime::HierarchyRuntime;
 
     #[test]
     fn a_restarted_node_catches_up_from_shuffled_batches_by_itself() {
@@ -445,17 +415,10 @@ mod tests {
         let survivor = Survivor {
             subscription,
             mempool: Mempool::new(),
+            installs: Vec::new(),
             validator_keys: live.validator_keys.clone(),
         };
-        let installs = &record.user_installs;
-        node.restart(
-            survivor,
-            None,
-            installs,
-            &rt.config,
-            params.block_time_ms,
-            0,
-        );
+        node.restart(survivor, None, &rt.config, params.block_time_ms, 0);
         assert!(!node.is_live());
 
         // The peers' blocks in batches of four; the first round brings a

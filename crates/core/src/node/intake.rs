@@ -1,11 +1,11 @@
 //! What clients hand a node between blocks: a signed message, the receipt
-//! `execute` waits on, an account installed outside block execution.
+//! `execute` waits on, an account for the next block to install.
 
 use std::collections::BTreeMap;
 
 use hc_chain::PushOutcome;
 use hc_state::{Receipt, SealedMessage};
-use hc_types::{Address, ChainEpoch, Cid, Keypair, TokenAmount};
+use hc_types::{Address, Cid, PublicKey, TokenAmount};
 
 use super::SubnetNode;
 
@@ -29,21 +29,17 @@ impl SubnetNode {
             .and_then(|(_, receipt)| receipt.take())
     }
 
-    /// Writes `key` on `addr`'s account and `Some(balance)` over its
-    /// balance (`None` keeps it), between blocks. Returns the epoch of the
-    /// next block, the boundary a catch-up repeats the write at.
-    pub(crate) fn write_account(
+    /// Queues `addr`'s account, registering `key` and crediting `mint`
+    /// (rootnet only), for the node's next block to install
+    /// ([`hc_state::ImplicitMsg::InstallAccounts`]). The tree changes only
+    /// when that block executes.
+    pub(crate) fn queue_install(
         &mut self,
-        key: &Keypair,
         addr: Address,
+        key: PublicKey,
         mint: Option<TokenAmount>,
-    ) -> ChainEpoch {
-        let acc = self.tree.accounts_mut().get_or_create(addr);
-        acc.key = Some(key.public());
-        if let Some(balance) = mint {
-            acc.balance = balance;
-        }
-        self.next_epoch
+    ) {
+        self.installs.push((addr, key, mint));
     }
 
     /// Drains the pool's per-sender admission counters (elastic hotness).

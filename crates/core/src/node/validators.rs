@@ -121,7 +121,7 @@ mod tests {
         // re-learns its set.
         let (survivor, _, _) = node.crash();
         let mut restarted = genesis(&config);
-        restarted.restart(survivor, None, &[], &config, 1, 0);
+        restarted.restart(survivor, None, &config, 1, 0);
         restarted.install_validators(set(&[3, 1, 4]), derive);
         assert!(
             derived.take().is_empty(),

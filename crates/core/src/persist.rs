@@ -5,10 +5,11 @@
 //! With persistence enabled the runtime writes two logs:
 //!
 //! * **The journal** (`control`) — a single runtime-wide WAL of
-//!   [`ControlRecord`]s in the one order things happened: account
-//!   creation and adoption, subnet boots, every committed block of every subnet
-//!   (its full canonical bytes), and the anchors of persisted state
-//!   manifests. A record is history once the wave's barrier has synced it.
+//!   [`ControlRecord`]s in the one order things happened: subnet boots and
+//!   retirements, every committed block of every subnet (its full
+//!   canonical bytes, the accounts it installed among them), and the
+//!   anchors of persisted state manifests. A record is history once the
+//!   wave's barrier has synced it.
 //! * **The blob log** (`blobs`) — state blobs (chunk manifests and their
 //!   chunks), journaled through the `CidStore`'s attached
 //!   [`hc_store::BlobLog`], which dedups by content so structural sharing
@@ -30,9 +31,7 @@ use hc_actors::sa::SaConfig;
 use hc_chain::Block;
 use hc_consensus::EngineParams;
 use hc_store::{FsyncPolicy, OnDiskDevice, Persistence, WalOptions};
-use hc_types::{
-    Address, ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, SubnetId, TokenAmount,
-};
+use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, Cid, DecodeError, SubnetId};
 
 /// How (and whether) a [`crate::HierarchyRuntime`] persists its history.
 #[derive(Clone, Default)]
@@ -122,24 +121,16 @@ pub const BLOB_LOG: &str = "blobs";
 /// One entry of the runtime journal.
 ///
 /// Committed blocks, in the order the subnets committed them, and between
-/// them what a restart cannot re-derive from blocks alone — account
-/// creation and adoption (which happen outside any block), subnet boots
-/// (node structure, consensus engine, schedule), and the anchors of
-/// persisted state manifests.
+/// them what a restart cannot re-derive from blocks alone — subnet boots
+/// and retirements (node structure, consensus engine, schedule) and the
+/// anchors of persisted state manifests. State changes only through
+/// blocks, so no record writes an account. Tags 0 and 6, once account
+/// creation and adoption, are retired.
 // Nearly every record of a run is a block, so boxing the large variant
 // would cost an allocation per record to shrink the rare ones.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlRecord {
-    /// `create_user` minted an account (and its deterministic key).
-    UserCreated {
-        /// Subnet the account lives in.
-        subnet: SubnetId,
-        /// The account address.
-        addr: Address,
-        /// Initial balance (non-zero only on the rootnet).
-        balance: TokenAmount,
-    },
     /// A child subnet chain booted (spawn step 4).
     SubnetBoot {
         /// The child's identity.
@@ -159,16 +150,6 @@ pub enum ControlRecord {
         subnet: SubnetId,
         /// CID of the persisted [`hc_state::ChunkManifest`].
         manifest: Cid,
-    },
-    /// `adopt_user` installed an existing logical account (same address,
-    /// same derived key) in another subnet — the elastic controller's
-    /// account-migration step, and a claimant on a killed subnet's parent
-    /// (`create_claimant`).
-    UserAdopted {
-        /// The subnet the account was installed in.
-        subnet: SubnetId,
-        /// The adopted address.
-        addr: Address,
     },
     /// `retire_subnet` removed a killed, drained leaf subnet's node from
     /// the hierarchy (the elastic controller's merge step).
@@ -196,16 +177,6 @@ pub(crate) const BLOCK_TAG: u8 = 3;
 impl CanonicalEncode for ControlRecord {
     fn write_bytes(&self, out: &mut Vec<u8>) {
         match self {
-            ControlRecord::UserCreated {
-                subnet,
-                addr,
-                balance,
-            } => {
-                out.push(0);
-                subnet.write_bytes(out);
-                addr.write_bytes(out);
-                balance.write_bytes(out);
-            }
             ControlRecord::SubnetBoot {
                 child,
                 config,
@@ -230,11 +201,6 @@ impl CanonicalEncode for ControlRecord {
                 signed.write_bytes(out);
                 manifest.write_bytes(out);
             }
-            ControlRecord::UserAdopted { subnet, addr } => {
-                out.push(6);
-                subnet.write_bytes(out);
-                addr.write_bytes(out);
-            }
             ControlRecord::SubnetRetired { subnet } => {
                 out.push(7);
                 subnet.write_bytes(out);
@@ -246,11 +212,6 @@ impl CanonicalEncode for ControlRecord {
 impl CanonicalDecode for ControlRecord {
     fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         match u8::read_bytes(r)? {
-            0 => Ok(ControlRecord::UserCreated {
-                subnet: SubnetId::read_bytes(r)?,
-                addr: Address::read_bytes(r)?,
-                balance: TokenAmount::read_bytes(r)?,
-            }),
             2 => Ok(ControlRecord::SubnetBoot {
                 child: SubnetId::read_bytes(r)?,
                 config: SaConfig::read_bytes(r)?,
@@ -264,10 +225,6 @@ impl CanonicalDecode for ControlRecord {
             5 => Ok(ControlRecord::CheckpointAnchor {
                 signed: SignedCheckpoint::read_bytes(r)?,
                 manifest: Cid::read_bytes(r)?,
-            }),
-            6 => Ok(ControlRecord::UserAdopted {
-                subnet: SubnetId::read_bytes(r)?,
-                addr: Address::read_bytes(r)?,
             }),
             7 => Ok(ControlRecord::SubnetRetired {
                 subnet: SubnetId::read_bytes(r)?,
@@ -286,7 +243,7 @@ mod tests {
     use hc_actors::checkpoint::Checkpoint;
     use hc_chain::BlockHeader;
     use hc_state::{ImplicitMsg, Message, Method, SealedMessage};
-    use hc_types::{ChainEpoch, Keypair, Nonce};
+    use hc_types::{Address, ChainEpoch, Keypair, Nonce, TokenAmount};
     use proptest::prelude::*;
 
     /// A sealed block with a user message and an implicit one, on `subnet`.
@@ -329,11 +286,6 @@ mod tests {
     fn sample_records() -> Vec<ControlRecord> {
         let subnet = SubnetId::root().child(Address::new(42));
         vec![
-            ControlRecord::UserCreated {
-                subnet: SubnetId::root(),
-                addr: Address::new(100),
-                balance: TokenAmount::from_whole(7),
-            },
             ControlRecord::SubnetBoot {
                 child: subnet.clone(),
                 config: SaConfig::default(),
@@ -347,10 +299,6 @@ mod tests {
             ControlRecord::CheckpointAnchor {
                 signed: sample_checkpoint(&subnet),
                 manifest: Cid::digest(b"manifest2"),
-            },
-            ControlRecord::UserAdopted {
-                subnet: subnet.clone(),
-                addr: Address::new(102),
             },
             ControlRecord::SubnetRetired { subnet },
         ]
@@ -431,13 +379,16 @@ mod tests {
 
     #[test]
     fn bad_tag_is_rejected() {
-        assert!(matches!(
-            ControlRecord::decode(&[9]),
-            Err(DecodeError::BadTag {
-                what: "ControlRecord",
-                ..
-            })
-        ));
+        // 0 and 6 are the retired account records.
+        for tag in [0, 1, 6, 9] {
+            assert!(matches!(
+                ControlRecord::decode(&[tag]),
+                Err(DecodeError::BadTag {
+                    what: "ControlRecord",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use hc_chain::Block;
-use hc_state::CidStore;
+use hc_state::{CidStore, ImplicitMsg};
 use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
 use crate::config::{RuntimeConfig, RuntimeError};
@@ -142,20 +142,6 @@ impl HierarchyRuntime {
     /// journal is truncated back to the satisfied prefix.
     fn apply_control_record(&mut self, record: ControlRecord, targets: &mut FastForward) -> bool {
         match record {
-            ControlRecord::UserCreated {
-                subnet,
-                addr,
-                balance,
-            } => {
-                if self.install_account(&subnet, addr, Some(balance)).is_err() {
-                    return false;
-                }
-                self.next_user_id = self.next_user_id.max(addr.id() + 1);
-                true
-            }
-            ControlRecord::UserAdopted { subnet, addr } => {
-                self.install_account(&subnet, addr, None).is_ok()
-            }
             ControlRecord::SubnetRetired { subnet } => {
                 if !self.nodes.contains_key(&subnet) {
                     return false;
@@ -241,6 +227,13 @@ impl HierarchyRuntime {
     fn replay_journaled_block(&mut self, block: Block, skip: bool) -> Result<(), RuntimeError> {
         let subnet = &block.header.subnet.clone();
         let at_ms = block.header.timestamp_ms;
+        // An address a block installed is taken: the next created account
+        // comes after every one of them.
+        let installed = block.implicit_msgs.iter().flat_map(|m| match m {
+            ImplicitMsg::InstallAccounts(accounts) => &accounts[..],
+            _ => &[],
+        });
+        let next_user_id = installed.map(|(addr, ..)| addr.id() + 1).max();
         self.refresh_validators(subnet);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         if skip {
@@ -251,6 +244,7 @@ impl HierarchyRuntime {
             self.now_ms = self.now_ms.max(at_ms);
             self.post_tick(subnet, block, outcome, at_ms)?;
         }
+        self.next_user_id = self.next_user_id.max(next_user_id.unwrap_or(0));
         Ok(())
     }
 }

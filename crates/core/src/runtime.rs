@@ -40,9 +40,6 @@ pub struct HierarchyRuntime {
     /// actors and validators.
     pub(crate) next_user_id: u64,
     events: VecDeque<(SubnetId, VmEvent)>,
-    /// Tokens minted at the rootnet (genesis + faucet), the global supply
-    /// baseline for conservation audits.
-    pub(crate) root_minted: TokenAmount,
     /// Runtime-wide content-addressed blob store: persisted state chunk
     /// manifests. Shared by every node (handles clone the same store), so
     /// unchanged chunks are stored once across snapshots and subnets.
@@ -115,7 +112,6 @@ impl HierarchyRuntime {
             now_ms: 0,
             next_user_id: 100,
             events: VecDeque::new(),
-            root_minted: TokenAmount::ZERO,
             store: CidStore::new(),
             subnets: Subnets::default(),
             node_faults: Vec::new(),
@@ -188,9 +184,11 @@ impl HierarchyRuntime {
             && !crashed.any(|survivor| survivor.routes_into(subnet))
     }
 
-    /// Tokens minted at the root (the global conservation baseline).
+    /// Tokens minted at the root (the global conservation baseline): the
+    /// minted total the root's committed state holds.
     pub fn root_minted(&self) -> TokenAmount {
-        self.root_minted
+        let root = self.nodes.get(&SubnetId::root());
+        root.map_or(TokenAmount::ZERO, |n| n.state().minted())
     }
 
     /// Drains the domain events emitted since the last call.

@@ -1,7 +1,6 @@
 //! Per-subnet records: what the runtime remembers about a subnet *beside*
 //! its node, and so across that node's crashes — how it was booted, where
-//! it is placed, which accounts were installed between blocks, its
-//! snapshot manifests, the subnet's chain as its peers hold it where the
+//! it is placed, its snapshot manifests, the subnet's chain as its peers hold it where the
 //! node's own chain does not, what survives the node while it is down, and
 //! the inbox of what was handed to the subnet while no node of it ran.
 //! Whether a node is live or catching up is the node's own mode.
@@ -15,7 +14,7 @@ use std::collections::{BTreeMap, VecDeque};
 use hc_actors::sa::SaConfig;
 use hc_chain::History;
 use hc_consensus::EngineParams;
-use hc_types::{Address, ChainEpoch, Cid, SubnetId, TokenAmount};
+use hc_types::{ChainEpoch, Cid, SubnetId};
 
 use crate::node::{Input, SubnetNode, Survivor};
 use crate::runtime::HierarchyRuntime;
@@ -34,13 +33,6 @@ pub(crate) struct SubnetRecord {
     /// default placement. Not journaled: recovery's replayed boots place the
     /// node again.
     pub(crate) region: Option<String>,
-    /// Every account installed outside block execution, tagged with the
-    /// node's `next_epoch` at install time and its mint (`Some` for a
-    /// created account, `None` for an adopted one). A crash–rejoin catch-up
-    /// replays the chain from genesis and must re-install each account at
-    /// the same epoch boundary the live run did, or the replayed state
-    /// roots diverge from the headers.
-    pub(crate) user_installs: Vec<(ChainEpoch, Address, Option<TokenAmount>)>,
     /// The subnet's finalized chain as its peers hold it, in wire form,
     /// where the node's own chain does not: all of it while the node is
     /// down or catching up — the peers serve a catch-up's pulls from it —

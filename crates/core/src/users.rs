@@ -1,21 +1,25 @@
 //! The user-facing half of the runtime: accounts, the keys their handles
-//! carry, message submission, and cross-net sends (paper §IV).
+//! carry, message submission, and cross-net sends (paper §IV). An account
+//! enters state the way everything else does, through a block: creating
+//! or adopting one queues it on its subnet's node, and the next block
+//! installs it.
 
 use hc_actors::CrossMsg;
 use hc_state::{Message, Method, Receipt, SealedMessage};
 use hc_types::{Address, Cid, Keypair, SubnetId, TokenAmount};
 
 use crate::config::{RuntimeError, UserHandle};
-use crate::persist::ControlRecord;
 use crate::runtime::HierarchyRuntime;
 
 impl HierarchyRuntime {
-    /// Creates an account in `subnet` with a fresh key.
+    /// Creates an account in `subnet` with a fresh key. The subnet's next
+    /// block installs it ([`hc_state::ImplicitMsg::InstallAccounts`]), so
+    /// the handle can sign at once: its messages go in after the install.
     ///
-    /// On the rootnet the balance is minted (genesis/faucet, tracked in
-    /// [`HierarchyRuntime::root_minted`]); accounts in other subnets must
-    /// start empty and be funded by top-down cross-net messages so global
-    /// supply stays conserved.
+    /// On the rootnet the balance is minted (genesis/faucet, tracked in the
+    /// root state's minted total, [`HierarchyRuntime::root_minted`]);
+    /// accounts in other subnets must start empty and be funded by
+    /// top-down cross-net messages so global supply stays conserved.
     ///
     /// # Errors
     ///
@@ -30,23 +34,13 @@ impl HierarchyRuntime {
         }
         let addr = Address::new(self.next_user_id);
         self.next_user_id += 1;
-        let key = self.install_account(subnet, addr, Some(balance))?;
-        self.journal.append(&ControlRecord::UserCreated {
-            subnet: subnet.clone(),
-            addr,
-            balance,
-        });
-        Ok(UserHandle {
-            subnet: subnet.clone(),
-            addr,
-            key,
-        })
+        self.install_account(subnet, addr, Some(balance))
     }
 
     /// The deterministic signing key of account `addr` (a pure function of
     /// the runtime seed, so recovery re-derives the same keys). It is dealt
     /// to the account's handle at install and derived again only where a
-    /// node must re-write the account or run the address as a validator.
+    /// node runs the address as a validator.
     pub(crate) fn user_key(runtime_seed: u64, addr: Address) -> Keypair {
         let mut seed = [0u8; 32];
         seed[..8].copy_from_slice(&addr.id().to_le_bytes());
@@ -55,44 +49,25 @@ impl HierarchyRuntime {
         Keypair::from_seed(seed)
     }
 
-    /// Installs account `addr` in `subnet` with its derived key on the
-    /// node's tree, and returns the key — the shared tail of
-    /// [`HierarchyRuntime::create_user`], [`HierarchyRuntime::adopt_user`]
-    /// and their recovery replays. A created account is minted
-    /// `Some(balance)`; an adopted one (`None`) keeps any balance already
-    /// present.
-    pub(crate) fn install_account(
+    /// Queues account `addr` with its derived key for `subnet`'s next block
+    /// and returns its handle — the shared tail of
+    /// [`HierarchyRuntime::create_user`] and [`HierarchyRuntime::adopt_user`].
+    /// A created account is minted `Some(balance)`; an adopted one (`None`)
+    /// keeps any balance already present.
+    fn install_account(
         &mut self,
         subnet: &SubnetId,
         addr: Address,
         mint: Option<TokenAmount>,
-    ) -> Result<Keypair, RuntimeError> {
+    ) -> Result<UserHandle, RuntimeError> {
         let key = Self::user_key(self.config.seed, addr);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        let epoch = node.write_account(&key, addr, mint);
-        if subnet.is_root() {
-            self.root_minted += mint.unwrap_or(TokenAmount::ZERO);
-        } else if let Some(record) = self.subnets.by_id.get_mut(subnet) {
-            // A crash–rejoin catch-up must repeat the install at this
-            // epoch boundary, so the subnet's record notes it. (The
-            // rootnet never crashes, so nothing would read its notes.)
-            record.user_installs.push((epoch, addr, mint));
-        }
-        Ok(key)
-    }
-
-    /// Whether `addr` has an account installed in `subnet`: a child's
-    /// record notes every install; the rootnet, which never crashes,
-    /// holds them in its tree.
-    fn is_installed(&self, subnet: &SubnetId, addr: Address) -> bool {
-        if subnet.is_root() {
-            let node = self.nodes.get(subnet);
-            node.and_then(|n| n.state().accounts().get(addr))
-                .is_some_and(|acc| acc.key.is_some())
-        } else {
-            let record = self.subnets.by_id.get(subnet);
-            record.is_some_and(|r| r.user_installs.iter().any(|&(_, a, _)| a == addr))
-        }
+        node.queue_install(addr, key.public(), mint);
+        Ok(UserHandle {
+            subnet: subnet.clone(),
+            addr,
+            key,
+        })
     }
 
     /// Installs an *existing* logical account in another subnet: same
@@ -101,7 +76,7 @@ impl HierarchyRuntime {
     /// cross-net transfer from the old one; adoption itself never touches
     /// balances (the account may already have received funds top-down).
     /// Idempotent: re-adopting an address already installed in `subnet`
-    /// only hands out its handle again.
+    /// registers the same key again and hands out its handle.
     ///
     /// # Errors
     ///
@@ -111,21 +86,7 @@ impl HierarchyRuntime {
         subnet: &SubnetId,
         addr: Address,
     ) -> Result<UserHandle, RuntimeError> {
-        let key = if self.is_installed(subnet, addr) {
-            Self::user_key(self.config.seed, addr)
-        } else {
-            let key = self.install_account(subnet, addr, None)?;
-            self.journal.append(&ControlRecord::UserAdopted {
-                subnet: subnet.clone(),
-                addr,
-            });
-            key
-        };
-        Ok(UserHandle {
-            subnet: subnet.clone(),
-            addr,
-            key,
-        })
+        self.install_account(subnet, addr, None)
     }
 
     /// Balance of a user account (zero for unknown accounts).
@@ -261,16 +222,12 @@ impl HierarchyRuntime {
     ///
     /// # Errors
     ///
-    /// Fails for root users (no parent) or users with no account installed
-    /// in their subnet.
+    /// Fails for root users (no parent).
     pub fn create_claimant(&mut self, user: &UserHandle) -> Result<UserHandle, RuntimeError> {
         let parent = user
             .subnet
             .parent()
             .ok_or_else(|| RuntimeError::Execution("root users have no parent chain".into()))?;
-        if !self.is_installed(&user.subnet, user.addr) {
-            return Err(RuntimeError::UnknownUser(user.clone()));
-        }
         self.adopt_user(&parent, user.addr)
     }
 

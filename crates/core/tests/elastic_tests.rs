@@ -1,7 +1,8 @@
 //! Unit-level coverage of the elastic scale-out machinery: account
 //! adoption, subnet retirement guards, the manual merge path, pool
 //! observability, the controller's split/merge policy, and durable
-//! recovery of the `UserAdopted`/`SubnetRetired` control records.
+//! recovery of an adoption (in the block that installed it) and of the
+//! `SubnetRetired` control record.
 
 mod common;
 
@@ -380,10 +381,10 @@ fn controller_splits_on_backlog_and_merges_when_cold() {
     assert_eq!(total, whole(100), "splitting and merging conserve funds");
 }
 
-/// Durable recovery must replay adoption (control tag `UserAdopted`) and
-/// retirement (`SubnetRetired`): the recovered runtime holds the adopted
-/// account — usable for fresh submissions — and has fully forgotten the
-/// retired subnet.
+/// Durable recovery must replay adoption (the child block that installed
+/// the account) and retirement (`SubnetRetired`): the recovered runtime
+/// holds the adopted account — usable for fresh submissions — and has
+/// fully forgotten the retired subnet.
 #[test]
 fn recovery_replays_adoption_and_retirement() {
     let device = Arc::new(InMemoryDevice::new());
@@ -402,14 +403,14 @@ fn recovery_replays_adoption_and_retirement() {
     let keeper = spawn_operated(&mut h);
     let doomed = spawn_operated(&mut h);
 
-    // Tag 6: adopt alice into the surviving child and fund the new home.
+    // Adopt alice into the surviving child and fund the new home.
     let adopted = h.rt.adopt_user(&keeper, alice.addr).unwrap();
     h.rt.cross_transfer_lazy_with_fee(&alice, &adopted, whole(30), u64::MAX)
         .unwrap();
     h.settle();
     assert_eq!(h.rt.balance(&adopted), whole(30));
 
-    // Tag 7: merge the doomed child away entirely.
+    // Tag 7 (`SubnetRetired`): merge the doomed child away entirely.
     h.rt.save_snapshot(&alice, &doomed).unwrap();
     h.rt.execute(
         &alice,
@@ -433,7 +434,7 @@ fn recovery_replays_adoption_and_retirement() {
     );
 
     // The replayed adopted account takes fresh messages at its continued
-    // nonce — the real proof the control record round-tripped.
+    // nonce — the real proof the installing block round-tripped.
     let bob = recovered.create_user(&keeper, TokenAmount::ZERO).unwrap();
     recovered
         .submit(&adopted, bob.addr, whole(4), Method::Send)

@@ -15,6 +15,7 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use common::{fingerprint, whole, Harness};
@@ -264,14 +265,11 @@ fn recovery_survives_wave_parallel_continuation() {
 }
 
 /// Checks that every chain of the recovered `rt` is a block-for-block
-/// prefix of the pre-crash `history` and — unless accounts installed
-/// outside any block trail the head (`trailing_installs`) — that each head
-/// state root reproduces from the recovered chunks. Returns the blocks
-/// recovered.
+/// prefix of the pre-crash `history` and that each head state root
+/// reproduces from the recovered chunks. Returns the blocks recovered.
 fn assert_valid_prefix(
     rt: &HierarchyRuntime,
     history: &[(SubnetId, Vec<BlockRecord>)],
-    trailing_installs: bool,
     cut: &str,
 ) -> usize {
     let mut recovered_blocks = 0usize;
@@ -292,7 +290,7 @@ fn assert_valid_prefix(
         );
         recovered_blocks += blocks.len();
         // The head state root must reproduce from the recovered chunks.
-        if let Some(node) = rt.node(&subnet).filter(|_| !trailing_installs) {
+        if let Some(node) = rt.node(&subnet) {
             if !node.chain().is_empty() {
                 assert_eq!(
                     node.state().recompute_root(),
@@ -350,8 +348,7 @@ fn any_crash_point_recovers_a_valid_prefix() {
         }
 
         let mut rt = HierarchyRuntime::recover(durable_config(fork));
-        let recovered_blocks =
-            assert_valid_prefix(&rt, &history, false, &format!("cut {cut_permille}"));
+        let recovered_blocks = assert_valid_prefix(&rt, &history, &format!("cut {cut_permille}"));
         shortest = shortest.min(recovered_blocks);
 
         assert_keeps_working(&mut rt);
@@ -388,33 +385,11 @@ fn any_crash_point_recovers_a_valid_prefix() {
             let fork: Arc<dyn Persistence> = Arc::new(device.fork());
             corrupt_byte(&fork, stream, offset);
             let mut rt = HierarchyRuntime::recover(durable_config(fork.clone()));
-            let trailing = installs_trail_a_head(&fork);
             let flip = format!("flip at {stream}:{offset}");
-            assert_valid_prefix(&rt, &history, trailing, &flip);
+            assert_valid_prefix(&rt, &history, &flip);
             assert_keeps_working(&mut rt);
         }
     }
-}
-
-/// Does the journal `recover` left on `device` (cut back to the prefix it
-/// applied) end, for some subnet, with accounts installed after that
-/// subnet's last block? Its head's state root does not cover them yet.
-fn installs_trail_a_head(device: &Arc<dyn Persistence>) -> bool {
-    let (_, records) = Wal::open(device.clone(), CONTROL_LOG, WalOptions::default());
-    let mut trailing = std::collections::BTreeSet::new();
-    for bytes in records {
-        match ControlRecord::decode(&bytes).unwrap() {
-            ControlRecord::UserCreated { subnet, .. }
-            | ControlRecord::UserAdopted { subnet, .. } => {
-                trailing.insert(subnet);
-            }
-            ControlRecord::Block(block) => {
-                trailing.remove(&block.header.subnet);
-            }
-            _ => {}
-        }
-    }
-    !trailing.is_empty()
 }
 
 /// The records `stream` holds past byte `from`, each with the offset its
@@ -471,41 +446,24 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
         .map(|_| world.h.rt.create_user(&root, whole(10)).unwrap())
         .collect();
     assert_eq!(
-        device.sync_count(),
-        syncs,
-        "set-up records wait for a barrier"
+        (device.len(control), device.sync_count()),
+        (durable_len, syncs),
+        "an account is journaled with the block that installs it"
     );
-    let written_len = device.len(control);
-    assert!(written_len > durable_len, "the frames are written at once");
+    // A crash before that block loses the queued accounts, as it loses
+    // the pool: no record depends on them.
     let history = chain_history(&world.h.rt);
     let total_blocks: usize = history.iter().map(|(_, b)| b.len()).sum();
-
-    let frame = (written_len - durable_len) / users.len() as u64;
-    let cuts = [
-        durable_len,             // power loss: no deferred record survived
-        durable_len + 1,         // … torn inside the first
-        durable_len + 2 * frame, // … exactly two survived
-        written_len - 1,         // … torn inside the last
-        written_len,             // process crash: all of them survived
-    ];
-    for cut in cuts {
-        let fork: Arc<dyn Persistence> = Arc::new(device.fork());
-        truncate_stream(&fork, control, cut);
-        let mut rt = HierarchyRuntime::recover(durable_config(fork));
-        // The users that survived are a prefix of the ones created.
-        let survived = ((cut - durable_len) / frame) as usize;
-        let blocks =
-            assert_valid_prefix(&rt, &history, survived > 0, &format!("control cut {cut}"));
-        assert_eq!(blocks, total_blocks, "no block depends on the cut records");
-        for (i, user) in users.iter().enumerate() {
-            let expected = if i < survived { whole(10) } else { whole(0) };
-            assert_eq!(rt.balance(user), expected, "user {i} at control cut {cut}");
-        }
-        assert_keeps_working(&mut rt);
+    let mut rt = HierarchyRuntime::recover(durable_config(Arc::new(device.fork())));
+    let blocks = assert_valid_prefix(&rt, &history, "before the install");
+    assert_eq!(blocks, total_blocks, "every journaled block recovered");
+    for (i, user) in users.iter().enumerate() {
+        assert_eq!(rt.balance(user), whole(0), "user {i} was never installed");
     }
+    assert_keeps_working(&mut rt);
 
-    // One step: the barrier syncs the five set-up records and the block
-    // together.
+    // One step: the barrier syncs the block, which installs the five
+    // accounts on the root.
     world
         .h
         .rt
@@ -519,8 +477,7 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
     );
 
     // A wave of k siblings: k block records, one barrier. (First let the
-    // root commit past the accounts installed above, so its head's state
-    // root covers them.)
+    // root commit the accounts queued above.)
     while world.h.rt.step().unwrap().subnet != root {}
     let probe = || (device.len(control), device.sync_count());
     let (wave, (durable_len, syncs)) = run_a_shared_wave(&mut world, probe);
@@ -545,7 +502,7 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
             let fork: Arc<dyn Persistence> = Arc::new(device.fork());
             truncate_stream(&fork, control, cut);
             let mut rt = HierarchyRuntime::recover(durable_config(fork));
-            assert_valid_prefix(&rt, &history, false, &format!("wave cut {cut}"));
+            assert_valid_prefix(&rt, &history, &format!("wave cut {cut}"));
             for (i, member) in wave.iter().enumerate() {
                 let head = rt.node(&member.subnet).unwrap().chain().head_epoch();
                 let expected = if i < j {
@@ -607,6 +564,8 @@ fn a_subnet_respawned_after_its_boot_record_was_lost_recovers_cleanly() {
     let mut h = Harness::with(durable_config(Arc::new(device.clone())), 1_000);
     let alice = h.alice.clone();
     let validator = h.rt.create_user(&SubnetId::root(), whole(100)).unwrap();
+    // A root block installs both accounts, so the journal holds them.
+    h.rt.step().unwrap();
     let records = |device: &InMemoryDevice| {
         let fork: Arc<dyn Persistence> = Arc::new(device.fork());
         Wal::open(fork, CONTROL_LOG, WalOptions::default()).1.len()
@@ -759,4 +718,162 @@ fn manual_prune_reclaims_untracked_blobs() {
     assert_eq!(after.pruned_blobs, before.pruned_blobs + blobs);
     // The live snapshot manifests survive the sweep.
     h.settle();
+}
+
+/// Every block of `rt`'s subnets that this process has seen, by epoch:
+/// `seen` gains what the chains hold now. A chain re-based on a snapshot
+/// holds no prefix, and a crashed node none at all, so callers harvest
+/// before a crash and before the runtime is dropped. A block seen twice is
+/// the same block.
+fn harvest(rt: &HierarchyRuntime, seen: &mut BTreeMap<SubnetId, BTreeMap<u64, hc_chain::Block>>) {
+    for subnet in rt.subnets() {
+        let chain = seen.entry(subnet.clone()).or_default();
+        for block in rt.node(subnet).unwrap().chain().iter() {
+            let (epoch, cid) = (block.header.epoch.value(), block.cid());
+            let kept = chain.entry(epoch).or_insert_with(|| block.into_owned());
+            assert_eq!(kept.cid(), cid, "{subnet}: two blocks at epoch {epoch}");
+        }
+    }
+}
+
+/// State changes only through blocks: every block a run committed
+/// re-executes, on a fresh genesis tree of its subnet and by the blocks
+/// alone, to its header's state root. The run creates and adopts accounts
+/// mid-run at the root and in children, lets the elastic controller split
+/// a hot root and migrate its accounts, crashes and rejoins the split-off
+/// child under each sync mode, and recovers the whole runtime from its
+/// journal — at one worker and at four.
+#[test]
+fn every_block_re_executes_from_genesis_by_its_blocks_alone() {
+    use hc_chain::{execute_block_with, ExecOptions};
+    use hc_core::{ElasticController, SyncMode};
+
+    for (parallelism, sync_mode) in [
+        (1, SyncMode::Replay),
+        (4, SyncMode::Snapshot),
+        (1, SyncMode::Snapshot),
+        (4, SyncMode::Replay),
+    ] {
+        let device: Arc<dyn Persistence> = Arc::new(InMemoryDevice::new());
+        let mut config = RuntimeConfig {
+            parallelism,
+            sync_mode,
+            ..durable_config(device)
+        };
+        config.engine_params.block_capacity = 4;
+        let mut h = Harness::with(config.clone(), 100);
+        let root = SubnetId::root();
+        let mut seen = BTreeMap::new();
+
+        // A hot root: the controller's first evaluation splits it, adopts
+        // the hot sender in the new child and migrates half its balance.
+        let a = h.rt.create_user(&root, whole(50)).unwrap();
+        let b = h.rt.create_user(&root, whole(50)).unwrap();
+        let mut ctrl = ElasticController::new(h.alice.clone());
+        let head = |rt: &HierarchyRuntime| rt.node(&root).unwrap().chain().head_epoch();
+        while head(&h.rt).value() < 9 {
+            h.rt.step_wave().unwrap();
+            ctrl.poll(&mut h.rt).unwrap();
+        }
+        for _ in 0..20 {
+            h.rt.submit_with_fee(
+                &a,
+                b.addr,
+                TokenAmount::from_atto(10),
+                hc_state::Method::Send,
+                1,
+            )
+            .unwrap();
+        }
+        while ctrl.stats().splits == 0 {
+            h.rt.step_wave().unwrap();
+            ctrl.poll(&mut h.rt).unwrap();
+        }
+        let child = ctrl.children().next().unwrap().clone();
+        let migrated = |c: &ElasticController| c.stats().migrations_settled;
+        while migrated(&ctrl) < ctrl.stats().migrations_started.max(1) {
+            h.rt.step_wave().unwrap();
+            ctrl.poll(&mut h.rt).unwrap();
+        }
+        h.settle();
+
+        // Accounts created and adopted mid-run, at the root and in the child.
+        let carol = h.user(&child);
+        h.fund(&carol, 7);
+        let dave = h.rt.create_user(&root, whole(3)).unwrap();
+        let dave_in_child = h.rt.adopt_user(&child, dave.addr).unwrap();
+        let carol_at_root = h.rt.create_claimant(&carol).unwrap();
+        h.rt.cross_transfer(&dave, &dave_in_child, whole(1))
+            .unwrap();
+        h.rt.submit(
+            &carol_at_root,
+            dave.addr,
+            TokenAmount::ZERO,
+            hc_state::Method::Send,
+        )
+        .unwrap();
+        h.settle();
+        assert_eq!(h.rt.balance(&dave_in_child), whole(1));
+
+        // A crash-rejoin of the child, under the run's sync mode.
+        h.commit_checkpoint(&child);
+        harvest(&h.rt, &mut seen);
+        h.rt.crash_node(&child).unwrap();
+        h.rt.run_blocks(6).unwrap();
+        h.rt.rejoin_node(&child).unwrap();
+        h.settle();
+        let erin = h.user(&child);
+        h.fund(&erin, 2);
+        let chaos = h.rt.chaos_stats();
+        let synced = match sync_mode {
+            SyncMode::Snapshot => chaos.snapshot_installs,
+            SyncMode::Replay => chaos.blocks_caught_up.min(1),
+        };
+        assert_eq!((chaos.catch_ups_completed, synced), (1, 1), "{chaos:?}");
+
+        // The whole runtime recovers from its journal and runs on.
+        harvest(&h.rt, &mut seen);
+        drop(h);
+        let mut rt = HierarchyRuntime::recover(config);
+        let frank = rt.create_user(&root, whole(4)).unwrap();
+        rt.submit(&frank, a.addr, whole(1), hc_state::Method::Send)
+            .unwrap();
+        rt.run_until_quiescent(200_000).unwrap();
+        harvest(&rt, &mut seen);
+
+        for (subnet, blocks) in &seen {
+            let sca = match subnet.parent() {
+                None => hc_actors::ScaConfig::default(),
+                Some(parent) => {
+                    let parent = rt.node(&parent).unwrap().state();
+                    let sa = parent.sa(subnet.actor().unwrap()).unwrap();
+                    hc_actors::ScaConfig {
+                        checkpoint_period: sa.config().checkpoint_period,
+                        ..hc_actors::ScaConfig::default()
+                    }
+                }
+            };
+            let mut tree = hc_state::StateTree::genesis(subnet.clone(), sca, []);
+            let epochs: Vec<u64> = blocks.keys().copied().collect();
+            let dense: Vec<u64> = (1..=epochs.len() as u64).collect();
+            assert_eq!(epochs, dense, "{subnet}: every block from genesis was seen");
+            let opts = ExecOptions {
+                sig_cache: None,
+                parallelism,
+            };
+            for block in blocks.values() {
+                let epoch = block.header.epoch;
+                execute_block_with(&mut tree, block, opts).unwrap_or_else(|e| {
+                    panic!("{subnet} block {epoch} at parallelism {parallelism}: {e}")
+                });
+            }
+            let node = rt.node(subnet).unwrap();
+            assert_eq!(
+                tree.recompute_root(),
+                node.state().recompute_root(),
+                "{subnet}"
+            );
+        }
+        assert!(seen.len() >= 2, "the split made a child");
+    }
 }

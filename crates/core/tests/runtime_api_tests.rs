@@ -105,6 +105,8 @@ fn a_forged_handle_is_rejected_by_the_vm() {
     let root = SubnetId::root();
     let alice = h.alice.clone();
     let bob = h.user(&root);
+    // The next root block installs both accounts.
+    h.rt.step().unwrap();
     // Alice's address with another key: the node admits the message, and
     // its VM rejects it when a block carries it.
     let forged = UserHandle {
@@ -140,13 +142,7 @@ fn a_handle_never_prints_its_secret() {
         key: Keypair::from_seed(secret),
     };
     let hex: String = secret.iter().map(|b| format!("{b:02x}")).collect();
-    let error = RuntimeError::UnknownUser(handle.clone());
-    for shown in [
-        format!("{handle:?}"),
-        format!("{handle:#?}"),
-        format!("{error:?}"),
-        format!("{error:#?}"),
-    ] {
+    for shown in [format!("{handle:?}"), format!("{handle:#?}")] {
         assert!(shown.contains(&handle.key.public().to_string()), "{shown}");
         for leaked in [
             format!("{secret:?}"),

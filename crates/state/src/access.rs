@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use hc_actors::sa::SaState;
 use hc_actors::{AtomicExecRegistry, Ledger, MsgGroup, ScaState};
-use hc_types::{Address, SubnetId};
+use hc_types::{Address, SubnetId, TokenAmount};
 
 use crate::tree::{AccountState, Accounts, StateTree};
 
@@ -55,6 +55,10 @@ pub trait StateAccess {
 
     /// Mutable atomic-execution coordinator access.
     fn atomic_mut(&mut self) -> &mut AtomicExecRegistry;
+
+    /// Credits `amount` to `addr` out of nothing, counted in the minted
+    /// total ([`StateTree::mint`]).
+    fn mint(&mut self, addr: Address, amount: TokenAmount);
 
     /// Appends the groups one checkpoint cut produced to the content
     /// registry (a cut without groups appends nothing).
@@ -117,6 +121,10 @@ impl StateAccess for StateTree {
 
     fn atomic_mut(&mut self) -> &mut AtomicExecRegistry {
         StateTree::atomic_mut(self)
+    }
+
+    fn mint(&mut self, addr: Address, amount: TokenAmount) {
+        StateTree::mint(self, addr, amount);
     }
 
     fn append_registry(&mut self, groups: Vec<MsgGroup>) {

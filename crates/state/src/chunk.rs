@@ -47,8 +47,8 @@ pub const MANIFEST_TAG: u8 = 0x6d;
 /// then the accounts-HAMT and registry-AMT commitment leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ChunkKey {
-    /// Subnet identity and actor-address allocator (`subnet_id`,
-    /// `next_actor_id`).
+    /// Subnet identity, actor-address allocator and minted total
+    /// (`subnet_id`, `next_actor_id`, `minted`).
     Meta,
     /// The subnet's own SCA state.
     Sca,

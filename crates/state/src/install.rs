@@ -38,7 +38,7 @@ use std::fmt;
 
 use hc_actors::sa::SaState;
 use hc_actors::{AtomicExecRegistry, ScaState};
-use hc_types::{Address, ByteReader, CanonicalDecode, Cid, DecodeError, SubnetId};
+use hc_types::{Address, ByteReader, CanonicalDecode, Cid, DecodeError, SubnetId, TokenAmount};
 
 use crate::amt::AmtError;
 use crate::chunk::{ChunkKey, ChunkManifest, Commitment};
@@ -132,7 +132,7 @@ impl StateTree {
         manifest: &ChunkManifest,
         store: &CidStore,
     ) -> Result<StateTree, InstallError> {
-        let mut meta: Option<(SubnetId, u64)> = None;
+        let mut meta: Option<(SubnetId, u64, TokenAmount)> = None;
         let mut sca: Option<ScaState> = None;
         let mut atomic: Option<AtomicExecRegistry> = None;
         let mut sas: BTreeMap<Address, SaState> = BTreeMap::new();
@@ -158,7 +158,8 @@ impl StateTree {
                 ChunkKey::Meta => {
                     let subnet_id = SubnetId::read_bytes(&mut r).map_err(decode_err)?;
                     let next_actor_id = u64::read_bytes(&mut r).map_err(decode_err)?;
-                    meta = Some((subnet_id, next_actor_id));
+                    let minted = TokenAmount::read_bytes(&mut r).map_err(decode_err)?;
+                    meta = Some((subnet_id, next_actor_id, minted));
                 }
                 ChunkKey::Sca => {
                     sca = Some(ScaState::read_bytes(&mut r).map_err(decode_err)?);
@@ -192,7 +193,7 @@ impl StateTree {
         let registry = ContentRegistry::load(&manifest.registry_root, store)
             .map_err(InstallError::Registry)?;
 
-        let (subnet_id, next_actor_id) = meta.ok_or(InstallError::MissingChunk("Meta"))?;
+        let (subnet_id, next_actor_id, minted) = meta.ok_or(InstallError::MissingChunk("Meta"))?;
         let sca = sca.ok_or(InstallError::MissingChunk("Sca"))?;
         let atomic = atomic.ok_or(InstallError::MissingChunk("Atomic"))?;
         let mut tree = StateTree {
@@ -202,6 +203,7 @@ impl StateTree {
             sas,
             atomic,
             next_actor_id,
+            minted,
             registry,
             commitment: Commitment::default(),
         };
@@ -220,7 +222,7 @@ impl StateTree {
 mod tests {
     use super::*;
     use hc_actors::sa::SaConfig;
-    use hc_types::{Keypair, TokenAmount};
+    use hc_types::Keypair;
 
     /// A state with every chunk kind populated: accounts with storage and
     /// keys, a deployed SA, SCA mutations, and atomic registry content.

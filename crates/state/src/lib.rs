@@ -42,7 +42,7 @@ pub use amt::{Amt, AmtError, AmtRoot};
 pub use chunk::{blob_links, ChunkKey, ChunkManifest, CommitStats, MANIFEST_TAG};
 pub use hamt::{Hamt, HamtError, HashWork};
 pub use install::InstallError;
-pub use message::{ImplicitMsg, Message, Method, SignedMessage};
+pub use message::{AccountInstall, ImplicitMsg, Message, Method, SignedMessage};
 pub use parallel::{access_pair, LaneOverlay};
 pub use registry::RegistryEntry;
 pub use sealed::SealedMessage;

@@ -381,6 +381,10 @@ const _: () = assert!(size_of::<Method>() <= 40);
 const _: () = assert!(size_of::<Message>() <= 80);
 const _: () = assert!(size_of::<crate::SealedMessage>() <= 224);
 
+/// One account a block installs: its address, the key it registers, and
+/// what it mints on the rootnet (`None` mints nothing).
+pub type AccountInstall = (Address, PublicKey, Option<TokenAmount>);
+
 /// Consensus-injected system messages, executed with system authority.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ImplicitMsg {
@@ -425,6 +429,12 @@ pub enum ImplicitMsg {
         /// The resolved group (its digest must equal `meta.msgs_cid`).
         msgs: MsgGroup,
     },
+    /// Install the accounts clients created or adopted since the last
+    /// block: each registers its key and is credited its mint. A producer
+    /// puts at most one in a block, first, so a new account can sign in the
+    /// block that installs it. Only the rootnet mints; off it, a non-zero
+    /// mint refuses the whole list.
+    InstallAccounts(Box<[AccountInstall]>),
 }
 
 impl ImplicitMsg {
@@ -466,6 +476,10 @@ impl ImplicitMsg {
                 out.push(5);
                 timeout.write_bytes(out);
             }
+            ImplicitMsg::InstallAccounts(accounts) => {
+                out.push(6);
+                accounts[..].write_bytes(out);
+            }
         }
     }
 }
@@ -497,6 +511,9 @@ impl CanonicalDecode for ImplicitMsg {
             5 => Ok(ImplicitMsg::SweepAtomicTimeouts {
                 timeout: u64::read_bytes(r)?,
             }),
+            6 => Ok(ImplicitMsg::InstallAccounts(
+                Vec::read_bytes(r)?.into_boxed_slice(),
+            )),
             tag => Err(DecodeError::BadTag {
                 what: "ImplicitMsg",
                 tag,
@@ -614,6 +631,7 @@ mod tests {
 
     #[test]
     fn implicit_msgs_round_trip() {
+        let kp = Keypair::from_seed([0x23; 32]);
         let msg = CrossMsg::transfer(
             HcAddress::new(SubnetId::root(), Address::new(1)),
             HcAddress::new(SubnetId::root(), Address::new(2)),
@@ -632,6 +650,14 @@ mod tests {
             },
             ImplicitMsg::CommitTurnaround { meta, msgs: group },
             ImplicitMsg::SweepAtomicTimeouts { timeout: 4 },
+            ImplicitMsg::InstallAccounts(Box::new([
+                (
+                    Address::new(100),
+                    kp.public(),
+                    Some(TokenAmount::from_whole(3)),
+                ),
+                (Address::new(101), kp.public(), None),
+            ])),
         ];
         for m in cases {
             assert_eq!(ImplicitMsg::decode(&m.canonical_bytes()).unwrap(), m);

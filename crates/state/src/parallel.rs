@@ -174,6 +174,10 @@ impl<'a> StateAccess for LaneOverlay<'a> {
         panic!("{LANE_INVARIANT}");
     }
 
+    fn mint(&mut self, _addr: Address, _amount: TokenAmount) {
+        panic!("{LANE_INVARIANT}");
+    }
+
     fn append_registry(&mut self, _groups: Vec<MsgGroup>) {
         panic!("{LANE_INVARIANT}");
     }

@@ -4,22 +4,20 @@
 //! A message's CID is consumed many times on the hot path — mempool dedup,
 //! signature verification, block assembly (messages root), VM auth, receipt
 //! indexing — and each consumer used to re-derive it from a fresh canonical
-//! encoding plus a SHA-256 pass. [`SealedMessage`] derives both of its CIDs
-//! once, in one pass over one encoding of the body, and carries them with
-//! the message, together with the envelope's wire size.
+//! encoding plus a SHA-256 pass. [`SealedMessage`] derives the CID once, in
+//! one pass over one encoding of the body, and carries it with the message,
+//! together with the envelope's wire size.
 //!
 //! # One pass
 //!
-//! The envelope is the body followed by the signature's fixed 64 bytes, so
-//! its digest is the body's hasher continued. The body is encoded and
-//! absorbed once; a clone of the hasher finalizes to the message CID (what
-//! the sender signs), and the original absorbs the signature and finalizes
-//! to the envelope CID (what block message roots commit to). The wire size
-//! is the body's length plus [`Signature::ENCODED_LEN`]. Nothing encodes
-//! the envelope or hashes the body a second time. [`SealedMessage::sign`]
-//! runs the pass while signing; a cold value ([`SealedMessage::new`], or
-//! one decoded from bytes) runs it on its first read. The memo holds the
-//! three results, never the hasher.
+//! The body is encoded and absorbed once, and the digest is the message CID
+//! (what the sender signs, and what a block's payload root absorbs beside
+//! the signature's 64 bytes). The wire size is the body's length plus
+//! [`Signature::ENCODED_LEN`]. Nothing encodes the envelope or hashes the
+//! body a second time, and no envelope CID exists: the payload root
+//! commits to the signature itself. [`SealedMessage::sign`] runs the pass
+//! while signing; a cold value ([`SealedMessage::new`], or one decoded from
+//! bytes) runs it on its first read. The memo holds the two results.
 //!
 //! Memoization is only sound if the underlying bytes cannot change after the
 //! CID is derived, so the wrapper owns the signed message behind *private*
@@ -46,18 +44,18 @@
 
 use std::sync::OnceLock;
 
-use hc_types::{CanonicalEncode, Cid, Keypair, Sha256, Signature};
+use hc_types::{CanonicalEncode, Cid, Keypair, Signature};
 
 use crate::message::{Message, SignedMessage};
 
-/// An immutable [`SignedMessage`] whose message and envelope CIDs are
-/// computed at most once, together, and then reused, and whose signature
-/// is verified at most once while it passes.
+/// An immutable [`SignedMessage`] whose message CID is computed at most
+/// once and then reused, and whose signature is verified at most once
+/// while it passes.
 ///
 /// Built at trust boundaries — mempool admission, block decoding — and
 /// carried through block assembly, validation, and execution, so every
 /// downstream consumer shares the same derivation. Cloning clones the memo
-/// cells too: warm CIDs or a verdict travel with the copy.
+/// cells too: a warm CID or a verdict travels with the copy.
 #[derive(Debug, Clone)]
 pub struct SealedMessage {
     msg: SignedMessage,
@@ -65,50 +63,29 @@ pub struct SealedMessage {
     verified: OnceLock<()>,
 }
 
-/// What one pass over the body's encoding yields: both CIDs, and the wire
-/// size of the signed envelope. The size is a `u32` (saturating) so the
-/// memo adds nothing to the sealed message's footprint.
+/// What one pass over the body's encoding yields: the message CID, and the
+/// wire size of the signed envelope. The size is a `u32` (saturating) so
+/// the memo adds nothing to the sealed message's footprint.
 #[derive(Debug, Clone, Copy)]
 struct Digests {
     msg_cid: Cid,
-    cid: Cid,
     wire_len: u32,
 }
 
-/// The message body, encoded and absorbed once: its CID, its length, and
-/// the hasher standing after it, for the envelope to continue.
-struct Body {
-    msg_cid: Cid,
-    len: usize,
-    hasher: Sha256,
-}
-
-impl Body {
-    fn hash(message: &Message) -> Self {
+impl Digests {
+    /// Encodes and hashes `message` once.
+    fn of(message: &Message) -> Self {
         let bytes = message.canonical_bytes();
-        let mut hasher = Sha256::new();
-        hasher.update(&bytes);
-        Body {
-            msg_cid: Cid::from_bytes(hasher.clone().finalize()),
-            len: bytes.len(),
-            hasher,
-        }
-    }
-
-    /// Continues the body's hasher with `signature` for the envelope CID.
-    fn seal(mut self, signature: &Signature) -> Digests {
-        self.hasher.update(&signature.to_bytes());
         Digests {
-            msg_cid: self.msg_cid,
-            cid: Cid::from_bytes(self.hasher.finalize()),
-            wire_len: u32::try_from(self.len + Signature::ENCODED_LEN).unwrap_or(u32::MAX),
+            msg_cid: Cid::digest(&bytes),
+            wire_len: u32::try_from(bytes.len() + Signature::ENCODED_LEN).unwrap_or(u32::MAX),
         }
     }
 }
 
 impl SealedMessage {
-    /// Seals a signed message. No CID is derived yet: both are computed,
-    /// in one pass, on first use.
+    /// Seals a signed message. No CID is derived yet: it is computed on
+    /// first use.
     pub fn new(msg: SignedMessage) -> Self {
         SealedMessage {
             msg,
@@ -118,14 +95,12 @@ impl SealedMessage {
     }
 
     /// Signs `message` with `key` and seals the result: the body is hashed
-    /// once, its CID signed, and the envelope CID derived by continuing the
-    /// same hasher, so admission, verification, block assembly and receipt
-    /// lookup never derive either again. The signature is not yet verified:
-    /// admission does that.
+    /// once and its CID signed, so admission, verification, block assembly
+    /// and receipt lookup never derive it again. The signature is not yet
+    /// verified: admission does that.
     pub fn sign(message: Message, key: &Keypair) -> Self {
-        let body = Body::hash(&message);
-        let signature = key.sign(body.msg_cid.as_bytes());
-        let digests = body.seal(&signature);
+        let digests = Digests::of(&message);
+        let signature = key.sign(digests.msg_cid.as_bytes());
         SealedMessage {
             msg: SignedMessage { message, signature },
             digests: OnceLock::from(digests),
@@ -154,9 +129,7 @@ impl SealedMessage {
     }
 
     fn digests(&self) -> Digests {
-        *self
-            .digests
-            .get_or_init(|| Body::hash(&self.msg.message).seal(&self.msg.signature))
+        *self.digests.get_or_init(|| Digests::of(&self.msg.message))
     }
 
     /// CID of the message body (what the sender signs, what receipts are
@@ -166,16 +139,9 @@ impl SealedMessage {
     }
 
     /// Length of the signed envelope's canonical encoding (what mempool
-    /// occupancy is accounted in). Memoized with both CIDs.
+    /// occupancy is accounted in). Memoized with the CID.
     pub fn wire_len(&self) -> usize {
         self.digests().wire_len as usize
-    }
-
-    /// CID of the signed envelope (message + signature; what block message
-    /// roots commit to). Memoized with [`SealedMessage::msg_cid`], from the
-    /// same pass.
-    pub fn cid(&self) -> Cid {
-        self.digests().cid
     }
 
     /// Verifies the signature against the (memoized) message CID. A passing
@@ -256,10 +222,8 @@ mod tests {
         let signed = sample();
         let sealed = SealedMessage::new(signed.clone());
         assert_eq!(sealed.msg_cid(), CanonicalEncode::cid(&signed.message));
-        assert_eq!(sealed.cid(), CanonicalEncode::cid(&signed));
-        // Second reads return the same values (memo, not re-derivation).
+        // A second read returns the same value (memo, not re-derivation).
         assert_eq!(sealed.msg_cid(), CanonicalEncode::cid(&signed.message));
-        assert_eq!(sealed.cid(), CanonicalEncode::cid(&signed));
     }
 
     #[test]
@@ -270,7 +234,6 @@ mod tests {
         assert_eq!(sealed.signed(), &signed);
         let warm = sealed.digests.get().expect("signing fills the memo");
         assert_eq!(warm.msg_cid, CanonicalEncode::cid(&signed.message));
-        assert_eq!(warm.cid, CanonicalEncode::cid(&signed));
         assert!(!sealed.is_verified(), "signing is not verification");
         assert!(sealed.verify_signature());
     }
@@ -336,11 +299,12 @@ mod tests {
     fn clone_carries_the_memo_and_equality_ignores_it() {
         let sealed = SealedMessage::new(sample());
         let cold = sealed.clone(); // cloned before any derivation: both cold
-        let _ = sealed.cid();
+        let _ = sealed.msg_cid();
         let warm = sealed.clone(); // cloned after: memo travels
+        assert!(warm.digests.get().is_some() && cold.digests.get().is_none());
         assert_eq!(cold, sealed);
         assert_eq!(warm, sealed);
-        assert_eq!(cold.cid(), warm.cid());
+        assert_eq!(cold.msg_cid(), warm.msg_cid());
     }
 
     #[test]

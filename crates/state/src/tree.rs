@@ -193,6 +193,10 @@ pub struct StateTree {
     pub(crate) sas: BTreeMap<Address, SaState>,
     pub(crate) atomic: AtomicExecRegistry,
     pub(crate) next_actor_id: u64,
+    /// Tokens created in this tree out of nothing: its genesis balances and
+    /// every mint an [`crate::ImplicitMsg::InstallAccounts`] credited. Only
+    /// the rootnet mints, so a child's stays at its genesis total.
+    pub(crate) minted: TokenAmount,
     /// The SCA's content registry (raw messages behind every cut group).
     pub(crate) registry: ContentRegistry,
     /// Cached chunk commitment (derived; never affects the root value).
@@ -207,10 +211,12 @@ impl StateTree {
         I: IntoIterator<Item = (Address, PublicKey, TokenAmount)>,
     {
         let mut table = Accounts::default();
+        let mut minted = TokenAmount::ZERO;
         for (addr, key, balance) in accounts {
             let acc = table.get_or_create(addr);
             acc.balance = balance;
             acc.key = Some(key);
+            minted += balance;
         }
         StateTree {
             sca: ScaState::new(subnet_id.clone(), sca_config),
@@ -219,6 +225,7 @@ impl StateTree {
             sas: BTreeMap::new(),
             atomic: AtomicExecRegistry::new(),
             next_actor_id: FIRST_DEPLOYED_ACTOR,
+            minted,
             registry: ContentRegistry::default(),
             commitment: Commitment::default(),
         }
@@ -238,6 +245,19 @@ impl StateTree {
     /// are dirty-tracked inside [`Accounts`].
     pub fn accounts_mut(&mut self) -> &mut Accounts {
         &mut self.accounts
+    }
+
+    /// Tokens this tree created out of nothing (see [`StateTree::mint`]).
+    pub fn minted(&self) -> TokenAmount {
+        self.minted
+    }
+
+    /// Credits `amount` to `addr` out of nothing and adds it to the minted
+    /// total, so the gross supply and the total move together.
+    pub fn mint(&mut self, addr: Address, amount: TokenAmount) {
+        self.accounts.credit(addr, amount);
+        self.minted += amount;
+        self.commitment.dirty.insert(ChunkKey::Meta);
     }
 
     /// The subnet's own SCA.
@@ -497,7 +517,7 @@ impl StateTree {
         let sca = self.sca.clone();
         let sas = self.sas.clone();
         let atomic = self.atomic.clone();
-        let next_actor_id = self.next_actor_id;
+        let (next_actor_id, minted) = (self.next_actor_id, self.minted);
         let log = self.registry.log.clone();
         let commitment = self.commitment.clone();
         let out = execute(self);
@@ -513,7 +533,7 @@ impl StateTree {
             };
         }
         (self.sca, self.sas, self.atomic) = (sca, sas, atomic);
-        self.next_actor_id = next_actor_id;
+        (self.next_actor_id, self.minted) = (next_actor_id, minted);
         self.registry.truncate(log);
         let stats = self.commitment.stats;
         self.commitment = commitment;
@@ -564,6 +584,7 @@ impl StateTree {
             ChunkKey::Meta => {
                 self.subnet_id.write_bytes(&mut out);
                 self.next_actor_id.write_bytes(&mut out);
+                self.minted.write_bytes(&mut out);
             }
             ChunkKey::Sca => self.sca.write_bytes(&mut out),
             ChunkKey::Atomic => self.atomic.write_bytes(&mut out),

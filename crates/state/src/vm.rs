@@ -640,6 +640,27 @@ pub fn apply_implicit<S: StateAccess>(
             receipt
         }
 
+        ImplicitMsg::InstallAccounts(accounts) => {
+            let mints = accounts
+                .iter()
+                .any(|(_, _, m)| m.is_some_and(|m| !m.is_zero()));
+            if mints && !tree.subnet_id().is_root() {
+                // A pulled or replayed block is outside input: no subnet
+                // but the rootnet creates tokens.
+                return Receipt::failed("only the rootnet mints", 0);
+            }
+            for &(addr, key, mint) in accounts.iter() {
+                // Installing a key an account already holds writes nothing.
+                if tree.account(addr).is_none_or(|acc| acc.key != Some(key)) {
+                    tree.account_mut(addr).key = Some(key);
+                }
+                if let Some(amount) = mint.filter(|m| !m.is_zero()) {
+                    tree.mint(addr, amount);
+                }
+            }
+            Receipt::ok(0)
+        }
+
         ImplicitMsg::CommitTurnaround { meta, msgs } => {
             if !meta.matches(msgs) {
                 return Receipt::failed(

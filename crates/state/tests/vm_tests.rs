@@ -539,3 +539,44 @@ fn fraud_report_slashes_collateral() {
     assert_eq!(info.collateral, TokenAmount::ZERO);
     assert_eq!(info.status, hc_actors::SubnetStatus::Inactive);
 }
+
+/// An install list registers keys and, on the rootnet only, mints into the
+/// state's minted total; off the rootnet a non-zero mint refuses the whole
+/// list and writes nothing, while a keys-only list installs.
+#[test]
+fn an_install_list_mints_only_on_the_rootnet() {
+    let key = Keypair::from_seed([0x1a; 32]).public();
+    let install = |mint: u64| {
+        let mint = TokenAmount::from_whole(mint);
+        ImplicitMsg::InstallAccounts(Box::new([
+            (Address::new(300), key, None),
+            (Address::new(301), key, Some(mint)),
+        ]))
+    };
+    let epoch = ChainEpoch::new(1);
+
+    let mut root = StateTree::genesis(SubnetId::root(), ScaConfig::default(), []);
+    assert!(apply_implicit(&mut root, epoch, &install(9)).exit.is_ok());
+    let acc = root.accounts().get(Address::new(301)).unwrap();
+    assert_eq!(
+        (acc.key, acc.balance),
+        (Some(key), TokenAmount::from_whole(9))
+    );
+    assert_eq!(root.minted(), TokenAmount::from_whole(9));
+    assert_eq!(root.total_supply(), root.minted());
+
+    let child = SubnetId::root().child(Address::new(1_000_000));
+    let mut tree = StateTree::genesis(child, ScaConfig::default(), []);
+    let before = tree.recompute_root();
+    let refused = apply_implicit(&mut tree, epoch, &install(9));
+    assert!(!refused.exit.is_ok(), "a child mints nothing");
+    assert_eq!(
+        tree.recompute_root(),
+        before,
+        "a refused list writes nothing"
+    );
+    assert!(apply_implicit(&mut tree, epoch, &install(0)).exit.is_ok());
+    let acc = tree.accounts().get(Address::new(300)).unwrap();
+    assert_eq!((acc.key, acc.balance), (Some(key), TokenAmount::ZERO));
+    assert_eq!(tree.minted(), TokenAmount::ZERO);
+}

@@ -76,6 +76,8 @@ mod tests {
         let b = accounts.handle(&mut rt, 900_000).unwrap();
         assert_eq!((a.addr, a.key.public()), (b.addr, b.key.public()));
         assert_eq!(accounts.materialized(), 1);
+        // The root's next block installs the account.
+        rt.step().unwrap();
         assert_eq!(rt.balance(&a), TokenAmount::from_whole(5));
 
         let c = accounts.handle(&mut rt, 3).unwrap();

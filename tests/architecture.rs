@@ -973,11 +973,9 @@ fn the_client_holds_its_key() {
         core_calls("user_key("),
         [
             "crates/core/src/lifecycle.rs: refresh_validators",
-            "crates/core/src/node/catch_up.rs: install_pending_users",
             "crates/core/src/users.rs: install_account",
-            "crates/core/src/users.rs: adopt_user",
         ],
-        "DESIGN.md §8: a key is derived at install, catch-up's re-install and a validator's run"
+        "DESIGN.md §8: a key is derived at install and for a validator's run"
     );
 }
 
@@ -1210,8 +1208,9 @@ fn one_invariant_check() {
 /// `MerkleTree`; hc-types compresses SHA-256 blocks in one place, the
 /// streaming `Sha256` that `sha256` is a call of; an SCA's checkpoint
 /// window digest is filled in one place, as a message is queued or decoded;
-/// a sealed message's envelope CID continues the hasher of its body, which
-/// is encoded and hashed once; and a fund certificate is held under its
+/// a sealed message's body is encoded and hashed once, and a payload root
+/// absorbs its CID and signature (no envelope CID exists); and a fund
+/// certificate is held under its
 /// message by value and found by the settling message, borrowed, with no
 /// digest.
 #[test]
@@ -1323,31 +1322,30 @@ fn content_is_hashed_once() {
         "DESIGN.md §10: a window message is absorbed where it is queued and where it is decoded"
     );
 
-    // One pass per sealed message: one encoding of the body, one hasher,
-    // the signature absorbed by continuing it; no envelope re-encoded or
-    // hashed from scratch.
+    // One pass per sealed message: one encoding of the body, one digest of
+    // it, and no envelope CID — the payload root absorbs each message's CID
+    // and signature.
     let sealed = read_rel("crates/state/src/sealed.rs");
     let sealed = non_test(&sealed);
-    let scratch: Vec<&str> = sealed
+    let digests: Vec<&str> = sealed
         .lines()
         .filter(|l| l.contains(".cid()") || l.contains("Cid::digest(") || l.contains("sha256("))
         .collect();
+    let of = block(sealed, "    fn of(message: &Message) -> Self {", "    }");
     assert!(
-        scratch.is_empty(),
-        "DESIGN.md §10: a sealed message derives no CID from scratch; found {scratch:#?}"
-    );
-    let seal = block(
-        sealed,
-        "    fn seal(mut self, signature: &Signature) -> Digests {",
-        "    }",
+        digests.len() == 1
+            && of.contains(&digests[0])
+            && sealed.matches("canonical_bytes()").count() == 1
+            && !sealed.contains("Sha256")
+            && !sealed.contains("pub fn cid("),
+        "DESIGN.md §10: a sealed message hashes its body once, in `Digests::of`, and has no \
+         envelope CID; found {digests:#?}"
     );
     assert!(
-        sealed.matches("canonical_bytes()").count() == 1
-            && sealed.matches("Sha256::new()").count() == 1
-            && seal
-                .iter()
-                .any(|l| l.contains("self.hasher.update(&signature.to_bytes())")),
-        "DESIGN.md §10: the envelope CID continues the body's one hasher: {seal:#?}"
+        payload_root.iter().any(|l| l.contains("msg.msg_cid()"))
+            && payload_root.iter().any(|l| l.contains("msg.signature()")),
+        "DESIGN.md §10: a payload root absorbs each message's CID and signature: \
+         {payload_root:#?}"
     );
 
     // A held certificate is found by its message, borrowed and compared
@@ -1588,6 +1586,33 @@ fn a_hamt_node_is_hashed_one_way() {
     );
 }
 
+/// DESIGN.md §8, "State changes only through blocks": a node's tree moves
+/// only when a block executes on it. An account a client creates or adopts
+/// is queued on its node and installed by the next block
+/// (`ImplicitMsg::InstallAccounts`), so every block re-executes from its
+/// parent's state and its own messages alone. No write between blocks and
+/// no second log of such writes is left in hc-core: no
+/// `write_account`, no record of installs on the subnet's record, the
+/// catch-up or the journal, and no `accounts_mut(` outside tests.
+#[test]
+fn state_changes_only_through_blocks() {
+    let retired = [
+        "write_account",
+        "user_installs",
+        "pending_users",
+        "UserCreated",
+        "UserAdopted",
+    ];
+    let found = hits(&files_under("crates/core/src"), non_test, |l| {
+        retired.iter().any(|w| has_word(l, w)) || l.contains("accounts_mut(")
+    });
+    assert!(
+        found.is_empty(),
+        "DESIGN.md §8: state changes only through blocks; found a write or a log of \
+         writes outside one: {found:#?}"
+    );
+}
+
 /// DESIGN.md §9, "One way to execute a block": production and validation
 /// run the same payload in place on the same `StateTree`; validation wraps
 /// it in `StateTree::commit_if`, which puts a refused block back. The VM's
@@ -1715,16 +1740,24 @@ fn a_checkpoint_is_checked_one_way() {
          committed it; found a second copy: {copies:#?}"
     );
     let verify = read_rel("crates/core/src/archive.rs");
-    let walk = non_test(&verify)
-        .split_once("pub fn verify_checkpoint_chain(")
-        .map(|(_, rest)| rest.split_once("\n    }\n").map_or(rest, |(body, _)| body))
-        .unwrap_or_default();
+    let body = |name: &str| {
+        non_test(&verify)
+            .split_once(name)
+            .map(|(_, rest)| rest.split_once("\n    }\n").map_or(rest, |(body, _)| body))
+            .unwrap_or_default()
+            .to_owned()
+    };
+    let (verify_fn, read_fn) = (
+        body("pub fn verify_checkpoint_chain("),
+        body("pub(crate) fn committed_checkpoints("),
+    );
     assert!(
-        ["CommitChildCheckpoint", ".peers", ".chain().iter()"]
-            .iter()
-            .all(|read| walk.contains(read)),
+        verify_fn.contains("self.committed_checkpoints(")
+            && ["CommitChildCheckpoint", ".peers", ".chain().iter()"]
+                .iter()
+                .all(|read| read_fn.contains(read)),
         "DESIGN.md §7: `verify_checkpoint_chain` reads the checkpoints the parent's committed \
-         blocks carry: its record's `peers`, then its chain"
+         blocks carry (`committed_checkpoints`): its record's `peers`, then its chain"
     );
     let archive = ["crates/core/src/archive.rs", "crates/core/src/subnets.rs"];
     let archive: Vec<PathBuf> = archive.iter().map(|p| root().join(p)).collect();
