@@ -39,6 +39,16 @@
 //! so the from-scratch reference (`StateTree::recompute_root`) checks the
 //! resumed hashes against the same code run without resumption.
 //!
+//! **Routes.** A key's route is [`hash_key`], the SHA-256 digest of its
+//! encoding, and never changes. [`Hamt::set`], [`Hamt::get`] and
+//! [`Hamt::delete`] hash the key and descend; [`Hamt::set_at`] and
+//! [`Hamt::get_at`] descend along a route the caller kept from an earlier
+//! write. The account table keeps each account's route beside it, so a
+//! state flush re-writing an account hashes its nodes, not its address
+//! (DESIGN.md §14). A leaf split spreads its entries by routes derived
+//! from their keys, so a tree built from content alone never reads a kept
+//! route.
+//!
 //! The shape is **canonical**: for a given key/value content the tree
 //! structure — and therefore the root CID — is independent of the
 //! insertion/deletion order. A leaf that outgrows `LEAF_CAP` splits 32-way
@@ -127,8 +137,14 @@ impl std::fmt::Display for HamtError {
 
 impl std::error::Error for HamtError {}
 
-/// The 256 hash bits that route a key, 5 at a time.
-fn hash_key<K: CanonicalEncode>(key: &K) -> [u8; 32] {
+/// A key's route: the 256 hash bits that place it in the trie, 5 at a
+/// time. The same key always has the same route.
+pub type Route = [u8; 32];
+
+/// The route of `key`: the SHA-256 digest of its canonical encoding — the
+/// one way a key is hashed. A caller that keeps a key's route passes it to
+/// [`Hamt::set_at`] / [`Hamt::get_at`] rather than hashing again.
+pub fn hash_key<K: CanonicalEncode>(key: &K) -> Route {
     sha256(&key.canonical_bytes())
 }
 
@@ -156,7 +172,7 @@ fn node_cid(blob: &[u8], chain: Option<&mut Vec<[u32; 8]>>) -> (TCid<MHamtNode>,
 }
 
 /// The 5-bit slot index of `hash` at `depth` (clamped to [`MAX_DEPTH`]).
-fn slot_at(hash: &[u8; 32], depth: usize) -> usize {
+fn slot_at(hash: &Route, depth: usize) -> usize {
     let bit = depth.min(MAX_DEPTH) * BITS;
     let byte = bit / 8;
     let shift = bit % 8;
@@ -339,7 +355,12 @@ where
 {
     /// Looks up `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let hash = hash_key(key);
+        self.get_at(&hash_key(key), key)
+    }
+
+    /// Looks up `key`, whose route the caller holds: `route` must be
+    /// `hash_key(key)`.
+    pub fn get_at(&self, route: &Route, key: &K) -> Option<&V> {
         let mut node = &*self.root;
         for depth in 0.. {
             match &node.kind {
@@ -347,7 +368,7 @@ where
                     return leaf_search(entries, key).ok().map(|at| &entries[at].1);
                 }
                 Kind::Interior(interior) => {
-                    let idx = slot_at(&hash, depth);
+                    let idx = slot_at(route, depth);
                     if !has_slot(interior.bitmap, idx) {
                         return None;
                     }
@@ -361,21 +382,21 @@ where
     /// Inserts or replaces `key`, returning the previous value if any.
     /// Dirties (un-caches) exactly the root path to the key's leaf.
     pub fn set(&mut self, key: K, value: V) -> Option<V> {
-        let hash = hash_key(&key);
-        let old = Self::set_rec(Arc::make_mut(&mut self.root), &hash, 0, key, value);
+        self.set_at(&hash_key(&key), key, value)
+    }
+
+    /// [`Hamt::set`] for a key whose route the caller holds: `route` must
+    /// be `hash_key(&key)`. A leaf split re-routes the entries it spreads
+    /// from their keys.
+    pub fn set_at(&mut self, route: &Route, key: K, value: V) -> Option<V> {
+        let old = Self::set_rec(Arc::make_mut(&mut self.root), route, 0, key, value);
         if old.is_none() {
             self.count += 1;
         }
         old
     }
 
-    fn set_rec(
-        node: &mut Node<K, V>,
-        hash: &[u8; 32],
-        depth: usize,
-        key: K,
-        value: V,
-    ) -> Option<V> {
+    fn set_rec(node: &mut Node<K, V>, hash: &Route, depth: usize, key: K, value: V) -> Option<V> {
         node.cached = None;
         match &mut node.kind {
             Kind::Leaf(entries) => {
@@ -446,7 +467,7 @@ where
         Some(removed)
     }
 
-    fn delete_rec(node: &mut Node<K, V>, hash: &[u8; 32], depth: usize, key: &K) -> Option<V> {
+    fn delete_rec(node: &mut Node<K, V>, hash: &Route, depth: usize, key: &K) -> Option<V> {
         match &mut node.kind {
             Kind::Leaf(entries) => {
                 let at = leaf_search(entries, key).ok()?;

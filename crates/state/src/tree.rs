@@ -40,7 +40,7 @@ use crate::chunk::{
     accounts_leaf_blob, build_accounts_hamt, registry_leaf_blob, sca_leaf_preimage, ChunkKey,
     ChunkManifest, CommitStats, Commitment, WindowSource,
 };
-use crate::hamt::HashWork;
+use crate::hamt::{hash_key, HashWork, Route};
 use crate::registry::{ContentRegistry, RegistryEntry};
 use crate::store::CidStore;
 
@@ -99,52 +99,108 @@ impl CanonicalDecode for AccountState {
 /// operation) is marked dirty so the next [`StateTree::flush`] re-hashes
 /// only those account chunks. Over-marking is harmless — digests are
 /// recomputed from content, and an unchanged chunk keeps its digest.
+///
+/// Each account keeps its route in the accounts HAMT ([`hash_key`] of its
+/// address) inline beside it, filled the first time a flush routes it, so
+/// re-writing an account hashes no key. Creation and snapshot install
+/// leave it unset: an account no flush routes is never hashed for it.
+/// The routes are bookkeeping: equality compares content only, and the
+/// from-scratch builds (`build_accounts_hamt`, `recompute_root`) never
+/// read them — they hash every key afresh, so a route kept wrong shows as
+/// a root they disagree with.
 #[derive(Debug, Clone, Default)]
 pub struct Accounts {
-    map: BTreeMap<Address, AccountState>,
+    map: BTreeMap<Address, Entry>,
     dirty: BTreeSet<Address>,
 }
 
+/// One account and its memoised route.
+#[derive(Debug, Clone, Default)]
+struct Entry {
+    state: AccountState,
+    /// `hash_key(&address)` once a flush has routed the account, zero
+    /// before. An `Option` would add 16 bytes of padding per account; a
+    /// true route of zero (a SHA-256 preimage of zero, which no one knows)
+    /// would merely be hashed again at every flush.
+    route: Route,
+}
+
+impl Entry {
+    /// The route, if a flush has kept it.
+    fn kept_route(&self) -> Option<&Route> {
+        (self.route != [0; 32]).then_some(&self.route)
+    }
+}
+
 impl PartialEq for Accounts {
-    /// Equality is content equality; the dirty-tracking set is derived
-    /// bookkeeping and never part of the observable state.
+    /// Equality is content equality; the dirty-tracking set and the routes
+    /// are derived bookkeeping and never part of the observable state.
     fn eq(&self, other: &Self) -> bool {
-        self.map == other.map
+        self.map.len() == other.map.len() && self.iter().eq(other.iter())
     }
 }
 
 impl Accounts {
     /// Read-only view of an account (`None` if it never existed).
     pub fn get(&self, addr: Address) -> Option<&AccountState> {
-        self.map.get(&addr)
+        self.map.get(&addr).map(|e| &e.state)
     }
 
     /// Mutable access, creating the account if absent. Marks the account
     /// dirty for the next flush.
     pub fn get_or_create(&mut self, addr: Address) -> &mut AccountState {
         self.dirty.insert(addr);
-        self.map.entry(addr).or_default()
+        &mut self.map.entry(addr).or_default().state
     }
 
     /// Iterates over `(address, state)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (&Address, &AccountState)> {
-        self.map.iter()
+        self.map.iter().map(|(addr, e)| (addr, &e.state))
+    }
+
+    /// The routes kept so far, in address order: each account a flush has
+    /// routed, with the route it kept.
+    pub fn routes(&self) -> impl Iterator<Item = (&Address, &Route)> {
+        self.map
+            .iter()
+            .filter_map(|(addr, e)| e.kept_route().map(|r| (addr, r)))
     }
 
     /// Total token value across all accounts (including system actors and
     /// burnt funds) — the subnet's gross supply, used in conservation
     /// audits.
     pub fn total(&self) -> TokenAmount {
-        self.map.values().map(|a| a.balance).sum()
+        self.map.values().map(|e| e.state.balance).sum()
     }
 
     /// Builds an account table from decoded content, with clean dirty
-    /// tracking (used when installing a snapshot).
+    /// tracking and no routes (used when installing a snapshot).
     pub(crate) fn from_map(map: BTreeMap<Address, AccountState>) -> Self {
         Accounts {
-            map,
+            map: map
+                .into_iter()
+                .map(|(addr, state)| {
+                    (
+                        addr,
+                        Entry {
+                            state,
+                            route: [0; 32],
+                        },
+                    )
+                })
+                .collect(),
             dirty: BTreeSet::new(),
         }
+    }
+
+    /// `addr`'s route and account, hashing the route only the first time
+    /// (`None` if the account does not exist).
+    fn routed(&mut self, addr: Address) -> Option<(Route, &mut AccountState)> {
+        let entry = self.map.get_mut(&addr)?;
+        if entry.kept_route().is_none() {
+            entry.route = hash_key(&addr);
+        }
+        Some((entry.route, &mut entry.state))
     }
 
     /// Takes and clears the set of accounts touched since the last call.
@@ -160,9 +216,7 @@ impl Accounts {
 
 impl Ledger for Accounts {
     fn balance(&self, account: Address) -> TokenAmount {
-        self.map
-            .get(&account)
-            .map_or(TokenAmount::ZERO, |a| a.balance)
+        self.get(account).map_or(TokenAmount::ZERO, |a| a.balance)
     }
 
     fn credit(&mut self, account: Address, amount: TokenAmount) {
@@ -350,7 +404,9 @@ impl StateTree {
 
     /// Computes the state root incrementally: only chunks dirtied since the
     /// last flush are re-encoded and re-hashed, touched accounts re-hash
-    /// only their O(log n) HAMT root paths, registry appends only the
+    /// only their O(log n) HAMT root paths — each descending along the
+    /// route its [`Accounts`] entry keeps, hashed the first time an account
+    /// is routed and never again — registry appends only the
     /// AMT's rightmost path, and the small leaf layer is folded again from
     /// the cached digests. The first flush (or the first after
     /// [`StateTree::rebuilt`]) builds the full commitment.
@@ -363,14 +419,16 @@ impl StateTree {
         let touched = self.accounts.take_dirty();
         if !touched.is_empty() {
             for addr in touched {
-                match self.accounts.get(addr) {
-                    Some(acc) => {
-                        self.commitment.accounts_hamt.set(addr, acc.clone());
-                    }
-                    None => {
-                        self.commitment.accounts_hamt.delete(&addr);
-                    }
-                }
+                // Only `get_or_create` marks an account, and only
+                // `commit_if`'s put-back removes one, after the flush that
+                // took its mark.
+                let (route, acc) = self
+                    .accounts
+                    .routed(addr)
+                    .expect("a touched account exists");
+                self.commitment
+                    .accounts_hamt
+                    .set_at(&route, addr, acc.clone());
             }
             dirty.insert(ChunkKey::Accounts);
         }
@@ -527,10 +585,16 @@ impl StateTree {
             return Ok(out);
         }
         for addr in touched {
-            match commitment.accounts_hamt.get(&addr) {
-                Some(state) => self.accounts.map.insert(addr, state.clone()),
-                None => self.accounts.map.remove(&addr),
-            };
+            let (route, acc) = self
+                .accounts
+                .routed(addr)
+                .expect("a touched account exists");
+            match commitment.accounts_hamt.get_at(&route, &addr) {
+                Some(state) => *acc = state.clone(),
+                None => {
+                    self.accounts.map.remove(&addr);
+                }
+            }
         }
         (self.sca, self.sas, self.atomic) = (sca, sas, atomic);
         (self.next_actor_id, self.minted) = (next_actor_id, minted);

@@ -2,7 +2,8 @@
 //! at least 10× fewer bytes under the HAMT ledger than under the flat
 //! chunk-per-account baseline, and the manifest stays O(system actors);
 //! at the rootnet benchmark's size, a block's worth of scattered writes
-//! hashes its own leaves plus link-only interior nodes, not its neighbours.
+//! hashes its own leaves plus link-only interior nodes, not its neighbours,
+//! and re-writing an account a flush has routed hashes no key.
 //!
 //! The flat baseline is the pre-HAMT design: every account is its own
 //! Merkle leaf, so a structural write (account created or removed)
@@ -11,10 +12,20 @@
 //! the closed form is checked against the real [`MerkleTree`] at small
 //! scale before being trusted at 1M.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use hc_actors::ScaConfig;
 use hc_state::{blob_links, ChunkManifest, CidStore, StateTree};
+use hc_types::crypto::sha256_block_count;
 use hc_types::merkle::MerkleTree;
 use hc_types::{Address, CanonicalEncode, Cid, Keypair, SubnetId, TokenAmount};
+
+/// The SHA-256 block counter is process-wide: every test here holds this
+/// lock, so the one that counts blocks counts only its own.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Interior bytes hashed by a full `MerkleTree::from_leaf_hashes` build
 /// over `n` leaves: each level hashes `floor(len/2)` pairs of `NODE_HASH_BYTES`
@@ -31,6 +42,7 @@ fn flat_interior_bytes(n: u64) -> u64 {
 
 #[test]
 fn closed_form_matches_the_real_merkle_tree() {
+    let _serial = serial();
     for n in [1usize, 2, 3, 7, 100, 1_000, 4_097] {
         let tree = MerkleTree::from_leaf_hashes(
             (0..n)
@@ -47,6 +59,7 @@ fn closed_form_matches_the_real_merkle_tree() {
 
 #[test]
 fn million_account_write_rehashes_10x_less_than_flat_baseline() {
+    let _serial = serial();
     const N: u64 = 1_000_000;
     let key = Keypair::from_seed([0x11; 32]).public();
     let mut tree = StateTree::genesis(
@@ -94,6 +107,7 @@ fn million_account_write_rehashes_10x_less_than_flat_baseline() {
 /// 3 991 bytes per written account here (~40 unrelated accounts each).
 #[test]
 fn a_sparse_block_hashes_its_own_leaves_and_link_only_nodes() {
+    let _serial = serial();
     const ACCOUNTS: u64 = 88_861;
     const WRITES: u64 = 540;
     /// Measured: 878 bytes hashed per written account, plus 2 %.
@@ -144,5 +158,62 @@ fn a_sparse_block_hashes_its_own_leaves_and_link_only_nodes() {
     assert!(
         largest <= max_node,
         "largest HAMT node is {largest} bytes, bound {max_node}"
+    );
+}
+
+/// An account keeps its HAMT route once a flush has routed it: re-writing
+/// it re-hashes its leaf and the links above, never its address. A twin
+/// with the same content whose routes are cold — a snapshot install keeps
+/// none — compresses exactly one SHA-256 block more per re-written account
+/// (an address encodes to 8 bytes, one block).
+#[test]
+fn a_routed_account_is_not_hashed_again() {
+    const ACCOUNTS: u64 = 10_000;
+    const REWRITES: u64 = 100;
+    let _serial = serial();
+
+    let key = Keypair::from_seed([0x11; 32]).public();
+    let mut warm = StateTree::genesis(
+        SubnetId::root(),
+        ScaConfig::default(),
+        (0..ACCOUNTS).map(|i| (Address::new(100 + i), key, TokenAmount::from_whole(1))),
+    );
+    warm.flush();
+    let rewrite = |tree: &mut StateTree| {
+        for i in 0..REWRITES {
+            let addr = Address::new(100 + (i * 7_919 + 13) % ACCOUNTS);
+            tree.accounts_mut().get_or_create(addr).balance += TokenAmount::from_atto(1);
+        }
+    };
+    rewrite(&mut warm);
+    warm.flush();
+    assert_eq!(warm.accounts().routes().count() as u64, REWRITES);
+
+    let store = CidStore::new();
+    let manifest_cid = warm.persist(&store);
+    let manifest = ChunkManifest::decode(&store.get(&manifest_cid).unwrap()).unwrap();
+    let mut cold = StateTree::from_manifest(&manifest, &store).expect("its own snapshot");
+    assert_eq!(cold.accounts().routes().count(), 0);
+
+    let blocks = |tree: &mut StateTree| {
+        rewrite(tree);
+        let before = sha256_block_count();
+        tree.flush();
+        sha256_block_count() - before
+    };
+    let (warm_blocks, cold_blocks) = (blocks(&mut warm), blocks(&mut cold));
+    eprintln!(
+        "re-writing {REWRITES} of {ACCOUNTS} accounts: {warm_blocks} SHA-256 blocks with kept \
+         routes, {cold_blocks} cold"
+    );
+    assert_eq!(
+        warm.flush(),
+        cold.flush(),
+        "the twins hold the same content"
+    );
+    assert_eq!(
+        cold_blocks,
+        warm_blocks + REWRITES,
+        "a routed account must hash no key when re-written"
     );
 }

@@ -1,15 +1,18 @@
 //! Property-based tests of the chunked state commitment: the incremental,
 //! dirty-tracked root must be bit-identical to a from-scratch recompute and
 //! to the root of a freshly rebuilt tree, at any flush cadence, and a block
-//! `StateTree::commit_if` refuses must be put back whole.
+//! `StateTree::commit_if` refuses must be put back whole. Every route an
+//! account keeps for the accounts HAMT is its own address's hash, whichever
+//! path created or replaced the account.
 
 use proptest::prelude::*;
 
 use hc_actors::sa::{SaConfig, SaState};
 use hc_actors::{CrossMsg, HcAddress, ScaConfig};
+use hc_state::hamt::hash_key;
 use hc_state::{
-    apply_implicit, apply_sealed, ImplicitMsg, Message, Method, SealedMessage, StateAccess,
-    StateTree, VmEvent,
+    apply_implicit, apply_sealed, ChunkManifest, CidStore, ImplicitMsg, LaneOverlay, Message,
+    Method, SealedMessage, StateAccess, StateTree, VmEvent,
 };
 use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
@@ -29,16 +32,30 @@ fn keypair(i: u64) -> Keypair {
 }
 
 fn genesis() -> StateTree {
+    genesis_with(0)
+}
+
+/// The users' genesis plus `idle` funded accounts that never sign.
+fn genesis_with(idle: u64) -> StateTree {
+    let idle_key = keypair(99).public();
     StateTree::genesis(
         subnet(),
         ScaConfig::default(),
-        (0..USERS).map(|i| {
-            (
-                Address::new(100 + i),
-                keypair(i).public(),
-                TokenAmount::from_whole(1_000),
-            )
-        }),
+        (0..USERS)
+            .map(|i| {
+                (
+                    Address::new(100 + i),
+                    keypair(i).public(),
+                    TokenAmount::from_whole(1_000),
+                )
+            })
+            .chain((0..idle).map(|i| {
+                (
+                    Address::new(1_000 + i),
+                    idle_key,
+                    TokenAmount::from_whole(1),
+                )
+            })),
     )
 }
 
@@ -275,7 +292,168 @@ fn cut_ops_append_groups_to_the_registry() {
     }
 }
 
+/// One step of the route property: an op, or one of the other paths that
+/// create or replace an account entry.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A ledger op on the tree (`TransferFresh` credits a new account).
+    Op(Op),
+    /// An `ImplicitMsg::InstallAccounts` of address `700 + fresh`.
+    Install { fresh: u8 },
+    /// Users 0..4 each send to their own fresh address, run on `width`
+    /// lane overlays and merged back as the executor merges its lanes.
+    Lanes { width: usize, fresh: u8, atto: u64 },
+    /// A block `commit_if` refuses and puts back.
+    Refused(Vec<Op>),
+    /// The tree is replaced by `rebuilt()`.
+    Rebuilt,
+    /// The tree is replaced by a snapshot install of itself.
+    Snapshot,
+    /// A clone takes `Op` and is checked at once; the tree goes on
+    /// without it.
+    Fork(Op),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        arb_op().prop_map(Step::Op),
+        arb_op().prop_map(Step::Op),
+        any::<u8>().prop_map(|fresh| Step::Install { fresh: fresh % 8 }),
+        (
+            prop_oneof![Just(1usize), Just(4)],
+            any::<u8>(),
+            1u64..10_000
+        )
+            .prop_map(|(width, fresh, atto)| Step::Lanes {
+                width,
+                fresh: fresh % 2,
+                atto
+            }),
+        prop::collection::vec(arb_op(), 0..6).prop_map(Step::Refused),
+        Just(Step::Rebuilt),
+        Just(Step::Snapshot),
+        arb_op().prop_map(Step::Fork),
+    ]
+}
+
+/// Flushes `tree` and checks the root against a from-scratch recompute and
+/// every kept route against its own address's hash.
+fn check_routes(tree: &mut StateTree) -> Result<(), TestCaseError> {
+    let root = tree.flush();
+    prop_assert_eq!(root, tree.recompute_root(), "incremental != from-scratch");
+    for (addr, route) in tree.accounts().routes() {
+        prop_assert_eq!(
+            *route,
+            hash_key(addr),
+            "the route kept for {} is not its hash",
+            addr
+        );
+    }
+    Ok(())
+}
+
+/// Applies one step of the route property to `tree`.
+fn apply_step(
+    tree: &mut StateTree,
+    step: &Step,
+    nonces: &mut [Nonce],
+) -> Result<(), TestCaseError> {
+    match step {
+        Step::Op(op) => {
+            apply_op(tree, op, nonces);
+        }
+        Step::Install { fresh } => {
+            let install = vec![(
+                Address::new(700 + u64::from(*fresh)),
+                keypair(9).public(),
+                None,
+            )];
+            let msg = ImplicitMsg::InstallAccounts(install.into());
+            prop_assert!(apply_implicit(tree, ChainEpoch::new(1), &msg).exit.is_ok());
+        }
+        Step::Lanes { width, fresh, atto } => {
+            let sends: Vec<Op> = (0..USERS)
+                .map(|from| Op::TransferFresh {
+                    from,
+                    fresh: 4 * fresh + from as u8,
+                    atto: *atto,
+                })
+                .collect();
+            let writes: Vec<_> = {
+                let base: &StateTree = tree;
+                sends
+                    .chunks(sends.len() / width)
+                    .map(|lane| {
+                        let mut overlay = LaneOverlay::new(base);
+                        for op in lane {
+                            apply_op(&mut overlay, op, nonces);
+                        }
+                        overlay.into_writes()
+                    })
+                    .collect()
+            };
+            for lane in writes {
+                tree.absorb_accounts(lane);
+            }
+        }
+        Step::Refused(ops) => {
+            let pre_root = tree.flush();
+            let twin = tree.clone();
+            let refused =
+                tree.commit_if(pre_root, |t| rollback_block(t, ops, &mut nonces.to_vec()));
+            prop_assert!(refused.is_err(), "the block moves the root");
+            prop_assert!(
+                tree.accounts() == twin.accounts(),
+                "an account not put back"
+            );
+        }
+        Step::Rebuilt => *tree = tree.rebuilt(),
+        Step::Snapshot => {
+            let store = CidStore::new();
+            let at = tree.persist(&store);
+            let manifest =
+                ChunkManifest::decode(&store.get(&at).expect("persisted")).expect("a manifest");
+            *tree = StateTree::from_manifest(&manifest, &store).expect("its own snapshot");
+            prop_assert_eq!(
+                tree.accounts().routes().count(),
+                0,
+                "an install keeps routes"
+            );
+        }
+        Step::Fork(op) => {
+            let mut fork = tree.clone();
+            apply_op(&mut fork, op, &mut nonces.to_vec());
+            check_routes(&mut fork)?;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Whatever path creates or replaces an account — a ledger credit, an
+    /// account install, a lane merge at width 1 or 4, a refused block's
+    /// put-back, `rebuilt()`, a snapshot install, a diverging clone — after
+    /// every flush the root equals a from-scratch recompute and every route
+    /// an account keeps is its own address's hash.
+    #[test]
+    fn every_kept_route_is_its_own_address_hash(
+        steps in prop::collection::vec(arb_step(), 1..40),
+        cadence in 1usize..4,
+    ) {
+        // Enough idle accounts that the accounts HAMT has an interior
+        // root, so every write descends along its route.
+        let mut tree = genesis_with(96);
+        let mut nonces = vec![Nonce::ZERO; USERS as usize];
+        check_routes(&mut tree)?;
+        for (i, step) in steps.iter().enumerate() {
+            apply_step(&mut tree, step, &mut nonces)?;
+            if i % cadence == 0 {
+                check_routes(&mut tree)?;
+            }
+        }
+        check_routes(&mut tree)?;
+    }
+
     /// The incremental root equals a from-scratch recompute over the
     /// canonical chunk blobs, and equals the root a freshly rebuilt tree
     /// (commitment cache discarded, as after decoding from storage)

@@ -173,6 +173,28 @@ fn enclosing_fn(src: &str, at: usize) -> &str {
         .unwrap_or_default()
 }
 
+/// `fn: needle` for each of `needles` on each non-comment line of `src`
+/// that holds it, in order; a line declaring a function is not a call.
+fn calls_in(src: &str, needles: &[&str]) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    for line in src.lines() {
+        let code = line.trim_start();
+        let declares = ["fn ", "pub fn ", "pub(crate) fn "]
+            .iter()
+            .any(|p| code.starts_with(p));
+        if !code.starts_with("//") && !declares {
+            for needle in needles {
+                if line.contains(needle) {
+                    out.push(format!("{}: {needle}", enclosing_fn(src, at)));
+                }
+            }
+        }
+        at += line.len() + 1;
+    }
+    out
+}
+
 /// `file: function` for every call of `name` (ending in its `(`) outside
 /// `#[cfg(test)]` under `crates/core/src`; a definition or a comment is
 /// not a call.
@@ -1535,6 +1557,62 @@ fn hot_values_stay_small() {
     );
 }
 
+/// DESIGN.md §14, "Routes kept beside accounts": a key is routed once.
+/// `hash_key` is `hamt.rs`'s one key hash, run by the plain `get`, `set`
+/// and `delete` and by a leaf split; the route-taking forms descend along
+/// a route the caller holds. The state tree hashes an address only in
+/// `Accounts::routed`, the first time a flush routes it; the incremental
+/// flush writes through `set_at` and the put-back reads through `get_at`,
+/// and the from-scratch builds (`build_accounts_hamt`, `recompute_root`)
+/// never read a kept route.
+#[test]
+fn a_key_is_routed_once() {
+    let hamt = read_rel("crates/state/src/hamt.rs");
+    assert_eq!(
+        calls_in(non_test(&hamt), &["hash_key("]),
+        [
+            "get: hash_key(",
+            "set: hash_key(",
+            "subtree: hash_key(",
+            "delete: hash_key("
+        ],
+        "DESIGN.md §14: hamt.rs routes a key by `hash_key` in the plain forms and a leaf split"
+    );
+    let routing = [
+        "hash_key(",
+        ".routed(",
+        ".routes(",
+        ".set(",
+        ".set_at(",
+        ".get_at(",
+        ".delete(",
+        "accounts_hamt.get(",
+    ];
+    let tree = read_rel("crates/state/src/tree.rs");
+    assert_eq!(
+        calls_in(non_test(&tree), &routing),
+        [
+            "routed: hash_key(",
+            "flush: .routed(",
+            "flush: .set_at(",
+            "commit_if: .routed(",
+            "commit_if: .get_at("
+        ],
+        "DESIGN.md §14: the state tree hashes an address only when a flush first routes it, \
+         and the flush and the put-back go through the route-taking forms"
+    );
+    let chunk = read_rel("crates/state/src/chunk.rs");
+    let builder: Vec<String> = calls_in(non_test(&chunk), &routing)
+        .into_iter()
+        .filter(|site| site.starts_with("build_accounts_hamt:"))
+        .collect();
+    assert_eq!(
+        builder,
+        ["build_accounts_hamt: .set("],
+        "DESIGN.md §14: a from-scratch build hashes every key afresh"
+    );
+}
+
 /// DESIGN.md §14, "Path invalidation and flush accounting": a HAMT node is
 /// hashed one way. `node_cid` hashes through the resumable `Sha256`; a
 /// flush produces every node CID through it, and the key's routing digest
@@ -1544,25 +1622,8 @@ fn hot_values_stay_small() {
 fn a_hamt_node_is_hashed_one_way() {
     let text = read_rel("crates/state/src/hamt.rs");
     let src = non_test(&text);
-    let (mut hashing, mut callers) = (Vec::new(), Vec::new());
-    let mut at = 0;
-    for line in src.lines() {
-        let code = line.trim_start();
-        if !code.starts_with("//") {
-            let site = enclosing_fn(src, at);
-            for needle in ["sha256(", "Sha256::", "digest("] {
-                if line.contains(needle) {
-                    hashing.push(format!("{site}: {needle}"));
-                }
-            }
-            if line.contains("node_cid(") && !code.starts_with("fn node_cid(") {
-                callers.push(site);
-            }
-        }
-        at += line.len() + 1;
-    }
     assert_eq!(
-        hashing,
+        calls_in(src, &["sha256(", "Sha256::", "digest("]),
         [
             "hash_key: sha256(",
             "node_cid: Sha256::",
@@ -1570,10 +1631,11 @@ fn a_hamt_node_is_hashed_one_way() {
         ],
         "DESIGN.md §14: hamt.rs hashes a key in `hash_key` and a node in `node_cid`, nowhere else"
     );
+    let mut callers = calls_in(src, &["node_cid("]);
     callers.dedup();
     assert_eq!(
         callers,
-        ["flush_node"],
+        ["flush_node: node_cid("],
         "DESIGN.md §14: a node CID comes from `node_cid` in `flush_node`"
     );
     let node_cid = src
