@@ -10,9 +10,9 @@
 //! decoder, and whatever does decode re-encodes to exactly the bytes it
 //! came from — decoding accepts one encoding per value.
 //!
-//! Beside it, the wire format of every `Method` and `ImplicitMsg` sample is
-//! pinned to recorded digests, so a change to how a message is laid out in
-//! memory cannot move a byte or a CID.
+//! Beside it, the wire format of every `Method`, `ImplicitMsg` and
+//! `AccountState` sample is pinned to recorded digests, so a change to how
+//! a value is laid out in memory cannot move a byte or a CID.
 
 mod common;
 
@@ -235,6 +235,17 @@ fn account() -> AccountState {
     acc
 }
 
+/// The account samples: one with storage and locks, one with locks only
+/// and no key, and an empty one — a contract section of each shape.
+fn accounts() -> Vec<AccountState> {
+    let mut locks_only = AccountState {
+        balance: whole(1),
+        ..AccountState::default()
+    };
+    locks_only.locked.insert(vec![7, 7]);
+    vec![account(), locks_only, AccountState::default()]
+}
+
 /// Decodes `bytes` as `T` and re-encodes what came out.
 fn reencode<T: CanonicalDecode + CanonicalEncode>(bytes: &[u8]) -> Option<Vec<u8>> {
     T::decode(bytes).ok().map(|v| v.canonical_bytes())
@@ -264,7 +275,7 @@ fn decoders() -> Vec<(&'static str, Reencode, Vec<Vec<u8>>)> {
         (
             "AccountState",
             reencode::<AccountState>,
-            encodings([account(), AccountState::default()]),
+            encodings(accounts()),
         ),
         (
             "RegistryEntry",
@@ -438,6 +449,14 @@ const IMPLICIT_WIRE: [&str; 7] = [
     "ce0091bf2458242ceafd47b0914cc0b95d3f96abda9ccdd1095dfa509cd8ad93",
 ];
 
+/// The digest of each entry of `accounts()`'s canonical bytes, recorded
+/// when an account's storage and locks became one optional section.
+const ACCOUNT_WIRE: [&str; 3] = [
+    "51a91c68875c5ee215d40fa9f98c5917cea6e77a89dd3519c9146df55287f36d",
+    "c5581b9fe56f42fc0dff690e13cdf0104512c4cb568a8e9d1e36d921a422fbb1",
+    "659d36ca563ba4622daabb36a71dafaf6060cdcbf89bb12e75426198496d272c",
+];
+
 fn hex(cid: Cid) -> String {
     cid.as_bytes().iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -473,6 +492,11 @@ fn the_wire_format_is_pinned() {
     assert_eq!(implicit.len(), IMPLICIT_WIRE.len());
     for (i, (m, pin)) in implicit.iter().zip(IMPLICIT_WIRE).enumerate() {
         assert_eq!(bytes_digest(m), pin, "implicit_msgs()[{i}]");
+    }
+    let accounts = accounts();
+    assert_eq!(accounts.len(), ACCOUNT_WIRE.len());
+    for (i, (acc, pin)) in accounts.iter().zip(ACCOUNT_WIRE).enumerate() {
+        assert_eq!(bytes_digest(acc), pin, "accounts()[{i}]");
     }
 }
 

@@ -32,7 +32,7 @@ use hc_types::{
 };
 
 use crate::amt::{amt_links, AmtRoot, AMT_NODE_TAG};
-use crate::hamt::{node_links, Hamt, HAMT_NODE_TAG};
+use crate::hamt::{node_links, Hamt, Route, HAMT_NODE_TAG};
 use crate::tree::AccountState;
 
 /// First byte of a canonical [`ChunkManifest`] encoding ('m'). Disjoint
@@ -420,16 +420,14 @@ pub fn blob_links(bytes: &[u8]) -> Vec<Cid> {
     }
 }
 
-/// Builds a canonical account HAMT from scratch out of account content —
-/// the pure reference the incremental path must agree with.
-pub(crate) fn build_accounts_hamt<'a>(
-    accounts: impl Iterator<Item = (&'a Address, &'a AccountState)>,
+/// Builds the canonical account HAMT from scratch in one pass
+/// ([`Hamt::build`]) out of each account beside its route — the one build
+/// of the accounts HAMT, behind the tree's first flush and the from-scratch
+/// reference alike. Each account is cloned once, into its leaf.
+pub(crate) fn build_accounts_hamt(
+    mut routed: Vec<(Route, (&Address, &AccountState))>,
 ) -> Hamt<Address, AccountState> {
-    let mut hamt = Hamt::new();
-    for (addr, acc) in accounts {
-        hamt.set(*addr, acc.clone());
-    }
-    hamt
+    Hamt::build(&mut routed, |(addr, acc)| (**addr, (*acc).clone()))
 }
 
 #[cfg(test)]

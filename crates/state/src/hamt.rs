@@ -43,11 +43,12 @@
 //! encoding, and never changes. [`Hamt::set`], [`Hamt::get`] and
 //! [`Hamt::delete`] hash the key and descend; [`Hamt::set_at`] and
 //! [`Hamt::get_at`] descend along a route the caller kept from an earlier
-//! write. The account table keeps each account's route beside it, so a
-//! state flush re-writing an account hashes its nodes, not its address
-//! (DESIGN.md §14). A leaf split spreads its entries by routes derived
-//! from their keys, so a tree built from content alone never reads a kept
-//! route.
+//! write. [`Hamt::build`] makes a whole tree in one pass from routes the
+//! caller hashed: it sorts them, splits them by slot, level by level, and
+//! makes each leaf once, so no key is routed twice. The account table
+//! keeps each account's route beside it, so a state flush re-writing an
+//! account hashes its nodes, not its address (DESIGN.md §14). A leaf that
+//! outgrows the cap is re-built the same way from its keys' routes.
 //!
 //! The shape is **canonical**: for a given key/value content the tree
 //! structure — and therefore the root CID — is independent of the
@@ -64,9 +65,14 @@
 //! ```text
 //! interior: 0x68 ('h'), u32 bitmap (never 0), then one 32-byte child CID
 //!           per set bit, ascending
-//! leaf:     0x6c ('l'), u64 n, then n × (key bytes, value bytes), each
-//!           length-prefixed, in ascending key order
+//! leaf:     0x6c ('l'), u64 n, then n × (key bytes ‖ value bytes), back
+//!           to back in ascending key order
 //! ```
+//!
+//! A leaf's entries carry no length prefixes: canonical encodings delimit
+//! themselves, so only the typed [`Hamt::load`] parses a leaf, and a
+//! closure walk needs its tag alone — a leaf links to nothing. The count
+//! stays, so a load knows a leaf's size before it allocates.
 
 use std::sync::Arc;
 
@@ -200,17 +206,6 @@ fn leaf_search<K: Ord, V>(entries: &[(K, V)], key: &K) -> Result<usize, usize> {
     entries.binary_search_by(|(k, _)| k.cmp(key))
 }
 
-/// Appends `value`'s canonical bytes as a length-prefixed byte string —
-/// what `value.canonical_bytes().write_bytes(out)` produces — by patching
-/// the prefix in after the value is written, so no temporary is built.
-fn write_len_prefixed<T: CanonicalEncode>(value: &T, out: &mut Vec<u8>) {
-    let at = out.len();
-    out.extend_from_slice(&[0u8; 8]);
-    value.write_bytes(out);
-    let len = (out.len() - at - 8) as u64;
-    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
-}
-
 #[derive(Debug, Clone)]
 enum Kind<K, V> {
     /// At most [`LEAF_CAP`] entries (see [`leaf_fits`]), sorted by key.
@@ -286,8 +281,8 @@ where
                 out.push(HAMT_LEAF_TAG);
                 (entries.len() as u64).write_bytes(out);
                 for (k, v) in entries {
-                    write_len_prefixed(k, out);
-                    write_len_prefixed(v, out);
+                    k.write_bytes(out);
+                    v.write_bytes(out);
                 }
             }
             Kind::Interior(interior) => {
@@ -405,7 +400,14 @@ where
                     Err(at) => entries.insert(at, (key, value)),
                 }
                 if !leaf_fits(entries.len(), depth) {
-                    *node = Self::subtree(std::mem::take(entries), depth);
+                    let mut routed: Vec<(Route, Option<(K, V)>)> = std::mem::take(entries)
+                        .into_iter()
+                        .map(|(k, v)| (hash_key(&k), Some((k, v))))
+                        .collect();
+                    routed.sort_unstable_by_key(|(route, _)| *route);
+                    *node = Self::subtree(&mut routed, depth, &mut |entry| {
+                        entry.take().expect("an entry goes into one leaf")
+                    });
                 }
                 None
             }
@@ -431,25 +433,43 @@ where
         }
     }
 
-    /// The canonical (unflushed) subtree at `depth` for `entries`, which
-    /// must be sorted by key: one leaf if they fit, else an interior node
-    /// over the subtrees of each occupied slot. Distributing in key order
-    /// keeps every child's entries sorted.
-    fn subtree(entries: Vec<(K, V)>, depth: usize) -> Node<K, V> {
-        if leaf_fits(entries.len(), depth) {
-            return Node::leaf(entries);
+    /// The canonical tree over `items`, each a key's route beside what its
+    /// entry is made from, in one pass: `items` is sorted by route and
+    /// split by slot, level by level, and `entry` is called once per item,
+    /// when the leaf holding it is made. Every route must be its key's
+    /// [`hash_key`] and the keys distinct; the tree comes out unflushed.
+    pub fn build<T>(items: &mut [(Route, T)], mut entry: impl FnMut(&mut T) -> (K, V)) -> Self {
+        items.sort_unstable_by_key(|(route, _)| *route);
+        Hamt {
+            root: Arc::new(Self::subtree(items, 0, &mut entry)),
+            count: items.len() as u64,
         }
-        let mut slots: [Vec<(K, V)>; 1 << BITS] = std::array::from_fn(|_| Vec::new());
-        for (k, v) in entries {
-            slots[slot_at(&hash_key(&k), depth)].push((k, v));
+    }
+
+    /// The canonical (unflushed) subtree at `depth` over `items`, sorted by
+    /// route ([`Hamt::build`]). A route's slots, most significant bits
+    /// first, are its bits in order, so each slot's items are one run of
+    /// the slice.
+    fn subtree<T>(
+        items: &mut [(Route, T)],
+        depth: usize,
+        entry: &mut impl FnMut(&mut T) -> (K, V),
+    ) -> Node<K, V> {
+        if leaf_fits(items.len(), depth) {
+            let mut entries: Vec<(K, V)> = items.iter_mut().map(|(_, item)| entry(item)).collect();
+            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            return Node::leaf(entries);
         }
         let mut bitmap = 0u32;
         let mut children = Vec::new();
-        for (idx, slot) in slots.into_iter().enumerate() {
-            if !slot.is_empty() {
-                bitmap |= 1 << idx;
-                children.push(Arc::new(Self::subtree(slot, depth + 1)));
-            }
+        let mut rest = items;
+        while let Some((route, _)) = rest.first() {
+            let idx = slot_at(route, depth);
+            let run = rest.partition_point(|(r, _)| slot_at(r, depth) == idx);
+            let (slot, tail) = rest.split_at_mut(run);
+            bitmap |= 1 << idx;
+            children.push(Arc::new(Self::subtree(slot, depth + 1, entry)));
+            rest = tail;
         }
         Node {
             kind: Kind::Interior(Interior::new(bitmap, children)),
@@ -649,33 +669,20 @@ where
             return Err(HamtError::Structure("node graph deeper than the hash"));
         }
         let blob = store.get(&cid.cid()).ok_or(HamtError::Missing(cid.cid()))?;
-        let (kind, count) = match WireNode::decode(&blob).map_err(HamtError::Decode)? {
-            WireNode::Leaf(raw) => {
-                if !leaf_fits(raw.len(), depth) {
-                    return Err(HamtError::Structure("leaf over capacity"));
-                }
-                let mut entries: Vec<(K, V)> = Vec::with_capacity(raw.len());
-                for (kb, vb) in raw {
-                    let k = K::decode(kb).map_err(HamtError::Decode)?;
-                    let v = V::decode(vb).map_err(HamtError::Decode)?;
-                    if entries.last().is_some_and(|(prev, _)| *prev >= k) {
-                        return Err(HamtError::Structure("leaf keys not strictly ascending"));
-                    }
-                    entries.push((k, v));
-                }
-                let count = entries.len() as u64;
-                (Kind::Leaf(entries), count)
+        let (kind, count) = if blob.first() == Some(&HAMT_LEAF_TAG) {
+            let entries = Self::decode_leaf(&blob, depth)?;
+            let count = entries.len() as u64;
+            (Kind::Leaf(entries), count)
+        } else {
+            let (bitmap, children) = decode_interior(&blob).map_err(HamtError::Decode)?;
+            let mut count = 0u64;
+            let mut loaded = Vec::with_capacity(children.len());
+            for child_cid in children {
+                let (child, n) = Self::load_node(&TCid::from_cid(child_cid), store, depth + 1)?;
+                count += n;
+                loaded.push(Arc::new(child));
             }
-            WireNode::Interior { bitmap, children } => {
-                let mut count = 0u64;
-                let mut loaded = Vec::with_capacity(children.len());
-                for child_cid in children {
-                    let (child, n) = Self::load_node(&TCid::from_cid(child_cid), store, depth + 1)?;
-                    count += n;
-                    loaded.push(Arc::new(child));
-                }
-                (Kind::Interior(Interior::new(bitmap, loaded)), count)
-            }
+            (Kind::Interior(Interior::new(bitmap, loaded)), count)
         };
         Ok((
             Node {
@@ -686,72 +693,67 @@ where
             count,
         ))
     }
-}
 
-/// Type-erased wire form of a node: enough structure to follow links and
-/// read raw entry bytes, without knowing `K`/`V`. Entry bytes borrow
-/// from the blob.
-enum WireNode<'a> {
-    Leaf(Vec<(&'a [u8], &'a [u8])>),
-    Interior { bitmap: u32, children: Vec<Cid> },
-}
-
-impl<'a> WireNode<'a> {
-    fn decode(bytes: &'a [u8]) -> Result<Self, DecodeError> {
+    /// The entries of the leaf blob `bytes` at `depth`: its count, then
+    /// that many key and value encodings back to back, keys strictly
+    /// ascending, and nothing after. The count is checked against the
+    /// capacity before anything is allocated for it.
+    fn decode_leaf(bytes: &[u8], depth: usize) -> Result<Vec<(K, V)>, HamtError> {
         let mut r = ByteReader::new(bytes);
-        let node = match u8::read_bytes(&mut r)? {
-            HAMT_LEAF_TAG => {
-                let n = r.len_prefix("HamtLeaf")?;
-                // Every entry carries two 8-byte length prefixes; bound the
-                // count by that so a forged one cannot drive the allocation.
-                if n > r.remaining() / 16 {
-                    return Err(DecodeError::BadLength {
-                        what: "HamtLeaf",
-                        len: n as u64,
-                    });
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key_len = r.len_prefix("HamtLeaf.key")?;
-                    let key = r.take(key_len)?;
-                    let value_len = r.len_prefix("HamtLeaf.value")?;
-                    entries.push((key, r.take(value_len)?));
-                }
-                WireNode::Leaf(entries)
+        let decode = HamtError::Decode;
+        u8::read_bytes(&mut r).map_err(decode)?;
+        let n = r.len_prefix("HamtLeaf").map_err(decode)?;
+        if !leaf_fits(n, depth) {
+            return Err(HamtError::Structure("leaf over capacity"));
+        }
+        let mut entries: Vec<(K, V)> = Vec::with_capacity(n.min(LEAF_CAP));
+        for _ in 0..n {
+            let k = K::read_bytes(&mut r).map_err(decode)?;
+            let v = V::read_bytes(&mut r).map_err(decode)?;
+            if entries.last().is_some_and(|(prev, _)| *prev >= k) {
+                return Err(HamtError::Structure("leaf keys not strictly ascending"));
             }
-            HAMT_NODE_TAG => {
-                let bitmap = u32::read_bytes(&mut r)?;
-                if bitmap == 0 {
-                    return Err(DecodeError::Invalid {
-                        what: "HAMT interior node without children",
-                    });
-                }
-                let mut children = Vec::with_capacity(bitmap.count_ones() as usize);
-                for _ in 0..bitmap.count_ones() {
-                    children.push(Cid::read_bytes(&mut r)?);
-                }
-                WireNode::Interior { bitmap, children }
-            }
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "HamtNode",
-                    tag,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(node)
+            entries.push((k, v));
+        }
+        r.finish().map_err(decode)?;
+        Ok(entries)
     }
 }
 
-/// The child-node CIDs a canonical HAMT node blob links to (none, for a
-/// leaf). Used by closure walks (GC reachability, snapshot fetch frontiers,
-/// blob-log hydration) that traverse the tree without type context.
+/// The bitmap and child CIDs of the interior blob `bytes`.
+fn decode_interior(bytes: &[u8]) -> Result<(u32, Vec<Cid>), DecodeError> {
+    let mut r = ByteReader::new(bytes);
+    let tag = u8::read_bytes(&mut r)?;
+    if tag != HAMT_NODE_TAG {
+        return Err(DecodeError::BadTag {
+            what: "HamtNode",
+            tag,
+        });
+    }
+    let bitmap = u32::read_bytes(&mut r)?;
+    if bitmap == 0 {
+        return Err(DecodeError::Invalid {
+            what: "HAMT interior node without children",
+        });
+    }
+    let mut children = Vec::with_capacity(bitmap.count_ones() as usize);
+    for _ in 0..bitmap.count_ones() {
+        children.push(Cid::read_bytes(&mut r)?);
+    }
+    r.finish()?;
+    Ok((bitmap, children))
+}
+
+/// The child-node CIDs a canonical HAMT node blob links to: none for a
+/// leaf, which its tag alone tells. Used by closure walks (GC
+/// reachability, snapshot fetch frontiers, blob-log hydration) that
+/// traverse the tree without type context; a leaf's entries are checked
+/// by [`Hamt::load`].
 pub fn node_links(bytes: &[u8]) -> Result<Vec<Cid>, DecodeError> {
-    Ok(match WireNode::decode(bytes)? {
-        WireNode::Interior { children, .. } => children,
-        WireNode::Leaf(_) => Vec::new(),
-    })
+    if bytes.first() == Some(&HAMT_LEAF_TAG) {
+        return Ok(Vec::new());
+    }
+    Ok(decode_interior(bytes)?.1)
 }
 
 #[cfg(test)]
@@ -861,10 +863,32 @@ mod tests {
         assert_eq!(flushed_root(&mut h), flushed_root(&mut Map::new()));
     }
 
+    /// The one-pass build and a `set` per key reach the same tree: same
+    /// root, count and lookups, on either side of the cap and many levels
+    /// deep.
+    #[test]
+    fn a_one_pass_build_is_the_tree_sets_reach() {
+        for n in [0u64, 1, 64, 65, 2_000, 20_000] {
+            let mut items: Vec<(Route, u64)> = (0..n)
+                .rev()
+                .map(|k| (hash_key(&Address::new(k)), k))
+                .collect();
+            let mut built = Map::build(&mut items, |k| (Address::new(*k), *k));
+            let mut set = map_of(0..n);
+            assert_eq!(built.len(), n);
+            assert_eq!(flushed_root(&mut built), flushed_root(&mut set), "{n} keys");
+            assert_eq!(shape(&built), shape(&set), "{n} keys");
+            assert_eq!(
+                built.get(&Address::new(n / 2)),
+                set.get(&Address::new(n / 2))
+            );
+        }
+    }
+
     #[test]
     fn node_blobs_are_bounded() {
         // Interior nodes are links only; leaves hold at most LEAF_CAP
-        // (Address, u64) entries of 8 + 8 + 8 + 8 bytes.
+        // (Address, u64) entries of 8 + 8 bytes, with no framing.
         let store = CidStore::new();
         let root = map_of(0..20_000).persist(&store);
         let mut frontier = vec![root.cid()];
@@ -878,7 +902,7 @@ mod tests {
                 }
                 HAMT_LEAF_TAG => {
                     leaves += 1;
-                    assert!(blob.len() <= 1 + 8 + LEAF_CAP * 32);
+                    assert!(blob.len() <= 1 + 8 + LEAF_CAP * 16);
                 }
                 tag => panic!("unexpected node tag {tag:#x}"),
             }
@@ -948,13 +972,14 @@ mod tests {
         ));
     }
 
-    /// A leaf blob of `keys`, in the given order, each mapped to itself.
+    /// A leaf blob of `keys`, in the given order, each mapped to itself:
+    /// the count, then each key's and value's encoding back to back.
     fn leaf_blob(keys: &[u64]) -> Vec<u8> {
         let mut out = vec![HAMT_LEAF_TAG];
         (keys.len() as u64).write_bytes(&mut out);
         for k in keys {
-            write_len_prefixed(&Address::new(*k), &mut out);
-            write_len_prefixed(k, &mut out);
+            Address::new(*k).write_bytes(&mut out);
+            k.write_bytes(&mut out);
         }
         out
     }
@@ -979,23 +1004,52 @@ mod tests {
             );
         }
 
+        // A leaf is parsed only by the typed load: a closure walk reads its
+        // tag and finds no links, whatever follows.
         let mut trailing = leaf_blob(&[1, 2]);
         trailing.push(0);
         let mut forged_count = vec![HAMT_LEAF_TAG];
         u64::MAX.write_bytes(&mut forged_count);
         let mut short_count = leaf_blob(&[1, 2]);
         short_count[1] = 3;
+        let mut long_count = leaf_blob(&[1, 2]);
+        long_count[1] = 1;
+        let mut cut_entry = leaf_blob(&[1, 2]);
+        cut_entry.pop();
+        for (blob, why) in [
+            (trailing, "trailing bytes"),
+            (forged_count, "forged entry count"),
+            (short_count, "count beyond the entries"),
+            (long_count, "entries beyond the count"),
+            (cut_entry, "an entry cut short"),
+            (vec![HAMT_LEAF_TAG], "no count"),
+        ] {
+            assert_eq!(
+                node_links(&blob),
+                Ok(Vec::new()),
+                "{why}: a leaf links to nothing"
+            );
+            assert!(
+                matches!(load(blob), Err(HamtError::Decode(_))),
+                "{why} must be a decode error"
+            );
+        }
+
         let mut empty_interior = vec![HAMT_NODE_TAG];
         0u32.write_bytes(&mut empty_interior);
         let mut short_interior = vec![HAMT_NODE_TAG];
         0b11u32.write_bytes(&mut short_interior);
         Cid::digest(b"only one child").write_bytes(&mut short_interior);
+        let mut trailing_interior = vec![HAMT_NODE_TAG];
+        0b1u32.write_bytes(&mut trailing_interior);
+        Cid::digest(b"the child").write_bytes(&mut trailing_interior);
+        trailing_interior.push(0);
         for (blob, why) in [
-            (trailing, "trailing bytes"),
-            (forged_count, "forged entry count"),
-            (short_count, "count beyond the entries"),
             (empty_interior, "interior without children"),
             (short_interior, "fewer links than bitmap bits"),
+            (trailing_interior, "trailing bytes after the links"),
+            (Vec::new(), "an empty blob"),
+            (vec![0x00], "an unknown tag"),
         ] {
             assert!(node_links(&blob).is_err(), "{why} must not decode");
             assert!(

@@ -48,6 +48,12 @@ use crate::store::CidStore;
 pub(crate) const FIRST_DEPLOYED_ACTOR: u64 = 1_000_000;
 
 /// One account's state.
+///
+/// Canonical encoding: balance, nonce and key, then one contract section —
+/// a single `0` byte for an account with neither storage nor locks (nearly
+/// every account), or `1` followed by `storage` and `locked`. Decoding
+/// refuses any other flag, and `1` with both maps empty, so every state has
+/// exactly one encoding.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccountState {
     /// Spendable balance.
@@ -67,27 +73,43 @@ impl CanonicalEncode for AccountState {
         self.balance.write_bytes(out);
         self.nonce.write_bytes(out);
         self.key.write_bytes(out);
-        (self.storage.len() as u64).write_bytes(out);
-        for (k, v) in &self.storage {
-            k.write_bytes(out);
-            v.write_bytes(out);
-        }
-        (self.locked.len() as u64).write_bytes(out);
-        for k in &self.locked {
-            k.write_bytes(out);
+        if self.storage.is_empty() && self.locked.is_empty() {
+            0u8.write_bytes(out);
+        } else {
+            1u8.write_bytes(out);
+            self.storage.write_bytes(out);
+            self.locked.write_bytes(out);
         }
     }
 }
 
 impl CanonicalDecode for AccountState {
     fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(AccountState {
+        let mut acc = AccountState {
             balance: TokenAmount::read_bytes(r)?,
             nonce: Nonce::read_bytes(r)?,
             key: Option::<PublicKey>::read_bytes(r)?,
-            storage: BTreeMap::read_bytes(r)?,
-            locked: BTreeSet::read_bytes(r)?,
-        })
+            ..AccountState::default()
+        };
+        match u8::read_bytes(r)? {
+            0 => {}
+            1 => {
+                acc.storage = BTreeMap::read_bytes(r)?;
+                acc.locked = BTreeSet::read_bytes(r)?;
+                if acc.storage.is_empty() && acc.locked.is_empty() {
+                    return Err(DecodeError::Invalid {
+                        what: "an empty contract section is written as flag 0",
+                    });
+                }
+            }
+            tag => {
+                return Err(DecodeError::BadTag {
+                    what: "AccountState contract section",
+                    tag,
+                })
+            }
+        }
+        Ok(acc)
     }
 }
 
@@ -101,13 +123,12 @@ impl CanonicalDecode for AccountState {
 /// recomputed from content, and an unchanged chunk keeps its digest.
 ///
 /// Each account keeps its route in the accounts HAMT ([`hash_key`] of its
-/// address) inline beside it, filled the first time a flush routes it, so
-/// re-writing an account hashes no key. Creation and snapshot install
-/// leave it unset: an account no flush routes is never hashed for it.
-/// The routes are bookkeeping: equality compares content only, and the
-/// from-scratch builds (`build_accounts_hamt`, `recompute_root`) never
-/// read them — they hash every key afresh, so a route kept wrong shows as
-/// a root they disagree with.
+/// address) inline beside it, filled the first time a flush routes it —
+/// the from-scratch build of the tree's first flush routes every account —
+/// so re-writing an account hashes no key. An account created since the
+/// last flush has none yet. The routes are bookkeeping: equality compares
+/// content only, and `recompute_root` never reads them — it hashes every
+/// key afresh, so a route kept wrong shows as a root it disagrees with.
 #[derive(Debug, Clone, Default)]
 pub struct Accounts {
     map: BTreeMap<Address, Entry>,
@@ -129,6 +150,15 @@ impl Entry {
     /// The route, if a flush has kept it.
     fn kept_route(&self) -> Option<&Route> {
         (self.route != [0; 32]).then_some(&self.route)
+    }
+
+    /// The route of this entry, whose address is `addr`, hashed and kept
+    /// the first time it is asked for.
+    fn route(&mut self, addr: &Address) -> Route {
+        if self.kept_route().is_none() {
+            self.route = hash_key(addr);
+        }
+        self.route
     }
 }
 
@@ -174,7 +204,8 @@ impl Accounts {
     }
 
     /// Builds an account table from decoded content, with clean dirty
-    /// tracking and no routes (used when installing a snapshot).
+    /// tracking and no routes yet (used when installing a snapshot; the
+    /// install's flush routes every account).
     pub(crate) fn from_map(map: BTreeMap<Address, AccountState>) -> Self {
         Accounts {
             map: map
@@ -197,10 +228,16 @@ impl Accounts {
     /// (`None` if the account does not exist).
     fn routed(&mut self, addr: Address) -> Option<(Route, &mut AccountState)> {
         let entry = self.map.get_mut(&addr)?;
-        if entry.kept_route().is_none() {
-            entry.route = hash_key(&addr);
-        }
-        Some((entry.route, &mut entry.state))
+        Some((entry.route(&addr), &mut entry.state))
+    }
+
+    /// Every account beside its route, hashing only the routes not yet
+    /// kept — what a from-scratch build of the accounts HAMT takes.
+    fn routed_all(&mut self) -> Vec<(Route, (&Address, &AccountState))> {
+        self.map
+            .iter_mut()
+            .map(|(addr, entry)| (entry.route(addr), (addr, &entry.state)))
+            .collect()
     }
 
     /// Takes and clears the set of accounts touched since the last call.
@@ -473,10 +510,11 @@ impl StateTree {
     }
 
     /// Builds the commitment from scratch: the account HAMT rebuilt from
-    /// content and every chunk encoded and hashed.
+    /// content in one pass, routing each account once and keeping the
+    /// route, and every chunk encoded and hashed.
     fn rebuild_commitment(&mut self) -> Cid {
         self.accounts.take_dirty();
-        let mut hamt = build_accounts_hamt(self.accounts.iter());
+        let mut hamt = build_accounts_hamt(self.accounts.routed_all());
         let mut work = HashWork::default();
         hamt.flush(&mut work);
         self.commitment.accounts_hamt = hamt;
@@ -507,14 +545,19 @@ impl StateTree {
 
     /// Recomputes the state root from scratch, ignoring every cache: pure
     /// function of the current state content. The account HAMT is rebuilt
-    /// from nothing (so this also re-derives the canonical tree shape), so
+    /// from nothing, every address hashed afresh and no kept route read
+    /// (so this also re-derives the canonical tree shape), so
     /// is the registry log, and the SCA's window digest is one SHA-256 over
     /// the window's encoding rather than the digest the SCA carries.
     /// `flush()` must always agree with this (the equivalence property
     /// tests enforce it).
     pub fn recompute_root(&self) -> Cid {
         let mut work = HashWork::default();
-        let accounts_root = build_accounts_hamt(self.accounts.iter()).flush(&mut work);
+        let fresh = self
+            .accounts
+            .iter()
+            .map(|(addr, acc)| (hash_key(addr), (addr, acc)));
+        let accounts_root = build_accounts_hamt(fresh.collect()).flush(&mut work);
         let registry_root = self.registry.rebuilt().log.flush(&mut work);
         let keys = self.chunk_keys();
         MerkleTree::from_leaf_bytes(keys.iter().map(|k| match k {
@@ -766,6 +809,37 @@ mod tests {
         assert!(acc.key.is_some());
         assert_eq!(acc.nonce, Nonce::ZERO);
         assert_eq!(t.total_supply(), TokenAmount::from_whole(50));
+    }
+
+    /// An account without storage or locks ends in the one flag byte `0`;
+    /// any other flag, and `1` over two empty maps, is refused.
+    #[test]
+    fn an_account_has_one_encoding() {
+        let plain = tree().accounts().get(Address::new(100)).unwrap().clone();
+        let bytes = plain.canonical_bytes();
+        assert_eq!(bytes.last(), Some(&0));
+        assert_eq!(AccountState::decode(&bytes), Ok(plain.clone()));
+
+        let mut contract = plain.clone();
+        contract.locked.insert(b"k".to_vec());
+        let bytes = contract.canonical_bytes();
+        assert_eq!(AccountState::decode(&bytes), Ok(contract));
+
+        let with_section = |section: &[u8]| {
+            let mut bytes = plain.canonical_bytes();
+            bytes.pop();
+            bytes.extend_from_slice(section);
+            AccountState::decode(&bytes)
+        };
+        let empty = [&[1u8][..], &0u64.to_le_bytes(), &0u64.to_le_bytes()].concat();
+        assert!(matches!(
+            with_section(&[2]),
+            Err(DecodeError::BadTag { tag: 2, .. })
+        ));
+        assert!(matches!(
+            with_section(&empty),
+            Err(DecodeError::Invalid { .. })
+        ));
     }
 
     #[test]

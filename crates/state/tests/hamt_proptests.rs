@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use hc_state::hamt::HashWork;
+use hc_state::hamt::{hash_key, HashWork};
 use hc_state::{Amt, CidStore, Hamt};
 
 /// Entries a subtree holds before it stops being a single leaf — the
@@ -112,10 +112,9 @@ fn arb_tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
 
 /// The root a HAMT built in one pass from `model` commits to.
 fn fresh_root(model: &BTreeMap<u64, u64>) -> hc_types::TCid<hc_types::MHamtNode> {
-    let mut fresh = Hamt::new();
-    for (k, v) in model {
-        fresh.set(*k, *v);
-    }
+    let mut routed: Vec<_> = model.iter().map(|(k, v)| (hash_key(k), (*k, *v))).collect();
+    let mut fresh = Hamt::build(&mut routed, |entry| *entry);
+    assert_eq!(fresh.len(), model.len() as u64);
     flush_root(&mut fresh)
 }
 

@@ -184,16 +184,25 @@ fn persisted_ledger(accounts: u64, store: &CidStore) -> (StateTree, ChunkManifes
     (tree, manifest)
 }
 
-/// A HAMT leaf blob (`0x6c`, count, length-prefixed key and value bytes)
-/// holding `entries` in the order given.
-fn hamt_leaf(entries: &[(Address, AccountState)]) -> Vec<u8> {
+/// A HAMT leaf blob (`0x6c`, count, then each address's encoding and the
+/// account bytes given for it, back to back) in the order given.
+fn hamt_leaf_of(entries: &[(Address, Vec<u8>)]) -> Vec<u8> {
     let mut out = vec![0x6cu8];
     (entries.len() as u64).write_bytes(&mut out);
-    for (addr, state) in entries {
-        addr.canonical_bytes().write_bytes(&mut out);
-        state.canonical_bytes().write_bytes(&mut out);
+    for (addr, account) in entries {
+        addr.write_bytes(&mut out);
+        out.extend_from_slice(account);
     }
     out
+}
+
+/// [`hamt_leaf_of`] with each account's canonical encoding.
+fn hamt_leaf(entries: &[(Address, AccountState)]) -> Vec<u8> {
+    let encoded: Vec<(Address, Vec<u8>)> = entries
+        .iter()
+        .map(|(addr, state)| (*addr, state.canonical_bytes()))
+        .collect();
+    hamt_leaf_of(&encoded)
 }
 
 /// A HAMT interior blob (`0x68`, bitmap, one CID per set bit).
@@ -258,10 +267,25 @@ fn malformed_account_nodes_are_refused_and_forged_shapes_never_installed() {
     trailing_interior.push(0);
     let mut forged_count = hamt_leaf(&entries);
     forged_count[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+    // The last account's contract section, re-written by hand: its
+    // accounts have neither storage nor locks, so it is the flag `0`.
+    let with_section = |section: &[u8]| {
+        let mut encoded: Vec<(Address, Vec<u8>)> = entries
+            .iter()
+            .map(|(addr, state)| (*addr, state.canonical_bytes()))
+            .collect();
+        let last = &mut encoded.last_mut().expect("funded accounts").1;
+        assert_eq!(last.pop(), Some(0), "an empty contract section is flag 0");
+        last.extend_from_slice(section);
+        hamt_leaf_of(&encoded)
+    };
+    let empty_section = [&[1u8][..], &0u64.to_le_bytes(), &0u64.to_le_bytes()].concat();
     for (blob, why) in [
         (trailing_leaf, "trailing bytes after a leaf"),
         (trailing_interior, "trailing bytes after an interior node"),
         (forged_count, "forged entry count"),
+        (with_section(&[2]), "contract-section flag 2"),
+        (with_section(&empty_section), "flag 1 with both maps empty"),
         (hamt_interior(0, &[]), "interior node without children"),
         (hamt_interior(0b11, &[Cid::digest(b"one")]), "missing link"),
     ] {

@@ -1560,11 +1560,14 @@ fn hot_values_stay_small() {
 /// DESIGN.md §14, "Routes kept beside accounts": a key is routed once.
 /// `hash_key` is `hamt.rs`'s one key hash, run by the plain `get`, `set`
 /// and `delete` and by a leaf split; the route-taking forms descend along
-/// a route the caller holds. The state tree hashes an address only in
-/// `Accounts::routed`, the first time a flush routes it; the incremental
-/// flush writes through `set_at` and the put-back reads through `get_at`,
-/// and the from-scratch builds (`build_accounts_hamt`, `recompute_root`)
-/// never read a kept route.
+/// a route the caller holds, and the one-pass `Hamt::build` takes routes
+/// from its caller. The state tree hashes an address in `Entry::route`,
+/// the first time it is routed, and in `recompute_root`. The accounts
+/// HAMT has one build, `build_accounts_hamt` (`Hamt::build`): the first
+/// flush feeds it every account's route through `routed_all`, which keeps
+/// them, and the from-scratch reference feeds it fresh hashes and reads
+/// no kept route. The incremental flush writes through `set_at` and the
+/// put-back reads through `get_at`.
 #[test]
 fn a_key_is_routed_once() {
     let hamt = read_rel("crates/state/src/hamt.rs");
@@ -1573,15 +1576,26 @@ fn a_key_is_routed_once() {
         [
             "get: hash_key(",
             "set: hash_key(",
-            "subtree: hash_key(",
+            "set_rec: hash_key(",
             "delete: hash_key("
         ],
         "DESIGN.md §14: hamt.rs routes a key by `hash_key` in the plain forms and a leaf split"
     );
+    assert_eq!(
+        calls_in(non_test(&hamt), &["Self::subtree("]),
+        [
+            "set_rec: Self::subtree(",
+            "build: Self::subtree(",
+            "subtree: Self::subtree("
+        ],
+        "DESIGN.md §14: a leaf split and a whole-tree build share the one-pass builder"
+    );
     let routing = [
         "hash_key(",
         ".routed(",
+        ".routed_all(",
         ".routes(",
+        "build_accounts_hamt(",
         ".set(",
         ".set_at(",
         ".get_at(",
@@ -1592,24 +1606,32 @@ fn a_key_is_routed_once() {
     assert_eq!(
         calls_in(non_test(&tree), &routing),
         [
-            "routed: hash_key(",
+            "route: hash_key(",
             "flush: .routed(",
             "flush: .set_at(",
+            "rebuild_commitment: .routed_all(",
+            "rebuild_commitment: build_accounts_hamt(",
+            "recompute_root: hash_key(",
+            "recompute_root: build_accounts_hamt(",
             "commit_if: .routed(",
             "commit_if: .get_at("
         ],
-        "DESIGN.md §14: the state tree hashes an address only when a flush first routes it, \
-         and the flush and the put-back go through the route-taking forms"
+        "DESIGN.md §14: the state tree hashes an address only when it is first routed and in \
+         the from-scratch reference, builds the accounts HAMT one way, and the flush and the \
+         put-back go through the route-taking forms"
     );
     let chunk = read_rel("crates/state/src/chunk.rs");
-    let builder: Vec<String> = calls_in(non_test(&chunk), &routing)
-        .into_iter()
-        .filter(|site| site.starts_with("build_accounts_hamt:"))
-        .collect();
+    let builder: Vec<String> = calls_in(
+        non_test(&chunk),
+        &[&routing[..], &["Hamt::build("]].concat(),
+    )
+    .into_iter()
+    .filter(|site| site.starts_with("build_accounts_hamt:"))
+    .collect();
     assert_eq!(
         builder,
-        ["build_accounts_hamt: .set("],
-        "DESIGN.md §14: a from-scratch build hashes every key afresh"
+        ["build_accounts_hamt: Hamt::build("],
+        "DESIGN.md §14: the accounts HAMT is built in one pass from the routes it is given"
     );
 }
 
