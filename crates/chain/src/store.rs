@@ -1,6 +1,9 @@
-//! The chain store: an append-only, validated sequence of blocks, in
-//! memory, only the head decoded. Making a committed block durable is its
-//! runtime's job.
+//! The chain store: an append-only sequence of blocks from epoch 1, in
+//! memory, only the head decoded. A block joins it validated
+//! ([`ChainStore::append`]) or, when another store already validated it —
+//! a syncing node's peers' copy of its chain — as that store holds it
+//! ([`ChainStore::append_stored`]); either way it must extend the head.
+//! Making a committed block durable is its runtime's job.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -160,11 +163,6 @@ impl History {
     pub fn extend(&mut self, later: History) {
         self.blocks.extend(later.blocks);
     }
-
-    /// Keeps the oldest `len` blocks.
-    pub fn truncate(&mut self, len: usize) {
-        self.blocks.truncate(len);
-    }
 }
 
 /// The canonical chain of one subnet as seen by one node.
@@ -219,8 +217,7 @@ impl ChainStore {
         self.head_epoch
     }
 
-    /// The head block, decoded; `None` before any block, or right after a
-    /// snapshot re-base.
+    /// The head block, decoded; `None` before any block.
     pub fn head_block(&self) -> Option<&Block> {
         self.head_block.as_ref()
     }
@@ -287,27 +284,6 @@ impl ChainStore {
         history
     }
 
-    /// Re-bases an *empty* chain on a trusted snapshot boundary: the head
-    /// becomes `base` at `base_epoch` without any block being stored, so
-    /// the next append must be the block immediately extending the
-    /// snapshot. Used by snapshot state-sync, where the blocks at or below
-    /// the anchor are never fetched — the state they produced is installed
-    /// from a verified chunk manifest instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block was already appended — a populated chain has a
-    /// real head, and silently discarding it would fork history.
-    pub fn reset_to_snapshot_base(&mut self, base_epoch: ChainEpoch, base: Cid) {
-        assert!(
-            self.is_empty(),
-            "snapshot re-base requires an empty chain (head {})",
-            self.head
-        );
-        self.head = base;
-        self.head_epoch = base_epoch;
-    }
-
     /// Appends a block extending the head; the old head is encoded into
     /// history.
     ///
@@ -317,11 +293,28 @@ impl ChainStore {
     /// subnet, does not point at the current head, or does not advance the
     /// epoch.
     pub fn append(&mut self, block: Block) -> Result<Cid, StoreError> {
+        block.validate_structure().map_err(StoreError::BadBlock)?;
+        let cid = block.cid();
+        self.link(block, cid)
+    }
+
+    /// Appends `stored`, a block another store validated and holds, as it
+    /// is held: its structure is not validated again and its CID is the
+    /// one worked out at its first append, so nothing is hashed.
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`ChainStore::append`] does, but for structure.
+    pub fn append_stored(&mut self, stored: &StoredBlock) -> Result<Cid, StoreError> {
+        self.link(stored.decode(), stored.cid)
+    }
+
+    /// Makes `block`, whose CID is `cid`, the head once it extends the
+    /// current one; the old head is encoded into history.
+    fn link(&mut self, block: Block, cid: Cid) -> Result<Cid, StoreError> {
         if block.header.subnet != self.subnet {
             return Err(StoreError::WrongSubnet(block.header.subnet.clone()));
         }
-        block.validate_structure().map_err(StoreError::BadBlock)?;
-        let cid = block.cid();
         if self.by_cid.contains_key(&cid) {
             return Err(StoreError::DuplicateBlock(cid));
         }
@@ -331,11 +324,7 @@ impl ChainStore {
                 got: block.header.parent,
             });
         }
-        // A chain re-based on a snapshot boundary is still empty but has a
-        // non-genesis head epoch; the monotonicity check applies there too.
-        if (!self.is_empty() || self.head_epoch > ChainEpoch::GENESIS)
-            && block.header.epoch <= self.head_epoch
-        {
+        if !self.is_empty() && block.header.epoch <= self.head_epoch {
             return Err(StoreError::EpochNotMonotonic {
                 head: self.head_epoch,
                 got: block.header.epoch,
@@ -474,37 +463,31 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rebase_anchors_suffix_appends() {
-        let mut store = ChainStore::new(SubnetId::root());
-        // Build the "peer" view to learn the anchor block's CID.
+    fn a_stored_block_joins_as_stored_and_must_extend_the_head() {
         let mut peers = ChainStore::new(SubnetId::root());
         let c1 = peers.append(block_at(1, Cid::NIL)).unwrap();
         let c2 = peers.append(block_at(2, c1)).unwrap();
+        let history = peers.into_history();
+        let stored: Vec<&StoredBlock> = history.iter().collect();
 
-        store.reset_to_snapshot_base(ChainEpoch::new(2), c2);
-        assert!(store.is_empty());
-        assert_eq!(store.head(), c2);
-        assert_eq!(store.head_epoch(), ChainEpoch::new(2));
-
-        // Pre-anchor epochs are rejected even though the chain is empty.
-        assert!(matches!(
-            store.append(block_at(2, c2)),
-            Err(StoreError::EpochNotMonotonic { .. })
-        ));
-        // A block extending the anchor appends; only the suffix is stored.
-        let c3 = store.append(block_at(3, c2)).unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.head(), c3);
-        assert_eq!(store.head_block().unwrap().cid(), c3);
-        assert_eq!(store.iter().next().unwrap().cid(), c3);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot re-base requires an empty chain")]
-    fn snapshot_rebase_refuses_populated_chains() {
         let mut store = ChainStore::new(SubnetId::root());
-        let c1 = store.append(block_at(1, Cid::NIL)).unwrap();
-        store.reset_to_snapshot_base(ChainEpoch::new(5), c1);
+        assert!(matches!(
+            store.append_stored(stored[1]),
+            Err(StoreError::ParentMismatch { .. })
+        ));
+        assert_eq!(store.append_stored(stored[0]), Ok(c1));
+        assert_eq!(store.append_stored(stored[1]), Ok(c2));
+        assert_eq!(
+            store.append_stored(stored[1]),
+            Err(StoreError::DuplicateBlock(c2))
+        );
+        assert_eq!((store.len(), store.head(), store.decoded_len()), (2, c2, 1));
+        let cids: Vec<Cid> = store.iter().map(|b| b.cid()).collect();
+        assert_eq!(cids, [c1, c2]);
+        // A validated block extends a stored head as it extends any other.
+        let c3 = store.append(block_at(3, c2)).unwrap();
+        assert_eq!(store.get_by_epoch(ChainEpoch::new(1)).unwrap().cid(), c1);
+        assert_eq!(store.head(), c3);
     }
 
     #[test]

@@ -66,7 +66,10 @@ impl Consensus for RoundRobinEngine {
 }
 
 /// Simulated proof-of-work: a mining-power lottery with exponentially
-/// distributed block intervals and occasional orphaned forks.
+/// distributed block intervals. With probability `fault_rate` (at most
+/// one half, drawn again each time) a competing discovery costs one more
+/// interval before the block lands, and is counted in `orphaned`; no fork
+/// is ever adopted, so the chain never reorganises.
 #[derive(Debug, Clone)]
 pub struct PowEngine {
     params: EngineParams,
@@ -103,8 +106,8 @@ impl Consensus for PowEngine {
         ensure_validators(validators)?;
         let mut interval = sample_exponential(rng, self.params.block_time_ms);
         let mut orphaned = 0u32;
-        // Competing forks: each orphan wastes one extra discovery interval
-        // before the canonical block lands.
+        // Each lost race wastes one extra discovery interval before the
+        // block lands; no competing block is kept.
         while rng.gen_bool(self.params.fault_rate.clamp(0.0, 0.5)) {
             interval += sample_exponential(rng, self.params.block_time_ms);
             orphaned += 1;

@@ -9,7 +9,7 @@
 //! | Engine | Model | Finality |
 //! |---|---|---|
 //! | [`RoundRobinEngine`] | rotating authority proposer | depth 1 |
-//! | [`PowEngine`] | mining-power lottery, exponential intervals, orphaned forks | probabilistic (depth k) |
+//! | [`PowEngine`] | mining-power lottery, exponential intervals, wasted discovery intervals counted as orphans (no fork adopted) | probabilistic (depth k) |
 //! | [`PosEngine`] | stake-weighted leader election | depth k (checkpoints bound long-range attacks) |
 //! | [`TendermintEngine`] | BFT rounds, 2f+1 quorum justification | instant (depth 0) |
 //! | [`MirEngine`] | multi-leader BFT with batched parallel proposals | instant (depth 0) |

@@ -9,11 +9,12 @@
 //! of the child's chain, and each checkpoint's `prev` names the one before
 //! it. [`HierarchyRuntime::verify_checkpoint_chain`] plays the light
 //! client: it walks that hash chain back to genesis over the parent's
-//! committed blocks and checks each checkpoint against the signer set the
-//! child's Subnet Actor had logged before the block that committed it.
+//! committed blocks — its node's chain, which holds them from epoch 1
+//! however the node bootstrapped — and checks each checkpoint against the
+//! signer set the child's Subnet Actor had logged before the block that
+//! committed it.
 //! Retiring a subnet leaves its history where its parent committed it.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use hc_actors::checkpoint::SignedCheckpoint;
@@ -28,17 +29,14 @@ pub(crate) type Commits = HashMap<Cid, (ChainEpoch, SignedCheckpoint)>;
 
 impl HierarchyRuntime {
     /// The child checkpoints `parent`'s committed blocks carry, for every
-    /// child at once: the blocks below a snapshot install (the parent
-    /// record's `peers`), then the parent's own chain, decoded one block at
-    /// a time. Empty for a parent with no node.
+    /// child at once: the parent's own chain, from epoch 1, decoded one
+    /// block at a time. Empty for a parent with no node.
     pub(crate) fn committed_checkpoints(&self, parent: &SubnetId) -> Commits {
         let mut committed = Commits::new();
         let Some(parent_node) = self.node(parent) else {
             return committed;
         };
-        let below = self.subnets.by_id.get(parent).map(|r| r.peers.iter());
-        let below = below.into_iter().flatten().map(|b| Cow::Owned(b.decode()));
-        for block in below.chain(parent_node.chain().iter()) {
+        for block in parent_node.chain().iter() {
             for m in &block.implicit_msgs {
                 if let ImplicitMsg::CommitChildCheckpoint { signed } = m {
                     let first = || (block.header.epoch, signed.clone());
@@ -54,8 +52,7 @@ impl HierarchyRuntime {
     /// Light-client audit of a subnet's checkpoint chain as committed in
     /// its parent. From the parent SCA's recorded head it follows `prev`
     /// over the checkpoints the parent's committed blocks carry — the
-    /// blocks below a snapshot install (the parent record's `peers`), then
-    /// the parent's own chain, decoded one block at a time — and verifies
+    /// parent's own chain, decoded one block at a time — and verifies
     /// that (1) every checkpoint names `subnet` as its source, (2) the
     /// `prev` pointers form an unbroken hash chain of committed checkpoints
     /// from the recorded head down to [`Cid::NIL`], (3) epochs strictly

@@ -4,7 +4,8 @@
 //! The simulation runs one node per subnet, standing in for that subnet's
 //! honest validator quorum — so "crashing" the node halts the subnet's
 //! block production entirely, while the finalized chain survives on the
-//! subnet's remaining peers (the record's copy, `SubnetRecord::peers`). A
+//! subnet's remaining peers (the record's copy, `SubnetRecord::peers`,
+//! held while no live node holds the chain). A
 //! crash is `SubnetNode::crash`, which hands back what outlives the node; a
 //! rejoin rebuilds it from genesis via the recorded boot parameters and
 //! restarts it catching up (`SubnetNode::restart`). The node then catches
@@ -29,11 +30,13 @@
 //! *snapshot* first assembles the latest checkpoint-anchored state
 //! manifest closure from peers — [`hc_net::ResolutionMsg::BlobPull`]
 //! requests answered by bounded [`hc_net::ResolutionMsg::BlobBatch`]
-//! replies, every chunk verified against its CID in a staging store and
-//! the assembled root verified against the consensus-committed block
-//! header at the anchor epoch — then replays only the post-checkpoint
-//! suffix. Both strategies run entirely through the faulty network under
-//! the same retry policy.
+//! replies, every chunk verified against its CID in a staging store —
+//! then, as a recovery fast-forward does, chains the blocks it covers as
+//! the peers hold them, installs it against its own committed header at
+//! the anchor epoch, and replays only the post-checkpoint suffix. Either
+//! way the node ends holding the chain from epoch 1, and the record's copy
+//! is dropped. Both strategies run entirely through the faulty network
+//! under the same retry policy.
 //!
 //! The node faults of the fault plan ([`hc_net::FaultKind::Crash`] and
 //! the crash leg of [`hc_net::FaultKind::RegionOutage`]) are driven
@@ -42,6 +45,7 @@
 //! [`HierarchyRuntime::crash_node`] / [`HierarchyRuntime::rejoin_node`]
 //! directly.
 
+use hc_chain::History;
 use hc_net::{FaultKind, FaultPlan, FaultRule, ResolutionMsg, BLOB_BATCH_CAP};
 use hc_types::SubnetId;
 
@@ -409,8 +413,8 @@ impl HierarchyRuntime {
     /// in bounded batches — and refreshes the validator set the node
     /// replays under; then the node acts on what it received
     /// ([`SubnetNode::catch_up`]). The peers sit in the node's region, so
-    /// their replies leave with the node as origin. Once the node is live,
-    /// the record keeps only the blocks its snapshot covered.
+    /// their replies leave with the node as origin. Once the node is live
+    /// it holds the whole chain, and the record keeps no copy of it.
     fn advance_catch_up(&mut self, subnet: &SubnetId) -> Result<(), RuntimeError> {
         let now_ms = self.now_ms;
         let mut inbox = self.poll_network(subnet, now_ms)?;
@@ -455,9 +459,9 @@ impl HierarchyRuntime {
             network: &self.network,
             now_ms,
         };
-        let workers = self.config.parallelism;
-        if let Some(covered) = node.catch_up(inbox, &peers, workers, &mut self.chaos)? {
-            record.peers.truncate(covered);
+        node.catch_up(inbox, &peers, self.config.parallelism, &mut self.chaos)?;
+        if node.is_live() {
+            record.peers = History::default();
         }
         Ok(())
     }

@@ -23,6 +23,7 @@ use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
 use hc_chain::{
     execute_block_with, produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions, Mempool,
+    StoredBlock,
 };
 use hc_consensus::{
     make_engine, BlockOpportunity, Consensus, ConsensusKind, EngineParams, ValidatorSet,
@@ -431,18 +432,22 @@ impl SubnetNode {
     }
 
     /// Re-commits one past block whose state arrives wholesale from a
-    /// snapshot: burns its consensus draw and repeats, through
+    /// snapshot: burns its consensus draw, chains it, and repeats, through
     /// [`SubnetNode::skip_block`], the bookkeeping that outlives execution
-    /// — without validating, executing or hashing anything. `append`
-    /// chains the block (recovery fast-forward keeps full history); the
-    /// snapshot-covered prefix of a rejoining node is not chained.
-    pub(crate) fn skip_past(&mut self, block: &Block, append: bool) -> Result<(), RuntimeError> {
+    /// — without executing it. A recovery fast-forward's journaled block is
+    /// chained validated; a rejoin chains `stored`, its peers' copy of the
+    /// block, as they hold it, which hashes nothing.
+    pub(crate) fn skip_past(
+        &mut self,
+        block: &Block,
+        stored: Option<&StoredBlock>,
+    ) -> Result<(), RuntimeError> {
         let opportunity = self.draw_slot(block.header.epoch)?;
-        if append {
-            self.chain
-                .append(block.clone())
-                .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        }
+        let chained = match stored {
+            Some(stored) => self.chain.append_stored(stored),
+            None => self.chain.append(block.clone()),
+        };
+        chained.map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
         self.skip_block(block, &opportunity);
         Ok(())
     }
@@ -457,7 +462,7 @@ impl SubnetNode {
     /// hashing. This is the one place a committed block reaches the pool,
     /// so a live, replayed, caught-up or skipped block all teach it the
     /// same nonces; a block skipped ahead of its snapshot reads a tree
-    /// that is behind, and [`SubnetNode::install_manifest`] settles its
+    /// that is behind, and [`SubnetNode::install_snapshot`] settles its
     /// senders again. Every step is idempotent on a live node, whose
     /// proposer already drained the same queues and advanced the same
     /// cursors when it assembled the block.
@@ -612,19 +617,20 @@ impl SubnetNode {
         self.tree.persist(&self.store)
     }
 
-    /// The one way a persisted snapshot replaces a node's state: decode
-    /// `manifest` from `source`, check its root against the state root the
-    /// subnet's consensus committed in the header at the anchor epoch,
-    /// rebuild the tree from the manifest's closure, swap it in, and
-    /// settle the pool floor of every sender the chain holds a message of
-    /// against it. The committed header is the trust root — chunks
-    /// verified only against their CIDs could still be a
-    /// consistent-but-wrong state.
-    pub(crate) fn install_manifest(
+    /// The one way a persisted snapshot replaces a node's state, for a
+    /// rejoin and a recovery fast-forward alike, once the node has chained
+    /// the blocks the snapshot covers: decode `manifest` from `source`,
+    /// check its root against the state root this node's chain committed
+    /// in its header at `epoch`, rebuild the tree from the manifest's
+    /// closure, swap it in, and settle the pool floor of every sender the
+    /// chain holds a message of against it. The committed header is the
+    /// trust root — chunks verified only against their CIDs could still be
+    /// a consistent-but-wrong state.
+    pub(crate) fn install_snapshot(
         &mut self,
         manifest: &Cid,
         source: &CidStore,
-        committed_root: Option<Cid>,
+        epoch: ChainEpoch,
     ) -> Result<(), RuntimeError> {
         let decoded = source
             .get(manifest)
@@ -632,6 +638,7 @@ impl SubnetNode {
             .ok_or_else(|| {
                 RuntimeError::Execution(format!("snapshot manifest {manifest} missing or corrupt"))
             })?;
+        let committed_root = self.chain.header_at(epoch).map(|h| h.state_root);
         if committed_root != Some(decoded.root) {
             return Err(RuntimeError::Execution(format!(
                 "snapshot root {} does not match the committed header root {committed_root:?}",
@@ -644,20 +651,6 @@ impl SubnetNode {
         for block in self.chain.iter() {
             settle_floors(&self.tree, &mut self.mempool, &block.signed_msgs);
         }
-        Ok(())
-    }
-
-    /// [`SubnetNode::install_manifest`] against this node's header at
-    /// `epoch`, counted as the persist its skipped cut made live.
-    pub(crate) fn install_anchored(
-        &mut self,
-        manifest: &Cid,
-        source: &CidStore,
-        epoch: ChainEpoch,
-    ) -> Result<(), RuntimeError> {
-        let committed = self.chain.header_at(epoch).map(|h| h.state_root);
-        self.install_manifest(manifest, source, committed)?;
-        self.stats.state_persists += 1;
         Ok(())
     }
 
@@ -986,9 +979,9 @@ mod tests {
         include(&mut rt, spent.clone());
         let node = rt.nodes.get_mut(&root).unwrap();
         let (store, manifest) = (node.store.clone(), node.tree.persist(&node.store));
-        let committed = node.chain.head_block().map(|b| b.header.state_root);
+        let head = node.chain.head_epoch();
         node.mempool = Mempool::new();
-        node.install_manifest(&manifest, &store, committed).unwrap();
+        node.install_snapshot(&manifest, &store, head).unwrap();
         assert_eq!(
             node.mempool.push_sealed_with_fee(spent, 0),
             PushOutcome::Duplicate

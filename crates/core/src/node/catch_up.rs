@@ -1,17 +1,19 @@
 //! A node catching itself up (paper §II: a subnet's full nodes sync its
 //! chain from their peers). A node restarted after a crash — or by a
 //! recovery fast-forward short of its anchor — is in [`Mode::CatchingUp`]
-//! until it holds its peers' chain. It acts on the sync traffic its front
-//! door ([`SubnetNode::poll`]) read: it re-executes the blocks its peers
-//! send, or first assembles, verifies and installs their snapshot; it pulls
-//! what it still lacks under its own [`Backoff`]; and it goes live by
-//! itself. The runtime stands in for the peers: it answers the pulls and
-//! refreshes the validator set from the parent chain, and nothing else.
-//! State changes only through blocks, so the blocks it re-executes (or
-//! the snapshot it installs) bring every account its subnet installed:
-//! nothing is re-installed beside them.
+//! until it holds its peers' chain, from epoch 1 to their head. It acts on
+//! the sync traffic its front door ([`SubnetNode::poll`]) read: it
+//! re-executes the blocks its peers send, or first assembles their
+//! snapshot, chains the blocks it covers as the peers hold them and
+//! installs it, as a recovery fast-forward does; it pulls what it still
+//! lacks under its own [`Backoff`]; and it goes live by itself. The
+//! runtime stands in for the peers: it answers the pulls and refreshes the
+//! validator set from the parent chain, and nothing else. State changes
+//! only through blocks, so the blocks it re-executes (or the snapshot it
+//! installs) bring every account its subnet installed: nothing is
+//! re-installed beside them.
 
-use hc_chain::{Block, History, Mempool, StoredBlock};
+use hc_chain::{Block, History, Mempool};
 use hc_net::{
     Backoff, BackoffStep, Network, ResolutionMsg, RetryPolicy, SubscriberId, BLOB_BATCH_CAP,
 };
@@ -71,9 +73,6 @@ pub(crate) struct CatchUp {
     /// `Some` while the node is still assembling a snapshot (the fetch
     /// phase precedes any block replay).
     snapshot: Option<SnapshotSync>,
-    /// How many of the peers' blocks the installed snapshot covers: the
-    /// node skipped them and does not chain them.
-    covered: usize,
     /// The node's first block is due one block time after it goes live.
     block_time_ms: u64,
 }
@@ -176,7 +175,6 @@ impl SubnetNode {
             pull: Backoff::due_at(now_ms),
             policy: config.retry,
             snapshot,
-            covered: 0,
             block_time_ms,
         }));
     }
@@ -184,33 +182,32 @@ impl SubnetNode {
     /// One catch-up round on the sync traffic [`SubnetNode::poll`] read,
     /// its blocks re-executed on `workers`. Once the node holds
     /// `peers.history` it goes live, its first block due a block time from
-    /// now, and returns how many of the peers' blocks its own chain does
-    /// not hold: those its snapshot covered.
+    /// now.
     pub(crate) fn catch_up(
         &mut self,
         inbox: SyncInbox,
         peers: &Peers,
         workers: usize,
         stats: &mut ChaosStats,
-    ) -> Result<Option<usize>, RuntimeError> {
+    ) -> Result<(), RuntimeError> {
         let Mode::CatchingUp(mut cu) = std::mem::take(&mut self.mode) else {
-            return Ok(None);
+            return Ok(());
         };
         let done = self.catch_up_round(&mut cu, inbox, peers, workers, stats);
         if !matches!(done, Ok(true)) {
             self.mode = Mode::CatchingUp(cu);
-            return done.map(|_| None);
+            return done.map(|_| ());
         }
         self.next_block_at_ms = peers.now_ms + cu.block_time_ms;
         stats.catch_ups_completed += 1;
-        Ok(Some(cu.covered))
+        Ok(())
     }
 
     /// The body of [`SubnetNode::catch_up`]. While a snapshot is being
     /// assembled: fold received blobs into the staging store
     /// (content-addressed, so corrupt or unrelated blobs land under a
-    /// different CID and are never asked for again), and install it once
-    /// its closure is whole. After: re-commit the received blocks that
+    /// different CID and are never asked for again), and bootstrap from it
+    /// once its closure is whole. After: re-commit the received blocks that
     /// extend the head — duplicated or overlapping batches are harmless —
     /// and report whether the node holds its peers' chain. Either way,
     /// (re)pull what is missing.
@@ -237,7 +234,7 @@ impl SubnetNode {
             let cids = sync.wanted()?;
             stats.blobs_synced += accepted;
             if cids.is_empty() {
-                self.install_snapshot(cu, peers, stats)?;
+                self.bootstrap_from_snapshot(cu, peers, stats)?;
                 return Ok(false);
             }
             let reply_topic = self.subnet_id.topic();
@@ -270,7 +267,7 @@ impl SubnetNode {
                 stats.blocks_caught_up += 1;
                 cu.pull = Backoff::due_at(now_ms);
             }
-            if cu.covered + self.chain.len() >= peers.history.len() {
+            if self.chain.len() >= peers.history.len() {
                 return Ok(true);
             }
             ResolutionMsg::BlockPull {
@@ -308,22 +305,30 @@ impl SubnetNode {
         Ok(false)
     }
 
-    /// Installs the assembled snapshot: swaps in the staged state once it
-    /// verifies against the consensus-committed header at the anchor epoch,
-    /// skips the node past the blocks it covers, and re-bases the chain on
-    /// the anchor. From here catch-up replays the post-anchor suffix.
-    fn install_snapshot(
+    /// Bootstraps the node from the assembled snapshot the way a recovery
+    /// fast-forward does: chains the blocks the snapshot covers as the
+    /// peers hold them, walking each through [`SubnetNode::skip_past`] —
+    /// the snapshot replaces execution, not history, so every covered
+    /// block still realigns the consensus RNG, the cross-net nonce cursors
+    /// and the mempool exactly as a per-block replay would, and the node
+    /// resumes mid-conversation with its parent — then installs the staged
+    /// state against its own header at the anchor epoch
+    /// ([`SubnetNode::install_snapshot`]). From here catch-up replays the
+    /// post-anchor suffix.
+    fn bootstrap_from_snapshot(
         &mut self,
         cu: &mut CatchUp,
         peers: &Peers,
         stats: &mut ChaosStats,
     ) -> Result<(), RuntimeError> {
         let sync = cu.snapshot.as_ref().expect("a snapshot is being assembled");
-        let anchor_epoch = sync.anchor_epoch;
-        // The anchor's CID comes from storage; only its header is decoded.
-        let anchor = peers.history.get_by_epoch(anchor_epoch);
-        let committed_root = anchor.map(|b| b.header().state_root);
-        self.install_manifest(&sync.manifest, &sync.staging, committed_root)?;
+        // One block is decoded at a time; its CID comes from storage.
+        let covered = peers.history.iter();
+        let covered = covered.take_while(|b| b.epoch() <= sync.anchor_epoch);
+        for stored in covered {
+            self.skip_past(&stored.decode(), Some(stored))?;
+        }
+        self.install_snapshot(&sync.manifest, &sync.staging, sync.anchor_epoch)?;
         // Adopt the manifest's full closure — fixed chunks AND every
         // account-HAMT node — so the node's store can serve the same
         // snapshot (and GC can pin it) after the swap (content-addressed
@@ -335,22 +340,6 @@ impl SubnetNode {
         }
         cu.snapshot = None;
         cu.pull = Backoff::due_at(peers.now_ms);
-        // The snapshot replaces execution, not history: every covered
-        // block still realigns the consensus RNG, the cross-net nonce
-        // cursors and the mempool's floors exactly as a per-block replay
-        // would, so the node resumes mid-conversation with its parent. One
-        // block is decoded at a time.
-        let covered = peers
-            .history
-            .iter()
-            .take_while(|b| b.epoch() <= anchor_epoch);
-        for stored in covered {
-            self.skip_past(&stored.decode(), false)?;
-            cu.covered += 1;
-        }
-        let anchor_cid = anchor.map(StoredBlock::cid);
-        let anchor_cid = anchor_cid.expect("install verified against the anchor header");
-        self.chain.reset_to_snapshot_base(anchor_epoch, anchor_cid);
         self.next_block_at_ms = u64::MAX;
         stats.snapshot_installs += 1;
         Ok(())
@@ -449,7 +438,8 @@ mod tests {
                 network: &network,
                 now_ms,
             };
-            node.catch_up(inbox, &peers, 1, &mut stats).unwrap()
+            node.catch_up(inbox, &peers, 1, &mut stats).unwrap();
+            node.is_live()
         };
         let opening = vec![
             batches[1].clone(),
@@ -457,18 +447,17 @@ mod tests {
             batches[0].clone(),
             batches[0].clone(),
         ];
-        let mut covered = round(&mut node, opening, now_ms);
+        let mut done = round(&mut node, opening, now_ms);
         for _ in 0..batches.len() {
-            if covered.is_some() {
+            if done {
                 break;
             }
             now_ms += 100;
             let rest = batches.iter().rev().flat_map(|b| [b.clone(), b.clone()]);
-            covered = round(&mut node, rest.collect(), now_ms);
+            done = round(&mut node, rest.collect(), now_ms);
         }
 
-        assert_eq!(covered, Some(0), "a replay covers nothing by snapshot");
-        assert!(node.is_live(), "the node left catch-up by itself");
+        assert!(done, "the node left catch-up by itself");
         assert_eq!(stats.blocks_rejected, 1, "the forgery was counted");
         assert_eq!(stats.blocks_caught_up, n as u64);
         assert_eq!(stats.catch_ups_completed, 1);
@@ -477,6 +466,7 @@ mod tests {
             (block.cid(), block.header.state_root, node.next_epoch)
         };
         assert_eq!(head(&node), head(live));
+        assert_eq!(node.chain.len(), n, "the node holds the chain from epoch 1");
         assert_eq!(node.tree.recompute_root(), live.tree.recompute_root());
         let cursors = |node: &SubnetNode| {
             let pool = node.cross_pool();

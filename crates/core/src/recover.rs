@@ -6,10 +6,11 @@
 //! node through the same two doors a live block does —
 //! [`SubnetNode::commit_block`](crate::SubnetNode) after re-execution, or
 //! its receipt-less prefix `skip_block` inside a fast-forwarded region
-//! whose state is installed from the checkpoint-anchored manifest — and
-//! its outward effects re-run through the live `post_tick` with journaling
-//! and gossip suppressed. A fast-forward the scan leaves short of its
-//! anchor restarts as a rejoin does, its journaled blocks as peer chain.
+//! whose state is installed from the checkpoint-anchored manifest, through
+//! the install a snapshot rejoin takes — and its outward effects re-run
+//! through the live `post_tick` with journaling and gossip suppressed. A
+//! fast-forward the scan leaves short of its anchor restarts as a rejoin
+//! does, its journaled blocks as peer chain.
 
 use std::collections::BTreeMap;
 
@@ -190,15 +191,14 @@ impl HierarchyRuntime {
                 if epoch == target_epoch {
                     // The fast-forward target: install the anchored
                     // snapshot, verified against the committed header of
-                    // the skipped block at the anchor epoch (it counts as
-                    // the persist the skipped cut performed live), and
-                    // resume normal replay from here.
+                    // the skipped block at the anchor epoch, and resume
+                    // normal replay from here.
                     let Some(node) = self.nodes.get_mut(&subnet) else {
                         return false;
                     };
                     if manifest != target_manifest
                         || node
-                            .install_anchored(&manifest, &self.store, epoch)
+                            .install_snapshot(&manifest, &self.store, epoch)
                             .is_err()
                     {
                         return false;
@@ -237,7 +237,7 @@ impl HierarchyRuntime {
         self.refresh_validators(subnet);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         if skip {
-            node.skip_past(&block, true)?;
+            node.skip_past(&block, None)?;
             self.now_ms = self.now_ms.max(at_ms);
         } else {
             let outcome = node.reexecute(&block, self.config.parallelism)?;

@@ -1,8 +1,9 @@
 //! Per-subnet records: what the runtime remembers about a subnet *beside*
 //! its node, and so across that node's crashes — how it was booted, where
-//! it is placed, its snapshot manifests, the subnet's chain as its peers hold it where the
-//! node's own chain does not, what survives the node while it is down, and
-//! the inbox of what was handed to the subnet while no node of it ran.
+//! it is placed, its snapshot manifests, the subnet's chain as its peers
+//! hold it while no live node does, what survives the node while it is
+//! down, and the inbox of what was handed to the subnet while no node of it
+//! ran.
 //! Whether a node is live or catching up is the node's own mode.
 //!
 //! One map holds all of it, so retiring a subnet is one `remove` that
@@ -34,11 +35,9 @@ pub(crate) struct SubnetRecord {
     /// node again.
     pub(crate) region: Option<String>,
     /// The subnet's finalized chain as its peers hold it, in wire form,
-    /// where the node's own chain does not: all of it while the node is
-    /// down or catching up — the peers serve a catch-up's pulls from it —
-    /// and, once a snapshot-synced node is live, the blocks below its
-    /// install boundary, so a later crash still hands the next restart the
-    /// whole chain.
+    /// while the node is down or catching up — the peers serve a
+    /// catch-up's pulls from it. Empty while the node is live: its own
+    /// chain holds every block from epoch 1, and its crash hands them back.
     pub(crate) peers: History,
     /// Most recent persisted state-manifest CIDs, newest last — the
     /// recency window of the blob GC's live roots.
@@ -151,5 +150,57 @@ impl HierarchyRuntime {
         let syncing = self.nodes.values().filter_map(SubnetNode::syncing_manifest);
         let roots: Vec<Cid> = windows.chain(syncing).collect();
         self.store.prune_unreachable(&roots)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hc_actors::sa::SaConfig;
+    use hc_types::TokenAmount;
+
+    use super::*;
+    use crate::{RuntimeConfig, SyncMode};
+
+    /// A node that rejoined from a snapshot holds its chain from epoch 1
+    /// once it is live, and its record keeps no copy of it.
+    #[test]
+    fn a_live_snapshot_synced_node_holds_its_chain_and_its_record_none() {
+        let whole = TokenAmount::from_whole;
+        let config = RuntimeConfig {
+            sync_mode: SyncMode::Snapshot,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = HierarchyRuntime::new(config);
+        let root = SubnetId::root();
+        let alice = rt.create_user(&root, whole(1_000)).unwrap();
+        let validator = rt.create_user(&root, whole(100)).unwrap();
+        let sa = SaConfig {
+            checkpoint_period: 5,
+            ..SaConfig::default()
+        };
+        let stake = [(validator, whole(5))];
+        let child = rt.spawn_subnet(&alice, sa, whole(10), &stake).unwrap();
+        while rt.checkpoint_anchor(&child).is_none() {
+            rt.step().unwrap();
+        }
+        let cids = |rt: &HierarchyRuntime| {
+            let chain = rt.nodes[&child].chain();
+            chain
+                .iter()
+                .map(|b| (b.header.epoch, b.cid()))
+                .collect::<Vec<_>>()
+        };
+        let before = cids(&rt);
+
+        rt.crash_node(&child).unwrap();
+        rt.rejoin_node(&child).unwrap();
+        while rt.is_catching_up(&child) {
+            assert!(!rt.subnets.by_id[&child].peers.is_empty());
+            rt.step().unwrap();
+        }
+        assert_eq!(rt.chaos_stats().snapshot_installs, 1);
+        assert_eq!(cids(&rt), before);
+        assert_eq!(before[0].0, ChainEpoch::new(1));
+        assert!(rt.subnets.by_id[&child].peers.is_empty());
     }
 }

@@ -9,7 +9,7 @@ use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::sa::SaConfig;
 use hc_core::{RuntimeConfig, SyncMode};
 use hc_state::{ImplicitMsg, Method};
-use hc_types::{CanonicalEncode, SubnetId};
+use hc_types::{CanonicalEncode, ChainEpoch, SubnetId};
 
 /// A child that cuts a checkpoint every five blocks.
 fn five_block_windows() -> SaConfig {
@@ -153,11 +153,11 @@ fn a_resubmitted_checkpoint_resolves_to_its_first_commit() {
     assert_eq!(walk[..first.len()], first[..]);
 }
 
-/// A parent that rejoined from a snapshot holds the blocks below its
-/// install boundary in its record, not in its chain: root → a → a1, a1
-/// crashes, then a; a rejoins under snapshot sync, then a1. a1's chain
-/// still verifies from genesis, and part of it was committed below a's
-/// boundary.
+/// A parent that rejoined from a snapshot holds its chain from epoch 1,
+/// the blocks its snapshot covered too: root → a → a1, a1 crashes, then a;
+/// a rejoins under snapshot sync, then a1. a1's chain still verifies from
+/// genesis over a's one chain, and part of it was committed below a's
+/// install boundary.
 #[test]
 fn a_history_committed_below_a_snapshot_install_verifies() {
     let config = RuntimeConfig {
@@ -183,6 +183,7 @@ fn a_history_committed_below_a_snapshot_install_verifies() {
         h.rt.step().unwrap();
     }
     let installs = h.rt.chaos_stats().snapshot_installs;
+    let (boundary, _) = h.rt.checkpoint_anchor(&a).unwrap();
     h.rt.crash_node(&a).unwrap();
     h.rt.rejoin_node(&a).unwrap();
     while h.rt.is_catching_up(&a) {
@@ -195,9 +196,21 @@ fn a_history_committed_below_a_snapshot_install_verifies() {
 
     let walk = h.rt.verify_checkpoint_chain(&a1).unwrap();
     assert_eq!(walk[..before.len()], before[..]);
-    let above = carried(&h, &a1);
+    let chain = h.rt.node(&a).unwrap().chain();
     assert!(
-        walk.iter().any(|c| !above.contains(c)),
+        chain.header_at(ChainEpoch::new(1)).is_some(),
+        "a's chain starts at genesis"
+    );
+    let covered = chain.iter().take_while(|b| b.header.epoch <= boundary);
+    let below: Vec<SignedCheckpoint> = covered
+        .flat_map(|b| b.implicit_msgs.clone())
+        .filter_map(|m| match m {
+            ImplicitMsg::CommitChildCheckpoint { signed } => Some(signed),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        walk.iter().any(|c| below.contains(c)),
         "some checkpoint was committed below the install boundary"
     );
 }

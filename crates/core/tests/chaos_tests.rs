@@ -115,9 +115,17 @@ fn crash_halts_production_and_rejoin_catches_up() {
 /// the second opening as the first closes (the leaf goes down again in the
 /// step that rejoins it), and the same through direct calls; in both sync
 /// modes the leaf catches up to the chain it held when it first went down,
-/// and the hierarchy settles with exact balances.
+/// every block from epoch 1, and does so again after one more crash once
+/// it is live; the hierarchy settles with exact balances.
 #[test]
 fn a_node_crashed_while_catching_up_rejoins_whole() {
+    // The leaf's chain: its length, and the block at every epoch from 1.
+    let chain_of = |rt: &HierarchyRuntime, subnet: &SubnetId| {
+        let chain = rt.node(subnet).unwrap().chain();
+        let blocks: Vec<(ChainEpoch, Cid)> =
+            chain.iter().map(|b| (b.header.epoch, b.cid())).collect();
+        (chain.len(), blocks)
+    };
     for mode in [SyncMode::Replay, SyncMode::Snapshot] {
         for windows in [true, false] {
             let config = RuntimeConfig {
@@ -141,6 +149,8 @@ fn a_node_crashed_while_catching_up_rejoins_whole() {
                 "a cut to sync from"
             );
             let twin = subnet_fingerprint(&h.rt, &child);
+            let twin_chain = chain_of(&h.rt, &child);
+            assert_eq!(twin_chain.1[0].0, ChainEpoch::new(1));
 
             if windows {
                 let now = h.rt.now_ms();
@@ -183,6 +193,34 @@ fn a_node_crashed_while_catching_up_rejoins_whole() {
                 (caught_up.head, caught_up.head_epoch, caught_up.state_root),
                 (twin.head, twin.head_epoch, twin.state_root),
                 "{mode:?}, windows {windows}: the leaf holds its peers' whole chain"
+            );
+            assert_eq!(
+                chain_of(&h.rt, &child),
+                twin_chain,
+                "{mode:?}, windows {windows}"
+            );
+
+            // Live again, the leaf alone holds its chain: one more crash
+            // hands all of it to the next restart.
+            h.rt.crash_node(&child).unwrap();
+            h.rt.rejoin_node(&child).unwrap();
+            for _ in 0..2_000 {
+                if !h.rt.is_catching_up(&child) {
+                    break;
+                }
+                h.rt.step().unwrap();
+            }
+            let stats = h.rt.chaos_stats();
+            assert_eq!(
+                (stats.crashes, stats.rejoins, stats.catch_ups_completed),
+                (3, 3, 2),
+                "{mode:?}, windows {windows}"
+            );
+            assert_eq!(stats.snapshot_installs, 2 * snapshot, "{mode:?}");
+            assert_eq!(
+                chain_of(&h.rt, &child),
+                twin_chain,
+                "{mode:?}, windows {windows}"
             );
 
             h.rt.cross_transfer(&h.alice, &bob, whole(12)).unwrap();

@@ -721,10 +721,9 @@ fn manual_prune_reclaims_untracked_blobs() {
 }
 
 /// Every block of `rt`'s subnets that this process has seen, by epoch:
-/// `seen` gains what the chains hold now. A chain re-based on a snapshot
-/// holds no prefix, and a crashed node none at all, so callers harvest
-/// before a crash and before the runtime is dropped. A block seen twice is
-/// the same block.
+/// `seen` gains what the chains hold now. A crashed node holds no chain,
+/// so callers harvest before a crash and before the runtime is dropped. A
+/// block seen twice is the same block.
 fn harvest(rt: &HierarchyRuntime, seen: &mut BTreeMap<SubnetId, BTreeMap<u64, hc_chain::Block>>) {
     for subnet in rt.subnets() {
         let chain = seen.entry(subnet.clone()).or_default();

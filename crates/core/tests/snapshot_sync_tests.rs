@@ -97,6 +97,14 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
     // restarts, and the transfer committed while it was dark waits in
     // its pool.
     let rejoined = subnet_fingerprint(&h.rt, &child);
+    let chain = h.rt.node(&child).unwrap().chain();
+    assert_eq!(
+        chain.len(),
+        blocks_before,
+        "the chain holds the covered prefix"
+    );
+    let first = chain.get_by_epoch(ChainEpoch::new(1));
+    assert_eq!(first.map(|b| b.header.epoch), Some(ChainEpoch::new(1)));
     assert_eq!(
         rejoined,
         SubnetFingerprint {

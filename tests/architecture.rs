@@ -766,12 +766,35 @@ fn a_node_owns_its_fields() {
     );
 }
 
-/// DESIGN.md §12, "Live crash–rejoin and catch-up": a node drives its own
-/// catch-up. A subnet's record keeps neither a catch-up nor a second copy of
-/// the peers' chain; `CatchUp` and `SnapshotSync` are declared under
-/// `node/`, where the snapshot re-base is called; and the runtime's half,
-/// `chaos.rs`, stays within 500 lines. (No other file can write the node's
-/// pool or chain: its fields are private, see `a_node_owns_its_fields`.)
+/// The functions declared in `src` whose signature — from `fn` to the
+/// opening brace — holds `needle`, by name.
+fn fns_whose_signature_holds<'a>(src: &'a str, needle: &str) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for (at, _) in src.match_indices("fn ") {
+        if at > 0 && src[..at].chars().next_back().is_some_and(is_word) {
+            continue;
+        }
+        let rest = &src[at + 3..];
+        let name = &rest[..rest.find(|c: char| !is_word(c)).unwrap_or(rest.len())];
+        let signature = &rest[..rest.find('{').unwrap_or(rest.len())];
+        if !name.is_empty() && signature.contains(needle) {
+            out.push(name);
+        }
+    }
+    out
+}
+
+/// DESIGN.md §12, "Live crash–rejoin and catch-up", and §13, "Verification
+/// and install": a node drives its own catch-up, and bootstraps from a
+/// snapshot one way. A subnet's record keeps no catch-up; `CatchUp` and
+/// `SnapshotSync` are declared under `node/`; no chain is re-based on a
+/// snapshot anchor (`reset_to_snapshot_base` is gone from the workspace),
+/// so a node's chain starts at epoch 1; one `SubnetNode` method takes a
+/// manifest to install — the one function that builds a tree from one —
+/// and only a catch-up (`node/catch_up.rs`) and a recovery (`recover.rs`)
+/// call it; and the runtime's half, `chaos.rs`, stays within 500 lines.
+/// (No other file can write the node's pool or chain: its fields are
+/// private, see `a_node_owns_its_fields`.)
 #[test]
 fn a_node_drives_its_own_catch_up() {
     let subnets = read_rel("crates/core/src/subnets.rs");
@@ -804,10 +827,46 @@ fn a_node_drives_its_own_catch_up() {
         decls.len() == 2 && decls.iter().all(|d| d.starts_with(node)),
         "DESIGN.md §12: `CatchUp` and `SnapshotSync` are declared once, under node/; found {decls:#?}"
     );
-    let rebases = core_calls("reset_to_snapshot_base(");
+    let rust = files_under("");
+    let rust = rust
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"));
+    let rebases = hits(rust, |s| s, |l| l.contains("reset_to_snapshot_base"));
     assert!(
-        !rebases.is_empty() && rebases.iter().all(|c| c.starts_with(node)),
-        "DESIGN.md §12: a snapshot re-bases the chain only inside the node; found {rebases:#?}"
+        rebases.is_empty(),
+        "DESIGN.md §13: a node's chain starts at epoch 1, never re-based on an anchor; found {rebases:#?}"
+    );
+    let mut installs = Vec::new();
+    let node_files = [root().join("crates/core/src/node.rs")];
+    for path in node_files.iter().chain(&files_under(node)) {
+        let text = read(path);
+        for name in fns_whose_signature_holds(non_test(&text), "manifest: &Cid") {
+            installs.push(format!("{}: {name}", rel(path)));
+        }
+    }
+    assert_eq!(
+        installs,
+        ["crates/core/src/node.rs: install_snapshot"],
+        "DESIGN.md §13: one `SubnetNode` method installs a snapshot"
+    );
+    assert_eq!(
+        core_calls("from_manifest("),
+        ["crates/core/src/node.rs: install_snapshot"],
+        "DESIGN.md §13: only the one install builds a tree from a manifest"
+    );
+    let callers = core_calls("install_snapshot(");
+    let allowed = [
+        "crates/core/src/node/catch_up.rs:",
+        "crates/core/src/recover.rs:",
+    ];
+    assert!(
+        allowed
+            .iter()
+            .all(|file| callers.iter().any(|c| c.starts_with(file)))
+            && callers
+                .iter()
+                .all(|c| allowed.iter().any(|file| c.starts_with(file))),
+        "DESIGN.md §13: a rejoin's catch-up and a recovery install a snapshot, nothing else; found {callers:#?}"
     );
     let chaos = read_rel("crates/core/src/chaos.rs").lines().count();
     assert!(
@@ -1769,8 +1828,9 @@ fn a_block_executes_one_way() {
 /// Actor and every BFT engine applies one quorum rule — `SignaturePolicy`
 /// is a struct over a signer set, not a choice of schemes, and its count
 /// (more than two-thirds) is written once — and the history a light client
-/// audits is read from the parent's committed blocks, where each checkpoint
-/// is held once: no copy on the subnet's record or in the runtime, and no
+/// audits is read from the parent's committed blocks — its chain, which
+/// holds them from epoch 1 — where each checkpoint is held once: no copy
+/// on the subnet's record or in the runtime, and no
 /// AMT, proof or GC pin whose root nothing commits to.
 #[test]
 fn a_checkpoint_is_checked_one_way() {
@@ -1837,11 +1897,12 @@ fn a_checkpoint_is_checked_one_way() {
     );
     assert!(
         verify_fn.contains("self.committed_checkpoints(")
-            && ["CommitChildCheckpoint", ".peers", ".chain().iter()"]
+            && ["CommitChildCheckpoint", ".chain().iter()"]
                 .iter()
-                .all(|read| read_fn.contains(read)),
+                .all(|read| read_fn.contains(read))
+            && !read_fn.contains(".peers"),
         "DESIGN.md §7: `verify_checkpoint_chain` reads the checkpoints the parent's committed \
-         blocks carry (`committed_checkpoints`): its record's `peers`, then its chain"
+         blocks carry (`committed_checkpoints`) from its chain alone, not its record's `peers`"
     );
     let archive = ["crates/core/src/archive.rs", "crates/core/src/subnets.rs"];
     let archive: Vec<PathBuf> = archive.iter().map(|p| root().join(p)).collect();
