@@ -10,7 +10,7 @@
 //!   internal pool for messages originating in and targeting the subnet,
 //!   and a [`CrossMsgPool`] tracking unverified cross-net messages;
 //! * [`store`] — the append-only chain store: the head decoded, history
-//!   in wire form;
+//!   in LZ-compressed wire form;
 //! * [`executor`] — block production and validation against an
 //!   `hc-state` [`StateTree`](hc_state::StateTree);
 //! * [`schedule`] — deterministic access-set scheduling that partitions a
@@ -22,6 +22,7 @@
 
 pub mod block;
 pub mod executor;
+mod lz;
 pub mod mempool;
 pub mod schedule;
 pub mod store;

@@ -1,5 +1,6 @@
 //! The chain store: an append-only sequence of blocks from epoch 1, in
-//! memory, only the head decoded. A block joins it validated
+//! memory, only the head decoded and the history LZ-compressed. A block
+//! joins it validated
 //! ([`ChainStore::append`]) or, when another store already validated it —
 //! a syncing node's peers' copy of its chain — as that store holds it
 //! ([`ChainStore::append_stored`]); either way it must extend the head.
@@ -13,6 +14,7 @@ use std::sync::OnceLock;
 use hc_types::{ByteReader, CanonicalDecode, CanonicalEncode, ChainEpoch, Cid, SubnetId};
 
 use crate::block::{Block, BlockHeader};
+use crate::lz;
 
 /// Errors returned by [`ChainStore::append`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,28 +59,32 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// One committed block below its chain's head, held in its canonical
-/// encoding — the bytes a `BlockBatch` ships — beside the epoch and CID
-/// worked out when it was appended. Nothing in it is hashed again: the
-/// CID comes from storage, and [`StoredBlock::decode`] hands it to the
-/// block it decodes.
+/// One committed block below its chain's head, held as the LZ-compressed
+/// form of its canonical encoding — the bytes a `BlockBatch` ships —
+/// beside the epoch and CID worked out when it was appended. Nothing in it
+/// is hashed again: the CID comes from storage, and
+/// [`StoredBlock::decode`] hands it to the block it decodes.
 #[derive(Debug, Clone)]
 pub struct StoredBlock {
     epoch: ChainEpoch,
     cid: Cid,
-    bytes: Box<[u8]>,
+    /// The canonical encoding, compressed.
+    packed: Box<[u8]>,
     /// The block, decoded by a [`ChainStore::get`] or
     /// [`ChainStore::get_by_epoch`] below the head; empty otherwise.
     memo: OnceLock<Box<Block>>,
 }
 
 impl StoredBlock {
-    /// Encodes `block`, whose CID `cid` its store already worked out.
-    fn encode(block: &Block, cid: Cid) -> Self {
+    /// Stores `block`, whose CID `cid` its store already worked out, in
+    /// `packed` if it came from storage, else encoded and compressed.
+    fn new(block: &Block, cid: Cid, packed: Option<Box<[u8]>>) -> Self {
+        let packed =
+            packed.unwrap_or_else(|| lz::compress(&block.canonical_bytes()).into_boxed_slice());
         StoredBlock {
             epoch: block.header.epoch,
             cid,
-            bytes: block.canonical_bytes().into_boxed_slice(),
+            packed,
             memo: OnceLock::new(),
         }
     }
@@ -93,19 +99,20 @@ impl StoredBlock {
         self.cid
     }
 
-    /// The block's canonical encoding.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The block's canonical encoding, decompressed.
+    pub fn canonical_bytes(&self) -> Vec<u8> {
+        lz::decompress(&self.packed).expect("a stored block decompresses")
     }
 
-    /// The block's header, decoded from the front of its bytes alone.
+    /// The block's header, decoded from the front of its canonical bytes.
     pub fn header(&self) -> BlockHeader {
-        BlockHeader::read_bytes(&mut ByteReader::new(&self.bytes)).expect("a stored block decodes")
+        let bytes = self.canonical_bytes();
+        BlockHeader::read_bytes(&mut ByteReader::new(&bytes)).expect("a stored block decodes")
     }
 
     /// The whole block, decoded afresh, its CID taken from storage.
     pub fn decode(&self) -> Block {
-        Block::decode_stored(&self.bytes, self.cid)
+        Block::decode_stored(&self.canonical_bytes(), self.cid)
     }
 
     /// The decoded block, kept in the memo from the first call on.
@@ -114,10 +121,19 @@ impl StoredBlock {
     }
 }
 
-/// Committed blocks in wire form, oldest first, epochs strictly ascending:
+/// Equal as held: epoch, CID and compressed bytes, whatever the memo.
+impl PartialEq for StoredBlock {
+    fn eq(&self, other: &Self) -> bool {
+        (self.epoch, self.cid, &self.packed) == (other.epoch, other.cid, &other.packed)
+    }
+}
+
+impl Eq for StoredBlock {}
+
+/// Committed blocks as stored, oldest first, epochs strictly ascending:
 /// a chain's history below its head, or the copy of a whole chain that a
 /// crashed node's peers keep and serve to its rejoin.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct History {
     blocks: Vec<StoredBlock>,
 }
@@ -143,19 +159,19 @@ impl History {
         Some(&self.blocks[i])
     }
 
-    /// Iterates over the blocks oldest → newest, still encoded.
+    /// Iterates over the blocks oldest → newest, still compressed.
     pub fn iter(&self) -> std::slice::Iter<'_, StoredBlock> {
         self.blocks.iter()
     }
 
-    /// The bytes of at most `cap` blocks from `from` on, copied as stored:
-    /// a `BlockPull` answer.
+    /// The canonical bytes of at most `cap` blocks from `from` on: a
+    /// `BlockPull` answer.
     pub fn serve(&self, from: ChainEpoch, cap: usize) -> Vec<Vec<u8>> {
         let start = self.blocks.partition_point(|b| b.epoch < from);
         let end = self.blocks.len().min(start + cap);
         self.blocks[start..end]
             .iter()
-            .map(|b| b.bytes.to_vec())
+            .map(StoredBlock::canonical_bytes)
             .collect()
     }
 
@@ -171,10 +187,12 @@ impl History {
 /// before appending (longest-chain engines only append once a block wins;
 /// BFT engines append finalized blocks directly). Only the head stays
 /// decoded — production and validation read nothing older. When `append`
-/// turns the head into history it is encoded into a [`StoredBlock`], so a
-/// node holds its history in wire form: served to syncing peers as stored,
-/// and read back through a header ([`ChainStore::header_at`]) or one block
-/// at a time ([`ChainStore::iter`], [`ChainStore::into_history`]). Epochs
+/// turns the head into history it is encoded and compressed into a
+/// [`StoredBlock`] — unless it joined as stored, and keeps the bytes it
+/// came in — so a node holds its history in compressed wire form,
+/// decompressed to serve syncing peers and read back through a header
+/// ([`ChainStore::header_at`]) or one block at a time
+/// ([`ChainStore::iter`], [`ChainStore::into_history`]). Epochs
 /// strictly ascend, so an epoch lookup is a binary search, and a CID lookup
 /// goes through the one index beside it.
 #[derive(Debug, Clone)]
@@ -182,6 +200,8 @@ pub struct ChainStore {
     subnet: SubnetId,
     history: History,
     head_block: Option<Block>,
+    /// The head's compressed bytes when it joined as stored.
+    head_packed: Option<Box<[u8]>>,
     /// Position of every stored block: `history` first, then the head.
     by_cid: HashMap<Cid, usize>,
     head: Cid,
@@ -196,6 +216,7 @@ impl ChainStore {
             subnet,
             history: History::default(),
             head_block: None,
+            head_packed: None,
             by_cid: HashMap::new(),
             head: Cid::NIL,
             head_epoch: ChainEpoch::GENESIS,
@@ -258,8 +279,8 @@ impl ChainStore {
         }
     }
 
-    /// The header of the block committed at `epoch`; below the head only
-    /// the header's bytes are decoded.
+    /// The header of the block committed at `epoch`; below the head the
+    /// block is decompressed and only its header decoded.
     pub fn header_at(&self, epoch: ChainEpoch) -> Option<BlockHeader> {
         match &self.head_block {
             Some(head) if head.header.epoch == epoch => Some(head.header.clone()),
@@ -274,17 +295,18 @@ impl ChainStore {
         history.chain(self.head_block.iter().map(Cow::Borrowed))
     }
 
-    /// Consumes the store, handing over the whole chain in wire form: its
-    /// history as held, and the head encoded.
+    /// Consumes the store, handing over the whole chain as stored: its
+    /// history as held, and the head stored as history would hold it.
     pub fn into_history(self) -> History {
         let mut history = self.history;
         if let Some(head) = &self.head_block {
-            history.blocks.push(StoredBlock::encode(head, self.head));
+            let stored = StoredBlock::new(head, self.head, self.head_packed);
+            history.blocks.push(stored);
         }
         history
     }
 
-    /// Appends a block extending the head; the old head is encoded into
+    /// Appends a block extending the head; the old head is stored into
     /// history.
     ///
     /// # Errors
@@ -295,23 +317,35 @@ impl ChainStore {
     pub fn append(&mut self, block: Block) -> Result<Cid, StoreError> {
         block.validate_structure().map_err(StoreError::BadBlock)?;
         let cid = block.cid();
-        self.link(block, cid)
+        self.link(block, cid, None)
     }
 
     /// Appends `stored`, a block another store validated and holds, as it
-    /// is held: its structure is not validated again and its CID is the
-    /// one worked out at its first append, so nothing is hashed.
+    /// is held, with `block`, its decoding ([`StoredBlock::decode`]), as
+    /// the head: its structure is not validated again, its CID is the one
+    /// worked out at its first append and its compressed bytes are kept
+    /// for history, so nothing is hashed, encoded or compressed.
     ///
     /// # Errors
     ///
     /// Fails as [`ChainStore::append`] does, but for structure.
-    pub fn append_stored(&mut self, stored: &StoredBlock) -> Result<Cid, StoreError> {
-        self.link(stored.decode(), stored.cid)
+    pub fn append_stored(&mut self, block: Block, stored: &StoredBlock) -> Result<Cid, StoreError> {
+        debug_assert_eq!(
+            block.header.epoch, stored.epoch,
+            "the block is the stored one"
+        );
+        self.link(block, stored.cid, Some(stored.packed.clone()))
     }
 
-    /// Makes `block`, whose CID is `cid`, the head once it extends the
-    /// current one; the old head is encoded into history.
-    fn link(&mut self, block: Block, cid: Cid) -> Result<Cid, StoreError> {
+    /// Makes `block`, whose CID is `cid` and whose compressed bytes are
+    /// `packed` if it came from storage, the head once it extends the
+    /// current one; the old head is stored into history.
+    fn link(
+        &mut self,
+        block: Block,
+        cid: Cid,
+        packed: Option<Box<[u8]>>,
+    ) -> Result<Cid, StoreError> {
         if block.header.subnet != self.subnet {
             return Err(StoreError::WrongSubnet(block.header.subnet.clone()));
         }
@@ -332,10 +366,10 @@ impl ChainStore {
         }
         self.by_cid.insert(cid, self.len());
         self.head_epoch = block.header.epoch;
+        let old_packed = std::mem::replace(&mut self.head_packed, packed);
         if let Some(old) = self.head_block.replace(block) {
-            self.history
-                .blocks
-                .push(StoredBlock::encode(&old, self.head));
+            let stored = StoredBlock::new(&old, self.head, old_packed);
+            self.history.blocks.push(stored);
         }
         self.head = cid;
         Ok(cid)
@@ -467,18 +501,28 @@ mod tests {
         let mut peers = ChainStore::new(SubnetId::root());
         let c1 = peers.append(block_at(1, Cid::NIL)).unwrap();
         let c2 = peers.append(block_at(2, c1)).unwrap();
-        let history = peers.into_history();
-        let stored: Vec<&StoredBlock> = history.iter().collect();
+        // The peers hold each block as one literal run, a packing the
+        // encoder never picks, so bytes kept are told from bytes redone.
+        let stored: Vec<StoredBlock> = peers
+            .into_history()
+            .iter()
+            .map(|s| StoredBlock {
+                packed: literal_run(&s.canonical_bytes()),
+                ..s.clone()
+            })
+            .collect();
+        let stored: Vec<&StoredBlock> = stored.iter().collect();
 
         let mut store = ChainStore::new(SubnetId::root());
+        let append = |store: &mut ChainStore, s: &StoredBlock| store.append_stored(s.decode(), s);
         assert!(matches!(
-            store.append_stored(stored[1]),
+            append(&mut store, stored[1]),
             Err(StoreError::ParentMismatch { .. })
         ));
-        assert_eq!(store.append_stored(stored[0]), Ok(c1));
-        assert_eq!(store.append_stored(stored[1]), Ok(c2));
+        assert_eq!(append(&mut store, stored[0]), Ok(c1));
+        assert_eq!(append(&mut store, stored[1]), Ok(c2));
         assert_eq!(
-            store.append_stored(stored[1]),
+            append(&mut store, stored[1]),
             Err(StoreError::DuplicateBlock(c2))
         );
         assert_eq!((store.len(), store.head(), store.decoded_len()), (2, c2, 1));
@@ -488,6 +532,25 @@ mod tests {
         let c3 = store.append(block_at(3, c2)).unwrap();
         assert_eq!(store.get_by_epoch(ChainEpoch::new(1)).unwrap().cid(), c1);
         assert_eq!(store.head(), c3);
+        // The stored blocks keep the bytes they came in.
+        let history = store.into_history();
+        assert_eq!(history.iter().take(2).collect::<Vec<_>>(), stored);
+    }
+
+    /// `bytes` packed as one run of literals.
+    fn literal_run(bytes: &[u8]) -> Box<[u8]> {
+        let mut packed = Vec::new();
+        for _ in 0..2 {
+            let mut n = bytes.len();
+            while n >= 0x80 {
+                packed.push(n as u8 | 0x80);
+                n >>= 7;
+            }
+            packed.push(n as u8);
+        }
+        packed.extend_from_slice(bytes);
+        assert_eq!(lz::decompress(&packed).as_deref(), Ok(bytes));
+        packed.into()
     }
 
     #[test]

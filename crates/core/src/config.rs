@@ -57,9 +57,10 @@ pub struct RuntimeConfig {
     /// the same code with nothing spawned; receipts, gas, and state roots
     /// are bit-identical at every setting.
     pub parallelism: usize,
-    /// Ignored; kept because `e2e/src/replay.rs` names it. ROADMAP item 10
-    /// deletes it. A signature verdict lives on the value (DESIGN.md §10
-    /// "Signature verdicts"); a node keeps no set of them to size.
+    /// Ignored; kept because `e2e/src/replay.rs` names it. ROADMAP's
+    /// "Benchmark round two" item deletes it. A signature verdict lives
+    /// on the value (DESIGN.md §10 "Signature verdicts"); a node keeps no
+    /// set of them to size.
     pub sig_cache_capacity: usize,
     /// Durable persistence. The default, [`PersistenceConfig::InMemory`],
     /// journals nothing and preserves the pre-persistence behaviour

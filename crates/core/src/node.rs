@@ -432,23 +432,25 @@ impl SubnetNode {
     }
 
     /// Re-commits one past block whose state arrives wholesale from a
-    /// snapshot: burns its consensus draw, chains it, and repeats, through
+    /// snapshot: burns its consensus draw, repeats, through
     /// [`SubnetNode::skip_block`], the bookkeeping that outlives execution
-    /// — without executing it. A recovery fast-forward's journaled block is
-    /// chained validated; a rejoin chains `stored`, its peers' copy of the
-    /// block, as they hold it, which hashes nothing.
+    /// — without executing it — and chains it. A recovery fast-forward's
+    /// journaled block is chained validated; a rejoin's `block` is decoded
+    /// from `stored`, its peers' copy, and chained with the bytes they
+    /// hold, which hashes, encodes and compresses nothing. A block the
+    /// chain refuses is an error the walk does not continue from.
     pub(crate) fn skip_past(
         &mut self,
-        block: &Block,
+        block: Block,
         stored: Option<&StoredBlock>,
     ) -> Result<(), RuntimeError> {
         let opportunity = self.draw_slot(block.header.epoch)?;
+        self.skip_block(&block, &opportunity);
         let chained = match stored {
-            Some(stored) => self.chain.append_stored(stored),
-            None => self.chain.append(block.clone()),
+            Some(stored) => self.chain.append_stored(block, stored),
+            None => self.chain.append(block),
         };
         chained.map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        self.skip_block(block, &opportunity);
         Ok(())
     }
 

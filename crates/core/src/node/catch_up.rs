@@ -56,7 +56,8 @@ impl Survivor {
 }
 
 /// The surviving peers a catching-up node syncs against, at `now_ms`: their
-/// copy of its chain, in wire form, and the network its pulls cross.
+/// copy of its chain, in compressed wire form, and the network its pulls
+/// cross.
 pub(crate) struct Peers<'a> {
     pub(crate) history: &'a History,
     pub(crate) network: &'a Network<ResolutionMsg>,
@@ -326,7 +327,7 @@ impl SubnetNode {
         let covered = peers.history.iter();
         let covered = covered.take_while(|b| b.epoch() <= sync.anchor_epoch);
         for stored in covered {
-            self.skip_past(&stored.decode(), Some(stored))?;
+            self.skip_past(stored.decode(), Some(stored))?;
         }
         self.install_snapshot(&sync.manifest, &sync.staging, sync.anchor_epoch)?;
         // Adopt the manifest's full closure — fixed chunks AND every

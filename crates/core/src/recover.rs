@@ -237,7 +237,7 @@ impl HierarchyRuntime {
         self.refresh_validators(subnet);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
         if skip {
-            node.skip_past(&block, None)?;
+            node.skip_past(block, None)?;
             self.now_ms = self.now_ms.max(at_ms);
         } else {
             let outcome = node.reexecute(&block, self.config.parallelism)?;

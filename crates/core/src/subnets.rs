@@ -34,7 +34,7 @@ pub(crate) struct SubnetRecord {
     /// default placement. Not journaled: recovery's replayed boots place the
     /// node again.
     pub(crate) region: Option<String>,
-    /// The subnet's finalized chain as its peers hold it, in wire form,
+    /// The subnet's finalized chain as its peers hold it, compressed,
     /// while the node is down or catching up — the peers serve a
     /// catch-up's pulls from it. Empty while the node is live: its own
     /// chain holds every block from epoch 1, and its crash hands them back.

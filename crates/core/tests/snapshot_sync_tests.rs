@@ -135,6 +135,42 @@ fn snapshot_rejoin_installs_verified_state_and_replays_only_suffix() {
     assert_eq!(h.rt.balance(&bob), whole(42));
 }
 
+/// A snapshot rejoin holds its history as its peers do: the covered
+/// prefix keeps the compressed bytes it arrived in, the replayed suffix
+/// compresses to the same bytes, and only the head stays decoded.
+#[test]
+fn a_snapshot_rejoin_holds_the_peers_bytes() {
+    let _serial = serial();
+    let sa = SaConfig {
+        checkpoint_period: 5,
+        ..SaConfig::default()
+    };
+    let config = RuntimeConfig {
+        sync_mode: SyncMode::Snapshot,
+        ..RuntimeConfig::default()
+    };
+    let mut h = Harness::with(config, 1_000_000);
+    let child = h.spawn(&h.alice.clone(), sa);
+    let bob = h.user(&child);
+    h.rt.cross_transfer(&h.alice, &bob, whole(30)).unwrap();
+    h.settle();
+    drive_to_epoch(&mut h.rt, &child, 7);
+    // What the crash leaves its peers.
+    let peers = h.rt.node(&child).unwrap().chain().clone().into_history();
+
+    h.rt.crash_node(&child).unwrap();
+    h.rt.rejoin_node(&child).unwrap();
+    while h.rt.is_catching_up(&child) {
+        h.rt.step().unwrap();
+    }
+    assert_eq!(h.rt.chaos_stats().snapshot_installs, 1);
+    let chain = h.rt.node(&child).unwrap().chain();
+    assert_eq!(chain.decoded_len(), 1);
+    let held = chain.clone().into_history();
+    let prefix: Vec<_> = held.iter().take(peers.len()).collect();
+    assert_eq!(prefix, peers.iter().collect::<Vec<_>>());
+}
+
 /// Bootstrap exactness: with the same seed and crash schedule, a
 /// snapshot-mode rejoin reconverges to byte-identical state roots as a
 /// full-replay rejoin — the snapshot changes the cost, never the state.

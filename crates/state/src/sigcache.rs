@@ -50,7 +50,8 @@ pub struct SigCache {
 
 impl SigCache {
     /// Creates fresh counters. `_capacity` is ignored; kept because
-    /// `e2e/src/replay.rs` names it. ROADMAP item 10 deletes it.
+    /// `e2e/src/replay.rs` names it. ROADMAP's "Benchmark round two" item
+    /// deletes it.
     pub fn new(_capacity: usize) -> Self {
         Self::default()
     }
