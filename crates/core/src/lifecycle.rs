@@ -312,12 +312,12 @@ impl HierarchyRuntime {
             // Snapshot user balances only: system-actor balances (escrow,
             // burnt funds, rewards) are protocol bookkeeping, not
             // user-recoverable value.
-            let balances = node
-                .state()
-                .accounts()
-                .iter()
-                .filter(|(addr, acc)| !addr.is_system() && !acc.balance.is_zero())
-                .map(|(addr, acc)| (*addr, acc.balance));
+            let mut balances = Vec::new();
+            node.state().accounts().for_each(|addr, acc| {
+                if !addr.is_system() && !acc.balance.is_zero() {
+                    balances.push((*addr, acc.balance));
+                }
+            });
             let epoch = node.chain().head_epoch();
             let (snapshot, tree) = hc_actors::StateSnapshot::build(subnet.clone(), epoch, balances);
             let signatures = node.attest(snapshot.cid().as_bytes());

@@ -15,6 +15,8 @@
 //! and counted, not held for ever; one that never comes takes no later
 //! transfer's (`node/tentative.rs`).
 
+use std::collections::BTreeSet;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,8 +32,8 @@ use hc_consensus::{
 };
 use hc_net::{ResolutionMsg, Resolver, SubscriberId};
 use hc_state::{
-    AccountInstall, ChunkManifest, CidStore, ImplicitMsg, Method, Receipt, SealedMessage, SigCache,
-    SigCacheStats, StateTree, VmEvent,
+    AccountInstall, ChunkManifest, CidStore, ImplicitMsg, Method, Receipt, SigCache, SigCacheStats,
+    StateTree, VmEvent,
 };
 use hc_types::{Address, CanonicalEncode, ChainEpoch, Cid, Keypair, Nonce, SubnetId};
 
@@ -109,17 +111,16 @@ fn node_rng(seed: u64, subnet: &SubnetId) -> StdRng {
     StdRng::from_seed(*Cid::digest(&bytes).as_bytes())
 }
 
-/// Raises the pool floor of each sender of `msgs` to the nonce its account
+/// Raises the pool floor of each of `senders` to the nonce its account
 /// expects next in `tree`. Only an authenticated message advances an
 /// account nonce, so a message a block carried but execution rejected —
 /// unknown sender, foreign key, bad signature, nonce gap — moves no floor.
-fn settle_floors<'a>(
+fn settle_floors(
     tree: &StateTree,
     mempool: &mut Mempool,
-    msgs: impl IntoIterator<Item = &'a SealedMessage>,
+    senders: impl IntoIterator<Item = Address>,
 ) {
-    for m in msgs {
-        let from = m.message().from;
+    for from in senders {
         if let Some(account) = tree.accounts().get(from) {
             mempool.set_floor(from, account.nonce);
         }
@@ -437,15 +438,19 @@ impl SubnetNode {
     /// — without executing it — and chains it. A recovery fast-forward's
     /// journaled block is chained validated; a rejoin's `block` is decoded
     /// from `stored`, its peers' copy, and chained with the bytes they
-    /// hold, which hashes, encodes and compresses nothing. A block the
-    /// chain refuses is an error the walk does not continue from.
+    /// hold, which hashes, encodes and compresses nothing. The block's
+    /// senders join `senders`, the set the walk hands
+    /// [`SubnetNode::install_snapshot`]. A block the chain refuses is an
+    /// error the walk does not continue from.
     pub(crate) fn skip_past(
         &mut self,
         block: Block,
         stored: Option<&StoredBlock>,
+        senders: &mut BTreeSet<Address>,
     ) -> Result<(), RuntimeError> {
         let opportunity = self.draw_slot(block.header.epoch)?;
         self.skip_block(&block, &opportunity);
+        senders.extend(block.signed_msgs.iter().map(|m| m.message().from));
         let chained = match stored {
             Some(stored) => self.chain.append_stored(block, stored),
             None => self.chain.append(block),
@@ -465,13 +470,14 @@ impl SubnetNode {
     /// so a live, replayed, caught-up or skipped block all teach it the
     /// same nonces; a block skipped ahead of its snapshot reads a tree
     /// that is behind, and [`SubnetNode::install_snapshot`] settles its
-    /// senders again. Every step is idempotent on a live node, whose
+    /// senders again, from the set the skip walk collected. Every step is idempotent on a live node, whose
     /// proposer already drained the same queues and advanced the same
     /// cursors when it assembled the block.
     pub(crate) fn skip_block(&mut self, block: &Block, opportunity: &BlockOpportunity) {
         let epoch = block.header.epoch;
         self.mempool.remove_included(&block.signed_msgs);
-        settle_floors(&self.tree, &mut self.mempool, &block.signed_msgs);
+        let senders = block.signed_msgs.iter().map(|m| m.message().from);
+        settle_floors(&self.tree, &mut self.mempool, senders);
         self.next_block_at_ms = block.header.timestamp_ms + opportunity.interval_ms;
         self.next_epoch = epoch.next();
         for m in &block.implicit_msgs {
@@ -624,15 +630,18 @@ impl SubnetNode {
     /// the blocks the snapshot covers: decode `manifest` from `source`,
     /// check its root against the state root this node's chain committed
     /// in its header at `epoch`, rebuild the tree from the manifest's
-    /// closure, swap it in, and settle the pool floor of every sender the
-    /// chain holds a message of against it. The committed header is the
-    /// trust root — chunks verified only against their CIDs could still be
-    /// a consistent-but-wrong state.
+    /// closure, swap it in, and settle against it the pool floor of each
+    /// of `senders` — every sender a message of the covered blocks comes
+    /// from, which the skip walk collected ([`SubnetNode::skip_past`]), so
+    /// no block is read again here. The committed header is the trust
+    /// root — chunks verified only against their CIDs could still be a
+    /// consistent-but-wrong state.
     pub(crate) fn install_snapshot(
         &mut self,
         manifest: &Cid,
         source: &CidStore,
         epoch: ChainEpoch,
+        senders: &BTreeSet<Address>,
     ) -> Result<(), RuntimeError> {
         let decoded = source
             .get(manifest)
@@ -649,10 +658,7 @@ impl SubnetNode {
         }
         self.tree = StateTree::from_manifest(&decoded, source)
             .map_err(|e| RuntimeError::Execution(format!("snapshot install: {e}")))?;
-        // History is decoded one block at a time.
-        for block in self.chain.iter() {
-            settle_floors(&self.tree, &mut self.mempool, &block.signed_msgs);
-        }
+        settle_floors(&self.tree, &mut self.mempool, senders.iter().copied());
         Ok(())
     }
 
@@ -854,7 +860,7 @@ mod tests {
     //! nonce is refused, however the state that spent it arrived.
 
     use hc_chain::PushOutcome;
-    use hc_state::{Message, Method};
+    use hc_state::{Message, Method, SealedMessage};
     use hc_types::TokenAmount;
 
     use super::*;
@@ -983,7 +989,9 @@ mod tests {
         let (store, manifest) = (node.store.clone(), node.tree.persist(&node.store));
         let head = node.chain.head_epoch();
         node.mempool = Mempool::new();
-        node.install_snapshot(&manifest, &store, head).unwrap();
+        let senders = BTreeSet::from([from]);
+        node.install_snapshot(&manifest, &store, head, &senders)
+            .unwrap();
         assert_eq!(
             node.mempool.push_sealed_with_fee(spent, 0),
             PushOutcome::Duplicate

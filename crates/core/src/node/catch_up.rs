@@ -13,6 +13,8 @@
 //! installs) bring every account its subnet installed: nothing is
 //! re-installed beside them.
 
+use std::collections::BTreeSet;
+
 use hc_chain::{Block, History, Mempool};
 use hc_net::{
     Backoff, BackoffStep, Network, ResolutionMsg, RetryPolicy, SubscriberId, BLOB_BATCH_CAP,
@@ -314,7 +316,8 @@ impl SubnetNode {
     /// and the mempool exactly as a per-block replay would, and the node
     /// resumes mid-conversation with its parent — then installs the staged
     /// state against its own header at the anchor epoch
-    /// ([`SubnetNode::install_snapshot`]). From here catch-up replays the
+    /// ([`SubnetNode::install_snapshot`]), settling the floors of the
+    /// senders the walk collected. From here catch-up replays the
     /// post-anchor suffix.
     fn bootstrap_from_snapshot(
         &mut self,
@@ -326,10 +329,12 @@ impl SubnetNode {
         // One block is decoded at a time; its CID comes from storage.
         let covered = peers.history.iter();
         let covered = covered.take_while(|b| b.epoch() <= sync.anchor_epoch);
+        let mut senders = BTreeSet::new();
         for stored in covered {
-            self.skip_past(stored.decode(), Some(stored))?;
+            self.skip_past(stored.decode(), Some(stored), &mut senders)?;
         }
-        self.install_snapshot(&sync.manifest, &sync.staging, sync.anchor_epoch)?;
+        let (manifest, staging) = (&sync.manifest, &sync.staging);
+        self.install_snapshot(manifest, staging, sync.anchor_epoch, &senders)?;
         // Adopt the manifest's full closure — fixed chunks AND every
         // account-HAMT node — so the node's store can serve the same
         // snapshot (and GC can pin it) after the swap (content-addressed
@@ -352,15 +357,88 @@ mod tests {
     //! A node catches itself up driven by its inputs alone: a world
     //! produces a subnet's chain, then a node restarted from genesis is
     //! handed that chain's blocks, shuffled, duplicated and with a forgery
-    //! first, and no runtime steps in between.
+    //! first, and no runtime steps in between. A snapshot rejoin settles
+    //! the floor of every sender of the blocks it skipped.
+
+    use std::collections::BTreeMap;
 
     use hc_actors::sa::SaConfig;
-    use hc_chain::BlockHeader;
+    use hc_chain::{BlockHeader, PushOutcome};
     use hc_state::Method;
     use hc_types::{CanonicalEncode, SubnetId, TokenAmount};
 
     use super::*;
+    use crate::chaos::SyncMode;
     use crate::runtime::HierarchyRuntime;
+
+    /// A snapshot rejoin whose pool starts empty, as a recovered node's
+    /// does, refuses a replay of the last message of every sender the
+    /// covered blocks hold: the install settles the senders its skip walk
+    /// collected, and no block after the anchor carries a message.
+    #[test]
+    fn a_snapshot_rejoin_refuses_each_covered_senders_last_message() {
+        let whole = TokenAmount::from_whole;
+        let config = RuntimeConfig {
+            sync_mode: SyncMode::Snapshot,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = HierarchyRuntime::new(config);
+        let root = SubnetId::root();
+        let alice = rt.create_user(&root, whole(1_000)).unwrap();
+        let validator = rt.create_user(&root, whole(100)).unwrap();
+        let sa = SaConfig {
+            checkpoint_period: 5,
+            ..SaConfig::default()
+        };
+        let stake = [(validator, whole(5))];
+        let child = rt.spawn_subnet(&alice, sa, whole(10), &stake).unwrap();
+        let users: Vec<_> = (0..3)
+            .map(|_| rt.create_user(&child, TokenAmount::ZERO).unwrap())
+            .collect();
+        for user in &users {
+            rt.cross_transfer(&alice, user, whole(30)).unwrap();
+        }
+        rt.run_until_quiescent(10_000).unwrap();
+        for round in 0..4 {
+            for (i, user) in users.iter().enumerate() {
+                let to = users[(i + 1 + round) % users.len()].addr;
+                rt.execute(user, to, whole(1), Method::Send).unwrap();
+            }
+        }
+        let sent = rt.nodes[&child].chain.head_epoch();
+        while rt
+            .checkpoint_anchor(&child)
+            .is_none_or(|(epoch, _)| epoch < sent)
+        {
+            rt.step().unwrap();
+        }
+        let (anchor, _) = rt.checkpoint_anchor(&child).unwrap();
+        let mut last = BTreeMap::new();
+        for block in rt.nodes[&child].chain.iter() {
+            assert!(block.header.epoch <= anchor || block.signed_msgs.is_empty());
+            for m in &block.signed_msgs {
+                last.insert(m.message().from, m.clone());
+            }
+        }
+        assert_eq!(last.len(), users.len());
+
+        rt.crash_node(&child).unwrap();
+        let record = rt.subnets.by_id.get_mut(&child).unwrap();
+        record.crashed.as_mut().unwrap().mempool = Mempool::new();
+        rt.rejoin_node(&child).unwrap();
+        while rt.is_catching_up(&child) {
+            rt.step().unwrap();
+        }
+        assert_eq!(rt.chaos_stats().snapshot_installs, 1);
+        let pool = &mut rt.nodes.get_mut(&child).unwrap().mempool;
+        for (from, msg) in last {
+            assert_eq!(
+                pool.push_sealed_with_fee(msg, 0),
+                PushOutcome::Duplicate,
+                "{from}'s last covered message"
+            );
+        }
+    }
 
     #[test]
     fn a_restarted_node_catches_up_from_shuffled_batches_by_itself() {

@@ -12,11 +12,11 @@
 //! fast-forward the scan leaves short of its anchor restarts as a rejoin
 //! does, its journaled blocks as peer chain.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hc_chain::Block;
 use hc_state::{CidStore, ImplicitMsg};
-use hc_types::{CanonicalDecode, ChainEpoch, Cid, SubnetId};
+use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
 use crate::config::{RuntimeConfig, RuntimeError};
 use crate::node::Input;
@@ -25,8 +25,10 @@ use crate::runtime::HierarchyRuntime;
 
 /// In snapshot mode, per eligible subnet, the checkpoint anchor its replay
 /// fast-forwards to (blocks before it are chained without re-execution;
-/// the manifest installs at its record), removed once installed.
-type FastForward = BTreeMap<SubnetId, (ChainEpoch, Cid)>;
+/// the manifest installs at its record) and the senders of the blocks
+/// skipped so far, whose floors the install settles; removed once
+/// installed.
+type FastForward = BTreeMap<SubnetId, (ChainEpoch, Cid, BTreeSet<Address>)>;
 
 impl HierarchyRuntime {
     /// Restarts a hierarchy from the journaled history on
@@ -121,12 +123,13 @@ impl HierarchyRuntime {
                 ControlRecord::SubnetBoot { child, .. } => booted.push(child),
                 ControlRecord::CheckpointAnchor { signed, manifest } => {
                     let checkpoint = signed.checkpoint;
-                    anchors.insert(checkpoint.source, (checkpoint.epoch, manifest));
+                    let target = (checkpoint.epoch, manifest, BTreeSet::new());
+                    anchors.insert(checkpoint.source, target);
                 }
                 _ => {}
             }
         }
-        anchors.retain(|subnet, (_, manifest)| {
+        anchors.retain(|subnet, (_, manifest, _)| {
             // `hydrate_manifest` pulls the closure out of the surviving
             // blob log into memory — recovery starts from an empty store,
             // so the log is the only place the snapshot can live.
@@ -159,8 +162,9 @@ impl HierarchyRuntime {
                 self.nodes.contains_key(&child)
             }
             ControlRecord::Block(block) => {
-                let skip = targets.contains_key(&block.header.subnet);
-                self.replay_journaled_block(block, skip).is_ok()
+                let skip = targets.get_mut(&block.header.subnet);
+                let senders = skip.map(|(_, _, senders)| senders);
+                self.replay_journaled_block(block, senders).is_ok()
             }
             ControlRecord::SnapshotAnchor { subnet, manifest } => {
                 if targets.contains_key(&subnet) {
@@ -181,14 +185,14 @@ impl HierarchyRuntime {
             }
             ControlRecord::CheckpointAnchor { signed, manifest } => {
                 let (subnet, epoch) = (signed.checkpoint.source.clone(), signed.checkpoint.epoch);
-                let Some(&(target_epoch, target_manifest)) = targets.get(&subnet) else {
+                let Some((target_epoch, target_manifest, senders)) = targets.get(&subnet) else {
                     // The persist already re-ran inside the replayed
                     // block's checkpoint-cut routing; this anchor only
                     // cross-checks it.
                     let record = self.subnets.by_id.get(&subnet);
                     return record.and_then(|r| r.manifests.back()) == Some(&manifest);
                 };
-                if epoch == target_epoch {
+                if epoch == *target_epoch {
                     // The fast-forward target: install the anchored
                     // snapshot, verified against the committed header of
                     // the skipped block at the anchor epoch, and resume
@@ -196,9 +200,9 @@ impl HierarchyRuntime {
                     let Some(node) = self.nodes.get_mut(&subnet) else {
                         return false;
                     };
-                    if manifest != target_manifest
+                    if manifest != *target_manifest
                         || node
-                            .install_snapshot(&manifest, &self.store, epoch)
+                            .install_snapshot(&manifest, &self.store, epoch, senders)
                             .is_err()
                     {
                         return false;
@@ -219,12 +223,17 @@ impl HierarchyRuntime {
         }
     }
 
-    /// Re-commits one journaled block. Inside a fast-forwarded prefix it
-    /// is chained and skipped — the anchored snapshot supplies the state
-    /// it produced; otherwise it is re-executed and the replay *is* the
-    /// effect, so checkpoint routing and event delivery all
-    /// re-run through the live [`HierarchyRuntime::post_tick`].
-    fn replay_journaled_block(&mut self, block: Block, skip: bool) -> Result<(), RuntimeError> {
+    /// Re-commits one journaled block. Inside a fast-forwarded prefix —
+    /// `skip` holds the senders of the blocks skipped so far — it is
+    /// chained and skipped, its senders joining them: the anchored
+    /// snapshot supplies the state it produced; otherwise it is re-executed
+    /// and the replay *is* the effect, so checkpoint routing and event
+    /// delivery all re-run through the live [`HierarchyRuntime::post_tick`].
+    fn replay_journaled_block(
+        &mut self,
+        block: Block,
+        skip: Option<&mut BTreeSet<Address>>,
+    ) -> Result<(), RuntimeError> {
         let subnet = &block.header.subnet.clone();
         let at_ms = block.header.timestamp_ms;
         // An address a block installed is taken: the next created account
@@ -236,8 +245,8 @@ impl HierarchyRuntime {
         let next_user_id = installed.map(|(addr, ..)| addr.id() + 1).max();
         self.refresh_validators(subnet);
         let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        if skip {
-            node.skip_past(block, None)?;
+        if let Some(senders) = skip {
+            node.skip_past(block, None, senders)?;
             self.now_ms = self.now_ms.max(at_ms);
         } else {
             let outcome = node.reexecute(&block, self.config.parallelism)?;

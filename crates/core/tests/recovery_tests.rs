@@ -114,13 +114,12 @@ fn snapshot_requires_validator_signatures_and_monotone_epochs() {
     let alice = h.alice.clone();
     // A snapshot with bogus signatures is refused.
     let node = h.rt.node(&subnet).unwrap();
-    let balances: Vec<_> = node
-        .state()
-        .accounts()
-        .iter()
-        .filter(|(a, acc)| !a.is_system() && !acc.balance.is_zero())
-        .map(|(a, acc)| (*a, acc.balance))
-        .collect();
+    let mut balances = Vec::new();
+    node.state().accounts().for_each(|a, acc| {
+        if !a.is_system() && !acc.balance.is_zero() {
+            balances.push((*a, acc.balance));
+        }
+    });
     let (snapshot, _) =
         hc_actors::StateSnapshot::build(subnet.clone(), node.chain().head_epoch(), balances);
     let unsigned = Method::SaveSnapshot {

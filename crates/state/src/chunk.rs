@@ -186,9 +186,10 @@ pub struct CommitStats {
     pub overlay_read_misses: u64,
 }
 
-/// The cached commitment of a [`crate::StateTree`]: the account HAMT,
-/// per-chunk leaf digests, the Merkle tree over them, and the set of chunks
-/// dirtied since the last flush.
+/// The cached commitment of a [`crate::StateTree`]: per-chunk leaf digests,
+/// the Merkle tree over them, and the set of chunks dirtied since the last
+/// flush. (The account HAMT is the account table itself,
+/// [`crate::tree::Accounts`].)
 ///
 /// This cache is *derived* state: it never influences the root value, only
 /// how cheaply the root is recomputed. A tree with a reset cache flushes to
@@ -197,18 +198,14 @@ pub struct CommitStats {
 pub(crate) struct Commitment {
     /// Whether a full build has happened (digests/merkle/hamt are valid).
     pub(crate) built: bool,
-    /// The incrementally-maintained account HAMT. An account write
-    /// invalidates only its O(log n) root path; the next flush re-hashes
-    /// exactly those nodes.
-    pub(crate) accounts_hamt: Hamt<Address, AccountState>,
     /// Leaf digest per chunk, keyed in canonical order: a chunk's leaf
     /// index is its position here.
     pub(crate) digests: BTreeMap<ChunkKey, Cid>,
     /// Merkle tree over the ordered digests.
     pub(crate) merkle: MerkleTree,
-    /// Non-account chunks dirtied since the last flush (account dirt is
-    /// tracked at account granularity inside [`crate::tree::Accounts`],
-    /// registry dirt by the AMT's own root cache).
+    /// Non-account chunks dirtied since the last flush (account writes
+    /// wait in [`crate::tree::Accounts`]' overlay, registry dirt is the
+    /// AMT's own root cache).
     pub(crate) dirty: BTreeSet<ChunkKey>,
     /// Per fixed chunk, the `(leaf digest, blob CID)` of its last persist:
     /// a chunk whose digest has not moved since is not encoded, hashed or
@@ -423,11 +420,13 @@ pub fn blob_links(bytes: &[u8]) -> Vec<Cid> {
 /// Builds the canonical account HAMT from scratch in one pass
 /// ([`Hamt::build`]) out of each account beside its route — the one build
 /// of the accounts HAMT, behind the tree's first flush and the from-scratch
-/// reference alike. Each account is cloned once, into its leaf.
+/// reference alike. Each account is moved, not copied, into its leaf.
 pub(crate) fn build_accounts_hamt(
-    mut routed: Vec<(Route, (&Address, &AccountState))>,
+    mut routed: Vec<(Route, Option<(Address, AccountState)>)>,
 ) -> Hamt<Address, AccountState> {
-    Hamt::build(&mut routed, |(addr, acc)| (**addr, (*acc).clone()))
+    Hamt::build(&mut routed, |entry| {
+        entry.take().expect("an account goes into one leaf")
+    })
 }
 
 #[cfg(test)]

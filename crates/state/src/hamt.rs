@@ -41,12 +41,13 @@
 //!
 //! **Routes.** A key's route is [`hash_key`], the SHA-256 digest of its
 //! encoding, and never changes. [`Hamt::set`], [`Hamt::get`] and
-//! [`Hamt::delete`] hash the key and descend; [`Hamt::set_at`] and
-//! [`Hamt::get_at`] descend along a route the caller kept from an earlier
-//! write. [`Hamt::build`] makes a whole tree in one pass from routes the
+//! [`Hamt::delete`] hash the key and descend; [`Hamt::set_at`],
+//! [`Hamt::get_at`] and [`Hamt::get_mut_at`] descend along a route the
+//! caller kept from an earlier write. [`Hamt::build`] makes a whole tree in one pass from routes the
 //! caller hashed: it sorts them, splits them by slot, level by level, and
 //! makes each leaf once, so no key is routed twice. The account table
-//! keeps each account's route beside it, so a state flush re-writing an
+//! keeps each account's route in an index beside this tree, which is the
+//! table's only copy of the accounts, so a state flush re-writing an
 //! account hashes its nodes, not its address (DESIGN.md §14). A leaf that
 //! outgrows the cap is re-built the same way from its keys' routes.
 //!
@@ -374,6 +375,30 @@ where
         unreachable!("loop returns")
     }
 
+    /// Mutable access to `key`'s value, whose route the caller holds:
+    /// `route` must be `hash_key(key)`. When the key is present, dirties
+    /// (un-caches) exactly the root path to its leaf, copying the nodes on
+    /// it that a clone shares; when absent, changes nothing.
+    pub fn get_mut_at(&mut self, route: &Route, key: &K) -> Option<&mut V> {
+        self.get_at(route, key)?;
+        let mut node = Arc::make_mut(&mut self.root);
+        for depth in 0.. {
+            node.cached = None;
+            match &mut node.kind {
+                Kind::Leaf(entries) => {
+                    let at = leaf_search(entries, key).ok()?;
+                    return Some(&mut entries[at].1);
+                }
+                Kind::Interior(interior) => {
+                    let pos = slot_position(interior.bitmap, slot_at(route, depth));
+                    interior.touch(pos);
+                    node = Arc::make_mut(&mut interior.children[pos]);
+                }
+            }
+        }
+        unreachable!("loop returns")
+    }
+
     /// Inserts or replaces `key`, returning the previous value if any.
     /// Dirties (un-caches) exactly the root path to the key's leaf.
     pub fn set(&mut self, key: K, value: V) -> Option<V> {
@@ -556,6 +581,27 @@ where
             Kind::Interior(interior) => {
                 for child in &interior.children {
                     Self::for_each_node(child, f);
+                }
+            }
+        }
+    }
+
+    /// Consumes the map, handing `f` every entry by value (in hash order).
+    /// A node no clone shares gives its entries up; a shared one is copied.
+    pub fn drain(self, f: &mut impl FnMut(K, V)) {
+        Self::drain_node(self.root, f);
+    }
+
+    fn drain_node(node: Arc<Node<K, V>>, f: &mut impl FnMut(K, V)) {
+        match Arc::unwrap_or_clone(node).kind {
+            Kind::Leaf(entries) => {
+                for (k, v) in entries {
+                    f(k, v);
+                }
+            }
+            Kind::Interior(interior) => {
+                for child in interior.children {
+                    Self::drain_node(child, f);
                 }
             }
         }
@@ -930,6 +976,41 @@ mod tests {
         let mut idle = HashWork::default();
         h.flush(&mut idle);
         assert_eq!(idle, HashWork::default());
+    }
+
+    /// A write in place through `get_mut_at` leaves a clone untouched,
+    /// re-hashes only its own path and reaches the root a fresh build of
+    /// the same content has; an absent key dirties nothing. Draining a
+    /// clone hands over every entry and leaves the original whole.
+    #[test]
+    fn a_write_in_place_dirties_its_path_alone() {
+        let mut h = map_of(0..10_000);
+        flushed_root(&mut h);
+        let twin = h.clone();
+        let absent = Address::new(10_001);
+        assert_eq!(h.get_mut_at(&hash_key(&absent), &absent), None);
+        assert!(h.cached_root().is_some(), "an absent key dirties nothing");
+
+        let key = Address::new(42);
+        *h.get_mut_at(&hash_key(&key), &key).unwrap() = u64::MAX;
+        let mut inc = HashWork::default();
+        h.flush(&mut inc);
+        assert!(
+            inc.nodes <= 5,
+            "one path re-hashed, got {} nodes",
+            inc.nodes
+        );
+        assert_eq!(twin.get(&key), Some(&42), "the clone keeps its value");
+        let mut fresh = map_of(0..10_000);
+        fresh.set(key, u64::MAX);
+        assert_eq!(flushed_root(&mut h), flushed_root(&mut fresh));
+
+        let mut drained = Vec::new();
+        twin.clone().drain(&mut |k, v| drained.push((k, v)));
+        drained.sort();
+        assert!(drained.iter().map(|(k, _)| k.id()).eq(0..10_000));
+        assert_eq!(twin.len(), 10_000);
+        assert_eq!(twin.get(&key), Some(&42));
     }
 
     #[test]

@@ -17,18 +17,19 @@
 //!   manifest's `accounts_root`, and the content registry by walking the
 //!   AMT from `registry_root`, with structural bounds enforced per node;
 //! * only *content* is taken from those walks, never the served node
-//!   structure: accounts go into a plain map and registry entries are
-//!   appended to a fresh log, which must hash back to `registry_root` — a
-//!   peer serving the right entries in a non-canonical AMT (sparse indices,
-//!   extra height) is refused, so no forged node CID can reach a later
-//!   state root;
+//!   structure: registry entries are appended to a fresh log, which must
+//!   hash back to `registry_root` — a peer serving the right entries in a
+//!   non-canonical AMT (sparse indices, extra height) is refused, so no
+//!   forged node CID can reach a later state root;
 //! * the assembled tree's first [`StateTree::flush`] must equal the
 //!   manifest root — on a tree without a commitment that is a full build,
-//!   so the account HAMT is rebuilt from the accounts in canonical form
-//!   (the served nodes are dropped whatever their shape, and wrong content
-//!   hashes to another root) and every chunk is re-encoded. The commitment
-//!   it builds is kept: the state is hashed once to verify it, not again by
-//!   the node's first block.
+//!   so the account HAMT is rebuilt from the loaded accounts in canonical
+//!   form, each moved out of its served leaf into a new one (the served
+//!   nodes are dropped whatever their shape, and wrong content hashes to
+//!   another root), and every chunk is re-encoded. The rebuilt HAMT is the
+//!   tree's account table and the commitment the flush builds is kept: the
+//!   state is held once, and hashed once to verify it, not again by the
+//!   node's first block.
 //!   Callers in turn check the root against a committed block header — so a
 //!   syncing node never trusts the serving peer, only the
 //!   consensus-committed state root.
@@ -136,7 +137,6 @@ impl StateTree {
         let mut sca: Option<ScaState> = None;
         let mut atomic: Option<AtomicExecRegistry> = None;
         let mut sas: BTreeMap<Address, SaState> = BTreeMap::new();
-        let mut accounts: BTreeMap<Address, AccountState> = BTreeMap::new();
 
         let mut prev: Option<ChunkKey> = None;
         for (key, cid) in &manifest.entries {
@@ -180,12 +180,10 @@ impl StateTree {
             r.finish().map_err(decode_err)?;
         }
 
-        // Reconstruct the account ledger by walking the HAMT from its root.
+        // Load the account HAMT from its root; the verifying flush below
+        // rebuilds it from its entries in canonical shape.
         let hamt: Hamt<Address, AccountState> =
             Hamt::load(&manifest.accounts_root, store).map_err(InstallError::Accounts)?;
-        hamt.for_each(&mut |addr, state| {
-            accounts.insert(*addr, state.clone());
-        });
 
         // Likewise the registry: its entries are re-appended to a fresh log
         // (canonical shape, warm CIDs, group index rebuilt), and a served
@@ -198,7 +196,7 @@ impl StateTree {
         let atomic = atomic.ok_or(InstallError::MissingChunk("Atomic"))?;
         let mut tree = StateTree {
             subnet_id,
-            accounts: Accounts::from_map(accounts),
+            accounts: Accounts::from_hamt(hamt),
             sca,
             sas,
             atomic,

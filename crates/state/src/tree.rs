@@ -25,7 +25,7 @@
 //! [`StateTree::commit_if`], which keeps the writes only if the root comes
 //! out at the header's and otherwise puts the tree back.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hc_actors::ledger::LedgerError;
 use hc_actors::sa::SaState;
@@ -40,7 +40,7 @@ use crate::chunk::{
     accounts_leaf_blob, build_accounts_hamt, registry_leaf_blob, sca_leaf_preimage, ChunkKey,
     ChunkManifest, CommitStats, Commitment, WindowSource,
 };
-use crate::hamt::{hash_key, HashWork, Route};
+use crate::hamt::{hash_key, Hamt, HashWork, Route};
 use crate::registry::{ContentRegistry, RegistryEntry};
 use crate::store::CidStore;
 
@@ -114,141 +114,153 @@ impl CanonicalDecode for AccountState {
 }
 
 /// The account table: the [`Ledger`] implementation system actors operate
-/// on.
+/// on, and the one home of every account's state (DESIGN.md §14, "One home
+/// per account").
 ///
-/// Mutable access is tracked per account: any address reached through
-/// [`Accounts::get_or_create`] (and therefore through every [`Ledger`]
-/// operation) is marked dirty so the next [`StateTree::flush`] re-hashes
-/// only those account chunks. Over-marking is harmless — digests are
-/// recomputed from content, and an unchanged chunk keeps its digest.
+/// An account lives in the accounts HAMT the state root commits to, and
+/// nowhere else. Beside it the table keeps two things: an address → route
+/// index, holding [`hash_key`] of every address in the HAMT — hashed the
+/// first time a flush routes the account and never again — and the
+/// accounts created since the last flush, as an overlay over the HAMT. A
+/// read descends the HAMT along the route the index keeps
+/// ([`Hamt::get_at`]), and reads an address the index lacks from the
+/// overlay. A write ([`Accounts::get_or_create`], and so every [`Ledger`] operation)
+/// to an account the HAMT holds lands in its leaf through
+/// [`Hamt::get_mut_at`], which un-caches the leaf's root path; one the
+/// HAMT lacks is created in the overlay, and [`StateTree::flush`] moves the
+/// overlay into the HAMT. A block's writes therefore copy no account: a
+/// refused block is undone by the HAMT [`StateTree::commit_if`] set aside,
+/// whose nodes the writes copied before changing them. Over-marking is
+/// harmless — digests are recomputed from content, and an unchanged
+/// account hashes to the same leaf.
 ///
-/// Each account keeps its route in the accounts HAMT ([`hash_key`] of its
-/// address) inline beside it, filled the first time a flush routes it —
-/// the from-scratch build of the tree's first flush routes every account —
-/// so re-writing an account hashes no key. An account created since the
-/// last flush has none yet. The routes are bookkeeping: equality compares
-/// content only, and `recompute_root` never reads them — it hashes every
-/// key afresh, so a route kept wrong shows as a root it disagrees with.
+/// The index is bookkeeping: equality compares content only, and
+/// `recompute_root` never reads a kept route — it hashes every address
+/// afresh, so a route kept wrong shows as a root it disagrees with. Nothing
+/// that reaches state iterates the index, so its hash order is free to
+/// vary.
 #[derive(Debug, Clone, Default)]
 pub struct Accounts {
-    map: BTreeMap<Address, Entry>,
-    dirty: BTreeSet<Address>,
-}
-
-/// One account and its memoised route.
-#[derive(Debug, Clone, Default)]
-struct Entry {
-    state: AccountState,
-    /// `hash_key(&address)` once a flush has routed the account, zero
-    /// before. An `Option` would add 16 bytes of padding per account; a
-    /// true route of zero (a SHA-256 preimage of zero, which no one knows)
-    /// would merely be hashed again at every flush.
-    route: Route,
-}
-
-impl Entry {
-    /// The route, if a flush has kept it.
-    fn kept_route(&self) -> Option<&Route> {
-        (self.route != [0; 32]).then_some(&self.route)
-    }
-
-    /// The route of this entry, whose address is `addr`, hashed and kept
-    /// the first time it is asked for.
-    fn route(&mut self, addr: &Address) -> Route {
-        if self.kept_route().is_none() {
-            self.route = hash_key(addr);
-        }
-        self.route
-    }
+    /// Every account but those created since the last flush.
+    committed: Hamt<Address, AccountState>,
+    /// The route of every address in `committed`, and of no other.
+    routes: HashMap<Address, Route>,
+    /// The accounts created since the last flush; `committed` lacks them.
+    created: BTreeMap<Address, AccountState>,
 }
 
 impl PartialEq for Accounts {
-    /// Equality is content equality; the dirty-tracking set and the routes
-    /// are derived bookkeeping and never part of the observable state.
+    /// Equality is content equality; the index, the overlay and the HAMT's
+    /// shape are derived bookkeeping and never part of the observable
+    /// state.
     fn eq(&self, other: &Self) -> bool {
-        self.map.len() == other.map.len() && self.iter().eq(other.iter())
+        let mut same = self.len() == other.len();
+        self.for_each(|addr, acc| same &= other.get(*addr) == Some(acc));
+        same
     }
 }
 
 impl Accounts {
     /// Read-only view of an account (`None` if it never existed).
     pub fn get(&self, addr: Address) -> Option<&AccountState> {
-        self.map.get(&addr).map(|e| &e.state)
+        match self.routes.get(&addr) {
+            Some(route) => self.committed.get_at(route, &addr),
+            None => self.created.get(&addr),
+        }
     }
 
-    /// Mutable access, creating the account if absent. Marks the account
-    /// dirty for the next flush.
+    /// Mutable access, creating the account if absent. The next flush
+    /// re-hashes the account's path.
     pub fn get_or_create(&mut self, addr: Address) -> &mut AccountState {
-        self.dirty.insert(addr);
-        &mut self.map.entry(addr).or_default().state
+        match self.routes.get(&addr) {
+            Some(route) => self
+                .committed
+                .get_mut_at(route, &addr)
+                .expect("a routed account is in the HAMT"),
+            None => self.created.entry(addr).or_default(),
+        }
     }
 
-    /// Iterates over `(address, state)` pairs in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Address, &AccountState)> {
-        self.map.iter().map(|(addr, e)| (addr, &e.state))
+    /// Visits every account once: those in the HAMT in its hash order,
+    /// then the created ones in address order.
+    pub fn for_each(&self, mut f: impl FnMut(&Address, &AccountState)) {
+        self.committed.for_each(&mut f);
+        for (addr, acc) in &self.created {
+            f(addr, acc);
+        }
     }
 
-    /// The routes kept so far, in address order: each account a flush has
-    /// routed, with the route it kept.
+    /// Number of accounts.
+    fn len(&self) -> usize {
+        self.committed.len() as usize + self.created.len()
+    }
+
+    /// The routes kept: each account in the HAMT with its route, in no
+    /// particular order.
     pub fn routes(&self) -> impl Iterator<Item = (&Address, &Route)> {
-        self.map
-            .iter()
-            .filter_map(|(addr, e)| e.kept_route().map(|r| (addr, r)))
+        self.routes.iter()
     }
 
     /// Total token value across all accounts (including system actors and
     /// burnt funds) — the subnet's gross supply, used in conservation
     /// audits.
     pub fn total(&self) -> TokenAmount {
-        self.map.values().map(|e| e.state.balance).sum()
+        let mut total = TokenAmount::ZERO;
+        self.for_each(|_, acc| total += acc.balance);
+        total
     }
 
-    /// Builds an account table from decoded content, with clean dirty
-    /// tracking and no routes yet (used when installing a snapshot; the
-    /// install's flush routes every account).
-    pub(crate) fn from_map(map: BTreeMap<Address, AccountState>) -> Self {
+    /// A table whose accounts are `committed`, with no route kept yet: a
+    /// snapshot install's, whose flush — the next thing it does — rebuilds
+    /// the HAMT in canonical shape and routes every account. Until then no
+    /// account of `committed` can be read or written.
+    pub(crate) fn from_hamt(committed: Hamt<Address, AccountState>) -> Self {
         Accounts {
-            map: map
-                .into_iter()
-                .map(|(addr, state)| {
-                    (
-                        addr,
-                        Entry {
-                            state,
-                            route: [0; 32],
-                        },
-                    )
-                })
-                .collect(),
-            dirty: BTreeSet::new(),
+            committed,
+            ..Accounts::default()
         }
     }
 
-    /// `addr`'s route and account, hashing the route only the first time
-    /// (`None` if the account does not exist).
-    fn routed(&mut self, addr: Address) -> Option<(Route, &mut AccountState)> {
-        let entry = self.map.get_mut(&addr)?;
-        Some((entry.route(&addr), &mut entry.state))
+    /// Moves the overlay into the HAMT, each account along its route, as
+    /// the incremental flush does.
+    fn commit_created(&mut self) {
+        for (addr, state) in std::mem::take(&mut self.created) {
+            let route = route(&mut self.routes, addr);
+            self.committed.set_at(&route, addr, state);
+        }
     }
 
-    /// Every account beside its route, hashing only the routes not yet
-    /// kept — what a from-scratch build of the accounts HAMT takes.
-    fn routed_all(&mut self) -> Vec<(Route, (&Address, &AccountState))> {
-        self.map
-            .iter_mut()
-            .map(|(addr, entry)| (entry.route(addr), (addr, &entry.state)))
-            .collect()
+    /// Builds the HAMT afresh over every account in one pass, as the first
+    /// flush does: the accounts it holds and the overlay's, each moved into
+    /// its new leaf and routed once.
+    fn rebuild(&mut self) {
+        let created = std::mem::take(&mut self.created);
+        let committed = std::mem::take(&mut self.committed);
+        let routes = &mut self.routes;
+        let mut routed = Vec::with_capacity(committed.len() as usize + created.len());
+        committed.drain(&mut |addr, acc| routed.push((route(routes, addr), Some((addr, acc)))));
+        for (addr, acc) in created {
+            routed.push((route(routes, addr), Some((addr, acc))));
+        }
+        self.committed = build_accounts_hamt(routed);
     }
 
-    /// Takes and clears the set of accounts touched since the last call.
-    pub(crate) fn take_dirty(&mut self) -> BTreeSet<Address> {
-        std::mem::take(&mut self.dirty)
+    /// Puts the table back to `committed`, its HAMT as set aside at an
+    /// earlier flush, forgetting the routes of `created`, the accounts
+    /// created since.
+    fn put_back(&mut self, committed: Hamt<Address, AccountState>, created: &[Address]) {
+        self.committed = committed;
+        self.created.clear();
+        for addr in created {
+            self.routes.remove(addr);
+        }
     }
+}
 
-    /// Returns `true` if no account was touched since the last flush.
-    pub(crate) fn dirty_is_empty(&self) -> bool {
-        self.dirty.is_empty()
-    }
+/// The route of `addr` in `routes`, hashed and kept the first time it is
+/// asked for.
+fn route(routes: &mut HashMap<Address, Route>, addr: Address) -> Route {
+    *routes.entry(addr).or_insert_with(|| hash_key(&addr))
 }
 
 impl Ledger for Accounts {
@@ -332,8 +344,8 @@ impl StateTree {
         &self.accounts
     }
 
-    /// Mutable account table (the subnet's [`Ledger`]). Touched accounts
-    /// are dirty-tracked inside [`Accounts`].
+    /// Mutable account table (the subnet's [`Ledger`]). The next flush
+    /// re-hashes the paths of the accounts written.
     pub fn accounts_mut(&mut self) -> &mut Accounts {
         &mut self.accounts
     }
@@ -440,10 +452,11 @@ impl StateTree {
     }
 
     /// Computes the state root incrementally: only chunks dirtied since the
-    /// last flush are re-encoded and re-hashed, touched accounts re-hash
-    /// only their O(log n) HAMT root paths — each descending along the
-    /// route its [`Accounts`] entry keeps, hashed the first time an account
-    /// is routed and never again — registry appends only the
+    /// last flush are re-encoded and re-hashed, the accounts created since
+    /// move from the overlay into the HAMT, and the accounts written
+    /// re-hash only their O(log n) root paths — each descending along the
+    /// route [`Accounts`]' index keeps, hashed the first time an account is
+    /// routed and never again — registry appends only the
     /// AMT's rightmost path, and the small leaf layer is folded again from
     /// the cached digests. The first flush (or the first after
     /// [`StateTree::rebuilt`]) builds the full commitment.
@@ -453,20 +466,8 @@ impl StateTree {
             return self.rebuild_commitment();
         }
         let mut dirty = std::mem::take(&mut self.commitment.dirty);
-        let touched = self.accounts.take_dirty();
-        if !touched.is_empty() {
-            for addr in touched {
-                // Only `get_or_create` marks an account, and only
-                // `commit_if`'s put-back removes one, after the flush that
-                // took its mark.
-                let (route, acc) = self
-                    .accounts
-                    .routed(addr)
-                    .expect("a touched account exists");
-                self.commitment
-                    .accounts_hamt
-                    .set_at(&route, addr, acc.clone());
-            }
+        self.accounts.commit_created();
+        if self.accounts.committed.cached_root().is_none() {
             dirty.insert(ChunkKey::Accounts);
         }
         if self.registry.log.cached_root().is_none() {
@@ -478,7 +479,7 @@ impl StateTree {
         if dirty.contains(&ChunkKey::Accounts) {
             // Re-hash exactly the invalidated HAMT node paths.
             let mut work = HashWork::default();
-            self.commitment.accounts_hamt.flush(&mut work);
+            self.accounts.committed.flush(&mut work);
             self.commitment.stats.hamt_nodes_hashed += work.nodes;
             self.commitment.stats.bytes_hashed += work.bytes;
         }
@@ -513,11 +514,9 @@ impl StateTree {
     /// content in one pass, routing each account once and keeping the
     /// route, and every chunk encoded and hashed.
     fn rebuild_commitment(&mut self) -> Cid {
-        self.accounts.take_dirty();
-        let mut hamt = build_accounts_hamt(self.accounts.routed_all());
+        self.accounts.rebuild();
         let mut work = HashWork::default();
-        hamt.flush(&mut work);
-        self.commitment.accounts_hamt = hamt;
+        self.accounts.committed.flush(&mut work);
         let mut registry_work = HashWork::default();
         self.registry.log.flush(&mut registry_work);
         let keys = self.chunk_keys();
@@ -553,11 +552,11 @@ impl StateTree {
     /// tests enforce it).
     pub fn recompute_root(&self) -> Cid {
         let mut work = HashWork::default();
-        let fresh = self
-            .accounts
-            .iter()
-            .map(|(addr, acc)| (hash_key(addr), (addr, acc)));
-        let accounts_root = build_accounts_hamt(fresh.collect()).flush(&mut work);
+        let mut fresh = Vec::with_capacity(self.accounts.len());
+        self.accounts.for_each(|addr, acc| {
+            fresh.push((hash_key(addr), Some((*addr, acc.clone()))));
+        });
+        let accounts_root = build_accounts_hamt(fresh).flush(&mut work);
         let registry_root = self.registry.rebuilt().log.flush(&mut work);
         let keys = self.chunk_keys();
         MerkleTree::from_leaf_bytes(keys.iter().map(|k| match k {
@@ -570,12 +569,11 @@ impl StateTree {
     }
 
     /// Returns a copy of this tree as if freshly decoded from storage:
-    /// identical content, but with the commitment cache and dirty tracking
-    /// reset. Its first `flush()` is a full rebuild.
+    /// identical content, but with the commitment cache reset. Its first
+    /// `flush()` is a full rebuild.
     pub fn rebuilt(&self) -> StateTree {
         let mut t = self.clone();
         t.commitment = Commitment::default();
-        t.accounts.take_dirty();
         t.registry = self.registry.rebuilt();
         t
     }
@@ -585,7 +583,8 @@ impl StateTree {
     pub fn is_committed(&self) -> bool {
         self.commitment.built
             && self.commitment.dirty.is_empty()
-            && self.accounts.dirty_is_empty()
+            && self.accounts.created.is_empty()
+            && self.accounts.committed.cached_root().is_some()
             && self.registry.log.cached_root().is_some()
     }
 
@@ -599,12 +598,14 @@ impl StateTree {
     ///
     /// Nothing that grows with the accounts or the cross-net history is
     /// copied. After a flush, the system actors, the allocator, the
-    /// registry log and the commitment are set aside (the log and the
-    /// commitment's account HAMT are O(1) structural clones). A put-back
-    /// restores each account `execute` touched from the set-aside HAMT,
-    /// drops the groups it appended from the registry index and restores
-    /// the rest wholesale; the cost counters keep the refused block's work.
-    /// `execute` must not flush: the touched accounts are its dirty set.
+    /// registry log, the commitment and the account HAMT are set aside (the
+    /// log and the HAMT are O(1) structural clones; a write copies a shared
+    /// node before changing it). A put-back restores the set-aside HAMT and
+    /// forgets the routes of the accounts `execute` created, drops the
+    /// groups it appended from the registry index and restores the rest
+    /// wholesale; the cost counters keep the refused block's work.
+    /// `execute` must not flush: the accounts it created are the ones the
+    /// overlay holds.
     ///
     /// # Errors
     ///
@@ -621,24 +622,14 @@ impl StateTree {
         let (next_actor_id, minted) = (self.next_actor_id, self.minted);
         let log = self.registry.log.clone();
         let commitment = self.commitment.clone();
+        let committed = self.accounts.committed.clone();
         let out = execute(self);
-        let touched = self.accounts.dirty.clone();
+        let created: Vec<Address> = self.accounts.created.keys().copied().collect();
         let root = self.flush();
         if root == expected {
             return Ok(out);
         }
-        for addr in touched {
-            let (route, acc) = self
-                .accounts
-                .routed(addr)
-                .expect("a touched account exists");
-            match commitment.accounts_hamt.get_at(&route, &addr) {
-                Some(state) => *acc = state.clone(),
-                None => {
-                    self.accounts.map.remove(&addr);
-                }
-            }
-        }
+        self.accounts.put_back(committed, &created);
         (self.sca, self.sas, self.atomic) = (sca, sas, atomic);
         (self.next_actor_id, self.minted) = (next_actor_id, minted);
         self.registry.truncate(log);
@@ -702,8 +693,8 @@ impl StateTree {
                 .write_bytes(&mut out),
             ChunkKey::Accounts => {
                 let root = self
-                    .commitment
-                    .accounts_hamt
+                    .accounts
+                    .committed
                     .cached_root()
                     .expect("accounts HAMT flushed before encoding its leaf");
                 root.write_bytes(&mut out);
@@ -756,7 +747,7 @@ impl StateTree {
             };
             persisted.insert(*key, (*digest, blob_cid));
         }
-        let accounts_root = self.commitment.accounts_hamt.unpersisted(store, &mut blobs);
+        let accounts_root = self.accounts.committed.unpersisted(store, &mut blobs);
         let registry_root = self.registry.log.unpersisted(store, &mut blobs);
         store.put_keyed(blobs);
         self.commitment.persisted = persisted;
@@ -776,7 +767,7 @@ impl StateTree {
 
     /// The committed account-HAMT root. `None` until the tree is flushed.
     pub fn accounts_root(&self) -> Option<TCid<MHamtNode>> {
-        self.commitment.accounts_hamt.cached_root()
+        self.accounts.committed.cached_root()
     }
 
     /// Gross token supply of the subnet (every account, including escrow

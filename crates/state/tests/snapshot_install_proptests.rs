@@ -224,11 +224,10 @@ fn hamt_interior(bitmap: u32, children: &[Cid]) -> Vec<u8> {
 fn malformed_account_nodes_are_refused_and_forged_shapes_never_installed() {
     let store = CidStore::new();
     let (mut tree, manifest) = persisted_ledger(USERS, &store);
-    let entries: Vec<(Address, AccountState)> = tree
-        .accounts()
-        .iter()
-        .map(|(addr, state)| (*addr, state.clone()))
-        .collect();
+    let mut entries: Vec<(Address, AccountState)> = Vec::new();
+    tree.accounts()
+        .for_each(|addr, state| entries.push((*addr, state.clone())));
+    entries.sort_by_key(|(addr, _)| *addr);
     let install = |blob: Vec<u8>| {
         let mut served = manifest.clone();
         served.accounts_root = TCid::from_cid(store.put(blob));

@@ -3,7 +3,10 @@
 //! to the root of a freshly rebuilt tree, at any flush cadence, and a block
 //! `StateTree::commit_if` refuses must be put back whole. Every route an
 //! account keeps for the accounts HAMT is its own address's hash, whichever
-//! path created or replaced the account.
+//! path created or replaced the account, and every account reads as a
+//! plain map of the same writes holds it.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -11,8 +14,8 @@ use hc_actors::sa::{SaConfig, SaState};
 use hc_actors::{CrossMsg, HcAddress, ScaConfig};
 use hc_state::hamt::hash_key;
 use hc_state::{
-    apply_implicit, apply_sealed, ChunkManifest, CidStore, ImplicitMsg, LaneOverlay, Message,
-    Method, SealedMessage, StateAccess, StateTree, VmEvent,
+    apply_implicit, apply_sealed, AccountState, ChunkManifest, CidStore, ImplicitMsg, LaneOverlay,
+    Message, Method, SealedMessage, StateAccess, StateTree, VmEvent,
 };
 use hc_types::{Address, ChainEpoch, Cid, Keypair, Nonce, SubnetId, TokenAmount};
 
@@ -337,7 +340,8 @@ fn arb_step() -> impl Strategy<Value = Step> {
 }
 
 /// Flushes `tree` and checks the root against a from-scratch recompute and
-/// every kept route against its own address's hash.
+/// every kept route against its own address's hash; routes are kept for
+/// exactly the accounts that exist.
 fn check_routes(tree: &mut StateTree) -> Result<(), TestCaseError> {
     let root = tree.flush();
     prop_assert_eq!(root, tree.recompute_root(), "incremental != from-scratch");
@@ -349,17 +353,94 @@ fn check_routes(tree: &mut StateTree) -> Result<(), TestCaseError> {
             addr
         );
     }
+    let mut routed: Vec<Address> = tree.accounts().routes().map(|(addr, _)| *addr).collect();
+    routed.sort();
+    prop_assert!(
+        routed.into_iter().eq(contents(tree).into_keys()),
+        "a route kept for an address without an account, or an account without one"
+    );
     Ok(())
 }
 
-/// Applies one step of the route property to `tree`.
+/// Every account of `tree`, by address.
+fn contents(tree: &StateTree) -> BTreeMap<Address, AccountState> {
+    let mut all = BTreeMap::new();
+    tree.accounts().for_each(|addr, acc| {
+        all.insert(*addr, acc.clone());
+    });
+    all
+}
+
+/// Every address a step can create: the users, the idle accounts, the
+/// fresh transfer and install targets and the system actors.
+fn probes() -> impl Iterator<Item = Address> {
+    (0..USERS)
+        .map(|i| 100 + i)
+        .chain(500..508)
+        .chain(700..708)
+        .chain(1_000..1_096)
+        .map(Address::new)
+        .chain([Address::SCA, Address::BURNT_FUNDS, Address::REWARD])
+}
+
+/// Every account of `tree` reads as it does in `model`, a plain map of the
+/// same writes, and no other account exists.
+fn check_reads(
+    tree: &StateTree,
+    model: &BTreeMap<Address, AccountState>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&contents(tree), model, "the accounts differ from the model");
+    for addr in model.keys().copied().chain(probes()) {
+        prop_assert_eq!(
+            tree.accounts().get(addr),
+            model.get(&addr),
+            "{} reads otherwise than in the model",
+            addr
+        );
+    }
+    Ok(())
+}
+
+/// The lane writes of users 0..4 each sending to their own fresh address,
+/// run on `width` lane overlays over `base`.
+fn lane_writes(
+    base: &StateTree,
+    width: usize,
+    fresh: u8,
+    atto: u64,
+    nonces: &mut [Nonce],
+) -> Vec<BTreeMap<Address, AccountState>> {
+    let sends: Vec<Op> = (0..USERS)
+        .map(|from| Op::TransferFresh {
+            from,
+            fresh: 4 * fresh + from as u8,
+            atto,
+        })
+        .collect();
+    sends
+        .chunks(sends.len() / width)
+        .map(|lane| {
+            let mut overlay = LaneOverlay::new(base);
+            for op in lane {
+                apply_op(&mut overlay, op, nonces);
+            }
+            overlay.into_writes()
+        })
+        .collect()
+}
+
+/// Applies one step of the route property to `tree`, and the writes it
+/// makes to `model` too: a tree never flushed, whose accounts all wait in
+/// its overlay, a plain map.
 fn apply_step(
     tree: &mut StateTree,
+    model: &mut StateTree,
     step: &Step,
     nonces: &mut [Nonce],
 ) -> Result<(), TestCaseError> {
     match step {
         Step::Op(op) => {
+            apply_op(model, op, &mut nonces.to_vec());
             apply_op(tree, op, nonces);
         }
         Step::Install { fresh } => {
@@ -369,30 +450,15 @@ fn apply_step(
                 None,
             )];
             let msg = ImplicitMsg::InstallAccounts(install.into());
-            prop_assert!(apply_implicit(tree, ChainEpoch::new(1), &msg).exit.is_ok());
+            for t in [&mut *model, &mut *tree] {
+                prop_assert!(apply_implicit(t, ChainEpoch::new(1), &msg).exit.is_ok());
+            }
         }
         Step::Lanes { width, fresh, atto } => {
-            let sends: Vec<Op> = (0..USERS)
-                .map(|from| Op::TransferFresh {
-                    from,
-                    fresh: 4 * fresh + from as u8,
-                    atto: *atto,
-                })
-                .collect();
-            let writes: Vec<_> = {
-                let base: &StateTree = tree;
-                sends
-                    .chunks(sends.len() / width)
-                    .map(|lane| {
-                        let mut overlay = LaneOverlay::new(base);
-                        for op in lane {
-                            apply_op(&mut overlay, op, nonces);
-                        }
-                        overlay.into_writes()
-                    })
-                    .collect()
-            };
-            for lane in writes {
+            for lane in lane_writes(model, *width, *fresh, *atto, &mut nonces.to_vec()) {
+                model.absorb_accounts(lane);
+            }
+            for lane in lane_writes(tree, *width, *fresh, *atto, nonces) {
                 tree.absorb_accounts(lane);
             }
         }
@@ -416,11 +482,9 @@ fn apply_step(
             *tree = StateTree::from_manifest(&manifest, &store).expect("its own snapshot");
             // The install's first flush builds the HAMT from scratch and
             // keeps every route it hashes.
-            prop_assert!(
-                tree.accounts()
-                    .iter()
-                    .map(|(addr, _)| addr)
-                    .eq(tree.accounts().routes().map(|(addr, _)| addr)),
+            prop_assert_eq!(
+                tree.accounts().routes().count(),
+                contents(tree).len(),
                 "an installed account keeps no route"
             );
             for (addr, route) in tree.accounts().routes() {
@@ -442,7 +506,9 @@ proptest! {
     /// put-back, `rebuilt()`, a snapshot install, a diverging clone — after
     /// every flush the root equals a from-scratch recompute and every route
     /// an account keeps is its own address's hash; after a snapshot
-    /// install's first flush, every account keeps its own.
+    /// install's first flush, every account keeps its own. After every
+    /// step, flushed or not, each account reads as in a plain map of the
+    /// same writes, where a refused block writes nothing.
     #[test]
     fn every_kept_route_is_its_own_address_hash(
         steps in prop::collection::vec(arb_step(), 1..40),
@@ -451,15 +517,19 @@ proptest! {
         // Enough idle accounts that the accounts HAMT has an interior
         // root, so every write descends along its route.
         let mut tree = genesis_with(96);
+        let mut model = genesis_with(96);
         let mut nonces = vec![Nonce::ZERO; USERS as usize];
         check_routes(&mut tree)?;
         for (i, step) in steps.iter().enumerate() {
-            apply_step(&mut tree, step, &mut nonces)?;
+            apply_step(&mut tree, &mut model, step, &mut nonces)?;
+            check_reads(&tree, &contents(&model))?;
             if i % cadence == 0 {
                 check_routes(&mut tree)?;
             }
         }
         check_routes(&mut tree)?;
+        check_reads(&tree, &contents(&model))?;
+        prop_assert!(!model.is_committed(), "the model is never flushed");
     }
 
     /// The incremental root equals a from-scratch recompute over the

@@ -137,6 +137,30 @@ fn block<'a>(src: &'a str, opener: &str, closer: &str) -> Vec<&'a str> {
     out
 }
 
+/// The lines of function `name` in `src`, from its signature (generic or
+/// not) to the line
+/// closing it at the signature's indentation (empty if `src` declares no
+/// such function).
+fn body_of<'a>(src: &'a str, name: &str) -> Vec<&'a str> {
+    let (call, generic) = (format!("fn {name}("), format!("fn {name}<"));
+    let mut lines = src
+        .lines()
+        .skip_while(|l| !l.contains(&call) && !l.contains(&generic));
+    let Some(signature) = lines.next() else {
+        return Vec::new();
+    };
+    let indent = &signature[..signature.len() - signature.trim_start().len()];
+    let closer = format!("{indent}}}");
+    let mut out = vec![signature];
+    for line in lines {
+        out.push(line);
+        if line == closer {
+            break;
+        }
+    }
+    out
+}
+
 /// Whether `line` declares a struct field: four spaces, an optional `pub `
 /// or `pub(crate) `, a lower-case identifier and a colon.
 fn is_field(line: &str, pub_only: bool) -> bool {
@@ -1620,13 +1644,14 @@ fn hot_values_stay_small() {
 /// `hash_key` is `hamt.rs`'s one key hash, run by the plain `get`, `set`
 /// and `delete` and by a leaf split; the route-taking forms descend along
 /// a route the caller holds, and the one-pass `Hamt::build` takes routes
-/// from its caller. The state tree hashes an address in `Entry::route`,
-/// the first time it is routed, and in `recompute_root`. The accounts
-/// HAMT has one build, `build_accounts_hamt` (`Hamt::build`): the first
-/// flush feeds it every account's route through `routed_all`, which keeps
-/// them, and the from-scratch reference feeds it fresh hashes and reads
-/// no kept route. The incremental flush writes through `set_at` and the
-/// put-back reads through `get_at`.
+/// from its caller. The state tree hashes an address in `route`, the first
+/// time it is routed, and in `recompute_root`. The accounts HAMT has one
+/// build, `build_accounts_hamt` (`Hamt::build`): the first flush's
+/// `rebuild` feeds it every account through `route`, which keeps the
+/// routes, and the from-scratch reference feeds it fresh hashes and reads
+/// no kept route. A read descends through `get_at` and a write through
+/// `get_mut_at`, both along the kept route, and the incremental flush
+/// moves created accounts in through `set_at`; the put-back reads nothing.
 #[test]
 fn a_key_is_routed_once() {
     let hamt = read_rel("crates/state/src/hamt.rs");
@@ -1658,26 +1683,25 @@ fn a_key_is_routed_once() {
         ".set(",
         ".set_at(",
         ".get_at(",
+        ".get_mut_at(",
         ".delete(",
-        "accounts_hamt.get(",
+        "committed.get(",
     ];
     let tree = read_rel("crates/state/src/tree.rs");
     assert_eq!(
         calls_in(non_test(&tree), &routing),
         [
+            "get: .get_at(",
+            "get_or_create: .get_mut_at(",
+            "commit_created: .set_at(",
+            "rebuild: build_accounts_hamt(",
             "route: hash_key(",
-            "flush: .routed(",
-            "flush: .set_at(",
-            "rebuild_commitment: .routed_all(",
-            "rebuild_commitment: build_accounts_hamt(",
             "recompute_root: hash_key(",
-            "recompute_root: build_accounts_hamt(",
-            "commit_if: .routed(",
-            "commit_if: .get_at("
+            "recompute_root: build_accounts_hamt("
         ],
         "DESIGN.md §14: the state tree hashes an address only when it is first routed and in \
-         the from-scratch reference, builds the accounts HAMT one way, and the flush and the \
-         put-back go through the route-taking forms"
+         the from-scratch reference, builds the accounts HAMT one way, and reads, writes and \
+         the flush go through the route-taking forms"
     );
     let chunk = read_rel("crates/state/src/chunk.rs");
     let builder: Vec<String> = calls_in(
@@ -1691,6 +1715,132 @@ fn a_key_is_routed_once() {
         builder,
         ["build_accounts_hamt: Hamt::build("],
         "DESIGN.md §14: the accounts HAMT is built in one pass from the routes it is given"
+    );
+}
+
+/// DESIGN.md §14, "One home per account": the committed account HAMT is
+/// the account table. `Accounts` holds the HAMT, an address → route index
+/// and the overlay of accounts created since the last flush — no other
+/// `AccountState` collection exists in non-test `tree.rs`, and the chunk
+/// commitment keeps no HAMT of its own. Nothing copies an account to keep
+/// it: a write lands in place, the flush and the first build move accounts
+/// into their leaves, and a refused block's put-back restores the HAMT
+/// `commit_if` set aside, looping over no account.
+#[test]
+fn an_account_has_one_home() {
+    let text = read_rel("crates/state/src/tree.rs");
+    let tree = non_test(&text);
+    let fields: Vec<&str> = block(tree, "pub struct Accounts {", "}")
+        .into_iter()
+        .filter(|l| is_field(l, false))
+        .map(str::trim)
+        .collect();
+    assert_eq!(
+        fields,
+        [
+            "committed: Hamt<Address, AccountState>,",
+            "routes: HashMap<Address, Route>,",
+            "created: BTreeMap<Address, AccountState>,"
+        ],
+        "DESIGN.md §14: `Accounts` holds the HAMT, the route index and the overlay of created \
+         accounts, nothing else"
+    );
+    let maps = hits(
+        [root().join("crates/state/src/tree.rs")].iter(),
+        non_test,
+        |l| {
+            [
+                "Map<Address, AccountState>",
+                "Vec<(Address, AccountState)>",
+                "struct Entry",
+            ]
+            .iter()
+            .any(|t| l.contains(t))
+        },
+    );
+    assert_eq!(
+        maps.len(),
+        1,
+        "DESIGN.md §14: the overlay is the one map of accounts beside the HAMT; found {maps:#?}"
+    );
+    let chunk = read_rel("crates/state/src/chunk.rs");
+    let commitment = block(non_test(&chunk), "pub(crate) struct Commitment {", "}");
+    assert!(
+        !commitment.is_empty() && !commitment.iter().any(|l| l.contains("Hamt<")),
+        "DESIGN.md §14: the commitment keeps no account HAMT beside the table"
+    );
+    for name in [
+        "get_or_create",
+        "commit_created",
+        "rebuild",
+        "put_back",
+        "flush",
+        "rebuild_commitment",
+    ] {
+        let body = body_of(tree, name);
+        let copies: Vec<&&str> = body
+            .iter()
+            .filter(|l| l.contains(".clone()") || l.contains(".cloned()"))
+            .collect();
+        assert!(
+            body.len() > 2 && copies.is_empty(),
+            "DESIGN.md §14: `{name}` copies no account; found {copies:#?}"
+        );
+    }
+    let commit_if = body_of(tree, "commit_if");
+    let set_aside: Vec<&str> = commit_if
+        .iter()
+        .filter(|l| l.contains(".clone()") && l.contains("accounts"))
+        .map(|l| l.trim())
+        .collect();
+    assert!(
+        set_aside == ["let committed = self.accounts.committed.clone();"]
+            && commit_if.iter().any(|l| l.contains("put_back(committed"))
+            && !commit_if.iter().any(|l| l.trim_start().starts_with("for ")),
+        "DESIGN.md §14: `commit_if` sets the HAMT aside whole and a refused block's put-back \
+         restores it, with no per-account loop; found {set_aside:#?}"
+    );
+}
+
+/// DESIGN.md §13, "Verification and install": a snapshot install reads no
+/// block. The skip walk that chains the covered blocks collects their
+/// senders (`skip_past`) and hands them to `install_snapshot`, which reads
+/// the chain only for the anchor's header — the trust root — and settles
+/// the floors of the senders it is given.
+#[test]
+fn a_snapshot_install_reads_no_block() {
+    let text = read_rel("crates/core/src/node.rs");
+    let install = body_of(non_test(&text), "install_snapshot");
+    let reads: Vec<&&str> = install
+        .iter()
+        .filter(|l| {
+            [
+                "chain.iter(",
+                "chain.get(",
+                "get_by_epoch(",
+                "head_block(",
+                "signed_msgs",
+                "Block::decode(",
+                ".decode()",
+            ]
+            .iter()
+            .any(|r| l.contains(r))
+        })
+        .collect();
+    assert!(
+        install.len() > 2
+            && reads.is_empty()
+            && install.iter().any(|l| l.contains("header_at(epoch)"))
+            && install
+                .iter()
+                .any(|l| l.contains("senders: &BTreeSet<Address>")),
+        "DESIGN.md §13: `install_snapshot` reads the anchor's header and no block, and settles \
+         the senders its skip walk hands it; found {reads:#?}"
+    );
+    let skip = body_of(non_test(&text), "skip_past");
+    assert!(
+        skip.iter().any(|l| l.contains("senders.extend(")),
+        "DESIGN.md §13: the skip walk collects the senders of the blocks it skips"
     );
 }
 
