@@ -708,6 +708,11 @@ pub fn f9_chaos() -> Result<Table, RuntimeError> {
         ),
     );
     row(
+        "catch-up time (vms)",
+        clean.chaos.catch_up_ms.to_string(),
+        chaotic.chaos.catch_up_ms.to_string(),
+    );
+    row(
         "net targeted-dropped",
         clean.net.targeted_dropped.to_string(),
         chaotic.net.targeted_dropped.to_string(),

@@ -5,10 +5,10 @@
 //! honest validator quorum — so "crashing" the node halts the subnet's
 //! block production entirely, while the finalized chain survives on the
 //! subnet's remaining peers (the record's copy, `SubnetRecord::peers`,
-//! held while no live node holds the chain). A
-//! crash is `SubnetNode::crash`, which hands back what outlives the node; a
-//! rejoin rebuilds it from genesis via the recorded boot parameters and
-//! restarts it catching up (`SubnetNode::restart`). The node then catches
+//! held while no live node holds the chain). A crash is
+//! `SubnetNode::crash`, which hands back what outlives the node; a rejoin
+//! rebuilds it from genesis via the recorded boot parameters and restarts
+//! it catching up (`SubnetNode::restart`). The node then catches
 //! itself up (`node/catch_up.rs`): it publishes
 //! [`hc_net::ResolutionMsg::BlockPull`] requests on its own topic, peers
 //! answer with bounded [`hc_net::ResolutionMsg::BlockBatch`] replies, and
@@ -41,9 +41,12 @@
 //! The node faults of the fault plan ([`hc_net::FaultKind::Crash`] and
 //! the crash leg of [`hc_net::FaultKind::RegionOutage`]) are driven
 //! deterministically from the step loop by
-//! `HierarchyRuntime::process_fault_events`; tests can also call
-//! [`HierarchyRuntime::crash_node`] / [`HierarchyRuntime::rejoin_node`]
-//! directly.
+//! `HierarchyRuntime::process_fault_events`, which also runs the catch-up
+//! rounds: one at the step's time, then one at each catching-up node's
+//! next wake (its next sync delivery, or its pull's retry deadline) that
+//! falls before the next live node's block, so a round trip costs the
+//! network's delay, not block intervals. Tests can also call
+//! [`HierarchyRuntime::crash_node`] / [`HierarchyRuntime::rejoin_node`].
 
 use hc_chain::History;
 use hc_net::{FaultKind, FaultPlan, FaultRule, ResolutionMsg, BLOB_BATCH_CAP};
@@ -95,6 +98,9 @@ pub struct ChaosStats {
     pub block_pull_retries: u64,
     /// `BlockBatch` replies served from the surviving-peer chain copy.
     pub block_batches: u64,
+    /// Virtual ms from each restart to the node going live, summed over
+    /// the completed catch-ups.
+    pub catch_up_ms: u64,
     /// Scheduled crash faults skipped because their subnet did not exist
     /// (or could not be safely crashed) when the fault fired.
     pub crashes_skipped: u64,
@@ -307,7 +313,11 @@ impl HierarchyRuntime {
     /// Drives scheduled node faults and all active catch-ups. Called at
     /// the top of every [`HierarchyRuntime::step`] /
     /// [`HierarchyRuntime::step_wave`]; a no-op (and RNG-neutral) when the
-    /// fault plan schedules no node fault and nothing is catching up.
+    /// fault plan schedules no node fault and nothing is catching up. A
+    /// catch-up acts when its sync traffic lands: after the round at now,
+    /// the clock moves to each next wake ([`SubnetNode::next_wake_ms`])
+    /// that falls before the next live node's block, and a round runs
+    /// there.
     pub(crate) fn process_fault_events(&mut self) -> Result<(), RuntimeError> {
         if self.node_faults.is_empty() && self.nodes.values().all(SubnetNode::is_live) {
             return Ok(());
@@ -346,12 +356,32 @@ impl HierarchyRuntime {
                 _ => phase,
             };
         }
+        self.advance_catch_ups()?;
+        while let Some(wake_ms) = self.next_catch_up_wake() {
+            self.now_ms = self.now_ms.max(wake_ms);
+            self.advance_catch_ups()?;
+        }
+        Ok(())
+    }
+
+    /// One round of every catching-up node, at now.
+    fn advance_catch_ups(&mut self) -> Result<(), RuntimeError> {
         let syncing = self.nodes.values().filter(|n| !n.is_live());
         let syncing: Vec<SubnetId> = syncing.map(|n| n.subnet_id().clone()).collect();
         for subnet in syncing {
             self.advance_catch_up(&subnet)?;
         }
         Ok(())
+    }
+
+    /// The earliest wake of a catching-up node, if it falls before the
+    /// next live node's block.
+    fn next_catch_up_wake(&self) -> Option<u64> {
+        let live = self.nodes.values().filter(|n| n.is_live());
+        let next_block_ms = live.map(SubnetNode::next_block_at_ms).min()?;
+        let wakes = self.nodes.values();
+        let wakes = wakes.filter_map(|n| n.next_wake_ms(&self.network, self.now_ms));
+        wakes.min().filter(|&wake_ms| wake_ms < next_block_ms)
     }
 
     /// A whole-region outage fires: every node placed in the region is

@@ -6,9 +6,13 @@
 //! re-executes the blocks its peers send, or first assembles their
 //! snapshot, chains the blocks it covers as the peers hold them and
 //! installs it, as a recovery fast-forward does; it pulls what it still
-//! lacks under its own [`Backoff`]; and it goes live by itself. The
-//! runtime stands in for the peers: it answers the pulls and refreshes the
-//! validator set from the parent chain, and nothing else. State changes
+//! lacks under its own [`Backoff`]; it says when it next has work
+//! ([`SubnetNode::next_wake_ms`]: its next sync delivery, or its pull's
+//! retry deadline), so the runtime runs a round as each delivery lands
+//! rather than at the next block; and it goes live by itself, its first
+//! block on its subnet's slot grid. The runtime stands in for the peers:
+//! it answers the pulls and refreshes the validator set from the parent
+//! chain, and nothing else. State changes
 //! only through blocks, so the blocks it re-executes (or the snapshot it
 //! installs) bring every account its subnet installed: nothing is
 //! re-installed beside them.
@@ -76,8 +80,11 @@ pub(crate) struct CatchUp {
     /// `Some` while the node is still assembling a snapshot (the fetch
     /// phase precedes any block replay).
     snapshot: Option<SnapshotSync>,
-    /// The node's first block is due one block time after it goes live.
+    /// The subnet's block time: the spacing of its slot grid, on which
+    /// the node's first block after catch-up lands.
     block_time_ms: u64,
+    /// When the node restarted, for [`ChaosStats::catch_up_ms`].
+    restarted_ms: u64,
 }
 
 /// In-flight snapshot assembly of one restarted node.
@@ -108,6 +115,22 @@ impl SnapshotSync {
         let mut missing = manifest.missing_chunks(&self.staging);
         missing.truncate(BLOB_BATCH_CAP);
         Ok(missing)
+    }
+}
+
+impl CatchUp {
+    /// The first block of a node that goes live at `now_ms` keeps its
+    /// subnet's cadence: it lands on the slot grid of the head it caught
+    /// up to (`head_ms` + k × block time), at least one block time from
+    /// now — so a node that went live between two of its siblings' blocks
+    /// stays in phase with them. With no head it is one block time from
+    /// now.
+    fn first_slot_ms(&self, head_ms: Option<u64>, now_ms: u64) -> u64 {
+        let (block_ms, earliest_ms) = (self.block_time_ms.max(1), now_ms + self.block_time_ms);
+        head_ms.map_or(earliest_ms, |head_ms| {
+            let slots = earliest_ms.saturating_sub(head_ms).div_ceil(block_ms);
+            head_ms + slots.max(1) * block_ms
+        })
     }
 }
 
@@ -179,13 +202,32 @@ impl SubnetNode {
             policy: config.retry,
             snapshot,
             block_time_ms,
+            restarted_ms: now_ms,
         }));
+    }
+
+    /// When the catching-up node next has work after `now_ms`: the
+    /// earliest delivery pending to its subscription, or its pull's
+    /// deadline if that is later than now (a deadline at or before now is
+    /// no event: the round at now already stepped it). `None` for a live
+    /// node, or one with nothing pending.
+    pub(crate) fn next_wake_ms(
+        &self,
+        network: &Network<ResolutionMsg>,
+        now_ms: u64,
+    ) -> Option<u64> {
+        let Mode::CatchingUp(cu) = &self.mode else {
+            return None;
+        };
+        let retry = Some(cu.pull.next_at_ms()).filter(|&at| at > now_ms);
+        let delivery = network.next_delivery_for(self.subscription);
+        delivery.into_iter().chain(retry).min()
     }
 
     /// One catch-up round on the sync traffic [`SubnetNode::poll`] read,
     /// its blocks re-executed on `workers`. Once the node holds
-    /// `peers.history` it goes live, its first block due a block time from
-    /// now.
+    /// `peers.history` it goes live, its first block on its subnet's slot
+    /// grid ([`CatchUp::first_slot_ms`]).
     pub(crate) fn catch_up(
         &mut self,
         inbox: SyncInbox,
@@ -201,19 +243,22 @@ impl SubnetNode {
             self.mode = Mode::CatchingUp(cu);
             return done.map(|_| ());
         }
-        self.next_block_at_ms = peers.now_ms + cu.block_time_ms;
+        let head_ms = self.chain.head_block().map(|b| b.header.timestamp_ms);
+        self.next_block_at_ms = cu.first_slot_ms(head_ms, peers.now_ms);
         stats.catch_ups_completed += 1;
+        stats.catch_up_ms += peers.now_ms.saturating_sub(cu.restarted_ms);
         Ok(())
     }
 
     /// The body of [`SubnetNode::catch_up`]. While a snapshot is being
     /// assembled: fold received blobs into the staging store
     /// (content-addressed, so corrupt or unrelated blobs land under a
-    /// different CID and are never asked for again), and bootstrap from it
-    /// once its closure is whole. After: re-commit the received blocks that
-    /// extend the head — duplicated or overlapping batches are harmless —
-    /// and report whether the node holds its peers' chain. Either way,
-    /// (re)pull what is missing.
+    /// different CID and are never asked for again), pull what it still
+    /// lacks, and once its closure is whole bootstrap from it and go on to
+    /// the blocks in the same round. After: re-commit the received blocks
+    /// that extend the head — duplicated or overlapping batches are
+    /// harmless — and report whether the node holds its peers' chain; if
+    /// not, (re)pull the next batch.
     fn catch_up_round(
         &mut self,
         cu: &mut CatchUp,
@@ -223,7 +268,7 @@ impl SubnetNode {
         stats: &mut ChaosStats,
     ) -> Result<bool, RuntimeError> {
         let now_ms = peers.now_ms;
-        let pull = if let Some(sync) = &mut cu.snapshot {
+        if let Some(sync) = &mut cu.snapshot {
             let mut accepted = 0;
             for blob in inbox.blob_batches.into_iter().flatten() {
                 if !sync.staging.contains(&Cid::digest(&blob)) {
@@ -236,56 +281,67 @@ impl SubnetNode {
             }
             let cids = sync.wanted()?;
             stats.blobs_synced += accepted;
-            if cids.is_empty() {
-                self.bootstrap_from_snapshot(cu, peers, stats)?;
+            if !cids.is_empty() {
+                let reply_topic = self.subnet_id.topic();
+                let pull = ResolutionMsg::BlobPull { cids, reply_topic };
+                self.send_pull(cu, pull, peers, stats);
                 return Ok(false);
             }
-            let reply_topic = self.subnet_id.topic();
-            ResolutionMsg::BlobPull { cids, reply_topic }
-        } else {
-            for bytes in inbox.block_batches.into_iter().flatten() {
-                let Ok(block) = Block::decode(&bytes) else {
-                    continue;
-                };
-                if block.header.epoch != self.next_epoch {
-                    continue;
-                }
-                // The live hierarchy has moved on: every outward effect of
-                // the block (parent checkpoint submission, journal records,
-                // manifest anchors, certificate gossip, the top-down
-                // messages handed to its children) happened when it was
-                // produced, so only the node-local half of its events
-                // re-runs. A refused block changed nothing: a peer's
-                // forgery is dropped, and the pull goes on.
-                let Ok(outcome) = self.reexecute(&block, workers) else {
-                    stats.blocks_rejected += 1;
-                    continue;
-                };
-                for event in &outcome.events {
-                    self.apply_event(event, false, None);
-                }
-                // Replay restores the historical schedule; stay
-                // unschedulable until catch-up completes.
-                self.next_block_at_ms = u64::MAX;
-                stats.blocks_caught_up += 1;
-                cu.pull = Backoff::due_at(now_ms);
+            self.bootstrap_from_snapshot(cu, peers, stats)?;
+        }
+        for bytes in inbox.block_batches.into_iter().flatten() {
+            let Ok(block) = Block::decode(&bytes) else {
+                continue;
+            };
+            if block.header.epoch != self.next_epoch {
+                continue;
             }
-            if self.chain.len() >= peers.history.len() {
-                return Ok(true);
+            // The live hierarchy has moved on: every outward effect of the
+            // block (parent checkpoint submission, journal records, manifest
+            // anchors, certificate gossip, the top-down messages handed to
+            // its children) happened when it was produced, so only the
+            // node-local half of its events re-runs. A refused block changed
+            // nothing: a peer's forgery is dropped, and the pull goes on.
+            let Ok(outcome) = self.reexecute(&block, workers) else {
+                stats.blocks_rejected += 1;
+                continue;
+            };
+            for event in &outcome.events {
+                self.apply_event(event, false, None);
             }
-            ResolutionMsg::BlockPull {
-                subnet: self.subnet_id.clone(),
-                from_epoch: self.next_epoch,
-                reply_topic: self.subnet_id.topic(),
-            }
+            // Replay restores the historical schedule; stay unschedulable
+            // until catch-up completes.
+            self.next_block_at_ms = u64::MAX;
+            stats.blocks_caught_up += 1;
+            cu.pull = Backoff::due_at(now_ms);
+        }
+        if self.chain.len() >= peers.history.len() {
+            return Ok(true);
+        }
+        let pull = ResolutionMsg::BlockPull {
+            subnet: self.subnet_id.clone(),
+            from_epoch: self.next_epoch,
+            reply_topic: self.subnet_id.topic(),
         };
-        // The pull goes out on the subnet's own topic, with the node as
-        // origin, when the backoff says one is due: the peers answer it from
-        // there, so both legs cross the (possibly faulty) network. The retry
-        // budget is *per batch* — the backoff restarts on every replayed
-        // block or accepted blob — so an exhausted budget cools down for the
-        // capped timeout and re-arms: a long blackout slows this batch down,
-        // it never abandons the batches behind it.
+        self.send_pull(cu, pull, peers, stats);
+        Ok(false)
+    }
+
+    /// Publishes `pull` on the subnet's own topic, with the node as origin,
+    /// when the backoff says one is due: the peers answer it from there, so
+    /// both legs cross the (possibly faulty) network. The retry budget is
+    /// *per batch* — the backoff restarts on every replayed block or
+    /// accepted blob — so an exhausted budget cools down for the capped
+    /// timeout and re-arms: a long blackout slows this batch down, it never
+    /// abandons the batches behind it.
+    fn send_pull(
+        &self,
+        cu: &mut CatchUp,
+        pull: ResolutionMsg,
+        peers: &Peers,
+        stats: &mut ChaosStats,
+    ) {
+        let now_ms = peers.now_ms;
         match cu.pull.step(&cu.policy, now_ms) {
             BackoffStep::Send(attempt) => {
                 let (sent, retried) = match pull {
@@ -305,7 +361,6 @@ impl SubnetNode {
                 stats.pull_budget_rearms += 1;
             }
         }
-        Ok(false)
     }
 
     /// Bootstraps the node from the assembled snapshot the way a recovery
@@ -486,7 +541,8 @@ mod tests {
             installs: Vec::new(),
             validator_keys: live.validator_keys.clone(),
         };
-        node.restart(survivor, None, &rt.config, params.block_time_ms, 0);
+        let mut now_ms = rt.now_ms();
+        node.restart(survivor, None, &rt.config, params.block_time_ms, now_ms);
         assert!(!node.is_live());
 
         // The peers' blocks in batches of four; the first round brings a
@@ -506,7 +562,7 @@ mod tests {
             .map(|from| peers.serve(ChainEpoch::new(from as u64 + 1), 4))
             .collect();
         let mut stats = ChaosStats::default();
-        let mut now_ms = 0;
+        let restarted_ms = now_ms;
         let mut round = |node: &mut SubnetNode, block_batches, now_ms| {
             let inbox = SyncInbox {
                 block_batches,
@@ -554,6 +610,14 @@ mod tests {
         };
         assert_eq!(cursors(&node), cursors(live));
         assert_eq!(node.stats, live.stats);
-        assert_eq!(node.next_block_at_ms, now_ms + params.block_time_ms);
+        assert_eq!(stats.catch_up_ms, now_ms - restarted_ms);
+        // The first block lands on the slot grid of the head it caught up
+        // to, the first slot at least a block time after it went live.
+        let block_ms = params.block_time_ms;
+        let head_ms = live.chain.head_block().unwrap().header.timestamp_ms;
+        let first_ms = node.next_block_at_ms;
+        assert_eq!((first_ms - head_ms) % block_ms, 0, "{first_ms} ms");
+        assert!(first_ms >= now_ms + block_ms, "{first_ms} ms");
+        assert!(first_ms < now_ms + 2 * block_ms, "{first_ms} ms");
     }
 }

@@ -109,11 +109,119 @@ fn crash_halts_production_and_rejoin_catches_up() {
     assert_eq!(h.rt.balance(&bob), whole(42));
 }
 
+/// Holds every delivery on `subnet`'s topic until the end of the 1.5 s
+/// window it was sent in, for twenty windows from now. A catch-up acts on
+/// each sync delivery as it lands, so on a healthy network it ends inside
+/// one step; held this way, each of its round trips takes a window, longer
+/// than a block time, and it spans several steps.
+fn hold_sync_traffic(h: &mut Harness, subnet: &SubnetId) {
+    let (now, width) = (h.rt.now_ms(), 1_500);
+    let hold = |i: u64| {
+        let kind = FaultKind::Partition {
+            name: format!("hold-{i}"),
+            topics: vec![subnet.topic()],
+            subscribers: Vec::new(),
+            policy: PartitionPolicy::HoldUntilHeal,
+        };
+        FaultRule::new(now + i * width, now + (i + 1) * width, kind)
+    };
+    let rules = (0..20).map(hold).collect();
+    h.rt.extend_faults(FaultPlan { rules });
+}
+
+/// A fault-free rejoin costs round trips, not block intervals: a catch-up
+/// acts on each sync delivery as it lands. On a tree with no faults, in
+/// both sync modes, the leaf goes live within one block time of its
+/// rejoin, no pull is retried and no budget re-armed, and its first block
+/// lands on the slot grid it kept before the crash, at least a block time
+/// after it went live.
+#[test]
+fn a_fault_free_rejoin_costs_round_trips_not_block_intervals() {
+    for sync_mode in [SyncMode::Replay, SyncMode::Snapshot] {
+        let config = RuntimeConfig {
+            sync_mode,
+            ..RuntimeConfig::default()
+        };
+        let block_ms = config.engine_params.block_time_ms;
+        let mut h = Harness::with(config, 1_000_000);
+        let sa = SaConfig {
+            checkpoint_period: 5,
+            ..SaConfig::default()
+        };
+        let child = h.spawn(&h.alice.clone(), sa.clone());
+        let bob = h.user(&child);
+        h.fund(&bob, 200);
+        let leaf = h.spawn(&bob, sa);
+        let (carol, dave) = (h.user(&leaf), h.user(&leaf));
+        h.fund(&carol, 30);
+        for _ in 0..10 {
+            h.rt.execute(&carol, dave.addr, whole(1), Method::Send)
+                .unwrap();
+        }
+        assert!(
+            h.rt.checkpoint_anchor(&leaf).is_some(),
+            "a cut to sync from"
+        );
+        let head = |h: &Harness| {
+            let chain = h.rt.node(&leaf).unwrap().chain();
+            (
+                chain.head_epoch(),
+                chain.head_block().unwrap().header.timestamp_ms,
+            )
+        };
+        let (crash_epoch, crash_head_ms) = head(&h);
+        assert!(crash_epoch.value() > 8, "more than a batch to sync");
+
+        h.rt.crash_node(&leaf).unwrap();
+        for _ in 0..6 {
+            h.rt.step().unwrap();
+        }
+        h.rt.rejoin_node(&leaf).unwrap();
+        let rejoined_ms = h.rt.now_ms();
+        while h.rt.is_catching_up(&leaf) {
+            h.rt.step().unwrap();
+        }
+        let stats = h.rt.chaos_stats();
+        let mode = format!("{sync_mode:?}");
+        assert_eq!(stats.catch_ups_completed, 1, "{mode}");
+        let snapshot = u64::from(sync_mode == SyncMode::Snapshot);
+        assert_eq!(stats.snapshot_installs, snapshot, "{mode}");
+        assert!(
+            stats.catch_up_ms <= block_ms,
+            "{mode}: live {} ms after the rejoin",
+            stats.catch_up_ms
+        );
+        let retried = (
+            stats.blob_pull_retries,
+            stats.block_pull_retries,
+            stats.pull_budget_rearms,
+        );
+        assert_eq!(retried, (0, 0, 0), "{mode}: {stats:?}");
+
+        while head(&h).0 == crash_epoch {
+            h.rt.step().unwrap();
+        }
+        let (epoch, first_ms) = head(&h);
+        assert_eq!(epoch, crash_epoch.next(), "{mode}");
+        assert_eq!(
+            (first_ms - crash_head_ms) % block_ms,
+            0,
+            "{mode}: the first block at {first_ms} ms is off the grid of {crash_head_ms} ms"
+        );
+        let live_ms = rejoined_ms + stats.catch_up_ms;
+        assert!(first_ms >= live_ms + block_ms, "{mode}: {first_ms} ms");
+        assert!(first_ms < live_ms + 2 * block_ms, "{mode}: {first_ms} ms");
+        h.settle();
+        audit_quiescent(&h.rt).unwrap();
+    }
+}
+
 /// Regression: a node that crashes while it is still catching up hands its
 /// next restart the whole chain its peers hold, not its partial replay, and
 /// no catch-up runs for it while it is down. Two crash windows on one leaf,
 /// the second opening as the first closes (the leaf goes down again in the
-/// step that rejoins it), and the same through direct calls; in both sync
+/// step that rejoins it), and the same through direct calls, the leaf's
+/// sync traffic held so that they catch it mid-catch-up; in both sync
 /// modes the leaf catches up to the chain it held when it first went down,
 /// every block from epoch 1, and does so again after one more crash once
 /// it is live; the hierarchy settles with exact balances.
@@ -165,6 +273,7 @@ fn a_node_crashed_while_catching_up_rejoins_whole() {
                 });
             } else {
                 h.rt.crash_node(&child).unwrap();
+                hold_sync_traffic(&mut h, &child);
                 h.rt.rejoin_node(&child).unwrap();
                 for _ in 0..3 {
                     h.rt.step().unwrap();
@@ -387,8 +496,9 @@ fn a_refused_submit_to_a_crashed_subnet_strands_nothing() {
 
 /// A rejoining node inherits its peers' pool, floors included, and
 /// replays history from genesis. A sender submitting while the replay is
-/// still behind its peers' head signs past that head: the replayed
-/// account nonces must not pull the inherited floors back down.
+/// still behind its peers' head (its sync traffic held, one batch a
+/// window) signs past that head: the replayed account nonces must not
+/// pull the inherited floors back down.
 #[test]
 fn a_sender_submitting_mid_catch_up_signs_past_its_peers_head() {
     let config = RuntimeConfig {
@@ -406,6 +516,7 @@ fn a_sender_submitting_mid_catch_up_signs_past_its_peers_head() {
     let peers_blocks = h.rt.node(&child).unwrap().chain().len();
 
     h.rt.crash_node(&child).unwrap();
+    hold_sync_traffic(&mut h, &child);
     h.rt.rejoin_node(&child).unwrap();
     while h.rt.node(&child).unwrap().chain().len() * 2 < peers_blocks {
         h.rt.step().unwrap();
@@ -571,8 +682,9 @@ fn catch_up_replies_leave_from_the_rejoining_nodes_region() {
 
 /// A catching-up node serves pulls for content its history already cut:
 /// the content registry is canonical state, and the node's one inbox loop
-/// serves a pull from it, mid catch-up as when live; the group never
-/// enters the cache. Under snapshot sync the group is cut at the anchor,
+/// serves a pull from it, mid catch-up as when live (its sync traffic
+/// held, one round trip a window); the group never enters the cache.
+/// Under snapshot sync the group is cut at the anchor,
 /// so it arrives with the installed state; under replay it is back once
 /// the catch-up has re-executed the block that cut it.
 #[test]
@@ -607,6 +719,7 @@ fn a_catching_up_node_serves_pulls_from_its_registry() {
         }
 
         h.rt.crash_node(&child).unwrap();
+        hold_sync_traffic(&mut h, &child);
         h.rt.rejoin_node(&child).unwrap();
         match sync_mode {
             SyncMode::Snapshot => {
@@ -1014,39 +1127,50 @@ fn fingerprint(rt: &HierarchyRuntime) -> String {
 /// were re-recorded again when the account HAMT's leaves dropped their
 /// entries' length prefixes and an account's storage and locks became one
 /// optional section: heads, state roots and checkpoint CIDs moved, every
-/// other byte of the text did not.
+/// other byte of the text did not. They were re-recorded again when a
+/// catch-up began to act on each sync delivery as it lands, its first
+/// block on its slot grid, and `ChaosStats` gained `catch_up_ms`: schedule
+/// 3, which crashes nothing, gained `, catch_up_ms: 0` and no other byte.
+/// Schedules 0 and 4 moved in both heads, state roots and next block
+/// times, the child's checkpoint CID, the root's head epoch and block
+/// counters (it settles at epoch 19, was 21, and 24, was 20), the pull
+/// counters and `NetStats`. Schedule 0's rejoin needs one
+/// pull where it sent a retry (`block_pulls` 2 → 1, `published` 6 → 4).
+/// Schedule 4's pulls now retry on their own timeouts under 20 % loss and
+/// reordering up to 800 ms (`block_pulls` 2 → 5, `targeted_dropped`
+/// 1 → 4).
 #[test]
 fn chaos_schedules_reproduce_the_recorded_fingerprints() {
     let recorded = [
         (
             SyncMode::Replay,
             0,
-            "a31ff52e0ea07197e698f3c82aa52f3b8788ddfe3585ab9ec9003b44ce48ca04",
+            "cedcabe49eeb7da9ff277804ced3f87ddfcee2337d95000fd3c49d395b07d532",
         ),
         (
             SyncMode::Replay,
             3,
-            "91431a44f8590f11f3ec300bcad23b1110cf44f3fb94cddbf0ed585f66ddbbd5",
+            "8de1c486a9f752802ab70080672e73bea831b9ec8837d8a42f29333fa1fdff61",
         ),
         (
             SyncMode::Replay,
             4,
-            "c05db3c3d4db9e01214e688f410536cf90636c823e60724f70697dc73c77eb03",
+            "404339def64c6ad4fe0034d96fb2208559697bb39da90d07871299263ea277ad",
         ),
         (
             SyncMode::Snapshot,
             0,
-            "4b90ab9b9594805ceeb20a6bcf671716cfb9c37008a8eaa2abf89b36134d7260",
+            "0ba27cba5a1b3e7ab8f37b291ba20dd57ec9789eab389400adb1316686298bce",
         ),
         (
             SyncMode::Snapshot,
             3,
-            "91431a44f8590f11f3ec300bcad23b1110cf44f3fb94cddbf0ed585f66ddbbd5",
+            "8de1c486a9f752802ab70080672e73bea831b9ec8837d8a42f29333fa1fdff61",
         ),
         (
             SyncMode::Snapshot,
             4,
-            "53bdd3ec340fdeaf1aa9cd89a13d1ca40bc71828456fb1bb9d641b4daf584bd4",
+            "25097cf9826a73e4da8153c8dfdef97cc1844a85554cc2d082cb9b70c27d668a",
         ),
     ];
     for (mode, seed, digest) in recorded {

@@ -192,7 +192,7 @@ struct Inner<P> {
     next_id: u64,
     /// topic -> subscriber ids.
     topics: HashMap<String, Vec<SubscriberId>>,
-    /// subscriber -> pending deliveries ordered by delivery time.
+    /// subscriber -> pending deliveries, in scheduling order.
     inboxes: BTreeMap<SubscriberId, VecDeque<Pending<P>>>,
     /// Subscribers currently offline (crashed nodes): publishes skip
     /// them entirely.
@@ -668,6 +668,14 @@ impl<P: Clone> Network<P> {
         inner.pending_times.keys().next().copied()
     }
 
+    /// Earliest pending delivery time to `sub`, if any: when that
+    /// subscriber next has a message to poll.
+    pub fn next_delivery_for(&self, sub: SubscriberId) -> Option<u64> {
+        let inner = self.inner.lock();
+        let inbox = inner.inboxes.get(&sub)?;
+        inbox.iter().map(|p| p.deliver_at_ms).min()
+    }
+
     /// Traffic statistics so far.
     pub fn stats(&self) -> NetStats {
         self.inner.lock().stats
@@ -824,6 +832,23 @@ mod tests {
         n.poll(a, 10_000);
         n.poll(b, 10_000);
         assert_eq!(n.next_delivery_ms(), None);
+    }
+
+    #[test]
+    fn next_delivery_for_reads_one_subscribers_inbox() {
+        let n = net(0.0);
+        let (a, b) = (n.subscribe("t"), n.subscribe("u"));
+        assert_eq!(n.next_delivery_for(a), None);
+        n.publish("t", "x", 500, None); // due at 600 for a
+        n.publish("t", "y", 0, None); // due at 100 for a, queued after x
+        n.publish("u", "z", 200, None); // due at 300 for b
+        assert_eq!(n.next_delivery_for(a), Some(100));
+        assert_eq!(n.next_delivery_for(b), Some(300));
+        assert_eq!(n.poll(a, 100), vec!["y"]);
+        assert_eq!(n.next_delivery_for(a), Some(600));
+        n.clear_inbox(a);
+        assert_eq!(n.next_delivery_for(a), None);
+        assert_eq!(n.next_delivery_for(SubscriberId(99)), None);
     }
 
     #[test]

@@ -382,6 +382,12 @@ impl Backoff {
         self.next_at_ms = now_ms + policy.timeout_for(self.attempts);
         BackoffStep::Send(self.attempts)
     }
+
+    /// When the request is next due: its first send, else the end of its
+    /// last send's timeout.
+    pub fn next_at_ms(&self) -> u64 {
+        self.next_at_ms
+    }
 }
 
 /// Counters of one node's resolution activity.
@@ -937,6 +943,24 @@ mod tests {
         assert_eq!(stats.pulls_sent, 1);
         assert_eq!(stats.pulls_retried, 2);
         assert_eq!(stats.pulls_abandoned, 0);
+    }
+
+    #[test]
+    fn a_backoff_reports_when_it_is_next_due() {
+        let policy = RetryPolicy {
+            base_timeout_ms: 100,
+            backoff: 2,
+            max_timeout_ms: 1_000,
+            max_attempts: 0,
+        };
+        let mut b = Backoff::due_at(40);
+        assert_eq!(b.next_at_ms(), 40);
+        assert_eq!(b.step(&policy, 30), BackoffStep::Wait);
+        assert_eq!(b.next_at_ms(), 40, "a wait moves nothing");
+        assert_eq!(b.step(&policy, 50), BackoffStep::Send(1));
+        assert_eq!(b.next_at_ms(), 150);
+        assert_eq!(b.step(&policy, 150), BackoffStep::Send(2));
+        assert_eq!(b.next_at_ms(), 350);
     }
 
     #[test]

@@ -816,9 +816,12 @@ fn fns_whose_signature_holds<'a>(src: &'a str, needle: &str) -> Vec<&'a str> {
 /// so a node's chain starts at epoch 1; one `SubnetNode` method takes a
 /// manifest to install — the one function that builds a tree from one —
 /// and only a catch-up (`node/catch_up.rs`) and a recovery (`recover.rs`)
-/// call it; and the runtime's half, `chaos.rs`, stays within 500 lines.
-/// (No other file can write the node's pool or chain: its fields are
-/// private, see `a_node_owns_its_fields`.)
+/// call it; a catching-up node knows when it next has work — one
+/// `SubnetNode` method under `node/`, `next_wake_ms`, the only reader of
+/// its subscription's next delivery and its pull's deadline — and
+/// `chaos.rs` only asks for it; and the runtime's half, `chaos.rs`, stays
+/// within 500 lines. (No other file can write the node's pool or chain: its
+/// fields are private, see `a_node_owns_its_fields`.)
 #[test]
 fn a_node_drives_its_own_catch_up() {
     let subnets = read_rel("crates/core/src/subnets.rs");
@@ -892,6 +895,25 @@ fn a_node_drives_its_own_catch_up() {
                 .all(|c| allowed.iter().any(|file| c.starts_with(file))),
         "DESIGN.md §13: a rejoin's catch-up and a recovery install a snapshot, nothing else; found {callers:#?}"
     );
+    let wakes = hits(&crate_sources(), non_test, |l| {
+        l.contains("fn next_wake_ms(")
+    });
+    assert!(
+        wakes.len() == 1 && wakes[0].starts_with(node),
+        "DESIGN.md §12: a node's next wake is one `SubnetNode` method, under node/; found {wakes:#?}"
+    );
+    assert_eq!(
+        core_calls("next_wake_ms("),
+        ["crates/core/src/chaos.rs: next_catch_up_wake"],
+        "DESIGN.md §12: the runtime only asks a node for its next wake"
+    );
+    for read in ["next_delivery_for(", "next_at_ms()"] {
+        assert_eq!(
+            core_calls(read),
+            ["crates/core/src/node/catch_up.rs: next_wake_ms"],
+            "DESIGN.md §12: only the node's wake reads `{read}`"
+        );
+    }
     let chaos = read_rel("crates/core/src/chaos.rs").lines().count();
     assert!(
         chaos <= 500,
