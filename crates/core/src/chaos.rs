@@ -147,15 +147,14 @@ pub struct ChaosStats {
 }
 
 /// Progress of one scheduled node fault — a [`FaultKind::Crash`] or the
-/// crash leg of a [`FaultKind::RegionOutage`].
+/// crash leg of a [`FaultKind::RegionOutage`]. A fault that has played out
+/// (or was skipped) leaves the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPhase {
     /// The crash time has not been reached yet.
     Pending,
     /// The node is down, waiting for its rejoin time.
     Down,
-    /// The fault has fully played out (or was skipped).
-    Done,
 }
 
 impl HierarchyRuntime {
@@ -322,39 +321,41 @@ impl HierarchyRuntime {
         if self.node_faults.is_empty() && self.nodes.values().all(SubnetNode::is_live) {
             return Ok(());
         }
-        for i in 0..self.node_faults.len() {
+        let mut i = 0;
+        while i < self.node_faults.len() {
             let (FaultRule { window, kind }, phase) = self.node_faults[i].clone();
             // Down at the window's start, back up at its end.
             let due_ms = match phase {
                 CrashPhase::Pending => window.from_ms,
                 CrashPhase::Down => window.until_ms,
-                CrashPhase::Done => continue,
             };
-            if self.now_ms < due_ms {
-                continue;
-            }
-            self.node_faults[i].1 = match (kind, phase) {
+            // `None` once the fault has played out.
+            let next = match (kind, phase) {
+                _ if self.now_ms < due_ms => Some(phase),
                 (FaultKind::Crash { subnet }, CrashPhase::Pending) => {
                     // A subnet that does not exist, or cannot be safely
                     // crashed, when its fault fires is refused.
-                    if self.crash_node(&subnet).is_ok() {
-                        CrashPhase::Down
-                    } else {
-                        self.chaos.crashes_skipped += 1;
-                        CrashPhase::Done
-                    }
+                    let crashed = self.crash_node(&subnet).is_ok();
+                    self.chaos.crashes_skipped += u64::from(!crashed);
+                    crashed.then_some(CrashPhase::Down)
                 }
                 (FaultKind::Crash { subnet }, _) => {
                     self.rejoin_node(&subnet)?;
-                    CrashPhase::Done
+                    None
                 }
                 (FaultKind::RegionOutage { region }, CrashPhase::Pending) => {
                     self.crash_region(&region);
-                    CrashPhase::Down
+                    Some(CrashPhase::Down)
                 }
                 (FaultKind::RegionOutage { region }, _) => self.heal_region(&region)?,
-                _ => phase,
+                _ => Some(phase),
             };
+            if let Some(phase) = next {
+                self.node_faults[i].1 = phase;
+                i += 1;
+            } else {
+                self.node_faults.remove(i);
+            }
         }
         self.advance_catch_ups()?;
         while let Some(wake_ms) = self.next_catch_up_wake() {
@@ -409,8 +410,8 @@ impl HierarchyRuntime {
     /// region rejoin shallowest-first (a child can only catch up against a
     /// live parent chain) — but a member whose parent is itself still down
     /// or catching up defers to a later step, so the recovery wave rolls
-    /// down the hierarchy in dependency order. `Done` once nobody deferred.
-    fn heal_region(&mut self, region: &str) -> Result<CrashPhase, RuntimeError> {
+    /// down the hierarchy in dependency order. `None` once nobody deferred.
+    fn heal_region(&mut self, region: &str) -> Result<Option<CrashPhase>, RuntimeError> {
         let records = self.subnets.by_id.iter();
         let down =
             records.filter(|(_, r)| r.region.as_deref() == Some(region) && r.crashed.is_some());
@@ -429,10 +430,10 @@ impl HierarchyRuntime {
             }
         }
         if deferred {
-            return Ok(CrashPhase::Down);
+            return Ok(Some(CrashPhase::Down));
         }
         self.chaos.region_heals += 1;
-        Ok(CrashPhase::Done)
+        Ok(None)
     }
 
     /// One catch-up round of `subnet`'s node. The node reads its inbox

@@ -1,11 +1,10 @@
-//! The runtime's journal: the one log of everything that happened, and
-//! the one rule about replay.
+//! The runtime's journal: the one log of everything that happened. The
+//! record layout is [`crate::persist`]'s.
 //!
-//! While [`crate::HierarchyRuntime::recover`] replays journaled history
-//! it must not re-journal what it reads, re-queue events a caller already
-//! drained, or re-send a dead process's gossip. [`Journal`] holds that
-//! mode and states the rule once, as [`Journal::outward`]. The record
-//! layout is [`crate::persist`]'s.
+//! A replay needs no mode of its own: [`crate::HierarchyRuntime::recover`]
+//! attaches the log only after its scan, so nothing it replays is journaled
+//! again, and a past block re-enters its node through
+//! `SubnetNode::reexecute`, which queues no event and sends no gossip.
 
 use hc_state::CidStore;
 use hc_store::{BlobLog, Wal};
@@ -19,8 +18,6 @@ pub(crate) struct Journal {
     durable: Option<DurableOptions>,
     /// The runtime-wide journal, once attached.
     control_wal: Option<Wal>,
-    /// `true` while recovery replays journaled history.
-    recovering: bool,
 }
 
 impl Journal {
@@ -29,34 +26,19 @@ impl Journal {
         Journal {
             durable: persistence.durable().cloned(),
             control_wal: None,
-            recovering: false,
         }
     }
 
-    /// May the runtime act on the outside world — journal, queue events
-    /// for the caller, gossip? `false` exactly while a replay is running.
-    pub(crate) fn outward(&self) -> bool {
-        !self.recovering
-    }
-
-    /// Enters replay mode; [`Journal::attach`] leaves it.
-    pub(crate) fn begin_replay(&mut self) {
-        self.recovering = true;
-    }
-
-    /// Attaches the journal's log and (re)starts writing through.
+    /// Attaches the journal's log and starts writing through.
     pub(crate) fn attach(&mut self, control: Wal) {
         self.control_wal = Some(control);
-        self.recovering = false;
     }
 
     /// Appends a record. The frame is written at once; its sync is left to
     /// the wave's [`Journal::barrier`], so the records of one wave — its
     /// blocks, their anchors, and whatever set-up preceded it — share one.
+    /// Nothing is written while no log is attached.
     pub(crate) fn append(&mut self, record: &ControlRecord) {
-        if !self.outward() {
-            return;
-        }
         if let Some(wal) = &mut self.control_wal {
             wal.append_deferred(&record.canonical_bytes());
         }

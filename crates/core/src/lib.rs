@@ -39,16 +39,17 @@
 //!   the validators it runs.
 //! * the private `journal` and `subnets` modules — one owner each:
 //!   `Journal` holds the control log — the one log every committed block
-//!   and set-up record goes to — and the one `outward()` predicate that
-//!   silences a replay, `Subnets` keeps one record per subnet of
-//!   everything that outlives its node.
+//!   and set-up record goes to, attached by recovery only after its scan —
+//!   and `Subnets` keeps one record per subnet of everything that outlives
+//!   its node.
 //! * [`node`] — [`SubnetNode`]: one subnet's chain, state, pools and
 //!   engine, its one door `receive` (top-down messages, child checkpoints
 //!   and certificates, handed over by the runtime's one `deliver`), block
 //!   assembly, the single copy of what a committed block implies for its
-//!   node (construction, commit, skip, event effects, snapshot install)
-//!   that live ticks, recovery and catch-up all share, and its crash,
-//!   restart and catch-up: a restarted node syncs its peers' chain itself.
+//!   node (construction, commit, skip, event effects, snapshot install,
+//!   and `reexecute`, the one door of a journaled or pulled past block),
+//!   and its crash, restart and catch-up: a restarted node syncs its
+//!   peers' chain itself.
 //! * [`persist`] and the private `recover` module — the journal layout
 //!   ([`ControlRecord`], blocks included) and
 //!   [`HierarchyRuntime::recover`], which rebuilds the hierarchy from it

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use hc_actors::checkpoint::SignedCheckpoint;
+use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
 use hc_chain::{
@@ -92,6 +92,11 @@ pub(crate) struct LocalOutcome {
     /// its route, to be handed to that child (paper Fig. 3).
     pub(crate) top_down: Vec<(SubnetId, CrossMsg)>,
 }
+
+/// What a past block implies beyond its node ([`SubnetNode::reexecute`]):
+/// the checkpoint it cut, with its persisted manifest, and its top-down
+/// messages, each with the child on its route.
+pub(crate) type HandOffs = (Option<(Checkpoint, Cid)>, Vec<(SubnetId, CrossMsg)>);
 
 /// What the runtime hands a node through [`SubnetNode::receive`]: a
 /// top-down message its parent committed, a checkpoint a child cut, or a
@@ -396,16 +401,19 @@ impl SubnetNode {
         Ok((block, outcome))
     }
 
-    /// Re-commits one past block — replayed from the journal or pulled
-    /// from peers: validates and re-executes it (the state root checked
-    /// against the header), burns its consensus draw, chains it, and hands
-    /// it to the live tick's [`SubnetNode::commit_block`]. A forged or
-    /// stale block is refused before the draw and changes nothing.
+    /// The one way a past block re-enters its node — replayed from the
+    /// journal or pulled from peers: validates and re-executes it (the
+    /// state root checked against the header), burns its consensus draw,
+    /// chains it, hands it to the live tick's [`SubnetNode::commit_block`]
+    /// and applies each event's node-local half (no push, no certificate
+    /// owed). Returns its [`HandOffs`], for the caller to hand on or drop.
+    /// A forged or stale block is refused before the draw and changes
+    /// nothing.
     pub(crate) fn reexecute(
         &mut self,
         block: &Block,
         parallelism: usize,
-    ) -> Result<LocalOutcome, RuntimeError> {
+    ) -> Result<HandOffs, RuntimeError> {
         if (block.header.epoch, block.header.parent) != (self.next_epoch, self.chain.head()) {
             return Err(RuntimeError::Execution(
                 "block does not extend the head".into(),
@@ -429,7 +437,15 @@ impl SubnetNode {
         self.chain
             .append(block.clone())
             .map_err(|e| RuntimeError::Execution(format!("chain append: {e}")))?;
-        Ok(self.commit_block(block, receipts, &opportunity))
+        let outcome = self.commit_block(block, receipts, &opportunity);
+        let mut cut = None;
+        for event in outcome.events {
+            let persisted = self.apply_event(&event, false, None);
+            if let (VmEvent::CheckpointCut { checkpoint }, Some((cid, _))) = (event, persisted) {
+                cut = Some((checkpoint, cid));
+            }
+        }
+        Ok((cut, outcome.top_down))
     }
 
     /// Re-commits one past block whose state arrives wholesale from a
@@ -556,13 +572,13 @@ impl SubnetNode {
     }
 
     /// The node-local half of routing one VM event of a committed block —
-    /// shared by live ticks, journal recovery and peer catch-up. For a
-    /// checkpoint cut it returns the manifest the checkpointed state was
-    /// persisted under and, when `push` is set, the content announcements
-    /// for the carried message groups; publishing those, submitting the
-    /// checkpoint to the parent, journaling and certificates are the
-    /// caller's outward half. For a settled payment whose certificate can
-    /// still come, `source_head` is the head epoch of its source now.
+    /// shared by a live tick's `route_event` and [`SubnetNode::reexecute`].
+    /// For a checkpoint cut it returns the manifest the checkpointed state
+    /// was persisted under and, when `push` is set, the content
+    /// announcements for the carried message groups; publishing those,
+    /// submitting the checkpoint to the parent, journaling and certificates
+    /// are the caller's. For a settled payment whose certificate can still
+    /// come, `source_head` is the head epoch of its source now.
     pub(crate) fn apply_event(
         &mut self,
         event: &VmEvent,

@@ -296,18 +296,16 @@ impl SubnetNode {
             if block.header.epoch != self.next_epoch {
                 continue;
             }
-            // The live hierarchy has moved on: every outward effect of the
-            // block (parent checkpoint submission, journal records, manifest
-            // anchors, certificate gossip, the top-down messages handed to
-            // its children) happened when it was produced, so only the
-            // node-local half of its events re-runs. A refused block changed
-            // nothing: a peer's forgery is dropped, and the pull goes on.
-            let Ok(outcome) = self.reexecute(&block, workers) else {
+            // The live hierarchy has moved on: every effect of the block
+            // beyond the node (parent checkpoint submission, journal records,
+            // manifest anchors, certificate gossip, the top-down messages
+            // handed to its children) happened when it was produced, so the
+            // cut and the top-down messages it returns are dropped. A refused block
+            // changed nothing: a peer's forgery is dropped, and the pull
+            // goes on.
+            if self.reexecute(&block, workers).is_err() {
                 stats.blocks_rejected += 1;
                 continue;
-            };
-            for event in &outcome.events {
-                self.apply_event(event, false, None);
             }
             // Replay restores the historical schedule; stay unschedulable
             // until catch-up completes.
@@ -413,7 +411,8 @@ mod tests {
     //! produces a subnet's chain, then a node restarted from genesis is
     //! handed that chain's blocks, shuffled, duplicated and with a forgery
     //! first, and no runtime steps in between. A snapshot rejoin settles
-    //! the floor of every sender of the blocks it skipped.
+    //! the floor of every sender of the blocks it skipped. A crash that has
+    //! played out leaves the fault schedule.
 
     use std::collections::BTreeMap;
 
@@ -421,6 +420,8 @@ mod tests {
     use hc_chain::{BlockHeader, PushOutcome};
     use hc_state::Method;
     use hc_types::{CanonicalEncode, SubnetId, TokenAmount};
+
+    use hc_net::{FaultKind, FaultPlan, FaultRule};
 
     use super::*;
     use crate::chaos::SyncMode;
@@ -493,6 +494,42 @@ mod tests {
                 "{from}'s last covered message"
             );
         }
+    }
+
+    /// Once the last scheduled crash has rejoined and caught up — and a
+    /// crash the runtime refused when it fired — no node fault is left and
+    /// every node is live: the condition on which a step's
+    /// `process_fault_events` returns at once.
+    #[test]
+    fn a_played_out_crash_leaves_the_fault_schedule() {
+        let whole = TokenAmount::from_whole;
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let root = SubnetId::root();
+        let alice = rt.create_user(&root, whole(1_000)).unwrap();
+        let validator = rt.create_user(&root, whole(100)).unwrap();
+        let stake = [(validator, whole(5))];
+        let child = rt
+            .spawn_subnet(&alice, SaConfig::default(), whole(10), &stake)
+            .unwrap();
+        let now_ms = rt.now_ms();
+        let crash = |subnet: &SubnetId| FaultKind::Crash {
+            subnet: subnet.clone(),
+        };
+        let rules = vec![
+            FaultRule::new(now_ms + 50, now_ms + 100, crash(&root)),
+            FaultRule::new(now_ms + 100, now_ms + 2_000, crash(&child)),
+        ];
+        rt.extend_faults(FaultPlan { rules });
+        assert_eq!(rt.node_faults.len(), 2);
+        while rt.chaos_stats().catch_ups_completed == 0 {
+            rt.step().unwrap();
+        }
+        let stats = rt.chaos_stats();
+        assert_eq!((stats.crashes, stats.crashes_skipped), (1, 1));
+        assert!(rt.node_faults.is_empty(), "{:?}", rt.node_faults);
+        assert!(rt.nodes.values().all(SubnetNode::is_live));
+        rt.step().unwrap();
+        assert!(rt.node_faults.is_empty());
     }
 
     #[test]

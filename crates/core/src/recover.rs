@@ -3,22 +3,20 @@
 //! [`HierarchyRuntime::recover`] is one scan of the control log written by
 //! [`crate::persist`]: records apply in order until one does not, and the
 //! log is cut back to that prefix. Every journaled block re-enters its
-//! node through the same two doors a live block does —
-//! [`SubnetNode::commit_block`](crate::SubnetNode) after re-execution, or
-//! its receipt-less prefix `skip_block` inside a fast-forwarded region
-//! whose state is installed from the checkpoint-anchored manifest, through
-//! the install a snapshot rejoin takes — and its outward effects re-run
-//! through the live `post_tick` with journaling and gossip suppressed. A
-//! fast-forward the scan leaves short of its anchor restarts as a rejoin
-//! does, its journaled blocks as peer chain.
+//! node through a caught-up block's door, `SubnetNode::reexecute` — or
+//! `skip_past` inside a fast-forwarded region whose state is installed from
+//! the checkpoint-anchored manifest, as a snapshot rejoin's is — and the
+//! scan hands its cut up through the live hand-off and its top-down
+//! messages to their children. Nothing else goes out, and the log is
+//! attached after the scan. A fast-forward the scan leaves short of its
+//! anchor restarts as a rejoin does, its journaled blocks as peer chain.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hc_chain::Block;
 use hc_state::{CidStore, ImplicitMsg};
 use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
-use crate::config::{RuntimeConfig, RuntimeError};
+use crate::config::RuntimeConfig;
 use crate::node::Input;
 use crate::persist::{ControlRecord, BLOCK_TAG};
 use crate::runtime::HierarchyRuntime;
@@ -55,9 +53,9 @@ impl HierarchyRuntime {
         let mut rt = Self::boot(config);
         // The blob log is attached before replaying: replayed persists
         // dedup against blobs that survived the crash and re-journal any
-        // the torn tail lost.
+        // the torn tail lost. The control log is attached after: nothing
+        // the replay hands on is journaled again.
         if let Some((mut control, raw)) = rt.journal.open(&rt.store) {
-            rt.journal.begin_replay();
             let applied = rt.replay(raw);
             // Make the journal agree with the recovered world: a record
             // past the replayed prefix is not part of history.
@@ -162,9 +160,42 @@ impl HierarchyRuntime {
                 self.nodes.contains_key(&child)
             }
             ControlRecord::Block(block) => {
-                let skip = targets.get_mut(&block.header.subnet);
-                let senders = skip.map(|(_, _, senders)| senders);
-                self.replay_journaled_block(block, senders).is_ok()
+                let (subnet, at_ms) = (block.header.subnet.clone(), block.header.timestamp_ms);
+                // An address a block installed is taken: the next created
+                // account comes after every one of them.
+                let installed = block.implicit_msgs.iter().flat_map(|m| match m {
+                    ImplicitMsg::InstallAccounts(accounts) => &accounts[..],
+                    _ => &[],
+                });
+                let next_user_id = installed.map(|(addr, ..)| addr.id() + 1).max();
+                self.refresh_validators(&subnet);
+                let Some(node) = self.nodes.get_mut(&subnet) else {
+                    return false;
+                };
+                if let Some((_, _, senders)) = targets.get_mut(&subnet) {
+                    // Inside a fast-forwarded prefix the anchored snapshot
+                    // supplies the state the block produced.
+                    if node.skip_past(block, None, senders).is_err() {
+                        return false;
+                    }
+                } else {
+                    let Ok((cut, top_down)) = node.reexecute(&block, self.config.parallelism)
+                    else {
+                        return false;
+                    };
+                    // The cut goes up at its block, so a log torn before
+                    // its anchor record still hands it up.
+                    if let Some((checkpoint, manifest)) = cut {
+                        let signed = node.sign_checkpoint(checkpoint);
+                        self.hand_up(&subnet, signed, manifest);
+                    }
+                    for (child, msg) in top_down {
+                        self.deliver(child, Input::TopDown(msg));
+                    }
+                }
+                self.now_ms = self.now_ms.max(at_ms);
+                self.next_user_id = self.next_user_id.max(next_user_id.unwrap_or(0));
+                true
             }
             ControlRecord::SnapshotAnchor { subnet, manifest } => {
                 if targets.contains_key(&subnet) {
@@ -186,9 +217,9 @@ impl HierarchyRuntime {
             ControlRecord::CheckpointAnchor { signed, manifest } => {
                 let (subnet, epoch) = (signed.checkpoint.source.clone(), signed.checkpoint.epoch);
                 let Some((target_epoch, target_manifest, senders)) = targets.get(&subnet) else {
-                    // The persist already re-ran inside the replayed
-                    // block's checkpoint-cut routing; this anchor only
-                    // cross-checks it.
+                    // The persist already re-ran, and the cut went up, with
+                    // the re-executed block; this anchor only cross-checks
+                    // it.
                     let record = self.subnets.by_id.get(&subnet);
                     return record.and_then(|r| r.manifests.back()) == Some(&manifest);
                 };
@@ -214,46 +245,9 @@ impl HierarchyRuntime {
                 // must advance exactly as it did live, and the checkpoint
                 // the skipped block cut goes up as it did live — the
                 // parent's re-executed commit, if journaled, retires it.
-                self.anchor_manifest(&subnet, epoch, manifest);
-                if let Some(parent) = subnet.parent() {
-                    self.deliver(parent, Input::Checkpoint(signed));
-                }
+                self.hand_up(&subnet, signed, manifest);
                 true
             }
         }
-    }
-
-    /// Re-commits one journaled block. Inside a fast-forwarded prefix —
-    /// `skip` holds the senders of the blocks skipped so far — it is
-    /// chained and skipped, its senders joining them: the anchored
-    /// snapshot supplies the state it produced; otherwise it is re-executed
-    /// and the replay *is* the effect, so checkpoint routing and event
-    /// delivery all re-run through the live [`HierarchyRuntime::post_tick`].
-    fn replay_journaled_block(
-        &mut self,
-        block: Block,
-        skip: Option<&mut BTreeSet<Address>>,
-    ) -> Result<(), RuntimeError> {
-        let subnet = &block.header.subnet.clone();
-        let at_ms = block.header.timestamp_ms;
-        // An address a block installed is taken: the next created account
-        // comes after every one of them.
-        let installed = block.implicit_msgs.iter().flat_map(|m| match m {
-            ImplicitMsg::InstallAccounts(accounts) => &accounts[..],
-            _ => &[],
-        });
-        let next_user_id = installed.map(|(addr, ..)| addr.id() + 1).max();
-        self.refresh_validators(subnet);
-        let node = Self::get_node_mut(&mut self.nodes, subnet)?;
-        if let Some(senders) = skip {
-            node.skip_past(block, None, senders)?;
-            self.now_ms = self.now_ms.max(at_ms);
-        } else {
-            let outcome = node.reexecute(&block, self.config.parallelism)?;
-            self.now_ms = self.now_ms.max(at_ms);
-            self.post_tick(subnet, block, outcome, at_ms)?;
-        }
-        self.next_user_id = self.next_user_id.max(next_user_id.unwrap_or(0));
-        Ok(())
     }
 }

@@ -9,13 +9,14 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
+use hc_actors::checkpoint::SignedCheckpoint;
 use hc_actors::FundCertificate;
 use hc_chain::{fan_out, fan_out_threads, Block};
 use hc_consensus::ValidatorSet;
 use hc_net::{Network, ResolutionMsg};
 use hc_state::{CidStore, VmEvent};
 use hc_store::Persistence;
-use hc_types::{Address, Keypair, SubnetId, TokenAmount};
+use hc_types::{Address, Cid, Keypair, SubnetId, TokenAmount};
 
 use crate::config::{RuntimeConfig, RuntimeError, StepReport};
 use crate::journal::Journal;
@@ -44,13 +45,13 @@ pub struct HierarchyRuntime {
     /// manifests. Shared by every node (handles clone the same store), so
     /// unchanged chunks are stored once across snapshots and subnets.
     pub(crate) store: CidStore,
-    /// The control log and the replay mode that silences outward effects.
+    /// The control log.
     pub(crate) journal: Journal,
     /// What the runtime remembers about each subnet beside its node.
     pub(crate) subnets: Subnets,
     /// The fault plan's crashes and region outages (those given at boot
-    /// plus any added via [`HierarchyRuntime::extend_faults`]) and each
-    /// one's progress through crash → rejoin; outages first.
+    /// plus any added via [`HierarchyRuntime::extend_faults`]) yet to play
+    /// out, each with its progress through crash → rejoin; outages first.
     pub(crate) node_faults: Vec<(hc_net::FaultRule, crate::chaos::CrashPhase)>,
     /// Crash/rejoin/catch-up counters.
     pub(crate) chaos: crate::chaos::ChaosStats,
@@ -395,11 +396,10 @@ impl HierarchyRuntime {
         if !self.subnets.by_id.values().all(settled) {
             return false;
         }
-        // So do unfired crash faults: quiescing before a scheduled crash
-        // would end a chaos run early.
-        let crash_ahead = |(rule, phase): &(hc_net::FaultRule, _)| {
+        // So do crash faults yet to play out: quiescing before a scheduled
+        // crash would end a chaos run early.
+        let crash_ahead = |(rule, _): &(hc_net::FaultRule, _)| {
             matches!(rule.kind, hc_net::FaultKind::Crash { .. })
-                && *phase != crate::chaos::CrashPhase::Done
         };
         if self.node_faults.iter().any(crash_ahead) {
             return false;
@@ -476,11 +476,11 @@ impl HierarchyRuntime {
         }
     }
 
-    /// Phase (b) of a tick: applies a block's outward effects to shared
-    /// state — journals the block, routes the block's events through the
-    /// hierarchy, and hands the top-down messages it committed to their
-    /// children.
-    pub(crate) fn post_tick(
+    /// Phase (b) of a tick: applies a live block's effects beyond its node
+    /// to shared state — journals the block, queues and routes its events
+    /// through the hierarchy, and hands the top-down messages it committed
+    /// to their children.
+    fn post_tick(
         &mut self,
         subnet: &SubnetId,
         block: Block,
@@ -495,10 +495,8 @@ impl HierarchyRuntime {
         // The block's place in history: after every record written before
         // it, durable with the rest of its wave at the barrier.
         self.journal.append(&ControlRecord::Block(block));
-        if self.journal.outward() {
-            for ev in &events {
-                self.events.push_back((subnet.clone(), ev.clone()));
-            }
+        for ev in &events {
+            self.events.push_back((subnet.clone(), ev.clone()));
         }
         for ev in events {
             self.route_event(subnet, ev, at_ms)?;
@@ -520,24 +518,37 @@ impl HierarchyRuntime {
         }
     }
 
-    /// Reacts to a VM event emitted by a block of `subnet`: the node-local
-    /// half ([`SubnetNode::apply_event`], shared with peer catch-up) and
-    /// then the outward half — gossip, the checkpoint hand-off, journal
-    /// records, certificates.
+    /// Hands a checkpoint `subnet` cut up to its parent, for a live cut and
+    /// a recovered one alike: journals its anchor — a no-op while recovery
+    /// scans, which attaches the log only afterwards — anchors the persisted
+    /// `manifest` in the GC window, then delivers the checkpoint.
+    pub(crate) fn hand_up(&mut self, subnet: &SubnetId, signed: SignedCheckpoint, manifest: Cid) {
+        let epoch = signed.checkpoint.epoch;
+        self.journal.append(&ControlRecord::CheckpointAnchor {
+            signed: signed.clone(),
+            manifest,
+        });
+        self.anchor_manifest(subnet, epoch, manifest);
+        if let Some(parent) = subnet.parent() {
+            self.deliver(parent, Input::Checkpoint(signed));
+        }
+    }
+
+    /// Reacts to a VM event emitted by a live block of `subnet`: the
+    /// node-local half ([`SubnetNode::apply_event`], which a past block
+    /// runs through [`SubnetNode::reexecute`]) and then the half beyond the
+    /// node — gossip, the checkpoint hand-off, journal records, certificates.
     fn route_event(
         &mut self,
         subnet: &SubnetId,
         event: VmEvent,
         now_ms: u64,
     ) -> Result<(), RuntimeError> {
-        let push_enabled = self.config.push_enabled && self.journal.outward();
         // A payment settled here can still be followed by its certificate
-        // only on a live run, from a live source; the source's head now
-        // bounds the epoch it was committed at (`node/tentative.rs`).
+        // only from a live source; the source's head now bounds the epoch it
+        // was committed at (`node/tentative.rs`).
         let source_head = match &event {
-            VmEvent::CrossMsgApplied { msg }
-                if self.journal.outward() && !msg.is_top_down() && msg.to.subnet == *subnet =>
-            {
+            VmEvent::CrossMsgApplied { msg } if !msg.is_top_down() && msg.to.subnet == *subnet => {
                 let source = self.nodes.get(&msg.from.subnet).filter(|s| s.is_live());
                 source.map(|s| s.chain().head_epoch())
             }
@@ -547,7 +558,7 @@ impl HierarchyRuntime {
         // Runs in the sequential routing phase, so the persist a cut
         // triggers leaves store counters deterministic at any wave
         // parallelism.
-        let cut = node.apply_event(&event, push_enabled, source_head);
+        let cut = node.apply_event(&event, self.config.push_enabled, source_head);
         match event {
             VmEvent::CheckpointCut { checkpoint } => {
                 let (manifest, pushes) = cut.expect("a checkpoint cut persists its state");
@@ -561,31 +572,16 @@ impl HierarchyRuntime {
                     // destination falls back to the pull path).
                     self.network.publish(&topic, push, now_ms, Some(origin));
                 }
-
-                // Anchor the persisted manifest, with the checkpoint, in the
-                // control log and the GC window. During replay the same
-                // code path re-persists, so GC sweeps happen at identical
-                // points; a replay that skips this block hands the
-                // checkpoint up from its anchor record instead.
-                let epoch = signed.checkpoint.epoch;
-                self.journal.append(&ControlRecord::CheckpointAnchor {
-                    signed: signed.clone(),
-                    manifest,
-                });
-                self.anchor_manifest(subnet, epoch, manifest);
-                if let Some(parent) = subnet.parent() {
-                    self.deliver(parent, Input::Checkpoint(signed));
-                }
+                // Recovery re-persists and hands up through the same
+                // helper, so GC sweeps happen at identical points.
+                self.hand_up(subnet, signed, manifest);
             }
 
-            VmEvent::CrossMsgQueued { msg }
-                if self.journal.outward()
-                // Accelerate the slow routes: certify bottom-up and path
-                // messages directly to their destination (paper §IV-A).
-                // Top-down messages settle within a couple of blocks and
-                // need no certificate.
-                && !msg.is_top_down() && msg.from.subnet == *subnet =>
-            {
+            // Accelerate the slow routes: certify bottom-up and path
+            // messages directly to their destination (paper §IV-A).
+            // Top-down messages settle within a couple of blocks and need
+            // no certificate.
+            VmEvent::CrossMsgQueued { msg } if !msg.is_top_down() && msg.from.subnet == *subnet => {
                 let mut cert = FundCertificate::new(msg.clone(), node.chain().head_epoch());
                 cert.signatures = node.attest(cert.signing_cid().as_bytes());
                 // The certificate travels from the *source* subnet's

@@ -517,6 +517,56 @@ fn crashes_between_a_deferred_record_and_its_barrier_recover_a_valid_prefix() {
     }
 }
 
+/// A log torn between a block that cut a checkpoint and the cut's
+/// `CheckpointAnchor` record still sends the checkpoint up: recovery hands a
+/// re-executed cut up at its block, so the parent holds it pending and its
+/// next block commits it.
+#[test]
+fn a_log_torn_before_a_cuts_anchor_still_hands_the_cut_up() {
+    let device = InMemoryDevice::new();
+    let mut world = loaded(durable_config(Arc::new(device.clone())), 2);
+    let control = "control/00000000.seg";
+    let from = device.len(control);
+    // Step until a child's cut is journaled; `cut` is where its anchor's
+    // frame starts, right after the block that cut it.
+    let (cut, signed) = loop {
+        world.h.rt.step().unwrap();
+        let (mut start, mut previous) = (from, None);
+        let mut anchor = None;
+        for (end, record) in records_past(&device, control, from) {
+            if let ControlRecord::CheckpointAnchor { signed, .. } = record {
+                anchor = Some((start, signed, previous));
+                break;
+            }
+            (start, previous) = (end, Some(record));
+        }
+        if let Some((start, signed, previous)) = anchor {
+            let Some(ControlRecord::Block(block)) = previous else {
+                panic!("an anchor follows the block that cut it");
+            };
+            assert_eq!(block.header.subnet, signed.checkpoint.source);
+            break (start, signed);
+        }
+    };
+    let child = signed.checkpoint.source.clone();
+    let parent = child.parent().unwrap();
+
+    let fork: Arc<dyn Persistence> = Arc::new(device.fork());
+    truncate_stream(&fork, control, cut);
+    let mut rt = HierarchyRuntime::recover(durable_config(fork));
+    let pending = rt.node(&parent).unwrap().pending_checkpoints();
+    assert!(
+        pending.iter().any(|p| p.checkpoint == signed.checkpoint),
+        "the torn cut is pending in the parent: {pending:?}"
+    );
+    rt.tick_subnet(&parent).unwrap();
+    let node = rt.node(&parent).unwrap();
+    let info = node.state().sca().subnet(&child).unwrap();
+    assert_eq!(info.prev_checkpoint, signed.checkpoint.cid());
+    assert!(node.pending_checkpoints().is_empty());
+    assert_eq!(rt.check_invariants(), Ok(()));
+}
+
 #[test]
 fn a_wave_that_straddles_a_segment_rollover_is_synced_whole() {
     // Segments far smaller than a block: every wave's records roll the

@@ -347,10 +347,11 @@ fn a_wave_shares_its_workers() {
 }
 
 /// DESIGN.md §8: hc-core's `HierarchyRuntime` keeps the tick and nothing
-/// else — the journal and per-subnet records have one owner each,
-/// replay mode is read through `Journal::outward` alone, the SCA fee is
-/// looked up in one place, and every stepper reaches `SubnetNode::produce`
-/// through the one `run_wave`.
+/// else — the journal and per-subnet records have one owner each, a
+/// replay has no mode of its own (a past block re-enters its node through
+/// `SubnetNode::reexecute`, and the live `post_tick` runs only in
+/// `run_wave`), the SCA fee is looked up in one place, and every stepper
+/// reaches `SubnetNode::produce` through the one `run_wave`.
 #[test]
 fn the_runtime_stays_decomposed() {
     let core = files_under("crates/core/src");
@@ -367,17 +368,34 @@ fn the_runtime_stays_decomposed() {
             rel(path)
         );
     }
-    let recovering: Vec<String> = core
-        .iter()
-        .filter(|p| read(p).lines().any(|l| has_word(l, "recovering")))
-        .map(|p| rel(p))
-        .filter(|p| !p.ends_with("/journal.rs") && !p.ends_with("/recover.rs"))
-        .collect();
+    let replay_mode = [
+        "outward",
+        "begin_replay",
+        "recovering",
+        "replay_journaled_block",
+    ];
+    let replay_mode = hits(&core, |s| s, |l| replay_mode.iter().any(|w| has_word(l, w)));
     assert!(
-        recovering.is_empty(),
-        "DESIGN.md §8: replay mode is read only in journal.rs and recover.rs, \
-         also in {recovering:?}"
+        replay_mode.is_empty(),
+        "DESIGN.md §8: a replay has no mode of its own; found {replay_mode:#?}"
     );
+    for (call, callers) in [
+        ("post_tick(", &["crates/core/src/runtime.rs: run_wave"][..]),
+        (
+            ".reexecute(",
+            &[
+                "crates/core/src/node/catch_up.rs: catch_up_round",
+                "crates/core/src/recover.rs: apply_control_record",
+            ],
+        ),
+    ] {
+        assert_eq!(
+            core_calls(call),
+            callers,
+            "DESIGN.md §8: a live block is handed off in `run_wave` alone, a past \
+             block re-enters through `reexecute`"
+        );
+    }
     for (needle, what) in [
         ("cross_msg_fee", "the SCA fee is looked up in one place"),
         (".produce(", "one `run_wave` reaches `SubnetNode::produce`"),
@@ -494,8 +512,10 @@ fn one_fault_plan() {
 
 /// DESIGN.md §11: a committed block is one record in the one control log —
 /// hc-chain knows nothing of durability, no per-subnet stream name exists,
-/// hc-core opens exactly one WAL, and a block has one way into a chain
-/// store.
+/// hc-core opens exactly one WAL, a block has one way into a chain store,
+/// and `recover` attaches the control log only after its scan, with no
+/// replay mode set in between, so nothing a replay hands on is journaled
+/// again.
 #[test]
 fn one_journal() {
     let chain = files_under("crates/chain/src");
@@ -523,6 +543,26 @@ fn one_journal() {
     assert!(
         side_doors.is_empty(),
         "DESIGN.md §11: a block has one way into a chain store; found {side_doors:#?}"
+    );
+    let recover = read_rel("crates/core/src/recover.rs");
+    let mut steps = Vec::new();
+    for line in body_of(&recover, "recover") {
+        if line.trim_start().starts_with("//") {
+            continue;
+        }
+        for (at, needle) in line.match_indices("journal.") {
+            let method = &line[at + needle.len()..];
+            steps.push(&method[..method.find('(').unwrap_or(method.len())]);
+        }
+        if line.contains(".replay(") {
+            steps.push("replay");
+        }
+    }
+    assert_eq!(
+        steps,
+        ["open", "replay", "attach"],
+        "DESIGN.md §11: `recover` opens the journal, scans it, and only then attaches \
+         its log, with no replay mode in between"
     );
 }
 
@@ -677,11 +717,12 @@ fn one_way_down() {
 
 /// DESIGN.md §8, "One way up (checkpoints)": a child's signed checkpoint
 /// goes to its parent in one hand-off, `deliver` — into the parent node's
-/// door, or into the parent's record while no node of it runs — for a cut,
-/// a recovery that skipped the cut block, and the adversary alike. No
-/// ledger keeps a second copy to resubmit, the method no one sent and the
-/// retired hand-off are gone from every crate, and outside `node.rs` a
-/// checkpoint input is made only by those three senders.
+/// door, or into the parent's record while no node of it runs — for a live
+/// cut, a recovered one and the adversary alike. No ledger keeps a second
+/// copy to resubmit, the method no one sent and the retired hand-off are
+/// gone from every crate, and outside `node.rs` a checkpoint input is made
+/// only by the adversary and the one hand-up, `hand_up`, which a live cut
+/// and recovery — a re-executed cut and a skipped cut's anchor — share.
 #[test]
 fn a_checkpoint_goes_up_once() {
     let retired = [
@@ -709,10 +750,18 @@ fn a_checkpoint_goes_up_once() {
         senders,
         [
             "crates/core/src/attack.rs: inject_signed_checkpoint",
+            "crates/core/src/runtime.rs: hand_up",
+        ],
+        "DESIGN.md §8: a cut goes up through one hand-up, the adversary beside it"
+    );
+    assert_eq!(
+        core_calls(".hand_up("),
+        [
+            "crates/core/src/recover.rs: apply_control_record",
             "crates/core/src/recover.rs: apply_control_record",
             "crates/core/src/runtime.rs: route_event",
         ],
-        "DESIGN.md §8: a cut, a skipped cut's anchor and the adversary send through one door"
+        "DESIGN.md §8: a live cut, a re-executed cut and a skipped cut's anchor share the hand-up"
     );
 }
 
