@@ -193,10 +193,10 @@ impl Block {
 
     /// Decodes a block a chain store encoded, its CID taken from the store,
     /// which worked it out at append — nothing is hashed again.
-    pub(crate) fn decode_stored(bytes: &[u8], cid: Cid) -> Block {
-        let block = Block::decode(bytes).expect("a stored block decodes");
+    pub(crate) fn decode_stored(bytes: &[u8], cid: Cid) -> Option<Block> {
+        let block = Block::decode(bytes).ok()?;
         block.cid_memo.get_or_init(|| cid);
-        block
+        Some(block)
     }
 
     /// Total number of messages carried.

@@ -10,7 +10,8 @@
 //!   internal pool for messages originating in and targeting the subnet,
 //!   and a [`CrossMsgPool`] tracking unverified cross-net messages;
 //! * [`store`] — the append-only chain store: the head decoded, history
-//!   in LZ-compressed wire form;
+//!   in wire form — LZ-compressed, or read back from the runtime's journal
+//!   through the narrow [`BlockLog`] trait;
 //! * [`executor`] — block production and validation against an
 //!   `hc-state` [`StateTree`](hc_state::StateTree);
 //! * [`schedule`] — deterministic access-set scheduling that partitions a
@@ -34,4 +35,4 @@ pub use executor::{
 };
 pub use mempool::{CrossMsgPool, Mempool, MempoolConfig, MempoolStats, PushOutcome};
 pub use schedule::{fan_out, fan_out_threads, threads_spawned, Schedule, ScheduleStats, Segment};
-pub use store::{ChainStore, History, StoredBlock};
+pub use store::{BlockLog, ChainStore, History, Journaled, LogPosition, StoredBlock};

@@ -323,31 +323,32 @@ impl HierarchyRuntime {
         }
         let mut i = 0;
         while i < self.node_faults.len() {
-            let (FaultRule { window, kind }, phase) = self.node_faults[i].clone();
-            // Down at the window's start, back up at its end.
+            let (FaultRule { window, kind }, phase) = &self.node_faults[i];
+            // Down at the window's start, back up at its end. Only a rule
+            // that fires takes a copy of its target.
             let due_ms = match phase {
                 CrashPhase::Pending => window.from_ms,
                 CrashPhase::Down => window.until_ms,
             };
+            let (fired, phase) = ((self.now_ms >= due_ms).then(|| kind.clone()), *phase);
             // `None` once the fault has played out.
-            let next = match (kind, phase) {
-                _ if self.now_ms < due_ms => Some(phase),
-                (FaultKind::Crash { subnet }, CrashPhase::Pending) => {
+            let next = match (fired, phase) {
+                (Some(FaultKind::Crash { subnet }), CrashPhase::Pending) => {
                     // A subnet that does not exist, or cannot be safely
                     // crashed, when its fault fires is refused.
                     let crashed = self.crash_node(&subnet).is_ok();
                     self.chaos.crashes_skipped += u64::from(!crashed);
                     crashed.then_some(CrashPhase::Down)
                 }
-                (FaultKind::Crash { subnet }, _) => {
+                (Some(FaultKind::Crash { subnet }), _) => {
                     self.rejoin_node(&subnet)?;
                     None
                 }
-                (FaultKind::RegionOutage { region }, CrashPhase::Pending) => {
+                (Some(FaultKind::RegionOutage { region }), CrashPhase::Pending) => {
                     self.crash_region(&region);
                     Some(CrashPhase::Down)
                 }
-                (FaultKind::RegionOutage { region }, _) => self.heal_region(&region)?,
+                (Some(FaultKind::RegionOutage { region }), _) => self.heal_region(&region)?,
                 _ => Some(phase),
             };
             if let Some(phase) = next {

@@ -24,8 +24,8 @@ use hc_actors::checkpoint::{Checkpoint, SignedCheckpoint};
 use hc_actors::sa::SaConfig;
 use hc_actors::{CrossMsg, CrossMsgMeta, FundCertificate, MsgGroup, ScaConfig};
 use hc_chain::{
-    execute_block_with, produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions, Mempool,
-    StoredBlock,
+    execute_block_with, produce_block_with, Block, ChainStore, CrossMsgPool, ExecOptions,
+    Journaled, Mempool, StoredBlock,
 };
 use hc_consensus::{
     make_engine, BlockOpportunity, Consensus, ConsensusKind, EngineParams, ValidatorSet,
@@ -446,6 +446,14 @@ impl SubnetNode {
             }
         }
         Ok((cut, outcome.top_down))
+    }
+
+    /// The head was journaled as `at` (`None` when nothing journals): the
+    /// chain holds it there once it is history.
+    pub(crate) fn journaled(&mut self, at: Option<Journaled>) {
+        if let Some(at) = at {
+            self.chain.journal_head(at);
+        }
     }
 
     /// Re-commits one past block whose state arrives wholesale from a

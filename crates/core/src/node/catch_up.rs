@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use hc_chain::{Block, History, Mempool};
+use hc_chain::{Block, History, Mempool, StoredBlock};
 use hc_net::{
     Backoff, BackoffStep, Network, ResolutionMsg, RetryPolicy, SubscriberId, BLOB_BATCH_CAP,
 };
@@ -307,6 +307,11 @@ impl SubnetNode {
                 stats.blocks_rejected += 1;
                 continue;
             }
+            // The peers' copy of a block is its record in the journal, if it
+            // was journaled: the node holds it there too.
+            let theirs = peers.history.get_by_epoch(block.header.epoch);
+            let theirs = theirs.filter(|stored| stored.cid() == self.chain.head());
+            self.journaled(theirs.and_then(StoredBlock::journaled).cloned());
             // Replay restores the historical schedule; stay unschedulable
             // until catch-up completes.
             self.next_block_at_ms = u64::MAX;
@@ -384,7 +389,11 @@ impl SubnetNode {
         let covered = covered.take_while(|b| b.epoch() <= sync.anchor_epoch);
         let mut senders = BTreeSet::new();
         for stored in covered {
-            self.skip_past(stored.decode(), Some(stored), &mut senders)?;
+            let block = stored.decode().ok_or_else(|| {
+                let epoch = stored.epoch();
+                RuntimeError::Execution(format!("the peers' block at {epoch} does not read back"))
+            })?;
+            self.skip_past(block, Some(stored), &mut senders)?;
         }
         let (manifest, staging) = (&sync.manifest, &sync.staging);
         self.install_snapshot(manifest, staging, sync.anchor_epoch, &senders)?;

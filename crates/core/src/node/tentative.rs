@@ -327,3 +327,48 @@ mod tests {
         assert_eq!(t.len(), 0);
     }
 }
+
+#[cfg(test)]
+mod node_tests {
+    //! The node's own destination check before a settlement, apart from
+    //! `route_event`'s, which hands a forwarding subnet no source head.
+
+    use hc_actors::{CrossMsg, FundCertificate, HcAddress};
+    use hc_state::VmEvent;
+    use hc_types::{Address, ChainEpoch, SubnetId, TokenAmount};
+
+    use crate::node::{Input, SubnetNode};
+    use crate::{HierarchyRuntime, RuntimeConfig};
+
+    #[test]
+    fn only_a_payments_destination_settles_it() {
+        // A forwarding node handed a settled payment with a source head and
+        // a held certificate still settles nothing.
+        let mut rt = HierarchyRuntime::new(RuntimeConfig::default());
+        let root = SubnetId::root();
+        let node = rt.nodes.get_mut(&root).unwrap();
+        let source = HcAddress::new(root.child(Address::new(1_000)), Address::new(100));
+        let payment = |to: &SubnetId| {
+            let to = HcAddress::new(to.clone(), Address::new(200));
+            CrossMsg::transfer(source.clone(), to, TokenAmount::from_whole(5))
+        };
+        let (forwarded, arrived) = (payment(&root.child(Address::new(1_001))), payment(&root));
+        for msg in [&forwarded, &arrived] {
+            let cert = FundCertificate::new(msg.clone(), ChainEpoch::new(3));
+            node.receive(Input::Certificate(cert));
+        }
+        assert_eq!(node.tentative_count(), 2);
+        let settle = |node: &mut SubnetNode, msg: &CrossMsg| {
+            let event = VmEvent::CrossMsgApplied { msg: msg.clone() };
+            node.apply_event(&event, false, Some(ChainEpoch::new(9)));
+        };
+        settle(node, &forwarded);
+        assert_eq!(
+            (node.tentative_count(), node.owed_certificates()),
+            (2, 0),
+            "a payment this subnet only forwards settled here"
+        );
+        settle(node, &arrived);
+        assert_eq!((node.tentative_count(), node.owed_certificates()), (1, 0));
+    }
+}

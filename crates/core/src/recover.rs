@@ -14,6 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hc_state::{CidStore, ImplicitMsg};
+use hc_store::{RecordPos, RecoveringWal};
 use hc_types::{Address, CanonicalDecode, ChainEpoch, Cid, SubnetId};
 
 use crate::config::RuntimeConfig;
@@ -55,10 +56,11 @@ impl HierarchyRuntime {
         // dedup against blobs that survived the crash and re-journal any
         // the torn tail lost. The control log is attached after: nothing
         // the replay hands on is journaled again.
-        if let Some((mut control, raw)) = rt.journal.open(&rt.store) {
-            let applied = rt.replay(raw);
+        if let Some(control) = rt.journal.open(&rt.store) {
+            let applied = rt.replay(&control);
             // Make the journal agree with the recovered world: a record
             // past the replayed prefix is not part of history.
+            let mut control = control.into_wal();
             control.truncate_after(applied);
             rt.store.sync();
             rt.journal.attach(control);
@@ -74,21 +76,26 @@ impl HierarchyRuntime {
     /// The one scan: applies records in order until one does not apply,
     /// then restarts every fast-forward left short of its anchor. Returns
     /// how many records applied.
-    fn replay(&mut self, raw: Vec<Vec<u8>>) -> usize {
-        // Records are decoded one at a time; the first that does not
-        // decode ends the log as surely as one that does not apply. The
-        // plan passes over blocks undecoded: a block the scan then stops at
-        // leaves a planned anchor unreached, which is the per-node fallback
-        // below, as for a record that does not apply.
-        let decode = |bytes: &Vec<u8>| ControlRecord::decode(bytes).ok();
+    fn replay(&mut self, log: &RecoveringWal) -> usize {
+        // Records are streamed and decoded one at a time, so no more of the
+        // log than a segment is held; the first that does not decode ends
+        // the log as surely as one that does not apply. The plan passes over
+        // blocks undecoded: a block the scan then stops at leaves a planned
+        // anchor unreached, which is the per-node fallback below, as for a
+        // record that does not apply.
+        let decode =
+            |(at, bytes): (RecordPos, Vec<u8>)| Some((at, ControlRecord::decode(&bytes).ok()?));
         let mut targets = FastForward::new();
         if self.config.sync_mode == crate::chaos::SyncMode::Snapshot {
-            let small = raw.iter().filter(|bytes| bytes.first() != Some(&BLOCK_TAG));
-            targets = Self::plan_fast_forward(small.map_while(decode), &self.store);
+            let small = log
+                .records()
+                .filter(|(_, bytes)| bytes.first() != Some(&BLOCK_TAG));
+            let small = small.map_while(decode).map(|(_, record)| record);
+            targets = Self::plan_fast_forward(small, &self.store);
         }
         let mut applied = 0usize;
-        for record in raw.into_iter().map_while(|bytes| decode(&bytes)) {
-            if !self.apply_control_record(record, &mut targets) {
+        for (at, record) in log.records().map_while(decode) {
+            if !self.apply_control_record(record, at, &mut targets) {
                 break;
             }
             applied += 1;
@@ -138,11 +145,17 @@ impl HierarchyRuntime {
         anchors
     }
 
-    /// Applies one control record during recovery. Returns `false` when the
-    /// record cannot be satisfied (its block does not extend its chain, a
-    /// state root fails to reproduce, …) — replay stops there and the
-    /// journal is truncated back to the satisfied prefix.
-    fn apply_control_record(&mut self, record: ControlRecord, targets: &mut FastForward) -> bool {
+    /// Applies one control record, journaled at `at`, during recovery.
+    /// Returns `false` when the record cannot be satisfied (its block does
+    /// not extend its chain, a state root fails to reproduce, …) — replay
+    /// stops there and the journal is truncated back to the satisfied
+    /// prefix. A block's chain holds it at `at`, as the live chain did.
+    fn apply_control_record(
+        &mut self,
+        record: ControlRecord,
+        at: RecordPos,
+        targets: &mut FastForward,
+    ) -> bool {
         match record {
             ControlRecord::SubnetRetired { subnet } => {
                 if !self.nodes.contains_key(&subnet) {
@@ -168,6 +181,7 @@ impl HierarchyRuntime {
                     _ => &[],
                 });
                 let next_user_id = installed.map(|(addr, ..)| addr.id() + 1).max();
+                let journaled = self.journal.journaled(at);
                 self.refresh_validators(&subnet);
                 let Some(node) = self.nodes.get_mut(&subnet) else {
                     return false;
@@ -178,11 +192,13 @@ impl HierarchyRuntime {
                     if node.skip_past(block, None, senders).is_err() {
                         return false;
                     }
+                    node.journaled(journaled);
                 } else {
                     let Ok((cut, top_down)) = node.reexecute(&block, self.config.parallelism)
                     else {
                         return false;
                     };
+                    node.journaled(journaled);
                     // The cut goes up at its block, so a log torn before
                     // its anchor record still hands it up.
                     if let Some((checkpoint, manifest)) = cut {

@@ -76,8 +76,8 @@ impl HierarchyRuntime {
     /// holds journaled history, use [`HierarchyRuntime::recover`].
     pub fn new(config: RuntimeConfig) -> Self {
         let mut rt = Self::boot(config);
-        if let Some((control, _)) = rt.journal.open(&rt.store) {
-            rt.journal.attach(control);
+        if let Some(control) = rt.journal.open(&rt.store) {
+            rt.journal.attach(control.into_wal());
         }
         rt
     }
@@ -493,8 +493,10 @@ impl HierarchyRuntime {
             top_down,
         } = outcome;
         // The block's place in history: after every record written before
-        // it, durable with the rest of its wave at the barrier.
-        self.journal.append(&ControlRecord::Block(block));
+        // it, durable with the rest of its wave at the barrier. Its chain
+        // holds it there from now on.
+        let journaled = self.journal.append(&ControlRecord::Block(block));
+        Self::get_node_mut(&mut self.nodes, subnet)?.journaled(journaled);
         for ev in &events {
             self.events.push_back((subnet.clone(), ev.clone()));
         }

@@ -12,7 +12,9 @@
 //! inter-region partition, and a degraded trans-oceanic link.
 //!
 //! Measured per cell: post-heal top-down and bottom-up (checkpoint
-//! settlement) latency, the delivered-latency histogram of the parent's
+//! settlement) latency — the bottom-up leg averaged over one leg submitted
+//! at each offset of the source's checkpoint window, since a leg waits for
+//! the window's cut — the delivered-latency histogram of the parent's
 //! gossip topic (p50/p99), checkpoints committed at the root, and the
 //! recovery counters. Every seed must *reconverge*: exact balances, clean
 //! supply audits, every region-crashed node caught back up through
@@ -76,8 +78,8 @@ pub struct E14Row {
     pub seeds: usize,
     /// Mean post-heal top-down delivery latency, virtual ms.
     pub topdown_ms: f64,
-    /// Mean post-heal bottom-up (checkpoint-settlement) latency,
-    /// virtual ms.
+    /// Mean post-heal bottom-up (checkpoint-settlement) latency over one
+    /// leg per offset of `c1`'s checkpoint window, virtual ms.
     pub bottomup_ms: f64,
     /// Mean p50 of the parent-topic delivered-latency histogram, ms.
     pub gossip_p50_ms: f64,
@@ -273,7 +275,8 @@ fn inject(rt: &mut HierarchyRuntime, scenario: &str, c1: &SubnetId, c2: &SubnetI
 /// One seed's measurements plus its reconvergence verdict.
 struct SeedOutcome {
     topdown_ms: u64,
-    bottomup_ms: u64,
+    /// Summed over the bottom-up legs, one per window offset.
+    bottomup_total_ms: u64,
     gossip_p50_ms: u64,
     gossip_p99_ms: u64,
     checkpoints: u64,
@@ -328,6 +331,12 @@ fn run_seed(
     // bottom-up out of c1 — settlement must work *after* the disaster.
     let td = measure_delivery(&mut w.rt, &w.alice, &w.carol, whole(3), 20_000)?;
     w.rt.run_until_quiescent(10_000)?;
+    // Where `c1`'s head stands in its checkpoint window.
+    let c1_offset = |rt: &HierarchyRuntime| {
+        let head = rt.node(&w.c1).map(|n| n.chain().head_epoch().value());
+        head.map(|epoch| epoch % checkpoint_period)
+    };
+    let first_offset = c1_offset(&w.rt);
     let bu = measure_delivery(&mut w.rt, &w.bob, &w.alice, whole(2), 20_000)?;
     w.rt.run_until_quiescent(10_000)?;
 
@@ -362,16 +371,31 @@ fn run_seed(
         w.rt.topic_latency(&root)
             .or_else(|| w.rt.topic_latency(&w.p1))
             .or_else(|| w.rt.topic_latency(&w.c1));
+    let checkpoints =
+        w.rt.node(&root)
+            .map_or(0, |n| n.stats().checkpoints_committed)
+            - ckpts_before;
+
+    // A bottom-up leg settles at its source's next checkpoint cut, so one
+    // leg reads where in `c1`'s window it was submitted. A leg at each
+    // other offset of the window joins the measured one, after everything
+    // else was read.
+    let mut bottomup_total_ms = bu.latency_ms;
+    for offset in (0..checkpoint_period).filter(|&o| Some(o) != first_offset) {
+        while c1_offset(&w.rt).is_some_and(|o| o != offset) {
+            w.rt.step()?;
+        }
+        let leg = measure_delivery(&mut w.rt, &w.bob, &w.alice, whole(1), 20_000)?;
+        w.rt.run_until_quiescent(10_000)?;
+        bottomup_total_ms += leg.latency_ms;
+    }
+
     Ok(SeedOutcome {
         topdown_ms: td.latency_ms,
-        bottomup_ms: bu.latency_ms,
+        bottomup_total_ms,
         gossip_p50_ms: gossip.map_or(0, |g| g.p50_ms),
         gossip_p99_ms: gossip.map_or(0, |g| g.p99_ms),
-        checkpoints: w
-            .rt
-            .node(&root)
-            .map_or(0, |n| n.stats().checkpoints_committed)
-            - ckpts_before,
+        checkpoints,
         region_crashes: chaos.region_crashes,
         region_heals: chaos.region_heals,
         deferred_rejoins: chaos.region_heals_deferred,
@@ -407,7 +431,7 @@ pub fn e14_run(params: &E14Params) -> Result<Vec<E14Row>, RuntimeError> {
                 scenario,
                 seeds: outcomes.len(),
                 topdown_ms: mean(&|o| o.topdown_ms),
-                bottomup_ms: mean(&|o| o.bottomup_ms),
+                bottomup_ms: mean(&|o| o.bottomup_total_ms) / params.checkpoint_period as f64,
                 gossip_p50_ms: mean(&|o| o.gossip_p50_ms),
                 gossip_p99_ms: mean(&|o| o.gossip_p99_ms),
                 checkpoints: mean(&|o| o.checkpoints),

@@ -2,7 +2,7 @@
 //!
 //! A [`Persistence`] device is the narrow waist between the logs above it
 //! ([`crate::Wal`], [`crate::BlobLog`]) and the bytes below: a set of named
-//! streams supporting append, whole/partial reads, truncation, and sync.
+//! streams supporting append, whole and ranged reads, truncation, and sync.
 //! Corruption handling lives entirely in the framing layer — a device
 //! returns whatever bytes it has, and the frame scanner decides how much of
 //! them to trust.
@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,6 +50,13 @@ pub trait Persistence: Send + Sync {
     /// Returns the full contents of `stream` (empty if never written).
     fn read(&self, stream: &str) -> Vec<u8>;
 
+    /// Returns the `len` bytes of `stream` from `offset` on — fewer where
+    /// the stream ends first, none past its end. A log reads one record
+    /// back through it ([`crate::WalReader`]).
+    fn read_range(&self, stream: &str, offset: u64, len: u64) -> Vec<u8> {
+        range(&self.read(stream), offset, len).to_vec()
+    }
+
     /// Appends `bytes` to the end of `stream`, creating it if needed.
     fn append(&self, stream: &str, bytes: &[u8]);
 
@@ -67,6 +74,13 @@ pub trait Persistence: Send + Sync {
 
     /// Number of syncs issued so far (for tests and benches).
     fn sync_count(&self) -> u64;
+}
+
+/// The `len` bytes of `bytes` from `offset` on, cut at its end.
+fn range(bytes: &[u8], offset: u64, len: u64) -> &[u8] {
+    let start = usize::try_from(offset).map_or(bytes.len(), |o| o.min(bytes.len()));
+    let end = usize::try_from(len).map_or(bytes.len(), |l| start.saturating_add(l));
+    &bytes[start..end.min(bytes.len())]
 }
 
 /// In-memory device: streams are byte vectors behind a shared lock.
@@ -115,6 +129,11 @@ impl std::fmt::Debug for InMemoryDevice {
 impl Persistence for InMemoryDevice {
     fn read(&self, stream: &str) -> Vec<u8> {
         self.streams.lock().get(stream).cloned().unwrap_or_default()
+    }
+
+    fn read_range(&self, stream: &str, offset: u64, len: u64) -> Vec<u8> {
+        let streams = self.streams.lock();
+        range(streams.get(stream).map_or(&[], Vec::as_slice), offset, len).to_vec()
     }
 
     fn append(&self, stream: &str, bytes: &[u8]) {
@@ -237,6 +256,20 @@ impl Persistence for OnDiskDevice {
         fs::read(self.path_for(stream)).unwrap_or_default()
     }
 
+    fn read_range(&self, stream: &str, offset: u64, len: u64) -> Vec<u8> {
+        let Ok(mut file) = fs::File::open(self.path_for(stream)) else {
+            return Vec::new();
+        };
+        let size = file.metadata().map_or(0, |m| m.len());
+        let len = len.min(size.saturating_sub(offset));
+        let mut out = vec![0; usize::try_from(len).expect("a range fits in memory")];
+        if len > 0 {
+            file.seek(SeekFrom::Start(offset)).expect("seek in stream");
+            file.read_exact(&mut out).expect("read a range of a stream");
+        }
+        out
+    }
+
     fn append(&self, stream: &str, bytes: &[u8]) {
         let path = self.path_for(stream);
         if let Some(parent) = path.parent() {
@@ -306,6 +339,10 @@ mod tests {
         assert_eq!(device.read("a/b"), b"hello");
         device.truncate("a/b", 500); // beyond end: no-op
         assert_eq!(device.len("a/b"), 5);
+        assert_eq!(device.read_range("a/b", 1, 3), b"ell");
+        assert_eq!(device.read_range("a/b", 3, 10), b"lo", "cut at the end");
+        assert_eq!(device.read_range("a/b", 9, 2), b"", "nothing past the end");
+        assert_eq!(device.read_range("never", 0, 4), b"");
         device.append("c", b"x");
         assert_eq!(device.streams(), vec!["a/b".to_owned(), "c".to_owned()]);
         device.sync("a/b");
@@ -315,6 +352,8 @@ mod tests {
     #[test]
     fn in_memory_device_round_trip() {
         exercise(&InMemoryDevice::new());
+        // The trait's own ranged read, over `read`.
+        exercise(&crate::crash::RecordingDevice::default());
     }
 
     #[test]

@@ -64,41 +64,33 @@ pub struct FrameScan {
     pub torn: bool,
 }
 
+/// The payload of the intact frame at the start of `bytes`: its magic,
+/// its length and its checksum all hold. `None` when any does not, or the
+/// bytes end inside the frame.
+pub fn next_frame(bytes: &[u8]) -> Option<&[u8]> {
+    let header = bytes.get(..FRAME_HEADER_LEN)?;
+    let magic = u32::from_le_bytes(header[0..4].try_into().expect("sized"));
+    if magic != FRAME_MAGIC {
+        return None;
+    }
+    let len = u32::from_le_bytes(header[4..8].try_into().expect("sized")) as usize;
+    let sum = u64::from_le_bytes(header[8..16].try_into().expect("sized"));
+    let payload = bytes.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len)?;
+    (checksum(payload) == sum).then_some(payload)
+}
+
 /// Scans `bytes` for consecutive frames, returning the longest valid prefix.
 pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     let mut payloads = Vec::new();
     let mut pos = 0usize;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            return FrameScan {
-                payloads,
-                valid_len: pos as u64,
-                torn: false,
-            };
-        }
-        if rest.len() < FRAME_HEADER_LEN {
-            break;
-        }
-        let magic = u32::from_le_bytes(rest[0..4].try_into().expect("sized"));
-        if magic != FRAME_MAGIC {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[4..8].try_into().expect("sized")) as usize;
-        let sum = u64::from_le_bytes(rest[8..16].try_into().expect("sized"));
-        let Some(payload) = rest.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
-            break; // truncated payload
-        };
-        if checksum(payload) != sum {
-            break;
-        }
+    while let Some(payload) = next_frame(&bytes[pos..]) {
         payloads.push(payload.to_vec());
-        pos += FRAME_HEADER_LEN + len;
+        pos += FRAME_HEADER_LEN + payload.len();
     }
     FrameScan {
         payloads,
         valid_len: pos as u64,
-        torn: true,
+        torn: pos < bytes.len(),
     }
 }
 

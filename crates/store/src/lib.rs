@@ -15,7 +15,10 @@
 //!   so a scan can always find the longest valid prefix of a torn stream.
 //! * [`Wal`] — a segmented append-only write-ahead log of opaque records.
 //!   Opening a WAL scans its segments, returns every intact record, and
-//!   truncates whatever torn tail a crash left behind.
+//!   truncates whatever torn tail a crash left behind; a
+//!   [`RecoveringWal`] streams the records instead, one segment at a time.
+//!   Every record has a [`RecordPos`], and a [`WalReader`] reads one back
+//!   by it, checksum checked.
 //! * [`BlobLog`] — a content-addressed blob journal backing `CidStore`:
 //!   each blob is stored at most once (the in-memory dedup that PR 2's
 //!   structural sharing relies on carries to disk), and unreachable blobs
@@ -40,4 +43,4 @@ pub mod wal;
 
 pub use blob::BlobLog;
 pub use device::{FsyncPolicy, InMemoryDevice, OnDiskDevice, Persistence};
-pub use wal::{Wal, WalOptions};
+pub use wal::{RecordPos, Records, RecoveringWal, Wal, WalOptions, WalReader};

@@ -6,18 +6,23 @@
 //! the cost of truncating a torn tail and lets compaction rewrite a log
 //! without unbounded buffering.
 //!
-//! Opening a WAL recovers it: segments are scanned in order, every intact
-//! record is returned, and the first violation (checksum mismatch, torn
-//! frame, or a gap) marks the end of the valid prefix — the torn tail and
-//! all later segments are truncated so the writer resumes from a clean
-//! state. This is what makes the recovery contract of the whole subsystem
-//! hold: after any crash, a reopened log contains exactly a prefix of the
-//! records whose append completed.
+//! Opening a WAL recovers it: segments are scanned in order, and the first
+//! violation (checksum mismatch, torn frame, or a gap) marks the end of the
+//! valid prefix — the torn tail and all later segments are truncated so the
+//! writer resumes from a clean state. This is what makes the recovery
+//! contract of the whole subsystem hold: after any crash, a reopened log
+//! contains exactly a prefix of the records whose append completed.
+//! [`Wal::open`] returns those records at once; [`RecoveringWal::open`]
+//! keeps only their positions and streams them, one segment in memory at a
+//! time, for a caller that replays a log longer than it wants to hold.
+//!
+//! Every record has a [`RecordPos`]: an append returns it, a scan yields it,
+//! and a [`WalReader`] reads that one record back, its checksum checked.
 
 use std::sync::Arc;
 
 use crate::device::{FsyncPolicy, Persistence};
-use crate::frame::{encode_frame, scan_frames};
+use crate::frame::{encode_frame, next_frame, FRAME_HEADER_LEN};
 
 /// Tuning knobs for a [`Wal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,11 +44,23 @@ impl Default for WalOptions {
     }
 }
 
-/// Per-record location, used to truncate precisely at record boundaries.
+/// Where a record lies in its log: the segment it was written to and the
+/// byte range of its frame there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RecordEnd {
-    segment: u32,
-    end_offset: u64,
+pub struct RecordPos {
+    /// Index of the segment holding the record.
+    pub segment: u32,
+    /// Byte offset of the record's frame in its segment.
+    pub offset: u64,
+    /// Length of the frame, header included.
+    pub len: u64,
+}
+
+impl RecordPos {
+    /// Byte offset just past the record's frame.
+    fn end(&self) -> u64 {
+        self.offset + self.len
+    }
 }
 
 /// A segmented, checksummed append-only log of opaque byte records.
@@ -59,8 +76,8 @@ pub struct Wal {
     segment: u32,
     /// Byte length of the current segment.
     segment_len: u64,
-    /// End position of every record, in order.
-    record_ends: Vec<RecordEnd>,
+    /// Position of every record, in order.
+    records: Vec<RecordPos>,
     /// Records written by [`Wal::append_deferred`] since the last
     /// [`Wal::sync_deferred`].
     deferred: u32,
@@ -73,60 +90,56 @@ impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
             .field("name", &self.name)
-            .field("records", &self.record_ends.len())
+            .field("records", &self.records.len())
             .field("segment", &self.segment)
             .finish()
     }
 }
 
-impl Wal {
-    /// Opens (recovering if necessary) the log named `name` on `device`,
-    /// returning the log handle and every intact record in append order.
-    ///
-    /// Any torn tail is truncated away as part of opening; see the module
-    /// docs for the recovery contract.
-    pub fn open(
-        device: Arc<dyn Persistence>,
-        name: &str,
-        opts: WalOptions,
-    ) -> (Self, Vec<Vec<u8>>) {
+/// A log opened for recovery: checked and cut back to its valid prefix as
+/// [`Wal::open`] does, holding only its records' positions. Its records
+/// are streamed ([`RecoveringWal::records`]) as often as the replay needs;
+/// nothing can be appended until [`RecoveringWal::into_wal`] hands over the
+/// writer, so a replay cannot journal what it replays.
+#[derive(Debug)]
+pub struct RecoveringWal {
+    wal: Wal,
+}
+
+impl RecoveringWal {
+    /// Opens (recovering if necessary) the log named `name` on `device`.
+    /// Each segment is read and checked in turn; only record positions are
+    /// kept. Any torn tail is truncated away; see the module docs.
+    pub fn open(device: Arc<dyn Persistence>, name: &str, opts: WalOptions) -> Self {
         let mut records = Vec::new();
-        let mut record_ends = Vec::new();
         let mut segment = 0u32;
-        let mut segment_len = 0u64;
+        let mut segment_len;
         loop {
-            let stream = segment_stream(name, segment);
-            let bytes = device.read(&stream);
-            if bytes.is_empty() && device.len(&stream) == 0 {
+            let bytes = device.read(&segment_stream(name, segment));
+            if bytes.is_empty() {
                 // First never-written segment: end of the log. Resume in the
                 // previous segment if one exists.
+                segment_len = 0;
                 if segment > 0 {
                     segment -= 1;
                     segment_len = device.len(&segment_stream(name, segment));
                 }
                 break;
             }
-            let scan = scan_frames(&bytes);
-            for payload in &scan.payloads {
-                record_ends.push(RecordEnd {
+            let mut offset = 0;
+            while let Some(payload) = next_frame(&bytes[offset..]) {
+                let len = FRAME_HEADER_LEN + payload.len();
+                records.push(RecordPos {
                     segment,
-                    end_offset: 0, // patched below, once offsets are known
+                    offset: offset as u64,
+                    len: len as u64,
                 });
-                records.push(payload.clone());
+                offset += len;
             }
-            // Recompute exact end offsets for this segment's records.
-            let mut off = 0u64;
-            let n = scan.payloads.len();
-            for (i, payload) in scan.payloads.iter().enumerate() {
-                off += (crate::frame::FRAME_HEADER_LEN + payload.len()) as u64;
-                let idx = record_ends.len() - n + i;
-                record_ends[idx].end_offset = off;
-            }
-            if scan.torn {
-                segment_len = scan.valid_len;
+            segment_len = offset as u64;
+            if offset < bytes.len() {
                 break;
             }
-            segment_len = scan.valid_len;
             segment += 1;
         }
         let mut wal = Wal {
@@ -135,7 +148,7 @@ impl Wal {
             opts,
             segment,
             segment_len,
-            record_ends,
+            records,
             deferred: 0,
             deferred_left: Vec::new(),
         };
@@ -143,29 +156,123 @@ impl Wal {
         // past the resume point is untrusted: clear it so appends never
         // land after stale bytes.
         wal.truncate_from(wal.segment, wal.segment_len);
-        (wal, records)
+        RecoveringWal { wal }
+    }
+
+    /// Every record in append order with its position, read one segment
+    /// at a time: at most one segment and one record are held.
+    pub fn records(&self) -> Records<'_> {
+        self.wal.records()
+    }
+
+    /// A reader for single records of this log.
+    pub fn reader(&self) -> WalReader {
+        self.wal.reader()
+    }
+
+    /// Ends recovery: the log, ready to append after its last record.
+    pub fn into_wal(self) -> Wal {
+        self.wal
+    }
+}
+
+/// The records of a log with their positions, streamed one segment at a
+/// time ([`RecoveringWal::records`]).
+pub struct Records<'a> {
+    wal: &'a Wal,
+    next: usize,
+    /// The segment the last record came from, and its bytes.
+    segment: Option<(u32, Vec<u8>)>,
+}
+
+impl Iterator for Records<'_> {
+    type Item = (RecordPos, Vec<u8>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let at = *self.wal.records.get(self.next)?;
+        self.next += 1;
+        if self.segment.as_ref().map(|(s, _)| *s) != Some(at.segment) {
+            // The one segment held goes before the next is read.
+            self.segment = None;
+            let bytes = self.wal.device.read(&self.wal.segment_stream(at.segment));
+            self.segment = Some((at.segment, bytes));
+        }
+        let (_, bytes) = self.segment.as_ref()?;
+        let payload = bytes.get(at.offset as usize + FRAME_HEADER_LEN..at.end() as usize)?;
+        Some((at, payload.to_vec()))
+    }
+}
+
+/// Reads single records of a log back by position; a clone reads the same
+/// log. A record whose frame no longer checks out — overwritten, torn or
+/// corrupted since it was written — is refused, never returned.
+#[derive(Clone)]
+pub struct WalReader {
+    device: Arc<dyn Persistence>,
+    name: String,
+}
+
+impl std::fmt::Debug for WalReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WalReader")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
+    }
+}
+
+impl WalReader {
+    /// The payload of the record at `at`: one ranged read of its frame,
+    /// whose magic, length and checksum must hold. `None` otherwise.
+    pub fn read(&self, at: RecordPos) -> Option<Vec<u8>> {
+        let stream = segment_stream(&self.name, at.segment);
+        let mut frame = self.device.read_range(&stream, at.offset, at.len);
+        let payload_len = next_frame(&frame)?.len();
+        if FRAME_HEADER_LEN + payload_len != frame.len() {
+            return None;
+        }
+        frame.drain(..FRAME_HEADER_LEN);
+        Some(frame)
+    }
+}
+
+impl Wal {
+    /// Opens (recovering if necessary) the log named `name` on `device`,
+    /// returning the log handle and every intact record in append order.
+    ///
+    /// Any torn tail is truncated away as part of opening; see the module
+    /// docs. [`RecoveringWal::open`] opens without collecting.
+    pub fn open(
+        device: Arc<dyn Persistence>,
+        name: &str,
+        opts: WalOptions,
+    ) -> (Self, Vec<Vec<u8>>) {
+        let log = RecoveringWal::open(device, name, opts);
+        let records = log.records().map(|(_, payload)| payload).collect();
+        (log.into_wal(), records)
     }
 
     /// Writes one record's frame, starting a new segment first if the
-    /// current one would overflow. No sync: returns the stream of the
-    /// segment it left behind when it rolled over, so a caller deferring
-    /// syncs can still cover every segment it wrote to.
-    fn write_frame(&mut self, payload: &[u8]) -> Option<String> {
+    /// current one would overflow. No sync: returns the record's position
+    /// and the stream of the segment it left behind when it rolled over, so
+    /// a caller deferring syncs can still cover every segment it wrote to.
+    fn write_frame(&mut self, payload: &[u8]) -> (RecordPos, Option<String>) {
         let frame = encode_frame(payload);
         let mut left = None;
         if self.segment_len > 0 && self.segment_len + frame.len() as u64 > self.opts.segment_bytes {
-            left = Some(segment_stream(&self.name, self.segment));
+            left = Some(self.segment_stream(self.segment));
             self.segment += 1;
             self.segment_len = 0;
         }
-        let stream = segment_stream(&self.name, self.segment);
-        self.device.append(&stream, &frame);
-        self.segment_len += frame.len() as u64;
-        self.record_ends.push(RecordEnd {
+        self.device
+            .append(&self.segment_stream(self.segment), &frame);
+        let at = RecordPos {
             segment: self.segment,
-            end_offset: self.segment_len,
-        });
-        left
+            offset: self.segment_len,
+            len: frame.len() as u64,
+        };
+        self.segment_len = at.end();
+        self.records.push(at);
+        (at, left)
     }
 
     /// Appends one record and applies the sync policy: a deferred append
@@ -187,7 +294,7 @@ impl Wal {
         }
         let durable = !matches!(self.opts.fsync, FsyncPolicy::Never);
         for payload in payloads {
-            if let Some(left) = self.write_frame(payload) {
+            if let (_, Some(left)) = self.write_frame(payload) {
                 if durable {
                     self.device.sync(&left);
                 }
@@ -204,17 +311,19 @@ impl Wal {
     /// but the [`FsyncPolicy`] is applied only at the next
     /// [`Wal::sync_deferred`]. For a writer whose records need not each be
     /// durable on return and may share one sync, like the runtime's
-    /// control log, whose barrier runs once per step.
-    pub fn append_deferred(&mut self, payload: &[u8]) {
+    /// control log, whose barrier runs once per step. Returns where the
+    /// record went.
+    pub fn append_deferred(&mut self, payload: &[u8]) -> RecordPos {
         // A segment rolled out of needs a sync of its own only if it holds
         // deferred frames no sync has covered yet; otherwise the previous
         // barrier covered it.
         let unsynced = self.deferred > 0;
-        let left = self.write_frame(payload);
+        let (at, left) = self.write_frame(payload);
         if unsynced {
             self.deferred_left.extend(left);
         }
         self.deferred += 1;
+        at
     }
 
     /// The durability barrier for [`Wal::append_deferred`]: applies the
@@ -238,12 +347,12 @@ impl Wal {
         for left in self.deferred_left.drain(..) {
             self.device.sync(&left);
         }
-        self.device.sync(&segment_stream(&self.name, self.segment));
+        self.device.sync(&self.segment_stream(self.segment));
     }
 
     /// Number of records currently in the log.
     pub fn record_count(&self) -> usize {
-        self.record_ends.len()
+        self.records.len()
     }
 
     /// The log's base name.
@@ -256,37 +365,51 @@ impl Wal {
         &self.device
     }
 
-    /// Re-reads every record currently in the log (a fresh scan of the
-    /// device). Used by compaction; O(log size).
+    /// Re-reads every record currently in the log (from the device). Used
+    /// by compaction; O(log size).
     pub fn read_all(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for seg in 0..=self.segment {
-            let scan = scan_frames(&self.device.read(&segment_stream(&self.name, seg)));
-            out.extend(scan.payloads);
+        self.records().map(|(_, payload)| payload).collect()
+    }
+
+    /// Every record with its position, streamed one segment at a time.
+    fn records(&self) -> Records<'_> {
+        Records {
+            wal: self,
+            next: 0,
+            segment: None,
         }
-        out.truncate(self.record_ends.len());
-        out
+    }
+
+    /// A reader for single records of this log, by position.
+    pub fn reader(&self) -> WalReader {
+        WalReader {
+            device: self.device.clone(),
+            name: self.name.clone(),
+        }
+    }
+
+    /// The stream holding segment `segment` of this log.
+    fn segment_stream(&self, segment: u32) -> String {
+        segment_stream(&self.name, segment)
     }
 
     /// Discards every record after the first `keep`, truncating the
     /// underlying streams at exact record boundaries.
     pub fn truncate_after(&mut self, keep: usize) {
-        if keep >= self.record_ends.len() {
+        if keep >= self.records.len() {
             return;
         }
-        let (segment, offset) = if keep == 0 {
-            (0, 0)
-        } else {
-            let last = self.record_ends[keep - 1];
-            (last.segment, last.end_offset)
+        let (segment, offset) = match keep.checked_sub(1) {
+            Some(last) => (self.records[last].segment, self.records[last].end()),
+            None => (0, 0),
         };
-        self.record_ends.truncate(keep);
+        self.records.truncate(keep);
         self.truncate_from(segment, offset);
     }
 
     /// Replaces the whole log contents with `records` (compaction).
     pub fn reset_with(&mut self, records: &[Vec<u8>]) {
-        self.record_ends.clear();
+        self.records.clear();
         self.truncate_from(0, 0);
         self.append_group(records);
     }
@@ -294,8 +417,7 @@ impl Wal {
     /// Truncates segment `segment` to `offset` bytes and empties every
     /// later segment (even past gaps), repositioning the writer.
     fn truncate_from(&mut self, segment: u32, offset: u64) {
-        self.device
-            .truncate(&segment_stream(&self.name, segment), offset);
+        self.device.truncate(&self.segment_stream(segment), offset);
         let prefix = format!("{}/", self.name);
         for stream in self.device.streams() {
             let Some(rest) = stream.strip_prefix(&prefix) else {
@@ -352,6 +474,52 @@ mod tests {
         let (wal, recovered) = Wal::open(dev, "log", small_opts());
         assert_eq!(recovered, records);
         assert_eq!(wal.record_count(), records.len());
+    }
+
+    #[test]
+    fn a_record_reads_back_at_the_position_its_append_returned() {
+        let dev = device();
+        let (mut wal, _) = Wal::open(dev.clone(), "log", small_opts());
+        let records: Vec<Vec<u8>> = (0u8..12).map(|i| vec![i; (i as usize * 5) % 30]).collect();
+        let positions: Vec<RecordPos> = records.iter().map(|r| wal.append_deferred(r)).collect();
+        assert!(wal.segment > 0, "tiny segments must have rolled");
+        let reader = wal.reader();
+        for (at, record) in positions.iter().zip(&records) {
+            assert_eq!(reader.read(*at).as_ref(), Some(record));
+        }
+        // A recovering open streams the same records at the same positions.
+        let log = RecoveringWal::open(dev, "log", small_opts());
+        let streamed: Vec<(RecordPos, Vec<u8>)> = log.records().collect();
+        assert_eq!(
+            streamed,
+            positions.into_iter().zip(records).collect::<Vec<_>>()
+        );
+        assert_eq!(log.into_wal().record_count(), 12);
+    }
+
+    #[test]
+    fn a_corrupted_record_is_refused_on_read_back() {
+        let dev = device();
+        let (mut wal, _) = Wal::open(dev.clone(), "log", small_opts());
+        let first = wal.append_deferred(b"first record");
+        let second = wal.append_deferred(b"second record");
+        // One payload byte of the second frame flipped.
+        let at = second.offset + FRAME_HEADER_LEN as u64 + 3;
+        crate::crash::corrupt_byte(&dev, &segment_stream("log", second.segment), at);
+        let reader = wal.reader();
+        assert_eq!(reader.read(first).as_deref(), Some(&b"first record"[..]));
+        assert_eq!(reader.read(second), None, "a corrupted frame is refused");
+        // A position that does not span exactly one frame is refused too.
+        let short = RecordPos {
+            len: first.len - 1,
+            ..first
+        };
+        assert_eq!(reader.read(short), None);
+        let wide = RecordPos {
+            len: first.len + second.len,
+            ..first
+        };
+        assert_eq!(reader.read(wide), None);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// What the process has allocated through [`CountingAlloc`] so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,9 +29,12 @@ pub struct AllocCounts {
     pub bytes: u64,
     /// Bytes allocated and not yet freed.
     pub live: u64,
+    /// The most bytes live at once since the last
+    /// [`CountingAlloc::reset_peak`].
+    pub peak: u64,
 }
 
-/// The system allocator, counting calls, bytes and live bytes.
+/// The system allocator, counting calls, bytes, live bytes and their peak.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingAlloc;
 
@@ -41,14 +45,21 @@ impl CountingAlloc {
             calls: CALLS.load(Relaxed),
             bytes: BYTES.load(Relaxed),
             live: LIVE.load(Relaxed),
+            peak: PEAK.load(Relaxed),
         }
+    }
+
+    /// Starts a new peak from the bytes live now.
+    pub fn reset_peak() {
+        PEAK.store(LIVE.load(Relaxed), Relaxed);
     }
 
     fn note_alloc(size: usize) {
         let size = size as u64;
         CALLS.fetch_add(1, Relaxed);
         BYTES.fetch_add(size, Relaxed);
-        LIVE.fetch_add(size, Relaxed);
+        let live = LIVE.fetch_add(size, Relaxed) + size;
+        PEAK.fetch_max(live, Relaxed);
     }
 }
 
